@@ -141,6 +141,12 @@ echo "==> determinism regression + golden decision traces + golden metrics"
 cargo test -q --release -p dcat-bench --offline --test determinism --test golden_traces \
     --test golden_metrics
 
+echo "==> llc-sim multi-core inclusion/occupancy property + decision digests (release)"
+# In release, as the experiments run it: the hot path's index and counter
+# arithmetic must hold with overflow checks and debug_asserts compiled out
+# (`cargo test --workspace` covers the debug build).
+cargo test -q --release -p llc-sim --offline --test multicore_inclusion
+
 echo "==> daemon end-to-end (fixture resctrl tree + scripted telemetry)"
 cargo test -q -p dcat --offline --test daemon_e2e
 
@@ -229,6 +235,17 @@ echo "==> perfbench regression gate vs tracked BENCH_*.json trajectory"
 # with: DCAT_BLESS=1 cargo run --release -p dcat-bench --bin dcat-perfbench
 cargo run -q --release -p dcat-bench --offline --bin dcat-perfbench -- \
     --out-dir target/bench --baseline-dir .
+
+echo "==> system benchmark self-check (its unit tests + a seconds-long smoke of every workload)"
+# benchmark/ is a package of its own that links this workspace's public
+# API (benchmark/README.md, "What the benchmark links against"); building
+# and smoke-running it here makes a source-incompatible change fail in
+# this gate rather than when the benchmark is next run.
+if ! bash benchmark/run.sh --check > target/sysbench-check.txt 2>&1; then
+    tail -40 target/sysbench-check.txt >&2
+    echo "ERROR: benchmark/run.sh --check failed (full log: target/sysbench-check.txt)" >&2
+    exit 1
+fi
 
 echo "==> model checker (bounded exhaustive)"
 cargo run -q --release -p dcat-verify --offline

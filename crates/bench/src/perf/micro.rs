@@ -1,5 +1,7 @@
 //! The `micro` suite: set access, hierarchy access per replacement
-//! policy, the engine epoch loop, and the full-workspace lint run.
+//! policy and per outcome (L1 hit, LLC miss with eviction on the 18-core
+//! socket), page translation, the engine epoch loop and its CMT
+//! occupancy read, and the full-workspace lint run.
 //!
 //! The headline pair is `set_access_churn_packed` vs
 //! `set_access_churn_legacy`: a full 16-way set where every fill must
@@ -15,7 +17,11 @@ use host::{Engine, EngineConfig, VmSpec};
 use llc_sim::replacement::ReplacementPolicy;
 use llc_sim::set::legacy::LegacyCacheSet;
 use llc_sim::set::CacheSet;
-use llc_sim::{AccessKind, CacheGeometry, Hierarchy, HierarchyConfig, LineAddr, WayMask};
+use llc_sim::{
+    AccessKind, CacheGeometry, FrameAllocator, FramePolicy, Hierarchy, HierarchyConfig, LineAddr,
+    PageMapper, PageSize, VirtAddr, WayMask,
+};
+use smallrng::SmallRng;
 use workloads::{Lookbusy, Mlr};
 
 use super::harness::{normalize, SuiteRunner};
@@ -91,6 +97,13 @@ fn full_legacy() -> LegacyCacheSet {
     set
 }
 
+/// One step of the fixed LCG the address-stream cases draw from.
+fn lcg_next(state: u64) -> u64 {
+    state
+        .wrapping_mul(6_364_136_223_846_793_005)
+        .wrapping_add(1_442_695_040_888_963_407)
+}
+
 /// Builds the micro suite. `quick` shrinks iteration counts to a smoke
 /// pass (used by `--check`); hard minimums on derived ratios are only
 /// asserted for wall-clock runs, since a fake clock makes every rep span
@@ -164,11 +177,77 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         let mut state = 1u64;
         let name = format!("hierarchy_access_{tag}");
         suite.case(&name, iters, move || {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
+            state = lcg_next(state);
             let addr = (state >> 20) % (4 << 20); // 4 MiB footprint
             h.access((state >> 8) as u32 & 1, addr & !63, AccessKind::Load)
+        });
+    }
+
+    // --- Hierarchy::access split by outcome ---
+    {
+        // Eight lines in distinct L1 sets, revisited forever: after the
+        // first lap every access stops in the L1.
+        let mut h = Hierarchy::new(HierarchyConfig {
+            cores: 2,
+            llc: CacheGeometry::new(512, WAYS, 64),
+            ..HierarchyConfig::default()
+        });
+        let mut i = 0u64;
+        suite.case("hierarchy_access_l1_hit", iters, move || {
+            i += 1;
+            h.access(0, (i % 8) * 64, AccessKind::Load)
+        });
+    }
+    {
+        // The paper's 18-core socket, core 0 fenced into one LLC way and
+        // streaming fresh lines: once the way is full, every access
+        // misses all three levels and evicts, so the back-invalidation of
+        // the victim is on the measured path (a sweep over all 18 cores'
+        // L1 and L2 would show here; the sharer mask names one core).
+        let config = HierarchyConfig::default();
+        let mut h = Hierarchy::new(config);
+        h.set_fill_mask(0, WayMask::from_way_range(0, 1));
+        let mut line = 0u64;
+        for _ in 0..config.llc.sets {
+            h.access(0, line * 64, AccessKind::Load);
+            line += 1;
+        }
+        suite.case("hierarchy_access_llc_evict_18core", iters, move || {
+            line += 1;
+            h.access(0, line * 64, AccessKind::Load)
+        });
+    }
+
+    // --- PageMapper::translate_with on mapped pages ---
+    {
+        const PAGES: u64 = 4096; // 16 MiB of 4 KiB pages, all mapped up front
+        let mut frames = FrameAllocator::new(256 << 20, FramePolicy::Randomized, 7);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut mapper = PageMapper::new(PageSize::Small);
+        for page in 0..PAGES {
+            mapper
+                .translate_with(VirtAddr(page << 12), &mut frames, &mut rng)
+                .expect("pool holds the working set");
+        }
+        let mut state = 1u64;
+        suite.case("page_translate_hit", iters, move || {
+            state = lcg_next(state);
+            let vaddr = VirtAddr((state >> 20) % (PAGES << 12));
+            mapper.translate_with(vaddr, &mut frames, &mut rng)
+        });
+    }
+
+    // --- CMT occupancy read of one VM on the paper's socket ---
+    {
+        let mut cfg = EngineConfig::xeon_e5_v4();
+        cfg.cycles_per_epoch = 50_000;
+        cfg.memory_bytes = 256 << 20;
+        let mut engine = Engine::new(cfg, vec![VmSpec::new("mlr", vec![0, 1], 5)])
+            .expect("engine config is valid");
+        engine.start_workload(0, Box::new(Mlr::new(2 << 20, 1)));
+        engine.run_epoch();
+        suite.case("vm_llc_occupancy", iters, move || {
+            engine.vm_llc_occupancy(0)
         });
     }
 

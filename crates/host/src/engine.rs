@@ -17,7 +17,8 @@
 
 use dcat_obs::{Registry, Snapshot};
 use llc_sim::{
-    CoreCounters, CyclesModel, FrameAllocator, Hierarchy, LatencyModel, PageMapper, WayMask,
+    CoreCounters, CyclesModel, FrameAllocator, Hierarchy, HitLevel, LatencyModel, PageMapper,
+    WayMask,
 };
 use perf_events::CounterSnapshot;
 use resctrl::{CacheController, CatCapabilities, Cbm, CosId, ResctrlError};
@@ -133,6 +134,17 @@ pub struct Engine {
     core_cos: Vec<CosId>,
     epoch: u64,
     metrics: Registry,
+    scratch: EpochScratch,
+}
+
+/// `run_epoch`'s per-VM working buffers, kept so that an epoch reuses
+/// the previous one's capacity instead of allocating four vectors.
+#[derive(Default)]
+struct EpochScratch {
+    before: Vec<CounterSnapshot>,
+    after: Vec<CounterSnapshot>,
+    requests_before: Vec<usize>,
+    remaining: Vec<i64>,
 }
 
 impl Engine {
@@ -164,6 +176,7 @@ impl Engine {
             core_cos: vec![CosId(0); config.socket.hierarchy.cores as usize],
             epoch: 0,
             metrics: Registry::new(),
+            scratch: EpochScratch::default(),
             config,
         })
     }
@@ -248,19 +261,24 @@ impl Engine {
     /// Monotonic per-VM counter snapshots (sums over each VM's cores) —
     /// what dCat would read from MSRs.
     pub fn snapshots(&self) -> Vec<CounterSnapshot> {
-        self.vms
-            .iter()
-            .map(|slot| {
-                let sum = slot
-                    .spec
-                    .cores
-                    .iter()
-                    .fold(CoreCounters::default(), |acc, &c| {
-                        acc.merged_with(&self.hierarchy.counters(c))
-                    });
-                CounterSnapshot::from(sum)
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.vms.len());
+        self.snapshots_into(&mut out);
+        out
+    }
+
+    /// [`Engine::snapshots`] into a caller-owned buffer.
+    fn snapshots_into(&self, out: &mut Vec<CounterSnapshot>) {
+        out.clear();
+        out.extend(self.vms.iter().map(|slot| {
+            let sum = slot
+                .spec
+                .cores
+                .iter()
+                .fold(CoreCounters::default(), |acc, &c| {
+                    acc.merged_with(&self.hierarchy.counters(c))
+                });
+            CounterSnapshot::from(sum)
+        }));
     }
 
     /// The CAT control-plane adapter for this socket.
@@ -270,18 +288,21 @@ impl Engine {
 
     /// Runs one epoch and returns per-VM statistics.
     pub fn run_epoch(&mut self) -> Vec<VmEpochStats> {
-        let before = self.snapshots();
-        let requests_before: Vec<usize> = self
-            .vms
-            .iter()
-            .map(|s| s.workload.as_ref().map_or(0, |w| w.request_latencies.len()))
-            .collect();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.snapshots_into(&mut scratch.before);
+        scratch.requests_before.clear();
+        scratch.requests_before.extend(
+            self.vms
+                .iter()
+                .map(|s| s.workload.as_ref().map_or(0, |w| w.request_latencies.len())),
+        );
 
         let budget = self.config.cycles_per_epoch as i64;
-        let mut remaining = vec![budget; self.vms.len()];
+        scratch.remaining.clear();
+        scratch.remaining.resize(self.vms.len(), budget);
         loop {
             let mut progressed = false;
-            for (vm, rem) in remaining.iter_mut().enumerate() {
+            for (vm, rem) in scratch.remaining.iter_mut().enumerate() {
                 if *rem <= 0 || self.vms[vm].workload.is_none() {
                     continue;
                 }
@@ -295,10 +316,10 @@ impl Engine {
         }
         self.epoch += 1;
 
-        let after = self.snapshots();
+        self.snapshots_into(&mut scratch.after);
         let stats: Vec<VmEpochStats> = (0..self.vms.len())
             .map(|vm| {
-                let delta = after[vm].delta_since(&before[vm]);
+                let delta = scratch.after[vm].delta_since(&scratch.before[vm]);
                 let counters = CoreCounters {
                     l1_ref: delta.l1_ref,
                     // The snapshot does not carry l1_miss; reconstruct a
@@ -333,7 +354,7 @@ impl Engine {
                     },
                     avg_access_latency: self.config.latency.average_access_latency(&counters),
                     ways: self.vm_ways(vm),
-                    requests_completed: (requests_now - requests_before[vm]) as u64,
+                    requests_completed: (requests_now - scratch.requests_before[vm]) as u64,
                     llc_occupancy_lines: self.vm_llc_occupancy(vm),
                 }
             })
@@ -352,6 +373,7 @@ impl Engine {
             self.metrics
                 .gauge_set("engine_vm_ways", &vm, f64::from(s.ways));
         }
+        self.scratch = scratch;
         stats
     }
 
@@ -382,21 +404,35 @@ impl Engine {
             0.0
         };
 
+        // Request-latency cost of one reference served at each level: the
+        // same `latency / mlp + instr_share` the loop would compute, once
+        // per slice instead of once per reference.
+        let latency = self.config.latency;
+        let cost_at = |level: HitLevel| latency.latency_of(level) / profile.mlp + instr_share;
+        let (cost_l1, cost_l2, cost_llc, cost_dram) = (
+            cost_at(HitLevel::L1),
+            cost_at(HitLevel::L2),
+            cost_at(HitLevel::Llc),
+            cost_at(HitLevel::Dram),
+        );
+
         let placement_rng = &mut slot.placement_rng;
         let before = self.hierarchy.counters(core);
         // One virtual call generates the whole slice's references; the
         // sequence is exactly what per-reference next_access would yield.
         rt.stream
             .next_batch(&mut rt.batch, usize::try_from(n_refs).unwrap_or(usize::MAX));
-        for i in 0..rt.batch.len() {
-            let mref = rt.batch[i];
+        for mref in &rt.batch {
             let paddr = rt
                 .mapper
                 .translate_with(mref.vaddr, &mut self.frames, placement_rng)
                 .expect("physical memory pool exhausted; raise EngineConfig::memory_bytes");
-            let level = self.hierarchy.access(core, paddr.0, mref.kind);
-            let lat = self.config.latency.latency_of(level);
-            rt.open_request_cycles += lat / profile.mlp + instr_share;
+            rt.open_request_cycles += match self.hierarchy.access(core, paddr.0, mref.kind) {
+                HitLevel::L1 => cost_l1,
+                HitLevel::L2 => cost_l2,
+                HitLevel::Llc => cost_llc,
+                HitLevel::Dram => cost_dram,
+            };
             if mref.ends_request {
                 rt.request_latencies.push(rt.open_request_cycles);
                 rt.open_request_cycles = 0.0;

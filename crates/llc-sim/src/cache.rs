@@ -3,7 +3,7 @@
 use crate::address::LineAddr;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementPolicy;
-use crate::set::{CacheSet, FillResult};
+use crate::set::{CacheSet, Evicted, MAX_SHARERS};
 
 /// A bitmask over cache ways, mirroring a CAT capacity bitmask (CBM).
 ///
@@ -87,8 +87,9 @@ pub enum AccessOutcome {
     /// The line was not resident; it has been filled, evicting `evicted`
     /// from the fill-mask partition if the partition was full.
     Miss {
-        /// Line displaced by the fill, if any.
-        evicted: Option<LineAddr>,
+        /// Line displaced by the fill, if any, with its filler and the
+        /// sharers [`SetAssocCache::access_as`] recorded on it.
+        evicted: Option<Evicted>,
     },
 }
 
@@ -110,6 +111,10 @@ pub struct SetAssocCache {
     // Cheap xorshift state for Random victims / BIP insertion draws;
     // deterministic so simulations are reproducible.
     draw_state: u64,
+    // Resident lines per filling owner, kept in step with every fill,
+    // eviction, invalidation and flush so CMT-style occupancy reads are
+    // O(1); `CacheSet::occupancy_of` is the scan it must always equal.
+    owner_lines: [u64; MAX_SHARERS as usize],
 }
 
 impl SetAssocCache {
@@ -129,6 +134,7 @@ impl SetAssocCache {
             sets,
             clock: 0,
             draw_state: 0x9E37_79B9_7F4A_7C15,
+            owner_lines: [0; MAX_SHARERS as usize],
         }
     }
 
@@ -144,8 +150,13 @@ impl SetAssocCache {
         self.policy
     }
 
-    /// Next pseudo-random draw (xorshift64*).
+    /// Next pseudo-random draw (xorshift64*) for the policies that read
+    /// one; LRU and FIFO never observe the stream, so it stays put.
+    #[inline]
     fn next_draw(&mut self) -> u64 {
+        if !self.policy.uses_draw() {
+            return 0;
+        }
         let mut x = self.draw_state;
         x ^= x >> 12;
         x ^= x << 25;
@@ -154,28 +165,80 @@ impl SetAssocCache {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// Performs an access with the given fill mask.
+    /// Performs an access with the given fill mask, as requestor 0 and
+    /// without sharer tracking (a private cache has one requestor).
     ///
     /// On a miss the line is filled into a way permitted by `mask`.
     pub fn access(&mut self, line: LineAddr, mask: WayMask) -> AccessOutcome {
-        self.access_as(line, mask, 0)
+        if self.touch(line) {
+            return AccessOutcome::Hit;
+        }
+        AccessOutcome::Miss {
+            evicted: self.fill(line, mask),
+        }
     }
 
     /// Performs an access attributed to requestor `owner` (a core id),
     /// tagging any filled line for occupancy monitoring — the simulator's
-    /// analogue of Intel CMT's RMID tagging.
+    /// analogue of Intel CMT's RMID tagging — and recording `owner` as a
+    /// sharer of the line on a hit as well as on a fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `owner >= MAX_SHARERS` (32).
     pub fn access_as(&mut self, line: LineAddr, mask: WayMask, owner: u32) -> AccessOutcome {
+        assert!(owner < MAX_SHARERS, "requestor id beyond the sharer mask");
         self.clock += 1;
         let now = self.clock;
         let draw = self.next_draw();
         let policy = self.policy;
         let idx = self.geometry.set_index(line) as usize;
         let set = &mut self.sets[idx];
-        if set.lookup_with(line, now, policy).is_some() {
+        if let Some(way) = set.lookup_with(line, now, policy) {
+            set.add_sharer(way, owner);
             return AccessOutcome::Hit;
         }
-        let FillResult { evicted, .. } = set.fill_with(line, mask, now, owner, policy, draw);
-        AccessOutcome::Miss { evicted }
+        let filled = set.fill_with(line, mask, now, owner, policy, draw);
+        set.add_sharer(filled.way, owner);
+        self.count_fill(owner, filled.evicted);
+        AccessOutcome::Miss {
+            evicted: filled.evicted,
+        }
+    }
+
+    /// Looks `line` up and, if resident, refreshes its recency: the hit
+    /// half of [`SetAssocCache::access`]. A miss changes nothing (no fill,
+    /// no clock tick). Returns whether the line was resident.
+    pub fn touch(&mut self, line: LineAddr) -> bool {
+        let now = self.clock + 1;
+        let idx = self.geometry.set_index(line) as usize;
+        if self.sets[idx].lookup_with(line, now, self.policy).is_none() {
+            return false;
+        }
+        self.clock = now;
+        self.next_draw();
+        true
+    }
+
+    /// Fills a line the caller knows is absent (it just missed a
+    /// [`SetAssocCache::touch`]) as requestor 0: the miss half of
+    /// [`SetAssocCache::access`]. Returns the line the fill displaced.
+    pub fn fill(&mut self, line: LineAddr, mask: WayMask) -> Option<Evicted> {
+        self.clock += 1;
+        let draw = self.next_draw();
+        let idx = self.geometry.set_index(line) as usize;
+        let filled = self.sets[idx].fill_with(line, mask, self.clock, 0, self.policy, draw);
+        self.count_fill(0, filled.evicted);
+        filled.evicted
+    }
+
+    /// Keeps the per-owner line counts in step with one fill.
+    #[inline]
+    fn count_fill(&mut self, owner: u32, evicted: Option<Evicted>) {
+        self.owner_lines[owner as usize] += 1;
+        if let Some(gone) = evicted {
+            self.owner_lines[gone.owner as usize] -= 1;
+        }
     }
 
     /// Checks residency without updating replacement state.
@@ -187,7 +250,13 @@ impl SetAssocCache {
     /// Drops `line` if resident; returns whether it was.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
         let idx = self.geometry.set_index(line) as usize;
-        self.sets[idx].invalidate(line)
+        match self.sets[idx].remove(line) {
+            Some(gone) => {
+                self.owner_lines[gone.owner as usize] -= 1;
+                true
+            }
+            None => false,
+        }
     }
 
     /// Empties the whole cache.
@@ -195,6 +264,7 @@ impl SetAssocCache {
         for set in &mut self.sets {
             set.flush();
         }
+        self.owner_lines = [0; MAX_SHARERS as usize];
     }
 
     /// Total resident lines.
@@ -217,20 +287,23 @@ impl SetAssocCache {
 
     /// Lines resident that were filled by `owner`, across all sets.
     pub fn occupancy_of(&self, owner: u32) -> u64 {
-        self.sets
-            .iter()
-            .map(|s| u64::from(s.occupancy_of(owner)))
-            .sum()
+        self.owner_lines.get(owner as usize).copied().unwrap_or(0)
     }
 
-    /// Invalidates every line in the ways permitted by `mask`, returning
-    /// the dropped lines. This models the paper's Section-6 observation
-    /// that Intel has no instruction to clear a cache way, so operators
-    /// run a user-level flush pass after reassigning ways.
-    pub fn invalidate_ways(&mut self, mask: WayMask) -> Vec<LineAddr> {
-        let mut dropped = Vec::new();
+    /// Invalidates every line in the ways permitted by `mask`, handing
+    /// each to `on_drop` set by set as it goes, and returns how many were
+    /// dropped. This models the paper's Section-6 observation that Intel
+    /// has no instruction to clear a cache way, so operators run a
+    /// user-level flush pass after reassigning ways.
+    pub fn drain_lines_in(&mut self, mask: WayMask, mut on_drop: impl FnMut(Evicted)) -> u64 {
+        let owner_lines = &mut self.owner_lines;
+        let mut dropped = 0;
         for set in &mut self.sets {
-            dropped.extend(set.invalidate_ways(mask));
+            set.drain_lines_in(mask, |gone| {
+                owner_lines[gone.owner as usize] -= 1;
+                dropped += 1;
+                on_drop(gone);
+            });
         }
         dropped
     }
@@ -289,7 +362,7 @@ mod tests {
         let b = LineAddr(16); // same set (16 sets)
         assert!(!c.access(a, mask).is_hit());
         match c.access(b, mask) {
-            AccessOutcome::Miss { evicted } => assert_eq!(evicted, Some(a)),
+            AccessOutcome::Miss { evicted } => assert_eq!(evicted.map(|e| e.line), Some(a)),
             AccessOutcome::Hit => panic!("expected miss"),
         }
         assert!(!c.probe(a));
@@ -327,16 +400,62 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_ways_drops_only_masked_ways() {
+    fn drain_lines_in_drops_only_masked_ways() {
         let mut c = small();
         let low = WayMask::from_way_range(0, 2);
         let high = WayMask::from_way_range(2, 2);
         c.access(LineAddr(1), low);
         c.access(LineAddr(2), high);
-        let dropped = c.invalidate_ways(low);
+        let mut dropped = Vec::new();
+        assert_eq!(c.drain_lines_in(low, |gone| dropped.push(gone.line)), 1);
         assert_eq!(dropped, vec![LineAddr(1)]);
         assert!(!c.probe(LineAddr(1)));
         assert!(c.probe(LineAddr(2)));
+    }
+
+    /// The per-set scan the owner counters must always equal.
+    fn scanned_occupancy_of(c: &SetAssocCache, owner: u32) -> u64 {
+        (0..c.geometry().sets)
+            .map(|s| u64::from(c.set(s).occupancy_of(owner)))
+            .sum()
+    }
+
+    #[test]
+    fn owner_counters_follow_every_way_a_line_can_leave() {
+        let mut c = small();
+        let low = WayMask::from_way_range(0, 2);
+        for i in 0..200u64 {
+            // Evictions across owners: 3 owners thrash a 2-way partition.
+            c.access_as(LineAddr(i % 70), low, (i % 3) as u32);
+        }
+        c.invalidate(LineAddr(69));
+        c.fill(LineAddr(1000), WayMask::all(4));
+        for owner in 0..4 {
+            assert_eq!(c.occupancy_of(owner), scanned_occupancy_of(&c, owner));
+        }
+        c.drain_lines_in(WayMask::from_way_range(0, 1), |_| {});
+        for owner in 0..4 {
+            assert_eq!(c.occupancy_of(owner), scanned_occupancy_of(&c, owner));
+        }
+        c.flush();
+        assert_eq!((0..4).map(|o| c.occupancy_of(o)).sum::<u64>(), 0);
+    }
+
+    #[test]
+    fn access_as_records_sharers_on_fill_and_on_hit() {
+        let mut c = SetAssocCache::new(CacheGeometry::new(1, 1, 64));
+        let mask = WayMask::all(1);
+        c.access_as(LineAddr(1), mask, 3);
+        c.access_as(LineAddr(1), mask, 9);
+        match c.access_as(LineAddr(2), mask, 0) {
+            AccessOutcome::Miss {
+                evicted: Some(gone),
+            } => {
+                assert_eq!((gone.line, gone.owner), (LineAddr(1), 3));
+                assert_eq!(gone.sharers, (1 << 3) | (1 << 9));
+            }
+            other => panic!("expected an evicting miss, got {other:?}"),
+        }
     }
 
     #[test]

@@ -76,10 +76,20 @@ impl CacheGeometry {
         u64::from(self.sets) * u64::from(self.line_size)
     }
 
-    /// Maps a line address to its set index.
+    /// Maps a line address to its set index: `line % sets`, computed as a
+    /// mask for power-of-two set counts (every L1/L2 here) and as a 32-bit
+    /// remainder whenever the line number fits — the 36 864-set LLC over a
+    /// 4 GiB pool always does — since a 64-bit `div` costs several times
+    /// a 32-bit one. All three forms give the same index.
     #[inline]
     pub fn set_index(&self, line: LineAddr) -> u32 {
-        (line.0 % u64::from(self.sets)) as u32
+        if self.sets.is_power_of_two() {
+            (line.0 & u64::from(self.sets - 1)) as u32
+        } else if let Ok(narrow) = u32::try_from(line.0) {
+            narrow % self.sets
+        } else {
+            (line.0 % u64::from(self.sets)) as u32
+        }
     }
 
     /// The 8-way 32 KiB L1 data cache used by both evaluation machines.
@@ -140,6 +150,30 @@ mod tests {
         let g = CacheGeometry::new(1024, 8, 64);
         for line in [0u64, 1, 1023, 1024, 123_456_789] {
             assert_eq!(u64::from(g.set_index(LineAddr(line))), line & 1023);
+        }
+    }
+
+    #[test]
+    fn every_index_path_agrees_with_the_plain_remainder() {
+        let lines = [
+            0u64,
+            1,
+            36_863,
+            36_864,
+            u64::from(u32::MAX),
+            u64::from(u32::MAX) + 1,
+            (1 << 40) + 12_345,
+            u64::MAX - 1,
+        ];
+        for sets in [1u32, 2, 64, 100, 36_864, 1 << 31, u32::MAX] {
+            let g = CacheGeometry::new(sets, 4, 64);
+            for line in lines {
+                assert_eq!(
+                    u64::from(g.set_index(LineAddr(line))),
+                    line % u64::from(sets),
+                    "sets={sets} line={line}"
+                );
+            }
         }
     }
 

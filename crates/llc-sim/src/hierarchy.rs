@@ -6,12 +6,24 @@
 //! from every core's L1 and L2. This is the mechanism by which a noisy
 //! neighbor flushing the LLC also destroys a victim's private-cache
 //! contents — the effect Figure 1 of the paper measures.
+//!
+//! The back-invalidation is *sharer-directed*, like a real inclusive
+//! directory: every LLC line carries a mask of the cores that reached
+//! the LLC for it (fill or hit) since it was filled, and an eviction or
+//! flush visits only those cores. A core obtains a private copy of a
+//! line only by missing L1 and L2 and going through the LLC for it,
+//! which sets its bit, and the copy cannot outlive the LLC line, whose
+//! departure invalidates every core in the mask — so a core holding a
+//! copy always has its bit set. A bit may be stale (the private copy
+//! was since evicted by capacity); that costs a no-op invalidate.
 
+use crate::address::LineAddr;
 use crate::address::PhysAddr;
 use crate::cache::{AccessOutcome, SetAssocCache, WayMask};
 use crate::counters::CoreCounters;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementPolicy;
+use crate::set::MAX_SHARERS;
 
 /// Kind of memory access. Loads and stores are costed identically by the
 /// latency model; the distinction is kept because workload generators and
@@ -208,8 +220,17 @@ pub struct Hierarchy {
 impl Hierarchy {
     /// Creates an empty hierarchy; every core starts with a full fill mask
     /// (the unmanaged "shared cache" configuration).
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero cores, or on more cores than an LLC line's sharer
+    /// mask can name (32; the paper's largest socket has 18).
     pub fn new(config: HierarchyConfig) -> Self {
         assert!(config.cores > 0, "hierarchy needs at least one core");
+        assert!(
+            config.cores <= MAX_SHARERS,
+            "the per-line sharer mask holds at most {MAX_SHARERS} cores"
+        );
         let full = WayMask::all(config.llc.ways);
         Hierarchy {
             l1: (0..config.cores)
@@ -279,7 +300,7 @@ impl Hierarchy {
     /// Whether the set holding `line` is simulated under the current
     /// fidelity.
     #[inline]
-    fn llc_set_is_sampled(&self, line: crate::address::LineAddr) -> bool {
+    fn llc_set_is_sampled(&self, line: LineAddr) -> bool {
         match self.fidelity {
             SimFidelity::Full => true,
             SimFidelity::Sampled { one_in } => {
@@ -346,11 +367,10 @@ impl Hierarchy {
         }
         self.counters[idx].l1_miss += 1;
 
-        let l2_mask = WayMask::all(self.config.l2.ways);
-        if self.l2[idx].probe(line) {
-            // Refresh L2 LRU, then pull the line up into L1.
-            self.l2[idx].access(line, l2_mask);
-            self.fill_l1(idx, line);
+        // One L2 set walk: a hit refreshes recency, a miss leaves the L2
+        // untouched until the fill below. (The L1 needs no second visit
+        // on any path: its own miss above already installed the line.)
+        if self.l2[idx].touch(line) {
             return HitLevel::L2;
         }
         self.counters[idx].llc_ref += 1;
@@ -365,7 +385,6 @@ impl Hierarchy {
                 self.counters[idx].llc_miss += 1;
             }
             self.fill_l2(idx, line);
-            self.fill_l1(idx, line);
             return if missed {
                 HitLevel::Dram
             } else {
@@ -373,6 +392,10 @@ impl Hierarchy {
             };
         }
 
+        // Order is load-bearing from here on: LLC access, then the
+        // victim's back-invalidation, then the L2 fill. The invalidation
+        // may free a way in this core's own L2 set, and the fill must see
+        // it — filling first would pick a different L2 victim.
         let llc_mask = self.fill_masks[idx];
         let sampling = self.fidelity != SimFidelity::Full;
         match self.llc.access_as(line, llc_mask, core) {
@@ -381,7 +404,6 @@ impl Hierarchy {
                     self.samplers[idx].observe(false);
                 }
                 self.fill_l2(idx, line);
-                self.fill_l1(idx, line);
                 HitLevel::Llc
             }
             AccessOutcome::Miss { evicted } => {
@@ -390,42 +412,20 @@ impl Hierarchy {
                     self.samplers[idx].observe(true);
                 }
                 if let Some(victim) = evicted {
-                    self.back_invalidate(victim);
+                    back_invalidate(&mut self.l1, &mut self.l2, victim.line, victim.sharers);
                 }
                 self.fill_l2(idx, line);
-                self.fill_l1(idx, line);
                 HitLevel::Dram
             }
         }
     }
 
-    /// Fills `line` into `core`'s L1 (it was just looked up and missed).
-    fn fill_l1(&mut self, idx: usize, line: crate::address::LineAddr) {
-        let mask = WayMask::all(self.config.l1.ways);
-        if !self.l1[idx].probe(line) {
-            self.l1[idx].access(line, mask);
-        }
-    }
-
-    /// Fills `line` into `core`'s L2, keeping L1 inclusive in L2.
-    fn fill_l2(&mut self, idx: usize, line: crate::address::LineAddr) {
+    /// Fills `line`, which just missed `core`'s L2, into it, keeping L1
+    /// inclusive in L2.
+    fn fill_l2(&mut self, idx: usize, line: LineAddr) {
         let mask = WayMask::all(self.config.l2.ways);
-        if self.l2[idx].probe(line) {
-            return;
-        }
-        if let AccessOutcome::Miss {
-            evicted: Some(victim),
-        } = self.l2[idx].access(line, mask)
-        {
-            self.l1[idx].invalidate(victim);
-        }
-    }
-
-    /// Inclusive back-invalidation: drop `line` from every private cache.
-    fn back_invalidate(&mut self, line: crate::address::LineAddr) {
-        for idx in 0..self.config.cores as usize {
-            self.l2[idx].invalidate(line);
-            self.l1[idx].invalidate(line);
+        if let Some(victim) = self.l2[idx].fill(line, mask) {
+            self.l1[idx].invalidate(victim.line);
         }
     }
 
@@ -492,24 +492,12 @@ impl Hierarchy {
     /// number of LLC *lines* dropped, not a way count (scaled to the full
     /// cache when sampling, like the occupancy accessors).
     pub fn flush_mask(&mut self, mask: WayMask) -> u64 {
-        let dropped = self.llc.invalidate_ways(mask);
-        for line in &dropped {
-            for idx in 0..self.config.cores as usize {
-                self.l2[idx].invalidate(*line);
-                self.l1[idx].invalidate(*line);
-            }
-        }
-        if self.fidelity != SimFidelity::Full {
-            // The estimators' hit history describes the pre-flush cache;
-            // without a decay, unsampled sets would keep replaying stale
-            // hits right after a reallocation flush.
-            let flushed_ways = mask.count();
-            let total_ways = self.config.llc.ways;
-            for s in &mut self.samplers {
-                s.flush_decay(flushed_ways, total_ways);
-            }
-        }
-        self.scale_occupancy(dropped.len() as u64)
+        let (l1, l2) = (&mut self.l1, &mut self.l2);
+        let dropped = self.llc.drain_lines_in(mask, |gone| {
+            back_invalidate(l1, l2, gone.line, gone.sharers);
+        });
+        self.decay_samplers(mask.count());
+        self.scale_occupancy(dropped)
     }
 
     /// Flushes every cache in the hierarchy.
@@ -521,6 +509,44 @@ impl Hierarchy {
             c.flush();
         }
         self.llc.flush();
+        self.decay_samplers(self.config.llc.ways);
+    }
+
+    /// Tells the sampled-fidelity estimators that `flushed_ways` of the
+    /// LLC's ways were just emptied: their hit history describes the
+    /// pre-flush cache, and without a decay unsampled sets would keep
+    /// replaying stale hits right after the flush.
+    fn decay_samplers(&mut self, flushed_ways: u32) {
+        if self.fidelity == SimFidelity::Full {
+            return;
+        }
+        let total_ways = self.config.llc.ways;
+        for s in &mut self.samplers {
+            s.flush_decay(flushed_ways, total_ways);
+        }
+    }
+}
+
+/// Inclusive back-invalidation: drop `line` from the private caches of
+/// the cores named in `sharers` (see the module docs for why no other
+/// core can hold it).
+fn back_invalidate(
+    l1: &mut [SetAssocCache],
+    l2: &mut [SetAssocCache],
+    line: LineAddr,
+    sharers: u32,
+) {
+    let mut bits = sharers;
+    while bits != 0 {
+        let idx = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        // A bit is only ever set for a core that accessed the hierarchy,
+        // so both lookups succeed; `get_mut` keeps the flush path free of
+        // panicking indexes.
+        if let (Some(l1), Some(l2)) = (l1.get_mut(idx), l2.get_mut(idx)) {
+            l2.invalidate(line);
+            l1.invalidate(line);
+        }
     }
 }
 
@@ -575,6 +601,35 @@ mod tests {
         assert!(!h.llc_probe(0));
         assert!(!h.l1_probe(0, 0), "inclusive LLC must back-invalidate L1");
         assert!(!h.l2_probe(0, 0), "inclusive LLC must back-invalidate L2");
+    }
+
+    #[test]
+    fn llc_eviction_reaches_a_sharer_that_only_ever_hit() {
+        let mut h = Hierarchy::new(HierarchyConfig {
+            cores: 3,
+            l1: CacheGeometry::new(4, 2, 64),
+            l2: CacheGeometry::new(8, 2, 64),
+            llc: CacheGeometry::new(4, 1, 64),
+            llc_policy: Default::default(),
+        });
+        h.access(0, 0, AccessKind::Load); // core 0 fills the LLC line
+        assert_eq!(h.access(1, 0, AccessKind::Load), HitLevel::Llc); // core 1 shares by hit
+        assert!(h.l1_probe(0, 0) && h.l1_probe(1, 0));
+        h.access(2, 4 * 64, AccessKind::Load); // same 1-way LLC set: evicts line 0
+        for core in 0..2 {
+            assert!(!h.l1_probe(core, 0), "core {core} kept its L1 copy");
+            assert!(!h.l2_probe(core, 0), "core {core} kept its L2 copy");
+        }
+        assert!(h.l1_probe(2, 4 * 64));
+    }
+
+    #[test]
+    #[should_panic(expected = "sharer mask holds at most 32 cores")]
+    fn more_cores_than_the_sharer_mask_rejected() {
+        let _ = Hierarchy::new(HierarchyConfig {
+            cores: 33,
+            ..HierarchyConfig::default()
+        });
     }
 
     #[test]
@@ -762,6 +817,40 @@ mod tests {
         assert_eq!(
             sampled_tail, full_tail,
             "estimator must not replay pre-flush hits on unsampled sets"
+        );
+    }
+
+    #[test]
+    fn flush_all_resets_the_estimator_hit_history_and_the_occupancy() {
+        // Same shape as the flush_mask regression above: flush_all used to
+        // empty the tag stores but leave the estimators replaying the
+        // pre-flush hit ratio on unsampled sets.
+        let mut full = tiny();
+        let mut sampled = tiny();
+        sampled.set_fidelity(SimFidelity::Sampled { one_in: 4 });
+        for _ in 0..20 {
+            for i in 0..8u64 {
+                full.access(0, i * 4 * 64, AccessKind::Load);
+                sampled.access(0, i * 4 * 64, AccessKind::Load);
+            }
+        }
+        assert!(sampled.llc_occupancy_of_core(0) > 0);
+        full.flush_all();
+        sampled.flush_all();
+        assert_eq!(sampled.llc_occupancy_of_core(0), 0);
+        assert_eq!(full.llc_occupancy_of_core(0), 0);
+        let full_warm = full.counters(0);
+        let sampled_warm = sampled.counters(0);
+        for i in 0..8u64 {
+            full.access(0, (i * 4 + 1) * 64, AccessKind::Load);
+            sampled.access(0, (i * 4 + 1) * 64, AccessKind::Load);
+        }
+        let full_tail = full.counters(0).llc_miss - full_warm.llc_miss;
+        let sampled_tail = sampled.counters(0).llc_miss - sampled_warm.llc_miss;
+        assert_eq!(full_tail, 8, "cold sets after flush_all all miss");
+        assert_eq!(
+            sampled_tail, full_tail,
+            "estimator must not replay pre-flush hits after flush_all"
         );
     }
 

@@ -14,7 +14,8 @@
 //! physically contiguous by construction). [`PageMapper`] demand-maps
 //! virtual pages on first touch.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use smallrng::SmallRng;
 
@@ -72,7 +73,9 @@ pub enum FramePolicy {
 #[derive(Debug)]
 pub struct FrameAllocator {
     total_small_frames: u64,
-    used: HashSet<u64>,
+    /// One bit per 4 KiB frame, set while the frame is allocated.
+    used: Vec<u64>,
+    used_frames: u64,
     bump_next: u64,
     policy: FramePolicy,
     rng: SmallRng,
@@ -89,9 +92,13 @@ impl FrameAllocator {
             memory_bytes >= PageSize::Huge.bytes(),
             "physical memory must hold at least one huge page"
         );
+        let total_small_frames = memory_bytes >> PageSize::Small.shift();
+        let words = usize::try_from(total_small_frames.div_ceil(64))
+            .expect("frame bitmap must be addressable");
         FrameAllocator {
-            total_small_frames: memory_bytes >> PageSize::Small.shift(),
-            used: HashSet::new(),
+            total_small_frames,
+            used: vec![0; words],
+            used_frames: 0,
             bump_next: 0,
             policy,
             rng: SmallRng::seed_from_u64(seed),
@@ -105,7 +112,7 @@ impl FrameAllocator {
 
     /// Bytes currently allocated.
     pub fn used_bytes(&self) -> u64 {
-        (self.used.len() as u64) << PageSize::Small.shift()
+        self.used_frames << PageSize::Small.shift()
     }
 
     /// Allocates one page of `size`, returning the physical address of its
@@ -171,13 +178,40 @@ impl FrameAllocator {
         }
     }
 
+    /// Whether `frame` is allocated. Frames beyond the pool read as free,
+    /// as they did when the set was sparse; callers only ask about slots
+    /// inside it.
+    fn is_used(&self, frame: u64) -> bool {
+        self.used
+            .get((frame / 64) as usize)
+            .is_some_and(|word| word & (1 << (frame % 64)) != 0)
+    }
+
+    /// Marks `frame` allocated or free, keeping the used count exact when
+    /// a frame is claimed or released twice.
+    fn set_used(&mut self, frame: u64, used: bool) {
+        let Some(word) = self.used.get_mut((frame / 64) as usize) else {
+            return;
+        };
+        let bit = 1 << (frame % 64);
+        if (*word & bit != 0) == used {
+            return;
+        }
+        *word ^= bit;
+        if used {
+            self.used_frames += 1;
+        } else {
+            self.used_frames -= 1;
+        }
+    }
+
     fn run_free(&self, start_frame: u64, span: u64) -> bool {
-        (start_frame..start_frame + span).all(|f| !self.used.contains(&f))
+        (start_frame..start_frame + span).all(|f| !self.is_used(f))
     }
 
     fn claim(&mut self, start_frame: u64, span: u64) -> PhysAddr {
         for f in start_frame..start_frame + span {
-            self.used.insert(f);
+            self.set_used(f, true);
         }
         PhysAddr(start_frame << PageSize::Small.shift())
     }
@@ -237,8 +271,38 @@ impl FrameAllocator {
     pub fn free(&mut self, base: PhysAddr, size: PageSize) {
         let first = base.0 >> PageSize::Small.shift();
         for f in first..first + size.small_frames() {
-            self.used.remove(&f);
+            self.set_used(f, false);
         }
+    }
+}
+
+/// Hasher for the page table: one multiply, then the well-mixed high half
+/// folded onto the low half (the table indexes buckets with the low bits).
+///
+/// The keys are virtual page numbers the simulator generates itself, so
+/// SipHash's resistance to crafted collisions buys nothing here, and its
+/// cost sat on every memory reference. A fixed function also makes the
+/// table's iteration order the same in every process.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let h = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    // `u64` keys only ever reach `write_u64`; the trait needs a byte path.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -246,7 +310,7 @@ impl FrameAllocator {
 #[derive(Debug)]
 pub struct PageMapper {
     page_size: PageSize,
-    table: HashMap<u64, PhysAddr>,
+    table: HashMap<u64, PhysAddr, BuildHasherDefault<PageHasher>>,
 }
 
 impl PageMapper {
@@ -254,7 +318,7 @@ impl PageMapper {
     pub fn new(page_size: PageSize) -> Self {
         PageMapper {
             page_size,
-            table: HashMap::new(),
+            table: HashMap::default(),
         }
     }
 
@@ -322,9 +386,9 @@ impl PageMapper {
     pub fn clear(&mut self, frames: &mut FrameAllocator) {
         // The page table stays a HashMap (translate() runs per memory
         // reference; O(1) lookup is the point). Draining it here visits
-        // entries in hasher order, but freeing is commutative: the free
-        // list the allocator rebuilds is a set, and allocation order is
-        // driven by the RNG stream, not by insertion order of frees.
+        // entries in hasher order, but freeing is commutative: the
+        // allocator's record of used frames is a bitmap, and allocation
+        // order is driven by the RNG stream, not by the order of frees.
         // lint: allow(DL006, frees are commutative; no iteration order escapes)
         for (_, base) in self.table.drain() {
             frames.free(base, self.page_size);
@@ -396,6 +460,34 @@ mod tests {
         let p = a.allocate(PageSize::Huge).unwrap();
         a.free(p, PageSize::Huge);
         assert!(a.allocate(PageSize::Huge).is_some());
+    }
+
+    #[test]
+    fn used_bytes_counts_each_frame_once() {
+        let mut a = pool(FramePolicy::Contiguous);
+        assert_eq!(a.used_bytes(), 0);
+        let small = a.allocate(PageSize::Small).unwrap();
+        let huge = a.allocate(PageSize::Huge).unwrap();
+        assert_eq!(a.used_bytes(), 4096 + PageSize::Huge.bytes());
+        a.free(small, PageSize::Small);
+        a.free(small, PageSize::Small); // double free must not under-count
+        assert_eq!(a.used_bytes(), PageSize::Huge.bytes());
+        a.free(huge, PageSize::Huge);
+        assert_eq!(a.used_bytes(), 0);
+    }
+
+    #[test]
+    fn page_hasher_spreads_strided_page_numbers_over_the_low_bits() {
+        // Page numbers that differ only above bit 20 (region bases) must
+        // still land in distinct buckets: the table indexes with low bits.
+        let low_bits: std::collections::BTreeSet<u64> = (0..64u64)
+            .map(|i| {
+                let mut h = PageHasher::default();
+                h.write_u64(i << 20);
+                h.finish() & 0xfff
+            })
+            .collect();
+        assert!(low_bits.len() > 56, "only {} distinct", low_bits.len());
     }
 
     #[test]

@@ -49,6 +49,15 @@ impl ReplacementPolicy {
     pub fn promotes_on_hit(self) -> bool {
         !matches!(self, ReplacementPolicy::Fifo)
     }
+
+    /// Whether the policy reads the cache's pseudo-random draw (Random
+    /// picks its victim with it, BIP its insertion position).
+    pub fn uses_draw(self) -> bool {
+        matches!(
+            self,
+            ReplacementPolicy::Random | ReplacementPolicy::Bip { .. }
+        )
+    }
 }
 
 #[cfg(test)]
@@ -66,5 +75,13 @@ mod tests {
         assert!(ReplacementPolicy::Random.promotes_on_hit());
         assert!(ReplacementPolicy::bip().promotes_on_hit());
         assert!(!ReplacementPolicy::Fifo.promotes_on_hit());
+    }
+
+    #[test]
+    fn only_random_and_bip_read_the_draw() {
+        assert!(!ReplacementPolicy::Lru.uses_draw());
+        assert!(!ReplacementPolicy::Fifo.uses_draw());
+        assert!(ReplacementPolicy::Random.uses_draw());
+        assert!(ReplacementPolicy::bip().uses_draw());
     }
 }

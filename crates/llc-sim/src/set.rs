@@ -16,7 +16,15 @@
 //! data: [ line_0 .. line_{n-1} | stamp_0 .. stamp_{n-1} | owner_0 .. owner_{n-1} ]
 //!        (u64 each; empty line slots hold INVALID_LINE so the lookup scan
 //!         needs no per-way validity test)
+//! owner word: [ sharer mask (bits 63..32) | filler id (bits 31..0) ]
 //! ```
+//!
+//! The owner word's low half is the requestor that filled the line (the
+//! CMT tag); its high half is a **sharer mask**, one bit per requestor
+//! that reached this line through [`CacheSet::add_sharer`]. An inclusive
+//! LLC records there which cores may hold the line privately, so an
+//! eviction back-invalidates those cores only — the mask leaves with the
+//! victim in [`Evicted::sharers`].
 //!
 //! The layout buys three things on the hot path:
 //!
@@ -43,6 +51,12 @@ use crate::replacement::ReplacementPolicy;
 /// reach `u64::MAX`; [`CacheSet::fill_with`] debug-asserts it.
 const INVALID_LINE: u64 = u64::MAX;
 
+/// Requestors a line's sharer mask can name: ids `0..MAX_SHARERS`.
+pub const MAX_SHARERS: u32 = 32;
+
+/// Bit position of sharer 0 in the owner word.
+const SHARER_SHIFT: u32 = 32;
+
 /// One resident line: its address tag, an LRU timestamp, and the id of
 /// the requestor that filled it (the analogue of Intel CMT's RMID tag,
 /// which is how real hardware attributes LLC occupancy to tenants).
@@ -57,13 +71,26 @@ pub struct LineEntry {
     pub owner: u32,
 }
 
+/// A line that left a set (evicted by a fill, or invalidated), with what
+/// its owner word carried.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Evicted {
+    /// The departed line.
+    pub line: LineAddr,
+    /// Requestor that had filled it.
+    pub owner: u32,
+    /// Sharer mask: bit `r` set if requestor `r` was recorded through
+    /// [`CacheSet::add_sharer`] while the line was resident.
+    pub sharers: u32,
+}
+
 /// Result of a fill into a set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FillResult {
     /// Way index that received the line.
     pub way: u32,
     /// Line that was evicted to make room, if any.
-    pub evicted: Option<LineAddr>,
+    pub evicted: Option<Evicted>,
 }
 
 /// A single set of a set-associative cache (packed representation).
@@ -135,6 +162,18 @@ impl CacheSet {
         self.data[self.n() + way as usize]
     }
 
+    /// What way `way` holds, as it leaves the set.
+    #[inline]
+    fn departing(&self, way: u32) -> Evicted {
+        let w = way as usize;
+        let word = self.data[2 * self.n() + w];
+        Evicted {
+            line: LineAddr(self.data[w]),
+            owner: word as u32,
+            sharers: (word >> SHARER_SHIFT) as u32,
+        }
+    }
+
     #[inline]
     fn set_entry(&mut self, way: u32, line: u64, stamp: u64, owner: u32) {
         let n = self.n();
@@ -170,6 +209,19 @@ impl CacheSet {
             }
         }
         None
+    }
+
+    /// Records `requestor` in the sharer mask of the line held by `way`
+    /// (the way a lookup or fill just returned).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requestor >= MAX_SHARERS`: the mask has no bit for it.
+    #[inline]
+    pub fn add_sharer(&mut self, way: u32, requestor: u32) {
+        assert!(requestor < MAX_SHARERS, "sharer mask holds 32 requestors");
+        let slot = 2 * self.n() + way as usize;
+        self.data[slot] |= 1 << (SHARER_SHIFT + requestor);
     }
 
     /// Checks residency without perturbing LRU state (a *probe*).
@@ -250,7 +302,7 @@ impl CacheSet {
                 victim
             }
         };
-        let evicted = LineAddr(self.data[way as usize]);
+        let evicted = self.departing(way);
         self.set_entry(way, line.0, insert_stamp, owner);
         FillResult {
             way,
@@ -262,14 +314,16 @@ impl CacheSet {
     ///
     /// Returns `true` when a line was actually dropped.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        match self.probe(line) {
-            Some(way) => {
-                self.data[way as usize] = INVALID_LINE;
-                self.occ &= !(1 << way);
-                true
-            }
-            None => false,
-        }
+        self.remove(line).is_some()
+    }
+
+    /// Invalidates `line` if resident, returning what its way held.
+    pub fn remove(&mut self, line: LineAddr) -> Option<Evicted> {
+        let way = self.probe(line)?;
+        let gone = self.departing(way);
+        self.data[way as usize] = INVALID_LINE;
+        self.occ &= !(1 << way);
+        Some(gone)
     }
 
     /// Clears every way of the set.
@@ -309,7 +363,7 @@ impl CacheSet {
         while bits != 0 {
             let w = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            if self.data[2 * n + w] == u64::from(owner) {
+            if self.data[2 * n + w] as u32 == owner {
                 count += 1;
             }
         }
@@ -317,17 +371,22 @@ impl CacheSet {
     }
 
     /// Invalidates every line resident in the ways permitted by `mask`,
-    /// returning how many were dropped and which lines they were.
-    pub fn invalidate_ways(&mut self, mask: WayMask) -> Vec<LineAddr> {
+    /// handing each to `on_drop` in ascending way order.
+    pub fn drain_lines_in(&mut self, mask: WayMask, mut on_drop: impl FnMut(Evicted)) {
         let mut bits = self.occ & mask.0;
-        let mut dropped = Vec::with_capacity(bits.count_ones() as usize);
         while bits != 0 {
             let way = bits.trailing_zeros();
             bits &= bits - 1;
-            dropped.push(LineAddr(self.data[way as usize]));
+            on_drop(self.departing(way));
             self.data[way as usize] = INVALID_LINE;
             self.occ &= !(1 << way);
         }
+    }
+
+    /// [`CacheSet::drain_lines_in`] collecting the dropped lines.
+    pub fn invalidate_ways(&mut self, mask: WayMask) -> Vec<LineAddr> {
+        let mut dropped = Vec::with_capacity(self.occupancy_in(mask) as usize);
+        self.drain_lines_in(mask, |gone| dropped.push(gone.line));
         dropped
     }
 }
@@ -354,7 +413,7 @@ fn nth_set_bit(mut bits: u32, k: u32) -> u32 {
 /// recorded in `BENCH_micro.json`. Not part of the supported API.
 #[doc(hidden)]
 pub mod legacy {
-    use super::{insertion_stamp, FillResult, LineEntry};
+    use super::{insertion_stamp, Evicted, FillResult, LineEntry};
     use crate::address::LineAddr;
     use crate::cache::WayMask;
     use crate::replacement::ReplacementPolicy;
@@ -454,7 +513,11 @@ pub mod legacy {
                     .expect("fill mask must permit at least one way"),
                 _ => victim.expect("fill mask must permit at least one way"),
             };
-            let evicted = self.ways[way as usize].map(|e| e.line);
+            let evicted = self.ways[way as usize].map(|e| Evicted {
+                line: e.line,
+                owner: e.owner,
+                sharers: 0,
+            });
             self.ways[way as usize] = Some(LineEntry {
                 line,
                 last_use: insert_stamp,
@@ -557,7 +620,7 @@ mod tests {
         // Touch line 1 so line 2 becomes LRU.
         set.lookup(LineAddr(1), 3);
         let r = set.fill(LineAddr(3), full_mask(2), 4, 0);
-        assert_eq!(r.evicted, Some(LineAddr(2)));
+        assert_eq!(r.evicted.map(|e| e.line), Some(LineAddr(2)));
         assert!(set.probe(LineAddr(1)).is_some());
     }
 
@@ -637,6 +700,39 @@ mod tests {
     }
 
     #[test]
+    fn sharer_mask_leaves_with_the_line_and_never_disturbs_the_owner() {
+        let mut set = CacheSet::new(2);
+        let a = set.fill(LineAddr(1), full_mask(2), 1, 5);
+        set.add_sharer(a.way, 5);
+        set.add_sharer(a.way, 31);
+        let b = set.fill(LineAddr(2), full_mask(2), 2, 6);
+        assert_eq!(set.occupancy_of(5), 1, "sharer bits are not the owner");
+        let r = set.fill(LineAddr(3), full_mask(2), 3, 7);
+        assert_eq!(
+            r.evicted,
+            Some(Evicted {
+                line: LineAddr(1),
+                owner: 5,
+                sharers: (1 << 5) | (1 << 31),
+            })
+        );
+        // The refilled way starts with no sharers; an untouched line has none.
+        assert_eq!(r.way, a.way);
+        assert_eq!(set.remove(LineAddr(3)).map(|e| e.sharers), Some(0));
+        let gone = set.remove(LineAddr(2)).expect("line 2 is resident");
+        assert_eq!((gone.owner, gone.sharers, b.way), (6, 0, 1));
+        assert_eq!(set.remove(LineAddr(2)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "32 requestors")]
+    fn sharer_beyond_the_mask_is_rejected() {
+        let mut set = CacheSet::new(2);
+        let r = set.fill(LineAddr(1), full_mask(2), 1, 0);
+        set.add_sharer(r.way, MAX_SHARERS);
+    }
+
+    #[test]
     fn resident_lines_iterates_in_way_order() {
         let mut set = CacheSet::new(4);
         set.fill(LineAddr(30), full_mask(4), 1, 0);
@@ -674,6 +770,10 @@ mod tests {
         }
         assert_eq!(set.occupancy(), 32);
         let r = set.fill(LineAddr(99), mask, 100, 0);
-        assert_eq!(r.evicted, Some(LineAddr(0)), "way 0 held the oldest stamp");
+        assert_eq!(
+            r.evicted.map(|e| e.line),
+            Some(LineAddr(0)),
+            "way 0 held the oldest stamp"
+        );
     }
 }

@@ -5,6 +5,8 @@
 //! each draw costs O(1). YCSB's default skew `theta = 0.99` is the default
 //! here too.
 
+use std::num::FpCategory;
+
 use smallrng::SmallRng;
 
 /// O(1) Zipf-distributed sampler over `0..n`.
@@ -47,7 +49,19 @@ impl ZipfSampler {
     }
 
     /// Generalized harmonic number `sum_{i=1..n} 1/i^theta`.
+    ///
+    /// At `theta == 0` (uniform keys) every term is exactly `1.0` and a
+    /// sum of `n < 2^53` ones is exactly `n as f64`, so the ten-million
+    /// `powf` calls a paper-sized uniform key space would cost are skipped
+    /// with a bit-identical result.
     fn zeta(n: u64, theta: f64) -> f64 {
+        if theta.classify() == FpCategory::Zero && n < (1 << f64::MANTISSA_DIGITS) {
+            return n as f64;
+        }
+        Self::zeta_sum(n, theta)
+    }
+
+    fn zeta_sum(n: u64, theta: f64) -> f64 {
         (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
     }
 
@@ -116,6 +130,19 @@ mod tests {
         let mut b = ZipfSampler::new(1000, 0.99, 5);
         for _ in 0..100 {
             assert_eq!(a.sample(), b.sample());
+        }
+    }
+
+    #[test]
+    fn uniform_zeta_closed_form_is_the_sum_bit_for_bit() {
+        for n in [1u64, 2, 8_000, 1_000_000] {
+            for theta in [0.0, -0.0] {
+                assert_eq!(
+                    ZipfSampler::zeta(n, theta).to_bits(),
+                    ZipfSampler::zeta_sum(n, theta).to_bits(),
+                    "n={n}"
+                );
+            }
         }
     }
 
