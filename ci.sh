@@ -153,6 +153,15 @@ cargo test -q -p dcat --offline --test daemon_e2e
 echo "==> daemon fault tolerance (scripted fault schedule, degraded ticks)"
 cargo test -q -p dcat --offline --test daemon_faults
 
+echo "==> frame byte oracle + malformed-telemetry corpus (recorded from the pre-rewrite tick path)"
+cargo test -q -p dcat-obs --offline --test frames_golden
+cargo test -q -p dcat --offline --test telemetry_corpus
+
+echo "==> daemon tick allocations (counting allocator; steady-state bounds, release)"
+# Its own test binary: the counting #[global_allocator] must not sit
+# under any other test. --nocapture prints the measured figures.
+cargo test -q --release -p dcat --offline --test tick_allocations -- --nocapture
+
 echo "==> all experiments: serial vs parallel wall-clock and byte-identity"
 t0=$(date +%s)
 cargo run -q --release -p dcat-bench --offline --bin all_experiments -- --fast --jobs 1 \

@@ -1,7 +1,8 @@
 //! The `micro` suite: set access, hierarchy access per replacement
 //! policy and per outcome (L1 hit, LLC miss with eviction on the 18-core
 //! socket), page translation, the engine epoch loop and its CMT
-//! occupancy read, and the full-workspace lint run.
+//! occupancy read, the daemon's interval (telemetry parse, a whole steady
+//! tick, the frame encode), and the full-workspace lint run.
 //!
 //! The headline pair is `set_access_churn_packed` vs
 //! `set_access_churn_legacy`: a full 16-way set where every fill must
@@ -12,7 +13,7 @@
 //! 3.0 asserted in wall-clock runs (the tracked `BENCH_micro.json`
 //! records the measured value).
 
-use dcat_obs::CycleSource;
+use dcat_obs::{CycleSource, DEFAULT_STEP_BUCKETS};
 use host::{Engine, EngineConfig, VmSpec};
 use llc_sim::replacement::ReplacementPolicy;
 use llc_sim::set::legacy::LegacyCacheSet;
@@ -47,6 +48,15 @@ const MICRO_TOLERANCE: f64 = 0.75;
 /// bandwidth contention the cache-touching cases feel (a pure ALU spin
 /// does not, and norms diverge whenever a neighbour burst hits).
 const CAL_WORDS: usize = 1 << 19;
+
+/// The in-memory CAT backend has no failing I/O, so an error inside a
+/// case is a bug in the case: classify it and abort the suite.
+fn bench_bug<T>(what: &str, r: Result<T, resctrl::ResctrlError>) -> T {
+    match r {
+        Ok(v) => v,
+        Err(e) => panic!("perfbench {what} failed: {e} (severity {:?})", e.severity()),
+    }
+}
 
 /// Registers the shared calibration case: a fixed xorshift spin that
 /// also streams one cache line of the 4 MiB buffer per round.
@@ -314,6 +324,90 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         };
         suite.case("frame_encode_tick", iters, move || {
             dcat_obs::frames::encode_frame(&frame).len()
+        });
+    }
+
+    // --- the daemon's interval: telemetry text in, frame bytes out ---
+    // A 12-domain host's sample, as the external sampler writes it. The
+    // rows are per-interval deltas: the tick case below scales them by
+    // the interval number, so the controller sees monotonic totals with
+    // a constant delta and settles at a fixed point.
+    let mut telemetry = String::from("# name,l1_ref,llc_ref,llc_miss,ret_ins,cycles\n");
+    for i in 0..12 {
+        let counters = match i % 3 {
+            0 => "340000,120000,60000,1000000,20000000",
+            1 => "20000,100,10,1000000,800000",
+            _ => "270000,10000,150,1000000,1400000",
+        };
+        telemetry.push_str(&format!("tenant-{i:02},{counters}\n"));
+    }
+    {
+        let text = telemetry.clone();
+        suite.case("telemetry_parse_12rows", iters, move || {
+            let (samples, issues) = dcat::parse_telemetry_lossy(&text);
+            samples.len() + issues.len()
+        });
+    }
+    {
+        let handles: Vec<dcat::WorkloadHandle> = (0..12u32)
+            .map(|i| {
+                dcat::WorkloadHandle::new(format!("tenant-{i:02}"), vec![i], 1 + (i < 6) as u32)
+            })
+            .collect();
+        let mut cat = resctrl::InMemoryController::new(resctrl::CatCapabilities::with_ways(20), 12);
+        let mut controller = bench_bug(
+            "controller construction",
+            dcat::DcatController::new(dcat::DcatConfig::default(), handles.clone(), &mut cat),
+        );
+        let valid = vec![true; handles.len()];
+        let mut snapshots = vec![perf_events::CounterSnapshot::default(); handles.len()];
+        let mut tracer = dcat_obs::Tracer::new();
+        let mut registry = dcat_obs::Registry::new();
+        let mut frames = dcat_obs::FrameWriter::new("dcatd");
+        let ext = dcat_obs::PolicyExt {
+            cos: 12,
+            ..dcat_obs::PolicyExt::default()
+        };
+        let mut tick = 0u64;
+        suite.case("daemon_tick_steady_12dom", iters, move || {
+            tick += 1;
+            tracer.clear();
+            tracer.set_tick(tick);
+            let (samples, _issues) = dcat::parse_telemetry_lossy(&telemetry);
+            for (slot, handle) in snapshots.iter_mut().zip(&handles) {
+                let d = samples[&handle.name];
+                *slot = perf_events::CounterSnapshot {
+                    l1_ref: d.l1_ref * tick,
+                    llc_ref: d.llc_ref * tick,
+                    llc_miss: d.llc_miss * tick,
+                    ret_ins: d.ret_ins * tick,
+                    cycles: d.cycles * tick,
+                };
+            }
+            let reports = bench_bug(
+                "steady tick",
+                controller.tick_observed(&snapshots, &valid, &mut cat, &mut tracer),
+            );
+            registry.counter_add("dcat_ticks_total", &[], 1);
+            for s in tracer.completed() {
+                registry.histogram_observe(
+                    "dcat_span_steps",
+                    &[("span", s.name)],
+                    DEFAULT_STEP_BUCKETS,
+                    s.steps(),
+                );
+            }
+            for r in &reports {
+                registry.gauge_set(
+                    "dcat_domain_ways",
+                    &[("domain", &r.name)],
+                    f64::from(r.ways),
+                );
+            }
+            frames.clear_buffer();
+            frames
+                .push(dcat::frame_from_reports(tick, "dcat", &reports, ext))
+                .len()
         });
     }
 

@@ -4,7 +4,7 @@ use dcat::{
     CachePolicy, DcatConfig, DcatController, DomainReport, LfocConfig, LfocPolicy, MemshareConfig,
     MemsharePolicy, SharedCachePolicy, StaticCatPolicy, WorkloadHandle,
 };
-use dcat_obs::{FlightRecorder, TickRecord, Tracer, DEFAULT_STEP_BUCKETS};
+use dcat_obs::{FlightRecorder, Tracer, DEFAULT_STEP_BUCKETS};
 use host::{Engine, EngineConfig, VmEpochStats, VmSpec};
 use workloads::AccessStream;
 
@@ -345,10 +345,10 @@ pub fn run_scenario(
             "policy tick",
             policy.tick_traced(&snapshots, &mut engine.cat(), &mut tracer),
         );
-        let spans = tracer.drain();
+        let spans = tracer.completed();
         report::record(|reg| {
             reg.counter_add("scenario_epochs_total", &[("policy", policy_label)], 1);
-            for s in &spans {
+            for s in spans {
                 reg.histogram_observe(
                     "scenario_span_steps",
                     &[("span", s.name)],
@@ -357,12 +357,8 @@ pub fn run_scenario(
                 );
             }
         });
-        recorder.record(TickRecord {
-            tick: epoch + 1,
-            degraded: false,
-            spans,
-            events: Vec::new(),
-        });
+        recorder.record(epoch + 1, false, spans, std::iter::empty());
+        tracer.clear();
         frames.push(dcat::frame_from_reports(
             epoch + 1,
             policy_label,

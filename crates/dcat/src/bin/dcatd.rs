@@ -198,8 +198,9 @@ fn main() -> ExitCode {
                 cos: domain_count,
                 ..dcat_obs::PolicyExt::default()
             };
-            let line = writer.push(dcat::frame_from_observation(obs, "dcat", ext));
+            // The previous tick's line is on disk; only this one is kept.
             writer.clear_buffer();
+            let line = writer.push(dcat::frame_from_observation(obs, "dcat", ext));
             let written = std::io::Write::write_all(file, line.as_bytes())
                 .and_then(|()| std::io::Write::flush(file));
             if let Err(e) = written {

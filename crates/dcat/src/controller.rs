@@ -153,6 +153,30 @@ fn longest_free_run(occupied: Cbm, total_ways: u32) -> Option<Cbm> {
     best.map(|(start, len)| Cbm::from_way_range(start, len))
 }
 
+/// One interval's working buffers. The controller owns them across ticks
+/// so a steady tick allocates none of them; every entry is rewritten
+/// before it is read, nothing carries over from the previous interval.
+#[derive(Default)]
+struct TickScratch {
+    metrics: Vec<IntervalMetrics>,
+    phase_changed: Vec<bool>,
+    /// Domains whose classification is finished for this interval.
+    classified: Vec<bool>,
+    norms: Vec<Option<f64>>,
+    targets: Vec<u32>,
+    /// Growth candidates, Unknown before Receiver.
+    grow_order: Vec<usize>,
+    apply: ApplyScratch,
+}
+
+/// [`DcatController::apply`]'s share of the scratch (it also runs once
+/// outside a tick, from [`DcatController::new`]).
+#[derive(Default)]
+struct ApplyScratch {
+    previous: Vec<Option<Cbm>>,
+    layout: Vec<Cbm>,
+}
+
 /// The dynamic cache-allocation controller.
 pub struct DcatController {
     config: DcatConfig,
@@ -160,6 +184,7 @@ pub struct DcatController {
     planner: LayoutPlanner,
     total_ways: u32,
     interval: u64,
+    scratch: TickScratch,
 }
 
 impl DcatController {
@@ -224,9 +249,10 @@ impl DcatController {
             total_ways,
             interval: 0,
             config,
+            scratch: TickScratch::default(),
         };
         let targets: Vec<u32> = ctl.domains.iter().map(|d| d.ways).collect();
-        ctl.apply(&targets, cat)?;
+        ctl.apply(&targets, &mut ApplyScratch::default(), cat)?;
         Ok(ctl)
     }
 
@@ -274,15 +300,21 @@ impl DcatController {
     /// hook at the end of [`Self::tick`] and the `dcat-verify` model
     /// checker both audit these).
     pub fn domain_views(&self) -> Vec<crate::invariants::DomainView> {
-        self.domains
-            .iter()
-            .map(|d| crate::invariants::DomainView {
-                class: d.class,
-                ways: d.ways,
-                reserved_ways: d.reserved(),
-                cbm: d.cbm,
-            })
-            .collect()
+        let mut views = Vec::new();
+        self.domain_views_into(&mut views);
+        views
+    }
+
+    /// [`Self::domain_views`] into a buffer the caller keeps across ticks
+    /// (the daemon audits every tick).
+    pub fn domain_views_into(&self, views: &mut Vec<crate::invariants::DomainView>) {
+        views.clear();
+        views.extend(self.domains.iter().map(|d| crate::invariants::DomainView {
+            class: d.class,
+            ways: d.ways,
+            reserved_ways: d.reserved(),
+            cbm: d.cbm,
+        }));
     }
 
     /// Runs one controller interval: collect statistics, detect phase
@@ -338,70 +370,90 @@ impl DcatController {
             "one snapshot per domain"
         );
         assert_eq!(valid.len(), self.domains.len(), "one verdict per domain");
+        // The stages borrow `self` mutably, so the scratch steps outside
+        // for the interval and is put back whatever the outcome.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let result = self.run_interval(&mut scratch, snapshots, valid, cat, tracer);
+        self.scratch = scratch;
+        result
+    }
+
+    /// The body of [`Self::tick_observed`], over buffers in `s`.
+    fn run_interval(
+        &mut self,
+        s: &mut TickScratch,
+        snapshots: &[CounterSnapshot],
+        valid: &[bool],
+        cat: &mut dyn CacheController,
+        tracer: &mut Tracer,
+    ) -> Result<Vec<DomainReport>, ResctrlError> {
         self.interval += 1;
         let n = self.domains.len();
 
         // Step 2: collect statistics. Skipped intervals resync the totals
         // and judge nothing (their metrics stay the zero filler).
-        let metrics: Vec<IntervalMetrics> = tracer.scope("collect", |_| {
-            snapshots
-                .iter()
-                .enumerate()
-                .map(|(i, snap)| {
-                    if !valid[i] {
-                        self.domains[i].last_snapshot = *snap;
-                        return IntervalMetrics::from_delta(&CounterSnapshot::default());
-                    }
-                    let delta = snap.delta_since(&self.domains[i].last_snapshot);
-                    self.domains[i].last_snapshot = *snap;
-                    IntervalMetrics::from_delta(&delta)
-                })
-                .collect()
+        s.metrics.clear();
+        tracer.scope("collect", |_| {
+            let lanes = self.domains.iter_mut().zip(snapshots).zip(valid);
+            s.metrics.extend(lanes.map(|((d, snap), &ok)| {
+                let delta = if ok {
+                    snap.delta_since(&d.last_snapshot)
+                } else {
+                    CounterSnapshot::default()
+                };
+                d.last_snapshot = *snap;
+                IntervalMetrics::from_delta(&delta)
+            }));
         });
+        let metrics = s.metrics.as_slice();
 
         // Step 3: phase detection (idle demotion and rebaselining finish a
         // domain's classification outright).
-        let mut phase_changed = vec![false; n];
-        let mut classified: Vec<bool> = valid.iter().map(|ok| !ok).collect();
+        s.phase_changed.clear();
+        s.phase_changed.resize(n, false);
+        s.classified.clear();
+        s.classified.extend(valid.iter().map(|ok| !ok));
         tracer.scope("phase_detect", |_| {
-            for i in 0..n {
-                if classified[i] {
+            for (i, m) in metrics.iter().enumerate() {
+                if s.classified[i] {
                     continue;
                 }
-                if let Some(fired) = self.phase_stage(i, &metrics[i]) {
-                    phase_changed[i] = fired;
-                    classified[i] = true;
+                if let Some(fired) = self.phase_stage(i, m) {
+                    s.phase_changed[i] = fired;
+                    s.classified[i] = true;
                 }
             }
         });
 
         // Step 1 (deferred): baseline establishment and refresh at the
         // reserved size, yielding the normalized IPC for categorization.
-        let mut norms: Vec<Option<f64>> = vec![None; n];
+        s.norms.clear();
+        s.norms.resize(n, None);
         tracer.scope("baseline", |_| {
-            for i in 0..n {
-                if !classified[i] {
-                    norms[i] = self.baseline_stage(i, &metrics[i]);
+            for (i, m) in metrics.iter().enumerate() {
+                if !s.classified[i] {
+                    s.norms[i] = self.baseline_stage(i, m);
                 }
             }
         });
 
         // Step 4: the Figure-6 state machine.
         tracer.scope("categorize", |_| {
-            for i in 0..n {
-                if let Some(norm) = norms[i] {
-                    self.categorize_stage(i, &metrics[i], norm);
+            for (i, m) in metrics.iter().enumerate() {
+                if let Some(norm) = s.norms[i] {
+                    self.categorize_stage(i, m, norm);
                 }
             }
         });
 
         // Step 5: allocation.
-        let targets = tracer.scope("allocate", |_| {
+        let targets = &mut s.targets;
+        tracer.scope("allocate", |_| {
             let reclaimed = self
                 .domains
                 .iter()
                 .any(|d| d.class == WorkloadClass::Reclaim);
-            let mut targets = self.base_targets();
+            self.base_targets(targets);
             // A held domain's target is its current size, whatever its class
             // asks for: without a trustworthy interval there is no basis to
             // move it.
@@ -424,14 +476,13 @@ impl DcatController {
                     d.stalled_at = None;
                 }
             }
-            self.resolve_deficit(&mut targets);
+            self.resolve_deficit(targets);
             if self.config.policy == AllocationPolicy::MaxPerformance && reclaimed {
-                self.max_performance_retarget(&mut targets);
+                self.max_performance_retarget(targets);
             }
-            self.grow_from_pool(&mut targets, valid);
-            targets
+            self.grow_from_pool(targets, valid, &mut s.grow_order);
         });
-        tracer.scope("apply", |_| self.apply(&targets, cat))?;
+        tracer.scope("apply", |_| self.apply(targets, &mut s.apply, cat))?;
 
         debug_assert_eq!(
             crate::invariants::check(&self.domain_views(), self.total_ways, self.config.min_ways),
@@ -444,9 +495,9 @@ impl DcatController {
             .domains
             .iter()
             .zip(metrics)
-            .zip(phase_changed)
+            .zip(&s.phase_changed)
             .zip(valid)
-            .map(|(((d, m), phase_changed), ok)| DomainReport {
+            .map(|(((d, m), &phase_changed), ok)| DomainReport {
                 name: d.handle.name.clone(),
                 class: d.class,
                 ways: d.ways,
@@ -673,25 +724,23 @@ impl DcatController {
     }
 
     /// Per-class way targets before pool distribution.
-    fn base_targets(&mut self) -> Vec<u32> {
+    fn base_targets(&self, targets: &mut Vec<u32>) {
         let min = self.config.min_ways;
-        self.domains
-            .iter()
-            .map(|d| match d.class {
-                WorkloadClass::Reclaim => d.reserved(),
-                WorkloadClass::Streaming => min,
-                WorkloadClass::Donor => match d.donor_mode {
-                    DonorMode::Fast => min.max(d.donor_floor),
-                    // Gradual donation releases one way per *judged*
-                    // interval; a settling donor holds its size.
-                    DonorMode::Gradual if d.settle == 0 => {
-                        d.ways.saturating_sub(1).max(min).max(d.donor_floor)
-                    }
-                    DonorMode::Gradual => d.ways,
-                },
-                WorkloadClass::Keeper | WorkloadClass::Unknown | WorkloadClass::Receiver => d.ways,
-            })
-            .collect()
+        targets.clear();
+        targets.extend(self.domains.iter().map(|d| match d.class {
+            WorkloadClass::Reclaim => d.reserved(),
+            WorkloadClass::Streaming => min,
+            WorkloadClass::Donor => match d.donor_mode {
+                DonorMode::Fast => min.max(d.donor_floor),
+                // Gradual donation releases one way per *judged*
+                // interval; a settling donor holds its size.
+                DonorMode::Gradual if d.settle == 0 => {
+                    d.ways.saturating_sub(1).max(min).max(d.donor_floor)
+                }
+                DonorMode::Gradual => d.ways,
+            },
+            WorkloadClass::Keeper | WorkloadClass::Unknown | WorkloadClass::Receiver => d.ways,
+        }));
     }
 
     /// If targets oversubscribe the cache (a Reclaim arrived while others
@@ -773,12 +822,12 @@ impl DcatController {
     /// into Receiver or Streaming sooner), then Receivers; one way per
     /// interval each, except that a recurring phase jumps straight to its
     /// recorded preferred allocation.
-    fn grow_from_pool(&mut self, targets: &mut [u32], valid: &[bool]) {
+    fn grow_from_pool(&mut self, targets: &mut [u32], valid: &[bool], order: &mut Vec<usize>) {
         let assigned: u32 = targets.iter().sum();
         let mut free = self.total_ways.saturating_sub(assigned);
 
         // Desired totals per candidate.
-        let mut order: Vec<usize> = Vec::with_capacity(self.domains.len());
+        order.clear();
         for class in [WorkloadClass::Unknown, WorkloadClass::Receiver] {
             for (i, d) in self.domains.iter().enumerate() {
                 // Only freshly judged domains change size; a settling
@@ -812,7 +861,7 @@ impl DcatController {
                 }
             }
         }
-        for &i in &order {
+        for &i in order.iter() {
             let desired = {
                 let d = &self.domains[i];
                 if d.recurring {
@@ -872,10 +921,13 @@ impl DcatController {
     fn apply(
         &mut self,
         targets: &[u32],
+        scratch: &mut ApplyScratch,
         cat: &mut dyn CacheController,
     ) -> Result<(), ResctrlError> {
-        let previous: Vec<Option<Cbm>> = self.domains.iter().map(|d| d.cbm).collect();
-        let layout = self.planner.layout_stable(targets, &previous)?;
+        let ApplyScratch { previous, layout } = scratch;
+        previous.clear();
+        previous.extend(self.domains.iter().map(|d| d.cbm));
+        self.planner.layout_stable_into(targets, previous, layout)?;
         // Ways a domain lost must be flushed (the paper's user-level flush
         // pass): lines filled under the old mask would otherwise keep
         // hitting — and surviving — in ways their owner can no longer
@@ -899,17 +951,23 @@ impl DcatController {
         // and in the recorded state, which advances per domain only after
         // its write succeeds) is still pairwise disjoint and cannot
         // oversubscribe the cache.
-        let (shrinks, grows): (Vec<usize>, Vec<usize>) = (0..layout.len()).partition(
-            |&i| matches!(self.domains[i].cbm, Some(old) if layout[i].difference(old).is_empty()),
-        );
-        for &i in &shrinks {
-            self.program_domain(i, layout[i], targets[i], cat)?;
+        // A programmed shrinker's recorded mask equals its new one, so it
+        // still reads as a shrinker in the second pass and is skipped there:
+        // the verdict can be taken as each pass reaches the domain.
+        let shrinks =
+            |d: &Domain, new: Cbm| matches!(d.cbm, Some(old) if new.difference(old).is_empty());
+        for (i, (&cbm, &target)) in layout.iter().zip(targets).enumerate() {
+            if shrinks(&self.domains[i], cbm) {
+                self.program_domain(i, cbm, target, cat)?;
+            }
         }
         // COS 0 moves between the passes: its new run may use ways the
         // shrinkers just released, while growers may claim ways it held.
         cat.program_cos(CosId(0), default_mask)?;
-        for &i in &grows {
-            self.program_domain(i, layout[i], targets[i], cat)?;
+        for (i, (&cbm, &target)) in layout.iter().zip(targets).enumerate() {
+            if !shrinks(&self.domains[i], cbm) {
+                self.program_domain(i, cbm, target, cat)?;
+            }
         }
         if !lost.is_empty() {
             cat.flush_cbm(lost)?;

@@ -39,7 +39,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dcat_obs::{FlightRecorder, Registry, SpanRecord, TickRecord, Tracer, DEFAULT_STEP_BUCKETS};
+use dcat_obs::{FlightRecorder, Registry, SpanRecord, Tracer, DEFAULT_STEP_BUCKETS};
 use perf_events::{CounterSnapshot, WrapOutcome};
 use resctrl::fault::FaultPlan;
 use resctrl::retry::{with_retries, RetryEvent, RetryPolicy, RetryingController};
@@ -48,7 +48,7 @@ use resctrl::{CacheController, FaultingController, FsBackend, ResctrlError};
 use crate::config::DcatConfig;
 use crate::controller::{DcatController, DomainReport, WorkloadHandle};
 use crate::events::{DegradeReason, Event};
-use crate::telemetry::{parse_telemetry_lossy, FaultyTelemetry, FileTelemetry, TelemetryFeed};
+use crate::telemetry::{parse_telemetry_into, FaultyTelemetry, FileTelemetry, TelemetryFeed};
 
 /// Recovery knobs for the daemon loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -535,6 +535,14 @@ pub fn run_daemon_observed(
     let n = cfg.domains.len();
     let mut states: Vec<DomainState> = (0..n).map(|_| DomainState::new()).collect();
     let mut snapshots = vec![CounterSnapshot::default(); n];
+    // Per-tick working storage, kept across ticks: the parsed sample of
+    // each domain, its validity verdict, its quarantine flag, the audit's
+    // view of the controller, and the telemetry retry log.
+    let mut samples: Vec<Option<CounterSnapshot>> = vec![None; n];
+    let mut valid = vec![true; n];
+    let mut quarantine_flags = vec![false; n];
+    let mut views = Vec::with_capacity(n);
+    let mut retry_log = Vec::new();
     let mut final_reports: Vec<DomainReport> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
     let mut registry = Registry::new();
@@ -550,6 +558,7 @@ pub fn run_daemon_observed(
         }
         tick += 1;
         events.clear();
+        tracer.clear();
         cat.inner_mut().set_tick(tick);
         tracer.set_tick(tick);
         tracer.enter("tick");
@@ -557,11 +566,10 @@ pub fn run_daemon_observed(
         // Telemetry acquisition, with retries; exhaustion degrades the
         // whole tick (nothing per-domain can be said without a sample).
         tracer.enter("telemetry");
-        let mut retry_log = Vec::new();
         let text = with_retries(policy.retry, "telemetry_read", &mut retry_log, || {
             feed.read(tick)
         });
-        events.extend(retry_log.into_iter().map(telemetry_retry_event));
+        events.extend(retry_log.drain(..).map(telemetry_retry_event));
         let text = match text {
             Ok(text) => Some(text),
             Err(e) if e.is_transient() => {
@@ -579,8 +587,7 @@ pub fn run_daemon_observed(
                 true
             }
             Some(text) => {
-                let (samples, issues) = parse_telemetry_lossy(text);
-                for issue in issues {
+                parse_telemetry_into(text, &cfg.domains, &mut samples, |issue| {
                     // A quarantined domain's rows stay broken tick after
                     // tick; one quarantine event stands in for the stream
                     // of complaints.
@@ -598,17 +605,17 @@ pub fn run_daemon_observed(
                             message: issue.message,
                         });
                     }
-                }
+                });
 
-                let mut valid = vec![true; n];
                 let lanes = cfg
                     .domains
                     .iter()
                     .zip(states.iter_mut())
+                    .zip(samples.iter())
                     .zip(valid.iter_mut().zip(snapshots.iter_mut()));
-                for ((domain, state), (valid_slot, snap_slot)) in lanes {
+                for (((domain, state), sample), (valid_slot, snap_slot)) in lanes {
                     let name = &domain.name;
-                    match samples.get(name) {
+                    match sample {
                         Some(raw) => {
                             *valid_slot = state.ingest(name, *raw, &policy, &mut events);
                         }
@@ -657,11 +664,10 @@ pub fn run_daemon_observed(
                 // Audit the recorded allocation even (especially) on
                 // degraded ticks: holding must never leave overlapping
                 // masks or starve a domain below its floor.
-                if let Err(violation) = crate::invariants::check(
-                    &controller.domain_views(),
-                    total_ways,
-                    cfg.dcat.min_ways,
-                ) {
+                controller.domain_views_into(&mut views);
+                if let Err(violation) =
+                    crate::invariants::check(&views, total_ways, cfg.dcat.min_ways)
+                {
                     events.push(Event::InvariantViolation {
                         message: violation.to_string(),
                     });
@@ -670,7 +676,7 @@ pub fn run_daemon_observed(
             }
         };
         tracer.exit(); // tick
-        let spans = tracer.drain();
+        let spans = tracer.completed();
 
         registry.counter_add("dcat_ticks_total", &[], 1);
         if degraded {
@@ -684,7 +690,7 @@ pub fn run_daemon_observed(
         for e in &events {
             registry.counter_add("dcat_events_total", &[("event", e.name())], 1);
         }
-        for s in &spans {
+        for s in spans {
             registry.histogram_observe(
                 "dcat_span_steps",
                 &[("span", s.name)],
@@ -727,17 +733,14 @@ pub fn run_daemon_observed(
                 }
             }
         }
-        let quarantine_flags: Vec<bool> = states.iter().map(|s| s.quarantined).collect();
+        for (flag, state) in quarantine_flags.iter_mut().zip(&states) {
+            *flag = state.quarantined;
+        }
         let quarantined =
             u32::try_from(quarantine_flags.iter().filter(|&&q| q).count()).unwrap_or(u32::MAX);
         registry.gauge_set("dcat_quarantined_domains", &[], f64::from(quarantined));
 
-        recorder.record(TickRecord {
-            tick,
-            degraded,
-            spans: spans.clone(),
-            events: events.iter().map(Event::to_json).collect(),
-        });
+        recorder.record(tick, degraded, spans, events.iter().map(Event::to_json));
         // A quarantine or invariant violation is exactly the moment a
         // post-mortem wants the recent window: surface a dump through the
         // observation so the embedder can persist it without re-running.
@@ -757,7 +760,7 @@ pub fn run_daemon_observed(
             reports: &final_reports,
             events: &events,
             degraded,
-            spans: &spans,
+            spans,
             quarantined: &quarantine_flags,
             flight_dump: flight_dump.as_deref(),
         });

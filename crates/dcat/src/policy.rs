@@ -106,7 +106,7 @@ mod tests {
         policy
             .tick_traced(&[CounterSnapshot::default()], &mut cat, &mut tracer)
             .unwrap();
-        let names: Vec<_> = tracer.drain().iter().map(|s| s.name).collect();
+        let names: Vec<_> = tracer.completed().iter().map(|s| s.name).collect();
         assert_eq!(
             names,
             [

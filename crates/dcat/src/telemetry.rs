@@ -21,6 +21,8 @@ use perf_events::CounterSnapshot;
 use resctrl::fault::{Fault, FaultPlan};
 use resctrl::ResctrlError;
 
+use crate::controller::WorkloadHandle;
+
 /// A producer of raw telemetry text, one read per daemon tick.
 pub trait TelemetryFeed {
     /// Reads the current sample. `tick` is the daemon's 1-based tick,
@@ -63,6 +65,90 @@ pub struct RowIssue {
     pub message: String,
 }
 
+/// What one line of the telemetry CSV holds.
+enum Row<'a> {
+    /// Blank, or a `#` comment.
+    Skip,
+    /// A well-formed row: the domain it names and its counter totals.
+    Sample(&'a str, CounterSnapshot),
+    /// A dropped row: the domain name, when the row got far enough to
+    /// reveal one, and what was wrong.
+    Bad(Option<&'a str>, String),
+}
+
+/// The row grammar both collectors share: exactly six comma-separated
+/// fields, each trimmed, a non-empty name then five `u64` totals.
+fn parse_row(line: &str) -> Row<'_> {
+    let line = line.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return Row::Skip;
+    }
+    let mut fields = [""; 6];
+    let mut count = 0usize;
+    for field in line.split(',') {
+        if let Some(slot) = fields.get_mut(count) {
+            *slot = field.trim();
+        }
+        count += 1;
+    }
+    let [name, l1_ref, llc_ref, llc_miss, ret_ins, cycles] = fields;
+    let domain = Some(name).filter(|name| !name.is_empty());
+    if count != 6 {
+        return Row::Bad(domain, format!("expected 6 fields, got {count}"));
+    }
+    // The first malformed field wins the row's issue report; the
+    // parsed value of a bad field is irrelevant (the row is dropped).
+    let mut bad = None;
+    let mut parse = |raw: &str, what: &str| -> u64 {
+        match raw.parse() {
+            Ok(v) => v,
+            Err(e) => {
+                if bad.is_none() {
+                    bad = Some(format!("bad {what} {raw:?}: {e}"));
+                }
+                0
+            }
+        }
+    };
+    let snap = CounterSnapshot {
+        l1_ref: parse(l1_ref, "l1_ref"),
+        llc_ref: parse(llc_ref, "llc_ref"),
+        llc_miss: parse(llc_miss, "llc_miss"),
+        ret_ins: parse(ret_ins, "ret_ins"),
+        cycles: parse(cycles, "cycles"),
+    };
+    match (bad, domain) {
+        (Some(message), _) => Row::Bad(domain, message),
+        (None, None) => Row::Bad(None, "empty domain name".to_string()),
+        (None, Some(name)) => Row::Sample(name, snap),
+    }
+}
+
+/// Walks the rows of `text` in line order. `keep` stores a well-formed
+/// row and says whether it was the first to name its domain; a row it
+/// turns away is a duplicate, and goes to `on_issue` like a malformed one.
+fn walk_rows<'a>(
+    text: &'a str,
+    mut keep: impl FnMut(&'a str, CounterSnapshot) -> bool,
+    mut on_issue: impl FnMut(RowIssue),
+) {
+    // Path form on purpose: dcat-lint cannot type `&'a str`, resolves a
+    // bare `.lines()` by name, and lands on `CacheSet::lines` (DL013).
+    for (lineno, line) in str::lines(text).enumerate() {
+        let (domain, message) = match parse_row(line) {
+            Row::Skip => continue,
+            Row::Sample(name, snap) if keep(name, snap) => continue,
+            Row::Sample(name, _) => (Some(name), "duplicate domain row".to_string()),
+            Row::Bad(domain, message) => (domain, message),
+        };
+        on_issue(RowIssue {
+            line: lineno + 1,
+            domain: domain.map(str::to_string),
+            message,
+        });
+    }
+}
+
 /// Parses the telemetry CSV, dropping malformed rows individually.
 ///
 /// Returns the good rows plus one [`RowIssue`] per dropped row. A
@@ -74,73 +160,64 @@ pub struct RowIssue {
 pub fn parse_telemetry_lossy(text: &str) -> (BTreeMap<String, CounterSnapshot>, Vec<RowIssue>) {
     let mut out = BTreeMap::new();
     let mut issues = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        let domain = fields
-            .first()
-            .filter(|name| !name.is_empty())
-            .map(|name| name.to_string());
-        let &[_, l1_ref, llc_ref, llc_miss, ret_ins, cycles] = fields.as_slice() else {
-            issues.push(RowIssue {
-                line: lineno + 1,
-                domain,
-                message: format!("expected 6 fields, got {}", fields.len()),
-            });
-            continue;
-        };
-        // The first malformed field wins the row's issue report; the
-        // parsed value of a bad field is irrelevant (the row is dropped).
-        let mut bad = None;
-        let mut parse = |raw: &str, what: &str| -> u64 {
-            match raw.parse() {
-                Ok(v) => v,
-                Err(e) => {
-                    if bad.is_none() {
-                        bad = Some(format!("bad {what} {raw:?}: {e}"));
-                    }
-                    0
-                }
-            }
-        };
-        let snap = CounterSnapshot {
-            l1_ref: parse(l1_ref, "l1_ref"),
-            llc_ref: parse(llc_ref, "llc_ref"),
-            llc_miss: parse(llc_miss, "llc_miss"),
-            ret_ins: parse(ret_ins, "ret_ins"),
-            cycles: parse(cycles, "cycles"),
-        };
-        if let Some(message) = bad {
-            issues.push(RowIssue {
-                line: lineno + 1,
-                domain,
-                message,
-            });
-            continue;
-        }
-        let Some(name) = domain else {
-            issues.push(RowIssue {
-                line: lineno + 1,
-                domain: None,
-                message: "empty domain name".to_string(),
-            });
-            continue;
-        };
-        match out.entry(name) {
-            Entry::Occupied(slot) => issues.push(RowIssue {
-                line: lineno + 1,
-                domain: Some(slot.key().clone()),
-                message: "duplicate domain row".to_string(),
-            }),
+    walk_rows(
+        text,
+        |name, snap| match out.entry(name.to_string()) {
             Entry::Vacant(slot) => {
                 slot.insert(snap);
+                true
             }
-        }
-    }
+            Entry::Occupied(_) => false,
+        },
+        |issue| issues.push(issue),
+    );
     (out, issues)
+}
+
+/// [`parse_telemetry_lossy`] for the daemon loop, which asks for each
+/// configured domain's sample once per tick: rows land in `slots`
+/// (`slots[i]` is the first good row naming `domains[i]`, `None` when no
+/// row did) and each dropped row goes to `on_issue`, in line order — the
+/// same samples and issues, without the per-tick name-keyed map.
+pub(crate) fn parse_telemetry_into(
+    text: &str,
+    domains: &[WorkloadHandle],
+    slots: &mut [Option<CounterSnapshot>],
+    on_issue: impl FnMut(RowIssue),
+) {
+    slots.fill(None);
+    // Row k names domain k in every healthy sample; anything else falls
+    // back to a scan by name.
+    let mut expected = 0usize;
+    // Good rows naming no configured domain are kept only to report their
+    // duplicates, as the map did. Empty (and unallocated) when healthy.
+    let mut strangers: Vec<&str> = Vec::new();
+    walk_rows(
+        text,
+        |name, snap| {
+            let index = if domains.get(expected).is_some_and(|d| d.name == name) {
+                Some(expected)
+            } else {
+                domains.iter().position(|d| d.name == name)
+            };
+            if let Some(i) = index {
+                expected = i + 1;
+            }
+            match index.and_then(|i| slots.get_mut(i)) {
+                Some(slot @ None) => {
+                    *slot = Some(snap);
+                    true
+                }
+                Some(Some(_)) => false,
+                None if strangers.contains(&name) => false,
+                None => {
+                    strangers.push(name);
+                    true
+                }
+            }
+        },
+        on_issue,
+    );
 }
 
 /// A [`TelemetryFeed`] wrapper that injects the telemetry half of a
@@ -162,6 +239,9 @@ pub fn parse_telemetry_lossy(text: &str) -> (BTreeMap<String, CounterSnapshot>, 
 pub struct FaultyTelemetry<S> {
     inner: S,
     plan: FaultPlan,
+    /// Whether `plan` schedules a [`Fault::TelemetryStale`] anywhere: only
+    /// then is each good sample worth a copy.
+    serves_stale: bool,
     last_good: Option<String>,
     calls_this_tick: u32,
     tick: u64,
@@ -171,8 +251,10 @@ pub struct FaultyTelemetry<S> {
 impl<S: TelemetryFeed> FaultyTelemetry<S> {
     /// Wraps `inner` under `plan`.
     pub fn new(inner: S, plan: FaultPlan) -> Self {
+        let serves_stale = plan.iter().any(|(_, f)| f == Fault::TelemetryStale);
         FaultyTelemetry {
             inner,
+            serves_stale,
             plan,
             last_good: None,
             calls_this_tick: 0,
@@ -259,7 +341,9 @@ impl<S: TelemetryFeed> TelemetryFeed for FaultyTelemetry<S> {
             // lint: allow(DL009, cut is walked back to a char boundary above; a slice at a boundary <= len cannot panic)
             return Ok(text[..cut].to_string());
         }
-        self.last_good = Some(text.clone());
+        if self.serves_stale {
+            self.last_good = Some(text.clone());
+        }
         Ok(text)
     }
 }

@@ -182,3 +182,49 @@ fn telemetry_outage_is_counted_under_its_own_degraded_reason() {
     let ticks = outcome.metrics.get("dcat_ticks_total", &[]);
     assert_eq!(ticks, Some(&MetricValue::Counter(MAX_TICKS)));
 }
+
+#[test]
+fn a_disabled_flight_recorder_retains_nothing_and_counts_every_tick() {
+    let root = fixture_root("noflight");
+    let mut cfg = base_cfg(
+        root,
+        vec![
+            WorkloadHandle::new("seen", vec![0, 1], RESERVED),
+            WorkloadHandle::new("ghost", vec![2, 3], RESERVED),
+        ],
+    );
+    cfg.resilience.quarantine_after = 3;
+    cfg.obs.flight_recorder_ticks = 0;
+    write_telemetry(&cfg.telemetry_path, &[("seen", &steady_total(1))]);
+
+    let mut dumps = Vec::new();
+    let telemetry_path = cfg.telemetry_path.clone();
+    let outcome = run_daemon_observed(&cfg, |obs| {
+        // The spans and events of the tick are still observable; only the
+        // recorder's copy of them is gone.
+        assert!(!obs.spans.is_empty());
+        if let Some(dump) = obs.flight_dump {
+            dumps.push((obs.tick, dump.to_string()));
+        }
+        write_telemetry(&telemetry_path, &[("seen", &steady_total(obs.tick + 1))]);
+    })
+    .unwrap();
+
+    // The quarantine still surfaces a dump — a bare header that says how
+    // many ticks went unrecorded.
+    assert_eq!(dumps.len(), 1);
+    let (tick, dump) = &dumps[0];
+    assert_eq!(*tick, 3);
+    assert_eq!(
+        dump.trim_end(),
+        "{\"record\":\"flight_header\",\"schema\":\"dcat-flight/v1\",\"capacity\":0,\"retained\":0,\"dropped\":3}"
+    );
+    assert_eq!(
+        outcome.flight_dump.trim_end(),
+        format!(
+            "{{\"record\":\"flight_header\",\"schema\":\"dcat-flight/v1\",\"capacity\":0,\"retained\":0,\"dropped\":{MAX_TICKS}}}"
+        )
+    );
+    assert_eq!(dcat_obs::check_flight(&outcome.flight_dump), Ok(0));
+    std::fs::remove_dir_all(&cfg.resctrl_root).unwrap();
+}

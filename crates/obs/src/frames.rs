@@ -21,8 +21,8 @@
 //! step is exactly a stream CI accepts. [`check_flight`] is the matching
 //! validator for `dcat-flight/v1` recorder dumps.
 
-use crate::json::{self, array, Obj, Value};
-use std::collections::BTreeMap;
+use crate::json::{self, Obj, Value};
+use std::fmt::Write as _;
 
 /// Schema tag carried by every `frames_header` record.
 pub const FRAMES_SCHEMA: &str = "dcat-frames/v1";
@@ -112,24 +112,6 @@ pub struct Frame {
     pub domains: Vec<DomainFrame>,
 }
 
-/// Finite floats render `{v:?}`; non-finite render `null`, mirroring the
-/// metrics JSONL export.
-fn f64_raw(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn opt_f64_raw(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), f64_raw)
-}
-
-fn opt_u64_raw(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |n| n.to_string())
-}
-
 /// Render a segment header line (no trailing newline).
 pub fn header_line(source: &str) -> String {
     Obj::new()
@@ -139,55 +121,120 @@ pub fn header_line(source: &str) -> String {
         .finish()
 }
 
-fn encode_domain(d: &DomainFrame) -> String {
-    Obj::new()
-        .str_field("name", &d.name)
-        .str_field("class", &d.class)
-        .u64_field("ways", u64::from(d.ways))
-        .raw_field("cbm", &opt_u64_raw(d.cbm))
-        .raw_field("ipc", &f64_raw(d.ipc))
-        .raw_field("norm_ipc", &opt_f64_raw(d.norm_ipc))
-        .raw_field("miss_rate", &f64_raw(d.miss_rate))
-        .raw_field("baseline_ipc", &opt_f64_raw(d.baseline_ipc))
-        .bool_field("quarantined", d.quarantined)
-        .bool_field("held", d.held)
-        .finish()
+// The frame encoder appends straight to the caller's buffer: keys are
+// literals (none needs escaping), numbers go through `write!` (infallible
+// on a `String`), strings through `escape_into`. No per-field temporary.
+
+fn push_str_value(out: &mut String, v: &str) {
+    out.push('"');
+    json::escape_into(out, v);
+    out.push('"');
 }
 
-/// Encode one frame as a single JSONL line (no trailing newline). Pure:
-/// the per-tick daemon cost of the export is exactly one call of this
-/// (tracked by the `frame_encode_tick` perfbench case).
-pub fn encode_frame(f: &Frame) -> String {
-    let mut obj = Obj::new()
-        .str_field("record", "frame")
-        .u64_field("tick", f.tick)
-        .str_field("policy", &f.policy)
-        .bool_field("degraded", f.degraded);
-    if let Some(reason) = &f.reason {
-        obj = obj.str_field("reason", reason);
+fn push_u64(out: &mut String, v: u64) {
+    let _ = write!(out, "{v}");
+}
+
+fn push_bool(out: &mut String, v: bool) {
+    out.push_str(if v { "true" } else { "false" });
+}
+
+/// Finite floats render `{v:?}`; non-finite render `null`, mirroring the
+/// metrics JSONL export.
+fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v:?}");
+    } else {
+        out.push_str("null");
     }
-    obj = obj
-        .u64_field("ways_moved", u64::from(f.ways_moved))
-        .u64_field("cos", u64::from(f.ext.cos));
+}
+
+fn push_opt_f64(out: &mut String, v: Option<f64>) {
+    match v {
+        Some(v) => push_f64(out, v),
+        None => out.push_str("null"),
+    }
+}
+
+fn write_domain(out: &mut String, d: &DomainFrame) {
+    out.push_str("{\"name\":");
+    push_str_value(out, &d.name);
+    out.push_str(",\"class\":");
+    push_str_value(out, &d.class);
+    out.push_str(",\"ways\":");
+    push_u64(out, u64::from(d.ways));
+    out.push_str(",\"cbm\":");
+    match d.cbm {
+        Some(cbm) => push_u64(out, cbm),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"ipc\":");
+    push_f64(out, d.ipc);
+    out.push_str(",\"norm_ipc\":");
+    push_opt_f64(out, d.norm_ipc);
+    out.push_str(",\"miss_rate\":");
+    push_f64(out, d.miss_rate);
+    out.push_str(",\"baseline_ipc\":");
+    push_opt_f64(out, d.baseline_ipc);
+    out.push_str(",\"quarantined\":");
+    push_bool(out, d.quarantined);
+    out.push_str(",\"held\":");
+    push_bool(out, d.held);
+    out.push('}');
+}
+
+/// Appends one frame record to `out` (no trailing newline). This is the
+/// whole per-tick cost of the export (tracked by the `frame_encode_tick`
+/// perfbench case); `tests/golden/frames_v1.jsonl` pins its bytes.
+fn write_frame(out: &mut String, f: &Frame) {
+    out.push_str("{\"record\":\"frame\",\"tick\":");
+    push_u64(out, f.tick);
+    out.push_str(",\"policy\":");
+    push_str_value(out, &f.policy);
+    out.push_str(",\"degraded\":");
+    push_bool(out, f.degraded);
+    if let Some(reason) = &f.reason {
+        out.push_str(",\"reason\":");
+        push_str_value(out, reason);
+    }
+    out.push_str(",\"ways_moved\":");
+    push_u64(out, u64::from(f.ways_moved));
+    out.push_str(",\"cos\":");
+    push_u64(out, u64::from(f.ext.cos));
     if let Some(l) = f.ext.lfoc {
-        let nested = Obj::new()
-            .u64_field("clusters", u64::from(l.clusters))
-            .u64_field("insensitive", u64::from(l.insensitive))
-            .finish();
-        obj = obj.raw_field("lfoc", &nested);
+        out.push_str(",\"lfoc\":{\"clusters\":");
+        push_u64(out, u64::from(l.clusters));
+        out.push_str(",\"insensitive\":");
+        push_u64(out, u64::from(l.insensitive));
+        out.push('}');
     }
     if let Some(m) = f.ext.memshare {
-        let nested = Obj::new()
-            .u64_field("lent", u64::from(m.lent))
-            .raw_field("credit_min", &m.credit_min.to_string())
-            .raw_field("credit_max", &m.credit_max.to_string())
-            .finish();
-        obj = obj.raw_field("memshare", &nested);
+        out.push_str(",\"memshare\":{\"lent\":");
+        push_u64(out, u64::from(m.lent));
+        let _ = write!(
+            out,
+            ",\"credit_min\":{},\"credit_max\":{}}}",
+            m.credit_min, m.credit_max
+        );
     }
-    let domains: Vec<String> = f.domains.iter().map(encode_domain).collect();
-    obj.u64_field("events", f.events)
-        .raw_field("domains", &array(&domains))
-        .finish()
+    out.push_str(",\"events\":");
+    push_u64(out, f.events);
+    out.push_str(",\"domains\":[");
+    for (i, d) in f.domains.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_domain(out, d);
+    }
+    out.push_str("]}");
+}
+
+/// Encode one frame as a single JSONL line (no trailing newline): the
+/// one-call form of what [`FrameWriter::push`] appends.
+pub fn encode_frame(f: &Frame) -> String {
+    let mut line = String::new();
+    write_frame(&mut line, f);
+    line
 }
 
 /// Incremental stream writer: emits the segment header at construction,
@@ -199,7 +246,9 @@ pub fn encode_frame(f: &Frame) -> String {
 pub struct FrameWriter {
     header: String,
     buf: String,
-    prev_ways: BTreeMap<String, u32>,
+    /// The previous frame's `(name, ways)`, one entry per distinct name
+    /// (a repeated name keeps its last ways) in first-appearance order.
+    prev_ways: Vec<(String, u32)>,
 }
 
 impl FrameWriter {
@@ -211,7 +260,7 @@ impl FrameWriter {
         FrameWriter {
             buf: header.clone(),
             header,
-            prev_ways: BTreeMap::new(),
+            prev_ways: Vec::new(),
         }
     }
 
@@ -220,24 +269,52 @@ impl FrameWriter {
         &self.header
     }
 
-    /// Fill in `ways_moved`, encode, append to the buffer, and return the
-    /// rendered line (newline-terminated) for incremental sinks.
-    pub fn push(&mut self, mut frame: Frame) -> String {
+    /// Σ|Δways| of `domains` against the previous frame — a name the
+    /// previous frame did not carry moves nothing — and remember
+    /// `domains` as the new previous frame.
+    fn ways_moved(&mut self, domains: &[DomainFrame]) -> u32 {
+        // A host's domain list is the same tick after tick, so the names
+        // are compared in place and only the ways are overwritten; the
+        // list is rebuilt when a tenant arrives, leaves or moves.
+        let unchanged = domains.len() == self.prev_ways.len()
+            && domains
+                .iter()
+                .zip(&self.prev_ways)
+                .all(|(d, (name, _))| d.name == *name);
         let mut moved = 0u32;
-        for d in &frame.domains {
-            let prev = self.prev_ways.get(&d.name).copied().unwrap_or(d.ways);
+        if unchanged {
+            for (d, (_, ways)) in domains.iter().zip(self.prev_ways.iter_mut()) {
+                moved += d.ways.abs_diff(*ways);
+                *ways = d.ways;
+            }
+            return moved;
+        }
+        for d in domains {
+            let prev = self
+                .prev_ways
+                .iter()
+                .find(|(name, _)| *name == d.name)
+                .map_or(d.ways, |&(_, ways)| ways);
             moved += d.ways.abs_diff(prev);
         }
-        frame.ways_moved = moved;
-        self.prev_ways = frame
-            .domains
-            .iter()
-            .map(|d| (d.name.clone(), d.ways))
-            .collect();
-        let mut line = encode_frame(&frame);
-        line.push('\n');
-        self.buf.push_str(&line);
-        line
+        self.prev_ways.clear();
+        for d in domains {
+            match self.prev_ways.iter_mut().find(|(name, _)| *name == d.name) {
+                Some((_, ways)) => *ways = d.ways,
+                None => self.prev_ways.push((d.name.clone(), d.ways)),
+            }
+        }
+        moved
+    }
+
+    /// Fill in `ways_moved`, encode onto the end of the buffer, and return
+    /// the rendered line (newline-terminated) for incremental sinks.
+    pub fn push(&mut self, mut frame: Frame) -> &str {
+        frame.ways_moved = self.ways_moved(&frame.domains);
+        let start = self.buf.len();
+        write_frame(&mut self.buf, &frame);
+        self.buf.push('\n');
+        self.buf.get(start..).unwrap_or_default()
     }
 
     /// The whole segment rendered so far (header + frames, one per line).
@@ -573,9 +650,10 @@ mod tests {
     #[test]
     fn writer_emits_header_then_frames_and_computes_ways_moved() {
         let mut w = FrameWriter::new("scenario:dcat");
-        let l1 = w.push(frame(1, &[4, 4]));
-        let l2 = w.push(frame(2, &[6, 2]));
+        let l1 = w.push(frame(1, &[4, 4])).to_string();
+        let l2 = w.push(frame(2, &[6, 2])).to_string();
         assert!(l1.ends_with('\n') && l2.ends_with('\n'));
+        assert_eq!(w.buffer(), format!("{}{l1}{l2}", w.header()));
         let segs = parse_stream(w.buffer()).expect("writer output validates");
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].source, "scenario:dcat");

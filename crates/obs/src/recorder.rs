@@ -11,7 +11,7 @@ use crate::trace::SpanRecord;
 use std::collections::VecDeque;
 
 /// Everything the recorder retains about one tick.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TickRecord {
     pub tick: u64,
     pub degraded: bool,
@@ -61,15 +61,34 @@ impl FlightRecorder {
         self.ring.is_empty()
     }
 
-    pub fn record(&mut self, rec: TickRecord) {
+    /// Records one tick. `events` yields pre-rendered JSON objects (e.g.
+    /// `Event::to_json`) and is consumed only when the record is retained:
+    /// with capacity 0 the tick is counted as dropped and nothing is built.
+    /// A full ring recycles the evicted record's storage.
+    pub fn record(
+        &mut self,
+        tick: u64,
+        degraded: bool,
+        spans: &[SpanRecord],
+        events: impl IntoIterator<Item = String>,
+    ) {
         if self.capacity == 0 {
             self.dropped += 1;
             return;
         }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
+        let evicted = if self.ring.len() == self.capacity {
             self.dropped += 1;
-        }
+            self.ring.pop_front()
+        } else {
+            None
+        };
+        let mut rec = evicted.unwrap_or_default();
+        rec.tick = tick;
+        rec.degraded = degraded;
+        rec.spans.clear();
+        rec.spans.extend_from_slice(spans);
+        rec.events.clear();
+        rec.events.extend(events);
         self.ring.push_back(rec);
     }
 
@@ -97,27 +116,25 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
-    fn rec(tick: u64) -> TickRecord {
-        TickRecord {
+    const EVENT: &str = "{\"event\":\"degraded_tick\",\"reason\":\"telemetry\"}";
+
+    fn record(fr: &mut FlightRecorder, tick: u64) {
+        let span = SpanRecord {
+            name: "tick",
             tick,
-            degraded: tick % 2 == 0,
-            spans: vec![SpanRecord {
-                name: "tick",
-                tick,
-                depth: 0,
-                enter_step: 1,
-                exit_step: 2,
-                cycles: 0,
-            }],
-            events: vec!["{\"event\":\"degraded_tick\",\"reason\":\"telemetry\"}".to_string()],
-        }
+            depth: 0,
+            enter_step: 1,
+            exit_step: 2,
+            cycles: 0,
+        };
+        fr.record(tick, tick % 2 == 0, &[span], [EVENT.to_string()]);
     }
 
     #[test]
     fn ring_keeps_the_last_k_ticks() {
         let mut fr = FlightRecorder::new(3);
         for t in 1..=5 {
-            fr.record(rec(t));
+            record(&mut fr, t);
         }
         assert_eq!(fr.len(), 3);
         let dump = fr.dump_jsonl();
@@ -135,22 +152,37 @@ mod tests {
         assert_eq!(first.get("tick").and_then(|v| v.as_num()), Some(3.0));
         let last = crate::json::parse(lines[3]).unwrap();
         assert_eq!(last.get("tick").and_then(|v| v.as_num()), Some(5.0));
+        // Ticks 4 and 5 reuse the storage of evicted ticks 1 and 2 and
+        // must carry only their own span and event.
+        for t in crate::frames::parse_flight(&dump).unwrap() {
+            assert_eq!((t.spans, t.events.len()), (1, 1), "tick {}", t.tick);
+            assert_eq!(t.degraded, t.tick % 2 == 0);
+        }
     }
 
     #[test]
     fn zero_capacity_disables_recording() {
         let mut fr = FlightRecorder::new(0);
-        fr.record(rec(1));
+        // Nothing is retained, so nothing may be rendered.
+        let unrendered = std::iter::from_fn(|| -> Option<String> {
+            panic!("an event was rendered for a recorder that retains nothing")
+        });
+        fr.record(1, false, &[], unrendered);
+        record(&mut fr, 2);
         assert!(fr.is_empty());
         let dump = fr.dump_jsonl();
         assert_eq!(dump.lines().count(), 1);
+        // The header still says how many ticks went unrecorded.
+        let header = crate::json::parse(&dump).unwrap();
+        assert_eq!(header.get("dropped").and_then(|v| v.as_num()), Some(2.0));
+        assert_eq!(header.get("retained").and_then(|v| v.as_num()), Some(0.0));
     }
 
     #[test]
     fn every_dump_line_parses_as_json() {
         let mut fr = FlightRecorder::new(8);
         for t in 1..=4 {
-            fr.record(rec(t));
+            record(&mut fr, t);
         }
         for line in fr.dump_jsonl().lines() {
             crate::json::parse(line).expect("dump line parses");
@@ -161,7 +193,7 @@ mod tests {
     fn dumps_pass_the_flight_validator() {
         let mut fr = FlightRecorder::new(8);
         for t in 1..=4 {
-            fr.record(rec(t));
+            record(&mut fr, t);
         }
         assert_eq!(crate::frames::check_flight(&fr.dump_jsonl()), Ok(4));
         assert_eq!(

@@ -162,10 +162,16 @@ impl Tracer {
         value
     }
 
-    /// Take all completed spans, in completion order (nested spans precede
-    /// their parents). Open spans are left untouched.
-    pub fn drain(&mut self) -> Vec<SpanRecord> {
-        std::mem::take(&mut self.done)
+    /// The spans completed since the last [`Tracer::clear`], in completion
+    /// order (nested spans precede their parents).
+    pub fn completed(&self) -> &[SpanRecord] {
+        &self.done
+    }
+
+    /// Forget the completed spans, keeping their storage for the next
+    /// tick. Open spans are left untouched.
+    pub fn clear(&mut self) {
+        self.done.clear();
     }
 }
 
@@ -181,7 +187,7 @@ mod tests {
             t.scope("collect", |_| {});
             t.scope("apply", |_| {});
         });
-        let spans = t.drain();
+        let spans = t.completed();
         let names: Vec<_> = spans.iter().map(|s| s.name).collect();
         assert_eq!(names, ["collect", "apply", "tick"]);
         let collect = &spans[0];
@@ -206,7 +212,7 @@ mod tests {
             41 + 1
         });
         assert_eq!(v, 42);
-        assert!(t.drain().is_empty());
+        assert!(t.completed().is_empty());
     }
 
     #[test]
@@ -221,8 +227,9 @@ mod tests {
         let mut t = Tracer::new();
         t.set_cycle_source(Box::new(Fake(0)));
         t.scope("tick", |_| {});
-        let spans = t.drain();
-        assert_eq!(spans[0].cycles, 100);
+        assert_eq!(t.completed()[0].cycles, 100);
+        t.clear();
+        assert!(t.completed().is_empty());
     }
 
     #[test]
@@ -246,6 +253,6 @@ mod tests {
     fn unbalanced_exit_is_dropped_not_panicked() {
         let mut t = Tracer::new();
         t.exit();
-        assert!(t.drain().is_empty());
+        assert!(t.completed().is_empty());
     }
 }

@@ -19,6 +19,7 @@
 //! fixture directory (see [`FsBackend::create_fixture`]) it is a faithful,
 //! fully-testable stand-in — which is how this repository exercises it.
 
+use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -117,6 +118,10 @@ pub struct FsBackend {
     num_cores: u32,
     // Cached core->COS assignment; the filesystem is rewritten on change.
     assignment: Vec<CosId>,
+    // `schemata` file of each class, indexed by COS id, and the line being
+    // written: `program_cos` runs every controller interval.
+    schemata_paths: Vec<PathBuf>,
+    schemata_line: String,
 }
 
 impl FsBackend {
@@ -166,11 +171,16 @@ impl FsBackend {
                 *slot = cos;
             }
         }
+        let schemata_paths = (0..num_closids)
+            .map(|cos| Self::group_dir_of(&root, CosId(cos as u8)).join("schemata"))
+            .collect();
         Ok(FsBackend {
             root,
             caps,
             num_cores,
             assignment: table,
+            schemata_paths,
+            schemata_line: String::new(),
         })
     }
 
@@ -225,6 +235,13 @@ impl FsBackend {
         Self::group_dir_of(&self.root, cos)
     }
 
+    fn schemata_path(&self, cos: CosId) -> Result<&Path, ResctrlError> {
+        self.schemata_paths
+            .get(usize::from(cos.0))
+            .map(PathBuf::as_path)
+            .ok_or(ResctrlError::InvalidCos(cos))
+    }
+
     fn rewrite_cpus_lists(&self) -> Result<(), ResctrlError> {
         for cos in 0..self.caps.num_closids {
             let cos = CosId(cos as u8);
@@ -254,8 +271,10 @@ impl CacheController for FsBackend {
     fn program_cos(&mut self, cos: CosId, cbm: Cbm) -> Result<(), ResctrlError> {
         self.validate_cos(cos)?;
         self.validate_cbm(cbm)?;
-        let path = self.group_dir(cos).join("schemata");
-        fs::write(path, format!("L3:0={cbm}\n"))?;
+        self.schemata_line.clear();
+        // Formatting into a `String` cannot fail.
+        let _ = writeln!(self.schemata_line, "L3:0={cbm}");
+        fs::write(self.schemata_path(cos)?, &self.schemata_line)?;
         Ok(())
     }
 
@@ -271,7 +290,7 @@ impl CacheController for FsBackend {
 
     fn cos_mask(&self, cos: CosId) -> Result<Cbm, ResctrlError> {
         self.validate_cos(cos)?;
-        let body = fs::read_to_string(self.group_dir(cos).join("schemata"))?;
+        let body = fs::read_to_string(self.schemata_path(cos)?)?;
         parse_schemata(&body)
     }
 

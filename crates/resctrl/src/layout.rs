@@ -71,6 +71,20 @@ impl LayoutPlanner {
         counts: &[u32],
         previous: &[Option<Cbm>],
     ) -> Result<Vec<Cbm>, ResctrlError> {
+        let mut result = Vec::new();
+        self.layout_stable_into(counts, previous, &mut result)?;
+        Ok(result)
+    }
+
+    /// [`Self::layout_stable`] into a buffer the caller keeps across
+    /// intervals (a controller lays out every tick). `result` is
+    /// overwritten; on error its contents are unspecified.
+    pub fn layout_stable_into(
+        &self,
+        counts: &[u32],
+        previous: &[Option<Cbm>],
+        result: &mut Vec<Cbm>,
+    ) -> Result<(), ResctrlError> {
         assert_eq!(
             counts.len(),
             previous.len(),
@@ -92,7 +106,8 @@ impl LayoutPlanner {
             }
         }
 
-        let mut result = vec![Cbm(0); counts.len()];
+        result.clear();
+        result.resize(counts.len(), Cbm(0));
         let mut used = Cbm(0);
         let mut pending: Vec<usize> = Vec::new();
 
@@ -209,14 +224,14 @@ impl LayoutPlanner {
         }
         if !fragmented {
             debug_assert!(
-                invariants::check_layout(&result, self.cbm_len)
-                    .and_then(|()| invariants::check_counts(&result, counts))
+                invariants::check_layout(result, self.cbm_len)
+                    .and_then(|()| invariants::check_counts(result, counts))
                     .is_ok(),
                 "layout_stable produced an illegal layout: {:?}",
-                invariants::check_layout(&result, self.cbm_len)
-                    .and_then(|()| invariants::check_counts(&result, counts))
+                invariants::check_layout(result, self.cbm_len)
+                    .and_then(|()| invariants::check_counts(result, counts))
             );
-            return Ok(result);
+            return Ok(());
         }
 
         // Pass 5: fragmentation fallback — full repack by previous start.
@@ -225,16 +240,16 @@ impl LayoutPlanner {
             Some(cbm) => (0u8, cbm.first_way().unwrap_or(u32::MAX), i),
             None => (1u8, u32::MAX, i),
         });
-        let result = self.layout_in_order(counts, order)?;
+        *result = self.layout_in_order(counts, order)?;
         debug_assert!(
-            invariants::check_layout(&result, self.cbm_len)
-                .and_then(|()| invariants::check_counts(&result, counts))
+            invariants::check_layout(result, self.cbm_len)
+                .and_then(|()| invariants::check_counts(result, counts))
                 .is_ok(),
             "layout_stable repack produced an illegal layout: {:?}",
-            invariants::check_layout(&result, self.cbm_len)
-                .and_then(|()| invariants::check_counts(&result, counts))
+            invariants::check_layout(result, self.cbm_len)
+                .and_then(|()| invariants::check_counts(result, counts))
         );
-        Ok(result)
+        Ok(())
     }
 
     fn layout_in_order(&self, counts: &[u32], order: Vec<usize>) -> Result<Vec<Cbm>, ResctrlError> {
