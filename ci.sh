@@ -141,11 +141,15 @@ echo "==> determinism regression + golden decision traces + golden metrics"
 cargo test -q --release -p dcat-bench --offline --test determinism --test golden_traces \
     --test golden_metrics
 
-echo "==> llc-sim multi-core inclusion/occupancy property + decision digests (release)"
+echo "==> per-reference path in release: llc-sim, workloads and smallrng suites with their recorded oracles"
 # In release, as the experiments run it: the hot path's index and counter
 # arithmetic must hold with overflow checks and debug_asserts compiled out
-# (`cargo test --workspace` covers the debug build).
-cargo test -q --release -p llc-sim --offline --test multicore_inclusion
+# (`cargo test --workspace` covers the debug build). These three suites
+# are in neither Tier-1 nor the default test step above; they carry the
+# multi-core inclusion property and its decision digests, the stream and
+# gen_range byte oracles (tests/golden/, recorded before the divisions
+# came off the path) and the reciprocal set-index identity.
+cargo test -q --release --offline -p workloads -p smallrng -p llc-sim
 
 echo "==> daemon end-to-end (fixture resctrl tree + scripted telemetry)"
 cargo test -q -p dcat --offline --test daemon_e2e

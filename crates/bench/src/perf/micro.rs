@@ -1,6 +1,8 @@
 //! The `micro` suite: set access, hierarchy access per replacement
-//! policy and per outcome (L1 hit, LLC miss with eviction on the 18-core
-//! socket), page translation, the engine epoch loop and its CMT
+//! policy and per outcome (L1 hit, LLC miss with and without eviction on
+//! the 18-core socket), page translation, reference generation (a
+//! 1 000-reference batch per stream, one bounded draw), the engine epoch
+//! loop and its CMT
 //! occupancy read, the daemon's interval (telemetry parse, a whole steady
 //! tick, the frame encode), and the full-workspace lint run.
 //!
@@ -23,7 +25,7 @@ use llc_sim::{
     PageMapper, PageSize, VirtAddr, WayMask,
 };
 use smallrng::SmallRng;
-use workloads::{Lookbusy, Mlr};
+use workloads::{AccessStream, DiurnalStream, Lookbusy, Mload, Mlr, RedisModel};
 
 use super::harness::{normalize, SuiteRunner};
 use super::json::{Derived, SuiteResult};
@@ -244,6 +246,63 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
             state = lcg_next(state);
             let vaddr = VirtAddr((state >> 20) % (PAGES << 12));
             mapper.translate_with(vaddr, &mut frames, &mut rng)
+        });
+    }
+
+    {
+        // 63 of 64 references of a sequential scan, and every think-time
+        // filler reference, repeat the previous translation's page.
+        let mut frames = FrameAllocator::new(256 << 20, FramePolicy::Randomized, 7);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut mapper = PageMapper::new(PageSize::Small);
+        let mut offset = 0u64;
+        suite.case("page_translate_same_page", iters, move || {
+            offset = (offset + 64) & 0xfff;
+            mapper.translate_with(VirtAddr((5 << 12) | offset), &mut frames, &mut rng)
+        });
+    }
+    {
+        // The paper's socket under full masks, random lines over 1 GiB:
+        // every access misses all three levels into a free way, so what
+        // is on the path is the set index of the 36 864-set LLC (not a
+        // power of two) and three cold set walks, not a victim's
+        // back-invalidation.
+        let mut h = Hierarchy::new(HierarchyConfig::default());
+        let mut state = 1u64;
+        suite.case("hierarchy_access_paper_llc_miss", iters, move || {
+            state = lcg_next(state);
+            h.access(0, (state >> 34) & !63, AccessKind::Load)
+        });
+    }
+
+    // --- reference generation: one engine slice's batch per stream ---
+    {
+        let mut rng = SmallRng::seed_from_u64(7);
+        // 24 576: the line count of a fleet tenant's 1.5 MiB MLR.
+        suite.case("rng_gen_range_nonpow2", iters, move || {
+            rng.gen_range(0..24_576)
+        });
+    }
+    let streams: [(&str, Box<dyn AccessStream>); 5] = [
+        ("lookbusy", Box::new(Lookbusy::new())),
+        ("mload", Box::new(Mload::new(60 << 20))),
+        ("mlr", Box::new(Mlr::new(8 << 20, 1))),
+        ("redis", Box::new(RedisModel::paper_default(1))),
+        (
+            "diurnal_redis",
+            Box::new(DiurnalStream::day(
+                Box::new(RedisModel::new(6_000, 128, 0.99, 1)),
+                64,
+                0,
+            )),
+        ),
+    ];
+    for (tag, mut stream) in streams {
+        let mut batch = Vec::with_capacity(1000);
+        let name = format!("stream_next_batch_{tag}");
+        suite.case(&name, iters / 16, move || {
+            stream.next_batch(&mut batch, 1000);
+            batch.len()
         });
     }
 

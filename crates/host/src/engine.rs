@@ -464,8 +464,8 @@ impl Engine {
 /// [`CacheController`] adapter over an [`Engine`].
 ///
 /// Programming a class re-applies its mask to every associated core, and
-/// associating a core applies the class's mask to it — matching how CAT
-/// MSthe hardware behaves when `IA32_PQR_ASSOC`/`IA32_L3_QOS_MASK` change.
+/// associating a core applies the class's mask to it — matching how the
+/// hardware behaves when `IA32_PQR_ASSOC`/`IA32_L3_QOS_MASK` change.
 pub struct EngineCat<'a> {
     engine: &'a mut Engine,
 }

@@ -25,7 +25,7 @@
 //! | DL013 | panic reachable from the daemon/apply path | entry points: `run_daemon*`, `DcatController::{apply*,tick*}` |
 //! | DL014 | mixed-unit arithmetic (ways/bytes/misses/…) | dcat, resctrl, llc-sim, host |
 //! | DL015 | pool-discipline race: closure to `Pool::map` captures `&mut`/cell/report sink | any crate calling `host::pool` |
-//! | DL016 | allocation on a perfbench-pinned path (`Vec::new`+grow, size-losing collect, `Box::new`, `format!`) | reachable from `run_epoch*`, `CacheSet`, `CachePolicy::tick` |
+//! | DL016 | allocation on a perfbench-pinned path (`Vec::new`+grow, size-losing collect, `Box::new`, `format!`) | reachable from `run_epoch*`, `PackedSet`, `CachePolicy::tick` |
 //! | DL017 | I/O `Result` dropped/unwrapped or severity match with wildcard arm | resctrl, perf-events callers, daemon loop (bins/tests exempt) |
 //!
 //! Entry points: [`check_repo`] (scoped repo gate), [`scan_files`]

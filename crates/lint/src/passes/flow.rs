@@ -15,9 +15,10 @@
 //!
 //! **DL016 hot-path allocation pass.** Functions reachable from the
 //! perfbench-pinned paths — `Engine`/`MultiSocketEngine::run_epoch*`,
-//! `CacheSet` methods, and `CachePolicy::tick` impls — must not allocate
-//! per call. Facts: a binding initialized from `Vec::new()` that later
-//! grows (`push`/`extend`/`insert`/…) without a capacity reservation,
+//! `PackedSet` methods (the set logic under `CacheSet` and every cache),
+//! and `CachePolicy::tick` impls — must not allocate per call. Facts: a
+//! binding initialized from `Vec::new()` that later grows
+//! (`push`/`extend`/`insert`/…) without a capacity reservation,
 //! `.collect()` behind a size-losing adapter (`filter`, `flat_map`, …;
 //! exact-size chains single-allocate via `size_hint` and stay
 //! sanctioned), `Box::new(…)`, and `format!(…)`. Escape hatch:
@@ -362,7 +363,7 @@ fn alloc_entries(ws: &Workspace, mode: EntryMode) -> Vec<usize> {
                     Some("Engine") | Some("MultiSocketEngine")
                 )
                 && n.name.starts_with("run_epoch");
-            let cache_set = n.crate_ident == "llc_sim" && n.impl_ty.as_deref() == Some("CacheSet");
+            let cache_set = n.crate_ident == "llc_sim" && n.impl_ty.as_deref() == Some("PackedSet");
             let policy_tick = n.trait_name.as_deref() == Some("CachePolicy") && n.name == "tick";
             epoch_loop || cache_set || policy_tick
         })

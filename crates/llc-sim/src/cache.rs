@@ -3,7 +3,7 @@
 use crate::address::LineAddr;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementPolicy;
-use crate::set::{CacheSet, Evicted, MAX_SHARERS};
+use crate::set::{Evicted, PackedSet, SetMut, SetRef, MAX_SHARERS};
 
 /// A bitmask over cache ways, mirroring a CAT capacity bitmask (CBM).
 ///
@@ -102,18 +102,29 @@ impl AccessOutcome {
 }
 
 /// A set-associative cache indexed by physical line address.
+///
+/// All sets live in two flat arrays — one `3 × ways` block per set in
+/// `blocks`, one occupancy word per set in `occ` — and every operation
+/// borrows one set's slice of each as a [`PackedSet`]. The occupancy
+/// words stay out of the blocks so the whole-cache sweeps
+/// ([`SetAssocCache::drain_lines_in`], [`SetAssocCache::occupancy_in`])
+/// read a dense `u32` array instead of striding a block per set.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
-    sets: Vec<CacheSet>,
+    blocks: Vec<u64>,
+    occ: Vec<u32>,
+    // `2^64 / sets` rounded up, for the multiply-shift remainder of a
+    // line that fits `u32`; 0 when `sets` is a power of two (mask path).
+    index_magic: u64,
     clock: u64,
     // Cheap xorshift state for Random victims / BIP insertion draws;
     // deterministic so simulations are reproducible.
     draw_state: u64,
     // Resident lines per filling owner, kept in step with every fill,
     // eviction, invalidation and flush so CMT-style occupancy reads are
-    // O(1); `CacheSet::occupancy_of` is the scan it must always equal.
+    // O(1); `PackedSet::occupancy_of` is the scan it must always equal.
     owner_lines: [u64; MAX_SHARERS as usize],
 }
 
@@ -125,17 +136,23 @@ impl SetAssocCache {
 
     /// Creates an empty cache using `policy` for replacement/insertion.
     pub fn with_policy(geometry: CacheGeometry, policy: ReplacementPolicy) -> Self {
-        let sets = (0..geometry.sets)
-            .map(|_| CacheSet::new(geometry.ways))
-            .collect();
-        SetAssocCache {
+        let sets = geometry.sets as usize;
+        let mut cache = SetAssocCache {
             geometry,
             policy,
-            sets,
+            blocks: vec![0; sets * 3 * geometry.ways as usize],
+            occ: vec![0; sets],
+            index_magic: if geometry.sets.is_power_of_two() {
+                0
+            } else {
+                u64::MAX / u64::from(geometry.sets) + 1
+            },
             clock: 0,
             draw_state: 0x9E37_79B9_7F4A_7C15,
             owner_lines: [0; MAX_SHARERS as usize],
-        }
+        };
+        cache.flush();
+        cache
     }
 
     /// The cache's shape.
@@ -148,6 +165,46 @@ impl SetAssocCache {
     #[inline]
     pub fn policy(&self) -> ReplacementPolicy {
         self.policy
+    }
+
+    /// The set `line` maps to: [`CacheGeometry::set_index`] (`line % sets`)
+    /// with no division for a line number that fits `u32`. Power-of-two
+    /// set counts mask; any other takes Lemire's multiply-shift remainder
+    /// with the reciprocal computed at construction — `M = ⌈2^64 / sets⌉`,
+    /// `line % sets = (((M · line) mod 2^64) · sets) >> 64`, exact for
+    /// every 32-bit `line` and `sets`. Wider lines keep the `u64` remainder.
+    #[inline(always)]
+    pub fn set_index(&self, line: LineAddr) -> u32 {
+        let sets = u64::from(self.geometry.sets);
+        if self.index_magic == 0 {
+            (line.0 & (sets - 1)) as u32
+        } else if line.0 <= u64::from(u32::MAX) {
+            let low = self.index_magic.wrapping_mul(line.0);
+            ((u128::from(low) * u128::from(sets)) >> 64) as u32
+        } else {
+            (line.0 % sets) as u32
+        }
+    }
+
+    /// Where set `idx`'s block sits in `blocks`.
+    #[inline(always)]
+    fn block_of(&self, idx: u32) -> std::ops::Range<usize> {
+        let stride = 3 * self.geometry.ways as usize;
+        let start = idx as usize * stride;
+        start..start + stride
+    }
+
+    /// Mutable view of set `idx`.
+    #[inline(always)]
+    fn set_mut(&mut self, idx: u32) -> SetMut<'_> {
+        let block = self.block_of(idx);
+        PackedSet::over(&mut self.occ[idx as usize], &mut self.blocks[block])
+    }
+
+    /// Read-only view of set `index` (for occupancy statistics).
+    #[inline]
+    pub fn set(&self, index: u32) -> SetRef<'_> {
+        PackedSet::over(self.occ[index as usize], &self.blocks[self.block_of(index)])
     }
 
     /// Next pseudo-random draw (xorshift64*) for the policies that read
@@ -169,12 +226,14 @@ impl SetAssocCache {
     /// without sharer tracking (a private cache has one requestor).
     ///
     /// On a miss the line is filled into a way permitted by `mask`.
+    #[inline]
     pub fn access(&mut self, line: LineAddr, mask: WayMask) -> AccessOutcome {
-        if self.touch(line) {
+        let idx = self.set_index(line);
+        if self.touch_at(idx, line) {
             return AccessOutcome::Hit;
         }
         AccessOutcome::Miss {
-            evicted: self.fill(line, mask),
+            evicted: self.fill_at(idx, line, mask),
         }
     }
 
@@ -187,13 +246,26 @@ impl SetAssocCache {
     ///
     /// Panics if `owner >= MAX_SHARERS` (32).
     pub fn access_as(&mut self, line: LineAddr, mask: WayMask, owner: u32) -> AccessOutcome {
+        self.access_as_at(self.set_index(line), line, mask, owner)
+    }
+
+    /// [`SetAssocCache::access_as`] for a caller that already holds
+    /// `idx = self.set_index(line)`.
+    #[inline]
+    pub fn access_as_at(
+        &mut self,
+        idx: u32,
+        line: LineAddr,
+        mask: WayMask,
+        owner: u32,
+    ) -> AccessOutcome {
         assert!(owner < MAX_SHARERS, "requestor id beyond the sharer mask");
+        debug_assert_eq!(idx, self.geometry.set_index(line));
         self.clock += 1;
         let now = self.clock;
         let draw = self.next_draw();
         let policy = self.policy;
-        let idx = self.geometry.set_index(line) as usize;
-        let set = &mut self.sets[idx];
+        let mut set = self.set_mut(idx);
         if let Some(way) = set.lookup_with(line, now, policy) {
             set.add_sharer(way, owner);
             return AccessOutcome::Hit;
@@ -209,10 +281,16 @@ impl SetAssocCache {
     /// Looks `line` up and, if resident, refreshes its recency: the hit
     /// half of [`SetAssocCache::access`]. A miss changes nothing (no fill,
     /// no clock tick). Returns whether the line was resident.
+    #[inline]
     pub fn touch(&mut self, line: LineAddr) -> bool {
+        self.touch_at(self.set_index(line), line)
+    }
+
+    #[inline(always)]
+    fn touch_at(&mut self, idx: u32, line: LineAddr) -> bool {
         let now = self.clock + 1;
-        let idx = self.geometry.set_index(line) as usize;
-        if self.sets[idx].lookup_with(line, now, self.policy).is_none() {
+        let policy = self.policy;
+        if self.set_mut(idx).lookup_with(line, now, policy).is_none() {
             return false;
         }
         self.clock = now;
@@ -223,11 +301,20 @@ impl SetAssocCache {
     /// Fills a line the caller knows is absent (it just missed a
     /// [`SetAssocCache::touch`]) as requestor 0: the miss half of
     /// [`SetAssocCache::access`]. Returns the line the fill displaced.
+    #[inline]
     pub fn fill(&mut self, line: LineAddr, mask: WayMask) -> Option<Evicted> {
+        self.fill_at(self.set_index(line), line, mask)
+    }
+
+    #[inline(always)]
+    fn fill_at(&mut self, idx: u32, line: LineAddr, mask: WayMask) -> Option<Evicted> {
         self.clock += 1;
+        let now = self.clock;
         let draw = self.next_draw();
-        let idx = self.geometry.set_index(line) as usize;
-        let filled = self.sets[idx].fill_with(line, mask, self.clock, 0, self.policy, draw);
+        let policy = self.policy;
+        let filled = self
+            .set_mut(idx)
+            .fill_with(line, mask, now, 0, policy, draw);
         self.count_fill(0, filled.evicted);
         filled.evicted
     }
@@ -243,14 +330,13 @@ impl SetAssocCache {
 
     /// Checks residency without updating replacement state.
     pub fn probe(&self, line: LineAddr) -> bool {
-        let idx = self.geometry.set_index(line) as usize;
-        self.sets[idx].probe(line).is_some()
+        self.set(self.set_index(line)).probe(line).is_some()
     }
 
     /// Drops `line` if resident; returns whether it was.
+    #[inline]
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        let idx = self.geometry.set_index(line) as usize;
-        match self.sets[idx].remove(line) {
+        match self.set_mut(self.set_index(line)).remove(line) {
             Some(gone) => {
                 self.owner_lines[gone.owner as usize] -= 1;
                 true
@@ -261,28 +347,23 @@ impl SetAssocCache {
 
     /// Empties the whole cache.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.flush();
+        for idx in 0..self.geometry.sets {
+            self.set_mut(idx).flush();
         }
         self.owner_lines = [0; MAX_SHARERS as usize];
     }
 
     /// Total resident lines.
     pub fn occupancy(&self) -> u64 {
-        self.sets.iter().map(|s| u64::from(s.occupancy())).sum()
+        self.occ.iter().map(|o| u64::from(o.count_ones())).sum()
     }
 
     /// Resident lines within the ways permitted by `mask`, across all sets.
     pub fn occupancy_in(&self, mask: WayMask) -> u64 {
-        self.sets
+        self.occ
             .iter()
-            .map(|s| u64::from(s.occupancy_in(mask)))
+            .map(|o| u64::from((o & mask.0).count_ones()))
             .sum()
-    }
-
-    /// Read-only access to a set (for occupancy statistics).
-    pub fn set(&self, index: u32) -> &CacheSet {
-        &self.sets[index as usize]
     }
 
     /// Lines resident that were filled by `owner`, across all sets.
@@ -296,10 +377,15 @@ impl SetAssocCache {
     /// has no instruction to clear a cache way, so operators run a
     /// user-level flush pass after reassigning ways.
     pub fn drain_lines_in(&mut self, mask: WayMask, mut on_drop: impl FnMut(Evicted)) -> u64 {
+        let stride = 3 * self.geometry.ways as usize;
         let owner_lines = &mut self.owner_lines;
         let mut dropped = 0;
-        for set in &mut self.sets {
-            set.drain_lines_in(mask, |gone| {
+        for (occ, block) in self
+            .occ
+            .iter_mut()
+            .zip(self.blocks.chunks_exact_mut(stride))
+        {
+            PackedSet::over(occ, block).drain_lines_in(mask, |gone| {
                 owner_lines[gone.owner as usize] -= 1;
                 dropped += 1;
                 on_drop(gone);

@@ -297,15 +297,12 @@ impl Hierarchy {
             .unwrap_or(count)
     }
 
-    /// Whether the set holding `line` is simulated under the current
-    /// fidelity.
+    /// Whether LLC set `set` is simulated under the current fidelity.
     #[inline]
-    fn llc_set_is_sampled(&self, line: LineAddr) -> bool {
+    fn llc_set_is_sampled(&self, set: u32) -> bool {
         match self.fidelity {
             SimFidelity::Full => true,
-            SimFidelity::Sampled { one_in } => {
-                self.config.llc.set_index(line).is_multiple_of(one_in)
-            }
+            SimFidelity::Sampled { one_in } => set.is_multiple_of(one_in),
         }
     }
 
@@ -375,7 +372,10 @@ impl Hierarchy {
         }
         self.counters[idx].llc_ref += 1;
 
-        if !self.llc_set_is_sampled(line) {
+        // The LLC set index is computed once, for the sampling test and
+        // the access both.
+        let llc_set = self.llc.set_index(line);
+        if !self.llc_set_is_sampled(llc_set) {
             // Unsampled set: classify via the estimator instead of the tag
             // store. No LLC fill, no eviction, no back-invalidation — the
             // private caches still absorb the line so upper-level hit rates
@@ -398,7 +398,7 @@ impl Hierarchy {
         // it — filling first would pick a different L2 victim.
         let llc_mask = self.fill_masks[idx];
         let sampling = self.fidelity != SimFidelity::Full;
-        match self.llc.access_as(line, llc_mask, core) {
+        match self.llc.access_as_at(llc_set, line, llc_mask, core) {
             AccessOutcome::Hit => {
                 if sampling {
                     self.samplers[idx].observe(false);
@@ -544,8 +544,12 @@ fn back_invalidate(
         // so both lookups succeed; `get_mut` keeps the flush path free of
         // panicking indexes.
         if let (Some(l1), Some(l2)) = (l1.get_mut(idx), l2.get_mut(idx)) {
-            l2.invalidate(line);
-            l1.invalidate(line);
+            // L1 ⊆ L2 (`fill_l2` drops from the L1 whatever the L2 evicts),
+            // so a line the L2 did not hold is in neither: a stale sharer
+            // bit costs one set walk, not two.
+            if l2.invalidate(line) {
+                l1.invalidate(line);
+            }
         }
     }
 }

@@ -306,11 +306,20 @@ impl Hasher for PageHasher {
     }
 }
 
+/// No virtual page has this number: page numbers are addresses shifted
+/// right by at least 12 bits.
+const NO_PAGE: u64 = u64::MAX;
+
 /// Demand-paged virtual address space.
 #[derive(Debug)]
 pub struct PageMapper {
     page_size: PageSize,
     table: HashMap<u64, PhysAddr, BuildHasherDefault<PageHasher>>,
+    // The previous translation. Sequential streams stay on a page for 64
+    // references and think-time filler never leaves one, so most
+    // translations repeat the last and skip the table.
+    last_vpage: u64,
+    last_base: PhysAddr,
 }
 
 impl PageMapper {
@@ -319,6 +328,8 @@ impl PageMapper {
         PageMapper {
             page_size,
             table: HashMap::default(),
+            last_vpage: NO_PAGE,
+            last_base: PhysAddr(0),
         }
     }
 
@@ -347,39 +358,45 @@ impl PageMapper {
         frames: &mut FrameAllocator,
         colors: Option<&ColorSet>,
     ) -> Option<PhysAddr> {
-        let shift = self.page_size.shift();
-        let vpage = vaddr.page_number(shift);
-        let base = match self.table.get(&vpage) {
-            Some(base) => *base,
-            None => {
-                let base = frames.allocate_colored(self.page_size, colors)?;
-                self.table.insert(vpage, base);
-                base
-            }
-        };
-        Some(PhysAddr(base.0 + vaddr.page_offset(shift)))
+        self.translate_or(vaddr, |size| frames.allocate_colored(size, colors))
     }
 
     /// Like [`PageMapper::translate`], but demand allocation draws frame
     /// placement randomness from `rng` (the owning VM's private stream)
     /// instead of the allocator's shared one.
+    #[inline]
     pub fn translate_with(
         &mut self,
         vaddr: VirtAddr,
         frames: &mut FrameAllocator,
         rng: &mut SmallRng,
     ) -> Option<PhysAddr> {
+        self.translate_or(vaddr, |size| frames.allocate_colored_with(size, None, rng))
+    }
+
+    /// Translates `vaddr`, mapping its page with `allocate` on first touch.
+    /// A repeat of the previous page never reaches the table, so it never
+    /// allocates and the order of placement draws is the table's alone.
+    #[inline(always)]
+    fn translate_or(
+        &mut self,
+        vaddr: VirtAddr,
+        allocate: impl FnOnce(PageSize) -> Option<PhysAddr>,
+    ) -> Option<PhysAddr> {
         let shift = self.page_size.shift();
         let vpage = vaddr.page_number(shift);
-        let base = match self.table.get(&vpage) {
-            Some(base) => *base,
-            None => {
-                let base = frames.allocate_colored_with(self.page_size, None, rng)?;
-                self.table.insert(vpage, base);
-                base
-            }
-        };
-        Some(PhysAddr(base.0 + vaddr.page_offset(shift)))
+        if vpage != self.last_vpage {
+            self.last_base = match self.table.get(&vpage) {
+                Some(base) => *base,
+                None => {
+                    let base = allocate(self.page_size)?;
+                    self.table.insert(vpage, base);
+                    base
+                }
+            };
+            self.last_vpage = vpage;
+        }
+        Some(PhysAddr(self.last_base.0 + vaddr.page_offset(shift)))
     }
 
     /// Unmaps everything, returning the frames to `frames`.
@@ -393,6 +410,7 @@ impl PageMapper {
         for (_, base) in self.table.drain() {
             frames.free(base, self.page_size);
         }
+        self.last_vpage = NO_PAGE;
     }
 }
 
@@ -524,6 +542,50 @@ mod tests {
         m.clear(&mut frames);
         assert_eq!(m.mapped_pages(), 0);
         assert!(frames.allocate(PageSize::Small).is_some());
+    }
+
+    #[test]
+    fn clear_forgets_the_last_translation() {
+        let mut frames = pool(FramePolicy::Randomized);
+        let mut m = PageMapper::new(PageSize::Small);
+        let mut first_draw = SmallRng::seed_from_u64(1);
+        let before = m
+            .translate_with(VirtAddr(0x5040), &mut frames, &mut first_draw)
+            .unwrap();
+        m.clear(&mut frames);
+        assert_eq!(frames.used_bytes(), 0);
+
+        // The same page again, under a different placement draw: the
+        // mapping must come from the allocator, not from the memo.
+        let mut second_draw = SmallRng::seed_from_u64(2);
+        let expected = pool(FramePolicy::Randomized)
+            .allocate_colored_with(PageSize::Small, None, &mut second_draw.clone())
+            .unwrap();
+        let after = m
+            .translate_with(VirtAddr(0x5040), &mut frames, &mut second_draw)
+            .unwrap();
+        assert_eq!(after.0, expected.0 + 0x40);
+        assert_ne!(after, before, "seeds 1 and 2 place the page apart");
+        assert_eq!(m.mapped_pages(), 1);
+        assert_eq!(frames.used_bytes(), 4096);
+    }
+
+    #[test]
+    fn last_translation_memo_never_shadows_the_table() {
+        let mut frames = pool(FramePolicy::Randomized);
+        let mut m = PageMapper::new(PageSize::Small);
+        let a = m.translate(VirtAddr(0x1000), &mut frames).unwrap();
+        let b = m.translate(VirtAddr(0x2008), &mut frames).unwrap();
+        assert_ne!(a.0 >> 12, b.0 >> 12);
+        // A after B: the memo holds B, the table answers.
+        assert_eq!(m.translate(VirtAddr(0x1000), &mut frames), Some(a));
+        // A after A: the memo answers, with the new offset.
+        assert_eq!(
+            m.translate(VirtAddr(0x1fc0), &mut frames),
+            Some(PhysAddr(a.0 + 0xfc0))
+        );
+        assert_eq!(m.translate(VirtAddr(0x2008), &mut frames), Some(b));
+        assert_eq!(m.mapped_pages(), 2);
     }
 
     #[test]

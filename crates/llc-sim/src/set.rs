@@ -8,7 +8,7 @@
 //!
 //! # Packed representation
 //!
-//! The set stores its state in one contiguous allocation plus a `u32`
+//! The set stores its state in one contiguous block plus a `u32`
 //! occupancy bitmask instead of a `Vec<Option<LineEntry>>`:
 //!
 //! ```text
@@ -18,6 +18,11 @@
 //!         needs no per-way validity test)
 //! owner word: [ sharer mask (bits 63..32) | filler id (bits 31..0) ]
 //! ```
+//!
+//! [`PackedSet`] is that pair with the storage left open: a [`CacheSet`]
+//! owns its block, and a [`crate::SetAssocCache`] keeps all its sets'
+//! blocks in one allocation (and their occupancy words in another) and
+//! lends one set's slice of each to the same code per access.
 //!
 //! The owner word's low half is the requestor that filled the line (the
 //! CMT tag); its high half is a **sharer mask**, one bit per requestor
@@ -41,6 +46,8 @@
 //! [`legacy::LegacyCacheSet`] — the oracle for the equivalence property
 //! test and the reference side of the `dcat-perfbench` speedup
 //! measurement.
+
+use std::borrow::{Borrow, BorrowMut};
 
 use crate::address::LineAddr;
 use crate::cache::WayMask;
@@ -93,15 +100,28 @@ pub struct FillResult {
     pub evicted: Option<Evicted>,
 }
 
-/// A single set of a set-associative cache (packed representation).
+/// One set's packed state — an occupancy word and a `3 × ways` block —
+/// and the only implementation of the set logic beside
+/// [`legacy::LegacyCacheSet`]. The storage is a parameter so the same
+/// code runs over a set that owns its words ([`CacheSet`]) and over one
+/// set's slice of a cache's flat arrays ([`SetRef`], `SetMut`).
 #[derive(Debug, Clone)]
-pub struct CacheSet {
+pub struct PackedSet<O, D> {
     /// Occupancy bitmask: bit `w` set means way `w` holds a valid line.
-    occ: u32,
+    occ: O,
     /// Packed per-way state: `ways` line slots, then `ways` LRU stamps,
-    /// then `ways` owner ids (widened to `u64` to keep one allocation).
-    data: Box<[u64]>,
+    /// then `ways` owner words.
+    data: D,
 }
+
+/// A single set that owns its storage.
+pub type CacheSet = PackedSet<u32, Box<[u64]>>;
+
+/// Read-only view of one set of a [`crate::SetAssocCache`].
+pub type SetRef<'a> = PackedSet<u32, &'a [u64]>;
+
+/// Mutable view of one set of a [`crate::SetAssocCache`].
+pub(crate) type SetMut<'a> = PackedSet<&'a mut u32, &'a mut [u64]>;
 
 /// BIP insertion stamp: MRU (`now`) one fill in `mru_one_in`, LRU-position
 /// (stamp 0) otherwise; every other policy inserts at MRU. Shared by the
@@ -124,20 +144,43 @@ impl CacheSet {
     /// Creates an empty set with the given associativity.
     pub fn new(ways: u32) -> Self {
         debug_assert!((1..=32).contains(&ways), "way masks are 32-bit");
-        let n = ways as usize;
-        let mut data = vec![0u64; 3 * n].into_boxed_slice();
-        data[..n].fill(INVALID_LINE);
-        CacheSet { occ: 0, data }
+        let mut set = PackedSet {
+            occ: 0,
+            data: vec![0u64; 3 * ways as usize].into_boxed_slice(),
+        };
+        set.flush();
+        set
+    }
+}
+
+impl<O, D> PackedSet<O, D> {
+    /// A set over an occupancy word and a `3 × ways` block kept elsewhere.
+    /// A zeroed block is not an empty set: [`PackedSet::flush`] makes one.
+    #[inline(always)]
+    pub(crate) fn over(occ: O, data: D) -> Self {
+        PackedSet { occ, data }
+    }
+}
+
+impl<O: Borrow<u32>, D: Borrow<[u64]>> PackedSet<O, D> {
+    #[inline(always)]
+    fn occ(&self) -> u32 {
+        *self.occ.borrow()
+    }
+
+    #[inline(always)]
+    fn n(&self) -> usize {
+        self.data.borrow().len() / 3
     }
 
     /// Number of ways in this set.
     #[inline]
     pub fn way_count(&self) -> u32 {
-        (self.data.len() / 3) as u32
+        self.n() as u32
     }
 
     /// Bitmask of the ways that actually exist in this set.
-    #[inline]
+    #[inline(always)]
     fn way_range_bits(&self) -> u32 {
         let n = self.way_count();
         if n >= 32 {
@@ -147,41 +190,92 @@ impl CacheSet {
         }
     }
 
-    #[inline]
-    fn n(&self) -> usize {
-        self.data.len() / 3
-    }
-
-    #[inline]
+    #[inline(always)]
     fn lines(&self) -> &[u64] {
-        &self.data[..self.n()]
-    }
-
-    #[inline]
-    fn stamp(&self, way: u32) -> u64 {
-        self.data[self.n() + way as usize]
+        &self.data.borrow()[..self.n()]
     }
 
     /// What way `way` holds, as it leaves the set.
-    #[inline]
+    #[inline(always)]
     fn departing(&self, way: u32) -> Evicted {
+        let data = self.data.borrow();
         let w = way as usize;
-        let word = self.data[2 * self.n() + w];
+        let word = data[2 * self.n() + w];
         Evicted {
-            line: LineAddr(self.data[w]),
+            line: LineAddr(data[w]),
             owner: word as u32,
             sharers: (word >> SHARER_SHIFT) as u32,
         }
     }
 
+    /// Checks residency without perturbing LRU state (a *probe*).
     #[inline]
+    pub fn probe(&self, line: LineAddr) -> Option<u32> {
+        self.lines()
+            .iter()
+            .position(|&l| l == line.0)
+            .map(|w| w as u32)
+    }
+
+    /// Number of valid lines currently resident.
+    #[inline]
+    pub fn occupancy(&self) -> u32 {
+        self.occ().count_ones()
+    }
+
+    /// Number of valid lines resident in ways permitted by `mask`.
+    #[inline]
+    pub fn occupancy_in(&self, mask: WayMask) -> u32 {
+        (self.occ() & mask.0).count_ones()
+    }
+
+    /// Iterates over resident lines (ascending way order).
+    pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
+        let occ = self.occ();
+        self.lines()
+            .iter()
+            .enumerate()
+            .filter(move |(w, _)| occ & (1 << *w) != 0)
+            .map(|(_, &l)| LineAddr(l))
+    }
+
+    /// Number of valid lines filled by `owner`.
+    pub fn occupancy_of(&self, owner: u32) -> u32 {
+        let owners = &self.data.borrow()[2 * self.n()..];
+        let mut count = 0;
+        let mut bits = self.occ();
+        while bits != 0 {
+            let w = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if owners[w] as u32 == owner {
+                count += 1;
+            }
+        }
+        count
+    }
+}
+
+// The mutating half sits on the simulator's per-reference path. The hot
+// methods are `inline(always)`: left to the inliner, `fill_with` stayed a
+// call inside the cache's fill and its `FillResult` travelled through
+// memory.
+impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
+    #[inline(always)]
     fn set_entry(&mut self, way: u32, line: u64, stamp: u64, owner: u32) {
         let n = self.n();
         let w = way as usize;
-        self.data[w] = line;
-        self.data[n + w] = stamp;
-        self.data[2 * n + w] = u64::from(owner);
-        self.occ |= 1 << way;
+        let data = self.data.borrow_mut();
+        data[w] = line;
+        data[n + w] = stamp;
+        data[2 * n + w] = u64::from(owner);
+        *self.occ.borrow_mut() |= 1 << way;
+    }
+
+    /// Empties way `way`, which holds a valid line.
+    #[inline(always)]
+    fn clear_way(&mut self, way: u32) {
+        self.data.borrow_mut()[way as usize] = INVALID_LINE;
+        *self.occ.borrow_mut() &= !(1 << way);
     }
 
     /// Looks up a line; on a hit, refreshes its LRU stamp (unless the
@@ -191,6 +285,7 @@ impl CacheSet {
     }
 
     /// Policy-aware lookup.
+    #[inline(always)]
     pub fn lookup_with(
         &mut self,
         line: LineAddr,
@@ -198,12 +293,13 @@ impl CacheSet {
         policy: ReplacementPolicy,
     ) -> Option<u32> {
         let n = self.n();
+        let data = self.data.borrow_mut();
         // Empty slots hold INVALID_LINE, which no real line equals, so the
         // scan runs over the contiguous tag region with no validity tests.
         for w in 0..n {
-            if self.data[w] == line.0 {
+            if data[w] == line.0 {
                 if policy.promotes_on_hit() {
-                    self.data[n + w] = now;
+                    data[n + w] = now;
                 }
                 return Some(w as u32);
             }
@@ -217,19 +313,11 @@ impl CacheSet {
     /// # Panics
     ///
     /// Panics if `requestor >= MAX_SHARERS`: the mask has no bit for it.
-    #[inline]
+    #[inline(always)]
     pub fn add_sharer(&mut self, way: u32, requestor: u32) {
         assert!(requestor < MAX_SHARERS, "sharer mask holds 32 requestors");
         let slot = 2 * self.n() + way as usize;
-        self.data[slot] |= 1 << (SHARER_SHIFT + requestor);
-    }
-
-    /// Checks residency without perturbing LRU state (a *probe*).
-    pub fn probe(&self, line: LineAddr) -> Option<u32> {
-        self.lines()
-            .iter()
-            .position(|&l| l == line.0)
-            .map(|w| w as u32)
+        self.data.borrow_mut()[slot] |= 1 << (SHARER_SHIFT + requestor);
     }
 
     /// Fills `line` into a way permitted by `mask`, evicting the LRU line
@@ -248,6 +336,7 @@ impl CacheSet {
     /// Policy-aware fill. `draw` is a pseudo-random value supplied by the
     /// cache (used by Random victim selection and BIP insertion); passing
     /// any constant degrades those policies but stays correct.
+    #[inline(always)]
     pub fn fill_with(
         &mut self,
         line: LineAddr,
@@ -267,7 +356,7 @@ impl CacheSet {
         // Prefer an invalid (empty) permitted way: the lowest-index free
         // bit, matching the seed's ascending-way scan.
         let permitted = mask.0 & self.way_range_bits();
-        let free = !self.occ & permitted;
+        let free = !self.occ() & permitted;
         if free != 0 {
             let way = free.trailing_zeros();
             self.set_entry(way, line.0, insert_stamp, owner);
@@ -275,7 +364,7 @@ impl CacheSet {
         }
 
         // All permitted ways are occupied: pick a victim among them.
-        let candidates = self.occ & permitted;
+        let candidates = self.occ() & permitted;
         assert!(candidates != 0, "fill mask must permit at least one way");
         let way = match policy {
             ReplacementPolicy::Random => {
@@ -287,13 +376,14 @@ impl CacheSet {
             // Ties break toward the lowest way index (strict-less scan in
             // ascending way order), as in the seed implementation.
             _ => {
+                let stamps = &self.data.borrow()[self.n()..];
                 let mut victim = 0u32;
                 let mut victim_stamp = u64::MAX;
                 let mut bits = candidates;
                 while bits != 0 {
                     let w = bits.trailing_zeros();
                     bits &= bits - 1;
-                    let s = self.stamp(w);
+                    let s = stamps[w as usize];
                     if s < victim_stamp {
                         victim_stamp = s;
                         victim = w;
@@ -318,72 +408,35 @@ impl CacheSet {
     }
 
     /// Invalidates `line` if resident, returning what its way held.
+    #[inline(always)]
     pub fn remove(&mut self, line: LineAddr) -> Option<Evicted> {
         let way = self.probe(line)?;
         let gone = self.departing(way);
-        self.data[way as usize] = INVALID_LINE;
-        self.occ &= !(1 << way);
+        self.clear_way(way);
         Some(gone)
     }
 
     /// Clears every way of the set.
     pub fn flush(&mut self) {
         let n = self.n();
-        self.data[..n].fill(INVALID_LINE);
-        self.occ = 0;
-    }
-
-    /// Number of valid lines currently resident.
-    #[inline]
-    pub fn occupancy(&self) -> u32 {
-        self.occ.count_ones()
-    }
-
-    /// Number of valid lines resident in ways permitted by `mask`.
-    #[inline]
-    pub fn occupancy_in(&self, mask: WayMask) -> u32 {
-        (self.occ & mask.0).count_ones()
-    }
-
-    /// Iterates over resident lines (ascending way order).
-    pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        let occ = self.occ;
-        self.lines()
-            .iter()
-            .enumerate()
-            .filter(move |(w, _)| occ & (1 << *w) != 0)
-            .map(|(_, &l)| LineAddr(l))
-    }
-
-    /// Number of valid lines filled by `owner`.
-    pub fn occupancy_of(&self, owner: u32) -> u32 {
-        let n = self.n();
-        let mut count = 0;
-        let mut bits = self.occ;
-        while bits != 0 {
-            let w = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if self.data[2 * n + w] as u32 == owner {
-                count += 1;
-            }
-        }
-        count
+        self.data.borrow_mut()[..n].fill(INVALID_LINE);
+        *self.occ.borrow_mut() = 0;
     }
 
     /// Invalidates every line resident in the ways permitted by `mask`,
     /// handing each to `on_drop` in ascending way order.
+    #[inline]
     pub fn drain_lines_in(&mut self, mask: WayMask, mut on_drop: impl FnMut(Evicted)) {
-        let mut bits = self.occ & mask.0;
+        let mut bits = self.occ() & mask.0;
         while bits != 0 {
             let way = bits.trailing_zeros();
             bits &= bits - 1;
             on_drop(self.departing(way));
-            self.data[way as usize] = INVALID_LINE;
-            self.occ &= !(1 << way);
+            self.clear_way(way);
         }
     }
 
-    /// [`CacheSet::drain_lines_in`] collecting the dropped lines.
+    /// [`PackedSet::drain_lines_in`] collecting the dropped lines.
     pub fn invalidate_ways(&mut self, mask: WayMask) -> Vec<LineAddr> {
         let mut dropped = Vec::with_capacity(self.occupancy_in(mask) as usize);
         self.drain_lines_in(mask, |gone| dropped.push(gone.line));

@@ -94,12 +94,15 @@ impl SmallRng {
 
     fn bounded(&mut self, span: u64) -> u64 {
         // Lemire (2019): multiply a 64-bit draw by the span and keep the
-        // high word; reject the small biased region of the low word.
+        // high word; reject the small biased region of the low word, the
+        // `2^64 mod span` values below the threshold. The threshold is
+        // itself below `span`, so `low >= span` accepts without computing
+        // it — the division runs for one draw in `2^64 / span`.
         loop {
             let x = self.next_u64();
             let m = (x as u128).wrapping_mul(span as u128);
             let low = m as u64;
-            if low >= span.wrapping_neg() % span || span.is_power_of_two() {
+            if low >= span || low >= span.wrapping_neg() % span {
                 return (m >> 64) as u64;
             }
         }

@@ -101,12 +101,11 @@ impl DiurnalStream {
     }
 }
 
-impl AccessStream for DiurnalStream {
-    fn next_access(&mut self) -> MemRef {
-        if self.think_remaining > 0 {
-            self.think_remaining -= 1;
-            return MemRef::load(THINK_VADDR);
-        }
+impl DiurnalStream {
+    /// The next reference of the inner stream; a reference that completes
+    /// a request schedules the think time owed before the next one.
+    #[inline]
+    fn next_request_ref(&mut self) -> MemRef {
         let r = self.inner.next_access();
         self.request_cost += 1;
         if r.ends_request {
@@ -120,6 +119,34 @@ impl AccessStream for DiurnalStream {
             self.request_cost = 0;
         }
         r
+    }
+}
+
+impl AccessStream for DiurnalStream {
+    fn next_access(&mut self) -> MemRef {
+        if self.think_remaining > 0 {
+            self.think_remaining -= 1;
+            return MemRef::load(THINK_VADDR);
+        }
+        self.next_request_ref()
+    }
+
+    /// Emits each think run with one `resize` instead of one
+    /// `next_access` per filler reference (over a third of a fleet
+    /// host's references are filler).
+    fn next_batch(&mut self, out: &mut Vec<MemRef>, n: usize) {
+        out.clear();
+        out.reserve(n);
+        while out.len() < n {
+            let room = (n - out.len()) as u64;
+            let think = self.think_remaining.min(room);
+            if think > 0 {
+                self.think_remaining -= think;
+                out.resize(out.len() + think as usize, MemRef::load(THINK_VADDR));
+            } else {
+                out.push(self.next_request_ref());
+            }
+        }
     }
 
     fn profile(&self) -> ExecutionProfile {

@@ -38,7 +38,11 @@ impl Default for Lookbusy {
 impl AccessStream for Lookbusy {
     fn next_access(&mut self) -> MemRef {
         let line = self.cursor;
-        self.cursor = (self.cursor + 1) % self.lines;
+        // Compare-and-wrap: a `%` here is a 64-bit division per reference.
+        self.cursor += 1;
+        if self.cursor == self.lines {
+            self.cursor = 0;
+        }
         MemRef::load(line * LINE_SIZE)
     }
 

@@ -13,10 +13,11 @@ use smallrng::SmallRng;
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     n: u64,
-    theta: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
+    /// `0.5^theta`: the second key's share, relative to the first's.
+    half_pow_theta: f64,
     rng: SmallRng,
 }
 
@@ -40,10 +41,10 @@ impl ZipfSampler {
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         ZipfSampler {
             n,
-            theta,
             alpha,
             zetan,
             eta,
+            half_pow_theta: 0.5f64.powf(theta),
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -77,7 +78,7 @@ impl ZipfSampler {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < 1.0 + self.half_pow_theta {
             return 1;
         }
         let k = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
