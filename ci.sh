@@ -10,7 +10,7 @@ echo "==> build (release)"
 cargo build --release --offline
 
 echo "==> tests"
-cargo test -q --offline
+cargo test -q --offline --workspace
 
 echo "==> lint gate (fmt, clippy, source scans)"
 cargo run -q -p xtask --offline -- lint

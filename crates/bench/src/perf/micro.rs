@@ -116,6 +116,104 @@ fn lcg_next(state: u64) -> u64 {
         .wrapping_add(1_442_695_040_888_963_407)
 }
 
+/// One interval of a tenant that keeps its partition: real LLC use, a
+/// miss rate between the donor and the growth thresholds.
+const KEEPER_INTERVAL: perf_events::CounterSnapshot = perf_events::CounterSnapshot {
+    l1_ref: 340_000,
+    llc_ref: 120_000,
+    llc_miss: 2_000,
+    ret_ins: 1_000_000,
+    cycles: 7_000_000,
+};
+
+/// Four 4-way tenants on `cat`'s 20-way cache, programmed.
+fn four_domains<C: resctrl::CacheController>(mut cat: C) -> (dcat::DcatController, C) {
+    let handles = (0..4u32)
+        .map(|i| dcat::WorkloadHandle::new(format!("tenant-{i}"), vec![i], 4))
+        .collect();
+    let controller = bench_bug(
+        "controller construction",
+        dcat::DcatController::new(dcat::DcatConfig::default(), handles, &mut cat),
+    );
+    (controller, cat)
+}
+
+/// A tick on which the two-pass apply always has work: tenants 0 and 1
+/// take turns being idle, so every interval one of them drops to the
+/// minimum (an idle tenant donates at once), the other is reclaimed to
+/// its reservation (a waking tenant is a new phase), and COS 0's free run
+/// moves between the two passes. Tenants 2 and 3 keep theirs. Returns
+/// the masks programmed, which the case hands to `black_box`.
+fn trading_places<C: resctrl::CacheController>(
+    mut controller: dcat::DcatController,
+    mut cat: C,
+) -> impl FnMut() -> u32 {
+    let mut totals = [perf_events::CounterSnapshot::default(); 4];
+    let mut tick = 0usize;
+    move || {
+        tick += 1;
+        for (i, t) in totals.iter_mut().enumerate() {
+            if i != tick % 2 {
+                *t = t.merged_with(&KEEPER_INTERVAL);
+            }
+        }
+        let reports = bench_bug("moving tick", controller.tick(&totals, &mut cat));
+        reports.iter().map(|r| r.ways).sum()
+    }
+}
+
+/// A scratch directory under the system temp dir, removed on drop.
+struct TempTree(std::path::PathBuf);
+
+impl TempTree {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("dcat-perfbench-{tag}-{}", std::process::id()));
+        // A stale tree from a killed run would make the fixture's state
+        // depend on it; a missing one is the normal case.
+        let _ = std::fs::remove_dir_all(&dir);
+        TempTree(dir)
+    }
+}
+
+impl Drop for TempTree {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A registry holding what a 12-domain daemon run exports, so a lookup
+/// by name walks an index of realistic depth, and its domains' names.
+fn daemon_shaped_registry() -> (dcat_obs::Registry, Vec<String>) {
+    let mut registry = dcat_obs::Registry::new();
+    registry.counter_add("dcat_ticks_total", &[], 1);
+    registry.gauge_set("dcat_quarantined_domains", &[], 0.0);
+    for span in [
+        "tick",
+        "telemetry",
+        "collect",
+        "phase_detect",
+        "baseline",
+        "categorize",
+        "allocate",
+        "apply",
+    ] {
+        registry.histogram_observe(
+            "dcat_span_steps",
+            &[("span", span)],
+            DEFAULT_STEP_BUCKETS,
+            1,
+        );
+    }
+    let names: Vec<String> = (0..12).map(|i| format!("tenant-{i:02}")).collect();
+    for name in &names {
+        let domain = [("domain", name.as_str())];
+        registry.gauge_set("dcat_domain_ways", &domain, 2.0);
+        registry.counter_add("dcat_ways_moved_total", &domain, 1);
+        registry.counter_add("dcat_phase_changes_total", &domain, 1);
+    }
+    (registry, names)
+}
+
 /// Builds the micro suite. `quick` shrinks iteration counts to a smoke
 /// pass (used by `--check`); hard minimums on derived ratios are only
 /// asserted for wall-clock runs, since a fake clock makes every rep span
@@ -346,42 +444,46 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
     // pays for `--frames-out`, so it must stay far inside a tick budget.
     // Fully populated worst case: a 12-domain host (the fleet shape)
     // with every optional field present and both policy extensions.
+    // The frame is built the way a producer builds it — names lent, one
+    // `Vec` of domains — so the case is the whole export of a tick.
     {
-        let frame = dcat_obs::Frame {
-            tick: 1_000_000,
-            policy: "dcat-maxperf".into(),
-            degraded: true,
-            reason: Some("telemetry".into()),
-            ways_moved: 7,
-            events: 3,
-            ext: dcat_obs::PolicyExt {
-                cos: 12,
-                lfoc: Some(dcat_obs::LfocExt {
-                    clusters: 4,
-                    insensitive: 3,
-                }),
-                memshare: Some(dcat_obs::MemshareExt {
-                    lent: 5,
-                    credit_min: -12,
-                    credit_max: 40,
-                }),
-            },
-            domains: (0..12)
-                .map(|i| dcat_obs::DomainFrame {
-                    name: format!("tenant-{i}"),
-                    class: "Receiver".into(),
-                    ways: 3 + (i % 5),
-                    cbm: Some(0x3ffff >> i),
-                    ipc: 1.234_567 + f64::from(i),
-                    norm_ipc: Some(0.987_654),
-                    miss_rate: 0.123_456,
-                    baseline_ipc: Some(1.111_111),
-                    quarantined: i == 3,
-                    held: i == 4,
-                })
-                .collect(),
-        };
+        let names: Vec<String> = (0..12).map(|i| format!("tenant-{i}")).collect();
         suite.case("frame_encode_tick", iters, move || {
+            let frame = dcat_obs::Frame {
+                tick: 1_000_000,
+                policy: "dcat-maxperf".into(),
+                degraded: true,
+                reason: Some("telemetry"),
+                ways_moved: 7,
+                events: 3,
+                ext: dcat_obs::PolicyExt {
+                    cos: 12,
+                    lfoc: Some(dcat_obs::LfocExt {
+                        clusters: 4,
+                        insensitive: 3,
+                    }),
+                    memshare: Some(dcat_obs::MemshareExt {
+                        lent: 5,
+                        credit_min: -12,
+                        credit_max: 40,
+                    }),
+                },
+                domains: (0u32..)
+                    .zip(&names)
+                    .map(|(i, name)| dcat_obs::DomainFrame {
+                        name: name.as_str().into(),
+                        class: "Receiver",
+                        ways: 3 + (i % 5),
+                        cbm: Some(0x3ffff >> i),
+                        ipc: 1.234_567 + f64::from(i),
+                        norm_ipc: Some(0.987_654),
+                        miss_rate: 0.123_456,
+                        baseline_ipc: Some(1.111_111),
+                        quarantined: i == 3,
+                        held: i == 4,
+                    })
+                    .collect(),
+            };
             dcat_obs::frames::encode_frame(&frame).len()
         });
     }
@@ -422,6 +524,13 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         let mut snapshots = vec![perf_events::CounterSnapshot::default(); handles.len()];
         let mut tracer = dcat_obs::Tracer::new();
         let mut registry = dcat_obs::Registry::new();
+        // As the daemon loop records: every series resolved once.
+        let ticks = registry.counter("dcat_ticks_total", &[]);
+        let ways: Vec<dcat_obs::SeriesId> = handles
+            .iter()
+            .map(|h| registry.gauge("dcat_domain_ways", &[("domain", &h.name)]))
+            .collect();
+        let mut span_steps: Vec<(&'static str, dcat_obs::SeriesId)> = Vec::new();
         let mut frames = dcat_obs::FrameWriter::new("dcatd");
         let ext = dcat_obs::PolicyExt {
             cos: 12,
@@ -447,26 +556,91 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
                 "steady tick",
                 controller.tick_observed(&snapshots, &valid, &mut cat, &mut tracer),
             );
-            registry.counter_add("dcat_ticks_total", &[], 1);
+            registry.add(ticks, 1);
             for s in tracer.completed() {
-                registry.histogram_observe(
-                    "dcat_span_steps",
-                    &[("span", s.name)],
-                    DEFAULT_STEP_BUCKETS,
-                    s.steps(),
-                );
+                let known = span_steps.iter().find(|(name, _)| *name == s.name);
+                let id = match known {
+                    Some(&(_, id)) => id,
+                    None => {
+                        let id = registry.histogram(
+                            "dcat_span_steps",
+                            &[("span", s.name)],
+                            DEFAULT_STEP_BUCKETS,
+                        );
+                        span_steps.push((s.name, id));
+                        id
+                    }
+                };
+                registry.observe(id, s.steps());
             }
-            for r in &reports {
-                registry.gauge_set(
-                    "dcat_domain_ways",
-                    &[("domain", &r.name)],
-                    f64::from(r.ways),
-                );
+            for (r, &id) in reports.iter().zip(&ways) {
+                registry.set(id, f64::from(r.ways));
             }
             frames.clear_buffer();
             frames
                 .push(dcat::frame_from_reports(tick, "dcat", &reports, ext))
                 .len()
+        });
+    }
+
+    // --- the controller alone: a steady tick, and ticks that program ---
+    {
+        let (mut controller, mut cat) = four_domains(resctrl::InMemoryController::new(
+            resctrl::CatCapabilities::with_ways(20),
+            4,
+        ));
+        let mut totals = [perf_events::CounterSnapshot::default(); 4];
+        suite.case("controller_tick_4dom", iters, move || {
+            for t in &mut totals {
+                *t = t.merged_with(&KEEPER_INTERVAL);
+            }
+            bench_bug("steady tick", controller.tick(&totals, &mut cat)).len()
+        });
+    }
+    {
+        let (controller, cat) = four_domains(resctrl::InMemoryController::new(
+            resctrl::CatCapabilities::with_ways(20),
+            4,
+        ));
+        let mut step = trading_places(controller, cat);
+        suite.case("apply_two_pass_inmem", iters, move || step());
+    }
+    {
+        let tree = TempTree::new("apply");
+        let backend = bench_bug(
+            "fixture tree",
+            resctrl::FsBackend::create_fixture(&tree.0, resctrl::CatCapabilities::with_ways(20), 4),
+        );
+        let (controller, cat) = four_domains(backend);
+        let mut step = trading_places(controller, cat);
+        suite.case("apply_two_pass_tempdir", iters / 16, move || {
+            let _keep = &tree;
+            step()
+        });
+    }
+
+    // --- one counter increment per domain of a 12-domain host, the
+    // series named on every write vs resolved once ---
+    {
+        let (mut registry, names) = daemon_shaped_registry();
+        suite.case("registry_add_by_name", iters, move || {
+            for name in &names {
+                registry.counter_add("dcat_ways_moved_total", &[("domain", name)], 1);
+            }
+        });
+    }
+    {
+        let (mut registry, names) = daemon_shaped_registry();
+        let ids: Vec<dcat_obs::SeriesId> = names
+            .iter()
+            .map(|name| registry.counter("dcat_ways_moved_total", &[("domain", name)]))
+            .collect();
+        suite.case("registry_add_by_id", iters, move || {
+            // The ids go through `black_box` so each pass stays twelve
+            // indexed writes instead of folding into one add per series.
+            for &id in std::hint::black_box(&ids) {
+                registry.add(id, 1);
+            }
         });
     }
 

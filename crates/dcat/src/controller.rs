@@ -184,6 +184,10 @@ pub struct DcatController {
     planner: LayoutPlanner,
     total_ways: u32,
     interval: u64,
+    /// Mask recorded for COS 0, the default class; `None` until its
+    /// first write is accepted. It advances like a domain's `cbm`: only
+    /// after the backend took the write.
+    default_cbm: Option<Cbm>,
     scratch: TickScratch,
 }
 
@@ -248,6 +252,7 @@ impl DcatController {
             planner: LayoutPlanner::new(total_ways),
             total_ways,
             interval: 0,
+            default_cbm: None,
             config,
             scratch: TickScratch::default(),
         };
@@ -364,12 +369,19 @@ impl DcatController {
         cat: &mut dyn CacheController,
         tracer: &mut Tracer,
     ) -> Result<Vec<DomainReport>, ResctrlError> {
-        assert_eq!(
-            snapshots.len(),
-            self.domains.len(),
-            "one snapshot per domain"
-        );
-        assert_eq!(valid.len(), self.domains.len(), "one verdict per domain");
+        // The slices are built from telemetry: a wrong length is a
+        // malformed sample, and the interval degrades (nothing has been
+        // judged or programmed yet) like any other unreadable one.
+        let n = self.domains.len();
+        if snapshots.len() != n || valid.len() != n {
+            // lint: allow(DL016, the refusal path only; a well-formed tick never builds the message)
+            return Err(ResctrlError::Parse(format!(
+                "tick needs one snapshot and one verdict per domain: \
+                 {n} domains, {} snapshots, {} verdicts",
+                snapshots.len(),
+                valid.len()
+            )));
+        }
         // The stages borrow `self` mutably, so the scratch steps outside
         // for the interval and is put back whatever the outcome.
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -963,7 +975,11 @@ impl DcatController {
         }
         // COS 0 moves between the passes: its new run may use ways the
         // shrinkers just released, while growers may claim ways it held.
-        cat.program_cos(CosId(0), default_mask)?;
+        // Like a tenant's, its mask is written only when it changed.
+        if self.default_cbm != Some(default_mask) {
+            cat.program_cos(CosId(0), default_mask)?;
+            self.default_cbm = Some(default_mask);
+        }
         for (i, (&cbm, &target)) in layout.iter().zip(targets).enumerate() {
             if !shrinks(&self.domains[i], cbm) {
                 self.program_domain(i, cbm, target, cat)?;
@@ -1558,12 +1574,22 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_count_mismatch_panics() {
+    fn wrong_length_input_degrades_the_tick_instead_of_aborting() {
         let (mut ctl, mut cat) = controller_with(2, 4, fast_config());
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = ctl.tick(&[CounterSnapshot::default()], &mut cat);
-        }));
-        assert!(result.is_err(), "wrong snapshot count must be rejected");
+        let writes = cat.log.len();
+        let two = [CounterSnapshot::default(); 2];
+        let short = ctl.tick(&two[..1], &mut cat).unwrap_err();
+        assert!(short.is_transient(), "wrong snapshot count: {short}");
+        let verdicts = ctl
+            .tick_validated(&two, &[true, true, true], &mut cat)
+            .unwrap_err();
+        assert!(verdicts.is_transient(), "wrong verdict count: {verdicts}");
+        // Nothing was judged or programmed, and the next well-formed
+        // interval runs as the first.
+        assert_eq!(ctl.intervals(), 0);
+        assert_eq!(cat.log.len(), writes);
+        ctl.tick(&two, &mut cat).unwrap();
+        assert_eq!(ctl.intervals(), 1);
     }
 
     #[test]

@@ -35,11 +35,12 @@
 //!
 //! The `dcatd` binary wraps [`run_daemon`] with command-line parsing.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dcat_obs::{FlightRecorder, Registry, SpanRecord, Tracer, DEFAULT_STEP_BUCKETS};
+use dcat_obs::{FlightRecorder, Registry, SeriesId, SpanRecord, Tracer, DEFAULT_STEP_BUCKETS};
 use perf_events::{CounterSnapshot, WrapOutcome};
 use resctrl::fault::FaultPlan;
 use resctrl::retry::{with_retries, RetryEvent, RetryPolicy, RetryingController};
@@ -145,54 +146,61 @@ pub struct TickObservation<'a> {
     pub flight_dump: Option<&'a str>,
 }
 
+/// One report's slice of a frame: the name is lent, the class is the
+/// schema table's own string.
+fn domain_frame(r: &DomainReport, quarantined: bool, held: bool) -> dcat_obs::DomainFrame<'_> {
+    dcat_obs::DomainFrame {
+        name: Cow::Borrowed(&r.name),
+        class: r.class.as_str(),
+        ways: r.ways,
+        cbm: r.cbm,
+        ipc: r.ipc,
+        norm_ipc: r.norm_ipc,
+        miss_rate: r.llc_miss_rate,
+        baseline_ipc: r.baseline_ipc,
+        quarantined,
+        held,
+    }
+}
+
 /// Builds one `dcat-frames/v1` frame from a tick observation. The
 /// embedder supplies the policy identity
 /// ([`crate::policy::CachePolicy::name`] /
 /// [`crate::policy::CachePolicy::frame_ext`]); everything else comes off
-/// the observation. `ways_moved` is left 0 for
+/// the observation, and the frame borrows its strings from both.
+/// `ways_moved` is left 0 for
 /// [`dcat_obs::FrameWriter::push`] to fill in against the previous frame.
 /// Shared by `dcatd --frames-out` and the bench harness's scenario/fleet
 /// exporters.
-pub fn frame_from_observation(
-    obs: &TickObservation<'_>,
-    policy: &str,
+pub fn frame_from_observation<'a>(
+    obs: &TickObservation<'a>,
+    policy: &'a str,
     ext: dcat_obs::PolicyExt,
-) -> dcat_obs::Frame {
-    let reason = if obs.degraded {
-        // The degraded-tick event names the failure surface; default to
-        // telemetry if an embedder built a degraded observation without one.
-        Some(
-            obs.events
-                .iter()
-                .find_map(|e| match e {
-                    Event::DegradedTick { reason } => Some(reason.to_string()),
-                    _ => None,
-                })
-                .unwrap_or_else(|| DegradeReason::Telemetry.to_string()),
-        )
-    } else {
-        None
-    };
+) -> dcat_obs::Frame<'a> {
+    // The degraded-tick event names the failure surface; default to
+    // telemetry if an embedder built a degraded observation without one.
+    let reason = obs.degraded.then(|| {
+        obs.events
+            .iter()
+            .find_map(|e| match e {
+                Event::DegradedTick { reason } => Some(*reason),
+                _ => None,
+            })
+            .unwrap_or(DegradeReason::Telemetry)
+            .as_str()
+    });
     let domains = obs
         .reports
         .iter()
         .enumerate()
-        .map(|(i, r)| dcat_obs::DomainFrame {
-            name: r.name.clone(),
-            class: r.class.to_string(),
-            ways: r.ways,
-            cbm: r.cbm,
-            ipc: r.ipc,
-            norm_ipc: r.norm_ipc,
-            miss_rate: r.llc_miss_rate,
-            baseline_ipc: r.baseline_ipc,
-            quarantined: obs.quarantined.get(i).copied().unwrap_or(false),
-            held: r.skipped || obs.degraded,
+        .map(|(i, r)| {
+            let quarantined = obs.quarantined.get(i).copied().unwrap_or(false);
+            domain_frame(r, quarantined, r.skipped || obs.degraded)
         })
         .collect();
     dcat_obs::Frame {
         tick: obs.tick,
-        policy: policy.to_string(),
+        policy: Cow::Borrowed(policy),
         degraded: obs.degraded,
         reason,
         ways_moved: 0,
@@ -206,36 +214,24 @@ pub fn frame_from_observation(
 /// the batch-harness path (scenario sweeps, fleet hosts), where ticks never
 /// degrade and quarantine does not exist. `ways_moved` is left 0 for
 /// [`dcat_obs::FrameWriter::push`] to fill in.
-pub fn frame_from_reports(
+pub fn frame_from_reports<'a>(
     tick: u64,
-    policy: &str,
-    reports: &[DomainReport],
+    policy: &'a str,
+    reports: &'a [DomainReport],
     ext: dcat_obs::PolicyExt,
-) -> dcat_obs::Frame {
-    let domains = reports
-        .iter()
-        .map(|r| dcat_obs::DomainFrame {
-            name: r.name.clone(),
-            class: r.class.to_string(),
-            ways: r.ways,
-            cbm: r.cbm,
-            ipc: r.ipc,
-            norm_ipc: r.norm_ipc,
-            miss_rate: r.llc_miss_rate,
-            baseline_ipc: r.baseline_ipc,
-            quarantined: false,
-            held: r.skipped,
-        })
-        .collect();
+) -> dcat_obs::Frame<'a> {
     dcat_obs::Frame {
         tick,
-        policy: policy.to_string(),
+        policy: Cow::Borrowed(policy),
         degraded: false,
         reason: None,
         ways_moved: 0,
         events: 0,
         ext,
-        domains,
+        domains: reports
+            .iter()
+            .map(|r| domain_frame(r, false, r.skipped))
+            .collect(),
     }
 }
 
@@ -497,6 +493,58 @@ impl DomainState {
     }
 }
 
+/// The loop's metric series. Each is resolved where its first value is
+/// written — resolving registers the series, and one that never had a
+/// value must not be in the export — and recorded through its id from
+/// then on.
+struct TickSeries {
+    ticks: Option<SeriesId>,
+    quarantined: Option<SeriesId>,
+    /// `dcat_events_total`, by event name.
+    events: Vec<(&'static str, SeriesId)>,
+    /// `dcat_span_steps` and `dcat_span_cycles`, by span name.
+    span_steps: Vec<(&'static str, SeriesId)>,
+    span_cycles: Vec<(&'static str, SeriesId)>,
+    /// In `DaemonConfig::domains` order.
+    domains: Vec<DomainSeries>,
+}
+
+#[derive(Clone, Default)]
+struct DomainSeries {
+    ways: Option<SeriesId>,
+    moved: Option<SeriesId>,
+    phase_changes: Option<SeriesId>,
+}
+
+impl TickSeries {
+    fn new(domains: usize) -> Self {
+        TickSeries {
+            ticks: None,
+            quarantined: None,
+            events: Vec::new(),
+            span_steps: Vec::new(),
+            span_cycles: Vec::new(),
+            domains: vec![DomainSeries::default(); domains],
+        }
+    }
+}
+
+/// The id `known` holds for `label`, resolved and remembered on first
+/// sight. Event and span names are a dozen static strings, so the list
+/// is scanned.
+fn resolved(
+    known: &mut Vec<(&'static str, SeriesId)>,
+    label: &'static str,
+    resolve: impl FnOnce(&'static str) -> SeriesId,
+) -> SeriesId {
+    if let Some(&(_, id)) = known.iter().find(|(name, _)| *name == label) {
+        return id;
+    }
+    let id = resolve(label);
+    known.push((label, id));
+    id
+}
+
 /// [`run_daemon`] with a per-tick observer.
 ///
 /// `observe` is called once per tick (ticks count from 1), before the
@@ -546,6 +594,7 @@ pub fn run_daemon_observed(
     let mut final_reports: Vec<DomainReport> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
     let mut registry = Registry::new();
+    let mut series = TickSeries::new(n);
     let mut tracer = Tracer::new();
     let mut recorder = FlightRecorder::new(cfg.obs.flight_recorder_ticks);
     let mut prev_ways: Vec<Option<u32>> = vec![None; n];
@@ -678,58 +727,70 @@ pub fn run_daemon_observed(
         tracer.exit(); // tick
         let spans = tracer.completed();
 
-        registry.counter_add("dcat_ticks_total", &[], 1);
+        let ticks = *series
+            .ticks
+            .get_or_insert_with(|| registry.counter("dcat_ticks_total", &[]));
+        registry.add(ticks, 1);
         if degraded {
             let reason = if text.is_some() {
-                "resctrl"
+                DegradeReason::Resctrl
             } else {
-                "telemetry"
+                DegradeReason::Telemetry
             };
-            registry.counter_add("dcat_degraded_ticks_total", &[("reason", reason)], 1);
+            registry.counter_add(
+                "dcat_degraded_ticks_total",
+                &[("reason", reason.as_str())],
+                1,
+            );
         }
         for e in &events {
-            registry.counter_add("dcat_events_total", &[("event", e.name())], 1);
+            let id = resolved(&mut series.events, e.name(), |event| {
+                registry.counter("dcat_events_total", &[("event", event)])
+            });
+            registry.add(id, 1);
         }
         for s in spans {
-            registry.histogram_observe(
-                "dcat_span_steps",
-                &[("span", s.name)],
-                DEFAULT_STEP_BUCKETS,
-                s.steps(),
-            );
+            let id = resolved(&mut series.span_steps, s.name, |span| {
+                registry.histogram("dcat_span_steps", &[("span", span)], DEFAULT_STEP_BUCKETS)
+            });
+            registry.observe(id, s.steps());
             if s.cycles > 0 {
-                registry.histogram_observe(
-                    "dcat_span_cycles",
-                    &[("span", s.name)],
-                    dcat_obs::CYCLE_BUCKETS,
-                    s.cycles,
-                );
+                let id = resolved(&mut series.span_cycles, s.name, |span| {
+                    registry.histogram(
+                        "dcat_span_cycles",
+                        &[("span", span)],
+                        dcat_obs::CYCLE_BUCKETS,
+                    )
+                });
+                registry.observe(id, s.cycles);
             }
         }
         if !degraded {
-            for (report, prev) in final_reports.iter().zip(prev_ways.iter_mut()) {
-                registry.gauge_set(
-                    "dcat_domain_ways",
-                    &[("domain", &report.name)],
-                    f64::from(report.ways),
-                );
+            let lanes = final_reports
+                .iter()
+                .zip(prev_ways.iter_mut())
+                .zip(series.domains.iter_mut());
+            for ((report, prev), ids) in lanes {
+                let domain = [("domain", report.name.as_str())];
+                let ways = *ids
+                    .ways
+                    .get_or_insert_with(|| registry.gauge("dcat_domain_ways", &domain));
+                registry.set(ways, f64::from(report.ways));
                 if let Some(prev_ways) = *prev {
                     let moved = u64::from(report.ways.abs_diff(prev_ways));
                     if moved > 0 {
-                        registry.counter_add(
-                            "dcat_ways_moved_total",
-                            &[("domain", &report.name)],
-                            moved,
-                        );
+                        let id = *ids.moved.get_or_insert_with(|| {
+                            registry.counter("dcat_ways_moved_total", &domain)
+                        });
+                        registry.add(id, moved);
                     }
                 }
                 *prev = Some(report.ways);
                 if report.phase_changed {
-                    registry.counter_add(
-                        "dcat_phase_changes_total",
-                        &[("domain", &report.name)],
-                        1,
-                    );
+                    let id = *ids.phase_changes.get_or_insert_with(|| {
+                        registry.counter("dcat_phase_changes_total", &domain)
+                    });
+                    registry.add(id, 1);
                 }
             }
         }
@@ -738,7 +799,10 @@ pub fn run_daemon_observed(
         }
         let quarantined =
             u32::try_from(quarantine_flags.iter().filter(|&&q| q).count()).unwrap_or(u32::MAX);
-        registry.gauge_set("dcat_quarantined_domains", &[], f64::from(quarantined));
+        let id = *series
+            .quarantined
+            .get_or_insert_with(|| registry.gauge("dcat_quarantined_domains", &[]));
+        registry.set(id, f64::from(quarantined));
 
         recorder.record(tick, degraded, spans, events.iter().map(Event::to_json));
         // A quarantine or invariant violation is exactly the moment a

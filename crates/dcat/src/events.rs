@@ -20,12 +20,20 @@ pub enum DegradeReason {
     Resctrl,
 }
 
+impl DegradeReason {
+    /// The reason as frames, events and metric labels render it (an
+    /// entry of `dcat_obs::frames::KNOWN_REASONS`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            DegradeReason::Telemetry => "telemetry",
+            DegradeReason::Resctrl => "resctrl",
+        }
+    }
+}
+
 impl fmt::Display for DegradeReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DegradeReason::Telemetry => write!(f, "telemetry"),
-            DegradeReason::Resctrl => write!(f, "resctrl"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -244,6 +252,13 @@ impl fmt::Display for Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_reason_renders_as_an_entry_of_the_frame_schema_table() {
+        let rendered =
+            [DegradeReason::Telemetry, DegradeReason::Resctrl].map(DegradeReason::as_str);
+        assert_eq!(rendered, dcat_obs::frames::KNOWN_REASONS);
+    }
 
     #[test]
     fn events_render_as_stable_log_lines() {

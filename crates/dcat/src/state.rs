@@ -35,19 +35,24 @@ impl WorkloadClass {
     pub fn is_donor_like(self) -> bool {
         matches!(self, WorkloadClass::Donor | WorkloadClass::Streaming)
     }
-}
 
-impl fmt::Display for WorkloadClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The class as the frame stream and every report render it (an
+    /// entry of `dcat_obs::frames::KNOWN_CLASSES`).
+    pub fn as_str(self) -> &'static str {
+        match self {
             WorkloadClass::Keeper => "Keeper",
             WorkloadClass::Donor => "Donor",
             WorkloadClass::Receiver => "Receiver",
             WorkloadClass::Streaming => "Streaming",
             WorkloadClass::Unknown => "Unknown",
             WorkloadClass::Reclaim => "Reclaim",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for WorkloadClass {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -70,5 +75,19 @@ mod tests {
     fn display_names() {
         assert_eq!(WorkloadClass::Reclaim.to_string(), "Reclaim");
         assert_eq!(WorkloadClass::Unknown.to_string(), "Unknown");
+    }
+
+    #[test]
+    fn every_class_renders_as_an_entry_of_the_frame_schema_table() {
+        let all = [
+            WorkloadClass::Keeper,
+            WorkloadClass::Donor,
+            WorkloadClass::Receiver,
+            WorkloadClass::Streaming,
+            WorkloadClass::Unknown,
+            WorkloadClass::Reclaim,
+        ];
+        let rendered: Vec<&str> = all.iter().map(|c| c.as_str()).collect();
+        assert_eq!(rendered, dcat_obs::frames::KNOWN_CLASSES);
     }
 }

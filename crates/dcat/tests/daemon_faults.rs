@@ -278,3 +278,63 @@ fn daemon_survives_a_scripted_fault_schedule() {
         "faulty run did not converge to the fault-free allocation"
     );
 }
+
+/// A write fault needs a write to hit. `CosWrite` fails every
+/// `program_cos` of its tick; a tick that moves no mask makes none, so
+/// the fault passes unseen, and the same fault on the next tick that
+/// moves ways degrades it and holds the allocation.
+#[test]
+fn a_cos_write_fault_is_only_observable_on_a_tick_that_programs() {
+    let (clean, clean_finals) = run_scenario("quiet-clean", None);
+    let moved =
+        |h: &[TickRecord], tick: u64| h[(tick - 1) as usize].ways != h[(tick - 2) as usize].ways;
+    // The first tick past the start-up that moves nothing, and the first
+    // after it that moves something (the growth window opens at tick 4).
+    let quiet_tick = (2..MAX_TICKS)
+        .find(|&t| !moved(&clean, t))
+        .expect("a quiet tick");
+    let moving_tick = (quiet_tick + 1..=MAX_TICKS)
+        .find(|&t| moved(&clean, t))
+        .expect("a moving tick after it");
+
+    let plan = FaultPlan::scripted([
+        (quiet_tick, Fault::CosWrite),
+        (moving_tick, Fault::CosWrite),
+    ]);
+    let (history, finals) = run_scenario("quiet-faulty", Some(plan));
+    let at = |tick: u64| -> &TickRecord { &history[(tick - 1) as usize] };
+
+    let quiet = at(quiet_tick);
+    assert!(
+        !quiet.degraded,
+        "tick {quiet_tick} degraded with nothing to write"
+    );
+    assert!(
+        quiet.events.is_empty(),
+        "tick {quiet_tick} wrote something: {:?}",
+        quiet.events
+    );
+    assert_eq!(quiet.ways, clean[(quiet_tick - 1) as usize].ways);
+
+    let moving = at(moving_tick);
+    assert!(
+        moving.degraded,
+        "tick {moving_tick} moved ways through a failing backend"
+    );
+    assert!(moving.events.iter().any(|e| matches!(
+        e,
+        Event::DegradedTick {
+            reason: dcat::DegradeReason::Resctrl
+        }
+    )));
+    assert!(moving
+        .events
+        .iter()
+        .any(|e| matches!(e, Event::ResctrlExhausted { .. })));
+    assert_eq!(
+        moving.ways,
+        at(moving_tick - 1).ways,
+        "the degraded tick did not hold the allocation"
+    );
+    assert_eq!(finals, clean_finals, "the run did not converge afterwards");
+}

@@ -22,6 +22,7 @@
 //! validator for `dcat-flight/v1` recorder dumps.
 
 use crate::json::{self, Obj, Value};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Schema tag carried by every `frames_header` record.
@@ -45,12 +46,13 @@ pub const KNOWN_CLASSES: &[&str] = &[
 /// Degraded-tick reasons `dcat::events::DegradeReason` renders.
 pub const KNOWN_REASONS: &[&str] = &["telemetry", "resctrl"];
 
-/// One domain's slice of a frame.
+/// One domain's slice of a frame. A producer lends the name out of its
+/// reports; [`parse_stream`] owns what it read.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DomainFrame {
-    pub name: String,
+pub struct DomainFrame<'a> {
+    pub name: Cow<'a, str>,
     /// State-machine class, rendered (one of [`KNOWN_CLASSES`]).
-    pub class: String,
+    pub class: &'static str,
     /// Ways currently granted.
     pub ways: u32,
     /// Raw capacity bitmask when the policy programs one.
@@ -96,20 +98,20 @@ pub struct PolicyExt {
 
 /// One tick of the stream.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Frame {
+pub struct Frame<'a> {
     pub tick: u64,
     /// Policy name (e.g. `dcat`, `lfoc`, `static`).
-    pub policy: String,
+    pub policy: Cow<'a, str>,
     pub degraded: bool,
     /// Required when `degraded` (one of [`KNOWN_REASONS`]).
-    pub reason: Option<String>,
+    pub reason: Option<&'static str>,
     /// Total |Δways| vs. the previous frame ([`FrameWriter::push`] fills
     /// this in; the first frame of a segment reports 0).
     pub ways_moved: u32,
     /// Events the daemon emitted this tick.
     pub events: u64,
     pub ext: PolicyExt,
-    pub domains: Vec<DomainFrame>,
+    pub domains: Vec<DomainFrame<'a>>,
 }
 
 /// Render a segment header line (no trailing newline).
@@ -156,11 +158,11 @@ fn push_opt_f64(out: &mut String, v: Option<f64>) {
     }
 }
 
-fn write_domain(out: &mut String, d: &DomainFrame) {
+fn write_domain(out: &mut String, d: &DomainFrame<'_>) {
     out.push_str("{\"name\":");
     push_str_value(out, &d.name);
     out.push_str(",\"class\":");
-    push_str_value(out, &d.class);
+    push_str_value(out, d.class);
     out.push_str(",\"ways\":");
     push_u64(out, u64::from(d.ways));
     out.push_str(",\"cbm\":");
@@ -186,14 +188,14 @@ fn write_domain(out: &mut String, d: &DomainFrame) {
 /// Appends one frame record to `out` (no trailing newline). This is the
 /// whole per-tick cost of the export (tracked by the `frame_encode_tick`
 /// perfbench case); `tests/golden/frames_v1.jsonl` pins its bytes.
-fn write_frame(out: &mut String, f: &Frame) {
+fn write_frame(out: &mut String, f: &Frame<'_>) {
     out.push_str("{\"record\":\"frame\",\"tick\":");
     push_u64(out, f.tick);
     out.push_str(",\"policy\":");
     push_str_value(out, &f.policy);
     out.push_str(",\"degraded\":");
     push_bool(out, f.degraded);
-    if let Some(reason) = &f.reason {
+    if let Some(reason) = f.reason {
         out.push_str(",\"reason\":");
         push_str_value(out, reason);
     }
@@ -231,7 +233,7 @@ fn write_frame(out: &mut String, f: &Frame) {
 
 /// Encode one frame as a single JSONL line (no trailing newline): the
 /// one-call form of what [`FrameWriter::push`] appends.
-pub fn encode_frame(f: &Frame) -> String {
+pub fn encode_frame(f: &Frame<'_>) -> String {
     let mut line = String::new();
     write_frame(&mut line, f);
     line
@@ -272,7 +274,7 @@ impl FrameWriter {
     /// Σ|Δways| of `domains` against the previous frame — a name the
     /// previous frame did not carry moves nothing — and remember
     /// `domains` as the new previous frame.
-    fn ways_moved(&mut self, domains: &[DomainFrame]) -> u32 {
+    fn ways_moved(&mut self, domains: &[DomainFrame<'_>]) -> u32 {
         // A host's domain list is the same tick after tick, so the names
         // are compared in place and only the ways are overwritten; the
         // list is rebuilt when a tenant arrives, leaves or moves.
@@ -280,7 +282,7 @@ impl FrameWriter {
             && domains
                 .iter()
                 .zip(&self.prev_ways)
-                .all(|(d, (name, _))| d.name == *name);
+                .all(|(d, (name, _))| *d.name == **name);
         let mut moved = 0u32;
         if unchanged {
             for (d, (_, ways)) in domains.iter().zip(self.prev_ways.iter_mut()) {
@@ -293,15 +295,19 @@ impl FrameWriter {
             let prev = self
                 .prev_ways
                 .iter()
-                .find(|(name, _)| *name == d.name)
+                .find(|(name, _)| **name == *d.name)
                 .map_or(d.ways, |&(_, ways)| ways);
             moved += d.ways.abs_diff(prev);
         }
         self.prev_ways.clear();
         for d in domains {
-            match self.prev_ways.iter_mut().find(|(name, _)| *name == d.name) {
+            match self
+                .prev_ways
+                .iter_mut()
+                .find(|(name, _)| **name == *d.name)
+            {
                 Some((_, ways)) => *ways = d.ways,
-                None => self.prev_ways.push((d.name.clone(), d.ways)),
+                None => self.prev_ways.push((d.name.to_string(), d.ways)),
             }
         }
         moved
@@ -309,7 +315,7 @@ impl FrameWriter {
 
     /// Fill in `ways_moved`, encode onto the end of the buffer, and return
     /// the rendered line (newline-terminated) for incremental sinks.
-    pub fn push(&mut self, mut frame: Frame) -> &str {
+    pub fn push(&mut self, mut frame: Frame<'_>) -> &str {
         frame.ways_moved = self.ways_moved(&frame.domains);
         let start = self.buf.len();
         write_frame(&mut self.buf, &frame);
@@ -345,7 +351,7 @@ impl Default for FrameWriter {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     pub source: String,
-    pub frames: Vec<Frame>,
+    pub frames: Vec<Frame<'static>>,
 }
 
 /// Validation summary returned by [`check_frames`].
@@ -384,13 +390,18 @@ fn opt_num(v: &Value, key: &str) -> Option<f64> {
     v.get(key).and_then(Value::as_num)
 }
 
-fn parse_domain(v: &Value, line: usize) -> Result<DomainFrame, String> {
+/// The entry of `table` equal to `text`: validated text becomes the
+/// table's own `&'static str`.
+fn known(table: &'static [&'static str], text: &str) -> Option<&'static str> {
+    table.iter().copied().find(|k| *k == text)
+}
+
+fn parse_domain(v: &Value, line: usize) -> Result<DomainFrame<'static>, String> {
     let class = str_field(v, "class", line)?;
-    if !KNOWN_CLASSES.contains(&class.as_str()) {
-        return Err(format!("line {line}: unknown state class '{class}'"));
-    }
+    let class = known(KNOWN_CLASSES, &class)
+        .ok_or_else(|| format!("line {line}: unknown state class '{class}'"))?;
     Ok(DomainFrame {
-        name: str_field(v, "name", line)?,
+        name: Cow::Owned(str_field(v, "name", line)?),
         class,
         ways: num_field(v, "ways", line)? as u32,
         cbm: opt_num(v, "cbm").map(|n| n as u64),
@@ -403,16 +414,18 @@ fn parse_domain(v: &Value, line: usize) -> Result<DomainFrame, String> {
     })
 }
 
-fn parse_frame(v: &Value, line: usize) -> Result<Frame, String> {
+fn parse_frame(v: &Value, line: usize) -> Result<Frame<'static>, String> {
     let degraded = bool_field(v, "degraded", line)?;
-    let reason = v.get("reason").and_then(Value::as_str).map(str::to_string);
-    if degraded {
-        match &reason {
-            Some(r) if KNOWN_REASONS.contains(&r.as_str()) => {}
-            Some(r) => return Err(format!("line {line}: unknown degrade reason '{r}'")),
-            None => return Err(format!("line {line}: degraded frame without a reason")),
-        }
-    }
+    let reason = match (v.get("reason").and_then(Value::as_str), degraded) {
+        (Some(r), true) => Some(
+            known(KNOWN_REASONS, r)
+                .ok_or_else(|| format!("line {line}: unknown degrade reason '{r}'"))?,
+        ),
+        (None, true) => return Err(format!("line {line}: degraded frame without a reason")),
+        // Only a degraded frame's reason is validated; elsewhere text
+        // outside the table is not kept.
+        (r, false) => r.and_then(|r| known(KNOWN_REASONS, r)),
+    };
     let ext = PolicyExt {
         cos: num_field(v, "cos", line)? as u32,
         lfoc: match v.get("lfoc") {
@@ -443,7 +456,7 @@ fn parse_frame(v: &Value, line: usize) -> Result<Frame, String> {
     };
     Ok(Frame {
         tick: num_field(v, "tick", line)? as u64,
-        policy: str_field(v, "policy", line)?,
+        policy: Cow::Owned(str_field(v, "policy", line)?),
         degraded,
         reason,
         ways_moved: num_field(v, "ways_moved", line)? as u32,
@@ -612,10 +625,10 @@ pub fn check_flight(text: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
 
-    fn domain(name: &str, ways: u32) -> DomainFrame {
+    fn domain(name: &str, ways: u32) -> DomainFrame<'static> {
         DomainFrame {
-            name: name.to_string(),
-            class: "Keeper".to_string(),
+            name: Cow::Owned(name.to_string()),
+            class: "Keeper",
             ways,
             cbm: Some(0xf0),
             ipc: 1.25,
@@ -627,10 +640,10 @@ mod tests {
         }
     }
 
-    fn frame(tick: u64, ways: &[u32]) -> Frame {
+    fn frame(tick: u64, ways: &[u32]) -> Frame<'static> {
         Frame {
             tick,
-            policy: "dcat".to_string(),
+            policy: Cow::Borrowed("dcat"),
             degraded: false,
             reason: None,
             ways_moved: 0,
@@ -668,7 +681,7 @@ mod tests {
     fn fully_populated_frame_round_trips() {
         let mut f = frame(9, &[3]);
         f.degraded = true;
-        f.reason = Some("resctrl".to_string());
+        f.reason = Some("resctrl");
         f.events = 2;
         f.ways_moved = 1;
         f.ext.lfoc = Some(LfocExt {
@@ -735,7 +748,7 @@ mod tests {
         // Unknown state class.
         let mut w = FrameWriter::new("x");
         let mut f = frame(1, &[4]);
-        f.domains[0].class = "Sleeper".to_string();
+        f.domains[0].class = "Sleeper";
         w.push(f);
         assert!(parse_stream(w.buffer())
             .unwrap_err()

@@ -32,8 +32,8 @@ pub use frames::{
     MemshareExt, PolicyExt, FLIGHT_SCHEMA, FRAMES_SCHEMA,
 };
 pub use metrics::{
-    write_text, FileSink, Histogram, MetricKey, MetricValue, MetricsSink, Registry, Snapshot,
-    CYCLE_BUCKETS, DEFAULT_STEP_BUCKETS,
+    write_text, FileSink, Histogram, MetricKey, MetricValue, MetricsSink, Registry, SeriesId,
+    Snapshot, CYCLE_BUCKETS, DEFAULT_STEP_BUCKETS,
 };
 pub use promcheck::{check_jsonl, check_prometheus, PromSummary};
 pub use recorder::{FlightRecorder, TickRecord};

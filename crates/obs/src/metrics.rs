@@ -121,17 +121,35 @@ impl MetricValue {
     }
 }
 
-/// A mutable metrics registry. Writers call the typed record methods; readers
-/// take a [`Snapshot`].
+/// Handle to one series of the [`Registry`] that issued it. Recording
+/// through it builds no [`MetricKey`] and walks no map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeriesId {
+    slot: usize,
+    /// The registry's [`Registry::take`] count when the id was issued.
+    generation: u64,
+}
+
+/// A mutable metrics registry. Writers resolve a series to a [`SeriesId`]
+/// once and record through it, or call the name-keyed record methods,
+/// which resolve on every call; readers take a [`Snapshot`].
+///
+/// Resolving registers the series — a counter at 0, a gauge at 0.0, an
+/// empty histogram — so it is in the next export: resolve where the first
+/// value is written, not ahead of it.
 ///
 /// Recording a metric under a name already registered with a *different*
 /// kind is a programming bug, but the registry sits on the daemon tick
 /// path where panics are forbidden (ticks degrade, they never die): the
 /// mismatched write is dropped and counted in [`Registry::type_conflicts`]
-/// so tests and dashboards can still surface the bug.
+/// so tests and dashboards can still surface the bug. So is a write
+/// through an id issued before the last [`Registry::take`].
 #[derive(Debug, Default, Clone)]
 pub struct Registry {
-    entries: BTreeMap<MetricKey, MetricValue>,
+    /// The series in registration order; a [`SeriesId`] is a position here.
+    series: Vec<(MetricKey, MetricValue)>,
+    index: BTreeMap<MetricKey, usize>,
+    generation: u64,
     type_conflicts: u64,
 }
 
@@ -141,29 +159,95 @@ impl Registry {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.series.is_empty()
     }
 
-    /// Writes dropped because the metric name was already registered with
-    /// a different kind. Nonzero means a code bug, never a data problem.
+    /// Writes dropped because the series was registered with a different
+    /// kind, or the id predates a [`Registry::take`]. Nonzero means a code
+    /// bug, never a data problem.
     pub fn type_conflicts(&self) -> u64 {
         self.type_conflicts
     }
 
-    pub fn counter_add(&mut self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
-        let key = MetricKey::new(name, labels);
-        match self.entries.entry(key).or_insert(MetricValue::Counter(0)) {
-            MetricValue::Counter(v) => *v += delta,
+    /// The slot of `key`, registered with `init()` if it is new.
+    fn resolve(&mut self, key: MetricKey, init: impl FnOnce() -> MetricValue) -> SeriesId {
+        let slot = match self.index.get(&key) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.series.len();
+                self.index.insert(key.clone(), slot);
+                self.series.push((key, init()));
+                slot
+            }
+        };
+        SeriesId {
+            slot,
+            generation: self.generation,
+        }
+    }
+
+    fn value_mut(&mut self, id: SeriesId) -> Option<&mut MetricValue> {
+        if id.generation != self.generation {
+            return None;
+        }
+        self.series.get_mut(id.slot).map(|(_, value)| value)
+    }
+
+    /// Resolves (registering at 0 if new) the counter `name{labels}`.
+    pub fn counter(&mut self, name: &'static str, labels: &[(&'static str, &str)]) -> SeriesId {
+        self.resolve(MetricKey::new(name, labels), || MetricValue::Counter(0))
+    }
+
+    /// Resolves (registering at 0.0 if new) the gauge `name{labels}`.
+    pub fn gauge(&mut self, name: &'static str, labels: &[(&'static str, &str)]) -> SeriesId {
+        self.resolve(MetricKey::new(name, labels), || MetricValue::Gauge(0.0))
+    }
+
+    /// Resolves (registering empty over `bounds` if new) the histogram
+    /// `name{labels}`.
+    pub fn histogram(
+        &mut self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        bounds: &'static [u64],
+    ) -> SeriesId {
+        self.resolve(MetricKey::new(name, labels), || {
+            MetricValue::Histogram(Histogram::new(bounds))
+        })
+    }
+
+    /// Adds `delta` to the counter `id`.
+    pub fn add(&mut self, id: SeriesId, delta: u64) {
+        match self.value_mut(id) {
+            Some(MetricValue::Counter(v)) => *v += delta,
             _ => self.type_conflicts += 1,
         }
     }
 
-    pub fn gauge_set(&mut self, name: &'static str, labels: &[(&'static str, &str)], value: f64) {
-        let key = MetricKey::new(name, labels);
-        match self.entries.entry(key).or_insert(MetricValue::Gauge(value)) {
-            MetricValue::Gauge(v) => *v = value,
+    /// Sets the gauge `id`.
+    pub fn set(&mut self, id: SeriesId, value: f64) {
+        match self.value_mut(id) {
+            Some(MetricValue::Gauge(v)) => *v = value,
             _ => self.type_conflicts += 1,
         }
+    }
+
+    /// Records `value` in the histogram `id`.
+    pub fn observe(&mut self, id: SeriesId, value: u64) {
+        match self.value_mut(id) {
+            Some(MetricValue::Histogram(h)) => h.observe(value),
+            _ => self.type_conflicts += 1,
+        }
+    }
+
+    pub fn counter_add(&mut self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
+        let id = self.counter(name, labels);
+        self.add(id, delta);
+    }
+
+    pub fn gauge_set(&mut self, name: &'static str, labels: &[(&'static str, &str)], value: f64) {
+        let id = self.gauge(name, labels);
+        self.set(id, value);
     }
 
     pub fn histogram_observe(
@@ -173,47 +257,40 @@ impl Registry {
         bounds: &'static [u64],
         value: u64,
     ) {
-        let key = MetricKey::new(name, labels);
-        match self
-            .entries
-            .entry(key)
-            .or_insert_with(|| MetricValue::Histogram(Histogram::new(bounds)))
-        {
-            MetricValue::Histogram(h) => h.observe(value),
-            _ => self.type_conflicts += 1,
-        }
+        let id = self.histogram(name, labels, bounds);
+        self.observe(id, value);
     }
 
     /// Copy the current contents into an immutable snapshot.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            entries: self.entries.clone(),
+            entries: self.series.iter().cloned().collect(),
         }
     }
 
-    /// Drain the registry into a snapshot, leaving it empty.
+    /// Drain the registry into a snapshot, leaving it empty. Ids issued
+    /// before the call name nothing afterwards.
     pub fn take(&mut self) -> Snapshot {
+        self.index.clear();
+        self.generation += 1;
         Snapshot {
-            entries: std::mem::take(&mut self.entries),
+            entries: std::mem::take(&mut self.series).into_iter().collect(),
         }
     }
 
     /// Fold a snapshot back into this registry (same merge rules as
     /// [`Snapshot::merge`]).
     pub fn merge_snapshot(&mut self, snap: &Snapshot) {
-        merge_maps(&mut self.entries, &snap.entries);
-    }
-}
-
-fn merge_maps(
-    into: &mut BTreeMap<MetricKey, MetricValue>,
-    from: &BTreeMap<MetricKey, MetricValue>,
-) {
-    for (key, value) in from {
-        match into.get_mut(key) {
-            Some(existing) => existing.merge(value),
-            None => {
-                into.insert(key.clone(), value.clone());
+        for (key, value) in &snap.entries {
+            let existing = self
+                .index
+                .get(key)
+                .and_then(|&slot| self.series.get_mut(slot));
+            match existing {
+                Some((_, existing)) => existing.merge(value),
+                None => {
+                    self.resolve(key.clone(), || value.clone());
+                }
             }
         }
     }
@@ -246,7 +323,14 @@ impl Snapshot {
     /// Merge another snapshot into this one. Commutative and associative:
     /// counters add, gauges keep the max, histograms add element-wise.
     pub fn merge(&mut self, other: &Snapshot) {
-        merge_maps(&mut self.entries, &other.entries);
+        for (key, value) in &other.entries {
+            match self.entries.get_mut(key) {
+                Some(existing) => existing.merge(value),
+                None => {
+                    self.entries.insert(key.clone(), value.clone());
+                }
+            }
+        }
     }
 
     /// Render in Prometheus text exposition format. Families appear in name
@@ -540,6 +624,68 @@ ticks_total 3
         let snap = r.snapshot();
         let text = snap.to_prometheus();
         assert!(text.contains("x 3"), "counter kept its value: {text}");
+    }
+
+    #[test]
+    fn recording_by_id_lands_in_the_series_the_name_resolves_to() {
+        let mut by_id = Registry::new();
+        // Registered in the reverse of key order: the export sorts anyway.
+        let ticks = by_id.counter("ticks_total", &[]);
+        let steps = by_id.histogram("span_steps", &[("span", "apply")], DEFAULT_STEP_BUCKETS);
+        let ways = by_id.gauge("domain_ways", &[("domain", "vm0")]);
+        let degraded = by_id.counter("events_total", &[("event", "degraded_tick")]);
+        let reset = by_id.counter("events_total", &[("event", "counter_reset")]);
+        by_id.add(ticks, 3);
+        by_id.add(degraded, 2);
+        by_id.add(reset, 1);
+        by_id.set(ways, 6.0);
+        by_id.observe(steps, 3);
+        by_id.observe(steps, 70);
+        assert_eq!(by_id.snapshot(), sample().snapshot());
+        // Resolving again finds the same series; the two forms mix.
+        assert_eq!(by_id.counter("ticks_total", &[]), ticks);
+        by_id.counter_add("ticks_total", &[], 1);
+        by_id.add(ticks, 1);
+        assert_eq!(
+            by_id.snapshot().get("ticks_total", &[]),
+            Some(&MetricValue::Counter(5))
+        );
+        assert_eq!(by_id.type_conflicts(), 0);
+    }
+
+    #[test]
+    fn a_stale_or_wrong_kind_id_is_dropped_and_counted() {
+        let mut r = Registry::new();
+        let x = r.counter("x", &[]);
+        r.add(x, 1);
+        // Wrong kind: the id of a counter used as a gauge and a histogram.
+        r.set(x, 9.0);
+        r.observe(x, 9);
+        assert_eq!(r.type_conflicts(), 2);
+        assert_eq!(r.snapshot().get("x", &[]), Some(&MetricValue::Counter(1)));
+
+        // After a take, the old id names nothing — not even the series
+        // that now sits in its slot.
+        assert_eq!(r.take().len(), 1);
+        let y = r.counter("y", &[]);
+        r.add(x, 100);
+        assert_eq!(r.type_conflicts(), 3);
+        r.add(y, 1);
+        let snap = r.snapshot();
+        assert_eq!(snap.len(), 1);
+        assert_eq!(snap.get("y", &[]), Some(&MetricValue::Counter(1)));
+    }
+
+    #[test]
+    fn merge_snapshot_folds_into_resolved_series() {
+        let mut r = Registry::new();
+        let ticks = r.counter("ticks_total", &[]);
+        r.add(ticks, 1);
+        r.merge_snapshot(&sample().snapshot());
+        r.add(ticks, 1);
+        let snap = r.snapshot();
+        assert_eq!(snap.len(), sample().snapshot().len());
+        assert_eq!(snap.get("ticks_total", &[]), Some(&MetricValue::Counter(5)));
     }
 
     #[test]

@@ -18,10 +18,10 @@ use std::path::PathBuf;
 
 use dcat_obs::{DomainFrame, Frame, FrameWriter, LfocExt, MemshareExt, PolicyExt};
 
-fn domain(name: &str, ways: u32) -> DomainFrame {
+fn domain(name: &str, ways: u32) -> DomainFrame<'static> {
     DomainFrame {
-        name: name.to_string(),
-        class: "Keeper".to_string(),
+        name: name.to_string().into(),
+        class: "Keeper",
         ways,
         cbm: Some(0xf0),
         ipc: 1.25,
@@ -33,10 +33,10 @@ fn domain(name: &str, ways: u32) -> DomainFrame {
     }
 }
 
-fn frame(tick: u64, domains: Vec<DomainFrame>) -> Frame {
+fn frame(tick: u64, domains: Vec<DomainFrame<'static>>) -> Frame<'static> {
     Frame {
         tick,
-        policy: "dcat".to_string(),
+        policy: "dcat".into(),
         degraded: false,
         reason: None,
         ways_moved: 0,
@@ -51,14 +51,14 @@ fn frame(tick: u64, domains: Vec<DomainFrame>) -> Frame {
 
 /// The recorded scenario: every field shape the encoder has, then a
 /// domain list that grows, shrinks, reorders and repeats a name.
-fn scenario() -> Vec<Frame> {
+fn scenario() -> Vec<Frame<'static>> {
     let mut frames = Vec::new();
 
     // Fully populated: both policy extensions, a reason, every optional.
     let mut full = frame(1, vec![domain("vm0", 4), domain("vm1", 6)]);
-    full.policy = "lfoc+memshare".to_string();
+    full.policy = "lfoc+memshare".into();
     full.degraded = true;
-    full.reason = Some("resctrl".to_string());
+    full.reason = Some("resctrl");
     full.events = 3;
     full.ext = PolicyExt {
         cos: 3,
@@ -72,9 +72,9 @@ fn scenario() -> Vec<Frame> {
             credit_max: 12,
         }),
     };
-    full.domains[0].class = "Receiver".to_string();
+    full.domains[0].class = "Receiver";
     full.domains[0].quarantined = true;
-    full.domains[1].class = "Streaming".to_string();
+    full.domains[1].class = "Streaming";
     full.domains[1].held = true;
     full.domains[1].cbm = Some(u64::MAX);
     frames.push(full);
@@ -143,17 +143,17 @@ fn scenario() -> Vec<Frame> {
             domain("", 2),
         ],
     );
-    escapes.policy = "po\"li\\cy\u{2}".to_string();
-    escapes.domains[0].class = "Cl\"a\\ss\n".to_string();
+    escapes.policy = "po\"li\\cy\u{2}".into();
+    escapes.domains[0].class = "Cl\"a\\ss\n";
     escapes.degraded = true;
-    escapes.reason = Some("tele\"metry\u{0}".to_string());
+    escapes.reason = Some("tele\"metry\u{0}");
     frames.push(escapes);
 
     // A degraded frame with a plain reason and no domains at all (the
     // daemon's first tick degrading before any report exists).
     let mut early = frame(1, Vec::new());
     early.degraded = true;
-    early.reason = Some("telemetry".to_string());
+    early.reason = Some("telemetry");
     early.events = 2;
     frames.push(early);
 

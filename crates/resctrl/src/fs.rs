@@ -116,7 +116,7 @@ pub struct FsBackend {
     root: PathBuf,
     caps: CatCapabilities,
     num_cores: u32,
-    // Cached core->COS assignment; the filesystem is rewritten on change.
+    // Cached core->COS assignment; a change rewrites the two groups it touches.
     assignment: Vec<CosId>,
     // `schemata` file of each class, indexed by COS id, and the line being
     // written: `program_cos` runs every controller interval.
@@ -242,19 +242,15 @@ impl FsBackend {
             .ok_or(ResctrlError::InvalidCos(cos))
     }
 
-    fn rewrite_cpus_lists(&self) -> Result<(), ResctrlError> {
-        for cos in 0..self.caps.num_closids {
-            let cos = CosId(cos as u8);
-            let members: Vec<u32> = self
-                .assignment
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| **c == cos)
-                .map(|(i, _)| i as u32)
-                .collect();
-            let path = self.group_dir(cos).join("cpus_list");
-            fs::write(path, format!("{}\n", format_cpu_list(&members)))?;
-        }
+    /// Writes `cos`'s `cpus_list` as `table` assigns the cores.
+    fn write_cpus_list(&self, table: &[CosId], cos: CosId) -> Result<(), ResctrlError> {
+        let members: Vec<u32> = (0u32..)
+            .zip(table)
+            .filter(|&(_, &at)| at == cos)
+            .map(|(core, _)| core)
+            .collect();
+        let path = self.group_dir(cos).join("cpus_list");
+        fs::write(path, format!("{}\n", format_cpu_list(&members)))?;
         Ok(())
     }
 }
@@ -280,12 +276,20 @@ impl CacheController for FsBackend {
 
     fn assign_core(&mut self, core: u32, cos: CosId) -> Result<(), ResctrlError> {
         self.validate_cos(cos)?;
-        let slot = self
-            .assignment
-            .get_mut(core as usize)
-            .ok_or(ResctrlError::InvalidCore(core))?;
-        *slot = cos;
-        self.rewrite_cpus_lists()
+        let left = self.core_cos(core)?;
+        let mut table = self.assignment.clone();
+        if let Some(slot) = table.get_mut(core as usize) {
+            *slot = cos;
+        }
+        // Two groups change membership: the one the core left and the one
+        // it joined. The cached table advances only after both files are
+        // written, so a retry after a failed write repeats both.
+        if left != cos {
+            self.write_cpus_list(&table, left)?;
+        }
+        self.write_cpus_list(&table, cos)?;
+        self.assignment = table;
+        Ok(())
     }
 
     fn cos_mask(&self, cos: CosId) -> Result<Cbm, ResctrlError> {
@@ -371,6 +375,87 @@ mod tests {
         assert_eq!(grp.trim(), "1-2");
         let def = fs::read_to_string(root.join("cpus_list")).unwrap();
         assert_eq!(def.trim(), "0,3");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Every group's `cpus_list`, COS 0 first.
+    fn cpus_lists(root: &Path, groups: u32) -> Vec<String> {
+        (0..groups)
+            .map(|cos| {
+                let dir = FsBackend::group_dir_of(root, CosId(cos as u8));
+                fs::read_to_string(dir.join("cpus_list")).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn assignments_leave_the_tree_a_full_rewrite_would() {
+        let root = temp_root("assign-seq");
+        let caps = CatCapabilities::with_ways(12);
+        let mut be = FsBackend::create_fixture(&root, caps, 6).unwrap();
+        // Binds, a move between two tenant groups, a re-assignment in
+        // place, and a core moved back to where it started.
+        let script = [
+            (0, 1),
+            (1, 1),
+            (2, 2),
+            (5, 3),
+            (1, 2),
+            (2, 2),
+            (5, 0),
+            (0, 3),
+            (0, 1),
+        ];
+        let mut model = [CosId(0); 6];
+        for (core, cos) in script {
+            be.assign_core(core, CosId(cos)).unwrap();
+            model[core as usize] = CosId(cos);
+            // What rewriting every group from the table leaves behind.
+            let expected: Vec<String> = (0..caps.num_closids)
+                .map(|g| {
+                    let members: Vec<u32> =
+                        (0..6).filter(|&c| model[c as usize].0 == g as u8).collect();
+                    format!("{}\n", format_cpu_list(&members))
+                })
+                .collect();
+            assert_eq!(
+                cpus_lists(&root, caps.num_closids),
+                expected,
+                "after {core} -> COS{cos}"
+            );
+            assert_eq!(be.core_cos(core).unwrap(), CosId(cos));
+        }
+        drop(be);
+        let reopened = FsBackend::open(&root).unwrap();
+        for (core, cos) in model.iter().enumerate() {
+            assert_eq!(reopened.core_cos(core as u32).unwrap(), *cos);
+        }
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn assign_core_writes_only_the_groups_it_touches() {
+        let root = temp_root("assign-two");
+        let mut be = FsBackend::create_fixture(&root, CatCapabilities::with_ways(12), 4).unwrap();
+        be.assign_core(1, CosId(3)).unwrap();
+        // A bystander's file, marked: a pass over every group erases it.
+        let bystander = root.join("COS5").join("cpus_list");
+        fs::write(&bystander, " \n").unwrap();
+        fs::write(root.join("cpus_list"), "0,2,3 \n").unwrap();
+        be.assign_core(1, CosId(4)).unwrap();
+        assert_eq!(fs::read_to_string(&bystander).unwrap(), " \n");
+        assert_eq!(
+            fs::read_to_string(root.join("cpus_list")).unwrap(),
+            "0,2,3 \n"
+        );
+        assert_eq!(
+            fs::read_to_string(root.join("COS3").join("cpus_list")).unwrap(),
+            "\n"
+        );
+        assert_eq!(
+            fs::read_to_string(root.join("COS4").join("cpus_list")).unwrap(),
+            "1\n"
+        );
         fs::remove_dir_all(&root).unwrap();
     }
 

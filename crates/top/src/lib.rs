@@ -108,7 +108,7 @@ fn status_line(f: &Frame, opts: &RenderOptions) -> String {
         ));
     }
     if f.degraded {
-        let reason = f.reason.as_deref().unwrap_or("unknown");
+        let reason = f.reason.unwrap_or("unknown");
         line.push_str("  ");
         line.push_str(&paint(&format!("DEGRADED({reason})"), "1;31", opts.color));
     }
@@ -139,7 +139,7 @@ pub fn render_frame(f: &Frame, opts: &RenderOptions) -> String {
     ));
     out.push('\n');
     for d in &f.domains {
-        let class = paint(&format!("{:<9}", d.class), class_code(&d.class), opts.color);
+        let class = paint(&format!("{:<9}", d.class), class_code(d.class), opts.color);
         let flags = domain_flags(d);
         let flags = if d.quarantined {
             paint(&format!("{flags:<9}"), "1;31", opts.color)
@@ -273,12 +273,12 @@ mod tests {
     use super::*;
     use dcat_obs::frames::{FrameWriter, LfocExt, MemshareExt, PolicyExt};
 
-    fn sample_frame() -> Frame {
+    fn sample_frame() -> Frame<'static> {
         Frame {
             tick: 7,
-            policy: "dcat".to_string(),
+            policy: "dcat".into(),
             degraded: true,
-            reason: Some("telemetry".to_string()),
+            reason: Some("telemetry"),
             ways_moved: 3,
             events: 2,
             ext: PolicyExt {
@@ -295,8 +295,8 @@ mod tests {
             },
             domains: vec![
                 DomainFrame {
-                    name: "tenant".to_string(),
-                    class: "Receiver".to_string(),
+                    name: "tenant".into(),
+                    class: "Receiver",
                     ways: 5,
                     cbm: Some(0x1f),
                     ipc: 1.234,
@@ -307,8 +307,8 @@ mod tests {
                     held: true,
                 },
                 DomainFrame {
-                    name: "lookbusy-0".to_string(),
-                    class: "Donor".to_string(),
+                    name: "lookbusy-0".into(),
+                    class: "Donor",
                     ways: 1,
                     cbm: None,
                     ipc: 0.5,

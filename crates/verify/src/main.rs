@@ -34,8 +34,13 @@
 //!   intervals (growth is bounded by the streaming cap and the pool, and
 //!   a denied probe must resolve rather than spin).
 //!
-//! Exit status is non-zero if any property fails or fewer configurations
-//! than the documented floor were explored.
+//! A second, fault-schedule dimension ([`run_fault_scenario`]) re-runs
+//! every pool and corner under seeded backend and telemetry faults and
+//! checks the invariants after every tick, degraded or not.
+//!
+//! Exit status is non-zero if any property fails, fewer configurations
+//! than the documented floor were explored, or the fault dimension
+//! injected fewer faults or degraded fewer ticks than its floors.
 
 use dcat::{DcatConfig, DcatController, WorkloadClass, WorkloadHandle};
 use perf_events::CounterSnapshot;
@@ -98,8 +103,11 @@ impl Rig {
         }
     }
 
-    fn tick(&mut self, specs: &[Spec]) -> Vec<CounterSnapshot> {
+    /// Advances every tenant by its interval; `None` is an idle interval
+    /// (no counter moves).
+    fn tick(&mut self, specs: &[Option<Spec>]) -> Vec<CounterSnapshot> {
         for (t, s) in self.totals.iter_mut().zip(specs) {
+            let Some(s) = s else { continue };
             let llc_ref = s.llc_ref_per_instr * INSTRUCTIONS;
             t.ret_ins += INSTRUCTIONS as u64;
             t.cycles += (INSTRUCTIONS / s.ipc).round() as u64;
@@ -316,8 +324,8 @@ fn run_scenario(s: &Scenario) -> Result<Outcome, Violation> {
                 _ => Spec::keeper(ipc),
             },
         };
-        let mut specs = vec![Spec::keeper(1.0); n];
-        specs[probe] = spec;
+        let mut specs = vec![Some(Spec::keeper(1.0)); n];
+        specs[probe] = Some(spec);
         let snaps = rig.tick(&specs);
         ctl.tick(&snaps, &mut cat).map_err(|e| Violation {
             scenario: *s,
@@ -342,8 +350,8 @@ fn run_scenario(s: &Scenario) -> Result<Outcome, Violation> {
     let spec = s.point.spec(ipc);
     let mut classes = Vec::with_capacity(hold as usize + 1);
     for _ in 0..=hold {
-        let mut specs = vec![Spec::keeper(1.0); n];
-        specs[probe] = spec;
+        let mut specs = vec![Some(Spec::keeper(1.0)); n];
+        specs[probe] = Some(spec);
         let snaps = rig.tick(&specs);
         ctl.tick(&snaps, &mut cat).map_err(|e| Violation {
             scenario: *s,
@@ -399,6 +407,15 @@ fn run_scenario(s: &Scenario) -> Result<Outcome, Violation> {
 const FAULT_TICKS: u64 = 48;
 /// Injection probability per (tick, fault-kind) draw.
 const FAULT_RATE: f64 = 0.3;
+/// Floors a full run's fault dimension must meet. A write fault needs a
+/// write to hit and the controller writes only masks that changed, so the
+/// schedules steer a tenant into moving on the faulted tick; if that
+/// steering stops working the counts collapse (to 453 / 116 without it)
+/// and the run must fail rather than report that all invariants held
+/// over next to nothing. The values are what the dimension reached when
+/// every tick still rewrote COS 0 and so every scheduled fault landed.
+const INJECTED_FLOOR: usize = 7_374;
+const DEGRADED_FLOOR: u64 = 1_860;
 
 /// Statistics from one fault-schedule exploration.
 struct FaultRun {
@@ -416,6 +433,30 @@ struct FaultViolation {
     message: String,
 }
 
+/// How the fault harness makes tenant `i` change size on this very tick,
+/// so a scheduled write fault has a write to hit.
+#[derive(Clone, Copy, PartialEq)]
+enum Nudge {
+    /// An idle interval: the tenant drops to the minimum at once.
+    Idle,
+    /// A new phase signature: the tenant is reclaimed to its reservation.
+    NewPhase,
+}
+
+/// The nudge that moves a tenant holding `ways` this tick, if one exists:
+/// anything above the minimum can be idled down to it, anything below its
+/// reservation can be reclaimed up to it, and a tenant sitting at a
+/// minimum that is also its reservation cannot be moved on demand.
+fn nudge_for(ways: u32, min_ways: u32) -> Option<Nudge> {
+    if ways > min_ways {
+        Some(Nudge::Idle)
+    } else if ways < RESERVED {
+        Some(Nudge::NewPhase)
+    } else {
+        None
+    }
+}
+
 /// Drives a controller through a seeded random fault schedule and checks
 /// the allocation invariants after **every** tick, degraded or not.
 ///
@@ -428,6 +469,13 @@ struct FaultViolation {
 /// dimension (Reclaim timing, probe termination) do not apply — a
 /// degraded tick may legitimately delay them — but the safety invariants
 /// must hold unconditionally.
+///
+/// A write fault needs a write to hit, and the controller writes only
+/// the masks that changed. On a tick that carries a backend fault the
+/// harness therefore nudges one tenant (see [`Nudge`]) so that the tick
+/// programs at least one class; where no tenant can move — the minimum
+/// equals the reservation and nothing holds extra ways — the fault has
+/// nothing to hit and injects nothing.
 fn run_fault_scenario(corner: &Corner, pool: &Pool, seed: u64) -> Result<FaultRun, FaultViolation> {
     let n = pool.tenants as usize;
     let probe = n - 1;
@@ -444,19 +492,52 @@ fn run_fault_scenario(corner: &Corner, pool: &Pool, seed: u64) -> Result<FaultRu
         .expect("scenario configs are valid");
     let mut rig = Rig::new(n);
     let mut degraded = 0u64;
+    // Which of the two phase signatures each tenant currently shows.
+    let mut shifted = vec![false; n];
 
     for tick in 1..=FAULT_TICKS {
         cat.inner_mut().set_tick(tick);
-        // Alternate the probe between growth-seeking and donation every
-        // few ticks so masks keep changing and backend faults actually
-        // land on program/assign calls.
-        let spec = if (tick / 4) % 2 == 0 {
-            Spec::keeper(1.0).with_miss_rate(0.5)
+        // Between faults the probe alternates between growth-seeking and
+        // donation every few ticks, so masks change without being told
+        // to. Where the minimum is the reservation it has nothing to
+        // donate and stays hungry. Its IPC rises with the ways it holds:
+        // a flat one is judged Streaming and pinned at the minimum, and
+        // then nothing holds extra ways for a nudge to take back.
+        let donating = (tick / 4) % 2 == 1 && corner.min_ways < RESERVED;
+        let probe_miss_rate = if donating { 0.0025 } else { 0.5 };
+        let probe_ipc = 1.0 + 0.15 * f64::from(ctl.ways_of(probe).saturating_sub(RESERVED));
+
+        let backend_fault = [Fault::CosWrite, Fault::CosWriteOnce, Fault::CoreAssign]
+            .iter()
+            .any(|&f| plan.contains(tick, f));
+        let nudged = if backend_fault {
+            // Start from a different tenant each tick.
+            (0..n)
+                .map(|k| (k + tick as usize) % n)
+                .find_map(|i| Some((i, nudge_for(ctl.ways_of(i), corner.min_ways)?)))
         } else {
-            Spec::keeper(1.0).with_miss_rate(0.0025)
+            None
         };
-        let mut specs = vec![Spec::keeper(1.0); n];
-        specs[probe] = spec;
+        if let Some((i, Nudge::NewPhase)) = nudged {
+            shifted[i] = !shifted[i];
+        }
+
+        let specs: Vec<Option<Spec>> = (0..n)
+            .map(|i| {
+                if nudged == Some((i, Nudge::Idle)) {
+                    return None;
+                }
+                let base = if i == probe {
+                    Spec::keeper(probe_ipc).with_miss_rate(probe_miss_rate)
+                } else {
+                    Spec::keeper(1.0)
+                };
+                Some(Spec {
+                    mem_access_per_instr: if shifted[i] { MAPI_SHIFTED } else { MAPI_BASE },
+                    ..base
+                })
+            })
+            .collect();
         let snaps = rig.tick(&specs);
 
         // The telemetry half of the schedule, abstracted to what the
@@ -586,7 +667,10 @@ fn main() {
     );
 
     // --- Fault-schedule dimension: seeded random fault injection. ---
-    let fault_seeds: u64 = if smoke { 2 } else { 8 };
+    // Twelve schedules per (corner, pool): in an eighth of those pairs no
+    // tenant can ever move (minimum = reservation, no free way), and eight
+    // schedules over the rest fall short of the floors.
+    let fault_seeds: u64 = if smoke { 2 } else { 12 };
     let mut fault_runs = 0usize;
     let mut fault_ticks = 0u64;
     let mut fault_degraded = 0u64;
@@ -631,6 +715,14 @@ fn main() {
         "the fault dimension must actually inject faults and degrade ticks \
          (injected {fault_injected}, degraded {fault_degraded})"
     );
+    if !smoke && (fault_injected < INJECTED_FLOOR || fault_degraded < DEGRADED_FLOOR) {
+        eprintln!(
+            "fault dimension injected {fault_injected} faults over {fault_degraded} degraded \
+             ticks, below the documented floor of {INJECTED_FLOOR} / {DEGRADED_FLOOR}: the \
+             scheduled write faults are landing on ticks that write nothing"
+        );
+        std::process::exit(1);
+    }
 
     if !violations.is_empty() {
         eprintln!("{} property violations:", violations.len());
