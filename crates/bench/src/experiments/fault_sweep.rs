@@ -11,7 +11,7 @@
 use std::path::Path;
 use std::time::Duration;
 
-use dcat::daemon::{run_daemon_with, DaemonConfig, ResiliencePolicy};
+use dcat::daemon::{run_daemon_observed, DaemonConfig, ResiliencePolicy};
 use dcat::{DcatConfig, Event, WorkloadHandle};
 use perf_events::CounterSnapshot;
 use resctrl::fault::FaultPlan;
@@ -113,7 +113,7 @@ pub fn run_one(rate: f64, seed: u64, ticks: u64, index: usize) -> SweepRun {
     let mut degraded = 0u64;
     let mut events = 0usize;
     let mut violations = 0usize;
-    let result = run_daemon_with(&cfg, |obs| {
+    let result = run_daemon_observed(&cfg, |obs| {
         if obs.degraded {
             degraded += 1;
         }
@@ -135,7 +135,9 @@ pub fn run_one(rate: f64, seed: u64, ticks: u64, index: usize) -> SweepRun {
         degraded,
         events,
         violations,
-        final_ways: result.ok().map(|r| r.iter().map(|d| d.ways).collect()),
+        final_ways: result
+            .ok()
+            .map(|o| o.reports.iter().map(|d| d.ways).collect()),
     }
 }
 

@@ -15,6 +15,10 @@
 //!   `run(fast)` entry point (binaries call `run(false)`; integration
 //!   tests call scaled-down variants).
 
+// Library code does not print; bins, tests and benches are other targets and
+// own their stdio (DESIGN.md §12).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod experiments;
 pub mod fleet;
 pub mod perf;

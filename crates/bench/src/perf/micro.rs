@@ -602,8 +602,8 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
             resctrl::CatCapabilities::with_ways(20),
             4,
         ));
-        let mut step = trading_places(controller, cat);
-        suite.case("apply_two_pass_inmem", iters, move || step());
+        let step = trading_places(controller, cat);
+        suite.case("apply_two_pass_inmem", iters, step);
     }
     {
         let tree = TempTree::new("apply");
@@ -645,7 +645,7 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
     }
 
     // --- full-workspace lint gate ---
-    // ci.sh budgets 10 s of wall clock for `cargo xtask lint`; tracking
+    // ci.sh budgets 10 s of wall clock for the `dcat-lint` run; tracking
     // the full pipeline (read + lex + parse + call graph + passes) here
     // turns that one-off timer into a regression-gated trajectory with
     // a hard headroom floor (`lint_budget_headroom` below).

@@ -332,10 +332,11 @@ impl DcatController {
         cat: &mut dyn CacheController,
     ) -> Result<Vec<DomainReport>, ResctrlError> {
         let valid = vec![true; snapshots.len()];
-        self.tick_validated(snapshots, &valid, cat)
+        self.tick_observed(snapshots, &valid, cat, &mut Tracer::disabled())
     }
 
-    /// [`Self::tick`] with a per-domain validity verdict.
+    /// [`Self::tick`] with a per-domain validity verdict and
+    /// pipeline-stage tracing.
     ///
     /// `valid[i] == false` means domain `i`'s interval cannot be trusted
     /// (its telemetry was missing, stale, or a counter reset): the domain
@@ -344,16 +345,6 @@ impl DcatController {
     /// idle. Its totals are still resynced to `snapshots[i]` so the next
     /// valid interval subtracts from fresh ground. The daemon uses this
     /// to skip degraded domains without losing the healthy ones.
-    pub fn tick_validated(
-        &mut self,
-        snapshots: &[CounterSnapshot],
-        valid: &[bool],
-        cat: &mut dyn CacheController,
-    ) -> Result<Vec<DomainReport>, ResctrlError> {
-        self.tick_observed(snapshots, valid, cat, &mut Tracer::disabled())
-    }
-
-    /// [`Self::tick_validated`] with pipeline-stage tracing.
     ///
     /// Each of the paper's five steps runs as its own span over all domains —
     /// collect → phase-detect → baseline → categorize → allocate → apply —
@@ -374,7 +365,6 @@ impl DcatController {
         // judged or programmed yet) like any other unreadable one.
         let n = self.domains.len();
         if snapshots.len() != n || valid.len() != n {
-            // lint: allow(DL016, the refusal path only; a well-formed tick never builds the message)
             return Err(ResctrlError::Parse(format!(
                 "tick needs one snapshot and one verdict per domain: \
                  {n} domains, {} snapshots, {} verdicts",
@@ -1581,7 +1571,7 @@ mod tests {
         let short = ctl.tick(&two[..1], &mut cat).unwrap_err();
         assert!(short.is_transient(), "wrong snapshot count: {short}");
         let verdicts = ctl
-            .tick_validated(&two, &[true, true, true], &mut cat)
+            .tick_observed(&two, &[true, true, true], &mut cat, &mut Tracer::disabled())
             .unwrap_err();
         assert!(verdicts.is_transient(), "wrong verdict count: {verdicts}");
         // Nothing was judged or programmed, and the next well-formed

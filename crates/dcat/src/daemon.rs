@@ -33,7 +33,26 @@
 //! it produces a good sample again. Only *fatal* errors — controller
 //! logic bugs, see [`resctrl::ErrorSeverity`] — abort the loop.
 //!
-//! The `dcatd` binary wraps [`run_daemon`] with command-line parsing.
+//! The `dcatd` binary wraps [`run_daemon_observed`] with command-line parsing.
+
+// Privileged I/O: a tick degrades, it never dies, and no I/O `Result` or
+// error severity is dropped on the floor (DESIGN.md §12).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+// `clippy.toml` has no in-tests switch for these; the unit tests own their
+// cleanup and casts. `as_conversions`: counter math never truncates silently.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::let_underscore_must_use,
+        clippy::wildcard_enum_match_arm,
+        clippy::as_conversions
+    )
+)]
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -179,6 +198,10 @@ pub fn frame_from_observation<'a>(
 ) -> dcat_obs::Frame<'a> {
     // The degraded-tick event names the failure surface; default to
     // telemetry if an embedder built a degraded observation without one.
+    #[allow(
+        clippy::wildcard_enum_match_arm,
+        reason = "an event-kind filter, not a severity match: every other event is skipped on purpose"
+    )]
     let reason = obs.degraded.then(|| {
         obs.events
             .iter()
@@ -345,11 +368,6 @@ pub fn parse_domains(spec: &str) -> Result<Vec<WorkloadHandle>, String> {
     }
     validate_domain_set(&handles)?;
     Ok(handles)
-}
-
-/// Runs the daemon loop; returns the reports of the final tick.
-pub fn run_daemon(cfg: &DaemonConfig) -> Result<Vec<DomainReport>, ResctrlError> {
-    run_daemon_with(cfg, |_| {})
 }
 
 fn telemetry_retry_event(e: RetryEvent) -> Event {
@@ -545,7 +563,9 @@ fn resolved(
     id
 }
 
-/// [`run_daemon`] with a per-tick observer.
+/// Runs the daemon loop, calling `observe` after every tick; returns the
+/// [`DaemonOutcome`] — final reports plus the run's metrics snapshot and
+/// exit flight-recorder dump.
 ///
 /// `observe` is called once per tick (ticks count from 1), before the
 /// inter-tick sleep, with that tick's [`TickObservation`] — reports,
@@ -554,15 +574,6 @@ fn resolved(
 /// playing the role of the external sampler without a second thread —
 /// and to record the class/ways trajectory; a monitoring wrapper exports
 /// events from it (`dcatd` prints them to stderr).
-pub fn run_daemon_with(
-    cfg: &DaemonConfig,
-    observe: impl FnMut(&TickObservation),
-) -> Result<Vec<DomainReport>, ResctrlError> {
-    run_daemon_observed(cfg, observe).map(|outcome| outcome.reports)
-}
-
-/// [`run_daemon_with`] returning the full [`DaemonOutcome`] — final
-/// reports plus the run's metrics snapshot and exit flight-recorder dump.
 pub fn run_daemon_observed(
     cfg: &DaemonConfig,
     mut observe: impl FnMut(&TickObservation),
@@ -918,7 +929,7 @@ mod tests {
                 WorkloadHandle::new("a", vec![1], 1),
             ],
         );
-        let err = run_daemon(&cfg).unwrap_err();
+        let err = run_daemon_observed(&cfg, |_| {}).unwrap_err();
         assert!(err.to_string().contains("duplicate domain name"), "{err}");
     }
 
@@ -945,7 +956,7 @@ mod tests {
                 WorkloadHandle::new("idle", vec![2, 3], 4),
             ],
         );
-        let reports = run_daemon(&cfg).unwrap();
+        let reports = run_daemon_observed(&cfg, |_| {}).unwrap().reports;
         assert_eq!(reports.len(), 2);
         // The idle domain was recognized and defunded.
         assert_eq!(reports[1].ways, 1);
@@ -961,7 +972,7 @@ mod tests {
             PathBuf::from("/nonexistent/resctrl"),
             vec![WorkloadHandle::new("x", vec![0], 1)],
         );
-        assert!(run_daemon(&cfg).is_err());
+        assert!(run_daemon_observed(&cfg, |_| {}).is_err());
     }
 
     #[test]
@@ -990,7 +1001,7 @@ mod tests {
         cfg.max_ticks = Some(7);
         let mut silent_ticks = Vec::new();
         let mut quarantine_ticks = Vec::new();
-        run_daemon_with(&cfg, |obs| {
+        run_daemon_observed(&cfg, |obs| {
             for e in obs.events {
                 match e {
                     Event::DomainSilent { domain } if domain == "ghost" => {

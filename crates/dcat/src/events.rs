@@ -4,7 +4,7 @@
 //! reports, or die. Everything in between — a retried read, a held
 //! allocation, a quarantined domain — was invisible. [`Event`] makes
 //! that middle ground explicit: every tick of
-//! [`crate::daemon::run_daemon_with`] carries the events it generated
+//! [`crate::daemon::run_daemon_observed`] carries the events it generated
 //! through the observer hook, each rendering as one stable
 //! `key=value`-style log line for operators and as a typed value for
 //! tests, which assert the log records every injected fault.

@@ -46,6 +46,10 @@
 //! assert_eq!(reports.len(), 2);
 //! ```
 
+// Library code does not print; bins, tests and benches are other targets and
+// own their stdio (DESIGN.md §12).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod baselines;
 pub mod config;
 pub mod controller;

@@ -12,6 +12,9 @@
 //! * it documents whether growth ever helped, feeding the
 //!   Unknown → Receiver/Streaming determination.
 
+// Counter math: no silent truncation or sign change (DESIGN.md §12).
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 /// Widens a way count for indexing. `u32 -> usize` cannot truncate on any
 /// supported target; routing through `try_from` keeps the conversion
 /// explicit and the cast-safety lint clean. The fallback is unreachable

@@ -8,6 +8,9 @@
 //! prototype) declares a new phase, invalidating the baseline IPC and the
 //! current performance table.
 
+// Counter math: no silent truncation or sign change (DESIGN.md §12).
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 /// Outcome of feeding one interval's signature to the detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PhaseChange {
@@ -90,9 +93,12 @@ impl PhaseDetector {
     /// Quantizes a signature for keying stored per-phase performance
     /// tables: signatures in the same bucket are "the same phase seen
     /// again" (paper Figure 12).
+    #[allow(
+        clippy::as_conversions,
+        reason = "f64-to-u64 `as` saturates and maps NaN to 0; any stable bucket id works for keying"
+    )]
     pub fn bucket(signature: f64, quantum: f64) -> u64 {
         assert!(quantum > 0.0, "bucket quantum must be positive");
-        // lint: allow(DL008, f64-to-u64 `as` saturates and maps NaN to 0; any stable bucket id works for keying)
         (signature / quantum).round() as u64
     }
 }

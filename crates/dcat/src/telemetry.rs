@@ -13,6 +13,21 @@
 //! samples, and narrowed counters that wrap. Production runs use an
 //! empty plan, which injects nothing.
 
+// Privileged I/O: a tick degrades, it never dies, and no I/O `Result` or
+// error severity is dropped on the floor (DESIGN.md §12).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+// `clippy.toml` has no in-tests switch for these two; the unit tests own their
+// cleanup.
+#![cfg_attr(
+    not(test),
+    deny(clippy::let_underscore_must_use, clippy::wildcard_enum_match_arm)
+)]
+
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -338,7 +353,10 @@ impl<S: TelemetryFeed> TelemetryFeed for FaultyTelemetry<S> {
             while cut > 0 && !text.is_char_boundary(cut) {
                 cut -= 1;
             }
-            // lint: allow(DL009, cut is walked back to a char boundary above; a slice at a boundary <= len cannot panic)
+            #[allow(
+                clippy::string_slice,
+                reason = "cut is walked back to a char boundary above; a slice at a boundary <= len cannot panic"
+            )]
             return Ok(text[..cut].to_string());
         }
         if self.serves_stale {

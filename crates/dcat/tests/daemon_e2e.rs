@@ -1,4 +1,4 @@
-//! End-to-end daemon test: [`dcat::daemon::run_daemon_with`] against a
+//! End-to-end daemon test: [`dcat::daemon::run_daemon_observed`] against a
 //! fixture resctrl tree, with the telemetry CSV rewritten between ticks
 //! from the observer hook — the test plays the external sampler's role
 //! without a second thread.
@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dcat::daemon::{run_daemon_with, DaemonConfig};
+use dcat::daemon::{run_daemon_observed, DaemonConfig};
 use dcat::{DcatConfig, WorkloadClass, WorkloadHandle};
 use perf_events::CounterSnapshot;
 use resctrl::{CatCapabilities, FsBackend};
@@ -115,7 +115,7 @@ fn daemon_promotes_a_receiver_and_reclaims_on_phase_change() {
 
     // (tick, grower class, grower ways, grower phase_changed, quiet ways).
     let mut history: Vec<(u64, WorkloadClass, u32, bool, u32)> = Vec::new();
-    let reports = run_daemon_with(&cfg, |obs| {
+    let reports = run_daemon_observed(&cfg, |obs| {
         assert_eq!(obs.reports.len(), 2);
         assert!(!obs.degraded, "fault-free run must never degrade");
         history.push((
@@ -131,7 +131,8 @@ fn daemon_promotes_a_receiver_and_reclaims_on_phase_change() {
         quiet_total = quiet_total.merged_with(&quiet_delta());
         write_telemetry(&telemetry, &grower_total, &quiet_total);
     })
-    .unwrap();
+    .unwrap()
+    .reports;
 
     assert_eq!(history.len() as u64, MAX_TICKS, "one observation per tick");
 

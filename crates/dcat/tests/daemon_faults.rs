@@ -9,7 +9,7 @@
 use std::path::Path;
 use std::time::Duration;
 
-use dcat::daemon::{run_daemon_with, DaemonConfig, ResiliencePolicy};
+use dcat::daemon::{run_daemon_observed, DaemonConfig, ResiliencePolicy};
 use dcat::{DcatConfig, Event, WorkloadClass, WorkloadHandle};
 use perf_events::CounterSnapshot;
 use resctrl::fault::{Fault, FaultPlan};
@@ -129,7 +129,7 @@ fn run_scenario(
     };
 
     let mut history: Vec<TickRecord> = Vec::new();
-    let reports = run_daemon_with(&cfg, |obs| {
+    let reports = run_daemon_observed(&cfg, |obs| {
         history.push(TickRecord {
             tick: obs.tick,
             degraded: obs.degraded,
@@ -142,7 +142,8 @@ fn run_scenario(
         quiet_total = quiet_total.merged_with(&quiet_delta());
         write_telemetry(&telemetry, &grower_total, &quiet_total);
     })
-    .unwrap();
+    .unwrap()
+    .reports;
 
     let finals = reports
         .iter()

@@ -2,10 +2,11 @@
 //! linted (ROADMAP items 1 and 3).
 //!
 //! This file is its own test binary with exactly one `#[test]` because it
-//! installs a counting `#[global_allocator]` — the workspace's only
-//! `unsafe impl`, confined to this file: the `GlobalAlloc` trait is
-//! `unsafe` to implement, and the implementation below only forwards to
-//! [`System`] after bumping a counter.
+//! installs a counting `#[global_allocator]` — one of the workspace's two
+//! `unsafe impl`s (`crates/host/tests/epoch_allocations.rs` counts an
+//! engine epoch the same way): the `GlobalAlloc` trait is `unsafe` to
+//! implement, and the implementation below only forwards to [`System`]
+//! after bumping a counter.
 //!
 //! `run_daemon_observed` ticks over an `FsBackend::create_fixture` tree
 //! with 12 domains whose counters advance by a constant delta, so after a

@@ -32,6 +32,10 @@
 //! assert_eq!(stats[0].ways, 20); // unmanaged: full mask
 //! ```
 
+// Library code does not print; bins, tests and benches are other targets and
+// own their stdio (DESIGN.md §12).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod engine;
 pub mod multi;
 pub mod pool;

@@ -20,7 +20,8 @@
 //!
 //! Threads are scoped ([`std::thread::scope`]), so borrowed task closures
 //! work and no thread outlives the call. This is the only module in the
-//! workspace allowed to create threads — an `xtask` lint enforces it.
+//! workspace allowed to create threads — `clippy::disallowed_methods` (root
+//! `clippy.toml`) enforces it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -54,6 +55,56 @@ impl Pool {
     /// runs inline on the calling thread; otherwise `min(jobs, len)`
     /// scoped workers claim items from a shared cursor. The calling thread
     /// works too, so a pool of N uses N threads total, not N + 1.
+    ///
+    /// # The bound is the pool discipline
+    ///
+    /// `F: Fn(usize, I) -> T + Sync` is what makes "tasks never share
+    /// mutable state" a compile error rather than a convention: an `Fn`
+    /// closure cannot write to what it captures, and a `Sync` one cannot
+    /// capture a single-threaded cell. A task returns its result; the
+    /// coordinator merges:
+    ///
+    /// ```
+    /// use host::pool::Pool;
+    /// let parts = Pool::new(2).map(vec![1u64, 2, 3], |_i, x| x * x);
+    /// assert_eq!(parts.iter().sum::<u64>(), 14);
+    /// ```
+    ///
+    /// A write to a capture is rejected, directly or laundered through a
+    /// `&mut` binding (E0594 both), and so is a captured `RefCell` or
+    /// `Cell` (E0277, not `Sync`):
+    ///
+    /// ```compile_fail,E0594
+    /// use host::pool::Pool;
+    /// let mut total = 0u64;
+    /// Pool::new(2).map(vec![1u64, 2, 3], |_i, x| total += x);
+    /// ```
+    ///
+    /// ```compile_fail,E0594
+    /// use host::pool::Pool;
+    /// let mut totals = 0u64;
+    /// let sink = &mut totals;
+    /// Pool::new(2).map(vec![1u64, 2, 3], |_i, x| *sink += x);
+    /// ```
+    ///
+    /// ```compile_fail,E0277
+    /// use host::pool::Pool;
+    /// let seen = std::cell::RefCell::new(Vec::new());
+    /// Pool::new(2).map(vec![1u64, 2, 3], |_i, x| seen.borrow_mut().push(x));
+    /// ```
+    ///
+    /// ```compile_fail,E0277
+    /// use host::pool::Pool;
+    /// let count = std::cell::Cell::new(0u64);
+    /// Pool::new(2).map(vec![1u64, 2, 3], |_i, x| count.set(count.get() + x));
+    /// ```
+    ///
+    /// What the bound cannot see — a capture that *is* `Sync` (a `Mutex`,
+    /// an atomic) or output a worker sends somewhere other than its
+    /// return value — would make results depend on scheduling, and that
+    /// is the property the `--jobs 1` vs `--jobs N` byte-identity checks
+    /// enforce (`ci.sh`: `all_experiments`, `fleet_scale`;
+    /// `crates/bench/tests/determinism.rs`).
     pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
     where
         I: Send,
@@ -96,6 +147,10 @@ impl Pool {
         };
 
         let mut indexed: Vec<(usize, T)> = Vec::with_capacity(n);
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the owner: the one place the workspace creates threads"
+        )]
         std::thread::scope(|scope| {
             let handles: Vec<_> = (1..workers).map(|_| scope.spawn(run_worker)).collect();
             indexed.extend(run_worker());

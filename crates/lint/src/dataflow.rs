@@ -1,178 +1,49 @@
-//! Intraprocedural def-use dataflow over function-body token streams.
+//! Intraprocedural value flow over function-body token streams — the
+//! part DL014's suffix-free unit propagation reads.
 //!
-//! The v2 layers (`tokens.rs` → `parse.rs` → `model.rs`) stop at the
-//! function boundary: the workspace model knows a body's *calls* and a
-//! flat name→type map of its locals, but nothing about how values move
-//! **inside** the body. That gap is why the v2 passes lean on identifier
-//! names — and why laundering a value through one extra binding
-//! (`let shared = &mut totals;`) makes it invisible to them.
+//! The workspace model (`tokens.rs` → `parse.rs` → `model.rs`) stops at
+//! the function boundary: it knows a body's *calls* and a flat name→type
+//! map of its locals, but not how values move **inside** the body.
+//! [`FnFlow::analyze`] adds that with one linear walk of the body tokens:
 //!
-//! [`FnFlow::analyze`] closes the gap with a single linear walk of the
-//! body tokens that produces def-use chains:
+//! * every binding (`fn` param, `let` / `let`-else / `if let` pattern,
+//!   `for` pattern) becomes a [`Def`], scoped by the real brace structure,
+//!   so shadowing creates a *new* def instead of mutating the old one;
+//! * a def records what its initializer *read* — the defs it copies or
+//!   borrows from ([`Def::init_reads`]) and whether it called anything
+//!   ([`Def::init_calls`]);
+//! * a later assignment to the binding or a `&mut` borrow of it sets
+//!   [`Def::written`].
 //!
-//! * every binding (`fn` param, `let` / `let`-else pattern, `for`
-//!   pattern, closure param) becomes a [`Def`], scoped by the real brace
-//!   structure, so shadowing creates a *new* def instead of mutating the
-//!   old one;
-//! * every later mention of a visible binding becomes a [`Use`] on its
-//!   def — classified as a read, a write (assignment targets and `&mut`
-//!   borrows), a mutating method call (`.push(…)`, `.lock(…)`, …), or an
-//!   explicit `let _ =` discard;
-//! * a def records what its initializer *read*: the defs it copies or
-//!   borrows from ([`Def::init_reads`]), the calls it captures a result
-//!   from ([`Def::init_calls`]), and whether a `&mut` borrow was taken
-//!   ([`Def::init_mut_borrow`]) — the ingredients of value propagation;
-//! * closure literals become [`Closure`] records; a use inside a closure
-//!   of a def declared outside it is a **capture**, queryable with
-//!   [`FnFlow::captures`].
-//!
-//! Like the item parser, this is a loss-tolerant recognizer, not a full
-//! expression grammar: match-arm pattern bindings are not tracked (a use
-//! of an arm binding that shadows an outer def is attributed to the
-//! outer def), and field types are unknown. The passes that consume the
-//! flow (`passes/flow.rs`, plus the DL012/DL014 retrofits) are written
-//! so both limitations can only cost precision on exotic shapes, never
+//! Like the item parser, this is a loss-tolerant recognizer, not an
+//! expression grammar: match-arm and closure-parameter bindings are not
+//! tracked (a mention of one that shadows an outer def is attributed to
+//! the outer def). That can only cost precision on exotic shapes, never
 //! silence a self-test-pinned finding.
 
-use crate::parse::join_tokens;
 use crate::tokens::{Tok, TokKind};
 use std::collections::BTreeMap;
 
-/// Where a binding came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DefKind {
-    /// Function parameter.
-    Param,
-    /// `let` / `let`-else / `if let` / `while let` binding.
-    Let,
-    /// `for` loop pattern binding.
-    LoopPat,
-    /// Closure parameter (owned by [`Def::closure`]).
-    ClosureParam,
-}
-
-/// How a binding is mentioned.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum UseKind {
-    /// Plain read.
-    Read,
-    /// Assignment target (`x = …`, `x += …`, `x.field = …`) or `&mut x`.
-    Write,
-    /// Receiver of a mutating method call; carries the method name.
-    MutMethod(String),
-    /// Explicitly thrown away with `let _ = x;`.
-    Discard,
-}
-
-/// One mention of a binding.
-#[derive(Debug, Clone)]
-pub struct Use {
-    /// 1-based source line.
-    pub line: usize,
-    /// Token index of the mention.
-    pub tok: usize,
-    /// Classification.
-    pub kind: UseKind,
-    /// Innermost closure containing the mention, if any.
-    pub closure: Option<usize>,
-}
-
-/// One binding and everything known about it.
+/// One binding and what is known about its value.
 #[derive(Debug, Clone)]
 pub struct Def {
     /// Binding name.
     pub name: String,
-    /// 1-based line of the binding.
-    pub line: usize,
-    /// Token index of the binding ident.
-    pub tok: usize,
-    /// Binding origin.
-    pub kind: DefKind,
-    /// `let mut` / `mut` pattern binding.
-    pub mutable: bool,
-    /// Declared type text, when the binding carried an annotation.
-    pub ty: Option<String>,
-    /// Call names appearing in the initializer (`Vec::new`, `tick`, …).
-    pub init_calls: Vec<String>,
+    /// The initializer called something (`Vec::new`, `scale(..)`, a
+    /// method) — a call may convert, so the value's origin is unknown.
+    pub init_calls: bool,
     /// Defs the initializer read (value flows from them into this def).
     pub init_reads: Vec<usize>,
-    /// The initializer took a `&mut` borrow.
-    pub init_mut_borrow: bool,
-    /// Innermost closure the def was declared in, if any.
-    pub closure: Option<usize>,
-    /// Every later mention, in token order.
-    pub uses: Vec<Use>,
-}
-
-impl Def {
-    /// All mentions inside closure `c`.
-    pub fn uses_in_closure(&self, c: usize) -> impl Iterator<Item = &Use> {
-        self.uses.iter().filter(move |u| u.closure == Some(c))
-    }
-}
-
-/// One closure literal.
-#[derive(Debug, Clone)]
-pub struct Closure {
-    /// Token index of the opening `|` (or `||`).
-    pub tok: usize,
-    /// 1-based line of the header.
-    pub line: usize,
-    /// Body token range, inclusive.
-    pub body: (usize, usize),
-    /// Parameter names.
-    pub params: Vec<String>,
-    /// Innermost enclosing closure, if nested.
-    pub parent: Option<usize>,
-}
-
-/// A captured binding: a def declared outside a closure, used inside it.
-#[derive(Debug, Clone)]
-pub struct Capture {
-    /// Index into [`FnFlow::defs`].
-    pub def: usize,
-    /// The closure writes to or mutably borrows the capture.
+    /// Assigned (`x = …`, `x += …`, `x.field = …`) or borrowed `&mut`
+    /// after it was bound.
     pub written: bool,
 }
 
-/// Def-use chains for one function body.
+/// The bindings of one function body, in declaration order.
 #[derive(Debug, Default)]
 pub struct FnFlow {
-    /// Every binding, in declaration order.
     pub defs: Vec<Def>,
-    /// Every closure literal, in source order.
-    pub closures: Vec<Closure>,
 }
-
-/// Method names treated as mutating their receiver.
-const MUT_METHODS: [&str; 26] = [
-    "push",
-    "push_str",
-    "push_back",
-    "push_front",
-    "pop",
-    "insert",
-    "remove",
-    "extend",
-    "extend_from_slice",
-    "append",
-    "clear",
-    "truncate",
-    "resize",
-    "retain",
-    "drain",
-    "take",
-    "replace",
-    "set",
-    "store",
-    "fetch_add",
-    "fetch_sub",
-    "lock",
-    "borrow_mut",
-    "get_mut",
-    "iter_mut",
-    "record",
-]; // `sort*` receivers are reordered, not grown; the flow passes don't care.
 
 /// Compound and plain assignment operators (as single tokens).
 fn is_assign_op(t: &Tok) -> bool {
@@ -194,36 +65,19 @@ fn is_rust_kw(t: &Tok) -> bool {
     .any(|k| t.is_kw(k))
 }
 
-/// Tokens that may directly precede a closure's opening pipe.
-fn closure_can_follow(prev: Option<&Tok>) -> bool {
-    match prev {
-        None => true,
-        Some(t) if t.is_kw("move") || t.is_kw("return") || t.is_kw("else") => true,
-        Some(t) if t.kind == TokKind::Punct => matches!(
-            t.text.as_str(),
-            "(" | "," | "=" | "{" | "[" | "=>" | "&&" | "||" | ";" | ":" | "+="
-        ),
-        _ => false,
-    }
-}
-
+/// Defs whose initializer is still being walked; they become visible at
+/// token `bind_at` (the statement's `;`, or the block's `{`).
 struct Pending {
     def_ids: Vec<usize>,
     bind_at: usize,
-    has_init: bool,
-}
-
-enum Frame {
-    Brace,
-    Expr { end: usize },
 }
 
 struct Walker<'a> {
     toks: &'a [Tok],
     flow: FnFlow,
     visible: BTreeMap<String, Vec<usize>>,
-    scopes: Vec<(Frame, Vec<String>)>,
-    closure_stack: Vec<(usize, usize)>,
+    /// One entry per open brace: the names bound inside it.
+    scopes: Vec<Vec<String>>,
     pendings: Vec<Pending>,
 }
 
@@ -236,110 +90,34 @@ impl FnFlow {
             toks,
             flow: FnFlow::default(),
             visible: BTreeMap::new(),
-            scopes: vec![(Frame::Brace, Vec::new())],
-            closure_stack: Vec::new(),
+            scopes: vec![Vec::new()],
             pendings: Vec::new(),
         };
-        let line0 = toks.get(body.0).map_or(1, |t| t.line);
-        for (name, ty) in params {
-            let id = w.flow.defs.len();
-            w.flow.defs.push(Def {
-                name: name.clone(),
-                line: line0,
-                tok: body.0,
-                kind: DefKind::Param,
-                mutable: ty.contains("&mut") || ty.contains("& mut"),
-                ty: Some(ty.clone()),
-                init_calls: Vec::new(),
-                init_reads: Vec::new(),
-                init_mut_borrow: false,
-                closure: None,
-                uses: Vec::new(),
-            });
-            w.bind(name, id);
+        for (name, _) in params {
+            let id = w.new_def(name.clone());
+            w.bind(id);
         }
         w.walk(body);
         w.flow
     }
-
-    /// The bindings closure `c` captures from enclosing scopes, with a
-    /// `written` flag when the closure assigns to, mutably borrows, or
-    /// calls a mutating method on the capture.
-    pub fn captures(&self, c: usize) -> Vec<Capture> {
-        let mut out = Vec::new();
-        for (d, def) in self.defs.iter().enumerate() {
-            if self.owned_by(def, c) {
-                continue;
-            }
-            let mut seen = false;
-            let mut written = false;
-            for u in &def.uses {
-                let mut inner = u.closure;
-                while let Some(ci) = inner {
-                    if ci == c {
-                        seen = true;
-                        written |= matches!(u.kind, UseKind::Write | UseKind::MutMethod(_));
-                        break;
-                    }
-                    inner = self.closures[ci].parent;
-                }
-            }
-            if seen {
-                out.push(Capture { def: d, written });
-            }
-        }
-        out
-    }
-
-    /// Is `def` declared inside closure `c` (directly or transitively)?
-    fn owned_by(&self, def: &Def, c: usize) -> bool {
-        let mut cur = def.closure;
-        while let Some(ci) = cur {
-            if ci == c {
-                return true;
-            }
-            cur = self.closures[ci].parent;
-        }
-        false
-    }
-
-    /// Def indices whose value (transitively, via `init_reads`) flows
-    /// from any def satisfying `source` — including the sources. The
-    /// closure receives the candidate def.
-    pub fn flows_from(&self, source: impl Fn(&Def) -> bool) -> Vec<bool> {
-        let mut tainted: Vec<bool> = self.defs.iter().map(&source).collect();
-        // init_reads always reference earlier defs, so one forward pass
-        // per possible chain length converges; chains are short.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for d in 0..self.defs.len() {
-                if tainted[d] {
-                    continue;
-                }
-                if self.defs[d].init_reads.iter().any(|&s| tainted[s]) {
-                    tainted[d] = true;
-                    changed = true;
-                }
-            }
-        }
-        tainted
-    }
 }
 
 impl Walker<'_> {
-    fn bind(&mut self, name: &str, id: usize) {
-        self.visible.entry(name.to_string()).or_default().push(id);
-        if let Some((_, bound)) = self.scopes.last_mut() {
-            bound.push(name.to_string());
-        }
+    fn new_def(&mut self, name: String) -> usize {
+        self.flow.defs.push(Def {
+            name,
+            init_calls: false,
+            init_reads: Vec::new(),
+            written: false,
+        });
+        self.flow.defs.len() - 1
     }
 
-    fn unbind_scope(&mut self, bound: Vec<String>) {
-        for name in bound {
-            if let Some(stack) = self.visible.get_mut(&name) {
-                stack.pop();
-            }
+    fn bind(&mut self, id: usize) {
+        let name = self.flow.defs[id].name.clone();
+        self.visible.entry(name.clone()).or_default().push(id);
+        if let Some(bound) = self.scopes.last_mut() {
+            bound.push(name);
         }
     }
 
@@ -347,47 +125,30 @@ impl Walker<'_> {
         self.visible.get(name).and_then(|s| s.last().copied())
     }
 
-    fn innermost_closure(&self) -> Option<usize> {
-        self.closure_stack.last().map(|&(c, _)| c)
-    }
-
-    /// The innermost pending initializer covering token `i`.
-    fn active_pending(&mut self, i: usize) -> Option<&mut Pending> {
+    /// The defs of the innermost pending initializer covering token `i`.
+    fn active_pending(&self, i: usize) -> Vec<usize> {
         self.pendings
-            .iter_mut()
-            .filter(|p| p.has_init && p.bind_at > i)
+            .iter()
+            .filter(|p| p.bind_at > i)
             .min_by_key(|p| p.bind_at)
+            .map(|p| p.def_ids.clone())
+            .unwrap_or_default()
     }
 
-    fn record_use(&mut self, def: usize, i: usize, kind: UseKind) {
-        let closure = self.innermost_closure();
-        let line = self.toks[i].line;
-        self.flow.defs[def].uses.push(Use {
-            line,
-            tok: i,
-            kind,
-            closure,
-        });
-        // Any mention inside an active initializer feeds the pending
-        // def's value flow (reads copy, `&mut` borrows alias).
-        if let Some(p) = self.active_pending(i) {
-            let targets = p.def_ids.clone();
-            for t in targets {
-                if t != def && !self.flow.defs[t].init_reads.contains(&def) {
-                    self.flow.defs[t].init_reads.push(def);
-                }
+    /// A mention of `def` at token `i`: inside an active initializer it
+    /// feeds the pending defs' value flow (reads copy, borrows alias).
+    fn record_use(&mut self, def: usize, i: usize, write: bool) {
+        self.flow.defs[def].written |= write;
+        for t in self.active_pending(i) {
+            if t != def && !self.flow.defs[t].init_reads.contains(&def) {
+                self.flow.defs[t].init_reads.push(def);
             }
         }
     }
 
-    fn record_call(&mut self, name: String, i: usize) {
-        if let Some(p) = self.active_pending(i) {
-            let targets = p.def_ids.clone();
-            for t in targets {
-                if !self.flow.defs[t].init_calls.contains(&name) {
-                    self.flow.defs[t].init_calls.push(name.clone());
-                }
-            }
+    fn record_call(&mut self, i: usize) {
+        for t in self.active_pending(i) {
+            self.flow.defs[t].init_calls = true;
         }
     }
 
@@ -440,72 +201,41 @@ impl Walker<'_> {
         let (start, end) = body;
         let mut i = start;
         while i <= end && i < self.toks.len() {
-            // Close expression scopes and closures the walk has passed.
-            while matches!(self.scopes.last(), Some((Frame::Expr { end: e }, _)) if *e < i) {
-                if let Some((_, bound)) = self.scopes.pop() {
-                    self.unbind_scope(bound);
-                }
-            }
-            while matches!(self.closure_stack.last(), Some(&(_, e)) if e < i) {
-                self.closure_stack.pop();
-            }
-
             let t = &self.toks[i];
             if t.is("{") {
-                self.scopes.push((Frame::Brace, Vec::new()));
+                self.scopes.push(Vec::new());
                 self.bind_pendings_at(i);
                 i += 1;
-                continue;
-            }
-            if t.is("}") {
-                while let Some((frame, bound)) = self.scopes.pop() {
-                    self.unbind_scope(bound);
-                    if matches!(frame, Frame::Brace) {
-                        break;
+            } else if t.is("}") {
+                for name in self.scopes.pop().unwrap_or_default() {
+                    if let Some(stack) = self.visible.get_mut(&name) {
+                        stack.pop();
                     }
                 }
                 if self.scopes.is_empty() {
-                    self.scopes.push((Frame::Brace, Vec::new()));
+                    self.scopes.push(Vec::new());
                 }
                 i += 1;
-                continue;
-            }
-            if t.is_kw("let") {
+            } else if t.is_kw("let") {
                 i = self.handle_let(i, end);
-                continue;
-            }
-            if t.is_kw("for") {
+            } else if t.is_kw("for") {
                 i = self.handle_for(i, end);
-                continue;
-            }
-            if (t.is("|") || t.is("||"))
-                && closure_can_follow(i.checked_sub(1).map(|p| &self.toks[p]))
-            {
-                i = self.handle_closure(i, end);
-                continue;
-            }
-            if t.kind == TokKind::Ident && !is_rust_kw(t) && !t.raw_ident {
+            } else if t.kind == TokKind::Ident && !is_rust_kw(t) && !t.raw_ident {
                 i = self.handle_ident(i, end);
-                continue;
-            }
-            if t.is("&") && i + 1 <= end && self.toks[i + 1].is_kw("mut") {
-                if let Some(p) = self.active_pending(i) {
-                    let targets = p.def_ids.clone();
-                    for d in targets {
-                        self.flow.defs[d].init_mut_borrow = true;
-                    }
+            } else {
+                if t.is(";") {
+                    self.bind_pendings_at(i);
                 }
+                i += 1;
             }
-            if t.is(";") {
-                self.bind_pendings_at(i);
-            }
-            i += 1;
         }
-        // Bind any pending that never saw its terminator (truncated body).
-        let leftovers: Vec<usize> = self.pendings.drain(..).flat_map(|p| p.def_ids).collect();
-        for id in leftovers {
-            let name = self.flow.defs[id].name.clone();
-            self.bind(&name, id);
+    }
+
+    /// A binding-free pattern (`let _ = …`) opens no initializer of its
+    /// own: what it reads still feeds the enclosing one.
+    fn push_pending(&mut self, def_ids: Vec<usize>, bind_at: usize) {
+        if !def_ids.is_empty() {
+            self.pendings.push(Pending { def_ids, bind_at });
         }
     }
 
@@ -520,16 +250,14 @@ impl Walker<'_> {
             }
         });
         for id in ready {
-            let name = self.flow.defs[id].name.clone();
-            self.bind(&name, id);
+            self.bind(id);
         }
     }
 
-    /// Binding idents of a pattern region, with their `mut` flags.
-    fn pattern_idents(&self, from: usize, to: usize) -> Vec<(usize, bool)> {
+    /// Defs for the binding idents of a pattern region.
+    fn pattern_defs(&mut self, from: usize, to: usize) -> Vec<usize> {
         let mut out = Vec::new();
-        let mut i = from;
-        while i <= to {
+        for i in from..=to {
             let t = &self.toks[i];
             if t.kind == TokKind::Ident
                 && !is_rust_kw(t)
@@ -537,44 +265,13 @@ impl Walker<'_> {
                 && t.text != "_"
                 // Path segments (`mod::Variant`) and struct-pattern field
                 // names (`Point { x: px }` — `x` is not a binding) skip.
-                && !(i + 1 <= to && (self.toks[i + 1].is("::") || self.toks[i + 1].is(":")))
+                && !(i < to && (self.toks[i + 1].is("::") || self.toks[i + 1].is(":")))
                 && !(i > from && self.toks[i - 1].is("::"))
             {
-                let mutable = i > from && self.toks[i - 1].is_kw("mut");
-                out.push((i, mutable));
+                out.push(self.new_def(t.text.clone()));
             }
-            i += 1;
         }
         out
-    }
-
-    fn make_defs(
-        &mut self,
-        idents: &[(usize, bool)],
-        kind: DefKind,
-        ty: Option<String>,
-    ) -> Vec<usize> {
-        let closure = self.innermost_closure();
-        idents
-            .iter()
-            .map(|&(tok, mutable)| {
-                let id = self.flow.defs.len();
-                self.flow.defs.push(Def {
-                    name: self.toks[tok].text.clone(),
-                    line: self.toks[tok].line,
-                    tok,
-                    kind,
-                    mutable,
-                    ty: ty.clone(),
-                    init_calls: Vec::new(),
-                    init_reads: Vec::new(),
-                    init_mut_borrow: false,
-                    closure,
-                    uses: Vec::new(),
-                });
-                id
-            })
-            .collect()
     }
 
     /// `let [mut] PAT [: TY] [= INIT [else { … }]] ;` — creates pending
@@ -586,55 +283,25 @@ impl Walker<'_> {
         let Some(stop) = self.at_depth0(i + 1, end, &[":", "=", ";"]) else {
             return i + 1;
         };
-        let pat_end = stop.saturating_sub(1);
-        // `let _ = x;` — an explicit discard of a single binding.
-        let lone_underscore = stop == i + 2
-            && self.toks[i + 1].kind == TokKind::Ident
-            && self.toks[i + 1].text == "_";
-        let (ty, eq) = if self.toks[stop].is(":") {
+        let eq = if self.toks[stop].is(":") {
             let Some(after_ty) = self.at_depth0(stop + 1, end, &["=", ";"]) else {
                 return stop + 1;
             };
-            let ty = join_tokens(&self.toks[stop + 1..after_ty]);
-            (Some(ty), after_ty)
+            after_ty
         } else {
-            (None, stop)
+            stop
         };
-        let idents = self.pattern_idents(i + 1, pat_end);
+        let def_ids = self.pattern_defs(i + 1, stop.saturating_sub(1));
         if self.toks[eq].is(";") {
             // `let x;` — deferred init; bind immediately.
-            let ids = self.make_defs(&idents, DefKind::Let, ty);
-            for id in ids {
-                let name = self.flow.defs[id].name.clone();
-                self.bind(&name, id);
+            for id in def_ids {
+                self.bind(id);
             }
             return eq + 1;
         }
-        if lone_underscore {
-            // `let _ = ident;` discards a binding; `let _ = call(…);`
-            // just evaluates — the main loop records its reads.
-            if eq + 2 <= end
-                && self.toks[eq + 1].kind == TokKind::Ident
-                && self.toks[eq + 2].is(";")
-            {
-                if let Some(def) = self.lookup(&self.toks[eq + 1].text) {
-                    self.record_use(def, eq + 1, UseKind::Discard);
-                    return eq + 3;
-                }
-            }
-            return eq + 1;
-        }
-        let bind_at = if in_cond {
-            self.at_depth0(eq + 1, end, &["{"]).unwrap_or(end)
-        } else {
-            self.at_depth0(eq + 1, end, &[";"]).unwrap_or(end)
-        };
-        let ids = self.make_defs(&idents, DefKind::Let, ty);
-        self.pendings.push(Pending {
-            def_ids: ids,
-            bind_at,
-            has_init: true,
-        });
+        let closer = if in_cond { "{" } else { ";" };
+        let bind_at = self.at_depth0(eq + 1, end, &[closer]).unwrap_or(end);
+        self.push_pending(def_ids, bind_at);
         eq + 1
     }
 
@@ -643,210 +310,76 @@ impl Walker<'_> {
         let Some(kw_in) = self.at_depth0(i + 1, end, &["in"]) else {
             return i + 1;
         };
-        let idents = self.pattern_idents(i + 1, kw_in.saturating_sub(1));
+        let def_ids = self.pattern_defs(i + 1, kw_in.saturating_sub(1));
         let bind_at = self.at_depth0(kw_in + 1, end, &["{"]).unwrap_or(end);
-        let ids = self.make_defs(&idents, DefKind::LoopPat, None);
-        self.pendings.push(Pending {
-            def_ids: ids,
-            bind_at,
-            has_init: true,
-        });
+        self.push_pending(def_ids, bind_at);
         kw_in + 1
     }
 
-    /// `|params| body` / `move |params| body` — registers the closure,
-    /// binds its params in a scope spanning the body, and resumes inside
-    /// the body so nested content is walked normally.
-    fn handle_closure(&mut self, i: usize, end: usize) -> usize {
-        let (params_end, param_idents) = if self.toks[i].is("||") {
-            (i, Vec::new())
-        } else {
-            let mut j = i + 1;
-            let mut depth = 0i32;
-            while j <= end {
-                match self.toks[j].text.as_str() {
-                    "(" | "[" | "<" => depth += 1,
-                    ")" | "]" | ">" => depth -= 1,
-                    "|" if depth <= 0 => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if j > end {
-                return i + 1;
-            }
-            // Param names: idents not in type position (skip `: TY`
-            // spans up to the next `,` or the closing pipe).
-            let mut idents = Vec::new();
-            let mut k = i + 1;
-            while k < j {
-                let t = &self.toks[k];
-                if t.is(":") {
-                    let mut d = 0i32;
-                    while k < j {
-                        match self.toks[k].text.as_str() {
-                            "(" | "[" | "<" => d += 1,
-                            ")" | "]" | ">" => d -= 1,
-                            "," if d <= 0 => break,
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    continue;
-                }
-                if t.kind == TokKind::Ident && !is_rust_kw(t) && t.text != "_" {
-                    idents.push((k, k > i + 1 && self.toks[k - 1].is_kw("mut")));
-                }
-                k += 1;
-            }
-            (j, idents)
-        };
-        let mut after = params_end + 1;
-        if after <= end && self.toks[after].is("->") {
-            // Return-typed closures require a braced body.
-            while after <= end && !self.toks[after].is("{") {
-                after += 1;
-            }
-        }
-        if after > end {
-            return params_end + 1;
-        }
-        let body_end = if self.toks[after].is("{") {
-            self.matching(after, end)
-        } else {
-            // Expression body: up to the call/tuple boundary.
-            let mut depth = 0i32;
-            let mut j = after;
-            let mut stop = end;
-            while j <= end {
-                match self.toks[j].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => {
-                        if depth == 0 {
-                            stop = j.saturating_sub(1);
-                            break;
-                        }
-                        depth -= 1;
-                    }
-                    "," | ";" if depth == 0 => {
-                        stop = j.saturating_sub(1);
-                        break;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            stop
-        };
-        let idx = self.flow.closures.len();
-        let parent = self.innermost_closure();
-        self.flow.closures.push(Closure {
-            tok: i,
-            line: self.toks[i].line,
-            body: (after, body_end),
-            params: param_idents
-                .iter()
-                .map(|&(k, _)| self.toks[k].text.clone())
-                .collect(),
-            parent,
-        });
-        self.closure_stack.push((idx, body_end));
-        self.scopes
-            .push((Frame::Expr { end: body_end }, Vec::new()));
-        let ids = self.make_defs(&param_idents, DefKind::ClosureParam, None);
-        for id in &ids {
-            // Re-own the params by the new closure (make_defs ran after
-            // the push, so innermost_closure already reported it).
-            self.flow.defs[*id].closure = Some(idx);
-            let name = self.flow.defs[*id].name.clone();
-            self.bind(&name, *id);
-        }
-        after
-    }
-
-    /// A (possibly resolvable) identifier mention: classify the use via
-    /// the token chain that follows it, and record calls for pending
-    /// initializers.
+    /// A (possibly resolvable) identifier mention: classify it via the
+    /// token chain that follows, and note calls for pending initializers.
     fn handle_ident(&mut self, i: usize, end: usize) -> usize {
-        let t = &self.toks[i];
+        let toks = self.toks;
+        let next_is = |k: usize, s: &str| k < end && toks[k + 1].is(s);
         // Path segment or macro: not a local mention.
-        if (i > 0 && self.toks[i - 1].is("::")) || (i + 1 <= end && self.toks[i + 1].is("!")) {
+        if (i > 0 && self.toks[i - 1].is("::")) || next_is(i, "!") {
             return i + 1;
         }
-        if i + 1 <= end && self.toks[i + 1].is("::") {
-            // Head of a path (`Vec::new`, `mod::f`): record as a call if
-            // the path ends in `(…)`.
+        if next_is(i, "::") {
+            // Head of a path (`Vec::new`, `mod::f`): a call if the path
+            // ends in `(…)`.
             let mut j = i;
-            let mut path = vec![t.text.clone()];
             while j + 2 <= end
                 && self.toks[j + 1].is("::")
                 && self.toks[j + 2].kind == TokKind::Ident
             {
-                path.push(self.toks[j + 2].text.clone());
                 j += 2;
             }
-            if j + 1 <= end && self.toks[j + 1].is("(") {
-                self.record_call(path.join("::"), i);
+            if next_is(j, "(") {
+                self.record_call(i);
             }
             return j + 1;
         }
-        // Method name (preceded by `.`): mutation is classified at the
-        // receiver; nothing to do at the name itself.
-        if i > 0 && self.toks[i - 1].is(".") {
-            if i + 1 <= end && self.toks[i + 1].is("(") {
-                self.record_call(t.text.clone(), i);
-            }
-            return i + 1;
-        }
+        // Method name (preceded by `.`), or a free fn that is no local.
+        let method = i > 0 && self.toks[i - 1].is(".");
         // Struct-literal field name / type ascription: skip.
-        if i + 1 <= end && self.toks[i + 1].is(":") {
+        if !method && next_is(i, ":") {
             return i + 1;
         }
-        let Some(def) = self.lookup(&t.text) else {
-            if i + 1 <= end && self.toks[i + 1].is("(") {
-                self.record_call(t.text.clone(), i);
+        let def = if method {
+            None
+        } else {
+            self.lookup(&self.toks[i].text)
+        };
+        let Some(def) = def else {
+            if next_is(i, "(") {
+                self.record_call(i);
             }
             return i + 1;
         };
         // `&mut x` — a mutable borrow of the binding.
         if i >= 2 && self.toks[i - 1].is_kw("mut") && self.toks[i - 2].is("&") {
-            self.record_use(def, i, UseKind::Write);
-            if let Some(p) = self.active_pending(i) {
-                let targets = p.def_ids.clone();
-                for d in targets {
-                    self.flow.defs[d].init_mut_borrow = true;
-                }
-            }
+            self.record_use(def, i, true);
             return i + 1;
         }
         // Walk the access chain: fields, indexing, then the verdict.
         let mut j = i + 1;
         while j <= end {
-            if self.toks[j].is(".") && j + 1 <= end && self.toks[j + 1].kind == TokKind::Ident {
-                if j + 2 <= end && self.toks[j + 2].is("(") {
-                    let m = self.toks[j + 1].text.clone();
-                    let kind = if MUT_METHODS.contains(&m.as_str()) {
-                        UseKind::MutMethod(m)
-                    } else {
-                        UseKind::Read
-                    };
-                    self.record_use(def, i, kind);
+            if self.toks[j].is(".") && j < end && self.toks[j + 1].kind == TokKind::Ident {
+                if next_is(j + 1, "(") {
+                    // Receiver of a method call.
+                    self.record_use(def, i, false);
                     return i + 1;
                 }
                 j += 2;
-                continue;
-            }
-            if self.toks[j].is("[") {
+            } else if self.toks[j].is("[") {
                 j = self.matching(j, end) + 1;
-                continue;
+            } else {
+                break;
             }
-            break;
         }
-        if j <= end && is_assign_op(&self.toks[j]) {
-            self.record_use(def, i, UseKind::Write);
-        } else {
-            self.record_use(def, i, UseKind::Read);
-        }
+        let write = j <= end && is_assign_op(&self.toks[j]);
+        self.record_use(def, i, write);
         i + 1
     }
 }
@@ -869,31 +402,41 @@ mod tests {
         FnFlow::analyze(&parsed.tokens, body, &f.params)
     }
 
-    fn defs_named<'a>(flow: &'a FnFlow, name: &str) -> Vec<&'a Def> {
-        flow.defs.iter().filter(|d| d.name == name).collect()
+    /// Names of the defs `name`'s (last) initializer read.
+    fn reads_of(flow: &FnFlow, name: &str) -> Vec<(usize, String)> {
+        let def = flow.defs.iter().rfind(|d| d.name == name).unwrap();
+        def.init_reads
+            .iter()
+            .map(|&r| (r, flow.defs[r].name.clone()))
+            .collect()
+    }
+
+    fn positions(flow: &FnFlow, name: &str) -> Vec<usize> {
+        (0..flow.defs.len())
+            .filter(|&d| flow.defs[d].name == name)
+            .collect()
     }
 
     #[test]
-    fn shadowing_creates_a_second_def_and_splits_uses() {
+    fn shadowing_creates_a_second_def_and_splits_reads() {
         let flow = flow_of(
             "fn f() -> u64 {\n\
                  let x = seed();\n\
                  let a = x;\n\
                  let x = 3u64;\n\
-                 x + a\n\
+                 let b = x;\n\
+                 a + b\n\
              }\n\
              fn seed() -> u64 { 7 }\n",
             "f",
         );
-        let xs = defs_named(&flow, "x");
+        let xs = positions(&flow, "x");
         assert_eq!(xs.len(), 2, "shadowing must mint a new def");
-        assert_eq!(xs[0].init_calls, vec!["seed".to_string()]);
-        // `a` copies from the FIRST x; the final read hits the SECOND.
-        let a = defs_named(&flow, "a")[0];
-        let first_x = flow.defs.iter().position(|d| d.name == "x").unwrap();
-        assert_eq!(a.init_reads, vec![first_x]);
-        assert_eq!(xs[0].uses.len(), 1, "first x: read by `a`'s init only");
-        assert_eq!(xs[1].uses.len(), 1, "second x: the final expression");
+        assert!(flow.defs[xs[0]].init_calls, "first x came out of seed()");
+        assert!(!flow.defs[xs[1]].init_calls);
+        // `a` copies from the FIRST x; `b` from the SECOND.
+        assert_eq!(reads_of(&flow, "a"), vec![(xs[0], "x".to_string())]);
+        assert_eq!(reads_of(&flow, "b"), vec![(xs[1], "x".to_string())]);
     }
 
     #[test]
@@ -902,17 +445,17 @@ mod tests {
             "fn f() -> u64 {\n\
                  let x = 1u64;\n\
                  { let x = 2u64; drop(x); }\n\
-                 x\n\
+                 let y = x;\n\
+                 y\n\
              }\n",
             "f",
         );
-        let xs = defs_named(&flow, "x");
+        let xs = positions(&flow, "x");
         assert_eq!(xs.len(), 2);
-        assert_eq!(xs[1].uses.len(), 1, "inner x used once inside the block");
         assert_eq!(
-            xs[0].uses.len(),
-            1,
-            "trailing read resolves to the outer def again"
+            reads_of(&flow, "y"),
+            vec![(xs[0], "x".to_string())],
+            "after the block the name resolves to the outer def again"
         );
     }
 
@@ -921,117 +464,47 @@ mod tests {
         let flow = flow_of(
             "fn f(v: Option<u32>) -> u32 {\n\
                  let Some(x) = v else { return 0; };\n\
-                 x + 1\n\
+                 let y = x;\n\
+                 y + 1\n\
              }\n",
             "f",
         );
-        let xs = defs_named(&flow, "x");
-        assert_eq!(xs.len(), 1);
-        assert_eq!(xs[0].kind, DefKind::Let);
-        assert_eq!(xs[0].uses.len(), 1, "visible after the statement");
-        let v = defs_named(&flow, "v")[0];
-        assert!(
-            xs[0]
-                .init_reads
-                .contains(&flow.defs.iter().position(|d| std::ptr::eq(d, v)).unwrap()),
-            "x flows from v"
-        );
+        assert_eq!(reads_of(&flow, "x"), vec![(0, "v".to_string())]);
+        let x = positions(&flow, "x")[0];
+        assert_eq!(reads_of(&flow, "y"), vec![(x, "x".to_string())]);
     }
 
     #[test]
-    fn closure_captures_split_params_from_environment() {
-        let flow = flow_of(
-            "fn f() -> u64 {\n\
-                 let mut total = 0u64;\n\
-                 let bump = |x: u64| { total += x; };\n\
-                 bump(3);\n\
-                 total\n\
-             }\n",
-            "f",
-        );
-        assert_eq!(flow.closures.len(), 1);
-        let caps = flow.captures(0);
-        assert_eq!(caps.len(), 1, "only `total` is captured, not `x`");
-        let cap = &caps[0];
-        assert_eq!(flow.defs[cap.def].name, "total");
-        assert!(cap.written, "`total += x` writes the capture");
-    }
-
-    #[test]
-    fn mut_borrow_laundering_is_visible_in_init_flags() {
-        let flow = flow_of(
-            "fn f() {\n\
-                 let mut totals = 0u64;\n\
-                 let sink = &mut totals;\n\
-                 consume(sink);\n\
-             }\n\
-             fn consume(_s: &mut u64) {}\n",
-            "f",
-        );
-        let sink = defs_named(&flow, "sink")[0];
-        assert!(
-            sink.init_mut_borrow,
-            "`&mut` in the initializer is recorded"
-        );
-        let totals = flow.defs.iter().position(|d| d.name == "totals").unwrap();
-        assert_eq!(sink.init_reads, vec![totals]);
-        let tainted = flow.flows_from(|d| d.name == "totals");
-        let sink_idx = flow.defs.iter().position(|d| d.name == "sink").unwrap();
-        assert!(
-            tainted[sink_idx],
-            "value flow propagates through the borrow"
-        );
-    }
-
-    #[test]
-    fn discard_and_mut_method_uses_are_classified() {
-        let flow = flow_of(
-            "fn f() {\n\
-                 let st = fetch();\n\
-                 let _ = st;\n\
-                 let mut v: Vec<u32> = Vec::new();\n\
-                 v.push(1);\n\
-             }\n\
-             fn fetch() -> u32 { 1 }\n",
-            "f",
-        );
-        let st = defs_named(&flow, "st")[0];
-        assert_eq!(st.uses.len(), 1);
-        assert_eq!(st.uses[0].kind, UseKind::Discard);
-        let v = defs_named(&flow, "v")[0];
-        assert!(v.init_calls.iter().any(|c| c == "Vec::new"));
-        assert!(v
-            .uses
-            .iter()
-            .any(|u| u.kind == UseKind::MutMethod("push".into())));
-    }
-
-    #[test]
-    fn for_patterns_and_if_let_bind_inside_their_blocks() {
+    fn assignments_and_mut_borrows_mark_the_def_written() {
         let flow = flow_of(
             "fn f(items: Vec<u32>) -> u32 {\n\
                  let mut acc = 0;\n\
+                 let mut totals = 0u32;\n\
+                 let kept = 5u32;\n\
                  for it in items {\n\
                      acc += it;\n\
                  }\n\
                  if let Some(first) = probe() {\n\
                      acc += first;\n\
                  }\n\
-                 acc\n\
+                 let sink = &mut totals;\n\
+                 consume(sink);\n\
+                 acc + kept\n\
              }\n\
-             fn probe() -> Option<u32> { None }\n",
+             fn probe() -> Option<u32> { None }\n\
+             fn consume(_s: &mut u32) {}\n",
             "f",
         );
-        let it = defs_named(&flow, "it")[0];
-        assert_eq!(it.kind, DefKind::LoopPat);
-        assert_eq!(it.uses.len(), 1);
-        let first = defs_named(&flow, "first")[0];
-        assert_eq!(first.uses.len(), 1);
-        let acc = defs_named(&flow, "acc")[0];
-        assert!(acc
-            .uses
-            .iter()
-            .all(|u| u.kind == UseKind::Write || u.kind == UseKind::Read));
-        assert!(acc.uses.iter().filter(|u| u.kind == UseKind::Write).count() >= 2);
+        let written = |name: &str| flow.defs[positions(&flow, name)[0]].written;
+        assert!(written("acc"));
+        assert!(written("totals"), "`&mut totals` counts as a write");
+        assert!(!written("kept"));
+        assert!(!written("it"), "the loop binding is only read");
+        let totals = positions(&flow, "totals")[0];
+        assert_eq!(
+            reads_of(&flow, "sink"),
+            vec![(totals, "totals".to_string())]
+        );
+        assert!(flow.defs[positions(&flow, "first")[0]].init_calls);
     }
 }

@@ -5,33 +5,21 @@ use crate::lexer::SourceFile;
 /// One diagnostic produced by a pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable code, `DL000`…`DL010`.
+    /// Stable code, `DL000`…`DL014`.
     pub code: &'static str,
     /// Repo-relative path with `/` separators.
     pub path: String,
     /// 1-based line.
     pub line: usize,
     pub message: String,
-    /// Trimmed source line, truncated; part of the baseline key.
+    /// Trimmed source line, truncated.
     pub snippet: String,
     /// Entry→sink call chain (qualified fn names) for interprocedural
-    /// findings; empty for per-file passes. Not part of the key.
+    /// findings; empty for per-file passes.
     pub trace: Vec<String>,
 }
 
 impl Finding {
-    /// Baseline identity: code + path + whitespace-collapsed snippet.
-    /// Line numbers are deliberately excluded so unrelated edits above a
-    /// grandfathered finding do not resurrect it.
-    pub fn key(&self) -> String {
-        let collapsed = self
-            .snippet
-            .split_whitespace()
-            .collect::<Vec<_>>()
-            .join(" ");
-        format!("{}|{}|{}", self.code, self.path, collapsed)
-    }
-
     pub fn render_human(&self) -> String {
         let mut out = format!(
             "{} {}:{}: {}\n    > {}",
@@ -114,10 +102,7 @@ fn json_escape(s: &str) -> String {
 /// workspace is hermetic and the schema is flat.
 pub fn render_json(
     findings: &[Finding],
-    new_findings: &[Finding],
     suppressed: usize,
-    baselined: usize,
-    stale_baseline: &[String],
     callgraph: Option<&crate::model::GraphSummary>,
     unresolved_calls: &[String],
 ) -> String {
@@ -128,22 +113,16 @@ pub fn render_json(
             .map(|s| format!("\"{}\"", json_escape(s)))
             .collect();
         format!(
-            "{{\"code\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\",\"snippet\":\"{}\",\"trace\":[{}],\"key\":\"{}\"}}",
+            "{{\"code\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\",\"snippet\":\"{}\",\"trace\":[{}]}}",
             f.code,
             json_escape(&f.path),
             f.line,
             json_escape(&f.message),
             json_escape(&f.snippet),
             trace.join(","),
-            json_escape(&f.key()),
         )
     };
     let all: Vec<String> = findings.iter().map(one).collect();
-    let fresh: Vec<String> = new_findings.iter().map(one).collect();
-    let stale: Vec<String> = stale_baseline
-        .iter()
-        .map(|k| format!("\"{}\"", json_escape(k)))
-        .collect();
     let graph = callgraph
         .map(|g| {
             // The unresolved bucket is part of the report (no silent
@@ -162,14 +141,10 @@ pub fn render_json(
         })
         .unwrap_or_default();
     format!(
-        "{{\"findings\":[{}],\"new_findings\":[{}],\"counts\":{{\"total\":{},\"new\":{},\"suppressed\":{},\"baselined\":{}}},\"stale_baseline\":[{}]{}}}",
+        "{{\"findings\":[{}],\"counts\":{{\"total\":{},\"suppressed\":{}}}{}}}",
         all.join(","),
-        fresh.join(","),
         findings.len(),
-        new_findings.len(),
         suppressed,
-        baselined,
-        stale.join(","),
         graph,
     )
 }
@@ -190,27 +165,17 @@ mod tests {
     }
 
     #[test]
-    fn key_collapses_whitespace_and_omits_line() {
-        let a = f("DL001", "let  x =\t1;");
-        let b = Finding {
-            line: 99,
-            ..f("DL001", "let x = 1;")
-        };
-        assert_eq!(a.key(), b.key());
-    }
-
-    #[test]
     fn json_report_escapes_quotes() {
-        let out = render_json(&[f("DL001", "say \"hi\"")], &[], 0, 1, &[], None, &[]);
+        let out = render_json(&[f("DL002", "say \"hi\"")], 1, None, &[]);
         assert!(out.contains("say \\\"hi\\\""));
-        assert!(out.contains("\"baselined\":1"));
+        assert!(out.contains("\"counts\":{\"total\":1,\"suppressed\":1}"));
         assert!(out.contains("\"trace\":[]"));
         assert!(!out.contains("callgraph"));
     }
 
     #[test]
     fn json_report_carries_trace_and_graph() {
-        let mut t = f("DL012", "m.values()");
+        let mut t = f("DL013", "m.first().unwrap()");
         t.trace = vec!["dcat::a".into(), "dcat::b".into()];
         let g = crate::model::GraphSummary {
             functions: 10,
@@ -218,7 +183,7 @@ mod tests {
             unresolved: 3,
         };
         let unresolved = vec!["crates/x/src/a.rs:3: `z.sample` (ambiguous)".to_string()];
-        let out = render_json(&[t.clone()], &[], 0, 0, &[], Some(&g), &unresolved);
+        let out = render_json(&[t.clone()], 0, Some(&g), &unresolved);
         assert!(out.contains("\"trace\":[\"dcat::a\",\"dcat::b\"]"));
         assert!(out.contains(
             "\"callgraph\":{\"functions\":10,\"edges\":20,\"unresolved\":3,\"unresolved_calls\":[\"crates/x/src/a.rs:3: `z.sample` (ambiguous)\"]}"
@@ -230,10 +195,10 @@ mod tests {
     fn suppression_routes_to_suppressed() {
         let file = SourceFile::parse(
             "crates/x/src/a.rs",
-            "let v = m.keys(); // lint: allow(DL006, proven sorted)\n",
+            "let v = a.0 & b.0; // lint: allow(DL002, audited mask probe)\n",
         );
         let mut sink = Sink::default();
-        sink.emit(&file, 1, "DL006", "msg".into());
+        sink.emit(&file, 1, "DL002", "msg".into());
         assert!(sink.findings.is_empty());
         assert_eq!(sink.suppressed.len(), 1);
     }

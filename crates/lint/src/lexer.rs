@@ -114,26 +114,6 @@ impl SourceFile {
             .map(|l| l.allows.iter().any(|a| a.code == code))
             .unwrap_or(false)
     }
-
-    /// The scrubbed method chain starting at `line`: the line itself
-    /// plus following lines whose trimmed text begins with `.` (the
-    /// rustfmt continuation style). Used by order-insensitivity checks.
-    pub fn chain_text(&self, line: usize) -> String {
-        let mut out = String::new();
-        if let Some(l) = self.lines.get(line - 1) {
-            out.push_str(&l.scrubbed);
-        }
-        for l in self.lines.iter().skip(line) {
-            let t = l.scrubbed.trim_start();
-            if t.starts_with('.') || t.starts_with(')') {
-                out.push(' ');
-                out.push_str(t);
-            } else {
-                break;
-            }
-        }
-        out
-    }
 }
 
 /// Where a comment-borne allow annotation lands: the comment's own line
@@ -527,14 +507,5 @@ mod tests {
         let f = SourceFile::parse("x.rs", "let x = 1; // lint: allow(DL006)\n");
         assert!(!f.is_allowed(1, "DL006"));
         assert_eq!(f.malformed_allows.len(), 1);
-    }
-
-    #[test]
-    fn chain_text_spans_continuation_lines() {
-        let src = "let s = m.values()\n    .copied()\n    .sum::<u64>();\nlet t = 1;\n";
-        let f = SourceFile::parse("x.rs", src);
-        let chain = f.chain_text(1);
-        assert!(chain.contains(".sum::<u64>()"));
-        assert!(!chain.contains("let t"));
     }
 }

@@ -1,38 +1,30 @@
-//! dcat-lint: the workspace's token-aware static-analysis engine.
+//! dcat-lint: the workspace's token-aware static-analysis engine — the
+//! passes for properties neither a type bound nor an installed clippy
+//! lint can state (DESIGN.md §12 maps every property to its one
+//! mechanism; the rest are declared as `#![deny(clippy::…)]` attributes
+//! and in the root `clippy.toml`).
 //!
-//! Replaces the regex line-scans that used to live in `xtask` with a
-//! lexer that understands comments, strings, raw strings, and char
+//! A lexer that understands comments, strings, raw strings, and char
 //! literals ([`lexer`]), a catalog of passes with stable `DLxxx`
-//! diagnostic codes ([`passes`]), inline suppression via
-//! `// lint: allow(DLxxx, reason)` annotations, and a checked-in
-//! baseline for grandfathered findings ([`baseline`]).
+//! diagnostic codes ([`passes`]), and inline suppression via
+//! `// lint: allow(DLxxx, reason)` annotations. A finding is a failure:
+//! there is no baseline.
 //!
 //! | Code  | Pass | Scope |
 //! |-------|------|-------|
 //! | DL000 | malformed/unknown `lint: allow` annotation | everywhere |
-//! | DL001 | `unwrap()`/`expect()` in privileged I/O | resctrl fs/retry, daemon, telemetry |
 //! | DL002 | raw CBM bit arithmetic | dcat, resctrl, host (minus `cbm.rs`) |
 //! | DL003 | float `==` on telemetry metrics | dcat, perf-events |
-//! | DL004 | ad-hoc threading | all crates (minus `host::pool`) |
 //! | DL005 | direct fs I/O in the daemon loop | daemon |
-//! | DL006 | HashMap/HashSet iteration order | host, dcat, llc-sim, bench |
-//! | DL007 | wall-clock / pointer-address ordering | all crates (minus `bench::timing`) |
-//! | DL008 | lossy `as` casts in counter math | perf-events, llc-sim counters, controller delta math |
-//! | DL009 | panicking slice index in privileged I/O | resctrl fs/retry, daemon, telemetry |
+//! | DL007 | pointer-address ordering | all crates |
 //! | DL010 | FIGURE6 vs DESIGN.md spec drift | transitions.rs + DESIGN.md |
-//! | DL011 | direct stdio macros in library code | all library sources (minus `bench::report`, `obs`, `prop-lite`, bins/tests/benches) |
-//! | DL012 | HashMap/HashSet order reaching published outputs | entry points: controller ticks, `CachePolicy` impls, engine/multi pub fns |
 //! | DL013 | panic reachable from the daemon/apply path | entry points: `run_daemon*`, `DcatController::{apply*,tick*}` |
 //! | DL014 | mixed-unit arithmetic (ways/bytes/misses/…) | dcat, resctrl, llc-sim, host |
-//! | DL015 | pool-discipline race: closure to `Pool::map` captures `&mut`/cell/report sink | any crate calling `host::pool` |
-//! | DL016 | allocation on a perfbench-pinned path (`Vec::new`+grow, size-losing collect, `Box::new`, `format!`) | reachable from `run_epoch*`, `PackedSet`, `CachePolicy::tick` |
-//! | DL017 | I/O `Result` dropped/unwrapped or severity match with wildcard arm | resctrl, perf-events callers, daemon loop (bins/tests exempt) |
 //!
 //! Entry points: [`check_repo`] (scoped repo gate), [`scan_files`]
 //! (all passes on arbitrary files, for fixture checks), [`self_test`]
 //! (every pass against its embedded fixtures).
 
-pub mod baseline;
 pub mod dataflow;
 pub mod diagnostics;
 pub mod lexer;
@@ -45,7 +37,7 @@ use diagnostics::{Finding, Sink};
 use lexer::SourceFile;
 use std::path::{Path, PathBuf};
 
-/// The result of a lint run, before baseline application.
+/// The result of a lint run.
 #[derive(Debug, Default)]
 pub struct Report {
     /// All findings, sorted by (path, line, code).
@@ -77,32 +69,15 @@ pub fn find_repo_root(start: &Path) -> Result<PathBuf, String> {
     }
 }
 
-/// Which per-file passes govern a repo-relative path.
-///
-/// The scopes encode the same module boundaries the legacy scans did,
-/// plus the new determinism/cast/panic scopes from the pass catalog.
-/// `crates/lint` itself is excluded from the walk entirely (its
-/// fixtures spell every banned token), as is `crates/xtask`.
+/// Which per-file passes govern a repo-relative path. `crates/lint`
+/// itself is excluded from the walk entirely (its fixtures spell every
+/// banned token).
 fn passes_for(rel: &str) -> Vec<&'static str> {
-    use passes::{
-        cast_safety, cbm_bits, determinism, direct_io, float_eq, panic_path, print_discipline,
-        threading,
-    };
+    use passes::{cbm_bits, determinism, direct_io, float_eq};
 
-    let privileged_io = [
-        "crates/resctrl/src/fs.rs",
-        "crates/resctrl/src/retry.rs",
-        "crates/dcat/src/daemon.rs",
-        "crates/dcat/src/telemetry.rs",
-    ]
-    .contains(&rel);
     let in_any = |dirs: &[&str]| dirs.iter().any(|d| rel.starts_with(d));
 
     let mut out = Vec::new();
-    if privileged_io {
-        out.push(panic_path::UNWRAP_CODE);
-        out.push(panic_path::INDEX_CODE);
-    }
     if in_any(&[
         "crates/dcat/src/",
         "crates/resctrl/src/",
@@ -114,48 +89,10 @@ fn passes_for(rel: &str) -> Vec<&'static str> {
     if in_any(&["crates/dcat/src/", "crates/perf-events/src/"]) {
         out.push(float_eq::CODE);
     }
-    if rel != "crates/host/src/pool.rs" {
-        out.push(threading::CODE);
-    }
     if rel == "crates/dcat/src/daemon.rs" {
         out.push(direct_io::CODE);
     }
-    if in_any(&[
-        "crates/host/src/",
-        "crates/dcat/src/",
-        "crates/llc-sim/src/",
-        "crates/bench/src/",
-    ]) {
-        out.push(determinism::HASH_ITER_CODE);
-    }
-    if rel != "crates/bench/src/timing.rs" {
-        out.push(determinism::WALL_CLOCK_CODE);
-    }
-    if in_any(&["crates/perf-events/src/"])
-        || [
-            "crates/llc-sim/src/counters.rs",
-            "crates/dcat/src/phase.rs",
-            "crates/dcat/src/perf_table.rs",
-            "crates/dcat/src/daemon.rs",
-        ]
-        .contains(&rel)
-    {
-        out.push(cast_safety::CODE);
-    }
-    // Stdio discipline: library code must speak through bench::report.
-    // Exempt the sinks themselves (report.rs, the obs crate), prop-lite
-    // (shrunk counterexamples go straight to the developer), and code
-    // that owns its stdio: binaries, main.rs, tests, benches.
-    let owns_stdio = rel.contains("/bin/")
-        || rel.ends_with("/main.rs")
-        || rel.contains("/tests/")
-        || rel.contains("/benches/");
-    if !owns_stdio
-        && rel != "crates/bench/src/report.rs"
-        && !in_any(&["crates/obs/src/", "crates/prop-lite/src/"])
-    {
-        out.push(print_discipline::CODE);
-    }
+    out.push(determinism::CODE);
     out
 }
 
@@ -213,11 +150,11 @@ pub fn check_repo(root: &Path) -> Result<Report, String> {
         if let Some(ident) = package_ident(&dir.join("Cargo.toml")) {
             crate_idents.insert(name.to_string(), ident);
         }
-        // The graph spans every crate's src/ tree — including lint and
-        // xtask, whose fns are simply unreachable from the dCat entry
-        // points — but never test fixtures.
+        // The graph spans every crate's src/ tree — including lint,
+        // whose fns are simply unreachable from the dCat entry points —
+        // but never test fixtures.
         collect_rust_files(&dir, &mut graph_files)?;
-        if name == "lint" || name == "xtask" {
+        if name == "lint" {
             continue;
         }
         collect_rust_files(&dir, &mut files)?;
@@ -365,7 +302,7 @@ fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> 
 pub fn self_test() -> Result<(), String> {
     passes::self_test_all()?;
     // The allow grammar itself.
-    let file = SourceFile::parse("f.rs", "let x = 1; // lint: allow(DL001)\n");
+    let file = SourceFile::parse("f.rs", "let x = 1; // lint: allow(DL002)\n");
     if file.malformed_allows.len() != 1 {
         return Err("allow-grammar self-test: reason-less allow accepted".into());
     }
@@ -407,71 +344,28 @@ mod tests {
     #[test]
     fn scoping_matches_the_catalog() {
         let daemon = passes_for("crates/dcat/src/daemon.rs");
-        for code in [
-            "DL001", "DL009", "DL002", "DL003", "DL004", "DL005", "DL006", "DL007", "DL008",
-            "DL011",
-        ] {
-            assert!(daemon.contains(&code), "daemon must run {code}");
-        }
+        assert_eq!(daemon, ["DL002", "DL003", "DL005", "DL007"]);
         let cbm = passes_for("crates/resctrl/src/cbm.rs");
         assert!(!cbm.contains(&"DL002"), "cbm.rs owns the raw bits");
-        let pool = passes_for("crates/host/src/pool.rs");
-        assert!(!pool.contains(&"DL004"), "pool.rs owns the threads");
-        let timing = passes_for("crates/bench/src/timing.rs");
-        assert!(!timing.contains(&"DL007"), "timing.rs owns the clock");
-        assert!(timing.contains(&"DL011"), "timing.rs must report via say");
-        let counters = passes_for("crates/llc-sim/src/counters.rs");
-        assert!(counters.contains(&"DL008"));
         let snapshot = passes_for("crates/perf-events/src/snapshot.rs");
-        assert!(snapshot.contains(&"DL008"));
-        assert!(snapshot.contains(&"DL003"));
-        // DL011 exemptions: the sinks, prop-lite, and stdio owners.
-        for exempt in [
-            "crates/bench/src/report.rs",
-            "crates/obs/src/metrics.rs",
-            "crates/prop-lite/src/lib.rs",
-            "crates/dcat/src/bin/dcatd.rs",
-            "crates/obs/src/bin/obs_dump.rs",
-            "crates/bench/src/bin/fig07_lifecycle.rs",
-            "crates/bench/tests/determinism.rs",
-            "crates/bench/benches/controller_tick.rs",
-        ] {
-            assert!(
-                !passes_for(exempt).contains(&"DL011"),
-                "{exempt} owns its stdio"
-            );
-        }
-        assert!(passes_for("crates/bench/src/scenario.rs").contains(&"DL011"));
-        // The dcat-top split: the renderer library is print-disciplined
-        // (it returns Strings), while the dashboard binary owns its
-        // stdio. The CI fixture proves the same boundary dynamically.
-        let top_lib = passes_for("crates/top/src/lib.rs");
-        assert!(top_lib.contains(&"DL011"), "the renderer must not print");
-        assert!(
-            top_lib.contains(&"DL007"),
-            "the renderer is wall-clock free"
-        );
-        assert!(
-            !passes_for("crates/top/src/bin/dcat_top.rs").contains(&"DL011"),
-            "the dashboard binary owns its stdio"
-        );
+        assert_eq!(snapshot, ["DL003", "DL007"]);
+        assert_eq!(passes_for("crates/top/src/lib.rs"), ["DL007"]);
     }
 
     #[test]
     fn repo_gate_runs_end_to_end() {
         // The lint crate lives inside the workspace it checks: running
         // the full gate from the test proves the walk, the scoping, and
-        // every pass hold together on real sources.
+        // every pass hold together on real sources — and that the
+        // committed tree is clean, as CI demands.
         let root = find_repo_root(Path::new(env!("CARGO_MANIFEST_DIR"))).unwrap();
         let report = check_repo(&root).unwrap();
-        // The committed tree must be clean relative to the committed
-        // baseline; assert no *unknown* findings so the test mirrors CI.
-        let base = baseline::load(&root.join("lint-baseline.txt")).unwrap();
-        let (new, _, _) = baseline::partition(&report.findings, &base);
         assert!(
-            new.is_empty(),
-            "new lint findings:\n{}",
-            new.iter()
+            report.findings.is_empty(),
+            "lint findings:\n{}",
+            report
+                .findings
+                .iter()
                 .map(|f| f.render_human())
                 .collect::<Vec<_>>()
                 .join("\n")

@@ -1,28 +1,23 @@
 //! dcat-lint CLI.
 //!
 //! ```text
-//! dcat-lint [--json] [--baseline FILE] [--write-baseline FILE]
-//!           [--prune-stale] [--root DIR] [FILE.rs...]
+//! dcat-lint [--json] [--root DIR] [FILE.rs...]
 //! ```
 //!
-//! With no file arguments, runs the scoped repo gate (per-file passes,
-//! the DL010 spec-drift check, and the interprocedural DL012-DL014
-//! passes over the workspace call graph) from the workspace root; with
-//! files, applies every pass to them unscoped (the CI fixture mode).
-//! Exit status: 0 when clean, 1 on new findings *or* stale baseline
-//! entries (debt paid but not recorded), 2 on usage/IO errors.
-//! `--prune-stale` rewrites the baseline dropping stale keys (keeping
-//! any hand-written header comments) instead of failing on them.
+//! Runs the pass self-tests first (a pass that stopped detecting its own
+//! pattern must not report "clean"). With no file arguments, runs the
+//! scoped repo gate (per-file passes, the DL010 spec-drift check, and
+//! the interprocedural DL013/DL014 passes over the workspace call graph)
+//! from the workspace root; with files, applies every pass to them
+//! unscoped (the CI fixture mode). Exit status: 0 when clean, 1 on any
+//! finding, 2 on usage/IO errors or a failed self-test.
 
-use dcat_lint::{baseline, check_repo, diagnostics, find_repo_root, scan_files, self_test};
-use std::path::{Path, PathBuf};
+use dcat_lint::{check_repo, diagnostics, find_repo_root, scan_files, self_test};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Opts {
     json: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-    prune_stale: bool,
     root: Option<PathBuf>,
     files: Vec<PathBuf>,
 }
@@ -30,9 +25,6 @@ struct Opts {
 fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         json: false,
-        baseline: None,
-        write_baseline: None,
-        prune_stale: false,
         root: None,
         files: Vec::new(),
     };
@@ -40,25 +32,12 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--json" => opts.json = true,
-            "--prune-stale" => opts.prune_stale = true,
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a path")?;
-                opts.baseline = Some(PathBuf::from(v));
-            }
-            "--write-baseline" => {
-                let v = it.next().ok_or("--write-baseline needs a path")?;
-                opts.write_baseline = Some(PathBuf::from(v));
-            }
             "--root" => {
                 let v = it.next().ok_or("--root needs a path")?;
                 opts.root = Some(PathBuf::from(v));
             }
             "--help" | "-h" => {
-                return Err(
-                    "usage: dcat-lint [--json] [--baseline FILE] [--write-baseline FILE] \
-                     [--prune-stale] [--root DIR] [FILE.rs...]"
-                        .into(),
-                )
+                return Err("usage: dcat-lint [--json] [--root DIR] [FILE.rs...]".into())
             }
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
             file => opts.files.push(PathBuf::from(file)),
@@ -67,131 +46,47 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     Ok(opts)
 }
 
-/// Leading comment block of an existing baseline file, if any.
-fn header_of_file(path: &Path) -> Option<String> {
-    let text = std::fs::read_to_string(path).ok()?;
-    baseline::header_of(&text)
+fn run(opts: &Opts) -> Result<dcat_lint::Report, String> {
+    self_test().map_err(|e| format!("self-test failed: {e}"))?;
+    if !opts.files.is_empty() {
+        return scan_files(&opts.files);
+    }
+    let root = match &opts.root {
+        Some(r) => r.clone(),
+        None => {
+            let cwd = std::env::current_dir().map_err(|e| format!("cwd: {e}"))?;
+            find_repo_root(&cwd)?
+        }
+    };
+    check_repo(&root)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
+    let parsed = parse_args(&args).and_then(|opts| {
+        let report = run(&opts)?;
+        Ok((opts, report))
+    });
+    let (opts, report) = match parsed {
+        Ok(pair) => pair,
         Err(e) => {
             eprintln!("dcat-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    if let Err(e) = self_test() {
-        eprintln!("dcat-lint: self-test failed: {e}");
-        return ExitCode::from(2);
-    }
-
-    let file_mode = !opts.files.is_empty();
-    let (report, base_path) = if file_mode {
-        (scan_files(&opts.files), opts.baseline.clone())
-    } else {
-        let root = match opts.root.clone().map(Ok).unwrap_or_else(|| {
-            std::env::current_dir()
-                .map_err(|e| format!("cwd: {e}"))
-                .and_then(|d| find_repo_root(&d))
-        }) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("dcat-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let base = opts
-            .baseline
-            .clone()
-            .unwrap_or_else(|| root.join("lint-baseline.txt"));
-        (check_repo(&root), Some(base))
-    };
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("dcat-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if let Some(path) = &opts.write_baseline {
-        // A rewrite keeps any hand-written notes above the keys.
-        let header = header_of_file(path);
-        let body = baseline::render_with_header(&report.findings, header.as_deref());
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("dcat-lint: write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "dcat-lint: wrote {} finding key(s) to {}",
-            report.findings.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let base = match base_path
-        .as_deref()
-        .map(baseline::load)
-        .unwrap_or_else(|| Ok(Default::default()))
-    {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("dcat-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let (new, grandfathered, stale) = baseline::partition(&report.findings, &base);
-
-    let mut pruned = false;
-    if opts.prune_stale && !stale.is_empty() {
-        let Some(path) = base_path.as_deref() else {
-            eprintln!("dcat-lint: --prune-stale needs a baseline file (use --baseline)");
-            return ExitCode::from(2);
-        };
-        let header = header_of_file(path);
-        let body = baseline::render_keys(
-            base.iter()
-                .filter(|k| !stale.contains(*k))
-                .map(String::as_str),
-            header.as_deref(),
-        );
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("dcat-lint: write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "dcat-lint: pruned {} stale baseline entrie(s) from {}",
-            stale.len(),
-            path.display()
-        );
-        pruned = true;
-    }
-
     if opts.json {
-        let new_owned: Vec<_> = new.iter().map(|f| (*f).clone()).collect();
         println!(
             "{}",
             diagnostics::render_json(
                 &report.findings,
-                &new_owned,
                 report.suppressed.len(),
-                grandfathered.len(),
-                &stale,
                 report.callgraph.as_ref(),
                 &report.unresolved,
             )
         );
     } else {
-        for f in &new {
+        for f in &report.findings {
             eprintln!("dcat-lint: {}", f.render_human());
-        }
-        if !pruned {
-            for key in &stale {
-                eprintln!("dcat-lint: error: stale baseline entry (debt paid — remove it or run --prune-stale): {key}");
-            }
         }
         if let Some(g) = &report.callgraph {
             println!(
@@ -201,17 +96,12 @@ fn main() -> ExitCode {
             );
         }
         println!(
-            "dcat-lint: {} finding(s): {} new, {} baselined, {} suppressed by annotation",
+            "dcat-lint: {} finding(s), {} suppressed by annotation",
             report.findings.len(),
-            new.len(),
-            grandfathered.len(),
             report.suppressed.len(),
         );
     }
-
-    // Stale entries fail the gate: a paid-off key left in the baseline
-    // would silently re-admit the finding if it ever came back.
-    if new.is_empty() && (pruned || stale.is_empty()) {
+    if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,122 +1,29 @@
-//! DL006 / DL007 — determinism taint.
+//! DL007 — pointer-address ordering.
 //!
-//! PR 2 promised bit-identical experiment output at any `--jobs N`;
-//! these passes mechanically defend that promise.
-//!
-//! **DL006** bans iteration over `HashMap` / `HashSet` values: the
-//! iteration order depends on the hasher's per-process seed, so any
-//! result that threads it through (output order, first-match wins,
-//! float accumulation order) is nondeterministic. The pass tracks
-//! identifiers declared with a hash type in the same file (let
-//! bindings, struct fields, parameters) and flags order-producing calls
-//! (`.iter()`, `.keys()`, `.values()`, `.drain()`, …) and `for` loops
-//! over them, unless the surrounding method chain is provably
-//! order-insensitive (`.sum()`, `.count()`, `.min()`, `.max()`,
-//! `.all(…)`, `.any(…)`, or a `collect` into a `BTree*`). Fix by
-//! switching to `BTreeMap`/`BTreeSet`, sorting first, or annotating
-//! `// lint: allow(DL006, reason)` when order genuinely cannot escape.
-//!
-//! The tracker is token-level, not type inference: a map returned by a
-//! function into an untyped `let` is invisible to it. That is the
-//! trade-off for a hermetic no-`syn` engine; the paired convention is
-//! that fallible constructors return `BTreeMap` in the first place.
-//!
-//! **DL007** bans wall-clock reads (`Instant::now`, `SystemTime`) and
-//! pointer-address ordering (`.as_ptr() as usize`, `as *const … as
-//! usize`) outside `bench::timing`, the one module allowed to observe
-//! real time.
+//! PR 2 promised bit-identical experiment output at any `--jobs N`.
+//! Allocator addresses vary run to run, so an order (or a key, or a
+//! hash) derived from `.as_ptr() as usize` / `as *const … as usize`
+//! makes results depend on them. No clippy lint names this shape, so it
+//! stays a token pass; the rest of the determinism family — hash
+//! containers, wall-clock reads, ad-hoc threads — moved onto
+//! `clippy::disallowed_types` / `disallowed_methods` (root `clippy.toml`).
 
-use super::{expect_count, lex};
+use super::expect_count;
 use crate::diagnostics::Sink;
 use crate::lexer::SourceFile;
-use std::collections::BTreeSet;
 
-pub const HASH_ITER_CODE: &str = "DL006";
-pub const WALL_CLOCK_CODE: &str = "DL007";
+pub const CODE: &str = "DL007";
 
-/// Methods on a hash container that expose iteration order.
-const ITER_METHODS: [&str; 10] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "retain",
-];
-
-/// Chain fragments that reduce an iterator order-insensitively.
-const ORDER_INSENSITIVE: [&str; 9] = [
-    ".sum()",
-    ".sum::<",
-    ".count()",
-    ".min()",
-    ".max()",
-    ".all(",
-    ".any(",
-    ".collect::<BTree",
-    ".collect::<std::collections::BTree",
-];
-
-pub fn run_hash_iter(file: &SourceFile, sink: &mut Sink) {
-    let names = collect_hash_names(file);
-    if names.is_empty() {
-        return;
-    }
+pub fn run(file: &SourceFile, sink: &mut Sink) {
     for (n, line) in file.code_lines() {
-        if !names.iter().any(|name| line.contains(name.as_str())) {
-            continue;
-        }
-        // Method calls can sit on rustfmt continuation lines, so the
-        // match runs over the whole chain anchored at this line.
-        let chain = file.chain_text(n);
-        for name in &names {
-            let method_hit = iter_method_on(&chain, name);
-            let loop_hit = for_loop_over(line, name);
-            if !method_hit && !loop_hit {
-                continue;
-            }
-            // A for-loop body is out of reach of a chain check; only
-            // method chains can earn the order-insensitive exemption.
-            if method_hit && !loop_hit && is_order_insensitive(&chain) {
-                continue;
-            }
-            sink.emit(
-                file,
-                n,
-                HASH_ITER_CODE,
-                format!(
-                    "iteration over HashMap/HashSet `{name}` is order-nondeterministic \
-                     (use BTreeMap/BTreeSet, sort first, or reduce order-insensitively)"
-                ),
-            );
-            break; // one finding per line
-        }
-    }
-}
-
-pub fn run_wall_clock(file: &SourceFile, sink: &mut Sink) {
-    for (n, line) in file.code_lines() {
-        if line.contains("Instant::now") || line.contains("SystemTime") {
-            sink.emit(
-                file,
-                n,
-                WALL_CLOCK_CODE,
-                "wall-clock time source outside bench::timing (results must be a pure \
-                 function of seed and config)"
-                    .into(),
-            );
-        } else if line.contains(".as_ptr() as ")
+        if line.contains(".as_ptr() as ")
             || ((line.contains(" as *const") || line.contains(" as *mut"))
                 && line.contains(" as usize"))
         {
             sink.emit(
                 file,
                 n,
-                WALL_CLOCK_CODE,
+                CODE,
                 "pointer-address ordering (allocator addresses vary run to run; derive \
                  order from data, not addresses)"
                     .into(),
@@ -125,167 +32,17 @@ pub fn run_wall_clock(file: &SourceFile, sink: &mut Sink) {
     }
 }
 
-fn is_ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
-}
-
-/// Identifiers declared with a hash-container type anywhere in the
-/// file's non-test code: `let [mut] NAME … HashMap/HashSet …` and
-/// `NAME: [&[mut]] [std::collections::]Hash{Map,Set}<…` (struct fields
-/// and fn parameters).
-pub(crate) fn collect_hash_names(file: &SourceFile) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for (_, line) in file.code_lines() {
-        if !line.contains("HashMap") && !line.contains("HashSet") {
-            continue;
-        }
-        let t = line.trim_start();
-        if let Some(rest) = t.strip_prefix("let ") {
-            let rest = rest.strip_prefix("mut ").unwrap_or(rest);
-            let ident: String = rest.chars().take_while(|c| is_ident_char(*c)).collect();
-            if !ident.is_empty() {
-                names.insert(ident);
-            }
-        }
-        for marker in ["HashMap<", "HashSet<"] {
-            for (idx, _) in line.match_indices(marker) {
-                if let Some(name) = decl_name_before(line, idx) {
-                    names.insert(name);
-                }
-            }
-        }
-    }
-    names
-}
-
-/// Extracts `NAME` from `NAME: [&[mut ]][std::collections::]` ending at
-/// byte `idx` (the start of `HashMap<`/`HashSet<`).
-fn decl_name_before(line: &str, idx: usize) -> Option<String> {
-    let mut before = &line[..idx];
-    for prefix in ["std::collections::", "collections::"] {
-        if let Some(s) = before.strip_suffix(prefix) {
-            before = s;
-        }
-    }
-    before = before.trim_end();
-    before = before.strip_suffix("&mut").unwrap_or(before).trim_end();
-    before = before.strip_suffix('&').unwrap_or(before).trim_end();
-    let before = before.strip_suffix(':')?.trim_end();
-    let rev: String = before
-        .chars()
-        .rev()
-        .take_while(|c| is_ident_char(*c))
-        .collect();
-    let ident: String = rev.chars().rev().collect();
-    (!ident.is_empty()).then_some(ident)
-}
-
-/// Does `line` call an order-exposing method on `name` (word-boundary
-/// match, `self.name` included)?
-pub(crate) fn iter_method_on(line: &str, name: &str) -> bool {
-    let bytes = line.as_bytes();
-    line.match_indices(name).any(|(i, _)| {
-        let left_ok = i == 0 || !is_ident_char(bytes[i - 1] as char);
-        // The chain text joins continuation lines with a space, so the
-        // dot may be separated from the receiver by whitespace.
-        let after = line[i + name.len()..].trim_start();
-        if !left_ok || !after.starts_with('.') {
-            return false;
-        }
-        let method: String = after[1..]
-            .chars()
-            .take_while(|c| is_ident_char(*c))
-            .collect();
-        ITER_METHODS.contains(&method.as_str())
-    })
-}
-
-/// Does `line` loop `for … in [&[mut ]][self.]name`?
-pub(crate) fn for_loop_over(line: &str, name: &str) -> bool {
-    let t = line.trim_start();
-    if !t.starts_with("for ") {
-        return false;
-    }
-    let Some(pos) = t.find(" in ") else {
-        return false;
-    };
-    let mut rest = t[pos + 4..].trim_start();
-    rest = rest.strip_prefix("&mut ").unwrap_or(rest);
-    rest = rest.strip_prefix('&').unwrap_or(rest);
-    rest = rest.strip_prefix("self.").unwrap_or(rest);
-    match rest.strip_prefix(name) {
-        Some(tail) => matches!(tail.chars().next(), None | Some(' ') | Some('{')),
-        None => false,
-    }
-}
-
-pub(crate) fn is_order_insensitive(chain: &str) -> bool {
-    ORDER_INSENSITIVE.iter().any(|m| chain.contains(m))
-}
-
 pub fn self_test() -> Result<(), String> {
     expect_count(
-        "DL006",
-        run_hash_iter,
-        "let mut m: HashMap<String, u64> = HashMap::new();\n\
-         for (k, v) in &m { out.push(k); }\n\
-         let ks: Vec<_> = m.keys().collect();\n\
-         m.retain(|_, v| *v > 0);\n",
-        3,
-    )?;
-    expect_count(
-        "DL006",
-        run_hash_iter,
-        "let mut m: HashMap<String, u64> = HashMap::new();\n\
-         let total: u64 = m.values().sum();\n\
-         let n = m.keys().count();\n\
-         let any_hot = m.values().any(|v| *v > 9);\n\
-         let hit = m.get(&k);\nm.insert(k, v);\n",
-        0,
-    )?;
-    // Struct fields and multi-line chains.
-    expect_count(
-        "DL006",
-        run_hash_iter,
-        "struct S {\n    per_set: HashMap<u32, u64>,\n}\n\
-         fn f(s: &S) -> u64 {\n    s.per_set.values().copied().max().unwrap_or(0)\n}\n\
-         fn g(s: &S) -> Vec<u64> {\n    s.per_set\n        .values()\n        .copied()\n        .collect()\n}\n",
-        1,
-    )?;
-    // Suppression with a reason is honored.
-    expect_count(
-        "DL006",
-        run_hash_iter,
-        "let pages: HashMap<u64, u64> = HashMap::new();\n\
-         pages.retain(|_, v| *v > 0); // lint: allow(DL006, retain predicate is pure per-entry)\n",
-        0,
-    )?;
-    // A Vec with the same method name must not be flagged.
-    expect_count(
-        "DL006",
-        run_hash_iter,
-        "let v: Vec<u64> = Vec::new();\nfor x in &v { }\nlet s: Vec<_> = v.iter().collect();\n",
-        0,
-    )?;
-    let file = lex("let m: HashMap<u8, u8> = HashMap::new();\nfor k in m.keys() { }\n");
-    let mut sink = crate::diagnostics::Sink::default();
-    run_hash_iter(&file, &mut sink);
-    if sink.findings.len() != 1 {
-        return Err(
-            "DL006 self-test: for-loop over .keys() must not earn the chain exemption".into(),
-        );
-    }
-
-    expect_count(
         "DL007",
-        run_wall_clock,
-        "let t0 = Instant::now();\nlet now = SystemTime::now();\nlet addr = slot.as_ptr() as usize;\n",
-        3,
+        run,
+        "let addr = slot.as_ptr() as usize;\nlet key = (&node as *const Node) as usize;\n",
+        2,
     )?;
     expect_count(
         "DL007",
-        run_wall_clock,
-        "let tick = clock.tick();\n// Instant::now in a comment\nlet s = \"SystemTime\";\n",
+        run,
+        "let p = buf.as_ptr();\n// slot.as_ptr() as usize in a comment\nlet s = \".as_ptr() as usize\";\n",
         0,
     )?;
     Ok(())

@@ -1,37 +1,16 @@
-//! DL012 / DL013 / DL014 — interprocedural passes over the workspace
-//! call graph ([`crate::model`]).
-//!
-//! The token-level passes (DL006/DL007, DL001/DL009) flag direct
-//! occurrences inside their scoped files and go blind the moment the
-//! pattern is wrapped in a helper. These passes follow facts *across*
-//! functions:
-//!
-//! **DL012 determinism-taint v2.** Hash-container iteration, wall-clock
-//! reads, and pointer-address ordering are *facts* extracted per
-//! function; the pass walks the call graph from the determinism
-//! entry points — `DcatController::tick*`, every `CachePolicy` impl,
-//! and the public surface of `host::engine`/`host::multi` — and reports
-//! any reachable fact with the entry→sink call chain as a trace.
-//! Crucially, fact extraction sees locals whose hash type arrives by
-//! *call-return inference* (`let m = make_map();` where `make_map`
-//! resolves to a workspace fn returning `HashMap<…>`), the exact
-//! laundering shape DL006's file-local tracker provably misses. The
-//! order-insensitive-fold exemption and `lint: allow(DL006/DL007/DL012)`
-//! escapes are honored at the fact site; `bench::timing` keeps its
-//! wall-clock license. v3 refines the name set with the def-use layer
-//! ([`crate::dataflow`]): a file-level hash name shadowed by a provably
-//! non-hash local no longer taints the fn, and plain aliases
-//! (`let renamed = m;` / `.clone()`) of a hash value are tracked to a
-//! fixpoint even though their names carry no type anywhere.
+//! DL013 / DL014 — interprocedural passes over the workspace call
+//! graph ([`crate::model`]). Both check a property no type or clippy
+//! lint states for this workspace (DESIGN.md §12).
 //!
 //! **DL013 panic-reachability.** `unwrap`/`expect`/`panic!`-family
 //! macros, slice indexing, and integer `/`/`%` by a variable divisor are
-//! facts; entry points are the paths PR 3 promised never die mid-tick:
-//! `run_daemon_observed`/`run_daemon_with` and the controller's
-//! `tick*`/two-pass `apply`. Indexing by a loop variable bound as
-//! `for i in 0..…` in the same body is exempt (the dominant safe shape
-//! in the controller), as are the `assert!` family (deliberate contract
-//! checks, not accidental panics). Allows: DL001/DL009/DL013.
+//! *facts* extracted per function; the pass walks the call graph from
+//! the paths that must never die mid-tick — `run_daemon_observed` and
+//! the controller's `tick*`/two-pass `apply` — and reports any reachable
+//! fact with the entry→sink call chain as a trace. Indexing by a loop
+//! variable bound as `for i in 0..…` in the same body is exempt (the
+//! dominant safe shape in the controller), as are the `assert!` family
+//! (deliberate contract checks, not accidental panics). Allow: DL013.
 //!
 //! **DL014 unit-safety.** Not reachability-based: every non-test fn in
 //! the unit-bearing crates is checked for (a) arithmetic or comparison
@@ -40,19 +19,18 @@
 //! conversions) and (b) returns from unit-promising fn names that
 //! contradict the canonical widths in DESIGN.md §12: `ways` are `u32`,
 //! `bytes`/`cycles`/`epochs` are `u64`. Named (newtype) returns pass;
-//! a float or a wrong-width integer does not. v3 propagates units
-//! through suffix-free bindings: a `let` whose initializer reads only
-//! one unit's values (with no calls, which may convert, and no later
-//! reassignment) inherits that unit, so `let w = total_ways;
+//! a float or a wrong-width integer does not. Units propagate through
+//! suffix-free bindings ([`crate::dataflow`]): a `let` whose initializer
+//! reads only one unit's values (with no calls, which may convert, and
+//! no later reassignment) inherits that unit, so `let w = total_ways;
 //! w + slab_bytes` is still a mix. Allow: DL014.
 
-use crate::dataflow::UseKind;
+use crate::dataflow::FnFlow;
 use crate::diagnostics::{Finding, Sink};
 use crate::model::Workspace;
 use crate::tokens::{Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-pub const TAINT_CODE: &str = "DL012";
 pub const PANIC_REACH_CODE: &str = "DL013";
 pub const UNIT_CODE: &str = "DL014";
 
@@ -66,12 +44,8 @@ pub enum EntryMode {
 }
 
 pub fn run_all(ws: &Workspace, mode: EntryMode, sink: &mut Sink) {
-    run_taint(ws, mode, sink);
     run_panic_reach(ws, mode, sink);
     run_unit_safety(ws, mode, sink);
-    super::flow::run_pool_discipline(ws, mode, sink);
-    super::flow::run_hot_alloc(ws, mode, sink);
-    super::flow::run_io_completeness(ws, mode, sink);
 }
 
 // ---------------------------------------------------------------------
@@ -81,7 +55,7 @@ pub fn run_all(ws: &Workspace, mode: EntryMode, sink: &mut Sink) {
 /// Multi-source BFS; returns `parent[f] = Some(pred)` for every reached
 /// fn (entries point at themselves). Deterministic: entries are visited
 /// in index order and adjacency lists are sorted.
-pub(super) fn reach(ws: &Workspace, entries: &[usize]) -> Vec<Option<usize>> {
+fn reach(ws: &Workspace, entries: &[usize]) -> Vec<Option<usize>> {
     let mut parent: Vec<Option<usize>> = vec![None; ws.fns.len()];
     let mut q = VecDeque::new();
     for &e in entries {
@@ -102,7 +76,7 @@ pub(super) fn reach(ws: &Workspace, entries: &[usize]) -> Vec<Option<usize>> {
 }
 
 /// Entry→`f` chain of qualified names, following BFS parents.
-pub(super) fn trace_to(ws: &Workspace, parent: &[Option<usize>], mut f: usize) -> Vec<String> {
+fn trace_to(ws: &Workspace, parent: &[Option<usize>], mut f: usize) -> Vec<String> {
     let mut chain = vec![ws.fns[f].qualified.clone()];
     while let Some(p) = parent[f] {
         if p == f {
@@ -115,7 +89,7 @@ pub(super) fn trace_to(ws: &Workspace, parent: &[Option<usize>], mut f: usize) -
     chain
 }
 
-pub(super) fn roots(ws: &Workspace) -> Vec<usize> {
+fn roots(ws: &Workspace) -> Vec<usize> {
     let mut has_caller = vec![false; ws.fns.len()];
     for (f, es) in ws.edges.iter().enumerate() {
         if ws.fns[f].is_test {
@@ -130,37 +104,23 @@ pub(super) fn roots(ws: &Workspace) -> Vec<usize> {
         .collect()
 }
 
-/// Crates whose bodies never contribute facts: the analyzer itself (its
-/// sources and fixtures spell every banned token) and the build tool.
-pub(super) fn fact_exempt_crate(cr: &str) -> bool {
-    cr == "dcat_lint" || cr == "xtask"
+/// The one crate whose bodies never contribute facts: the analyzer
+/// itself (its sources and fixtures spell every banned token).
+fn fact_exempt_crate(cr: &str) -> bool {
+    cr == "dcat_lint"
 }
 
 /// One extracted fact, pre-resolved to an emission site.
-pub(super) struct Fact {
-    pub(super) f: usize,
-    pub(super) line: usize,
-    pub(super) message: String,
+struct Fact {
+    f: usize,
+    line: usize,
+    message: String,
 }
 
-/// Emits `fact` if its line is not covered by `code` or any of
-/// `also_allowed` (the fact kinds map onto the token-level pass codes,
-/// whose existing allows stay honored).
-pub(super) fn emit_fact(
-    ws: &Workspace,
-    sink: &mut Sink,
-    code: &'static str,
-    also_allowed: &[&str],
-    fact: &Fact,
-    trace: Vec<String>,
-) {
+/// Emits `fact`, routed aside when a `lint: allow(code, …)` covers its
+/// line.
+fn emit_fact(ws: &Workspace, sink: &mut Sink, code: &'static str, fact: &Fact, trace: Vec<String>) {
     let unit = ws.unit_of(fact.f);
-    if also_allowed
-        .iter()
-        .any(|c| unit.file.is_allowed(fact.line, c))
-    {
-        return;
-    }
     let snippet = unit
         .file
         .lines
@@ -183,7 +143,7 @@ pub(super) fn emit_fact(
 }
 
 /// Non-test code lines of a fn body, as `(line_no, scrubbed_text)`.
-pub(super) fn body_code_lines(ws: &Workspace, f: usize) -> Vec<(usize, String)> {
+fn body_code_lines(ws: &Workspace, f: usize) -> Vec<(usize, String)> {
     let unit = ws.unit_of(f);
     let Some((lo, hi)) = ws.fn_item(f).body_lines else {
         return Vec::new();
@@ -212,176 +172,6 @@ fn is_rust_kw(t: &crate::tokens::Tok) -> bool {
     ]
     .iter()
     .any(|k| t.is_kw(k))
-}
-
-// ---------------------------------------------------------------------
-// DL012 — determinism taint v2
-// ---------------------------------------------------------------------
-
-fn taint_entries(ws: &Workspace, mode: EntryMode) -> Vec<usize> {
-    if mode == EntryMode::Roots {
-        return roots(ws);
-    }
-    let mut out = Vec::new();
-    for (f, n) in ws.fns.iter().enumerate() {
-        if n.is_test {
-            continue;
-        }
-        let ctl_tick = n.crate_ident == "dcat"
-            && n.impl_ty.as_deref() == Some("DcatController")
-            && n.name.starts_with("tick");
-        let policy_impl = n.trait_name.as_deref() == Some("CachePolicy") && n.impl_ty.is_some();
-        let host_surface = n.crate_ident == "host"
-            && matches!(
-                n.module.first().map(String::as_str),
-                Some("engine") | Some("multi")
-            )
-            && ws.fn_item(f).is_pub;
-        if ctl_tick || policy_impl || host_surface {
-            out.push(f);
-        }
-    }
-    out
-}
-
-/// Hash-typed names visible in fn `f`: the file-level tracker's names
-/// plus locals whose type (declared or call-return-inferred) is a hash
-/// container, refined by the fn's def-use chains (v3): a file-level
-/// name shadowed in this fn by a provably non-hash local is dropped,
-/// and a local bound directly from a hash-typed value (a plain alias
-/// or `.clone()`) is added even though its name carries no type.
-fn hash_names(ws: &Workspace, f: usize) -> BTreeSet<String> {
-    let mut names = super::determinism::collect_hash_names(&ws.unit_of(f).file);
-    for (name, ty) in &ws.locals[f] {
-        if ty.contains("HashMap") || ty.contains("HashSet") {
-            names.insert(name.clone());
-        }
-    }
-    let Some(flow) = super::flow::flow_of(ws, f) else {
-        return names;
-    };
-    let is_hash = |t: &str| t.contains("HashMap") || t.contains("HashSet");
-    // Shadowing cut: every def of the name in this fn is known non-hash
-    // (by annotation, call-return inference, or a non-hash constructor)
-    // → occurrences here are that local, not the file-level binding.
-    names.retain(|name| {
-        let mut defs = flow.defs.iter().filter(|d| &d.name == name).peekable();
-        if defs.peek().is_none() {
-            return true; // not bound locally; trust the file tracker
-        }
-        defs.any(|d| {
-            let known =
-                d.ty.as_deref()
-                    .or_else(|| ws.locals[f].get(name).map(String::as_str));
-            match known {
-                Some(t) => is_hash(t),
-                // No type anywhere: a non-hash constructor call proves
-                // it clean; anything else stays suspect.
-                None => !d.init_calls.iter().any(|c| {
-                    let tail = c.rsplit("::").next().unwrap_or(c);
-                    matches!(tail, "new" | "default" | "with_capacity") && !is_hash(c)
-                }),
-            }
-        })
-    });
-    // Alias propagation to a fixpoint: `let alias = m;` (or `m.clone()`)
-    // carries the hash container under a new, suffix-free name.
-    loop {
-        let mut changed = false;
-        for def in &flow.defs {
-            if names.contains(&def.name) {
-                continue;
-            }
-            let pure_alias = def
-                .init_calls
-                .iter()
-                .all(|c| c.rsplit("::").next().unwrap_or(c) == "clone");
-            if pure_alias
-                && def.init_reads.len() == 1
-                && names.contains(&flow.defs[def.init_reads[0]].name)
-            {
-                names.insert(def.name.clone());
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    names
-}
-
-fn run_taint(ws: &Workspace, mode: EntryMode, sink: &mut Sink) {
-    use super::determinism::{for_loop_over, is_order_insensitive, iter_method_on};
-    let entries = taint_entries(ws, mode);
-    let parent = reach(ws, &entries);
-    let mut facts: Vec<Fact> = Vec::new();
-    for f in 0..ws.fns.len() {
-        if parent[f].is_none() || fact_exempt_crate(&ws.fns[f].crate_ident) {
-            continue;
-        }
-        let node = &ws.fns[f];
-        let timing_license = node.crate_ident == "dcat_bench"
-            && node.module.first().map(String::as_str) == Some("timing");
-        let names = hash_names(ws, f);
-        let unit = ws.unit_of(f);
-        let mut seen_lines = BTreeSet::new();
-        for (n, line) in body_code_lines(ws, f) {
-            // Hash iteration (DL006 semantics, + inferred locals).
-            if !names.is_empty() && names.iter().any(|x| line.contains(x.as_str())) {
-                let chain = unit.file.chain_text(n);
-                for name in &names {
-                    let method_hit = iter_method_on(&chain, name);
-                    let loop_hit = for_loop_over(&line, name);
-                    if !method_hit && !loop_hit {
-                        continue;
-                    }
-                    if method_hit && !loop_hit && is_order_insensitive(&chain) {
-                        continue;
-                    }
-                    if seen_lines.insert(n) {
-                        facts.push(Fact {
-                            f,
-                            line: n,
-                            message: format!(
-                                "iteration over HashMap/HashSet `{name}` is \
-                                 order-nondeterministic and reachable from a determinism \
-                                 entry point"
-                            ),
-                        });
-                    }
-                    break;
-                }
-            }
-            // Wall clock / pointer order (DL007 semantics).
-            if !timing_license {
-                if line.contains("Instant::now") || line.contains("SystemTime") {
-                    facts.push(Fact {
-                        f,
-                        line: n,
-                        message: "wall-clock time source reachable from a determinism entry \
-                                  point (results must be a pure function of seed and config)"
-                            .into(),
-                    });
-                } else if line.contains(".as_ptr() as ")
-                    || ((line.contains(" as *const") || line.contains(" as *mut"))
-                        && line.contains(" as usize"))
-                {
-                    facts.push(Fact {
-                        f,
-                        line: n,
-                        message: "pointer-address ordering reachable from a determinism \
-                                  entry point"
-                            .into(),
-                    });
-                }
-            }
-        }
-    }
-    for fact in &facts {
-        let trace = trace_to(ws, &parent, fact.f);
-        emit_fact(ws, sink, TAINT_CODE, &["DL006", "DL007"], fact, trace);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -498,8 +288,8 @@ fn run_panic_reach(ws: &Workspace, mode: EntryMode, sink: &mut Sink) {
     let entries = panic_entries(ws, mode);
     let parent = reach(ws, &entries);
     let mut facts: Vec<Fact> = Vec::new();
-    for f in 0..ws.fns.len() {
-        if parent[f].is_none() || fact_exempt_crate(&ws.fns[f].crate_ident) {
+    for (f, node) in ws.fns.iter().enumerate() {
+        if parent[f].is_none() || fact_exempt_crate(&node.crate_ident) {
             continue;
         }
         for (n, line) in body_code_lines(ws, f) {
@@ -597,11 +387,11 @@ fn run_panic_reach(ws: &Workspace, mode: EntryMode, sink: &mut Sink) {
             i += 1;
         }
     }
-    facts.sort_by(|a, b| (a.f, a.line).cmp(&(b.f, b.line)));
+    facts.sort_by_key(|a| (a.f, a.line));
     facts.dedup_by(|a, b| a.f == b.f && a.line == b.line && a.message == b.message);
     for fact in &facts {
         let trace = trace_to(ws, &parent, fact.f);
-        emit_fact(ws, sink, PANIC_REACH_CODE, &["DL001", "DL009"], fact, trace);
+        emit_fact(ws, sink, PANIC_REACH_CODE, fact, trace);
     }
 }
 
@@ -672,43 +462,42 @@ fn run_unit_safety(ws: &Workspace, mode: EntryMode, sink: &mut Sink) {
         // (a) mixed-unit arithmetic/comparison/assignment.
         let Some((bs, be)) = item.body else { continue };
         let toks = &ws.unit_of(f).parsed.tokens;
-        // v3 dataflow: a suffix-free binding whose initializer reads
-        // only values of one unit (and is never reassigned) inherits
-        // that unit, so `let w = total_ways; w + size_bytes` is caught.
+        // A suffix-free binding whose initializer reads only values of
+        // one unit (and is never reassigned) inherits that unit, so
+        // `let w = total_ways; w + size_bytes` is caught.
         let mut inherited: BTreeMap<String, &'static str> = BTreeMap::new();
-        if let Some(flow) = super::flow::flow_of(ws, f) {
-            loop {
-                let mut changed = false;
-                for def in &flow.defs {
-                    if unit_of(&def.name).is_some()
-                        || inherited.contains_key(&def.name)
-                        || !def.init_calls.is_empty()
-                        || def.init_reads.is_empty()
-                        || def.uses.iter().any(|u| matches!(u.kind, UseKind::Write))
-                    {
-                        continue;
-                    }
-                    let units: BTreeSet<&'static str> = def
-                        .init_reads
-                        .iter()
-                        .filter_map(|&r| {
-                            let src = &flow.defs[r].name;
-                            unit_of(src).or_else(|| inherited.get(src).copied())
-                        })
-                        .collect();
-                    if units.len() == 1
-                        && def.init_reads.iter().all(|&r| {
-                            let src = &flow.defs[r].name;
-                            unit_of(src).is_some() || inherited.contains_key(src)
-                        })
-                    {
-                        inherited.insert(def.name.clone(), units.iter().next().copied().unwrap());
-                        changed = true;
-                    }
+        let flow = FnFlow::analyze(toks, (bs, be), &item.params);
+        loop {
+            let mut changed = false;
+            for def in &flow.defs {
+                if unit_of(&def.name).is_some()
+                    || inherited.contains_key(&def.name)
+                    || def.init_calls
+                    || def.init_reads.is_empty()
+                    || def.written
+                {
+                    continue;
                 }
-                if !changed {
-                    break;
+                let units: BTreeSet<&'static str> = def
+                    .init_reads
+                    .iter()
+                    .filter_map(|&r| {
+                        let src = &flow.defs[r].name;
+                        unit_of(src).or_else(|| inherited.get(src).copied())
+                    })
+                    .collect();
+                if units.len() == 1
+                    && def.init_reads.iter().all(|&r| {
+                        let src = &flow.defs[r].name;
+                        unit_of(src).is_some() || inherited.contains_key(src)
+                    })
+                {
+                    inherited.insert(def.name.clone(), units.iter().next().copied().unwrap());
+                    changed = true;
                 }
+            }
+            if !changed {
+                break;
             }
         }
         let unit_of_ident = |ident: &str| unit_of(ident).or_else(|| inherited.get(ident).copied());
@@ -743,7 +532,7 @@ fn run_unit_safety(ws: &Workspace, mode: EntryMode, sink: &mut Sink) {
     }
     for fact in &facts {
         let trace = vec![ws.fns[fact.f].qualified.clone()];
-        emit_fact(ws, sink, UNIT_CODE, &[], fact, trace);
+        emit_fact(ws, sink, UNIT_CODE, fact, trace);
     }
 }
 
@@ -772,7 +561,7 @@ fn width_violation(unit: &str, ret: &str) -> Option<&'static str> {
             )
         })
         .collect();
-    if ints.iter().any(|w| *w == canonical) {
+    if ints.contains(&canonical) {
         return None;
     }
     if !ints.is_empty() {
@@ -805,10 +594,7 @@ fn split_idents(s: &str) -> Vec<String> {
 // Self-tests
 // ---------------------------------------------------------------------
 
-#[cfg(test)]
-use std::collections::BTreeMap as TestMap;
-
-pub(super) fn fixture_ws(files: &[(&str, &str)]) -> Workspace {
+fn fixture_ws(files: &[(&str, &str)]) -> Workspace {
     let sources: Vec<(String, String)> = files
         .iter()
         .map(|(p, t)| (p.to_string(), t.to_string()))
@@ -816,14 +602,14 @@ pub(super) fn fixture_ws(files: &[(&str, &str)]) -> Workspace {
     Workspace::from_sources(&sources, &BTreeMap::new())
 }
 
-pub(super) fn run_on(files: &[(&str, &str)], mode: EntryMode) -> Sink {
+fn run_on(files: &[(&str, &str)], mode: EntryMode) -> Sink {
     let ws = fixture_ws(files);
     let mut sink = Sink::default();
     run_all(&ws, mode, &mut sink);
     sink
 }
 
-pub(super) fn expect_codes(
+fn expect_codes(
     name: &str,
     files: &[(&str, &str)],
     mode: EntryMode,
@@ -846,122 +632,6 @@ pub(super) fn expect_codes(
 }
 
 pub fn self_test() -> Result<(), String> {
-    // DL012: hash map laundered through a helper's return value — the
-    // file-local DL006 tracker cannot see `m` is a HashMap.
-    let laundered = [(
-        "a.rs",
-        "use std::collections::HashMap;\n\
-             pub fn make_map() -> HashMap<u32, u64> { HashMap::new() }\n\
-             pub fn entry() -> Vec<u64> {\n\
-                 let m = make_map();\n\
-                 m.values().copied().collect()\n\
-             }\n",
-    )];
-    expect_codes(
-        "DL012 laundering",
-        &laundered,
-        EntryMode::Roots,
-        TAINT_CODE,
-        1,
-    )?;
-    {
-        // …and the token-level DL006 pass indeed misses it.
-        let file = super::lex(laundered[0].1);
-        let mut sink = Sink::default();
-        super::determinism::run_hash_iter(&file, &mut sink);
-        if !sink.findings.is_empty() {
-            return Err("DL012 self-test: fixture must be invisible to DL006".into());
-        }
-    }
-    // Order-insensitive fold stays exempt even through laundering.
-    expect_codes(
-        "DL012 fold exemption",
-        &[(
-            "a.rs",
-            "use std::collections::HashMap;\n\
-             pub fn make_map() -> HashMap<u32, u64> { HashMap::new() }\n\
-             pub fn entry() -> u64 {\n\
-                 let m = make_map();\n\
-                 m.values().sum()\n\
-             }\n",
-        )],
-        EntryMode::Roots,
-        TAINT_CODE,
-        0,
-    )?;
-    // The allow escape is honored at the fact site.
-    expect_codes(
-        "DL012 allow",
-        &[(
-            "a.rs",
-            "use std::collections::HashMap;\n\
-             pub fn make_map() -> HashMap<u32, u64> { HashMap::new() }\n\
-             pub fn entry() -> Vec<u64> {\n\
-                 let m = make_map();\n\
-                 m.values().copied().collect() // lint: allow(DL006, order folded by caller)\n\
-             }\n",
-        )],
-        EntryMode::Roots,
-        TAINT_CODE,
-        0,
-    )?;
-    // v3 shadow cut: `counts` is a HashMap in `other` (so the
-    // file-level tracker collects the name) but a Vec in `entry`; the
-    // def-use layer sees the non-hash annotation and stays silent.
-    expect_codes(
-        "DL012 shadowed non-hash local",
-        &[(
-            "a.rs",
-            "use std::collections::HashMap;\n\
-             pub fn other() -> u64 {\n\
-                 let counts: HashMap<u32, u64> = HashMap::new();\n\
-                 counts.len() as u64\n\
-             }\n\
-             pub fn entry() -> u64 {\n\
-                 let counts: Vec<u64> = vec![1, 2];\n\
-                 let mut acc = 0;\n\
-                 for c in counts.iter() {\n\
-                     acc += c;\n\
-                 }\n\
-                 acc\n\
-             }\n",
-        )],
-        EntryMode::Roots,
-        TAINT_CODE,
-        0,
-    )?;
-    // v3 alias catch: the hash container is renamed through a plain
-    // alias before iteration; only value tracking connects the two.
-    expect_codes(
-        "DL012 hash alias",
-        &[(
-            "a.rs",
-            "use std::collections::HashMap;\n\
-             pub fn make_map() -> HashMap<u32, u64> { HashMap::new() }\n\
-             pub fn entry() -> Vec<u64> {\n\
-                 let m = make_map();\n\
-                 let renamed = m;\n\
-                 renamed.values().copied().collect()\n\
-             }\n",
-        )],
-        EntryMode::Roots,
-        TAINT_CODE,
-        1,
-    )?;
-    // Wall clock two calls deep.
-    expect_codes(
-        "DL012 wall clock depth 2",
-        &[(
-            "a.rs",
-            "fn leaf() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n\
-             fn mid() -> u64 { leaf() }\n\
-             pub fn entry() -> u64 { mid() }\n",
-        )],
-        EntryMode::Roots,
-        TAINT_CODE,
-        1,
-    )?;
-
     // DL013: unwrap hidden behind a helper in another module.
     expect_codes(
         "DL013 laundering",
@@ -1124,8 +794,9 @@ mod tests {
                 "pub struct DcatController;\n\
                  impl DcatController {\n\
                      pub fn tick_observed(&mut self) { self.collect(); }\n\
-                     fn collect(&mut self) { let t = Instant::now(); let _ = t; }\n\
-                 }\n",
+                     fn collect(&mut self) { let x: Option<u64> = None; let _ = x.unwrap(); }\n\
+                 }\n\
+                 pub fn lonely() { let x: Option<u64> = None; let _ = x.unwrap(); }\n",
             ),
             (
                 "crates/dcat/src/daemon.rs",
@@ -1135,53 +806,25 @@ mod tests {
         ]);
         let mut sink = Sink::default();
         run_all(&ws, EntryMode::Repo, &mut sink);
-        let taint: Vec<_> = sink
-            .findings
-            .iter()
-            .filter(|f| f.code == TAINT_CODE)
-            .collect();
-        assert_eq!(taint.len(), 1, "{:?}", sink.findings);
+        // `lonely` is no entry point and nothing on a tick path calls it.
+        let traces: Vec<_> = sink.findings.iter().map(|f| f.trace.clone()).collect();
+        assert!(
+            sink.findings.iter().all(|f| f.code == PANIC_REACH_CODE),
+            "{:?}",
+            sink.findings
+        );
         assert_eq!(
-            taint[0].trace,
+            traces,
             vec![
-                "dcat::controller::DcatController::tick_observed".to_string(),
-                "dcat::controller::DcatController::collect".to_string(),
+                vec![
+                    "dcat::controller::DcatController::tick_observed".to_string(),
+                    "dcat::controller::DcatController::collect".to_string(),
+                ],
+                vec![
+                    "dcat::daemon::run_daemon_observed".to_string(),
+                    "dcat::daemon::helper".to_string(),
+                ],
             ]
         );
-        let panics: Vec<_> = sink
-            .findings
-            .iter()
-            .filter(|f| f.code == PANIC_REACH_CODE)
-            .collect();
-        assert_eq!(panics.len(), 1, "{:?}", sink.findings);
-        assert_eq!(
-            panics[0].trace.first().unwrap(),
-            "dcat::daemon::run_daemon_observed"
-        );
-    }
-
-    #[test]
-    fn bench_timing_keeps_its_clock() {
-        let ws = fixture_ws(&[(
-            "crates/bench/src/timing.rs",
-            "pub fn now_cycles() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
-        )]);
-        // Map the dir name to the package ident like check_repo does.
-        let sources = vec![(
-            "crates/bench/src/timing.rs".to_string(),
-            ws.units[0]
-                .file
-                .lines
-                .iter()
-                .map(|l| l.raw.clone())
-                .collect::<Vec<_>>()
-                .join("\n"),
-        )];
-        let mut idents = TestMap::new();
-        idents.insert("bench".to_string(), "dcat_bench".to_string());
-        let ws = Workspace::from_sources(&sources, &idents);
-        let mut sink = Sink::default();
-        run_taint(&ws, EntryMode::Roots, &mut sink);
-        assert!(sink.findings.is_empty(), "{:?}", sink.findings);
     }
 }

@@ -3,17 +3,12 @@
 //! positive/negative fixtures; a pass that stops detecting its own
 //! pattern fails the whole lint run.
 
-pub mod cast_safety;
 pub mod cbm_bits;
 pub mod determinism;
 pub mod direct_io;
 pub mod float_eq;
-pub mod flow;
 pub mod interproc;
-pub mod panic_path;
-pub mod print_discipline;
 pub mod spec_drift;
-pub mod threading;
 
 use crate::diagnostics::Sink;
 use crate::lexer::SourceFile;
@@ -22,17 +17,11 @@ use crate::lexer::SourceFile;
 pub const DL000: &str = "DL000";
 
 /// All per-file pass codes in catalog order (DL010 is repo-level).
-pub const FILE_PASS_CODES: [&str; 10] = [
-    panic_path::UNWRAP_CODE,
+pub const FILE_PASS_CODES: [&str; 4] = [
     cbm_bits::CODE,
     float_eq::CODE,
-    threading::CODE,
     direct_io::CODE,
-    determinism::HASH_ITER_CODE,
-    determinism::WALL_CLOCK_CODE,
-    cast_safety::CODE,
-    panic_path::INDEX_CODE,
-    print_discipline::CODE,
+    determinism::CODE,
 ];
 
 /// Every diagnostic code the engine can emit (for allow validation).
@@ -40,69 +29,45 @@ pub fn known_codes() -> Vec<&'static str> {
     let mut v = vec![DL000];
     v.extend(FILE_PASS_CODES);
     v.push(spec_drift::CODE);
-    v.push(interproc::TAINT_CODE);
     v.push(interproc::PANIC_REACH_CODE);
     v.push(interproc::UNIT_CODE);
-    v.push(flow::POOL_CODE);
-    v.push(flow::ALLOC_CODE);
-    v.push(flow::IO_CODE);
     v
 }
 
 /// Runs one pass by code against a file.
 pub fn run_pass(code: &str, file: &SourceFile, sink: &mut Sink) {
     match code {
-        c if c == panic_path::UNWRAP_CODE => panic_path::run_unwrap(file, sink),
-        c if c == panic_path::INDEX_CODE => panic_path::run_index(file, sink),
         c if c == cbm_bits::CODE => cbm_bits::run(file, sink),
         c if c == float_eq::CODE => float_eq::run(file, sink),
-        c if c == threading::CODE => threading::run(file, sink),
         c if c == direct_io::CODE => direct_io::run(file, sink),
-        c if c == determinism::HASH_ITER_CODE => determinism::run_hash_iter(file, sink),
-        c if c == determinism::WALL_CLOCK_CODE => determinism::run_wall_clock(file, sink),
-        c if c == cast_safety::CODE => cast_safety::run(file, sink),
-        c if c == print_discipline::CODE => print_discipline::run(file, sink),
+        c if c == determinism::CODE => determinism::run(file, sink),
         other => unreachable!("unknown pass code {other}"),
     }
 }
 
 /// Runs the self-tests of every pass (and the allow grammar).
 pub fn self_test_all() -> Result<(), String> {
-    panic_path::self_test()?;
     cbm_bits::self_test()?;
     float_eq::self_test()?;
-    threading::self_test()?;
     direct_io::self_test()?;
     determinism::self_test()?;
-    cast_safety::self_test()?;
-    print_discipline::self_test()?;
     spec_drift::self_test()?;
     interproc::self_test()?;
-    flow::self_test()?;
     Ok(())
 }
 
-/// Fixture helper shared by the pass self-tests.
-pub(crate) fn lex(src: &str) -> SourceFile {
-    SourceFile::parse("fixture.rs", src)
-}
-
-/// Self-test helper: run one pass over a fixture, count findings.
-pub(crate) fn count(run: impl Fn(&SourceFile, &mut Sink), src: &str) -> usize {
-    let file = lex(src);
-    let mut sink = Sink::default();
-    run(&file, &mut sink);
-    sink.findings.len()
-}
-
-/// Self-test assertion: `src` must yield exactly `want` findings.
+/// Self-test assertion: `run` over fixture `src` must yield exactly
+/// `want` findings.
 pub(crate) fn expect_count(
     pass: &str,
     run: impl Fn(&SourceFile, &mut Sink),
     src: &str,
     want: usize,
 ) -> Result<(), String> {
-    let got = count(run, src);
+    let file = SourceFile::parse("fixture.rs", src);
+    let mut sink = Sink::default();
+    run(&file, &mut sink);
+    let got = sink.findings.len();
     if got == want {
         Ok(())
     } else {

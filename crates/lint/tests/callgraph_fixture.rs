@@ -115,133 +115,39 @@ fn ambiguous_method_call_is_reported_not_guessed() {
     assert_eq!(ws.summary().unresolved, ws.unresolved.len());
 }
 
-/// The DL015 fixture is its own tiny workspace so the all-DL012
-/// assertion on `mini_workspace()` keeps holding.
-fn pool_workspace() -> Workspace {
-    let sources = vec![(
-        "crates/app/src/pool_worker.rs".to_string(),
-        fixture("app_pool_worker.rs"),
-    )];
-    let idents = BTreeMap::from([("app".to_string(), "app".to_string())]);
-    Workspace::from_sources(&sources, &idents)
-}
-
-fn daemon_workspace() -> Workspace {
-    let sources = vec![(
-        "crates/app/src/daemon_stub.rs".to_string(),
-        fixture("app_daemon_stub.rs"),
-    )];
-    let idents = BTreeMap::from([("app".to_string(), "app".to_string())]);
-    Workspace::from_sources(&sources, &idents)
-}
-
 #[test]
-fn dl015_pool_capture_trace_is_byte_exact() {
-    let ws = pool_workspace();
-    let mut sink = Sink::default();
-    run_all(&ws, EntryMode::Roots, &mut sink);
-    let pool: Vec<_> = sink.findings.iter().filter(|f| f.code == "DL015").collect();
-    assert_eq!(
-        pool.len(),
-        1,
-        "expected exactly the mutated capture: {:?}",
-        sink.findings
-    );
-    let f = pool[0];
-    assert_eq!(f.path, "crates/app/src/pool_worker.rs");
-    assert_eq!(
-        f.message,
-        "closure passed to Pool::map mutates captured `merged` — workers race on shared \
-         state; return per-item results and merge in the coordinator"
-    );
-    assert_eq!(
-        f.trace,
-        vec![
-            "app::pool_worker::run_sweep".to_string(),
-            "app::pool_worker::fan_out".to_string()
-        ],
-        "entry -> capture chain must be reproduced exactly"
-    );
-    assert!(f.snippet.contains("merged += x"), "snippet: {}", f.snippet);
-    assert!(
-        sink.findings.iter().all(|f| f.code == "DL015"),
-        "unexpected findings: {:?}",
-        sink.findings
-    );
-}
-
-#[test]
-fn dl017_two_hop_discard_trace_is_byte_exact() {
-    let ws = daemon_workspace();
-    let mut sink = Sink::default();
-    run_all(&ws, EntryMode::Roots, &mut sink);
-    let io: Vec<_> = sink.findings.iter().filter(|f| f.code == "DL017").collect();
-    assert_eq!(
-        io.len(),
-        1,
-        "expected exactly the two-hop discard: {:?}",
-        sink.findings
-    );
-    let f = io[0];
-    assert_eq!(f.path, "crates/app/src/daemon_stub.rs");
-    assert_eq!(
-        f.message,
-        "I/O Result bound to `applied` and then discarded with `let _ =` — the two-hop \
-         discard still loses the error; classify or propagate it"
-    );
-    assert_eq!(
-        f.trace,
-        vec![
-            "app::daemon_stub::run_daemon".to_string(),
-            "app::daemon_stub::step_epoch".to_string()
-        ],
-        "entry -> discard chain must be reproduced exactly"
-    );
-    assert!(
-        f.snippet.contains("let _ = applied"),
-        "snippet: {}",
-        f.snippet
-    );
-    assert!(
-        sink.findings.iter().all(|f| f.code == "DL017"),
-        "unexpected findings: {:?}",
-        sink.findings
-    );
-}
-
-#[test]
-fn dl012_trace_through_aliased_cross_crate_call_is_byte_exact() {
+fn dl013_trace_through_aliased_cross_crate_call_is_byte_exact() {
     let ws = mini_workspace();
     let mut sink = Sink::default();
     run_all(&ws, EntryMode::Roots, &mut sink);
-    let taints: Vec<_> = sink.findings.iter().filter(|f| f.code == "DL012").collect();
+    let panics: Vec<_> = sink.findings.iter().filter(|f| f.code == "DL013").collect();
     assert_eq!(
-        taints.len(),
+        panics.len(),
         1,
-        "expected exactly the laundered HashMap iteration: {:?}",
+        "expected exactly the unwrap behind the aliased call: {:?}",
         sink.findings
     );
-    let f = taints[0];
-    assert_eq!(f.path, "crates/app/src/metrics.rs");
+    let f = panics[0];
+    assert_eq!(f.path, "crates/corelib/src/lib.rs");
     assert_eq!(
         f.trace,
         vec![
             "app::main::main".to_string(),
-            "app::metrics::collect".to_string()
+            "app::metrics::collect".to_string(),
+            "corelib::routing_table".to_string()
         ],
         "entry -> sink chain must be reproduced exactly"
     );
-    assert!(f.snippet.contains("for name in m.keys()"));
+    assert!(f.snippet.contains("\"1\".parse().unwrap()"));
     assert!(
         f.render_human()
-            .contains("via app::main::main -> app::metrics::collect"),
+            .contains("via app::main::main -> app::metrics::collect -> corelib::routing_table"),
         "human rendering carries the trace: {}",
         f.render_human()
     );
-    // The fixture has no panic sites or unit mixing: the other two
-    // interprocedural passes stay quiet on it.
+    // The fixture has no unit mixing: DL014 stays quiet on it.
     assert!(
-        sink.findings.iter().all(|f| f.code == "DL012"),
+        sink.findings.iter().all(|f| f.code == "DL013"),
         "unexpected findings: {:?}",
         sink.findings
     );

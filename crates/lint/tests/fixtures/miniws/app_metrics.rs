@@ -18,8 +18,8 @@ impl Gauge {
     }
 }
 
-/// The DL012 target: the HashMap arrives through a use-aliased
-/// cross-crate call, so no token-level pass can see its type here.
+/// On the DL013 trace: the panic site sits behind this use-aliased
+/// cross-crate call, so no per-file pass can see it from here.
 pub fn collect() -> u32 {
     let m = routes();
     let mut total = 0;

@@ -1,16 +1,16 @@
 //! Mini-workspace fixture, "corelib" crate (`crates/corelib/src/lib.rs`).
 //!
-//! Deliberately holds a HashMap-returning constructor (the laundering
-//! vehicle for the DL012 trace test) and a `sample` method that collides
-//! with `app::metrics::Gauge::sample` to force an ambiguous edge.
+//! Deliberately holds a constructor with an `unwrap()` (the panic site
+//! of the DL013 trace test, two calls and one crate away from the
+//! entry) and a `sample` method that collides with
+//! `app::metrics::Gauge::sample` to force an ambiguous edge.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// Builds the routing table. The HashMap return type is what the
-/// interprocedural engine must carry back into callers.
-pub fn routing_table() -> HashMap<String, u32> {
-    let mut m = HashMap::new();
-    m.insert("a".to_string(), 1);
+/// Builds the routing table; the parse is the seeded panic site.
+pub fn routing_table() -> BTreeMap<String, u32> {
+    let mut m = BTreeMap::new();
+    m.insert("a".to_string(), "1".parse().unwrap());
     m
 }
 

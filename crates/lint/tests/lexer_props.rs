@@ -10,13 +10,12 @@ use dcat_lint::tokens::{tokenize, TokKind};
 use prop_lite::run_cases;
 
 /// Fragments that, placed in *code*, trigger a pass.
-const BANNED: [&str; 6] = [
-    ".unwrap()",
-    ".expect(\"x\")",
-    "thread::spawn",
+const BANNED: [&str; 5] = [
     "std::fs::read_to_string(p)",
-    "Instant::now()",
     "bits << shift",
+    "a.0 & b.0",
+    "ipc == 0.0",
+    "slot.as_ptr() as usize",
 ];
 
 /// Wrappers that must hide a fragment from every pass.
@@ -61,11 +60,11 @@ fn code_after_a_wrapper_is_still_seen() {
         let hidden = *g.pick(&BANNED);
         let style = g.usize_in(0, 5);
         // One wrapped (invisible) occurrence, then one real violation.
-        let src = format!("{}\nlet x = v.unwrap();\n", wrap(style, hidden));
+        let src = format!("{}\nlet x = mask << 1;\n", wrap(style, hidden));
         assert_eq!(
             count_all_passes(&src),
             1,
-            "the real .unwrap() after a style-{style} wrapper was miscounted:\n{src}"
+            "the real shift after a style-{style} wrapper was miscounted:\n{src}"
         );
     });
 }
@@ -74,10 +73,10 @@ fn code_after_a_wrapper_is_still_seen() {
 fn char_literals_and_lifetimes_do_not_derail_scrubbing() {
     // `'"'` opens no string; `'a` is a lifetime, not a literal.
     let tricky = [
-        "let q = '\"'; let x = v.unwrap();",
-        "let e = '\\''; let x = v.unwrap();",
-        "fn f<'a>(s: &'a str) -> &'a str { s.trim() }\nlet x = v.unwrap();",
-        "let b = b'\"'; let x = v.unwrap();",
+        "let q = '\"'; let x = mask << 1;",
+        "let e = '\\''; let x = mask << 1;",
+        "fn f<'a>(s: &'a str) -> &'a str { s.trim() }\nlet x = mask << 1;",
+        "let b = b'\"'; let x = mask << 1;",
     ];
     for src in tricky {
         assert_eq!(count_all_passes(src), 1, "miscounted: {src}");
@@ -88,7 +87,7 @@ fn char_literals_and_lifetimes_do_not_derail_scrubbing() {
 fn slash_slash_inside_strings_is_not_a_comment() {
     run_cases("slash_slash_inside_strings_is_not_a_comment", 200, |g| {
         let host = *g.pick(&["http://host/a", "a//b", "//", "x // y"]);
-        let src = format!("let url = \"{host}\"; let x = v.unwrap();");
+        let src = format!("let url = \"{host}\"; let x = mask << 1;");
         assert_eq!(count_all_passes(&src), 1, "miscounted: {src}");
     });
 }
@@ -197,7 +196,7 @@ fn raw_string_hash_depths_round_trip() {
         // A raw string whose body contains a quote + fewer hashes than
         // the delimiter; the scrubber must not close early.
         let src = format!(
-            "let s = r{hashes}\"inner \"{} quote .unwrap()\"{hashes};\nlet x = v.unwrap();\n",
+            "let s = r{hashes}\"inner \"{} quote a.0 & b.0\"{hashes};\nlet x = mask << 1;\n",
             "#".repeat(depth.saturating_sub(1)),
         );
         assert_eq!(count_all_passes(&src), 1, "miscounted: {src}");

@@ -6,6 +6,9 @@
 //! the `perf-events` crate turns raw counts into the derived metrics the
 //! controller consumes.
 
+// Counter math: no silent truncation or sign change (DESIGN.md §12).
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 /// Monotonic per-core event counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreCounters {

@@ -43,6 +43,10 @@
 //! assert_eq!(h.counters(0).l1_ref, 1);
 //! ```
 
+// Library code does not print; bins, tests and benches are other targets and
+// own their stdio (DESIGN.md §12).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod address;
 pub mod cache;
 pub mod coloring;

@@ -14,7 +14,6 @@
 //! physically contiguous by construction). [`PageMapper`] demand-maps
 //! virtual pages on first touch.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use smallrng::SmallRng;
@@ -306,6 +305,14 @@ impl Hasher for PageHasher {
     }
 }
 
+/// The page table stays a hash map: `translate()` runs per memory
+/// reference and O(1) lookup is the point.
+#[allow(
+    clippy::disallowed_types,
+    reason = "only `clear()` iterates it, and frees are commutative; no iteration order escapes"
+)]
+type PageTable = std::collections::HashMap<u64, PhysAddr, BuildHasherDefault<PageHasher>>;
+
 /// No virtual page has this number: page numbers are addresses shifted
 /// right by at least 12 bits.
 const NO_PAGE: u64 = u64::MAX;
@@ -314,7 +321,7 @@ const NO_PAGE: u64 = u64::MAX;
 #[derive(Debug)]
 pub struct PageMapper {
     page_size: PageSize,
-    table: HashMap<u64, PhysAddr, BuildHasherDefault<PageHasher>>,
+    table: PageTable,
     // The previous translation. Sequential streams stay on a page for 64
     // references and think-time filler never leaves one, so most
     // translations repeat the last and skip the table.
@@ -327,7 +334,7 @@ impl PageMapper {
     pub fn new(page_size: PageSize) -> Self {
         PageMapper {
             page_size,
-            table: HashMap::default(),
+            table: PageTable::default(),
             last_vpage: NO_PAGE,
             last_base: PhysAddr(0),
         }
@@ -401,12 +408,10 @@ impl PageMapper {
 
     /// Unmaps everything, returning the frames to `frames`.
     pub fn clear(&mut self, frames: &mut FrameAllocator) {
-        // The page table stays a HashMap (translate() runs per memory
-        // reference; O(1) lookup is the point). Draining it here visits
-        // entries in hasher order, but freeing is commutative: the
-        // allocator's record of used frames is a bitmap, and allocation
-        // order is driven by the RNG stream, not by the order of frees.
-        // lint: allow(DL006, frees are commutative; no iteration order escapes)
+        // Draining visits entries in hasher order, but freeing is
+        // commutative: the allocator's record of used frames is a bitmap,
+        // and allocation order is driven by the RNG stream, not by the
+        // order of frees.
         for (_, base) in self.table.drain() {
             frames.free(base, self.page_size);
         }

@@ -1,5 +1,9 @@
 //! Property-based tests for the cache simulator's core invariants.
 
+// The hash-container ban (root `clippy.toml`) guards simulator state; the
+// map below only remembers what each page translated to.
+#![allow(clippy::disallowed_types)]
+
 use llc_sim::{
     AccessKind, CacheGeometry, FrameAllocator, FramePolicy, Hierarchy, HierarchyConfig, LineAddr,
     PageMapper, PageSize, SetAssocCache, VirtAddr, WayMask,

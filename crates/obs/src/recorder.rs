@@ -127,7 +127,7 @@ mod tests {
             exit_step: 2,
             cycles: 0,
         };
-        fr.record(tick, tick % 2 == 0, &[span], [EVENT.to_string()]);
+        fr.record(tick, tick.is_multiple_of(2), &[span], [EVENT.to_string()]);
     }
 
     #[test]

@@ -194,7 +194,7 @@ fn frame_writer_reproduces_the_recorded_bytes() {
     let mut writer = FrameWriter::new("golden:\"src\\");
     let mut lines = writer.header().to_string();
     for f in scenario() {
-        lines.push_str(&writer.push(f));
+        lines.push_str(writer.push(f));
     }
     assert_eq!(
         writer.buffer(),
@@ -207,7 +207,7 @@ fn frame_writer_reproduces_the_recorded_bytes() {
     let mut streamed = live.header().to_string();
     for f in scenario() {
         live.clear_buffer();
-        streamed.push_str(&live.push(f));
+        streamed.push_str(live.push(f));
     }
     assert_eq!(streamed, lines, "clear_buffer keeps the ways_moved state");
 

@@ -19,12 +19,15 @@ pub const MAX_EXACT_U64_IN_F64: u64 = 1 << 53;
 /// so the assertion documents an invariant rather than guarding a
 /// plausible path. Release builds saturate into rounding territory
 /// rather than panicking.
+#[allow(
+    clippy::as_conversions,
+    reason = "the one audited u64-to-f64 site; exactness is debug-asserted in the body"
+)]
 pub fn counter_to_f64(count: u64) -> f64 {
     debug_assert!(
         count <= MAX_EXACT_U64_IN_F64,
         "counter value {count} exceeds 2^53 and would round in f64"
     );
-    // lint: allow(DL008, the one audited u64-to-f64 site; exactness is debug-asserted above)
     count as f64
 }
 

@@ -34,6 +34,12 @@
 //! assert!((m.mem_access_per_instr - 0.34).abs() < 1e-9);
 //! ```
 
+// Library code does not print; bins, tests and benches are other targets and
+// own their stdio (DESIGN.md §12).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+// Counter math: no silent truncation or sign change (DESIGN.md §12).
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 pub mod convert;
 pub mod events;
 pub mod metrics;

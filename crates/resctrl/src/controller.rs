@@ -119,7 +119,10 @@ impl std::error::Error for ResctrlError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ResctrlError::Io(e) => Some(e),
-            _ => None,
+            ResctrlError::InvalidCbm { .. }
+            | ResctrlError::InvalidCos(_)
+            | ResctrlError::InvalidCore(_)
+            | ResctrlError::Parse(_) => None,
         }
     }
 }

@@ -19,6 +19,14 @@
 //! fixture directory (see [`FsBackend::create_fixture`]) it is a faithful,
 //! fully-testable stand-in — which is how this repository exercises it.
 
+// Privileged I/O: a tick degrades, it never dies (DESIGN.md §12).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -268,7 +276,10 @@ impl CacheController for FsBackend {
         self.validate_cos(cos)?;
         self.validate_cbm(cbm)?;
         self.schemata_line.clear();
-        // Formatting into a `String` cannot fail.
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "formatting into a `String` cannot fail"
+        )]
         let _ = writeln!(self.schemata_line, "L3:0={cbm}");
         fs::write(self.schemata_path(cos)?, &self.schemata_line)?;
         Ok(())

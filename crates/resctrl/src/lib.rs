@@ -38,6 +38,16 @@
 //! assert_eq!(cat.cos_mask(CosId(2)).unwrap().ways(), 6);
 //! ```
 
+// Library code does not print; bins, tests and benches are other targets and
+// own their stdio (DESIGN.md §12).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+// No I/O `Result` is discarded and no error severity falls into a `_` arm
+// (DESIGN.md §12); `unused_must_use` covers the bare-statement form.
+#![cfg_attr(
+    not(test),
+    deny(clippy::let_underscore_must_use, clippy::wildcard_enum_match_arm)
+)]
+
 pub mod cbm;
 pub mod controller;
 pub mod fault;

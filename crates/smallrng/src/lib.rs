@@ -11,6 +11,10 @@
 //! mirrors the small subset of `rand` the workspace used: seeding from a
 //! `u64`, uniform integer ranges, Bernoulli draws and unit-interval floats.
 
+// Library code does not print; bins, tests and benches are other targets and
+// own their stdio (DESIGN.md §12).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 /// SplitMix64 step: expands a 64-bit seed into well-mixed state words.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -119,7 +119,7 @@ fn follow(path: &str, args: &Args, opts: &RenderOptions) -> Result<(), String> {
                     for seg in &segments {
                         for f in &seg.frames {
                             if index >= shown {
-                                print!("{}\n", render_frame(f, opts));
+                                println!("{}", render_frame(f, opts));
                             }
                             index += 1;
                         }

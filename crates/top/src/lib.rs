@@ -12,6 +12,10 @@
 //! re-interprets the schema, so a stream `dcat-top` can render is exactly
 //! a stream `obs-dump --check` accepts.
 
+// Library code does not print; bins, tests and benches are other targets and
+// own their stdio (DESIGN.md §12).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 use dcat_obs::frames::{parse_flight, parse_stream, DomainFrame, Frame};
 
 /// How to paint the dashboard.

@@ -43,6 +43,7 @@
 //! injected fewer faults or degraded fewer ticks than its floors.
 
 use dcat::{DcatConfig, DcatController, WorkloadClass, WorkloadHandle};
+use dcat_obs::Tracer;
 use perf_events::CounterSnapshot;
 use resctrl::fault::{Fault, FaultPlan, FaultingController};
 use resctrl::retry::{RetryPolicy, RetryingController};
@@ -463,7 +464,7 @@ fn nudge_for(ways: u32, min_ways: u32) -> Option<Nudge> {
 /// This is the model-checking twin of the daemon's resilient loop:
 /// backend faults are injected by a real [`FaultingController`] under a
 /// real retry wrapper, telemetry faults are abstracted into per-domain
-/// validity flags for [`DcatController::tick_validated`], and a
+/// validity flags for [`DcatController::tick_observed`], and a
 /// transient tick failure degrades (the previous allocation stands)
 /// instead of aborting. The temporal properties of the fault-free
 /// dimension (Reclaim timing, probe termination) do not apply — a
@@ -551,7 +552,7 @@ fn run_fault_scenario(corner: &Corner, pool: &Pool, seed: u64) -> Result<FaultRu
             valid[probe] = false;
         }
 
-        match ctl.tick_validated(&snaps, &valid, &mut cat) {
+        match ctl.tick_observed(&snaps, &valid, &mut cat, &mut Tracer::disabled()) {
             Ok(_) => {}
             Err(e) if e.is_transient() => degraded += 1,
             Err(e) => {
@@ -680,7 +681,7 @@ fn main() {
         for (pi, pool) in pools.iter().enumerate() {
             for stream in 0..fault_seeds {
                 let seed = smallrng::split_seed(
-                    0xD_CA7_FA17,
+                    0xDCA7_FA17,
                     ((ci as u64) << 32) | ((pi as u64) << 16) | stream,
                 );
                 match run_fault_scenario(corner, pool, seed) {

@@ -47,6 +47,14 @@
 //! assert!(saw_end);
 //! ```
 
+// Library code does not print; bins, tests and benches are other targets and
+// own their stdio (DESIGN.md §12).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+// The hash-container ban (root `clippy.toml`) guards simulator and
+// controller state whose order reaches output; this crate's unit tests
+// only count distinct values with them.
+#![cfg_attr(test, allow(clippy::disallowed_types))]
+
 pub mod diurnal;
 pub mod lookbusy;
 pub mod mload;
