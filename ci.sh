@@ -114,7 +114,9 @@ echo "==> per-reference path in release: llc-sim, workloads and smallrng suites 
 # are in neither Tier-1 nor the default test step above; they carry the
 # multi-core inclusion property and its decision digests, the stream and
 # gen_range byte oracles (tests/golden/, recorded before the divisions
-# came off the path) and the reciprocal set-index identity.
+# came off the path), the reciprocal set-index identity and the
+# private-cache recency list against the stamped cache it replaced
+# (private_equivalence.rs: under 5 s in debug, so it has no step of its own).
 cargo test -q --release --offline -p workloads -p smallrng -p llc-sim
 
 echo "==> daemon end-to-end (fixture resctrl tree + scripted telemetry)"
@@ -134,7 +136,7 @@ cargo test -q --release -p dcat --offline --test tick_allocations -- --nocapture
 
 echo "==> engine epoch allocations (counting allocator; warm-epoch bound, release)"
 # Measured, not inferred from syntax: a warm
-# 4-VM run_epoch allocates per epoch, never per reference.
+# 4-VM run_epoch allocates 5 times per epoch, never per reference.
 cargo test -q --release -p host --offline --test epoch_allocations -- --nocapture
 
 echo "==> all experiments: serial vs parallel wall-clock and byte-identity"

@@ -1,10 +1,10 @@
-//! The `micro` suite: set access, hierarchy access per replacement
-//! policy and per outcome (L1 hit, LLC miss with and without eviction on
-//! the 18-core socket), page translation, reference generation (a
-//! 1 000-reference batch per stream, one bounded draw), the engine epoch
-//! loop and its CMT
-//! occupancy read, the daemon's interval (telemetry parse, a whole steady
-//! tick, the frame encode), and the full-workspace lint run.
+//! The `micro` suite: set access, the private-cache recency list,
+//! hierarchy access per replacement policy and per outcome (L1 hit, LLC
+//! miss with and without eviction on the 18-core socket), page
+//! translation, reference generation (a 1 000-reference batch per stream,
+//! one bounded draw), the engine epoch loop and its CMT occupancy read,
+//! the daemon's interval (telemetry parse, a whole steady tick, the frame
+//! encode), and the full-workspace lint run.
 //!
 //! The headline pair is `set_access_churn_packed` vs
 //! `set_access_churn_legacy`: a full 16-way set where every fill must
@@ -22,7 +22,7 @@ use llc_sim::set::legacy::LegacyCacheSet;
 use llc_sim::set::CacheSet;
 use llc_sim::{
     AccessKind, CacheGeometry, FrameAllocator, FramePolicy, Hierarchy, HierarchyConfig, LineAddr,
-    PageMapper, PageSize, VirtAddr, WayMask,
+    PageMapper, PageSize, PrivateCache, VirtAddr, WayMask,
 };
 use smallrng::SmallRng;
 use workloads::{AccessStream, DiurnalStream, Lookbusy, Mload, Mlr, RedisModel};
@@ -265,6 +265,50 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
             next_line += 1;
             t += 1;
             set.fill_with(LineAddr(next_line), full, t, 0, ReplacementPolicy::Lru, 0)
+        });
+    }
+
+    // --- PrivateCache (the L1/L2 recency list), the fleet's 64 × 8 L1 ---
+    let l1 = CacheGeometry::new(64, 8, 64);
+    {
+        // One line per set, revisited: every hit finds its tag at the
+        // front, which is what a loop's filler references do.
+        let mut cache = PrivateCache::new(l1);
+        let mut i = 0u64;
+        suite.case("private_cache_hit_mru", iters, move || {
+            i += 1;
+            cache.access(LineAddr(i % 8))
+        });
+    }
+    {
+        // Fresh lines forever: once the sets are full every fill shifts
+        // a whole set and drops its tail.
+        let mut cache = PrivateCache::new(l1);
+        let mut line = 0u64;
+        for _ in 0..l1.sets * l1.ways {
+            cache.fill(LineAddr(line));
+            line += 1;
+        }
+        suite.case("private_cache_fill_evict", iters, move || {
+            line += 1;
+            cache.fill(LineAddr(line))
+        });
+    }
+    {
+        // A back-invalidation that finds its line, and the refill that
+        // keeps the set full for the next one: close the gap at a
+        // rotating depth, then shift the set back down.
+        let mut cache = PrivateCache::new(l1);
+        for line in 0..u64::from(l1.sets * l1.ways) {
+            cache.fill(LineAddr(line));
+        }
+        let mut i = 0u64;
+        suite.case("private_cache_invalidate", iters, move || {
+            i += 1;
+            let line = LineAddr(i % u64::from(l1.sets * l1.ways));
+            let dropped = cache.invalidate(line);
+            cache.fill(line);
+            dropped
         });
     }
 

@@ -15,7 +15,7 @@
 //! instructions × CPI_exec plus per-level miss penalties divided by the
 //! workload's memory-level parallelism.
 
-use dcat_obs::{Registry, Snapshot};
+use dcat_obs::{Registry, SeriesId, Snapshot};
 use llc_sim::{
     CoreCounters, CyclesModel, FrameAllocator, Hierarchy, HitLevel, LatencyModel, PageMapper,
     WayMask,
@@ -134,7 +134,45 @@ pub struct Engine {
     core_cos: Vec<CosId>,
     epoch: u64,
     metrics: Registry,
+    series: Option<EpochSeries>,
     scratch: EpochScratch,
+}
+
+/// The series `run_epoch` records into, resolved by the first epoch that
+/// records (resolving registers a series, and an engine that never ran
+/// exports none) and written through their ids from then on.
+struct EpochSeries {
+    epochs: SeriesId,
+    vms: Vec<VmSeries>,
+}
+
+struct VmSeries {
+    instructions: SeriesId,
+    cycles: SeriesId,
+    llc_misses: SeriesId,
+    requests: SeriesId,
+    ways: SeriesId,
+}
+
+impl EpochSeries {
+    fn resolve(metrics: &mut Registry, vms: &[VmSlot]) -> Self {
+        EpochSeries {
+            epochs: metrics.counter("engine_epochs_total", &[]),
+            vms: vms
+                .iter()
+                .map(|slot| {
+                    let vm = [("vm", slot.spec.name.as_str())];
+                    VmSeries {
+                        instructions: metrics.counter("engine_instructions_total", &vm),
+                        cycles: metrics.counter("engine_cycles_total", &vm),
+                        llc_misses: metrics.counter("engine_llc_misses_total", &vm),
+                        requests: metrics.counter("engine_requests_total", &vm),
+                        ways: metrics.gauge("engine_vm_ways", &vm),
+                    }
+                })
+                .collect(),
+        }
+    }
 }
 
 /// `run_epoch`'s per-VM working buffers, kept so that an epoch reuses
@@ -176,6 +214,7 @@ impl Engine {
             core_cos: vec![CosId(0); config.socket.hierarchy.cores as usize],
             epoch: 0,
             metrics: Registry::new(),
+            series: None,
             scratch: EpochScratch::default(),
             config,
         })
@@ -359,19 +398,16 @@ impl Engine {
                 }
             })
             .collect();
-        self.metrics.counter_add("engine_epochs_total", &[], 1);
-        for s in &stats {
-            let vm = [("vm", s.name.as_str())];
-            self.metrics
-                .counter_add("engine_instructions_total", &vm, s.instructions);
-            self.metrics
-                .counter_add("engine_cycles_total", &vm, s.cycles);
-            self.metrics
-                .counter_add("engine_llc_misses_total", &vm, s.llc_miss);
-            self.metrics
-                .counter_add("engine_requests_total", &vm, s.requests_completed);
-            self.metrics
-                .gauge_set("engine_vm_ways", &vm, f64::from(s.ways));
+        let series = self
+            .series
+            .get_or_insert_with(|| EpochSeries::resolve(&mut self.metrics, &self.vms));
+        self.metrics.add(series.epochs, 1);
+        for (s, vm) in stats.iter().zip(&series.vms) {
+            self.metrics.add(vm.instructions, s.instructions);
+            self.metrics.add(vm.cycles, s.cycles);
+            self.metrics.add(vm.llc_misses, s.llc_miss);
+            self.metrics.add(vm.requests, s.requests_completed);
+            self.metrics.set(vm.ways, f64::from(s.ways));
         }
         self.scratch = scratch;
         stats
@@ -551,6 +587,33 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn metrics_recorded_by_id_export_what_recording_by_name_did() {
+        let mut e = two_vm_engine();
+        assert!(
+            e.metrics_snapshot().is_empty(),
+            "an engine that never ran exports no series"
+        );
+        e.start_workload(0, Box::new(Mlr::new(256 * 1024, 3)));
+        e.start_workload(1, Box::new(Lookbusy::new()));
+        let mut by_name = Registry::new();
+        for _ in 0..3 {
+            by_name.counter_add("engine_epochs_total", &[], 1);
+            for s in &e.run_epoch() {
+                let vm = [("vm", s.name.as_str())];
+                by_name.counter_add("engine_instructions_total", &vm, s.instructions);
+                by_name.counter_add("engine_cycles_total", &vm, s.cycles);
+                by_name.counter_add("engine_llc_misses_total", &vm, s.llc_miss);
+                by_name.counter_add("engine_requests_total", &vm, s.requests_completed);
+                by_name.gauge_set("engine_vm_ways", &vm, f64::from(s.ways));
+            }
+        }
+        assert_eq!(
+            e.metrics_snapshot().to_prometheus(),
+            by_name.snapshot().to_prometheus()
+        );
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! from then on an epoch is hundreds of thousands of references through the stream
 //! generators, the page mappers, three cache levels and the engine's
 //! slice loop, and the only allocations left are per epoch, not per
-//! reference: the returned `Vec<VmEpochStats>`, the name each entry
-//! clones from its spec, and the metric-series lookups.
+//! reference: the returned `Vec<VmEpochStats>` and the name each entry
+//! clones from its spec (the metric series are resolved by the first
+//! epoch and written through their ids).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,13 +23,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use host::{Engine, EngineConfig, VmSpec};
 use workloads::{Lookbusy, Mload, Mlr};
 
-/// Measured: 45 per warm epoch, whatever the epoch's length — the stats
-/// `Vec`, a name per VM, and ten label-key strings per VM from the
-/// engine's by-name `counter_add`/`gauge_set` calls (the daemon resolves
-/// its series once; the engine does not yet, ROADMAP item 1b) — plus a
-/// small margin. One allocation anywhere on the per-reference path would
-/// add hundreds of thousands.
-const EPOCH_BOUND: u64 = 48;
+/// Measured: 5 per warm epoch, whatever the epoch's length — the stats
+/// `Vec` and a name per VM, which `VmEpochStats.name: String` forces —
+/// plus a small margin. One allocation anywhere on the per-reference path
+/// would add hundreds of thousands.
+const EPOCH_BOUND: u64 = 8;
 
 const WARM_EPOCHS: usize = 12;
 const MEASURED_EPOCHS: usize = 10;

@@ -223,17 +223,24 @@ impl SetAssocCache {
     }
 
     /// Performs an access with the given fill mask, as requestor 0 and
-    /// without sharer tracking (a private cache has one requestor).
+    /// without sharer tracking.
     ///
     /// On a miss the line is filled into a way permitted by `mask`.
     #[inline]
     pub fn access(&mut self, line: LineAddr, mask: WayMask) -> AccessOutcome {
         let idx = self.set_index(line);
-        if self.touch_at(idx, line) {
+        self.clock += 1;
+        let now = self.clock;
+        let draw = self.next_draw();
+        let policy = self.policy;
+        let mut set = self.set_mut(idx);
+        if set.lookup_with(line, now, policy).is_some() {
             return AccessOutcome::Hit;
         }
+        let filled = set.fill_with(line, mask, now, 0, policy, draw);
+        self.count_fill(0, filled.evicted);
         AccessOutcome::Miss {
-            evicted: self.fill_at(idx, line, mask),
+            evicted: filled.evicted,
         }
     }
 
@@ -276,47 +283,6 @@ impl SetAssocCache {
         AccessOutcome::Miss {
             evicted: filled.evicted,
         }
-    }
-
-    /// Looks `line` up and, if resident, refreshes its recency: the hit
-    /// half of [`SetAssocCache::access`]. A miss changes nothing (no fill,
-    /// no clock tick). Returns whether the line was resident.
-    #[inline]
-    pub fn touch(&mut self, line: LineAddr) -> bool {
-        self.touch_at(self.set_index(line), line)
-    }
-
-    #[inline(always)]
-    fn touch_at(&mut self, idx: u32, line: LineAddr) -> bool {
-        let now = self.clock + 1;
-        let policy = self.policy;
-        if self.set_mut(idx).lookup_with(line, now, policy).is_none() {
-            return false;
-        }
-        self.clock = now;
-        self.next_draw();
-        true
-    }
-
-    /// Fills a line the caller knows is absent (it just missed a
-    /// [`SetAssocCache::touch`]) as requestor 0: the miss half of
-    /// [`SetAssocCache::access`]. Returns the line the fill displaced.
-    #[inline]
-    pub fn fill(&mut self, line: LineAddr, mask: WayMask) -> Option<Evicted> {
-        self.fill_at(self.set_index(line), line, mask)
-    }
-
-    #[inline(always)]
-    fn fill_at(&mut self, idx: u32, line: LineAddr, mask: WayMask) -> Option<Evicted> {
-        self.clock += 1;
-        let now = self.clock;
-        let draw = self.next_draw();
-        let policy = self.policy;
-        let filled = self
-            .set_mut(idx)
-            .fill_with(line, mask, now, 0, policy, draw);
-        self.count_fill(0, filled.evicted);
-        filled.evicted
     }
 
     /// Keeps the per-owner line counts in step with one fill.
@@ -515,7 +481,7 @@ mod tests {
             c.access_as(LineAddr(i % 70), low, (i % 3) as u32);
         }
         c.invalidate(LineAddr(69));
-        c.fill(LineAddr(1000), WayMask::all(4));
+        c.access(LineAddr(1000), WayMask::all(4));
         for owner in 0..4 {
             assert_eq!(c.occupancy_of(owner), scanned_occupancy_of(&c, owner));
         }

@@ -7,6 +7,11 @@
 //! neighbor flushing the LLC also destroys a victim's private-cache
 //! contents — the effect Figure 1 of the paper measures.
 //!
+//! Only the LLC is a [`SetAssocCache`]: CAT partitions the shared cache,
+//! so masks, sharers, occupancy and the replacement policy live there. A
+//! core's L1 and L2 have one requestor, no mask and plain LRU, and are
+//! [`PrivateCache`] recency lists.
+//!
 //! The back-invalidation is *sharer-directed*, like a real inclusive
 //! directory: every LLC line carries a mask of the cores that reached
 //! the LLC for it (fill or hit) since it was filled, and an eviction or
@@ -22,6 +27,7 @@ use crate::address::PhysAddr;
 use crate::cache::{AccessOutcome, SetAssocCache, WayMask};
 use crate::counters::CoreCounters;
 use crate::geometry::CacheGeometry;
+use crate::private::PrivateCache;
 use crate::replacement::ReplacementPolicy;
 use crate::set::MAX_SHARERS;
 
@@ -208,8 +214,8 @@ impl HierarchyConfig {
 #[derive(Debug)]
 pub struct Hierarchy {
     config: HierarchyConfig,
-    l1: Vec<SetAssocCache>,
-    l2: Vec<SetAssocCache>,
+    l1: Vec<PrivateCache>,
+    l2: Vec<PrivateCache>,
     llc: SetAssocCache,
     fill_masks: Vec<WayMask>,
     counters: Vec<CoreCounters>,
@@ -234,10 +240,10 @@ impl Hierarchy {
         let full = WayMask::all(config.llc.ways);
         Hierarchy {
             l1: (0..config.cores)
-                .map(|_| SetAssocCache::new(config.l1))
+                .map(|_| PrivateCache::new(config.l1))
                 .collect(),
             l2: (0..config.cores)
-                .map(|_| SetAssocCache::new(config.l2))
+                .map(|_| PrivateCache::new(config.l2))
                 .collect(),
             llc: SetAssocCache::with_policy(config.llc, config.llc_policy),
             fill_masks: vec![full; config.cores as usize],
@@ -358,8 +364,7 @@ impl Hierarchy {
         let idx = core as usize;
         self.counters[idx].l1_ref += 1;
 
-        let l1_mask = WayMask::all(self.config.l1.ways);
-        if self.l1[idx].access(line, l1_mask).is_hit() {
+        if self.l1[idx].access(line) {
             return HitLevel::L1;
         }
         self.counters[idx].l1_miss += 1;
@@ -423,9 +428,8 @@ impl Hierarchy {
     /// Fills `line`, which just missed `core`'s L2, into it, keeping L1
     /// inclusive in L2.
     fn fill_l2(&mut self, idx: usize, line: LineAddr) {
-        let mask = WayMask::all(self.config.l2.ways);
-        if let Some(victim) = self.l2[idx].fill(line, mask) {
-            self.l1[idx].invalidate(victim.line);
+        if let Some(victim) = self.l2[idx].fill(line) {
+            self.l1[idx].invalidate(victim);
         }
     }
 
@@ -530,12 +534,7 @@ impl Hierarchy {
 /// Inclusive back-invalidation: drop `line` from the private caches of
 /// the cores named in `sharers` (see the module docs for why no other
 /// core can hold it).
-fn back_invalidate(
-    l1: &mut [SetAssocCache],
-    l2: &mut [SetAssocCache],
-    line: LineAddr,
-    sharers: u32,
-) {
+fn back_invalidate(l1: &mut [PrivateCache], l2: &mut [PrivateCache], line: LineAddr, sharers: u32) {
     let mut bits = sharers;
     while bits != 0 {
         let idx = bits.trailing_zeros() as usize;

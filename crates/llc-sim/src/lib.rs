@@ -55,6 +55,7 @@ pub mod geometry;
 pub mod hierarchy;
 pub mod latency;
 pub mod paging;
+pub mod private;
 pub mod replacement;
 pub mod set;
 pub mod stats;
@@ -67,6 +68,7 @@ pub use geometry::CacheGeometry;
 pub use hierarchy::{AccessKind, Hierarchy, HierarchyConfig, HitLevel, SimFidelity};
 pub use latency::{CyclesModel, LatencyModel};
 pub use paging::{FrameAllocator, FramePolicy, PageMapper, PageSize};
+pub use private::PrivateCache;
 pub use replacement::ReplacementPolicy;
 pub use stats::SetOccupancyHistogram;
 

@@ -5,7 +5,9 @@
 //! each draw costs O(1). YCSB's default skew `theta = 0.99` is the default
 //! here too.
 
+use std::collections::BTreeMap;
 use std::num::FpCategory;
+use std::sync::{Mutex, PoisonError};
 
 use smallrng::SmallRng;
 
@@ -55,11 +57,33 @@ impl ZipfSampler {
     /// sum of `n < 2^53` ones is exactly `n as f64`, so the ten-million
     /// `powf` calls a paper-sized uniform key space would cost are skipped
     /// with a bit-identical result.
+    ///
+    /// Any other sum is a pure function of `(n, theta)` costing `n` `powf`
+    /// calls, and a fleet starts hundreds of tenants over the same two or
+    /// three key spaces: each distinct pair is summed once per process.
     fn zeta(n: u64, theta: f64) -> f64 {
         if theta.classify() == FpCategory::Zero && n < (1 << f64::MANTISSA_DIGITS) {
             return n as f64;
         }
-        Self::zeta_sum(n, theta)
+        // A poisoned lock is entered anyway: an insert leaves the map valid
+        // at every step, and a sum is the same whoever computed it.
+        static SUMS: Mutex<BTreeMap<(u64, u64), f64>> = Mutex::new(BTreeMap::new());
+        let key = (n, theta.to_bits());
+        let known = SUMS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+            .copied();
+        if let Some(sum) = known {
+            return sum;
+        }
+        // Summed outside the lock: two threads may both do it, and both
+        // arrive at the same bits.
+        let sum = Self::zeta_sum(n, theta);
+        SUMS.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, sum);
+        sum
     }
 
     fn zeta_sum(n: u64, theta: f64) -> f64 {
@@ -144,6 +168,16 @@ mod tests {
                     "n={n}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn remembered_zeta_is_the_sum_bit_for_bit() {
+        for (n, theta) in [(6_000u64, 0.99), (1_500, 0.8), (6_000, 0.5)] {
+            let sum = ZipfSampler::zeta_sum(n, theta).to_bits();
+            // The first call sums, the second remembers.
+            assert_eq!(ZipfSampler::zeta(n, theta).to_bits(), sum);
+            assert_eq!(ZipfSampler::zeta(n, theta).to_bits(), sum);
         }
     }
 
