@@ -210,6 +210,20 @@ if ! bash benchmark/run.sh --check > target/sysbench-check.txt 2>&1; then
     exit 1
 fi
 
+echo "==> profiling tools build (tools/prof: the SIGPROF sampler and its binning script)"
+# Not run here — a profile is read by a person — but kept compiling, so
+# the next per-instruction question starts from a working sampler.
+if command -v cc > /dev/null; then
+    cc -O2 -Wall -Wextra -shared -fPIC -o target/sampler.so tools/prof/sampler.c
+else
+    echo "no cc: skipping tools/prof/sampler.c"
+fi
+if command -v python3 > /dev/null; then
+    python3 -m py_compile tools/prof/bin_samples.py
+else
+    echo "no python3: skipping tools/prof/bin_samples.py"
+fi
+
 echo "==> model checker (bounded exhaustive)"
 cargo run -q --release -p dcat-verify --offline
 

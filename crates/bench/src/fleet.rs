@@ -605,13 +605,14 @@ impl FleetResult {
 
 /// Runs one fleet under one policy.
 ///
-/// Hosts advance in epoch lockstep: each epoch every host is moved into
-/// the worker pool (claimed in index order, merged back in index order —
-/// the [`host::MultiSocketEngine`] discipline), stepped independently,
-/// and its aggregates folded on the coordinator thread. Workers never
-/// touch the metrics registry or the output sink, so results are
-/// byte-identical at any `--jobs` width. Metrics and the decision trace
-/// are recorded by the coordinator only.
+/// Hosts share nothing, so the run is host-major: every host is moved into
+/// the worker pool once (claimed in index order, merged back in index
+/// order — the [`host::MultiSocketEngine`] discipline) and runs all its
+/// epochs there; the coordinator thread then folds the per-host-epoch
+/// aggregates in epoch-major order. Workers never touch the metrics
+/// registry or the output sink, so results are byte-identical at any
+/// `--jobs` width. Metrics and the decision trace are recorded by the
+/// coordinator only.
 ///
 /// # Errors
 ///
@@ -627,7 +628,7 @@ pub fn run_fleet(policy: FleetPolicy, cfg: &FleetConfig) -> Result<FleetResult, 
     let per_host = cfg.tenants_per_host.max(1) as usize;
     let label = policy.label();
 
-    let mut hosts: Vec<HostState> = tenants
+    let hosts: Vec<HostState> = tenants
         .chunks(per_host)
         .enumerate()
         .map(|(h, shard)| HostState::build(cfg, policy, h as u32, shard.to_vec()))
@@ -646,13 +647,32 @@ pub fn run_fleet(policy: FleetPolicy, cfg: &FleetConfig) -> Result<FleetResult, 
         frames: String::new(),
     };
 
-    for epoch in 0..cfg.epochs {
-        let moved = std::mem::take(&mut hosts);
-        let stepped = pool.map(moved, |_, mut h| {
+    // Host-major: hosts share nothing, so each runs all its epochs back
+    // to back on one worker, its engine state staying in that worker's
+    // cache, and stops at its first error. One barrier per run.
+    let ran = pool.map(hosts, |_, mut h| {
+        let mut epochs = Vec::with_capacity(cfg.epochs as usize);
+        for epoch in 0..cfg.epochs {
             let he = h.step(epoch);
-            (h, he)
-        });
+            let failed = he.is_err();
+            epochs.push(he);
+            if failed {
+                break;
+            }
+        }
+        (h, epochs)
+    });
+    let (hosts, mut host_epochs): (Vec<HostState>, Vec<_>) = ran
+        .into_iter()
+        .map(|(h, epochs)| (h, epochs.into_iter()))
+        .unzip();
 
+    // The fold is epoch-major, as when the hosts ran in lockstep: rows,
+    // trace and metrics come out in the same order, and the error returned
+    // is the one of the lowest epoch, then the lowest host. (A host that
+    // stopped early has nothing past its error, and the fold never looks
+    // past the first error either.)
+    for epoch in 0..cfg.epochs {
         let mut row = FleetEpochRow {
             epoch,
             active: 0,
@@ -664,9 +684,10 @@ pub fn run_fleet(policy: FleetPolicy, cfg: &FleetConfig) -> Result<FleetResult, 
             cos_used_sum: 0,
             cos_used_max: 0,
         };
-        hosts = Vec::with_capacity(stepped.len());
-        for (h, (host, he)) in stepped.into_iter().enumerate() {
-            let he = he?;
+        for (h, epochs) in host_epochs.iter_mut().enumerate() {
+            let he = epochs
+                .next()
+                .expect("a host runs every epoch or stops at an error")?;
             row.active += he.active;
             row.instructions += he.instructions;
             row.llc_ref += he.llc_ref;
@@ -686,7 +707,6 @@ pub fn run_fleet(policy: FleetPolicy, cfg: &FleetConfig) -> Result<FleetResult, 
                     *t += se.requests;
                 }
             }
-            hosts.push(host);
         }
 
         let _ = writeln!(

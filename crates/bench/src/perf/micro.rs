@@ -1,9 +1,10 @@
 //! The `micro` suite: set access, the private-cache recency list,
 //! hierarchy access per replacement policy and per outcome (L1 hit, LLC
-//! miss with and without eviction on the 18-core socket), page
-//! translation, reference generation (a 1 000-reference batch per stream,
-//! one bounded draw), the engine epoch loop and its CMT occupancy read,
-//! the daemon's interval (telemetry parse, a whole steady tick, the frame
+//! miss with and without eviction on the 18-core socket, one prefetch
+//! hint), page translation, reference generation (a 1 000-reference batch
+//! per stream, one bounded draw), the engine epoch loop (a small socket,
+//! and one LLC-bound VM on the paper's) and its CMT occupancy read, the
+//! daemon's interval (telemetry parse, a whole steady tick, the frame
 //! encode), and the full-workspace lint run.
 //!
 //! The headline pair is `set_access_churn_packed` vs
@@ -416,6 +417,13 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
             h.access(0, (state >> 34) & !63, AccessKind::Load)
         });
     }
+    {
+        // What `Engine::run_slice`'s pipeline adds per reference when the
+        // hint buys nothing: the set index and the hints over a block that
+        // is already in the host's L1 (nine for the paper's 480-byte block).
+        let h = Hierarchy::new(HierarchyConfig::default());
+        suite.case("llc_prefetch_hint", iters, move || h.prefetch_llc(0x4_0000));
+    }
 
     // --- reference generation: one engine slice's batch per stream ---
     {
@@ -459,6 +467,22 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         engine.run_epoch();
         suite.case("vm_llc_occupancy", iters, move || {
             engine.vm_llc_occupancy(0)
+        });
+    }
+
+    // --- one LLC-bound VM on the paper's socket: uniform-random loads
+    // over 256 MB at full fidelity, so nearly every reference walks an LLC
+    // set the host has to fetch from memory (17.7 MB of tags) — the case
+    // the slice loop's translate-ahead-and-hint pipeline exists for.
+    {
+        let mut cfg = EngineConfig::xeon_e5_v4();
+        cfg.cycles_per_epoch = if quick { 200_000 } else { 2_000_000 };
+        let mut engine = Engine::new(cfg, vec![VmSpec::new("mlr", vec![0, 1], 5)])
+            .expect("engine config is valid");
+        engine.start_workload(0, Box::new(Mlr::new(256 << 20, 1)));
+        let e_iters = if quick { 1 } else { 8 };
+        suite.case("engine_epoch_llc_bound_paper", e_iters, move || {
+            engine.run_epoch()
         });
     }
 

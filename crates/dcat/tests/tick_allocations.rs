@@ -16,6 +16,13 @@
 //! observer entry) and the frame export the observer performs as `dcatd`
 //! does, and leaves the test's own sampler (the CSV rewrite) out of both.
 
+// The workspace denies `unsafe` (root `Cargo.toml`); a counting allocator
+// is an `unsafe impl` by the trait's definition.
+#![allow(
+    unsafe_code,
+    reason = "GlobalAlloc is unsafe to implement; every method forwards to System"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::path::PathBuf;

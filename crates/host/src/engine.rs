@@ -23,7 +23,7 @@ use llc_sim::{
 use perf_events::CounterSnapshot;
 use resctrl::{CacheController, CatCapabilities, Cbm, CosId, ResctrlError};
 use smallrng::SmallRng;
-use workloads::AccessStream;
+use workloads::{AccessStream, MemRef};
 
 use crate::topology::{validate_vm_placement, SocketConfig, VmSpec};
 
@@ -112,7 +112,110 @@ struct WorkloadRt {
     /// instead of one `next_access` dispatch per reference. The
     /// capacity persists across slices, so steady state allocates
     /// nothing.
-    batch: Vec<workloads::MemRef>,
+    batch: Vec<MemRef>,
+    /// Whether the last slice that issued any reference sent at least one
+    /// in [`LLC_BOUND_ONE_IN`] past the private caches — the per-VM half
+    /// of the gate on [`Issue::pipelined`]. A workload starts with
+    /// `false`: lookbusy, `Mload`'s same-line runs and anything else
+    /// L1-resident never pay for a hint.
+    llc_bound: bool,
+}
+
+/// How far ahead of its accesses [`Issue::pipelined`] hints, in references;
+/// it translates twice as far. Sized on `socket_services` (DESIGN.md §14
+/// "Fourth pass" has the table: flat from 2 to 16, and a power of two
+/// keeps the ring index a mask).
+const LOOKAHEAD: usize = 4;
+
+/// A slice is LLC-bound when one L1 reference in this many reached the LLC.
+const LLC_BOUND_ONE_IN: u64 = 8;
+
+/// The pool could not back a page: `reference` is the index, within the
+/// slice's batch, of the reference whose translation failed.
+#[derive(Debug, PartialEq, Eq)]
+struct PoolExhausted {
+    reference: usize,
+}
+
+/// What issuing one slice's references touches, borrowed field by field
+/// from the engine and the VM's workload, and the two loops that issue
+/// them. Both translate the batch in order and access it in order, so
+/// placement draws, frame allocations, counters and request latencies are
+/// the same whichever runs.
+struct Issue<'a> {
+    hierarchy: &'a mut Hierarchy,
+    frames: &'a mut FrameAllocator,
+    mapper: &'a mut PageMapper,
+    placement_rng: &'a mut SmallRng,
+    core: u32,
+    cost_l1: f64,
+    cost_l2: f64,
+    cost_llc: f64,
+    cost_dram: f64,
+    open_request_cycles: &'a mut f64,
+    request_latencies: &'a mut Vec<f64>,
+}
+
+impl Issue<'_> {
+    #[inline(always)]
+    fn translate(&mut self, batch: &[MemRef], reference: usize) -> Result<u64, PoolExhausted> {
+        self.mapper
+            .translate_with(batch[reference].vaddr, self.frames, self.placement_rng)
+            .map(|paddr| paddr.0)
+            .ok_or(PoolExhausted { reference })
+    }
+
+    #[inline(always)]
+    fn access(&mut self, paddr: u64, mref: &MemRef) {
+        *self.open_request_cycles += match self.hierarchy.access(self.core, paddr, mref.kind) {
+            HitLevel::L1 => self.cost_l1,
+            HitLevel::L2 => self.cost_l2,
+            HitLevel::Llc => self.cost_llc,
+            HitLevel::Dram => self.cost_dram,
+        };
+        if mref.ends_request {
+            self.request_latencies.push(*self.open_request_cycles);
+            *self.open_request_cycles = 0.0;
+        }
+    }
+
+    /// Translate a reference, access it, move to the next.
+    fn plain(&mut self, batch: &[MemRef]) -> Result<(), PoolExhausted> {
+        for (reference, mref) in batch.iter().enumerate() {
+            let paddr = self.translate(batch, reference)?;
+            self.access(paddr, mref);
+        }
+        Ok(())
+    }
+
+    /// The same references through a three-stage software pipeline, so the
+    /// host's memory latency overlaps with simulation: while reference `i`
+    /// is accessed, the LLC set block of reference `i + LOOKAHEAD` is on
+    /// its way in from the host's memory, and reference `i + 2 * LOOKAHEAD`
+    /// has been translated so that its set is known by the time it is
+    /// hinted. Physical addresses wait in a ring on the stack.
+    fn pipelined(&mut self, batch: &[MemRef]) -> Result<(), PoolExhausted> {
+        const RING: usize = 2 * LOOKAHEAD;
+        let mut ring = [0u64; RING];
+        for (reference, slot) in ring.iter_mut().enumerate().take(batch.len()) {
+            *slot = self.translate(batch, reference)?;
+        }
+        for &paddr in &ring[..batch.len().min(LOOKAHEAD)] {
+            self.hierarchy.prefetch_llc(paddr);
+        }
+        for (reference, mref) in batch.iter().enumerate() {
+            let paddr = ring[reference % RING];
+            if reference + RING < batch.len() {
+                ring[reference % RING] = self.translate(batch, reference + RING)?;
+            }
+            if reference + LOOKAHEAD < batch.len() {
+                self.hierarchy
+                    .prefetch_llc(ring[(reference + LOOKAHEAD) % RING]);
+            }
+            self.access(paddr, mref);
+        }
+        Ok(())
+    }
 }
 
 struct VmSlot {
@@ -256,6 +359,7 @@ impl Engine {
             open_request_cycles: 0.0,
             request_latencies: Vec::new(),
             batch: Vec::new(),
+            llc_bound: false,
         });
     }
 
@@ -422,6 +526,30 @@ impl Engine {
 
     /// Executes one instruction slice of VM `vm`; returns consumed cycles.
     fn run_slice(&mut self, vm: usize) -> u64 {
+        let pipelined = self.pipeline_pays(vm);
+        // Either loop stops at the first reference the pool cannot back.
+        // The pipeline translates `2 * LOOKAHEAD` references ahead of its
+        // accesses, so it reaches that reference as many accesses earlier.
+        self.run_slice_as(vm, pipelined)
+            .expect("physical memory pool exhausted; raise EngineConfig::memory_bytes")
+    }
+
+    /// Whether VM `vm`'s next slice goes through [`Issue::pipelined`]: the
+    /// LLC's tag store is too large to stay close on the host, and the
+    /// VM's previous slice was LLC-bound. Both halves are read off the
+    /// simulation; nothing sets them.
+    fn pipeline_pays(&self, vm: usize) -> bool {
+        self.hierarchy.llc_hints_pay()
+            && self.vms[vm]
+                .workload
+                .as_ref()
+                .is_some_and(|rt| rt.llc_bound)
+    }
+
+    /// [`Engine::run_slice`] with the issue loop named by the caller: the
+    /// two are the same simulated machine, so which one runs is a matter
+    /// of host time only (and the tests drive both from equal states).
+    fn run_slice_as(&mut self, vm: usize, pipelined: bool) -> Result<u64, PoolExhausted> {
         let core = self.vms[vm].spec.primary_core();
         let instrs = self.config.slice_instructions;
         let slot = &mut self.vms[vm];
@@ -445,42 +573,41 @@ impl Engine {
         // per slice instead of once per reference.
         let latency = self.config.latency;
         let cost_at = |level: HitLevel| latency.latency_of(level) / profile.mlp + instr_share;
-        let (cost_l1, cost_l2, cost_llc, cost_dram) = (
-            cost_at(HitLevel::L1),
-            cost_at(HitLevel::L2),
-            cost_at(HitLevel::Llc),
-            cost_at(HitLevel::Dram),
-        );
 
-        let placement_rng = &mut slot.placement_rng;
         let before = self.hierarchy.counters(core);
         // One virtual call generates the whole slice's references; the
         // sequence is exactly what per-reference next_access would yield.
         rt.stream
             .next_batch(&mut rt.batch, usize::try_from(n_refs).unwrap_or(usize::MAX));
-        for mref in &rt.batch {
-            let paddr = rt
-                .mapper
-                .translate_with(mref.vaddr, &mut self.frames, placement_rng)
-                .expect("physical memory pool exhausted; raise EngineConfig::memory_bytes");
-            rt.open_request_cycles += match self.hierarchy.access(core, paddr.0, mref.kind) {
-                HitLevel::L1 => cost_l1,
-                HitLevel::L2 => cost_l2,
-                HitLevel::Llc => cost_llc,
-                HitLevel::Dram => cost_dram,
-            };
-            if mref.ends_request {
-                rt.request_latencies.push(rt.open_request_cycles);
-                rt.open_request_cycles = 0.0;
-            }
+        let mut issue = Issue {
+            hierarchy: &mut self.hierarchy,
+            frames: &mut self.frames,
+            mapper: &mut rt.mapper,
+            placement_rng: &mut slot.placement_rng,
+            core,
+            cost_l1: cost_at(HitLevel::L1),
+            cost_l2: cost_at(HitLevel::L2),
+            cost_llc: cost_at(HitLevel::Llc),
+            cost_dram: cost_at(HitLevel::Dram),
+            open_request_cycles: &mut rt.open_request_cycles,
+            request_latencies: &mut rt.request_latencies,
+        };
+        if pipelined {
+            issue.pipelined(&rt.batch)?;
+        } else {
+            issue.plain(&rt.batch)?;
         }
         let mut delta = self.hierarchy.counters(core).delta_since(&before);
+        // A slice that issued nothing says nothing: the verdict stands.
+        if delta.l1_ref > 0 {
+            rt.llc_bound = delta.llc_ref * LLC_BOUND_ONE_IN >= delta.l1_ref;
+        }
         delta.ret_ins = instrs;
         let cycles =
             CyclesModel::new(self.config.latency, profile.cpi_exec, profile.mlp).cycles_for(&delta);
         self.hierarchy.record_instructions(core, instrs);
         self.hierarchy.record_cycles(core, cycles);
-        cycles
+        Ok(cycles)
     }
 
     fn apply_mask_to_core(&mut self, core: u32) {
@@ -561,7 +688,7 @@ impl CacheController for EngineCat<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llc_sim::CacheGeometry;
+    use llc_sim::{CacheGeometry, LineAddr, SimFidelity};
     use workloads::{Lookbusy, Mlr, RedisModel};
 
     fn small_config() -> EngineConfig {
@@ -882,5 +1009,260 @@ mod tests {
         let snaps = e.snapshots();
         assert!(snaps[0].ret_ins > 0);
         assert_eq!(snaps[1].ret_ins, 0);
+    }
+
+    // The pipeline is the plain loop: both issue loops, from equal engine
+    // states, must leave equal engine states.
+
+    /// Replays a script, one reference per instruction, so a slice of `n`
+    /// instructions is a batch of exactly `n` references.
+    struct Scripted {
+        refs: Vec<MemRef>,
+        at: usize,
+    }
+
+    impl Scripted {
+        fn boxed(refs: Vec<MemRef>) -> Box<dyn AccessStream> {
+            Box::new(Scripted { refs, at: 0 })
+        }
+
+        /// `n` loads at uniform-random addresses below `span`.
+        fn random(span: u64, n: usize, seed: u64) -> Box<dyn AccessStream> {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            Self::boxed(
+                (0..n)
+                    .map(|_| MemRef::load(rng.gen_range(0..span)))
+                    .collect(),
+            )
+        }
+    }
+
+    impl AccessStream for Scripted {
+        fn next_access(&mut self) -> MemRef {
+            let mref = self.refs[self.at % self.refs.len()];
+            self.at += 1;
+            mref
+        }
+
+        fn profile(&self) -> workloads::ExecutionProfile {
+            workloads::ExecutionProfile::new(1.0, 0.5, 2.0)
+        }
+
+        fn name(&self) -> String {
+            "scripted".to_string()
+        }
+    }
+
+    /// Everything a slice can change that a later slice, an epoch report
+    /// or a digest can see.
+    #[derive(Debug, PartialEq)]
+    struct Observable {
+        counters: CoreCounters,
+        request_latency_bits: Vec<u64>,
+        open_request_bits: u64,
+        mapped_pages: usize,
+        used_bytes: u64,
+        next_placement_draw: u64,
+        /// Every resident LLC line, set by set and way by way: which frame
+        /// each page landed on, and the order the lines arrived in.
+        llc_lines: Vec<LineAddr>,
+    }
+
+    fn observe(e: &Engine) -> Observable {
+        let slot = &e.vms[0];
+        let rt = slot.workload.as_ref().expect("VM 0 runs the stream");
+        Observable {
+            counters: e.hierarchy.counters(slot.spec.primary_core()),
+            request_latency_bits: rt.request_latencies.iter().map(|l| l.to_bits()).collect(),
+            open_request_bits: rt.open_request_cycles.to_bits(),
+            mapped_pages: rt.mapper.mapped_pages(),
+            used_bytes: e.frames.used_bytes(),
+            next_placement_draw: slot.placement_rng.clone().next_u64(),
+            llc_lines: (0..e.hierarchy.llc().geometry().sets)
+                .flat_map(|set| {
+                    let lines: Vec<_> = e.hierarchy.llc().set(set).resident_lines().collect();
+                    lines
+                })
+                .collect(),
+        }
+    }
+
+    /// Two engines in the same state; `.0` issues with the plain loop and
+    /// `.1` with the pipeline (forced: at this geometry the gate is off).
+    struct Lockstep(Engine, Engine);
+
+    impl Lockstep {
+        fn new(cfg: EngineConfig, stream: impl Fn() -> Box<dyn AccessStream>) -> Self {
+            let build = || {
+                let mut e = Engine::new(cfg, vec![VmSpec::new("a", vec![0, 1], 2)]).unwrap();
+                e.start_workload(0, stream());
+                e
+            };
+            Lockstep(build(), build())
+        }
+
+        fn both(&mut self, f: impl Fn(&mut Engine)) {
+            f(&mut self.0);
+            f(&mut self.1);
+        }
+
+        /// One slice of `instructions` on each engine; the outcomes.
+        fn slice(
+            &mut self,
+            instructions: u64,
+        ) -> (Result<u64, PoolExhausted>, Result<u64, PoolExhausted>) {
+            self.both(|e| e.config.slice_instructions = instructions);
+            (self.0.run_slice_as(0, false), self.1.run_slice_as(0, true))
+        }
+
+        fn slices_agree(&mut self, sizes: &[u64]) {
+            for &instructions in sizes {
+                let (plain, piped) = self.slice(instructions);
+                assert_eq!(plain, piped, "cycles of a {instructions}-reference slice");
+                assert!(plain.is_ok());
+                assert_eq!(observe(&self.0), observe(&self.1), "after {instructions}");
+            }
+        }
+    }
+
+    const D: u64 = LOOKAHEAD as u64;
+
+    #[test]
+    fn pipeline_equals_plain_loop_on_an_llc_bound_stream() {
+        // Sampled as well: the gate does not read the fidelity.
+        for llc_fidelity in [SimFidelity::Full, SimFidelity::Sampled { one_in: 8 }] {
+            let cfg = EngineConfig {
+                llc_fidelity,
+                ..small_config()
+            };
+            let mut pair = Lockstep::new(cfg, || Scripted::random(256 << 20, 10_000, 11));
+            pair.slices_agree(&[1_000, 1_000, 999, 1_001]);
+            let c = pair.0.hierarchy.counters(0);
+            assert!(c.llc_ref * 2 > c.l1_ref, "the stream must reach the LLC");
+        }
+    }
+
+    #[test]
+    fn pipeline_equals_plain_loop_on_an_l1_resident_stream() {
+        let mut pair = Lockstep::new(small_config(), || Scripted::random(16 << 10, 5_000, 12));
+        pair.slices_agree(&[1_000; 4]);
+        let c = pair.0.hierarchy.counters(0);
+        assert!(c.l1_miss * 10 < c.l1_ref, "the stream must stay in the L1");
+    }
+
+    #[test]
+    fn pipeline_equals_plain_loop_on_same_line_runs() {
+        // 64 references to each line before the next, as `Mload` issues
+        // them: 63 of 64 hints name the set the previous one did.
+        let mut pair = Lockstep::new(small_config(), || {
+            Scripted::boxed(
+                (0..8u64 << 20)
+                    .step_by(1 << 10)
+                    .flat_map(|base| (0..64).map(move |byte| MemRef::load(base + byte)))
+                    .collect(),
+            )
+        });
+        pair.slices_agree(&[640, 1, 63, 64, 1_000]);
+    }
+
+    #[test]
+    fn pipeline_equals_plain_loop_on_requests() {
+        let mut pair = Lockstep::new(small_config(), || {
+            Box::new(RedisModel::new(10_000, 128, 0.99, 7))
+        });
+        pair.slices_agree(&[2_000; 6]);
+        let rt = pair.0.vms[0].workload.as_ref().unwrap();
+        assert!(rt.request_latencies.len() > 10, "requests must complete");
+    }
+
+    #[test]
+    fn pipeline_equals_plain_loop_at_every_ring_boundary() {
+        let mut pair = Lockstep::new(small_config(), || Scripted::random(256 << 20, 4_000, 13));
+        pair.slices_agree(&[
+            0,
+            1,
+            D - 1,
+            D,
+            D + 1,
+            2 * D - 1,
+            2 * D,
+            2 * D + 1,
+            0,
+            3 * D,
+            1,
+        ]);
+    }
+
+    #[test]
+    fn pipeline_equals_plain_loop_across_a_restart() {
+        let mut pair = Lockstep::new(small_config(), || Scripted::random(256 << 20, 4_000, 14));
+        pair.slices_agree(&[500, 500]);
+        pair.both(|e| {
+            e.stop_workload(0);
+            assert_eq!(e.frames.used_bytes(), 0);
+            e.start_workload(0, Scripted::random(64 << 20, 4_000, 15));
+        });
+        // The placement stream continues across the restart, on both.
+        pair.slices_agree(&[500, 2 * D + 1, 500]);
+    }
+
+    #[test]
+    fn both_loops_exhaust_the_pool_on_the_same_reference() {
+        let mut cfg = small_config();
+        cfg.memory_bytes = 2 << 20; // 512 frames, one per reference
+        let mut pair = Lockstep::new(cfg, || {
+            Scripted::boxed((0..1_000u64).map(|page| MemRef::load(page << 12)).collect())
+        });
+        pair.slices_agree(&[200, 200]);
+        let (plain, piped) = pair.slice(200);
+        assert_eq!(plain, Err(PoolExhausted { reference: 112 }));
+        assert_eq!(piped, plain);
+        let (plain, piped) = (observe(&pair.0), observe(&pair.1));
+        assert_eq!(plain.mapped_pages, 512);
+        assert_eq!(
+            (piped.mapped_pages, piped.used_bytes),
+            (plain.mapped_pages, plain.used_bytes)
+        );
+        assert_eq!(piped.next_placement_draw, plain.next_placement_draw);
+        // The pipeline translates 2d references ahead of its accesses, so
+        // it meets the failure that many accesses earlier.
+        assert_eq!(plain.counters.l1_ref, 512);
+        assert_eq!(piped.counters.l1_ref, 512 - 2 * D);
+    }
+
+    #[test]
+    fn the_pipeline_runs_only_where_it_pays() {
+        // Small tag store (384 KiB): never, however LLC-bound the VM.
+        let mut small = two_vm_engine();
+        small.start_workload(0, Scripted::random(256 << 20, 4_000, 16));
+        small.run_slice(0);
+        assert!(small.vms[0].workload.as_ref().unwrap().llc_bound);
+        assert!(!small.pipeline_pays(0));
+
+        // The paper's socket (17.7 MB of tags): from the slice after an
+        // LLC-bound one, and never for an L1-resident neighbour.
+        let vms = vec![VmSpec::new("a", vec![0], 2), VmSpec::new("b", vec![1], 2)];
+        let mut paper = Engine::new(EngineConfig::xeon_e5_v4(), vms).unwrap();
+        paper.start_workload(0, Scripted::random(256 << 20, 4_000, 17));
+        paper.start_workload(1, Box::new(Lookbusy::new()));
+        assert!(
+            !paper.pipeline_pays(0),
+            "a workload starts on the plain loop"
+        );
+        paper.run_slice(0);
+        for _ in 0..8 {
+            paper.run_slice(1); // 40 references a slice; 128 lines to warm
+        }
+        assert!(paper.pipeline_pays(0));
+        assert!(!paper.pipeline_pays(1));
+        // A slice that issues no reference leaves both verdicts alone.
+        paper.config.slice_instructions = 0;
+        paper.run_slice(0);
+        paper.run_slice(1);
+        assert!(paper.pipeline_pays(0));
+        assert!(!paper.pipeline_pays(1));
+        // A restart forgets the verdict.
+        paper.start_workload(0, Box::new(Lookbusy::new()));
+        assert!(!paper.pipeline_pays(0));
     }
 }

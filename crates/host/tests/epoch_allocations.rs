@@ -17,6 +17,13 @@
 //! clones from its spec (the metric series are resolved by the first
 //! epoch and written through their ids).
 
+// The workspace denies `unsafe` (root `Cargo.toml`); a counting allocator
+// is an `unsafe impl` by the trait's definition.
+#![allow(
+    unsafe_code,
+    reason = "GlobalAlloc is unsafe to implement; every method forwards to System"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 

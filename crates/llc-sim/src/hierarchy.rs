@@ -167,6 +167,12 @@ impl SampleEstimator {
     }
 }
 
+/// The size of a private (per-core L2) cache on the machines the simulator
+/// runs on, to the nearest power of two: 1 MiB on Skylake-SP and later
+/// Xeons, 1–2 MiB on current desktop parts. A tag store below it stays
+/// resident whatever the access pattern; see [`Hierarchy::llc_hints_pay`].
+pub const HOST_PRIVATE_CACHE_BYTES: u64 = 1 << 20;
+
 /// Shape of a [`Hierarchy`].
 #[derive(Debug, Clone, Copy)]
 pub struct HierarchyConfig {
@@ -425,6 +431,27 @@ impl Hierarchy {
         }
     }
 
+    /// Hints the host to fetch the LLC set block an [`Hierarchy::access`]
+    /// to `paddr` would walk if it missed L1 and L2 (nothing for a set the
+    /// current fidelity does not simulate). Changes nothing simulated — it
+    /// cannot, through `&self`.
+    #[inline]
+    pub fn prefetch_llc(&self, paddr: u64) {
+        let set = self.llc.set_index(PhysAddr(paddr).line());
+        if self.llc_set_is_sampled(set) {
+            self.llc.prefetch_set(set);
+        }
+    }
+
+    /// Whether [`Hierarchy::prefetch_llc`] can pay for itself: the LLC
+    /// tag store is larger than [`HOST_PRIVATE_CACHE_BYTES`], so a set
+    /// walk is likely to wait on the host's memory. Below that the block
+    /// is already close and a hint is pure cost (DESIGN.md §14 "Fourth
+    /// pass").
+    pub fn llc_hints_pay(&self) -> bool {
+        self.llc.tag_store_bytes() > HOST_PRIVATE_CACHE_BYTES
+    }
+
     /// Fills `line`, which just missed `core`'s L2, into it, keeping L1
     /// inclusive in L2.
     fn fill_l2(&mut self, idx: usize, line: LineAddr) {
@@ -565,6 +592,24 @@ mod tests {
             llc: CacheGeometry::new(16, 4, 64),
             llc_policy: Default::default(),
         })
+    }
+
+    #[test]
+    fn hints_pay_only_for_a_tag_store_beyond_a_host_cache() {
+        // The paper's socket: 36 864 sets x 20 ways x 24 B = 17.7 MB.
+        assert!(Hierarchy::new(HierarchyConfig::default()).llc_hints_pay());
+        // A fleet host: 2 048 sets x 16 ways x 24 B = 768 KiB.
+        let fleet = Hierarchy::new(HierarchyConfig {
+            llc: CacheGeometry::from_capacity(2 * 1024 * 1024, 16),
+            ..HierarchyConfig::default()
+        });
+        assert_eq!(fleet.llc().tag_store_bytes(), (768 + 8) * 1024);
+        assert!(!fleet.llc_hints_pay());
+        // Every set can be hinted, the last included.
+        let h = tiny();
+        for line in 0..64u64 {
+            h.prefetch_llc(line << crate::address::LINE_SHIFT);
+        }
     }
 
     #[test]

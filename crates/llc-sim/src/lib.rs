@@ -53,6 +53,7 @@ pub mod coloring;
 pub mod counters;
 pub mod geometry;
 pub mod hierarchy;
+mod hint;
 pub mod latency;
 pub mod paging;
 pub mod private;

@@ -6,7 +6,7 @@
 
 use llc_sim::{
     AccessKind, CacheGeometry, FrameAllocator, FramePolicy, Hierarchy, HierarchyConfig, LineAddr,
-    PageMapper, PageSize, SetAssocCache, VirtAddr, WayMask,
+    PageMapper, PageSize, SetAssocCache, SimFidelity, VirtAddr, WayMask,
 };
 
 fn small_hierarchy(llc_ways: u32) -> Hierarchy {
@@ -131,5 +131,38 @@ fn mru_line_survives_one_fill() {
             cache.probe(LineAddr(mru)),
             "MRU line {mru} evicted by a single fill"
         );
+    });
+}
+
+/// A prefetch hint is not an access: the same references, with hints to
+/// arbitrary addresses interleaved, are served from the same levels and
+/// leave the same lines resident, at full and at sampled fidelity.
+#[test]
+fn hints_change_nothing_simulated() {
+    prop_lite::run_cases("hints_change_nothing_simulated", 64, |g| {
+        let universe = (1u64 << 16) - 1;
+        let accesses: Vec<(u64, u32)> =
+            g.vec_of(1, 499, |g| (g.u64_in(0, universe) & !63, g.u32_in(0, 1)));
+        let fidelity = *g.pick(&[SimFidelity::Full, SimFidelity::Sampled { one_in: 4 }]);
+        let (mut plain, mut hinted) = (small_hierarchy(8), small_hierarchy(8));
+        plain.set_fidelity(fidelity);
+        hinted.set_fidelity(fidelity);
+        for &(addr, core) in &accesses {
+            for _ in 0..g.u32_in(0, 3) {
+                hinted.prefetch_llc(g.u64_in(0, universe));
+            }
+            assert_eq!(
+                plain.access(core, addr, AccessKind::Load),
+                hinted.access(core, addr, AccessKind::Load)
+            );
+        }
+        for core in 0..2 {
+            assert_eq!(plain.counters(core), hinted.counters(core));
+        }
+        for (addr, core) in accesses {
+            assert_eq!(plain.llc_probe(addr), hinted.llc_probe(addr));
+            assert_eq!(plain.l2_probe(core, addr), hinted.l2_probe(core, addr));
+            assert_eq!(plain.l1_probe(core, addr), hinted.l1_probe(core, addr));
+        }
     });
 }
