@@ -10,6 +10,8 @@ echo "==> build (release)"
 cargo build --release --offline
 
 echo "==> tests"
+# --workspace on purpose: a bare `cargo test` is Tier-1's subset (the root
+# `default-members`), this is every member.
 cargo test -q --offline --workspace
 
 echo "==> lint gate (fmt, clippy on the whole workspace, dcat-lint)"
@@ -110,8 +112,8 @@ cargo test -q --release -p dcat-bench --offline --test determinism --test golden
 echo "==> per-reference path in release: llc-sim, workloads and smallrng suites with their recorded oracles"
 # In release, as the experiments run it: the hot path's index and counter
 # arithmetic must hold with overflow checks and debug_asserts compiled out
-# (`cargo test --workspace` covers the debug build). These three suites
-# are in neither Tier-1 nor the default test step above; they carry the
+# (`cargo test --workspace` covers the debug build). Of the three only
+# smallrng is in Tier-1's `default-members` (root Cargo.toml); they carry the
 # multi-core inclusion property and its decision digests, the stream and
 # gen_range byte oracles (tests/golden/, recorded before the divisions
 # came off the path), the reciprocal set-index identity and the

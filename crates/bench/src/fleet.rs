@@ -31,10 +31,8 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use dcat::{
-    CachePolicy, DcatConfig, DcatController, LfocConfig, LfocPolicy, MemshareConfig,
-    MemsharePolicy, WorkloadClass, WorkloadHandle,
-};
+use dcat::{DcatConfig, LfocConfig, MemshareConfig, Totals, WorkloadClass, WorkloadHandle};
+use dcat_obs::Tracer;
 use host::{Engine, EngineConfig, Pool, VmSpec};
 use llc_sim::CacheGeometry;
 use resctrl::{CacheController, ResctrlError};
@@ -44,6 +42,7 @@ use workloads::{
 };
 
 use crate::report;
+use crate::scenario::{HostLoop, PolicyKind};
 
 /// Completed requests per diurnal curve step; small enough that a
 /// tenant's load visibly moves over a run.
@@ -207,27 +206,13 @@ impl FleetPolicy {
         }
     }
 
-    fn build(
-        &self,
-        handles: Vec<WorkloadHandle>,
-        cat: &mut dyn resctrl::CacheController,
-    ) -> Result<Box<dyn CachePolicy + Send>, ResctrlError> {
-        Ok(match self {
-            FleetPolicy::DcatMaxFairness => {
-                Box::new(DcatController::new(DcatConfig::default(), handles, cat)?)
-            }
-            FleetPolicy::DcatMaxPerformance => Box::new(DcatController::new(
-                DcatConfig::max_performance(),
-                handles,
-                cat,
-            )?),
-            FleetPolicy::Lfoc => Box::new(LfocPolicy::new(handles, cat, LfocConfig::default())?),
-            FleetPolicy::Memshare => Box::new(MemsharePolicy::new(
-                handles,
-                cat,
-                MemshareConfig::default(),
-            )?),
-        })
+    fn kind(&self) -> PolicyKind {
+        match self {
+            FleetPolicy::DcatMaxFairness => PolicyKind::Dcat(DcatConfig::default()),
+            FleetPolicy::DcatMaxPerformance => PolicyKind::Dcat(DcatConfig::max_performance()),
+            FleetPolicy::Lfoc => PolicyKind::Lfoc(LfocConfig::default()),
+            FleetPolicy::Memshare => PolicyKind::Memshare(MemshareConfig::default()),
+        }
     }
 }
 
@@ -335,10 +320,10 @@ struct HostEpoch {
     slots: Vec<SlotEpoch>,
 }
 
-/// One host: its engine, its policy instance, and its tenant shard.
+/// One host: its engine, its policy's control loop, and its tenant shard.
 struct HostState {
     engine: Engine,
-    policy: Box<dyn CachePolicy + Send>,
+    ctl: HostLoop,
     label: &'static str,
     tenants: Vec<TenantSpec>,
     /// Per-host `dcat-frames/v1` segment. The writer travels with the
@@ -367,10 +352,10 @@ impl HostState {
         let mut engine =
             Engine::new(cfg.host_engine(host), vms).expect("fleet shard must fit the host");
         let label = policy.label();
-        let policy = policy.build(handles, &mut engine.cat())?;
+        let ctl = policy.kind().host_loop(handles, &mut engine.cat())?;
         Ok(HostState {
             engine,
-            policy,
+            ctl,
             label,
             tenants: shard,
             frames: dcat_obs::FrameWriter::new(&format!("fleet-host:{host}")),
@@ -391,13 +376,14 @@ impl HostState {
         }
         let stats = self.engine.run_epoch();
         let snapshots = self.engine.snapshots();
-        let reports = self.policy.tick(&snapshots, &mut self.engine.cat())?;
-        self.frames.push(dcat::frame_from_reports(
-            epoch + 1,
-            self.label,
-            &reports,
-            self.policy.frame_ext(),
-        ));
+        let obs = self.ctl.step(
+            &mut Totals(&snapshots),
+            &mut self.engine.cat(),
+            &mut Tracer::disabled(),
+            |_, _| {},
+        )?;
+        self.frames
+            .push(dcat::frame_from_observation(&obs, self.label, obs.ext));
 
         let mut out = HostEpoch {
             instructions: 0,
@@ -425,7 +411,7 @@ impl HostState {
             // so the per-VM buffers stay bounded over long runs.
             let _ = self.engine.take_request_latencies(slot);
         }
-        for r in &reports {
+        for r in obs.reports {
             out.classes[class_idx(r.class)] += 1;
         }
         let cores = self.tenants.len() as u32;

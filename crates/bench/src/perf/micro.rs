@@ -16,6 +16,7 @@
 //! 3.0 asserted in wall-clock runs (the tracked `BENCH_micro.json`
 //! records the measured value).
 
+use dcat::CachePolicy as _;
 use dcat_obs::{CycleSource, DEFAULT_STEP_BUCKETS};
 use host::{Engine, EngineConfig, VmSpec};
 use llc_sim::replacement::ReplacementPolicy;
@@ -620,10 +621,12 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
                     cycles: d.cycles * tick,
                 };
             }
-            let reports = bench_bug(
-                "steady tick",
-                controller.tick_observed(&snapshots, &valid, &mut cat, &mut tracer),
-            );
+            let input = dcat::TickInput {
+                snapshots: &snapshots,
+                valid: &valid,
+                tracer: &mut tracer,
+            };
+            let reports = bench_bug("steady tick", controller.decide(input, &mut cat));
             registry.add(ticks, 1);
             for s in tracer.completed() {
                 let known = span_steps.iter().find(|(name, _)| *name == s.name);
@@ -646,7 +649,7 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
             }
             frames.clear_buffer();
             frames
-                .push(dcat::frame_from_reports(tick, "dcat", &reports, ext))
+                .push(dcat::frame_from_reports(tick, "dcat", reports, ext))
                 .len()
         });
     }
@@ -658,11 +661,17 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
             4,
         ));
         let mut totals = [perf_events::CounterSnapshot::default(); 4];
+        let mut tracer = dcat_obs::Tracer::disabled();
         suite.case("controller_tick_4dom", iters, move || {
             for t in &mut totals {
                 *t = t.merged_with(&KEEPER_INTERVAL);
             }
-            bench_bug("steady tick", controller.tick(&totals, &mut cat)).len()
+            let input = dcat::TickInput {
+                snapshots: &totals,
+                valid: &[true; 4],
+                tracer: &mut tracer,
+            };
+            bench_bug("steady tick", controller.decide(input, &mut cat)).len()
         });
     }
     {

@@ -1,11 +1,13 @@
 //! Declarative multi-VM scenarios run under any cache policy.
 
 use dcat::{
-    CachePolicy, DcatConfig, DcatController, DomainReport, LfocConfig, LfocPolicy, MemshareConfig,
-    MemsharePolicy, SharedCachePolicy, StaticCatPolicy, WorkloadHandle,
+    CachePolicy, ControlLoop, DcatConfig, DcatController, DomainReport, LfocConfig, LfocPolicy,
+    MemshareConfig, MemsharePolicy, ResiliencePolicy, SharedCachePolicy, StaticCatPolicy, Totals,
+    WorkloadHandle,
 };
 use dcat_obs::{FlightRecorder, Tracer, DEFAULT_STEP_BUCKETS};
 use host::{Engine, EngineConfig, VmEpochStats, VmSpec};
+use resctrl::{CacheController, ResctrlError};
 use workloads::AccessStream;
 
 use crate::report;
@@ -121,7 +123,35 @@ impl PolicyKind {
             PolicyKind::Memshare(_) => "memshare",
         }
     }
+
+    /// Builds the policy over `handles` (programming its initial layout
+    /// through `cat`) inside the control loop an engine-backed host steps.
+    pub fn host_loop(
+        self,
+        handles: Vec<WorkloadHandle>,
+        cat: &mut dyn CacheController,
+    ) -> Result<HostLoop, ResctrlError> {
+        let built = handles.clone();
+        let policy: Box<dyn CachePolicy + Send> = match self {
+            PolicyKind::Shared => Box::new(SharedCachePolicy::new(built, cat)),
+            PolicyKind::StaticCat => Box::new(StaticCatPolicy::new(built, cat)?),
+            PolicyKind::Dcat(cfg) => Box::new(DcatController::new(cfg, built, cat)?),
+            PolicyKind::Lfoc(cfg) => Box::new(LfocPolicy::new(built, cat, cfg)?),
+            PolicyKind::Memshare(cfg) => Box::new(MemsharePolicy::new(built, cat, cfg)?),
+        };
+        // An engine's totals are exact: a VM whose workload just stopped
+        // repeats them for real, so no repeat is a wedged sampler. With no
+        // stale grace every sample passes through unchanged (control_loop.rs).
+        let exact = ResiliencePolicy {
+            stale_grace_ticks: 0,
+            ..ResiliencePolicy::default()
+        };
+        ControlLoop::new(policy, handles, exact)
+    }
 }
+
+/// The control loop of one simulated host, whatever its policy.
+pub type HostLoop = ControlLoop<Box<dyn CachePolicy + Send>>;
 
 /// Everything recorded from one scenario run.
 pub struct RunResult {
@@ -289,25 +319,7 @@ pub fn run_scenario(
 
     let policy_label = policy.label();
     let mut engine = Engine::new(engine_cfg, vms).expect("scenario must fit the socket");
-    let mut policy: Box<dyn CachePolicy> = match policy {
-        PolicyKind::Shared => Box::new(SharedCachePolicy::new(handles, &mut engine.cat())),
-        PolicyKind::StaticCat => Box::new(fatal_boundary(
-            "static-cat build",
-            StaticCatPolicy::new(handles, &mut engine.cat()),
-        )),
-        PolicyKind::Dcat(cfg) => Box::new(fatal_boundary(
-            "dcat build",
-            DcatController::new(cfg, handles, &mut engine.cat()),
-        )),
-        PolicyKind::Lfoc(cfg) => Box::new(fatal_boundary(
-            "lfoc build",
-            LfocPolicy::new(handles, &mut engine.cat(), cfg),
-        )),
-        PolicyKind::Memshare(cfg) => Box::new(fatal_boundary(
-            "memshare build",
-            MemsharePolicy::new(handles, &mut engine.cat(), cfg),
-        )),
-    };
+    let mut ctl = fatal_boundary("policy build", policy.host_loop(handles, &mut engine.cat()));
 
     let mut result = RunResult {
         epochs: Vec::with_capacity(total_epochs as usize),
@@ -341,9 +353,14 @@ pub fn run_scenario(
             result.request_latencies[i].extend(engine.take_request_latencies(i));
         }
         let snapshots = engine.snapshots();
-        let reports = fatal_boundary(
+        let obs = fatal_boundary(
             "policy tick",
-            policy.tick_traced(&snapshots, &mut engine.cat(), &mut tracer),
+            ctl.step(
+                &mut Totals(&snapshots),
+                &mut engine.cat(),
+                &mut tracer,
+                |_, _| {},
+            ),
         );
         let spans = tracer.completed();
         report::record(|reg| {
@@ -357,16 +374,12 @@ pub fn run_scenario(
                 );
             }
         });
-        recorder.record(epoch + 1, false, spans, std::iter::empty());
-        tracer.clear();
-        frames.push(dcat::frame_from_reports(
-            epoch + 1,
-            policy_label,
-            &reports,
-            policy.frame_ext(),
-        ));
+        let events = obs.events.iter().map(dcat::Event::to_json);
+        recorder.record(obs.tick, obs.degraded, spans, events);
+        frames.push(dcat::frame_from_observation(&obs, policy_label, obs.ext));
         result.epochs.push(stats);
-        result.reports.push(reports);
+        result.reports.push(obs.reports.to_vec());
+        tracer.clear();
     }
     report::record(|reg| {
         reg.counter_add("scenario_runs_total", &[("policy", policy_label)], 1);

@@ -5,7 +5,7 @@ use perf_events::{CounterSnapshot, IntervalMetrics};
 use resctrl::{CacheController, CatCapabilities, Cbm, CosId, LayoutPlanner, ResctrlError};
 
 use crate::controller::{DomainReport, WorkloadHandle};
-use crate::policy::CachePolicy;
+use crate::policy::{CachePolicy, TickInput};
 use crate::state::WorkloadClass;
 
 /// Shared metric bookkeeping for the non-dCat policies (the static
@@ -15,6 +15,13 @@ pub(crate) struct MetricsTracker {
     handles: Vec<WorkloadHandle>,
     last: Vec<CounterSnapshot>,
     baseline_ipc: Vec<Option<f64>>,
+    /// The current interval, per domain, as [`MetricsTracker::advance`]
+    /// left it: its metrics (zero filler on a held lane) and whether the
+    /// lane was valid.
+    pub(crate) interval: Vec<(IntervalMetrics, bool)>,
+    /// The reports of the last completed decision, which the policy lends;
+    /// the names are cloned once, by its first [`MetricsTracker::report`].
+    pub(crate) reports: Vec<DomainReport>,
 }
 
 impl MetricsTracker {
@@ -24,6 +31,8 @@ impl MetricsTracker {
             handles,
             last: vec![CounterSnapshot::default(); n],
             baseline_ipc: vec![None; n],
+            interval: Vec::with_capacity(n),
+            reports: Vec::new(),
         }
     }
 
@@ -34,77 +43,50 @@ impl MetricsTracker {
 
     /// Consumes one tick's snapshots: computes each domain's interval
     /// delta, advances the stored counters, and latches the first active
-    /// interval's IPC as that domain's baseline.
-    pub(crate) fn advance(&mut self, snapshots: &[CounterSnapshot]) -> Vec<IntervalMetrics> {
-        assert_eq!(
-            snapshots.len(),
-            self.handles.len(),
-            "one snapshot per domain"
-        );
-        snapshots
-            .iter()
-            .enumerate()
-            .map(|(i, snap)| {
-                let delta = snap.delta_since(&self.last[i]);
-                self.last[i] = *snap;
-                let m = IntervalMetrics::from_delta(&delta);
-                if self.baseline_ipc[i].is_none() && m.ipc > 0.0 {
-                    self.baseline_ipc[i] = Some(m.ipc);
-                }
-                m
-            })
-            .collect()
-    }
-
-    /// Builds domain `i`'s report from an interval computed by
-    /// [`MetricsTracker::advance`].
-    pub(crate) fn report(
-        &self,
-        i: usize,
-        m: &IntervalMetrics,
-        ways: u32,
-        class: WorkloadClass,
-        cbm: Option<u64>,
-    ) -> DomainReport {
-        let baseline = self.baseline_ipc.get(i).copied().flatten();
-        DomainReport {
-            name: self
-                .handles
-                .get(i)
-                .map(|h| h.name.clone())
-                .unwrap_or_default(),
-            class,
-            ways,
-            cbm,
-            ipc: m.ipc,
-            norm_ipc: baseline.map(|b| if b > 0.0 { m.ipc / b } else { 0.0 }),
-            llc_miss_rate: m.llc_miss_rate,
-            phase_changed: false,
-            baseline_ipc: baseline,
-            skipped: false,
+    /// interval's IPC as that domain's baseline. An invalid lane resyncs
+    /// its totals and contributes a zero delta, as under dCat. A
+    /// wrong-length input is a malformed sample: nothing advances.
+    pub(crate) fn advance(&mut self, input: &TickInput<'_>) -> Result<(), ResctrlError> {
+        input.check_len(self.handles.len())?;
+        self.interval.clear();
+        let lanes = self.last.iter_mut().zip(self.baseline_ipc.iter_mut());
+        for ((last, baseline), (snap, &ok)) in lanes.zip(input.snapshots.iter().zip(input.valid)) {
+            let delta = if ok {
+                snap.delta_since(last)
+            } else {
+                CounterSnapshot::default()
+            };
+            *last = *snap;
+            let m = IntervalMetrics::from_delta(&delta);
+            if baseline.is_none() && m.ipc > 0.0 {
+                *baseline = Some(m.ipc);
+            }
+            self.interval.push((m, ok));
         }
+        Ok(())
     }
 
-    fn reports(
-        &mut self,
-        snapshots: &[CounterSnapshot],
-        ways: &[u32],
-        cbms: &[Option<u64>],
-    ) -> Vec<DomainReport> {
-        let metrics = self.advance(snapshots);
-        metrics
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                self.report(
-                    i,
-                    m,
-                    ways.get(i).copied().unwrap_or(0),
-                    WorkloadClass::Keeper,
-                    cbms.get(i).copied().flatten(),
-                )
-            })
-            .collect()
+    /// Writes domain `i`'s report from the interval
+    /// [`MetricsTracker::advance`] computed. Call it once the decision can
+    /// no longer fail: what is written is what a later degraded tick holds.
+    pub(crate) fn report(&mut self, i: usize, ways: u32, class: WorkloadClass, cbm: Option<u64>) {
+        if self.reports.is_empty() {
+            self.reports = self.handles.iter().map(DomainReport::named).collect();
+        }
+        let (Some(r), Some(&(m, ok))) = (self.reports.get_mut(i), self.interval.get(i)) else {
+            return;
+        };
+        let baseline = self.baseline_ipc.get(i).copied().flatten();
+        r.class = class;
+        r.ways = ways;
+        r.cbm = cbm;
+        r.ipc = m.ipc;
+        r.norm_ipc = baseline
+            .filter(|_| ok)
+            .map(|b| if b > 0.0 { m.ipc / b } else { 0.0 });
+        r.llc_miss_rate = m.llc_miss_rate;
+        r.baseline_ipc = baseline;
+        r.skipped = !ok;
     }
 }
 
@@ -137,14 +119,21 @@ impl CachePolicy for SharedCachePolicy {
         "shared"
     }
 
-    fn tick(
+    fn decide(
         &mut self,
-        snapshots: &[CounterSnapshot],
+        input: TickInput<'_>,
         _cat: &mut dyn CacheController,
-    ) -> Result<Vec<DomainReport>, ResctrlError> {
-        let ways = vec![self.total_ways; snapshots.len()];
-        let cbms = vec![Some(self.full_cbm); snapshots.len()];
-        Ok(self.tracker.reports(snapshots, &ways, &cbms))
+    ) -> Result<&[DomainReport], ResctrlError> {
+        self.tracker.advance(&input)?;
+        for i in 0..input.snapshots.len() {
+            let (ways, cbm) = (self.total_ways, Some(self.full_cbm));
+            self.tracker.report(i, ways, WorkloadClass::Keeper, cbm);
+        }
+        Ok(&self.tracker.reports)
+    }
+
+    fn reports(&self) -> &[DomainReport] {
+        &self.tracker.reports
     }
 }
 
@@ -152,9 +141,9 @@ impl CachePolicy for SharedCachePolicy {
 /// forever (the paper's "static partition" configuration).
 pub struct StaticCatPolicy {
     tracker: MetricsTracker,
-    ways: Vec<u32>,
-    /// The partitions programmed at construction, per domain.
-    masks: Vec<Option<u64>>,
+    /// The partitions programmed at construction, per domain: way count
+    /// and mask.
+    partitions: Vec<(u32, u64)>,
 }
 
 impl StaticCatPolicy {
@@ -174,11 +163,10 @@ impl StaticCatPolicy {
                 cat.assign_core(core, cos)?;
             }
         }
-        let masks = layout.iter().map(|c| Some(u64::from(c.0))).collect();
+        let masks = layout.iter().map(|c| u64::from(c.0));
         Ok(StaticCatPolicy {
             tracker: MetricsTracker::new(handles),
-            ways: counts,
-            masks,
+            partitions: counts.into_iter().zip(masks).collect(),
         })
     }
 }
@@ -188,14 +176,21 @@ impl CachePolicy for StaticCatPolicy {
         "static-cat"
     }
 
-    fn tick(
+    fn decide(
         &mut self,
-        snapshots: &[CounterSnapshot],
+        input: TickInput<'_>,
         _cat: &mut dyn CacheController,
-    ) -> Result<Vec<DomainReport>, ResctrlError> {
-        let ways = self.ways.clone();
-        let masks = self.masks.clone();
-        Ok(self.tracker.reports(snapshots, &ways, &masks))
+    ) -> Result<&[DomainReport], ResctrlError> {
+        self.tracker.advance(&input)?;
+        for (i, &(ways, mask)) in self.partitions.iter().enumerate() {
+            self.tracker
+                .report(i, ways, WorkloadClass::Keeper, Some(mask));
+        }
+        Ok(&self.tracker.reports)
+    }
+
+    fn reports(&self) -> &[DomainReport] {
+        &self.tracker.reports
     }
 }
 

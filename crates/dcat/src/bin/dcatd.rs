@@ -188,19 +188,14 @@ fn main() -> ExitCode {
         }
         None => None,
     };
-    let domain_count = cfg.domains.len() as u32;
     let result = run_daemon_observed(&cfg, |obs| {
         for event in obs.events {
             eprintln!("tick={} {event}", obs.tick);
         }
         if let Some((file, writer)) = frames_sink.as_mut() {
-            let ext = dcat_obs::PolicyExt {
-                cos: domain_count,
-                ..dcat_obs::PolicyExt::default()
-            };
             // The previous tick's line is on disk; only this one is kept.
             writer.clear_buffer();
-            let line = writer.push(dcat::frame_from_observation(obs, "dcat", ext));
+            let line = writer.push(dcat::frame_from_observation(obs, "dcat", obs.ext));
             let written = std::io::Write::write_all(file, line.as_bytes())
                 .and_then(|()| std::io::Write::flush(file));
             if let Err(e) = written {

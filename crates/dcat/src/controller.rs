@@ -7,8 +7,10 @@ use perf_events::{CounterSnapshot, IntervalMetrics};
 use resctrl::{CacheController, Cbm, CosId, LayoutPlanner, ResctrlError};
 
 use crate::config::{AllocationPolicy, DcatConfig};
+use crate::invariants::{self, DomainView, InvariantViolation};
 use crate::perf_table::{max_performance_split, PerformanceTable};
 use crate::phase::{PhaseChange, PhaseDetector};
+use crate::policy::{CachePolicy, TickInput};
 use crate::state::WorkloadClass;
 use crate::transitions;
 
@@ -41,7 +43,7 @@ impl WorkloadHandle {
 }
 
 /// What dCat decided about one workload this interval.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DomainReport {
     /// Workload name.
     pub name: String,
@@ -66,6 +68,17 @@ pub struct DomainReport {
     /// the metrics fields are zero filler, not measurements, and the
     /// allocation was held.
     pub skipped: bool,
+}
+
+impl DomainReport {
+    /// A report slot for `handle`'s domain, every other field filler until
+    /// the owning policy's first completed decision writes it.
+    pub(crate) fn named(handle: &WorkloadHandle) -> Self {
+        DomainReport {
+            name: handle.name.clone(),
+            ..DomainReport::default()
+        }
+    }
 }
 
 /// How a Donor releases capacity.
@@ -129,6 +142,15 @@ impl Domain {
     fn reserved(&self) -> u32 {
         self.handle.reserved_ways
     }
+
+    fn view(&self) -> DomainView {
+        DomainView {
+            class: self.class,
+            ways: self.ways,
+            reserved_ways: self.reserved(),
+            cbm: self.cbm,
+        }
+    }
 }
 
 /// Longest contiguous run of free ways within the low `total_ways` ways
@@ -167,6 +189,13 @@ struct TickScratch {
     /// Growth candidates, Unknown before Receiver.
     grow_order: Vec<usize>,
     apply: ApplyScratch,
+    /// The audit's view of the domains.
+    views: Vec<DomainView>,
+    /// The reports [`CachePolicy::decide`] lends: written only after
+    /// `apply` accepted the interval, so a degraded tick still holds the
+    /// last completed one's (and none before the first). The names are
+    /// cloned once.
+    reports: Vec<DomainReport>,
 }
 
 /// [`DcatController::apply`]'s share of the scratch (it also runs once
@@ -291,39 +320,15 @@ impl DcatController {
         &self.domains[i].table
     }
 
-    /// The mask currently programmed for domain `i`, if any.
-    pub fn mask_of(&self, i: usize) -> Option<Cbm> {
-        self.domains[i].cbm
-    }
-
-    /// Number of managed domains (dCat pins one COS to each).
-    pub fn domain_count(&self) -> usize {
-        self.domains.len()
-    }
-
     /// Per-domain snapshots for invariant checking (the `debug_assert!`
-    /// hook at the end of [`Self::tick`] and the `dcat-verify` model
-    /// checker both audit these).
-    pub fn domain_views(&self) -> Vec<crate::invariants::DomainView> {
-        let mut views = Vec::new();
-        self.domain_views_into(&mut views);
-        views
+    /// hook at the end of an interval, [`CachePolicy::audit`] and the
+    /// `dcat-verify` model checker all audit these).
+    pub fn domain_views(&self) -> Vec<DomainView> {
+        self.domains.iter().map(Domain::view).collect()
     }
 
-    /// [`Self::domain_views`] into a buffer the caller keeps across ticks
-    /// (the daemon audits every tick).
-    pub fn domain_views_into(&self, views: &mut Vec<crate::invariants::DomainView>) {
-        views.clear();
-        views.extend(self.domains.iter().map(|d| crate::invariants::DomainView {
-            class: d.class,
-            ways: d.ways,
-            reserved_ways: d.reserved(),
-            cbm: d.cbm,
-        }));
-    }
-
-    /// Runs one controller interval: collect statistics, detect phase
-    /// changes, categorize, and re-allocate.
+    /// Runs one controller interval with every lane valid and no tracing:
+    /// [`CachePolicy::tick`], callable without the trait in scope.
     ///
     /// `snapshots[i]` must be the monotonic counter totals of domain `i`.
     pub fn tick(
@@ -331,56 +336,10 @@ impl DcatController {
         snapshots: &[CounterSnapshot],
         cat: &mut dyn CacheController,
     ) -> Result<Vec<DomainReport>, ResctrlError> {
-        let valid = vec![true; snapshots.len()];
-        self.tick_observed(snapshots, &valid, cat, &mut Tracer::disabled())
+        CachePolicy::tick(self, snapshots, cat)
     }
 
-    /// [`Self::tick`] with a per-domain validity verdict and
-    /// pipeline-stage tracing.
-    ///
-    /// `valid[i] == false` means domain `i`'s interval cannot be trusted
-    /// (its telemetry was missing, stale, or a counter reset): the domain
-    /// is not classified, its settle countdown does not advance, and its
-    /// allocation is **held** — it neither grows, donates, nor counts as
-    /// idle. Its totals are still resynced to `snapshots[i]` so the next
-    /// valid interval subtracts from fresh ground. The daemon uses this
-    /// to skip degraded domains without losing the healthy ones.
-    ///
-    /// Each of the paper's five steps runs as its own span over all domains —
-    /// collect → phase-detect → baseline → categorize → allocate → apply —
-    /// so the tracer sees the same stage boundaries Figure 4 draws. The
-    /// per-domain work is order-independent across stages (each stage
-    /// touches only `domains[i]`), so splitting the loop by stage is
-    /// behavior-identical to the historical per-domain fused loop; the
-    /// golden decision traces pin that.
-    pub fn tick_observed(
-        &mut self,
-        snapshots: &[CounterSnapshot],
-        valid: &[bool],
-        cat: &mut dyn CacheController,
-        tracer: &mut Tracer,
-    ) -> Result<Vec<DomainReport>, ResctrlError> {
-        // The slices are built from telemetry: a wrong length is a
-        // malformed sample, and the interval degrades (nothing has been
-        // judged or programmed yet) like any other unreadable one.
-        let n = self.domains.len();
-        if snapshots.len() != n || valid.len() != n {
-            return Err(ResctrlError::Parse(format!(
-                "tick needs one snapshot and one verdict per domain: \
-                 {n} domains, {} snapshots, {} verdicts",
-                snapshots.len(),
-                valid.len()
-            )));
-        }
-        // The stages borrow `self` mutably, so the scratch steps outside
-        // for the interval and is put back whatever the outcome.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = self.run_interval(&mut scratch, snapshots, valid, cat, tracer);
-        self.scratch = scratch;
-        result
-    }
-
-    /// The body of [`Self::tick_observed`], over buffers in `s`.
+    /// The body of [`CachePolicy::decide`], over buffers in `s`.
     fn run_interval(
         &mut self,
         s: &mut TickScratch,
@@ -388,7 +347,7 @@ impl DcatController {
         valid: &[bool],
         cat: &mut dyn CacheController,
         tracer: &mut Tracer,
-    ) -> Result<Vec<DomainReport>, ResctrlError> {
+    ) -> Result<(), ResctrlError> {
         self.interval += 1;
         let n = self.domains.len();
 
@@ -487,36 +446,33 @@ impl DcatController {
         tracer.scope("apply", |_| self.apply(targets, &mut s.apply, cat))?;
 
         debug_assert_eq!(
-            crate::invariants::check(&self.domain_views(), self.total_ways, self.config.min_ways),
+            invariants::check(&self.domain_views(), self.total_ways, self.config.min_ways),
             Ok(()),
             "controller invariants violated after interval {}",
             self.interval
         );
 
-        Ok(self
-            .domains
-            .iter()
-            .zip(metrics)
-            .zip(&s.phase_changed)
-            .zip(valid)
-            .map(|(((d, m), &phase_changed), ok)| DomainReport {
-                name: d.handle.name.clone(),
-                class: d.class,
-                ways: d.ways,
-                cbm: d.cbm.map(|c| u64::from(c.0)),
-                ipc: m.ipc,
-                norm_ipc: if *ok {
-                    d.baseline_ipc
-                        .map(|b| if b > 0.0 { m.ipc / b } else { 0.0 })
-                } else {
-                    None
-                },
-                llc_miss_rate: m.llc_miss_rate,
-                phase_changed,
-                baseline_ipc: d.baseline_ipc,
-                skipped: !*ok,
-            })
-            .collect())
+        if s.reports.is_empty() {
+            let handles = self.domains.iter().map(|d| &d.handle);
+            s.reports.extend(handles.map(DomainReport::named));
+        }
+        let lanes = self.domains.iter().zip(metrics);
+        let lanes = lanes.zip(&s.phase_changed).zip(valid);
+        for (r, (((d, m), &phase_changed), &ok)) in s.reports.iter_mut().zip(lanes) {
+            r.class = d.class;
+            r.ways = d.ways;
+            r.cbm = d.cbm.map(|c| u64::from(c.0));
+            r.ipc = m.ipc;
+            r.norm_ipc = d
+                .baseline_ipc
+                .filter(|_| ok)
+                .map(|b| if b > 0.0 { m.ipc / b } else { 0.0 });
+            r.llc_miss_rate = m.llc_miss_rate;
+            r.phase_changed = phase_changed;
+            r.baseline_ipc = d.baseline_ipc;
+            r.skipped = !ok;
+        }
+        Ok(())
     }
 
     /// Steps 2-3 for one domain: idle demotion and phase detection.
@@ -1013,6 +969,62 @@ impl DcatController {
             d.settle = self.config.settle_intervals;
         }
         Ok(())
+    }
+}
+
+impl CachePolicy for DcatController {
+    fn name(&self) -> &'static str {
+        "dcat"
+    }
+
+    /// A held lane ([`TickInput::valid`]) is not classified, its settle
+    /// countdown does not advance, and it neither grows, donates, nor
+    /// counts as idle.
+    ///
+    /// Each of the paper's five steps runs as its own span over all domains —
+    /// collect → phase-detect → baseline → categorize → allocate → apply —
+    /// so the tracer sees the same stage boundaries Figure 4 draws. The
+    /// per-domain work is order-independent across stages (each stage
+    /// touches only `domains[i]`), so splitting the loop by stage is
+    /// behavior-identical to the historical per-domain fused loop; the
+    /// golden decision traces pin that.
+    fn decide(
+        &mut self,
+        input: TickInput<'_>,
+        cat: &mut dyn CacheController,
+    ) -> Result<&[DomainReport], ResctrlError> {
+        input.check_len(self.domains.len())?;
+        let TickInput {
+            snapshots,
+            valid,
+            tracer,
+        } = input;
+        // The stages borrow `self` mutably, so the scratch steps outside
+        // for the interval and is put back whatever the outcome.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let result = self.run_interval(&mut scratch, snapshots, valid, cat, tracer);
+        self.scratch = scratch;
+        result?;
+        Ok(&self.scratch.reports)
+    }
+
+    fn reports(&self) -> &[DomainReport] {
+        &self.scratch.reports
+    }
+
+    fn audit(&mut self) -> Result<(), InvariantViolation> {
+        let views = &mut self.scratch.views;
+        views.clear();
+        views.extend(self.domains.iter().map(Domain::view));
+        invariants::check(views, self.total_ways, self.config.min_ways)
+    }
+
+    fn frame_ext(&self) -> dcat_obs::PolicyExt {
+        dcat_obs::PolicyExt {
+            // dCat pins one COS per domain.
+            cos: self.domains.len() as u32,
+            ..dcat_obs::PolicyExt::default()
+        }
     }
 }
 
@@ -1570,9 +1582,12 @@ mod tests {
         let two = [CounterSnapshot::default(); 2];
         let short = ctl.tick(&two[..1], &mut cat).unwrap_err();
         assert!(short.is_transient(), "wrong snapshot count: {short}");
-        let verdicts = ctl
-            .tick_observed(&two, &[true, true, true], &mut cat, &mut Tracer::disabled())
-            .unwrap_err();
+        let input = TickInput {
+            snapshots: &two,
+            valid: &[true, true, true],
+            tracer: &mut Tracer::disabled(),
+        };
+        let verdicts = ctl.decide(input, &mut cat).unwrap_err();
         assert!(verdicts.is_transient(), "wrong verdict count: {verdicts}");
         // Nothing was judged or programmed, and the next well-formed
         // interval runs as the first.

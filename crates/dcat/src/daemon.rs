@@ -21,17 +21,10 @@
 //! # Fault tolerance
 //!
 //! A daemon that runs unattended for hours meets transient failures as a
-//! matter of course, so the loop never dies on one. Telemetry reads and
-//! resctrl writes go through [`resctrl::retry`]'s bounded
-//! retry-with-backoff; when retries exhaust, the tick **degrades**: the
-//! previous allocation is held, a structured [`Event`] records why, and
-//! the loop moves on. Per-domain problems degrade per domain — a wrapped
-//! counter is reconstructed, a reset or stale sample skips just that
-//! domain's interval, and a domain whose telemetry stays missing or
-//! malformed for [`ResiliencePolicy::quarantine_after`] consecutive
-//! ticks is quarantined (allocation frozen, complaints suppressed) until
-//! it produces a good sample again. Only *fatal* errors — controller
-//! logic bugs, see [`resctrl::ErrorSeverity`] — abort the loop.
+//! matter of course, so the loop never dies on one: a tick degrades, a
+//! domain is quarantined, only *fatal* errors abort. All of that is
+//! [`crate::control::ControlLoop::step`]; this module is its driver: the
+//! interval sleep, the `tick` span, the metric series, the flight recorder.
 //!
 //! The `dcatd` binary wraps [`run_daemon_observed`] with command-line parsing.
 
@@ -59,44 +52,18 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dcat_obs::{FlightRecorder, Registry, SeriesId, SpanRecord, Tracer, DEFAULT_STEP_BUCKETS};
-use perf_events::{CounterSnapshot, WrapOutcome};
+use dcat_obs::{FlightRecorder, Registry, SeriesId, Tracer, DEFAULT_STEP_BUCKETS};
 use resctrl::fault::FaultPlan;
-use resctrl::retry::{with_retries, RetryEvent, RetryPolicy, RetryingController};
+use resctrl::retry::{RetryEvent, RetryingController};
 use resctrl::{CacheController, FaultingController, FsBackend, ResctrlError};
 
 use crate::config::DcatConfig;
+use crate::control::ControlLoop;
+pub use crate::control::{ResiliencePolicy, TickObservation};
 use crate::controller::{DcatController, DomainReport, WorkloadHandle};
-use crate::events::{DegradeReason, Event};
-use crate::telemetry::{parse_telemetry_into, FaultyTelemetry, FileTelemetry, TelemetryFeed};
-
-/// Recovery knobs for the daemon loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResiliencePolicy {
-    /// Retry policy for telemetry reads and resctrl writes.
-    pub retry: RetryPolicy,
-    /// Quarantine a domain after this many consecutive ticks of missing
-    /// or malformed telemetry (0 disables quarantine).
-    pub quarantine_after: u32,
-    /// Tolerate this many consecutive repeats of an active domain's
-    /// totals as stale samples (skipping the interval) before accepting
-    /// the repeat as a genuine idle.
-    pub stale_grace_ticks: u32,
-    /// Hardware counter width used to disambiguate wraps from resets.
-    pub counter_width_bits: u32,
-}
-
-impl Default for ResiliencePolicy {
-    fn default() -> Self {
-        ResiliencePolicy {
-            retry: RetryPolicy::default(),
-            quarantine_after: 5,
-            stale_grace_ticks: 2,
-            // The paper's Xeons expose 48-bit fixed/general counters.
-            counter_width_bits: 48,
-        }
-    }
-}
+use crate::events::Event;
+use crate::policy::CachePolicy;
+use crate::telemetry::{CsvTelemetry, FaultyTelemetry, FileTelemetry, TelemetryFeed};
 
 /// Observability knobs for the daemon loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,30 +108,6 @@ pub struct DaemonConfig {
     pub obs: ObsOptions,
 }
 
-/// Everything one daemon tick produced, handed to the observer hook.
-#[derive(Debug)]
-pub struct TickObservation<'a> {
-    /// 1-based tick number.
-    pub tick: u64,
-    /// Per-domain reports. On a degraded tick these are the *held*
-    /// reports of the last completed tick (empty if none completed yet).
-    pub reports: &'a [DomainReport],
-    /// Structured events this tick generated.
-    pub events: &'a [Event],
-    /// Whether this tick was degraded (no controller decision ran).
-    pub degraded: bool,
-    /// Pipeline-stage spans this tick, in completion order (nested spans
-    /// precede their parents; `tick` closes the list).
-    pub spans: &'a [SpanRecord],
-    /// Per-domain quarantine flags, in `DaemonConfig::domains` order
-    /// (parallel to `reports` on completed ticks).
-    pub quarantined: &'a [bool],
-    /// A flight-recorder JSONL dump, present only on ticks where an
-    /// `InvariantViolation` or `DomainQuarantined` event fired. The daemon
-    /// never writes files itself; the embedder (e.g. `dcatd`) persists it.
-    pub flight_dump: Option<&'a str>,
-}
-
 /// One report's slice of a frame: the name is lent, the class is the
 /// schema table's own string.
 fn domain_frame(r: &DomainReport, quarantined: bool, held: bool) -> dcat_obs::DomainFrame<'_> {
@@ -196,22 +139,7 @@ pub fn frame_from_observation<'a>(
     policy: &'a str,
     ext: dcat_obs::PolicyExt,
 ) -> dcat_obs::Frame<'a> {
-    // The degraded-tick event names the failure surface; default to
-    // telemetry if an embedder built a degraded observation without one.
-    #[allow(
-        clippy::wildcard_enum_match_arm,
-        reason = "an event-kind filter, not a severity match: every other event is skipped on purpose"
-    )]
-    let reason = obs.degraded.then(|| {
-        obs.events
-            .iter()
-            .find_map(|e| match e {
-                Event::DegradedTick { reason } => Some(*reason),
-                _ => None,
-            })
-            .unwrap_or(DegradeReason::Telemetry)
-            .as_str()
-    });
+    let reason = obs.degrade_reason().map(|r| r.as_str());
     let domains = obs
         .reports
         .iter()
@@ -233,29 +161,26 @@ pub fn frame_from_observation<'a>(
     }
 }
 
-/// Builds a [`dcat_obs::Frame`] straight from a tick's [`DomainReport`]s —
-/// the batch-harness path (scenario sweeps, fleet hosts), where ticks never
-/// degrade and quarantine does not exist. `ways_moved` is left 0 for
-/// [`dcat_obs::FrameWriter::push`] to fill in.
+/// Builds a [`dcat_obs::Frame`] straight from a tick's [`DomainReport`]s,
+/// for a caller ticking a policy without the loop: the frame of a
+/// completed tick with no events and nobody quarantined.
 pub fn frame_from_reports<'a>(
     tick: u64,
     policy: &'a str,
     reports: &'a [DomainReport],
     ext: dcat_obs::PolicyExt,
 ) -> dcat_obs::Frame<'a> {
-    dcat_obs::Frame {
+    let obs = TickObservation {
         tick,
-        policy: Cow::Borrowed(policy),
+        reports,
+        events: &[],
         degraded: false,
-        reason: None,
-        ways_moved: 0,
-        events: 0,
+        spans: &[],
+        quarantined: &[],
+        flight_dump: None,
         ext,
-        domains: reports
-            .iter()
-            .map(|r| domain_frame(r, false, r.skipped))
-            .collect(),
-    }
+    };
+    frame_from_observation(&obs, policy, ext)
 }
 
 /// Everything a completed daemon run produced beyond the final reports.
@@ -267,45 +192,6 @@ pub struct DaemonOutcome {
     pub metrics: dcat_obs::Snapshot,
     /// Flight-recorder dump of the last ticks, rendered at exit.
     pub flight_dump: String,
-}
-
-/// Parses the telemetry CSV into per-domain snapshots.
-///
-/// Blank lines and `#` comments are ignored. Returns an error naming the
-/// offending line on any malformed row. The daemon loop itself uses
-/// [`crate::telemetry::parse_telemetry_lossy`], which drops bad rows
-/// individually; this strict variant suits one-shot tooling.
-pub fn parse_telemetry(text: &str) -> Result<BTreeMap<String, CounterSnapshot>, String> {
-    let mut out = BTreeMap::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        let &[name, l1_ref, llc_ref, llc_miss, ret_ins, cycles] = fields.as_slice() else {
-            return Err(format!(
-                "line {}: expected 6 fields, got {}",
-                lineno + 1,
-                fields.len()
-            ));
-        };
-        let parse = |s: &str, what: &str| -> Result<u64, String> {
-            s.parse()
-                .map_err(|e| format!("line {}: bad {what} {s:?}: {e}", lineno + 1))
-        };
-        let snap = CounterSnapshot {
-            l1_ref: parse(l1_ref, "l1_ref")?,
-            llc_ref: parse(llc_ref, "llc_ref")?,
-            llc_miss: parse(llc_miss, "llc_miss")?,
-            ret_ins: parse(ret_ins, "ret_ins")?,
-            cycles: parse(cycles, "cycles")?,
-        };
-        if out.insert(name.to_string(), snap).is_some() {
-            return Err(format!("line {}: duplicate domain {name:?}", lineno + 1));
-        }
-    }
-    Ok(out)
 }
 
 /// Rejects duplicate names and core lists that overlap across domains.
@@ -370,15 +256,6 @@ pub fn parse_domains(spec: &str) -> Result<Vec<WorkloadHandle>, String> {
     Ok(handles)
 }
 
-fn telemetry_retry_event(e: RetryEvent) -> Event {
-    match e {
-        RetryEvent::Retried { attempt, error, .. } => Event::TelemetryRetried { attempt, error },
-        RetryEvent::Exhausted {
-            attempts, error, ..
-        } => Event::TelemetryExhausted { attempts, error },
-    }
-}
-
 fn resctrl_retry_event(e: RetryEvent) -> Event {
     match e {
         RetryEvent::Retried { op, attempt, error } => Event::ResctrlRetried { op, attempt, error },
@@ -394,127 +271,11 @@ fn resctrl_retry_event(e: RetryEvent) -> Event {
     }
 }
 
-/// Per-domain sampling state the loop threads from tick to tick.
-struct DomainState {
-    /// Monotonic totals fed to the controller: the raw samples, rebased
-    /// across counter wraps so they never go backwards.
-    rebased: CounterSnapshot,
-    /// The last raw sample, for wrap-aware delta computation.
-    raw_last: Option<CounterSnapshot>,
-    /// Whether the last valid interval retired instructions (a stale
-    /// sample is only suspicious for an active domain).
-    active: bool,
-    /// Consecutive samples identical to the previous one while active.
-    stale_streak: u32,
-    /// Consecutive ticks with missing/malformed telemetry.
-    bad_streak: u32,
-    /// Frozen: telemetry stayed bad for `quarantine_after` ticks.
-    quarantined: bool,
-    /// Whether any telemetry sample ever named this domain.
-    ever_seen: bool,
-}
-
-impl DomainState {
-    fn new() -> Self {
-        DomainState {
-            rebased: CounterSnapshot::default(),
-            raw_last: None,
-            active: false,
-            stale_streak: 0,
-            bad_streak: 0,
-            quarantined: false,
-            ever_seen: false,
-        }
-    }
-
-    /// Ingests one raw sample; returns whether the interval is valid and
-    /// pushes any per-domain events.
-    fn ingest(
-        &mut self,
-        name: &str,
-        raw: CounterSnapshot,
-        policy: &ResiliencePolicy,
-        events: &mut Vec<Event>,
-    ) -> bool {
-        self.ever_seen = true;
-        self.bad_streak = 0;
-        if self.quarantined {
-            // Back from the dead: resync and spend one tick re-grounding
-            // the totals before trusting an interval again.
-            self.quarantined = false;
-            self.stale_streak = 0;
-            self.raw_last = Some(raw);
-            events.push(Event::DomainRecovered {
-                domain: name.to_string(),
-            });
-            return false;
-        }
-        let Some(prev) = self.raw_last else {
-            // First sample: totals feed the controller directly (its
-            // recorded totals start at zero).
-            self.rebased = raw;
-            self.raw_last = Some(raw);
-            self.active = raw.ret_ins > 0;
-            return true;
-        };
-        if raw == prev && self.active && self.stale_streak < policy.stale_grace_ticks {
-            // An active workload's totals never stand perfectly still; a
-            // verbatim repeat is a wedged sampler until it persists past
-            // the grace (then it is accepted below as a genuine idle).
-            self.stale_streak += 1;
-            events.push(Event::StaleSample {
-                domain: name.to_string(),
-            });
-            return false;
-        }
-        self.stale_streak = 0;
-        match raw.delta_since_wrap_aware(&prev, policy.counter_width_bits) {
-            WrapOutcome::Monotonic(delta) => {
-                self.rebased = self.rebased.merged_with(&delta);
-                self.raw_last = Some(raw);
-                self.active = delta.ret_ins > 0;
-                true
-            }
-            WrapOutcome::Wrapped(delta) => {
-                self.rebased = self.rebased.merged_with(&delta);
-                self.raw_last = Some(raw);
-                self.active = delta.ret_ins > 0;
-                events.push(Event::CounterWrapped {
-                    domain: name.to_string(),
-                });
-                true
-            }
-            WrapOutcome::Invalid => {
-                // A reset: no trustworthy delta exists. Resync so the
-                // next interval subtracts from the new epoch.
-                self.raw_last = Some(raw);
-                events.push(Event::CounterReset {
-                    domain: name.to_string(),
-                });
-                false
-            }
-        }
-    }
-
-    /// Records a tick with no usable sample; returns whether this tick
-    /// crossed the quarantine threshold.
-    fn miss(&mut self, policy: &ResiliencePolicy) -> bool {
-        if self.quarantined {
-            return false;
-        }
-        self.bad_streak += 1;
-        if policy.quarantine_after > 0 && self.bad_streak >= policy.quarantine_after {
-            self.quarantined = true;
-            return true;
-        }
-        false
-    }
-}
-
 /// The loop's metric series. Each is resolved where its first value is
 /// written — resolving registers the series, and one that never had a
 /// value must not be in the export — and recorded through its id from
 /// then on.
+#[derive(Default)]
 struct TickSeries {
     ticks: Option<SeriesId>,
     quarantined: Option<SeriesId>,
@@ -532,19 +293,6 @@ struct DomainSeries {
     ways: Option<SeriesId>,
     moved: Option<SeriesId>,
     phase_changes: Option<SeriesId>,
-}
-
-impl TickSeries {
-    fn new(domains: usize) -> Self {
-        TickSeries {
-            ticks: None,
-            quarantined: None,
-            events: Vec::new(),
-            span_steps: Vec::new(),
-            span_cycles: Vec::new(),
-            domains: vec![DomainSeries::default(); domains],
-        }
-    }
 }
 
 /// The id `known` holds for `label`, resolved and remembered on first
@@ -576,165 +324,60 @@ fn resolved(
 /// events from it (`dcatd` prints them to stderr).
 pub fn run_daemon_observed(
     cfg: &DaemonConfig,
-    mut observe: impl FnMut(&TickObservation),
+    observe: impl FnMut(&TickObservation),
 ) -> Result<DaemonOutcome, ResctrlError> {
     validate_domain_set(&cfg.domains).map_err(ResctrlError::Parse)?;
-    let policy = cfg.resilience;
-    let plan = cfg.fault_plan.clone().unwrap_or_default();
-
     // Construction is fail-fast: a missing resctrl tree at startup is a
     // configuration error, not weather.
     let backend = FsBackend::open(&cfg.resctrl_root)?;
-    let mut cat =
-        RetryingController::new(FaultingController::new(backend, plan.clone()), policy.retry);
+    let feed = FileTelemetry::new(&cfg.telemetry_path);
+    match &cfg.fault_plan {
+        None => drive(cfg, backend, feed, |_, _| {}, observe),
+        Some(plan) => drive(
+            cfg,
+            FaultingController::new(backend, plan.clone()),
+            FaultyTelemetry::new(feed, plan.clone()),
+            FaultingController::set_tick,
+            observe,
+        ),
+    }
+}
+
+/// The daemon's driver around [`ControlLoop::step`], over whatever
+/// backend and feed [`run_daemon_observed`] composed: the production pair,
+/// or the fault-injecting wrappers around it, whose schedule `set_tick`
+/// advances.
+fn drive<C: CacheController>(
+    cfg: &DaemonConfig,
+    backend: C,
+    feed: impl TelemetryFeed,
+    mut set_tick: impl FnMut(&mut C, u64),
+    mut observe: impl FnMut(&TickObservation),
+) -> Result<DaemonOutcome, ResctrlError> {
+    let retry = cfg.resilience.retry;
+    let mut cat = RetryingController::new(backend, retry);
     let mut controller = DcatController::new(cfg.dcat, cfg.domains.clone(), &mut cat)?;
-    let total_ways = cat.capabilities().cbm_len;
-    let mut feed = FaultyTelemetry::new(FileTelemetry::new(&cfg.telemetry_path), plan);
+    let mut ctl = ControlLoop::new(&mut controller, cfg.domains.clone(), cfg.resilience)?;
+    let mut telemetry = CsvTelemetry { feed, retry };
 
     let n = cfg.domains.len();
-    let mut states: Vec<DomainState> = (0..n).map(|_| DomainState::new()).collect();
-    let mut snapshots = vec![CounterSnapshot::default(); n];
-    // Per-tick working storage, kept across ticks: the parsed sample of
-    // each domain, its validity verdict, its quarantine flag, the audit's
-    // view of the controller, and the telemetry retry log.
-    let mut samples: Vec<Option<CounterSnapshot>> = vec![None; n];
-    let mut valid = vec![true; n];
-    let mut quarantine_flags = vec![false; n];
-    let mut views = Vec::with_capacity(n);
-    let mut retry_log = Vec::new();
-    let mut final_reports: Vec<DomainReport> = Vec::new();
-    let mut events: Vec<Event> = Vec::new();
     let mut registry = Registry::new();
-    let mut series = TickSeries::new(n);
+    let mut series = TickSeries {
+        domains: vec![DomainSeries::default(); n],
+        ..TickSeries::default()
+    };
     let mut tracer = Tracer::new();
     let mut recorder = FlightRecorder::new(cfg.obs.flight_recorder_ticks);
     let mut prev_ways: Vec<Option<u32>> = vec![None; n];
-    let mut tick = 0u64;
-    loop {
-        if let Some(max) = cfg.max_ticks {
-            if tick >= max {
-                break;
-            }
-        }
-        tick += 1;
-        events.clear();
+    while cfg.max_ticks.is_none_or(|max| ctl.ticks() < max) {
+        let tick = ctl.ticks() + 1;
         tracer.clear();
-        cat.inner_mut().set_tick(tick);
+        set_tick(cat.inner_mut(), tick);
         tracer.set_tick(tick);
         tracer.enter("tick");
-
-        // Telemetry acquisition, with retries; exhaustion degrades the
-        // whole tick (nothing per-domain can be said without a sample).
-        tracer.enter("telemetry");
-        let text = with_retries(policy.retry, "telemetry_read", &mut retry_log, || {
-            feed.read(tick)
-        });
-        events.extend(retry_log.drain(..).map(telemetry_retry_event));
-        let text = match text {
-            Ok(text) => Some(text),
-            Err(e) if e.is_transient() => {
-                events.push(Event::DegradedTick {
-                    reason: DegradeReason::Telemetry,
-                });
-                None
-            }
-            Err(e) => return Err(e),
-        };
-
-        let degraded = match &text {
-            None => {
-                tracer.exit(); // telemetry
-                true
-            }
-            Some(text) => {
-                parse_telemetry_into(text, &cfg.domains, &mut samples, |issue| {
-                    // A quarantined domain's rows stay broken tick after
-                    // tick; one quarantine event stands in for the stream
-                    // of complaints.
-                    let suppressed = issue.domain.as_deref().is_some_and(|name| {
-                        cfg.domains
-                            .iter()
-                            .position(|d| d.name == name)
-                            .and_then(|i| states.get(i))
-                            .is_some_and(|s| s.quarantined)
-                    });
-                    if !suppressed {
-                        events.push(Event::RowMalformed {
-                            domain: issue.domain,
-                            line: issue.line,
-                            message: issue.message,
-                        });
-                    }
-                });
-
-                let lanes = cfg
-                    .domains
-                    .iter()
-                    .zip(states.iter_mut())
-                    .zip(samples.iter())
-                    .zip(valid.iter_mut().zip(snapshots.iter_mut()));
-                for (((domain, state), sample), (valid_slot, snap_slot)) in lanes {
-                    let name = &domain.name;
-                    match sample {
-                        Some(raw) => {
-                            *valid_slot = state.ingest(name, *raw, &policy, &mut events);
-                        }
-                        None => {
-                            *valid_slot = false;
-                            if state.miss(&policy) {
-                                events.push(Event::DomainQuarantined {
-                                    domain: name.clone(),
-                                    after_ticks: state.bad_streak,
-                                });
-                            }
-                        }
-                    }
-                    *snap_slot = state.rebased;
-                }
-                if tick == 1 {
-                    // Satellite check: a domain the sampler never mentions
-                    // would otherwise sit silent forever at its initial
-                    // allocation.
-                    for (d, state) in cfg.domains.iter().zip(states.iter()) {
-                        if !state.ever_seen {
-                            events.push(Event::DomainSilent {
-                                domain: d.name.clone(),
-                            });
-                        }
-                    }
-                }
-                tracer.exit(); // telemetry
-
-                let result = controller.tick_observed(&snapshots, &valid, &mut cat, &mut tracer);
-                events.extend(cat.take_events().into_iter().map(resctrl_retry_event));
-                let degraded = match result {
-                    Ok(reports) => {
-                        final_reports = reports;
-                        false
-                    }
-                    Err(e) if e.is_transient() => {
-                        events.push(Event::DegradedTick {
-                            reason: DegradeReason::Resctrl,
-                        });
-                        true
-                    }
-                    Err(e) => return Err(e),
-                };
-
-                // Audit the recorded allocation even (especially) on
-                // degraded ticks: holding must never leave overlapping
-                // masks or starve a domain below its floor.
-                controller.domain_views_into(&mut views);
-                if let Err(violation) =
-                    crate::invariants::check(&views, total_ways, cfg.dcat.min_ways)
-                {
-                    events.push(Event::InvariantViolation {
-                        message: violation.to_string(),
-                    });
-                }
-                degraded
-            }
-        };
+        let obs = ctl.step(&mut telemetry, &mut cat, &mut tracer, |cat, events| {
+            events.extend(cat.take_events().into_iter().map(resctrl_retry_event));
+        })?;
         tracer.exit(); // tick
         let spans = tracer.completed();
 
@@ -742,19 +385,14 @@ pub fn run_daemon_observed(
             .ticks
             .get_or_insert_with(|| registry.counter("dcat_ticks_total", &[]));
         registry.add(ticks, 1);
-        if degraded {
-            let reason = if text.is_some() {
-                DegradeReason::Resctrl
-            } else {
-                DegradeReason::Telemetry
-            };
+        if let Some(reason) = obs.degrade_reason() {
             registry.counter_add(
                 "dcat_degraded_ticks_total",
                 &[("reason", reason.as_str())],
                 1,
             );
         }
-        for e in &events {
+        for e in obs.events {
             let id = resolved(&mut series.events, e.name(), |event| {
                 registry.counter("dcat_events_total", &[("event", event)])
             });
@@ -776,8 +414,9 @@ pub fn run_daemon_observed(
                 registry.observe(id, s.cycles);
             }
         }
-        if !degraded {
-            let lanes = final_reports
+        if !obs.degraded {
+            let lanes = obs
+                .reports
                 .iter()
                 .zip(prev_ways.iter_mut())
                 .zip(series.domains.iter_mut());
@@ -805,44 +444,38 @@ pub fn run_daemon_observed(
                 }
             }
         }
-        for (flag, state) in quarantine_flags.iter_mut().zip(&states) {
-            *flag = state.quarantined;
-        }
         let quarantined =
-            u32::try_from(quarantine_flags.iter().filter(|&&q| q).count()).unwrap_or(u32::MAX);
+            u32::try_from(obs.quarantined.iter().filter(|&&q| q).count()).unwrap_or(u32::MAX);
         let id = *series
             .quarantined
             .get_or_insert_with(|| registry.gauge("dcat_quarantined_domains", &[]));
         registry.set(id, f64::from(quarantined));
 
-        recorder.record(tick, degraded, spans, events.iter().map(Event::to_json));
+        let events = obs.events.iter().map(Event::to_json);
+        recorder.record(tick, obs.degraded, spans, events);
         // A quarantine or invariant violation is exactly the moment a
         // post-mortem wants the recent window: surface a dump through the
         // observation so the embedder can persist it without re-running.
-        let flight_dump = if events.iter().any(|e| {
-            matches!(
-                e,
-                Event::InvariantViolation { .. } | Event::DomainQuarantined { .. }
-            )
-        }) {
-            Some(recorder.dump_jsonl())
-        } else {
-            None
-        };
+        let flight_dump = obs
+            .events
+            .iter()
+            .any(|e| {
+                matches!(
+                    e,
+                    Event::InvariantViolation { .. } | Event::DomainQuarantined { .. }
+                )
+            })
+            .then(|| recorder.dump_jsonl());
 
         observe(&TickObservation {
-            tick,
-            reports: &final_reports,
-            events: &events,
-            degraded,
             spans,
-            quarantined: &quarantine_flags,
             flight_dump: flight_dump.as_deref(),
+            ..obs
         });
         sleep_between_ticks(cfg, tick);
     }
     Ok(DaemonOutcome {
-        reports: final_reports,
+        reports: controller.reports().to_vec(),
         metrics: registry.take(),
         flight_dump: recorder.dump_jsonl(),
     })
@@ -872,26 +505,6 @@ mod tests {
             fault_plan: None,
             obs: ObsOptions::default(),
         }
-    }
-
-    #[test]
-    fn telemetry_parsing_happy_path() {
-        let text = "# comment\n\n a , 1,2,3,4,5 \nb,10,20,30,40,50\n";
-        let m = parse_telemetry(text).unwrap();
-        assert_eq!(m.len(), 2);
-        assert_eq!(m["a"].l1_ref, 1);
-        assert_eq!(m["b"].cycles, 50);
-    }
-
-    #[test]
-    fn telemetry_parsing_rejects_malformed_rows() {
-        assert!(parse_telemetry("a,1,2,3").unwrap_err().contains("6 fields"));
-        assert!(parse_telemetry("a,x,2,3,4,5")
-            .unwrap_err()
-            .contains("l1_ref"));
-        assert!(parse_telemetry("a,1,2,3,4,5\na,1,2,3,4,5")
-            .unwrap_err()
-            .contains("duplicate"));
     }
 
     #[test]
@@ -949,7 +562,7 @@ mod tests {
         )
         .unwrap();
 
-        let cfg = base_config(
+        let mut cfg = base_config(
             root.clone(),
             vec![
                 WorkloadHandle::new("hungry", vec![0, 1], 4),
@@ -963,6 +576,11 @@ mod tests {
         // The partitions are visible in the filesystem afterwards.
         let schemata = std::fs::read_to_string(root.join("COS2").join("schemata")).unwrap();
         assert!(schemata.contains("L3:0="));
+        // `dcatd --counter-width-bits 0` is a startup error, not a panic
+        // on the second tick.
+        cfg.resilience.counter_width_bits = 0;
+        let err = run_daemon_observed(&cfg, |_| {}).unwrap_err();
+        assert!(matches!(err, ResctrlError::Parse(_)), "{err}");
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -973,54 +591,5 @@ mod tests {
             vec![WorkloadHandle::new("x", vec![0], 1)],
         );
         assert!(run_daemon_observed(&cfg, |_| {}).is_err());
-    }
-
-    #[test]
-    fn silent_domain_is_flagged_after_the_first_interval() {
-        let root = std::env::temp_dir().join(format!(
-            "dcatd-silent-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        drop(FsBackend::create_fixture(&root, CatCapabilities::with_ways(20), 8).unwrap());
-        // Only "loud" ever appears in telemetry; "ghost" is configured
-        // but never sampled.
-        std::fs::write(
-            root.join("telemetry.csv"),
-            "loud,340000,120000,60000,1000000,20000000\n",
-        )
-        .unwrap();
-        let mut cfg = base_config(
-            root.clone(),
-            vec![
-                WorkloadHandle::new("loud", vec![0, 1], 4),
-                WorkloadHandle::new("ghost", vec![2, 3], 4),
-            ],
-        );
-        cfg.max_ticks = Some(7);
-        let mut silent_ticks = Vec::new();
-        let mut quarantine_ticks = Vec::new();
-        run_daemon_observed(&cfg, |obs| {
-            for e in obs.events {
-                match e {
-                    Event::DomainSilent { domain } if domain == "ghost" => {
-                        silent_ticks.push(obs.tick);
-                    }
-                    Event::DomainQuarantined { domain, .. } if domain == "ghost" => {
-                        quarantine_ticks.push(obs.tick);
-                    }
-                    _ => {}
-                }
-            }
-        })
-        .unwrap();
-        assert_eq!(
-            silent_ticks,
-            vec![1],
-            "warned once, after the first interval"
-        );
-        assert_eq!(quarantine_ticks, vec![5], "default quarantine_after = 5");
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

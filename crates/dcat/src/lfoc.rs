@@ -25,12 +25,11 @@
 //! EWMA, ordering ties break on domain index, and way apportionment is
 //! integer largest-remainder — no RNG, no wall clock, no hash iteration.
 
-use perf_events::{CounterSnapshot, IntervalMetrics};
 use resctrl::{CacheController, Cbm, CosId, LayoutPlanner, ResctrlError};
 
 use crate::baselines::MetricsTracker;
 use crate::controller::{DomainReport, WorkloadHandle};
-use crate::policy::CachePolicy;
+use crate::policy::{CachePolicy, TickInput};
 use crate::state::WorkloadClass;
 
 /// Tuning knobs for [`LfocPolicy`].
@@ -124,10 +123,15 @@ impl LfocPolicy {
         Ok(policy)
     }
 
-    /// Folds one interval into the smoothed features.
-    fn update_features(&mut self, metrics: &[IntervalMetrics]) {
+    /// Folds the tracker's interval into the smoothed features. A held
+    /// lane's features stand — its zero filler is not an idle interval —
+    /// so a reclustering sorts it where it was.
+    fn update_features(&mut self) {
         let w = self.cfg.smoothing.clamp(0.0, 1.0);
-        for (f, m) in self.features.iter_mut().zip(metrics) {
+        for (f, (m, ok)) in self.features.iter_mut().zip(&self.tracker.interval) {
+            if !ok {
+                continue;
+            }
             if m.instructions == 0 {
                 // Idle interval: decay intensity toward zero, keep the
                 // miss-rate estimate (no evidence either way).
@@ -366,38 +370,38 @@ impl CachePolicy for LfocPolicy {
         "lfoc"
     }
 
-    fn tick(
+    fn decide(
         &mut self,
-        snapshots: &[CounterSnapshot],
+        input: TickInput<'_>,
         cat: &mut dyn CacheController,
-    ) -> Result<Vec<DomainReport>, ResctrlError> {
-        let metrics = self.tracker.advance(snapshots);
-        self.update_features(&metrics);
+    ) -> Result<&[DomainReport], ResctrlError> {
+        self.tracker.advance(&input)?;
+        self.update_features();
         self.ticks += 1;
         if self.ticks.is_multiple_of(self.cfg.recluster_ticks) {
             self.recluster();
             self.program(cat)?;
         }
-        let reports = metrics
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let cluster = self.cluster_of.get(i).copied().unwrap_or(INSENSITIVE);
-                let ways = self
-                    .cluster_ways
-                    .get(cluster)
-                    .copied()
-                    .unwrap_or(self.cbm_len);
-                let cbm = self
-                    .cluster_masks
-                    .get(cluster)
-                    .copied()
-                    .flatten()
-                    .map(|c| u64::from(c.0));
-                self.tracker.report(i, m, ways, self.class_of(i), cbm)
-            })
-            .collect();
-        Ok(reports)
+        for i in 0..self.features.len() {
+            let cluster = self.cluster_of.get(i).copied().unwrap_or(INSENSITIVE);
+            let ways = self
+                .cluster_ways
+                .get(cluster)
+                .copied()
+                .unwrap_or(self.cbm_len);
+            let cbm = self
+                .cluster_masks
+                .get(cluster)
+                .copied()
+                .flatten()
+                .map(|c| u64::from(c.0));
+            self.tracker.report(i, ways, self.class_of(i), cbm);
+        }
+        Ok(&self.tracker.reports)
+    }
+
+    fn reports(&self) -> &[DomainReport] {
+        &self.tracker.reports
     }
 
     fn frame_ext(&self) -> dcat_obs::PolicyExt {
@@ -429,6 +433,7 @@ impl CachePolicy for LfocPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perf_events::CounterSnapshot;
     use resctrl::{CatCapabilities, InMemoryController};
 
     fn snapshot(ins: u64, cyc: u64, llc_ref: u64, llc_miss: u64) -> CounterSnapshot {

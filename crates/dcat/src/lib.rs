@@ -52,6 +52,7 @@
 
 pub mod baselines;
 pub mod config;
+pub mod control;
 pub mod controller;
 pub mod daemon;
 pub mod events;
@@ -67,17 +68,16 @@ pub mod transitions;
 
 pub use baselines::{SharedCachePolicy, StaticCatPolicy};
 pub use config::{AllocationPolicy, DcatConfig};
+pub use control::{ControlLoop, ResiliencePolicy, SampleSink, Telemetry, TickObservation, Totals};
 pub use controller::{DcatController, DomainReport, WorkloadHandle};
-pub use daemon::{
-    frame_from_observation, frame_from_reports, DaemonConfig, ResiliencePolicy, TickObservation,
-};
+pub use daemon::{frame_from_observation, frame_from_reports, DaemonConfig};
 pub use events::{DegradeReason, Event};
 pub use lfoc::{LfocConfig, LfocPolicy};
 pub use memshare::{MemshareConfig, MemsharePolicy};
 pub use perf_table::PerformanceTable;
 pub use phase::{PhaseChange, PhaseDetector};
-pub use policy::CachePolicy;
+pub use policy::{CachePolicy, TickInput};
 pub use state::WorkloadClass;
 pub use telemetry::{
-    parse_telemetry_lossy, FaultyTelemetry, FileTelemetry, RowIssue, TelemetryFeed,
+    parse_telemetry_lossy, CsvTelemetry, FaultyTelemetry, FileTelemetry, RowIssue, TelemetryFeed,
 };

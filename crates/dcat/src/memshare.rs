@@ -24,12 +24,11 @@
 
 use std::collections::BTreeMap;
 
-use perf_events::{CounterSnapshot, IntervalMetrics};
 use resctrl::{CacheController, Cbm, CosId, LayoutPlanner, ResctrlError};
 
 use crate::baselines::MetricsTracker;
 use crate::controller::{DomainReport, WorkloadHandle};
-use crate::policy::CachePolicy;
+use crate::policy::{CachePolicy, TickInput};
 use crate::state::WorkloadClass;
 
 /// Tuning knobs for [`MemsharePolicy`].
@@ -67,6 +66,8 @@ enum Demand {
     Needy,
     /// In between: runs at its entitlement.
     Content,
+    /// No trustworthy interval: keeps its grant and its credit.
+    Held,
 }
 
 /// Memshare-style share-accounting policy behind [`CachePolicy`].
@@ -127,11 +128,15 @@ impl MemsharePolicy {
         &self.shares
     }
 
-    /// Classifies each domain's demand from this interval's metrics.
-    fn classify(&self, metrics: &[IntervalMetrics]) -> Vec<Demand> {
-        metrics
+    /// Classifies each domain's demand from the tracker's interval.
+    fn classify(&self) -> Vec<Demand> {
+        self.tracker
+            .interval
             .iter()
-            .map(|m| {
+            .map(|(m, ok)| {
+                if !ok {
+                    return Demand::Held;
+                }
                 if m.instructions == 0 {
                     return Demand::Idle;
                 }
@@ -149,22 +154,37 @@ impl MemsharePolicy {
 
     /// Runs one round of share accounting: idle tenants lend down to the
     /// floor, needy tenants borrow the pool in credit order, and the
-    /// ledger advances by each tenant's net position.
+    /// ledger advances by each tenant's net position. A held tenant sits
+    /// the round out: what it lends or borrows stays in or out of the
+    /// pool (a loan the lenders no longer cover shrinks to what they do),
+    /// and its credit stands.
     fn settle(&mut self, demand: &[Demand]) {
         let n = demand.len().min(self.entitlement.len());
         let mut pool = 0u32;
         for i in 0..n {
             let e = self.entitlement.get(i).copied().unwrap_or(0);
+            let Some(slot) = self.granted.get_mut(i) else {
+                continue;
+            };
             let g = match demand.get(i) {
-                Some(Demand::Idle) => {
-                    let kept = self.cfg.min_ways.min(e);
-                    pool += e - kept;
-                    kept
+                Some(Demand::Idle) => self.cfg.min_ways.min(e),
+                // What it lent stays lent; what it borrowed is settled
+                // below, once every lender is counted.
+                Some(Demand::Held) => {
+                    pool += e.saturating_sub(*slot);
+                    continue;
                 }
                 _ => e,
             };
-            if let Some(slot) = self.granted.get_mut(i) {
-                *slot = g;
+            pool += e - g;
+            *slot = g;
+        }
+        for i in 0..n {
+            let e = self.entitlement.get(i).copied().unwrap_or(0);
+            if let (Some(Demand::Held), Some(slot)) = (demand.get(i), self.granted.get_mut(i)) {
+                let loan = slot.saturating_sub(e).min(pool);
+                pool -= loan;
+                *slot = (*slot).min(e) + loan;
             }
         }
         // Borrowers in credit order (past lenders first), index-stable.
@@ -193,6 +213,9 @@ impl MemsharePolicy {
         }
         // Ledger: positive when running under entitlement (lending).
         for i in 0..n {
+            if demand.get(i) == Some(&Demand::Held) {
+                continue;
+            }
             let e = i64::from(self.entitlement.get(i).copied().unwrap_or(0));
             let g = i64::from(self.granted.get(i).copied().unwrap_or(0));
             if let Some(c) = self.credit.get_mut(i) {
@@ -275,8 +298,8 @@ impl MemsharePolicy {
         let e = self.entitlement.get(i).copied().unwrap_or(0);
         let g = self.granted.get(i).copied().unwrap_or(0);
         match demand.get(i) {
-            Some(Demand::Idle) if g < e => WorkloadClass::Donor,
-            Some(Demand::Needy) if g > e => WorkloadClass::Receiver,
+            Some(Demand::Idle | Demand::Held) if g < e => WorkloadClass::Donor,
+            Some(Demand::Needy | Demand::Held) if g > e => WorkloadClass::Receiver,
             Some(_) => WorkloadClass::Keeper,
             None => WorkloadClass::Unknown,
         }
@@ -333,26 +356,25 @@ impl CachePolicy for MemsharePolicy {
         "memshare"
     }
 
-    fn tick(
+    fn decide(
         &mut self,
-        snapshots: &[CounterSnapshot],
+        input: TickInput<'_>,
         cat: &mut dyn CacheController,
-    ) -> Result<Vec<DomainReport>, ResctrlError> {
-        let metrics = self.tracker.advance(snapshots);
-        let demand = self.classify(&metrics);
+    ) -> Result<&[DomainReport], ResctrlError> {
+        self.tracker.advance(&input)?;
+        let demand = self.classify();
         self.settle(&demand);
         self.program(cat)?;
-        let reports = metrics
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let ways = self.granted.get(i).copied().unwrap_or(0);
-                let cbm = self.domain_masks.get(i).copied().flatten();
-                self.tracker
-                    .report(i, m, ways, self.class_of(i, &demand), cbm)
-            })
-            .collect();
-        Ok(reports)
+        for i in 0..demand.len() {
+            let ways = self.granted.get(i).copied().unwrap_or(0);
+            let cbm = self.domain_masks.get(i).copied().flatten();
+            self.tracker.report(i, ways, self.class_of(i, &demand), cbm);
+        }
+        Ok(&self.tracker.reports)
+    }
+
+    fn reports(&self) -> &[DomainReport] {
+        &self.tracker.reports
     }
 
     fn frame_ext(&self) -> dcat_obs::PolicyExt {
@@ -379,6 +401,7 @@ impl CachePolicy for MemsharePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perf_events::CounterSnapshot;
     use resctrl::{CatCapabilities, InMemoryController};
 
     fn snapshot(ins: u64, llc_ref: u64, llc_miss: u64) -> CounterSnapshot {

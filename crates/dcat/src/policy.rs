@@ -3,36 +3,85 @@
 //! The paper compares three configurations throughout its evaluation:
 //! an unmanaged **shared cache**, **static CAT** partitioning at the
 //! reserved sizes, and **dCat**. Experiment harnesses drive all three
-//! through this trait so scenarios are written once.
+//! through this trait so scenarios are written once, and
+//! [`crate::control::ControlLoop`] drives any of them once per interval.
 
+use dcat_obs::Tracer;
 use perf_events::CounterSnapshot;
 use resctrl::{CacheController, ResctrlError};
 
 use crate::controller::DomainReport;
+use crate::invariants::InvariantViolation;
+
+/// One interval's input to [`CachePolicy::decide`].
+pub struct TickInput<'a> {
+    /// Monotonic counter totals, one per domain.
+    pub snapshots: &'a [CounterSnapshot],
+    /// `valid[i] == false`: domain `i`'s interval cannot be trusted (its
+    /// sample was missing, stale, or a counter reset). The lane is
+    /// **held** under every policy: its totals resync to `snapshots[i]`,
+    /// it contributes a zero delta, it keeps its class / cluster / credit
+    /// and its ways, and its report says `skipped`.
+    pub valid: &'a [bool],
+    /// Receives one span per pipeline stage the policy has (dCat: the six
+    /// Figure-4 steps; the baselines have none).
+    pub tracer: &'a mut Tracer,
+}
+
+impl TickInput<'_> {
+    /// A wrong-length input is a malformed sample: the interval degrades,
+    /// with nothing judged or programmed, like any other unreadable one.
+    pub(crate) fn check_len(&self, domains: usize) -> Result<(), ResctrlError> {
+        if self.snapshots.len() == domains && self.valid.len() == domains {
+            return Ok(());
+        }
+        Err(ResctrlError::Parse(format!(
+            "tick needs one snapshot and one verdict per domain: \
+             {domains} domains, {} snapshots, {} verdicts",
+            self.snapshots.len(),
+            self.valid.len()
+        )))
+    }
+}
 
 /// A cache-management policy ticked once per interval.
 pub trait CachePolicy {
     /// Short policy name for reports ("shared", "static-cat", "dcat").
     fn name(&self) -> &'static str;
 
-    /// Observes the interval's counters and (possibly) reprograms CAT.
+    /// The decision: observes the interval's counters, (possibly)
+    /// reprograms CAT, and lends the per-domain reports out of the
+    /// policy's own buffers.
+    fn decide(
+        &mut self,
+        input: TickInput<'_>,
+        cat: &mut dyn CacheController,
+    ) -> Result<&[DomainReport], ResctrlError>;
+
+    /// The reports of the last decision that completed (empty before the
+    /// first): what a degraded tick holds.
+    fn reports(&self) -> &[DomainReport];
+
+    /// [`Self::decide`] with every lane valid and no tracing, the reports
+    /// copied out.
     fn tick(
         &mut self,
         snapshots: &[CounterSnapshot],
         cat: &mut dyn CacheController,
-    ) -> Result<Vec<DomainReport>, ResctrlError>;
-
-    /// [`Self::tick`] with pipeline-stage tracing. Policies without
-    /// internal stages (the shared/static baselines) ignore the tracer;
-    /// dCat records one span per Figure-4 step.
-    fn tick_traced(
-        &mut self,
-        snapshots: &[CounterSnapshot],
-        cat: &mut dyn CacheController,
-        tracer: &mut dcat_obs::Tracer,
     ) -> Result<Vec<DomainReport>, ResctrlError> {
-        let _ = tracer;
-        self.tick(snapshots, cat)
+        let input = TickInput {
+            snapshots,
+            valid: &vec![true; snapshots.len()],
+            tracer: &mut Tracer::disabled(),
+        };
+        self.decide(input, cat).map(<[DomainReport]>::to_vec)
+    }
+
+    /// Audits the recorded allocation against the policy's invariants.
+    /// The loop runs it after every decision, completed or not: holding
+    /// must never leave overlapping masks or starve a domain.
+    fn audit(&mut self) -> Result<(), InvariantViolation> {
+        Ok(())
     }
 
     /// Policy decision summary for the current tick's frame
@@ -44,39 +93,6 @@ pub trait CachePolicy {
     }
 }
 
-impl CachePolicy for crate::DcatController {
-    fn name(&self) -> &'static str {
-        "dcat"
-    }
-
-    fn tick(
-        &mut self,
-        snapshots: &[CounterSnapshot],
-        cat: &mut dyn CacheController,
-    ) -> Result<Vec<DomainReport>, ResctrlError> {
-        // The inherent method; path syntax picks the inherent impl.
-        crate::DcatController::tick(self, snapshots, cat)
-    }
-
-    fn tick_traced(
-        &mut self,
-        snapshots: &[CounterSnapshot],
-        cat: &mut dyn CacheController,
-        tracer: &mut dcat_obs::Tracer,
-    ) -> Result<Vec<DomainReport>, ResctrlError> {
-        let valid = vec![true; snapshots.len()];
-        self.tick_observed(snapshots, &valid, cat, tracer)
-    }
-
-    fn frame_ext(&self) -> dcat_obs::PolicyExt {
-        dcat_obs::PolicyExt {
-            // dCat pins one COS per domain.
-            cos: self.domain_count() as u32,
-            ..dcat_obs::PolicyExt::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,28 +100,21 @@ mod tests {
     use resctrl::{CatCapabilities, InMemoryController};
 
     #[test]
-    fn dcat_is_usable_through_the_trait() {
+    fn dcat_decision_records_one_span_per_pipeline_stage() {
         let mut cat = InMemoryController::new(CatCapabilities::with_ways(20), 2);
         let handles = vec![WorkloadHandle::new("w", vec![0, 1], 4)];
-        let mut ctl = DcatController::new(DcatConfig::default(), handles, &mut cat).unwrap();
-        let policy: &mut dyn CachePolicy = &mut ctl;
+        let ctl = DcatController::new(DcatConfig::default(), handles, &mut cat).unwrap();
+        let mut tracer = Tracer::new();
+        // Through the box, as the scenario and fleet drivers hold it.
+        let mut policy: Box<dyn CachePolicy> = Box::new(ctl);
         assert_eq!(policy.name(), "dcat");
-        let reports = policy
-            .tick(&[CounterSnapshot::default()], &mut cat)
-            .unwrap();
-        assert_eq!(reports.len(), 1);
-    }
-
-    #[test]
-    fn dcat_tick_traced_records_one_span_per_pipeline_stage() {
-        let mut cat = InMemoryController::new(CatCapabilities::with_ways(20), 2);
-        let handles = vec![WorkloadHandle::new("w", vec![0, 1], 4)];
-        let mut ctl = DcatController::new(DcatConfig::default(), handles, &mut cat).unwrap();
-        let mut tracer = dcat_obs::Tracer::new();
-        let policy: &mut dyn CachePolicy = &mut ctl;
-        policy
-            .tick_traced(&[CounterSnapshot::default()], &mut cat, &mut tracer)
-            .unwrap();
+        let input = TickInput {
+            snapshots: &[CounterSnapshot::default()],
+            valid: &[true],
+            tracer: &mut tracer,
+        };
+        assert_eq!(policy.decide(input, &mut cat).unwrap().len(), 1);
+        assert_eq!(policy.reports().len(), 1);
         let names: Vec<_> = tracer.completed().iter().map(|s| s.name).collect();
         assert_eq!(
             names,

@@ -3,10 +3,11 @@
 use std::fmt;
 
 /// The class dCat assigns a workload each interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WorkloadClass {
     /// Would suffer with less cache but does not benefit from more; keeps
     /// its current allocation. The start state of every workload.
+    #[default]
     Keeper,
     /// Does not benefit from its cache (idle, low LLC use, or negligible
     /// misses); shrinks toward the minimum allocation.

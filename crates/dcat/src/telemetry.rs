@@ -2,16 +2,16 @@
 //! the fault-injecting wrapper.
 //!
 //! The daemon never touches the filesystem directly (the DL005 lint
-//! pass enforces it): it pulls raw CSV text through a [`TelemetryFeed`],
-//! retries transient failures through [`resctrl::retry::with_retries`],
-//! and parses with [`parse_telemetry_lossy`], which drops malformed rows
-//! individually instead of rejecting the whole sample — a sampler caught
-//! mid-write corrupts one line, not the host.
+//! pass enforces it): [`CsvTelemetry`], its [`Telemetry`] source, pulls
+//! raw CSV text through a [`TelemetryFeed`], retries transient failures
+//! through [`resctrl::retry::with_retries`], and parses row by row,
+//! dropping malformed rows individually instead of rejecting the whole
+//! sample — a sampler caught mid-write corrupts one line, not the host.
 //!
 //! [`FaultyTelemetry`] wraps any feed with the telemetry half of a
 //! [`FaultPlan`]: scheduled read errors, truncation, stale (repeated)
-//! samples, and narrowed counters that wrap. Production runs use an
-//! empty plan, which injects nothing.
+//! samples, and narrowed counters that wrap. The daemon composes it only
+//! when it is given a plan.
 
 // Privileged I/O: a tick degrades, it never dies, and no I/O `Result` or
 // error severity is dropped on the floor (DESIGN.md §12).
@@ -30,13 +30,16 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use perf_events::CounterSnapshot;
 use resctrl::fault::{Fault, FaultPlan};
+use resctrl::retry::{with_retries, RetryEvent, RetryPolicy};
 use resctrl::ResctrlError;
 
+use crate::control::{SampleSink, Telemetry};
 use crate::controller::WorkloadHandle;
+use crate::events::Event;
 
 /// A producer of raw telemetry text, one read per daemon tick.
 pub trait TelemetryFeed {
@@ -55,11 +58,6 @@ impl FileTelemetry {
     /// A feed over `path`.
     pub fn new(path: impl Into<PathBuf>) -> Self {
         FileTelemetry { path: path.into() }
-    }
-
-    /// The file being read.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -168,10 +166,7 @@ fn walk_rows<'a>(
 ///
 /// Returns the good rows plus one [`RowIssue`] per dropped row. A
 /// duplicate domain keeps the *first* occurrence (the second is the
-/// suspect one under append-style corruption). Contrast with
-/// [`crate::daemon::parse_telemetry`], which rejects the whole sample —
-/// right for one-shot tools, wrong for a loop that must survive a
-/// sampler caught mid-write.
+/// suspect one under append-style corruption).
 pub fn parse_telemetry_lossy(text: &str) -> (BTreeMap<String, CounterSnapshot>, Vec<RowIssue>) {
     let mut out = BTreeMap::new();
     let mut issues = Vec::new();
@@ -189,12 +184,12 @@ pub fn parse_telemetry_lossy(text: &str) -> (BTreeMap<String, CounterSnapshot>, 
     (out, issues)
 }
 
-/// [`parse_telemetry_lossy`] for the daemon loop, which asks for each
+/// [`parse_telemetry_lossy`] for [`CsvTelemetry`], which asks for each
 /// configured domain's sample once per tick: rows land in `slots`
 /// (`slots[i]` is the first good row naming `domains[i]`, `None` when no
 /// row did) and each dropped row goes to `on_issue`, in line order — the
 /// same samples and issues, without the per-tick name-keyed map.
-pub(crate) fn parse_telemetry_into(
+fn parse_telemetry_into(
     text: &str,
     domains: &[WorkloadHandle],
     slots: &mut [Option<CounterSnapshot>],
@@ -233,6 +228,39 @@ pub(crate) fn parse_telemetry_into(
         },
         on_issue,
     );
+}
+
+/// The telemetry CSV as a [`Telemetry`] source: one `telemetry` span per
+/// tick around a read of `feed`, retried under `retry`, and the lossy row
+/// parse.
+pub struct CsvTelemetry<F> {
+    pub feed: F,
+    pub retry: RetryPolicy,
+}
+
+impl<F: TelemetryFeed> Telemetry for CsvTelemetry<F> {
+    fn sample(&mut self, tick: u64, sink: &mut SampleSink<'_>) -> Result<(), ResctrlError> {
+        sink.tracer.enter("telemetry");
+        let mut retries = Vec::new();
+        let text = with_retries(self.retry, "telemetry_read", &mut retries, || {
+            self.feed.read(tick)
+        });
+        sink.events.extend(retries.into_iter().map(|e| match e {
+            RetryEvent::Retried { attempt, error, .. } => {
+                Event::TelemetryRetried { attempt, error }
+            }
+            RetryEvent::Exhausted {
+                attempts, error, ..
+            } => Event::TelemetryExhausted { attempts, error },
+        }));
+        let parsed = text.map(|text| {
+            parse_telemetry_into(&text, sink.domains, sink.samples, |issue| {
+                sink.issues.push(issue);
+            });
+        });
+        sink.tracer.exit();
+        parsed
+    }
 }
 
 /// A [`TelemetryFeed`] wrapper that injects the telemetry half of a

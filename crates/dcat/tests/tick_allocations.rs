@@ -34,13 +34,14 @@ use dcat::{frame_from_observation, DcatConfig, WorkloadHandle};
 use dcat_obs::{FrameWriter, PolicyExt};
 use resctrl::{CatCapabilities, FsBackend};
 
-/// Steady-state bounds: the measured counts (15 and 1) plus a small
+/// Steady-state bounds: the measured counts (2 and 1) plus a small
 /// margin. Before the tick path kept its buffers this test measured 116
-/// (loop) and 225 (export); with the metric series resolved once and the
-/// frame borrowing from the reports, 13 of the loop's 15 are
-/// `DomainReport`'s `Vec` and its 12 cloned names (ROADMAP item 2), and
-/// the export's one is the frame's `Vec` of domains.
-const LOOP_BOUND: u64 = 18;
+/// (loop) and 225 (export), and 15 while each tick built a fresh `Vec` of
+/// `DomainReport`s with 12 cloned names; the policy now lends its reports.
+/// The loop's two are the telemetry text (`read_to_string`) and the
+/// audit's mask list (`invariants::check`); the export's one is the
+/// frame's `Vec` of domains.
+const LOOP_BOUND: u64 = 4;
 const EXPORT_BOUND: u64 = 2;
 
 const DOMAINS: u32 = 12;

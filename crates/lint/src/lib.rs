@@ -15,10 +15,10 @@
 //! | DL000 | malformed/unknown `lint: allow` annotation | everywhere |
 //! | DL002 | raw CBM bit arithmetic | dcat, resctrl, host (minus `cbm.rs`) |
 //! | DL003 | float `==` on telemetry metrics | dcat, perf-events |
-//! | DL005 | direct fs I/O in the daemon loop | daemon |
+//! | DL005 | direct fs I/O in the control loop | control, daemon |
 //! | DL007 | pointer-address ordering | all crates |
 //! | DL010 | FIGURE6 vs DESIGN.md spec drift | transitions.rs + DESIGN.md |
-//! | DL013 | panic reachable from the daemon/apply path | entry points: `run_daemon*`, `DcatController::{apply*,tick*}` |
+//! | DL013 | panic reachable from the daemon/apply path | entry points: `run_daemon*`, `ControlLoop::step`, every policy's `decide`, `DcatController::{apply*,tick*}` |
 //! | DL014 | mixed-unit arithmetic (ways/bytes/misses/…) | dcat, resctrl, llc-sim, host |
 //!
 //! Entry points: [`check_repo`] (scoped repo gate), [`scan_files`]
@@ -89,7 +89,7 @@ fn passes_for(rel: &str) -> Vec<&'static str> {
     if in_any(&["crates/dcat/src/", "crates/perf-events/src/"]) {
         out.push(float_eq::CODE);
     }
-    if rel == "crates/dcat/src/daemon.rs" {
+    if ["crates/dcat/src/daemon.rs", "crates/dcat/src/control.rs"].contains(&rel) {
         out.push(direct_io::CODE);
     }
     out.push(determinism::CODE);
@@ -343,8 +343,10 @@ mod tests {
 
     #[test]
     fn scoping_matches_the_catalog() {
-        let daemon = passes_for("crates/dcat/src/daemon.rs");
-        assert_eq!(daemon, ["DL002", "DL003", "DL005", "DL007"]);
+        for the_loop in ["crates/dcat/src/daemon.rs", "crates/dcat/src/control.rs"] {
+            let passes = passes_for(the_loop);
+            assert_eq!(passes, ["DL002", "DL003", "DL005", "DL007"], "{the_loop}");
+        }
         let cbm = passes_for("crates/resctrl/src/cbm.rs");
         assert!(!cbm.contains(&"DL002"), "cbm.rs owns the raw bits");
         let snapshot = passes_for("crates/perf-events/src/snapshot.rs");

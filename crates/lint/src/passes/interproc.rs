@@ -189,9 +189,14 @@ fn panic_entries(ws: &Workspace, mode: EntryMode) -> Vec<usize> {
         }
         let daemon = n.module.first().map(String::as_str) == Some("daemon")
             && n.name.starts_with("run_daemon");
+        let step = n.impl_ty.as_deref() == Some("ControlLoop") && n.name == "step";
+        // The loop reaches a policy through a generic `P: CachePolicy`, which
+        // the call graph does not resolve: every policy's decision method is
+        // an entry of its own.
+        let policy = n.impl_ty.is_some() && n.name == "decide";
         let ctl = n.impl_ty.as_deref() == Some("DcatController")
             && (n.name == "apply" || n.name.starts_with("tick"));
-        if daemon || ctl {
+        if daemon || step || policy || ctl {
             out.push(f);
         }
     }
@@ -792,11 +797,29 @@ mod tests {
             (
                 "crates/dcat/src/controller.rs",
                 "pub struct DcatController;\n\
+                 impl CachePolicy for DcatController {\n\
+                     fn decide(&mut self) { self.collect(); }\n\
+                 }\n\
                  impl DcatController {\n\
-                     pub fn tick_observed(&mut self) { self.collect(); }\n\
                      fn collect(&mut self) { let x: Option<u64> = None; let _ = x.unwrap(); }\n\
                  }\n\
                  pub fn lonely() { let x: Option<u64> = None; let _ = x.unwrap(); }\n",
+            ),
+            (
+                "crates/dcat/src/control.rs",
+                "pub struct ControlLoop;\n\
+                 impl ControlLoop {\n\
+                     pub fn step(&mut self) { self.ingest(); }\n\
+                     fn ingest(&mut self) { let x: Option<u64> = None; let _ = x.unwrap(); }\n\
+                 }\n",
+            ),
+            (
+                "crates/dcat/src/lfoc.rs",
+                "pub struct LfocPolicy;\n\
+                 impl CachePolicy for LfocPolicy {\n\
+                     fn decide(&mut self) { let x: Option<u64> = None; let _ = x.unwrap(); }\n\
+                 }\n\
+                 pub fn decide() { let x: Option<u64> = None; let _ = x.unwrap(); }\n",
             ),
             (
                 "crates/dcat/src/daemon.rs",
@@ -806,7 +829,8 @@ mod tests {
         ]);
         let mut sink = Sink::default();
         run_all(&ws, EntryMode::Repo, &mut sink);
-        // `lonely` is no entry point and nothing on a tick path calls it.
+        // `lonely` and the free `lfoc::decide` are no entry points and
+        // nothing on a tick path calls them.
         let traces: Vec<_> = sink.findings.iter().map(|f| f.trace.clone()).collect();
         assert!(
             sink.findings.iter().all(|f| f.code == PANIC_REACH_CODE),
@@ -817,13 +841,18 @@ mod tests {
             traces,
             vec![
                 vec![
-                    "dcat::controller::DcatController::tick_observed".to_string(),
+                    "dcat::control::ControlLoop::step".to_string(),
+                    "dcat::control::ControlLoop::ingest".to_string(),
+                ],
+                vec![
+                    "dcat::controller::DcatController::decide".to_string(),
                     "dcat::controller::DcatController::collect".to_string(),
                 ],
                 vec![
                     "dcat::daemon::run_daemon_observed".to_string(),
                     "dcat::daemon::helper".to_string(),
                 ],
+                vec!["dcat::lfoc::LfocPolicy::decide".to_string()],
             ]
         );
     }

@@ -4,8 +4,8 @@
 //! `IA32_PERFEVTSELx` (event number + unit mask) or name fixed counters
 //! (retired instructions and unhalted cycles live at MSR offsets 0x309 and
 //! 0x30A). In the simulator the encodings are informational, but keeping
-//! them lets a real MSR backend implement [`crate::TelemetrySource`] from
-//! the same table.
+//! them lets a real MSR backend fill `dcat::Telemetry` samples from the
+//! same table.
 
 /// One of the hardware events dCat programs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -8,12 +8,8 @@
 //! * the event encodings ([`events::PerfEvent`]),
 //! * monotonic [`CounterSnapshot`]s and interval deltas,
 //! * the derived [`IntervalMetrics`] the controller actually reasons about
-//!   (IPC, LLC miss rate, memory accesses per instruction, …),
-//! * smoothing windows ([`window::EwmaWindow`], [`window::SlidingWindow`]),
-//!   and
-//! * the [`TelemetrySource`] trait that abstracts *where* counters come
-//!   from, so the controller is identical whether it is driven by the
-//!   simulator (the `host` crate) or by a real MSR/resctrl reader.
+//!   (IPC, LLC miss rate, memory accesses per instruction, …), and
+//! * smoothing windows ([`window::EwmaWindow`], [`window::SlidingWindow`]).
 
 //! # Examples
 //!
@@ -44,11 +40,9 @@ pub mod convert;
 pub mod events;
 pub mod metrics;
 pub mod snapshot;
-pub mod source;
 pub mod window;
 
 pub use events::PerfEvent;
 pub use metrics::IntervalMetrics;
 pub use snapshot::{CounterSnapshot, WrapOutcome};
-pub use source::TelemetrySource;
 pub use window::{EwmaWindow, SlidingWindow};

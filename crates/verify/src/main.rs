@@ -42,7 +42,7 @@
 //! than the documented floor were explored, or the fault dimension
 //! injected fewer faults or degraded fewer ticks than its floors.
 
-use dcat::{DcatConfig, DcatController, WorkloadClass, WorkloadHandle};
+use dcat::{CachePolicy, DcatConfig, DcatController, TickInput, WorkloadClass, WorkloadHandle};
 use dcat_obs::Tracer;
 use perf_events::CounterSnapshot;
 use resctrl::fault::{Fault, FaultPlan, FaultingController};
@@ -464,7 +464,7 @@ fn nudge_for(ways: u32, min_ways: u32) -> Option<Nudge> {
 /// This is the model-checking twin of the daemon's resilient loop:
 /// backend faults are injected by a real [`FaultingController`] under a
 /// real retry wrapper, telemetry faults are abstracted into per-domain
-/// validity flags for [`DcatController::tick_observed`], and a
+/// validity flags for [`CachePolicy::decide`], and a
 /// transient tick failure degrades (the previous allocation stands)
 /// instead of aborting. The temporal properties of the fault-free
 /// dimension (Reclaim timing, probe termination) do not apply — a
@@ -552,7 +552,12 @@ fn run_fault_scenario(corner: &Corner, pool: &Pool, seed: u64) -> Result<FaultRu
             valid[probe] = false;
         }
 
-        match ctl.tick_observed(&snaps, &valid, &mut cat, &mut Tracer::disabled()) {
+        let input = TickInput {
+            snapshots: &snaps,
+            valid: &valid,
+            tracer: &mut Tracer::disabled(),
+        };
+        match ctl.decide(input, &mut cat) {
             Ok(_) => {}
             Err(e) if e.is_transient() => degraded += 1,
             Err(e) => {

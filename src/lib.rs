@@ -40,7 +40,7 @@ pub mod prelude {
     };
     pub use host::{Engine, EngineConfig, VmEpochStats, VmSpec};
     pub use llc_sim::{CacheGeometry, Hierarchy, HierarchyConfig, LatencyModel, WayMask};
-    pub use perf_events::{CounterSnapshot, IntervalMetrics, TelemetrySource};
+    pub use perf_events::{CounterSnapshot, IntervalMetrics};
     pub use resctrl::{CacheController, CatCapabilities, Cbm, CosId, InMemoryController};
     pub use workloads::{
         AccessStream, ElasticsearchModel, Lookbusy, Mload, Mlr, PostgresModel, RedisModel,
