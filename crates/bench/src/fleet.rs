@@ -15,11 +15,13 @@
 //!   request rates follow a day curve.
 //! * **Sharded multi-host engine** — tenants pack onto hosts of
 //!   [`FleetConfig::tenants_per_host`] single-core slots (kept under
-//!   dCat's `num_closids - 1` domain ceiling). Each epoch fans the hosts
-//!   over [`host::Pool`] with the same move-out/merge-back discipline as
-//!   [`host::MultiSocketEngine`]: hosts are self-contained, results are
-//!   merged in host order, so reports, metrics, and decision traces are
-//!   byte-identical at any `--jobs` width.
+//!   dCat's `num_closids - 1` domain ceiling). Hosts share nothing, so a
+//!   host lives exactly as long as its run: [`host::Pool`] hands each
+//!   worker a shard, the worker builds the host, runs every epoch and
+//!   drops it, and only plain results come back. They are merged in host
+//!   order, so reports, metrics, and decision traces are byte-identical
+//!   at any `--jobs` width, and live simulator state is one host per
+//!   worker however large the fleet.
 //! * **Policy comparison** — every host runs one [`FleetPolicy`]: dCat
 //!   max-fairness, dCat max-performance, LFOC-style clustering
 //!   ([`dcat::LfocPolicy`]), or Memshare-style share accounting
@@ -28,7 +30,6 @@
 //! Ten-thousand-tenant runs are made tractable by sampled LLC fidelity
 //! (`--sample-sets N`); the whole layer stays deterministic under it.
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use dcat::{DcatConfig, LfocConfig, MemshareConfig, Totals, WorkloadClass, WorkloadHandle};
@@ -153,19 +154,23 @@ impl TenantSpec {
     /// services fit in a few ways, analytics wants many, and streaming
     /// exceeds the cache entirely (the paper's Donor/Receiver/Streaming
     /// spread).
+    ///
+    /// The wrapper is built per arm, around the concrete model, so the one
+    /// `dyn` layer is the box the engine holds: the wrapper's call into
+    /// the model, once per request reference, resolves statically.
     pub fn stream(&self) -> Box<dyn AccessStream> {
-        let inner: Box<dyn AccessStream> = match self.service {
-            ServiceKind::Redis => Box::new(RedisModel::new(6_000, 128, 0.99, self.seed)),
-            ServiceKind::Postgres => Box::new(PostgresModel::new(8_000, self.seed)),
-            ServiceKind::Elasticsearch => Box::new(ElasticsearchModel::new(1_500, 512, self.seed)),
-            ServiceKind::Analytics => Box::new(Mlr::new(3 * 1024 * 1024 / 2, self.seed)),
-            ServiceKind::Streaming => Box::new(Mload::new(6 * 1024 * 1024)),
-        };
-        Box::new(DiurnalStream::day(
-            inner,
-            CURVE_REQUESTS_PER_STEP,
-            self.phase,
-        ))
+        fn day(inner: impl AccessStream + 'static, phase: usize) -> Box<dyn AccessStream> {
+            Box::new(DiurnalStream::day(inner, CURVE_REQUESTS_PER_STEP, phase))
+        }
+        match self.service {
+            ServiceKind::Redis => day(RedisModel::new(6_000, 128, 0.99, self.seed), self.phase),
+            ServiceKind::Postgres => day(PostgresModel::new(8_000, self.seed), self.phase),
+            ServiceKind::Elasticsearch => {
+                day(ElasticsearchModel::new(1_500, 512, self.seed), self.phase)
+            }
+            ServiceKind::Analytics => day(Mlr::new(3 * 1024 * 1024 / 2, self.seed), self.phase),
+            ServiceKind::Streaming => day(Mload::new(6 * 1024 * 1024), self.phase),
+        }
     }
 
     /// Whether the tenant's workload should be running at `epoch`.
@@ -301,13 +306,8 @@ pub const CLASS_LABELS: [&str; 6] = [
     "reclaim",
 ];
 
-/// Per-slot outcome of one host epoch.
-struct SlotEpoch {
-    instructions: u64,
-    requests: u64,
-}
-
 /// Aggregated outcome of one host epoch.
+#[derive(Clone, Copy, Default)]
 struct HostEpoch {
     instructions: u64,
     llc_ref: u64,
@@ -317,20 +317,42 @@ struct HostEpoch {
     classes: [u64; 6],
     /// Distinct COS programmed on the host after the tick.
     cos_used: u32,
-    slots: Vec<SlotEpoch>,
+}
+
+/// What a host's run leaves behind: plain data, everything the
+/// coordinator's fold reads and nothing that borrows from the engine.
+struct HostRun {
+    /// One entry per epoch the host completed.
+    epochs: Vec<HostEpoch>,
+    /// The tick error that stopped the host at epoch `epochs.len()`, if
+    /// one did.
+    error: Option<ResctrlError>,
+    /// Lifetime instructions per tenant slot.
+    instructions: Vec<u64>,
+    /// Lifetime completed requests per tenant slot.
+    requests: Vec<u64>,
+    /// The host's finished `dcat-frames/v1` segment.
+    frames: String,
 }
 
 /// One host: its engine, its policy's control loop, and its tenant shard.
+/// Built, run and dropped by one pool worker ([`HostState::run`]).
 struct HostState {
     engine: Engine,
     ctl: HostLoop,
     label: &'static str,
     tenants: Vec<TenantSpec>,
-    /// Per-host `dcat-frames/v1` segment. The writer travels with the
-    /// host through the pool (move-out/merge-back), so its state is
-    /// untouched by scheduling; the coordinator concatenates the
-    /// segments in host order after the run.
+    /// Lifetime instructions per tenant slot (`u64` sums, exact in any
+    /// order).
+    instructions: Vec<u64>,
+    /// Lifetime completed requests per tenant slot.
+    requests: Vec<u64>,
+    /// Per-host `dcat-frames/v1` segment: written on the worker, handed
+    /// back as its finished `String`, concatenated in host order by the
+    /// coordinator.
     frames: dcat_obs::FrameWriter,
+    #[cfg(test)]
+    _live: live_hosts::Guard,
 }
 
 impl HostState {
@@ -357,9 +379,38 @@ impl HostState {
             engine,
             ctl,
             label,
+            instructions: vec![0; shard.len()],
+            requests: vec![0; shard.len()],
             tenants: shard,
             frames: dcat_obs::FrameWriter::new(&format!("fleet-host:{host}")),
+            #[cfg(test)]
+            _live: live_hosts::Guard::enter(),
         })
+    }
+
+    /// Runs every epoch, stopping at the first tick error, and keeps only
+    /// what the fold reads: the engine, the policy loop, the streams and
+    /// the page tables drop here, on the worker, before the next host is
+    /// built.
+    fn run(mut self, epochs: u64) -> HostRun {
+        let mut ran = Vec::with_capacity(epochs as usize);
+        let mut error = None;
+        for epoch in 0..epochs {
+            match self.step(epoch) {
+                Ok(he) => ran.push(he),
+                Err(e) => {
+                    error = Some(e);
+                    break;
+                }
+            }
+        }
+        HostRun {
+            epochs: ran,
+            error,
+            instructions: self.instructions,
+            requests: self.requests,
+            frames: self.frames.into_string(),
+        }
     }
 
     /// Runs one epoch: schedule arrivals/departures, simulate, tick the
@@ -385,16 +436,7 @@ impl HostState {
         self.frames
             .push(dcat::frame_from_observation(&obs, self.label, obs.ext));
 
-        let mut out = HostEpoch {
-            instructions: 0,
-            llc_ref: 0,
-            llc_miss: 0,
-            requests: 0,
-            active: 0,
-            classes: [0; 6],
-            cos_used: 0,
-            slots: Vec::with_capacity(self.tenants.len()),
-        };
+        let mut out = HostEpoch::default();
         for (slot, s) in stats.iter().enumerate() {
             out.instructions += s.instructions;
             out.llc_ref += s.llc_ref;
@@ -403,10 +445,8 @@ impl HostState {
             if self.engine.has_workload(slot) {
                 out.active += 1;
             }
-            out.slots.push(SlotEpoch {
-                instructions: s.instructions,
-                requests: s.requests_completed,
-            });
+            self.instructions[slot] += s.instructions;
+            self.requests[slot] += s.requests_completed;
             // Latencies are counted into requests_completed; drain them
             // so the per-VM buffers stay bounded over long runs.
             let _ = self.engine.take_request_latencies(slot);
@@ -416,10 +456,11 @@ impl HostState {
         }
         let cores = self.tenants.len() as u32;
         let cat = self.engine.cat();
-        let cos: BTreeSet<u8> = (0..cores)
-            .filter_map(|c| cat.core_cos(c).ok().map(|id| id.0))
-            .collect();
-        out.cos_used = cos.len() as u32;
+        // A bit per COS id: the host has 16 closids.
+        let cos = (0..cores)
+            .filter_map(|c| cat.core_cos(c).ok())
+            .fold(0u32, |set, id| set | 1 << id.0);
+        out.cos_used = cos.count_ones();
         Ok(out)
     }
 }
@@ -477,8 +518,9 @@ pub struct FleetResult {
     pub trace: String,
     /// `dcat-frames/v1` stream: one `fleet-host:<n>` segment per host,
     /// concatenated in host order, one frame per host-epoch. Byte-identical
-    /// at any `--jobs` width (the writers travel with the hosts through the
-    /// pool). Excluded from [`FleetResult::serialize`], which predates it.
+    /// at any `--jobs` width (each segment is written by the one worker
+    /// that runs its host). Excluded from [`FleetResult::serialize`], which
+    /// predates it.
     pub frames: String,
 }
 
@@ -591,73 +633,61 @@ impl FleetResult {
 
 /// Runs one fleet under one policy.
 ///
-/// Hosts share nothing, so the run is host-major: every host is moved into
-/// the worker pool once (claimed in index order, merged back in index
-/// order — the [`host::MultiSocketEngine`] discipline) and runs all its
-/// epochs there; the coordinator thread then folds the per-host-epoch
-/// aggregates in epoch-major order. Workers never touch the metrics
-/// registry or the output sink, so results are byte-identical at any
-/// `--jobs` width. Metrics and the decision trace are recorded by the
-/// coordinator only.
+/// Hosts share nothing, so a host's lifetime is its run: the pool's work
+/// item is the shard, and the worker that claims it builds the host, runs
+/// all its epochs and drops it, returning only the [`HostRun`] — live
+/// simulator state is one host per worker, not one per host. The
+/// coordinator thread then folds the per-host-epoch aggregates in
+/// epoch-major order. Workers never touch the metrics registry or the
+/// output sink, so results are byte-identical at any `--jobs` width.
+/// Metrics and the decision trace are recorded by the coordinator only.
 ///
 /// # Errors
 ///
 /// Returns the [`ResctrlError`] of the first policy build or tick that
 /// fails, so callers classify it through `severity()` like every other
-/// allocation-path error.
+/// allocation-path error. "First" is: a build error on any host, lowest
+/// host first, before any tick error; among tick errors the lowest epoch,
+/// then the lowest host. What other hosts ran in the meantime is
+/// discarded.
 ///
 /// # Panics
 ///
-/// Panics if a shard cannot fit its host (config error).
+/// Panics if a shard cannot fit its host (config error). The host is
+/// built on a pool worker; [`Pool::map`] re-raises the worker's panic on
+/// the calling thread.
 pub fn run_fleet(policy: FleetPolicy, cfg: &FleetConfig) -> Result<FleetResult, ResctrlError> {
     let tenants = TenantSpec::generate(cfg);
     let per_host = cfg.tenants_per_host.max(1) as usize;
-    let label = policy.label();
+    let shards: Vec<Vec<TenantSpec>> = tenants.chunks(per_host).map(<[_]>::to_vec).collect();
+    let ran = Pool::new(crate::runner::jobs()).map(shards, |h, shard| {
+        Ok(HostState::build(cfg, policy, h as u32, shard)?.run(cfg.epochs))
+    });
+    fold_hosts(policy.label(), cfg, ran)
+}
 
-    let hosts: Vec<HostState> = tenants
-        .chunks(per_host)
-        .enumerate()
-        .map(|(h, shard)| HostState::build(cfg, policy, h as u32, shard.to_vec()))
-        .collect::<Result<_, _>>()?;
-    let num_hosts = hosts.len() as u32;
-    let pool = Pool::new(crate::runner::jobs());
-
+/// Folds the per-host results into the fleet's: the coordinator's half of
+/// [`run_fleet`], which states the error order this implements.
+fn fold_hosts(
+    label: &'static str,
+    cfg: &FleetConfig,
+    ran: Vec<Result<HostRun, ResctrlError>>,
+) -> Result<FleetResult, ResctrlError> {
+    let mut runs = ran.into_iter().collect::<Result<Vec<HostRun>, _>>()?;
     let mut result = FleetResult {
         policy: label,
         tenants: cfg.tenants,
-        hosts: num_hosts,
+        hosts: runs.len() as u32,
         rows: Vec::with_capacity(cfg.epochs as usize),
-        tenant_instructions: vec![0; cfg.tenants as usize],
-        tenant_requests: vec![0; cfg.tenants as usize],
+        tenant_instructions: Vec::with_capacity(cfg.tenants as usize),
+        tenant_requests: Vec::with_capacity(cfg.tenants as usize),
         trace: String::new(),
         frames: String::new(),
     };
 
-    // Host-major: hosts share nothing, so each runs all its epochs back
-    // to back on one worker, its engine state staying in that worker's
-    // cache, and stops at its first error. One barrier per run.
-    let ran = pool.map(hosts, |_, mut h| {
-        let mut epochs = Vec::with_capacity(cfg.epochs as usize);
-        for epoch in 0..cfg.epochs {
-            let he = h.step(epoch);
-            let failed = he.is_err();
-            epochs.push(he);
-            if failed {
-                break;
-            }
-        }
-        (h, epochs)
-    });
-    let (hosts, mut host_epochs): (Vec<HostState>, Vec<_>) = ran
-        .into_iter()
-        .map(|(h, epochs)| (h, epochs.into_iter()))
-        .unzip();
-
     // The fold is epoch-major, as when the hosts ran in lockstep: rows,
     // trace and metrics come out in the same order, and the error returned
-    // is the one of the lowest epoch, then the lowest host. (A host that
-    // stopped early has nothing past its error, and the fold never looks
-    // past the first error either.)
+    // is the one of the lowest epoch, then the lowest host.
     for epoch in 0..cfg.epochs {
         let mut row = FleetEpochRow {
             epoch,
@@ -670,10 +700,11 @@ pub fn run_fleet(policy: FleetPolicy, cfg: &FleetConfig) -> Result<FleetResult, 
             cos_used_sum: 0,
             cos_used_max: 0,
         };
-        for (h, epochs) in host_epochs.iter_mut().enumerate() {
-            let he = epochs
-                .next()
-                .expect("a host runs every epoch or stops at an error")?;
+        for run in &mut runs {
+            let Some(he) = run.epochs.get(epoch as usize) else {
+                let stopped = run.error.take();
+                return Err(stopped.expect("a host runs every epoch or stops at an error"));
+            };
             row.active += he.active;
             row.instructions += he.instructions;
             row.llc_ref += he.llc_ref;
@@ -684,15 +715,6 @@ pub fn run_fleet(policy: FleetPolicy, cfg: &FleetConfig) -> Result<FleetResult, 
             }
             row.cos_used_sum += u64::from(he.cos_used);
             row.cos_used_max = row.cos_used_max.max(he.cos_used);
-            for (slot, se) in he.slots.iter().enumerate() {
-                let id = h * per_host + slot;
-                if let Some(t) = result.tenant_instructions.get_mut(id) {
-                    *t += se.instructions;
-                }
-                if let Some(t) = result.tenant_requests.get_mut(id) {
-                    *t += se.requests;
-                }
-            }
         }
 
         let _ = writeln!(
@@ -743,14 +765,55 @@ pub fn run_fleet(policy: FleetPolicy, cfg: &FleetConfig) -> Result<FleetResult, 
             result.mean_cos_used(),
         );
     });
-    for host in hosts {
-        result.frames.push_str(&host.frames.into_string());
+    // Shards are consecutive runs of the tenant list, so host order is
+    // fleet order.
+    for run in runs {
+        result.tenant_instructions.extend(run.instructions);
+        result.tenant_requests.extend(run.requests);
+        result.frames.push_str(&run.frames);
     }
     Ok(result)
 }
 
+/// Test-only gauge of the hosts alive on this thread, with its running
+/// maximum: [`HostState::build`] enters, dropping the host leaves. Per
+/// thread, so concurrent tests do not count each other's hosts; at
+/// `--jobs 1` every host of a run is built on the calling thread.
+#[cfg(test)]
+mod live_hosts {
+    use std::cell::Cell;
+
+    thread_local! {
+        static LIVE: Cell<usize> = const { Cell::new(0) };
+        static MAX: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) struct Guard;
+
+    impl Guard {
+        pub(super) fn enter() -> Self {
+            LIVE.set(LIVE.get() + 1);
+            MAX.set(MAX.get().max(LIVE.get()));
+            Guard
+        }
+    }
+
+    impl Drop for Guard {
+        fn drop(&mut self) {
+            LIVE.set(LIVE.get() - 1);
+        }
+    }
+
+    /// The most hosts alive at once on this thread since the last call.
+    pub(super) fn take_max() -> usize {
+        MAX.replace(LIVE.get())
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     fn tiny(tenants: u32) -> FleetConfig {
@@ -819,6 +882,95 @@ mod tests {
                 "memshare host frames carry the ledger ext"
             );
         }
+    }
+
+    #[test]
+    fn a_fleet_run_holds_one_host_at_a_time() {
+        crate::runner::set_jobs(1);
+        let cfg = tiny(72);
+        assert_eq!(cfg.hosts(), 6);
+        for policy in FleetPolicy::ALL {
+            live_hosts::take_max();
+            run_fleet(policy, &cfg).expect("tiny fleet runs");
+            assert_eq!(
+                live_hosts::take_max(),
+                1,
+                "{}: each host must be dropped before the next is built",
+                policy.label()
+            );
+        }
+    }
+
+    #[test]
+    fn a_shard_that_cannot_fit_panics_on_the_caller() {
+        // 17 reserved ways on a 16-way LLC: every host's build panics,
+        // whichever pool thread claims it.
+        let mut cfg = tiny(136);
+        cfg.tenants_per_host = 17;
+        crate::runner::set_jobs(4);
+        let caught = std::panic::catch_unwind(|| run_fleet(FleetPolicy::Lfoc, &cfg));
+        crate::runner::set_jobs(1);
+        let payload = caught.expect_err("the shard does not fit");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            message.starts_with("fleet shard must fit the host"),
+            "got {message}"
+        );
+    }
+
+    /// A synthetic host result: `epochs` completed, then stopped by
+    /// `InvalidCore(stopped_by)` if given (the payload tells errors apart).
+    fn host_run(epochs: usize, stopped_by: Option<u32>) -> Result<HostRun, ResctrlError> {
+        Ok(HostRun {
+            epochs: vec![HostEpoch::default(); epochs],
+            error: stopped_by.map(ResctrlError::InvalidCore),
+            instructions: vec![0; 12],
+            requests: vec![0; 12],
+            frames: String::new(),
+        })
+    }
+
+    /// Folds six synthetic hosts that all ran five clean epochs, except
+    /// as `edit` says.
+    fn fold(
+        edit: impl FnOnce(&mut Vec<Result<HostRun, ResctrlError>>),
+    ) -> Result<FleetResult, ResctrlError> {
+        let mut cfg = tiny(72);
+        cfg.epochs = 5;
+        let mut ran: Vec<_> = (0..6).map(|_| host_run(5, None)).collect();
+        edit(&mut ran);
+        fold_hosts("synthetic", &cfg, ran)
+    }
+
+    fn fold_error(edit: impl FnOnce(&mut Vec<Result<HostRun, ResctrlError>>)) -> ResctrlError {
+        fold(edit).expect_err("a host failed")
+    }
+
+    #[test]
+    fn error_precedence_is_build_then_epoch_then_host() {
+        assert_eq!(fold(|_| {}).expect("a clean fleet folds").rows.len(), 5);
+
+        // A build error on host 3 beats a tick error on host 0 at epoch 0.
+        let e = fold_error(|ran| {
+            ran[0] = host_run(0, Some(100));
+            ran[3] = Err(ResctrlError::InvalidCore(103));
+            ran[4] = Err(ResctrlError::InvalidCore(104));
+        });
+        assert!(matches!(e, ResctrlError::InvalidCore(103)), "got {e:?}");
+
+        // The lower epoch wins whatever the host order.
+        let e = fold_error(|ran| {
+            ran[1] = host_run(4, Some(401));
+            ran[5] = host_run(2, Some(205));
+        });
+        assert!(matches!(e, ResctrlError::InvalidCore(205)), "got {e:?}");
+
+        // Equal epochs: the lower host.
+        let e = fold_error(|ran| {
+            ran[4] = host_run(3, Some(304));
+            ran[2] = host_run(3, Some(302));
+        });
+        assert!(matches!(e, ResctrlError::InvalidCore(302)), "got {e:?}");
     }
 
     #[test]

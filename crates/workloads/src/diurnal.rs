@@ -41,8 +41,13 @@ pub const DAY_CURVE: [u32; 24] = [
 
 /// Wraps an [`AccessStream`], stretching its request rate to follow a
 /// load curve. See the module docs for the model.
-pub struct DiurnalStream {
-    inner: Box<dyn AccessStream>,
+///
+/// Generic over the inner stream so that a caller who knows the model
+/// (`DiurnalStream::day(RedisModel::new(..), ..)`) gets the per-reference
+/// `inner.next_access()` resolved statically; a caller who does not
+/// passes a boxed trait object, the default.
+pub struct DiurnalStream<S = Box<dyn AccessStream>> {
+    inner: S,
     /// Percent-of-peak steps, each 1..=100.
     curve: Vec<u32>,
     /// Completed requests per curve step.
@@ -60,7 +65,7 @@ pub struct DiurnalStream {
     think_carry: u64,
 }
 
-impl DiurnalStream {
+impl<S: AccessStream> DiurnalStream<S> {
     /// Wraps `inner` with a load curve. Curve values are clamped to
     /// 1..=100 (a zero-load step would stall the stream forever; real
     /// tenants always have a trickle).
@@ -68,12 +73,7 @@ impl DiurnalStream {
     /// # Panics
     ///
     /// Panics if `curve` is empty or `requests_per_step` is zero.
-    pub fn new(
-        inner: Box<dyn AccessStream>,
-        curve: &[u32],
-        requests_per_step: u64,
-        phase: usize,
-    ) -> Self {
+    pub fn new(inner: S, curve: &[u32], requests_per_step: u64, phase: usize) -> Self {
         assert!(!curve.is_empty(), "load curve needs at least one step");
         assert!(requests_per_step > 0, "curve must advance");
         DiurnalStream {
@@ -89,7 +89,7 @@ impl DiurnalStream {
     }
 
     /// The standard day-shaped curve at the given phase offset.
-    pub fn day(inner: Box<dyn AccessStream>, requests_per_step: u64, phase: usize) -> Self {
+    pub fn day(inner: S, requests_per_step: u64, phase: usize) -> Self {
         DiurnalStream::new(inner, &DAY_CURVE, requests_per_step, phase)
     }
 
@@ -99,9 +99,7 @@ impl DiurnalStream {
         let idx = (step + self.phase) % self.curve.len();
         self.curve.get(idx).copied().unwrap_or(100)
     }
-}
 
-impl DiurnalStream {
     /// The next reference of the inner stream; a reference that completes
     /// a request schedules the think time owed before the next one.
     #[inline]
@@ -122,7 +120,7 @@ impl DiurnalStream {
     }
 }
 
-impl AccessStream for DiurnalStream {
+impl<S: AccessStream> AccessStream for DiurnalStream<S> {
     fn next_access(&mut self) -> MemRef {
         if self.think_remaining > 0 {
             self.think_remaining -= 1;

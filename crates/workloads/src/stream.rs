@@ -116,9 +116,115 @@ pub trait AccessStream: Send {
     }
 }
 
+/// A boxed stream is a stream, so a wrapper generic over its inner stream
+/// ([`crate::DiurnalStream`]) takes a concrete model or a
+/// `Box<dyn AccessStream>` alike. Every method forwards: one left to the
+/// trait's default would silently answer for the box instead of the
+/// stream inside it (4 KiB pages, no working set, one dispatch per
+/// reference).
+impl<T: AccessStream + ?Sized> AccessStream for Box<T> {
+    #[inline]
+    fn next_access(&mut self) -> MemRef {
+        (**self).next_access()
+    }
+
+    #[inline]
+    fn next_batch(&mut self, out: &mut Vec<MemRef>, n: usize) {
+        (**self).next_batch(out, n);
+    }
+
+    #[inline]
+    fn profile(&self) -> ExecutionProfile {
+        (**self).profile()
+    }
+
+    #[inline]
+    fn page_size(&self) -> PageSize {
+        (**self).page_size()
+    }
+
+    #[inline]
+    fn name(&self) -> String {
+        (**self).name()
+    }
+
+    #[inline]
+    fn working_set_bytes(&self) -> Option<u64> {
+        (**self).working_set_bytes()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Counts the calls that reach its own `next_batch` override.
+    struct Probe {
+        inner: crate::Mload,
+        batches: usize,
+    }
+
+    impl AccessStream for Probe {
+        fn next_access(&mut self) -> MemRef {
+            self.inner.next_access()
+        }
+        fn next_batch(&mut self, out: &mut Vec<MemRef>, n: usize) {
+            self.batches += 1;
+            self.inner.next_batch(out, n);
+        }
+        fn profile(&self) -> ExecutionProfile {
+            self.inner.profile()
+        }
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+    }
+
+    #[test]
+    fn a_boxed_stream_forwards_all_six_methods() {
+        /// Static dispatch on `S`, so with `S = Box<dyn AccessStream>` every
+        /// call below goes through the `Box` impl.
+        fn observe<S: AccessStream>(
+            s: &mut S,
+        ) -> (
+            MemRef,
+            Vec<MemRef>,
+            ExecutionProfile,
+            PageSize,
+            String,
+            Option<u64>,
+        ) {
+            let first = s.next_access();
+            let mut batch = Vec::new();
+            s.next_batch(&mut batch, 9);
+            (
+                first,
+                batch,
+                s.profile(),
+                s.page_size(),
+                s.name(),
+                s.working_set_bytes(),
+            )
+        }
+        let huge = || crate::Mload::with_page_size(4 << 20, PageSize::Huge);
+        let mut plain = huge();
+        let mut boxed: Box<dyn AccessStream> = Box::new(huge());
+        let want = observe(&mut plain);
+        assert_eq!(observe(&mut boxed), want);
+        // The defaults a forgotten method would fall back to differ from
+        // what this stream answers.
+        assert_eq!(want.3, PageSize::Huge);
+        assert_eq!(want.5, Some(4 << 20));
+
+        // `next_batch` reaches the stream's own override, not the default
+        // loop over `next_access`.
+        let mut probe = Box::new(Probe {
+            inner: huge(),
+            batches: 0,
+        });
+        observe(&mut probe);
+        assert_eq!(probe.batches, 1);
+    }
 
     #[test]
     fn next_batch_equals_repeated_next_access() {
