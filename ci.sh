@@ -121,6 +121,11 @@ echo "==> per-reference path in release: llc-sim, workloads and smallrng suites 
 # (private_equivalence.rs: under 5 s in debug, so it has no step of its own).
 cargo test -q --release --offline -p workloads -p smallrng -p llc-sim
 
+echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch copy and the test its header names must fail)"
+# Seeded by the 16-byte LLC line: its exactness argument is only as good as
+# the lockstep test that would notice it break (DESIGN.md §14).
+sh tools/mutants.sh tests/mutants/*.patch
+
 echo "==> daemon end-to-end (fixture resctrl tree + scripted telemetry)"
 cargo test -q -p dcat --offline --test daemon_e2e
 

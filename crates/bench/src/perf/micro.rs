@@ -1,9 +1,10 @@
 //! The `micro` suite: set access, the private-cache recency list,
 //! hierarchy access per replacement policy and per outcome (L1 hit, LLC
 //! miss with and without eviction on the 18-core socket, one prefetch
-//! hint), page translation, reference generation (a 1 000-reference batch
-//! per stream, one bounded draw), the engine epoch loop (a small socket,
-//! and one LLC-bound VM on the paper's) and its CMT occupancy read, the
+//! hint, one stamp renormalisation), page translation, reference
+//! generation (a 1 000-reference batch per stream, one bounded draw), the
+//! engine epoch loop (a small socket, and one LLC-bound VM on the
+//! paper's) and its CMT occupancy read, the
 //! daemon's interval (telemetry parse, a whole steady tick, the frame
 //! encode), and the full-workspace lint run.
 //!
@@ -21,10 +22,10 @@ use dcat_obs::{CycleSource, DEFAULT_STEP_BUCKETS};
 use host::{Engine, EngineConfig, VmSpec};
 use llc_sim::replacement::ReplacementPolicy;
 use llc_sim::set::legacy::LegacyCacheSet;
-use llc_sim::set::CacheSet;
+use llc_sim::set::{CacheSet, MAX_STAMP};
 use llc_sim::{
     AccessKind, CacheGeometry, FrameAllocator, FramePolicy, Hierarchy, HierarchyConfig, LineAddr,
-    PageMapper, PageSize, PrivateCache, VirtAddr, WayMask,
+    PageMapper, PageSize, PrivateCache, SetAssocCache, VirtAddr, WayMask,
 };
 use smallrng::SmallRng;
 use workloads::{AccessStream, DiurnalStream, Lookbusy, Mload, Mlr, RedisModel};
@@ -421,9 +422,32 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
     {
         // What `Engine::run_slice`'s pipeline adds per reference when the
         // hint buys nothing: the set index and the hints over a block that
-        // is already in the host's L1 (nine for the paper's 480-byte block).
+        // is already in the host's L1 (six for the paper's 320-byte block).
         let h = Hierarchy::new(HierarchyConfig::default());
         suite.case("llc_prefetch_hint", iters, move || h.prefetch_llc(0x4_0000));
+    }
+
+    {
+        // What narrow stamps cost: the sweep a cache makes when its clock
+        // reaches `MAX_STAMP`, once per 2^27 LLC accesses, plus the access
+        // that set it off. At the paper's geometry it reads and rewrites
+        // the whole tag store in order — 36 864 blocks of 320 bytes and
+        // their occupancy words — and sorts up to 20 stamps a set; the
+        // sets were filled by random lines, so stamp order is not way order.
+        let geometry = HierarchyConfig::default().llc;
+        let mask = WayMask::all(geometry.ways);
+        let mut llc = SetAssocCache::new(geometry);
+        let lines = u64::from(geometry.sets) * u64::from(geometry.ways);
+        let mut state = 1u64;
+        for _ in 0..3 * lines {
+            state = lcg_next(state);
+            llc.access(LineAddr((state >> 33) % (2 * lines)), mask);
+        }
+        let r_iters = if quick { 1 } else { 4 };
+        suite.case("llc_stamp_renormalise_paper", r_iters, move || {
+            llc.skip_clock_to(MAX_STAMP);
+            llc.access(LineAddr(0), mask)
+        });
     }
 
     // --- reference generation: one engine slice's batch per stream ---
@@ -473,7 +497,7 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
 
     // --- one LLC-bound VM on the paper's socket: uniform-random loads
     // over 256 MB at full fidelity, so nearly every reference walks an LLC
-    // set the host has to fetch from memory (17.7 MB of tags) — the case
+    // set the host has to fetch from memory (11.9 MB of tags) — the case
     // the slice loop's translate-ahead-and-hint pipeline exists for.
     {
         let mut cfg = EngineConfig::xeon_e5_v4();

@@ -3,7 +3,7 @@
 use crate::address::LineAddr;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementPolicy;
-use crate::set::{Evicted, PackedSet, SetMut, SetRef, MAX_SHARERS};
+use crate::set::{Evicted, PackedSet, SetMut, SetRef, MAX_SHARERS, MAX_STAMP, WORDS_PER_LINE};
 
 /// A bitmask over cache ways, mirroring a CAT capacity bitmask (CBM).
 ///
@@ -103,9 +103,10 @@ impl AccessOutcome {
 
 /// A set-associative cache indexed by physical line address.
 ///
-/// All sets live in two flat arrays — one `3 × ways` block per set in
-/// `blocks`, one occupancy word per set in `occ` — and every operation
-/// borrows one set's slice of each as a [`PackedSet`]. The occupancy
+/// All sets live in two flat arrays — one `2 × ways` block per set in
+/// `blocks` (a tag and a meta word per line, 16 bytes), one occupancy
+/// word per set in `occ` — and every operation borrows one set's slice
+/// of each as a [`PackedSet`]. The occupancy
 /// words stay out of the blocks so the whole-cache sweeps
 /// ([`SetAssocCache::drain_lines_in`], [`SetAssocCache::occupancy_in`])
 /// read a dense `u32` array instead of striding a block per set.
@@ -118,6 +119,7 @@ pub struct SetAssocCache {
     // `2^64 / sets` rounded up, for the multiply-shift remainder of a
     // line that fits `u32`; 0 when `sets` is a power of two (mask path).
     index_magic: u64,
+    // The last stamp handed out; never above `MAX_STAMP` (`tick`).
     clock: u64,
     // Cheap xorshift state for Random victims / BIP insertion draws;
     // deterministic so simulations are reproducible.
@@ -140,7 +142,7 @@ impl SetAssocCache {
         let mut cache = SetAssocCache {
             geometry,
             policy,
-            blocks: vec![0; sets * 3 * geometry.ways as usize],
+            blocks: vec![0; sets * WORDS_PER_LINE * geometry.ways as usize],
             occ: vec![0; sets],
             index_magic: if geometry.sets.is_power_of_two() {
                 0
@@ -151,6 +153,11 @@ impl SetAssocCache {
             draw_state: 0x9E37_79B9_7F4A_7C15,
             owner_lines: [0; MAX_SHARERS as usize],
         };
+        assert_eq!(
+            cache.set(0).way_count(),
+            geometry.ways,
+            "a set's block is two words a line"
+        );
         cache.flush();
         cache
     }
@@ -189,7 +196,7 @@ impl SetAssocCache {
     /// Where set `idx`'s block sits in `blocks`.
     #[inline(always)]
     fn block_of(&self, idx: u32) -> std::ops::Range<usize> {
-        let stride = 3 * self.geometry.ways as usize;
+        let stride = WORDS_PER_LINE * self.geometry.ways as usize;
         let start = idx as usize * stride;
         start..start + stride
     }
@@ -222,6 +229,47 @@ impl SetAssocCache {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
+    /// The stamp of the next access. A set stores 27 bits of it and only
+    /// ever compares stamps of one set, so when the clock has reached
+    /// [`MAX_STAMP`] every set's stamps are first rewritten as their ranks
+    /// ([`PackedSet::renormalise_stamps`]) and the clock restarts just above
+    /// the largest rank a set can hold: every stamp handed out from here
+    /// on is newer than every stamp stored, as it would be on a clock that
+    /// never wrapped, and every victim scan picks the way it would have.
+    #[inline(always)]
+    fn tick(&mut self) -> u64 {
+        if self.clock == MAX_STAMP {
+            self.renormalise_stamps();
+        }
+        self.clock += 1;
+        self.clock
+    }
+
+    /// One sweep of the tag store, once per `MAX_STAMP` accesses.
+    #[cold]
+    fn renormalise_stamps(&mut self) {
+        for idx in 0..self.geometry.sets {
+            self.set_mut(idx).renormalise_stamps();
+        }
+        self.clock = u64::from(self.geometry.ways);
+    }
+
+    /// Moves the clock forward to `clock` without the accesses in between
+    /// (unobservable: stamps only order accesses), so a test or a bench
+    /// case can stand just short of a renormalisation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clock` is behind the cache's clock or beyond [`MAX_STAMP`].
+    #[doc(hidden)]
+    pub fn skip_clock_to(&mut self, clock: u64) {
+        assert!(
+            (self.clock..=MAX_STAMP).contains(&clock),
+            "the clock only moves forward, and not past MAX_STAMP"
+        );
+        self.clock = clock;
+    }
+
     /// Performs an access with the given fill mask, as requestor 0 and
     /// without sharer tracking.
     ///
@@ -229,8 +277,7 @@ impl SetAssocCache {
     #[inline]
     pub fn access(&mut self, line: LineAddr, mask: WayMask) -> AccessOutcome {
         let idx = self.set_index(line);
-        self.clock += 1;
-        let now = self.clock;
+        let now = self.tick();
         let draw = self.next_draw();
         let policy = self.policy;
         let mut set = self.set_mut(idx);
@@ -268,8 +315,7 @@ impl SetAssocCache {
     ) -> AccessOutcome {
         assert!(owner < MAX_SHARERS, "requestor id beyond the sharer mask");
         debug_assert_eq!(idx, self.geometry.set_index(line));
-        self.clock += 1;
-        let now = self.clock;
+        let now = self.tick();
         let draw = self.next_draw();
         let policy = self.policy;
         let mut set = self.set_mut(idx);
@@ -369,7 +415,7 @@ impl SetAssocCache {
     /// has no instruction to clear a cache way, so operators run a
     /// user-level flush pass after reassigning ways.
     pub fn drain_lines_in(&mut self, mask: WayMask, mut on_drop: impl FnMut(Evicted)) -> u64 {
-        let stride = 3 * self.geometry.ways as usize;
+        let stride = WORDS_PER_LINE * self.geometry.ways as usize;
         let owner_lines = &mut self.owner_lines;
         let mut dropped = 0;
         for (occ, block) in self

@@ -596,14 +596,17 @@ mod tests {
 
     #[test]
     fn hints_pay_only_for_a_tag_store_beyond_a_host_cache() {
-        // The paper's socket: 36 864 sets x 20 ways x 24 B = 17.7 MB.
-        assert!(Hierarchy::new(HierarchyConfig::default()).llc_hints_pay());
-        // A fleet host: 2 048 sets x 16 ways x 24 B = 768 KiB.
+        // The layout in bytes, exactly: 16 a line (tag, meta word) and an
+        // occupancy word a set. The paper's socket, 11 943 936 (11.9 MB):
+        let paper = Hierarchy::new(HierarchyConfig::default());
+        assert_eq!(paper.llc().tag_store_bytes(), 36_864 * (20 * 16 + 4));
+        assert!(paper.llc_hints_pay());
+        // A fleet host, 532 480 (520 KiB):
         let fleet = Hierarchy::new(HierarchyConfig {
             llc: CacheGeometry::from_capacity(2 * 1024 * 1024, 16),
             ..HierarchyConfig::default()
         });
-        assert_eq!(fleet.llc().tag_store_bytes(), (768 + 8) * 1024);
+        assert_eq!(fleet.llc().tag_store_bytes(), 2_048 * (16 * 16 + 4));
         assert!(!fleet.llc_hints_pay());
         // Every set can be hinted, the last included.
         let h = tiny();

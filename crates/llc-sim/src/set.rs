@@ -13,10 +13,10 @@
 //!
 //! ```text
 //! occ:  u32 bitmask, bit w set = way w holds a valid line
-//! data: [ line_0 .. line_{n-1} | stamp_0 .. stamp_{n-1} | owner_0 .. owner_{n-1} ]
-//!        (u64 each; empty line slots hold INVALID_LINE so the lookup scan
-//!         needs no per-way validity test)
-//! owner word: [ sharer mask (bits 63..32) | filler id (bits 31..0) ]
+//! data: [ line_0 .. line_{n-1} | meta_0 .. meta_{n-1} ]
+//!        (u64 each, two words a line; empty line slots hold INVALID_LINE
+//!         so the lookup scan needs no per-way validity test)
+//! meta word: [ sharer mask (bits 63..32) | filler id (bits 31..27) | stamp (bits 26..0) ]
 //! ```
 //!
 //! [`PackedSet`] is that pair with the storage left open: a [`CacheSet`]
@@ -24,12 +24,16 @@
 //! blocks in one allocation (and their occupancy words in another) and
 //! lends one set's slice of each to the same code per access.
 //!
-//! The owner word's low half is the requestor that filled the line (the
-//! CMT tag); its high half is a **sharer mask**, one bit per requestor
-//! that reached this line through [`CacheSet::add_sharer`]. An inclusive
-//! LLC records there which cores may hold the line privately, so an
-//! eviction back-invalidates those cores only — the mask leaves with the
-//! victim in [`Evicted::sharers`].
+//! The meta word's low 27 bits are the line's last-use stamp, read only
+//! by victim selection and only against stamps of the same set; a caller
+//! keeps `now` at or below [`MAX_STAMP`] (a [`crate::SetAssocCache`]
+//! re-ranks its sets' stamps when its clock gets there, which no decision
+//! can observe). The next five bits are the requestor that filled the
+//! line (the CMT tag); the high half is a **sharer mask**, one bit per
+//! requestor that reached this line through [`CacheSet::add_sharer`]. An
+//! inclusive LLC records there which cores may hold the line privately,
+//! so an eviction back-invalidates those cores only — the mask leaves
+//! with the victim in [`Evicted::sharers`].
 //!
 //! The layout buys three things on the hot path:
 //!
@@ -61,8 +65,32 @@ const INVALID_LINE: u64 = u64::MAX;
 /// Requestors a line's sharer mask can name: ids `0..MAX_SHARERS`.
 pub const MAX_SHARERS: u32 = 32;
 
-/// Bit position of sharer 0 in the owner word.
+/// Width of the stamp field, the low bits of the meta word.
+const STAMP_BITS: u32 = 27;
+
+/// Largest `now` a set can store: [`PackedSet::lookup_with`] and
+/// [`PackedSet::fill_with`] reject a later one.
+pub const MAX_STAMP: u64 = (1 << STAMP_BITS) - 1;
+
+/// Width of the filler-id field, above the stamp.
+const OWNER_BITS: u32 = 5;
+
+/// Bit position of sharer 0 in the meta word.
 const SHARER_SHIFT: u32 = 32;
+
+/// `u64`s a line takes in a set's block: its tag and its meta word.
+pub(crate) const WORDS_PER_LINE: usize = 2;
+
+// The filler id has exactly one value per sharer bit, and the three
+// fields fill the word.
+const _: () = assert!(MAX_SHARERS == 1 << OWNER_BITS);
+const _: () = assert!(STAMP_BITS + OWNER_BITS == SHARER_SHIFT);
+
+/// The filler id in a meta word.
+#[inline(always)]
+fn owner_of(meta: u64) -> u32 {
+    (meta >> STAMP_BITS) as u32 & (MAX_SHARERS - 1)
+}
 
 /// One resident line: its address tag, an LRU timestamp, and the id of
 /// the requestor that filled it (the analogue of Intel CMT's RMID tag,
@@ -72,14 +100,16 @@ pub struct LineEntry {
     /// Full line address (the simulator stores the whole line number rather
     /// than a truncated tag; equality is what matters, not storage economy).
     pub line: LineAddr,
-    /// Monotonic last-use stamp; larger means more recently used.
+    /// Monotonic last-use stamp; larger means more recently used. A field
+    /// of [`legacy::LegacyCacheSet`] only: the packed set exposes no
+    /// stamp, so rewriting stamps in an order-preserving way is invisible.
     pub last_use: u64,
     /// Requestor (core) that brought the line in.
     pub owner: u32,
 }
 
 /// A line that left a set (evicted by a fill, or invalidated), with what
-/// its owner word carried.
+/// its meta word carried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
     /// The departed line.
@@ -100,7 +130,7 @@ pub struct FillResult {
     pub evicted: Option<Evicted>,
 }
 
-/// One set's packed state — an occupancy word and a `3 × ways` block —
+/// One set's packed state — an occupancy word and a `2 × ways` block —
 /// and the only implementation of the set logic beside
 /// [`legacy::LegacyCacheSet`]. The storage is a parameter so the same
 /// code runs over a set that owns its words ([`CacheSet`]) and over one
@@ -109,8 +139,7 @@ pub struct FillResult {
 pub struct PackedSet<O, D> {
     /// Occupancy bitmask: bit `w` set means way `w` holds a valid line.
     occ: O,
-    /// Packed per-way state: `ways` line slots, then `ways` LRU stamps,
-    /// then `ways` owner words.
+    /// Packed per-way state: `ways` line slots, then `ways` meta words.
     data: D,
 }
 
@@ -146,7 +175,7 @@ impl CacheSet {
         debug_assert!((1..=32).contains(&ways), "way masks are 32-bit");
         let mut set = PackedSet {
             occ: 0,
-            data: vec![0u64; 3 * ways as usize].into_boxed_slice(),
+            data: vec![0u64; WORDS_PER_LINE * ways as usize].into_boxed_slice(),
         };
         set.flush();
         set
@@ -154,7 +183,7 @@ impl CacheSet {
 }
 
 impl<O, D> PackedSet<O, D> {
-    /// A set over an occupancy word and a `3 × ways` block kept elsewhere.
+    /// A set over an occupancy word and a `2 × ways` block kept elsewhere.
     /// A zeroed block is not an empty set: [`PackedSet::flush`] makes one.
     #[inline(always)]
     pub(crate) fn over(occ: O, data: D) -> Self {
@@ -170,7 +199,7 @@ impl<O: Borrow<u32>, D: Borrow<[u64]>> PackedSet<O, D> {
 
     #[inline(always)]
     fn n(&self) -> usize {
-        self.data.borrow().len() / 3
+        self.data.borrow().len() / WORDS_PER_LINE
     }
 
     /// Number of ways in this set.
@@ -200,11 +229,11 @@ impl<O: Borrow<u32>, D: Borrow<[u64]>> PackedSet<O, D> {
     fn departing(&self, way: u32) -> Evicted {
         let data = self.data.borrow();
         let w = way as usize;
-        let word = data[2 * self.n() + w];
+        let meta = data[self.n() + w];
         Evicted {
             line: LineAddr(data[w]),
-            owner: word as u32,
-            sharers: (word >> SHARER_SHIFT) as u32,
+            owner: owner_of(meta),
+            sharers: (meta >> SHARER_SHIFT) as u32,
         }
     }
 
@@ -241,13 +270,13 @@ impl<O: Borrow<u32>, D: Borrow<[u64]>> PackedSet<O, D> {
 
     /// Number of valid lines filled by `owner`.
     pub fn occupancy_of(&self, owner: u32) -> u32 {
-        let owners = &self.data.borrow()[2 * self.n()..];
+        let metas = &self.data.borrow()[self.n()..];
         let mut count = 0;
         let mut bits = self.occ();
         while bits != 0 {
             let w = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            if owners[w] as u32 == owner {
+            if owner_of(metas[w]) == owner {
                 count += 1;
             }
         }
@@ -266,8 +295,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
         let w = way as usize;
         let data = self.data.borrow_mut();
         data[w] = line;
-        data[n + w] = stamp;
-        data[2 * n + w] = u64::from(owner);
+        data[n + w] = u64::from(owner) << STAMP_BITS | stamp;
         *self.occ.borrow_mut() |= 1 << way;
     }
 
@@ -280,11 +308,19 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
 
     /// Looks up a line; on a hit, refreshes its LRU stamp (unless the
     /// policy does not promote on hits) and returns the way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now > MAX_STAMP`.
     pub fn lookup(&mut self, line: LineAddr, now: u64) -> Option<u32> {
         self.lookup_with(line, now, ReplacementPolicy::Lru)
     }
 
     /// Policy-aware lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now > MAX_STAMP`: the stamp field cannot hold it.
     #[inline(always)]
     pub fn lookup_with(
         &mut self,
@@ -292,6 +328,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
         now: u64,
         policy: ReplacementPolicy,
     ) -> Option<u32> {
+        assert!(now <= MAX_STAMP, "stamp beyond the 27-bit field");
         let n = self.n();
         let data = self.data.borrow_mut();
         // Empty slots hold INVALID_LINE, which no real line equals, so the
@@ -299,7 +336,8 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
         for w in 0..n {
             if data[w] == line.0 {
                 if policy.promotes_on_hit() {
-                    data[n + w] = now;
+                    // The filler id and the sharers stay as they are.
+                    data[n + w] = data[n + w] & !MAX_STAMP | now;
                 }
                 return Some(w as u32);
             }
@@ -316,7 +354,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
     #[inline(always)]
     pub fn add_sharer(&mut self, way: u32, requestor: u32) {
         assert!(requestor < MAX_SHARERS, "sharer mask holds 32 requestors");
-        let slot = 2 * self.n() + way as usize;
+        let slot = self.n() + way as usize;
         self.data.borrow_mut()[slot] |= 1 << (SHARER_SHIFT + requestor);
     }
 
@@ -328,7 +366,8 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
     ///
     /// Panics if `mask` permits no way within this set's associativity;
     /// CAT forbids empty masks (Intel x86 does not allow a zero-way COS) and
-    /// upper layers validate masks before they reach the set.
+    /// upper layers validate masks before they reach the set. Panics if
+    /// `now > MAX_STAMP` or `owner >= MAX_SHARERS`.
     pub fn fill(&mut self, line: LineAddr, mask: WayMask, now: u64, owner: u32) -> FillResult {
         self.fill_with(line, mask, now, owner, ReplacementPolicy::Lru, 0)
     }
@@ -336,6 +375,12 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
     /// Policy-aware fill. `draw` is a pseudo-random value supplied by the
     /// cache (used by Random victim selection and BIP insertion); passing
     /// any constant degrades those policies but stays correct.
+    ///
+    /// # Panics
+    ///
+    /// As [`PackedSet::fill`]: on an empty `mask`, on `now > MAX_STAMP`
+    /// and on `owner >= MAX_SHARERS` — the stamp and filler-id fields
+    /// cannot hold them.
     #[inline(always)]
     pub fn fill_with(
         &mut self,
@@ -351,6 +396,8 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
             "fill of a line that is already resident"
         );
         debug_assert_ne!(line.0, INVALID_LINE, "line address collides with sentinel");
+        assert!(now <= MAX_STAMP, "stamp beyond the 27-bit field");
+        assert!(owner < MAX_SHARERS, "filler id beyond the 5-bit field");
         let insert_stamp = insertion_stamp(policy, now, draw);
 
         // Prefer an invalid (empty) permitted way: the lowest-index free
@@ -376,14 +423,14 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
             // Ties break toward the lowest way index (strict-less scan in
             // ascending way order), as in the seed implementation.
             _ => {
-                let stamps = &self.data.borrow()[self.n()..];
+                let metas = &self.data.borrow()[self.n()..];
                 let mut victim = 0u32;
                 let mut victim_stamp = u64::MAX;
                 let mut bits = candidates;
                 while bits != 0 {
                     let w = bits.trailing_zeros();
                     bits &= bits - 1;
-                    let s = stamps[w as usize];
+                    let s = metas[w as usize] & MAX_STAMP;
                     if s < victim_stamp {
                         victim_stamp = s;
                         victim = w;
@@ -433,6 +480,35 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
             bits &= bits - 1;
             on_drop(self.departing(way));
             self.clear_way(way);
+        }
+    }
+
+    /// Rewrites the resident lines' non-zero stamps as their ranks
+    /// `1..=k`, oldest first, and leaves BIP's LRU-insert zeros zero: the
+    /// order among this set's stamps — all a victim scan reads — is kept,
+    /// and a caller that goes on from any `now` above `ways` stays above
+    /// every stamp here. Emptied ways keep a stale meta word and are not
+    /// ranked. Stamps that tie (a [`crate::SetAssocCache`] writes none:
+    /// each is the clock of a different access) rank in way order, the
+    /// way the victim scan breaks the tie.
+    pub(crate) fn renormalise_stamps(&mut self) {
+        let n = self.n();
+        let mut order = [(0u64, 0usize); 32];
+        let mut k = 0;
+        let mut bits = self.occ();
+        let metas = &mut self.data.borrow_mut()[n..];
+        while bits != 0 {
+            let w = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let stamp = metas[w] & MAX_STAMP;
+            if stamp != 0 {
+                order[k] = (stamp, w);
+                k += 1;
+            }
+        }
+        order[..k].sort_unstable();
+        for (rank, &(_, w)) in (1u64..).zip(&order[..k]) {
+            metas[w] = metas[w] & !MAX_STAMP | rank;
         }
     }
 
@@ -783,6 +859,21 @@ mod tests {
         let mut set = CacheSet::new(2);
         let r = set.fill(LineAddr(1), full_mask(2), 1, 0);
         set.add_sharer(r.way, MAX_SHARERS);
+    }
+
+    #[test]
+    #[should_panic(expected = "27-bit field")]
+    fn stamp_beyond_the_field_is_rejected() {
+        let mut set = CacheSet::new(2);
+        set.fill(LineAddr(1), full_mask(2), MAX_STAMP, 0);
+        set.lookup(LineAddr(1), MAX_STAMP + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "5-bit field")]
+    fn filler_beyond_the_field_is_rejected() {
+        let mut set = CacheSet::new(2);
+        set.fill(LineAddr(1), full_mask(2), 1, MAX_SHARERS);
     }
 
     #[test]
