@@ -123,8 +123,20 @@ cargo test -q --release --offline -p workloads -p smallrng -p llc-sim
 
 echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch copy and the test its header names must fail)"
 # Seeded by the 16-byte LLC line: its exactness argument is only as good as
-# the lockstep test that would notice it break (DESIGN.md §14).
+# the lockstep test that would notice it break (DESIGN.md §14). 04-06 are
+# the float printer's tie rule and switch point and the row parser's digit
+# lane (§16, "third pass").
 sh tools/mutants.sh tests/mutants/*.patch
+
+echo "==> the float printer against {:?}, 30 M draws of each shape (release; the debug run above did 1 M)"
+cargo test -q --release -p dcat-obs --offline --test shortest_f64
+
+echo "==> its power-of-ten table is what tools/gen_pow10.py writes"
+if command -v python3 > /dev/null; then
+    python3 tools/gen_pow10.py --check
+else
+    echo "no python3: skipping tools/gen_pow10.py --check"
+fi
 
 echo "==> daemon end-to-end (fixture resctrl tree + scripted telemetry)"
 cargo test -q -p dcat --offline --test daemon_e2e
@@ -132,9 +144,9 @@ cargo test -q -p dcat --offline --test daemon_e2e
 echo "==> daemon fault tolerance (scripted fault schedule, degraded ticks)"
 cargo test -q -p dcat --offline --test daemon_faults
 
-echo "==> frame byte oracle + malformed-telemetry corpus (recorded from the pre-rewrite tick path)"
+echo "==> frame byte oracle + malformed-telemetry corpus (recorded from the pre-rewrite tick path) + row parser against the one it replaced"
 cargo test -q -p dcat-obs --offline --test frames_golden
-cargo test -q -p dcat --offline --test telemetry_corpus
+cargo test -q -p dcat --offline --test telemetry_corpus --test telemetry_rows
 
 echo "==> daemon tick allocations (counting allocator; steady-state bounds, release)"
 # Its own test binary: the counting #[global_allocator] must not sit

@@ -6,7 +6,8 @@
 //! engine epoch loop (a small socket, and one LLC-bound VM on the
 //! paper's) and its CMT occupancy read, the
 //! daemon's interval (telemetry parse, a whole steady tick, the frame
-//! encode), and the full-workspace lint run.
+//! encode, one float through the printer and through `{:?}`), and the
+//! full-workspace lint run.
 //!
 //! The headline pair is `set_access_churn_packed` vs
 //! `set_access_churn_legacy`: a full 16-way set where every fill must
@@ -581,6 +582,30 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         });
     }
 
+    // --- the float printer, and the formatter it replaced as yardstick ---
+    // IPC-shaped values: instructions over cycles, 16 or 17 digits each.
+    {
+        const RATIOS: usize = 4096;
+        let ratios: Vec<f64> = (0..RATIOS as u32)
+            .map(|i| f64::from(1_000_000 + i * 977) / f64::from(7_000_000 + i * 13_331))
+            .collect();
+        let (values, mut out, mut i) = (ratios.clone(), String::with_capacity(32), 0usize);
+        suite.case("f64_shortest_ipc_like", iters, move || {
+            i = (i + 1) % RATIOS;
+            out.clear();
+            dcat_obs::json::push_f64(&mut out, values[i]);
+            out.len()
+        });
+        let (values, mut out, mut i) = (ratios, String::with_capacity(32), 0usize);
+        suite.case("f64_debug_std_ipc_like", iters, move || {
+            use std::fmt::Write as _;
+            i = (i + 1) % RATIOS;
+            out.clear();
+            let _ = write!(out, "{:?}", values[i]);
+            out.len()
+        });
+    }
+
     // --- the daemon's interval: telemetry text in, frame bytes out ---
     // A 12-domain host's sample, as the external sampler writes it. The
     // rows are per-interval deltas: the tick case below scales them by
@@ -788,6 +813,13 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
             // keeps the export cost invisible next to a tick.
             value: 1_000_000.0 / ns_of("frame_encode_tick"),
             min: wall.then_some(10.0),
+        },
+        Derived {
+            name: "f64_shortest_speedup".into(),
+            // `json::push_f64` against `{:?}`, which it must also equal
+            // byte for byte (obs/tests/shortest_f64.rs).
+            value: ns_of("f64_debug_std_ipc_like") / ns_of("f64_shortest_ipc_like"),
+            min: wall.then_some(1.5),
         },
         Derived {
             name: "lint_budget_headroom".into(),

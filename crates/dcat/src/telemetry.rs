@@ -30,6 +30,8 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::io::{self, Read};
+use std::num::ParseIntError;
 use std::path::PathBuf;
 
 use perf_events::CounterSnapshot;
@@ -52,18 +54,52 @@ pub trait TelemetryFeed {
 #[derive(Debug, Clone)]
 pub struct FileTelemetry {
     path: PathBuf,
+    /// Bytes the previous read returned: the next sample is about as long
+    /// (its totals gain a digit now and then).
+    last_len: usize,
 }
 
 impl FileTelemetry {
     /// A feed over `path`.
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        FileTelemetry { path: path.into() }
+        FileTelemetry {
+            path: path.into(),
+            last_len: 0,
+        }
     }
 }
 
 impl TelemetryFeed for FileTelemetry {
+    /// The file's current contents. Reads until `read` reports the end
+    /// rather than asking the file its size first (`read_to_string`'s
+    /// `statx` and `lseek`): sized a little over the previous sample, the
+    /// buffer takes the file in one `read` and sees the end in the next
+    /// without growing.
     fn read(&mut self, _tick: u64) -> Result<String, ResctrlError> {
-        std::fs::read_to_string(&self.path).map_err(ResctrlError::Io)
+        let mut file = std::fs::File::open(&self.path).map_err(ResctrlError::Io)?;
+        let mut buf = vec![0u8; self.last_len + 64];
+        let mut len = 0usize;
+        loop {
+            if len == buf.len() {
+                buf.resize(2 * len, 0);
+            }
+            let spare = buf.get_mut(len..).unwrap_or_default();
+            match file.read(spare) {
+                Ok(0) => break,
+                Ok(n) => len += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(ResctrlError::Io(e)),
+            }
+        }
+        buf.truncate(len);
+        self.last_len = len;
+        // As `read_to_string` reports it.
+        String::from_utf8(buf).map_err(|_| {
+            ResctrlError::Io(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            ))
+        })
     }
 }
 
@@ -89,20 +125,58 @@ enum Row<'a> {
     Bad(Option<&'a str>, String),
 }
 
+/// `s.trim()`. A string that starts and ends in printable ASCII has
+/// nothing to trim, and every field of a healthy row does.
+fn trim(s: &str) -> &str {
+    let printable = |b: Option<&u8>| b.is_some_and(|b| (b'!'..=b'~').contains(b));
+    let bytes = s.as_bytes();
+    if printable(bytes.first()) && printable(bytes.last()) {
+        s
+    } else {
+        s.trim()
+    }
+}
+
+/// `raw.parse::<u64>()`. One to nineteen ASCII digits cannot overflow
+/// (`10^19 < 2^64`) and are read here; a sign, a twentieth digit or anything
+/// else goes to `str::parse`, whose verdict and error text stand.
+fn parse_u64(raw: &str) -> Result<u64, ParseIntError> {
+    let bytes = raw.as_bytes();
+    if !(1..=19).contains(&bytes.len()) {
+        return raw.parse();
+    }
+    let mut value = 0u64;
+    for &b in bytes {
+        if !b.is_ascii_digit() {
+            return raw.parse();
+        }
+        value = value * 10 + u64::from(b - b'0');
+    }
+    Ok(value)
+}
+
 /// The row grammar both collectors share: exactly six comma-separated
 /// fields, each trimmed, a non-empty name then five `u64` totals.
 fn parse_row(line: &str) -> Row<'_> {
-    let line = line.trim();
+    let line = trim(line);
     if line.is_empty() || line.starts_with('#') {
         return Row::Skip;
     }
     let mut fields = [""; 6];
     let mut count = 0usize;
-    for field in line.split(',') {
-        if let Some(slot) = fields.get_mut(count) {
-            *slot = field.trim();
+    // Split on the comma byte: it is ASCII, so both sides of one are whole
+    // characters and `get` cannot refuse the range.
+    let bytes = line.as_bytes();
+    let mut from = 0usize;
+    for at in 0..=bytes.len() {
+        if bytes.get(at).is_some_and(|&b| b != b',') {
+            continue;
+        }
+        if let (Some(slot), Some(field)) = (fields.get_mut(count), line.get(from..at)) {
+            *slot = trim(field);
         }
         count += 1;
+        from = at + 1;
     }
     let [name, l1_ref, llc_ref, llc_miss, ret_ins, cycles] = fields;
     let domain = Some(name).filter(|name| !name.is_empty());
@@ -113,7 +187,7 @@ fn parse_row(line: &str) -> Row<'_> {
     // parsed value of a bad field is irrelevant (the row is dropped).
     let mut bad = None;
     let mut parse = |raw: &str, what: &str| -> u64 {
-        match raw.parse() {
+        match parse_u64(raw) {
             Ok(v) => v,
             Err(e) => {
                 if bad.is_none() {
@@ -405,6 +479,61 @@ mod tests {
         fn read(&mut self, tick: u64) -> Result<String, ResctrlError> {
             Ok(self.0[(tick - 1) as usize].clone())
         }
+    }
+
+    /// A scratch file under the system temp dir, removed on drop.
+    struct TempFile(PathBuf);
+
+    impl TempFile {
+        fn new(tag: &str) -> Self {
+            let name = format!("dcat-telemetry-{tag}-{}", std::process::id());
+            TempFile(std::env::temp_dir().join(name))
+        }
+    }
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    #[test]
+    fn file_feed_returns_the_current_contents_as_the_file_grows_and_shrinks() {
+        let file = TempFile::new("resize");
+        let mut feed = FileTelemetry::new(&file.0);
+        assert!(matches!(feed.read(1), Err(ResctrlError::Io(_))), "no file");
+        // Empty, short, far past any buffer sized from the sample before
+        // it, one byte more, then short and empty again.
+        let row = "tenant-07,340000,120000,60000,1000000,20000000\n";
+        for (tick, rows) in [0usize, 1, 400, 400, 401, 2, 0, 12].into_iter().enumerate() {
+            let mut text = row.repeat(rows);
+            if rows == 401 {
+                text.push('x');
+            }
+            std::fs::write(&file.0, &text).unwrap();
+            assert_eq!(feed.read(tick as u64).unwrap(), text, "{rows} rows");
+        }
+        // Exactly as long as the buffer sized from the previous read.
+        let text = "é".repeat((row.len() * 12 + 64) / 2);
+        std::fs::write(&file.0, &text).unwrap();
+        assert_eq!(feed.read(9).unwrap(), text);
+    }
+
+    #[test]
+    fn file_feed_reports_non_utf8_as_invalid_data() {
+        let file = TempFile::new("non-utf8");
+        std::fs::write(&file.0, b"a,1,2,3,4,5\nb,\xff\xfe,2,3,4,5\n").unwrap();
+        let mut feed = FileTelemetry::new(&file.0);
+        match feed.read(1) {
+            Err(ResctrlError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                assert_eq!(e.to_string(), "stream did not contain valid UTF-8");
+            }
+            other => panic!("expected an InvalidData I/O error, got {other:?}"),
+        }
+        // The feed is not poisoned: the next sample is read whole.
+        std::fs::write(&file.0, "a,1,2,3,4,5\n").unwrap();
+        assert_eq!(feed.read(2).unwrap(), "a,1,2,3,4,5\n");
     }
 
     #[test]

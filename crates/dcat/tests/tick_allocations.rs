@@ -38,7 +38,7 @@ use resctrl::{CatCapabilities, FsBackend};
 /// margin. Before the tick path kept its buffers this test measured 116
 /// (loop) and 225 (export), and 15 while each tick built a fresh `Vec` of
 /// `DomainReport`s with 12 cloned names; the policy now lends its reports.
-/// The loop's two are the telemetry text (`read_to_string`) and the
+/// The loop's two are the telemetry text (`FileTelemetry::read`) and the
 /// audit's mask list (`invariants::check`); the export's one is the
 /// frame's `Vec` of domains.
 const LOOP_BOUND: u64 = 4;

@@ -124,8 +124,9 @@ pub fn header_line(source: &str) -> String {
 }
 
 // The frame encoder appends straight to the caller's buffer: keys are
-// literals (none needs escaping), numbers go through `write!` (infallible
-// on a `String`), strings through `escape_into`. No per-field temporary.
+// literals (none needs escaping), integers go through `write!` (infallible
+// on a `String`), floats through `json::push_f64`, strings through
+// `escape_into`. No per-field temporary.
 
 fn push_str_value(out: &mut String, v: &str) {
     out.push('"');
@@ -141,11 +142,11 @@ fn push_bool(out: &mut String, v: bool) {
     out.push_str(if v { "true" } else { "false" });
 }
 
-/// Finite floats render `{v:?}`; non-finite render `null`, mirroring the
-/// metrics JSONL export.
+/// Finite floats render through [`json::push_f64`]; non-finite render
+/// `null`, mirroring the metrics JSONL export.
 fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        let _ = write!(out, "{v:?}");
+        json::push_f64(out, v);
     } else {
         out.push_str("null");
     }

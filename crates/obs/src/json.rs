@@ -1,5 +1,5 @@
-//! Hand-rolled JSON support: string escaping, an insertion-ordered object
-//! builder, and a minimal recursive-descent parser.
+//! Hand-rolled JSON support: string escaping, the one float printer, an
+//! insertion-ordered object builder, and a minimal recursive-descent parser.
 //!
 //! The workspace is dependency-free by policy, so there is no serde. The
 //! builder is what every producer in this crate (and `dcat::events`) uses to
@@ -7,8 +7,15 @@
 //! tests can validate the producers without a second implementation of the
 //! escaping rules.
 
+use crate::pow10_table::{K_MIN, POW10};
+
 /// Append `s` to `out` with JSON string escaping applied.
 pub fn escape_into(out: &mut String, s: &str) {
+    // Domain, class and policy names: nothing to escape, one copy.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -36,6 +43,188 @@ pub fn quote(s: &str) -> String {
     escape_into(&mut out, s);
     out.push('"');
     out
+}
+
+/// Append `v` spelt exactly as `format!("{v:?}")` spells it — the shortest
+/// digits that read back as `v`, positional with at least one fraction
+/// digit from `1e-4` up to (not including) `1e16`, `d.ddde-x` outside —
+/// without `core::fmt`. Every float this crate renders goes through here;
+/// `{:?}` survives only as the oracle in `tests/shortest_f64.rs`.
+pub fn push_f64(out: &mut String, v: f64) {
+    let bits = v.to_bits();
+    let negative = bits >> 63 != 0;
+    let biased = (bits >> 52) & 0x7ff;
+    let fraction = bits & ((1 << 52) - 1);
+    if biased == 0x7ff {
+        out.push_str(match (fraction, negative) {
+            (0, false) => "inf",
+            (0, true) => "-inf",
+            _ => "NaN",
+        });
+        return;
+    }
+    if biased == 0 && fraction == 0 {
+        out.push_str(if negative { "-0.0" } else { "0.0" });
+        return;
+    }
+    let (mut digits, mut exp10) = shortest_decimal(fraction, biased);
+    // A ratio of two counters rarely ends in a zero; a short value (`2.0`,
+    // `0.25`) ends in up to sixteen: strip eight, four, two, one at a time.
+    if digits % 10 == 0 {
+        while digits % 100_000_000 == 0 {
+            digits /= 100_000_000;
+            exp10 += 8;
+        }
+        for (power, zeros) in [(10_000, 4), (100, 2), (10, 1)] {
+            if digits % power == 0 {
+                digits /= power;
+                exp10 += zeros;
+            }
+        }
+    }
+
+    // One buffer, one `push_str`. The (at most 17) digits end at DIGITS_END;
+    // in front of them is room for `-0.000`, behind them for `e-324` or the
+    // 15 zeros and `.0` of an integer below 1e16. Zero-filled, so a run of
+    // zeros is written by moving `start` or `end` over it.
+    const DIGITS_END: usize = 23;
+    let mut buf = [b'0'; 40];
+    let mut start = DIGITS_END;
+    let mut end = DIGITS_END;
+    let mut rest = digits;
+    while rest >= 10 {
+        let pair = (rest % 100) as usize * 2;
+        rest /= 100;
+        start -= 2;
+        buf[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if rest > 0 {
+        start -= 1;
+        buf[start] = b'0' + rest as u8;
+    }
+    let len = end - start;
+    // How many of the digits sit left of the decimal point (negative: that
+    // many zeros between the point and the first digit).
+    let point = len as i32 + exp10;
+
+    // `{:?}` chooses the form on the value, not on the digit count.
+    if !(1e-4..1e16).contains(&v.abs()) {
+        if len > 1 {
+            buf[start - 1] = buf[start];
+            buf[start] = b'.';
+            start -= 1;
+        }
+        buf[end] = b'e';
+        end += 1;
+        let mut exp = point - 1;
+        if exp < 0 {
+            buf[end] = b'-';
+            end += 1;
+            exp = -exp;
+        }
+        if exp >= 100 {
+            buf[end] = b'0' + (exp / 100) as u8;
+            end += 1;
+        }
+        if exp >= 10 {
+            buf[end] = b'0' + (exp / 10 % 10) as u8;
+            end += 1;
+        }
+        buf[end] = b'0' + (exp % 10) as u8;
+        end += 1;
+    } else if point <= 0 {
+        start -= point.unsigned_abs() as usize + 2;
+        buf[start + 1] = b'.';
+    } else if (point as usize) < len {
+        let point = point as usize;
+        buf.copy_within(start..start + point, start - 1);
+        start -= 1;
+        buf[start + point] = b'.';
+    } else {
+        end += point as usize - len;
+        buf[end] = b'.';
+        end += 2;
+    }
+    if negative {
+        start -= 1;
+        buf[start] = b'-';
+    }
+    // Only ASCII was written, so this borrows; `lossy` because it has no
+    // error arm to leave unhandled on the tick path.
+    out.push_str(&String::from_utf8_lossy(&buf[start..end]));
+}
+
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Schubfach (Giulietti 2020): the shortest `digits * 10^exp10` inside the
+/// rounding interval of the finite, non-zero double with these fields, the
+/// closest to it where two are as short. `digits` may end in zeros.
+///
+/// With `v = c * 2^q`, pick `k = floor(log10(2^q))` so the interval (width
+/// `2^q`) spans between one and ten units of `10^k`; scale `v` and the
+/// interval's two ends by `10^-k` with one 64x128-bit product each, rounded
+/// to odd so that comparisons against integers stay exact, all times four to
+/// keep the half-ulp ends integral. Then `s = floor(v / 10^k)`: a multiple
+/// of ten units inside the interval is shorter and unique; otherwise of
+/// `s` and `s + 1` take the one inside, or the closer when both are.
+fn shortest_decimal(fraction: u64, biased: u64) -> (u64, i32) {
+    let (c, q) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, biased as i32 - 1075)
+    };
+    // Reading back rounds to nearest-even: an interval end belongs to `v`
+    // only when `c` is even.
+    let open = u64::from(c & 1 != 0);
+    // At a power of two the double below is half as far as the one above.
+    let lower_closer = fraction == 0 && biased > 1;
+
+    let k = if lower_closer {
+        (q * 1_262_611 - 524_031) >> 22 // floor(log10(3/4 * 2^q))
+    } else {
+        (q * 1_262_611) >> 22 // floor(log10(2^q))
+    };
+    let h = q + ((-k * 1_741_647) >> 19) + 1; // q + floor(log2(10^-k)) + 1, in 1..=4
+    let g = POW10[(-k - K_MIN) as usize];
+    let scale = |c4: u64| round_to_odd(g, c4 << h);
+    let lower = scale(4 * c - 2 + u64::from(lower_closer)) + open;
+    let vb = scale(4 * c);
+    let upper = scale(4 * c + 2) - open;
+
+    let s = vb / 4;
+    if s >= 10 {
+        let sp = s / 10;
+        let down_inside = lower <= 40 * sp;
+        let up_inside = 40 * sp + 40 <= upper;
+        if down_inside != up_inside {
+            return (sp + u64::from(up_inside), k + 1);
+        }
+    }
+    let down_inside = lower <= 4 * s;
+    let up_inside = 4 * s + 4 <= upper;
+    if down_inside != up_inside {
+        return (s + u64::from(up_inside), k);
+    }
+    // `vb` is exact only when even (round-to-odd), so `==` here is a true
+    // tie between `s` and `s + 1`. The paper breaks it to even; std's
+    // `{:?}` breaks it upward (562949953421312.25 prints `…312.3`).
+    let mid = 4 * s + 2;
+    (s + u64::from(vb >= mid), k)
+}
+
+/// `floor(g * cp / 2^128)` for 128-bit `g = (hi, lo)`, with the lowest bit
+/// set if any bit below it was (so the result is odd when inexact).
+fn round_to_odd((g_hi, g_lo): (u64, u64), cp: u64) -> u64 {
+    let x = u128::from(g_lo) * u128::from(cp);
+    let y = u128::from(g_hi) * u128::from(cp);
+    let (y0, carry) = (y as u64).overflowing_add((x >> 64) as u64);
+    let y1 = (y >> 64) as u64 + u64::from(carry);
+    y1 | u64::from(y0 > 1)
 }
 
 /// Insertion-ordered JSON object builder.

@@ -23,6 +23,7 @@
 pub mod frames;
 pub mod json;
 pub mod metrics;
+mod pow10_table;
 pub mod promcheck;
 pub mod recorder;
 pub mod trace;

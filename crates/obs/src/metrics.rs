@@ -349,7 +349,9 @@ impl Snapshot {
                     let _ = writeln!(out, "{}{} {v}", key.name, prom_labels(&key.labels, &[]));
                 }
                 MetricValue::Gauge(v) => {
-                    let _ = writeln!(out, "{}{} {v:?}", key.name, prom_labels(&key.labels, &[]));
+                    let _ = write!(out, "{}{} ", key.name, prom_labels(&key.labels, &[]));
+                    crate::json::push_f64(&mut out, *v);
+                    out.push('\n');
                 }
                 MetricValue::Histogram(h) => {
                     let mut cumulative = 0u64;
@@ -440,11 +442,13 @@ impl Snapshot {
 /// registry never produces them from deterministic sims, but don't emit
 /// garbage if one slips through).
 fn format_json_f64(v: f64) -> String {
+    let mut out = String::new();
     if v.is_finite() {
-        format!("{v:?}")
+        crate::json::push_f64(&mut out, v);
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
+    out
 }
 
 fn prom_labels(labels: &[(&'static str, String)], extra: &[(&str, &str)]) -> String {
