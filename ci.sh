@@ -109,23 +109,26 @@ echo "==> determinism regression + golden decision traces + golden metrics"
 cargo test -q --release -p dcat-bench --offline --test determinism --test golden_traces \
     --test golden_metrics
 
-echo "==> per-reference path in release: llc-sim, workloads and smallrng suites with their recorded oracles"
+echo "==> per-reference path in release: llc-sim, workloads, smallrng and host suites with their recorded oracles"
 # In release, as the experiments run it: the hot path's index and counter
 # arithmetic must hold with overflow checks and debug_asserts compiled out
-# (`cargo test --workspace` covers the debug build). Of the three only
+# (`cargo test --workspace` covers the debug build). Of the four only
 # smallrng is in Tier-1's `default-members` (root Cargo.toml); they carry the
 # multi-core inclusion property and its decision digests, the stream and
 # gen_range byte oracles (tests/golden/, recorded before the divisions
-# came off the path), the reciprocal set-index identity and the
+# came off the path), the reciprocal set-index identity, the
 # private-cache recency list against the stamped cache it replaced
-# (private_equivalence.rs: under 5 s in debug, so it has no step of its own).
-cargo test -q --release --offline -p workloads -p smallrng -p llc-sim
+# (private_equivalence.rs: under 5 s in debug, so it has no step of its own),
+# a slice against its references one at a time (slice_equivalence.rs) and
+# the engine's two issue loops in lockstep (host's pipeline_equals_plain_loop_*).
+cargo test -q --release --offline -p workloads -p smallrng -p llc-sim -p host
 
 echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch copy and the test its header names must fail)"
 # Seeded by the 16-byte LLC line: its exactness argument is only as good as
 # the lockstep test that would notice it break (DESIGN.md §14). 04-06 are
 # the float printer's tie rule and switch point and the row parser's digit
-# lane (§16, "third pass").
+# lane (§16, "third pass"); 07-09 the engine slice's held caches and
+# estimator (§14, "Fifth pass").
 sh tools/mutants.sh tests/mutants/*.patch
 
 echo "==> the float printer against {:?}, 30 M draws of each shape (release; the debug run above did 1 M)"

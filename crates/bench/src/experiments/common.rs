@@ -72,20 +72,18 @@ pub fn measure_single(
     let mut mapper = PageMapper::new(spec.page_size);
     let colors = spec.colors.as_ref();
 
-    for _ in 0..spec.warm_accesses {
-        let r = stream.next_access();
-        let p = mapper
-            .translate_colored(r.vaddr, &mut frames, colors)
-            .expect("pool exhausted");
-        hierarchy.access(0, p.0, r.kind);
-    }
-    hierarchy.reset_counters(0);
-    for _ in 0..spec.measured_accesses {
-        let r = stream.next_access();
-        let p = mapper
-            .translate_colored(r.vaddr, &mut frames, colors)
-            .expect("pool exhausted");
-        hierarchy.access(0, p.0, r.kind);
+    // One core issues every reference: one slice for the warm-up, one for
+    // the measurement.
+    for accesses in [spec.warm_accesses, spec.measured_accesses] {
+        hierarchy.reset_counters(0);
+        let mut slice = hierarchy.slice(0);
+        for _ in 0..accesses {
+            let r = stream.next_access();
+            let p = mapper
+                .translate_colored(r.vaddr, &mut frames, colors)
+                .expect("pool exhausted");
+            slice.access(p.0);
+        }
     }
     let counters = hierarchy.counters(0);
     let lat = LatencyModel::default().average_access_latency(&counters);

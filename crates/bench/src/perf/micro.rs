@@ -512,6 +512,26 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         });
     }
 
+    // --- five lookbusy VMs on the paper's socket (`socket_mixed`'s five
+    // neighbours), warm: every reference stops in the L1, so the case is
+    // the slice loop's L1-hit path and the per-slice cost around it.
+    {
+        let mut cfg = EngineConfig::xeon_e5_v4();
+        cfg.cycles_per_epoch = if quick { 150_000 } else { 1_500_000 };
+        let vms = (0..5)
+            .map(|i| VmSpec::new(format!("lookbusy-{i}"), vec![2 * i, 2 * i + 1], 2))
+            .collect();
+        let mut engine = Engine::new(cfg, vms).expect("engine config is valid");
+        for vm in 0..5 {
+            engine.start_workload(vm, Box::new(Lookbusy::new()));
+        }
+        engine.run_epoch();
+        let e_iters = if quick { 1 } else { 8 };
+        suite.case("engine_epoch_lookbusy_paper", e_iters, move || {
+            engine.run_epoch()
+        });
+    }
+
     // --- host::engine epoch loop ---
     let mut cfg = EngineConfig::xeon_e5_v4();
     cfg.socket.hierarchy = HierarchyConfig {

@@ -17,8 +17,8 @@
 
 use dcat_obs::{Registry, SeriesId, Snapshot};
 use llc_sim::{
-    CoreCounters, CyclesModel, FrameAllocator, Hierarchy, HitLevel, LatencyModel, PageMapper,
-    WayMask,
+    CoreCounters, CoreSlice, CyclesModel, FrameAllocator, Hierarchy, HitLevel, LatencyModel,
+    PageMapper, WayMask,
 };
 use perf_events::CounterSnapshot;
 use resctrl::{CacheController, CatCapabilities, Cbm, CosId, ResctrlError};
@@ -116,8 +116,10 @@ struct WorkloadRt {
     /// Whether the last slice that issued any reference sent at least one
     /// in [`LLC_BOUND_ONE_IN`] past the private caches — the per-VM half
     /// of the gate on [`Issue::pipelined`]. A workload starts with
-    /// `false`: lookbusy, `Mload`'s same-line runs and anything else
-    /// L1-resident never pay for a hint.
+    /// `false`: lookbusy, think-time filler and anything else L1-resident
+    /// never pay for a hint. `Mload` does: every reference is a new line
+    /// (what repeats is the page, which the mapper's memo catches), so every
+    /// one reaches the LLC.
     llc_bound: bool,
 }
 
@@ -138,16 +140,15 @@ struct PoolExhausted {
 }
 
 /// What issuing one slice's references touches, borrowed field by field
-/// from the engine and the VM's workload, and the two loops that issue
-/// them. Both translate the batch in order and access it in order, so
-/// placement draws, frame allocations, counters and request latencies are
-/// the same whichever runs.
+/// from the engine and the VM's workload — the hierarchy as the VM's core's
+/// [`CoreSlice`] — and the two loops that issue them. Both translate the
+/// batch in order and access it in order, so placement draws, frame
+/// allocations, counters and request latencies are the same whichever runs.
 struct Issue<'a> {
-    hierarchy: &'a mut Hierarchy,
+    slice: CoreSlice<'a>,
     frames: &'a mut FrameAllocator,
     mapper: &'a mut PageMapper,
     placement_rng: &'a mut SmallRng,
-    core: u32,
     cost_l1: f64,
     cost_l2: f64,
     cost_llc: f64,
@@ -167,7 +168,7 @@ impl Issue<'_> {
 
     #[inline(always)]
     fn access(&mut self, paddr: u64, mref: &MemRef) {
-        *self.open_request_cycles += match self.hierarchy.access(self.core, paddr, mref.kind) {
+        *self.open_request_cycles += match self.slice.access(paddr) {
             HitLevel::L1 => self.cost_l1,
             HitLevel::L2 => self.cost_l2,
             HitLevel::Llc => self.cost_llc,
@@ -177,6 +178,11 @@ impl Issue<'_> {
             self.request_latencies.push(*self.open_request_cycles);
             *self.open_request_cycles = 0.0;
         }
+    }
+
+    /// Ends the slice; what the core counted in it.
+    fn finish(self) -> CoreCounters {
+        self.slice.finish()
     }
 
     /// Translate a reference, access it, move to the next.
@@ -201,7 +207,7 @@ impl Issue<'_> {
             *slot = self.translate(batch, reference)?;
         }
         for &paddr in &ring[..batch.len().min(LOOKAHEAD)] {
-            self.hierarchy.prefetch_llc(paddr);
+            self.slice.prefetch_llc(paddr);
         }
         for (reference, mref) in batch.iter().enumerate() {
             let paddr = ring[reference % RING];
@@ -209,7 +215,7 @@ impl Issue<'_> {
                 ring[reference % RING] = self.translate(batch, reference + RING)?;
             }
             if reference + LOOKAHEAD < batch.len() {
-                self.hierarchy
+                self.slice
                     .prefetch_llc(ring[(reference + LOOKAHEAD) % RING]);
             }
             self.access(paddr, mref);
@@ -574,17 +580,17 @@ impl Engine {
         let latency = self.config.latency;
         let cost_at = |level: HitLevel| latency.latency_of(level) / profile.mlp + instr_share;
 
-        let before = self.hierarchy.counters(core);
         // One virtual call generates the whole slice's references; the
         // sequence is exactly what per-reference next_access would yield.
         rt.stream
             .next_batch(&mut rt.batch, usize::try_from(n_refs).unwrap_or(usize::MAX));
+        // The core's counts go home when the slice ends: at `finish` below,
+        // or when an exhausted pool returns early.
         let mut issue = Issue {
-            hierarchy: &mut self.hierarchy,
+            slice: self.hierarchy.slice(core),
             frames: &mut self.frames,
             mapper: &mut rt.mapper,
             placement_rng: &mut slot.placement_rng,
-            core,
             cost_l1: cost_at(HitLevel::L1),
             cost_l2: cost_at(HitLevel::L2),
             cost_llc: cost_at(HitLevel::Llc),
@@ -597,7 +603,7 @@ impl Engine {
         } else {
             issue.plain(&rt.batch)?;
         }
-        let mut delta = self.hierarchy.counters(core).delta_since(&before);
+        let mut delta = issue.finish();
         // A slice that issued nothing says nothing: the verdict stands.
         if delta.l1_ref > 0 {
             rt.llc_bound = delta.llc_ref * LLC_BOUND_ONE_IN >= delta.l1_ref;
@@ -1152,8 +1158,9 @@ mod tests {
 
     #[test]
     fn pipeline_equals_plain_loop_on_same_line_runs() {
-        // 64 references to each line before the next, as `Mload` issues
-        // them: 63 of 64 hints name the set the previous one did.
+        // 64 references to each line before the next (not `Mload`, which
+        // moves to a new line every reference and repeats only the page):
+        // 63 of 64 hints name the set the previous one did.
         let mut pair = Lockstep::new(small_config(), || {
             Scripted::boxed(
                 (0..8u64 << 20)

@@ -27,7 +27,7 @@ use crate::address::PhysAddr;
 use crate::cache::{AccessOutcome, SetAssocCache, WayMask};
 use crate::counters::CoreCounters;
 use crate::geometry::CacheGeometry;
-use crate::private::PrivateCache;
+use crate::private::{HeldCache, PrivateCache};
 use crate::replacement::ReplacementPolicy;
 use crate::set::MAX_SHARERS;
 
@@ -220,13 +220,30 @@ impl HierarchyConfig {
 #[derive(Debug)]
 pub struct Hierarchy {
     config: HierarchyConfig,
-    l1: Vec<PrivateCache>,
-    l2: Vec<PrivateCache>,
+    cores: Vec<CoreState>,
     llc: SetAssocCache,
-    fill_masks: Vec<WayMask>,
-    counters: Vec<CoreCounters>,
     fidelity: SimFidelity,
-    samplers: Vec<SampleEstimator>,
+}
+
+/// Everything the hierarchy keeps for one core.
+#[derive(Debug)]
+struct CoreState {
+    l1: PrivateCache,
+    l2: PrivateCache,
+    fill_mask: WayMask,
+    counters: CoreCounters,
+    sampler: SampleEstimator,
+}
+
+impl CoreState {
+    /// Drops `line` from this core's private caches. L1 ⊆ L2 (the L2 fill
+    /// drops from the L1 whatever the L2 evicts), so a line the L2 did not
+    /// hold is in neither: a stale sharer bit costs one set walk, not two.
+    fn back_invalidate(&mut self, line: LineAddr) {
+        if self.l2.invalidate(line) {
+            self.l1.invalidate(line);
+        }
+    }
 }
 
 impl Hierarchy {
@@ -243,19 +260,18 @@ impl Hierarchy {
             config.cores <= MAX_SHARERS,
             "the per-line sharer mask holds at most {MAX_SHARERS} cores"
         );
-        let full = WayMask::all(config.llc.ways);
         Hierarchy {
-            l1: (0..config.cores)
-                .map(|_| PrivateCache::new(config.l1))
-                .collect(),
-            l2: (0..config.cores)
-                .map(|_| PrivateCache::new(config.l2))
+            cores: (0..config.cores)
+                .map(|_| CoreState {
+                    l1: PrivateCache::new(config.l1),
+                    l2: PrivateCache::new(config.l2),
+                    fill_mask: WayMask::all(config.llc.ways),
+                    counters: CoreCounters::default(),
+                    sampler: SampleEstimator::default(),
+                })
                 .collect(),
             llc: SetAssocCache::with_policy(config.llc, config.llc_policy),
-            fill_masks: vec![full; config.cores as usize],
-            counters: vec![CoreCounters::default(); config.cores as usize],
             fidelity: SimFidelity::Full,
-            samplers: vec![SampleEstimator::default(); config.cores as usize],
             config,
         }
     }
@@ -309,15 +325,6 @@ impl Hierarchy {
             .unwrap_or(count)
     }
 
-    /// Whether LLC set `set` is simulated under the current fidelity.
-    #[inline]
-    fn llc_set_is_sampled(&self, set: u32) -> bool {
-        match self.fidelity {
-            SimFidelity::Full => true,
-            SimFidelity::Sampled { one_in } => set.is_multiple_of(one_in),
-        }
-    }
-
     /// The hierarchy's shape.
     pub fn config(&self) -> &HierarchyConfig {
         &self.config
@@ -343,8 +350,8 @@ impl Hierarchy {
         );
         // A core beyond the socket has no fill mask to program; ignore
         // it rather than panic (real CAT writes to absent cores no-op).
-        if let Some(slot) = self.fill_masks.get_mut(core as usize) {
-            *slot = mask;
+        if let Some(state) = self.cores.get_mut(core as usize) {
+            state.fill_mask = mask;
         }
     }
 
@@ -355,79 +362,59 @@ impl Hierarchy {
     /// mask — the unmanaged state such a core would observe — instead of
     /// panicking, so the read and write sides of the CAT surface agree.
     pub fn fill_mask(&self, core: u32) -> WayMask {
-        self.fill_masks
+        self.cores
             .get(core as usize)
-            .copied()
-            .unwrap_or_else(|| WayMask::all(self.config.llc.ways))
+            .map_or_else(|| WayMask::all(self.config.llc.ways), |c| c.fill_mask)
     }
 
-    /// Performs one memory access by `core` at physical address `paddr`.
+    /// Performs one memory access by `core` at physical address `paddr`:
+    /// a [`CoreSlice`] one reference long.
     ///
     /// Updates the Table-2 event counters and returns the level that served
     /// the access.
     pub fn access(&mut self, core: u32, paddr: u64, _kind: AccessKind) -> HitLevel {
-        let line = PhysAddr(paddr).line();
-        let idx = core as usize;
-        self.counters[idx].l1_ref += 1;
+        self.slice(core).access(paddr)
+    }
 
-        if self.l1[idx].access(line) {
-            return HitLevel::L1;
-        }
-        self.counters[idx].l1_miss += 1;
-
-        // One L2 set walk: a hit refreshes recency, a miss leaves the L2
-        // untouched until the fill below. (The L1 needs no second visit
-        // on any path: its own miss above already installed the line.)
-        if self.l2[idx].touch(line) {
-            return HitLevel::L2;
-        }
-        self.counters[idx].llc_ref += 1;
-
-        // The LLC set index is computed once, for the sampling test and
-        // the access both.
-        let llc_set = self.llc.set_index(line);
-        if !self.llc_set_is_sampled(llc_set) {
-            // Unsampled set: classify via the estimator instead of the tag
-            // store. No LLC fill, no eviction, no back-invalidation — the
-            // private caches still absorb the line so upper-level hit rates
-            // stay realistic.
-            let missed = self.samplers[idx].estimate_miss();
-            if missed {
-                self.counters[idx].llc_miss += 1;
-            }
-            self.fill_l2(idx, line);
-            return if missed {
-                HitLevel::Dram
-            } else {
-                HitLevel::Llc
-            };
-        }
-
-        // Order is load-bearing from here on: LLC access, then the
-        // victim's back-invalidation, then the L2 fill. The invalidation
-        // may free a way in this core's own L2 set, and the fill must see
-        // it — filling first would pick a different L2 victim.
-        let llc_mask = self.fill_masks[idx];
-        let sampling = self.fidelity != SimFidelity::Full;
-        match self.llc.access_as_at(llc_set, line, llc_mask, core) {
-            AccessOutcome::Hit => {
-                if sampling {
-                    self.samplers[idx].observe(false);
-                }
-                self.fill_l2(idx, line);
-                HitLevel::Llc
-            }
-            AccessOutcome::Miss { evicted } => {
-                self.counters[idx].llc_miss += 1;
-                if sampling {
-                    self.samplers[idx].observe(true);
-                }
-                if let Some(victim) = evicted {
-                    back_invalidate(&mut self.l1, &mut self.l2, victim.line, victim.sharers);
-                }
-                self.fill_l2(idx, line);
-                HitLevel::Dram
-            }
+    /// Lends `core`'s L1 and L2 tag arrays, counters and estimator to the
+    /// caller until the returned slice ends, for a run of references that
+    /// all come from `core` (an engine slice). Counts and the estimator
+    /// reach [`Hierarchy::counters`] and later references when the slice
+    /// is dropped or [finished](CoreSlice::finish); the borrow keeps
+    /// anything from reading them earlier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is beyond the socket.
+    #[inline]
+    pub fn slice(&mut self, core: u32) -> CoreSlice<'_> {
+        let (below, rest) = self.cores.split_at_mut(core as usize);
+        let Some((own, above)) = rest.split_first_mut() else {
+            panic!("core {core} is beyond the socket");
+        };
+        let CoreState {
+            l1,
+            l2,
+            fill_mask,
+            counters,
+            sampler,
+        } = own;
+        CoreSlice {
+            l1: l1.hold(),
+            l1_ref: 0,
+            beyond: Beyond {
+                l2: l2.hold(),
+                counted: CoreCounters::default(),
+                sampler: *sampler,
+                home_counters: counters,
+                home_sampler: sampler,
+                llc: &mut self.llc,
+                fill_mask: *fill_mask,
+                fidelity: self.fidelity,
+                core,
+                below,
+                above,
+            },
         }
     }
 
@@ -437,10 +424,7 @@ impl Hierarchy {
     /// cannot, through `&self`.
     #[inline]
     pub fn prefetch_llc(&self, paddr: u64) {
-        let set = self.llc.set_index(PhysAddr(paddr).line());
-        if self.llc_set_is_sampled(set) {
-            self.llc.prefetch_set(set);
-        }
+        prefetch_llc(&self.llc, self.fidelity, paddr);
     }
 
     /// Whether [`Hierarchy::prefetch_llc`] can pay for itself: the LLC
@@ -452,32 +436,24 @@ impl Hierarchy {
         self.llc.tag_store_bytes() > HOST_PRIVATE_CACHE_BYTES
     }
 
-    /// Fills `line`, which just missed `core`'s L2, into it, keeping L1
-    /// inclusive in L2.
-    fn fill_l2(&mut self, idx: usize, line: LineAddr) {
-        if let Some(victim) = self.l2[idx].fill(line) {
-            self.l1[idx].invalidate(victim);
-        }
-    }
-
     /// Records `n` retired instructions on `core`.
     pub fn record_instructions(&mut self, core: u32, n: u64) {
-        self.counters[core as usize].ret_ins += n;
+        self.cores[core as usize].counters.ret_ins += n;
     }
 
     /// Records `n` unhalted cycles on `core`.
     pub fn record_cycles(&mut self, core: u32, n: u64) {
-        self.counters[core as usize].cycles += n;
+        self.cores[core as usize].counters.cycles += n;
     }
 
     /// The monotonic counters of `core`.
     pub fn counters(&self, core: u32) -> CoreCounters {
-        self.counters[core as usize]
+        self.cores[core as usize].counters
     }
 
     /// Resets the counters of `core` (not the cache contents).
     pub fn reset_counters(&mut self, core: u32) {
-        self.counters[core as usize].reset();
+        self.cores[core as usize].counters.reset();
     }
 
     /// LLC lines resident in ways permitted by `mask` (scaled to the full
@@ -498,12 +474,12 @@ impl Hierarchy {
 
     /// Whether `paddr`'s line is resident in `core`'s L1.
     pub fn l1_probe(&self, core: u32, paddr: u64) -> bool {
-        self.l1[core as usize].probe(PhysAddr(paddr).line())
+        self.cores[core as usize].l1.probe(PhysAddr(paddr).line())
     }
 
     /// Whether `paddr`'s line is resident in `core`'s L2.
     pub fn l2_probe(&self, core: u32, paddr: u64) -> bool {
-        self.l2[core as usize].probe(PhysAddr(paddr).line())
+        self.cores[core as usize].l2.probe(PhysAddr(paddr).line())
     }
 
     /// Read-only view of the LLC, for occupancy statistics.
@@ -523,9 +499,16 @@ impl Hierarchy {
     /// number of LLC *lines* dropped, not a way count (scaled to the full
     /// cache when sampling, like the occupancy accessors).
     pub fn flush_mask(&mut self, mask: WayMask) -> u64 {
-        let (l1, l2) = (&mut self.l1, &mut self.l2);
+        let cores = &mut self.cores;
         let dropped = self.llc.drain_lines_in(mask, |gone| {
-            back_invalidate(l1, l2, gone.line, gone.sharers);
+            for idx in sharer_cores(gone.sharers) {
+                // A bit is only ever set for a core that accessed the
+                // hierarchy, so the lookup succeeds; `get_mut` keeps the
+                // flush path free of panicking indexes.
+                if let Some(core) = cores.get_mut(idx) {
+                    core.back_invalidate(gone.line);
+                }
+            }
         });
         self.decay_samplers(mask.count());
         self.scale_occupancy(dropped)
@@ -533,11 +516,9 @@ impl Hierarchy {
 
     /// Flushes every cache in the hierarchy.
     pub fn flush_all(&mut self) {
-        for c in &mut self.l1 {
-            c.flush();
-        }
-        for c in &mut self.l2 {
-            c.flush();
+        for c in &mut self.cores {
+            c.l1.flush();
+            c.l2.flush();
         }
         self.llc.flush();
         self.decay_samplers(self.config.llc.ways);
@@ -552,32 +533,219 @@ impl Hierarchy {
             return;
         }
         let total_ways = self.config.llc.ways;
-        for s in &mut self.samplers {
-            s.flush_decay(flushed_ways, total_ways);
+        for c in &mut self.cores {
+            c.sampler.flush_decay(flushed_ways, total_ways);
         }
     }
 }
 
-/// Inclusive back-invalidation: drop `line` from the private caches of
-/// the cores named in `sharers` (see the module docs for why no other
-/// core can hold it).
-fn back_invalidate(l1: &mut [PrivateCache], l2: &mut [PrivateCache], line: LineAddr, sharers: u32) {
-    let mut bits = sharers;
-    while bits != 0 {
-        let idx = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        // A bit is only ever set for a core that accessed the hierarchy,
-        // so both lookups succeed; `get_mut` keeps the flush path free of
-        // panicking indexes.
-        if let (Some(l1), Some(l2)) = (l1.get_mut(idx), l2.get_mut(idx)) {
-            // L1 ⊆ L2 (`fill_l2` drops from the L1 whatever the L2 evicts),
-            // so a line the L2 did not hold is in neither: a stale sharer
-            // bit costs one set walk, not two.
-            if l2.invalidate(line) {
-                l1.invalidate(line);
+/// One core's run of references — an engine slice — with the core's
+/// private caches, counters and estimator held for its length.
+///
+/// [`Hierarchy::slice`] splits the per-core state at the core: its L1 and
+/// L2 tag arrays are borrowed straight into the slice, its counts and its
+/// estimator are copied in, and every *other* core stays reachable for
+/// the back-invalidations this core's LLC fills cause (a slice is atomic
+/// for its core; the other cores change only through its evictions). A
+/// reference that stops in the L1 touches the held L1 array and one count;
+/// everything past the L1 sits apart, read only by the miss path. Counts
+/// and the estimator go home when the slice is dropped — on
+/// [`CoreSlice::finish`] or on any early return.
+#[derive(Debug)]
+pub struct CoreSlice<'h> {
+    l1: HeldCache<'h>,
+    l1_ref: u64,
+    beyond: Beyond<'h>,
+}
+
+/// What a reference that misses the L1 reaches: the core's L2, the rest of
+/// its counts, its estimator, the LLC and the other cores.
+#[derive(Debug)]
+struct Beyond<'h> {
+    l2: HeldCache<'h>,
+    /// What this slice counted past the L1 reference, from zero.
+    counted: CoreCounters,
+    sampler: SampleEstimator,
+    home_counters: &'h mut CoreCounters,
+    home_sampler: &'h mut SampleEstimator,
+    llc: &'h mut SetAssocCache,
+    fill_mask: WayMask,
+    fidelity: SimFidelity,
+    core: u32,
+    /// The cores numbered below and above this one.
+    below: &'h mut [CoreState],
+    above: &'h mut [CoreState],
+}
+
+impl CoreSlice<'_> {
+    /// One reference to `paddr`: returns the level that served it.
+    #[inline(always)]
+    pub fn access(&mut self, paddr: u64) -> HitLevel {
+        let line = PhysAddr(paddr).line();
+        self.l1_ref += 1;
+        if self.l1.access(line) {
+            return HitLevel::L1;
+        }
+        // The miss installed the line in the L1, so the L1 needs no second
+        // visit on any path past it.
+        self.beyond.miss_l1(self.l1.reborrow(), line)
+    }
+
+    /// [`Hierarchy::prefetch_llc`] from inside the slice.
+    #[inline]
+    pub fn prefetch_llc(&self, paddr: u64) {
+        prefetch_llc(self.beyond.llc, self.beyond.fidelity, paddr);
+    }
+
+    /// Ends the slice: what it counted goes home, and is returned (the
+    /// slice's own counts, not the core's totals; instructions and cycles
+    /// are the caller's to record).
+    #[inline]
+    pub fn finish(self) -> CoreCounters {
+        CoreCounters {
+            l1_ref: self.l1_ref,
+            ..self.beyond.counted
+        }
+    }
+}
+
+impl Drop for CoreSlice<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        let beyond = &mut self.beyond;
+        let home = &mut *beyond.home_counters;
+        home.l1_ref += self.l1_ref;
+        home.l1_miss += beyond.counted.l1_miss;
+        home.llc_ref += beyond.counted.llc_ref;
+        home.llc_miss += beyond.counted.llc_miss;
+        *beyond.home_sampler = beyond.sampler;
+    }
+}
+
+impl Beyond<'_> {
+    /// The rest of [`CoreSlice::access`] after an L1 miss; `l1` is the
+    /// slice's L1, for the invalidations below.
+    #[inline(always)]
+    fn miss_l1(&mut self, mut l1: HeldCache<'_>, line: LineAddr) -> HitLevel {
+        self.counted.l1_miss += 1;
+
+        // One L2 set walk: a hit refreshes recency, a miss leaves the L2
+        // untouched until the fill below.
+        if self.l2.touch(line) {
+            return HitLevel::L2;
+        }
+        self.counted.llc_ref += 1;
+
+        // The LLC set index is computed once, for the sampling test and
+        // the access both.
+        let llc_set = self.llc.set_index(line);
+        if !set_is_sampled(self.fidelity, llc_set) {
+            // Unsampled set: classify via the estimator instead of the tag
+            // store. No LLC fill, no eviction, no back-invalidation — the
+            // private caches still absorb the line so upper-level hit rates
+            // stay realistic.
+            let missed = self.sampler.estimate_miss();
+            if missed {
+                self.counted.llc_miss += 1;
+            }
+            self.fill_l2(&mut l1, line);
+            return if missed {
+                HitLevel::Dram
+            } else {
+                HitLevel::Llc
+            };
+        }
+
+        // Order is load-bearing from here on: LLC access, then the
+        // victim's back-invalidation, then the L2 fill. The invalidation
+        // may free a way in this core's own L2 set, and the fill must see
+        // it — filling first would pick a different L2 victim.
+        let sampling = self.fidelity != SimFidelity::Full;
+        match self
+            .llc
+            .access_as_at(llc_set, line, self.fill_mask, self.core)
+        {
+            AccessOutcome::Hit => {
+                if sampling {
+                    self.sampler.observe(false);
+                }
+                self.fill_l2(&mut l1, line);
+                HitLevel::Llc
+            }
+            AccessOutcome::Miss { evicted } => {
+                self.counted.llc_miss += 1;
+                if sampling {
+                    self.sampler.observe(true);
+                }
+                if let Some(victim) = evicted {
+                    self.back_invalidate(&mut l1, victim.line, victim.sharers);
+                }
+                self.fill_l2(&mut l1, line);
+                HitLevel::Dram
             }
         }
     }
+
+    /// Inclusive back-invalidation: drop `line` from the private caches of
+    /// the cores named in `sharers` (see the module docs for why no other
+    /// core can hold it) — this core's through the held arrays, every
+    /// other core's through its own caches.
+    #[inline(always)]
+    fn back_invalidate(&mut self, l1: &mut HeldCache<'_>, line: LineAddr, sharers: u32) {
+        let own = self.core as usize;
+        for idx in sharer_cores(sharers) {
+            if idx == own {
+                if self.l2.invalidate(line) {
+                    l1.invalidate(line);
+                }
+            } else if let Some(core) = match idx.checked_sub(own + 1) {
+                Some(above) => self.above.get_mut(above),
+                None => self.below.get_mut(idx),
+            } {
+                core.back_invalidate(line);
+            }
+        }
+    }
+
+    /// Fills `line`, which just missed this core's L2, into it, keeping L1
+    /// inclusive in L2.
+    #[inline(always)]
+    fn fill_l2(&mut self, l1: &mut HeldCache<'_>, line: LineAddr) {
+        if let Some(victim) = self.l2.fill(line) {
+            l1.invalidate(victim);
+        }
+    }
+}
+
+/// Whether LLC set `set` is simulated under `fidelity`.
+#[inline(always)]
+fn set_is_sampled(fidelity: SimFidelity, set: u32) -> bool {
+    match fidelity {
+        SimFidelity::Full => true,
+        SimFidelity::Sampled { one_in } => set.is_multiple_of(one_in),
+    }
+}
+
+/// The hint behind both `prefetch_llc`s.
+#[inline(always)]
+fn prefetch_llc(llc: &SetAssocCache, fidelity: SimFidelity, paddr: u64) {
+    let set = llc.set_index(PhysAddr(paddr).line());
+    if set_is_sampled(fidelity, set) {
+        llc.prefetch_set(set);
+    }
+}
+
+/// The core indices named by a sharer mask, lowest first.
+#[inline(always)]
+fn sharer_cores(sharers: u32) -> impl Iterator<Item = usize> {
+    let mut bits = sharers;
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let idx = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            idx
+        })
+    })
 }
 
 #[cfg(test)]
@@ -652,6 +820,48 @@ mod tests {
         assert!(!h.llc_probe(0));
         assert!(!h.l1_probe(0, 0), "inclusive LLC must back-invalidate L1");
         assert!(!h.l2_probe(0, 0), "inclusive LLC must back-invalidate L2");
+    }
+
+    #[test]
+    fn an_llc_eviction_reaches_the_evicting_cores_own_l1_inside_a_slice() {
+        let mut h = Hierarchy::new(HierarchyConfig {
+            cores: 2,
+            l1: CacheGeometry::new(4, 2, 64),
+            l2: CacheGeometry::new(8, 2, 64),
+            llc: CacheGeometry::new(4, 1, 64), // 1-way LLC: easy to evict
+            llc_policy: Default::default(),
+        });
+        let mut slice = h.slice(1);
+        slice.access(0);
+        // Same LLC set: evicts line 0, whose only sharer is this core.
+        assert_eq!(slice.access(4 * 64), HitLevel::Dram);
+        assert_eq!(slice.access(0), HitLevel::Dram, "the held L1 kept line 0");
+        drop(slice);
+        assert!(!h.l1_probe(1, 4 * 64) && !h.l2_probe(1, 4 * 64));
+        assert!(h.l1_probe(1, 0));
+    }
+
+    #[test]
+    fn an_llc_victim_frees_its_l2_way_before_the_fill() {
+        // One set everywhere. The L2 and the LLC disagree on which line is
+        // least recently used, because an L2 hit does not reach the LLC.
+        let mut h = Hierarchy::new(HierarchyConfig {
+            cores: 1,
+            l1: CacheGeometry::new(1, 1, 64),
+            l2: CacheGeometry::new(1, 2, 64),
+            llc: CacheGeometry::new(1, 2, 64),
+            llc_policy: Default::default(),
+        });
+        let (a, b, c) = (0, 64, 128);
+        h.access(0, a, AccessKind::Load);
+        h.access(0, b, AccessKind::Load);
+        assert_eq!(h.access(0, a, AccessKind::Load), HitLevel::L2);
+        // LLC victim: a. L2 LRU: b. Invalidating a first leaves a free way
+        // for c, so b stays; filling first would have evicted b.
+        assert_eq!(h.access(0, c, AccessKind::Load), HitLevel::Dram);
+        assert!(!h.l2_probe(0, a));
+        assert!(h.l2_probe(0, b), "the fill took the way the victim freed");
+        assert_eq!(h.access(0, b, AccessKind::Load), HitLevel::L2);
     }
 
     #[test]

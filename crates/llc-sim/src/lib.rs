@@ -66,7 +66,7 @@ pub use cache::{AccessOutcome, SetAssocCache, WayMask};
 pub use coloring::ColorSet;
 pub use counters::CoreCounters;
 pub use geometry::CacheGeometry;
-pub use hierarchy::{AccessKind, Hierarchy, HierarchyConfig, HitLevel, SimFidelity};
+pub use hierarchy::{AccessKind, CoreSlice, Hierarchy, HierarchyConfig, HitLevel, SimFidelity};
 pub use latency::{CyclesModel, LatencyModel};
 pub use paging::{FrameAllocator, FramePolicy, PageMapper, PageSize};
 pub use private::PrivateCache;

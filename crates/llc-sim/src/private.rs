@@ -53,26 +53,31 @@ impl PrivateCache {
         self.geometry
     }
 
-    /// Where `line`'s set sits in `tags`.
+    /// The tag array, borrowed for as long as the caller holds it: what a
+    /// [`crate::CoreSlice`] keeps of its core's L1 and L2, so that a
+    /// reference reaches its set without going through the cache. The
+    /// shape is read once, here, instead of once per reference.
     #[inline(always)]
-    fn run_of(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let ways = self.geometry.ways as usize;
-        let start = self.geometry.set_index(line) as usize * ways;
-        start..start + ways
-    }
-
-    /// `line`'s set.
-    #[inline(always)]
-    fn set_of(&mut self, line: LineAddr) -> &mut [u64] {
-        let run = self.run_of(line);
-        &mut self.tags[run]
+    pub(crate) fn hold(&mut self) -> HeldCache<'_> {
+        let geometry = self.geometry;
+        if geometry.ways == 8 && geometry.sets.is_power_of_two() {
+            HeldCache::EightWays {
+                set_mask: u64::from(geometry.sets - 1),
+                sets: self.tags.as_chunks_mut().0,
+            }
+        } else {
+            HeldCache::AnyShape {
+                geometry,
+                tags: &mut self.tags,
+            }
+        }
     }
 
     /// Looks `line` up and, if resident, makes it the set's most recently
     /// used. A miss changes nothing. Returns whether the line was resident.
     #[inline(always)]
     pub fn touch(&mut self, line: LineAddr) -> bool {
-        with_known_length(self.set_of(line), |set| promote(set, line.0))
+        self.hold().touch(line)
     }
 
     /// Fills a line the caller knows is absent (it just missed a
@@ -80,32 +85,25 @@ impl PrivateCache {
     /// least recently used line if the set had no free way.
     #[inline(always)]
     pub fn fill(&mut self, line: LineAddr) -> Option<LineAddr> {
-        debug_assert!(!self.probe(line), "fill of a line that is already resident");
-        with_known_length(self.set_of(line), |set| push_front(set, line.0))
+        self.hold().fill(line)
     }
 
     /// One access: a hit refreshes recency, a miss fills the line (the
     /// displaced line, if any, is simply gone). Returns whether it hit.
     #[inline(always)]
     pub fn access(&mut self, line: LineAddr) -> bool {
-        with_known_length(self.set_of(line), |set| {
-            let hit = promote(set, line.0);
-            if !hit {
-                push_front(set, line.0);
-            }
-            hit
-        })
+        self.hold().access(line)
     }
 
     /// Checks residency without updating recency.
     pub fn probe(&self, line: LineAddr) -> bool {
-        self.tags[self.run_of(line)].contains(&line.0)
+        self.tags[run_of(self.geometry, line)].contains(&line.0)
     }
 
     /// Drops `line` if resident; returns whether it was.
     #[inline]
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        with_known_length(self.set_of(line), |set| remove(set, line.0))
+        self.hold().invalidate(line)
     }
 
     /// Empties the whole cache.
@@ -114,9 +112,98 @@ impl PrivateCache {
     }
 }
 
-/// Runs `op` on one set, telling the compiler the length when it is the
-/// 8 ways of every L1 and L2 the experiments build: the shifts below are
-/// then a few vector moves instead of a `memmove` call or a loop.
+/// A [`PrivateCache`]'s tag array on loan: the same four operations on the
+/// same sets, reached through a slice the holder keeps instead of through
+/// the cache.
+#[derive(Debug)]
+pub(crate) enum HeldCache<'a> {
+    /// 8 ways and a power-of-two set count — every L1 and L2 the
+    /// experiments build: a set is one `[u64; 8]`, found by a mask.
+    EightWays {
+        set_mask: u64,
+        sets: &'a mut [[u64; 8]],
+    },
+    /// Any other shape.
+    AnyShape {
+        geometry: CacheGeometry,
+        tags: &'a mut [u64],
+    },
+}
+
+impl HeldCache<'_> {
+    /// The same array, lent on for a shorter while.
+    #[inline(always)]
+    pub(crate) fn reborrow(&mut self) -> HeldCache<'_> {
+        match self {
+            HeldCache::EightWays { set_mask, sets } => HeldCache::EightWays {
+                set_mask: *set_mask,
+                sets,
+            },
+            HeldCache::AnyShape { geometry, tags } => HeldCache::AnyShape {
+                geometry: *geometry,
+                tags,
+            },
+        }
+    }
+
+    /// Runs `op` on `line`'s set, its length known to the compiler when it
+    /// is 8.
+    #[inline(always)]
+    fn with_set<R>(&mut self, line: LineAddr, op: impl Fn(&mut [u64]) -> R) -> R {
+        match self {
+            HeldCache::EightWays { set_mask, sets } => op(&mut sets[(line.0 & *set_mask) as usize]),
+            HeldCache::AnyShape { geometry, tags } => {
+                with_known_length(&mut tags[run_of(*geometry, line)], op)
+            }
+        }
+    }
+
+    /// [`PrivateCache::touch`].
+    #[inline(always)]
+    pub(crate) fn touch(&mut self, line: LineAddr) -> bool {
+        self.with_set(line, |set| promote(set, line.0))
+    }
+
+    /// [`PrivateCache::fill`].
+    #[inline(always)]
+    pub(crate) fn fill(&mut self, line: LineAddr) -> Option<LineAddr> {
+        debug_assert!(
+            !self.with_set(line, |set| set.contains(&line.0)),
+            "fill of a line that is already resident"
+        );
+        self.with_set(line, |set| push_front(set, line.0))
+    }
+
+    /// [`PrivateCache::access`].
+    #[inline(always)]
+    pub(crate) fn access(&mut self, line: LineAddr) -> bool {
+        self.with_set(line, |set| {
+            let hit = promote(set, line.0);
+            if !hit {
+                push_front(set, line.0);
+            }
+            hit
+        })
+    }
+
+    /// [`PrivateCache::invalidate`].
+    #[inline]
+    pub(crate) fn invalidate(&mut self, line: LineAddr) -> bool {
+        self.with_set(line, |set| remove(set, line.0))
+    }
+}
+
+/// Where `line`'s set sits in a tag array of this geometry.
+#[inline(always)]
+fn run_of(geometry: CacheGeometry, line: LineAddr) -> std::ops::Range<usize> {
+    let ways = geometry.ways as usize;
+    let start = geometry.set_index(line) as usize * ways;
+    start..start + ways
+}
+
+/// Runs `op` on one set, telling the compiler the length when it is 8 ways:
+/// the shifts below are then a few vector moves instead of a `memmove` call
+/// or a loop.
 #[inline(always)]
 fn with_known_length<R>(set: &mut [u64], op: impl Fn(&mut [u64]) -> R) -> R {
     match <&mut [u64; 8]>::try_from(&mut *set) {
