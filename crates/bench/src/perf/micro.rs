@@ -792,7 +792,7 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
 
     // --- full-workspace lint gate ---
     // ci.sh budgets 10 s of wall clock for the `dcat-lint` run; tracking
-    // the full pipeline (read + lex + parse + call graph + passes) here
+    // the full pipeline (read + lex + per-file passes + spec drift) here
     // turns that one-off timer into a regression-gated trajectory with
     // a hard headroom floor (`lint_budget_headroom` below).
     let lint_root = dcat_lint::find_repo_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))

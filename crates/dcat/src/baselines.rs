@@ -148,6 +148,10 @@ pub struct StaticCatPolicy {
 
 impl StaticCatPolicy {
     /// Programs the reserved, non-overlapping partitions once.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the planner returns one mask per count, and there is one count per handle"
+    )]
     pub fn new(
         handles: Vec<WorkloadHandle>,
         cat: &mut dyn CacheController,
@@ -206,6 +210,10 @@ mod tests {
         ]
     }
 
+    #[expect(
+        clippy::integer_division,
+        reason = "fixture arithmetic: the truncated quotient is the intended value"
+    )]
     fn snapshot(ins: u64, cyc: u64) -> CounterSnapshot {
         CounterSnapshot {
             l1_ref: ins / 3,

@@ -8,15 +8,9 @@
 //! drivers (the daemon, the bench harness's scenarios, each fleet host)
 //! own time, the tracer, and export.
 
-// Privileged I/O: a tick degrades, it never dies, and no I/O `Result` or
-// error severity is dropped on the floor (DESIGN.md §12).
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::string_slice
-)]
-// As `daemon.rs`. `as_conversions`: counter math never truncates silently.
+// Privileged I/O: no I/O `Result` or error severity is dropped on the floor
+// (DESIGN.md §12). As `daemon.rs`. `as_conversions`: counter math never
+// truncates silently.
 #![cfg_attr(
     not(test),
     deny(

@@ -301,11 +301,19 @@ impl DcatController {
     }
 
     /// Current class of domain `i`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` is the caller's domain index; out of range is the caller's bug, as for a slice"
+    )]
     pub fn class_of(&self, i: usize) -> WorkloadClass {
         self.domains[i].class
     }
 
     /// Currently granted ways of domain `i`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` is the caller's domain index; out of range is the caller's bug, as for a slice"
+    )]
     pub fn ways_of(&self, i: usize) -> u32 {
         self.domains[i].ways
     }
@@ -316,6 +324,10 @@ impl DcatController {
     }
 
     /// The active performance table of domain `i`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` is the caller's domain index; out of range is the caller's bug, as for a slice"
+    )]
     pub fn performance_table(&self, i: usize) -> &PerformanceTable {
         &self.domains[i].table
     }
@@ -340,6 +352,10 @@ impl DcatController {
     }
 
     /// The body of [`CachePolicy::decide`], over buffers in `s`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "loop-bounded: `i` enumerates a per-domain lane, and every buffer it indexes holds one entry per domain; `.get()` would cost the tick (DESIGN.md §12)"
+    )]
     fn run_interval(
         &mut self,
         s: &mut TickScratch,
@@ -704,6 +720,10 @@ impl DcatController {
     /// If targets oversubscribe the cache (a Reclaim arrived while others
     /// hold extra), shave ways from domains holding more than their
     /// reserved share, largest surplus first.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "loop-bounded: `i` ranges over `targets`, one entry per domain; `.get()` would cost the tick (DESIGN.md §12)"
+    )]
     fn resolve_deficit(&self, targets: &mut [u32]) {
         let total: u32 = targets.iter().sum();
         let mut deficit = total.saturating_sub(self.total_ways);
@@ -745,6 +765,10 @@ impl DcatController {
     /// The max-performance policy: after a reclaim, re-split the ways of
     /// the table-bearing beneficiaries to maximize total normalized IPC
     /// (paper Section 3.5's worked example).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "loop-bounded: indices range over `targets` or are `candidates`' domain indices, and `split` holds one entry per candidate; `.get()` would cost the tick (DESIGN.md §12)"
+    )]
     fn max_performance_retarget(&self, targets: &mut [u32]) {
         let mut candidates: Vec<usize> = Vec::with_capacity(self.domains.len());
         for (i, d) in self.domains.iter().enumerate() {
@@ -780,6 +804,10 @@ impl DcatController {
     /// into Receiver or Streaming sooner), then Receivers; one way per
     /// interval each, except that a recurring phase jumps straight to its
     /// recorded preferred allocation.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "loop-bounded: indices enumerate the domains, and `targets` and `valid` hold one entry per domain; `.get()` would cost the tick (DESIGN.md §12)"
+    )]
     fn grow_from_pool(&mut self, targets: &mut [u32], valid: &[bool], order: &mut Vec<usize>) {
         let assigned: u32 = targets.iter().sum();
         let mut free = self.total_ways.saturating_sub(assigned);
@@ -876,6 +904,10 @@ impl DcatController {
     /// when the pool is empty it is pinned to the top way (CAT forbids an
     /// empty mask, so a fully allocated cache unavoidably shares one way
     /// with unmanaged cores).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "loop-bounded: `i` enumerates `layout`, which the planner sizes to `targets`, one entry per domain; `.get()` would cost the tick (DESIGN.md §12)"
+    )]
     fn apply(
         &mut self,
         targets: &[u32],

@@ -28,16 +28,10 @@
 //!
 //! The `dcatd` binary wraps [`run_daemon_observed`] with command-line parsing.
 
-// Privileged I/O: a tick degrades, it never dies, and no I/O `Result` or
-// error severity is dropped on the floor (DESIGN.md §12).
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::string_slice
-)]
-// `clippy.toml` has no in-tests switch for these; the unit tests own their
-// cleanup and casts. `as_conversions`: counter math never truncates silently.
+// Privileged I/O: no I/O `Result` or error severity is dropped on the floor
+// (DESIGN.md §12). `clippy.toml` has no in-tests switch for these; the unit
+// tests own their cleanup and casts. `as_conversions`: counter math never
+// truncates silently.
 #![cfg_attr(
     not(test),
     deny(

@@ -151,6 +151,11 @@ impl LfocPolicy {
     }
 
     /// Recomputes the cluster assignment and per-cluster way grants.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::integer_division,
+        reason = "loop-bounded: every index is a domain below `n`, and `features` and `cluster_of` hold one entry per domain; `rank * groups / len` is the quantile split, truncation included"
+    )]
     fn recluster(&mut self) {
         let n = self.features.len();
         // Split sensitive vs insensitive.
@@ -436,6 +441,10 @@ mod tests {
     use perf_events::CounterSnapshot;
     use resctrl::{CatCapabilities, InMemoryController};
 
+    #[expect(
+        clippy::integer_division,
+        reason = "fixture arithmetic: the truncated quotient is the intended value"
+    )]
     fn snapshot(ins: u64, cyc: u64, llc_ref: u64, llc_miss: u64) -> CounterSnapshot {
         CounterSnapshot {
             l1_ref: ins / 3,

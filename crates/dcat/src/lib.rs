@@ -49,6 +49,20 @@
 // Library code does not print; bins, tests and benches are other targets and
 // own their stdio (DESIGN.md §12).
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+// A tick degrades, it never dies: no panicking call, index, slice or division
+// anywhere in the crate the tick runs in, save a fn-level `#[expect]` with its
+// reason (DESIGN.md §12).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::integer_division
+)]
 
 pub mod baselines;
 pub mod config;

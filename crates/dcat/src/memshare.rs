@@ -404,6 +404,10 @@ mod tests {
     use perf_events::CounterSnapshot;
     use resctrl::{CatCapabilities, InMemoryController};
 
+    #[expect(
+        clippy::integer_division,
+        reason = "fixture arithmetic: the truncated quotient is the intended value"
+    )]
     fn snapshot(ins: u64, llc_ref: u64, llc_miss: u64) -> CounterSnapshot {
         CounterSnapshot {
             l1_ref: ins / 3,

@@ -61,6 +61,10 @@ impl PerformanceTable {
     /// # Panics
     ///
     /// Panics if `ways` is zero or beyond the table.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the assert bounds `ways` by `max_ways()`, and `entries` holds `max_ways() + 1` slots"
+    )]
     pub fn record(&mut self, ways: u32, norm_ipc: f64) {
         assert!(
             ways >= 1 && ways <= self.max_ways(),
@@ -74,6 +78,10 @@ impl PerformanceTable {
     }
 
     /// The recorded normalized IPC at `ways`, if any.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the early return bounds `ways` by `max_ways()`, and `entries` holds `max_ways() + 1` slots"
+    )]
     pub fn get(&self, ways: u32) -> Option<f64> {
         if ways == 0 || ways > self.max_ways() {
             return None;
@@ -136,6 +144,10 @@ impl PerformanceTable {
 /// workloads must take exactly one option. Returns the chosen way count per
 /// workload, or `None` when some workload has an empty table or no
 /// combination fits the budget.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "loop-bounded: `used <= total` indexes the `total + 1` budget points, and `i` one entry per table; `.get()` would cost the tick (DESIGN.md §12)"
+)]
 pub fn max_performance_split(tables: &[&PerformanceTable], total_ways: u32) -> Option<Vec<u32>> {
     let total = widen(total_ways);
     // dp[w] = best total value using exactly the workloads processed so

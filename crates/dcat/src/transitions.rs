@@ -195,11 +195,14 @@ pub const FIGURE6: &[Rule] = &[
 ///
 /// Panics if no rule matches — impossible while every class retains its
 /// catch-all row (the exhaustive classifier test enumerates totality).
+#[expect(
+    clippy::panic,
+    reason = "the exhaustive classifier test enumerates totality over every class; a non-total table is a build defect worth dying on, not a runtime condition to degrade"
+)]
 pub fn decide(current: WorkloadClass, obs: &Observation) -> &'static Rule {
     FIGURE6
         .iter()
         .find(|r| (r.from.is_none() || r.from == Some(current)) && (r.when)(obs))
-        // lint: allow(DL013, the exhaustive classifier test enumerates totality over every class; a non-total table is a build defect worth dying on, not a runtime condition to degrade)
         .unwrap_or_else(|| panic!("Figure 6 table not total for {current:?}"))
 }
 

@@ -5,7 +5,7 @@ use crate::lexer::SourceFile;
 /// One diagnostic produced by a pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable code, `DL000`…`DL014`.
+    /// Stable code, `DL000`…`DL010`.
     pub code: &'static str,
     /// Repo-relative path with `/` separators.
     pub path: String,
@@ -14,22 +14,14 @@ pub struct Finding {
     pub message: String,
     /// Trimmed source line, truncated.
     pub snippet: String,
-    /// Entry→sink call chain (qualified fn names) for interprocedural
-    /// findings; empty for per-file passes.
-    pub trace: Vec<String>,
 }
 
 impl Finding {
     pub fn render_human(&self) -> String {
-        let mut out = format!(
+        format!(
             "{} {}:{}: {}\n    > {}",
             self.code, self.path, self.line, self.message, self.snippet
-        );
-        if !self.trace.is_empty() {
-            out.push_str("\n    via ");
-            out.push_str(&self.trace.join(" -> "));
-        }
-        out
+        )
     }
 }
 
@@ -55,7 +47,6 @@ impl Sink {
             line,
             message,
             snippet,
-            trace: Vec::new(),
         };
         if file.is_allowed(line, code) {
             self.suppressed.push(finding);
@@ -100,52 +91,23 @@ fn json_escape(s: &str) -> String {
 
 /// Renders the full report as a single JSON object. Hand-rolled — the
 /// workspace is hermetic and the schema is flat.
-pub fn render_json(
-    findings: &[Finding],
-    suppressed: usize,
-    callgraph: Option<&crate::model::GraphSummary>,
-    unresolved_calls: &[String],
-) -> String {
+pub fn render_json(findings: &[Finding], suppressed: usize) -> String {
     let one = |f: &Finding| {
-        let trace: Vec<String> = f
-            .trace
-            .iter()
-            .map(|s| format!("\"{}\"", json_escape(s)))
-            .collect();
         format!(
-            "{{\"code\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\",\"snippet\":\"{}\",\"trace\":[{}]}}",
+            "{{\"code\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\",\"snippet\":\"{}\"}}",
             f.code,
             json_escape(&f.path),
             f.line,
             json_escape(&f.message),
             json_escape(&f.snippet),
-            trace.join(","),
         )
     };
     let all: Vec<String> = findings.iter().map(one).collect();
-    let graph = callgraph
-        .map(|g| {
-            // The unresolved bucket is part of the report (no silent
-            // drops): every call edge the resolver gave up on is listed.
-            let calls: Vec<String> = unresolved_calls
-                .iter()
-                .map(|u| format!("\"{}\"", json_escape(u)))
-                .collect();
-            format!(
-                ",\"callgraph\":{{\"functions\":{},\"edges\":{},\"unresolved\":{},\"unresolved_calls\":[{}]}}",
-                g.functions,
-                g.edges,
-                g.unresolved,
-                calls.join(",")
-            )
-        })
-        .unwrap_or_default();
     format!(
-        "{{\"findings\":[{}],\"counts\":{{\"total\":{},\"suppressed\":{}}}{}}}",
+        "{{\"findings\":[{}],\"counts\":{{\"total\":{},\"suppressed\":{}}}}}",
         all.join(","),
         findings.len(),
         suppressed,
-        graph,
     )
 }
 
@@ -160,35 +122,14 @@ mod tests {
             line: 3,
             message: "m".into(),
             snippet: snippet.into(),
-            trace: Vec::new(),
         }
     }
 
     #[test]
     fn json_report_escapes_quotes() {
-        let out = render_json(&[f("DL002", "say \"hi\"")], 1, None, &[]);
+        let out = render_json(&[f("DL002", "say \"hi\"")], 1);
         assert!(out.contains("say \\\"hi\\\""));
         assert!(out.contains("\"counts\":{\"total\":1,\"suppressed\":1}"));
-        assert!(out.contains("\"trace\":[]"));
-        assert!(!out.contains("callgraph"));
-    }
-
-    #[test]
-    fn json_report_carries_trace_and_graph() {
-        let mut t = f("DL013", "m.first().unwrap()");
-        t.trace = vec!["dcat::a".into(), "dcat::b".into()];
-        let g = crate::model::GraphSummary {
-            functions: 10,
-            edges: 20,
-            unresolved: 3,
-        };
-        let unresolved = vec!["crates/x/src/a.rs:3: `z.sample` (ambiguous)".to_string()];
-        let out = render_json(&[t.clone()], 0, Some(&g), &unresolved);
-        assert!(out.contains("\"trace\":[\"dcat::a\",\"dcat::b\"]"));
-        assert!(out.contains(
-            "\"callgraph\":{\"functions\":10,\"edges\":20,\"unresolved\":3,\"unresolved_calls\":[\"crates/x/src/a.rs:3: `z.sample` (ambiguous)\"]}"
-        ));
-        assert!(t.render_human().contains("via dcat::a -> dcat::b"));
     }
 
     #[test]

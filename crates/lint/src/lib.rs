@@ -18,20 +18,14 @@
 //! | DL005 | direct fs I/O in the control loop | control, daemon |
 //! | DL007 | pointer-address ordering | all crates |
 //! | DL010 | FIGURE6 vs DESIGN.md spec drift | transitions.rs + DESIGN.md |
-//! | DL013 | panic reachable from the daemon/apply path | entry points: `run_daemon*`, `ControlLoop::step`, every policy's `decide`, `DcatController::{apply*,tick*}` |
-//! | DL014 | mixed-unit arithmetic (ways/bytes/misses/…) | dcat, resctrl, llc-sim, host |
 //!
 //! Entry points: [`check_repo`] (scoped repo gate), [`scan_files`]
 //! (all passes on arbitrary files, for fixture checks), [`self_test`]
 //! (every pass against its embedded fixtures).
 
-pub mod dataflow;
 pub mod diagnostics;
 pub mod lexer;
-pub mod model;
-pub mod parse;
 pub mod passes;
-pub mod tokens;
 
 use diagnostics::{Finding, Sink};
 use lexer::SourceFile;
@@ -44,12 +38,6 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Findings silenced by inline `lint: allow` annotations.
     pub suppressed: Vec<Finding>,
-    /// Call-graph size counters (None when no graph was built).
-    pub callgraph: Option<model::GraphSummary>,
-    /// The unresolved call bucket, rendered `path:line: call (reason)`.
-    /// Reported, never hidden: each entry is a hole in the
-    /// interprocedural guarantees.
-    pub unresolved: Vec<String>,
 }
 
 /// Walks upward from `start` to the workspace root (the directory with
@@ -111,7 +99,6 @@ fn check_allows(file: &SourceFile, sink: &mut Sink) {
                 .get(line - 1)
                 .map(|l| l.raw.trim().to_string())
                 .unwrap_or_default(),
-            trace: Vec::new(),
         });
     }
     let known = passes::known_codes();
@@ -124,7 +111,6 @@ fn check_allows(file: &SourceFile, sink: &mut Sink) {
                     line: i + 1,
                     message: format!("allow annotation names unknown code `{}`", allow.code),
                     snippet: l.raw.trim().to_string(),
-                    trace: Vec::new(),
                 });
             }
         }
@@ -137,30 +123,17 @@ pub fn check_repo(root: &Path) -> Result<Report, String> {
     let mut sink = Sink::default();
     let crates_dir = root.join("crates");
     let mut files = Vec::new();
-    let mut graph_files = Vec::new();
-    let mut crate_idents = std::collections::BTreeMap::new();
     let entries =
         std::fs::read_dir(&crates_dir).map_err(|e| format!("crates dir unreadable: {e}"))?;
     for entry in entries {
         let dir = entry.map_err(|e| format!("dir entry: {e}"))?.path();
         let name = dir.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if !dir.is_dir() {
-            continue;
-        }
-        if let Some(ident) = package_ident(&dir.join("Cargo.toml")) {
-            crate_idents.insert(name.to_string(), ident);
-        }
-        // The graph spans every crate's src/ tree — including lint,
-        // whose fns are simply unreachable from the dCat entry points —
-        // but never test fixtures.
-        collect_rust_files(&dir, &mut graph_files)?;
-        if name == "lint" {
+        if !dir.is_dir() || name == "lint" {
             continue;
         }
         collect_rust_files(&dir, &mut files)?;
     }
     files.sort();
-    graph_files.sort();
 
     for path in &files {
         let rel = rel_path(root, path);
@@ -172,21 +145,6 @@ pub fn check_repo(root: &Path) -> Result<Report, String> {
             passes::run_pass(code, &file, &mut sink);
         }
     }
-
-    // Interprocedural passes over the workspace call graph.
-    let mut sources = Vec::new();
-    for path in &graph_files {
-        let rel = rel_path(root, path);
-        if !rel.contains("/src/") || rel.contains("/fixtures/") {
-            continue;
-        }
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        sources.push((rel, text));
-    }
-    let ws = model::Workspace::from_sources(&sources, &crate_idents);
-    passes::interproc::run_all(&ws, passes::interproc::EntryMode::Repo, &mut sink);
-    let summary = ws.summary();
-    let unresolved = render_unresolved(&ws);
 
     let transitions = root.join("crates/dcat/src/transitions.rs");
     let design = root.join("DESIGN.md");
@@ -202,19 +160,13 @@ pub fn check_repo(root: &Path) -> Result<Report, String> {
         &mut sink,
     );
 
-    let mut report = finish(sink);
-    report.callgraph = Some(summary);
-    report.unresolved = unresolved;
-    Ok(report)
+    Ok(finish(sink))
 }
 
 /// Applies every per-file pass, unscoped, to the given files — the mode
-/// CI uses to prove the gate fails on a seeded fixture. The
-/// interprocedural passes run too, with every call-graph root as an
-/// entry point.
+/// CI uses to prove the gate fails on a seeded fixture.
 pub fn scan_files(paths: &[PathBuf]) -> Result<Report, String> {
     let mut sink = Sink::default();
-    let mut sources = Vec::new();
     for path in paths {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let rel = path.to_string_lossy().replace('\\', "/");
@@ -223,14 +175,8 @@ pub fn scan_files(paths: &[PathBuf]) -> Result<Report, String> {
         for code in passes::FILE_PASS_CODES {
             passes::run_pass(code, &file, &mut sink);
         }
-        sources.push((rel, text));
     }
-    let ws = model::Workspace::from_sources(&sources, &std::collections::BTreeMap::new());
-    passes::interproc::run_all(&ws, passes::interproc::EntryMode::Roots, &mut sink);
-    let mut report = finish(sink);
-    report.callgraph = Some(ws.summary());
-    report.unresolved = render_unresolved(&ws);
-    Ok(report)
+    Ok(finish(sink))
 }
 
 fn finish(sink: Sink) -> Report {
@@ -240,40 +186,7 @@ fn finish(sink: Sink) -> Report {
     Report {
         findings,
         suppressed: sink.suppressed,
-        callgraph: None,
-        unresolved: Vec::new(),
     }
-}
-
-/// Renders the unresolved-call bucket for the report.
-fn render_unresolved(ws: &model::Workspace) -> Vec<String> {
-    ws.unresolved
-        .iter()
-        .map(|u| {
-            format!(
-                "{}:{}: `{}` ({})",
-                ws.unit_of(u.caller).file.path,
-                u.line,
-                u.call,
-                u.reason
-            )
-        })
-        .collect()
-}
-
-/// First `name = "…"` in a Cargo.toml, underscored — the crate ident
-/// used in `use` paths.
-fn package_ident(manifest: &Path) -> Option<String> {
-    let text = std::fs::read_to_string(manifest).ok()?;
-    for line in text.lines() {
-        let t = line.trim();
-        if let Some(rest) = t.strip_prefix("name") {
-            let rest = rest.trim_start().strip_prefix('=')?.trim();
-            let name = rest.trim_matches('"');
-            return Some(name.replace('-', "_"));
-        }
-    }
-    None
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {

@@ -6,11 +6,10 @@
 //!
 //! Runs the pass self-tests first (a pass that stopped detecting its own
 //! pattern must not report "clean"). With no file arguments, runs the
-//! scoped repo gate (per-file passes, the DL010 spec-drift check, and
-//! the interprocedural DL013/DL014 passes over the workspace call graph)
-//! from the workspace root; with files, applies every pass to them
-//! unscoped (the CI fixture mode). Exit status: 0 when clean, 1 on any
-//! finding, 2 on usage/IO errors or a failed self-test.
+//! scoped repo gate (per-file passes and the DL010 spec-drift check)
+//! from the workspace root; with files, applies every per-file pass to
+//! them unscoped (the CI fixture mode). Exit status: 0 when clean, 1 on
+//! any finding, 2 on usage/IO errors or a failed self-test.
 
 use dcat_lint::{check_repo, diagnostics, find_repo_root, scan_files, self_test};
 use std::path::PathBuf;
@@ -77,23 +76,11 @@ fn main() -> ExitCode {
     if opts.json {
         println!(
             "{}",
-            diagnostics::render_json(
-                &report.findings,
-                report.suppressed.len(),
-                report.callgraph.as_ref(),
-                &report.unresolved,
-            )
+            diagnostics::render_json(&report.findings, report.suppressed.len())
         );
     } else {
         for f in &report.findings {
             eprintln!("dcat-lint: {}", f.render_human());
-        }
-        if let Some(g) = &report.callgraph {
-            println!(
-                "dcat-lint: call graph: {} function(s), {} edge(s), {} unresolved call(s) \
-                 (full list under --json)",
-                g.functions, g.edges, g.unresolved
-            );
         }
         println!(
             "dcat-lint: {} finding(s), {} suppressed by annotation",

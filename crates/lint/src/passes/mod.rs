@@ -7,7 +7,6 @@ pub mod cbm_bits;
 pub mod determinism;
 pub mod direct_io;
 pub mod float_eq;
-pub mod interproc;
 pub mod spec_drift;
 
 use crate::diagnostics::Sink;
@@ -29,8 +28,6 @@ pub fn known_codes() -> Vec<&'static str> {
     let mut v = vec![DL000];
     v.extend(FILE_PASS_CODES);
     v.push(spec_drift::CODE);
-    v.push(interproc::PANIC_REACH_CODE);
-    v.push(interproc::UNIT_CODE);
     v
 }
 
@@ -52,7 +49,6 @@ pub fn self_test_all() -> Result<(), String> {
     direct_io::self_test()?;
     determinism::self_test()?;
     spec_drift::self_test()?;
-    interproc::self_test()?;
     Ok(())
 }
 

@@ -118,7 +118,6 @@ fn drift(path: &str, line: usize, message: String, snippet: &str) -> Finding {
         line,
         message,
         snippet: snippet.to_string(),
-        trace: Vec::new(),
     }
 }
 

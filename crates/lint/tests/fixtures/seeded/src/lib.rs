@@ -6,11 +6,15 @@
 //! without the `pub mod seeds;` line, which must pass — it is the seeds
 //! that fail, not the crate. The `disallowed-*` lists come from the
 //! repository's root `clippy.toml` (clippy walks up from this manifest);
-//! the restriction lints are declared here the way the product modules
+//! the restriction lints are declared here the way the product crates
 //! declare them.
 
 #![deny(
     clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::integer_division,
+    clippy::allow_attributes_without_reason,
     clippy::indexing_slicing,
     clippy::string_slice,
     clippy::as_conversions,

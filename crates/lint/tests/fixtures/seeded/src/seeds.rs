@@ -6,6 +6,28 @@ pub fn first_field(text: &str) -> u64 {
     text.parse().unwrap()
 }
 
+/// DL013 → `clippy::expect_used`.
+pub fn first_field_or_die(text: &str) -> u64 {
+    text.parse().expect("a number")
+}
+
+/// DL013 → `clippy::panic`.
+pub fn rule_for(found: Option<u64>) -> u64 {
+    match found {
+        Some(rule) => rule,
+        None => panic!("table not total"),
+    }
+}
+
+/// DL013 → `clippy::integer_division`: division by a variable.
+pub fn share(total: u64, groups: u64) -> u64 {
+    total / groups
+}
+
+/// DL000, carried over to attributes → `clippy::allow_attributes_without_reason`.
+#[allow(dead_code)]
+fn unused() {}
+
 /// DL009 → `clippy::indexing_slicing` and `clippy::string_slice`.
 pub fn head<'a>(fields: &[u64], text: &'a str) -> (u64, &'a str) {
     (fields[0], &text[..1])

@@ -6,7 +6,6 @@
 use dcat_lint::diagnostics::Sink;
 use dcat_lint::lexer::{scrub, SourceFile};
 use dcat_lint::passes;
-use dcat_lint::tokens::{tokenize, TokKind};
 use prop_lite::run_cases;
 
 /// Fragments that, placed in *code*, trigger a pass.
@@ -110,81 +109,6 @@ fn scrub_preserves_line_structure() {
             src.matches('\n').count(),
             "scrubbing changed the line count:\n{src}"
         );
-    });
-}
-
-/// Closing `>` runs of arbitrarily nested generics must come out as
-/// individual `>` tokens — never a `>>` shift — or type spans inside
-/// `let x: Vec<Vec<u8>> = …` would swallow the `=` that follows.
-#[test]
-fn nested_generic_closers_never_fuse_into_shifts() {
-    run_cases("nested_generic_closers_never_fuse_into_shifts", 200, |g| {
-        let depth = g.usize_in(2, 6);
-        let mut ty = String::from("u8");
-        for _ in 0..depth {
-            ty = format!("Vec<{ty}>");
-        }
-        let src = format!("let x: {ty} = make();");
-        let toks = tokenize(&src);
-        assert!(
-            toks.iter().all(|t| t.text != ">>" && t.text != ">>="),
-            "fused shift token in: {src}"
-        );
-        assert_eq!(
-            toks.iter().filter(|t| t.text == ">").count(),
-            depth,
-            "wrong number of `>` tokens in: {src}"
-        );
-        // A real shift keeps its two `>` adjacent (the `joined` flag),
-        // so shift-aware passes can still recognize it.
-        let shift = tokenize("let y = bits >> amount;");
-        let adjacent = shift
-            .windows(2)
-            .any(|w| w[0].text == ">" && w[1].text == ">" && w[0].joined);
-        assert!(adjacent, "shift lost its adjacency marker");
-    });
-}
-
-/// Float literals with exponents are one token; splitting `1e-6` at the
-/// sign would hand the parser a phantom `-` operator mid-number.
-#[test]
-fn float_exponents_lex_as_single_numbers() {
-    run_cases("float_exponents_lex_as_single_numbers", 200, |g| {
-        let mantissa = *g.pick(&["1", "1.5", "0.25", "12.0", "3"]);
-        let marker = *g.pick(&["e", "E"]);
-        let sign = *g.pick(&["", "+", "-"]);
-        let exp = g.usize_in(0, 12);
-        let lit = format!("{mantissa}{marker}{sign}{exp}");
-        let src = format!("let eps = {lit};");
-        let toks = tokenize(&src);
-        let nums: Vec<_> = toks.iter().filter(|t| t.kind == TokKind::Number).collect();
-        assert_eq!(nums.len(), 1, "split literal `{lit}` in: {src}");
-        assert_eq!(nums[0].text, lit, "mangled literal in: {src}");
-        assert!(
-            !toks.iter().any(|t| t.text == "+" || t.text == "-"),
-            "phantom sign operator from `{lit}`"
-        );
-    });
-}
-
-/// `r#ident` is an identifier whose *name* matches the keyword but which
-/// must never satisfy keyword checks (`r#fn` is a legal fn name).
-#[test]
-fn raw_identifiers_do_not_satisfy_keyword_checks() {
-    run_cases("raw_identifiers_do_not_satisfy_keyword_checks", 200, |g| {
-        let kw = *g.pick(&["fn", "match", "loop", "use", "impl", "type", "mod"]);
-        let src = format!("let r#{kw} = 1; let other = r#{kw};");
-        let toks = tokenize(&src);
-        let raws: Vec<_> = toks.iter().filter(|t| t.raw_ident).collect();
-        assert_eq!(raws.len(), 2, "raw idents miscounted in: {src}");
-        for t in raws {
-            assert_eq!(t.kind, TokKind::Ident);
-            assert_eq!(t.text, kw, "raw ident text keeps the bare name");
-            assert!(
-                !t.is_kw(kw),
-                "r#{kw} must not satisfy the `{kw}` keyword check"
-            );
-        }
     });
 }
 

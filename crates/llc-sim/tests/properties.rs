@@ -2,7 +2,10 @@
 
 // The hash-container ban (root `clippy.toml`) guards simulator state; the
 // map below only remembers what each page translated to.
-#![allow(clippy::disallowed_types)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the map only remembers what each page translated to; no iteration order escapes"
+)]
 
 use llc_sim::{
     AccessKind, CacheGeometry, FrameAllocator, FramePolicy, Hierarchy, HierarchyConfig, LineAddr,

@@ -50,6 +50,11 @@ pub fn quote(s: &str) -> String {
 /// digit from `1e-4` up to (not including) `1e16`, `d.ddde-x` outside —
 /// without `core::fmt`. Every float this crate renders goes through here;
 /// `{:?}` survives only as the oracle in `tests/shortest_f64.rs`.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::integer_division,
+    reason = "`buf` has room for the widest form, `DIGIT_PAIRS` is indexed by a two-digit pair, and the divisions peel decimal digits; `.get()` would cost every frame (DESIGN.md §16)"
+)]
 pub fn push_f64(out: &mut String, v: f64) {
     let bits = v.to_bits();
     let negative = bits >> 63 != 0;
@@ -172,6 +177,11 @@ const DIGIT_PAIRS: &[u8; 200] = b"\
 /// keep the half-ulp ends integral. Then `s = floor(v / 10^k)`: a multiple
 /// of ten units inside the interval is shorter and unique; otherwise of
 /// `s` and `s + 1` take the one inside, or the closer when both are.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::integer_division,
+    reason = "`POW10` spans every `-k` a finite double yields, and the divisions are the algorithm's digit arithmetic"
+)]
 fn shortest_decimal(fraction: u64, biased: u64) -> (u64, i32) {
     let (c, q) = if biased == 0 {
         (fraction, -1074)
@@ -390,6 +400,10 @@ impl Parser<'_> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`pos` never passes `bytes.len()`: it advances only past bytes `peek` saw"
+    )]
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
@@ -450,6 +464,10 @@ impl Parser<'_> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "both slices are checked against `bytes.len()` on the line before"
+    )]
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -512,6 +530,10 @@ impl Parser<'_> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`start..pos` lies in `bytes`: `pos` advances only past bytes `peek` saw"
+    )]
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {

@@ -20,6 +20,21 @@
 //! renderers, [`promcheck`] the validators behind `obs-dump --check`, and
 //! [`frames`] the `dcat-frames/v1` per-tick stream `dcat-top` renders.
 
+// A tick degrades, it never dies: no panicking call, index, slice or division
+// anywhere in the crate the tick runs in, save a fn-level `#[expect]` with its
+// reason (DESIGN.md §12).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::integer_division
+)]
+
 pub mod frames;
 pub mod json;
 pub mod metrics;

@@ -50,7 +50,7 @@ pub struct Histogram {
 
 impl Histogram {
     fn new(bounds: &'static [u64]) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(bounds.is_sorted_by(|a, b| a < b));
         Histogram {
             bounds,
             counts: vec![0; bounds.len() + 1],
@@ -59,6 +59,10 @@ impl Histogram {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`idx <= bounds.len()`, and `counts` holds a bucket per bound plus +Inf"
+    )]
     fn observe(&mut self, v: u64) {
         let idx = self
             .bounds
@@ -84,7 +88,8 @@ impl Histogram {
 }
 
 /// One metric value. The kind is fixed by the first touch of a key; mixing
-/// kinds under one name is a programmer error and panics.
+/// kinds under one name is a programmer error, which the [`Registry`] drops
+/// and counts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
     Counter(u64),
@@ -102,8 +107,8 @@ impl MetricValue {
     }
 
     /// Commutative merge: counters add, gauges keep the max, histograms add
-    /// element-wise.
-    fn merge(&mut self, other: &MetricValue) {
+    /// element-wise. False, and `self` untouched, when the kinds differ.
+    fn merge(&mut self, other: &MetricValue) -> bool {
         match (self, other) {
             (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
             (MetricValue::Gauge(a), MetricValue::Gauge(b)) => {
@@ -112,12 +117,9 @@ impl MetricValue {
                 }
             }
             (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
-            (a, b) => panic!(
-                "metric kind mismatch in merge: {} vs {}",
-                a.kind(),
-                b.kind()
-            ),
+            _ => return false,
         }
+        true
     }
 }
 
@@ -279,7 +281,8 @@ impl Registry {
     }
 
     /// Fold a snapshot back into this registry (same merge rules as
-    /// [`Snapshot::merge`]).
+    /// [`Snapshot::merge`]). A series whose kind differs from the one
+    /// registered is dropped and counted in [`Registry::type_conflicts`].
     pub fn merge_snapshot(&mut self, snap: &Snapshot) {
         for (key, value) in &snap.entries {
             let existing = self
@@ -287,7 +290,11 @@ impl Registry {
                 .get(key)
                 .and_then(|&slot| self.series.get_mut(slot));
             match existing {
-                Some((_, existing)) => existing.merge(value),
+                Some((_, existing)) => {
+                    if !existing.merge(value) {
+                        self.type_conflicts += 1;
+                    }
+                }
                 None => {
                     self.resolve(key.clone(), || value.clone());
                 }
@@ -322,10 +329,27 @@ impl Snapshot {
 
     /// Merge another snapshot into this one. Commutative and associative:
     /// counters add, gauges keep the max, histograms add element-wise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a series has a different kind in `other`.
+    #[expect(
+        clippy::panic,
+        reason = "its one caller, host::multi, merges snapshots whose kinds one build's code fixes; a mismatch is a build defect"
+    )]
     pub fn merge(&mut self, other: &Snapshot) {
         for (key, value) in &other.entries {
             match self.entries.get_mut(key) {
-                Some(existing) => existing.merge(value),
+                Some(existing) => {
+                    if !existing.merge(value) {
+                        panic!(
+                            "metric kind mismatch in merge of {}: {} vs {}",
+                            key.name,
+                            existing.kind(),
+                            value.kind()
+                        );
+                    }
+                }
                 None => {
                     self.entries.insert(key.clone(), value.clone());
                 }
@@ -336,6 +360,10 @@ impl Snapshot {
     /// Render in Prometheus text exposition format. Families appear in name
     /// order with a `# TYPE` header each; series within a family follow
     /// label order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` enumerates `bounds`, and `counts` holds a bucket per bound plus +Inf"
+    )]
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         let mut last_name = "";
@@ -392,6 +420,10 @@ impl Snapshot {
     }
 
     /// Render as JSONL: one self-describing object per series.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` enumerates `bounds`, and `counts` holds a bucket per bound plus +Inf"
+    )]
     pub fn to_jsonl(&self) -> String {
         use crate::json::{array, Obj};
         let mut out = String::new();
@@ -690,6 +722,20 @@ ticks_total 3
         let snap = r.snapshot();
         assert_eq!(snap.len(), sample().snapshot().len());
         assert_eq!(snap.get("ticks_total", &[]), Some(&MetricValue::Counter(5)));
+    }
+
+    #[test]
+    fn merge_snapshot_drops_and_counts_a_kind_mismatch() {
+        let mut r = Registry::new();
+        r.counter_add("x", &[], 1);
+        let mut other = Registry::new();
+        other.gauge_set("x", &[], 9.0);
+        other.counter_add("y", &[], 2);
+        r.merge_snapshot(&other.snapshot());
+        assert_eq!(r.type_conflicts(), 1);
+        let snap = r.snapshot();
+        assert_eq!(snap.get("x", &[]), Some(&MetricValue::Counter(1)));
+        assert_eq!(snap.get("y", &[]), Some(&MetricValue::Counter(2)));
     }
 
     #[test]

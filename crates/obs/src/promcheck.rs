@@ -16,6 +16,10 @@ pub struct PromSummary {
 
 /// Validate Prometheus exposition text. Returns family/sample counts or the
 /// first violation found.
+#[expect(
+    clippy::unreachable,
+    reason = "`split_family` returns only the three roles matched before it"
+)]
 pub fn check_prometheus(text: &str) -> Result<PromSummary, String> {
     // family name -> declared kind
     let mut families: BTreeMap<String, String> = BTreeMap::new();
@@ -191,6 +195,11 @@ fn split_family<'a>(
     (name, None)
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    reason = "every index is checked against `bytes.len()` first, and every slice boundary follows an ASCII byte"
+)]
 fn parse_sample(line: &str) -> Result<Sample, String> {
     let bytes = line.as_bytes();
     let mut i = 0;

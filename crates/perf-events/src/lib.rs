@@ -35,6 +35,20 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 // Counter math: no silent truncation or sign change (DESIGN.md §12).
 #![cfg_attr(not(test), deny(clippy::as_conversions))]
+// A tick degrades, it never dies: no panicking call, index, slice or division
+// anywhere in the crate the tick runs in, save a fn-level `#[expect]` with its
+// reason (DESIGN.md §12).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::integer_division
+)]
 
 pub mod convert;
 pub mod events;

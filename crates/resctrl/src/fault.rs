@@ -100,6 +100,10 @@ impl FaultPlan {
     /// A pseudo-random schedule over daemon ticks `1..=ticks` where each
     /// tick carries one fault with probability `rate`. Seed through
     /// [`smallrng::split_seed`] to keep parallel sweeps deterministic.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`gen_range_usize(0..len)` is below `ALL_FAULTS.len()`"
+    )]
     pub fn random(seed: u64, ticks: u64, rate: f64) -> Self {
         let mut rng = smallrng::SmallRng::seed_from_u64(seed);
         let mut faults = Vec::new();

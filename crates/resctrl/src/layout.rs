@@ -79,6 +79,10 @@ impl LayoutPlanner {
     /// [`Self::layout_stable`] into a buffer the caller keeps across
     /// intervals (a controller lays out every tick). `result` is
     /// overwritten; on error its contents are unspecified.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "loop-bounded: indices enumerate `counts`, and the assert and `resize` give `previous` and `result` its length; `.get()` would cost the tick (DESIGN.md §12)"
+    )]
     pub fn layout_stable_into(
         &self,
         counts: &[u32],
@@ -252,6 +256,10 @@ impl LayoutPlanner {
         Ok(())
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`order` is a permutation of `0..counts.len()`, and `result` holds `counts.len()` masks"
+    )]
     fn layout_in_order(&self, counts: &[u32], order: Vec<usize>) -> Result<Vec<Cbm>, ResctrlError> {
         let total: u32 = counts.iter().sum();
         if total > self.cbm_len {

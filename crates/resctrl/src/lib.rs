@@ -47,6 +47,20 @@
     not(test),
     deny(clippy::let_underscore_must_use, clippy::wildcard_enum_match_arm)
 )]
+// A tick degrades, it never dies: no panicking call, index, slice or division
+// anywhere in the crate the tick runs in, save a fn-level `#[expect]` with its
+// reason (DESIGN.md §12).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::integer_division
+)]
 
 pub mod cbm;
 pub mod controller;

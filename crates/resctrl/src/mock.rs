@@ -44,6 +44,10 @@ impl InMemoryController {
     /// Whether any two *in-use* classes (classes with at least one core
     /// assigned) have overlapping masks. dCat's isolation invariant is that
     /// this never holds.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every assigned class passed `validate_cos`, and `cos_masks` holds one mask per class"
+    )]
     pub fn has_overlapping_active_masks(&self) -> bool {
         let mut active: Vec<CosId> = self.core_assignment.clone();
         active.sort_unstable();
@@ -89,11 +93,19 @@ impl CacheController for InMemoryController {
         Ok(())
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`validate_cos` bounds `cos` by `num_closids`, the length of `cos_masks`"
+    )]
     fn cos_mask(&self, cos: CosId) -> Result<Cbm, ResctrlError> {
         self.validate_cos(cos)?;
         Ok(self.cos_masks[cos.0 as usize])
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`core < num_cores`, the length of `core_assignment`, is checked first"
+    )]
     fn core_cos(&self, core: u32) -> Result<CosId, ResctrlError> {
         if core >= self.num_cores {
             return Err(ResctrlError::InvalidCore(core));

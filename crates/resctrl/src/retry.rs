@@ -13,14 +13,6 @@
 //! the daemon can surface what happened in its structured event log
 //! instead of silently eating failures.
 
-// Privileged I/O: a tick degrades, it never dies (DESIGN.md §12).
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::string_slice
-)]
-
 use std::time::Duration;
 
 use crate::cbm::Cbm;

@@ -53,7 +53,13 @@
 // The hash-container ban (root `clippy.toml`) guards simulator and
 // controller state whose order reaches output; this crate's unit tests
 // only count distinct values with them.
-#![cfg_attr(test, allow(clippy::disallowed_types))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_types,
+        reason = "unit tests only count distinct values; no iteration order escapes"
+    )
+)]
 
 pub mod diurnal;
 pub mod lookbusy;
