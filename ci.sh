@@ -99,7 +99,8 @@ echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch co
 # the lockstep test that would notice it break (DESIGN.md §14). 04-06 are
 # the float printer's tie rule and switch point and the row parser's digit
 # lane (§16, "third pass"); 07-09 the engine slice's held caches and
-# estimator (§14, "Fifth pass").
+# estimator (§14, "Fifth pass"); 10-11 the pool's reorder window and the
+# fleet's streaming fold (§15).
 sh tools/mutants.sh tests/mutants/*.patch
 
 echo "==> the float printer against {:?}, 30 M draws of each shape (release; the debug run above did 1 M)"
@@ -150,12 +151,15 @@ echo "==> fleet smoke: 1000 tenants, sampled sets, byte-identity across jobs wid
 # The cluster scenario layer fans hosts over the worker pool; the smoke
 # proves a 1000-tenant sampled run is fast AND byte-identical whether
 # hosts step on two workers or four.
-# A host lives only as long as its run, so memory follows --jobs, not the
-# host count: 10.8 MiB here, 98 MiB when every host was built up front.
+# A host lives only as long as its run and its result only until the
+# coordinator has folded it, so memory follows --jobs, not the host count:
+# 13.7 MiB at 1 000 tenants and at 10 000 alike (48 MiB at 10 000 while
+# every host's result was held; 98 MiB at 1 000 with every host built up
+# front). The 10 000-tenant run (~10 s) is what makes "flat" a gate.
 if command -v python3 > /dev/null; then
-    rss_ceiling="python3 tools/rss_ceiling.py 32"
+    rss_ceiling="python3 tools/rss_ceiling.py 16"
 else
-    echo "no python3: fleet smoke runs without its 32 MiB RSS ceiling"
+    echo "no python3: fleet smoke runs without its 16 MiB RSS ceiling"
     rss_ceiling=""
 fi
 cargo build -q --release -p dcat-bench --offline --bin fleet_scale
@@ -167,6 +171,8 @@ if ! cmp -s target/fleet_smoke.jobs2.txt target/fleet_smoke.jobs4.txt; then
     echo "ERROR: fleet_scale output differs between --jobs 2 and --jobs 4" >&2
     exit 1
 fi
+$rss_ceiling target/release/fleet_scale --fast \
+    --tenants 10000 --sample-sets 8 --jobs 2 > target/fleet_smoke.10k.txt
 
 echo "==> metrics + frame-stream export: fig07 with --metrics-out/--frames-out, validated by obs-dump"
 cargo run -q --release -p dcat-bench --offline --bin fig07_lifecycle -- --fast \

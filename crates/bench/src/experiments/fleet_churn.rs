@@ -8,7 +8,7 @@
 //! The report shows the active-tenant curve and how each policy's
 //! throughput and COS pressure hold up while the population shifts.
 
-use crate::fleet::{run_fleet, FleetConfig, FleetPolicy};
+use crate::fleet::{run_fleet_with, FleetConfig, FleetPolicy};
 use crate::report;
 
 /// One policy's summary under churn.
@@ -49,7 +49,7 @@ pub fn run_at(tenants: u32, fast: bool) -> Result<Vec<FleetChurnRow>, resctrl::R
     cfg.churn = true;
     let mut rows = Vec::new();
     for policy in FleetPolicy::ALL {
-        let r = run_fleet(policy, &cfg)?;
+        let r = run_fleet_with(policy, &cfg, &mut |_: &str| {})?;
         rows.push(FleetChurnRow {
             policy: r.policy,
             requests: r.total_requests(),

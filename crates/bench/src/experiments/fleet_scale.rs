@@ -13,7 +13,7 @@
 //! — pass `--sample-sets 8` to run them in minutes; the sampled run is
 //! still byte-identical at any `--jobs` width.
 
-use crate::fleet::{run_fleet, FleetConfig, FleetPolicy};
+use crate::fleet::{run_fleet_with, FleetConfig, FleetPolicy, FleetSink};
 use crate::report;
 
 /// One policy × fleet-size cell of the comparison.
@@ -35,20 +35,29 @@ pub struct FleetScaleRow {
     pub mean_cos: f64,
 }
 
-/// Runs the standard ladder: a small smoke in fast mode, the paper-style
+/// The standard ladder: a small smoke in fast mode, the paper-style
 /// 100/1 000/10 000 ladder otherwise.
+pub fn ladder(fast: bool) -> &'static [u32] {
+    if fast {
+        &[48]
+    } else {
+        &[100, 1_000, 10_000]
+    }
+}
+
+/// Runs the standard [`ladder`], keeping no frames.
 ///
 /// # Errors
 ///
 /// Propagates the [`resctrl::ResctrlError`] of the first fleet run that
 /// fails, so the binary classifies it at the exit boundary.
 pub fn run(fast: bool) -> Result<Vec<FleetScaleRow>, resctrl::ResctrlError> {
-    let ladder: &[u32] = if fast { &[48] } else { &[100, 1_000, 10_000] };
-    run_at(ladder, fast)
+    run_at(ladder(fast), fast, &mut |_: &str| {})
 }
 
 /// Runs the comparison at explicit fleet sizes (the `--tenants N` path
-/// of the binary).
+/// of the binary), handing every run's frame stream to `frames`: fleet
+/// size by fleet size, policy by policy, in report order.
 ///
 /// # Errors
 ///
@@ -57,15 +66,16 @@ pub fn run(fast: bool) -> Result<Vec<FleetScaleRow>, resctrl::ResctrlError> {
 pub fn run_at(
     tenant_counts: &[u32],
     fast: bool,
+    frames: &mut FleetSink<'_>,
 ) -> Result<Vec<FleetScaleRow>, resctrl::ResctrlError> {
     report::section("Fleet scale: cluster cache policies at increasing tenant counts");
     let mut rows = Vec::new();
-    // Policies run serially: run_fleet fans its hosts over the worker
+    // Policies run serially: run_fleet_with fans its hosts over the worker
     // pool internally, so the parallelism budget is already spent.
     for &tenants in tenant_counts {
         let cfg = FleetConfig::new(tenants, fast);
         for policy in FleetPolicy::ALL {
-            let r = run_fleet(policy, &cfg)?;
+            let r = run_fleet_with(policy, &cfg, frames)?;
             rows.push(FleetScaleRow {
                 policy: r.policy,
                 tenants,

@@ -17,11 +17,12 @@
 //!   [`FleetConfig::tenants_per_host`] single-core slots (kept under
 //!   dCat's `num_closids - 1` domain ceiling). Hosts share nothing, so a
 //!   host lives exactly as long as its run: [`host::Pool`] hands each
-//!   worker a shard, the worker builds the host, runs every epoch and
-//!   drops it, and only plain results come back. They are merged in host
-//!   order, so reports, metrics, and decision traces are byte-identical
-//!   at any `--jobs` width, and live simulator state is one host per
-//!   worker however large the fleet.
+//!   worker a host index, the worker generates the shard, builds the
+//!   host, runs every epoch and drops it, and only plain results come
+//!   back — streamed to the coordinator in host order and folded as they
+//!   arrive, so reports, metrics, and decision traces are byte-identical
+//!   at any `--jobs` width, and what a run holds is a few hosts and
+//!   results per worker however large the fleet ([`run_fleet_with`]).
 //! * **Policy comparison** — every host runs one [`FleetPolicy`]: dCat
 //!   max-fairness, dCat max-performance, LFOC-style clustering
 //!   ([`dcat::LfocPolicy`]), or Memshare-style share accounting
@@ -53,8 +54,7 @@ const CURVE_REQUESTS_PER_STEP: u64 = 64;
 /// (tenant ids occupy the low streams).
 const HOST_SEED_STREAM: u64 = 1 << 32;
 
-/// The service a tenant runs. Mix weights live in
-/// [`TenantSpec::generate`].
+/// The service a tenant runs. Mix weights live in [`TenantSpec::new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceKind {
     /// Zipfian GET/SET key-value cache.
@@ -103,49 +103,53 @@ pub struct TenantSpec {
 }
 
 impl TenantSpec {
-    /// Generates the whole fleet's lifecycle traces. Each tenant draws
-    /// from its own `split_seed(cfg.seed, id)` stream, so traces are
-    /// stable under fleet-size changes.
+    /// Tenant `id`'s lifecycle trace, drawn from its own
+    /// `split_seed(cfg.seed, id)` stream, so it is the same whatever the
+    /// fleet's size and whoever derives it.
+    pub fn new(cfg: &FleetConfig, id: u32) -> TenantSpec {
+        let seed = split_seed(cfg.seed, u64::from(id));
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let service = match rng.gen_range(0..100) {
+            0..=34 => ServiceKind::Redis,
+            35..=59 => ServiceKind::Postgres,
+            60..=74 => ServiceKind::Elasticsearch,
+            75..=87 => ServiceKind::Analytics,
+            _ => ServiceKind::Streaming,
+        };
+        let phase = rng.gen_range_usize(0..workloads::DAY_CURVE.len());
+        let e = cfg.epochs.max(2);
+        let (arrival_epoch, lifetime) = if cfg.churn {
+            // Churn mode: arrivals spread over most of the run, lifetimes
+            // short enough that slots turn over.
+            let arrival = rng.gen_range(0..(3 * e).div_ceil(4));
+            let lifetime = rng.gen_range(e.div_ceil(4)..(3 * e).div_ceil(4).max(2));
+            (arrival, lifetime)
+        } else {
+            // Steady mode: most tenants present from the start and stay; a
+            // minority arrives mid-run.
+            let arrival = if rng.gen_range(0..100) < 75 {
+                0
+            } else {
+                rng.gen_range(1..e.div_ceil(2).max(2))
+            };
+            let lifetime = rng.gen_range((2 * e).div_ceil(3)..2 * e);
+            (arrival, lifetime)
+        };
+        TenantSpec {
+            id,
+            service,
+            arrival_epoch,
+            departure_epoch: arrival_epoch + lifetime.max(1),
+            phase,
+            seed,
+        }
+    }
+
+    /// Generates the whole fleet's lifecycle traces ([`TenantSpec::new`]
+    /// for every id), so traces are stable under fleet-size changes.
     pub fn generate(cfg: &FleetConfig) -> Vec<TenantSpec> {
         (0..cfg.tenants)
-            .map(|id| {
-                let seed = split_seed(cfg.seed, u64::from(id));
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let service = match rng.gen_range(0..100) {
-                    0..=34 => ServiceKind::Redis,
-                    35..=59 => ServiceKind::Postgres,
-                    60..=74 => ServiceKind::Elasticsearch,
-                    75..=87 => ServiceKind::Analytics,
-                    _ => ServiceKind::Streaming,
-                };
-                let phase = rng.gen_range_usize(0..workloads::DAY_CURVE.len());
-                let e = cfg.epochs.max(2);
-                let (arrival_epoch, lifetime) = if cfg.churn {
-                    // Churn mode: arrivals spread over most of the run,
-                    // lifetimes short enough that slots turn over.
-                    let arrival = rng.gen_range(0..(3 * e).div_ceil(4));
-                    let lifetime = rng.gen_range(e.div_ceil(4)..(3 * e).div_ceil(4).max(2));
-                    (arrival, lifetime)
-                } else {
-                    // Steady mode: most tenants present from the start
-                    // and stay; a minority arrives mid-run.
-                    let arrival = if rng.gen_range(0..100) < 75 {
-                        0
-                    } else {
-                        rng.gen_range(1..e.div_ceil(2).max(2))
-                    };
-                    let lifetime = rng.gen_range((2 * e).div_ceil(3)..2 * e);
-                    (arrival, lifetime)
-                };
-                TenantSpec {
-                    id,
-                    service,
-                    arrival_epoch,
-                    departure_epoch: arrival_epoch + lifetime.max(1),
-                    phase,
-                    seed,
-                }
-            })
+            .map(|id| TenantSpec::new(cfg, id))
             .collect()
     }
 
@@ -333,6 +337,8 @@ struct HostRun {
     requests: Vec<u64>,
     /// The host's finished `dcat-frames/v1` segment.
     frames: String,
+    #[cfg(test)]
+    _live: live::Guard,
 }
 
 /// One host: its engine, its policy's control loop, and its tenant shard.
@@ -348,20 +354,22 @@ struct HostState {
     /// Lifetime completed requests per tenant slot.
     requests: Vec<u64>,
     /// Per-host `dcat-frames/v1` segment: written on the worker, handed
-    /// back as its finished `String`, concatenated in host order by the
-    /// coordinator.
+    /// back as its finished `String`, passed to the run's [`FleetSink`] in
+    /// host order by the coordinator.
     frames: dcat_obs::FrameWriter,
     #[cfg(test)]
-    _live: live_hosts::Guard,
+    _live: live::Guard,
 }
 
 impl HostState {
-    fn build(
-        cfg: &FleetConfig,
-        policy: FleetPolicy,
-        host: u32,
-        shard: Vec<TenantSpec>,
-    ) -> Result<Self, ResctrlError> {
+    /// Builds host `host`: its shard is the next `tenants_per_host` ids
+    /// of the fleet, generated here, on the worker that runs it.
+    fn build(cfg: &FleetConfig, policy: FleetPolicy, host: u32) -> Result<Self, ResctrlError> {
+        let per_host = cfg.tenants_per_host.max(1);
+        let first = host.saturating_mul(per_host);
+        let shard: Vec<TenantSpec> = (first..cfg.tenants.min(first.saturating_add(per_host)))
+            .map(|id| TenantSpec::new(cfg, id))
+            .collect();
         let vms: Vec<VmSpec> = shard
             .iter()
             .enumerate()
@@ -384,7 +392,7 @@ impl HostState {
             tenants: shard,
             frames: dcat_obs::FrameWriter::new(&format!("fleet-host:{host}")),
             #[cfg(test)]
-            _live: live_hosts::Guard::enter(),
+            _live: live::Guard::enter(&live::HOSTS),
         })
     }
 
@@ -410,6 +418,8 @@ impl HostState {
             instructions: self.instructions,
             requests: self.requests,
             frames: self.frames.into_string(),
+            #[cfg(test)]
+            _live: live::Guard::enter(&live::RUNS),
         }
     }
 
@@ -520,7 +530,8 @@ pub struct FleetResult {
     /// concatenated in host order, one frame per host-epoch. Byte-identical
     /// at any `--jobs` width (each segment is written by the one worker
     /// that runs its host). Excluded from [`FleetResult::serialize`], which
-    /// predates it.
+    /// predates it. Filled by [`run_fleet`]; empty from [`run_fleet_with`],
+    /// which hands the segments to its sink instead.
     pub frames: String,
 }
 
@@ -631,16 +642,44 @@ impl FleetResult {
     }
 }
 
-/// Runs one fleet under one policy.
+/// Where a fleet run's `dcat-frames/v1` stream goes: called with each
+/// host's finished segment, in host order, as the coordinator folds the
+/// host. `&mut |_: &str| {}` keeps nothing; a closure over a `String`
+/// keeps the stream, one over a writer streams it to a file.
+pub type FleetSink<'a> = dyn FnMut(&str) + 'a;
+
+/// Runs one fleet under one policy, its whole frame stream kept in
+/// [`FleetResult::frames`]: [`run_fleet_with`] into a `String`, which
+/// states the errors and panics.
+pub fn run_fleet(policy: FleetPolicy, cfg: &FleetConfig) -> Result<FleetResult, ResctrlError> {
+    let hosts = cfg.hosts() as usize;
+    let mut frames = String::new();
+    let result = run_fleet_with(policy, cfg, &mut |segment: &str| {
+        // Sized once, from the first host's segment (hosts' segments
+        // differ by about 1%), so the stream is one allocation rather
+        // than a chain of doublings copied between hosts' builds.
+        if frames.is_empty() {
+            frames.reserve(segment.len() * hosts * 9 / 8);
+        }
+        frames.push_str(segment);
+    })?;
+    Ok(FleetResult { frames, ..result })
+}
+
+/// Runs one fleet under one policy, handing each host's frame segment to
+/// `frames` in host order; the [`FleetResult::frames`] it returns is empty.
 ///
 /// Hosts share nothing, so a host's lifetime is its run: the pool's work
-/// item is the shard, and the worker that claims it builds the host, runs
-/// all its epochs and drops it, returning only the [`HostRun`] — live
-/// simulator state is one host per worker, not one per host. The
-/// coordinator thread then folds the per-host-epoch aggregates in
-/// epoch-major order. Workers never touch the metrics registry or the
-/// output sink, so results are byte-identical at any `--jobs` width.
-/// Metrics and the decision trace are recorded by the coordinator only.
+/// item is the host index, and the worker that claims it generates the
+/// host's shard, builds the host, runs all its epochs and drops it,
+/// returning only the [`HostRun`] — live simulator state is one host per
+/// worker, not one per host. [`Pool::stream`] delivers the runs to the
+/// coordinator (the calling thread) in host order, never more than
+/// `2 × jobs` of them finished and waiting, and the coordinator folds each
+/// as it arrives and drops it, so memory follows `--jobs`, not the host
+/// count. After the last host it records the decision trace and metrics
+/// epoch-major. Workers never touch the metrics registry, the output sink
+/// or `frames`, so results are byte-identical at any `--jobs` width.
 ///
 /// # Errors
 ///
@@ -649,47 +688,56 @@ impl FleetResult {
 /// allocation-path error. "First" is: a build error on any host, lowest
 /// host first, before any tick error; among tick errors the lowest epoch,
 /// then the lowest host. What other hosts ran in the meantime is
-/// discarded.
+/// discarded; `frames` has seen every host's segment by then.
 ///
 /// # Panics
 ///
 /// Panics if a shard cannot fit its host (config error). The host is
-/// built on a pool worker; [`Pool::map`] re-raises the worker's panic on
-/// the calling thread.
-pub fn run_fleet(policy: FleetPolicy, cfg: &FleetConfig) -> Result<FleetResult, ResctrlError> {
-    let tenants = TenantSpec::generate(cfg);
-    let per_host = cfg.tenants_per_host.max(1) as usize;
-    let shards: Vec<Vec<TenantSpec>> = tenants.chunks(per_host).map(<[_]>::to_vec).collect();
-    let ran = Pool::new(crate::runner::jobs()).map(shards, |h, shard| {
-        Ok(HostState::build(cfg, policy, h as u32, shard)?.run(cfg.epochs))
-    });
-    fold_hosts(policy.label(), cfg, ran)
+/// built on a pool worker; [`Pool::stream`] re-raises the worker's panic
+/// on the calling thread.
+pub fn run_fleet_with(
+    policy: FleetPolicy,
+    cfg: &FleetConfig,
+    frames: &mut FleetSink<'_>,
+) -> Result<FleetResult, ResctrlError> {
+    stream_hosts(Pool::new(crate::runner::jobs()), policy, cfg, frames)
 }
 
-/// Folds the per-host results into the fleet's: the coordinator's half of
-/// [`run_fleet`], which states the error order this implements.
-fn fold_hosts(
-    label: &'static str,
+/// [`run_fleet_with`] on an explicit pool.
+fn stream_hosts(
+    pool: Pool,
+    policy: FleetPolicy,
     cfg: &FleetConfig,
-    ran: Vec<Result<HostRun, ResctrlError>>,
+    frames: &mut FleetSink<'_>,
 ) -> Result<FleetResult, ResctrlError> {
-    let mut runs = ran.into_iter().collect::<Result<Vec<HostRun>, _>>()?;
-    let mut result = FleetResult {
-        policy: label,
-        tenants: cfg.tenants,
-        hosts: runs.len() as u32,
-        rows: Vec::with_capacity(cfg.epochs as usize),
-        tenant_instructions: Vec::with_capacity(cfg.tenants as usize),
-        tenant_requests: Vec::with_capacity(cfg.tenants as usize),
-        trace: String::new(),
-        frames: String::new(),
-    };
+    let mut fold = Fold::new(cfg);
+    pool.stream(
+        (0..cfg.hosts()).collect(),
+        |_, host| Ok(HostState::build(cfg, policy, host)?.run(cfg.epochs)),
+        |_, ran| fold.host(ran, frames),
+    );
+    fold.finish(policy.label(), cfg)
+}
 
-    // The fold is epoch-major, as when the hosts ran in lockstep: rows,
-    // trace and metrics come out in the same order, and the error returned
-    // is the one of the lowest epoch, then the lowest host.
-    for epoch in 0..cfg.epochs {
-        let mut row = FleetEpochRow {
+/// The coordinator's half of [`run_fleet_with`], which states the error
+/// order this implements: host runs are folded one at a time, in host
+/// order, into per-epoch rows and per-tenant totals, and dropped.
+struct Fold {
+    /// Per-epoch sums over the hosts folded so far (`u64` sums and a max,
+    /// exact in any order).
+    rows: Vec<FleetEpochRow>,
+    tenant_instructions: Vec<u64>,
+    tenant_requests: Vec<u64>,
+    /// The lowest host's build error.
+    build_error: Option<ResctrlError>,
+    /// The tick error of the lowest epoch, then the lowest host, with
+    /// that epoch.
+    tick_error: Option<(u64, ResctrlError)>,
+}
+
+impl Fold {
+    fn new(cfg: &FleetConfig) -> Self {
+        let row = |epoch| FleetEpochRow {
             epoch,
             active: 0,
             instructions: 0,
@@ -700,11 +748,25 @@ fn fold_hosts(
             cos_used_sum: 0,
             cos_used_max: 0,
         };
-        for run in &mut runs {
-            let Some(he) = run.epochs.get(epoch as usize) else {
-                let stopped = run.error.take();
-                return Err(stopped.expect("a host runs every epoch or stops at an error"));
-            };
+        Fold {
+            rows: (0..cfg.epochs).map(row).collect(),
+            tenant_instructions: Vec::with_capacity(cfg.tenants as usize),
+            tenant_requests: Vec::with_capacity(cfg.tenants as usize),
+            build_error: None,
+            tick_error: None,
+        }
+    }
+
+    /// Folds the next host's run and passes its frame segment on.
+    fn host(&mut self, ran: Result<HostRun, ResctrlError>, frames: &mut FleetSink<'_>) {
+        let run = match ran {
+            Ok(run) => run,
+            Err(e) => {
+                self.build_error.get_or_insert(e);
+                return;
+            }
+        };
+        for (row, he) in self.rows.iter_mut().zip(&run.epochs) {
             row.active += he.active;
             row.instructions += he.instructions;
             row.llc_ref += he.llc_ref;
@@ -716,97 +778,148 @@ fn fold_hosts(
             row.cos_used_sum += u64::from(he.cos_used);
             row.cos_used_max = row.cos_used_max.max(he.cos_used);
         }
-
-        let _ = writeln!(
-            result.trace,
-            "{{\"epoch\":{},\"policy\":\"{}\",\"active\":{},\"requests\":{},\
-             \"instructions\":{},\"miss_rate\":{:.6},\"classes\":[{},{},{},{},{},{}],\
-             \"cos_sum\":{},\"cos_max\":{}}}",
-            epoch,
-            label,
-            row.active,
-            row.requests,
-            row.instructions,
-            row.miss_rate(),
-            row.classes[0],
-            row.classes[1],
-            row.classes[2],
-            row.classes[3],
-            row.classes[4],
-            row.classes[5],
-            row.cos_used_sum,
-            row.cos_used_max,
-        );
-        report::record(|reg| {
-            reg.counter_add("fleet_epochs_total", &[("policy", label)], 1);
-            reg.counter_add("fleet_requests_total", &[("policy", label)], row.requests);
-            reg.counter_add(
-                "fleet_instructions_total",
-                &[("policy", label)],
-                row.instructions,
-            );
-            for (i, name) in CLASS_LABELS.iter().enumerate() {
-                if row.classes[i] > 0 {
-                    reg.counter_add(
-                        "fleet_class_ticks_total",
-                        &[("policy", label), ("class", name)],
-                        row.classes[i],
-                    );
-                }
+        if let Some(e) = run.error {
+            // Hosts arrive in host order, so an equal epoch keeps the
+            // lower host's error.
+            let epoch = run.epochs.len() as u64;
+            if self
+                .tick_error
+                .as_ref()
+                .is_none_or(|(first, _)| epoch < *first)
+            {
+                self.tick_error = Some((epoch, e));
             }
+        }
+        // Shards are consecutive runs of the tenant ids, so host order is
+        // fleet order.
+        self.tenant_instructions.extend(run.instructions);
+        self.tenant_requests.extend(run.requests);
+        frames(&run.frames);
+    }
+
+    /// Records the trace and the `fleet_*` metrics epoch-major, as when
+    /// the hosts ran in lockstep: every epoch of a clean run, the epochs
+    /// before the failing one on a tick error, none on a build error.
+    fn finish(self, label: &'static str, cfg: &FleetConfig) -> Result<FleetResult, ResctrlError> {
+        if let Some(e) = self.build_error {
+            return Err(e);
+        }
+        let mut rows = self.rows;
+        if let Some((epoch, _)) = &self.tick_error {
+            rows.truncate(*epoch as usize);
+        }
+        let mut trace = String::new();
+        for row in &rows {
+            let _ = writeln!(
+                trace,
+                "{{\"epoch\":{},\"policy\":\"{}\",\"active\":{},\"requests\":{},\
+                 \"instructions\":{},\"miss_rate\":{:.6},\"classes\":[{},{},{},{},{},{}],\
+                 \"cos_sum\":{},\"cos_max\":{}}}",
+                row.epoch,
+                label,
+                row.active,
+                row.requests,
+                row.instructions,
+                row.miss_rate(),
+                row.classes[0],
+                row.classes[1],
+                row.classes[2],
+                row.classes[3],
+                row.classes[4],
+                row.classes[5],
+                row.cos_used_sum,
+                row.cos_used_max,
+            );
+            report::record(|reg| {
+                reg.counter_add("fleet_epochs_total", &[("policy", label)], 1);
+                reg.counter_add("fleet_requests_total", &[("policy", label)], row.requests);
+                reg.counter_add(
+                    "fleet_instructions_total",
+                    &[("policy", label)],
+                    row.instructions,
+                );
+                for (i, name) in CLASS_LABELS.iter().enumerate() {
+                    if row.classes[i] > 0 {
+                        reg.counter_add(
+                            "fleet_class_ticks_total",
+                            &[("policy", label), ("class", name)],
+                            row.classes[i],
+                        );
+                    }
+                }
+            });
+        }
+        if let Some((_, e)) = self.tick_error {
+            return Err(e);
+        }
+        let result = FleetResult {
+            policy: label,
+            tenants: cfg.tenants,
+            hosts: cfg.hosts(),
+            rows,
+            tenant_instructions: self.tenant_instructions,
+            tenant_requests: self.tenant_requests,
+            trace,
+            frames: String::new(),
+        };
+        report::record(|reg| {
+            reg.counter_add("fleet_runs_total", &[("policy", label)], 1);
+            reg.gauge_set(
+                "fleet_mean_cos_used",
+                &[("policy", label)],
+                result.mean_cos_used(),
+            );
         });
-        result.rows.push(row);
+        Ok(result)
     }
-    report::record(|reg| {
-        reg.counter_add("fleet_runs_total", &[("policy", label)], 1);
-        reg.gauge_set(
-            "fleet_mean_cos_used",
-            &[("policy", label)],
-            result.mean_cos_used(),
-        );
-    });
-    // Shards are consecutive runs of the tenant list, so host order is
-    // fleet order.
-    for run in runs {
-        result.tenant_instructions.extend(run.instructions);
-        result.tenant_requests.extend(run.requests);
-        result.frames.push_str(&run.frames);
-    }
-    Ok(result)
 }
 
-/// Test-only gauge of the hosts alive on this thread, with its running
-/// maximum: [`HostState::build`] enters, dropping the host leaves. Per
-/// thread, so concurrent tests do not count each other's hosts; at
-/// `--jobs 1` every host of a run is built on the calling thread.
+/// Test-only gauges of the hosts and of the finished host runs alive, each
+/// with its running maximum. A guard counts into the gauge of the thread
+/// that made it until it drops, on whichever thread that is, so concurrent
+/// tests do not count each other's values; on a one-job pool every host
+/// and run of a fleet is made on the calling thread.
 #[cfg(test)]
-mod live_hosts {
-    use std::cell::Cell;
+mod live {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use std::sync::Arc;
+    use std::thread::LocalKey;
 
-    thread_local! {
-        static LIVE: Cell<usize> = const { Cell::new(0) };
-        static MAX: Cell<usize> = const { Cell::new(0) };
+    #[derive(Default)]
+    pub(super) struct Gauge {
+        live: AtomicUsize,
+        max: AtomicUsize,
     }
 
-    pub(super) struct Guard;
+    thread_local! {
+        /// [`super::HostState`]: entered by `build`, left at the end of `run`.
+        pub(super) static HOSTS: Arc<Gauge> = Arc::default();
+        /// [`super::HostRun`]: entered at the end of `run`, left when the
+        /// coordinator has folded it.
+        pub(super) static RUNS: Arc<Gauge> = Arc::default();
+    }
+
+    pub(super) struct Guard(Arc<Gauge>);
 
     impl Guard {
-        pub(super) fn enter() -> Self {
-            LIVE.set(LIVE.get() + 1);
-            MAX.set(MAX.get().max(LIVE.get()));
-            Guard
+        pub(super) fn enter(gauge: &'static LocalKey<Arc<Gauge>>) -> Self {
+            let gauge = gauge.with(Arc::clone);
+            let live = gauge.live.fetch_add(1, Relaxed) + 1;
+            gauge.max.fetch_max(live, Relaxed);
+            Guard(gauge)
         }
     }
 
     impl Drop for Guard {
         fn drop(&mut self) {
-            LIVE.set(LIVE.get() - 1);
+            self.0.live.fetch_sub(1, Relaxed);
         }
     }
 
-    /// The most hosts alive at once on this thread since the last call.
-    pub(super) fn take_max() -> usize {
-        MAX.replace(LIVE.get())
+    /// The most values alive at once in this thread's `gauge` since the
+    /// last call.
+    pub(super) fn take_max(gauge: &'static LocalKey<Arc<Gauge>>) -> usize {
+        gauge.with(|g| g.max.swap(g.live.load(Relaxed), Relaxed))
     }
 }
 
@@ -890,12 +1003,29 @@ mod tests {
         let cfg = tiny(72);
         assert_eq!(cfg.hosts(), 6);
         for policy in FleetPolicy::ALL {
-            live_hosts::take_max();
+            live::take_max(&live::HOSTS);
             run_fleet(policy, &cfg).expect("tiny fleet runs");
             assert_eq!(
-                live_hosts::take_max(),
+                live::take_max(&live::HOSTS),
                 1,
                 "{}: each host must be dropped before the next is built",
+                policy.label()
+            );
+        }
+    }
+
+    #[test]
+    fn the_coordinator_holds_one_host_run_at_a_time() {
+        // An explicit one-job pool: the `--jobs` global is shared with
+        // concurrent tests.
+        let cfg = tiny(72);
+        for policy in FleetPolicy::ALL {
+            live::take_max(&live::RUNS);
+            stream_hosts(Pool::new(1), policy, &cfg, &mut |_: &str| {}).expect("tiny fleet runs");
+            assert_eq!(
+                live::take_max(&live::RUNS),
+                1,
+                "{}: each host's run must be folded and dropped before the next host runs",
                 policy.label()
             );
         }
@@ -927,7 +1057,22 @@ mod tests {
             instructions: vec![0; 12],
             requests: vec![0; 12],
             frames: String::new(),
+            _live: live::Guard::enter(&live::RUNS),
         })
+    }
+
+    /// Feeds `ran` to the coordinator's fold in host order, as
+    /// [`Pool::stream`] delivers it, and finishes it.
+    fn fold_hosts(
+        label: &'static str,
+        cfg: &FleetConfig,
+        ran: Vec<Result<HostRun, ResctrlError>>,
+    ) -> Result<FleetResult, ResctrlError> {
+        let mut fold = Fold::new(cfg);
+        for run in ran {
+            fold.host(run, &mut |_: &str| {});
+        }
+        fold.finish(label, cfg)
     }
 
     /// Folds six synthetic hosts that all ran five clean epochs, except
@@ -940,6 +1085,73 @@ mod tests {
         let mut ran: Vec<_> = (0..6).map(|_| host_run(5, None)).collect();
         edit(&mut ran);
         fold_hosts("synthetic", &cfg, ran)
+    }
+
+    /// Host `host`'s synthetic run: `epochs` completed with aggregates
+    /// that differ by host and epoch, then stopped by
+    /// `InvalidCore(stopped_by)` if given.
+    fn busy_run(host: u64, epochs: u64, stopped_by: Option<u32>) -> Result<HostRun, ResctrlError> {
+        let mut run = host_run(0, stopped_by)?;
+        run.epochs = (0..epochs)
+            .map(|epoch| HostEpoch {
+                instructions: 1_000 * host + epoch,
+                llc_ref: 100 + host,
+                llc_miss: 10 * epoch + host,
+                requests: 7 * host + epoch,
+                active: 12,
+                classes: [host, epoch, 1, 0, 0, 0],
+                cos_used: ((host + epoch) % 5 + 1) as u32,
+            })
+            .collect();
+        Ok(run)
+    }
+
+    #[test]
+    fn a_tick_error_records_the_epochs_before_it() {
+        // What the fold before streaming recorded for these hosts: the
+        // `fleet_*` counters of epochs 0–2 and no run-level series when
+        // host 2 stops at epoch 3, and these trace lines for epochs 0–2
+        // when it does not.
+        const METRICS: &str = "\
+# TYPE fleet_class_ticks_total counter
+fleet_class_ticks_total{class=\"donor\",policy=\"synthetic\"} 18
+fleet_class_ticks_total{class=\"keeper\",policy=\"synthetic\"} 45
+fleet_class_ticks_total{class=\"receiver\",policy=\"synthetic\"} 18
+# TYPE fleet_epochs_total counter
+fleet_epochs_total{policy=\"synthetic\"} 3
+# TYPE fleet_instructions_total counter
+fleet_instructions_total{policy=\"synthetic\"} 45018
+# TYPE fleet_requests_total counter
+fleet_requests_total{policy=\"synthetic\"} 333
+";
+        const TRACE: &str = "\
+{\"epoch\":0,\"policy\":\"synthetic\",\"active\":72,\"requests\":105,\"instructions\":15000,\"miss_rate\":0.024390,\"classes\":[15,0,6,0,0,0],\"cos_sum\":16,\"cos_max\":5}
+{\"epoch\":1,\"policy\":\"synthetic\",\"active\":72,\"requests\":111,\"instructions\":15006,\"miss_rate\":0.121951,\"classes\":[15,6,6,0,0,0],\"cos_sum\":17,\"cos_max\":5}
+{\"epoch\":2,\"policy\":\"synthetic\",\"active\":72,\"requests\":117,\"instructions\":15012,\"miss_rate\":0.219512,\"classes\":[15,12,6,0,0,0],\"cos_sum\":18,\"cos_max\":5}
+";
+        let mut cfg = tiny(72);
+        cfg.epochs = 5;
+        let hosts = |stop: Option<u64>| -> Vec<_> {
+            (0..6)
+                .map(|h| match stop {
+                    Some(epoch) if h == 2 => busy_run(h, epoch, Some(302)),
+                    _ => busy_run(h, 5, None),
+                })
+                .collect()
+        };
+
+        let (failed, _, snap) =
+            report::capture_obs(|| fold_hosts("synthetic", &cfg, hosts(Some(3))));
+        let e = failed.expect_err("host 2 stopped");
+        assert!(matches!(e, ResctrlError::InvalidCore(302)), "got {e:?}");
+        assert_eq!(snap.to_prometheus(), METRICS);
+
+        let (clean, _, _) = report::capture_obs(|| fold_hosts("synthetic", &cfg, hosts(None)));
+        let trace = clean.expect("a clean fleet folds").trace;
+        assert_eq!(
+            trace.split_inclusive('\n').take(3).collect::<String>(),
+            TRACE
+        );
     }
 
     fn fold_error(edit: impl FnOnce(&mut Vec<Result<HostRun, ResctrlError>>)) -> ResctrlError {

@@ -65,10 +65,11 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         // Ten sampled hosts under the LFOC clustering policy — the
         // cluster layer's hot path (host fan-out + policy ticks).
         // Metrics are captured and dropped so timing runs do not
-        // pollute the process-root registry.
+        // pollute the process-root registry; frames are not kept.
         let cfg = fleet::FleetConfig::new(120, true);
-        let (r, _text, _snap) =
-            report::capture_obs(|| fleet::run_fleet(fleet::FleetPolicy::Lfoc, &cfg));
+        let (r, _text, _snap) = report::capture_obs(|| {
+            fleet::run_fleet_with(fleet::FleetPolicy::Lfoc, &cfg, &mut |_: &str| {})
+        });
         runner::set_sample_sets(0);
         match r {
             Ok(r) => r.total_requests(),

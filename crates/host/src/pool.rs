@@ -9,28 +9,32 @@
 //!
 //! * every task is **self-contained** — it receives its index and its
 //!   input, and returns a value; tasks never share mutable state,
-//! * tasks are claimed from a single atomic cursor in index order (no
-//!   stealing, no per-thread deques, no timing-dependent placement of
-//!   *which results exist*),
-//! * results are merged and **sorted by task index** after all workers
-//!   join, so the output vector is identical regardless of completion
-//!   order, and
+//! * tasks are claimed from a single cursor in index order (no stealing,
+//!   no per-thread deques, no timing-dependent placement of *which
+//!   results exist*),
+//! * results reach the caller **in task index order** through a reorder
+//!   window, so what the caller sees is identical regardless of
+//!   completion order, and
 //! * a pool of one job runs every task inline on the calling thread,
 //!   making `--jobs 1` trivially the reference ordering.
+//!
+//! The window is also the memory bound: a task may not be claimed until
+//! every task `2 × jobs` or more before it has been handed to the caller,
+//! so finished-but-undelivered results never number more than that,
+//! however many tasks there are ([`Pool::stream`]).
 //!
 //! Threads are scoped ([`std::thread::scope`]), so borrowed task closures
 //! work and no thread outlives the call. This is the only module in the
 //! workspace allowed to create threads — `clippy::disallowed_methods` (root
 //! `clippy.toml`) enforces it.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// A fixed-width scoped thread pool.
 ///
 /// `Pool` is cheap to construct (it owns no threads between calls); each
-/// [`Pool::map`] call spawns its scoped workers and joins them before
-/// returning.
+/// [`Pool::stream`] or [`Pool::map`] call spawns its scoped workers and
+/// joins them before returning.
 #[derive(Debug, Clone, Copy)]
 pub struct Pool {
     jobs: usize,
@@ -111,66 +115,265 @@ impl Pool {
         T: Send,
         F: Fn(usize, I) -> T + Sync,
     {
+        let mut out = Vec::with_capacity(items.len());
+        self.stream(items, f, |_, value| out.push(value));
+        out
+    }
+
+    /// Applies `f` to every item, as [`Pool::map`] does, and hands each
+    /// result to `consume` on the calling thread in **item order**, as
+    /// soon as it and every result before it are done.
+    ///
+    /// A worker may not claim item `i` until `i < consumed + 2 × jobs`,
+    /// where `consumed` counts the results `consume` has returned from: a
+    /// slow item holds the workers back instead of letting finished
+    /// results pile up behind it, so at most `2 × jobs` results are ever
+    /// finished and not yet consumed, however many items there are. While
+    /// the next result is not ready the calling thread works too.
+    ///
+    /// A panic in `f` or `consume` stops every thread of the call and
+    /// re-raises on the caller.
+    pub fn stream<I, T, F, C>(&self, items: Vec<I>, f: F, mut consume: C)
+    where
+        I: Send,
+        T: Send,
+        F: Fn(usize, I) -> T + Sync,
+        C: FnMut(usize, T),
+    {
         let n = items.len();
         let workers = self.jobs.min(n);
         if workers <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| f(i, item))
-                .collect();
+            for (i, item) in items.into_iter().enumerate() {
+                consume(i, f(i, item));
+            }
+            return;
         }
 
-        // Each slot is taken exactly once: the cursor hands out indices,
-        // and the Mutex only serializes the one `take` per slot (it is
-        // never contended after that).
-        let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-        let cursor = AtomicUsize::new(0);
-
-        let run_worker = || {
-            // The cursor balances work, so a worker's fair share is
-            // n/workers; reserve that up front (skew can still grow it).
-            let mut local: Vec<(usize, T)> = Vec::with_capacity(n / workers + 1);
-            loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                let item = slots[idx]
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .take()
-                    .unwrap_or_else(|| unreachable!("slot {idx} claimed twice"));
-                local.push((idx, f(idx, item)));
-            }
-            local
+        let shared = Shared {
+            window: Mutex::new(Window {
+                items: items.into_iter(),
+                claimed: 0,
+                consumed: 0,
+                ready: std::iter::repeat_with(|| None)
+                    .take(2 * self.jobs)
+                    .collect(),
+                panicked: false,
+            }),
+            changed: Condvar::new(),
         };
 
-        let mut indexed: Vec<(usize, T)> = Vec::with_capacity(n);
+        // Runs a claimed item outside the lock and parks its result.
+        let run = |idx, item| {
+            let value = f(idx, item);
+            let mut w = shared.lock();
+            w.park(idx, value);
+            shared.changed.notify_all();
+            w
+        };
+        // A spawned worker: claim and run until no item is left to claim.
+        let work = || {
+            let _wake = WakeOnPanic(&shared);
+            let mut w = shared.lock();
+            while !w.panicked && w.claimed < n {
+                w = match w.claim() {
+                    Some((idx, item)) => {
+                        drop(w);
+                        run(idx, item)
+                    }
+                    None => shared.wait(w),
+                };
+            }
+        };
+
         #[allow(
             clippy::disallowed_methods,
             reason = "the owner: the one place the workspace creates threads"
         )]
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(run_worker)).collect();
-            indexed.extend(run_worker());
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            {
+                // The calling thread: consume the next result if it is
+                // ready, else run an item if the window allows, else wait.
+                let _wake = WakeOnPanic(&shared);
+                let mut w = shared.lock();
+                while !w.panicked && w.consumed < n {
+                    let next = w.consumed;
+                    if let Some(value) = w.unpark(next) {
+                        drop(w);
+                        consume(next, value);
+                        w = shared.lock();
+                        w.consumed += 1;
+                        shared.changed.notify_all();
+                    } else if let Some((idx, item)) = w.claim() {
+                        drop(w);
+                        w = run(idx, item);
+                    } else {
+                        w = shared.wait(w);
+                    }
+                }
+            }
             for h in handles {
-                match h.join() {
-                    Ok(part) => indexed.extend(part),
-                    Err(payload) => std::panic::resume_unwind(payload),
+                if let Err(payload) = h.join() {
+                    std::panic::resume_unwind(payload);
                 }
             }
         });
+    }
+}
 
-        // Completion order is timing-dependent; item order is not.
-        indexed.sort_by_key(|(idx, _)| *idx);
-        indexed.into_iter().map(|(_, value)| value).collect()
+/// What the threads of one [`Pool::stream`] call share: the window under
+/// one lock, and one condition variable for every change to it.
+struct Shared<I, T> {
+    window: Mutex<Window<I, T>>,
+    changed: Condvar,
+}
+
+impl<I, T> Shared<I, T> {
+    // No thread panics while holding the lock (`f` and `consume` run
+    // outside it), so a poisoned lock still holds a consistent window.
+    fn lock(&self) -> MutexGuard<'_, Window<I, T>> {
+        self.window.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn wait<'a>(&self, w: MutexGuard<'a, Window<I, T>>) -> MutexGuard<'a, Window<I, T>> {
+        self.changed.wait(w).unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+/// The reorder window of one [`Pool::stream`] call.
+struct Window<I, T> {
+    items: std::vec::IntoIter<I>,
+    /// Items handed out so far: the next claim is item `claimed`.
+    claimed: usize,
+    /// Results `consume` has returned from: item `consumed` is due next.
+    consumed: usize,
+    /// Finished results not yet consumed; item `i` waits in slot
+    /// `i % ready.len()`, and the claim rule keeps every unconsumed item
+    /// inside one lap of the ring.
+    ready: Vec<Option<T>>,
+    /// A thread of the call panicked: claim nothing more, wait for nothing.
+    panicked: bool,
+}
+
+impl<I, T> Window<I, T> {
+    /// The next item, unless the window is full or the items are out.
+    fn claim(&mut self) -> Option<(usize, I)> {
+        if self.claimed >= self.consumed + self.ready.len() {
+            return None;
+        }
+        let item = self.items.next()?;
+        self.claimed += 1;
+        Some((self.claimed - 1, item))
+    }
+
+    fn park(&mut self, idx: usize, value: T) {
+        let width = self.ready.len();
+        self.ready[idx % width] = Some(value);
+    }
+
+    fn unpark(&mut self, idx: usize) -> Option<T> {
+        let width = self.ready.len();
+        self.ready[idx % width].take()
+    }
+}
+
+/// Dropped while its thread unwinds, marks the call panicked and wakes
+/// every waiter, so no thread waits for a result that will never come.
+struct WakeOnPanic<'a, I, T>(&'a Shared<I, T>);
+
+impl<I, T> Drop for WakeOnPanic<'_, I, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().panicked = true;
+            self.0.changed.notify_all();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
+
     use super::*;
+
+    /// Item 0 sleeps, so the others finish first: at any width above one,
+    /// completion order is not item order.
+    fn slow_first(i: usize, x: u64) -> u64 {
+        if i == 0 {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        x * x
+    }
+
+    #[test]
+    fn stream_delivers_in_item_order() {
+        for jobs in [1, 2, 4, 16] {
+            // Checked as each result arrives: the panic stops the call,
+            // where a wrong delivery could otherwise leave it waiting for
+            // a result that was never parked.
+            let mut next = 0u64;
+            Pool::new(jobs).stream((0..64).collect(), slow_first, |i, v| {
+                assert_eq!((i as u64, v), (next, next * next), "jobs={jobs}");
+                next += 1;
+            });
+            assert_eq!(next, 64, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn stream_holds_at_most_two_results_per_job() {
+        for jobs in [2, 4] {
+            let finished = AtomicUsize::new(0);
+            let consumed = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            Pool::new(jobs).stream(
+                (0..64u64).collect(),
+                |i, x| {
+                    let x = slow_first(i, x);
+                    // Finished but not yet consumed, this one included.
+                    let done = finished.fetch_add(1, Ordering::SeqCst) + 1;
+                    let ahead = done.saturating_sub(consumed.load(Ordering::SeqCst));
+                    peak.fetch_max(ahead, Ordering::SeqCst);
+                    x
+                },
+                |_, _| {
+                    consumed.fetch_add(1, Ordering::SeqCst);
+                },
+            );
+            assert_eq!(consumed.into_inner(), 64);
+            let peak = peak.into_inner();
+            assert!(
+                peak <= 2 * jobs,
+                "jobs={jobs}: {peak} results waited at once"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_reraises_on_the_caller() {
+        // Item 0 panics late, after the other workers have filled the
+        // window and are waiting on it; item 9 panics early.
+        for bad in [0, 9] {
+            let caught = std::panic::catch_unwind(|| {
+                Pool::new(4).stream(
+                    (0..64u64).collect(),
+                    |i, x| {
+                        let x = slow_first(i, x);
+                        assert_ne!(i, bad, "item {bad} failed");
+                        x
+                    },
+                    |_, _| {},
+                );
+            });
+            let payload = caught.expect_err("the item's panic reaches the caller");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(
+                message.contains(&format!("item {bad} failed")),
+                "got {message}"
+            );
+        }
+    }
 
     #[test]
     fn jobs_clamped_to_one() {
