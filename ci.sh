@@ -76,9 +76,9 @@ grep -v '^pub mod seeds;' "$seeded/src/lib.rs" > target/seeded-clean/src/lib.rs
 # cargo takes one for the other.
 (cd target/seeded-clean && cargo clippy --offline -- -D warnings)
 
-echo "==> determinism regression + golden decision traces + golden metrics"
+echo "==> determinism regression + golden decision traces + golden metrics + the experiment registry"
 cargo test -q --release -p dcat-bench --offline --test determinism --test golden_traces \
-    --test golden_metrics
+    --test golden_metrics --test registry
 
 echo "==> per-reference path in release: llc-sim, workloads, smallrng and host suites with their recorded oracles"
 # In release, as the experiments run it: the hot path's index and counter
@@ -162,20 +162,20 @@ else
     echo "no python3: fleet smoke runs without its 16 MiB RSS ceiling"
     rss_ceiling=""
 fi
-cargo build -q --release -p dcat-bench --offline --bin fleet_scale
-$rss_ceiling target/release/fleet_scale --fast \
+cargo build -q --release -p dcat-bench --offline --bin dcat-bench
+$rss_ceiling target/release/dcat-bench fleet_scale --fast \
     --tenants 1000 --sample-sets 8 --jobs 2 > target/fleet_smoke.jobs2.txt
-cargo run -q --release -p dcat-bench --offline --bin fleet_scale -- --fast \
+target/release/dcat-bench fleet_scale --fast \
     --tenants 1000 --sample-sets 8 --jobs 4 > target/fleet_smoke.jobs4.txt
 if ! cmp -s target/fleet_smoke.jobs2.txt target/fleet_smoke.jobs4.txt; then
     echo "ERROR: fleet_scale output differs between --jobs 2 and --jobs 4" >&2
     exit 1
 fi
-$rss_ceiling target/release/fleet_scale --fast \
+$rss_ceiling target/release/dcat-bench fleet_scale --fast \
     --tenants 10000 --sample-sets 8 --jobs 2 > target/fleet_smoke.10k.txt
 
 echo "==> metrics + frame-stream export: fig07 with --metrics-out/--frames-out, validated by obs-dump"
-cargo run -q --release -p dcat-bench --offline --bin fig07_lifecycle -- --fast \
+target/release/dcat-bench fig07_lifecycle --fast \
     --metrics-out target/metrics.prom --frames-out target/frames.jsonl \
     > target/fig07_lifecycle.txt
 cargo run -q --release -p dcat-obs --offline --bin obs-dump -- --check target/metrics.prom
@@ -195,15 +195,14 @@ fi
 echo "==> perfbench self-test (fake clock, schema validation, no writes)"
 cargo run -q --release -p dcat-bench --offline --bin dcat-perfbench -- --check
 
-echo "==> perfbench regression gate vs tracked BENCH_*.json trajectory"
-# Re-measures both suites against the wall clock, writes the fresh
-# results to target/bench/, and gates each case's normalized score
-# against the blessed baselines at the repo root (tolerance comes from
-# each baseline's header). The micro suite's `lint_full_workspace`
-# case also enforces the 10 s full-workspace lint budget via its
-# `lint_budget_headroom >= 1.0` floor, replacing the old one-off
-# timer. After an intentional perf change, re-bless
-# with: DCAT_BLESS=1 cargo run --release -p dcat-bench --bin dcat-perfbench
+echo "==> perfbench regression gate vs the tracked BENCH_micro.json trajectory"
+# Re-measures the one suite against the wall clock, writes the fresh
+# result to target/bench/, and gates each case's normalized score against
+# the blessed baseline at the repo root (tolerance from its header).
+# Derived floors ride along: `lint_budget_headroom >= 1.0` is ci.sh's 10 s
+# full-workspace lint budget, `fig10_sampled_speedup >= 1.0` says set
+# sampling still pays end to end. After an intentional perf change,
+# re-bless with: DCAT_BLESS=1 cargo run --release -p dcat-bench --bin dcat-perfbench
 cargo run -q --release -p dcat-bench --offline --bin dcat-perfbench -- \
     --out-dir target/bench --baseline-dir .
 

@@ -1,4 +1,5 @@
-//! Runs every figure/table reproduction (the full evaluation).
+//! Runs every figure/table reproduction of the registry's suite (the full
+//! evaluation).
 //!
 //! With `--jobs N` the experiments fan out across worker threads; the
 //! report bytes are identical to a `--jobs 1` run because each
@@ -12,5 +13,13 @@ fn main() {
 }
 
 fn run(cli: Cli) {
-    Runner::from_env().map(registry(), |_, exp| (exp.run)(cli.fast));
+    // `--frames-out` and `--tenants` name one experiment's output and
+    // fleet; the suite runs every experiment at its defaults.
+    let cli = Cli {
+        frames_out: None,
+        tenants: None,
+        ..cli
+    };
+    let suite: Vec<_> = registry().iter().filter(|e| e.suite).collect();
+    Runner::from_env().map(suite, |_, exp| (exp.run)(&cli));
 }

@@ -2,29 +2,31 @@
 //!
 //! Modes:
 //!
-//! * default: run the suites against the wall clock, print the human
-//!   table, write `BENCH_<suite>.json` into `--out-dir` (default `.`),
-//!   and — when a blessed baseline exists in `--baseline-dir` — gate
-//!   the fresh run's normalized scores against it (fail on >25%
-//!   regression, tolerance taken from the baseline's header).
-//! * `--check`: run every suite once with a fake deterministic clock,
+//! * default: run the micro suite against the wall clock, print the
+//!   human table, write `BENCH_micro.json` into `--out-dir` (default
+//!   `.`), and — when a blessed baseline exists in `--baseline-dir` —
+//!   gate the fresh run's normalized scores against it (tolerance taken
+//!   from the baseline's header).
+//! * `--check`: run the suite once with a fake deterministic clock,
 //!   validate the emitted JSON against the schema, write nothing. This
 //!   is the CI self-test; it has no time dependence at all.
-//! * `DCAT_BLESS=1`: also rewrite the baseline files with the fresh
+//! * `DCAT_BLESS=1`: also rewrite the baseline file with the fresh
 //!   results instead of gating (use after an intentional perf change).
 //!
-//! Flags: `--suite micro|macro|all`, `--quick` (smoke-level iteration
-//! counts), `--out-dir DIR`, `--baseline-dir DIR`.
+//! Flags: `--quick` (smoke-level iteration counts), `--out-dir DIR`,
+//! `--baseline-dir DIR`.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dcat_bench::perf::{self, harness::FakeClock, json, ClockKind};
+use dcat_bench::perf::{self, harness::FakeClock, json, micro, ClockKind};
 use dcat_bench::report;
 use dcat_bench::timing::WallClock;
 
+/// The tracked trajectory's file name, in `--out-dir` and `--baseline-dir`.
+const BENCH_FILE: &str = "BENCH_micro.json";
+
 struct Args {
-    suites: Vec<String>,
     check: bool,
     quick: bool,
     out_dir: PathBuf,
@@ -32,7 +34,6 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut suites: Vec<String> = perf::SUITES.iter().map(|s| s.to_string()).collect();
     let mut check = false;
     let mut quick = false;
     let mut out_dir = PathBuf::from(".");
@@ -40,24 +41,10 @@ fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        let mut set_suite = |v: &str| match v {
-            "all" => suites = perf::SUITES.iter().map(|s| s.to_string()).collect(),
-            s if perf::SUITES.contains(&s) => suites = vec![s.to_string()],
-            s => {
-                report::say(format!("unknown suite '{s}' (micro|macro|all)"));
-                std::process::exit(2);
-            }
-        };
         if arg == "--check" {
             check = true;
         } else if arg == "--quick" {
             quick = true;
-        } else if arg == "--suite" {
-            if let Some(v) = it.next() {
-                set_suite(v);
-            }
-        } else if let Some(v) = arg.strip_prefix("--suite=") {
-            set_suite(v);
         } else if arg == "--out-dir" {
             if let Some(v) = it.next() {
                 out_dir = PathBuf::from(v);
@@ -73,7 +60,6 @@ fn parse_args() -> Args {
         }
     }
     Args {
-        suites,
         check,
         quick,
         out_dir,
@@ -81,103 +67,93 @@ fn parse_args() -> Args {
     }
 }
 
-fn bench_file(dir: &Path, suite: &str) -> PathBuf {
-    dir.join(format!("BENCH_{suite}.json"))
-}
-
 /// `--check`: fake clock, quick counts, schema validation, no files.
-fn self_test(suites: &[String]) -> ExitCode {
-    for name in suites {
-        let mut clock = FakeClock::new(1_000_000);
-        let result = perf::run_suite(name, &mut clock, ClockKind::Fake, true);
-        let text = result.to_json();
-        match json::validate(&text) {
-            Ok(parsed) => report::say(format!(
-                "suite '{name}': schema ok ({} cases, {} derived)",
+fn self_test() -> ExitCode {
+    let mut clock = FakeClock::new(1_000_000);
+    let result = micro::run(&mut clock, ClockKind::Fake, true);
+    match json::validate(&result.to_json()) {
+        Ok(parsed) => {
+            report::say(format!(
+                "suite '{}': schema ok ({} cases, {} derived)",
+                parsed.suite,
                 parsed.cases.len(),
                 parsed.derived.len()
-            )),
-            Err(e) => {
-                report::say(format!("suite '{name}': schema INVALID: {e}"));
-                return ExitCode::FAILURE;
-            }
+            ));
+            report::say("perfbench --check passed");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            report::say(format!("suite '{}': schema INVALID: {e}", result.suite));
+            ExitCode::FAILURE
         }
     }
-    report::say("perfbench --check passed");
-    ExitCode::SUCCESS
 }
 
 fn measure(args: &Args) -> ExitCode {
-    let bless = std::env::var_os("DCAT_BLESS").is_some();
-    let mut failed = false;
-    for name in &args.suites {
-        let mut clock = WallClock::new();
-        let result = perf::run_suite(name, &mut clock, ClockKind::Wall, args.quick);
-        perf::print_table(&result);
-        let text = result.to_json();
-        let fresh = match json::validate(&text) {
-            Ok(p) => p,
-            Err(e) => {
-                report::say(format!("suite '{name}': emitted JSON invalid: {e}"));
-                failed = true;
-                continue;
-            }
-        };
-        std::fs::create_dir_all(&args.out_dir).expect("create --out-dir");
-        let out_path = bench_file(&args.out_dir, name);
-        std::fs::write(&out_path, &text).expect("write BENCH json");
-        report::say(format!("wrote {}", out_path.display()));
+    let mut clock = WallClock::new();
+    let result = micro::run(&mut clock, ClockKind::Wall, args.quick);
+    perf::print_table(&result);
+    let name = &result.suite;
+    let text = result.to_json();
+    let fresh = match json::validate(&text) {
+        Ok(p) => p,
+        Err(e) => {
+            report::say(format!("suite '{name}': emitted JSON invalid: {e}"));
+            return ExitCode::FAILURE;
+        }
+    };
+    std::fs::create_dir_all(&args.out_dir).expect("create --out-dir");
+    let out_path = args.out_dir.join(BENCH_FILE);
+    std::fs::write(&out_path, &text).expect("write BENCH json");
+    report::say(format!("wrote {}", out_path.display()));
 
-        let base_path = bench_file(&args.baseline_dir, name);
-        if bless {
-            if base_path != out_path {
-                std::fs::write(&base_path, &text).expect("write blessed baseline");
-            }
-            report::say(format!("blessed {}", base_path.display()));
-            continue;
+    let base_path = args.baseline_dir.join(BENCH_FILE);
+    if std::env::var_os("DCAT_BLESS").is_some() {
+        if base_path != out_path {
+            std::fs::write(&base_path, &text).expect("write blessed baseline");
         }
-        match std::fs::read_to_string(&base_path) {
-            Err(_) => report::say(format!(
-                "no baseline at {} (run with DCAT_BLESS=1 to create it)",
-                base_path.display()
-            )),
-            Ok(base_text) => match json::validate(&base_text) {
-                Err(e) => {
-                    report::say(format!("baseline {} invalid: {e}", base_path.display()));
-                    failed = true;
-                }
-                Ok(baseline) => match json::gate(&fresh, &baseline) {
-                    Ok(notes) => {
-                        for n in notes {
-                            report::say(format!("  gate: {n}"));
-                        }
-                        report::say(format!("suite '{name}': gate passed"));
-                    }
-                    Err(failures) => {
-                        for f in failures {
-                            report::say(format!("  gate FAILURE: {f}"));
-                        }
-                        report::say(format!(
-                            "suite '{name}': gate FAILED (re-bless with DCAT_BLESS=1 \
-                             if the regression is intentional)"
-                        ));
-                        failed = true;
-                    }
-                },
-            },
-        }
+        report::say(format!("blessed {}", base_path.display()));
+        return ExitCode::SUCCESS;
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    let Ok(base_text) = std::fs::read_to_string(&base_path) else {
+        report::say(format!(
+            "no baseline at {} (run with DCAT_BLESS=1 to create it)",
+            base_path.display()
+        ));
+        return ExitCode::SUCCESS;
+    };
+    let baseline = match json::validate(&base_text) {
+        Ok(b) => b,
+        Err(e) => {
+            report::say(format!("baseline {} invalid: {e}", base_path.display()));
+            return ExitCode::FAILURE;
+        }
+    };
+    match json::gate(&fresh, &baseline) {
+        Ok(notes) => {
+            for n in notes {
+                report::say(format!("  gate: {n}"));
+            }
+            report::say(format!("suite '{name}': gate passed"));
+            ExitCode::SUCCESS
+        }
+        Err(failures) => {
+            for f in failures {
+                report::say(format!("  gate FAILURE: {f}"));
+            }
+            report::say(format!(
+                "suite '{name}': gate FAILED (re-bless with DCAT_BLESS=1 \
+                 if the regression is intentional)"
+            ));
+            ExitCode::FAILURE
+        }
     }
 }
 
 fn main() -> ExitCode {
     let args = parse_args();
     if args.check {
-        self_test(&args.suites)
+        self_test()
     } else {
         measure(&args)
     }

@@ -56,11 +56,26 @@ pub fn run(fast: bool) -> Lifecycle {
     run_with_frames(fast).0
 }
 
+/// The registry entry: [`run_with_frames`], exporting the stream to
+/// `--frames-out` when given.
+///
+/// # Panics
+///
+/// Panics if the frames file cannot be written.
+pub fn run_cli(cli: &crate::Cli) {
+    let (_, frames) = run_with_frames(cli.fast);
+    if let Some(path) = cli.frames_out.as_deref() {
+        if let Err(e) = dcat_obs::write_text(path, &frames) {
+            panic!("frames export to {}: {e}", path.display());
+        }
+    }
+}
+
 /// Like [`run`], but also returns the two timelines' `dcat-frames/v1`
 /// segments concatenated in panel order (a then b) — the stream
-/// `fig07_lifecycle --frames-out` exports and `dcat-top --replay`
-/// renders. The segments come out of [`crate::RunResult::frames`] in
-/// item order, so the bytes are identical at any `--jobs` width.
+/// [`run_cli`] exports and `dcat-top --replay` renders. The segments come
+/// out of [`crate::RunResult::frames`] in item order, so the bytes are
+/// identical at any `--jobs` width.
 pub fn run_with_frames(fast: bool) -> (Lifecycle, String) {
     report::section("Figure 7: example of cache allocation with dCat");
     let runs = crate::Runner::from_env().map(vec![false, true], |_, streaming| {

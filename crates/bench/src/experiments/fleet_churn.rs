@@ -9,7 +9,7 @@
 //! throughput and COS pressure hold up while the population shifts.
 
 use crate::fleet::{run_fleet_with, FleetConfig, FleetPolicy};
-use crate::report;
+use crate::{report, Cli};
 
 /// One policy's summary under churn.
 #[derive(Debug, Clone)]
@@ -27,14 +27,16 @@ pub struct FleetChurnRow {
     pub active_series: Vec<u32>,
 }
 
-/// Runs the churn comparison; fast mode shrinks the fleet.
+/// Runs the churn comparison at `--tenants N`, by default 1 000 tenants
+/// (48 with `--fast`).
 ///
 /// # Errors
 ///
 /// Propagates the [`resctrl::ResctrlError`] of the first fleet run that
-/// fails, so the binary classifies it at the exit boundary.
-pub fn run(fast: bool) -> Result<Vec<FleetChurnRow>, resctrl::ResctrlError> {
-    run_at(if fast { 48 } else { 1_000 }, fast)
+/// fails, so the caller classifies it at the exit boundary.
+pub fn run(cli: &Cli) -> Result<Vec<FleetChurnRow>, resctrl::ResctrlError> {
+    let default = if cli.fast { 48 } else { 1_000 };
+    run_at(cli.tenants.unwrap_or(default), cli.fast)
 }
 
 /// Runs the churn comparison at an explicit fleet size.

@@ -13,8 +13,12 @@
 //! — pass `--sample-sets 8` to run them in minutes; the sampled run is
 //! still byte-identical at any `--jobs` width.
 
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::Path;
+
 use crate::fleet::{run_fleet_with, FleetConfig, FleetPolicy, FleetSink};
-use crate::report;
+use crate::{report, Cli};
 
 /// One policy × fleet-size cell of the comparison.
 #[derive(Debug, Clone)]
@@ -45,19 +49,50 @@ pub fn ladder(fast: bool) -> &'static [u32] {
     }
 }
 
-/// Runs the standard [`ladder`], keeping no frames.
+/// Runs the standard [`ladder`], or one fleet size with `--tenants N`.
+/// `--frames-out PATH` streams every run's `dcat-frames/v1` segments to
+/// PATH as the hosts finish — fleet size by fleet size, policy by policy
+/// — for `dcat-top --replay` and `obs-dump`; memory stays flat however
+/// large the fleet. Large fleets want `--sample-sets 8 --jobs <cores>`.
 ///
 /// # Errors
 ///
 /// Propagates the [`resctrl::ResctrlError`] of the first fleet run that
-/// fails, so the binary classifies it at the exit boundary.
-pub fn run(fast: bool) -> Result<Vec<FleetScaleRow>, resctrl::ResctrlError> {
-    run_at(ladder(fast), fast, &mut |_: &str| {})
+/// fails, so the caller classifies it at the exit boundary.
+///
+/// # Panics
+///
+/// Panics if the frames file cannot be written.
+pub fn run(cli: &Cli) -> Result<Vec<FleetScaleRow>, resctrl::ResctrlError> {
+    let counts = cli
+        .tenants
+        .map_or_else(|| ladder(cli.fast).to_vec(), |n| vec![n]);
+    let Some(path) = cli.frames_out.as_deref() else {
+        return run_at(&counts, cli.fast, &mut |_: &str| {});
+    };
+    let file = File::create(path).unwrap_or_else(|e| export_failed(path, e));
+    // The first write error is kept and the rest of the stream dropped.
+    let mut out = Ok(BufWriter::new(file));
+    let r = run_at(&counts, cli.fast, &mut |segment: &str| {
+        if let Ok(w) = &mut out {
+            if let Err(e) = w.write_all(segment.as_bytes()) {
+                out = Err(e);
+            }
+        }
+    });
+    if let Err(e) = out.and_then(|mut w| w.flush()) {
+        export_failed(path, e);
+    }
+    r
 }
 
-/// Runs the comparison at explicit fleet sizes (the `--tenants N` path
-/// of the binary), handing every run's frame stream to `frames`: fleet
-/// size by fleet size, policy by policy, in report order.
+fn export_failed(path: &Path, e: std::io::Error) -> ! {
+    panic!("frames export to {}: {e}", path.display());
+}
+
+/// Runs the comparison at explicit fleet sizes, handing every run's
+/// frame stream to `frames`: fleet size by fleet size, policy by policy,
+/// in report order.
 ///
 /// # Errors
 ///

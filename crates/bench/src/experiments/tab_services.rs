@@ -227,6 +227,12 @@ pub fn run(fast: bool) -> Vec<ServiceTable> {
     crate::Runner::from_env().map(services, |_, service| run_service(service, fast))
 }
 
+/// Table 5: the PostgreSQL table, then its three-instance variant.
+pub fn run_tab05(fast: bool) {
+    run_service(Service::Postgres, fast);
+    run_postgres_multi(fast);
+}
+
 /// The paper's multi-instance variant: three PostgreSQL VMs next to the
 /// same adversaries ("we observed the similar improvement with dCat").
 /// Returns per-instance dCat/static throughput ratios.

@@ -1,10 +1,11 @@
 //! Experiment harness regenerating every table and figure of the dCat
 //! paper.
 //!
-//! Each `fig*`/`tab*` binary under `src/bin/` reproduces one table or
-//! figure of the evaluation (the mapping is indexed in the repository's
-//! `DESIGN.md`), printing the same rows/series the paper reports. The
-//! shared machinery lives here:
+//! Every table and figure of the evaluation is an entry of
+//! [`experiments::registry`] (indexed in the repository's `DESIGN.md`
+//! §4): `dcat-bench <name>` runs one, `all_experiments` the suite, each
+//! printing the same rows/series the paper reports. The shared machinery
+//! lives here:
 //!
 //! * [`scenario`] — declarative multi-VM scenarios with workload start/stop
 //!   schedules, run under any of the three policies the paper compares
@@ -12,8 +13,9 @@
 //! * [`report`] — plain-text table/series formatting, geometric means,
 //!   and percentiles,
 //! * [`experiments`] — one module per figure/table, each exposing a
-//!   `run(fast)` entry point (binaries call `run(false)`; integration
-//!   tests call scaled-down variants).
+//!   `run(fast)` entry point (integration tests call the scaled-down
+//!   variants), and the registry over them,
+//! * [`perf`] — `dcat-perfbench`'s gated timing suite.
 
 // Library code does not print; bins, tests and benches are other targets and
 // own their stdio (DESIGN.md §12).

@@ -1,10 +1,9 @@
 //! The measurement core: warmup + median-of-K repetitions over a
 //! [`dcat_obs::CycleSource`].
 //!
-//! Unlike [`crate::timing::bench`] (a smoke-level, print-only harness),
-//! this one returns structured results so suites can derive ratios,
+//! It returns structured results so the suite can derive ratios,
 //! normalize against a calibration case, and serialize a tracked
-//! `BENCH_*.json`. The clock is injected: the real suites use
+//! `BENCH_micro.json`. The clock is injected: real runs use
 //! [`crate::timing::WallClock`] (the workspace's only sanctioned
 //! wall-clock), while `--check` injects a [`FakeClock`] so the whole
 //! pipeline — including JSON emission and schema validation — runs

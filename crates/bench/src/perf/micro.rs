@@ -2,12 +2,13 @@
 //! hierarchy access per replacement policy and per outcome (L1 hit, LLC
 //! miss with and without eviction on the 18-core socket, one prefetch
 //! hint, one stamp renormalisation), page translation, reference
-//! generation (a 1 000-reference batch per stream, one bounded draw), the
-//! engine epoch loop (a small socket, and one LLC-bound VM on the
-//! paper's) and its CMT occupancy read, the
+//! generation (a 1 000-reference batch per stream, one reference, one
+//! bounded draw, one Zipf draw), the engine epoch loop (a small socket,
+//! and one LLC-bound VM on the paper's) and its CMT occupancy read, the
 //! daemon's interval (telemetry parse, a whole steady tick, the frame
-//! encode, one float through the printer and through `{:?}`), and the
-//! full-workspace lint run.
+//! encode, one float through the printer and through `{:?}`), the
+//! max-performance split, one whole `fig10_dynamic_alloc --fast` point at
+//! full and sampled fidelity, and the full-workspace lint run.
 //!
 //! The headline pair is `set_access_churn_packed` vs
 //! `set_access_churn_legacy`: a full 16-way set where every fill must
@@ -18,6 +19,7 @@
 //! 3.0 asserted in wall-clock runs (the tracked `BENCH_micro.json`
 //! records the measured value).
 
+use dcat::perf_table::{max_performance_split, PerformanceTable};
 use dcat::CachePolicy as _;
 use dcat_obs::{CycleSource, DEFAULT_STEP_BUCKETS};
 use host::{Engine, EngineConfig, VmSpec};
@@ -29,11 +31,15 @@ use llc_sim::{
     PageMapper, PageSize, PrivateCache, SetAssocCache, VirtAddr, WayMask,
 };
 use smallrng::SmallRng;
-use workloads::{AccessStream, DiurnalStream, Lookbusy, Mload, Mlr, RedisModel};
+use workloads::{
+    spec_catalog, AccessStream, DiurnalStream, Lookbusy, Mload, Mlr, RedisModel, ZipfSampler,
+};
 
 use super::harness::{normalize, SuiteRunner};
 use super::json::{Derived, SuiteResult};
 use super::ClockKind;
+use crate::experiments::fig10_dynamic_alloc;
+use crate::{report, runner};
 
 const WAYS: u32 = 16;
 
@@ -64,9 +70,9 @@ fn bench_bug<T>(what: &str, r: Result<T, resctrl::ResctrlError>) -> T {
     }
 }
 
-/// Registers the shared calibration case: a fixed xorshift spin that
+/// Registers the calibration case: a fixed xorshift spin that
 /// also streams one cache line of the 4 MiB buffer per round.
-pub(super) fn calibration_case(suite: &mut SuiteRunner<'_>, iters: u32) {
+fn calibration_case(suite: &mut SuiteRunner<'_>, iters: u32) {
     let mut buf = vec![0u64; CAL_WORDS];
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     let mut idx = 0usize;
@@ -482,6 +488,26 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         });
     }
 
+    // --- one reference per stream, and one Zipf draw ---
+    let omnetpp = spec_catalog()
+        .into_iter()
+        .find(|s| s.name == "omnetpp")
+        .expect("omnetpp is in the SPEC catalog");
+    let streams: [(&str, Box<dyn AccessStream>); 4] = [
+        ("mlr", Box::new(Mlr::new(16 << 20, 1))),
+        ("mload", Box::new(Mload::new(60 << 20))),
+        ("redis", Box::new(RedisModel::paper_default(3))),
+        ("spec_omnetpp", Box::new(omnetpp.stream(5))),
+    ];
+    for (tag, mut stream) in streams {
+        let name = format!("stream_next_access_{tag}");
+        suite.case(&name, iters, move || stream.next_access());
+    }
+    {
+        let mut zipf = ZipfSampler::new(1_000_000, 0.99, 7);
+        suite.case("zipf_sample", iters, move || zipf.sample());
+    }
+
     // --- CMT occupancy read of one VM on the paper's socket ---
     {
         let mut cfg = EngineConfig::xeon_e5_v4();
@@ -765,6 +791,25 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         });
     }
 
+    // --- the max-performance split (paper Section 3.5's DP) over fully
+    // populated 20-way tables, at 4 and at 12 tenants ---
+    for tenants in [4u32, 12] {
+        let tables: Vec<PerformanceTable> = (0..tenants)
+            .map(|i| {
+                let mut t = PerformanceTable::new(20);
+                for w in 1..=20 {
+                    t.record(w, 1.0 + f64::from(w).ln() * (0.05 + 0.01 * f64::from(i)));
+                }
+                t
+            })
+            .collect();
+        let name = format!("max_performance_split_{tenants}x20");
+        suite.case(&name, iters, move || {
+            let refs: Vec<&PerformanceTable> = tables.iter().collect();
+            max_performance_split(std::hint::black_box(&refs), 20)
+        });
+    }
+
     // --- one counter increment per domain of a 12-domain host, the
     // series named on every write vs resolved once ---
     {
@@ -787,6 +832,20 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
             for &id in std::hint::black_box(&ids) {
                 registry.add(id, 1);
             }
+        });
+    }
+
+    // --- one whole experiment point, full fidelity and
+    // `--sample-sets 8`: what UMON-style set sampling buys end to end (the
+    // run spends time outside the LLC too, so less than per access). Each
+    // case pins the sampling-stride global itself, since the passes
+    // interleave, and its report output is captured and dropped ---
+    for (name, one_in) in [("fig10_fast_full", 0), ("fig10_fast_sampled8", 8)] {
+        suite.case(name, 1, move || {
+            runner::set_sample_sets(one_in);
+            let ((_, r), _text) = report::capture(|| fig10_dynamic_alloc::run_one(4 << 20, true));
+            runner::set_sample_sets(0);
+            r
         });
     }
 
@@ -840,6 +899,11 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
             // byte for byte (obs/tests/shortest_f64.rs).
             value: ns_of("f64_debug_std_ipc_like") / ns_of("f64_shortest_ipc_like"),
             min: wall.then_some(1.5),
+        },
+        Derived {
+            name: "fig10_sampled_speedup".into(),
+            value: ns_of("fig10_fast_full") / ns_of("fig10_fast_sampled8"),
+            min: wall.then_some(1.0),
         },
         Derived {
             name: "lint_budget_headroom".into(),

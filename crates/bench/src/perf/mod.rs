@@ -1,5 +1,4 @@
-//! Deterministic micro/macro benchmark layer — the `dcat-perfbench`
-//! tentpole.
+//! The deterministic timing suite behind `dcat-perfbench`.
 //!
 //! Structure:
 //!
@@ -8,23 +7,19 @@
 //!   deterministic clock for `--check`), with the K repetitions
 //!   interleaved across the suite's cases for noise robustness, plus
 //!   normalization against a calibration spin.
-//! * [`micro`] — `CacheSet` access paths (packed vs legacy),
-//!   `Hierarchy::access` per replacement policy, the engine epoch
-//!   loop, and the full-workspace `dcat-lint` run (whose
-//!   `lint_budget_headroom` floor enforces ci.sh's 10 s lint budget).
-//! * [`macrobench`] — fig10/fig15 `--fast` sweeps, full fidelity vs
-//!   `--sample-sets 8`.
+//! * [`micro`] — the one suite: every layer from a `CacheSet` access to
+//!   a whole `fig10_dynamic_alloc --fast` point, and the full-workspace
+//!   `dcat-lint` run (whose `lint_budget_headroom` floor enforces
+//!   ci.sh's 10 s lint budget).
 //! * [`json`] — the `dcat-perfbench/v1` schema: serialization,
 //!   validation (reusing `obs::json`'s parser), and the normalized
 //!   regression gate with `DCAT_BLESS=1` re-blessing.
 //!
-//! The tracked trajectory lives in `BENCH_micro.json` and
-//! `BENCH_macro.json` at the repository root; `ci.sh` re-measures and
-//! gates every fresh run against them.
+//! The tracked trajectory lives in `BENCH_micro.json` at the repository
+//! root; `ci.sh` re-measures and gates every fresh run against it.
 
 pub mod harness;
 pub mod json;
-pub mod macrobench;
 pub mod micro;
 
 use crate::report;
@@ -47,27 +42,6 @@ impl ClockKind {
         }
     }
 }
-
-/// Runs one suite by name against the given clock.
-///
-/// # Panics
-///
-/// Panics on an unknown suite name; the binary validates names first.
-pub fn run_suite(
-    name: &str,
-    clock: &mut dyn dcat_obs::CycleSource,
-    kind: ClockKind,
-    quick: bool,
-) -> json::SuiteResult {
-    match name {
-        "micro" => micro::run(clock, kind, quick),
-        "macro" => macrobench::run(clock, kind, quick),
-        other => panic!("unknown suite '{other}' (expected 'micro' or 'macro')"),
-    }
-}
-
-/// All suite names, in emission order.
-pub const SUITES: &[&str] = &["micro", "macro"];
 
 /// Prints a suite as a human table via [`report::say`].
 pub fn print_table(suite: &json::SuiteResult) {

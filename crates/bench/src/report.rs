@@ -1,4 +1,4 @@
-//! Plain-text reporting helpers shared by the experiment binaries.
+//! Plain-text reporting helpers shared by the experiments.
 //!
 //! All output funnels through [`say`], which writes either to stdout or —
 //! inside a [`capture`] scope — to a thread-local buffer. Parallel sweeps

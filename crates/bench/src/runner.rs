@@ -1,6 +1,6 @@
 //! Shared CLI parsing and the deterministic parallel sweep runner.
 //!
-//! Every experiment binary accepts `--fast` and `--jobs N`. `--jobs`
+//! Every experiment accepts `--fast` and `--jobs N`. `--jobs`
 //! sets a process-global width consumed by [`Runner::from_env`]; sweeps
 //! inside experiments fan their scenario runs out through
 //! [`Runner::map`], which combines [`host::Pool`]'s index-ordered
@@ -48,7 +48,7 @@ pub fn llc_fidelity() -> llc_sim::SimFidelity {
     }
 }
 
-/// Flags shared by every experiment binary.
+/// Flags shared by every experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cli {
     /// Scaled-down epoch counts and cycle budgets (for tests and CI).
@@ -64,6 +64,9 @@ pub struct Cli {
     /// LLC set-sampling stride (`--sample-sets N`); 0 means full
     /// fidelity. Values of 1 also degenerate to full fidelity.
     pub sample_sets: usize,
+    /// Fleet size (`--tenants N`) for the fleet experiments, overriding
+    /// their default ladder; others ignore it.
+    pub tenants: Option<u32>,
 }
 
 impl Cli {
@@ -74,8 +77,8 @@ impl Cli {
     }
 
     /// Parses a flag list (`--fast`, `--jobs N`, `--jobs=N`,
-    /// `--metrics-out PATH`, `--frames-out PATH`, `--sample-sets N`);
-    /// unknown flags are ignored so binaries can add their own. Installs
+    /// `--metrics-out PATH`, `--frames-out PATH`, `--sample-sets N`,
+    /// `--tenants N`); anything else is ignored. Installs
     /// the parsed width via [`set_jobs`] and the sampling stride via
     /// [`set_sample_sets`].
     pub fn parse(args: &[String]) -> Self {
@@ -84,6 +87,7 @@ impl Cli {
         let mut metrics_out = None;
         let mut frames_out = None;
         let mut sample_sets = 0usize;
+        let mut tenants = None;
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             if arg == "--fast" {
@@ -112,6 +116,10 @@ impl Cli {
                 if let Ok(n) = v.parse() {
                     sample_sets = n;
                 }
+            } else if arg == "--tenants" {
+                tenants = it.next().and_then(|v| v.parse().ok());
+            } else if let Some(v) = arg.strip_prefix("--tenants=") {
+                tenants = v.parse().ok();
             }
         }
         let cli = Cli {
@@ -120,6 +128,7 @@ impl Cli {
             metrics_out,
             frames_out,
             sample_sets,
+            tenants,
         };
         set_jobs(cli.jobs);
         set_sample_sets(cli.sample_sets);
@@ -211,6 +220,7 @@ mod tests {
             metrics_out: None,
             frames_out: None,
             sample_sets: 0,
+            tenants: None,
         };
         assert_eq!(Cli::parse(&argv(&[])), base);
         assert_eq!(
@@ -267,6 +277,20 @@ mod tests {
             Cli::parse(&argv(&["--sample-sets=16"])),
             Cli {
                 sample_sets: 16,
+                ..base.clone()
+            }
+        );
+        assert_eq!(
+            Cli::parse(&argv(&["--tenants", "1000"])),
+            Cli {
+                tenants: Some(1000),
+                ..base.clone()
+            }
+        );
+        assert_eq!(
+            Cli::parse(&argv(&["--tenants=30"])),
+            Cli {
+                tenants: Some(30),
                 ..base.clone()
             }
         );

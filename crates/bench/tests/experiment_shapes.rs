@@ -155,7 +155,7 @@ fn coloring_beats_cat_at_equal_capacity() {
 fn replacement_policies_are_sane_at_small_scale() {
     // BIP's protection accumulates too slowly to show at the fast scale
     // (the single-set unit test in llc-sim proves the scan-resistance
-    // semantics; the full `ablate_replacement` binary shows the
+    // semantics; the full `ablate_replacement` experiment shows the
     // engine-level effect). Here: every policy runs, none collapses.
     let rows = e::ablate_replacement::run(true);
     assert_eq!(rows.len(), 4);

@@ -1,4 +1,4 @@
-//! `fleet_scale --frames-out PATH` streams every run's frame segments to
+//! `dcat-bench fleet_scale --frames-out PATH` streams every run's frame segments to
 //! PATH as the hosts finish: the file must be, byte for byte, what
 //! `run_fleet` keeps in `FleetResult::frames`, policy after policy in
 //! report order.
@@ -11,8 +11,9 @@ use dcat_bench::fleet::{run_fleet, FleetConfig, FleetPolicy};
 fn fleet_scale_frames_out_is_the_run_fleet_frames_concatenated() {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fleet_scale_frames.jsonl");
     // Three hosts per run, two of them on a second worker.
-    let status = Command::new(env!("CARGO_BIN_EXE_fleet_scale"))
+    let status = Command::new(env!("CARGO_BIN_EXE_dcat-bench"))
         .args([
+            "fleet_scale",
             "--fast",
             "--tenants",
             "30",
