@@ -7,8 +7,8 @@
 //! and one LLC-bound VM on the paper's) and its CMT occupancy read, the
 //! daemon's interval (telemetry parse, a whole steady tick, the frame
 //! encode, one float through the printer and through `{:?}`), the
-//! max-performance split, one whole `fig10_dynamic_alloc --fast` point at
-//! full and sampled fidelity, and the full-workspace lint run.
+//! max-performance split, and one whole `fig10_dynamic_alloc --fast` point
+//! at full and sampled fidelity.
 //!
 //! The headline pair is `set_access_churn_packed` vs
 //! `set_access_churn_legacy`: a full 16-way set where every fill must
@@ -849,18 +849,6 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         });
     }
 
-    // --- full-workspace lint gate ---
-    // ci.sh budgets 10 s of wall clock for the `dcat-lint` run; tracking
-    // the full pipeline (read + lex + per-file passes + spec drift) here
-    // turns that one-off timer into a regression-gated trajectory with
-    // a hard headroom floor (`lint_budget_headroom` below).
-    let lint_root = dcat_lint::find_repo_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
-        .expect("bench crate lives inside the workspace");
-    suite.case("lint_full_workspace", 1, move || {
-        let report = dcat_lint::check_repo(&lint_root).expect("lint pipeline runs");
-        report.findings.len()
-    });
-
     let mut cases = suite.run(clock, reps);
     normalize(&mut cases, "spin_calibration");
 
@@ -903,13 +891,6 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         Derived {
             name: "fig10_sampled_speedup".into(),
             value: ns_of("fig10_fast_full") / ns_of("fig10_fast_sampled8"),
-            min: wall.then_some(1.0),
-        },
-        Derived {
-            name: "lint_budget_headroom".into(),
-            // How many times the full-workspace lint fits into ci.sh's
-            // 10 s budget; dipping under 1.0 means the gate is blown.
-            value: 10_000_000_000.0 / ns_of("lint_full_workspace"),
             min: wall.then_some(1.0),
         },
     ];

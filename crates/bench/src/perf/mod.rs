@@ -8,9 +8,7 @@
 //!   interleaved across the suite's cases for noise robustness, plus
 //!   normalization against a calibration spin.
 //! * [`micro`] — the one suite: every layer from a `CacheSet` access to
-//!   a whole `fig10_dynamic_alloc --fast` point, and the full-workspace
-//!   `dcat-lint` run (whose `lint_budget_headroom` floor enforces
-//!   ci.sh's 10 s lint budget).
+//!   a whole `fig10_dynamic_alloc --fast` point.
 //! * [`json`] — the `dcat-perfbench/v1` schema: serialization,
 //!   validation (reusing `obs::json`'s parser), and the normalized
 //!   regression gate with `DCAT_BLESS=1` re-blessing.

@@ -1,8 +1,8 @@
 //! Telemetry acquisition for the daemon: file reads, lossy parsing, and
 //! the fault-injecting wrapper.
 //!
-//! The daemon never touches the filesystem directly (the DL005 lint
-//! pass enforces it): [`CsvTelemetry`], its [`Telemetry`] source, pulls
+//! The daemon never touches the filesystem directly (the DL005 source
+//! rule, `tests/source_rules.rs`): [`CsvTelemetry`], its [`Telemetry`] source, pulls
 //! raw CSV text through a [`TelemetryFeed`], retries transient failures
 //! through [`resctrl::retry::with_retries`], and parses row by row,
 //! dropping malformed rows individually instead of rejecting the whole

@@ -62,6 +62,8 @@ pub struct Rule {
     pub from: Option<WorkloadClass>,
     /// Guard over the interval's observation.
     pub when: fn(&Observation) -> bool,
+    /// The source text of `when`'s body (`true` for a catch-all row).
+    pub guard: &'static str,
     /// Destination class.
     pub to: WorkloadClass,
     /// Whether taking this edge records a stall at the current size
@@ -71,116 +73,137 @@ pub struct Rule {
     pub edge: &'static str,
 }
 
+/// A [`Rule`] whose `guard` text is `stringify!` of its `when` body, so the
+/// two cannot disagree.
+macro_rules! rule {
+    (
+        from: $from:expr,
+        when: |$o:tt| $guard:expr,
+        to: $to:expr,
+        records_stall: $stall:expr,
+        edge: $edge:expr $(,)?
+    ) => {
+        Rule {
+            from: $from,
+            when: |$o| $guard,
+            guard: stringify!($guard),
+            to: $to,
+            records_stall: $stall,
+            edge: $edge,
+        }
+    };
+}
+
 /// The Figure 6 state machine. Reclaim and Streaming resolve uncondition-
 /// ally before the telemetry guards; every class ends with a catch-all
 /// self-edge, so the table is total.
 pub const FIGURE6: &[Rule] = &[
-    Rule {
+    rule! {
         from: Some(WorkloadClass::Reclaim),
         when: |_| true,
         to: WorkloadClass::Keeper,
         records_stall: false,
         edge: "Reclaim -> Keeper: baseline re-measured at the reserved size",
     },
-    Rule {
+    rule! {
         from: Some(WorkloadClass::Streaming),
         when: |_| true,
         to: WorkloadClass::Streaming,
         records_stall: false,
         edge: "Streaming -> Streaming: the verdict is sticky within a phase",
     },
-    Rule {
+    rule! {
         from: None,
         when: |o| o.low_llc_use,
         to: WorkloadClass::Donor,
         records_stall: false,
         edge: "any -> Donor (fast): the workload is not using the LLC",
     },
-    Rule {
+    rule! {
         from: Some(WorkloadClass::Keeper),
         when: |o| o.negligible_misses,
         to: WorkloadClass::Donor,
         records_stall: false,
         edge: "Keeper -> Donor (gradual): whatever is cached suffices",
     },
-    Rule {
+    rule! {
         from: Some(WorkloadClass::Donor),
         when: |o| o.negligible_misses && !o.high_misses,
         to: WorkloadClass::Donor,
         records_stall: false,
         edge: "Donor -> Donor: misses still negligible, keep donating",
     },
-    Rule {
+    rule! {
         from: Some(WorkloadClass::Donor),
         when: |_| true,
         to: WorkloadClass::Keeper,
         records_stall: false,
         edge: "Donor -> Keeper: donated too far (misses no longer negligible)",
     },
-    Rule {
+    rule! {
         from: Some(WorkloadClass::Keeper),
         when: |o| o.high_misses && !o.capped && !o.stalled_here,
         to: WorkloadClass::Unknown,
         records_stall: false,
         edge: "Keeper -> Unknown: missing hard, probe whether cache helps",
     },
-    Rule {
+    rule! {
         from: Some(WorkloadClass::Keeper),
         when: |_| true,
         to: WorkloadClass::Keeper,
         records_stall: false,
         edge: "Keeper -> Keeper: neither donating nor starved",
     },
-    Rule {
+    rule! {
         from: Some(WorkloadClass::Unknown),
         when: |o| o.improvement == ImprovementSignal::Improved,
         to: WorkloadClass::Receiver,
         records_stall: false,
         edge: "Unknown -> Receiver: the added way paid off",
     },
-    Rule {
+    rule! {
         from: Some(WorkloadClass::Unknown),
         when: |o| !o.ever_improved && o.saw_no_improvement && o.at_growth_limit,
         to: WorkloadClass::Streaming,
         records_stall: false,
         edge: "Unknown -> Streaming: grew to the limit, never any payoff",
     },
-    Rule {
+    rule! {
         from: Some(WorkloadClass::Unknown),
         when: |o| o.improvement == ImprovementSignal::Stalled && o.ever_improved,
         to: WorkloadClass::Keeper,
         records_stall: true,
         edge: "Unknown -> Keeper: benefited earlier but stalled at this size",
     },
-    Rule {
+    rule! {
         from: Some(WorkloadClass::Unknown),
         when: |o| o.improvement == ImprovementSignal::Unjudged && o.grow_denied,
         to: WorkloadClass::Keeper,
         records_stall: true,
         edge: "Unknown -> Keeper: pool exhausted, probe cannot proceed",
     },
-    Rule {
+    rule! {
         from: Some(WorkloadClass::Unknown),
         when: |_| true,
         to: WorkloadClass::Unknown,
         records_stall: false,
         edge: "Unknown -> Unknown: verdict still open, keep probing",
     },
-    Rule {
+    rule! {
         from: Some(WorkloadClass::Receiver),
         when: |o| o.improvement == ImprovementSignal::Stalled,
         to: WorkloadClass::Keeper,
         records_stall: true,
         edge: "Receiver -> Keeper: the latest way yielded no improvement",
     },
-    Rule {
+    rule! {
         from: Some(WorkloadClass::Receiver),
         when: |o| !o.high_misses,
         to: WorkloadClass::Keeper,
         records_stall: false,
         edge: "Receiver -> Keeper: misses subsided, growth is done",
     },
-    Rule {
+    rule! {
         from: Some(WorkloadClass::Receiver),
         when: |_| true,
         to: WorkloadClass::Receiver,
@@ -335,6 +358,28 @@ mod tests {
             }
         }
         assert!(cells >= 6 * 384, "lattice under-enumerated: {cells} cells");
+    }
+
+    /// DESIGN.md §12 lists Figure 6 between `figure6` markers, one
+    /// `rule N: FROM -> TO [stall] when GUARD` line per row; editing either
+    /// table without the other fails here.
+    #[test]
+    fn figure6_table_matches_design_md() {
+        let design = include_str!("../../../DESIGN.md");
+        let (_, block) = design.split_once("<!-- figure6:begin -->\n").unwrap();
+        let (block, _) = block.split_once("<!-- figure6:end -->").unwrap();
+        let rendered: String = FIGURE6
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let from = r.from.map_or("any".to_string(), |c| format!("{c:?}"));
+                let stall = if r.records_stall { " [stall]" } else { "" };
+                let guard = if r.guard == "true" { "always" } else { r.guard };
+                let (n, to) = (i + 1, r.to);
+                format!("rule {n}: {from} -> {to:?}{stall} when {guard}\n")
+            })
+            .collect();
+        assert_eq!(rendered, block);
     }
 
     #[test]

@@ -37,11 +37,9 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod engine;
-pub mod multi;
 pub mod pool;
 pub mod topology;
 
 pub use engine::{Engine, EngineCat, EngineConfig, VmEpochStats};
-pub use multi::MultiSocketEngine;
 pub use pool::Pool;
 pub use topology::{SocketConfig, VmSpec};

@@ -6,8 +6,8 @@
 //! 1. **Metrics registry** ([`metrics`]) — counters, gauges, and fixed-bucket
 //!    histograms keyed by static name + label set. Snapshots are B-tree
 //!    backed and merge commutatively, so per-worker registries from
-//!    `host::pool` / `MultiSocketEngine` collapse to the same bytes in any
-//!    permutation. Exports: Prometheus text and JSONL via [`MetricsSink`].
+//!    `host::pool` collapse to the same bytes in any permutation. Exports:
+//!    Prometheus text and JSONL via [`MetricsSink`].
 //! 2. **Logical-clock tracing** ([`trace`]) — span enter/exit for each daemon
 //!    pipeline stage and engine epoch, timed in ticks/epochs by default and
 //!    in cycles only when a [`CycleSource`] (implemented in `bench::timing`,

@@ -6,7 +6,7 @@
 //! is commutative and associative (counters add, gauges max, histograms add
 //! element-wise over identical static buckets). Per-worker registries merged
 //! in any permutation therefore produce byte-identical exports — the property
-//! `host::pool` and `MultiSocketEngine` rely on under `--jobs N`.
+//! `host::pool` relies on under `--jobs N`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -335,7 +335,7 @@ impl Snapshot {
     /// Panics if a series has a different kind in `other`.
     #[expect(
         clippy::panic,
-        reason = "its one caller, host::multi, merges snapshots whose kinds one build's code fixes; a mismatch is a build defect"
+        reason = "callers merge snapshots whose kinds one build's code fixes; a mismatch is a build defect"
     )]
     pub fn merge(&mut self, other: &Snapshot) {
         for (key, value) in &other.entries {

@@ -4,8 +4,8 @@
 //! exactly the kind of drift the determinism harness cannot tolerate:
 //! two runs could disagree in the last ulp of a ratio and diverge from
 //! there. Every ratio in this crate funnels through [`counter_to_f64`],
-//! so there is a single audited cast site (annotated for the DL008
-//! cast-safety lint) and a debug assertion that fires long before a
+//! so there is a single audited cast site (the one `clippy::as_conversions`
+//! exception here) and a debug assertion that fires long before a
 //! counter delta approaches the exact-representation limit.
 
 /// Largest `u64` that `f64` represents exactly (2^53).

@@ -74,9 +74,9 @@ impl ExecutionProfile {
 /// starts and stops programs inside long-lived VMs.
 ///
 /// Streams are `Send` so a whole socket's VM set (engine state plus the
-/// boxed streams it drives) can move to a worker thread when multi-socket
-/// topologies simulate sockets in parallel. Workload models are plain
-/// seeded state machines, so the bound costs implementors nothing.
+/// boxed streams it drives) can move to a worker thread. Workload models
+/// are plain seeded state machines, so the bound costs implementors
+/// nothing.
 pub trait AccessStream: Send {
     /// Produces the next memory reference.
     fn next_access(&mut self) -> MemRef;
