@@ -90,7 +90,8 @@ echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch co
 # lane (§16, "third pass"); 07-09 the engine slice's held caches and
 # estimator (§14, "Fifth pass"); 10-11 the pool's reorder window and the
 # fleet's streaming fold (§15); 12-14 the source rules and the Figure 6
-# table check (§12).
+# table check (§12); 15-16 the frame validator's per-segment ticks and
+# `dcat-top --follow` across a daemon restart (§16).
 sh tools/mutants.sh tests/mutants/*.patch
 
 echo "==> the float printer against {:?}, 30 M draws of each shape (release; the debug run above did 1 M)"

@@ -6,7 +6,8 @@
 //! bounded draw, one Zipf draw), the engine epoch loop (a small socket,
 //! and one LLC-bound VM on the paper's) and its CMT occupancy read, the
 //! daemon's interval (telemetry parse, a whole steady tick, the frame
-//! encode, one float through the printer and through `{:?}`), the
+//! encode, one float through the printer and through `{:?}`), the frame's
+//! read side (its decode and its `dcat-top` render), the
 //! max-performance split, and one whole `fig10_dynamic_alloc --fast` point
 //! at full and sampled fidelity.
 //!
@@ -21,6 +22,7 @@
 
 use dcat::perf_table::{max_performance_split, PerformanceTable};
 use dcat::CachePolicy as _;
+use dcat_obs::frames::{FrameReader, Record};
 use dcat_obs::{CycleSource, DEFAULT_STEP_BUCKETS};
 use host::{Engine, EngineConfig, VmSpec};
 use llc_sim::replacement::ReplacementPolicy;
@@ -222,6 +224,47 @@ fn daemon_shaped_registry() -> (dcat_obs::Registry, Vec<String>) {
         registry.counter_add("dcat_phase_changes_total", &domain, 1);
     }
     (registry, names)
+}
+
+/// The fully populated worst case of a frame: a 12-domain host (the fleet
+/// shape) with every optional field present and both policy extensions,
+/// its domain names lent from `names`.
+fn worst_case_frame(names: &[String]) -> dcat_obs::Frame<'_> {
+    dcat_obs::Frame {
+        tick: 1_000_000,
+        policy: "dcat-maxperf".into(),
+        degraded: true,
+        reason: Some("telemetry"),
+        ways_moved: 7,
+        events: 3,
+        ext: dcat_obs::PolicyExt {
+            cos: 12,
+            lfoc: Some(dcat_obs::LfocExt {
+                clusters: 4,
+                insensitive: 3,
+            }),
+            memshare: Some(dcat_obs::MemshareExt {
+                lent: 5,
+                credit_min: -12,
+                credit_max: 40,
+            }),
+        },
+        domains: (0u32..)
+            .zip(names)
+            .map(|(i, name)| dcat_obs::DomainFrame {
+                name: name.as_str().into(),
+                class: "Receiver",
+                ways: 3 + (i % 5),
+                cbm: Some(0x3ffff >> i),
+                ipc: 1.234_567 + f64::from(i),
+                norm_ipc: Some(0.987_654),
+                miss_rate: 0.123_456,
+                baseline_ipc: Some(1.111_111),
+                quarantined: i == 3,
+                held: i == 4,
+            })
+            .collect(),
+    }
 }
 
 /// Builds the micro suite. `quick` shrinks iteration counts to a smoke
@@ -582,49 +625,32 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
     // --- frame-stream encoder (the dcat-top export hot path) ---
     // One call of `encode_frame` is the entire per-tick cost a daemon
     // pays for `--frames-out`, so it must stay far inside a tick budget.
-    // Fully populated worst case: a 12-domain host (the fleet shape)
-    // with every optional field present and both policy extensions.
     // The frame is built the way a producer builds it — names lent, one
     // `Vec` of domains — so the case is the whole export of a tick.
+    let names: Vec<String> = (0..12).map(|i| format!("tenant-{i}")).collect();
     {
-        let names: Vec<String> = (0..12).map(|i| format!("tenant-{i}")).collect();
+        let names = names.clone();
         suite.case("frame_encode_tick", iters, move || {
-            let frame = dcat_obs::Frame {
-                tick: 1_000_000,
-                policy: "dcat-maxperf".into(),
-                degraded: true,
-                reason: Some("telemetry"),
-                ways_moved: 7,
-                events: 3,
-                ext: dcat_obs::PolicyExt {
-                    cos: 12,
-                    lfoc: Some(dcat_obs::LfocExt {
-                        clusters: 4,
-                        insensitive: 3,
-                    }),
-                    memshare: Some(dcat_obs::MemshareExt {
-                        lent: 5,
-                        credit_min: -12,
-                        credit_max: 40,
-                    }),
-                },
-                domains: (0u32..)
-                    .zip(&names)
-                    .map(|(i, name)| dcat_obs::DomainFrame {
-                        name: name.as_str().into(),
-                        class: "Receiver",
-                        ways: 3 + (i % 5),
-                        cbm: Some(0x3ffff >> i),
-                        ipc: 1.234_567 + f64::from(i),
-                        norm_ipc: Some(0.987_654),
-                        miss_rate: 0.123_456,
-                        baseline_ipc: Some(1.111_111),
-                        quarantined: i == 3,
-                        held: i == 4,
-                    })
-                    .collect(),
-            };
-            dcat_obs::frames::encode_frame(&frame).len()
+            dcat_obs::frames::encode_frame(&worst_case_frame(&names)).len()
+        });
+    }
+    // --- and its read side: that frame's line through the validator every
+    // reader goes through (a reader that has seen the header), and the
+    // decoded frame's `dcat-top` table ---
+    {
+        let line = dcat_obs::frames::encode_frame(&worst_case_frame(&names));
+        let mut opened = FrameReader::default();
+        let header = opened.read_line(&dcat_obs::frames::header_line("dcatd"));
+        assert!(matches!(header, Ok(Some(Record::Header(_)))));
+        let Ok(Some(Record::Frame(frame))) = opened.clone().read_line(&line) else {
+            panic!("the worst-case frame's line does not validate");
+        };
+        suite.case("frame_decode_tick", iters, move || {
+            opened.clone().read_line(&line)
+        });
+        let opts = dcat_top::RenderOptions::headless();
+        suite.case("top_render_frame", iters, move || {
+            dcat_top::render_frame(&frame, &opts).len()
         });
     }
 

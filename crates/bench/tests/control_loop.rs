@@ -117,8 +117,9 @@ fn a_simulated_host_quarantines_a_silent_vm_and_keeps_the_others_moving() {
             "one quarantine, one recovery, and no invariant violation"
         );
         let segments = dcat_obs::frames::parse_stream(&frames).unwrap();
+        let decoded: Vec<_> = segments[0].frames.iter().collect();
         let mut moved = false;
-        for pair in segments[0].frames.windows(2) {
+        for pair in decoded.windows(2) {
             let (before, f) = (&pair[0], &pair[1]);
             let row = &f.domains[WITHHELD];
             // Quarantined from the fifth miss until the sample is back.

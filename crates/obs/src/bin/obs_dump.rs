@@ -11,7 +11,7 @@
 //! artifact — the mode CI uses. Flight dumps must carry the
 //! `dcat-flight/v1` schema in their header; headerless or unknown-version
 //! dumps are rejected. Frame streams go through the same
-//! [`dcat_obs::frames::parse_stream`] validator `dcat-top --replay` uses.
+//! [`dcat_obs::frames::FrameReader`] validator `dcat-top --replay` uses.
 
 use dcat_obs::frames;
 use dcat_obs::json::{self, Value};

@@ -16,10 +16,12 @@
 //! Concatenating streams concatenates segments, which is how multi-run
 //! exports (e.g. fig07's streaming/non-streaming pair) stay valid.
 //!
-//! [`parse_stream`] is the single validator: `obs-dump --check` and
-//! `dcat-top --replay` both go through it, so a stream the dashboard can
-//! step is exactly a stream CI accepts. [`check_flight`] is the matching
-//! validator for `dcat-flight/v1` recorder dumps.
+//! [`FrameReader`] is the single validator, one line at a time:
+//! [`parse_stream`], [`check_frames`], `dcat-top --replay` and
+//! `dcat-top --follow` all go through it, so a stream the dashboard can
+//! step is exactly a stream CI accepts, and none of them keeps the frames
+//! it decoded. [`check_flight`] is the matching validator for
+//! `dcat-flight/v1` recorder dumps.
 
 use crate::json::{self, Obj, Value};
 use std::borrow::Cow;
@@ -47,7 +49,7 @@ pub const KNOWN_CLASSES: &[&str] = &[
 pub const KNOWN_REASONS: &[&str] = &["telemetry", "resctrl"];
 
 /// One domain's slice of a frame. A producer lends the name out of its
-/// reports; [`parse_stream`] owns what it read.
+/// reports; [`FrameReader`] owns what it read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DomainFrame<'a> {
     pub name: Cow<'a, str>,
@@ -348,11 +350,66 @@ impl Default for FrameWriter {
     }
 }
 
-/// One validated segment of a stream.
+/// One validated segment of a stream, borrowing the text it came from.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Segment {
+pub struct Segment<'a> {
     pub source: String,
-    pub frames: Vec<Frame<'static>>,
+    pub frames: Frames<'a>,
+}
+
+/// A segment's frames, kept as their validated lines (16 B a frame) and
+/// decoded one at a time when asked for.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Frames<'a> {
+    lines: Vec<&'a str>,
+}
+
+/// What [`Frames::iter`] yields: each line decoded as it is reached.
+pub type FramesIter<'s, 'a> =
+    std::iter::Map<std::slice::Iter<'s, &'a str>, fn(&&'a str) -> Frame<'static>>;
+
+impl<'a> Frames<'a> {
+    pub fn len(&self) -> usize {
+        self.lines.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.lines.is_empty()
+    }
+
+    pub fn get(&self, index: usize) -> Option<Frame<'static>> {
+        self.lines.get(index).map(decode)
+    }
+
+    pub fn last(&self) -> Option<Frame<'static>> {
+        self.lines.last().map(decode)
+    }
+
+    pub fn iter(&self) -> FramesIter<'_, 'a> {
+        self.lines
+            .iter()
+            .map(decode as fn(&&'a str) -> Frame<'static>)
+    }
+}
+
+impl<'s, 'a> IntoIterator for &'s Frames<'a> {
+    type Item = Frame<'static>;
+    type IntoIter = FramesIter<'s, 'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Decodes a line [`FrameReader`] has already accepted as a frame.
+#[expect(
+    clippy::expect_used,
+    reason = "`Frames` holds only lines `FrameReader` decoded once already, and decoding is a pure function of the line"
+)]
+fn decode(raw: &&str) -> Frame<'static> {
+    json::parse(raw)
+        .and_then(|v| parse_frame(&v, 0))
+        .expect("a validated frame line decodes")
 }
 
 /// Validation summary returned by [`check_frames`].
@@ -467,19 +524,38 @@ fn parse_frame(v: &Value, line: usize) -> Result<Frame<'static>, String> {
     })
 }
 
-/// Parse and validate a `dcat-frames/v1` stream. This is the one
-/// validator: `obs-dump --check` summarizes its result and
-/// `dcat-top --replay` renders its segments, so anything the dashboard
-/// can step is exactly what CI accepts. Enforced per segment: header
-/// first, known schema, strictly increasing ticks, known state classes,
-/// degraded frames carry a known reason.
-pub fn parse_stream(text: &str) -> Result<Vec<Segment>, String> {
-    let mut segments: Vec<Segment> = Vec::new();
-    let mut last_tick: Option<u64> = None;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = idx + 1;
+/// One validated record, as [`FrameReader::read_line`] yields it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Record {
+    /// A `frames_header`: a segment from this source begins.
+    Header(String),
+    /// A `frame` of the current segment.
+    Frame(Frame<'static>),
+}
+
+/// The one validator of `dcat-frames/v1`, fed a line at a time. Enforced
+/// per segment: header first, known schema, strictly increasing ticks,
+/// known state classes, degraded frames carry a known reason. It keeps
+/// only its position, so a reader over a growing file (`dcat-top
+/// --follow`) costs what was appended.
+#[derive(Debug, Clone, Default)]
+pub struct FrameReader {
+    /// Lines read so far, blank ones included: errors name the line.
+    line: usize,
+    /// A `frames_header` has opened a segment.
+    in_segment: bool,
+    /// The current segment's last tick.
+    last_tick: Option<u64>,
+}
+
+impl FrameReader {
+    /// Validates the next line of the stream (without its newline):
+    /// `None` for a blank line, else the header or the decoded frame.
+    pub fn read_line(&mut self, raw: &str) -> Result<Option<Record>, String> {
+        self.line += 1;
+        let line = self.line;
         if raw.trim().is_empty() {
-            continue;
+            return Ok(None);
         }
         let v = json::parse(raw).map_err(|e| format!("line {line}: {e}"))?;
         match v.get("record").and_then(Value::as_str) {
@@ -488,18 +564,17 @@ pub fn parse_stream(text: &str) -> Result<Vec<Segment>, String> {
                 if schema != FRAMES_SCHEMA {
                     return Err(format!("line {line}: unsupported frames schema '{schema}'"));
                 }
-                segments.push(Segment {
-                    source: str_field(&v, "source", line)?,
-                    frames: Vec::new(),
-                });
-                last_tick = None;
+                let source = str_field(&v, "source", line)?;
+                self.in_segment = true;
+                self.last_tick = None;
+                Ok(Some(Record::Header(source)))
             }
             Some("frame") => {
-                let seg = segments
-                    .last_mut()
-                    .ok_or_else(|| format!("line {line}: frame before any frames_header"))?;
+                if !self.in_segment {
+                    return Err(format!("line {line}: frame before any frames_header"));
+                }
                 let frame = parse_frame(&v, line)?;
-                if let Some(prev) = last_tick {
+                if let Some(prev) = self.last_tick {
                     if frame.tick <= prev {
                         return Err(format!(
                             "line {line}: tick {} is not greater than previous tick {prev}",
@@ -507,29 +582,64 @@ pub fn parse_stream(text: &str) -> Result<Vec<Segment>, String> {
                         ));
                     }
                 }
-                last_tick = Some(frame.tick);
-                seg.frames.push(frame);
+                self.last_tick = Some(frame.tick);
+                Ok(Some(Record::Frame(frame)))
             }
-            Some(other) => {
-                return Err(format!("line {line}: unknown record kind '{other}'"));
-            }
-            None => return Err(format!("line {line}: missing 'record' field")),
+            Some(other) => Err(format!("line {line}: unknown record kind '{other}'")),
+            None => Err(format!("line {line}: missing 'record' field")),
         }
     }
-    if segments.is_empty() {
-        return Err("stream has no frames_header record".to_string());
+}
+
+/// Runs a [`FrameReader`] over every line of a whole stream, handing each
+/// record and the line it came from to `visit`; a stream must open at
+/// least one segment.
+pub fn read_stream<'a>(
+    text: &'a str,
+    mut visit: impl FnMut(&'a str, Record),
+) -> Result<(), String> {
+    let mut reader = FrameReader::default();
+    for raw in text.lines() {
+        if let Some(record) = reader.read_line(raw)? {
+            visit(raw, record);
+        }
     }
+    if reader.in_segment {
+        Ok(())
+    } else {
+        Err("stream has no frames_header record".to_string())
+    }
+}
+
+/// Parse and validate a `dcat-frames/v1` stream into its segments, each
+/// holding its frames' lines rather than decoded frames.
+pub fn parse_stream(text: &str) -> Result<Vec<Segment<'_>>, String> {
+    let mut segments: Vec<Segment<'_>> = Vec::new();
+    read_stream(text, |raw, record| match record {
+        Record::Header(source) => segments.push(Segment {
+            source,
+            frames: Frames::default(),
+        }),
+        Record::Frame(_) => {
+            if let Some(seg) = segments.last_mut() {
+                seg.frames.lines.push(raw);
+            }
+        }
+    })?;
     Ok(segments)
 }
 
-/// Validate a frame stream and summarize it (the `obs-dump --check` path).
+/// Validate a frame stream and count it (the `obs-dump --check` path).
 pub fn check_frames(text: &str) -> Result<FramesSummary, String> {
-    let segments = parse_stream(text)?;
-    let frames = segments.iter().map(|s| s.frames.len()).sum();
-    Ok(FramesSummary {
-        segments: segments.len(),
-        frames,
-    })
+    let mut summary = FramesSummary {
+        segments: 0,
+        frames: 0,
+    };
+    read_stream(text, |_, record| match record {
+        Record::Header(_) => summary.segments += 1,
+        Record::Frame(_) => summary.frames += 1,
+    })?;
+    Ok(summary)
 }
 
 /// One tick of a parsed flight-recorder dump, summarized for replay.
@@ -673,8 +783,9 @@ mod tests {
         assert_eq!(segs[0].source, "scenario:dcat");
         // First frame of a segment moves nothing; the second moved
         // |6-4| + |2-4| = 4 ways.
-        assert_eq!(segs[0].frames[0].ways_moved, 0);
-        assert_eq!(segs[0].frames[1].ways_moved, 4);
+        let moved: Vec<u32> = segs[0].frames.iter().map(|f| f.ways_moved).collect();
+        assert_eq!(moved, [0, 4]);
+        assert_eq!(segs[0].frames.last(), segs[0].frames.get(1));
         assert_eq!(w.header(), format!("{}\n", header_line("scenario:dcat")));
     }
 
@@ -729,6 +840,28 @@ mod tests {
                 frames: 3
             }
         );
+        let segs = parse_stream(&text).expect("two segments validate");
+        let shape: Vec<(&str, usize)> = segs
+            .iter()
+            .map(|s| (s.source.as_str(), s.frames.len()))
+            .collect();
+        assert_eq!(shape, [("scenario:a", 2), ("scenario:b", 1)]);
+    }
+
+    #[test]
+    fn reader_yields_records_and_counts_blank_lines() {
+        let mut w = FrameWriter::new("x");
+        w.push(frame(1, &[4]));
+        let text = w.into_string();
+        let mut lines = text.lines();
+        let mut r = FrameReader::default();
+        let header = r.read_line(lines.next().unwrap());
+        assert_eq!(header, Ok(Some(Record::Header("x".to_string()))));
+        assert_eq!(r.read_line("  "), Ok(None));
+        let decoded = r.read_line(lines.next().unwrap());
+        assert_eq!(decoded, Ok(Some(Record::Frame(frame(1, &[4])))));
+        let err = r.read_line("{}").unwrap_err();
+        assert_eq!(err, "line 4: missing 'record' field");
     }
 
     #[test]

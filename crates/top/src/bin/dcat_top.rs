@@ -15,14 +15,14 @@
 //! byte-diffed (the CI golden check replays fig07's stream this way).
 //! `--max-ticks` ends a follow after that many frames, for scripted runs.
 //!
-//! Validation is `dcat_obs::frames::parse_stream`: a stream this tool
+//! Validation is `dcat_obs::frames::FrameReader`: a stream this tool
 //! renders is exactly a stream `obs-dump --check` accepts.
 
-use std::io::Read as _;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use dcat_top::{render_frame, render_replay, RenderOptions, CLEAR_SCREEN};
+use dcat_top::{render_frame, render_replay, Follow, RenderOptions, CLEAR_SCREEN};
 
 fn usage() -> &'static str {
     "usage: dcat-top --replay <path> [--headless]\n\
@@ -84,50 +84,23 @@ fn replay(path: &str, opts: &RenderOptions) -> Result<(), String> {
 }
 
 /// Follow mode: poll the file, and whenever new complete frames appear,
-/// redraw (interactive) or append (headless) them. The whole file is
-/// re-validated each poll through the shared parser — a frame stream is
-/// bounded by its run length, and correctness-over-cleverness is the
-/// right trade for an operator tool.
+/// redraw the latest (interactive) or append them all (headless).
+/// [`Follow`] reads only what was appended since the last poll.
 fn follow(path: &str, args: &Args, opts: &RenderOptions) -> Result<(), String> {
-    let mut seen_bytes = 0usize;
+    let mut stream = Follow::default();
     let mut shown = 0u64;
-    let mut buf = String::new();
     loop {
-        let mut file = std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-        buf.clear();
-        file.read_to_string(&mut buf)
-            .map_err(|e| format!("reading {path}: {e}"))?;
-        // Only consider complete lines: a writer mid-append leaves a
-        // partial tail that would fail the parser.
-        let complete = match buf.rfind('\n') {
-            Some(end) => &buf[..=end],
-            None => "",
-        };
-        if complete.len() != seen_bytes {
-            seen_bytes = complete.len();
-            let segments = dcat_obs::frames::parse_stream(complete)?;
-            let total: u64 = segments.iter().map(|s| s.frames.len() as u64).sum();
-            if total > shown {
-                if opts.color {
-                    // Redraw just the latest frame in place.
-                    if let Some(f) = segments.iter().rev().find_map(|s| s.frames.last()) {
-                        print!("{CLEAR_SCREEN}{}", render_frame(f, opts));
-                    }
-                } else {
-                    // Headless: append every frame not yet printed, in order.
-                    let mut index = 0u64;
-                    for seg in &segments {
-                        for f in &seg.frames {
-                            if index >= shown {
-                                println!("{}", render_frame(f, opts));
-                            }
-                            index += 1;
-                        }
-                    }
-                }
-                shown = total;
+        let frames = stream.poll(Path::new(path))?;
+        if opts.color {
+            if let Some(f) = frames.last() {
+                print!("{CLEAR_SCREEN}{}", render_frame(f, opts));
+            }
+        } else {
+            for f in &frames {
+                println!("{}", render_frame(f, opts));
             }
         }
+        shown += frames.len() as u64;
         if let Some(max) = args.max_ticks {
             if shown >= max {
                 return Ok(());

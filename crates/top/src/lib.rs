@@ -16,7 +16,11 @@
 // own their stdio (DESIGN.md §12).
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-use dcat_obs::frames::{parse_flight, parse_stream, DomainFrame, Frame};
+use std::fs::File;
+use std::io::{Read as _, Seek as _, SeekFrom};
+use std::path::Path;
+
+use dcat_obs::frames::{parse_flight, read_stream, DomainFrame, Frame, FrameReader, Record};
 
 /// How to paint the dashboard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,30 +169,117 @@ pub fn render_frame(f: &Frame, opts: &RenderOptions) -> String {
 }
 
 /// Renders a whole `dcat-frames/v1` stream, segment by segment, frame by
-/// frame — the `--replay` path. Returns the validator's error verbatim on
-/// a malformed stream.
+/// frame — the `--replay` path. One pass: each frame is decoded once and
+/// rendered onto the end of the output, and a segment's banner, which
+/// carries its frame count, goes in front of its frames when it closes.
+/// Returns the validator's error verbatim on a malformed stream.
 ///
 /// # Errors
 ///
-/// Anything [`parse_stream`] rejects: headerless streams, unknown schema
+/// Anything [`read_stream`] rejects: headerless streams, unknown schema
 /// versions, non-monotonic ticks, unknown state classes, degraded frames
 /// without a reason.
 pub fn render_stream(text: &str, opts: &RenderOptions) -> Result<String, String> {
-    let segments = parse_stream(text)?;
-    let mut out = String::new();
-    for seg in &segments {
-        out.push_str(&paint(
-            &format!("=== {} ({} frames) ===", seg.source, seg.frames.len()),
+    /// The open segment: its source, where its frames start in the
+    /// output, and how many there are.
+    struct Open {
+        source: String,
+        start: usize,
+        frames: usize,
+    }
+    let close = |out: &mut String, seg: Open| {
+        let mut banner = paint(
+            &format!("=== {} ({} frames) ===", seg.source, seg.frames),
             "1",
             opts.color,
-        ));
-        out.push('\n');
-        for f in &seg.frames {
-            out.push_str(&render_frame(f, opts));
-            out.push('\n');
+        );
+        banner.push('\n');
+        out.insert_str(seg.start, &banner);
+    };
+    let mut out = String::new();
+    let mut open: Option<Open> = None;
+    read_stream(text, |_, record| match record {
+        Record::Header(source) => {
+            if let Some(seg) = open.take() {
+                close(&mut out, seg);
+            }
+            open = Some(Open {
+                source,
+                start: out.len(),
+                frames: 0,
+            });
         }
+        Record::Frame(f) => {
+            out.push_str(&render_frame(&f, opts));
+            out.push('\n');
+            if let Some(seg) = open.as_mut() {
+                seg.frames += 1;
+            }
+        }
+    })?;
+    if let Some(seg) = open {
+        close(&mut out, seg);
     }
     Ok(out)
+}
+
+/// Follows a frame stream a running producer appends to (`dcatd
+/// --frames-out`): each [`Follow::poll`] reads only the bytes past the
+/// last one and validates them through one long-lived [`FrameReader`], so
+/// a poll costs what was appended, not what the file holds.
+#[derive(Debug, Default)]
+pub struct Follow {
+    reader: FrameReader,
+    /// Bytes of the file consumed so far, `partial` included.
+    offset: u64,
+    /// The last line read, until its newline arrives.
+    partial: Vec<u8>,
+}
+
+impl Follow {
+    /// Reads what was appended to `path` since the last poll and returns
+    /// its complete frames, in order. A file shorter than what was read
+    /// is a producer that restarted onto the same path: the stream is
+    /// read again from its first byte.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors on `path`, and anything [`FrameReader`] rejects.
+    pub fn poll(&mut self, path: &Path) -> Result<Vec<Frame<'static>>, String> {
+        let shown = path.display();
+        let mut file = File::open(path).map_err(|e| format!("opening {shown}: {e}"))?;
+        let len = file
+            .metadata()
+            .map_err(|e| format!("reading {shown}: {e}"))?
+            .len();
+        if len < self.offset {
+            *self = Follow::default();
+        }
+        let appended = file
+            .seek(SeekFrom::Start(self.offset))
+            .and_then(|_| file.read_to_end(&mut self.partial))
+            .map_err(|e| format!("reading {shown}: {e}"))?;
+        self.offset += appended as u64;
+        self.feed()
+    }
+
+    /// Validates every complete line in `partial` and keeps the rest.
+    fn feed(&mut self) -> Result<Vec<Frame<'static>>, String> {
+        let Some(end) = self.partial.iter().rposition(|&b| b == b'\n') else {
+            return Ok(Vec::new());
+        };
+        let rest = self.partial.split_off(end + 1);
+        let complete = std::mem::replace(&mut self.partial, rest);
+        let text =
+            std::str::from_utf8(&complete).map_err(|e| format!("stream is not UTF-8: {e}"))?;
+        let mut frames = Vec::new();
+        for raw in text.lines() {
+            if let Some(Record::Frame(f)) = self.reader.read_line(raw)? {
+                frames.push(f);
+            }
+        }
+        Ok(frames)
+    }
 }
 
 /// Renders a `dcat-flight/v1` recorder dump as a per-tick event timeline —
@@ -276,6 +367,8 @@ pub const CLEAR_SCREEN: &str = "\x1b[H\x1b[J";
 mod tests {
     use super::*;
     use dcat_obs::frames::{FrameWriter, LfocExt, MemshareExt, PolicyExt};
+    use std::io::Write as _;
+    use std::path::PathBuf;
 
     fn sample_frame() -> Frame<'static> {
         Frame {
@@ -398,5 +491,78 @@ mod tests {
         let headerless = "{\"record\":\"frame\",\"tick\":1}";
         let err = render_replay(headerless, &RenderOptions::headless()).unwrap_err();
         assert!(err.contains("frames_header"), "got: {err}");
+    }
+
+    /// A one-segment stream from `source` with ticks `1..=frames`.
+    fn stream(source: &str, frames: u64) -> String {
+        let mut w = FrameWriter::new(source);
+        for tick in 1..=frames {
+            let mut f = sample_frame();
+            f.tick = tick;
+            f.domains[0].ways = 1 + (tick % 7) as u32;
+            f.domains[1].miss_rate = 0.0;
+            w.push(f);
+        }
+        w.into_string()
+    }
+
+    /// A file under the system temp dir, removed on drop.
+    struct TempFile(PathBuf);
+
+    impl TempFile {
+        fn new(tag: &str) -> Self {
+            let path =
+                std::env::temp_dir().join(format!("dcat-top-{tag}-{}.jsonl", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            TempFile(path)
+        }
+    }
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    #[test]
+    fn follow_reads_each_frame_once_across_split_lines() {
+        let text = stream("dcatd", 1000);
+        let file = TempFile::new("follow-chunks");
+        let mut producer = File::create(&file.0).unwrap();
+        let mut follow = Follow::default();
+        let mut ticks = Vec::new();
+        let mut rendered = String::from("=== dcatd (1000 frames) ===\n");
+        // 37 bytes a write: nearly every poll ends inside a line.
+        for chunk in text.as_bytes().chunks(37) {
+            producer.write_all(chunk).unwrap();
+            for f in follow.poll(&file.0).unwrap() {
+                ticks.push(f.tick);
+                rendered.push_str(&render_frame(&f, &RenderOptions::headless()));
+                rendered.push('\n');
+            }
+        }
+        assert_eq!(ticks, (1..=1000).collect::<Vec<u64>>());
+        assert_eq!(
+            rendered,
+            render_stream(&text, &RenderOptions::headless()).unwrap()
+        );
+    }
+
+    #[test]
+    fn follow_starts_over_when_the_producer_restarts() {
+        let file = TempFile::new("follow-restart");
+        std::fs::write(&file.0, stream("dcatd", 5)).unwrap();
+        let mut follow = Follow::default();
+        assert_eq!(follow.poll(&file.0).unwrap().len(), 5);
+        // The daemon restarts onto the same path: a shorter file holding a
+        // header and two frames.
+        std::fs::write(&file.0, stream("dcatd", 2)).unwrap();
+        let ticks: Vec<u64> = follow
+            .poll(&file.0)
+            .unwrap()
+            .iter()
+            .map(|f| f.tick)
+            .collect();
+        assert_eq!(ticks, [1, 2]);
     }
 }
