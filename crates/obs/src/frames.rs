@@ -23,7 +23,7 @@
 //! it decoded. [`check_flight`] is the matching validator for
 //! `dcat-flight/v1` recorder dumps.
 
-use crate::json::{self, Obj, Value};
+use crate::json::{self, Item, Obj};
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
@@ -48,72 +48,302 @@ pub const KNOWN_CLASSES: &[&str] = &[
 /// Degraded-tick reasons `dcat::events::DegradeReason` renders.
 pub const KNOWN_REASONS: &[&str] = &["telemetry", "resctrl"];
 
-/// One domain's slice of a frame. A producer lends the name out of its
-/// reports; [`FrameReader`] owns what it read.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DomainFrame<'a> {
-    pub name: Cow<'a, str>,
-    /// State-machine class, rendered (one of [`KNOWN_CLASSES`]).
-    pub class: &'static str,
-    /// Ways currently granted.
-    pub ways: u32,
-    /// Raw capacity bitmask when the policy programs one.
-    pub cbm: Option<u64>,
-    pub ipc: f64,
-    /// IPC normalized to the recorded baseline, when a baseline exists.
-    pub norm_ipc: Option<f64>,
-    pub miss_rate: f64,
-    pub baseline_ipc: Option<f64>,
-    /// Domain is quarantined (telemetry dead, allocation frozen).
-    pub quarantined: bool,
-    /// This tick skipped the domain (no usable interval).
-    pub held: bool,
+/// Declares a record of `dcat-frames/v1`: the struct, with its fields in
+/// wire order, and their writer and reader. A field is `name: Type [as
+/// Codec] = mode ["key"]`; its [`Codec`] is its type unless `as` names
+/// another. The modes: `required`; `null`, an `Option` written `null` when
+/// `None`; `omitted`, an `Option` left out when `None`; and `flatten`, a
+/// record whose fields sit inline among this one's. Either `Option` reads
+/// `None` when the key is absent.
+macro_rules! record {
+    (@codec $ty:ty) => { $ty };
+    (@codec $ty:ty, $codec:ty) => { $codec };
+    (@put flatten $c:ty, $out:ident, $first:ident, $v:expr) => { $v.put_fields($out, $first) };
+    (@put omitted $c:ty, $out:ident, $first:ident, $v:expr, $key:literal) => {
+        if $v.is_some() {
+            record!(@put required $c, $out, $first, $v, $key)
+        }
+    };
+    (@put $mode:ident $c:ty, $out:ident, $first:ident, $v:expr, $key:literal) => {
+        put_field::<$c>($out, $first, concat!(",\"", $key, "\":"), $v)
+    };
+    (@take flatten $c:ty, $v:ident) => { <$c>::take_fields($v)? };
+    (@take $mode:ident $c:ty, $v:ident, $key:literal) => { take::<$c>($v, $key)? };
+    ($(
+        $(#[$meta:meta])*
+        pub struct $name:ident $(<$lt:lifetime>)? {
+            $( $(#[$doc:meta])* $field:ident: $ty:ty $(as $codec:ty)? = $mode:ident $($key:literal)?, )*
+        }
+    )*) => {$(
+        $(#[$meta])*
+        pub struct $name $(<$lt>)? {
+            $( $(#[$doc])* pub $field: $ty, )*
+        }
+
+        impl $(<$lt>)? $name $(<$lt>)? {
+            /// Appends `"key":value` per field, after a comma unless `first`.
+            fn put_fields(&self, out: &mut String, first: &mut bool) {
+                $( record!(@put $mode record!(@codec $ty $(, $codec)?), out, first, &self.$field $(, $key)?); )*
+            }
+
+            fn take_fields(v: Item<'_, '_>) -> Result<Self, String> {
+                Ok($name { $( $field: record!(@take $mode record!(@codec $ty $(, $codec)?), v $(, $key)?), )* })
+            }
+        }
+
+        impl $(<$lt>)? Codec for $name $(<$lt>)? {
+            type Value = Self;
+            fn put(v: &Self, out: &mut String) {
+                out.push('{');
+                v.put_fields(out, &mut true);
+                out.push('}');
+            }
+            fn take(v: Item<'_, '_>, _: &str) -> Result<Self, String> {
+                Self::take_fields(v)
+            }
+        }
+    )*};
 }
 
-/// LFOC decision summary (present when the LFOC policy is active).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LfocExt {
-    /// Occupied sensitive clusters this tick.
-    pub clusters: u32,
-    /// Domains fenced into the shared insensitive bucket.
-    pub insensitive: u32,
+record! {
+    /// One domain's slice of a frame. A producer lends the name out of its
+    /// reports; [`FrameReader`] owns what it read.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DomainFrame<'a> {
+        name: Cow<'a, str> = required "name",
+        /// State-machine class, rendered (one of [`KNOWN_CLASSES`]).
+        class: &'static str as Class = required "class",
+        /// Ways currently granted.
+        ways: u32 = required "ways",
+        /// Raw capacity bitmask when the policy programs one.
+        cbm: Option<u64> = null "cbm",
+        ipc: f64 = required "ipc",
+        /// IPC normalized to the recorded baseline, when a baseline exists.
+        norm_ipc: Option<f64> = null "norm_ipc",
+        miss_rate: f64 = required "miss_rate",
+        baseline_ipc: Option<f64> = null "baseline_ipc",
+        /// Domain is quarantined (telemetry dead, allocation frozen).
+        quarantined: bool = required "quarantined",
+        /// This tick skipped the domain (no usable interval).
+        held: bool = required "held",
+    }
+
+    /// LFOC decision summary (present when the LFOC policy is active).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct LfocExt {
+        /// Occupied sensitive clusters this tick.
+        clusters: u32 = required "clusters",
+        /// Domains fenced into the shared insensitive bucket.
+        insensitive: u32 = required "insensitive",
+    }
+
+    /// Memshare ledger summary (present when the Memshare policy is active).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct MemshareExt {
+        /// Ways currently lent out of their entitlements.
+        lent: u32 = required "lent",
+        credit_min: i64 = required "credit_min",
+        credit_max: i64 = required "credit_max",
+    }
+
+    /// Policy decision summary attached to every frame. The default is what
+    /// a policy with no COS bookkeeping reports.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct PolicyExt {
+        /// COS (partitions) in use this tick; 0 when the policy has none.
+        cos: u32 = required "cos",
+        lfoc: Option<LfocExt> = omitted "lfoc",
+        memshare: Option<MemshareExt> = omitted "memshare",
+    }
+
+    /// One tick of the stream.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Frame<'a> {
+        tick: u64 = required "tick",
+        /// Policy name (e.g. `dcat`, `lfoc`, `static`).
+        policy: Cow<'a, str> = required "policy",
+        degraded: bool = required "degraded",
+        /// Required when `degraded` (one of [`KNOWN_REASONS`]).
+        reason: Option<&'static str> as Option<Reason> = omitted "reason",
+        /// Total |Δways| vs. the previous frame ([`FrameWriter::push`] fills
+        /// this in; the first frame of a segment reports 0).
+        ways_moved: u32 = required "ways_moved",
+        ext: PolicyExt = flatten,
+        /// Events the daemon emitted this tick.
+        events: u64 = required "events",
+        domains: Vec<DomainFrame<'a>> = required "domains",
+    }
 }
 
-/// Memshare ledger summary (present when the Memshare policy is active).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemshareExt {
-    /// Ways currently lent out of their entitlements.
-    pub lent: u32,
-    pub credit_min: i64,
-    pub credit_max: i64,
+/// How one Rust type is spelt on the wire: appended to the caller's
+/// buffer with no per-field temporary, and read from its scanned text.
+trait Codec {
+    type Value;
+    fn put(v: &Self::Value, out: &mut String);
+    /// Reads `v` as the value of the field `key`.
+    fn take(v: Item<'_, '_>, key: &str) -> Result<Self::Value, String>;
+    /// What a record without the field holds, if it may lack it.
+    fn missing() -> Option<Self::Value> {
+        None
+    }
 }
 
-/// Policy decision summary attached to every frame. The default is what
-/// a policy with no COS bookkeeping reports.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PolicyExt {
-    /// COS (partitions) in use this tick; 0 when the policy has none.
-    pub cos: u32,
-    pub lfoc: Option<LfocExt>,
-    pub memshare: Option<MemshareExt>,
+/// Appends `,"key":value`, without the comma when it is the `first`.
+fn put_field<C: Codec>(out: &mut String, first: &mut bool, key: &str, v: &C::Value) {
+    out.push_str(key.get(usize::from(std::mem::take(first))..).unwrap_or(key));
+    C::put(v, out);
 }
 
-/// One tick of the stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Frame<'a> {
-    pub tick: u64,
-    /// Policy name (e.g. `dcat`, `lfoc`, `static`).
-    pub policy: Cow<'a, str>,
-    pub degraded: bool,
-    /// Required when `degraded` (one of [`KNOWN_REASONS`]).
-    pub reason: Option<&'static str>,
-    /// Total |Δways| vs. the previous frame ([`FrameWriter::push`] fills
-    /// this in; the first frame of a segment reports 0).
-    pub ways_moved: u32,
-    /// Events the daemon emitted this tick.
-    pub events: u64,
-    pub ext: PolicyExt,
-    pub domains: Vec<DomainFrame<'a>>,
+fn take<C: Codec>(v: Item<'_, '_>, key: &str) -> Result<C::Value, String> {
+    match v.get(key) {
+        Some(field) => C::take(field, key),
+        None => C::missing().ok_or_else(|| format!("missing field '{key}'")),
+    }
+}
+
+/// Integers are written by `write!` (infallible on a `String`) and read as
+/// integers, through the widest type of their sign: no `f64` on the way,
+/// and a value outside the type is refused.
+macro_rules! integer_codec {
+    ($($t:ty: $what:literal via $wide:ty),*) => {$(
+        impl Codec for $t {
+            type Value = $t;
+            fn put(v: &$t, out: &mut String) {
+                let _ = write!(out, "{}", *v);
+            }
+            fn take(v: Item<'_, '_>, key: &str) -> Result<$t, String> {
+                let n = number(v, key)?.parse::<$wide>().ok();
+                n.and_then(|n| <$t>::try_from(n).ok())
+                    .ok_or_else(|| format!("field '{key}' is not {}", $what))
+            }
+        }
+    )*};
+}
+
+integer_codec!(u32: "a u32" via u64, u64: "a u64" via u64, i64: "an i64" via i64);
+
+/// `v`'s text when it is a number: a JSON number starts with `-` or a
+/// digit.
+fn number<'a>(v: Item<'_, 'a>, key: &str) -> Result<&'a str, String> {
+    let text = v.text();
+    match text.bytes().next() {
+        Some(b'-' | b'0'..=b'9') => Ok(text),
+        _ => Err(format!("field '{key}' is not a number")),
+    }
+}
+
+/// Finite floats render through [`json::push_f64`]; non-finite render
+/// `null`, mirroring the metrics JSONL export. `null` does not read back.
+impl Codec for f64 {
+    type Value = f64;
+    fn put(v: &f64, out: &mut String) {
+        if v.is_finite() {
+            json::push_f64(out, *v);
+        } else {
+            out.push_str("null");
+        }
+    }
+    fn take(v: Item<'_, '_>, key: &str) -> Result<f64, String> {
+        // The scan admits only numbers `f64::from_str` reads.
+        Ok(number(v, key)?.parse().unwrap_or(f64::NAN))
+    }
+}
+
+impl Codec for bool {
+    type Value = bool;
+    fn put(v: &bool, out: &mut String) {
+        out.push_str(if *v { "true" } else { "false" });
+    }
+    fn take(v: Item<'_, '_>, key: &str) -> Result<bool, String> {
+        match v.text() {
+            "true" => Ok(true),
+            "false" => Ok(false),
+            _ => Err(format!("field '{key}' is not a bool")),
+        }
+    }
+}
+
+impl<'a> Codec for Cow<'a, str> {
+    type Value = Cow<'a, str>;
+    fn put(v: &Cow<'a, str>, out: &mut String) {
+        out.push('"');
+        json::escape_into(out, v);
+        out.push('"');
+    }
+    fn take(v: Item<'_, '_>, key: &str) -> Result<Cow<'a, str>, String> {
+        let text = v
+            .as_str()
+            .ok_or_else(|| format!("field '{key}' is not a string"))?;
+        Ok(Cow::Owned(text.into_owned()))
+    }
+}
+
+/// A name from a table ([`KNOWN_CLASSES`], [`KNOWN_REASONS`]): written as a
+/// string, read back as the table's own `&'static str`.
+macro_rules! table_codec {
+    ($($codec:ident: $table:expr, $what:literal;)*) => {$(
+        struct $codec;
+        impl Codec for $codec {
+            type Value = &'static str;
+            fn put(v: &&'static str, out: &mut String) {
+                Cow::put(&Cow::Borrowed(*v), out);
+            }
+            fn take(v: Item<'_, '_>, key: &str) -> Result<&'static str, String> {
+                let text = v.as_str().ok_or_else(|| format!("field '{key}' is not a string"))?;
+                let known = $table.iter().copied().find(|k| *k == text);
+                known.ok_or_else(|| format!("unknown {} '{text}'", $what))
+            }
+        }
+    )*};
+}
+
+table_codec! {
+    Class: KNOWN_CLASSES, "state class";
+    Reason: KNOWN_REASONS, "degrade reason";
+}
+
+/// `None` is written `null`, and `null` or no field at all reads `None`.
+impl<C: Codec> Codec for Option<C> {
+    type Value = Option<C::Value>;
+    fn put(v: &Option<C::Value>, out: &mut String) {
+        match v {
+            Some(v) => C::put(v, out),
+            None => out.push_str("null"),
+        }
+    }
+    fn take(v: Item<'_, '_>, key: &str) -> Result<Option<C::Value>, String> {
+        match v.text() {
+            "null" => Ok(None),
+            _ => C::take(v, key).map(Some),
+        }
+    }
+    fn missing() -> Option<Option<C::Value>> {
+        Some(None)
+    }
+}
+
+impl<C: Codec> Codec for Vec<C> {
+    type Value = Vec<C::Value>;
+    fn put(v: &Vec<C::Value>, out: &mut String) {
+        out.push('[');
+        for (i, item) in v.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            C::put(item, out);
+        }
+        out.push(']');
+    }
+    fn take(v: Item<'_, '_>, key: &str) -> Result<Vec<C::Value>, String> {
+        if !v.is_array() {
+            return Err(format!("field '{key}' is not an array"));
+        }
+        let mut items = Vec::with_capacity(v.children().count());
+        for (_, item) in v.children() {
+            items.push(C::take(item, key)?);
+        }
+        Ok(items)
+    }
 }
 
 /// Render a segment header line (no trailing newline).
@@ -125,120 +355,20 @@ pub fn header_line(source: &str) -> String {
         .finish()
 }
 
-// The frame encoder appends straight to the caller's buffer: keys are
-// literals (none needs escaping), integers go through `write!` (infallible
-// on a `String`), floats through `json::push_f64`, strings through
-// `escape_into`. No per-field temporary.
-
-fn push_str_value(out: &mut String, v: &str) {
-    out.push('"');
-    json::escape_into(out, v);
-    out.push('"');
-}
-
-fn push_u64(out: &mut String, v: u64) {
-    let _ = write!(out, "{v}");
-}
-
-fn push_bool(out: &mut String, v: bool) {
-    out.push_str(if v { "true" } else { "false" });
-}
-
-/// Finite floats render through [`json::push_f64`]; non-finite render
-/// `null`, mirroring the metrics JSONL export.
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        json::push_f64(out, v);
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_opt_f64(out: &mut String, v: Option<f64>) {
-    match v {
-        Some(v) => push_f64(out, v),
-        None => out.push_str("null"),
-    }
-}
-
-fn write_domain(out: &mut String, d: &DomainFrame<'_>) {
-    out.push_str("{\"name\":");
-    push_str_value(out, &d.name);
-    out.push_str(",\"class\":");
-    push_str_value(out, d.class);
-    out.push_str(",\"ways\":");
-    push_u64(out, u64::from(d.ways));
-    out.push_str(",\"cbm\":");
-    match d.cbm {
-        Some(cbm) => push_u64(out, cbm),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"ipc\":");
-    push_f64(out, d.ipc);
-    out.push_str(",\"norm_ipc\":");
-    push_opt_f64(out, d.norm_ipc);
-    out.push_str(",\"miss_rate\":");
-    push_f64(out, d.miss_rate);
-    out.push_str(",\"baseline_ipc\":");
-    push_opt_f64(out, d.baseline_ipc);
-    out.push_str(",\"quarantined\":");
-    push_bool(out, d.quarantined);
-    out.push_str(",\"held\":");
-    push_bool(out, d.held);
-    out.push('}');
-}
-
 /// Appends one frame record to `out` (no trailing newline). This is the
 /// whole per-tick cost of the export (tracked by the `frame_encode_tick`
 /// perfbench case); `tests/golden/frames_v1.jsonl` pins its bytes.
-fn write_frame(out: &mut String, f: &Frame<'_>) {
-    out.push_str("{\"record\":\"frame\",\"tick\":");
-    push_u64(out, f.tick);
-    out.push_str(",\"policy\":");
-    push_str_value(out, &f.policy);
-    out.push_str(",\"degraded\":");
-    push_bool(out, f.degraded);
-    if let Some(reason) = f.reason {
-        out.push_str(",\"reason\":");
-        push_str_value(out, reason);
-    }
-    out.push_str(",\"ways_moved\":");
-    push_u64(out, u64::from(f.ways_moved));
-    out.push_str(",\"cos\":");
-    push_u64(out, u64::from(f.ext.cos));
-    if let Some(l) = f.ext.lfoc {
-        out.push_str(",\"lfoc\":{\"clusters\":");
-        push_u64(out, u64::from(l.clusters));
-        out.push_str(",\"insensitive\":");
-        push_u64(out, u64::from(l.insensitive));
-        out.push('}');
-    }
-    if let Some(m) = f.ext.memshare {
-        out.push_str(",\"memshare\":{\"lent\":");
-        push_u64(out, u64::from(m.lent));
-        let _ = write!(
-            out,
-            ",\"credit_min\":{},\"credit_max\":{}}}",
-            m.credit_min, m.credit_max
-        );
-    }
-    out.push_str(",\"events\":");
-    push_u64(out, f.events);
-    out.push_str(",\"domains\":[");
-    for (i, d) in f.domains.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_domain(out, d);
-    }
-    out.push_str("]}");
+fn put_frame(out: &mut String, f: &Frame<'_>) {
+    out.push_str("{\"record\":\"frame\"");
+    f.put_fields(out, &mut false);
+    out.push('}');
 }
 
 /// Encode one frame as a single JSONL line (no trailing newline): the
 /// one-call form of what [`FrameWriter::push`] appends.
 pub fn encode_frame(f: &Frame<'_>) -> String {
     let mut line = String::new();
-    write_frame(&mut line, f);
+    put_frame(&mut line, f);
     line
 }
 
@@ -321,7 +451,7 @@ impl FrameWriter {
     pub fn push(&mut self, mut frame: Frame<'_>) -> &str {
         frame.ways_moved = self.ways_moved(&frame.domains);
         let start = self.buf.len();
-        write_frame(&mut self.buf, &frame);
+        put_frame(&mut self.buf, &frame);
         self.buf.push('\n');
         self.buf.get(start..).unwrap_or_default()
     }
@@ -407,8 +537,8 @@ impl<'s, 'a> IntoIterator for &'s Frames<'a> {
     reason = "`Frames` holds only lines `FrameReader` decoded once already, and decoding is a pure function of the line"
 )]
 fn decode(raw: &&str) -> Frame<'static> {
-    json::parse(raw)
-        .and_then(|v| parse_frame(&v, 0))
+    json::scan(raw)
+        .and_then(|v| Frame::take_fields(v.root()))
         .expect("a validated frame line decodes")
 }
 
@@ -417,111 +547,6 @@ fn decode(raw: &&str) -> Frame<'static> {
 pub struct FramesSummary {
     pub segments: usize,
     pub frames: usize,
-}
-
-fn field<'v>(v: &'v Value, key: &str, line: usize) -> Result<&'v Value, String> {
-    v.get(key)
-        .ok_or_else(|| format!("line {line}: missing field '{key}'"))
-}
-
-fn num_field(v: &Value, key: &str, line: usize) -> Result<f64, String> {
-    field(v, key, line)?
-        .as_num()
-        .ok_or_else(|| format!("line {line}: field '{key}' is not a number"))
-}
-
-fn str_field(v: &Value, key: &str, line: usize) -> Result<String, String> {
-    Ok(field(v, key, line)?
-        .as_str()
-        .ok_or_else(|| format!("line {line}: field '{key}' is not a string"))?
-        .to_string())
-}
-
-fn bool_field(v: &Value, key: &str, line: usize) -> Result<bool, String> {
-    match field(v, key, line)? {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(format!("line {line}: field '{key}' is not a bool")),
-    }
-}
-
-fn opt_num(v: &Value, key: &str) -> Option<f64> {
-    v.get(key).and_then(Value::as_num)
-}
-
-/// The entry of `table` equal to `text`: validated text becomes the
-/// table's own `&'static str`.
-fn known(table: &'static [&'static str], text: &str) -> Option<&'static str> {
-    table.iter().copied().find(|k| *k == text)
-}
-
-fn parse_domain(v: &Value, line: usize) -> Result<DomainFrame<'static>, String> {
-    let class = str_field(v, "class", line)?;
-    let class = known(KNOWN_CLASSES, &class)
-        .ok_or_else(|| format!("line {line}: unknown state class '{class}'"))?;
-    Ok(DomainFrame {
-        name: Cow::Owned(str_field(v, "name", line)?),
-        class,
-        ways: num_field(v, "ways", line)? as u32,
-        cbm: opt_num(v, "cbm").map(|n| n as u64),
-        ipc: num_field(v, "ipc", line)?,
-        norm_ipc: opt_num(v, "norm_ipc"),
-        miss_rate: num_field(v, "miss_rate", line)?,
-        baseline_ipc: opt_num(v, "baseline_ipc"),
-        quarantined: bool_field(v, "quarantined", line)?,
-        held: bool_field(v, "held", line)?,
-    })
-}
-
-fn parse_frame(v: &Value, line: usize) -> Result<Frame<'static>, String> {
-    let degraded = bool_field(v, "degraded", line)?;
-    let reason = match (v.get("reason").and_then(Value::as_str), degraded) {
-        (Some(r), true) => Some(
-            known(KNOWN_REASONS, r)
-                .ok_or_else(|| format!("line {line}: unknown degrade reason '{r}'"))?,
-        ),
-        (None, true) => return Err(format!("line {line}: degraded frame without a reason")),
-        // Only a degraded frame's reason is validated; elsewhere text
-        // outside the table is not kept.
-        (r, false) => r.and_then(|r| known(KNOWN_REASONS, r)),
-    };
-    let ext = PolicyExt {
-        cos: num_field(v, "cos", line)? as u32,
-        lfoc: match v.get("lfoc") {
-            Some(l) => Some(LfocExt {
-                clusters: num_field(l, "clusters", line)? as u32,
-                insensitive: num_field(l, "insensitive", line)? as u32,
-            }),
-            None => None,
-        },
-        memshare: match v.get("memshare") {
-            Some(m) => Some(MemshareExt {
-                lent: num_field(m, "lent", line)? as u32,
-                credit_min: num_field(m, "credit_min", line)? as i64,
-                credit_max: num_field(m, "credit_max", line)? as i64,
-            }),
-            None => None,
-        },
-    };
-    let domains = match field(v, "domains", line)? {
-        Value::Arr(items) => {
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                out.push(parse_domain(item, line)?);
-            }
-            out
-        }
-        _ => return Err(format!("line {line}: field 'domains' is not an array")),
-    };
-    Ok(Frame {
-        tick: num_field(v, "tick", line)? as u64,
-        policy: Cow::Owned(str_field(v, "policy", line)?),
-        degraded,
-        reason,
-        ways_moved: num_field(v, "ways_moved", line)? as u32,
-        events: num_field(v, "events", line)? as u64,
-        ext,
-        domains,
-    })
 }
 
 /// One validated record, as [`FrameReader::read_line`] yields it.
@@ -557,23 +582,28 @@ impl FrameReader {
         if raw.trim().is_empty() {
             return Ok(None);
         }
-        let v = json::parse(raw).map_err(|e| format!("line {line}: {e}"))?;
-        match v.get("record").and_then(Value::as_str) {
+        let at = |e: String| format!("line {line}: {e}");
+        let scanned = json::scan(raw).map_err(at)?;
+        let v = scanned.root();
+        match v.get("record").and_then(Item::as_str).as_deref() {
             Some("frames_header") => {
-                let schema = str_field(&v, "schema", line)?;
+                let schema = take::<Cow<str>>(v, "schema").map_err(at)?;
                 if schema != FRAMES_SCHEMA {
                     return Err(format!("line {line}: unsupported frames schema '{schema}'"));
                 }
-                let source = str_field(&v, "source", line)?;
+                let source = take::<Cow<str>>(v, "source").map_err(at)?;
                 self.in_segment = true;
                 self.last_tick = None;
-                Ok(Some(Record::Header(source)))
+                Ok(Some(Record::Header(source.into_owned())))
             }
             Some("frame") => {
                 if !self.in_segment {
                     return Err(format!("line {line}: frame before any frames_header"));
                 }
-                let frame = parse_frame(&v, line)?;
+                let frame = Frame::take_fields(v).map_err(at)?;
+                if frame.degraded && frame.reason.is_none() {
+                    return Err(format!("line {line}: degraded frame without a reason"));
+                }
                 if let Some(prev) = self.last_tick {
                     if frame.tick <= prev {
                         return Err(format!(
@@ -653,19 +683,22 @@ pub struct FlightTick {
     pub events: Vec<String>,
 }
 
-fn event_summary(v: &Value) -> String {
-    let name = v
-        .get("event")
-        .and_then(Value::as_str)
-        .unwrap_or("event")
-        .to_string();
-    let detail = v
-        .get("domain")
-        .or_else(|| v.get("reason"))
-        .and_then(Value::as_str);
-    match detail {
+fn event_summary(v: Item<'_, '_>) -> String {
+    let name = v.get("event").and_then(Item::as_str);
+    let name = name.as_deref().unwrap_or("event");
+    let detail = v.get("domain").or_else(|| v.get("reason"));
+    match detail.and_then(Item::as_str) {
         Some(d) => format!("{name}({d})"),
-        None => name,
+        None => name.to_string(),
+    }
+}
+
+/// The elements of the array member `key`.
+fn array<'s, 'a>(v: Item<'s, 'a>, key: &str) -> Result<impl Iterator<Item = Item<'s, 'a>>, String> {
+    match v.get(key) {
+        Some(list) if list.is_array() => Ok(list.children().map(|(_, item)| item)),
+        Some(_) => Err(format!("field '{key}' is not an array")),
+        None => Err(format!("missing field '{key}'")),
     }
 }
 
@@ -681,14 +714,16 @@ pub fn parse_flight(text: &str) -> Result<Vec<FlightTick>, String> {
         if raw.trim().is_empty() {
             continue;
         }
-        let v = json::parse(raw).map_err(|e| format!("line {line}: {e}"))?;
+        let at = |e: String| format!("line {line}: {e}");
+        let scanned = json::scan(raw).map_err(at)?;
+        let v = scanned.root();
         if !saw_header {
-            if v.get("record").and_then(Value::as_str) != Some("flight_header") {
+            if v.get("record").and_then(Item::as_str).as_deref() != Some("flight_header") {
                 return Err(format!(
                     "line {line}: flight dump does not start with a flight_header (headerless pre-v1 dump?)"
                 ));
             }
-            let schema = v.get("schema").and_then(Value::as_str).ok_or_else(|| {
+            let schema = v.get("schema").and_then(Item::as_str).ok_or_else(|| {
                 format!("line {line}: flight_header has no schema field (pre-v1 dump)")
             })?;
             if schema != FLIGHT_SCHEMA {
@@ -697,7 +732,7 @@ pub fn parse_flight(text: &str) -> Result<Vec<FlightTick>, String> {
             saw_header = true;
             continue;
         }
-        let tick = num_field(&v, "tick", line)? as u64;
+        let tick = take::<u64>(v, "tick").map_err(at)?;
         if let Some(prev) = ticks.last() {
             if tick <= prev.tick {
                 return Err(format!(
@@ -706,19 +741,11 @@ pub fn parse_flight(text: &str) -> Result<Vec<FlightTick>, String> {
                 ));
             }
         }
-        let spans = match field(&v, "spans", line)? {
-            Value::Arr(s) => s.len(),
-            _ => return Err(format!("line {line}: field 'spans' is not an array")),
-        };
-        let events = match field(&v, "events", line)? {
-            Value::Arr(e) => e.iter().map(event_summary).collect(),
-            _ => return Err(format!("line {line}: field 'events' is not an array")),
-        };
         ticks.push(FlightTick {
             tick,
-            degraded: bool_field(&v, "degraded", line)?,
-            spans,
-            events,
+            spans: array(v, "spans").map_err(at)?.count(),
+            events: array(v, "events").map_err(at)?.map(event_summary).collect(),
+            degraded: take::<bool>(v, "degraded").map_err(at)?,
         });
     }
     if !saw_header {
@@ -810,9 +837,51 @@ mod tests {
         f.domains[0].cbm = None;
         f.domains[0].norm_ipc = None;
         let line = encode_frame(&f);
-        let v = json::parse(&line).expect("frame encodes as JSON");
-        let back = parse_frame(&v, 1).expect("frame parses back");
-        assert_eq!(back, f);
+        assert_eq!(decode(&line.as_str()), f);
+    }
+
+    record! {
+        /// A frame grown by one field of each mode, as a new field joins
+        /// the format: one line of the declaration each.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct Grown<'a> {
+            frame: Frame<'a> = flatten,
+            rule: u32 = required "rule",
+            cause: Option<Cow<'a, str>> = null "cause",
+            credit: Option<i64> = omitted "credit",
+        }
+    }
+
+    #[test]
+    fn a_new_field_of_each_mode_is_one_line_of_the_declaration() {
+        let mut grown = Grown {
+            frame: frame(9, &[3, 5]),
+            rule: 7,
+            cause: None,
+            credit: None,
+        };
+        for _ in 0..2 {
+            let mut line = String::from("{\"record\":\"frame\"");
+            grown.put_fields(&mut line, &mut false);
+            line.push('}');
+            let scanned = json::scan(&line).expect("the grown line is JSON");
+            assert_eq!(Grown::take_fields(scanned.root()).as_ref(), Ok(&grown));
+            // A reader that predates the fields skips them.
+            let mut reader = FrameReader::default();
+            reader.read_line(&header_line("grown")).expect("header");
+            let read = reader.read_line(&line).expect("the grown line validates");
+            assert_eq!(read, Some(Record::Frame(grown.frame.clone())));
+            if grown.cause.is_none() {
+                assert!(line.ends_with(r#","rule":7,"cause":null}"#), "{line}");
+            } else {
+                assert!(
+                    line.ends_with(r#","rule":7,"cause":"x","credit":-2}"#),
+                    "{line}"
+                );
+            }
+            grown.cause = Some("x".into());
+            grown.credit = Some(-2);
+        }
     }
 
     #[test]

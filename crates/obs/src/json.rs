@@ -1,11 +1,16 @@
 //! Hand-rolled JSON support: string escaping, the one float printer, an
-//! insertion-ordered object builder, and a minimal recursive-descent parser.
+//! insertion-ordered object builder, and a minimal recursive-descent parser
+//! that either builds a [`Value`] tree or [`scan`]s a document into its
+//! values' texts without building any.
 //!
 //! The workspace is dependency-free by policy, so there is no serde. The
 //! builder is what every producer in this crate (and `dcat::events`) uses to
 //! render records; the parser exists so `obs-dump --check` and the round-trip
 //! tests can validate the producers without a second implementation of the
 //! escaping rules.
+
+use std::borrow::Cow;
+use std::ops::Range;
 
 use crate::pow10_table::{K_MIN, POW10};
 
@@ -345,235 +350,357 @@ impl Value {
 
 /// Parse a complete JSON document. Trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    scan(text).map(|doc| doc.root().value())
+}
+
+/// Scan a complete JSON document into its values' texts, building none.
+/// The whole text is checked, so a syntax error anywhere is reported
+/// before any value is read.
+pub fn scan(text: &str) -> Result<Scanned<'_>, String> {
+    // A frame line has a value per 15 bytes or so: one allocation each.
+    let values = (text.len() >> 4) + (text.len() >> 5) + 1;
+    let (nodes, kids) = (Vec::with_capacity(values), Vec::with_capacity(values));
+    let mut doc = Scanned { nodes, kids };
+    let mut p = Parser::new(text);
     p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+    if p.value(&mut doc, &mut Vec::with_capacity(32)).is_err() {
+        return Err(p.error);
     }
-    Ok(v)
+    p.skip_ws();
+    match p.peek() {
+        Some(_) => Err(format!("trailing data at byte {}", p.pos)),
+        None => Ok(doc),
+    }
+}
+
+/// A scanned document: per value, in document order, its text and where
+/// its children sit in `kids`; per object or array, its children side by
+/// side as `(key, value)`, the key empty for an array element.
+#[derive(Debug)]
+pub struct Scanned<'a> {
+    nodes: Vec<(&'a str, Range<usize>)>,
+    kids: Vec<(Cow<'a, str>, usize)>,
+}
+
+impl<'a> Scanned<'a> {
+    pub fn root(&self) -> Item<'_, 'a> {
+        Item { doc: self, at: 0 }
+    }
+}
+
+/// One value of a [`Scanned`] document.
+#[derive(Debug, Clone, Copy)]
+pub struct Item<'s, 'a> {
+    doc: &'s Scanned<'a>,
+    at: usize,
+}
+
+impl<'s, 'a> Item<'s, 'a> {
+    /// The value's text, exactly as in the document.
+    pub fn text(self) -> &'a str {
+        self.doc.nodes.get(self.at).map_or("", |n| n.0)
+    }
+
+    /// The values directly inside this one, in order, with their keys.
+    pub fn children(self) -> impl Iterator<Item = (&'s str, Item<'s, 'a>)> {
+        let doc = self.doc;
+        let kids = doc
+            .nodes
+            .get(self.at)
+            .and_then(|n| doc.kids.get(n.1.clone()));
+        let kids = kids.unwrap_or_default().iter();
+        kids.map(move |(key, at)| (&**key, Item { doc, at: *at }))
+    }
+
+    /// The object member called `key`; of duplicates the first, as
+    /// [`Value::get`] reads.
+    pub fn get(self, key: &str) -> Option<Item<'s, 'a>> {
+        self.children().find(|&(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    pub fn is_array(self) -> bool {
+        self.text().starts_with('[')
+    }
+
+    /// The string this value spells, unescaped; `None` when it is not one.
+    pub fn as_str(self) -> Option<Cow<'a, str>> {
+        let text = self.text();
+        text.starts_with('"')
+            .then(|| Parser::new(text).string().ok())?
+    }
+
+    /// The [`Value`] tree this item spells.
+    pub fn value(self) -> Value {
+        match self.text().bytes().next() {
+            Some(b'{') => Value::Obj(
+                self.children()
+                    .map(|(k, v)| (k.into(), v.value()))
+                    .collect(),
+            ),
+            Some(b'[') => Value::Arr(self.children().map(|(_, v)| v.value()).collect()),
+            Some(b'"') => Value::Str(self.as_str().unwrap_or_default().into_owned()),
+            Some(b't' | b'f') => Value::Bool(self.text() == "true"),
+            Some(b'n') => Value::Null,
+            // The scan admits only numbers `f64::from_str` reads.
+            _ => Value::Num(self.text().parse().unwrap_or(f64::NAN)),
+        }
+    }
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// What stopped the scan.
+    error: String,
 }
 
-impl Parser<'_> {
+/// A syntax error, its message left in [`Parser::error`]: the grammar's
+/// results stay a register wide.
+struct Stop;
+
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        let error = String::new();
+        Parser {
+            text,
+            pos: 0,
+            error,
+        }
+    }
+
+    #[cold]
+    fn fail(&mut self, what: impl std::fmt::Display) -> Stop {
+        self.error = format!("{what} at byte {}", self.pos);
+        Stop
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
+    #[inline]
+    fn expect(&mut self, b: u8) -> Result<(), Stop> {
+        if self.peek() != Some(b) {
+            return Err(self.fail(format_args!("expected '{}'", b as char)));
         }
+        self.pos += 1;
+        Ok(())
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    /// `text[start..pos]`: both ends sit next to ASCII the grammar matched.
+    fn since(&self, start: usize) -> &'a str {
+        self.text.get(start..self.pos).unwrap_or_default()
+    }
+
+    /// How many bytes from `pos` on match `byte`.
+    fn run(&self, byte: impl Fn(u8) -> bool) -> usize {
+        let rest = self.text.as_bytes().get(self.pos..).unwrap_or_default();
+        rest.iter().position(|&b| !byte(b)).unwrap_or(rest.len())
+    }
+
+    /// Appends the value at `pos`, and every value inside it, to `doc`; an
+    /// object's or array's children wait in `pending` until it closes.
+    fn value(
+        &mut self,
+        doc: &mut Scanned<'a>,
+        pending: &mut Vec<(Cow<'a, str>, usize)>,
+    ) -> Result<(), Stop> {
+        let (at, start, mut kids) = (doc.nodes.len(), self.pos, 0..0);
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected value at byte {}", self.pos)),
-        }
-    }
-
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`pos` never passes `bytes.len()`: it advances only past bytes `peek` saw"
-    )]
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            members.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
+            Some(open @ (b'{' | b'[')) => {
+                let close = if open == b'{' { b'}' } else { b']' };
+                // Held until its text is known; its children follow it.
+                doc.nodes.push(("", 0..0));
+                let mark = pending.len();
+                self.pos += 1;
+                self.skip_ws();
+                let mut more = self.peek() != Some(close);
+                self.pos += usize::from(!more);
+                while more {
+                    self.skip_ws();
+                    let mut key = Cow::Borrowed("");
+                    if open == b'{' {
+                        key = self.string()?;
+                        self.skip_ws();
+                        self.expect(b':')?;
+                        self.skip_ws();
+                    }
+                    pending.push((key, doc.nodes.len()));
+                    self.value(doc, pending)?;
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b',') => {}
+                        Some(b) if b == close => more = false,
+                        _ => {
+                            return Err(
+                                self.fail(format_args!("expected ',' or '{}'", close as char))
+                            )
+                        }
+                    }
                     self.pos += 1;
-                    return Ok(Value::Obj(members));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                kids = doc.kids.len()..doc.kids.len() + pending.len() - mark;
+                doc.kids.extend(pending.drain(mark..));
             }
+            Some(b'"') => drop(self.string()?),
+            Some(b'-' | b'0'..=b'9') => self.number()?,
+            Some(b't') => self.literal("true")?,
+            Some(b'f') => self.literal("false")?,
+            Some(b'n') => self.literal("null")?,
+            _ => return Err(self.fail("unexpected value")),
         }
+        let node = (self.since(start), kids);
+        match doc.nodes.get_mut(at) {
+            Some(held) => *held = node,
+            None => doc.nodes.push(node),
+        }
+        Ok(())
     }
 
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut elems = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(elems));
+    fn literal(&mut self, word: &str) -> Result<(), Stop> {
+        if !self
+            .text
+            .get(self.pos..)
+            .unwrap_or_default()
+            .starts_with(word)
+        {
+            return Err(self.fail("bad literal"));
         }
-        loop {
-            self.skip_ws();
-            elems.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(elems));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
+        self.pos += word.len();
+        Ok(())
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "both slices are checked against `bytes.len()` on the line before"
-    )]
-    fn string(&mut self) -> Result<String, String> {
+    /// The string at `pos`: borrowed from the text unless it has escapes.
+    #[inline(always)]
+    fn string(&mut self) -> Result<Cow<'a, str>, Stop> {
         self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self
-                .peek()
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err("truncated \\u escape".to_string());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| "non-utf8 \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by this crate's
-                            // writers; map lone surrogates to the replacement
-                            // character rather than failing the whole parse.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                }
-                _ => {
-                    // Re-decode multi-byte UTF-8 sequences from the source.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    if width == 1 {
-                        out.push(b as char);
-                    } else {
-                        if end > self.bytes.len() {
-                            return Err("truncated utf-8 sequence".to_string());
-                        }
-                        let s = std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| "invalid utf-8 in string".to_string())?;
-                        out.push_str(s);
-                        self.pos = end;
-                    }
-                }
-            }
-        }
-    }
-
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`start..pos` lies in `bytes`: `pos` advances only past bytes `peek` saw"
-    )]
-    fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        self.pos += self.plain_run();
+        if self.peek() != Some(b'"') {
+            return self.unescape(start).map(Cow::Owned);
         }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number '{text}' at byte {start}"))
+        self.pos += 1;
+        Ok(Cow::Borrowed(
+            self.text.get(start..self.pos - 1).unwrap_or_default(),
+        ))
     }
-}
 
-fn utf8_width(lead: u8) -> usize {
-    if lead < 0x80 {
-        1
-    } else if lead >> 5 == 0b110 {
-        2
-    } else if lead >> 4 == 0b1110 {
-        3
-    } else {
-        4
+    /// The rest of a string that began at `start` and has an escape (or no
+    /// end) at `pos`, decoded. Out of line: names and keys have no escapes.
+    #[cold]
+    fn unescape(&mut self, start: usize) -> Result<String, Stop> {
+        let mut out = String::from(self.since(start));
+        // These messages carry no position.
+        let fail = |p: &mut Self, what: &str| {
+            p.error = what.to_string();
+            Stop
+        };
+        loop {
+            match self.peek() {
+                None => return Err(fail(self, "unterminated string")),
+                Some(b'"') => break,
+                // The backslash.
+                Some(_) => self.pos += 1,
+            }
+            let Some(esc) = self.peek() else {
+                return Err(fail(self, "unterminated escape"));
+            };
+            self.pos += 1;
+            out.push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => {
+                    let Some(hex) = self.text.as_bytes().get(self.pos..self.pos + 4) else {
+                        return Err(fail(self, "truncated \\u escape"));
+                    };
+                    let Ok(hex) = std::str::from_utf8(hex) else {
+                        return Err(fail(self, "non-utf8 \\u escape"));
+                    };
+                    let Ok(code) = u32::from_str_radix(hex, 16) else {
+                        return Err(fail(self, "bad \\u escape"));
+                    };
+                    self.pos += 4;
+                    // Surrogate pairs are not produced by this crate's
+                    // writers; map lone surrogates to the replacement
+                    // character rather than failing the whole parse.
+                    char::from_u32(code).unwrap_or('\u{fffd}')
+                }
+                _ => return Err(self.fail("bad escape")),
+            });
+            let run = self.pos;
+            self.pos += self.plain_run();
+            out.push_str(self.since(run));
+        }
+        self.pos += 1;
+        Ok(out)
+    }
+
+    /// The number at `pos`: a digit at least before the exponent and one
+    /// after it, as `f64::from_str` requires.
+    #[inline(always)]
+    fn number(&mut self) -> Result<(), Stop> {
+        let start = self.pos;
+        let digits = |p: &mut Self, sign: &[u8]| {
+            p.pos += usize::from(p.peek().is_some_and(|b| sign.contains(&b)));
+            let n = p.run(|b| b.is_ascii_digit());
+            p.pos += n;
+            n
+        };
+        let mut found = digits(self, b"-");
+        if self.peek() == Some(b'.') {
+            found += digits(self, b".");
+        }
+        if let Some(b'e' | b'E') = self.peek() {
+            self.pos += 1;
+            found = found.min(digits(self, b"+-"));
+        }
+        if found == 0 {
+            let text = self.since(start);
+            self.pos = start;
+            return Err(self.fail(format_args!("bad number '{text}'")));
+        }
+        Ok(())
+    }
+
+    /// How many bytes from `pos` on are neither `"` nor `\`, eight at a
+    /// time: strings are most of a frame line.
+    fn plain_run(&self) -> usize {
+        const ONES: u64 = u64::from_le_bytes([1; 8]);
+        // A byte of `w` equal to `b` sets its high bit; bytes past the
+        // first such may be set spuriously, which `trailing_zeros` never
+        // reaches.
+        let find = |w: u64, b: u8| {
+            let x = w ^ (ONES * u64::from(b));
+            x.wrapping_sub(ONES) & !x & (ONES << 7)
+        };
+        let rest = self.text.as_bytes().get(self.pos..).unwrap_or_default();
+        let mut words = rest.chunks_exact(8);
+        let mut run = 0;
+        for word in &mut words {
+            let w = u64::from_le_bytes(word.try_into().unwrap_or_default());
+            let hits = find(w, b'"') | find(w, b'\\');
+            if hits != 0 {
+                return run + (hits.trailing_zeros() >> 3) as usize;
+            }
+            run += 8;
+        }
+        let tail = words.remainder();
+        run + tail
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(tail.len())
     }
 }
 
@@ -637,6 +764,42 @@ mod tests {
         let s = Obj::new().str_field("vm", "vm-ü-7").finish();
         let v = parse(&s).unwrap();
         assert_eq!(v.get("vm").and_then(Value::as_str), Some("vm-ü-7"));
+    }
+
+    #[test]
+    fn a_number_scans_exactly_when_f64_parses_it() {
+        let mut texts = vec![String::new()];
+        for _ in 0..5 {
+            let longer: Vec<String> = texts
+                .iter()
+                .flat_map(|t| ["-", ".", "e", "E", "+", "0", "7"].map(|b| format!("{t}{b}")))
+                .collect();
+            texts.extend(longer);
+        }
+        texts.sort();
+        texts.dedup();
+        for text in texts.iter().filter(|t| t.starts_with(['-', '0', '7'])) {
+            let number = text.parse::<f64>();
+            assert_eq!(scan(text).is_ok(), number.is_ok(), "{text}");
+            assert_eq!(parse(text).ok(), number.ok().map(Value::Num), "{text}");
+        }
+    }
+
+    #[test]
+    fn scan_indexes_members_in_order_and_reads_the_first_duplicate() {
+        let doc = scan(r#" {"a":[1,{"b":"x\u0041"}],"k\u0065y":null,"a":2} "#).unwrap();
+        let root = doc.root();
+        let keys: Vec<&str> = root.children().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["a", "key", "a"]);
+        let a = root.get("a").unwrap();
+        assert!(a.is_array());
+        let elems: Vec<&str> = a.children().map(|(_, v)| v.text()).collect();
+        assert_eq!(elems, ["1", r#"{"b":"x\u0041"}"#]);
+        let b = a.children().nth(1).unwrap().1.get("b").unwrap();
+        assert_eq!(b.as_str().as_deref(), Some("xA"));
+        assert_eq!(root.get("key").map(Item::text), Some("null"));
+        assert_eq!(root.get("a").and_then(Item::as_str), None);
+        assert!(scan(r#"{"a":[1,}"#).is_err());
     }
 
     #[test]
