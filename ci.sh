@@ -65,9 +65,9 @@ grep -v '^pub mod seeds;' "$seeded/src/lib.rs" > target/seeded-clean/src/lib.rs
 # cargo takes one for the other.
 (cd target/seeded-clean && cargo clippy --offline -- -D warnings)
 
-echo "==> determinism regression + golden decision traces + golden metrics + the experiment registry"
+echo "==> determinism regression + golden decision traces + golden metrics + the experiment registry + the promise floor"
 cargo test -q --release -p dcat-bench --offline --test determinism --test golden_traces \
-    --test golden_metrics --test registry
+    --test golden_metrics --test registry --test promise_floor
 
 echo "==> per-reference path in release: llc-sim, workloads, smallrng and host suites with their recorded oracles"
 # In release, as the experiments run it: the hot path's index and counter

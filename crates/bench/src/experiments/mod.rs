@@ -24,6 +24,7 @@ pub mod fig15_mixed;
 pub mod fig17_spec2006;
 pub mod fleet_churn;
 pub mod fleet_scale;
+pub mod promise;
 pub mod tab_services;
 pub mod trace;
 
@@ -67,7 +68,7 @@ impl Experiment {
 /// Every experiment, the suite in the paper's presentation order. One
 /// line per entry, so the table is left as written.
 #[rustfmt::skip]
-static REGISTRY: [Experiment; 30] = [
+static REGISTRY: [Experiment; 31] = [
     Experiment::suite("fig01_interference", |c| _ = fig01_interference::run(c.fast)),
     Experiment::suite("fig02_conflict_latency", |c| _ = fig02_conflict_latency::run(c.fast)),
     Experiment::suite("fig03_set_histogram", |c| _ = fig03_set_histogram::run(c.fast)),
@@ -96,6 +97,7 @@ static REGISTRY: [Experiment; 30] = [
     Experiment::suite("fault_sweep", |c| _ = fault_sweep::run(c.fast)),
     Experiment::suite("fleet_scale", |c| fatal_on_error("fleet_scale", fleet_scale::run(c))),
     Experiment::suite("fleet_churn", |c| fatal_on_error("fleet_churn", fleet_churn::run(c))),
+    Experiment::suite("promise", |_| promise::run()),
     Experiment::alone("trace_decisions", |c| trace::decisions(c.fast)),
     Experiment::alone("trace_fig15", |c| trace::fig15(c.fast)),
 ];

@@ -314,6 +314,7 @@ pub const CLASS_LABELS: [&str; 6] = [
 #[derive(Clone, Copy, Default)]
 struct HostEpoch {
     instructions: u64,
+    l1_ref: u64,
     llc_ref: u64,
     llc_miss: u64,
     requests: u64,
@@ -364,7 +365,12 @@ struct HostState {
 impl HostState {
     /// Builds host `host`: its shard is the next `tenants_per_host` ids
     /// of the fleet, generated here, on the worker that runs it.
-    fn build(cfg: &FleetConfig, policy: FleetPolicy, host: u32) -> Result<Self, ResctrlError> {
+    fn build(
+        cfg: &FleetConfig,
+        label: &'static str,
+        kind: PolicyKind,
+        host: u32,
+    ) -> Result<Self, ResctrlError> {
         let per_host = cfg.tenants_per_host.max(1);
         let first = host.saturating_mul(per_host);
         let shard: Vec<TenantSpec> = (first..cfg.tenants.min(first.saturating_add(per_host)))
@@ -381,8 +387,7 @@ impl HostState {
             .collect();
         let mut engine =
             Engine::new(cfg.host_engine(host), vms).expect("fleet shard must fit the host");
-        let label = policy.label();
-        let ctl = policy.kind().host_loop(handles, &mut engine.cat())?;
+        let ctl = kind.host_loop(handles, &mut engine.cat())?;
         Ok(HostState {
             engine,
             ctl,
@@ -449,6 +454,7 @@ impl HostState {
         let mut out = HostEpoch::default();
         for (slot, s) in stats.iter().enumerate() {
             out.instructions += s.instructions;
+            out.l1_ref += s.l1_ref;
             out.llc_ref += s.llc_ref;
             out.llc_miss += s.llc_miss;
             out.requests += s.requests_completed;
@@ -484,6 +490,8 @@ pub struct FleetEpochRow {
     pub active: u32,
     /// Instructions retired fleet-wide.
     pub instructions: u64,
+    /// Memory references fleet-wide (every one starts at L1).
+    pub l1_ref: u64,
     /// LLC references fleet-wide.
     pub llc_ref: u64,
     /// LLC misses fleet-wide.
@@ -554,6 +562,17 @@ impl FleetResult {
             0.0
         } else {
             miss as f64 / refs as f64
+        }
+    }
+
+    /// Share of all memory references that hit in the LLC.
+    pub fn llc_hit_share(&self) -> f64 {
+        let refs: u64 = self.rows.iter().map(|r| r.l1_ref).sum();
+        let hits: u64 = self.rows.iter().map(|r| r.llc_ref - r.llc_miss).sum();
+        if refs == 0 {
+            0.0
+        } else {
+            hits as f64 / refs as f64
         }
     }
 
@@ -700,23 +719,40 @@ pub fn run_fleet_with(
     cfg: &FleetConfig,
     frames: &mut FleetSink<'_>,
 ) -> Result<FleetResult, ResctrlError> {
-    stream_hosts(Pool::new(crate::runner::jobs()), policy, cfg, frames)
+    let pool = Pool::new(crate::runner::jobs());
+    stream_hosts(pool, policy.label(), &policy.kind(), cfg, frames)
 }
 
-/// [`run_fleet_with`] on an explicit pool.
+/// The same fleet with every host under static CAT at the reserved sizes:
+/// the reference a fleet policy's gains are read against. It is not a
+/// [`FleetPolicy`], as no fleet experiment ranks it; its frame stream is
+/// not kept.
+pub fn run_fleet_static(cfg: &FleetConfig) -> Result<FleetResult, ResctrlError> {
+    let pool = Pool::new(crate::runner::jobs());
+    stream_hosts(
+        pool,
+        "static-cat",
+        &PolicyKind::StaticCat,
+        cfg,
+        &mut |_: &str| {},
+    )
+}
+
+/// [`run_fleet_with`] on an explicit pool, under any policy.
 fn stream_hosts(
     pool: Pool,
-    policy: FleetPolicy,
+    label: &'static str,
+    kind: &PolicyKind,
     cfg: &FleetConfig,
     frames: &mut FleetSink<'_>,
 ) -> Result<FleetResult, ResctrlError> {
     let mut fold = Fold::new(cfg);
     pool.stream(
         (0..cfg.hosts()).collect(),
-        |_, host| Ok(HostState::build(cfg, policy, host)?.run(cfg.epochs)),
+        |_, host| Ok(HostState::build(cfg, label, kind.clone(), host)?.run(cfg.epochs)),
         |_, ran| fold.host(ran, frames),
     );
-    fold.finish(policy.label(), cfg)
+    fold.finish(label, cfg)
 }
 
 /// The coordinator's half of [`run_fleet_with`], which states the error
@@ -741,6 +777,7 @@ impl Fold {
             epoch,
             active: 0,
             instructions: 0,
+            l1_ref: 0,
             llc_ref: 0,
             llc_miss: 0,
             requests: 0,
@@ -769,6 +806,7 @@ impl Fold {
         for (row, he) in self.rows.iter_mut().zip(&run.epochs) {
             row.active += he.active;
             row.instructions += he.instructions;
+            row.l1_ref += he.l1_ref;
             row.llc_ref += he.llc_ref;
             row.llc_miss += he.llc_miss;
             row.requests += he.requests;
@@ -1021,7 +1059,14 @@ mod tests {
         let cfg = tiny(72);
         for policy in FleetPolicy::ALL {
             live::take_max(&live::RUNS);
-            stream_hosts(Pool::new(1), policy, &cfg, &mut |_: &str| {}).expect("tiny fleet runs");
+            stream_hosts(
+                Pool::new(1),
+                policy.label(),
+                &policy.kind(),
+                &cfg,
+                &mut |_: &str| {},
+            )
+            .expect("tiny fleet runs");
             assert_eq!(
                 live::take_max(&live::RUNS),
                 1,
@@ -1095,6 +1140,7 @@ mod tests {
         run.epochs = (0..epochs)
             .map(|epoch| HostEpoch {
                 instructions: 1_000 * host + epoch,
+                l1_ref: 1_000 + host,
                 llc_ref: 100 + host,
                 llc_miss: 10 * epoch + host,
                 requests: 7 * host + epoch,
