@@ -3,7 +3,9 @@
 use crate::address::LineAddr;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementPolicy;
-use crate::set::{Evicted, PackedSet, SetMut, SetRef, MAX_SHARERS, MAX_STAMP, WORDS_PER_LINE};
+use crate::set::{
+    Evicted, PackedSet, SetMut, SetPos, SetRef, INVALID_TAG, MAX_SHARERS, MAX_STAMP, WORDS_PER_LINE,
+};
 
 /// A bitmask over cache ways, mirroring a CAT capacity bitmask (CBM).
 ///
@@ -103,10 +105,12 @@ impl AccessOutcome {
 
 /// A set-associative cache indexed by physical line address.
 ///
-/// All sets live in two flat arrays — one `2 × ways` block per set in
-/// `blocks` (a tag and a meta word per line, 16 bytes), one occupancy
-/// word per set in `occ` — and every operation borrows one set's slice
-/// of each as a [`PackedSet`]. The occupancy
+/// All sets live in two flat arrays — one `3 × ways` block per set in
+/// `blocks` (a tag, an owner·stamp word and a sharer mask per line, 12
+/// bytes), one occupancy word per set in `occ` — and every operation
+/// borrows one set's slice of each as a [`PackedSet`]. A tag is
+/// `line / sets`: the set's index gives the rest of the line, which is
+/// rebuilt only when the line leaves. The occupancy
 /// words stay out of the blocks so the whole-cache sweeps
 /// ([`SetAssocCache::drain_lines_in`], [`SetAssocCache::occupancy_in`])
 /// read a dense `u32` array instead of striding a block per set.
@@ -114,10 +118,11 @@ impl AccessOutcome {
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
-    blocks: Vec<u64>,
+    blocks: Vec<u32>,
     occ: Vec<u32>,
-    // `2^64 / sets` rounded up, for the multiply-shift remainder of a
-    // line that fits `u32`; 0 when `sets` is a power of two (mask path).
+    // `2^64 / sets` rounded up, for the multiply-shift remainder and
+    // quotient of a line that fits `u32`; 0 when `sets` is a power of two
+    // (mask and shift path).
     index_magic: u64,
     // The last stamp handed out; never above `MAX_STAMP` (`tick`).
     clock: u64,
@@ -156,7 +161,7 @@ impl SetAssocCache {
         assert_eq!(
             cache.set(0).way_count(),
             geometry.ways,
-            "a set's block is two words a line"
+            "a set's block is three words a line"
         );
         cache.flush();
         cache
@@ -193,6 +198,48 @@ impl SetAssocCache {
         }
     }
 
+    /// `line`'s tag, `line / sets`, by the same reciprocal as
+    /// [`SetAssocCache::set_index`]: Lemire's multiply-shift quotient
+    /// (the high word of `M · line`, exact for every 32-bit `line`), a
+    /// shift for power-of-two set counts, the `u64` quotient for wider
+    /// lines.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tag reaches the empty-way sentinel, `u32::MAX`
+    /// (lines from `u32::MAX × sets` up: see [`SetAssocCache::line_limit`]).
+    #[inline(always)]
+    fn tag_of(&self, line: LineAddr) -> u32 {
+        let sets = u64::from(self.geometry.sets);
+        let tag = if self.index_magic == 0 {
+            line.0 >> sets.trailing_zeros()
+        } else if line.0 <= u64::from(u32::MAX) {
+            ((u128::from(self.index_magic) * u128::from(line.0)) >> 64) as u64
+        } else {
+            line.0 / sets
+        };
+        assert!(
+            tag < u64::from(INVALID_TAG),
+            "line beyond the 32-bit tag field"
+        );
+        tag as u32
+    }
+
+    /// Lines this cache can hold: every line below `u32::MAX × sets`,
+    /// whose tag stays below the empty-way sentinel.
+    pub fn line_limit(&self) -> u64 {
+        u64::from(INVALID_TAG) * u64::from(self.geometry.sets)
+    }
+
+    /// Where set `idx` sits, for its view.
+    #[inline(always)]
+    fn pos(&self, idx: u32) -> SetPos {
+        SetPos {
+            index: idx,
+            sets: self.geometry.sets,
+        }
+    }
+
     /// Where set `idx`'s block sits in `blocks`.
     #[inline(always)]
     fn block_of(&self, idx: u32) -> std::ops::Range<usize> {
@@ -204,14 +251,18 @@ impl SetAssocCache {
     /// Mutable view of set `idx`.
     #[inline(always)]
     fn set_mut(&mut self, idx: u32) -> SetMut<'_> {
-        let block = self.block_of(idx);
-        PackedSet::over(&mut self.occ[idx as usize], &mut self.blocks[block])
+        let (block, pos) = (self.block_of(idx), self.pos(idx));
+        PackedSet::over(&mut self.occ[idx as usize], &mut self.blocks[block], pos)
     }
 
     /// Read-only view of set `index` (for occupancy statistics).
     #[inline]
     pub fn set(&self, index: u32) -> SetRef<'_> {
-        PackedSet::over(self.occ[index as usize], &self.blocks[self.block_of(index)])
+        PackedSet::over(
+            self.occ[index as usize],
+            &self.blocks[self.block_of(index)],
+            self.pos(index),
+        )
     }
 
     /// Next pseudo-random draw (xorshift64*) for the policies that read
@@ -276,15 +327,15 @@ impl SetAssocCache {
     /// On a miss the line is filled into a way permitted by `mask`.
     #[inline]
     pub fn access(&mut self, line: LineAddr, mask: WayMask) -> AccessOutcome {
-        let idx = self.set_index(line);
+        let (idx, tag) = (self.set_index(line), self.tag_of(line));
         let now = self.tick();
         let draw = self.next_draw();
         let policy = self.policy;
         let mut set = self.set_mut(idx);
-        if set.lookup_with(line, now, policy).is_some() {
+        if set.lookup_tag(tag, now, policy).is_some() {
             return AccessOutcome::Hit;
         }
-        let filled = set.fill_with(line, mask, now, 0, policy, draw);
+        let filled = set.fill_tag(tag, mask, now, 0, policy, draw);
         self.count_fill(0, filled.evicted);
         AccessOutcome::Miss {
             evicted: filled.evicted,
@@ -315,15 +366,16 @@ impl SetAssocCache {
     ) -> AccessOutcome {
         assert!(owner < MAX_SHARERS, "requestor id beyond the sharer mask");
         debug_assert_eq!(idx, self.geometry.set_index(line));
+        let tag = self.tag_of(line);
         let now = self.tick();
         let draw = self.next_draw();
         let policy = self.policy;
         let mut set = self.set_mut(idx);
-        if let Some(way) = set.lookup_with(line, now, policy) {
+        if let Some(way) = set.lookup_tag(tag, now, policy) {
             set.add_sharer(way, owner);
             return AccessOutcome::Hit;
         }
-        let filled = set.fill_with(line, mask, now, owner, policy, draw);
+        let filled = set.fill_tag(tag, mask, now, owner, policy, draw);
         set.add_sharer(filled.way, owner);
         self.count_fill(owner, filled.evicted);
         AccessOutcome::Miss {
@@ -354,7 +406,7 @@ impl SetAssocCache {
     /// Changes nothing simulated — it cannot, through `&self`.
     #[inline]
     pub fn prefetch_set(&self, idx: u32) {
-        const WORDS_PER_HOST_LINE: usize = 64 / std::mem::size_of::<u64>();
+        const WORDS_PER_HOST_LINE: usize = 64 / std::mem::size_of::<u32>();
         let block = &self.blocks[self.block_of(idx)];
         // Plain loops on purpose: `iter().step_by(..).chain(last)` compiled
         // to a per-word state machine that gave back a third of the gain.
@@ -416,14 +468,16 @@ impl SetAssocCache {
     /// user-level flush pass after reassigning ways.
     pub fn drain_lines_in(&mut self, mask: WayMask, mut on_drop: impl FnMut(Evicted)) -> u64 {
         let stride = WORDS_PER_LINE * self.geometry.ways as usize;
+        let sets = self.geometry.sets;
         let owner_lines = &mut self.owner_lines;
         let mut dropped = 0;
-        for (occ, block) in self
-            .occ
-            .iter_mut()
-            .zip(self.blocks.chunks_exact_mut(stride))
-        {
-            PackedSet::over(occ, block).drain_lines_in(mask, |gone| {
+        for (index, (occ, block)) in (0..).zip(
+            self.occ
+                .iter_mut()
+                .zip(self.blocks.chunks_exact_mut(stride)),
+        ) {
+            let pos = SetPos { index, sets };
+            PackedSet::over(occ, block, pos).drain_lines_in(mask, |gone| {
                 owner_lines[gone.owner as usize] -= 1;
                 dropped += 1;
                 on_drop(gone);

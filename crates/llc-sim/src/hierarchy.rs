@@ -764,17 +764,18 @@ mod tests {
 
     #[test]
     fn hints_pay_only_for_a_tag_store_beyond_a_host_cache() {
-        // The layout in bytes, exactly: 16 a line (tag, meta word) and an
-        // occupancy word a set. The paper's socket, 11 943 936 (11.9 MB):
+        // The layout in bytes, exactly: 12 a line (tag, owner·stamp word,
+        // sharer mask) and an occupancy word a set. The paper's socket,
+        // 8 994 816 (9.0 MB):
         let paper = Hierarchy::new(HierarchyConfig::default());
-        assert_eq!(paper.llc().tag_store_bytes(), 36_864 * (20 * 16 + 4));
+        assert_eq!(paper.llc().tag_store_bytes(), 36_864 * (20 * 12 + 4));
         assert!(paper.llc_hints_pay());
-        // A fleet host, 532 480 (520 KiB):
+        // A fleet host, 401 408 (392 KiB):
         let fleet = Hierarchy::new(HierarchyConfig {
             llc: CacheGeometry::from_capacity(2 * 1024 * 1024, 16),
             ..HierarchyConfig::default()
         });
-        assert_eq!(fleet.llc().tag_store_bytes(), 2_048 * (16 * 16 + 4));
+        assert_eq!(fleet.llc().tag_store_bytes(), 2_048 * (16 * 12 + 4));
         assert!(!fleet.llc_hints_pay());
         // Every set can be hinted, the last included.
         let h = tiny();

@@ -15,11 +15,11 @@
     unsafe_code,
     reason = "the one prefetch instruction; std::hint::prefetch_read is unstable"
 )]
-pub fn prefetch_read(word: &u64) {
+pub fn prefetch_read(word: &u32) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // SAFETY: the pointer comes from a live `&u64`, and `prefetcht0`
+        // SAFETY: the pointer comes from a live `&u32`, and `prefetcht0`
         // neither faults nor writes whatever address it is given: it has
         // no architectural effect. That is the whole argument wherever
         // `_mm_prefetch` is an `unsafe fn`. On this toolchain (checked on

@@ -8,16 +8,25 @@
 //!
 //! # Packed representation
 //!
-//! The set stores its state in one contiguous block plus a `u32`
+//! The set stores its state in one contiguous block of `u32`s plus a `u32`
 //! occupancy bitmask instead of a `Vec<Option<LineEntry>>`:
 //!
 //! ```text
 //! occ:  u32 bitmask, bit w set = way w holds a valid line
-//! data: [ line_0 .. line_{n-1} | meta_0 .. meta_{n-1} ]
-//!        (u64 each, two words a line; empty line slots hold INVALID_LINE
-//!         so the lookup scan needs no per-way validity test)
-//! meta word: [ sharer mask (bits 63..32) | filler id (bits 31..27) | stamp (bits 26..0) ]
+//! data: [ tag_0 .. tag_{n-1} | meta_0 .. meta_{n-1} | sharers_0 .. sharers_{n-1} ]
+//!        (u32 each, three words — 12 bytes — a line; empty tag slots hold
+//!         INVALID_TAG so the lookup scan needs no per-way validity test)
+//! tag:     line / sets, the bits of the line its set's index does not give
+//! meta:    [ filler id (bits 31..27) | stamp (bits 26..0) ]
+//! sharers: bit r set = requestor r reached the line
 //! ```
+//!
+//! A set knows its place in its cache ([`SetPos`]: its index and the
+//! cache's set count), so a line that leaves it — evicted, removed,
+//! drained or listed — is rebuilt as `tag × sets + index`. A standalone
+//! [`CacheSet`] is a one-set cache: its tag is the line. A line whose tag
+//! would reach `INVALID_TAG` cannot be stored; a fill of one panics (the
+//! engine sizes physical memory so that none exists).
 //!
 //! [`PackedSet`] is that pair with the storage left open: a [`CacheSet`]
 //! owns its block, and a [`crate::SetAssocCache`] keeps all its sets'
@@ -28,8 +37,8 @@
 //! by victim selection and only against stamps of the same set; a caller
 //! keeps `now` at or below [`MAX_STAMP`] (a [`crate::SetAssocCache`]
 //! re-ranks its sets' stamps when its clock gets there, which no decision
-//! can observe). The next five bits are the requestor that filled the
-//! line (the CMT tag); the high half is a **sharer mask**, one bit per
+//! can observe). The high five bits are the requestor that filled the
+//! line (the CMT tag). The third word is a **sharer mask**, one bit per
 //! requestor that reached this line through [`CacheSet::add_sharer`]. An
 //! inclusive LLC records there which cores may hold the line privately,
 //! so an eviction back-invalidates those cores only — the mask leaves
@@ -37,7 +46,7 @@
 //!
 //! The layout buys three things on the hot path:
 //!
-//! * **lookup** is a branch-light equality scan over a contiguous `u64`
+//! * **lookup** is a branch-light equality scan over a contiguous `u32`
 //!   run (the tag region), which the compiler vectorizes;
 //! * **victim selection** walks the set bits of `occ & mask` — no
 //!   per-fill candidate `Vec` allocation (the seed implementation
@@ -47,9 +56,9 @@
 //!
 //! Every replacement decision is bit-identical to the seed
 //! `Vec<Option<LineEntry>>` implementation, which is retained as
-//! [`legacy::LegacyCacheSet`] — the oracle for the equivalence property
-//! test and the reference side of the `dcat-perfbench` speedup
-//! measurement.
+//! [`legacy::LegacyCacheSet`] — it keeps whole line addresses, and is the
+//! oracle for the equivalence property test and the reference side of the
+//! `dcat-perfbench` speedup measurement.
 
 use std::borrow::{Borrow, BorrowMut};
 
@@ -57,10 +66,8 @@ use crate::address::LineAddr;
 use crate::cache::WayMask;
 use crate::replacement::ReplacementPolicy;
 
-/// Sentinel stored in empty line slots. Real line addresses are physical
-/// addresses shifted right by the 6-bit line offset, so they can never
-/// reach `u64::MAX`; [`CacheSet::fill_with`] debug-asserts it.
-const INVALID_LINE: u64 = u64::MAX;
+/// Sentinel stored in empty tag slots; no stored tag may equal it.
+pub(crate) const INVALID_TAG: u32 = u32::MAX;
 
 /// Requestors a line's sharer mask can name: ids `0..MAX_SHARERS`.
 pub const MAX_SHARERS: u32 = 32;
@@ -72,24 +79,25 @@ const STAMP_BITS: u32 = 27;
 /// [`PackedSet::fill_with`] reject a later one.
 pub const MAX_STAMP: u64 = (1 << STAMP_BITS) - 1;
 
+/// The stamp field of a meta word.
+const STAMP_MASK: u32 = MAX_STAMP as u32;
+
 /// Width of the filler-id field, above the stamp.
 const OWNER_BITS: u32 = 5;
 
-/// Bit position of sharer 0 in the meta word.
-const SHARER_SHIFT: u32 = 32;
+/// `u32`s a line takes in a set's block: its tag, its meta word and its
+/// sharer mask.
+pub(crate) const WORDS_PER_LINE: usize = 3;
 
-/// `u64`s a line takes in a set's block: its tag and its meta word.
-pub(crate) const WORDS_PER_LINE: usize = 2;
-
-// The filler id has exactly one value per sharer bit, and the three
-// fields fill the word.
+// The filler id has exactly one value per sharer bit, and the two fields
+// fill the meta word.
 const _: () = assert!(MAX_SHARERS == 1 << OWNER_BITS);
-const _: () = assert!(STAMP_BITS + OWNER_BITS == SHARER_SHIFT);
+const _: () = assert!(STAMP_BITS + OWNER_BITS == u32::BITS);
 
 /// The filler id in a meta word.
 #[inline(always)]
-fn owner_of(meta: u64) -> u32 {
-    (meta >> STAMP_BITS) as u32 & (MAX_SHARERS - 1)
+fn owner_of(meta: u32) -> u32 {
+    meta >> STAMP_BITS
 }
 
 /// One resident line: its address tag, an LRU timestamp, and the id of
@@ -97,8 +105,9 @@ fn owner_of(meta: u64) -> u32 {
 /// which is how real hardware attributes LLC occupancy to tenants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineEntry {
-    /// Full line address (the simulator stores the whole line number rather
-    /// than a truncated tag; equality is what matters, not storage economy).
+    /// Full line address. The packed set stores only the line's tag (the
+    /// bits its set index does not give) and rebuilds this when the line
+    /// leaves; the legacy oracle keeps it whole.
     pub line: LineAddr,
     /// Monotonic last-use stamp; larger means more recently used. A field
     /// of [`legacy::LegacyCacheSet`] only: the packed set exposes no
@@ -109,7 +118,7 @@ pub struct LineEntry {
 }
 
 /// A line that left a set (evicted by a fill, or invalidated), with what
-/// its meta word carried.
+/// its meta word and sharer mask carried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
     /// The departed line.
@@ -130,7 +139,39 @@ pub struct FillResult {
     pub evicted: Option<Evicted>,
 }
 
-/// One set's packed state — an occupancy word and a `2 × ways` block —
+/// Where a set sits in its cache: set `index` of `sets`. A line of this
+/// set is `tag × sets + index`, so the set stores only the tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SetPos {
+    pub(crate) index: u32,
+    pub(crate) sets: u32,
+}
+
+impl SetPos {
+    /// A standalone set: a one-set cache, whose tag is the line.
+    const ALONE: SetPos = SetPos { index: 0, sets: 1 };
+
+    /// `line`'s tag, if `line` maps to this set and its tag fits beside
+    /// the sentinel.
+    #[inline(always)]
+    fn tag_of(self, line: LineAddr) -> Option<u32> {
+        let sets = u64::from(self.sets);
+        if line.0 % sets != u64::from(self.index) {
+            return None;
+        }
+        u32::try_from(line.0 / sets)
+            .ok()
+            .filter(|&tag| tag != INVALID_TAG)
+    }
+
+    /// The line a tag of this set stands for.
+    #[inline(always)]
+    fn line_of(self, tag: u32) -> LineAddr {
+        LineAddr(u64::from(tag) * u64::from(self.sets) + u64::from(self.index))
+    }
+}
+
+/// One set's packed state — an occupancy word and a `3 × ways` block —
 /// and the only implementation of the set logic beside
 /// [`legacy::LegacyCacheSet`]. The storage is a parameter so the same
 /// code runs over a set that owns its words ([`CacheSet`]) and over one
@@ -139,18 +180,21 @@ pub struct FillResult {
 pub struct PackedSet<O, D> {
     /// Occupancy bitmask: bit `w` set means way `w` holds a valid line.
     occ: O,
-    /// Packed per-way state: `ways` line slots, then `ways` meta words.
+    /// Packed per-way state: `ways` tags, `ways` meta words, then `ways`
+    /// sharer masks.
     data: D,
+    /// Where the set sits, to turn lines into tags and back.
+    pos: SetPos,
 }
 
 /// A single set that owns its storage.
-pub type CacheSet = PackedSet<u32, Box<[u64]>>;
+pub type CacheSet = PackedSet<u32, Box<[u32]>>;
 
 /// Read-only view of one set of a [`crate::SetAssocCache`].
-pub type SetRef<'a> = PackedSet<u32, &'a [u64]>;
+pub type SetRef<'a> = PackedSet<u32, &'a [u32]>;
 
 /// Mutable view of one set of a [`crate::SetAssocCache`].
-pub(crate) type SetMut<'a> = PackedSet<&'a mut u32, &'a mut [u64]>;
+pub(crate) type SetMut<'a> = PackedSet<&'a mut u32, &'a mut [u32]>;
 
 /// BIP insertion stamp: MRU (`now`) one fill in `mru_one_in`, LRU-position
 /// (stamp 0) otherwise; every other policy inserts at MRU. Shared by the
@@ -175,7 +219,8 @@ impl CacheSet {
         debug_assert!((1..=32).contains(&ways), "way masks are 32-bit");
         let mut set = PackedSet {
             occ: 0,
-            data: vec![0u64; WORDS_PER_LINE * ways as usize].into_boxed_slice(),
+            data: vec![0u32; WORDS_PER_LINE * ways as usize].into_boxed_slice(),
+            pos: SetPos::ALONE,
         };
         set.flush();
         set
@@ -183,15 +228,16 @@ impl CacheSet {
 }
 
 impl<O, D> PackedSet<O, D> {
-    /// A set over an occupancy word and a `2 × ways` block kept elsewhere.
-    /// A zeroed block is not an empty set: [`PackedSet::flush`] makes one.
+    /// A set at `pos` over an occupancy word and a `3 × ways` block kept
+    /// elsewhere. A zeroed block is not an empty set: [`PackedSet::flush`]
+    /// makes one.
     #[inline(always)]
-    pub(crate) fn over(occ: O, data: D) -> Self {
-        PackedSet { occ, data }
+    pub(crate) fn over(occ: O, data: D, pos: SetPos) -> Self {
+        PackedSet { occ, data, pos }
     }
 }
 
-impl<O: Borrow<u32>, D: Borrow<[u64]>> PackedSet<O, D> {
+impl<O: Borrow<u32>, D: Borrow<[u32]>> PackedSet<O, D> {
     #[inline(always)]
     fn occ(&self) -> u32 {
         *self.occ.borrow()
@@ -220,7 +266,7 @@ impl<O: Borrow<u32>, D: Borrow<[u64]>> PackedSet<O, D> {
     }
 
     #[inline(always)]
-    fn lines(&self) -> &[u64] {
+    fn tags(&self) -> &[u32] {
         &self.data.borrow()[..self.n()]
     }
 
@@ -228,22 +274,24 @@ impl<O: Borrow<u32>, D: Borrow<[u64]>> PackedSet<O, D> {
     #[inline(always)]
     fn departing(&self, way: u32) -> Evicted {
         let data = self.data.borrow();
-        let w = way as usize;
-        let meta = data[self.n() + w];
+        let (n, w) = (self.n(), way as usize);
         Evicted {
-            line: LineAddr(data[w]),
-            owner: owner_of(meta),
-            sharers: (meta >> SHARER_SHIFT) as u32,
+            line: self.pos.line_of(data[w]),
+            owner: owner_of(data[n + w]),
+            sharers: data[2 * n + w],
         }
+    }
+
+    /// The way holding `tag`, if any.
+    #[inline(always)]
+    pub(crate) fn probe_tag(&self, tag: u32) -> Option<u32> {
+        self.tags().iter().position(|&t| t == tag).map(|w| w as u32)
     }
 
     /// Checks residency without perturbing LRU state (a *probe*).
     #[inline]
     pub fn probe(&self, line: LineAddr) -> Option<u32> {
-        self.lines()
-            .iter()
-            .position(|&l| l == line.0)
-            .map(|w| w as u32)
+        self.probe_tag(self.pos.tag_of(line)?)
     }
 
     /// Number of valid lines currently resident.
@@ -261,11 +309,11 @@ impl<O: Borrow<u32>, D: Borrow<[u64]>> PackedSet<O, D> {
     /// Iterates over resident lines (ascending way order).
     pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
         let occ = self.occ();
-        self.lines()
+        self.tags()
             .iter()
             .enumerate()
             .filter(move |(w, _)| occ & (1 << *w) != 0)
-            .map(|(_, &l)| LineAddr(l))
+            .map(|(_, &tag)| self.pos.line_of(tag))
     }
 
     /// Number of valid lines filled by `owner`.
@@ -288,21 +336,21 @@ impl<O: Borrow<u32>, D: Borrow<[u64]>> PackedSet<O, D> {
 // methods are `inline(always)`: left to the inliner, `fill_with` stayed a
 // call inside the cache's fill and its `FillResult` travelled through
 // memory.
-impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
+impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
     #[inline(always)]
-    fn set_entry(&mut self, way: u32, line: u64, stamp: u64, owner: u32) {
-        let n = self.n();
-        let w = way as usize;
+    fn set_entry(&mut self, way: u32, tag: u32, stamp: u64, owner: u32) {
+        let (n, w) = (self.n(), way as usize);
         let data = self.data.borrow_mut();
-        data[w] = line;
-        data[n + w] = u64::from(owner) << STAMP_BITS | stamp;
+        data[w] = tag;
+        data[n + w] = owner << STAMP_BITS | stamp as u32;
+        data[2 * n + w] = 0;
         *self.occ.borrow_mut() |= 1 << way;
     }
 
     /// Empties way `way`, which holds a valid line.
     #[inline(always)]
     fn clear_way(&mut self, way: u32) {
-        self.data.borrow_mut()[way as usize] = INVALID_LINE;
+        self.data.borrow_mut()[way as usize] = INVALID_TAG;
         *self.occ.borrow_mut() &= !(1 << way);
     }
 
@@ -328,16 +376,33 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
         now: u64,
         policy: ReplacementPolicy,
     ) -> Option<u32> {
+        match self.pos.tag_of(line) {
+            Some(tag) => self.lookup_tag(tag, now, policy),
+            None => {
+                assert!(now <= MAX_STAMP, "stamp beyond the 27-bit field");
+                None
+            }
+        }
+    }
+
+    /// [`PackedSet::lookup_with`] for a line already turned into its tag.
+    #[inline(always)]
+    pub(crate) fn lookup_tag(
+        &mut self,
+        tag: u32,
+        now: u64,
+        policy: ReplacementPolicy,
+    ) -> Option<u32> {
         assert!(now <= MAX_STAMP, "stamp beyond the 27-bit field");
         let n = self.n();
         let data = self.data.borrow_mut();
-        // Empty slots hold INVALID_LINE, which no real line equals, so the
+        // Empty slots hold INVALID_TAG, which no stored tag equals, so the
         // scan runs over the contiguous tag region with no validity tests.
         for w in 0..n {
-            if data[w] == line.0 {
+            if data[w] == tag {
                 if policy.promotes_on_hit() {
-                    // The filler id and the sharers stay as they are.
-                    data[n + w] = data[n + w] & !MAX_STAMP | now;
+                    // The filler id stays as it is.
+                    data[n + w] = data[n + w] & !STAMP_MASK | now as u32;
                 }
                 return Some(w as u32);
             }
@@ -354,8 +419,8 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
     #[inline(always)]
     pub fn add_sharer(&mut self, way: u32, requestor: u32) {
         assert!(requestor < MAX_SHARERS, "sharer mask holds 32 requestors");
-        let slot = self.n() + way as usize;
-        self.data.borrow_mut()[slot] |= 1 << (SHARER_SHIFT + requestor);
+        let slot = 2 * self.n() + way as usize;
+        self.data.borrow_mut()[slot] |= 1 << requestor;
     }
 
     /// Fills `line` into a way permitted by `mask`, evicting the LRU line
@@ -367,7 +432,8 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
     /// Panics if `mask` permits no way within this set's associativity;
     /// CAT forbids empty masks (Intel x86 does not allow a zero-way COS) and
     /// upper layers validate masks before they reach the set. Panics if
-    /// `now > MAX_STAMP` or `owner >= MAX_SHARERS`.
+    /// `now > MAX_STAMP` or `owner >= MAX_SHARERS`, and if `line`'s tag
+    /// does not fit 32 bits beside the empty-way sentinel.
     pub fn fill(&mut self, line: LineAddr, mask: WayMask, now: u64, owner: u32) -> FillResult {
         self.fill_with(line, mask, now, owner, ReplacementPolicy::Lru, 0)
     }
@@ -378,9 +444,9 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
     ///
     /// # Panics
     ///
-    /// As [`PackedSet::fill`]: on an empty `mask`, on `now > MAX_STAMP`
-    /// and on `owner >= MAX_SHARERS` — the stamp and filler-id fields
-    /// cannot hold them.
+    /// As [`PackedSet::fill`]: on an empty `mask`, on `now > MAX_STAMP`,
+    /// on `owner >= MAX_SHARERS` and on a line whose tag reaches the
+    /// sentinel — the fields cannot hold them.
     #[inline(always)]
     pub fn fill_with(
         &mut self,
@@ -391,11 +457,29 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
         policy: ReplacementPolicy,
         draw: u64,
     ) -> FillResult {
+        let tag = self
+            .pos
+            .tag_of(line)
+            .expect("line beyond the 32-bit tag field, or of another set");
+        self.fill_tag(tag, mask, now, owner, policy, draw)
+    }
+
+    /// [`PackedSet::fill_with`] for a line already turned into its tag.
+    #[inline(always)]
+    pub(crate) fn fill_tag(
+        &mut self,
+        tag: u32,
+        mask: WayMask,
+        now: u64,
+        owner: u32,
+        policy: ReplacementPolicy,
+        draw: u64,
+    ) -> FillResult {
         debug_assert!(
-            self.probe(line).is_none(),
+            self.probe_tag(tag).is_none(),
             "fill of a line that is already resident"
         );
-        debug_assert_ne!(line.0, INVALID_LINE, "line address collides with sentinel");
+        debug_assert_ne!(tag, INVALID_TAG, "tag collides with the sentinel");
         assert!(now <= MAX_STAMP, "stamp beyond the 27-bit field");
         assert!(owner < MAX_SHARERS, "filler id beyond the 5-bit field");
         let insert_stamp = insertion_stamp(policy, now, draw);
@@ -406,7 +490,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
         let free = !self.occ() & permitted;
         if free != 0 {
             let way = free.trailing_zeros();
-            self.set_entry(way, line.0, insert_stamp, owner);
+            self.set_entry(way, tag, insert_stamp, owner);
             return FillResult { way, evicted: None };
         }
 
@@ -425,12 +509,12 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
             _ => {
                 let metas = &self.data.borrow()[self.n()..];
                 let mut victim = 0u32;
-                let mut victim_stamp = u64::MAX;
+                let mut victim_stamp = u32::MAX;
                 let mut bits = candidates;
                 while bits != 0 {
                     let w = bits.trailing_zeros();
                     bits &= bits - 1;
-                    let s = metas[w as usize] & MAX_STAMP;
+                    let s = metas[w as usize] & STAMP_MASK;
                     if s < victim_stamp {
                         victim_stamp = s;
                         victim = w;
@@ -440,7 +524,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
             }
         };
         let evicted = self.departing(way);
-        self.set_entry(way, line.0, insert_stamp, owner);
+        self.set_entry(way, tag, insert_stamp, owner);
         FillResult {
             way,
             evicted: Some(evicted),
@@ -466,7 +550,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
     /// Clears every way of the set.
     pub fn flush(&mut self) {
         let n = self.n();
-        self.data.borrow_mut()[..n].fill(INVALID_LINE);
+        self.data.borrow_mut()[..n].fill(INVALID_TAG);
         *self.occ.borrow_mut() = 0;
     }
 
@@ -493,22 +577,22 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u64]>> PackedSet<O, D> {
     /// way the victim scan breaks the tie.
     pub(crate) fn renormalise_stamps(&mut self) {
         let n = self.n();
-        let mut order = [(0u64, 0usize); 32];
+        let mut order = [(0u32, 0usize); 32];
         let mut k = 0;
         let mut bits = self.occ();
-        let metas = &mut self.data.borrow_mut()[n..];
+        let metas = &mut self.data.borrow_mut()[n..2 * n];
         while bits != 0 {
             let w = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let stamp = metas[w] & MAX_STAMP;
+            let stamp = metas[w] & STAMP_MASK;
             if stamp != 0 {
                 order[k] = (stamp, w);
                 k += 1;
             }
         }
         order[..k].sort_unstable();
-        for (rank, &(_, w)) in (1u64..).zip(&order[..k]) {
-            metas[w] = metas[w] & !MAX_STAMP | rank;
+        for (rank, &(_, w)) in (1u32..).zip(&order[..k]) {
+            metas[w] = metas[w] & !STAMP_MASK | rank;
         }
     }
 
