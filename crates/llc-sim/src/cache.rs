@@ -202,14 +202,10 @@ impl SetAssocCache {
     /// [`SetAssocCache::set_index`]: Lemire's multiply-shift quotient
     /// (the high word of `M · line`, exact for every 32-bit `line`), a
     /// shift for power-of-two set counts, the `u64` quotient for wider
-    /// lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tag reaches the empty-way sentinel, `u32::MAX`
-    /// (lines from `u32::MAX × sets` up: see [`SetAssocCache::line_limit`]).
+    /// lines. `None` once the tag reaches the empty-way sentinel,
+    /// `u32::MAX`: no such line can be stored ([`SetAssocCache::line_limit`]).
     #[inline(always)]
-    fn tag_of(&self, line: LineAddr) -> u32 {
+    fn tag_of(&self, line: LineAddr) -> Option<u32> {
         let sets = u64::from(self.geometry.sets);
         let tag = if self.index_magic == 0 {
             line.0 >> sets.trailing_zeros()
@@ -218,11 +214,17 @@ impl SetAssocCache {
         } else {
             line.0 / sets
         };
-        assert!(
-            tag < u64::from(INVALID_TAG),
-            "line beyond the 32-bit tag field"
-        );
-        tag as u32
+        u32::try_from(tag).ok().filter(|&tag| tag != INVALID_TAG)
+    }
+
+    /// The tag of a line being accessed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line is at or past [`SetAssocCache::line_limit`].
+    #[inline(always)]
+    fn access_tag(&self, line: LineAddr) -> u32 {
+        self.tag_of(line).expect("line beyond the 32-bit tag field")
     }
 
     /// Lines this cache can hold: every line below `u32::MAX × sets`,
@@ -327,7 +329,7 @@ impl SetAssocCache {
     /// On a miss the line is filled into a way permitted by `mask`.
     #[inline]
     pub fn access(&mut self, line: LineAddr, mask: WayMask) -> AccessOutcome {
-        let (idx, tag) = (self.set_index(line), self.tag_of(line));
+        let (idx, tag) = (self.set_index(line), self.access_tag(line));
         let now = self.tick();
         let draw = self.next_draw();
         let policy = self.policy;
@@ -366,7 +368,7 @@ impl SetAssocCache {
     ) -> AccessOutcome {
         assert!(owner < MAX_SHARERS, "requestor id beyond the sharer mask");
         debug_assert_eq!(idx, self.geometry.set_index(line));
-        let tag = self.tag_of(line);
+        let tag = self.access_tag(line);
         let now = self.tick();
         let draw = self.next_draw();
         let policy = self.policy;
@@ -420,13 +422,17 @@ impl SetAssocCache {
 
     /// Checks residency without updating replacement state.
     pub fn probe(&self, line: LineAddr) -> bool {
-        self.set(self.set_index(line)).probe(line).is_some()
+        self.tag_of(line)
+            .is_some_and(|tag| self.set(self.set_index(line)).probe_tag(tag).is_some())
     }
 
     /// Drops `line` if resident; returns whether it was.
     #[inline]
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        match self.set_mut(self.set_index(line)).remove(line) {
+        let Some(tag) = self.tag_of(line) else {
+            return false;
+        };
+        match self.set_mut(self.set_index(line)).remove_tag(tag) {
             Some(gone) => {
                 self.owner_lines[gone.owner as usize] -= 1;
                 true

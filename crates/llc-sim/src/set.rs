@@ -152,16 +152,19 @@ impl SetPos {
     const ALONE: SetPos = SetPos { index: 0, sets: 1 };
 
     /// `line`'s tag, if `line` maps to this set and its tag fits beside
-    /// the sentinel.
+    /// the sentinel. A standalone set divides by nothing.
     #[inline(always)]
     fn tag_of(self, line: LineAddr) -> Option<u32> {
-        let sets = u64::from(self.sets);
-        if line.0 % sets != u64::from(self.index) {
-            return None;
-        }
-        u32::try_from(line.0 / sets)
-            .ok()
-            .filter(|&tag| tag != INVALID_TAG)
+        let tag = if self.sets == 1 {
+            line.0
+        } else {
+            let sets = u64::from(self.sets);
+            if line.0 % sets != u64::from(self.index) {
+                return None;
+            }
+            line.0 / sets
+        };
+        u32::try_from(tag).ok().filter(|&tag| tag != INVALID_TAG)
     }
 
     /// The line a tag of this set stands for.
@@ -541,7 +544,13 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
     /// Invalidates `line` if resident, returning what its way held.
     #[inline(always)]
     pub fn remove(&mut self, line: LineAddr) -> Option<Evicted> {
-        let way = self.probe(line)?;
+        self.remove_tag(self.pos.tag_of(line)?)
+    }
+
+    /// [`PackedSet::remove`] for a line already turned into its tag.
+    #[inline(always)]
+    pub(crate) fn remove_tag(&mut self, tag: u32) -> Option<Evicted> {
+        let way = self.probe_tag(tag)?;
         let gone = self.departing(way);
         self.clear_way(way);
         Some(gone)
