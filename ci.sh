@@ -92,7 +92,8 @@ echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch co
 # fleet's streaming fold (§15); 12-14 the source rules and the Figure 6
 # table check (§12); 15-16 the frame validator's per-segment ticks and
 # `dcat-top --follow` across a daemon restart (§16); 17-18 the frame
-# reader's integer codec and its first-of-duplicate-keys lookup (§16).
+# reader's integer codec and its first-of-duplicate-keys lookup (§16); 19
+# a departing LLC line rebuilt from its tag without its set (§14).
 sh tools/mutants.sh tests/mutants/*.patch
 
 echo "==> the float printer against {:?}, 30 M draws of each shape (release; the debug run above did 1 M)"
@@ -207,6 +208,12 @@ if ! bash benchmark/run.sh --check > target/sysbench-check.txt 2>&1; then
     echo "ERROR: benchmark/run.sh --check failed (full log: target/sysbench-check.txt)" >&2
     exit 1
 fi
+
+echo "==> A/B harness (tools/ab/pairs.sh: alternating benchmark pairs between two revs) parses"
+# Not run here: a pair takes minutes. Checked so the next claim starts
+# from a working script.
+bash -n tools/ab/pairs.sh
+bash tools/ab/pairs.sh --help > /dev/null
 
 echo "==> profiling tools build (tools/prof: the SIGPROF sampler and its binning script)"
 # Not run here — a profile is read by a person — but kept compiling, so

@@ -174,14 +174,23 @@ fn trading_places<C: resctrl::CacheController>(
     }
 }
 
-/// A scratch directory under the system temp dir, removed on drop.
+/// A scratch directory, removed on drop: on `/dev/shm` when that takes
+/// one, else under the system temp dir. A resctrl mount lives in memory;
+/// a disk temp dir measures its filesystem's journal instead, which on an
+/// ext4 `/tmp` moved the apply case past its gate on an unchanged tree.
 struct TempTree(std::path::PathBuf);
 
 impl TempTree {
     fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("dcat-perfbench-{tag}-{}", std::process::id()));
+        let name = format!("dcat-perfbench-{tag}-{}", std::process::id());
+        let shm = std::path::Path::new("/dev/shm").join(&name);
         // A stale tree from a killed run would make the fixture's state
         // depend on it; a missing one is the normal case.
+        let _ = std::fs::remove_dir_all(&shm);
+        if std::fs::create_dir(&shm).is_ok() {
+            return TempTree(shm);
+        }
+        let dir = std::env::temp_dir().join(name);
         let _ = std::fs::remove_dir_all(&dir);
         TempTree(dir)
     }
@@ -567,7 +576,7 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
 
     // --- one LLC-bound VM on the paper's socket: uniform-random loads
     // over 256 MB at full fidelity, so nearly every reference walks an LLC
-    // set the host has to fetch from memory (11.9 MB of tags) — the case
+    // set the host has to fetch from memory (9.0 MB of tags) — the case
     // the slice loop's translate-ahead-and-hint pipeline exists for.
     {
         let mut cfg = EngineConfig::xeon_e5_v4();
