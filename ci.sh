@@ -25,7 +25,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> document ceilings: DESIGN.md and README.md may shrink, not grow"
 # Lower a ceiling when its document shrinks; never raise one.
-for doc_ceiling in DESIGN.md:2055 README.md:642; do
+for doc_ceiling in DESIGN.md:2046 README.md:642; do
     doc=${doc_ceiling%:*}
     ceiling=${doc_ceiling#*:}
     lines=$(wc -l < "$doc")
