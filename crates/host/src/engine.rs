@@ -306,7 +306,7 @@ impl Engine {
         hierarchy.set_fidelity(config.llc_fidelity);
         // The LLC stores a line as its tag below a `u32` sentinel: memory
         // with a line beyond that is refused here, never aliased.
-        let lines = config.memory_bytes >> llc_sim::LINE_SHIFT;
+        let lines = config.memory_bytes / llc_sim::LINE_SIZE;
         if lines > hierarchy.llc().line_limit() {
             return Err(format!(
                 "memory_bytes {} holds {lines} lines; the LLC's tags reach {}",

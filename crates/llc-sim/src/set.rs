@@ -379,13 +379,8 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
         now: u64,
         policy: ReplacementPolicy,
     ) -> Option<u32> {
-        match self.pos.tag_of(line) {
-            Some(tag) => self.lookup_tag(tag, now, policy),
-            None => {
-                assert!(now <= MAX_STAMP, "stamp beyond the 27-bit field");
-                None
-            }
-        }
+        assert!(now <= MAX_STAMP, "stamp beyond the 27-bit field");
+        self.lookup_tag(self.pos.tag_of(line)?, now, policy)
     }
 
     /// [`PackedSet::lookup_with`] for a line already turned into its tag.
