@@ -25,7 +25,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> document ceilings: DESIGN.md and README.md may shrink, not grow"
 # Lower a ceiling when its document shrinks; never raise one.
-for doc_ceiling in DESIGN.md:2046 README.md:642; do
+for doc_ceiling in DESIGN.md:2046 README.md:637; do
     doc=${doc_ceiling%:*}
     ceiling=${doc_ceiling#*:}
     lines=$(wc -l < "$doc")
@@ -84,7 +84,7 @@ echo "==> per-reference path in release: llc-sim, workloads, smallrng and host s
 cargo test -q --release --offline -p workloads -p smallrng -p llc-sim -p host
 
 echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch copy and the test its header names must fail)"
-# Seeded by the 16-byte LLC line: its exactness argument is only as good as
+# Seeded by the 12-byte LLC line: its exactness argument is only as good as
 # the lockstep test that would notice it break (DESIGN.md §14). 04-06 are
 # the float printer's tie rule and switch point and the row parser's digit
 # lane (§16, "third pass"); 07-09 the engine slice's held caches and
@@ -93,7 +93,8 @@ echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch co
 # table check (§12); 15-16 the frame validator's per-segment ticks and
 # `dcat-top --follow` across a daemon restart (§16); 17-18 the frame
 # reader's integer codec and its first-of-duplicate-keys lookup (§16); 19
-# a departing LLC line rebuilt from its tag without its set (§14).
+# a departing LLC line rebuilt from its tag without its set (§14); 20
+# `dcat-top --replay` passing input of no known kind (§16).
 sh tools/mutants.sh tests/mutants/*.patch
 
 echo "==> the float printer against {:?}, 30 M draws of each shape (release; the debug run above did 1 M)"
@@ -167,16 +168,17 @@ fi
 $rss_ceiling target/release/dcat-bench fleet_scale --fast \
     --tenants 10000 --sample-sets 8 --jobs 2 > target/fleet_smoke.10k.txt
 
-echo "==> metrics + frame-stream export: fig07 with --metrics-out/--frames-out, validated by obs-dump"
+echo "==> metrics + frame-stream export: fig07 with --metrics-out/--frames-out, metrics validated by dcat-top --replay"
 target/release/dcat-bench fig07_lifecycle --fast \
     --metrics-out target/metrics.prom --frames-out target/frames.jsonl \
     > target/fig07_lifecycle.txt
-cargo run -q --release -p dcat-obs --offline --bin obs-dump -- --check target/metrics.prom
-cargo run -q --release -p dcat-obs --offline --bin obs-dump -- --check target/frames.jsonl
+cargo run -q --release -p dcat-top --offline --bin dcat-top -- \
+    --replay target/metrics.prom --headless > /dev/null
 
 echo "==> dcat-top replay: headless render of the fig07 stream vs the blessed golden"
-# The same stream obs-dump just validated must render byte-identically to
-# the golden the dcat-top crate's tests bless (DCAT_BLESS=1 re-blesses).
+# Replay validates the stream through the one frame reader, and it must
+# render byte-identically to the golden the dcat-top crate's tests bless
+# (DCAT_BLESS=1 re-blesses).
 cargo run -q --release -p dcat-top --offline --bin dcat-top -- \
     --replay target/frames.jsonl --headless > target/fig07_headless.txt
 if ! cmp -s target/fig07_headless.txt crates/top/tests/golden/fig07_headless.txt; then

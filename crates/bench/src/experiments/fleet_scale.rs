@@ -52,8 +52,8 @@ pub fn ladder(fast: bool) -> &'static [u32] {
 /// Runs the standard [`ladder`], or one fleet size with `--tenants N`.
 /// `--frames-out PATH` streams every run's `dcat-frames/v1` segments to
 /// PATH as the hosts finish — fleet size by fleet size, policy by policy
-/// — for `dcat-top --replay` and `obs-dump`; memory stays flat however
-/// large the fleet. Large fleets want `--sample-sets 8 --jobs <cores>`.
+/// — for `dcat-top --replay`; memory stays flat however large the fleet.
+/// Large fleets want `--sample-sets 8 --jobs <cores>`.
 ///
 /// # Errors
 ///

@@ -12,7 +12,6 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dcat_obs::MetricsSink;
 use host::Pool;
 
 use crate::report;
@@ -56,7 +55,7 @@ pub struct Cli {
     /// Parallel sweep width.
     pub jobs: usize,
     /// Where to export the process-root metrics snapshot on exit
-    /// (Prometheus text, or JSONL when the path ends in `.jsonl`).
+    /// (Prometheus text).
     pub metrics_out: Option<PathBuf>,
     /// Where to write the run's `dcat-frames/v1` stream (for experiments
     /// that export one; others ignore it).
@@ -149,7 +148,7 @@ pub fn main_with(body: impl FnOnce(Cli)) {
     body(cli);
     if let Some(path) = metrics_out {
         let snap = report::take_root_metrics();
-        if let Err(e) = dcat_obs::FileSink::new(&path).export(&snap) {
+        if let Err(e) = dcat_obs::write_text(&path, &snap.to_prometheus()) {
             panic!("metrics export to {}: {e}", path.display());
         }
     }

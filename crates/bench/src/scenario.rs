@@ -5,15 +5,12 @@ use dcat::{
     MemshareConfig, MemsharePolicy, ResiliencePolicy, SharedCachePolicy, StaticCatPolicy, Totals,
     WorkloadHandle,
 };
-use dcat_obs::{FlightRecorder, Tracer, DEFAULT_STEP_BUCKETS};
+use dcat_obs::{Tracer, DEFAULT_STEP_BUCKETS};
 use host::{Engine, EngineConfig, VmEpochStats, VmSpec};
 use resctrl::{CacheController, ResctrlError};
 use workloads::AccessStream;
 
 use crate::report;
-
-/// Epochs of spans each scenario's flight recorder retains.
-const FLIGHT_TICKS: usize = 32;
 
 /// One activity window of a VM's workload, in epochs.
 #[derive(Debug, Clone, Copy)]
@@ -161,16 +158,12 @@ pub struct RunResult {
     pub reports: Vec<Vec<DomainReport>>,
     /// Request latencies (cycles) accumulated per VM over the whole run.
     pub request_latencies: Vec<Vec<f64>>,
-    /// Flight-recorder dump (JSONL) covering the last [`FLIGHT_TICKS`]
-    /// epochs' pipeline spans. Logical-clock only, so byte-identical
-    /// across runs; deliberately excluded from [`RunResult::serialize`],
-    /// which predates it and anchors the golden determinism oracle.
-    pub flight: String,
     /// `dcat-frames/v1` segment for the run: one `frame` record per epoch
     /// under a `scenario:<policy>` header. Built entirely from per-epoch
     /// reports, so it is byte-identical whenever the run is — the frame
     /// stream's own determinism regression diffs it across `--jobs`
-    /// widths. Excluded from [`RunResult::serialize`] like `flight`.
+    /// widths. Excluded from [`RunResult::serialize`], which predates it
+    /// and anchors the golden determinism oracle.
     pub frames: String,
 }
 
@@ -325,12 +318,10 @@ pub fn run_scenario(
         epochs: Vec::with_capacity(total_epochs as usize),
         reports: Vec::with_capacity(total_epochs as usize),
         request_latencies: vec![Vec::new(); plans.len()],
-        flight: String::new(),
         frames: String::new(),
     };
     let mut restart_count = vec![0u64; plans.len()];
     let mut tracer = Tracer::new();
-    let mut recorder = FlightRecorder::new(FLIGHT_TICKS);
     let mut frames = dcat_obs::FrameWriter::new(&format!("scenario:{policy_label}"));
 
     for epoch in 0..total_epochs {
@@ -374,8 +365,6 @@ pub fn run_scenario(
                 );
             }
         });
-        let events = obs.events.iter().map(dcat::Event::to_json);
-        recorder.record(obs.tick, obs.degraded, spans, events);
         frames.push(dcat::frame_from_observation(&obs, policy_label, obs.ext));
         result.epochs.push(stats);
         result.reports.push(obs.reports.to_vec());
@@ -387,7 +376,6 @@ pub fn run_scenario(
     // The engine's own registry (epochs, per-VM instruction/miss totals,
     // way gauges) merges into whatever capture scope this run is in.
     report::emit_obs(&engine.metrics_snapshot());
-    result.flight = recorder.dump_jsonl();
     result.frames = frames.into_string();
     result
 }
@@ -477,13 +465,16 @@ mod tests {
             Some(&dcat_obs::MetricValue::Counter(5)),
             "engine registry merged into the scope"
         );
-        let lines = dcat_obs::check_jsonl(&r.flight).unwrap();
-        assert_eq!(lines, 6, "header + 5 epochs");
-        // dCat's pipeline stages show up alongside the engine epoch span.
-        assert!(r.flight.contains("\"span\":\"epoch\""));
-        assert!(r.flight.contains("\"span\":\"allocate\""));
+        // dCat's pipeline stages show up alongside the engine epoch span,
+        // once an epoch each.
+        for span in ["epoch", "allocate"] {
+            match snap.get("scenario_span_steps", &[("span", span)]) {
+                Some(dcat_obs::MetricValue::Histogram(h)) => assert_eq!(h.count, 5, "{span}"),
+                other => panic!("no {span} span histogram: {other:?}"),
+            }
+        }
 
-        // Identical runs produce identical flight dumps and snapshots.
+        // Identical runs produce identical snapshots and frames.
         let (r2, _t2, snap2) = crate::report::capture_obs(|| {
             run_scenario(
                 PolicyKind::Dcat(DcatConfig::default()),
@@ -492,7 +483,6 @@ mod tests {
                 5,
             )
         });
-        assert_eq!(r.flight, r2.flight);
         assert_eq!(snap.to_prometheus(), snap2.to_prometheus());
         assert_eq!(r.frames, r2.frames);
     }

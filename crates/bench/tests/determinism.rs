@@ -7,7 +7,7 @@
 //! floats (shortest round-trip form): two serializations are byte-equal
 //! iff the runs are bit-identical. The observability layer is held to
 //! the same bar: the rendered Prometheus snapshot and the concatenated
-//! flight-recorder dumps must also be byte-equal across widths.
+//! frame streams must also be byte-equal across widths.
 //!
 //! The width is a process global (`runner::set_jobs`), so everything
 //! runs inside one `#[test]` to keep the narrow/wide passes from racing.
@@ -25,8 +25,6 @@ struct Observed {
     text: String,
     /// Rendered metrics snapshot.
     prometheus: String,
-    /// Concatenated flight-recorder dumps, in run order.
-    flights: String,
     /// Concatenated `dcat-frames/v1` segments, in run order.
     frames: String,
 }
@@ -34,53 +32,36 @@ struct Observed {
 /// Runs fig10's working-set sweep at the given width.
 fn fig10_at(jobs: usize) -> Observed {
     runner::set_jobs(jobs);
-    let (triples, text, snap) = report::capture_obs(|| {
+    let (pairs, text, snap) = report::capture_obs(|| {
         Runner::from_env().map(vec![4 * MB, 8 * MB], |_, wss| {
             let (_, result) = fig10_dynamic_alloc::run_one(wss, true);
-            (result.serialize(), result.flight, result.frames)
+            (result.serialize(), result.frames)
         })
     });
-    let mut serials = Vec::new();
-    let mut flights = String::new();
-    let mut frames = String::new();
-    for (s, fl, fr) in triples {
-        serials.push(s);
-        flights.push_str(&fl);
-        frames.push_str(&fr);
-    }
+    observed(pairs, text, &snap)
+}
+
+/// Splits per-run `(serialize, frames)` pairs into one [`Observed`].
+fn observed(pairs: Vec<(String, String)>, text: String, snap: &dcat_obs::Snapshot) -> Observed {
+    let (serials, frames): (Vec<String>, Vec<String>) = pairs.into_iter().unzip();
     Observed {
         serials,
         text,
         prometheus: snap.to_prometheus(),
-        flights,
-        frames,
+        frames: frames.concat(),
     }
 }
 
 /// Runs fig15's three scenarios at the given width.
 fn fig15_at(jobs: usize) -> Observed {
     runner::set_jobs(jobs);
-    let (triples, text, snap) = report::capture_obs(|| {
+    let (pairs, text, snap) = report::capture_obs(|| {
         fig15_mixed::run_results(true)
-            .iter()
-            .map(|r| (r.serialize(), r.flight.clone(), r.frames.clone()))
+            .into_iter()
+            .map(|r| (r.serialize(), r.frames))
             .collect::<Vec<_>>()
     });
-    let mut serials = Vec::new();
-    let mut flights = String::new();
-    let mut frames = String::new();
-    for (s, fl, fr) in triples {
-        serials.push(s);
-        flights.push_str(&fl);
-        frames.push_str(&fr);
-    }
-    Observed {
-        serials,
-        text,
-        prometheus: snap.to_prometheus(),
-        flights,
-        frames,
-    }
+    observed(pairs, text, &snap)
 }
 
 #[test]
@@ -107,11 +88,6 @@ fn parallel_runs_are_bit_identical_to_serial_runs() {
         fig10_serial.prometheus, fig10_wide.prometheus,
         "fig10 metrics snapshots differ across widths"
     );
-    assert!(!fig10_serial.flights.is_empty(), "fig10 recorded no spans");
-    assert_eq!(
-        fig10_serial.flights, fig10_wide.flights,
-        "fig10 flight-recorder dumps differ across widths"
-    );
     dcat_obs::check_frames(&fig10_serial.frames).expect("fig10 frame stream validates");
     assert_eq!(
         fig10_serial.frames, fig10_wide.frames,
@@ -136,10 +112,6 @@ fn parallel_runs_are_bit_identical_to_serial_runs() {
     assert_eq!(
         fig15_serial.prometheus, fig15_wide.prometheus,
         "fig15 metrics snapshots differ across widths"
-    );
-    assert_eq!(
-        fig15_serial.flights, fig15_wide.flights,
-        "fig15 flight-recorder dumps differ across widths"
     );
     assert_eq!(
         fig15_serial.frames, fig15_wide.frames,

@@ -51,7 +51,7 @@ fn fig07_metrics_snapshot_matches_golden() {
     let (_r, _text, snap) = report::capture_obs(|| fig07_lifecycle::run_timeline(false, true));
     let rendered = snap.to_prometheus();
     // Structural sanity before the byte compare: the export must pass
-    // the same validator `obs-dump --check` applies.
+    // the same validator `dcat-top --replay` applies.
     dcat_obs::check_prometheus(&rendered).expect("fig07 export must validate");
     check_golden("fig07_metrics.prom", &rendered);
 }

@@ -29,12 +29,11 @@
 //! against fixture trees, not for production mounts.
 //!
 //! `--metrics-out` writes the daemon's final metrics snapshot on exit
-//! (Prometheus text, or JSONL when the path ends in `.jsonl`);
-//! `--flight-out` writes the flight-recorder dump (last `--flight-ticks`
-//! ticks of spans and events, JSONL). `--frames-out` appends one
-//! `dcat-frames/v1` record per tick as the daemon runs, so
-//! `dcat-top --follow <path>` can watch the run live. All three validate
-//! with `obs-dump --check`.
+//! (Prometheus text, whatever the path's extension); `--flight-out` writes
+//! the flight-recorder dump (last `--flight-ticks` ticks of spans and
+//! events, JSONL). `--frames-out` appends one `dcat-frames/v1` record per
+//! tick as the daemon runs, so `dcat-top --follow <path>` can watch the run
+//! live. `dcat-top --replay <path>` reads back and validates all three.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -42,7 +41,6 @@ use std::time::Duration;
 
 use dcat::daemon::{parse_domains, run_daemon_observed, DaemonConfig, ResiliencePolicy};
 use dcat::DcatConfig;
-use dcat_obs::{FileSink, MetricsSink};
 use resctrl::fault::FaultPlan;
 
 fn usage() -> &'static str {
@@ -219,7 +217,7 @@ fn main() -> ExitCode {
                 );
             }
             if let Some(path) = paths.metrics_out.as_deref() {
-                if let Err(e) = FileSink::new(path).export(&outcome.metrics) {
+                if let Err(e) = dcat_obs::write_text(path, &outcome.metrics.to_prometheus()) {
                     eprintln!("dcatd: writing {}: {e}", path.display());
                     return ExitCode::FAILURE;
                 }

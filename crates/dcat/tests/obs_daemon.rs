@@ -10,7 +10,8 @@ use std::time::Duration;
 
 use dcat::daemon::{run_daemon_observed, DaemonConfig, ObsOptions, ResiliencePolicy};
 use dcat::{DcatConfig, WorkloadHandle};
-use dcat_obs::{check_jsonl, check_prometheus, MetricValue};
+use dcat_obs::frames::parse_flight;
+use dcat_obs::{check_flight, check_prometheus, MetricValue};
 use perf_events::CounterSnapshot;
 use resctrl::{CatCapabilities, FsBackend};
 
@@ -63,6 +64,11 @@ fn base_cfg(root: PathBuf, domains: Vec<WorkloadHandle>) -> DaemonConfig {
     }
 }
 
+/// The tick numbers a flight dump retains, oldest first.
+fn retained_ticks(dump: &str) -> Vec<u64> {
+    parse_flight(dump).unwrap().iter().map(|t| t.tick).collect()
+}
+
 #[test]
 fn every_tick_carries_the_full_span_tree_and_metrics_count_ticks() {
     let root = fixture_root("spans");
@@ -107,12 +113,14 @@ fn every_tick_carries_the_full_span_tree_and_metrics_count_ticks() {
         .get("dcat_domain_ways", &[("domain", "solo")]);
     assert!(matches!(gauge, Some(MetricValue::Gauge(v)) if *v >= f64::from(RESERVED)));
 
-    // Both export formats must pass the validators obs-dump --check uses.
+    // Both exports must pass the validators `dcat-top --replay` uses: the
+    // flight dump keeps every tick, in order, under its schema header.
     check_prometheus(&outcome.metrics.to_prometheus()).unwrap();
-    check_jsonl(&outcome.metrics.to_jsonl()).unwrap();
-    let lines = check_jsonl(&outcome.flight_dump).unwrap();
-    // Header + one record per retained tick.
-    assert_eq!(lines as u64, MAX_TICKS + 1);
+    assert_eq!(check_flight(&outcome.flight_dump), Ok(MAX_TICKS as usize));
+    assert_eq!(
+        retained_ticks(&outcome.flight_dump),
+        (1..=MAX_TICKS).collect::<Vec<_>>()
+    );
 }
 
 #[test]
@@ -143,8 +151,8 @@ fn quarantine_triggers_a_flight_dump_carrying_the_recent_window() {
 
     let (tick, dump) = dump_at.expect("quarantine should trigger a dump");
     assert_eq!(tick, 3);
-    let lines = check_jsonl(&dump).unwrap();
-    assert_eq!(lines, 4, "header + the 3 ticks recorded so far");
+    assert_eq!(check_flight(&dump), Ok(3), "the 3 ticks recorded so far");
+    assert_eq!(retained_ticks(&dump), [1, 2, 3]);
     assert!(dump.contains("domain_quarantined"));
 
     let quarantine_events = outcome

@@ -659,7 +659,7 @@ pub fn parse_stream(text: &str) -> Result<Vec<Segment<'_>>, String> {
     Ok(segments)
 }
 
-/// Validate a frame stream and count it (the `obs-dump --check` path).
+/// Validate a frame stream and count it.
 pub fn check_frames(text: &str) -> Result<FramesSummary, String> {
     let mut summary = FramesSummary {
         segments: 0,
@@ -705,7 +705,7 @@ fn array<'s, 'a>(v: Item<'s, 'a>, key: &str) -> Result<impl Iterator<Item = Item
 /// Parse and validate a `dcat-flight/v1` recorder dump: a `flight_header`
 /// carrying the schema field first, then tick records with strictly
 /// increasing ticks. Headerless or unknown-version dumps are rejected —
-/// the satellite contract behind `obs-dump --check`.
+/// the contract behind `dcat-top --replay` of a dump.
 pub fn parse_flight(text: &str) -> Result<Vec<FlightTick>, String> {
     let mut ticks: Vec<FlightTick> = Vec::new();
     let mut saw_header = false;

@@ -5,8 +5,8 @@
 //!
 //! The workspace is dependency-free by policy, so there is no serde. The
 //! builder is what every producer in this crate (and `dcat::events`) uses to
-//! render records; the parser exists so `obs-dump --check` and the round-trip
-//! tests can validate the producers without a second implementation of the
+//! render records; the parser exists so the frame and flight readers and the
+//! round-trip tests can validate the producers without a second implementation of the
 //! escaping rules.
 
 use std::borrow::Cow;

@@ -6,8 +6,8 @@
 //! 1. **Metrics registry** ([`metrics`]) — counters, gauges, and fixed-bucket
 //!    histograms keyed by static name + label set. Snapshots are B-tree
 //!    backed and merge commutatively, so per-worker registries from
-//!    `host::pool` collapse to the same bytes in any permutation. Exports:
-//!    Prometheus text and JSONL via [`MetricsSink`].
+//!    `host::pool` collapse to the same bytes in any permutation. Export:
+//!    Prometheus text ([`Snapshot::to_prometheus`]).
 //! 2. **Logical-clock tracing** ([`trace`]) — span enter/exit for each daemon
 //!    pipeline stage and engine epoch, timed in ticks/epochs by default and
 //!    in cycles only when a [`CycleSource`] (implemented in `bench::timing`,
@@ -17,8 +17,9 @@
 //!    `DomainQuarantined`, or daemon exit.
 //!
 //! [`json`] holds the hand-rolled escaping/builder/parser shared by all
-//! renderers, [`promcheck`] the validators behind `obs-dump --check`, and
-//! [`frames`] the `dcat-frames/v1` per-tick stream `dcat-top` renders.
+//! renderers, [`promcheck`] the Prometheus validator, and [`frames`] the
+//! `dcat-frames/v1` per-tick stream and the flight-dump validator. A
+//! library only: `dcat-top --replay` reads every artifact back.
 
 // A tick degrades, it never dies: no panicking call, index, slice or division
 // anywhere in the crate the tick runs in, save a fn-level `#[expect]` with its
@@ -48,9 +49,9 @@ pub use frames::{
     MemshareExt, PolicyExt, FLIGHT_SCHEMA, FRAMES_SCHEMA,
 };
 pub use metrics::{
-    write_text, FileSink, Histogram, MetricKey, MetricValue, MetricsSink, Registry, SeriesId,
-    Snapshot, CYCLE_BUCKETS, DEFAULT_STEP_BUCKETS,
+    write_text, Histogram, MetricKey, MetricValue, Registry, SeriesId, Snapshot, CYCLE_BUCKETS,
+    DEFAULT_STEP_BUCKETS,
 };
-pub use promcheck::{check_jsonl, check_prometheus, PromSummary};
+pub use promcheck::{check_prometheus, PromSummary};
 pub use recorder::{FlightRecorder, TickRecord};
 pub use trace::{CycleSource, SpanRecord, Tracer};

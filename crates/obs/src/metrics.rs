@@ -418,69 +418,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Render as JSONL: one self-describing object per series.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`i` enumerates `bounds`, and `counts` holds a bucket per bound plus +Inf"
-    )]
-    pub fn to_jsonl(&self) -> String {
-        use crate::json::{array, Obj};
-        let mut out = String::new();
-        for (key, value) in &self.entries {
-            let mut obj = Obj::new().str_field("name", key.name);
-            let mut labels = Obj::new();
-            for (k, v) in &key.labels {
-                labels = labels.str_field(k, v);
-            }
-            obj = obj.raw_field("labels", &labels.finish());
-            let line = match value {
-                MetricValue::Counter(v) => obj
-                    .str_field("kind", "counter")
-                    .u64_field("value", *v)
-                    .finish(),
-                MetricValue::Gauge(v) => obj
-                    .str_field("kind", "gauge")
-                    .raw_field("value", &format_json_f64(*v))
-                    .finish(),
-                MetricValue::Histogram(h) => {
-                    let buckets: Vec<String> = h
-                        .bounds
-                        .iter()
-                        .enumerate()
-                        .map(|(i, b)| {
-                            Obj::new()
-                                .u64_field("le", *b)
-                                .u64_field("count", h.counts[i])
-                                .finish()
-                        })
-                        .collect();
-                    obj.str_field("kind", "histogram")
-                        .raw_field("buckets", &array(&buckets))
-                        .u64_field("inf_count", h.counts[h.bounds.len()])
-                        .u64_field("sum", h.sum)
-                        .u64_field("count", h.count)
-                        .finish()
-                }
-            };
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Render an f64 as a JSON-safe token (`NaN`/`inf` are not valid JSON; the
-/// registry never produces them from deterministic sims, but don't emit
-/// garbage if one slips through).
-fn format_json_f64(v: f64) -> String {
-    let mut out = String::new();
-    if v.is_finite() {
-        crate::json::push_f64(&mut out, v);
-    } else {
-        out.push_str("null");
-    }
-    out
 }
 
 fn prom_labels(labels: &[(&'static str, String)], extra: &[(&str, &str)]) -> String {
@@ -514,35 +451,6 @@ fn prom_labels(labels: &[(&'static str, String)], extra: &[(&str, &str)]) -> Str
     }
     out.push('}');
     out
-}
-
-/// Destination for exported snapshots.
-pub trait MetricsSink {
-    fn export(&mut self, snap: &Snapshot) -> Result<(), String>;
-}
-
-/// File-backed sink. The format follows the extension: `.jsonl` writes JSONL,
-/// anything else writes Prometheus text.
-#[derive(Debug)]
-pub struct FileSink {
-    path: std::path::PathBuf,
-}
-
-impl FileSink {
-    pub fn new(path: impl Into<std::path::PathBuf>) -> Self {
-        FileSink { path: path.into() }
-    }
-}
-
-impl MetricsSink for FileSink {
-    fn export(&mut self, snap: &Snapshot) -> Result<(), String> {
-        let text = if self.path.extension().is_some_and(|e| e == "jsonl") {
-            snap.to_jsonl()
-        } else {
-            snap.to_prometheus()
-        };
-        write_text(&self.path, &text)
-    }
 }
 
 /// Write a text artifact (metrics export, flight-recorder dump) to disk.
@@ -627,17 +535,6 @@ span_steps_count{span=\"apply\"} 2
 ticks_total 3
 ";
         assert_eq!(text, expected);
-    }
-
-    #[test]
-    fn jsonl_rendering_parses_line_by_line() {
-        let text = sample().snapshot().to_jsonl();
-        for line in text.lines() {
-            let v = crate::json::parse(line).expect("every JSONL line parses");
-            assert!(v.get("name").is_some());
-            assert!(v.get("kind").is_some());
-        }
-        assert_eq!(text.lines().count(), sample().snapshot().len());
     }
 
     #[test]

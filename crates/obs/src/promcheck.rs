@@ -1,4 +1,5 @@
-//! Validators for the two export formats, used by `obs-dump --check` and CI.
+//! The Prometheus text validator behind `dcat-top --replay` of a metrics
+//! export, the golden metrics test and CI.
 //!
 //! `check_prometheus` enforces the subset of the text exposition format this
 //! crate emits: `# TYPE` headers before samples, well-formed sample lines,
@@ -138,23 +139,6 @@ pub fn check_prometheus(text: &str) -> Result<PromSummary, String> {
         families: families.len(),
         samples,
     })
-}
-
-/// Validate a JSONL artifact (metrics export or flight-recorder dump): every
-/// non-empty line must parse as a JSON object. Returns the line count.
-pub fn check_jsonl(text: &str) -> Result<usize, String> {
-    let mut lines = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = crate::json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        if !matches!(v, crate::json::Value::Obj(_)) {
-            return Err(format!("line {}: not a JSON object", lineno + 1));
-        }
-        lines += 1;
-    }
-    Ok(lines)
 }
 
 #[derive(Debug, Default)]
@@ -313,8 +297,6 @@ mod tests {
         let summary = check_prometheus(&snap.to_prometheus()).unwrap();
         assert_eq!(summary.families, 4);
         assert!(summary.samples >= 4);
-        let lines = check_jsonl(&snap.to_jsonl()).unwrap();
-        assert_eq!(lines, snap.len());
     }
 
     #[test]
@@ -355,12 +337,5 @@ h_count 3
         assert!(check_prometheus("# TYPE x counter\nx{a=b} 1\n").is_err());
         assert!(check_prometheus("# TYPE x counter\nx notanumber\n").is_err());
         assert!(check_prometheus("# TYPE x widget\n").is_err());
-    }
-
-    #[test]
-    fn jsonl_checker_rejects_non_objects_and_garbage() {
-        assert!(check_jsonl("[1,2,3]\n").is_err());
-        assert!(check_jsonl("{\"a\":1}\nnot json\n").is_err());
-        assert_eq!(check_jsonl("{\"a\":1}\n\n{\"b\":2}\n").unwrap(), 2);
     }
 }

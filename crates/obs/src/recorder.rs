@@ -3,8 +3,8 @@
 //!
 //! The dump format is line-oriented: a header object first, then one object
 //! per retained tick, oldest first. Everything is rendered through
-//! [`crate::json`], so `obs-dump --check` can validate a dump with the same
-//! escaping rules the writer used.
+//! [`crate::json`], so [`crate::frames::parse_flight`] (`dcat-top --replay`)
+//! reads a dump back with the same escaping rules the writer used.
 
 use crate::json::{array, Obj};
 use crate::trace::SpanRecord;
@@ -94,7 +94,7 @@ impl FlightRecorder {
 
     /// Render the retained window as JSONL: a header line, then one line per
     /// tick, oldest first. The header carries the `dcat-flight/v1` schema
-    /// tag; `obs-dump --check` rejects dumps without it.
+    /// tag; [`crate::frames::parse_flight`] rejects dumps without it.
     pub fn dump_jsonl(&self) -> String {
         let mut out = Obj::new()
             .str_field("record", "flight_header")

@@ -9,7 +9,7 @@
 //! * monotonic [`CounterSnapshot`]s and interval deltas,
 //! * the derived [`IntervalMetrics`] the controller actually reasons about
 //!   (IPC, LLC miss rate, memory accesses per instruction, …), and
-//! * smoothing windows ([`window::EwmaWindow`], [`window::SlidingWindow`]).
+//! * a smoothing window ([`window::SlidingWindow`]).
 
 //! # Examples
 //!
@@ -59,4 +59,4 @@ pub mod window;
 pub use events::PerfEvent;
 pub use metrics::IntervalMetrics;
 pub use snapshot::{CounterSnapshot, WrapOutcome};
-pub use window::{EwmaWindow, SlidingWindow};
+pub use window::SlidingWindow;

@@ -1,11 +1,11 @@
-//! Smoothing windows for noisy counter-derived metrics.
+//! A smoothing window for noisy counter-derived metrics.
 //!
 //! The paper samples once per second and compares IPCs across intervals;
-//! with short intervals the raw ratios are noisy, so controllers typically
-//! smooth them. Both a fixed-size sliding mean and an exponentially
-//! weighted moving average are provided; the dCat controller uses the
-//! sliding window for its IPC comparisons and experiments can swap either
-//! in.
+//! with short intervals the raw ratios are noisy. Nothing outside tests
+//! uses this window today: the dCat controller compares raw interval IPCs
+//! and LFOC keeps its own inline EWMA. The sliding mean is kept only
+//! because ROADMAP item 12 names it as the feature window for its Table-2
+//! ratios.
 
 use std::collections::VecDeque;
 
@@ -88,46 +88,6 @@ impl SlidingWindow {
     }
 }
 
-/// Exponentially weighted moving average.
-#[derive(Debug, Clone, Copy)]
-pub struct EwmaWindow {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl EwmaWindow {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`; larger
-    /// alpha weighs recent samples more.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        EwmaWindow { alpha, value: None }
-    }
-
-    /// Feeds a sample and returns the updated average.
-    pub fn push(&mut self, sample: f64) -> f64 {
-        let next = match self.value {
-            None => sample,
-            Some(v) => v + self.alpha * (sample - v),
-        };
-        self.value = Some(next);
-        next
-    }
-
-    /// Current average; `None` before the first sample.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Forgets all history.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,34 +151,5 @@ mod tests {
             rel_err < 1e-9,
             "window mean drifted: got {mean}, exact {exact_mean}, rel err {rel_err:e}"
         );
-    }
-
-    #[test]
-    fn ewma_first_sample_passes_through() {
-        let mut e = EwmaWindow::new(0.5);
-        assert_eq!(e.push(8.0), 8.0);
-        assert_eq!(e.push(0.0), 4.0);
-        assert_eq!(e.value(), Some(4.0));
-    }
-
-    #[test]
-    fn ewma_alpha_one_tracks_input() {
-        let mut e = EwmaWindow::new(1.0);
-        e.push(3.0);
-        assert_eq!(e.push(7.0), 7.0);
-    }
-
-    #[test]
-    fn ewma_reset_forgets() {
-        let mut e = EwmaWindow::new(0.3);
-        e.push(5.0);
-        e.reset();
-        assert_eq!(e.value(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = EwmaWindow::new(0.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for counter snapshots, metrics, and windows.
 
-use perf_events::{CounterSnapshot, EwmaWindow, IntervalMetrics, SlidingWindow};
+use perf_events::{CounterSnapshot, IntervalMetrics, SlidingWindow};
 use prop_lite::Gen;
 
 fn snapshot(g: &mut Gen) -> CounterSnapshot {
@@ -71,24 +71,6 @@ fn sliding_mean_bounded() {
             let hi = window.iter().cloned().fold(f64::MIN, f64::max);
             let mean = w.mean().unwrap();
             assert!(mean >= lo - 1e-6 && mean <= hi + 1e-6);
-        }
-    });
-}
-
-/// EWMA stays within the range of observed samples.
-#[test]
-fn ewma_bounded() {
-    prop_lite::run_cases("ewma_bounded", 128, |g| {
-        let alpha_pct = g.u32_in(1, 100);
-        let samples = g.vec_of(1, 63, signed_sample);
-        let mut e = EwmaWindow::new(f64::from(alpha_pct) / 100.0);
-        let mut lo = f64::MAX;
-        let mut hi = f64::MIN;
-        for &s in &samples {
-            lo = lo.min(s);
-            hi = hi.max(s);
-            let v = e.push(s);
-            assert!(v >= lo - 1e-6 && v <= hi + 1e-6);
         }
     });
 }

@@ -3,20 +3,21 @@
 //! Usage:
 //!
 //! ```text
-//! dcat-top --replay <frames.jsonl | flight.jsonl> [--headless]
+//! dcat-top --replay <frames.jsonl | flight.jsonl | metrics.prom> [--headless]
 //! dcat-top --follow <path> [--interval-ms <n>] [--max-ticks <n>] [--headless]
 //! ```
 //!
-//! `--replay` renders a recorded `dcat-frames/v1` stream (or a
-//! `dcat-flight/v1` recorder dump) in full and exits; `--follow` polls a
+//! `--replay` renders a recorded `dcat-frames/v1` stream, a
+//! `dcat-flight/v1` recorder dump or a Prometheus metrics export in full
+//! and exits, non-zero on input its validator rejects; `--follow` polls a
 //! growing file — typically the `--frames-out` target of a running
 //! `dcatd` — and redraws the latest frame as it lands. `--headless`
 //! disables ANSI color and screen clearing so output can be piped or
 //! byte-diffed (the CI golden check replays fig07's stream this way).
 //! `--max-ticks` ends a follow after that many frames, for scripted runs.
 //!
-//! Validation is `dcat_obs::frames::FrameReader`: a stream this tool
-//! renders is exactly a stream `obs-dump --check` accepts.
+//! Validation is `dcat_obs`'s (`FrameReader`, `parse_flight`,
+//! `check_prometheus`): replay is how an artifact is checked.
 
 use std::path::Path;
 use std::process::ExitCode;

@@ -1,16 +1,18 @@
-//! dcat-top: terminal rendering for the `dcat-frames/v1` stream.
+//! dcat-top: terminal rendering for the `dcat-frames/v1` stream, and the
+//! one reader of every artifact a dCat run writes.
 //!
 //! The `dcat-top` binary is the operator's live view of a dCat run: it
 //! follows the frame stream a daemon writes (`dcatd --frames-out`) or
-//! replays a recorded stream / flight dump after the fact. Everything
-//! here renders to `String`s — the binary decides where the bytes go —
-//! so the headless output can be byte-diffed in CI against a golden
-//! snapshot, and the interactive mode is just the same table with ANSI
-//! color and a screen clear in front.
+//! replays a recorded stream, flight dump or Prometheus metrics export
+//! after the fact. Everything here renders to `String`s — the binary
+//! decides where the bytes go — so the headless output can be byte-diffed
+//! in CI against a golden snapshot, and the interactive mode is just the
+//! same table with ANSI color and a screen clear in front.
 //!
-//! Parsing and validation live in [`dcat_obs::frames`]; this crate never
-//! re-interprets the schema, so a stream `dcat-top` can render is exactly
-//! a stream `obs-dump --check` accepts.
+//! Parsing and validation live in `dcat_obs` ([`FrameReader`],
+//! [`parse_flight`], [`check_prometheus`]); this crate never re-interprets
+//! a schema, so replay is the validator: what it renders is exactly what
+//! they accept, and what they reject it reports as an error.
 
 // Library code does not print; bins, tests and benches are other targets and
 // own their stdio (DESIGN.md §12).
@@ -20,7 +22,9 @@ use std::fs::File;
 use std::io::{Read as _, Seek as _, SeekFrom};
 use std::path::Path;
 
+use dcat_obs::check_prometheus;
 use dcat_obs::frames::{parse_flight, read_stream, DomainFrame, Frame, FrameReader, Record};
+use dcat_obs::json;
 
 /// How to paint the dashboard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -314,37 +318,75 @@ pub fn render_flight(text: &str, opts: &RenderOptions) -> Result<String, String>
     Ok(out)
 }
 
-/// Classifies replay input by its first non-empty line, mirroring
-/// `obs-dump`'s sniffing: a frame stream, a flight dump, or neither.
+/// Renders Prometheus text (`--metrics-out`) as a summary: its family and
+/// sample counts, then one line per family with its count of sample lines.
+///
+/// # Errors
+///
+/// Anything [`check_prometheus`] rejects.
+pub fn render_prometheus(text: &str, opts: &RenderOptions) -> Result<String, String> {
+    let summary = check_prometheus(text)?;
+    // The validator put a `# TYPE` line before every sample.
+    let mut families: Vec<(&str, usize)> = Vec::new();
+    for line in text.lines().map(str::trim_end) {
+        if let Some(family) = line.strip_prefix("# TYPE ") {
+            families.push((family, 0));
+        } else if !line.is_empty() && !line.starts_with('#') {
+            if let Some((_, samples)) = families.last_mut() {
+                *samples += 1;
+            }
+        }
+    }
+    let banner = format!(
+        "=== prometheus text ({} families, {} samples) ===",
+        summary.families, summary.samples
+    );
+    let mut out = paint(&banner, "1", opts.color);
+    out.push('\n');
+    for (family, samples) in families {
+        out.push_str(&format!("  {family:<40} {samples} samples\n"));
+    }
+    Ok(out)
+}
+
+/// What replay input is, from its first non-empty line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamKind {
     /// `dcat-frames/v1` (a `frames_header` / `frame` record first).
     Frames,
     /// `dcat-flight/v1` (a `flight_header` record first).
     Flight,
-    /// Anything else — rejected with the validators' errors.
+    /// A first line that does not start with `{`: a metrics export.
+    Prometheus,
+    /// Anything else — no input, or a record of no known kind.
     Unknown,
 }
 
-/// Sniffs which renderer applies to `text`.
+/// Sniffs which renderer applies to `text`: the `record` member of its
+/// first non-empty line, read with the JSON grammar the validators use,
+/// or Prometheus text when that line is not a JSON object.
 pub fn classify(text: &str) -> StreamKind {
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line.contains("\"record\":\"frames_header\"") || line.contains("\"record\":\"frame\"") {
-            return StreamKind::Frames;
-        }
-        if line.contains("\"record\":\"flight_header\"") {
-            return StreamKind::Flight;
-        }
+    let Some(first) = text.lines().map(str::trim).find(|l| !l.is_empty()) else {
         return StreamKind::Unknown;
+    };
+    if !first.starts_with('{') {
+        return StreamKind::Prometheus;
     }
-    StreamKind::Unknown
+    let Ok(doc) = json::scan(first) else {
+        return StreamKind::Unknown;
+    };
+    let record = doc.root().get("record").and_then(json::Item::as_str);
+    match record.as_deref() {
+        Some("frames_header" | "frame") => StreamKind::Frames,
+        Some("flight_header") => StreamKind::Flight,
+        _ => StreamKind::Unknown,
+    }
 }
 
-/// Renders replay input of either supported kind.
+const UNKNOWN_INPUT: &str = "input is not a dcat-frames/v1 stream, a dcat-flight/v1 dump or \
+     Prometheus text: its first record names no frames_header or flight_header";
+
+/// Renders replay input of any kind [`classify`] knows.
 ///
 /// # Errors
 ///
@@ -353,9 +395,8 @@ pub fn render_replay(text: &str, opts: &RenderOptions) -> Result<String, String>
     match classify(text) {
         StreamKind::Frames => render_stream(text, opts),
         StreamKind::Flight => render_flight(text, opts),
-        StreamKind::Unknown => {
-            Err("input is neither a dcat-frames/v1 stream nor a dcat-flight/v1 dump".to_string())
-        }
+        StreamKind::Prometheus => render_prometheus(text, opts),
+        StreamKind::Unknown => Err(UNKNOWN_INPUT.to_string()),
     }
 }
 
