@@ -150,11 +150,11 @@ fn four_domains<C: resctrl::CacheController>(mut cat: C) -> (dcat::DcatControlle
     (controller, cat)
 }
 
-/// A tick on which the two-pass apply always has work: tenants 0 and 1
+/// A tick on which the apply always has work: tenants 0 and 1
 /// take turns being idle, so every interval one of them drops to the
 /// minimum (an idle tenant donates at once), the other is reclaimed to
 /// its reservation (a waking tenant is a new phase), and COS 0's free run
-/// moves between the two passes. Tenants 2 and 3 keep theirs. Returns
+/// moves between the shrinker and the grower. Tenants 2 and 3 keep theirs. Returns
 /// the masks programmed, which the case hands to `black_box`.
 fn trading_places<C: resctrl::CacheController>(
     mut controller: dcat::DcatController,

@@ -2,9 +2,10 @@
 //! CAT partitioning.
 
 use perf_events::{CounterSnapshot, IntervalMetrics};
-use resctrl::{CacheController, CatCapabilities, Cbm, CosId, LayoutPlanner, ResctrlError};
+use resctrl::{CacheController, Cbm, Class, CosId, DefaultClass, Programmed, ResctrlError};
 
 use crate::controller::{DomainReport, WorkloadHandle};
+use crate::invariants::InvariantViolation;
 use crate::policy::{CachePolicy, TickInput};
 use crate::state::WorkloadClass;
 
@@ -90,6 +91,33 @@ impl MetricsTracker {
     }
 }
 
+/// Integer largest-remainder apportionment, shared by the clustering and
+/// share-accounting policies: adds to each `out[i]` its truncated share of
+/// `remaining` by `weights[i]`, then the ways left over one each, largest
+/// remainder first and ties to the lower index. All-zero weights add
+/// nothing.
+pub(crate) fn largest_remainder(remaining: u32, weights: &[u64], out: &mut [u32]) {
+    let sum: u64 = weights.iter().sum();
+    if sum == 0 {
+        return;
+    }
+    let mut left = remaining;
+    let mut remainders: Vec<(u64, usize)> = Vec::with_capacity(weights.len());
+    for (i, (&w, slot)) in weights.iter().zip(out.iter_mut()).enumerate() {
+        let exact = u64::from(remaining) * w;
+        let share = exact.checked_div(sum).unwrap_or(0) as u32;
+        *slot += share;
+        left -= share;
+        remainders.push((exact.checked_rem(sum).unwrap_or(0), i));
+    }
+    remainders.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    for &(_, i) in remainders.iter().take(left as usize) {
+        if let Some(slot) = out.get_mut(i) {
+            *slot += 1;
+        }
+    }
+}
+
 /// The unmanaged configuration: every core keeps the full LLC mask.
 ///
 /// This is the "shared cache" column of the paper's figures — maximum
@@ -141,36 +169,27 @@ impl CachePolicy for SharedCachePolicy {
 /// forever (the paper's "static partition" configuration).
 pub struct StaticCatPolicy {
     tracker: MetricsTracker,
-    /// The partitions programmed at construction, per domain: way count
-    /// and mask.
-    partitions: Vec<(u32, u64)>,
+    /// Domain `i`'s partition is COS `i + 1`, laid out once.
+    programmed: Programmed,
 }
 
 impl StaticCatPolicy {
     /// Programs the reserved, non-overlapping partitions once.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "the planner returns one mask per count, and there is one count per handle"
-    )]
     pub fn new(
         handles: Vec<WorkloadHandle>,
         cat: &mut dyn CacheController,
     ) -> Result<Self, ResctrlError> {
-        let caps: CatCapabilities = cat.capabilities();
-        let counts: Vec<u32> = handles.iter().map(|h| h.reserved_ways).collect();
-        let layout = LayoutPlanner::new(caps.cbm_len).layout(&counts)?;
-        for (i, handle) in handles.iter().enumerate() {
-            let cos = CosId((i + 1) as u8);
-            let cbm: Cbm = layout[i];
-            cat.program_cos(cos, cbm)?;
-            for &core in &handle.cores {
-                cat.assign_core(core, cos)?;
-            }
-        }
-        let masks = layout.iter().map(|c| u64::from(c.0));
+        let mut programmed = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
+        let classes = handles.iter().enumerate().map(|(i, h)| Class {
+            cos: CosId((i + 1) as u8),
+            ways: h.reserved_ways,
+            anchor: None,
+            cores: h.cores.iter().copied(),
+        });
+        programmed.apply(classes, cat)?;
         Ok(StaticCatPolicy {
             tracker: MetricsTracker::new(handles),
-            partitions: counts.into_iter().zip(masks).collect(),
+            programmed,
         })
     }
 }
@@ -186,9 +205,11 @@ impl CachePolicy for StaticCatPolicy {
         _cat: &mut dyn CacheController,
     ) -> Result<&[DomainReport], ResctrlError> {
         self.tracker.advance(&input)?;
-        for (i, &(ways, mask)) in self.partitions.iter().enumerate() {
-            self.tracker
-                .report(i, ways, WorkloadClass::Keeper, Some(mask));
+        for i in 0..self.tracker.handles().len() {
+            let mask = self.programmed.mask(CosId((i + 1) as u8));
+            let ways = mask.map_or(0, Cbm::ways);
+            let mask = mask.map(|c| u64::from(c.0));
+            self.tracker.report(i, ways, WorkloadClass::Keeper, mask);
         }
         Ok(&self.tracker.reports)
     }
@@ -196,12 +217,16 @@ impl CachePolicy for StaticCatPolicy {
     fn reports(&self) -> &[DomainReport] {
         &self.tracker.reports
     }
+
+    fn audit(&mut self) -> Result<(), InvariantViolation> {
+        self.programmed.audit().map_err(InvariantViolation::Layout)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resctrl::InMemoryController;
+    use resctrl::{CatCapabilities, InMemoryController};
 
     fn handles() -> Vec<WorkloadHandle> {
         vec![

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use dcat_obs::Tracer;
 use perf_events::{CounterSnapshot, IntervalMetrics};
-use resctrl::{CacheController, Cbm, CosId, LayoutPlanner, ResctrlError};
+use resctrl::{CacheController, Cbm, Class, CosId, DefaultClass, Programmed, ResctrlError};
 
 use crate::config::{AllocationPolicy, DcatConfig};
 use crate::invariants::{self, DomainView, InvariantViolation};
@@ -98,8 +98,6 @@ struct Domain {
     donor_mode: DonorMode,
     /// Currently programmed way count.
     ways: u32,
-    /// Mask currently programmed (for churn-minimizing relayout).
-    cbm: Option<Cbm>,
     last_snapshot: CounterSnapshot,
     detector: PhaseDetector,
     /// Active phase's table.
@@ -143,36 +141,15 @@ impl Domain {
         self.handle.reserved_ways
     }
 
-    fn view(&self) -> DomainView {
+    /// The audit's view of the domain, whose mask is `cbm` as recorded.
+    fn view(&self, cbm: Option<Cbm>) -> DomainView {
         DomainView {
             class: self.class,
             ways: self.ways,
             reserved_ways: self.reserved(),
-            cbm: self.cbm,
+            cbm,
         }
     }
-}
-
-/// Longest contiguous run of free ways within the low `total_ways` ways
-/// of `occupied`, as a CBM; `None` when every way is occupied.
-fn longest_free_run(occupied: Cbm, total_ways: u32) -> Option<Cbm> {
-    let mut best: Option<(u32, u32)> = None; // (start, len)
-    let mut run_start = 0;
-    let mut run_len = 0;
-    for way in 0..total_ways {
-        if !occupied.contains_way(way) {
-            if run_len == 0 {
-                run_start = way;
-            }
-            run_len += 1;
-            if best.is_none_or(|(_, l)| run_len > l) {
-                best = Some((run_start, run_len));
-            }
-        } else {
-            run_len = 0;
-        }
-    }
-    best.map(|(start, len)| Cbm::from_way_range(start, len))
 }
 
 /// One interval's working buffers. The controller owns them across ticks
@@ -188,7 +165,6 @@ struct TickScratch {
     targets: Vec<u32>,
     /// Growth candidates, Unknown before Receiver.
     grow_order: Vec<usize>,
-    apply: ApplyScratch,
     /// The audit's view of the domains.
     views: Vec<DomainView>,
     /// The reports [`CachePolicy::decide`] lends: written only after
@@ -198,25 +174,15 @@ struct TickScratch {
     reports: Vec<DomainReport>,
 }
 
-/// [`DcatController::apply`]'s share of the scratch (it also runs once
-/// outside a tick, from [`DcatController::new`]).
-#[derive(Default)]
-struct ApplyScratch {
-    previous: Vec<Option<Cbm>>,
-    layout: Vec<Cbm>,
-}
-
 /// The dynamic cache-allocation controller.
 pub struct DcatController {
     config: DcatConfig,
     domains: Vec<Domain>,
-    planner: LayoutPlanner,
+    /// Domain `i`'s class is COS `i + 1`, anchored under key `i`; COS 0
+    /// is confined to the free run.
+    programmed: Programmed,
     total_ways: u32,
     interval: u64,
-    /// Mask recorded for COS 0, the default class; `None` until its
-    /// first write is accepted. It advances like a domain's `cbm`: only
-    /// after the backend took the write.
-    default_cbm: Option<Cbm>,
     scratch: TickScratch,
 }
 
@@ -259,7 +225,6 @@ impl DcatController {
                     cos: CosId((i + 1) as u8),
                     class: WorkloadClass::Keeper,
                     donor_mode: DonorMode::Fast,
-                    cbm: None,
                     last_snapshot: CounterSnapshot::default(),
                     detector: PhaseDetector::new(config.phase_change_thr),
                     table: PerformanceTable::new(total_ways),
@@ -278,15 +243,14 @@ impl DcatController {
                     handle,
                 })
                 .collect(),
-            planner: LayoutPlanner::new(total_ways),
+            programmed: Programmed::new(caps, DefaultClass::FreeRun),
             total_ways,
             interval: 0,
-            default_cbm: None,
             config,
             scratch: TickScratch::default(),
         };
         let targets: Vec<u32> = ctl.domains.iter().map(|d| d.ways).collect();
-        ctl.apply(&targets, &mut ApplyScratch::default(), cat)?;
+        ctl.apply(&targets, cat)?;
         Ok(ctl)
     }
 
@@ -336,7 +300,8 @@ impl DcatController {
     /// hook at the end of an interval, [`CachePolicy::audit`] and the
     /// `dcat-verify` model checker all audit these).
     pub fn domain_views(&self) -> Vec<DomainView> {
-        self.domains.iter().map(Domain::view).collect()
+        let views = self.domains.iter();
+        views.map(|d| d.view(self.programmed.mask(d.cos))).collect()
     }
 
     /// Runs one controller interval with every lane valid and no tracing:
@@ -459,7 +424,7 @@ impl DcatController {
             }
             self.grow_from_pool(targets, valid, &mut s.grow_order);
         });
-        tracer.scope("apply", |_| self.apply(targets, &mut s.apply, cat))?;
+        tracer.scope("apply", |_| self.apply(targets, cat))?;
 
         debug_assert_eq!(
             invariants::check(&self.domain_views(), self.total_ways, self.config.min_ways),
@@ -477,7 +442,7 @@ impl DcatController {
         for (r, (((d, m), &phase_changed), &ok)) in s.reports.iter_mut().zip(lanes) {
             r.class = d.class;
             r.ways = d.ways;
-            r.cbm = d.cbm.map(|c| u64::from(c.0));
+            r.cbm = self.programmed.mask(d.cos).map(|c| u64::from(c.0));
             r.ipc = m.ipc;
             r.norm_ipc = d
                 .baseline_ipc
@@ -839,7 +804,7 @@ impl DcatController {
             if targets[j] <= 1 {
                 continue;
             }
-            if let Some(m) = d.cbm {
+            if let Some(m) = self.programmed.mask(d.cos) {
                 let keep = targets[j].min(m.ways());
                 if keep > 0 {
                     let start = m.first_way().unwrap_or(0) + (m.ways() - keep);
@@ -864,7 +829,7 @@ impl DcatController {
             // grown so far (mirroring the planner's superset-run search:
             // upward first, then downward), stopping at the first way that
             // would force a relocation.
-            let granted = match self.domains[i].cbm {
+            let granted = match self.programmed.mask(self.domains[i].cos) {
                 Some(m) => {
                     let mut lo = m.first_way().unwrap_or(0);
                     let mut hi = lo + m.ways();
@@ -897,108 +862,41 @@ impl DcatController {
         }
     }
 
-    /// Programs the targets through CAT, minimizing mask churn.
+    /// Programs the targets through the one apply (COS 0 confined to the
+    /// free run), then flushes the ways the domains gave up.
     ///
-    /// COS 0 (the default class of any unmanaged core) is confined to the
-    /// free pool so stray host threads cannot pollute tenant partitions;
-    /// when the pool is empty it is pinned to the top way (CAT forbids an
-    /// empty mask, so a fully allocated cache unavoidably shares one way
-    /// with unmanaged cores).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "loop-bounded: `i` enumerates `layout`, which the planner sizes to `targets`, one entry per domain; `.get()` would cost the tick (DESIGN.md §12)"
-    )]
+    /// A domain's grant advances with its recorded mask, only once the
+    /// backend took the write, so a failed write leaves the grant matching
+    /// the hardware.
     fn apply(
         &mut self,
         targets: &[u32],
-        scratch: &mut ApplyScratch,
         cat: &mut dyn CacheController,
     ) -> Result<(), ResctrlError> {
-        let ApplyScratch { previous, layout } = scratch;
-        previous.clear();
-        previous.extend(self.domains.iter().map(|d| d.cbm));
-        self.planner.layout_stable_into(targets, previous, layout)?;
+        let classes = self.domains.iter().zip(targets).enumerate();
+        let result = self.programmed.apply(
+            classes.map(|(i, (d, &ways))| Class {
+                cos: d.cos,
+                ways,
+                anchor: Some(i),
+                cores: d.handle.cores.iter().copied(),
+            }),
+            cat,
+        );
+        for d in &mut self.domains {
+            let ways = self.programmed.mask(d.cos).map_or(d.ways, Cbm::ways);
+            if d.ways != ways {
+                d.ways = ways;
+                d.settle = self.config.settle_intervals;
+            }
+        }
         // Ways a domain lost must be flushed (the paper's user-level flush
         // pass): lines filled under the old mask would otherwise keep
         // hitting — and surviving — in ways their owner can no longer
         // fill, silently extending its effective allocation.
-        let mut lost = Cbm(0);
-        for (i, cbm) in layout.iter().enumerate() {
-            if let Some(old) = self.domains[i].cbm {
-                lost = lost.union(old.difference(*cbm));
-            }
-        }
-        // The free pool is whatever the tenant masks leave unclaimed; CAT
-        // masks must be contiguous, so COS 0 gets the longest free run.
-        let occupied = layout.iter().fold(Cbm(0), |acc, m| acc.union(*m));
-        let default_mask = longest_free_run(occupied, self.total_ways)
-            .unwrap_or_else(|| Cbm::from_way_range(self.total_ways - 1, 1));
-        // Program in two passes, shrinkers first. A mask that only gives
-        // up ways can never transiently overlap a neighbor, and the ways
-        // it releases are exactly what the growers programmed afterwards
-        // claim — so if a transient write failure aborts the sequence
-        // partway, the mix of old and new masks left behind (in hardware
-        // and in the recorded state, which advances per domain only after
-        // its write succeeds) is still pairwise disjoint and cannot
-        // oversubscribe the cache.
-        // A programmed shrinker's recorded mask equals its new one, so it
-        // still reads as a shrinker in the second pass and is skipped there:
-        // the verdict can be taken as each pass reaches the domain.
-        let shrinks =
-            |d: &Domain, new: Cbm| matches!(d.cbm, Some(old) if new.difference(old).is_empty());
-        for (i, (&cbm, &target)) in layout.iter().zip(targets).enumerate() {
-            if shrinks(&self.domains[i], cbm) {
-                self.program_domain(i, cbm, target, cat)?;
-            }
-        }
-        // COS 0 moves between the passes: its new run may use ways the
-        // shrinkers just released, while growers may claim ways it held.
-        // Like a tenant's, its mask is written only when it changed.
-        if self.default_cbm != Some(default_mask) {
-            cat.program_cos(CosId(0), default_mask)?;
-            self.default_cbm = Some(default_mask);
-        }
-        for (i, (&cbm, &target)) in layout.iter().zip(targets).enumerate() {
-            if !shrinks(&self.domains[i], cbm) {
-                self.program_domain(i, cbm, target, cat)?;
-            }
-        }
+        let lost = result?;
         if !lost.is_empty() {
             cat.flush_cbm(lost)?;
-        }
-        Ok(())
-    }
-
-    /// Programs one domain's mask (if changed), first-time core
-    /// assignment, and records the grant. The recorded state advances
-    /// only after the backend accepted the write, so a failure leaves the
-    /// record matching the hardware.
-    fn program_domain(
-        &mut self,
-        i: usize,
-        cbm: Cbm,
-        target: u32,
-        cat: &mut dyn CacheController,
-    ) -> Result<(), ResctrlError> {
-        // The caller derives `i` from the layout it just planned over
-        // `self.domains`; an out-of-range index means the plan is stale,
-        // and skipping the program beats panicking with CAT half-written.
-        let Some(d) = self.domains.get_mut(i) else {
-            return Ok(());
-        };
-        let first_program = d.cbm.is_none();
-        if d.cbm != Some(cbm) {
-            cat.program_cos(d.cos, cbm)?;
-            d.cbm = Some(cbm);
-        }
-        if first_program {
-            for &core in &d.handle.cores {
-                cat.assign_core(core, d.cos)?;
-            }
-        }
-        if d.ways != target {
-            d.ways = target;
-            d.settle = self.config.settle_intervals;
         }
         Ok(())
     }
@@ -1047,7 +945,8 @@ impl CachePolicy for DcatController {
     fn audit(&mut self) -> Result<(), InvariantViolation> {
         let views = &mut self.scratch.views;
         views.clear();
-        views.extend(self.domains.iter().map(Domain::view));
+        let programmed = &self.programmed;
+        views.extend(self.domains.iter().map(|d| d.view(programmed.mask(d.cos))));
         invariants::check(views, self.total_ways, self.config.min_ways)
     }
 
@@ -1627,25 +1526,6 @@ mod tests {
         assert_eq!(cat.log.len(), writes);
         ctl.tick(&two, &mut cat).unwrap();
         assert_eq!(ctl.intervals(), 1);
-    }
-
-    #[test]
-    fn longest_free_run_selection() {
-        use super::longest_free_run;
-        assert_eq!(
-            longest_free_run(Cbm(0b0), 8),
-            Some(Cbm::from_way_range(0, 8))
-        );
-        assert_eq!(longest_free_run(Cbm(0b1111_1111), 8), None);
-        // Ties go to the earliest run.
-        assert_eq!(
-            longest_free_run(Cbm(0b0001_1000), 8),
-            Some(Cbm::from_way_range(0, 3))
-        );
-        assert_eq!(
-            longest_free_run(Cbm(0b1000_0001), 8),
-            Some(Cbm::from_way_range(1, 6))
-        );
     }
 
     #[test]

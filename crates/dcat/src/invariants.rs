@@ -12,7 +12,7 @@
 //!   exactly the way count the controller believes it granted.
 //! * **Hardware legality** — the programmed masks are non-empty,
 //!   contiguous, in range, and pairwise disjoint (delegated to
-//!   [`resctrl::invariants::check_layout`]).
+//!   [`resctrl::invariants::check_masks`]).
 //!
 //! The same predicates run in three places: a `debug_assert!` at the end of
 //! [`crate::DcatController::tick`], the `dcat-verify` model checker after
@@ -74,7 +74,7 @@ pub enum InvariantViolation {
         granted: u32,
     },
     /// The programmed layout is illegal (delegated to
-    /// [`resctrl::invariants::check_layout`], whose description is
+    /// [`resctrl::invariants::check_masks`], whose description is
     /// built only on the violation path).
     Layout(String),
 }
@@ -149,14 +149,8 @@ pub fn check(
             }
         }
     }
-    let mut masks: Vec<Cbm> = Vec::with_capacity(views.len());
-    for v in views {
-        if let Some(m) = v.cbm {
-            masks.push(m);
-        }
-    }
-    resctrl::invariants::check_layout(&masks, total_ways).map_err(InvariantViolation::Layout)?;
-    Ok(())
+    let masks = views.iter().filter_map(|v| v.cbm);
+    resctrl::invariants::check_masks(masks, total_ways).map_err(InvariantViolation::Layout)
 }
 
 #[cfg(test)]

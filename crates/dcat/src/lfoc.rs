@@ -25,10 +25,11 @@
 //! EWMA, ordering ties break on domain index, and way apportionment is
 //! integer largest-remainder — no RNG, no wall clock, no hash iteration.
 
-use resctrl::{CacheController, Cbm, CosId, LayoutPlanner, ResctrlError};
+use resctrl::{CacheController, Class, CosId, DefaultClass, Programmed, ResctrlError};
 
-use crate::baselines::MetricsTracker;
+use crate::baselines::{largest_remainder, MetricsTracker};
 use crate::controller::{DomainReport, WorkloadHandle};
+use crate::invariants::InvariantViolation;
 use crate::policy::{CachePolicy, TickInput};
 use crate::state::WorkloadClass;
 
@@ -89,8 +90,9 @@ pub struct LfocPolicy {
     cluster_of: Vec<usize>,
     /// Ways granted to each cluster (index = cluster id).
     cluster_ways: Vec<u32>,
-    /// Last programmed mask per cluster, for stable relayouts.
-    cluster_masks: Vec<Option<Cbm>>,
+    /// The occupied clusters' COS, each anchored under its cluster id so
+    /// a cluster's mask stays put while its COS id follows its index.
+    programmed: Programmed,
     cbm_len: u32,
     ticks: u64,
 }
@@ -115,7 +117,7 @@ impl LfocPolicy {
             features: vec![Feature::default(); n],
             cluster_of: vec![INSENSITIVE; n],
             cluster_ways: vec![caps.cbm_len],
-            cluster_masks: Vec::new(),
+            programmed: Programmed::new(caps, DefaultClass::Untouched),
             cbm_len: caps.cbm_len,
             ticks: 0,
         };
@@ -217,44 +219,20 @@ impl LfocPolicy {
     fn program(&mut self, cat: &mut dyn CacheController) -> Result<(), ResctrlError> {
         let clusters = self.cluster_ways.len();
         // Compact to non-empty clusters (layout forbids zero counts).
-        let mut occupied: Vec<usize> = Vec::with_capacity(clusters);
-        for c in 0..clusters {
-            if self.cluster_of.contains(&c) || (c == INSENSITIVE && clusters == 1) {
-                occupied.push(c);
-            }
-        }
-        if occupied.is_empty() {
-            return Ok(());
-        }
-        let counts: Vec<u32> = occupied
-            .iter()
-            .map(|&c| self.cluster_ways.get(c).copied().unwrap_or(1).max(1))
-            .collect();
-        self.cluster_masks
-            .resize(clusters.max(self.cluster_masks.len()), None);
-        let previous: Vec<Option<Cbm>> = occupied
-            .iter()
-            .map(|&c| self.cluster_masks.get(c).copied().flatten())
-            .collect();
-        let layout = LayoutPlanner::new(self.cbm_len).layout_stable(&counts, &previous)?;
-        for (j, &c) in occupied.iter().enumerate() {
-            let cos = CosId((j + 1) as u8);
-            let cbm = layout
-                .get(j)
-                .copied()
-                .unwrap_or_else(|| Cbm::full(self.cbm_len));
-            cat.program_cos(cos, cbm)?;
-            if let Some(slot) = self.cluster_masks.get_mut(c) {
-                *slot = Some(cbm);
-            }
-            for (i, handle) in self.tracker.handles().iter().enumerate() {
-                if self.cluster_of.get(i).copied() == Some(c) {
-                    for &core in &handle.cores {
-                        cat.assign_core(core, cos)?;
-                    }
-                }
-            }
-        }
+        let occupied = (0..clusters)
+            .filter(|&c| self.cluster_of.contains(&c) || (c == INSENSITIVE && clusters == 1));
+        let (handles, cluster_of) = (self.tracker.handles(), &self.cluster_of);
+        let classes = occupied.enumerate().map(|(j, c)| Class {
+            cos: CosId((j + 1) as u8),
+            ways: self.cluster_ways.get(c).copied().unwrap_or(1).max(1),
+            anchor: Some(c),
+            cores: handles
+                .iter()
+                .zip(cluster_of)
+                .filter(move |&(_, &k)| k == c)
+                .flat_map(|(h, _)| h.cores.iter().copied()),
+        });
+        self.programmed.apply(classes, cat)?;
         Ok(())
     }
 
@@ -292,81 +270,25 @@ impl LfocPolicy {
 /// proportionally to its weight. Deterministic: remainders tie-break on
 /// cluster index.
 fn apportion_ways(total: u32, floor: u32, weights: &[u64], members: &[u64]) -> Vec<u32> {
-    let clusters = weights.len();
-    let mut ways = vec![0u32; clusters];
-    let mut occupied: Vec<usize> = Vec::with_capacity(clusters);
-    for c in 0..clusters {
-        if members.get(c).copied().unwrap_or(0) > 0 {
-            occupied.push(c);
-        }
-    }
-    if occupied.is_empty() {
-        if let Some(w) = ways.first_mut() {
-            *w = total;
-        }
-        return ways;
-    }
+    let occupied = |c: usize| members.get(c).is_some_and(|&m| m > 0);
+    let mut ways = vec![0u32; weights.len()];
     let mut remaining = total;
-    // Floors first (insensitive bucket stays at its floor).
-    for &c in &occupied {
-        let grant = floor.min(remaining);
-        if let Some(w) = ways.get_mut(c) {
-            *w = grant;
-        }
-        remaining -= grant;
+    // Floors first (the insensitive bucket stays at its floor).
+    for (_, w) in ways.iter_mut().enumerate().filter(|&(c, _)| occupied(c)) {
+        *w = floor.min(remaining);
+        remaining -= *w;
     }
-    let mut sensitive: Vec<usize> = Vec::with_capacity(occupied.len());
-    for &c in &occupied {
-        if c != 0 {
-            sensitive.push(c);
-        }
-    }
-    let weight_sum: u64 = sensitive
-        .iter()
-        .map(|&c| weights.get(c).copied().unwrap_or(0))
-        .sum();
-    if weight_sum == 0 || sensitive.is_empty() {
+    let sensitive = |(c, &w): (usize, &u64)| if c != 0 && occupied(c) { w } else { 0 };
+    let weights: Vec<u64> = weights.iter().enumerate().map(sensitive).collect();
+    if weights.iter().all(|&w| w == 0) {
         // Nothing sensitive: hand the remainder to the first cluster.
-        if let Some(&c) = occupied.first() {
-            if let Some(w) = ways.get_mut(c) {
-                *w += remaining;
-            }
+        let first = (0..ways.len()).find(|&c| occupied(c)).unwrap_or(0);
+        if let Some(w) = ways.get_mut(first) {
+            *w += remaining;
         }
         return ways;
     }
-    // Proportional grant with largest-remainder repair.
-    let mut granted = 0u32;
-    let mut remainders: Vec<(u64, usize)> = Vec::with_capacity(sensitive.len());
-    for &c in &sensitive {
-        let w = weights.get(c).copied().unwrap_or(0);
-        let exact = u64::from(remaining) * w;
-        let share = (exact.checked_div(weight_sum).unwrap_or(0)) as u32;
-        if let Some(slot) = ways.get_mut(c) {
-            *slot += share;
-        }
-        granted += share;
-        remainders.push((exact.checked_rem(weight_sum).unwrap_or(0), c));
-    }
-    // Largest remainder first; ties on lower cluster index.
-    remainders.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let mut leftover = remaining - granted;
-    for &(_, c) in remainders.iter().cycle().take(remainders.len() * 2) {
-        if leftover == 0 {
-            break;
-        }
-        if let Some(w) = ways.get_mut(c) {
-            *w += 1;
-            leftover -= 1;
-        }
-    }
-    // Any residue (degenerate weights) lands on the last sensitive cluster.
-    if leftover > 0 {
-        if let Some(&c) = sensitive.last() {
-            if let Some(w) = ways.get_mut(c) {
-                *w += leftover;
-            }
-        }
-    }
+    largest_remainder(remaining, &weights, &mut ways);
     ways
 }
 
@@ -394,12 +316,7 @@ impl CachePolicy for LfocPolicy {
                 .get(cluster)
                 .copied()
                 .unwrap_or(self.cbm_len);
-            let cbm = self
-                .cluster_masks
-                .get(cluster)
-                .copied()
-                .flatten()
-                .map(|c| u64::from(c.0));
+            let cbm = self.programmed.anchored(cluster).map(|c| u64::from(c.0));
             self.tracker.report(i, ways, self.class_of(i), cbm);
         }
         Ok(&self.tracker.reports)
@@ -407,6 +324,10 @@ impl CachePolicy for LfocPolicy {
 
     fn reports(&self) -> &[DomainReport] {
         &self.tracker.reports
+    }
+
+    fn audit(&mut self) -> Result<(), InvariantViolation> {
+        self.programmed.audit().map_err(InvariantViolation::Layout)
     }
 
     fn frame_ext(&self) -> dcat_obs::PolicyExt {

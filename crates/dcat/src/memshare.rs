@@ -24,10 +24,11 @@
 
 use std::collections::BTreeMap;
 
-use resctrl::{CacheController, Cbm, CosId, LayoutPlanner, ResctrlError};
+use resctrl::{CacheController, Class, CosId, DefaultClass, Programmed, ResctrlError};
 
-use crate::baselines::MetricsTracker;
+use crate::baselines::{largest_remainder, MetricsTracker};
 use crate::controller::{DomainReport, WorkloadHandle};
+use crate::invariants::InvariantViolation;
 use crate::policy::{CachePolicy, TickInput};
 use crate::state::WorkloadClass;
 
@@ -82,10 +83,10 @@ pub struct MemsharePolicy {
     credit: Vec<i64>,
     /// This tick's granted ways per domain.
     granted: Vec<u32>,
-    /// Last programmed grouping, to skip redundant reprogramming.
-    last_groups: Vec<(u32, Vec<usize>)>,
-    /// Last programmed mask per domain (group members share one).
-    domain_masks: Vec<Option<u64>>,
+    /// One COS per group, laid out fresh on each regrouping.
+    programmed: Programmed,
+    /// Groups (so COS) in the last completed apply.
+    partitions: u32,
     cbm_len: u32,
 }
 
@@ -114,8 +115,8 @@ impl MemsharePolicy {
             granted: entitlement.clone(),
             entitlement,
             credit: vec![0; n],
-            last_groups: Vec::new(),
-            domain_masks: vec![None; n],
+            programmed: Programmed::new(caps, DefaultClass::Untouched),
+            partitions: 0,
             cbm_len: caps.cbm_len,
         };
         policy.program(cat)?;
@@ -252,9 +253,6 @@ impl MemsharePolicy {
                 members1.sort_unstable();
             }
         }
-        if groups == self.last_groups {
-            return Ok(());
-        }
         // One COS per group, sized to the members' pooled grant but
         // never past the cache.
         let mut counts: Vec<u32> = Vec::with_capacity(groups.len());
@@ -270,26 +268,21 @@ impl MemsharePolicy {
             counts.push(take);
             budget = budget.saturating_sub(take);
         }
-        let layout = LayoutPlanner::new(self.cbm_len).layout(&counts)?;
-        for (j, (_, members)) in groups.iter().enumerate() {
-            let cos = CosId((j + 1) as u8);
-            let cbm = layout
-                .get(j)
-                .copied()
-                .unwrap_or_else(|| Cbm::full(self.cbm_len));
-            cat.program_cos(cos, cbm)?;
-            for &i in members {
-                if let Some(slot) = self.domain_masks.get_mut(i) {
-                    *slot = Some(u64::from(cbm.0));
-                }
-                if let Some(handle) = self.tracker.handles().get(i) {
-                    for &core in &handle.cores {
-                        cat.assign_core(core, cos)?;
-                    }
-                }
-            }
-        }
-        self.last_groups = groups;
+        let handles = self.tracker.handles();
+        let classes = groups.iter().zip(counts).enumerate();
+        self.programmed.apply(
+            classes.map(|(j, ((_, members), ways))| Class {
+                cos: CosId((j + 1) as u8),
+                ways,
+                anchor: None,
+                cores: members
+                    .iter()
+                    .filter_map(|&i| handles.get(i))
+                    .flat_map(|h| h.cores.iter().copied()),
+            }),
+            cat,
+        )?;
+        self.partitions = groups.len() as u32;
         Ok(())
     }
 
@@ -307,47 +300,17 @@ impl MemsharePolicy {
 }
 
 /// Integer largest-remainder apportionment of `total` ways by `shares`,
-/// with a `floor` per holder. Deterministic: remainders tie-break on
-/// index. Degenerate cases (no shares, floors exceeding the cache) fall
-/// back to handing everyone the floor clamped to what is left.
+/// with a `floor` per holder. Degenerate cases (no shares, floors
+/// exceeding the cache) fall back to handing everyone the floor clamped to
+/// what is left.
 fn apportion(total: u32, floor: u32, shares: &[u64]) -> Vec<u32> {
-    let n = shares.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut out = vec![0u32; n];
+    let mut out = vec![0u32; shares.len()];
     let mut remaining = total;
     for slot in out.iter_mut() {
-        let grant = floor.min(remaining);
-        *slot = grant;
-        remaining -= grant;
+        *slot = floor.min(remaining);
+        remaining -= *slot;
     }
-    let share_sum: u64 = shares.iter().sum();
-    if share_sum == 0 {
-        return out;
-    }
-    let mut granted = 0u32;
-    let mut remainders: Vec<(u64, usize)> = Vec::with_capacity(n);
-    for (i, &s) in shares.iter().enumerate() {
-        let exact = u64::from(remaining) * s;
-        let extra = exact.checked_div(share_sum).unwrap_or(0) as u32;
-        if let Some(slot) = out.get_mut(i) {
-            *slot += extra;
-        }
-        granted += extra;
-        remainders.push((exact.checked_rem(share_sum).unwrap_or(0), i));
-    }
-    remainders.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let mut leftover = remaining - granted;
-    for &(_, i) in &remainders {
-        if leftover == 0 {
-            break;
-        }
-        if let Some(slot) = out.get_mut(i) {
-            *slot += 1;
-            leftover -= 1;
-        }
-    }
+    largest_remainder(remaining, shares, &mut out);
     out
 }
 
@@ -367,7 +330,14 @@ impl CachePolicy for MemsharePolicy {
         self.program(cat)?;
         for i in 0..demand.len() {
             let ways = self.granted.get(i).copied().unwrap_or(0);
-            let cbm = self.domain_masks.get(i).copied().flatten();
+            // Group members share their first core's COS.
+            let cores = self.tracker.handles().get(i).map(|h| h.cores.as_slice());
+            let cos = cores
+                .and_then(|c| c.first())
+                .and_then(|&c| self.programmed.cos_of(c));
+            let cbm = cos
+                .and_then(|cos| self.programmed.mask(cos))
+                .map(|c| u64::from(c.0));
             self.tracker.report(i, ways, self.class_of(i, &demand), cbm);
         }
         Ok(&self.tracker.reports)
@@ -375,6 +345,10 @@ impl CachePolicy for MemsharePolicy {
 
     fn reports(&self) -> &[DomainReport] {
         &self.tracker.reports
+    }
+
+    fn audit(&mut self) -> Result<(), InvariantViolation> {
+        self.programmed.audit().map_err(InvariantViolation::Layout)
     }
 
     fn frame_ext(&self) -> dcat_obs::PolicyExt {
@@ -387,7 +361,7 @@ impl CachePolicy for MemsharePolicy {
         let credit_min = self.credit.iter().copied().min().unwrap_or(0);
         let credit_max = self.credit.iter().copied().max().unwrap_or(0);
         dcat_obs::PolicyExt {
-            cos: self.last_groups.len() as u32,
+            cos: self.partitions,
             lfoc: None,
             memshare: Some(dcat_obs::MemshareExt {
                 lent,

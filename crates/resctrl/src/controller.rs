@@ -140,9 +140,10 @@ impl From<std::io::Error> for ResctrlError {
 ///
 /// * every core is associated with exactly one COS at a time;
 /// * a COS's CBM bounds where cores of that class may *allocate*;
-/// * masks of different classes may legally overlap on hardware, but dCat
-///   never programs overlapping masks (its isolation guarantee); the
-///   [`crate::layout::LayoutPlanner`] produces non-overlapping layouts.
+/// * masks of different classes may legally overlap on hardware, but no
+///   policy here programs overlapping masks (dCat's isolation guarantee):
+///   [`crate::apply::Programmed`] lays them out disjoint and keeps them so
+///   while it writes.
 pub trait CacheController {
     /// The socket's CAT capabilities.
     fn capabilities(&self) -> CatCapabilities;

@@ -30,6 +30,10 @@ pub enum Fault {
     /// Only the first `program_cos` call this tick fails — one retry
     /// absorbs it and the tick completes normally.
     CosWriteOnce,
+    /// The first *k* `program_cos` calls this tick go through and every
+    /// later one fails, retries included: an apply cut off part-way.
+    /// Never drawn by [`FaultPlan::random`]; schedules name it explicitly.
+    CosWriteAfter(u32),
     /// Every `assign_core` call this tick fails with an injected EIO.
     CoreAssign,
     /// Every telemetry read this tick fails with an injected I/O error.
@@ -52,6 +56,7 @@ impl Fault {
         match self {
             Fault::CosWrite => "cos_write",
             Fault::CosWriteOnce => "cos_write_once",
+            Fault::CosWriteAfter(_) => "cos_write_after",
             Fault::CoreAssign => "core_assign",
             Fault::TelemetryRead => "telemetry_read",
             Fault::TelemetryReadOnce => "telemetry_read_once",
@@ -62,7 +67,9 @@ impl Fault {
     }
 }
 
-/// Every injectable kind, in a stable order (used by [`FaultPlan::random`]).
+/// Every kind [`FaultPlan::random`] draws, in a stable order.
+/// [`Fault::CosWriteAfter`] is left out so the seeded schedules keep
+/// their meaning.
 const ALL_FAULTS: [Fault; 8] = [
     Fault::CosWrite,
     Fault::CosWriteOnce,
@@ -165,7 +172,8 @@ impl FaultPlan {
 ///
 /// The daemon advances the wrapper's clock with [`set_tick`] once per
 /// loop iteration; within a tick the wrapper counts calls so the
-/// `*Once` variants fail exactly the first attempt. Injected failures
+/// `*Once` variants fail exactly the first attempt and
+/// [`Fault::CosWriteAfter`] lets exactly its first *k* through. Injected failures
 /// are recorded so tests can assert the event log saw every one.
 ///
 /// [`set_tick`]: FaultingController::set_tick
@@ -175,7 +183,6 @@ pub struct FaultingController<C> {
     plan: FaultPlan,
     tick: u64,
     cos_write_calls: u32,
-    core_assign_calls: u32,
     injected: Vec<(u64, Fault)>,
 }
 
@@ -187,7 +194,6 @@ impl<C: CacheController> FaultingController<C> {
             plan,
             tick: 0,
             cos_write_calls: 0,
-            core_assign_calls: 0,
             injected: Vec::new(),
         }
     }
@@ -196,7 +202,6 @@ impl<C: CacheController> FaultingController<C> {
     pub fn set_tick(&mut self, tick: u64) {
         self.tick = tick;
         self.cos_write_calls = 0;
-        self.core_assign_calls = 0;
     }
 
     /// The wrapped backend.
@@ -242,11 +247,17 @@ impl<C: CacheController> CacheController for FaultingController<C> {
         if first_call && self.plan.contains(self.tick, Fault::CosWriteOnce) {
             return Err(self.inject(Fault::CosWriteOnce, "program_cos"));
         }
+        for &fault in self.plan.faults_at(self.tick) {
+            if let Fault::CosWriteAfter(k) = fault {
+                if self.cos_write_calls > k {
+                    return Err(self.inject(fault, "program_cos"));
+                }
+            }
+        }
         self.inner.program_cos(cos, cbm)
     }
 
     fn assign_core(&mut self, core: u32, cos: CosId) -> Result<(), ResctrlError> {
-        self.core_assign_calls += 1;
         if self.plan.contains(self.tick, Fault::CoreAssign) {
             return Err(self.inject(Fault::CoreAssign, "assign_core"));
         }
@@ -338,5 +349,26 @@ mod tests {
         assert!(cat.program_cos(CosId(1), Cbm(0b1)).is_err());
         cat.program_cos(CosId(1), Cbm(0b1)).unwrap();
         assert_eq!(cat.injected().len(), 1);
+    }
+
+    #[test]
+    fn write_after_k_passes_k_calls_then_fails_the_rest_of_the_tick() {
+        let plan = FaultPlan::scripted([(1, Fault::CosWriteAfter(2))]);
+        let mut cat = FaultingController::new(InMemoryController::xeon_e5(4), plan);
+        cat.set_tick(1);
+        cat.program_cos(CosId(1), Cbm(0b1)).unwrap();
+        cat.program_cos(CosId(2), Cbm(0b10)).unwrap();
+        for _ in 0..3 {
+            assert!(cat.program_cos(CosId(3), Cbm(0b100)).is_err());
+        }
+        cat.set_tick(2);
+        cat.program_cos(CosId(3), Cbm(0b100)).unwrap();
+        assert_eq!(cat.injected(), &[(1, Fault::CosWriteAfter(2)); 3]);
+        assert_eq!(Fault::CosWriteAfter(2).name(), "cos_write_after");
+        // The seeded schedules never draw it.
+        let random = FaultPlan::random(42, 1_000, 1.0);
+        assert!(random
+            .iter()
+            .all(|(_, f)| !matches!(f, Fault::CosWriteAfter(_))));
     }
 }

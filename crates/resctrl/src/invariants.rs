@@ -14,8 +14,14 @@ use crate::cbm::Cbm;
 /// ways: every mask non-empty, contiguous, within range, and pairwise
 /// disjoint. Returns a description of the first violation.
 pub fn check_layout(masks: &[Cbm], cbm_len: u32) -> Result<(), String> {
+    check_masks(masks.iter().copied(), cbm_len)
+}
+
+/// [`check_layout`] over masks as they come, so a per-tick audit need not
+/// collect them first.
+pub fn check_masks(masks: impl IntoIterator<Item = Cbm>, cbm_len: u32) -> Result<(), String> {
     let mut seen = Cbm(0);
-    for (i, &mask) in masks.iter().enumerate() {
+    for (i, mask) in masks.into_iter().enumerate() {
         if mask.is_empty() {
             return Err(format!("group {i}: empty mask"));
         }

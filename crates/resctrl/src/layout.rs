@@ -40,7 +40,7 @@ impl LayoutPlanner {
     /// Fails when a count is zero (CAT forbids empty masks) or the counts
     /// exceed the cache. Unassigned high ways are the free pool.
     pub fn layout(&self, counts: &[u32]) -> Result<Vec<Cbm>, ResctrlError> {
-        self.layout_in_order(counts, (0..counts.len()).collect())
+        self.layout_stable(counts, &vec![None; counts.len()])
     }
 
     /// Lays out `counts`, disturbing as few groups as possible.
@@ -114,16 +114,24 @@ impl LayoutPlanner {
         result.resize(counts.len(), Cbm(0));
         let mut used = Cbm(0);
         let mut pending: Vec<usize> = Vec::new();
+        let mut clashed: Vec<usize> = Vec::new();
 
         // Pass 1: keepers hold their mask; shrinkers keep their top ways,
         // releasing from the bottom toward the left neighbor.
         // An empty previous mask cannot anchor a placement; such a group
         // (impossible while CAT rejects zero-way masks) falls to pending.
+        // Previous masks need not be disjoint (an anchor can outlive the
+        // group that last held its ways): a kept run that overlaps one
+        // placed before it is first-fit placed below instead.
         for (i, &count) in counts.iter().enumerate() {
             match previous[i].and_then(|prev| prev.first_way().map(|f| (prev, f))) {
                 Some((prev, first)) if count <= prev.ways() => {
                     let start = first + (prev.ways() - count);
                     let cbm = Cbm::from_way_range(start, count);
+                    if cbm.overlaps(used) {
+                        clashed.push(i);
+                        continue;
+                    }
                     result[i] = cbm;
                     used = used.union(cbm);
                 }
@@ -133,30 +141,13 @@ impl LayoutPlanner {
 
         // Pass 2: growers take a free run containing their previous mask
         // (upward first, then sliding downward), keeping every warmed way.
-        pending.retain(|&i| {
-            if let Some((prev, first)) =
-                previous[i].and_then(|prev| prev.first_way().map(|f| (prev, f)))
-            {
-                let count = counts[i];
-                let top = first + prev.ways();
-                let lo = top.saturating_sub(count);
-                let mut start = first;
-                loop {
-                    if start + count <= self.cbm_len {
-                        let cbm = Cbm::from_way_range(start, count);
-                        if !cbm.overlaps(used) {
-                            result[i] = cbm;
-                            used = used.union(cbm);
-                            return false;
-                        }
-                    }
-                    if start == lo {
-                        break;
-                    }
-                    start -= 1;
-                }
+        pending.retain(|&i| match self.superset_run(previous[i], counts[i], used) {
+            Some(cbm) => {
+                result[i] = cbm;
+                used = used.union(cbm);
+                false
             }
-            true
+            None => true,
         });
 
         // Pass 3: a still-blocked grower may displace one-way groups out
@@ -164,48 +155,30 @@ impl LayoutPlanner {
         // re-placed first-fit below; each loses at most one warm way,
         // which is cheaper than the grower losing its whole working set.
         let mut displaced: Vec<usize> = Vec::new();
-        {
-            let mut firm = Cbm(0);
-            for (j, &m) in result.iter().enumerate() {
-                if !m.is_empty() && counts[j] != 1 {
-                    firm = firm.union(m);
+        let mut firm = Cbm(0);
+        for (j, &m) in result.iter().enumerate() {
+            if !m.is_empty() && counts[j] != 1 {
+                firm = firm.union(m);
+            }
+        }
+        pending.retain(|&i| {
+            let Some(cbm) = self.superset_run(previous[i], counts[i], firm) else {
+                return true;
+            };
+            for j in 0..result.len() {
+                if j != i && counts[j] == 1 && result[j].overlaps(cbm) {
+                    used = used.difference(result[j]);
+                    result[j] = Cbm(0);
+                    displaced.push(j);
                 }
             }
-            pending.retain(|&i| {
-                let Some(prev) = previous[i] else { return true };
-                let Some(first) = prev.first_way() else {
-                    return true;
-                };
-                let count = counts[i];
-                let top = first + prev.ways();
-                let lo = top.saturating_sub(count);
-                let mut start = first;
-                loop {
-                    if start + count <= self.cbm_len {
-                        let cbm = Cbm::from_way_range(start, count);
-                        if !cbm.overlaps(firm) {
-                            for j in 0..result.len() {
-                                if j != i && counts[j] == 1 && result[j].overlaps(cbm) {
-                                    used = used.difference(result[j]);
-                                    result[j] = Cbm(0);
-                                    displaced.push(j);
-                                }
-                            }
-                            result[i] = cbm;
-                            used = used.union(cbm);
-                            firm = firm.union(cbm);
-                            return false;
-                        }
-                    }
-                    if start == lo {
-                        break;
-                    }
-                    start -= 1;
-                }
-                true
-            });
-        }
+            result[i] = cbm;
+            used = used.union(cbm);
+            firm = firm.union(cbm);
+            false
+        });
         pending.extend(displaced);
+        pending.extend(clashed);
 
         // Pass 4: first-fit into free gaps (also handles new groups).
         let mut fragmented = false;
@@ -226,62 +199,39 @@ impl LayoutPlanner {
                 break;
             }
         }
-        if !fragmented {
-            debug_assert!(
-                invariants::check_layout(result, self.cbm_len)
-                    .and_then(|()| invariants::check_counts(result, counts))
-                    .is_ok(),
-                "layout_stable produced an illegal layout: {:?}",
-                invariants::check_layout(result, self.cbm_len)
-                    .and_then(|()| invariants::check_counts(result, counts))
-            );
-            return Ok(());
+        if fragmented {
+            // Pass 5: fragmentation fallback — full repack by previous start.
+            let mut order: Vec<usize> = (0..counts.len()).collect();
+            order.sort_by_key(|&i| match previous[i] {
+                Some(cbm) => (0u8, cbm.first_way().unwrap_or(u32::MAX), i),
+                None => (1u8, u32::MAX, i),
+            });
+            let mut cursor = 0;
+            for i in order {
+                result[i] = Cbm::from_way_range(cursor, counts[i]);
+                cursor += counts[i];
+            }
         }
-
-        // Pass 5: fragmentation fallback — full repack by previous start.
-        let mut order: Vec<usize> = (0..counts.len()).collect();
-        order.sort_by_key(|&i| match previous[i] {
-            Some(cbm) => (0u8, cbm.first_way().unwrap_or(u32::MAX), i),
-            None => (1u8, u32::MAX, i),
-        });
-        *result = self.layout_in_order(counts, order)?;
-        debug_assert!(
+        debug_assert_eq!(
             invariants::check_layout(result, self.cbm_len)
-                .and_then(|()| invariants::check_counts(result, counts))
-                .is_ok(),
-            "layout_stable repack produced an illegal layout: {:?}",
-            invariants::check_layout(result, self.cbm_len)
-                .and_then(|()| invariants::check_counts(result, counts))
+                .and_then(|()| invariants::check_counts(result, counts)),
+            Ok(()),
+            "layout_stable produced an illegal layout"
         );
         Ok(())
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`order` is a permutation of `0..counts.len()`, and `result` holds `counts.len()` masks"
-    )]
-    fn layout_in_order(&self, counts: &[u32], order: Vec<usize>) -> Result<Vec<Cbm>, ResctrlError> {
-        let total: u32 = counts.iter().sum();
-        if total > self.cbm_len {
-            return Err(ResctrlError::InvalidCbm {
-                cbm: Cbm::full(self.cbm_len),
-                reason: format!("requested {total} ways exceed cbm_len={}", self.cbm_len),
-            });
-        }
-        let mut result = vec![Cbm(0); counts.len()];
-        let mut cursor = 0u32;
-        for idx in order {
-            let ways = counts[idx];
-            if ways == 0 {
-                return Err(ResctrlError::InvalidCbm {
-                    cbm: Cbm(0),
-                    reason: format!("group {idx} requested zero ways"),
-                });
-            }
-            result[idx] = Cbm::from_way_range(cursor, ways);
-            cursor += ways;
-        }
-        Ok(result)
+    /// The first run of `count` ways holding all of `prev` — upward
+    /// first, then sliding downward — that avoids `blocked`.
+    fn superset_run(&self, prev: Option<Cbm>, count: u32, blocked: Cbm) -> Option<Cbm> {
+        let prev = prev?;
+        let first = prev.first_way()?;
+        let lo = (first + prev.ways()).saturating_sub(count);
+        let starts = (lo..=first)
+            .rev()
+            .filter(|&start| start + count <= self.cbm_len);
+        let runs = starts.map(|start| Cbm::from_way_range(start, count));
+        runs.into_iter().find(|run| !run.overlaps(blocked))
     }
 
     /// Number of groups whose mask differs between two layouts.
@@ -439,6 +389,18 @@ mod tests {
                 assert!(!masks[i].overlaps(masks[j]));
             }
         }
+    }
+
+    #[test]
+    fn overlapping_previous_masks_still_yield_a_disjoint_layout() {
+        let p = LayoutPlanner::new(8);
+        let prev = vec![
+            Some(Cbm::from_way_range(0, 4)),
+            Some(Cbm::from_way_range(2, 4)),
+        ];
+        let masks = p.layout_stable(&[4, 3], &prev).unwrap();
+        assert_eq!(masks[0], Cbm::from_way_range(0, 4), "first keeper holds");
+        assert_eq!(masks[1], Cbm::from_way_range(4, 3), "second is re-placed");
     }
 
     #[test]

@@ -21,20 +21,19 @@
 //! # Examples
 //!
 //! Program two non-overlapping tenant partitions through the in-memory
-//! backend (the same calls work on [`FsBackend`] pointed at a real
-//! `/sys/fs/resctrl` mount):
+//! backend with the one apply every policy uses (the same calls work on
+//! [`FsBackend`] pointed at a real `/sys/fs/resctrl` mount):
 //!
 //! ```
-//! use resctrl::{CacheController, CatCapabilities, Cbm, CosId, InMemoryController, LayoutPlanner};
+//! use resctrl::{CacheController, CatCapabilities, Class, CosId, DefaultClass, InMemoryController, Programmed};
 //!
-//! let mut cat = InMemoryController::new(CatCapabilities::with_ways(20), 4);
-//! let layout = LayoutPlanner::new(20).layout(&[4, 6]).unwrap();
-//! for (i, cbm) in layout.iter().enumerate() {
-//!     cat.program_cos(CosId((i + 1) as u8), *cbm).unwrap();
-//! }
-//! cat.assign_core(0, CosId(1)).unwrap();
-//! cat.assign_core(1, CosId(2)).unwrap();
-//! assert!(!layout[0].overlaps(layout[1]));
+//! let mut cat = InMemoryController::new(CatCapabilities::with_ways(20), 2);
+//! let mut programmed = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
+//! let tenants = [(CosId(1), 4, [0]), (CosId(2), 6, [1])];
+//! let classes = tenants.map(|(cos, ways, cores)| Class { cos, ways, anchor: None, cores });
+//! programmed.apply(classes, &mut cat).unwrap();
+//! assert_eq!(cat.core_cos(1).unwrap(), CosId(2));
+//! assert!(!cat.has_overlapping_active_masks());
 //! assert_eq!(cat.cos_mask(CosId(2)).unwrap().ways(), 6);
 //! ```
 
@@ -62,6 +61,7 @@
     clippy::integer_division
 )]
 
+pub mod apply;
 pub mod cbm;
 pub mod controller;
 pub mod fault;
@@ -71,6 +71,7 @@ pub mod layout;
 pub mod mock;
 pub mod retry;
 
+pub use apply::{Class, DefaultClass, Programmed};
 pub use cbm::Cbm;
 pub use controller::{CacheController, CatCapabilities, CosId, ErrorSeverity, ResctrlError};
 pub use fault::{Fault, FaultPlan, FaultingController};

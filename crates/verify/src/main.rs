@@ -36,7 +36,12 @@
 //!
 //! A second, fault-schedule dimension ([`run_fault_scenario`]) re-runs
 //! every pool and corner under seeded backend and telemetry faults and
-//! checks the invariants after every tick, degraded or not.
+//! checks the invariants after every tick, degraded or not. None of those
+//! faults stops an apply part-way: `CosWrite` fails its first write and
+//! the retry absorbs `CosWriteOnce`. A third family of schedules does:
+//! [`Fault::CosWriteAfter`] lets a tick's first *k* writes through and
+//! fails the rest, and after every tick the backend's classes that hold
+//! cores must still be pairwise disjoint.
 //!
 //! Exit status is non-zero if any property fails, fewer configurations
 //! than the documented floor were explored, or the fault dimension
@@ -418,6 +423,12 @@ const FAULT_RATE: f64 = 0.3;
 const INJECTED_FLOOR: usize = 7_374;
 const DEGRADED_FLOOR: u64 = 1_860;
 
+/// Write faults the mid-apply family schedules: the first, second and
+/// third write of every [`MID_APPLY_EVERY`]th tick fails, and every tenant
+/// that can move is nudged, so the tick writes several classes.
+const MID_APPLY_KS: u32 = 3;
+const MID_APPLY_EVERY: u64 = 3;
+
 /// Statistics from one fault-schedule exploration.
 struct FaultRun {
     ticks: u64,
@@ -473,14 +484,19 @@ fn nudge_for(ways: u32, min_ways: u32) -> Option<Nudge> {
 ///
 /// A write fault needs a write to hit, and the controller writes only
 /// the masks that changed. On a tick that carries a backend fault the
-/// harness therefore nudges one tenant (see [`Nudge`]) so that the tick
-/// programs at least one class; where no tenant can move — the minimum
+/// harness therefore nudges `nudged_tenants` tenants (see [`Nudge`]) so
+/// that the tick programs at least one class; where no tenant can move — the minimum
 /// equals the reservation and nothing holds extra ways — the fault has
 /// nothing to hit and injects nothing.
-fn run_fault_scenario(corner: &Corner, pool: &Pool, seed: u64) -> Result<FaultRun, FaultViolation> {
+fn run_fault_scenario(
+    corner: &Corner,
+    pool: &Pool,
+    seed: u64,
+    plan: FaultPlan,
+    nudged_tenants: usize,
+) -> Result<FaultRun, FaultViolation> {
     let n = pool.tenants as usize;
     let probe = n - 1;
-    let plan = FaultPlan::random(seed, FAULT_TICKS, FAULT_RATE);
     let inner = FaultingController::new(
         InMemoryController::new(CatCapabilities::with_ways(pool.total_ways()), pool.tenants),
         plan.clone(),
@@ -508,24 +524,25 @@ fn run_fault_scenario(corner: &Corner, pool: &Pool, seed: u64) -> Result<FaultRu
         let probe_miss_rate = if donating { 0.0025 } else { 0.5 };
         let probe_ipc = 1.0 + 0.15 * f64::from(ctl.ways_of(probe).saturating_sub(RESERVED));
 
-        let backend_fault = [Fault::CosWrite, Fault::CosWriteOnce, Fault::CoreAssign]
-            .iter()
-            .any(|&f| plan.contains(tick, f));
-        let nudged = if backend_fault {
-            // Start from a different tenant each tick.
-            (0..n)
-                .map(|k| (k + tick as usize) % n)
-                .find_map(|i| Some((i, nudge_for(ctl.ways_of(i), corner.min_ways)?)))
-        } else {
-            None
-        };
-        if let Some((i, Nudge::NewPhase)) = nudged {
-            shifted[i] = !shifted[i];
+        let backend_fault = plan.faults_at(tick).iter().any(|f| {
+            matches!(
+                f,
+                Fault::CosWrite | Fault::CosWriteOnce | Fault::CoreAssign | Fault::CosWriteAfter(_)
+            )
+        });
+        // Start from a different tenant each tick.
+        let mut nudges = vec![None; n];
+        let movable = (0..n)
+            .map(|k| (k + tick as usize) % n)
+            .filter_map(|i| Some((i, nudge_for(ctl.ways_of(i), corner.min_ways)?)));
+        for (i, nudge) in movable.take(if !backend_fault { 0 } else { nudged_tenants }) {
+            nudges[i] = Some(nudge);
+            shifted[i] ^= nudge == Nudge::NewPhase;
         }
 
         let specs: Vec<Option<Spec>> = (0..n)
             .map(|i| {
-                if nudged == Some((i, Nudge::Idle)) {
+                if nudges[i] == Some(Nudge::Idle) {
                     return None;
                 }
                 let base = if i == probe {
@@ -570,15 +587,20 @@ fn run_fault_scenario(corner: &Corner, pool: &Pool, seed: u64) -> Result<FaultRu
                 });
             }
         }
-        if let Err(m) =
+        let checked =
             dcat::invariants::check(&ctl.domain_views(), pool.total_ways(), corner.min_ways)
-        {
+                .map_err(|v| v.to_string());
+        let overlap = cat.inner_mut().inner().has_overlapping_active_masks();
+        if let Err(message) = checked.and_then(|()| match overlap {
+            true => Err("two classes holding cores overlap in the backend".to_string()),
+            false => Ok(()),
+        }) {
             return Err(FaultViolation {
                 corner: *corner,
                 pool: *pool,
                 seed,
                 tick,
-                message: m.to_string(),
+                message,
             });
         }
     }
@@ -689,7 +711,8 @@ fn main() {
                     0xDCA7_FA17,
                     ((ci as u64) << 32) | ((pi as u64) << 16) | stream,
                 );
-                match run_fault_scenario(corner, pool, seed) {
+                let plan = FaultPlan::random(seed, FAULT_TICKS, FAULT_RATE);
+                match run_fault_scenario(corner, pool, seed, plan, 1) {
                     Ok(run) => {
                         fault_runs += 1;
                         fault_ticks += run.ticks;
@@ -706,6 +729,32 @@ fn main() {
          ({fault_ticks} ticks, {fault_injected} faults injected, \
          {fault_degraded} degraded ticks, invariants checked every tick)"
     );
+
+    // --- Mid-apply family: each tick's first k writes land, the rest fail. ---
+    let (mut mid_runs, mut mid_ticks, mut mid_degraded, mut mid_injected) = (0usize, 0u64, 0u64, 0);
+    for corner in &corners {
+        for pool in &pools {
+            for k in 0..MID_APPLY_KS {
+                let ticks = (1..=FAULT_TICKS).filter(|t| t % MID_APPLY_EVERY == 0);
+                let plan = FaultPlan::scripted(ticks.map(|t| (t, Fault::CosWriteAfter(k))));
+                let tenants = pool.tenants as usize;
+                match run_fault_scenario(corner, pool, u64::from(k), plan, tenants) {
+                    Ok(run) => {
+                        mid_runs += 1;
+                        mid_ticks += run.ticks;
+                        mid_degraded += run.degraded;
+                        mid_injected += run.injected;
+                    }
+                    Err(v) => fault_violations.push(v),
+                }
+            }
+        }
+    }
+    println!(
+        "dcat-verify: mid-apply family ran {mid_runs} schedules ({mid_ticks} ticks, \
+         {mid_injected} faults injected, {mid_degraded} degraded ticks, classes disjoint \
+         after every tick)"
+    );
     if !fault_violations.is_empty() {
         eprintln!("{} fault-dimension violations:", fault_violations.len());
         for v in fault_violations.iter().take(20) {
@@ -717,9 +766,9 @@ fn main() {
         std::process::exit(1);
     }
     assert!(
-        fault_injected > 0 && fault_degraded > 0,
+        fault_injected > 0 && fault_degraded > 0 && mid_degraded > 0,
         "the fault dimension must actually inject faults and degrade ticks \
-         (injected {fault_injected}, degraded {fault_degraded})"
+         (injected {fault_injected}, degraded {fault_degraded}; mid-apply {mid_degraded})"
     );
     if !smoke && (fault_injected < INJECTED_FLOOR || fault_degraded < DEGRADED_FLOOR) {
         eprintln!(
