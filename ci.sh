@@ -10,8 +10,8 @@ echo "==> build (release)"
 cargo build --release --offline
 
 echo "==> tests"
-# --workspace on purpose: a bare `cargo test` is Tier-1's subset (the root
-# `default-members`), this is every member.
+# --workspace on purpose: every member, whatever the root `default-members`
+# lists (today every member too, so Tier-1's bare `cargo test` is this step).
 cargo test -q --offline --workspace
 
 echo "==> lint gate (fmt, clippy on the whole workspace)"
@@ -72,8 +72,8 @@ cargo test -q --release -p dcat-bench --offline --test determinism --test golden
 echo "==> per-reference path in release: llc-sim, workloads, smallrng and host suites with their recorded oracles"
 # In release, as the experiments run it: the hot path's index and counter
 # arithmetic must hold with overflow checks and debug_asserts compiled out
-# (`cargo test --workspace` covers the debug build). Of the four only
-# smallrng is in Tier-1's `default-members` (root Cargo.toml); they carry the
+# (`cargo test --workspace` covers the debug build, optimised per package by
+# the root Cargo.toml's dev profile, with both checks on). They carry the
 # multi-core inclusion property and its decision digests, the stream and
 # gen_range byte oracles (tests/golden/, recorded before the divisions
 # came off the path), the reciprocal set-index identity, the
@@ -84,8 +84,9 @@ echo "==> per-reference path in release: llc-sim, workloads, smallrng and host s
 cargo test -q --release --offline -p workloads -p smallrng -p llc-sim -p host
 
 echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch copy and the test its header names must fail)"
-# Seeded by the 12-byte LLC line: its exactness argument is only as good as
-# the lockstep test that would notice it break (DESIGN.md §14). 04-06 are
+# 01-03 are the 8-byte LLC line's per-set stamp clock and 22 its sharer
+# field: their exactness argument is only as good as the tests that would
+# notice it break (DESIGN.md §14). 04-06 are
 # the float printer's tie rule and switch point and the row parser's digit
 # lane (§16, "third pass"); 07-09 the engine slice's held caches and
 # estimator (§14, "Fifth pass"); 10-11 the pool's reorder window and the

@@ -1,7 +1,7 @@
 //! The `micro` suite: set access, the private-cache recency list,
 //! hierarchy access per replacement policy and per outcome (L1 hit, LLC
 //! miss with and without eviction on the 18-core socket, one prefetch
-//! hint, one stamp renormalisation), page translation, reference
+//! hint), one set's stamp re-rank, page translation, reference
 //! generation (a 1 000-reference batch per stream, one reference, one
 //! bounded draw, one Zipf draw), the engine epoch loop (a small socket,
 //! and one LLC-bound VM on the paper's) and its CMT occupancy read, the
@@ -27,10 +27,10 @@ use dcat_obs::{CycleSource, DEFAULT_STEP_BUCKETS};
 use host::{Engine, EngineConfig, VmSpec};
 use llc_sim::replacement::ReplacementPolicy;
 use llc_sim::set::legacy::LegacyCacheSet;
-use llc_sim::set::{CacheSet, MAX_STAMP};
+use llc_sim::set::CacheSet;
 use llc_sim::{
     AccessKind, CacheGeometry, FrameAllocator, FramePolicy, Hierarchy, HierarchyConfig, LineAddr,
-    PageMapper, PageSize, PrivateCache, SetAssocCache, VirtAddr, WayMask,
+    PageMapper, PageSize, PrivateCache, VirtAddr, WayMask,
 };
 use smallrng::SmallRng;
 use workloads::{
@@ -90,14 +90,13 @@ fn calibration_case(suite: &mut SuiteRunner<'_>, iters: u32) {
     });
 }
 
-/// A 16-way set with lines `0..WAYS` resident (LRU stamps `0..WAYS`).
+/// A 16-way set with lines `0..WAYS` resident (LRU stamps `1..=WAYS`).
 fn full_packed() -> CacheSet {
     let mut set = CacheSet::new(WAYS);
     for i in 0..u64::from(WAYS) {
         set.fill_with(
             LineAddr(i),
             WayMask::all(WAYS),
-            i,
             0,
             ReplacementPolicy::Lru,
             0,
@@ -293,7 +292,7 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         let mut now = u64::from(WAYS);
         suite.case("set_access_hit_packed", iters, move || {
             now += 1;
-            set.lookup_with(LineAddr(now % u64::from(WAYS)), now, ReplacementPolicy::Lru)
+            set.lookup_with(LineAddr(now % u64::from(WAYS)), ReplacementPolicy::Lru)
         });
     }
     {
@@ -312,11 +311,9 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
     {
         let mut set = full_packed();
         let mut next_line = u64::from(WAYS);
-        let mut t = u64::from(WAYS);
         suite.case("set_access_churn_packed", iters, move || {
             next_line += 1;
-            t += 1;
-            set.fill_with(LineAddr(next_line), full, t, 0, ReplacementPolicy::Lru, 0)
+            set.fill_with(LineAddr(next_line), full, 0, ReplacementPolicy::Lru, 0)
         });
     }
     {
@@ -481,32 +478,27 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
     {
         // What `Engine::run_slice`'s pipeline adds per reference when the
         // hint buys nothing: the set index and the hints over a block that
-        // is already in the host's L1 (six for the paper's 320-byte block).
+        // is already in the host's L1 (four for the paper's 164-byte block).
         let h = Hierarchy::new(HierarchyConfig::default());
         suite.case("llc_prefetch_hint", iters, move || h.prefetch_llc(0x4_0000));
     }
 
     {
-        // What narrow stamps cost: the sweep a cache makes when its clock
-        // reaches `MAX_STAMP`, once per 2^27 LLC accesses, plus the access
-        // that set it off. At the paper's geometry it reads and rewrites
-        // the whole tag store in order — 36 864 blocks of 320 bytes and
-        // their occupancy words — and sorts up to 20 stamps a set; the
-        // sets were filled by random lines, so stamp order is not way order.
-        let geometry = HierarchyConfig::default().llc;
-        let mask = WayMask::all(geometry.ways);
-        let mut llc = SetAssocCache::new(geometry);
-        let lines = u64::from(geometry.sets) * u64::from(geometry.ways);
+        // What narrow stamps cost: the re-rank a set makes when its own
+        // clock reaches `MAX_STAMP`, once per 491 accesses to a 20-way set
+        // — it sorts the set's stamps, here touched in a random order so
+        // stamp order is not way order, and rewrites them as ranks.
+        let ways = HierarchyConfig::default().llc.ways;
+        let mut set = CacheSet::new(ways);
         let mut state = 1u64;
-        for _ in 0..3 * lines {
-            state = lcg_next(state);
-            llc.access(LineAddr((state >> 33) % (2 * lines)), mask);
+        for line in 0..u64::from(ways) {
+            set.fill(LineAddr(line), WayMask::all(ways), 0);
         }
-        let r_iters = if quick { 1 } else { 4 };
-        suite.case("llc_stamp_renormalise_paper", r_iters, move || {
-            llc.skip_clock_to(MAX_STAMP);
-            llc.access(LineAddr(0), mask)
-        });
+        for _ in 0..4 * ways {
+            state = lcg_next(state);
+            set.lookup(LineAddr((state >> 33) % u64::from(ways)));
+        }
+        suite.case("set_rerank_paper", iters, move || set.renormalise_stamps());
     }
 
     // --- reference generation: one engine slice's batch per stream ---
@@ -576,7 +568,7 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
 
     // --- one LLC-bound VM on the paper's socket: uniform-random loads
     // over 256 MB at full fidelity, so nearly every reference walks an LLC
-    // set the host has to fetch from memory (9.0 MB of tags) — the case
+    // set the host has to fetch from memory (6.2 MB of tags) — the case
     // the slice loop's translate-ahead-and-hint pipeline exists for.
     {
         let mut cfg = EngineConfig::xeon_e5_v4();

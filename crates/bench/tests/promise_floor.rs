@@ -43,10 +43,6 @@ fn dropped(reading: &Reading, floor: f64) -> bool {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "27 simulations, minutes unoptimized; ci.sh runs it in release"
-)]
 fn no_reading_of_the_promise_drops() {
     runner::set_jobs(2);
     let readings = measure();

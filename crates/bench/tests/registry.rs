@@ -122,10 +122,6 @@ fn the_span_scan_sees_what_it_should() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "ten experiment runs, ≈35 s unoptimized; ci.sh runs it in release"
-)]
 fn every_entry_outside_the_suite_runs_fast_and_reports() {
     let cli = Cli::parse(&["--fast".to_string()]);
     let alone: Vec<_> = registry().iter().filter(|e| !e.suite).collect();

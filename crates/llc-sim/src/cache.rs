@@ -3,9 +3,7 @@
 use crate::address::LineAddr;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementPolicy;
-use crate::set::{
-    Evicted, PackedSet, SetMut, SetPos, SetRef, INVALID_TAG, MAX_SHARERS, MAX_STAMP, WORDS_PER_LINE,
-};
+use crate::set::{block_len, Evicted, PackedSet, SetMut, SetPos, SetRef, INVALID_TAG, MAX_SHARERS};
 
 /// A bitmask over cache ways, mirroring a CAT capacity bitmask (CBM).
 ///
@@ -105,10 +103,10 @@ impl AccessOutcome {
 
 /// A set-associative cache indexed by physical line address.
 ///
-/// All sets live in two flat arrays — one `3 × ways` block per set in
-/// `blocks` (a tag, an owner·stamp word and a sharer mask per line, 12
-/// bytes), one occupancy word per set in `occ` — and every operation
-/// borrows one set's slice of each as a [`PackedSet`]. A tag is
+/// All sets live in two flat arrays — one `2 × ways + 1` block per set in
+/// `blocks` (a tag and an owner·sharers·stamp word per line, 8 bytes, and
+/// the set's stamp clock), one occupancy word per set in `occ` — and every
+/// operation borrows one set's slice of each as a [`PackedSet`]. A tag is
 /// `line / sets`: the set's index gives the rest of the line, which is
 /// rebuilt only when the line leaves. The occupancy
 /// words stay out of the blocks so the whole-cache sweeps
@@ -124,8 +122,6 @@ pub struct SetAssocCache {
     // quotient of a line that fits `u32`; 0 when `sets` is a power of two
     // (mask and shift path).
     index_magic: u64,
-    // The last stamp handed out; never above `MAX_STAMP` (`tick`).
-    clock: u64,
     // Cheap xorshift state for Random victims / BIP insertion draws;
     // deterministic so simulations are reproducible.
     draw_state: u64,
@@ -147,21 +143,20 @@ impl SetAssocCache {
         let mut cache = SetAssocCache {
             geometry,
             policy,
-            blocks: vec![0; sets * WORDS_PER_LINE * geometry.ways as usize],
+            blocks: vec![0; sets * block_len(geometry.ways)],
             occ: vec![0; sets],
             index_magic: if geometry.sets.is_power_of_two() {
                 0
             } else {
                 u64::MAX / u64::from(geometry.sets) + 1
             },
-            clock: 0,
             draw_state: 0x9E37_79B9_7F4A_7C15,
             owner_lines: [0; MAX_SHARERS as usize],
         };
         assert_eq!(
             cache.set(0).way_count(),
             geometry.ways,
-            "a set's block is three words a line"
+            "a set's block is two words a line and its clock"
         );
         cache.flush();
         cache
@@ -245,7 +240,7 @@ impl SetAssocCache {
     /// Where set `idx`'s block sits in `blocks`.
     #[inline(always)]
     fn block_of(&self, idx: u32) -> std::ops::Range<usize> {
-        let stride = WORDS_PER_LINE * self.geometry.ways as usize;
+        let stride = block_len(self.geometry.ways);
         let start = idx as usize * stride;
         start..start + stride
     }
@@ -282,47 +277,6 @@ impl SetAssocCache {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// The stamp of the next access. A set stores 27 bits of it and only
-    /// ever compares stamps of one set, so when the clock has reached
-    /// [`MAX_STAMP`] every set's stamps are first rewritten as their ranks
-    /// ([`PackedSet::renormalise_stamps`]) and the clock restarts just above
-    /// the largest rank a set can hold: every stamp handed out from here
-    /// on is newer than every stamp stored, as it would be on a clock that
-    /// never wrapped, and every victim scan picks the way it would have.
-    #[inline(always)]
-    fn tick(&mut self) -> u64 {
-        if self.clock == MAX_STAMP {
-            self.renormalise_stamps();
-        }
-        self.clock += 1;
-        self.clock
-    }
-
-    /// One sweep of the tag store, once per `MAX_STAMP` accesses.
-    #[cold]
-    fn renormalise_stamps(&mut self) {
-        for idx in 0..self.geometry.sets {
-            self.set_mut(idx).renormalise_stamps();
-        }
-        self.clock = u64::from(self.geometry.ways);
-    }
-
-    /// Moves the clock forward to `clock` without the accesses in between
-    /// (unobservable: stamps only order accesses), so a test or a bench
-    /// case can stand just short of a renormalisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clock` is behind the cache's clock or beyond [`MAX_STAMP`].
-    #[doc(hidden)]
-    pub fn skip_clock_to(&mut self, clock: u64) {
-        assert!(
-            (self.clock..=MAX_STAMP).contains(&clock),
-            "the clock only moves forward, and not past MAX_STAMP"
-        );
-        self.clock = clock;
-    }
-
     /// Performs an access with the given fill mask, as requestor 0 and
     /// without sharer tracking.
     ///
@@ -330,10 +284,10 @@ impl SetAssocCache {
     #[inline]
     pub fn access(&mut self, line: LineAddr, mask: WayMask) -> AccessOutcome {
         let (idx, tag) = (self.set_index(line), self.access_tag(line));
-        let now = self.tick();
         let draw = self.next_draw();
         let policy = self.policy;
         let mut set = self.set_mut(idx);
+        let now = set.tick();
         if set.lookup_tag(tag, now, policy).is_some() {
             return AccessOutcome::Hit;
         }
@@ -351,7 +305,7 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if `owner >= MAX_SHARERS` (32).
+    /// Panics if `owner >= MAX_SHARERS` (18).
     pub fn access_as(&mut self, line: LineAddr, mask: WayMask, owner: u32) -> AccessOutcome {
         self.access_as_at(self.set_index(line), line, mask, owner)
     }
@@ -369,10 +323,10 @@ impl SetAssocCache {
         assert!(owner < MAX_SHARERS, "requestor id beyond the sharer mask");
         debug_assert_eq!(idx, self.geometry.set_index(line));
         let tag = self.access_tag(line);
-        let now = self.tick();
         let draw = self.next_draw();
         let policy = self.policy;
         let mut set = self.set_mut(idx);
+        let now = set.tick();
         if let Some(way) = set.lookup_tag(tag, now, policy) {
             set.add_sharer(way, owner);
             return AccessOutcome::Hit;
@@ -473,7 +427,7 @@ impl SetAssocCache {
     /// has no instruction to clear a cache way, so operators run a
     /// user-level flush pass after reassigning ways.
     pub fn drain_lines_in(&mut self, mask: WayMask, mut on_drop: impl FnMut(Evicted)) -> u64 {
-        let stride = WORDS_PER_LINE * self.geometry.ways as usize;
+        let stride = block_len(self.geometry.ways);
         let sets = self.geometry.sets;
         let owner_lines = &mut self.owner_lines;
         let mut dropped = 0;

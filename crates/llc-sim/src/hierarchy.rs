@@ -253,7 +253,7 @@ impl Hierarchy {
     /// # Panics
     ///
     /// Panics on zero cores, or on more cores than an LLC line's sharer
-    /// mask can name (32; the paper's largest socket has 18).
+    /// mask can name (18, the paper's largest socket).
     pub fn new(config: HierarchyConfig) -> Self {
         assert!(config.cores > 0, "hierarchy needs at least one core");
         assert!(
@@ -764,18 +764,18 @@ mod tests {
 
     #[test]
     fn hints_pay_only_for_a_tag_store_beyond_a_host_cache() {
-        // The layout in bytes, exactly: 12 a line (tag, owner·stamp word,
-        // sharer mask) and an occupancy word a set. The paper's socket,
-        // 8 994 816 (9.0 MB):
+        // The layout in bytes, exactly: 8 a line (tag, owner·sharers·stamp
+        // word) and a clock and an occupancy word a set. The paper's
+        // socket, 6 193 152 (6.2 MB):
         let paper = Hierarchy::new(HierarchyConfig::default());
-        assert_eq!(paper.llc().tag_store_bytes(), 36_864 * (20 * 12 + 4));
+        assert_eq!(paper.llc().tag_store_bytes(), 36_864 * (20 * 8 + 8));
         assert!(paper.llc_hints_pay());
-        // A fleet host, 401 408 (392 KiB):
+        // A fleet host, 278 528 (272 KiB):
         let fleet = Hierarchy::new(HierarchyConfig {
             llc: CacheGeometry::from_capacity(2 * 1024 * 1024, 16),
             ..HierarchyConfig::default()
         });
-        assert_eq!(fleet.llc().tag_store_bytes(), 2_048 * (16 * 12 + 4));
+        assert_eq!(fleet.llc().tag_store_bytes(), 2_048 * (16 * 8 + 8));
         assert!(!fleet.llc_hints_pay());
         // Every set can be hinted, the last included.
         let h = tiny();
@@ -886,12 +886,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sharer mask holds at most 32 cores")]
+    #[should_panic(expected = "sharer mask holds at most 18 cores")]
     fn more_cores_than_the_sharer_mask_rejected() {
         let _ = Hierarchy::new(HierarchyConfig {
-            cores: 33,
+            cores: 19,
             ..HierarchyConfig::default()
         });
+    }
+
+    #[test]
+    fn as_many_cores_as_the_sharer_mask_accepted() {
+        let mut h = Hierarchy::new(HierarchyConfig {
+            cores: 18,
+            ..HierarchyConfig::default()
+        });
+        // The top core's sharer bit sits beside the filler id: an LLC
+        // eviction still reaches both sharers, and the filler keeps its lines.
+        h.set_fill_mask(0, WayMask::from_way_range(0, 1));
+        h.access(17, 0, AccessKind::Load);
+        h.access(0, 0, AccessKind::Load);
+        assert_eq!(h.llc_occupancy_of_core(17), 1);
+        let sets = u64::from(h.config().llc.sets);
+        h.access(0, sets * 64, AccessKind::Load);
+        assert!(!h.l1_probe(17, 0) && !h.l1_probe(0, 0));
+        assert_eq!(h.llc_occupancy_of_core(17), 0);
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //! occupancy bitmask instead of a `Vec<Option<LineEntry>>`:
 //!
 //! ```text
-//! occ:  u32 bitmask, bit w set = way w holds a valid line
-//! data: [ tag_0 .. tag_{n-1} | meta_0 .. meta_{n-1} | sharers_0 .. sharers_{n-1} ]
-//!        (u32 each, three words — 12 bytes — a line; empty tag slots hold
-//!         INVALID_TAG so the lookup scan needs no per-way validity test)
-//! tag:     line / sets, the bits of the line its set's index does not give
-//! meta:    [ filler id (bits 31..27) | stamp (bits 26..0) ]
-//! sharers: bit r set = requestor r reached the line
+//! occ:   u32 bitmask, bit w set = way w holds a valid line
+//! data:  [ tag_0 .. tag_{n-1} | meta_0 .. meta_{n-1} | clock ]
+//!         (u32 each, two words — 8 bytes — a line and one a set; empty tag
+//!          slots hold INVALID_TAG so the lookup scan needs no per-way validity test)
+//! tag:   line / sets, the bits of the line its set's index does not give
+//! meta:  [ filler id (bits 31..27) | sharers (bits 26..9) | stamp (bits 8..0) ]
+//! clock: the last stamp the set handed out
 //! ```
 //!
 //! A set knows its place in its cache ([`SetPos`]: its index and the
@@ -33,16 +33,19 @@
 //! blocks in one allocation (and their occupancy words in another) and
 //! lends one set's slice of each to the same code per access.
 //!
-//! The meta word's low 27 bits are the line's last-use stamp, read only
-//! by victim selection and only against stamps of the same set; a caller
-//! keeps `now` at or below [`MAX_STAMP`] (a [`crate::SetAssocCache`]
-//! re-ranks its sets' stamps when its clock gets there, which no decision
-//! can observe). The high five bits are the requestor that filled the
-//! line (the CMT tag). The third word is a **sharer mask**, one bit per
-//! requestor that reached this line through [`CacheSet::add_sharer`]. An
-//! inclusive LLC records there which cores may hold the line privately,
-//! so an eviction back-invalidates those cores only — the mask leaves
-//! with the victim in [`Evicted::sharers`].
+//! The meta word's low 9 bits are the line's last-use stamp, read only by
+//! victim selection and only against stamps of the same set, so each set
+//! keeps its own clock: every lookup and fill advances it by one (a
+//! [`crate::SetAssocCache`] access, lookup and fill together, by one).
+//! When it reaches [`MAX_STAMP`] the set re-ranks its own stamps
+//! ([`PackedSet::renormalise_stamps`]) and restarts the clock at `ways`,
+//! which no decision can observe. Above the stamp sits a **sharer mask**,
+//! one bit per requestor that reached the line through
+//! [`CacheSet::add_sharer`] — [`MAX_SHARERS`], the paper's largest socket.
+//! An inclusive LLC records there which cores may hold the line
+//! privately, so an eviction back-invalidates those cores only — the mask
+//! leaves with the victim in [`Evicted::sharers`]. The high five bits are
+//! the requestor that filled the line (the CMT tag).
 //!
 //! The layout buys three things on the hot path:
 //!
@@ -69,35 +72,48 @@ use crate::replacement::ReplacementPolicy;
 /// Sentinel stored in empty tag slots; no stored tag may equal it.
 pub(crate) const INVALID_TAG: u32 = u32::MAX;
 
-/// Requestors a line's sharer mask can name: ids `0..MAX_SHARERS`.
-pub const MAX_SHARERS: u32 = 32;
+/// Requestors a line's sharer mask can name: ids `0..MAX_SHARERS`, the
+/// cores of the paper's largest socket.
+pub const MAX_SHARERS: u32 = 18;
 
 /// Width of the stamp field, the low bits of the meta word.
-const STAMP_BITS: u32 = 27;
+const STAMP_BITS: u32 = 9;
 
-/// Largest `now` a set can store: [`PackedSet::lookup_with`] and
-/// [`PackedSet::fill_with`] reject a later one.
-pub const MAX_STAMP: u64 = (1 << STAMP_BITS) - 1;
+/// The last stamp a set's clock hands out before it re-ranks the set.
+pub const MAX_STAMP: u32 = (1 << STAMP_BITS) - 1;
 
 /// The stamp field of a meta word.
-const STAMP_MASK: u32 = MAX_STAMP as u32;
+const STAMP_MASK: u32 = MAX_STAMP;
 
-/// Width of the filler-id field, above the stamp.
-const OWNER_BITS: u32 = 5;
+/// The sharer mask sits above the stamp, the filler id above both.
+const SHARER_SHIFT: u32 = STAMP_BITS;
+const OWNER_SHIFT: u32 = SHARER_SHIFT + MAX_SHARERS;
 
-/// `u32`s a line takes in a set's block: its tag, its meta word and its
-/// sharer mask.
-pub(crate) const WORDS_PER_LINE: usize = 3;
+/// `u32`s a line takes in a set's block: its tag and its meta word. The
+/// block ends in one more, the set's clock.
+pub(crate) const WORDS_PER_LINE: usize = 2;
 
-// The filler id has exactly one value per sharer bit, and the two fields
-// fill the meta word.
-const _: () = assert!(MAX_SHARERS == 1 << OWNER_BITS);
-const _: () = assert!(STAMP_BITS + OWNER_BITS == u32::BITS);
+// Every filler id fits the bits above the sharers, and a clock restarted
+// at any way count has room to run before the set re-ranks again.
+const _: () = assert!(MAX_SHARERS <= 1 << (u32::BITS - OWNER_SHIFT));
+const _: () = assert!(32 < MAX_STAMP);
+
+/// `u32`s in the block of a `ways`-way set.
+#[inline(always)]
+pub(crate) fn block_len(ways: u32) -> usize {
+    WORDS_PER_LINE * ways as usize + 1
+}
 
 /// The filler id in a meta word.
 #[inline(always)]
 fn owner_of(meta: u32) -> u32 {
-    meta >> STAMP_BITS
+    meta >> OWNER_SHIFT
+}
+
+/// The sharer mask in a meta word.
+#[inline(always)]
+fn sharers_of(meta: u32) -> u32 {
+    (meta >> SHARER_SHIFT) & ((1 << MAX_SHARERS) - 1)
 }
 
 /// One resident line: its address tag, an LRU timestamp, and the id of
@@ -174,7 +190,7 @@ impl SetPos {
     }
 }
 
-/// One set's packed state — an occupancy word and a `3 × ways` block —
+/// One set's packed state — an occupancy word and a `2 × ways + 1` block —
 /// and the only implementation of the set logic beside
 /// [`legacy::LegacyCacheSet`]. The storage is a parameter so the same
 /// code runs over a set that owns its words ([`CacheSet`]) and over one
@@ -183,8 +199,8 @@ impl SetPos {
 pub struct PackedSet<O, D> {
     /// Occupancy bitmask: bit `w` set means way `w` holds a valid line.
     occ: O,
-    /// Packed per-way state: `ways` tags, `ways` meta words, then `ways`
-    /// sharer masks.
+    /// Packed per-way state: `ways` tags, `ways` meta words, then the
+    /// set's clock.
     data: D,
     /// Where the set sits, to turn lines into tags and back.
     pos: SetPos,
@@ -199,20 +215,16 @@ pub type SetRef<'a> = PackedSet<u32, &'a [u32]>;
 /// Mutable view of one set of a [`crate::SetAssocCache`].
 pub(crate) type SetMut<'a> = PackedSet<&'a mut u32, &'a mut [u32]>;
 
-/// BIP insertion stamp: MRU (`now`) one fill in `mru_one_in`, LRU-position
-/// (stamp 0) otherwise; every other policy inserts at MRU. Shared by the
+/// Whether a fill inserts at MRU (stamp `now`) rather than LRU (stamp 0):
+/// BIP one fill in `mru_one_in`, every other policy always. Shared by the
 /// packed and legacy implementations so they cannot drift.
 #[inline]
-fn insertion_stamp(policy: ReplacementPolicy, now: u64, draw: u64) -> u64 {
+fn inserts_at_mru(policy: ReplacementPolicy, draw: u64) -> bool {
     match policy {
         ReplacementPolicy::Bip { mru_one_in } => {
-            if mru_one_in <= 1 || draw.is_multiple_of(u64::from(mru_one_in)) {
-                now
-            } else {
-                0
-            }
+            mru_one_in <= 1 || draw.is_multiple_of(u64::from(mru_one_in))
         }
-        _ => now,
+        _ => true,
     }
 }
 
@@ -222,7 +234,7 @@ impl CacheSet {
         debug_assert!((1..=32).contains(&ways), "way masks are 32-bit");
         let mut set = PackedSet {
             occ: 0,
-            data: vec![0u32; WORDS_PER_LINE * ways as usize].into_boxed_slice(),
+            data: vec![0u32; block_len(ways)].into_boxed_slice(),
             pos: SetPos::ALONE,
         };
         set.flush();
@@ -231,7 +243,7 @@ impl CacheSet {
 }
 
 impl<O, D> PackedSet<O, D> {
-    /// A set at `pos` over an occupancy word and a `3 × ways` block kept
+    /// A set at `pos` over an occupancy word and a `2 × ways + 1` block kept
     /// elsewhere. A zeroed block is not an empty set: [`PackedSet::flush`]
     /// makes one.
     #[inline(always)]
@@ -246,6 +258,7 @@ impl<O: Borrow<u32>, D: Borrow<[u32]>> PackedSet<O, D> {
         *self.occ.borrow()
     }
 
+    /// Ways in the set: the clock word rounds away.
     #[inline(always)]
     fn n(&self) -> usize {
         self.data.borrow().len() / WORDS_PER_LINE
@@ -278,10 +291,11 @@ impl<O: Borrow<u32>, D: Borrow<[u32]>> PackedSet<O, D> {
     fn departing(&self, way: u32) -> Evicted {
         let data = self.data.borrow();
         let (n, w) = (self.n(), way as usize);
+        let meta = data[n + w];
         Evicted {
             line: self.pos.line_of(data[w]),
-            owner: owner_of(data[n + w]),
-            sharers: data[2 * n + w],
+            owner: owner_of(meta),
+            sharers: sharers_of(meta),
         }
     }
 
@@ -341,12 +355,11 @@ impl<O: Borrow<u32>, D: Borrow<[u32]>> PackedSet<O, D> {
 // memory.
 impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
     #[inline(always)]
-    fn set_entry(&mut self, way: u32, tag: u32, stamp: u64, owner: u32) {
+    fn set_entry(&mut self, way: u32, tag: u32, stamp: u32, owner: u32) {
         let (n, w) = (self.n(), way as usize);
         let data = self.data.borrow_mut();
         data[w] = tag;
-        data[n + w] = owner << STAMP_BITS | stamp as u32;
-        data[2 * n + w] = 0;
+        data[n + w] = owner << OWNER_SHIFT | stamp;
         *self.occ.borrow_mut() |= 1 << way;
     }
 
@@ -357,41 +370,44 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
         *self.occ.borrow_mut() &= !(1 << way);
     }
 
+    /// The stamp of the set's next access. At [`MAX_STAMP`] the set first
+    /// re-ranks its stamps, which restarts the clock at `ways`: every stamp
+    /// handed out from here on is newer than every stamp stored, as on a
+    /// clock that never wrapped.
+    #[inline(always)]
+    pub(crate) fn tick(&mut self) -> u32 {
+        let slot = WORDS_PER_LINE * self.n();
+        if self.data.borrow()[slot] == MAX_STAMP {
+            self.renormalise_stamps();
+        }
+        let clock = &mut self.data.borrow_mut()[slot];
+        *clock += 1;
+        debug_assert!(*clock <= MAX_STAMP, "stamp beyond the 9-bit field");
+        *clock
+    }
+
     /// Looks up a line; on a hit, refreshes its LRU stamp (unless the
     /// policy does not promote on hits) and returns the way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now > MAX_STAMP`.
-    pub fn lookup(&mut self, line: LineAddr, now: u64) -> Option<u32> {
-        self.lookup_with(line, now, ReplacementPolicy::Lru)
+    pub fn lookup(&mut self, line: LineAddr) -> Option<u32> {
+        self.lookup_with(line, ReplacementPolicy::Lru)
     }
 
     /// Policy-aware lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now > MAX_STAMP`: the stamp field cannot hold it.
     #[inline(always)]
-    pub fn lookup_with(
-        &mut self,
-        line: LineAddr,
-        now: u64,
-        policy: ReplacementPolicy,
-    ) -> Option<u32> {
-        assert!(now <= MAX_STAMP, "stamp beyond the 27-bit field");
+    pub fn lookup_with(&mut self, line: LineAddr, policy: ReplacementPolicy) -> Option<u32> {
+        let now = self.tick();
         self.lookup_tag(self.pos.tag_of(line)?, now, policy)
     }
 
-    /// [`PackedSet::lookup_with`] for a line already turned into its tag.
+    /// [`PackedSet::lookup_with`] for a line already turned into its tag,
+    /// at a stamp the caller took from [`PackedSet::tick`].
     #[inline(always)]
     pub(crate) fn lookup_tag(
         &mut self,
         tag: u32,
-        now: u64,
+        now: u32,
         policy: ReplacementPolicy,
     ) -> Option<u32> {
-        assert!(now <= MAX_STAMP, "stamp beyond the 27-bit field");
         let n = self.n();
         let data = self.data.borrow_mut();
         // Empty slots hold INVALID_TAG, which no stored tag equals, so the
@@ -399,8 +415,8 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
         for w in 0..n {
             if data[w] == tag {
                 if policy.promotes_on_hit() {
-                    // The filler id stays as it is.
-                    data[n + w] = data[n + w] & !STAMP_MASK | now as u32;
+                    // The filler id and the sharers stay as they are.
+                    data[n + w] = data[n + w] & !STAMP_MASK | now;
                 }
                 return Some(w as u32);
             }
@@ -416,9 +432,9 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
     /// Panics if `requestor >= MAX_SHARERS`: the mask has no bit for it.
     #[inline(always)]
     pub fn add_sharer(&mut self, way: u32, requestor: u32) {
-        assert!(requestor < MAX_SHARERS, "sharer mask holds 32 requestors");
-        let slot = 2 * self.n() + way as usize;
-        self.data.borrow_mut()[slot] |= 1 << requestor;
+        assert!(requestor < MAX_SHARERS, "requestor beyond the sharer mask");
+        let slot = self.n() + way as usize;
+        self.data.borrow_mut()[slot] |= 1 << (SHARER_SHIFT + requestor);
     }
 
     /// Fills `line` into a way permitted by `mask`, evicting the LRU line
@@ -430,10 +446,10 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
     /// Panics if `mask` permits no way within this set's associativity;
     /// CAT forbids empty masks (Intel x86 does not allow a zero-way COS) and
     /// upper layers validate masks before they reach the set. Panics if
-    /// `now > MAX_STAMP` or `owner >= MAX_SHARERS`, and if `line`'s tag
-    /// does not fit 32 bits beside the empty-way sentinel.
-    pub fn fill(&mut self, line: LineAddr, mask: WayMask, now: u64, owner: u32) -> FillResult {
-        self.fill_with(line, mask, now, owner, ReplacementPolicy::Lru, 0)
+    /// `owner >= MAX_SHARERS`, and if `line`'s tag does not fit 32 bits
+    /// beside the empty-way sentinel.
+    pub fn fill(&mut self, line: LineAddr, mask: WayMask, owner: u32) -> FillResult {
+        self.fill_with(line, mask, owner, ReplacementPolicy::Lru, 0)
     }
 
     /// Policy-aware fill. `draw` is a pseudo-random value supplied by the
@@ -442,15 +458,14 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
     ///
     /// # Panics
     ///
-    /// As [`PackedSet::fill`]: on an empty `mask`, on `now > MAX_STAMP`,
-    /// on `owner >= MAX_SHARERS` and on a line whose tag reaches the
-    /// sentinel — the fields cannot hold them.
+    /// As [`PackedSet::fill`]: on an empty `mask`, on `owner >= MAX_SHARERS`
+    /// and on a line whose tag reaches the sentinel — the fields cannot
+    /// hold them.
     #[inline(always)]
     pub fn fill_with(
         &mut self,
         line: LineAddr,
         mask: WayMask,
-        now: u64,
         owner: u32,
         policy: ReplacementPolicy,
         draw: u64,
@@ -459,16 +474,18 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
             .pos
             .tag_of(line)
             .expect("line beyond the 32-bit tag field, or of another set");
+        let now = self.tick();
         self.fill_tag(tag, mask, now, owner, policy, draw)
     }
 
-    /// [`PackedSet::fill_with`] for a line already turned into its tag.
+    /// [`PackedSet::fill_with`] for a line already turned into its tag,
+    /// at a stamp the caller took from [`PackedSet::tick`].
     #[inline(always)]
     pub(crate) fn fill_tag(
         &mut self,
         tag: u32,
         mask: WayMask,
-        now: u64,
+        now: u32,
         owner: u32,
         policy: ReplacementPolicy,
         draw: u64,
@@ -478,9 +495,8 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
             "fill of a line that is already resident"
         );
         debug_assert_ne!(tag, INVALID_TAG, "tag collides with the sentinel");
-        assert!(now <= MAX_STAMP, "stamp beyond the 27-bit field");
-        assert!(owner < MAX_SHARERS, "filler id beyond the 5-bit field");
-        let insert_stamp = insertion_stamp(policy, now, draw);
+        assert!(owner < MAX_SHARERS, "filler id beyond the sharer mask");
+        let insert_stamp = if inserts_at_mru(policy, draw) { now } else { 0 };
 
         // Prefer an invalid (empty) permitted way: the lowest-index free
         // bit, matching the seed's ascending-way scan.
@@ -572,14 +588,16 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
     }
 
     /// Rewrites the resident lines' non-zero stamps as their ranks
-    /// `1..=k`, oldest first, and leaves BIP's LRU-insert zeros zero: the
-    /// order among this set's stamps — all a victim scan reads — is kept,
-    /// and a caller that goes on from any `now` above `ways` stays above
+    /// `1..=k`, oldest first, leaves BIP's LRU-insert zeros zero and
+    /// restarts the clock at `ways`: the order among this set's stamps —
+    /// all a victim scan reads — is kept, and every later stamp is above
     /// every stamp here. Emptied ways keep a stale meta word and are not
-    /// ranked. Stamps that tie (a [`crate::SetAssocCache`] writes none:
-    /// each is the clock of a different access) rank in way order, the
-    /// way the victim scan breaks the tie.
-    pub(crate) fn renormalise_stamps(&mut self) {
+    /// ranked. Stamps that tie (the clock writes none: each is a different
+    /// access's) rank in way order, the way the victim scan breaks the
+    /// tie. [`PackedSet::tick`] calls it at [`MAX_STAMP`]; at any other
+    /// time it changes no decision either.
+    #[cold]
+    pub fn renormalise_stamps(&mut self) {
         let n = self.n();
         let mut order = [(0u32, 0usize); 32];
         let mut k = 0;
@@ -598,6 +616,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
         for (rank, &(_, w)) in (1u32..).zip(&order[..k]) {
             metas[w] = metas[w] & !STAMP_MASK | rank;
         }
+        self.data.borrow_mut()[WORDS_PER_LINE * n] = n as u32;
     }
 
     /// [`PackedSet::drain_lines_in`] collecting the dropped lines.
@@ -630,7 +649,7 @@ fn nth_set_bit(mut bits: u32, k: u32) -> u32 {
 /// recorded in `BENCH_micro.json`. Not part of the supported API.
 #[doc(hidden)]
 pub mod legacy {
-    use super::{insertion_stamp, Evicted, FillResult, LineEntry};
+    use super::{inserts_at_mru, Evicted, FillResult, LineEntry};
     use crate::address::LineAddr;
     use crate::cache::WayMask;
     use crate::replacement::ReplacementPolicy;
@@ -696,7 +715,7 @@ pub mod legacy {
                 self.probe(line).is_none(),
                 "fill of a line that is already resident"
             );
-            let insert_stamp = insertion_stamp(policy, now, draw);
+            let insert_stamp = if inserts_at_mru(policy, draw) { now } else { 0 };
 
             // Prefer an invalid (empty) permitted way; collect candidates.
             let mut candidates: Vec<u32> = Vec::new();
@@ -814,16 +833,16 @@ mod tests {
     #[test]
     fn fill_then_lookup_hits() {
         let mut set = CacheSet::new(4);
-        set.fill(LineAddr(7), full_mask(4), 1, 0);
-        assert!(set.lookup(LineAddr(7), 2).is_some());
-        assert!(set.lookup(LineAddr(8), 3).is_none());
+        set.fill(LineAddr(7), full_mask(4), 0);
+        assert!(set.lookup(LineAddr(7)).is_some());
+        assert!(set.lookup(LineAddr(8)).is_none());
     }
 
     #[test]
     fn fill_prefers_empty_way() {
         let mut set = CacheSet::new(2);
-        let r1 = set.fill(LineAddr(1), full_mask(2), 1, 0);
-        let r2 = set.fill(LineAddr(2), full_mask(2), 2, 0);
+        let r1 = set.fill(LineAddr(1), full_mask(2), 0);
+        let r2 = set.fill(LineAddr(2), full_mask(2), 0);
         assert_eq!(r1.evicted, None);
         assert_eq!(r2.evicted, None);
         assert_ne!(r1.way, r2.way);
@@ -832,11 +851,11 @@ mod tests {
     #[test]
     fn lru_victim_is_least_recently_used() {
         let mut set = CacheSet::new(2);
-        set.fill(LineAddr(1), full_mask(2), 1, 0);
-        set.fill(LineAddr(2), full_mask(2), 2, 0);
+        set.fill(LineAddr(1), full_mask(2), 0);
+        set.fill(LineAddr(2), full_mask(2), 0);
         // Touch line 1 so line 2 becomes LRU.
-        set.lookup(LineAddr(1), 3);
-        let r = set.fill(LineAddr(3), full_mask(2), 4, 0);
+        set.lookup(LineAddr(1));
+        let r = set.fill(LineAddr(3), full_mask(2), 0);
         assert_eq!(r.evicted.map(|e| e.line), Some(LineAddr(2)));
         assert!(set.probe(LineAddr(1)).is_some());
     }
@@ -846,7 +865,7 @@ mod tests {
         let mut set = CacheSet::new(4);
         let low = WayMask::from_way_range(0, 2);
         for i in 0..8 {
-            set.fill(LineAddr(i), low, i, 0);
+            set.fill(LineAddr(i), low, 0);
         }
         // Only the two permitted ways are ever occupied.
         assert_eq!(set.occupancy(), 2);
@@ -859,9 +878,9 @@ mod tests {
         let mut set = CacheSet::new(4);
         let low = WayMask::from_way_range(0, 2);
         let high = WayMask::from_way_range(2, 2);
-        set.fill(LineAddr(100), high, 1, 0);
+        set.fill(LineAddr(100), high, 0);
         for i in 0..10 {
-            set.fill(LineAddr(i), low, 2 + i, 0);
+            set.fill(LineAddr(i), low, 0);
         }
         // The high-partition line survives low-partition thrashing: that is
         // exactly the isolation CAT provides.
@@ -872,15 +891,15 @@ mod tests {
     fn hit_possible_outside_fill_mask() {
         let mut set = CacheSet::new(4);
         let high = WayMask::from_way_range(2, 2);
-        set.fill(LineAddr(5), high, 1, 0);
+        set.fill(LineAddr(5), high, 0);
         // A core whose mask excludes ways 2-3 still *hits* on the line.
-        assert!(set.lookup(LineAddr(5), 2).is_some());
+        assert!(set.lookup(LineAddr(5)).is_some());
     }
 
     #[test]
     fn invalidate_removes_line() {
         let mut set = CacheSet::new(2);
-        set.fill(LineAddr(9), full_mask(2), 1, 0);
+        set.fill(LineAddr(9), full_mask(2), 0);
         assert!(set.invalidate(LineAddr(9)));
         assert!(!set.invalidate(LineAddr(9)));
         assert_eq!(set.occupancy(), 0);
@@ -890,7 +909,7 @@ mod tests {
     fn flush_empties_set() {
         let mut set = CacheSet::new(4);
         for i in 0..4 {
-            set.fill(LineAddr(i), full_mask(4), i, 0);
+            set.fill(LineAddr(i), full_mask(4), 0);
         }
         set.flush();
         assert_eq!(set.occupancy(), 0);
@@ -902,15 +921,15 @@ mod tests {
         let mut set = CacheSet::new(2);
         // A mask outside the set's associativity behaves like an empty mask.
         let bad = WayMask::from_way_range(2, 2);
-        set.fill(LineAddr(1), bad, 1, 0);
+        set.fill(LineAddr(1), bad, 0);
     }
 
     #[test]
     fn occupancy_of_attributes_by_filling_owner() {
         let mut set = CacheSet::new(4);
-        set.fill(LineAddr(1), full_mask(4), 1, 7);
-        set.fill(LineAddr(2), full_mask(4), 2, 7);
-        set.fill(LineAddr(3), full_mask(4), 3, 9);
+        set.fill(LineAddr(1), full_mask(4), 7);
+        set.fill(LineAddr(2), full_mask(4), 7);
+        set.fill(LineAddr(3), full_mask(4), 9);
         assert_eq!(set.occupancy_of(7), 2);
         assert_eq!(set.occupancy_of(9), 1);
         assert_eq!(set.occupancy_of(0), 0);
@@ -919,18 +938,18 @@ mod tests {
     #[test]
     fn sharer_mask_leaves_with_the_line_and_never_disturbs_the_owner() {
         let mut set = CacheSet::new(2);
-        let a = set.fill(LineAddr(1), full_mask(2), 1, 5);
+        let a = set.fill(LineAddr(1), full_mask(2), 5);
         set.add_sharer(a.way, 5);
-        set.add_sharer(a.way, 31);
-        let b = set.fill(LineAddr(2), full_mask(2), 2, 6);
+        set.add_sharer(a.way, 17);
+        let b = set.fill(LineAddr(2), full_mask(2), 6);
         assert_eq!(set.occupancy_of(5), 1, "sharer bits are not the owner");
-        let r = set.fill(LineAddr(3), full_mask(2), 3, 7);
+        let r = set.fill(LineAddr(3), full_mask(2), 7);
         assert_eq!(
             r.evicted,
             Some(Evicted {
                 line: LineAddr(1),
                 owner: 5,
-                sharers: (1 << 5) | (1 << 31),
+                sharers: (1 << 5) | (1 << 17),
             })
         );
         // The refilled way starts with no sharers; an untouched line has none.
@@ -941,36 +960,60 @@ mod tests {
         assert_eq!(set.remove(LineAddr(2)), None);
     }
 
+    /// The top sharer bit is the one beside the filler id: a mask shifted
+    /// a bit too far would lend it to the owner field.
     #[test]
-    #[should_panic(expected = "32 requestors")]
+    fn the_top_sharer_bit_sits_below_the_owner() {
+        let mut set = CacheSet::new(1);
+        set.fill(LineAddr(1), full_mask(1), 16);
+        set.add_sharer(0, MAX_SHARERS - 1);
+        set.add_sharer(0, 0);
+        assert_eq!(set.occupancy_of(16), 1);
+        let gone = set.remove(LineAddr(1)).expect("line 1 is resident");
+        assert_eq!((gone.owner, gone.sharers), (16, 1 << 17 | 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the sharer mask")]
     fn sharer_beyond_the_mask_is_rejected() {
         let mut set = CacheSet::new(2);
-        let r = set.fill(LineAddr(1), full_mask(2), 1, 0);
+        let r = set.fill(LineAddr(1), full_mask(2), 0);
         set.add_sharer(r.way, MAX_SHARERS);
     }
 
     #[test]
-    #[should_panic(expected = "27-bit field")]
-    fn stamp_beyond_the_field_is_rejected() {
-        let mut set = CacheSet::new(2);
-        set.fill(LineAddr(1), full_mask(2), MAX_STAMP, 0);
-        set.lookup(LineAddr(1), MAX_STAMP + 1);
+    fn the_clock_re_ranks_the_set_and_restarts_at_ways() {
+        let mut set = CacheSet::new(4);
+        for line in 0..4 {
+            set.fill(LineAddr(line), full_mask(4), 0);
+        }
+        // Four fills and 511 lookups: tick 512 re-ranks and restarts the
+        // clock at 4, ticks 512..=515 take it to 8.
+        for k in 0..u64::from(MAX_STAMP) {
+            set.lookup(LineAddr(3 - k % 4));
+        }
+        assert_eq!(set.data[2 * 4], 8);
+        // Lines 0, 3, 2, 1 were touched last, in that order.
+        let next = set.fill(LineAddr(9), full_mask(4), 0);
+        assert_eq!(next.evicted.map(|e| e.line), Some(LineAddr(0)));
+        let next = set.fill(LineAddr(10), full_mask(4), 0);
+        assert_eq!(next.evicted.map(|e| e.line), Some(LineAddr(3)));
     }
 
     #[test]
-    #[should_panic(expected = "5-bit field")]
+    #[should_panic(expected = "filler id beyond the sharer mask")]
     fn filler_beyond_the_field_is_rejected() {
         let mut set = CacheSet::new(2);
-        set.fill(LineAddr(1), full_mask(2), 1, MAX_SHARERS);
+        set.fill(LineAddr(1), full_mask(2), MAX_SHARERS);
     }
 
     #[test]
     fn resident_lines_iterates_in_way_order() {
         let mut set = CacheSet::new(4);
-        set.fill(LineAddr(30), full_mask(4), 1, 0);
-        set.fill(LineAddr(10), full_mask(4), 2, 0);
+        set.fill(LineAddr(30), full_mask(4), 0);
+        set.fill(LineAddr(10), full_mask(4), 0);
         set.invalidate(LineAddr(30));
-        set.fill(LineAddr(20), WayMask::from_way_range(2, 2), 3, 0);
+        set.fill(LineAddr(20), WayMask::from_way_range(2, 2), 0);
         let lines: Vec<LineAddr> = set.resident_lines().collect();
         assert_eq!(lines, vec![LineAddr(10), LineAddr(20)]);
     }
@@ -979,7 +1022,7 @@ mod tests {
     fn invalidate_ways_reports_dropped_lines_ascending() {
         let mut set = CacheSet::new(4);
         for i in 0..4u64 {
-            set.fill(LineAddr(i), full_mask(4), i, 0);
+            set.fill(LineAddr(i), full_mask(4), 0);
         }
         let dropped = set.invalidate_ways(WayMask::from_way_range(1, 2));
         assert_eq!(dropped, vec![LineAddr(1), LineAddr(2)]);
@@ -998,10 +1041,10 @@ mod tests {
         let mut set = CacheSet::new(32);
         let mask = WayMask::all(32);
         for i in 0..32u64 {
-            assert_eq!(set.fill(LineAddr(i), mask, i + 1, 0).evicted, None);
+            assert_eq!(set.fill(LineAddr(i), mask, 0).evicted, None);
         }
         assert_eq!(set.occupancy(), 32);
-        let r = set.fill(LineAddr(99), mask, 100, 0);
+        let r = set.fill(LineAddr(99), mask, 0);
         assert_eq!(
             r.evicted.map(|e| e.line),
             Some(LineAddr(0)),

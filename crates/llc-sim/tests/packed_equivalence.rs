@@ -37,13 +37,13 @@ fn equivalence_cases(policy: ReplacementPolicy) {
                 0..=5 => {
                     let line = LineAddr(g.u64_in(0, universe));
                     let draw = g.u64_in(0, u64::MAX - 1);
-                    let a = packed.lookup_with(line, now, policy);
+                    let a = packed.lookup_with(line, policy);
                     let b = oracle.lookup_with(line, now, policy);
                     assert_eq!(a, b, "lookup diverged for {line:?}");
                     if a.is_none() {
                         // A filler id the packed set's 5-bit field can hold.
                         let owner = g.u32_in(0, MAX_SHARERS - 1);
-                        let fa = packed.fill_with(line, mask, now, owner, policy, draw);
+                        let fa = packed.fill_with(line, mask, owner, policy, draw);
                         let fb = oracle.fill_with(line, mask, now, owner, policy, draw);
                         assert_eq!(fa, fb, "fill diverged for {line:?}");
                     }

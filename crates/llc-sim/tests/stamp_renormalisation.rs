@@ -1,20 +1,21 @@
-//! Exactness of the 27-bit stamp: a `SetAssocCache` driven across its
-//! clock's renormalisation against an oracle on 64-bit stamps.
+//! Exactness of the 9-bit stamp: a `SetAssocCache` driven across many
+//! re-ranks of every set's clock against an oracle on 64-bit stamps.
 //!
-//! A packed line keeps 27 bits of last-use stamp; when the cache's clock
-//! reaches `MAX_STAMP` every set's non-zero stamps are rewritten as their
-//! ranks and the clock restarts above them. The claim is that no decision
-//! can tell: victim selection is the only reader of a stamp and compares
-//! stamps of one set only. The oracle here is one `LegacyCacheSet` per set
-//! on a `u64` clock that never wraps, plus the sharer masks the legacy set
-//! does not keep and a copy of the cache's draw stream. Each sequence
-//! starts its cache a few hundred ticks short of `MAX_STAMP`, crosses the
-//! renormalisation, is moved short of `MAX_STAMP` again and crosses a
-//! second one — under changing fill masks and requestors, with
-//! invalidations and way flushes in between so sets hold emptied ways with
-//! stale meta words when they are re-ranked. After every access the
-//! outcome, the evicted line with its filler and sharers, and the
-//! residency of the whole universe must agree. 2 000 sequences per policy.
+//! A packed line keeps 9 bits of last-use stamp, and each set its own
+//! clock, advanced once per access to the set; when a set's clock reaches
+//! `MAX_STAMP` the set's non-zero stamps are rewritten as their ranks and
+//! its clock restarts at `ways`. The claim is that no decision can tell:
+//! victim selection is the only reader of a stamp and compares stamps of
+//! one set only. The oracle here is one `LegacyCacheSet` per set on one
+//! `u64` clock for the whole cache that never wraps, plus the sharer masks
+//! the legacy set does not keep and a copy of the cache's draw stream.
+//! Each sequence runs long enough that every set re-ranks at least three
+//! times — under changing fill masks and requestors 0..=17 (so the top
+//! sharer bit, beside the filler id, is in play), with invalidations and
+//! way flushes in between so sets hold emptied ways with stale meta words
+//! when they are re-ranked. After every access the outcome, the evicted
+//! line with its filler and sharers, and the residency of the whole
+//! universe must agree. 150 sequences per policy.
 
 use std::collections::BTreeMap;
 
@@ -115,9 +116,19 @@ fn random_nonempty_mask(g: &mut prop_lite::Gen, ways: u32) -> WayMask {
     WayMask::from_way_range(start, count)
 }
 
+/// Re-ranks a `ways`-way set has made after `accesses` accesses: the first
+/// at access `MAX_STAMP + 1`, each later one `MAX_STAMP - ways` on, once
+/// its restarted clock has climbed back to the top.
+fn reranks(accesses: u64, ways: u32) -> u64 {
+    let (top, period) = (u64::from(MAX_STAMP), u64::from(MAX_STAMP - ways));
+    accesses
+        .checked_sub(top + 1)
+        .map_or(0, |past| 1 + past / period)
+}
+
 fn lockstep_cases(label: &str, policy: ReplacementPolicy) {
     let name = format!("stamp_renormalisation_{label}");
-    prop_lite::run_cases(&name, 2_000, |g| {
+    prop_lite::run_cases(&name, 150, |g| {
         let geometry = CacheGeometry::new(g.u32_in(1, 4), g.u32_in(1, 8), 64);
         let mut cache = SetAssocCache::with_policy(geometry, policy);
         let mut oracle = Oracle::new(geometry, policy);
@@ -125,49 +136,56 @@ fn lockstep_cases(label: &str, policy: ReplacementPolicy) {
         // evict and re-fill evicted lines.
         let universe = u64::from(geometry.sets) * (2 * u64::from(geometry.ways) + 2);
         let mut mask = random_nonempty_mask(g, geometry.ways);
-        for _renormalisation in 0..2 {
-            // `short` accesses take the clock to MAX_STAMP; the one after
-            // re-ranks every set first.
-            let short = g.u64_in(100, 300);
-            cache.skip_clock_to(MAX_STAMP - short);
-            let mut accesses = short + g.u64_in(40, 120);
-            while accesses > 0 {
-                let line = LineAddr(g.u64_in(0, universe - 1));
-                match g.u32_in(0, 19) {
-                    0..=13 => {
-                        let requestor = g.u32_in(0, MAX_SHARERS - 1);
-                        assert_eq!(
-                            cache.access_as(line, mask, requestor),
-                            oracle.access(line, mask, Some(requestor)),
-                            "access_as diverged for {line:?} by {requestor}"
-                        );
-                        accesses -= 1;
-                    }
-                    14..=15 => {
-                        assert_eq!(
-                            cache.access(line, mask),
-                            oracle.access(line, mask, None),
-                            "access diverged for {line:?}"
-                        );
-                        accesses -= 1;
-                    }
-                    16 => mask = random_nonempty_mask(g, geometry.ways),
-                    17..=18 => assert_eq!(
-                        cache.invalidate(line),
-                        oracle.invalidate(line),
-                        "invalidate diverged for {line:?}"
-                    ),
-                    _ => {
-                        let flushed = random_nonempty_mask(g, geometry.ways);
-                        let mut dropped = Vec::new();
-                        cache.drain_lines_in(flushed, |gone| dropped.push(gone.line));
-                        assert_eq!(dropped, oracle.invalidate_ways(flushed), "flush diverged");
-                    }
+        let mut per_set = vec![0u64; geometry.sets as usize];
+        // Four clock spans a set on average: three re-ranks need a little
+        // over three.
+        let mut accesses = u64::from(geometry.sets) * 4 * u64::from(MAX_STAMP);
+        while accesses > 0 {
+            let line = LineAddr(g.u64_in(0, universe - 1));
+            let set = (line.0 % u64::from(geometry.sets)) as usize;
+            match g.u32_in(0, 19) {
+                0..=13 => {
+                    let requestor = g.u32_in(0, MAX_SHARERS - 1);
+                    assert_eq!(
+                        cache.access_as(line, mask, requestor),
+                        oracle.access(line, mask, Some(requestor)),
+                        "access_as diverged for {line:?} by {requestor}"
+                    );
+                    accesses -= 1;
+                    per_set[set] += 1;
                 }
-                for l in (0..universe).map(LineAddr) {
-                    assert_eq!(cache.probe(l), oracle.probe(l), "residency of {l:?}");
+                14..=15 => {
+                    assert_eq!(
+                        cache.access(line, mask),
+                        oracle.access(line, mask, None),
+                        "access diverged for {line:?}"
+                    );
+                    accesses -= 1;
+                    per_set[set] += 1;
+                }
+                16 => mask = random_nonempty_mask(g, geometry.ways),
+                17..=18 => assert_eq!(
+                    cache.invalidate(line),
+                    oracle.invalidate(line),
+                    "invalidate diverged for {line:?}"
+                ),
+                _ => {
+                    let flushed = random_nonempty_mask(g, geometry.ways);
+                    let mut dropped = Vec::new();
+                    cache.drain_lines_in(flushed, |gone| dropped.push(gone.line));
+                    assert_eq!(dropped, oracle.invalidate_ways(flushed), "flush diverged");
                 }
             }
+            for l in (0..universe).map(LineAddr) {
+                assert_eq!(cache.probe(l), oracle.probe(l), "residency of {l:?}");
+            }
+        }
+        for (set, &count) in per_set.iter().enumerate() {
+            let times = reranks(count, geometry.ways);
+            assert!(
+                times >= 3,
+                "set {set} re-ranked {times} times in {count} accesses"
+            );
         }
     });
 }
@@ -188,7 +206,7 @@ fn narrow_stamps_match_wide_stamps_random() {
 }
 
 /// BIP is the policy with ties: most fills insert at stamp 0, and zeros
-/// must stay tied (and below every rank) through a renormalisation. The
+/// must stay tied (and below every rank) through every re-rank. The
 /// paper's 1-in-32 and a 1-in-2 that mixes zeros and clock stamps in
 /// every set.
 #[test]
