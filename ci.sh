@@ -96,7 +96,8 @@ echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch co
 # reader's integer codec and its first-of-duplicate-keys lookup (§16); 19
 # a departing LLC line rebuilt from its tag without its set (§14); 20
 # `dcat-top --replay` passing input of no known kind (§16); 21 the one
-# apply writing in class order (§10.1).
+# apply writing in class order (§10.1); 23-24 the radix page table's root
+# growth and the walk behind `clear` (§14, "Translation").
 sh tools/mutants.sh tests/mutants/*.patch
 
 echo "==> the float printer against {:?}, 30 M draws of each shape (release; the debug run above did 1 M)"
@@ -119,19 +120,16 @@ echo "==> engine epoch allocations (counting allocator; warm-epoch bound, releas
 # 4-VM run_epoch allocates 5 times per epoch, never per reference.
 cargo test -q --release -p host --offline --test epoch_allocations -- --nocapture
 
-echo "==> all experiments: serial vs parallel wall-clock and byte-identity"
+echo "==> all experiments: serial vs parallel wall-clock"
+# Byte-identity across --jobs 1 and 2, and against the report recorded in
+# crates/bench/tests/golden/all_experiments_fast.txt, is the test step's
+# `all_experiments_golden`; this step only times the two widths.
 t0=$(date +%s)
-cargo run -q --release -p dcat-bench --offline --bin all_experiments -- --fast --jobs 1 \
-    > target/all_experiments.jobs1.txt
+cargo run -q --release -p dcat-bench --offline --bin all_experiments -- --fast --jobs 1 > /dev/null
 t1=$(date +%s)
-cargo run -q --release -p dcat-bench --offline --bin all_experiments -- --fast --jobs 2 \
-    > target/all_experiments.jobs2.txt
+cargo run -q --release -p dcat-bench --offline --bin all_experiments -- --fast --jobs 2 > /dev/null
 t2=$(date +%s)
 echo "all_experiments --fast wall-clock: jobs=1 $((t1 - t0))s, jobs=2 $((t2 - t1))s"
-if ! cmp -s target/all_experiments.jobs1.txt target/all_experiments.jobs2.txt; then
-    echo "ERROR: all_experiments output differs between --jobs 1 and --jobs 2" >&2
-    exit 1
-fi
 
 echo "==> fleet smoke: 1000 tenants, sampled sets, byte-identity across jobs widths"
 # The cluster scenario layer fans hosts over the worker pool; the smoke

@@ -451,6 +451,31 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
     }
 
     {
+        // The shape of `socket_services`' largest tenant: random mapped
+        // pages over a 50 000-page space, about 9 of every 64 mapped.
+        const SPACE: u64 = 50_000;
+        let mut frames = FrameAllocator::new(256 << 20, FramePolicy::Randomized, 7);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut mapper = PageMapper::new(PageSize::Small);
+        let mut state = 1u64;
+        let mut mapped = Vec::new();
+        for page in 0..SPACE {
+            state = lcg_next(state);
+            if (state >> 58) < 9 {
+                mapper
+                    .translate_with(VirtAddr(page << 12), &mut frames, &mut rng)
+                    .expect("pool holds the working set");
+                mapped.push(page << 12);
+            }
+        }
+        suite.case("page_translate_sparse", iters, move || {
+            state = lcg_next(state);
+            let vaddr = VirtAddr(mapped[(state >> 33) as usize % mapped.len()]);
+            mapper.translate_with(vaddr, &mut frames, &mut rng)
+        });
+    }
+
+    {
         // 63 of 64 references of a sequential scan, and every think-time
         // filler reference, repeat the previous translation's page.
         let mut frames = FrameAllocator::new(256 << 20, FramePolicy::Randomized, 7);

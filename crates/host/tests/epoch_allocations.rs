@@ -6,7 +6,8 @@
 //! installs a counting `#[global_allocator]`: the `GlobalAlloc` trait is
 //! `unsafe` to implement, and the implementation below only forwards to
 //! [`System`] after bumping a counter (the same shape as
-//! `crates/dcat/tests/tick_allocations.rs`, the only other one).
+//! `crates/dcat/tests/tick_allocations.rs` and
+//! `crates/llc-sim/tests/page_table_allocations.rs`).
 //!
 //! Four VMs — random reads, a stream, a compute loop, and a second
 //! random reader — run until every page of every working set is mapped;

@@ -14,8 +14,6 @@
 //! physically contiguous by construction). [`PageMapper`] demand-maps
 //! virtual pages on first touch.
 
-use std::hash::{BuildHasherDefault, Hasher};
-
 use smallrng::SmallRng;
 
 use crate::address::{PhysAddr, VirtAddr};
@@ -85,13 +83,19 @@ impl FrameAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if `memory_bytes` is smaller than one huge page.
+    /// Panics if `memory_bytes` is smaller than one huge page, or holds
+    /// `u32::MAX` or more 4 KiB frames (16 TiB): the page table keeps a
+    /// frame number in a `u32` slot, and `u32::MAX` marks an empty one.
     pub fn new(memory_bytes: u64, policy: FramePolicy, seed: u64) -> Self {
         assert!(
             memory_bytes >= PageSize::Huge.bytes(),
             "physical memory must hold at least one huge page"
         );
         let total_small_frames = memory_bytes >> PageSize::Small.shift();
+        assert!(
+            total_small_frames < u64::from(u32::MAX),
+            "physical memory must hold fewer than u32::MAX 4 KiB frames"
+        );
         let words = usize::try_from(total_small_frames.div_ceil(64))
             .expect("frame bitmap must be addressable");
         FrameAllocator {
@@ -275,43 +279,100 @@ impl FrameAllocator {
     }
 }
 
-/// Hasher for the page table: one multiply, then the well-mixed high half
-/// folded onto the low half (the table indexes buckets with the low bits).
-///
-/// The keys are virtual page numbers the simulator generates itself, so
-/// SipHash's resistance to crafted collisions buys nothing here, and its
-/// cost sat on every memory reference. A fixed function also makes the
-/// table's iteration order the same in every process.
-#[derive(Debug, Clone, Copy, Default)]
-struct PageHasher(u64);
+/// A table node is 64 `u32` slots (256 bytes) and resolves 6 bits of page
+/// number. `EMPTY` marks a free slot: node indices never reach it, and
+/// [`FrameAllocator::new`] keeps frame numbers below it.
+const LEVEL_BITS: u32 = 6;
+const SLOTS: usize = 1 << LEVEL_BITS;
+const EMPTY: u32 = u32::MAX;
 
-impl Hasher for PageHasher {
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let h = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    // `u64` keys only ever reach `write_u64`; the trait needs a byte path.
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// The page table, a radix tree shaped like the one the MMU walks. A leaf
+/// slot holds the 4 KiB frame number of its page's base, an inner slot
+/// the index of the node below. A sparse address space costs nodes only
+/// where it is mapped, and the table never copies itself to grow.
+#[derive(Debug, Default)]
+struct PageTable {
+    #[expect(clippy::vec_box, reason = "a `Vec` of nodes copies them all to grow")]
+    nodes: Vec<Box<[u32; SLOTS]>>,
+    /// Every root the table has had, one a level: `spine[l]` covers page
+    /// numbers below `1 << (6 * (l + 1))`, and the last is the root. A
+    /// walk starts at the lowest that covers its page, so a small page
+    /// number takes no more levels once a large one has grown the table.
+    spine: Vec<u32>,
+    pages: usize,
 }
 
-/// The page table stays a hash map: `translate()` runs per memory
-/// reference and O(1) lookup is the point.
-#[allow(
-    clippy::disallowed_types,
-    reason = "only `clear()` iterates it, and frees are commutative; no iteration order escapes"
-)]
-type PageTable = std::collections::HashMap<u64, PhysAddr, BuildHasherDefault<PageHasher>>;
+impl PageTable {
+    #[inline(always)]
+    fn slot(vpage: u64, level: u32) -> usize {
+        (vpage >> (LEVEL_BITS * level)) as usize & (SLOTS - 1)
+    }
+
+    /// Levels from the spine to `vpage`'s leaf: one per 6 bits.
+    #[inline(always)]
+    fn levels(vpage: u64) -> u32 {
+        (vpage | 1).ilog2() / LEVEL_BITS + 1
+    }
+
+    #[inline(always)]
+    fn get(&self, vpage: u64) -> Option<u32> {
+        let levels = Self::levels(vpage);
+        let top = *self.spine.get(levels as usize - 1)?;
+        (0..levels).rev().try_fold(top, |node, level| {
+            let entry = self.nodes[node as usize][Self::slot(vpage, level)];
+            (entry != EMPTY).then_some(entry)
+        })
+    }
+
+    fn push_node(&mut self) -> u32 {
+        let index = u32::try_from(self.nodes.len()).expect("page table node index fits a slot");
+        self.nodes.push(Box::new([EMPTY; SLOTS]));
+        index
+    }
+
+    /// Maps `vpage`, which is not mapped, to `frame`. The table grows a
+    /// root a level until it covers `vpage`, each new root holding the
+    /// old one at its slot 0.
+    fn insert(&mut self, vpage: u64, frame: u32) {
+        let levels = Self::levels(vpage);
+        while self.spine.len() < levels as usize {
+            let root = self.push_node();
+            if let Some(&old_root) = self.spine.last() {
+                self.nodes[root as usize][0] = old_root;
+            }
+            self.spine.push(root);
+        }
+        let mut node = self.spine[levels as usize - 1] as usize;
+        for level in (1..levels).rev() {
+            let slot = Self::slot(vpage, level);
+            if self.nodes[node][slot] == EMPTY {
+                self.nodes[node][slot] = self.push_node();
+            }
+            node = self.nodes[node][slot] as usize;
+        }
+        self.nodes[node][Self::slot(vpage, 0)] = frame;
+        self.pages += 1;
+    }
+
+    /// Empties the table, handing every mapped frame number to `free` in
+    /// ascending page order.
+    fn drain(&mut self, free: &mut impl FnMut(u32)) {
+        if let Some(&root) = self.spine.last() {
+            self.visit(root, self.spine.len() as u32 - 1, free);
+        }
+        *self = PageTable::default();
+    }
+
+    fn visit(&self, node: u32, level: u32, free: &mut impl FnMut(u32)) {
+        for slot in 0..SLOTS {
+            match self.nodes[node as usize][slot] {
+                EMPTY => {}
+                frame if level == 0 => free(frame),
+                child => self.visit(child, level - 1, free),
+            }
+        }
+    }
+}
 
 /// No virtual page has this number: page numbers are addresses shifted
 /// right by at least 12 bits.
@@ -347,7 +408,7 @@ impl PageMapper {
 
     /// Number of pages currently mapped.
     pub fn mapped_pages(&self) -> usize {
-        self.table.len()
+        self.table.pages
     }
 
     /// Translates `vaddr`, allocating a frame on first touch.
@@ -393,14 +454,17 @@ impl PageMapper {
         let shift = self.page_size.shift();
         let vpage = vaddr.page_number(shift);
         if vpage != self.last_vpage {
-            self.last_base = match self.table.get(&vpage) {
-                Some(base) => *base,
+            let frame = match self.table.get(vpage) {
+                Some(frame) => frame,
                 None => {
                     let base = allocate(self.page_size)?;
-                    self.table.insert(vpage, base);
-                    base
+                    let frame = u32::try_from(base.0 >> PageSize::Small.shift())
+                        .expect("FrameAllocator::new keeps frame numbers below u32::MAX");
+                    self.table.insert(vpage, frame);
+                    frame
                 }
             };
+            self.last_base = PhysAddr(u64::from(frame) << PageSize::Small.shift());
             self.last_vpage = vpage;
         }
         Some(PhysAddr(self.last_base.0 + vaddr.page_offset(shift)))
@@ -408,13 +472,9 @@ impl PageMapper {
 
     /// Unmaps everything, returning the frames to `frames`.
     pub fn clear(&mut self, frames: &mut FrameAllocator) {
-        // Draining visits entries in hasher order, but freeing is
-        // commutative: the allocator's record of used frames is a bitmap,
-        // and allocation order is driven by the RNG stream, not by the
-        // order of frees.
-        for (_, base) in self.table.drain() {
-            frames.free(base, self.page_size);
-        }
+        let (size, shift) = (self.page_size, PageSize::Small.shift());
+        self.table
+            .drain(&mut |frame| frames.free(PhysAddr(u64::from(frame) << shift), size));
         self.last_vpage = NO_PAGE;
     }
 }
@@ -500,17 +560,9 @@ mod tests {
     }
 
     #[test]
-    fn page_hasher_spreads_strided_page_numbers_over_the_low_bits() {
-        // Page numbers that differ only above bit 20 (region bases) must
-        // still land in distinct buckets: the table indexes with low bits.
-        let low_bits: std::collections::BTreeSet<u64> = (0..64u64)
-            .map(|i| {
-                let mut h = PageHasher::default();
-                h.write_u64(i << 20);
-                h.finish() & 0xfff
-            })
-            .collect();
-        assert!(low_bits.len() > 56, "only {} distinct", low_bits.len());
+    #[should_panic(expected = "fewer than u32::MAX 4 KiB frames")]
+    fn a_pool_of_u32_max_frames_is_refused() {
+        FrameAllocator::new(u64::from(u32::MAX) << 12, FramePolicy::Contiguous, 1);
     }
 
     #[test]
