@@ -12,6 +12,10 @@ cargo build --release --offline
 echo "==> tests"
 # --workspace on purpose: every member, whatever the root `default-members`
 # lists (today every member too, so Tier-1's bare `cargo test` is this step).
+# It runs dcat-bench's determinism, golden_traces, golden_metrics, registry
+# and promise_floor suites and dcat-verify's recorded counts; the
+# `all_experiments` golden shows the dev profile prints what release does,
+# so none of them has a release step of its own.
 cargo test -q --offline --workspace
 
 echo "==> lint gate (fmt, clippy on the whole workspace)"
@@ -65,10 +69,6 @@ grep -v '^pub mod seeds;' "$seeded/src/lib.rs" > target/seeded-clean/src/lib.rs
 # cargo takes one for the other.
 (cd target/seeded-clean && cargo clippy --offline -- -D warnings)
 
-echo "==> determinism regression + golden decision traces + golden metrics + the experiment registry + the promise floor"
-cargo test -q --release -p dcat-bench --offline --test determinism --test golden_traces \
-    --test golden_metrics --test registry --test promise_floor
-
 echo "==> per-reference path in release: llc-sim, workloads, smallrng and host suites with their recorded oracles"
 # In release, as the experiments run it: the hot path's index and counter
 # arithmetic must hold with overflow checks and debug_asserts compiled out
@@ -84,7 +84,7 @@ echo "==> per-reference path in release: llc-sim, workloads, smallrng and host s
 cargo test -q --release --offline -p workloads -p smallrng -p llc-sim -p host
 
 echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch copy and the test its header names must fail)"
-# 01-03 are the 8-byte LLC line's per-set stamp clock and 22 its sharer
+# 01-03 are the 6-byte LLC line's per-set stamp clock and 22 its sharer
 # field: their exactness argument is only as good as the tests that would
 # notice it break (DESIGN.md §14). 04-06 are
 # the float printer's tie rule and switch point and the row parser's digit
@@ -97,7 +97,9 @@ echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch co
 # a departing LLC line rebuilt from its tag without its set (§14); 20
 # `dcat-top --replay` passing input of no known kind (§16); 21 the one
 # apply writing in class order (§10.1); 23-24 the radix page table's root
-# growth and the walk behind `clear` (§14, "Translation").
+# growth and the walk behind `clear` (§14, "Translation"); 25 a 16-bit tag
+# that admits the empty-way sentinel (§14); 26 the max-performance split's
+# DP skipping the last table (§10).
 sh tools/mutants.sh tests/mutants/*.patch
 
 echo "==> the float printer against {:?}, 30 M draws of each shape (release; the debug run above did 1 M)"

@@ -305,14 +305,18 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
     }
 
     // --- CacheSet access: churn path (every fill evicts) ---
-    // Distinct line per fill keeps the set full and the victim scan hot;
-    // this is exactly the path where the seed implementation allocated a
-    // candidate Vec per access.
+    // A line not resident per fill keeps the set full and the victim scan
+    // hot; this is exactly the path where the seed implementation
+    // allocated a candidate Vec per access. The lines cycle over
+    // `2 × WAYS`: the set holds the last `WAYS` filled, so the next in the
+    // cycle left it `WAYS` fills ago — and a standalone set's tag is the
+    // line, which must stay below the 16-bit sentinel.
+    let churn = 2 * u64::from(WAYS);
     {
         let mut set = full_packed();
         let mut next_line = u64::from(WAYS);
         suite.case("set_access_churn_packed", iters, move || {
-            next_line += 1;
+            next_line = (next_line + 1) % churn;
             set.fill_with(LineAddr(next_line), full, 0, ReplacementPolicy::Lru, 0)
         });
     }
@@ -321,7 +325,7 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         let mut next_line = u64::from(WAYS);
         let mut t = u64::from(WAYS);
         suite.case("set_access_churn_legacy", iters, move || {
-            next_line += 1;
+            next_line = (next_line + 1) % churn;
             t += 1;
             set.fill_with(LineAddr(next_line), full, t, 0, ReplacementPolicy::Lru, 0)
         });
@@ -593,7 +597,7 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
 
     // --- one LLC-bound VM on the paper's socket: uniform-random loads
     // over 256 MB at full fidelity, so nearly every reference walks an LLC
-    // set the host has to fetch from memory (6.2 MB of tags) — the case
+    // set the host has to fetch from memory (4.7 MB of tags) — the case
     // the slice loop's translate-ahead-and-hint pipeline exists for.
     {
         let mut cfg = EngineConfig::xeon_e5_v4();

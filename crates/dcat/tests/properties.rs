@@ -5,6 +5,7 @@
 //! the cache's total ways allocated, at least one way per workload,
 //! non-overlapping masks, and Intel-valid CBMs.
 
+use dcat::perf_table::{max_performance_split, PerformanceTable};
 use dcat::{DcatConfig, DcatController, WorkloadHandle};
 use perf_events::CounterSnapshot;
 use prop_lite::Gen;
@@ -137,5 +138,56 @@ fn idle_shrinks_and_active_keeps_baseline() {
             );
         }
         assert_eq!(ctl.ways_of(0), 1, "idle domain should donate to 1 way");
+    });
+}
+
+/// The best total value of one recorded option per table within
+/// `budget` ways, by trying every combination; `None` when none fits.
+fn brute_force_best(tables: &[PerformanceTable], budget: u32) -> Option<f64> {
+    let Some((first, rest)) = tables.split_first() else {
+        return Some(0.0);
+    };
+    first
+        .iter()
+        .filter(|&(ways, _)| ways <= budget)
+        .filter_map(|(ways, value)| Some(value + brute_force_best(rest, budget - ways)?))
+        .max_by(f64::total_cmp)
+}
+
+/// `max_performance_split` against brute force on up to 4 tenants and 8
+/// ways: the same best total value, and a split that fits the budget,
+/// takes a recorded option from every table and achieves that value.
+#[test]
+fn max_performance_split_matches_brute_force() {
+    prop_lite::run_cases("max_performance_split_matches_brute_force", 512, |g| {
+        let total = g.u32_in(0, 8);
+        let tables: Vec<PerformanceTable> = g.vec_of(1, 4, |g| {
+            let mut table = PerformanceTable::new(g.u32_in(1, 8));
+            for ways in 1..=table.max_ways() {
+                if g.bool_with(0.6) {
+                    table.record(ways, 0.5 + 1.5 * g.f64_unit());
+                }
+            }
+            table
+        });
+        let refs: Vec<&PerformanceTable> = tables.iter().collect();
+        let split = max_performance_split(&refs, total);
+        let best = if tables.iter().any(PerformanceTable::is_empty) {
+            None
+        } else {
+            brute_force_best(&tables, total)
+        };
+        let (Some(split), Some(best)) = (split.as_ref(), best) else {
+            assert_eq!(split.is_none(), best.is_none(), "{split:?} vs {best:?}");
+            return;
+        };
+        assert_eq!(split.len(), tables.len());
+        assert!(split.iter().sum::<u32>() <= total, "{split:?} over {total}");
+        let value = tables
+            .iter()
+            .zip(split)
+            .map(|(t, &w)| t.get(w).expect("the split takes a recorded option"))
+            .fold(0.0, |sum, v| sum + v);
+        assert!((value - best).abs() < 1e-9, "{split:?}: {value} vs {best}");
     });
 }

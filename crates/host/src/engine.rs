@@ -304,7 +304,7 @@ impl Engine {
         let caps = CatCapabilities::with_ways(config.socket.llc_ways());
         let mut hierarchy = Hierarchy::new(config.socket.hierarchy);
         hierarchy.set_fidelity(config.llc_fidelity);
-        // The LLC stores a line as its tag below a `u32` sentinel: memory
+        // The LLC stores a line as its tag below a `u16` sentinel: memory
         // with a line beyond that is refused here, never aliased.
         let lines = config.memory_bytes / llc_sim::LINE_SIZE;
         if lines > hierarchy.llc().line_limit() {
@@ -1249,16 +1249,16 @@ mod tests {
 
     #[test]
     fn memory_whose_lines_the_llc_cannot_tag_is_refused() {
-        // A one-set LLC tags a line as itself: u32::MAX lines fit below
+        // A one-set LLC tags a line as itself: u16::MAX lines fit below
         // the sentinel, one more does not.
         let mut cfg = EngineConfig::xeon_e5_v4();
         cfg.socket.hierarchy.llc = CacheGeometry::new(1, 20, 64);
-        cfg.memory_bytes = u64::from(u32::MAX) << llc_sim::LINE_SHIFT;
+        cfg.memory_bytes = u64::from(u16::MAX) << llc_sim::LINE_SHIFT;
         let vms = || vec![VmSpec::new("a", vec![0], 2)];
         assert!(Engine::new(cfg, vms()).is_ok());
         cfg.memory_bytes += llc_sim::LINE_SIZE;
         let err = Engine::new(cfg, vms()).err().expect("one line too many");
-        assert!(err.contains("the LLC's tags reach 4294967295"), "{err}");
+        assert!(err.contains("the LLC's tags reach 65535"), "{err}");
         // The paper's socket refuses the same way, at 36 864 times that.
         let mut paper = EngineConfig::xeon_e5_v4();
         paper.memory_bytes = u64::MAX;
@@ -1267,14 +1267,14 @@ mod tests {
 
     #[test]
     fn the_pipeline_runs_only_where_it_pays() {
-        // Small tag store (288 KiB): never, however LLC-bound the VM.
+        // Small tag store (224 KiB): never, however LLC-bound the VM.
         let mut small = two_vm_engine();
         small.start_workload(0, Scripted::random(256 << 20, 4_000, 16));
         small.run_slice(0);
         assert!(small.vms[0].workload.as_ref().unwrap().llc_bound);
         assert!(!small.pipeline_pays(0));
 
-        // The paper's socket (6.2 MB of tags): from the slice after an
+        // The paper's socket (4.7 MB of tags): from the slice after an
         // LLC-bound one, and never for an L1-resident neighbour.
         let vms = vec![VmSpec::new("a", vec![0], 2), VmSpec::new("b", vec![1], 2)];
         let mut paper = Engine::new(EngineConfig::xeon_e5_v4(), vms).unwrap();

@@ -103,12 +103,13 @@ impl AccessOutcome {
 
 /// A set-associative cache indexed by physical line address.
 ///
-/// All sets live in two flat arrays — one `2 × ways + 1` block per set in
-/// `blocks` (a tag and an owner·sharers·stamp word per line, 8 bytes, and
-/// the set's stamp clock), one occupancy word per set in `occ` — and every
-/// operation borrows one set's slice of each as a [`PackedSet`]. A tag is
-/// `line / sets`: the set's index gives the rest of the line, which is
-/// rebuilt only when the line leaves. The occupancy
+/// All sets live in three flat arrays — `ways` 16-bit tags per set in
+/// `tags`, one `ways + 1` block per set in `blocks` (an
+/// owner·sharers·stamp word per line and the set's stamp clock), one
+/// occupancy word per set in `occ`: 6 bytes a line and 8 a set — and
+/// every operation borrows one set's slice of each as a [`PackedSet`]. A
+/// tag is `line / sets`: the set's index gives the rest of the line,
+/// which is rebuilt only when the line leaves. The occupancy
 /// words stay out of the blocks so the whole-cache sweeps
 /// ([`SetAssocCache::drain_lines_in`], [`SetAssocCache::occupancy_in`])
 /// read a dense `u32` array instead of striding a block per set.
@@ -116,6 +117,7 @@ impl AccessOutcome {
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
+    tags: Vec<u16>,
     blocks: Vec<u32>,
     occ: Vec<u32>,
     // `2^64 / sets` rounded up, for the multiply-shift remainder and
@@ -143,6 +145,7 @@ impl SetAssocCache {
         let mut cache = SetAssocCache {
             geometry,
             policy,
+            tags: vec![0; sets * geometry.ways as usize],
             blocks: vec![0; sets * block_len(geometry.ways)],
             occ: vec![0; sets],
             index_magic: if geometry.sets.is_power_of_two() {
@@ -156,7 +159,7 @@ impl SetAssocCache {
         assert_eq!(
             cache.set(0).way_count(),
             geometry.ways,
-            "a set's block is two words a line and its clock"
+            "a set is a 16-bit tag a way, and a meta word a way and its clock"
         );
         cache.flush();
         cache
@@ -198,9 +201,9 @@ impl SetAssocCache {
     /// (the high word of `M · line`, exact for every 32-bit `line`), a
     /// shift for power-of-two set counts, the `u64` quotient for wider
     /// lines. `None` once the tag reaches the empty-way sentinel,
-    /// `u32::MAX`: no such line can be stored ([`SetAssocCache::line_limit`]).
+    /// `u16::MAX`: no such line can be stored ([`SetAssocCache::line_limit`]).
     #[inline(always)]
-    fn tag_of(&self, line: LineAddr) -> Option<u32> {
+    fn tag_of(&self, line: LineAddr) -> Option<u16> {
         let sets = u64::from(self.geometry.sets);
         let tag = if self.index_magic == 0 {
             line.0 >> sets.trailing_zeros()
@@ -209,7 +212,7 @@ impl SetAssocCache {
         } else {
             line.0 / sets
         };
-        u32::try_from(tag).ok().filter(|&tag| tag != INVALID_TAG)
+        u16::try_from(tag).ok().filter(|&tag| tag != INVALID_TAG)
     }
 
     /// The tag of a line being accessed.
@@ -218,12 +221,12 @@ impl SetAssocCache {
     ///
     /// Panics if the line is at or past [`SetAssocCache::line_limit`].
     #[inline(always)]
-    fn access_tag(&self, line: LineAddr) -> u32 {
-        self.tag_of(line).expect("line beyond the 32-bit tag field")
+    fn access_tag(&self, line: LineAddr) -> u16 {
+        self.tag_of(line).expect("line beyond the 16-bit tag field")
     }
 
-    /// Lines this cache can hold: every line below `u32::MAX × sets`,
-    /// whose tag stays below the empty-way sentinel.
+    /// Lines this cache can hold: every line below `u16::MAX × sets`
+    /// (65 535 × sets), whose tag stays below the empty-way sentinel.
     pub fn line_limit(&self) -> u64 {
         u64::from(INVALID_TAG) * u64::from(self.geometry.sets)
     }
@@ -237,6 +240,14 @@ impl SetAssocCache {
         }
     }
 
+    /// Where set `idx`'s tags sit in `tags`.
+    #[inline(always)]
+    fn tags_of(&self, idx: u32) -> std::ops::Range<usize> {
+        let stride = self.geometry.ways as usize;
+        let start = idx as usize * stride;
+        start..start + stride
+    }
+
     /// Where set `idx`'s block sits in `blocks`.
     #[inline(always)]
     fn block_of(&self, idx: u32) -> std::ops::Range<usize> {
@@ -248,8 +259,13 @@ impl SetAssocCache {
     /// Mutable view of set `idx`.
     #[inline(always)]
     fn set_mut(&mut self, idx: u32) -> SetMut<'_> {
-        let (block, pos) = (self.block_of(idx), self.pos(idx));
-        PackedSet::over(&mut self.occ[idx as usize], &mut self.blocks[block], pos)
+        let (tags, block, pos) = (self.tags_of(idx), self.block_of(idx), self.pos(idx));
+        PackedSet::over(
+            &mut self.occ[idx as usize],
+            &mut self.tags[tags],
+            &mut self.blocks[block],
+            pos,
+        )
     }
 
     /// Read-only view of set `index` (for occupancy statistics).
@@ -257,6 +273,7 @@ impl SetAssocCache {
     pub fn set(&self, index: u32) -> SetRef<'_> {
         PackedSet::over(
             self.occ[index as usize],
+            &self.tags[self.tags_of(index)],
             &self.blocks[self.block_of(index)],
             self.pos(index),
         )
@@ -348,30 +365,34 @@ impl SetAssocCache {
         }
     }
 
-    /// Bytes of tag store behind the cache (the blocks and the occupancy
-    /// words): what the simulating machine must keep close for a set walk
-    /// not to wait on its memory.
+    /// Bytes of tag store behind the cache (the tags, the meta blocks and
+    /// the occupancy words; `6 × ways + 8` a set): what the simulating
+    /// machine must keep close for a set walk not to wait on its memory.
     pub fn tag_store_bytes(&self) -> u64 {
-        (std::mem::size_of_val(self.blocks.as_slice()) + std::mem::size_of_val(self.occ.as_slice()))
-            as u64
+        (std::mem::size_of_val(self.tags.as_slice())
+            + std::mem::size_of_val(self.blocks.as_slice())
+            + std::mem::size_of_val(self.occ.as_slice())) as u64
     }
 
-    /// Hints the host to fetch set `idx`'s block, one hint per 64 bytes
-    /// (the block need not start on a host line: the stride covers every
-    /// line it spans but possibly the last, which the final word names).
-    /// Changes nothing simulated — it cannot, through `&self`.
+    /// Hints the host to fetch set `idx`'s tags and block, one hint per 64
+    /// bytes of each (a run need not start on a host line: the stride
+    /// covers every line it spans but possibly the last, which its final
+    /// word names). Changes nothing simulated — it cannot, through `&self`.
     #[inline]
     pub fn prefetch_set(&self, idx: u32) {
-        const WORDS_PER_HOST_LINE: usize = 64 / std::mem::size_of::<u32>();
-        let block = &self.blocks[self.block_of(idx)];
         // Plain loops on purpose: `iter().step_by(..).chain(last)` compiled
         // to a per-word state machine that gave back a third of the gain.
-        for line in block.chunks(WORDS_PER_HOST_LINE) {
-            crate::hint::prefetch_read(&line[0]);
+        #[inline(always)]
+        fn hint_run<W>(run: &[W]) {
+            for line in run.chunks(64 / std::mem::size_of::<W>()) {
+                crate::hint::prefetch_read(&line[0]);
+            }
+            if let Some(last) = run.last() {
+                crate::hint::prefetch_read(last);
+            }
         }
-        if let Some(last) = block.last() {
-            crate::hint::prefetch_read(last);
-        }
+        hint_run(&self.tags[self.tags_of(idx)]);
+        hint_run(&self.blocks[self.block_of(idx)]);
     }
 
     /// Checks residency without updating replacement state.
@@ -427,17 +448,18 @@ impl SetAssocCache {
     /// has no instruction to clear a cache way, so operators run a
     /// user-level flush pass after reassigning ways.
     pub fn drain_lines_in(&mut self, mask: WayMask, mut on_drop: impl FnMut(Evicted)) -> u64 {
-        let stride = block_len(self.geometry.ways);
+        let ways = self.geometry.ways as usize;
         let sets = self.geometry.sets;
         let owner_lines = &mut self.owner_lines;
         let mut dropped = 0;
-        for (index, (occ, block)) in (0..).zip(
+        for (index, ((occ, tags), block)) in (0..).zip(
             self.occ
                 .iter_mut()
-                .zip(self.blocks.chunks_exact_mut(stride)),
+                .zip(self.tags.chunks_exact_mut(ways))
+                .zip(self.blocks.chunks_exact_mut(block_len(ways as u32))),
         ) {
             let pos = SetPos { index, sets };
-            PackedSet::over(occ, block, pos).drain_lines_in(mask, |gone| {
+            PackedSet::over(occ, tags, block, pos).drain_lines_in(mask, |gone| {
                 owner_lines[gone.owner as usize] -= 1;
                 dropped += 1;
                 on_drop(gone);
@@ -653,6 +675,43 @@ mod tests {
         }
         assert_eq!(c.occupancy(), c.occupancy_in(mask));
         assert!(c.occupancy_in(mask) <= 12);
+    }
+
+    /// The last tag below the sentinel is stored and rebuilt whole on a
+    /// set count the reciprocal divides by; the sentinel's own lines are
+    /// refused, never taken for an empty way.
+    #[test]
+    #[should_panic(expected = "line beyond the 16-bit tag field")]
+    fn the_last_tag_fits_and_the_sentinel_is_refused() {
+        let sets = 3u64;
+        let mut c = SetAssocCache::new(CacheGeometry::new(3, 2, 64));
+        assert_eq!(c.line_limit(), 65_535 * sets);
+        // Empty ways and full ones alike: a line whose tag is the sentinel
+        // is not resident, and nothing to drop.
+        let refused = |c: &mut SetAssocCache| {
+            for i in 0..sets {
+                let beyond = LineAddr(65_535 * sets + i);
+                assert!(!c.probe(beyond));
+                assert!(!c.invalidate(beyond));
+            }
+        };
+        refused(&mut c);
+        let mask = WayMask::all(2);
+        for i in 0..sets {
+            let top = LineAddr(65_534 * sets + i);
+            assert!(!c.access_as(top, mask, 1).is_hit());
+            assert!(c.probe(top));
+            c.access(LineAddr(i), mask);
+            match c.access(LineAddr(sets + i), mask) {
+                AccessOutcome::Miss {
+                    evicted: Some(gone),
+                } => assert_eq!((gone.line, gone.owner), (top, 1)),
+                other => panic!("expected {top:?} to leave, got {other:?}"),
+            }
+        }
+        refused(&mut c);
+        assert_eq!(c.occupancy(), 2 * sets);
+        c.access(LineAddr(65_535 * sets), mask);
     }
 
     #[test]

@@ -764,18 +764,18 @@ mod tests {
 
     #[test]
     fn hints_pay_only_for_a_tag_store_beyond_a_host_cache() {
-        // The layout in bytes, exactly: 8 a line (tag, owner·sharers·stamp
-        // word) and a clock and an occupancy word a set. The paper's
-        // socket, 6 193 152 (6.2 MB):
+        // The layout in bytes, exactly: 6 a line (a 16-bit tag and an
+        // owner·sharers·stamp word) and a clock and an occupancy word a
+        // set. The paper's socket, 4 718 592 (4.7 MB):
         let paper = Hierarchy::new(HierarchyConfig::default());
-        assert_eq!(paper.llc().tag_store_bytes(), 36_864 * (20 * 8 + 8));
+        assert_eq!(paper.llc().tag_store_bytes(), 36_864 * (20 * 6 + 8));
         assert!(paper.llc_hints_pay());
-        // A fleet host, 278 528 (272 KiB):
+        // A fleet host, 212 992 (208 KiB):
         let fleet = Hierarchy::new(HierarchyConfig {
             llc: CacheGeometry::from_capacity(2 * 1024 * 1024, 16),
             ..HierarchyConfig::default()
         });
-        assert_eq!(fleet.llc().tag_store_bytes(), 2_048 * (16 * 8 + 8));
+        assert_eq!(fleet.llc().tag_store_bytes(), 2_048 * (16 * 6 + 8));
         assert!(!fleet.llc_hints_pay());
         // Every set can be hinted, the last included.
         let h = tiny();

@@ -8,18 +8,18 @@
 //! to walk. `std::hint::prefetch_read` (rust-lang/rust#146941) replaces this
 //! module when it stabilises.
 
-/// Asks the host to bring the 64-byte line holding `word` towards its L1.
-/// A no-op on targets other than `x86_64`.
+/// Asks the host to bring the 64-byte line holding `word` — a tag or a
+/// meta word — towards its L1. A no-op on targets other than `x86_64`.
 #[inline(always)]
 #[allow(
     unsafe_code,
     reason = "the one prefetch instruction; std::hint::prefetch_read is unstable"
 )]
-pub fn prefetch_read(word: &u32) {
+pub fn prefetch_read<W>(word: &W) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // SAFETY: the pointer comes from a live `&u32`, and `prefetcht0`
+        // SAFETY: the pointer comes from a live reference, and `prefetcht0`
         // neither faults nor writes whatever address it is given: it has
         // no architectural effect. That is the whole argument wherever
         // `_mm_prefetch` is an `unsafe fn`. On this toolchain (checked on

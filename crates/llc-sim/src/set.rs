@@ -8,14 +8,15 @@
 //!
 //! # Packed representation
 //!
-//! The set stores its state in one contiguous block of `u32`s plus a `u32`
-//! occupancy bitmask instead of a `Vec<Option<LineEntry>>`:
+//! The set stores its state in a run of `u16` tags, a block of `u32`s and
+//! a `u32` occupancy bitmask instead of a `Vec<Option<LineEntry>>`:
 //!
 //! ```text
 //! occ:   u32 bitmask, bit w set = way w holds a valid line
-//! data:  [ tag_0 .. tag_{n-1} | meta_0 .. meta_{n-1} | clock ]
-//!         (u32 each, two words — 8 bytes — a line and one a set; empty tag
-//!          slots hold INVALID_TAG so the lookup scan needs no per-way validity test)
+//! tags:  [ tag_0 .. tag_{n-1} ]            (u16 each; empty slots hold
+//!         INVALID_TAG so the lookup scan needs no per-way validity test)
+//! meta:  [ meta_0 .. meta_{n-1} | clock ]  (u32 each)
+//!         — 6 bytes a line, and a clock and an occupancy word a set
 //! tag:   line / sets, the bits of the line its set's index does not give
 //! meta:  [ filler id (bits 31..27) | sharers (bits 26..9) | stamp (bits 8..0) ]
 //! clock: the last stamp the set handed out
@@ -28,10 +29,11 @@
 //! would reach `INVALID_TAG` cannot be stored; a fill of one panics (the
 //! engine sizes physical memory so that none exists).
 //!
-//! [`PackedSet`] is that pair with the storage left open: a [`CacheSet`]
-//! owns its block, and a [`crate::SetAssocCache`] keeps all its sets'
-//! blocks in one allocation (and their occupancy words in another) and
-//! lends one set's slice of each to the same code per access.
+//! [`PackedSet`] is that triple with the storage left open: a
+//! [`CacheSet`] owns its tags and block, and a [`crate::SetAssocCache`]
+//! keeps all its sets' tags in one allocation, their blocks in a second
+//! and their occupancy words in a third, and lends one set's slice of
+//! each to the same code per access.
 //!
 //! The meta word's low 9 bits are the line's last-use stamp, read only by
 //! victim selection and only against stamps of the same set, so each set
@@ -49,8 +51,8 @@
 //!
 //! The layout buys three things on the hot path:
 //!
-//! * **lookup** is a branch-light equality scan over a contiguous `u32`
-//!   run (the tag region), which the compiler vectorizes;
+//! * **lookup** is a branch-light equality scan over a contiguous `u16`
+//!   run (the set's tags), which the compiler vectorizes;
 //! * **victim selection** walks the set bits of `occ & mask` — no
 //!   per-fill candidate `Vec` allocation (the seed implementation
 //!   malloc'd one per miss, which dominated fill-churn profiles);
@@ -70,7 +72,7 @@ use crate::cache::WayMask;
 use crate::replacement::ReplacementPolicy;
 
 /// Sentinel stored in empty tag slots; no stored tag may equal it.
-pub(crate) const INVALID_TAG: u32 = u32::MAX;
+pub(crate) const INVALID_TAG: u16 = u16::MAX;
 
 /// Requestors a line's sharer mask can name: ids `0..MAX_SHARERS`, the
 /// cores of the paper's largest socket.
@@ -89,19 +91,16 @@ const STAMP_MASK: u32 = MAX_STAMP;
 const SHARER_SHIFT: u32 = STAMP_BITS;
 const OWNER_SHIFT: u32 = SHARER_SHIFT + MAX_SHARERS;
 
-/// `u32`s a line takes in a set's block: its tag and its meta word. The
-/// block ends in one more, the set's clock.
-pub(crate) const WORDS_PER_LINE: usize = 2;
-
 // Every filler id fits the bits above the sharers, and a clock restarted
 // at any way count has room to run before the set re-ranks again.
 const _: () = assert!(MAX_SHARERS <= 1 << (u32::BITS - OWNER_SHIFT));
 const _: () = assert!(32 < MAX_STAMP);
 
-/// `u32`s in the block of a `ways`-way set.
+/// `u32`s in the meta block of a `ways`-way set: a meta word a line,
+/// then the set's clock.
 #[inline(always)]
 pub(crate) fn block_len(ways: u32) -> usize {
-    WORDS_PER_LINE * ways as usize + 1
+    ways as usize + 1
 }
 
 /// The filler id in a meta word.
@@ -170,7 +169,7 @@ impl SetPos {
     /// `line`'s tag, if `line` maps to this set and its tag fits beside
     /// the sentinel. A standalone set divides by nothing.
     #[inline(always)]
-    fn tag_of(self, line: LineAddr) -> Option<u32> {
+    fn tag_of(self, line: LineAddr) -> Option<u16> {
         let tag = if self.sets == 1 {
             line.0
         } else {
@@ -180,40 +179,41 @@ impl SetPos {
             }
             line.0 / sets
         };
-        u32::try_from(tag).ok().filter(|&tag| tag != INVALID_TAG)
+        u16::try_from(tag).ok().filter(|&tag| tag != INVALID_TAG)
     }
 
     /// The line a tag of this set stands for.
     #[inline(always)]
-    fn line_of(self, tag: u32) -> LineAddr {
+    fn line_of(self, tag: u16) -> LineAddr {
         LineAddr(u64::from(tag) * u64::from(self.sets) + u64::from(self.index))
     }
 }
 
-/// One set's packed state — an occupancy word and a `2 × ways + 1` block —
-/// and the only implementation of the set logic beside
-/// [`legacy::LegacyCacheSet`]. The storage is a parameter so the same
-/// code runs over a set that owns its words ([`CacheSet`]) and over one
-/// set's slice of a cache's flat arrays ([`SetRef`], `SetMut`).
+/// One set's packed state — an occupancy word, `ways` tags and a
+/// `ways + 1` meta block — and the only implementation of the set logic
+/// beside [`legacy::LegacyCacheSet`]. The storage is a parameter so the
+/// same code runs over a set that owns its words ([`CacheSet`]) and over
+/// one set's slice of a cache's flat arrays ([`SetRef`], `SetMut`).
 #[derive(Debug, Clone)]
-pub struct PackedSet<O, D> {
+pub struct PackedSet<O, T, D> {
     /// Occupancy bitmask: bit `w` set means way `w` holds a valid line.
     occ: O,
-    /// Packed per-way state: `ways` tags, `ways` meta words, then the
-    /// set's clock.
-    data: D,
+    /// One tag a way; `INVALID_TAG` in an empty one.
+    tags: T,
+    /// One meta word a way, then the set's clock.
+    meta: D,
     /// Where the set sits, to turn lines into tags and back.
     pos: SetPos,
 }
 
 /// A single set that owns its storage.
-pub type CacheSet = PackedSet<u32, Box<[u32]>>;
+pub type CacheSet = PackedSet<u32, Box<[u16]>, Box<[u32]>>;
 
 /// Read-only view of one set of a [`crate::SetAssocCache`].
-pub type SetRef<'a> = PackedSet<u32, &'a [u32]>;
+pub type SetRef<'a> = PackedSet<u32, &'a [u16], &'a [u32]>;
 
 /// Mutable view of one set of a [`crate::SetAssocCache`].
-pub(crate) type SetMut<'a> = PackedSet<&'a mut u32, &'a mut [u32]>;
+pub(crate) type SetMut<'a> = PackedSet<&'a mut u32, &'a mut [u16], &'a mut [u32]>;
 
 /// Whether a fill inserts at MRU (stamp `now`) rather than LRU (stamp 0):
 /// BIP one fill in `mru_one_in`, every other policy always. Shared by the
@@ -234,7 +234,8 @@ impl CacheSet {
         debug_assert!((1..=32).contains(&ways), "way masks are 32-bit");
         let mut set = PackedSet {
             occ: 0,
-            data: vec![0u32; block_len(ways)].into_boxed_slice(),
+            tags: vec![0u16; ways as usize].into_boxed_slice(),
+            meta: vec![0u32; block_len(ways)].into_boxed_slice(),
             pos: SetPos::ALONE,
         };
         set.flush();
@@ -242,26 +243,31 @@ impl CacheSet {
     }
 }
 
-impl<O, D> PackedSet<O, D> {
-    /// A set at `pos` over an occupancy word and a `2 × ways + 1` block kept
-    /// elsewhere. A zeroed block is not an empty set: [`PackedSet::flush`]
-    /// makes one.
+impl<O, T, D> PackedSet<O, T, D> {
+    /// A set at `pos` over an occupancy word, `ways` tags and a `ways + 1`
+    /// meta block kept elsewhere. Zeroed tags are not an empty set:
+    /// [`PackedSet::flush`] makes one.
     #[inline(always)]
-    pub(crate) fn over(occ: O, data: D, pos: SetPos) -> Self {
-        PackedSet { occ, data, pos }
+    pub(crate) fn over(occ: O, tags: T, meta: D, pos: SetPos) -> Self {
+        PackedSet {
+            occ,
+            tags,
+            meta,
+            pos,
+        }
     }
 }
 
-impl<O: Borrow<u32>, D: Borrow<[u32]>> PackedSet<O, D> {
+impl<O: Borrow<u32>, T: Borrow<[u16]>, D: Borrow<[u32]>> PackedSet<O, T, D> {
     #[inline(always)]
     fn occ(&self) -> u32 {
         *self.occ.borrow()
     }
 
-    /// Ways in the set: the clock word rounds away.
+    /// Ways in the set: one tag each.
     #[inline(always)]
     fn n(&self) -> usize {
-        self.data.borrow().len() / WORDS_PER_LINE
+        self.tags.borrow().len()
     }
 
     /// Number of ways in this set.
@@ -281,19 +287,13 @@ impl<O: Borrow<u32>, D: Borrow<[u32]>> PackedSet<O, D> {
         }
     }
 
-    #[inline(always)]
-    fn tags(&self) -> &[u32] {
-        &self.data.borrow()[..self.n()]
-    }
-
     /// What way `way` holds, as it leaves the set.
     #[inline(always)]
     fn departing(&self, way: u32) -> Evicted {
-        let data = self.data.borrow();
-        let (n, w) = (self.n(), way as usize);
-        let meta = data[n + w];
+        let w = way as usize;
+        let meta = self.meta.borrow()[w];
         Evicted {
-            line: self.pos.line_of(data[w]),
+            line: self.pos.line_of(self.tags.borrow()[w]),
             owner: owner_of(meta),
             sharers: sharers_of(meta),
         }
@@ -301,8 +301,12 @@ impl<O: Borrow<u32>, D: Borrow<[u32]>> PackedSet<O, D> {
 
     /// The way holding `tag`, if any.
     #[inline(always)]
-    pub(crate) fn probe_tag(&self, tag: u32) -> Option<u32> {
-        self.tags().iter().position(|&t| t == tag).map(|w| w as u32)
+    pub(crate) fn probe_tag(&self, tag: u16) -> Option<u32> {
+        self.tags
+            .borrow()
+            .iter()
+            .position(|&t| t == tag)
+            .map(|w| w as u32)
     }
 
     /// Checks residency without perturbing LRU state (a *probe*).
@@ -326,7 +330,8 @@ impl<O: Borrow<u32>, D: Borrow<[u32]>> PackedSet<O, D> {
     /// Iterates over resident lines (ascending way order).
     pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
         let occ = self.occ();
-        self.tags()
+        self.tags
+            .borrow()
             .iter()
             .enumerate()
             .filter(move |(w, _)| occ & (1 << *w) != 0)
@@ -335,7 +340,7 @@ impl<O: Borrow<u32>, D: Borrow<[u32]>> PackedSet<O, D> {
 
     /// Number of valid lines filled by `owner`.
     pub fn occupancy_of(&self, owner: u32) -> u32 {
-        let metas = &self.data.borrow()[self.n()..];
+        let metas = self.meta.borrow();
         let mut count = 0;
         let mut bits = self.occ();
         while bits != 0 {
@@ -353,20 +358,19 @@ impl<O: Borrow<u32>, D: Borrow<[u32]>> PackedSet<O, D> {
 // methods are `inline(always)`: left to the inliner, `fill_with` stayed a
 // call inside the cache's fill and its `FillResult` travelled through
 // memory.
-impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
+impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u32]>> PackedSet<O, T, D> {
     #[inline(always)]
-    fn set_entry(&mut self, way: u32, tag: u32, stamp: u32, owner: u32) {
-        let (n, w) = (self.n(), way as usize);
-        let data = self.data.borrow_mut();
-        data[w] = tag;
-        data[n + w] = owner << OWNER_SHIFT | stamp;
+    fn set_entry(&mut self, way: u32, tag: u16, stamp: u32, owner: u32) {
+        let w = way as usize;
+        self.tags.borrow_mut()[w] = tag;
+        self.meta.borrow_mut()[w] = owner << OWNER_SHIFT | stamp;
         *self.occ.borrow_mut() |= 1 << way;
     }
 
     /// Empties way `way`, which holds a valid line.
     #[inline(always)]
     fn clear_way(&mut self, way: u32) {
-        self.data.borrow_mut()[way as usize] = INVALID_TAG;
+        self.tags.borrow_mut()[way as usize] = INVALID_TAG;
         *self.occ.borrow_mut() &= !(1 << way);
     }
 
@@ -376,11 +380,11 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
     /// clock that never wrapped.
     #[inline(always)]
     pub(crate) fn tick(&mut self) -> u32 {
-        let slot = WORDS_PER_LINE * self.n();
-        if self.data.borrow()[slot] == MAX_STAMP {
+        let slot = self.n();
+        if self.meta.borrow()[slot] == MAX_STAMP {
             self.renormalise_stamps();
         }
-        let clock = &mut self.data.borrow_mut()[slot];
+        let clock = &mut self.meta.borrow_mut()[slot];
         *clock += 1;
         debug_assert!(*clock <= MAX_STAMP, "stamp beyond the 9-bit field");
         *clock
@@ -404,24 +408,19 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
     #[inline(always)]
     pub(crate) fn lookup_tag(
         &mut self,
-        tag: u32,
+        tag: u16,
         now: u32,
         policy: ReplacementPolicy,
     ) -> Option<u32> {
-        let n = self.n();
-        let data = self.data.borrow_mut();
         // Empty slots hold INVALID_TAG, which no stored tag equals, so the
-        // scan runs over the contiguous tag region with no validity tests.
-        for w in 0..n {
-            if data[w] == tag {
-                if policy.promotes_on_hit() {
-                    // The filler id and the sharers stay as they are.
-                    data[n + w] = data[n + w] & !STAMP_MASK | now;
-                }
-                return Some(w as u32);
-            }
+        // scan runs over the contiguous tag run with no validity tests.
+        let way = self.probe_tag(tag)?;
+        if policy.promotes_on_hit() {
+            // The filler id and the sharers stay as they are.
+            let meta = &mut self.meta.borrow_mut()[way as usize];
+            *meta = *meta & !STAMP_MASK | now;
         }
-        None
+        Some(way)
     }
 
     /// Records `requestor` in the sharer mask of the line held by `way`
@@ -433,8 +432,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
     #[inline(always)]
     pub fn add_sharer(&mut self, way: u32, requestor: u32) {
         assert!(requestor < MAX_SHARERS, "requestor beyond the sharer mask");
-        let slot = self.n() + way as usize;
-        self.data.borrow_mut()[slot] |= 1 << (SHARER_SHIFT + requestor);
+        self.meta.borrow_mut()[way as usize] |= 1 << (SHARER_SHIFT + requestor);
     }
 
     /// Fills `line` into a way permitted by `mask`, evicting the LRU line
@@ -446,7 +444,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
     /// Panics if `mask` permits no way within this set's associativity;
     /// CAT forbids empty masks (Intel x86 does not allow a zero-way COS) and
     /// upper layers validate masks before they reach the set. Panics if
-    /// `owner >= MAX_SHARERS`, and if `line`'s tag does not fit 32 bits
+    /// `owner >= MAX_SHARERS`, and if `line`'s tag does not fit 16 bits
     /// beside the empty-way sentinel.
     pub fn fill(&mut self, line: LineAddr, mask: WayMask, owner: u32) -> FillResult {
         self.fill_with(line, mask, owner, ReplacementPolicy::Lru, 0)
@@ -473,7 +471,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
         let tag = self
             .pos
             .tag_of(line)
-            .expect("line beyond the 32-bit tag field, or of another set");
+            .expect("line beyond the 16-bit tag field, or of another set");
         let now = self.tick();
         self.fill_tag(tag, mask, now, owner, policy, draw)
     }
@@ -483,7 +481,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
     #[inline(always)]
     pub(crate) fn fill_tag(
         &mut self,
-        tag: u32,
+        tag: u16,
         mask: WayMask,
         now: u32,
         owner: u32,
@@ -521,7 +519,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
             // Ties break toward the lowest way index (strict-less scan in
             // ascending way order), as in the seed implementation.
             _ => {
-                let metas = &self.data.borrow()[self.n()..];
+                let metas = self.meta.borrow();
                 let mut victim = 0u32;
                 let mut victim_stamp = u32::MAX;
                 let mut bits = candidates;
@@ -560,7 +558,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
 
     /// [`PackedSet::remove`] for a line already turned into its tag.
     #[inline(always)]
-    pub(crate) fn remove_tag(&mut self, tag: u32) -> Option<Evicted> {
+    pub(crate) fn remove_tag(&mut self, tag: u16) -> Option<Evicted> {
         let way = self.probe_tag(tag)?;
         let gone = self.departing(way);
         self.clear_way(way);
@@ -569,8 +567,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
 
     /// Clears every way of the set.
     pub fn flush(&mut self) {
-        let n = self.n();
-        self.data.borrow_mut()[..n].fill(INVALID_TAG);
+        self.tags.borrow_mut().fill(INVALID_TAG);
         *self.occ.borrow_mut() = 0;
     }
 
@@ -602,7 +599,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
         let mut order = [(0u32, 0usize); 32];
         let mut k = 0;
         let mut bits = self.occ();
-        let metas = &mut self.data.borrow_mut()[n..2 * n];
+        let metas = self.meta.borrow_mut();
         while bits != 0 {
             let w = bits.trailing_zeros() as usize;
             bits &= bits - 1;
@@ -616,7 +613,7 @@ impl<O: BorrowMut<u32>, D: BorrowMut<[u32]>> PackedSet<O, D> {
         for (rank, &(_, w)) in (1u32..).zip(&order[..k]) {
             metas[w] = metas[w] & !STAMP_MASK | rank;
         }
-        self.data.borrow_mut()[WORDS_PER_LINE * n] = n as u32;
+        metas[n] = n as u32;
     }
 
     /// [`PackedSet::drain_lines_in`] collecting the dropped lines.
@@ -992,7 +989,7 @@ mod tests {
         for k in 0..u64::from(MAX_STAMP) {
             set.lookup(LineAddr(3 - k % 4));
         }
-        assert_eq!(set.data[2 * 4], 8);
+        assert_eq!(set.meta[4], 8);
         // Lines 0, 3, 2, 1 were touched last, in that order.
         let next = set.fill(LineAddr(9), full_mask(4), 0);
         assert_eq!(next.evicted.map(|e| e.line), Some(LineAddr(0)));
