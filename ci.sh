@@ -99,7 +99,9 @@ echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch co
 # apply writing in class order (§10.1); 23-24 the radix page table's root
 # growth and the walk behind `clear` (§14, "Translation"); 25 a 16-bit tag
 # that admits the empty-way sentinel (§14); 26 the max-performance split's
-# DP skipping the last table (§10).
+# DP skipping the last table (§10); 27 the frame writer trading two
+# same-typed positions of a v2 domain, which only the v1 golden read back
+# as v2 shows (§16).
 sh tools/mutants.sh tests/mutants/*.patch
 
 echo "==> the float printer against {:?}, 30 M draws of each shape (release; the debug run above did 1 M)"
@@ -209,13 +211,15 @@ echo "==> A/B harness (tools/ab/pairs.sh: alternating benchmark pairs between tw
 bash -n tools/ab/pairs.sh
 bash tools/ab/pairs.sh --help > /dev/null
 
-echo "==> profiling tools build (tools/prof: the SIGPROF sampler and its binning script)"
+echo "==> profiling tools build (tools/prof: the SIGPROF sampler, the heap-peak tracer and their binning script)"
 # Not run here — a profile is read by a person — but kept compiling, so
-# the next per-instruction question starts from a working sampler.
+# the next per-instruction or where-is-the-memory question starts from a
+# working tool.
 if command -v cc > /dev/null; then
     cc -O2 -Wall -Wextra -shared -fPIC -o target/sampler.so tools/prof/sampler.c
+    cc -O2 -Wall -Wextra -shared -fPIC -o target/heap.so tools/prof/heap.c
 else
-    echo "no cc: skipping tools/prof/sampler.c"
+    echo "no cc: skipping tools/prof/sampler.c and tools/prof/heap.c"
 fi
 if command -v python3 > /dev/null; then
     python3 -m py_compile tools/prof/bin_samples.py

@@ -71,7 +71,7 @@ pub fn run_cli(cli: &crate::Cli) {
     }
 }
 
-/// Like [`run`], but also returns the two timelines' `dcat-frames/v1`
+/// Like [`run`], but also returns the two timelines' `dcat-frames/v2`
 /// segments concatenated in panel order (a then b) — the stream
 /// [`run_cli`] exports and `dcat-top --replay` renders. The segments come
 /// out of [`crate::RunResult::frames`] in item order, so the bytes are

@@ -50,7 +50,7 @@ pub fn ladder(fast: bool) -> &'static [u32] {
 }
 
 /// Runs the standard [`ladder`], or one fleet size with `--tenants N`.
-/// `--frames-out PATH` streams every run's `dcat-frames/v1` segments to
+/// `--frames-out PATH` streams every run's `dcat-frames/v2` segments to
 /// PATH as the hosts finish — fleet size by fleet size, policy by policy
 /// — for `dcat-top --replay`; memory stays flat however large the fleet.
 /// Large fleets want `--sample-sets 8 --jobs <cores>`.

@@ -336,7 +336,7 @@ struct HostRun {
     instructions: Vec<u64>,
     /// Lifetime completed requests per tenant slot.
     requests: Vec<u64>,
-    /// The host's finished `dcat-frames/v1` segment.
+    /// The host's finished `dcat-frames/v2` segment.
     frames: String,
     #[cfg(test)]
     _live: live::Guard,
@@ -354,7 +354,7 @@ struct HostState {
     instructions: Vec<u64>,
     /// Lifetime completed requests per tenant slot.
     requests: Vec<u64>,
-    /// Per-host `dcat-frames/v1` segment: written on the worker, handed
+    /// Per-host `dcat-frames/v2` segment: written on the worker, handed
     /// back as its finished `String`, passed to the run's [`FleetSink`] in
     /// host order by the coordinator.
     frames: dcat_obs::FrameWriter,
@@ -534,7 +534,7 @@ pub struct FleetResult {
     pub tenant_requests: Vec<u64>,
     /// Per-epoch JSONL decision trace (one line per epoch).
     pub trace: String,
-    /// `dcat-frames/v1` stream: one `fleet-host:<n>` segment per host,
+    /// `dcat-frames/v2` stream: one `fleet-host:<n>` segment per host,
     /// concatenated in host order, one frame per host-epoch. Byte-identical
     /// at any `--jobs` width (each segment is written by the one worker
     /// that runs its host). Excluded from [`FleetResult::serialize`], which
@@ -661,7 +661,7 @@ impl FleetResult {
     }
 }
 
-/// Where a fleet run's `dcat-frames/v1` stream goes: called with each
+/// Where a fleet run's `dcat-frames/v2` stream goes: called with each
 /// host's finished segment, in host order, as the coordinator folds the
 /// host. `&mut |_: &str| {}` keeps nothing; a closure over a `String`
 /// keeps the stream, one over a writer streams it to a file.

@@ -57,7 +57,7 @@ pub struct Cli {
     /// Where to export the process-root metrics snapshot on exit
     /// (Prometheus text).
     pub metrics_out: Option<PathBuf>,
-    /// Where to write the run's `dcat-frames/v1` stream (for experiments
+    /// Where to write the run's `dcat-frames/v2` stream (for experiments
     /// that export one; others ignore it).
     pub frames_out: Option<PathBuf>,
     /// LLC set-sampling stride (`--sample-sets N`); 0 means full

@@ -158,7 +158,7 @@ pub struct RunResult {
     pub reports: Vec<Vec<DomainReport>>,
     /// Request latencies (cycles) accumulated per VM over the whole run.
     pub request_latencies: Vec<Vec<f64>>,
-    /// `dcat-frames/v1` segment for the run: one `frame` record per epoch
+    /// `dcat-frames/v2` segment for the run: one `frame` record per epoch
     /// under a `scenario:<policy>` header. Built entirely from per-epoch
     /// reports, so it is byte-identical whenever the run is — the frame
     /// stream's own determinism regression diffs it across `--jobs`

@@ -25,7 +25,7 @@ struct Observed {
     text: String,
     /// Rendered metrics snapshot.
     prometheus: String,
-    /// Concatenated `dcat-frames/v1` segments, in run order.
+    /// Concatenated `dcat-frames/v2` segments, in run order.
     frames: String,
 }
 

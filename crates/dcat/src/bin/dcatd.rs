@@ -31,7 +31,7 @@
 //! `--metrics-out` writes the daemon's final metrics snapshot on exit
 //! (Prometheus text, whatever the path's extension); `--flight-out` writes
 //! the flight-recorder dump (last `--flight-ticks` ticks of spans and
-//! events, JSONL). `--frames-out` appends one `dcat-frames/v1` record per
+//! events, JSONL). `--frames-out` appends one `dcat-frames/v2` record per
 //! tick as the daemon runs, so `dcat-top --follow <path>` can watch the run
 //! live. `dcat-top --replay <path>` reads back and validates all three.
 

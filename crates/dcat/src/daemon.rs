@@ -119,7 +119,7 @@ fn domain_frame(r: &DomainReport, quarantined: bool, held: bool) -> dcat_obs::Do
     }
 }
 
-/// Builds one `dcat-frames/v1` frame from a tick observation. The
+/// Builds one `dcat-frames/v2` frame from a tick observation. The
 /// embedder supplies the policy identity
 /// ([`crate::policy::CachePolicy::name`] /
 /// [`crate::policy::CachePolicy::frame_ext`]); everything else comes off

@@ -85,7 +85,7 @@ pub trait CachePolicy {
     }
 
     /// Policy decision summary for the current tick's frame
-    /// (`dcat-frames/v1`): COS in use, plus the LFOC clustering / Memshare
+    /// (`dcat-frames/v2`): COS in use, plus the LFOC clustering / Memshare
     /// ledger when those policies are active. The default reports no COS
     /// bookkeeping, which is right for the shared baseline.
     fn frame_ext(&self) -> dcat_obs::PolicyExt {

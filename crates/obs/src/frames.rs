@@ -1,4 +1,4 @@
-//! `dcat-frames/v1`: a deterministic per-tick frame stream for `dcat-top`.
+//! `dcat-frames/v2`: a deterministic per-tick frame stream for `dcat-top`.
 //!
 //! One JSONL record per tick, carrying everything an operator watches
 //! live: per-domain way occupancy and CBM, Figure-6 state class, IPC vs.
@@ -27,8 +27,12 @@ use crate::json::{self, Item, Obj};
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-/// Schema tag carried by every `frames_header` record.
-pub const FRAMES_SCHEMA: &str = "dcat-frames/v1";
+/// Schema tag of the `frames_header` record [`FrameWriter`] writes.
+pub const FRAMES_SCHEMA: &str = "dcat-frames/v2";
+
+/// Every schema [`FrameReader`] reads: `dcat-frames/v1` wrote a domain as
+/// an object by key, v2 writes it as an array by position.
+const READ_SCHEMAS: &[&str] = &["dcat-frames/v1", FRAMES_SCHEMA];
 
 /// Schema tag carried by every `flight_header` record
 /// (see [`crate::recorder::FlightRecorder::dump_jsonl`]).
@@ -48,13 +52,19 @@ pub const KNOWN_CLASSES: &[&str] = &[
 /// Degraded-tick reasons `dcat::events::DegradeReason` renders.
 pub const KNOWN_REASONS: &[&str] = &["telemetry", "resctrl"];
 
-/// Declares a record of `dcat-frames/v1`: the struct, with its fields in
-/// wire order, and their writer and reader. A field is `name: Type [as
-/// Codec] = mode ["key"]`; its [`Codec`] is its type unless `as` names
-/// another. The modes: `required`; `null`, an `Option` written `null` when
-/// `None`; `omitted`, an `Option` left out when `None`; and `flatten`, a
-/// record whose fields sit inline among this one's. Either `Option` reads
-/// `None` when the key is absent.
+/// Declares a record of `dcat-frames`: the struct, with its fields in wire
+/// order, and their writer and reader. A field is `name: Type [as Codec] =
+/// mode ["key"]`; its [`Codec`] is its type unless `as` names another. The
+/// modes: `required`; `null`, an `Option` written `null` when `None`;
+/// `omitted`, an `Option` left out when `None`; and `flatten`, a record
+/// whose fields sit inline among this one's. Either `Option` reads `None`
+/// when the key is absent.
+///
+/// A record declared `as positional` (no `flatten` field) is written as an
+/// array of its values in field order, `None` as `null`, and read from one:
+/// a missing trailing `Option` reads `None`, and elements past the last
+/// field are skipped, as unknown keys are. It still reads an object by key,
+/// the way `dcat-frames/v1` wrote it.
 macro_rules! record {
     (@codec $ty:ty) => { $ty };
     (@codec $ty:ty, $codec:ty) => { $codec };
@@ -68,26 +78,34 @@ macro_rules! record {
         put_field::<$c>($out, $first, concat!(",\"", $key, "\":"), $v)
     };
     (@take flatten $c:ty, $v:ident) => { <$c>::take_fields($v)? };
-    (@take $mode:ident $c:ty, $v:ident, $key:literal) => { take::<$c>($v, $key)? };
-    ($(
-        $(#[$meta:meta])*
-        pub struct $name:ident $(<$lt:lifetime>)? {
-            $( $(#[$doc:meta])* $field:ident: $ty:ty $(as $codec:ty)? = $mode:ident $($key:literal)?, )*
+    (@take $mode:ident $c:ty, $v:ident, $key:literal) => { take::<$c>($v.get($key), $key)? };
+    (@shape positional $name:ident $(<$lt:lifetime>)? {
+        $( $field:ident: $c:ty = $mode:ident $($key:literal)?, )*
+    }) => {
+        impl $(<$lt>)? Codec for $name $(<$lt>)? {
+            type Value = Self;
+            fn put(v: &Self, out: &mut String) {
+                out.push('[');
+                let first = &mut true;
+                $( put_field::<$c>(out, first, ",", &v.$field); )*
+                out.push(']');
+            }
+            fn take(v: Item<'_, '_>, _: &str) -> Result<Self, String> {
+                if !v.is_array() {
+                    return Self::take_fields(v);
+                }
+                let mut items = v.children().map(|(_, item)| item);
+                Ok($name { $( $field: take::<$c>(items.next(), $($key)?)?, )* })
+            }
         }
-    )*) => {$(
-        $(#[$meta])*
-        pub struct $name $(<$lt>)? {
-            $( $(#[$doc])* pub $field: $ty, )*
-        }
-
+    };
+    (@shape $name:ident $(<$lt:lifetime>)? {
+        $( $field:ident: $c:ty = $mode:ident $($key:literal)?, )*
+    }) => {
         impl $(<$lt>)? $name $(<$lt>)? {
             /// Appends `"key":value` per field, after a comma unless `first`.
             fn put_fields(&self, out: &mut String, first: &mut bool) {
-                $( record!(@put $mode record!(@codec $ty $(, $codec)?), out, first, &self.$field $(, $key)?); )*
-            }
-
-            fn take_fields(v: Item<'_, '_>) -> Result<Self, String> {
-                Ok($name { $( $field: record!(@take $mode record!(@codec $ty $(, $codec)?), v $(, $key)?), )* })
+                $( record!(@put $mode $c, out, first, &self.$field $(, $key)?); )*
             }
         }
 
@@ -102,6 +120,27 @@ macro_rules! record {
                 Self::take_fields(v)
             }
         }
+    };
+    ($(
+        $(#[$meta:meta])*
+        pub struct $name:ident $(<$lt:lifetime>)? $(as $shape:ident)? {
+            $( $(#[$doc:meta])* $field:ident: $ty:ty $(as $codec:ty)? = $mode:ident $($key:literal)?, )*
+        }
+    )*) => {$(
+        $(#[$meta])*
+        pub struct $name $(<$lt>)? {
+            $( $(#[$doc])* pub $field: $ty, )*
+        }
+
+        impl $(<$lt>)? $name $(<$lt>)? {
+            fn take_fields(v: Item<'_, '_>) -> Result<Self, String> {
+                Ok($name { $( $field: record!(@take $mode record!(@codec $ty $(, $codec)?), v $(, $key)?), )* })
+            }
+        }
+
+        record!(@shape $($shape)? $name $(<$lt>)? {
+            $( $field: record!(@codec $ty $(, $codec)?) = $mode $($key)?, )*
+        });
     )*};
 }
 
@@ -109,7 +148,7 @@ record! {
     /// One domain's slice of a frame. A producer lends the name out of its
     /// reports; [`FrameReader`] owns what it read.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct DomainFrame<'a> {
+    pub struct DomainFrame<'a> as positional {
         name: Cow<'a, str> = required "name",
         /// State-machine class, rendered (one of [`KNOWN_CLASSES`]).
         class: &'static str as Class = required "class",
@@ -194,8 +233,10 @@ fn put_field<C: Codec>(out: &mut String, first: &mut bool, key: &str, v: &C::Val
     C::put(v, out);
 }
 
-fn take<C: Codec>(v: Item<'_, '_>, key: &str) -> Result<C::Value, String> {
-    match v.get(key) {
+/// Reads `field` as the value of `key`; an absent one reads as
+/// [`Codec::missing`].
+fn take<C: Codec>(field: Option<Item<'_, '_>>, key: &str) -> Result<C::Value, String> {
+    match field {
         Some(field) => C::take(field, key),
         None => C::missing().ok_or_else(|| format!("missing field '{key}'")),
     }
@@ -357,7 +398,7 @@ pub fn header_line(source: &str) -> String {
 
 /// Appends one frame record to `out` (no trailing newline). This is the
 /// whole per-tick cost of the export (tracked by the `frame_encode_tick`
-/// perfbench case); `tests/golden/frames_v1.jsonl` pins its bytes.
+/// perfbench case); `tests/golden/frames_v2.jsonl` pins its bytes.
 fn put_frame(out: &mut String, f: &Frame<'_>) {
     out.push_str("{\"record\":\"frame\"");
     f.put_fields(out, &mut false);
@@ -558,17 +599,17 @@ pub enum Record {
     Frame(Frame<'static>),
 }
 
-/// The one validator of `dcat-frames/v1`, fed a line at a time. Enforced
-/// per segment: header first, known schema, strictly increasing ticks,
-/// known state classes, degraded frames carry a known reason. It keeps
-/// only its position, so a reader over a growing file (`dcat-top
-/// --follow`) costs what was appended.
+/// The one validator of `dcat-frames`, fed a line at a time. Enforced per
+/// segment: header first, a schema it reads (v1 or v2) and its domain shape,
+/// strictly increasing ticks, known state classes, degraded frames carry a
+/// known reason. It keeps only its position, so a reader over a growing
+/// file (`dcat-top --follow`) costs what was appended.
 #[derive(Debug, Clone, Default)]
 pub struct FrameReader {
     /// Lines read so far, blank ones included: errors name the line.
     line: usize,
-    /// A `frames_header` has opened a segment.
-    in_segment: bool,
+    /// The open segment's schema, once a `frames_header` has opened one.
+    schema: Option<&'static str>,
     /// The current segment's last tick.
     last_tick: Option<u64>,
 }
@@ -587,18 +628,25 @@ impl FrameReader {
         let v = scanned.root();
         match v.get("record").and_then(Item::as_str).as_deref() {
             Some("frames_header") => {
-                let schema = take::<Cow<str>>(v, "schema").map_err(at)?;
-                if schema != FRAMES_SCHEMA {
+                let schema = take::<Cow<str>>(v.get("schema"), "schema").map_err(at)?;
+                let Some(&schema) = READ_SCHEMAS.iter().find(|s| **s == schema) else {
                     return Err(format!("line {line}: unsupported frames schema '{schema}'"));
-                }
-                let source = take::<Cow<str>>(v, "source").map_err(at)?;
-                self.in_segment = true;
+                };
+                let source = take::<Cow<str>>(v.get("source"), "source").map_err(at)?;
+                self.schema = Some(schema);
                 self.last_tick = None;
                 Ok(Some(Record::Header(source.into_owned())))
             }
             Some("frame") => {
-                if !self.in_segment {
+                let Some(schema) = self.schema else {
                     return Err(format!("line {line}: frame before any frames_header"));
+                };
+                // The segment's schema decides a domain's shape.
+                let arrays = schema == FRAMES_SCHEMA;
+                let domains = v.get("domains").filter(|d| d.is_array());
+                if domains.is_some_and(|ds| ds.children().any(|(_, d)| d.is_array() != arrays)) {
+                    let shape = if arrays { "an array" } else { "an object" };
+                    return Err(format!("line {line}: {schema} writes a domain as {shape}"));
                 }
                 let frame = Frame::take_fields(v).map_err(at)?;
                 if frame.degraded && frame.reason.is_none() {
@@ -634,14 +682,14 @@ pub fn read_stream<'a>(
             visit(raw, record);
         }
     }
-    if reader.in_segment {
+    if reader.schema.is_some() {
         Ok(())
     } else {
         Err("stream has no frames_header record".to_string())
     }
 }
 
-/// Parse and validate a `dcat-frames/v1` stream into its segments, each
+/// Parse and validate a `dcat-frames` stream into its segments, each
 /// holding its frames' lines rather than decoded frames.
 pub fn parse_stream(text: &str) -> Result<Vec<Segment<'_>>, String> {
     let mut segments: Vec<Segment<'_>> = Vec::new();
@@ -732,7 +780,7 @@ pub fn parse_flight(text: &str) -> Result<Vec<FlightTick>, String> {
             saw_header = true;
             continue;
         }
-        let tick = take::<u64>(v, "tick").map_err(at)?;
+        let tick = take::<u64>(v.get("tick"), "tick").map_err(at)?;
         if let Some(prev) = ticks.last() {
             if tick <= prev.tick {
                 return Err(format!(
@@ -745,7 +793,7 @@ pub fn parse_flight(text: &str) -> Result<Vec<FlightTick>, String> {
             tick,
             spans: array(v, "spans").map_err(at)?.count(),
             events: array(v, "events").map_err(at)?.map(event_summary).collect(),
-            degraded: take::<bool>(v, "degraded").map_err(at)?,
+            degraded: take::<bool>(v.get("degraded"), "degraded").map_err(at)?,
         });
     }
     if !saw_header {
@@ -884,12 +932,61 @@ mod tests {
         }
     }
 
+    record! {
+        /// A positional record, and the same record grown by a field.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct Slot as positional {
+            ways: u32 = required "ways",
+        }
+
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct GrownSlot as positional {
+            ways: u32 = required "ways",
+            rule: Option<u32> = null "rule",
+        }
+    }
+
+    #[test]
+    fn a_positional_record_grows_by_a_trailing_option() {
+        let read = |text: &str| {
+            let scanned = json::scan(text).expect("JSON");
+            (
+                Slot::take(scanned.root(), "slot"),
+                GrownSlot::take(scanned.root(), "slot"),
+            )
+        };
+        let grown = GrownSlot {
+            ways: 3,
+            rule: Some(7),
+        };
+        let mut line = String::new();
+        GrownSlot::put(&grown, &mut line);
+        assert_eq!(line, "[3,7]");
+        // A reader that predates the field skips its element.
+        assert_eq!(read(&line), (Ok(Slot { ways: 3 }), Ok(grown)));
+        // A line that predates it reads `None` for it.
+        let old = GrownSlot {
+            ways: 3,
+            rule: None,
+        };
+        assert_eq!(read("[3]"), (Ok(Slot { ways: 3 }), Ok(old.clone())));
+        line.clear();
+        GrownSlot::put(&old, &mut line);
+        assert_eq!(line, "[3,null]");
+        // By key, as v1 wrote records.
+        assert_eq!(read(r#"{"ways":3}"#).1, Ok(old));
+        assert_eq!(read("[]").1, Err("missing field 'ways'".to_string()));
+    }
+
     #[test]
     fn non_finite_floats_render_as_null() {
         let mut f = frame(1, &[2]);
         f.domains[0].ipc = f64::NAN;
+        f.domains[0].norm_ipc = Some(f64::INFINITY);
         let line = encode_frame(&f);
-        assert!(line.contains("\"ipc\":null"));
+        // ipc and norm_ipc hold positions 5 and 6 of the domain's array.
+        let domain = r#"["vm0","Keeper",2,240,null,null,0.02,1.23,false,false]"#;
+        assert!(line.contains(domain), "{line}");
         json::parse(&line).expect("null ipc still parses");
     }
 

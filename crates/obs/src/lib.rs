@@ -18,7 +18,7 @@
 //!
 //! [`json`] holds the hand-rolled escaping/builder/parser shared by all
 //! renderers, [`promcheck`] the Prometheus validator, and [`frames`] the
-//! `dcat-frames/v1` per-tick stream and the flight-dump validator. A
+//! `dcat-frames/v2` per-tick stream and the flight-dump validator. A
 //! library only: `dcat-top --replay` reads every artifact back.
 
 // A tick degrades, it never dies: no panicking call, index, slice or division

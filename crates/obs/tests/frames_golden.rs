@@ -1,14 +1,19 @@
-//! Byte oracle for the `dcat-frames/v1` encoder.
+//! Byte oracles for the `dcat-frames` writer and reader.
 //!
 //! The unit tests in `frames.rs` round-trip through `parse_stream`, so a
-//! reordered or re-spelt field would pass them. This test pins the bytes:
-//! `tests/golden/frames_v1.jsonl` was recorded from the `Obj`-per-domain
-//! encoder before it was replaced, and [`FrameWriter`] must reproduce it
-//! exactly — field order, number spelling, escapes, and the `ways_moved`
-//! each frame reports against the one before it.
+//! reordered or re-spelt field would pass them. These tests pin the bytes,
+//! both ways:
 //!
-//! The format is frozen; regenerate only for a deliberate schema change,
-//! never for a performance change:
+//! - `tests/golden/frames_v2.jsonl` is what [`FrameWriter`] writes for the
+//!   scenario below — field order, number spelling, escapes, and the
+//!   `ways_moved` each frame reports against the one before it.
+//! - `tests/golden/frames_v1.jsonl` was recorded from the `dcat-frames/v1`
+//!   writer, which spelt a domain as an object by key, and is never
+//!   regenerated: each of its lines must still read as the scenario frame
+//!   it was written from, and re-encoded as v2 read back bit for bit.
+//!
+//! Regenerate the v2 golden only for a deliberate schema change, never for
+//! a performance change:
 //!
 //! ```sh
 //! DCAT_BLESS=1 cargo test -p dcat-obs --test frames_golden
@@ -16,6 +21,9 @@
 
 use std::path::PathBuf;
 
+use std::fmt::Write as _;
+
+use dcat_obs::frames::{encode_frame, FrameReader, Record};
 use dcat_obs::{DomainFrame, Frame, FrameWriter, LfocExt, MemshareExt, PolicyExt};
 
 fn domain(name: &str, ways: u32) -> DomainFrame<'static> {
@@ -185,8 +193,10 @@ fn scenario() -> Vec<Frame<'static>> {
     frames
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/frames_v1.jsonl")
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
 }
 
 #[test]
@@ -211,7 +221,7 @@ fn frame_writer_reproduces_the_recorded_bytes() {
     }
     assert_eq!(streamed, lines, "clear_buffer keeps the ways_moved state");
 
-    let path = golden_path();
+    let path = golden_path("frames_v2.jsonl");
     if std::env::var_os("DCAT_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
             .expect("create golden dir");
@@ -231,4 +241,166 @@ fn frame_writer_reproduces_the_recorded_bytes() {
         path.display()
     );
     assert_eq!(writer.into_string(), expected);
+}
+
+/// Every value of `f`, floats as their bits: equal keys are bit-identical
+/// frames (`-0.0` is not `0.0`). The destructuring names every field, so a
+/// field added to the format cannot go uncompared.
+fn bits(f: &Frame<'_>) -> String {
+    let Frame {
+        tick,
+        policy,
+        degraded,
+        reason,
+        ways_moved,
+        ext,
+        events,
+        domains,
+    } = f;
+    let mut key = format!("{tick} {policy:?} {degraded} {reason:?} {ways_moved} {ext:?} {events}");
+    for d in domains {
+        let DomainFrame {
+            name,
+            class,
+            ways,
+            cbm,
+            ipc,
+            norm_ipc,
+            miss_rate,
+            baseline_ipc,
+            quarantined,
+            held,
+        } = d;
+        let opt = |v: &Option<f64>| v.map(f64::to_bits);
+        let _ = write!(
+            key,
+            " [{name:?} {class:?} {ways} {cbm:?} {} {:?} {} {:?} {quarantined} {held}]",
+            ipc.to_bits(),
+            opt(norm_ipc),
+            miss_rate.to_bits(),
+            opt(baseline_ipc),
+        );
+    }
+    key
+}
+
+/// What `line` reads as, alone in a segment of `schema`.
+fn read(schema: &str, line: &str) -> Result<Frame<'static>, String> {
+    let mut reader = FrameReader::default();
+    let header = format!(r#"{{"record":"frames_header","schema":"{schema}","source":"t"}}"#);
+    reader.read_line(&header)?;
+    match reader.read_line(line)? {
+        Some(Record::Frame(f)) => Ok(f),
+        other => Err(format!("not a frame: {other:?}")),
+    }
+}
+
+/// The frame lines of the v1 golden, after checking its header.
+fn v1_frame_lines() -> Vec<String> {
+    let path = golden_path("frames_v1.jsonl");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {} ({e})", path.display()));
+    let mut lines = text.lines().map(str::to_string);
+    assert_eq!(
+        lines.next().as_deref(),
+        Some(r#"{"record":"frames_header","schema":"dcat-frames/v1","source":"golden:\"src\\"}"#)
+    );
+    lines.collect()
+}
+
+#[test]
+fn v1_golden_lines_read_as_the_frames_they_were_written_from() {
+    // The `ways_moved` the v1 writer filled in, frame by frame.
+    let moved = [0, 2, 0, 0, 0, 0, 0, 4, 1, 7, 6, 1, 6, 8, 7, 0];
+    let lines = v1_frame_lines();
+    let frames = scenario();
+    assert_eq!(lines.len(), frames.len());
+    assert_eq!(moved.len(), frames.len());
+    for (i, ((line, mut want), ways_moved)) in lines.iter().zip(frames).zip(moved).enumerate() {
+        let got = read("dcat-frames/v1", line);
+        // What v1 wrote that no reader takes back: a required float that
+        // was not finite, and a reason no daemon renders.
+        match i {
+            2 => assert_eq!(got, Err("line 2: field 'ipc' is not a number".into())),
+            4 => assert_eq!(
+                got,
+                Err("line 2: unknown degrade reason 'tele\"metry\0'".into())
+            ),
+            _ => {
+                want.ways_moved = ways_moved;
+                // A non-finite optional float was written `null`.
+                for d in &mut want.domains {
+                    d.norm_ipc = d.norm_ipc.filter(|v| v.is_finite());
+                    d.baseline_ipc = d.baseline_ipc.filter(|v| v.is_finite());
+                }
+                let got = got.unwrap_or_else(|e| panic!("frame {i}: {e}"));
+                assert_eq!(bits(&got), bits(&want), "frame {i}");
+            }
+        }
+    }
+}
+
+#[test]
+fn v1_frames_reencoded_as_v2_read_back_bit_identical() {
+    let mut read_back = 0;
+    for line in v1_frame_lines() {
+        let Ok(v1) = read("dcat-frames/v1", &line) else {
+            continue;
+        };
+        let v2 = encode_frame(&v1);
+        assert!(v2.len() <= line.len(), "{v2}");
+        let again = read(dcat_obs::FRAMES_SCHEMA, &v2).expect("a v2 line reads back");
+        assert_eq!(bits(&again), bits(&v1), "{line}\n{v2}");
+        read_back += 1;
+    }
+    assert_eq!(read_back, 14);
+}
+
+/// A daemon tick on a host of 12 tenants, with the floats a ratio of two
+/// counters gives: 17 significant digits, not `1.25`.
+fn daemon_tick() -> Frame<'static> {
+    const CLASSES: [&str; 4] = ["Keeper", "Donor", "Receiver", "Streaming"];
+    let domains = (0..12u32)
+        .map(|i| {
+            let n = u64::from(i);
+            let ways = 1 + i % 6;
+            DomainFrame {
+                name: format!("tenant-{i:02}").into(),
+                class: CLASSES[i as usize % CLASSES.len()],
+                ways,
+                cbm: Some(((1u64 << ways) - 1) << (i % 14)),
+                ipc: (2_813_331_907 + 97_331 * n) as f64 / (2_300_000_017 - 11_117 * n) as f64,
+                norm_ipc: Some((1_013_777 + 3_331 * n) as f64 / 1_000_003.0),
+                miss_rate: (12_345_677 + 1_001 * n) as f64 / 1_000_000_007.0,
+                baseline_ipc: Some((2_799_999_991 + 13 * n) as f64 / 2_300_000_017.0),
+                quarantined: false,
+                held: false,
+            }
+        })
+        .collect();
+    Frame {
+        tick: 4_321,
+        policy: "dcat".into(),
+        degraded: false,
+        reason: None,
+        ways_moved: 2,
+        events: 1,
+        ext: PolicyExt {
+            cos: 12,
+            ..PolicyExt::default()
+        },
+        domains,
+    }
+}
+
+/// Bytes per frame, gated exactly: the frame stream is the largest live
+/// structure of a long daemon run, so a format change that grows it must
+/// show here, not in a timing tolerance. `dcat-frames/v1`, a domain an
+/// object by key, wrote this frame in 2 657 bytes.
+#[test]
+fn a_daemon_tick_of_12_domains_encodes_to_a_fixed_length() {
+    let line = encode_frame(&daemon_tick());
+    assert_eq!(line.len(), 1_541, "{line}");
+    let back = read(dcat_obs::FRAMES_SCHEMA, &line).expect("the tick reads back");
+    assert_eq!(bits(&back), bits(&daemon_tick()));
 }

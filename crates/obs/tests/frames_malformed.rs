@@ -1,12 +1,14 @@
-//! The `dcat-frames/v1` validator's corpus: what it rejects and with which
+//! The `dcat-frames` validator's corpus: what it rejects and with which
 //! message, and what it accepts and how the accepted frame re-encodes.
 //!
 //! Every case is a small stream built from one fully populated frame by a
-//! single edit. `tests/golden/frames_malformed.txt` holds, per case, the
-//! input and then either the `check_frames` error or `ok` followed by each
-//! decoded frame as `encode_frame` writes it back. A reader change that
-//! moves a message, a line number or a decoded value shows as a diff of
-//! that file. Re-bless after a deliberate change with:
+//! single edit: the `dcat-frames/v1` cases first, each domain an object by
+//! key, then the v2 cases, each domain an array by position.
+//! `tests/golden/frames_malformed.txt` holds, per case, the input and then
+//! either the `check_frames` error or `ok` followed by each decoded frame
+//! as `encode_frame` writes it back, in v2 whatever the input. A reader
+//! change that moves a message, a line number or a decoded value shows as
+//! a diff of that file. Re-bless after a deliberate change with:
 //!
 //! ```sh
 //! DCAT_BLESS=1 cargo test -p dcat-obs --test frames_malformed
@@ -74,9 +76,18 @@ fn key_of(kv: &str) -> &str {
     kv.split(':').next().unwrap_or(kv).trim_matches('"')
 }
 
-/// A header and then `frames`, one per line.
+/// A v1 header and then `frames`, one per line.
 fn stream(frames: &[String]) -> String {
-    let mut text = format!("{HEADER}\n");
+    segment(HEADER, frames)
+}
+
+/// A v2 header and then `frames`, one per line.
+fn stream_v2(frames: &[String]) -> String {
+    segment(&HEADER.replace("v1", "v2"), frames)
+}
+
+fn segment(header: &str, frames: &[String]) -> String {
+    let mut text = format!("{header}\n");
     for f in frames {
         text.push_str(f);
         text.push('\n');
@@ -336,6 +347,144 @@ fn accepted() -> Vec<(String, String)> {
     cases
 }
 
+/// The values of [`FRAME`]'s domain in v2's order, and the field each is.
+const DOMAIN: [(&str, &str); 10] = [
+    ("name", r#""vm0""#),
+    ("class", r#""Keeper""#),
+    ("ways", "4"),
+    ("cbm", "240"),
+    ("ipc", "1.25"),
+    ("norm_ipc", "1.01"),
+    ("miss_rate", "0.02"),
+    ("baseline_ipc", "1.23"),
+    ("quarantined", "false"),
+    ("held", "false"),
+];
+
+/// A v2 domain: `values` as one array.
+fn domain_v2(values: &[&str]) -> String {
+    format!("[{}]", values.join(","))
+}
+
+/// [`FRAME`]'s domain values, with `(position, value)` edits applied.
+fn values_with<'a>(edits: &[(usize, &'a str)]) -> Vec<&'a str> {
+    let mut values: Vec<&str> = DOMAIN.iter().map(|&(_, v)| v).collect();
+    for &(at, value) in edits {
+        values[at] = value;
+    }
+    values
+}
+
+/// [`FRAME`] as v2 writes it, holding `domains` in place of its one.
+fn frame_v2(domains: &[String]) -> String {
+    let start = FRAME.find(r#""domains":["#).expect("FRAME has domains") + 11;
+    format!("{}{}]}}", &FRAME[..start], domains.join(","))
+}
+
+/// [`FRAME`] as v2 writes it.
+fn base_v2() -> String {
+    frame_v2(&[domain_v2(&values_with(&[]))])
+}
+
+fn rejected_v2() -> Vec<(String, String)> {
+    let mut cases = Vec::new();
+    for (at, &(field, _)) in DOMAIN.iter().enumerate() {
+        let wrong = match field {
+            "name" | "class" => "0",
+            "ipc" => "null",
+            "quarantined" | "held" => r#""false""#,
+            "baseline_ipc" => "true",
+            _ => r#""4""#,
+        };
+        let domain = domain_v2(&values_with(&[(at, wrong)]));
+        cases.push((
+            format!("v2: domain position {at} ('{field}') mistyped as {wrong}"),
+            stream_v2(&[frame_v2(&[domain])]),
+        ));
+    }
+    let mut one = |name: &str, text: String| cases.push((name.to_string(), text));
+    let base = values_with(&[]);
+    one(
+        "v2: a short domain array",
+        stream_v2(&[frame_v2(&[domain_v2(&base[..6])])]),
+    );
+    one(
+        "v2: an empty domain array",
+        stream_v2(&[frame_v2(&[domain_v2(&[])])]),
+    );
+    one(
+        "v2: a domain that is an object",
+        stream_v2(&[FRAME.to_string()]),
+    );
+    one(
+        "v2: an object domain after an array one",
+        stream_v2(&[edit(
+            r#""domains":["#,
+            &format!(r#""domains":[{},"#, domain_v2(&base)),
+        )]),
+    );
+    one(
+        "v2: a domain that is a number",
+        stream_v2(&[frame_v2(&["1".to_string()])]),
+    );
+    one("v1: a domain that is an array", stream(&[base_v2()]));
+    one(
+        "v1 segment, then an array domain under a second v1 header",
+        format!("{}{}", stream(&[FRAME.to_string()]), stream(&[base_v2()])),
+    );
+    cases
+}
+
+fn accepted_v2() -> Vec<(String, String)> {
+    let mut cases = Vec::new();
+    let mut one = |name: &str, text: String| cases.push((name.to_string(), text));
+    let base = values_with(&[]);
+    one("v2: the base frame", stream_v2(&[base_v2()]));
+    one(
+        "v2: optionals null",
+        stream_v2(&[frame_v2(&[domain_v2(&values_with(&[
+            (3, "null"),
+            (5, "null"),
+            (7, "null"),
+        ]))])]),
+    );
+    let mut longer = base.clone();
+    longer.extend([r#""x""#, r#"{"y":[1,null]}"#]);
+    one(
+        "v2: elements past the last field are skipped",
+        stream_v2(&[frame_v2(&[domain_v2(&longer)])]),
+    );
+    one(
+        "v2: whitespace inside a domain",
+        stream_v2(&[frame_v2(&[format!("[ {} ]", base.join(" ,\t"))])]),
+    );
+    one(
+        "v2: two domains, escaped name",
+        stream_v2(&[frame_v2(&[
+            domain_v2(&base),
+            domain_v2(&values_with(&[(0, r#""v\"m\\1\u0001""#), (2, "7")])),
+        ])]),
+    );
+    one("v2: no domains", stream_v2(&[frame_v2(&[])]));
+    one(
+        "a v1 segment, then a v2 segment",
+        format!(
+            "{}{}",
+            stream(&[FRAME.to_string()]),
+            stream_v2(&[base_v2()])
+        ),
+    );
+    one(
+        "a v2 segment, then a v1 segment",
+        format!(
+            "{}{}",
+            stream_v2(&[base_v2()]),
+            stream(&[FRAME.to_string()])
+        ),
+    );
+    cases
+}
+
 /// `check_frames`' error, or `ok` and each decoded frame re-encoded
 /// (which must read back as the same frame).
 fn verdict(name: &str, input: &str) -> Result<String, String> {
@@ -348,7 +497,7 @@ fn verdict(name: &str, input: &str) -> Result<String, String> {
     for seg in parse_stream(input).expect(name) {
         for f in &seg.frames {
             let line = encode_frame(&f);
-            let text = stream(std::slice::from_ref(&line));
+            let text = stream_v2(std::slice::from_ref(&line));
             let again = parse_stream(&text).expect(name);
             assert_eq!(again[0].frames.get(0), Some(f), "{name}");
             out.push_str(&format!(">  {line}\n"));
@@ -361,13 +510,18 @@ fn verdict(name: &str, input: &str) -> Result<String, String> {
 /// list promises.
 fn corpus() -> (String, Vec<String>) {
     let mut out = String::from(
-        "# Malformed and accepted dcat-frames/v1 streams. Each case: `<` input lines,\n\
+        "# Malformed and accepted dcat-frames streams. Each case: `<` input lines,\n\
          # then `->` the check_frames error, or `-> ok` and `>` each frame re-encoded.\n",
     );
     let rejected = rejected();
     assert!(rejected.len() >= 48, "{} rejected cases", rejected.len());
     let mut wrong = Vec::new();
-    let lists = [(false, rejected), (true, accepted())];
+    let lists = [
+        (false, rejected),
+        (true, accepted()),
+        (false, rejected_v2()),
+        (true, accepted_v2()),
+    ];
     for (accept, cases) in &lists {
         for (name, input) in cases {
             let verdict = verdict(name, input);

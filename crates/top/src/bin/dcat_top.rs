@@ -7,7 +7,7 @@
 //! dcat-top --follow <path> [--interval-ms <n>] [--max-ticks <n>] [--headless]
 //! ```
 //!
-//! `--replay` renders a recorded `dcat-frames/v1` stream, a
+//! `--replay` renders a recorded `dcat-frames` stream (v1 or v2), a
 //! `dcat-flight/v1` recorder dump or a Prometheus metrics export in full
 //! and exits, non-zero on input its validator rejects; `--follow` polls a
 //! growing file — typically the `--frames-out` target of a running

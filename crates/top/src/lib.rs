@@ -1,4 +1,4 @@
-//! dcat-top: terminal rendering for the `dcat-frames/v1` stream, and the
+//! dcat-top: terminal rendering for the `dcat-frames` stream, and the
 //! one reader of every artifact a dCat run writes.
 //!
 //! The `dcat-top` binary is the operator's live view of a dCat run: it
@@ -172,7 +172,7 @@ pub fn render_frame(f: &Frame, opts: &RenderOptions) -> String {
     out
 }
 
-/// Renders a whole `dcat-frames/v1` stream, segment by segment, frame by
+/// Renders a whole `dcat-frames` stream, segment by segment, frame by
 /// frame — the `--replay` path. One pass: each frame is decoded once and
 /// rendered onto the end of the output, and a segment's banner, which
 /// carries its frame count, goes in front of its frames when it closes.
@@ -352,7 +352,7 @@ pub fn render_prometheus(text: &str, opts: &RenderOptions) -> Result<String, Str
 /// What replay input is, from its first non-empty line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamKind {
-    /// `dcat-frames/v1` (a `frames_header` / `frame` record first).
+    /// `dcat-frames` (a `frames_header` / `frame` record first).
     Frames,
     /// `dcat-flight/v1` (a `flight_header` record first).
     Flight,
@@ -383,7 +383,7 @@ pub fn classify(text: &str) -> StreamKind {
     }
 }
 
-const UNKNOWN_INPUT: &str = "input is not a dcat-frames/v1 stream, a dcat-flight/v1 dump or \
+const UNKNOWN_INPUT: &str = "input is not a dcat-frames stream, a dcat-flight/v1 dump or \
      Prometheus text: its first record names no frames_header or flight_header";
 
 /// Renders replay input of any kind [`classify`] knows.
@@ -605,5 +605,43 @@ mod tests {
             .map(|f| f.tick)
             .collect();
         assert_eq!(ticks, [1, 2]);
+    }
+
+    /// `stream("dcatd", 2)` as `dcat-frames/v1` spelt it: each domain an
+    /// object by key.
+    const V1_SEGMENT: &str = concat!(
+        r#"{"record":"frames_header","schema":"dcat-frames/v1","source":"dcatd"}"#,
+        "\n",
+        r#"{"record":"frame","tick":1,"policy":"dcat","degraded":true,"reason":"telemetry","ways_moved":0,"cos":2,"lfoc":{"clusters":2,"insensitive":1},"memshare":{"lent":4,"credit_min":-7,"credit_max":12},"events":2,"domains":[{"name":"tenant","class":"Receiver","ways":2,"cbm":31,"ipc":1.234,"norm_ipc":0.98,"miss_rate":0.0321,"baseline_ipc":1.26,"quarantined":true,"held":true},{"name":"lookbusy-0","class":"Donor","ways":1,"cbm":null,"ipc":0.5,"norm_ipc":null,"miss_rate":0.0,"baseline_ipc":null,"quarantined":false,"held":false}]}"#,
+        "\n",
+        r#"{"record":"frame","tick":2,"policy":"dcat","degraded":true,"reason":"telemetry","ways_moved":1,"cos":2,"lfoc":{"clusters":2,"insensitive":1},"memshare":{"lent":4,"credit_min":-7,"credit_max":12},"events":2,"domains":[{"name":"tenant","class":"Receiver","ways":3,"cbm":31,"ipc":1.234,"norm_ipc":0.98,"miss_rate":0.0321,"baseline_ipc":1.26,"quarantined":true,"held":true},{"name":"lookbusy-0","class":"Donor","ways":1,"cbm":null,"ipc":0.5,"norm_ipc":null,"miss_rate":0.0,"baseline_ipc":null,"quarantined":false,"held":false}]}"#,
+        "\n",
+    );
+
+    #[test]
+    fn replay_and_follow_read_a_v1_segment_then_a_v2_segment() {
+        // A `dcatd` upgraded and restarted into the file it was appending
+        // to: the same two ticks, once per schema.
+        let v2 = stream("dcatd", 2);
+        let text = format!("{V1_SEGMENT}{v2}");
+        let opts = RenderOptions::headless();
+        let one = render_stream(&v2, &opts).unwrap();
+        assert_eq!(render_stream(&text, &opts).unwrap(), one.repeat(2));
+
+        let file = TempFile::new("follow-upgrade");
+        std::fs::write(&file.0, V1_SEGMENT).unwrap();
+        let mut follow = Follow::default();
+        let mut frames = follow.poll(&file.0).unwrap();
+        let mut producer = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&file.0)
+            .unwrap();
+        producer.write_all(v2.as_bytes()).unwrap();
+        frames.extend(follow.poll(&file.0).unwrap());
+        let written: Vec<Frame> = dcat_obs::frames::parse_stream(&v2).unwrap()[0]
+            .frames
+            .iter()
+            .collect();
+        assert_eq!(frames, [written.clone(), written].concat());
     }
 }

@@ -1,7 +1,7 @@
 //! Golden headless-render snapshot for fig07's frame stream.
 //!
 //! This pins the whole export-to-dashboard path end to end: the fig07
-//! lifecycle run produces a `dcat-frames/v1` stream (two segments, panel
+//! lifecycle run produces a `dcat-frames/v2` stream (two segments, panel
 //! a then panel b), and `dcat-top`'s headless renderer turns it into the
 //! exact bytes CI diffs (`ci.sh` replays the same stream through the
 //! `dcat-top --headless` binary). Everything upstream is logical-clock

@@ -7,6 +7,10 @@
     bin_samples.py --insn SYMBOL SAMPLES [--min PCT]
         share of all samples per instruction of every function whose
         demangled name contains SYMBOL (`objdump -d` over its range)
+    bin_samples.py --heap HEAP [--top N] [--depth D]
+        the allocations tools/prof/heap.c found live at the heap's peak,
+        bytes per call site: the first D frames of each backtrace that are
+        not the allocator (malloc, `alloc::`, `__rust_alloc`, the tracer)
 
 A sample is the interrupted instruction pointer: a load that waits on memory
 shows up on the first instruction that consumes its result. Release builds of
@@ -21,22 +25,26 @@ import subprocess
 import sys
 
 
+def read_maps(lines, until):
+    """The mappings ((start, end, file offset, object)) before the line for
+    which `until` is true, and that line."""
+    maps = []
+    for line in lines:
+        line = line.strip()
+        if until(line):
+            return maps, line
+        fields = line.split()
+        if len(fields) >= 6 and fields[5].startswith("/"):
+            start, end = (int(x, 16) for x in fields[0].split("-"))
+            maps.append((start, end, int(fields[2], 16), fields[5]))
+    return maps, None
+
+
 def read_samples(path):
-    """The mappings ((start, end, file offset, object)) and the sampled addresses."""
-    maps, samples, in_samples = [], [], False
+    """The mappings and the sampled addresses."""
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line == "samples":
-                in_samples = True
-            elif in_samples:
-                samples.append(int(line, 16))
-            else:
-                fields = line.split()
-                if len(fields) >= 6 and fields[5].startswith("/"):
-                    start, end = (int(x, 16) for x in fields[0].split("-"))
-                    maps.append((start, end, int(fields[2], 16), fields[5]))
-    return maps, samples
+        maps, _ = read_maps(f, lambda line: line == "samples")
+        return maps, [int(line, 16) for line in f if line.strip()]
 
 
 def by_object(maps, samples):
@@ -69,20 +77,63 @@ def symbols(obj):
     return sorted(syms)
 
 
+def resolver(maps):
+    """A function from an address to (object, function) through `symbols`."""
+    base, cache = {}, {}
+    for start, _end, _off, obj in maps:
+        base[obj] = min(base.get(obj, start), start)
+
+    def resolve(addr):
+        for start, end, _off, obj in maps:
+            if start <= addr < end:
+                if obj not in cache:
+                    syms = symbols(obj)
+                    cache[obj] = ([s[0] for s in syms], syms)
+                starts, syms = cache[obj]
+                i = bisect.bisect_right(starts, addr - base[obj]) - 1
+                return obj.rsplit("/", 1)[-1], syms[i][2] if i >= 0 else "?"
+        return "[unmapped]", "?"
+    return resolve
+
+
 def function_table(maps, samples, top):
     total = len(samples)
-    counts = collections.Counter()
-    for obj, addrs in by_object(maps, samples).items():
-        syms = symbols(obj) if obj.startswith("/") else []
-        starts = [s[0] for s in syms]
-        short = obj.rsplit("/", 1)[-1]
-        for addr in addrs:
-            i = bisect.bisect_right(starts, addr) - 1
-            name = syms[i][2] if i >= 0 else "?"
-            counts[(short, name)] += 1
+    resolve = resolver(maps)
+    counts = collections.Counter(resolve(addr) for addr in samples)
     print(f"{total} samples")
     for (obj, name), n in counts.most_common(top):
         print(f"{100 * n / total:6.2f}%  {n:7d}  {obj}  {name}")
+
+
+ALLOCATOR = ("malloc", "calloc", "realloc", "memalign", "posix_memalign", "aligned_alloc")
+ALLOCATOR_PREFIXES = ("alloc::", "<alloc::", "__rust_", "__rdl_", "std::alloc", "<std::alloc")
+
+
+def is_allocator(obj, name):
+    return obj == "heap.so" or name in ALLOCATOR or name.startswith(ALLOCATOR_PREFIXES)
+
+
+def heap_table(path, top, depth):
+    with open(path) as f:
+        maps, head = read_maps(f, lambda line: line.startswith("heap "))
+        if head is None:
+            sys.exit(f"{path}: no 'heap' line (not written by tools/prof/heap.c?)")
+        entries = [[int(x, 16 if i else 10) for i, x in enumerate(line.split())] for line in f if line.strip()]
+    peak, snapshot, tracked = (int(x) for x in head.split()[1:])
+    resolve = resolver(maps)
+    sizes, counts = collections.Counter(), collections.Counter()
+    for size, *frames in entries:
+        # A return address points past its call: look up the call itself.
+        names = [resolve(addr - 1) for addr in frames]
+        site = tuple(name for obj, name in names if not is_allocator(obj, name))[:depth]
+        sizes[site] += size
+        counts[site] += 1
+    mib = 1 << 20
+    print(f"peak {peak / mib:.2f} MiB live; at the snapshot {snapshot / mib:.2f} MiB, "
+          f"{tracked / mib:.2f} MiB of it in {len(entries)} allocations of 16 KiB or more")
+    for site, size in sizes.most_common(top):
+        print(f"{100 * size / max(snapshot, 1):6.2f}%  {size / mib:8.2f} MiB  {counts[site]:5d}  "
+              + " <- ".join(site or ("?",)))
 
 
 def instruction_table(maps, samples, symbol, min_pct):
@@ -123,10 +174,15 @@ def main():
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--by", choices=["function"])
     mode.add_argument("--insn", metavar="SYMBOL")
-    ap.add_argument("--top", type=int, default=25, help="rows of the function table")
+    mode.add_argument("--heap", action="store_true", help="read a tools/prof/heap.c trace")
+    ap.add_argument("--top", type=int, default=25, help="rows of the function or call-site table")
+    ap.add_argument("--depth", type=int, default=3, help="frames of a call site (--heap)")
     ap.add_argument("--min", type=float, default=0.5, help="smallest share of all samples an instruction is listed at")
-    ap.add_argument("samples")
+    ap.add_argument("samples", metavar="FILE", help="a sampler.c or (--heap) heap.c output")
     args = ap.parse_args()
+    if args.heap:
+        heap_table(args.samples, args.top, args.depth)
+        return
     maps, samples = read_samples(args.samples)
     if not samples:
         sys.exit("no samples")
