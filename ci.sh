@@ -84,9 +84,9 @@ echo "==> per-reference path in release: llc-sim, workloads, smallrng and host s
 cargo test -q --release --offline -p workloads -p smallrng -p llc-sim -p host
 
 echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch copy and the test its header names must fail)"
-# 01-03 are the 6-byte LLC line's per-set stamp clock and 22 its sharer
-# field: their exactness argument is only as good as the tests that would
-# notice it break (DESIGN.md §14). 04-06 are
+# 01-03 are the 4-byte LLC line's per-set stamp clock: its exactness
+# argument is only as good as the tests that would notice it break
+# (DESIGN.md §14). 04-06 are
 # the float printer's tie rule and switch point and the row parser's digit
 # lane (§16, "third pass"); 07-09 the engine slice's held caches and
 # estimator (§14, "Fifth pass"); 10-11 the pool's reorder window and the
@@ -101,7 +101,10 @@ echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch co
 # that admits the empty-way sentinel (§14); 26 the max-performance split's
 # DP skipping the last table (§10); 27 the frame writer trading two
 # same-typed positions of a v2 domain, which only the v1 golden read back
-# as v2 shows (§16).
+# as v2 shows (§16); 28-29 the LLC line's shared bit, set by another core's
+# hit and read by the back-invalidation (§14); 30-31 the private cache's
+# fill reporting the tail and its invalidate closing the gap (§14). 22,
+# the sharer mask's bit position, retired with the mask.
 sh tools/mutants.sh tests/mutants/*.patch
 
 echo "==> the float printer against {:?}, 30 M draws of each shape (release; the debug run above did 1 M)"

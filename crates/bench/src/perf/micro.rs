@@ -419,8 +419,8 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         // The paper's 18-core socket, core 0 fenced into one LLC way and
         // streaming fresh lines: once the way is full, every access
         // misses all three levels and evicts, so the back-invalidation of
-        // the victim is on the measured path (a sweep over all 18 cores'
-        // L1 and L2 would show here; the sharer mask names one core).
+        // the victim is on the measured path (an unshared victim visits
+        // its filler alone; the shared case below visits all 18 cores).
         let config = HierarchyConfig::default();
         let mut h = Hierarchy::new(config);
         h.set_fill_mask(0, WayMask::from_way_range(0, 1));
@@ -433,6 +433,32 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
             line += 1;
             h.access(0, line * 64, AccessKind::Load)
         });
+    }
+    {
+        // The same stream with every line hit by core 1 after core 0
+        // fills it, so every victim is shared and its back-invalidation
+        // visits all 18 cores' L2s — the rare path, priced. A case
+        // iteration is the fill and the hit.
+        let config = HierarchyConfig::default();
+        let mut h = Hierarchy::new(config);
+        h.set_fill_mask(0, WayMask::from_way_range(0, 1));
+        let mut line = 0u64;
+        let share = |h: &mut Hierarchy, line: u64| {
+            h.access(0, line * 64, AccessKind::Load);
+            h.access(1, line * 64, AccessKind::Load)
+        };
+        for _ in 0..config.llc.sets {
+            share(&mut h, line);
+            line += 1;
+        }
+        suite.case(
+            "hierarchy_access_llc_evict_shared_18core",
+            iters,
+            move || {
+                line += 1;
+                share(&mut h, line)
+            },
+        );
     }
 
     // --- PageMapper::translate_with on mapped pages ---
@@ -507,7 +533,8 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
     {
         // What `Engine::run_slice`'s pipeline adds per reference when the
         // hint buys nothing: the set index and the hints over a block that
-        // is already in the host's L1 (four for the paper's 164-byte block).
+        // is already in the host's L1 (four for the paper's set: two over its
+        // 40-byte tag run, two over its 42-byte block).
         let h = Hierarchy::new(HierarchyConfig::default());
         suite.case("llc_prefetch_hint", iters, move || h.prefetch_llc(0x4_0000));
     }
@@ -597,7 +624,7 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
 
     // --- one LLC-bound VM on the paper's socket: uniform-random loads
     // over 256 MB at full fidelity, so nearly every reference walks an LLC
-    // set the host has to fetch from memory (4.7 MB of tags) — the case
+    // set the host has to fetch from memory (3.2 MB of tags) — the case
     // the slice loop's translate-ahead-and-hint pipeline exists for.
     {
         let mut cfg = EngineConfig::xeon_e5_v4();

@@ -1267,14 +1267,14 @@ mod tests {
 
     #[test]
     fn the_pipeline_runs_only_where_it_pays() {
-        // Small tag store (224 KiB): never, however LLC-bound the VM.
+        // Small tag store (152 KiB): never, however LLC-bound the VM.
         let mut small = two_vm_engine();
         small.start_workload(0, Scripted::random(256 << 20, 4_000, 16));
         small.run_slice(0);
         assert!(small.vms[0].workload.as_ref().unwrap().llc_bound);
         assert!(!small.pipeline_pays(0));
 
-        // The paper's socket (4.7 MB of tags): from the slice after an
+        // The paper's socket (3.2 MB of tags): from the slice after an
         // LLC-bound one, and never for an L1-resident neighbour.
         let vms = vec![VmSpec::new("a", vec![0], 2), VmSpec::new("b", vec![1], 2)];
         let mut paper = Engine::new(EngineConfig::xeon_e5_v4(), vms).unwrap();

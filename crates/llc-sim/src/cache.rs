@@ -3,7 +3,7 @@
 use crate::address::LineAddr;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementPolicy;
-use crate::set::{block_len, Evicted, PackedSet, SetMut, SetPos, SetRef, INVALID_TAG, MAX_SHARERS};
+use crate::set::{block_len, Evicted, PackedSet, SetMut, SetPos, SetRef, INVALID_TAG, MAX_FILLERS};
 
 /// A bitmask over cache ways, mirroring a CAT capacity bitmask (CBM).
 ///
@@ -87,8 +87,8 @@ pub enum AccessOutcome {
     /// The line was not resident; it has been filled, evicting `evicted`
     /// from the fill-mask partition if the partition was full.
     Miss {
-        /// Line displaced by the fill, if any, with its filler and the
-        /// sharers [`SetAssocCache::access_as`] recorded on it.
+        /// Line displaced by the fill, if any, with its filler and whether
+        /// [`SetAssocCache::access_as`] saw another requestor hit it.
         evicted: Option<Evicted>,
     },
 }
@@ -104,9 +104,9 @@ impl AccessOutcome {
 /// A set-associative cache indexed by physical line address.
 ///
 /// All sets live in three flat arrays — `ways` 16-bit tags per set in
-/// `tags`, one `ways + 1` block per set in `blocks` (an
-/// owner·sharers·stamp word per line and the set's stamp clock), one
-/// occupancy word per set in `occ`: 6 bytes a line and 8 a set — and
+/// `tags`, one `ways + 1` block of 16-bit words per set in `blocks` (a
+/// filler·shared·stamp word per line and the set's stamp clock), one
+/// occupancy word per set in `occ`: 4 bytes a line and 6 a set — and
 /// every operation borrows one set's slice of each as a [`PackedSet`]. A
 /// tag is `line / sets`: the set's index gives the rest of the line,
 /// which is rebuilt only when the line leaves. The occupancy
@@ -118,7 +118,7 @@ pub struct SetAssocCache {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
     tags: Vec<u16>,
-    blocks: Vec<u32>,
+    blocks: Vec<u16>,
     occ: Vec<u32>,
     // `2^64 / sets` rounded up, for the multiply-shift remainder and
     // quotient of a line that fits `u32`; 0 when `sets` is a power of two
@@ -130,7 +130,7 @@ pub struct SetAssocCache {
     // Resident lines per filling owner, kept in step with every fill,
     // eviction, invalidation and flush so CMT-style occupancy reads are
     // O(1); `PackedSet::occupancy_of` is the scan it must always equal.
-    owner_lines: [u64; MAX_SHARERS as usize],
+    owner_lines: [u64; MAX_FILLERS as usize],
 }
 
 impl SetAssocCache {
@@ -154,7 +154,7 @@ impl SetAssocCache {
                 u64::MAX / u64::from(geometry.sets) + 1
             },
             draw_state: 0x9E37_79B9_7F4A_7C15,
-            owner_lines: [0; MAX_SHARERS as usize],
+            owner_lines: [0; MAX_FILLERS as usize],
         };
         assert_eq!(
             cache.set(0).way_count(),
@@ -295,7 +295,7 @@ impl SetAssocCache {
     }
 
     /// Performs an access with the given fill mask, as requestor 0 and
-    /// without sharer tracking.
+    /// without marking a hit line shared.
     ///
     /// On a miss the line is filled into a way permitted by `mask`.
     #[inline]
@@ -317,12 +317,12 @@ impl SetAssocCache {
 
     /// Performs an access attributed to requestor `owner` (a core id),
     /// tagging any filled line for occupancy monitoring — the simulator's
-    /// analogue of Intel CMT's RMID tagging — and recording `owner` as a
-    /// sharer of the line on a hit as well as on a fill.
+    /// analogue of Intel CMT's RMID tagging — and marking a line it hits
+    /// shared unless `owner` filled it.
     ///
     /// # Panics
     ///
-    /// Panics if `owner >= MAX_SHARERS` (18).
+    /// Panics if `owner >= MAX_FILLERS` (32).
     pub fn access_as(&mut self, line: LineAddr, mask: WayMask, owner: u32) -> AccessOutcome {
         self.access_as_at(self.set_index(line), line, mask, owner)
     }
@@ -337,7 +337,7 @@ impl SetAssocCache {
         mask: WayMask,
         owner: u32,
     ) -> AccessOutcome {
-        assert!(owner < MAX_SHARERS, "requestor id beyond the sharer mask");
+        assert!(owner < MAX_FILLERS, "requestor id beyond the filler id");
         debug_assert_eq!(idx, self.geometry.set_index(line));
         let tag = self.access_tag(line);
         let draw = self.next_draw();
@@ -345,11 +345,10 @@ impl SetAssocCache {
         let mut set = self.set_mut(idx);
         let now = set.tick();
         if let Some(way) = set.lookup_tag(tag, now, policy) {
-            set.add_sharer(way, owner);
+            set.note_hit(way, owner);
             return AccessOutcome::Hit;
         }
         let filled = set.fill_tag(tag, mask, now, owner, policy, draw);
-        set.add_sharer(filled.way, owner);
         self.count_fill(owner, filled.evicted);
         AccessOutcome::Miss {
             evicted: filled.evicted,
@@ -366,7 +365,7 @@ impl SetAssocCache {
     }
 
     /// Bytes of tag store behind the cache (the tags, the meta blocks and
-    /// the occupancy words; `6 × ways + 8` a set): what the simulating
+    /// the occupancy words; `4 × ways + 6` a set): what the simulating
     /// machine must keep close for a set walk not to wait on its memory.
     pub fn tag_store_bytes(&self) -> u64 {
         (std::mem::size_of_val(self.tags.as_slice())
@@ -421,7 +420,7 @@ impl SetAssocCache {
         for idx in 0..self.geometry.sets {
             self.set_mut(idx).flush();
         }
-        self.owner_lines = [0; MAX_SHARERS as usize];
+        self.owner_lines = [0; MAX_FILLERS as usize];
     }
 
     /// Total resident lines.
@@ -605,17 +604,20 @@ mod tests {
     fn access_as_records_sharers_on_fill_and_on_hit() {
         let mut c = SetAssocCache::new(CacheGeometry::new(1, 1, 64));
         let mask = WayMask::all(1);
-        c.access_as(LineAddr(1), mask, 3);
-        c.access_as(LineAddr(1), mask, 9);
-        match c.access_as(LineAddr(2), mask, 0) {
+        let evicted = |c: &mut SetAssocCache, line, owner| match c.access_as(line, mask, owner) {
             AccessOutcome::Miss {
                 evicted: Some(gone),
-            } => {
-                assert_eq!((gone.line, gone.owner), (LineAddr(1), 3));
-                assert_eq!(gone.sharers, (1 << 3) | (1 << 9));
-            }
+            } => (gone.line, gone.owner, gone.shared),
             other => panic!("expected an evicting miss, got {other:?}"),
-        }
+        };
+        // The fill names its filler; the filler's own hit shares nothing.
+        c.access_as(LineAddr(1), mask, 3);
+        c.access_as(LineAddr(1), mask, 3);
+        assert_eq!(evicted(&mut c, LineAddr(2), 0), (LineAddr(1), 3, false));
+        // Another requestor's hit marks the line shared.
+        c.access_as(LineAddr(2), mask, 9);
+        assert_eq!(evicted(&mut c, LineAddr(3), 31), (LineAddr(2), 0, true));
+        assert_eq!(c.occupancy_of(31), 1);
     }
 
     #[test]

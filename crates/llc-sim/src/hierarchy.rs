@@ -8,19 +8,21 @@
 //! contents — the effect Figure 1 of the paper measures.
 //!
 //! Only the LLC is a [`SetAssocCache`]: CAT partitions the shared cache,
-//! so masks, sharers, occupancy and the replacement policy live there. A
+//! so masks, sharing, occupancy and the replacement policy live there. A
 //! core's L1 and L2 have one requestor, no mask and plain LRU, and are
 //! [`PrivateCache`] recency lists.
 //!
-//! The back-invalidation is *sharer-directed*, like a real inclusive
-//! directory: every LLC line carries a mask of the cores that reached
-//! the LLC for it (fill or hit) since it was filled, and an eviction or
-//! flush visits only those cores. A core obtains a private copy of a
-//! line only by missing L1 and L2 and going through the LLC for it,
-//! which sets its bit, and the copy cannot outlive the LLC line, whose
-//! departure invalidates every core in the mask — so a core holding a
-//! copy always has its bit set. A bit may be stale (the private copy
-//! was since evicted by capacity); that costs a no-op invalidate.
+//! The back-invalidation is directed by a one-pointer directory with a
+//! broadcast bit (Dir₁B, Agarwal et al., ISCA 1988): every LLC line names
+//! the core that filled it and whether any other core has hit it since,
+//! and an eviction or flush visits the filler alone while the line is
+//! unshared, every core once it is shared. A core obtains a private copy
+//! of a line only by missing L1 and L2 and going through the LLC for it —
+//! filling it, or hitting it and so marking it shared — and the copy
+//! cannot outlive the LLC line, whose departure visits every core that can
+//! hold it. Visiting a core without a copy (lost to capacity, or never
+//! taken) is a no-op invalidate. VMs do not share frames, so a line is
+//! shared only when a freed frame is reused.
 
 use crate::address::LineAddr;
 use crate::address::PhysAddr;
@@ -29,7 +31,7 @@ use crate::counters::CoreCounters;
 use crate::geometry::CacheGeometry;
 use crate::private::{HeldCache, PrivateCache};
 use crate::replacement::ReplacementPolicy;
-use crate::set::MAX_SHARERS;
+use crate::set::{Evicted, MAX_FILLERS};
 
 /// Kind of memory access. Loads and stores are costed identically by the
 /// latency model; the distinction is kept because workload generators and
@@ -238,7 +240,7 @@ struct CoreState {
 impl CoreState {
     /// Drops `line` from this core's private caches. L1 ⊆ L2 (the L2 fill
     /// drops from the L1 whatever the L2 evicts), so a line the L2 did not
-    /// hold is in neither: a stale sharer bit costs one set walk, not two.
+    /// hold is in neither: a core without a copy costs one set walk, not two.
     fn back_invalidate(&mut self, line: LineAddr) {
         if self.l2.invalidate(line) {
             self.l1.invalidate(line);
@@ -252,13 +254,13 @@ impl Hierarchy {
     ///
     /// # Panics
     ///
-    /// Panics on zero cores, or on more cores than an LLC line's sharer
-    /// mask can name (18, the paper's largest socket).
+    /// Panics on zero cores, or on more cores than an LLC line's filler
+    /// id can name (32).
     pub fn new(config: HierarchyConfig) -> Self {
         assert!(config.cores > 0, "hierarchy needs at least one core");
         assert!(
-            config.cores <= MAX_SHARERS,
-            "the per-line sharer mask holds at most {MAX_SHARERS} cores"
+            config.cores <= MAX_FILLERS,
+            "an LLC line's filler id names at most {MAX_FILLERS} cores"
         );
         Hierarchy {
             cores: (0..config.cores)
@@ -501,10 +503,10 @@ impl Hierarchy {
     pub fn flush_mask(&mut self, mask: WayMask) -> u64 {
         let cores = &mut self.cores;
         let dropped = self.llc.drain_lines_in(mask, |gone| {
-            for idx in sharer_cores(gone.sharers) {
-                // A bit is only ever set for a core that accessed the
-                // hierarchy, so the lookup succeeds; `get_mut` keeps the
-                // flush path free of panicking indexes.
+            for idx in holders(gone, cores.len()) {
+                // A filler id only ever names a core of the hierarchy, so
+                // the lookup succeeds; `get_mut` keeps the flush path free
+                // of panicking indexes.
                 if let Some(core) = cores.get_mut(idx) {
                     core.back_invalidate(gone.line);
                 }
@@ -678,7 +680,7 @@ impl Beyond<'_> {
                     self.sampler.observe(true);
                 }
                 if let Some(victim) = evicted {
-                    self.back_invalidate(&mut l1, victim.line, victim.sharers);
+                    self.back_invalidate(&mut l1, victim);
                 }
                 self.fill_l2(&mut l1, line);
                 HitLevel::Dram
@@ -686,14 +688,15 @@ impl Beyond<'_> {
         }
     }
 
-    /// Inclusive back-invalidation: drop `line` from the private caches of
-    /// the cores named in `sharers` (see the module docs for why no other
-    /// core can hold it) — this core's through the held arrays, every
-    /// other core's through its own caches.
+    /// Inclusive back-invalidation: drop `victim` from the private caches
+    /// of the cores that may hold it (see the module docs for why no other
+    /// core can) — this core's through the held arrays, every other
+    /// core's through its own caches.
     #[inline(always)]
-    fn back_invalidate(&mut self, l1: &mut HeldCache<'_>, line: LineAddr, sharers: u32) {
-        let own = self.core as usize;
-        for idx in sharer_cores(sharers) {
+    fn back_invalidate(&mut self, l1: &mut HeldCache<'_>, victim: Evicted) {
+        let (own, line) = (self.core as usize, victim.line);
+        let cores = self.below.len() + 1 + self.above.len();
+        for idx in holders(victim, cores) {
             if idx == own {
                 if self.l2.invalidate(line) {
                     l1.invalidate(line);
@@ -735,17 +738,16 @@ fn prefetch_llc(llc: &SetAssocCache, fidelity: SimFidelity, paddr: u64) {
     }
 }
 
-/// The core indices named by a sharer mask, lowest first.
+/// The cores of `cores` that may hold a departing LLC line privately: its
+/// filler alone while it is unshared, every core once it is shared.
 #[inline(always)]
-fn sharer_cores(sharers: u32) -> impl Iterator<Item = usize> {
-    let mut bits = sharers;
-    std::iter::from_fn(move || {
-        (bits != 0).then(|| {
-            let idx = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            idx
-        })
-    })
+fn holders(gone: Evicted, cores: usize) -> std::ops::Range<usize> {
+    if gone.shared {
+        0..cores
+    } else {
+        let filler = gone.owner as usize;
+        filler..filler + 1
+    }
 }
 
 #[cfg(test)]
@@ -764,18 +766,23 @@ mod tests {
 
     #[test]
     fn hints_pay_only_for_a_tag_store_beyond_a_host_cache() {
-        // The layout in bytes, exactly: 6 a line (a 16-bit tag and an
-        // owner·sharers·stamp word) and a clock and an occupancy word a
-        // set. The paper's socket, 4 718 592 (4.7 MB):
+        // The layout in bytes, exactly: 4 a line (a 16-bit tag and a
+        // filler·shared·stamp word) and a 16-bit clock and an occupancy
+        // word a set. The paper's socket, 3 170 304 (3.0 MiB):
         let paper = Hierarchy::new(HierarchyConfig::default());
-        assert_eq!(paper.llc().tag_store_bytes(), 36_864 * (20 * 6 + 8));
+        assert_eq!(paper.llc().tag_store_bytes(), 36_864 * (20 * 4 + 6));
         assert!(paper.llc_hints_pay());
-        // A fleet host, 212 992 (208 KiB):
+        // The Xeon-D's 12 MiB 12-way LLC, 884 736 (864 KiB): under the
+        // gate, so it runs the plain loop.
+        let xeon_d = Hierarchy::new(HierarchyConfig::xeon_d());
+        assert_eq!(xeon_d.llc().tag_store_bytes(), 16_384 * (12 * 4 + 6));
+        assert!(!xeon_d.llc_hints_pay());
+        // A fleet host, 143 360 (140 KiB):
         let fleet = Hierarchy::new(HierarchyConfig {
             llc: CacheGeometry::from_capacity(2 * 1024 * 1024, 16),
             ..HierarchyConfig::default()
         });
-        assert_eq!(fleet.llc().tag_store_bytes(), 2_048 * (16 * 6 + 8));
+        assert_eq!(fleet.llc().tag_store_bytes(), 2_048 * (16 * 4 + 6));
         assert!(!fleet.llc_hints_pay());
         // Every set can be hinted, the last included.
         let h = tiny();
@@ -834,7 +841,7 @@ mod tests {
         });
         let mut slice = h.slice(1);
         slice.access(0);
-        // Same LLC set: evicts line 0, whose only sharer is this core.
+        // Same LLC set: evicts line 0, which only this core filled or hit.
         assert_eq!(slice.access(4 * 64), HitLevel::Dram);
         assert_eq!(slice.access(0), HitLevel::Dram, "the held L1 kept line 0");
         drop(slice);
@@ -886,10 +893,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sharer mask holds at most 18 cores")]
+    #[should_panic(expected = "filler id names at most 32 cores")]
     fn more_cores_than_the_sharer_mask_rejected() {
         let _ = Hierarchy::new(HierarchyConfig {
-            cores: 19,
+            cores: 33,
             ..HierarchyConfig::default()
         });
     }
@@ -897,19 +904,21 @@ mod tests {
     #[test]
     fn as_many_cores_as_the_sharer_mask_accepted() {
         let mut h = Hierarchy::new(HierarchyConfig {
-            cores: 18,
+            cores: 32,
             ..HierarchyConfig::default()
         });
-        // The top core's sharer bit sits beside the filler id: an LLC
-        // eviction still reaches both sharers, and the filler keeps its lines.
+        // The sharer state a line keeps is its filler id and a shared bit;
+        // the top core fills the whole id: an LLC eviction still reaches
+        // it and the core that shared the line, and the line is
+        // attributed to the filler until it leaves.
         h.set_fill_mask(0, WayMask::from_way_range(0, 1));
-        h.access(17, 0, AccessKind::Load);
+        h.access(31, 0, AccessKind::Load);
         h.access(0, 0, AccessKind::Load);
-        assert_eq!(h.llc_occupancy_of_core(17), 1);
+        assert_eq!(h.llc_occupancy_of_core(31), 1);
         let sets = u64::from(h.config().llc.sets);
         h.access(0, sets * 64, AccessKind::Load);
-        assert!(!h.l1_probe(17, 0) && !h.l1_probe(0, 0));
-        assert_eq!(h.llc_occupancy_of_core(17), 0);
+        assert!(!h.l1_probe(31, 0) && !h.l1_probe(0, 0));
+        assert_eq!(h.llc_occupancy_of_core(31), 0);
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //! nothing can observe it: there is no mask and no per-way query, only
 //! residency. `tests/private_equivalence.rs` drives both in lockstep.
 //!
-//! An 8-way set is 64 bytes — one host cache line — against 24 bytes per
-//! simulated line in the stamped layout.
+//! An 8-way set is 64 bytes, one host cache line: 8 bytes a simulated
+//! line. The LLC's stamped layout spends 4 a line and 6 a set on its
+//! 16-bit tags, filler id, shared bit and stamps, but every hit there
+//! writes a stamp and every fill scans them.
 
 use crate::address::LineAddr;
 use crate::geometry::CacheGeometry;

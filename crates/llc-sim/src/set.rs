@@ -8,17 +8,17 @@
 //!
 //! # Packed representation
 //!
-//! The set stores its state in a run of `u16` tags, a block of `u32`s and
+//! The set stores its state in a run of `u16` tags, a block of `u16`s and
 //! a `u32` occupancy bitmask instead of a `Vec<Option<LineEntry>>`:
 //!
 //! ```text
 //! occ:   u32 bitmask, bit w set = way w holds a valid line
 //! tags:  [ tag_0 .. tag_{n-1} ]            (u16 each; empty slots hold
 //!         INVALID_TAG so the lookup scan needs no per-way validity test)
-//! meta:  [ meta_0 .. meta_{n-1} | clock ]  (u32 each)
-//!         — 6 bytes a line, and a clock and an occupancy word a set
+//! meta:  [ meta_0 .. meta_{n-1} | clock ]  (u16 each)
+//!         — 4 bytes a line, and a clock and an occupancy word a set
 //! tag:   line / sets, the bits of the line its set's index does not give
-//! meta:  [ filler id (bits 31..27) | sharers (bits 26..9) | stamp (bits 8..0) ]
+//! meta:  [ filler id (15..11) | shared (10) | spare (9) | stamp (8..0) ]
 //! clock: the last stamp the set handed out
 //! ```
 //!
@@ -41,13 +41,13 @@
 //! [`crate::SetAssocCache`] access, lookup and fill together, by one).
 //! When it reaches [`MAX_STAMP`] the set re-ranks its own stamps
 //! ([`PackedSet::renormalise_stamps`]) and restarts the clock at `ways`,
-//! which no decision can observe. Above the stamp sits a **sharer mask**,
-//! one bit per requestor that reached the line through
-//! [`CacheSet::add_sharer`] — [`MAX_SHARERS`], the paper's largest socket.
-//! An inclusive LLC records there which cores may hold the line
-//! privately, so an eviction back-invalidates those cores only — the mask
-//! leaves with the victim in [`Evicted::sharers`]. The high five bits are
-//! the requestor that filled the line (the CMT tag).
+//! which no decision can observe. The high five bits are the requestor
+//! that filled the line (the CMT tag), and the bit below them says whether
+//! any other requestor has hit it since ([`CacheSet::note_hit`]) — a
+//! one-pointer directory with a broadcast bit, Dir₁B in Agarwal et al.
+//! (ISCA 1988). An inclusive LLC reads from it which cores may hold the
+//! line privately: the filler alone while the line is unshared, any core
+//! once it is shared. Both leave with the victim in [`Evicted`].
 //!
 //! The layout buys three things on the hot path:
 //!
@@ -74,9 +74,8 @@ use crate::replacement::ReplacementPolicy;
 /// Sentinel stored in empty tag slots; no stored tag may equal it.
 pub(crate) const INVALID_TAG: u16 = u16::MAX;
 
-/// Requestors a line's sharer mask can name: ids `0..MAX_SHARERS`, the
-/// cores of the paper's largest socket.
-pub const MAX_SHARERS: u32 = 18;
+/// Requestors a line's filler id can name: ids `0..MAX_FILLERS`.
+pub const MAX_FILLERS: u32 = 32;
 
 /// Width of the stamp field, the low bits of the meta word.
 const STAMP_BITS: u32 = 9;
@@ -85,18 +84,18 @@ const STAMP_BITS: u32 = 9;
 pub const MAX_STAMP: u32 = (1 << STAMP_BITS) - 1;
 
 /// The stamp field of a meta word.
-const STAMP_MASK: u32 = MAX_STAMP;
+const STAMP_MASK: u16 = MAX_STAMP as u16;
 
-/// The sharer mask sits above the stamp, the filler id above both.
-const SHARER_SHIFT: u32 = STAMP_BITS;
-const OWNER_SHIFT: u32 = SHARER_SHIFT + MAX_SHARERS;
+/// The shared bit sits a spare bit above the stamp, the filler id above it.
+const SHARED_SHIFT: u32 = STAMP_BITS + 1;
+const OWNER_SHIFT: u32 = SHARED_SHIFT + 1;
 
-// Every filler id fits the bits above the sharers, and a clock restarted
-// at any way count has room to run before the set re-ranks again.
-const _: () = assert!(MAX_SHARERS <= 1 << (u32::BITS - OWNER_SHIFT));
+// Every filler id fills the bits above the shared bit, and a clock
+// restarted at any way count has room to run before the set re-ranks again.
+const _: () = assert!(MAX_FILLERS == 1 << (u16::BITS - OWNER_SHIFT));
 const _: () = assert!(32 < MAX_STAMP);
 
-/// `u32`s in the meta block of a `ways`-way set: a meta word a line,
+/// `u16`s in the meta block of a `ways`-way set: a meta word a line,
 /// then the set's clock.
 #[inline(always)]
 pub(crate) fn block_len(ways: u32) -> usize {
@@ -105,14 +104,8 @@ pub(crate) fn block_len(ways: u32) -> usize {
 
 /// The filler id in a meta word.
 #[inline(always)]
-fn owner_of(meta: u32) -> u32 {
-    meta >> OWNER_SHIFT
-}
-
-/// The sharer mask in a meta word.
-#[inline(always)]
-fn sharers_of(meta: u32) -> u32 {
-    (meta >> SHARER_SHIFT) & ((1 << MAX_SHARERS) - 1)
+fn owner_of(meta: u16) -> u32 {
+    u32::from(meta >> OWNER_SHIFT)
 }
 
 /// One resident line: its address tag, an LRU timestamp, and the id of
@@ -133,16 +126,16 @@ pub struct LineEntry {
 }
 
 /// A line that left a set (evicted by a fill, or invalidated), with what
-/// its meta word and sharer mask carried.
+/// its meta word carried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
     /// The departed line.
     pub line: LineAddr,
     /// Requestor that had filled it.
     pub owner: u32,
-    /// Sharer mask: bit `r` set if requestor `r` was recorded through
-    /// [`CacheSet::add_sharer`] while the line was resident.
-    pub sharers: u32,
+    /// Whether a requestor other than `owner` hit it through
+    /// [`CacheSet::note_hit`] while it was resident.
+    pub shared: bool,
 }
 
 /// Result of a fill into a set.
@@ -207,13 +200,13 @@ pub struct PackedSet<O, T, D> {
 }
 
 /// A single set that owns its storage.
-pub type CacheSet = PackedSet<u32, Box<[u16]>, Box<[u32]>>;
+pub type CacheSet = PackedSet<u32, Box<[u16]>, Box<[u16]>>;
 
 /// Read-only view of one set of a [`crate::SetAssocCache`].
-pub type SetRef<'a> = PackedSet<u32, &'a [u16], &'a [u32]>;
+pub type SetRef<'a> = PackedSet<u32, &'a [u16], &'a [u16]>;
 
 /// Mutable view of one set of a [`crate::SetAssocCache`].
-pub(crate) type SetMut<'a> = PackedSet<&'a mut u32, &'a mut [u16], &'a mut [u32]>;
+pub(crate) type SetMut<'a> = PackedSet<&'a mut u32, &'a mut [u16], &'a mut [u16]>;
 
 /// Whether a fill inserts at MRU (stamp `now`) rather than LRU (stamp 0):
 /// BIP one fill in `mru_one_in`, every other policy always. Shared by the
@@ -235,7 +228,7 @@ impl CacheSet {
         let mut set = PackedSet {
             occ: 0,
             tags: vec![0u16; ways as usize].into_boxed_slice(),
-            meta: vec![0u32; block_len(ways)].into_boxed_slice(),
+            meta: vec![0u16; block_len(ways)].into_boxed_slice(),
             pos: SetPos::ALONE,
         };
         set.flush();
@@ -258,7 +251,7 @@ impl<O, T, D> PackedSet<O, T, D> {
     }
 }
 
-impl<O: Borrow<u32>, T: Borrow<[u16]>, D: Borrow<[u32]>> PackedSet<O, T, D> {
+impl<O: Borrow<u32>, T: Borrow<[u16]>, D: Borrow<[u16]>> PackedSet<O, T, D> {
     #[inline(always)]
     fn occ(&self) -> u32 {
         *self.occ.borrow()
@@ -295,7 +288,7 @@ impl<O: Borrow<u32>, T: Borrow<[u16]>, D: Borrow<[u32]>> PackedSet<O, T, D> {
         Evicted {
             line: self.pos.line_of(self.tags.borrow()[w]),
             owner: owner_of(meta),
-            sharers: sharers_of(meta),
+            shared: meta & (1 << SHARED_SHIFT) != 0,
         }
     }
 
@@ -358,12 +351,12 @@ impl<O: Borrow<u32>, T: Borrow<[u16]>, D: Borrow<[u32]>> PackedSet<O, T, D> {
 // methods are `inline(always)`: left to the inliner, `fill_with` stayed a
 // call inside the cache's fill and its `FillResult` travelled through
 // memory.
-impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u32]>> PackedSet<O, T, D> {
+impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u16]>> PackedSet<O, T, D> {
     #[inline(always)]
-    fn set_entry(&mut self, way: u32, tag: u16, stamp: u32, owner: u32) {
+    fn set_entry(&mut self, way: u32, tag: u16, stamp: u16, owner: u32) {
         let w = way as usize;
         self.tags.borrow_mut()[w] = tag;
-        self.meta.borrow_mut()[w] = owner << OWNER_SHIFT | stamp;
+        self.meta.borrow_mut()[w] = (owner as u16) << OWNER_SHIFT | stamp;
         *self.occ.borrow_mut() |= 1 << way;
     }
 
@@ -379,14 +372,14 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u32]>> PackedSet<O, T
     /// handed out from here on is newer than every stamp stored, as on a
     /// clock that never wrapped.
     #[inline(always)]
-    pub(crate) fn tick(&mut self) -> u32 {
+    pub(crate) fn tick(&mut self) -> u16 {
         let slot = self.n();
-        if self.meta.borrow()[slot] == MAX_STAMP {
+        if self.meta.borrow()[slot] == STAMP_MASK {
             self.renormalise_stamps();
         }
         let clock = &mut self.meta.borrow_mut()[slot];
         *clock += 1;
-        debug_assert!(*clock <= MAX_STAMP, "stamp beyond the 9-bit field");
+        debug_assert!(*clock <= STAMP_MASK, "stamp beyond the 9-bit field");
         *clock
     }
 
@@ -409,30 +402,27 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u32]>> PackedSet<O, T
     pub(crate) fn lookup_tag(
         &mut self,
         tag: u16,
-        now: u32,
+        now: u16,
         policy: ReplacementPolicy,
     ) -> Option<u32> {
         // Empty slots hold INVALID_TAG, which no stored tag equals, so the
         // scan runs over the contiguous tag run with no validity tests.
         let way = self.probe_tag(tag)?;
         if policy.promotes_on_hit() {
-            // The filler id and the sharers stay as they are.
+            // The filler id and the shared bit stay as they are.
             let meta = &mut self.meta.borrow_mut()[way as usize];
             *meta = *meta & !STAMP_MASK | now;
         }
         Some(way)
     }
 
-    /// Records `requestor` in the sharer mask of the line held by `way`
-    /// (the way a lookup or fill just returned).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requestor >= MAX_SHARERS`: the mask has no bit for it.
+    /// Records a hit by `requestor` on the line held by `way` (the way a
+    /// lookup just returned): a requestor other than its filler marks the
+    /// line shared.
     #[inline(always)]
-    pub fn add_sharer(&mut self, way: u32, requestor: u32) {
-        assert!(requestor < MAX_SHARERS, "requestor beyond the sharer mask");
-        self.meta.borrow_mut()[way as usize] |= 1 << (SHARER_SHIFT + requestor);
+    pub fn note_hit(&mut self, way: u32, requestor: u32) {
+        let meta = &mut self.meta.borrow_mut()[way as usize];
+        *meta |= u16::from(owner_of(*meta) != requestor) << SHARED_SHIFT;
     }
 
     /// Fills `line` into a way permitted by `mask`, evicting the LRU line
@@ -444,7 +434,7 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u32]>> PackedSet<O, T
     /// Panics if `mask` permits no way within this set's associativity;
     /// CAT forbids empty masks (Intel x86 does not allow a zero-way COS) and
     /// upper layers validate masks before they reach the set. Panics if
-    /// `owner >= MAX_SHARERS`, and if `line`'s tag does not fit 16 bits
+    /// `owner >= MAX_FILLERS`, and if `line`'s tag does not fit 16 bits
     /// beside the empty-way sentinel.
     pub fn fill(&mut self, line: LineAddr, mask: WayMask, owner: u32) -> FillResult {
         self.fill_with(line, mask, owner, ReplacementPolicy::Lru, 0)
@@ -456,7 +446,7 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u32]>> PackedSet<O, T
     ///
     /// # Panics
     ///
-    /// As [`PackedSet::fill`]: on an empty `mask`, on `owner >= MAX_SHARERS`
+    /// As [`PackedSet::fill`]: on an empty `mask`, on `owner >= MAX_FILLERS`
     /// and on a line whose tag reaches the sentinel — the fields cannot
     /// hold them.
     #[inline(always)]
@@ -483,7 +473,7 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u32]>> PackedSet<O, T
         &mut self,
         tag: u16,
         mask: WayMask,
-        now: u32,
+        now: u16,
         owner: u32,
         policy: ReplacementPolicy,
         draw: u64,
@@ -493,7 +483,7 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u32]>> PackedSet<O, T
             "fill of a line that is already resident"
         );
         debug_assert_ne!(tag, INVALID_TAG, "tag collides with the sentinel");
-        assert!(owner < MAX_SHARERS, "filler id beyond the sharer mask");
+        assert!(owner < MAX_FILLERS, "filler id beyond its 5-bit field");
         let insert_stamp = if inserts_at_mru(policy, draw) { now } else { 0 };
 
         // Prefer an invalid (empty) permitted way: the lowest-index free
@@ -521,7 +511,7 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u32]>> PackedSet<O, T
             _ => {
                 let metas = self.meta.borrow();
                 let mut victim = 0u32;
-                let mut victim_stamp = u32::MAX;
+                let mut victim_stamp = u16::MAX;
                 let mut bits = candidates;
                 while bits != 0 {
                     let w = bits.trailing_zeros();
@@ -596,7 +586,7 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u32]>> PackedSet<O, T
     #[cold]
     pub fn renormalise_stamps(&mut self) {
         let n = self.n();
-        let mut order = [(0u32, 0usize); 32];
+        let mut order = [(0u16, 0usize); 32];
         let mut k = 0;
         let mut bits = self.occ();
         let metas = self.meta.borrow_mut();
@@ -610,10 +600,10 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u32]>> PackedSet<O, T
             }
         }
         order[..k].sort_unstable();
-        for (rank, &(_, w)) in (1u32..).zip(&order[..k]) {
+        for (rank, &(_, w)) in (1u16..).zip(&order[..k]) {
             metas[w] = metas[w] & !STAMP_MASK | rank;
         }
-        metas[n] = n as u32;
+        metas[n] = n as u16;
     }
 
     /// [`PackedSet::drain_lines_in`] collecting the dropped lines.
@@ -749,7 +739,7 @@ pub mod legacy {
             let evicted = self.ways[way as usize].map(|e| Evicted {
                 line: e.line,
                 owner: e.owner,
-                sharers: 0,
+                shared: false,
             });
             self.ways[way as usize] = Some(LineEntry {
                 line,
@@ -933,49 +923,49 @@ mod tests {
     }
 
     #[test]
-    fn sharer_mask_leaves_with_the_line_and_never_disturbs_the_owner() {
+    fn a_hit_by_another_requestor_marks_the_line_shared_and_the_fillers_does_not() {
         let mut set = CacheSet::new(2);
         let a = set.fill(LineAddr(1), full_mask(2), 5);
-        set.add_sharer(a.way, 5);
-        set.add_sharer(a.way, 17);
+        set.note_hit(a.way, 5);
         let b = set.fill(LineAddr(2), full_mask(2), 6);
-        assert_eq!(set.occupancy_of(5), 1, "sharer bits are not the owner");
+        set.note_hit(b.way, 6);
+        set.note_hit(a.way, 17);
+        assert_eq!(set.occupancy_of(5), 1, "a hit is not a fill");
+        assert_eq!(set.occupancy_of(17), 0);
         let r = set.fill(LineAddr(3), full_mask(2), 7);
         assert_eq!(
             r.evicted,
             Some(Evicted {
                 line: LineAddr(1),
                 owner: 5,
-                sharers: (1 << 5) | (1 << 17),
+                shared: true,
             })
         );
-        // The refilled way starts with no sharers; an untouched line has none.
+        // The refilled way starts unshared; the filler's own hits left
+        // line 2 unshared.
         assert_eq!(r.way, a.way);
-        assert_eq!(set.remove(LineAddr(3)).map(|e| e.sharers), Some(0));
+        assert_eq!(set.remove(LineAddr(3)).map(|e| e.shared), Some(false));
         let gone = set.remove(LineAddr(2)).expect("line 2 is resident");
-        assert_eq!((gone.owner, gone.sharers, b.way), (6, 0, 1));
+        assert_eq!((gone.owner, gone.shared, b.way), (6, false, 1));
         assert_eq!(set.remove(LineAddr(2)), None);
     }
 
-    /// The top sharer bit is the one beside the filler id: a mask shifted
-    /// a bit too far would lend it to the owner field.
+    /// The top filler id fills the field beside the shared bit: it must
+    /// leave whole, and neither its hits nor another's may carry into it.
     #[test]
-    fn the_top_sharer_bit_sits_below_the_owner() {
-        let mut set = CacheSet::new(1);
-        set.fill(LineAddr(1), full_mask(1), 16);
-        set.add_sharer(0, MAX_SHARERS - 1);
-        set.add_sharer(0, 0);
-        assert_eq!(set.occupancy_of(16), 1);
-        let gone = set.remove(LineAddr(1)).expect("line 1 is resident");
-        assert_eq!((gone.owner, gone.sharers), (16, 1 << 17 | 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond the sharer mask")]
-    fn sharer_beyond_the_mask_is_rejected() {
+    fn requestor_31_fills_and_leaves_as_owner_31() {
+        let top = MAX_FILLERS - 1;
         let mut set = CacheSet::new(2);
-        let r = set.fill(LineAddr(1), full_mask(2), 0);
-        set.add_sharer(r.way, MAX_SHARERS);
+        let a = set.fill(LineAddr(1), full_mask(2), top);
+        set.note_hit(a.way, top);
+        assert_eq!(set.occupancy_of(top), 1);
+        let gone = set.remove(LineAddr(1)).expect("line 1 is resident");
+        assert_eq!((gone.owner, gone.shared), (top, false));
+        let b = set.fill(LineAddr(2), full_mask(2), top);
+        set.note_hit(b.way, 0);
+        assert_eq!(set.occupancy_of(top), 1);
+        let gone = set.remove(LineAddr(2)).expect("line 2 is resident");
+        assert_eq!((gone.owner, gone.shared), (top, true));
     }
 
     #[test]
@@ -998,10 +988,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "filler id beyond the sharer mask")]
+    #[should_panic(expected = "filler id beyond its 5-bit field")]
     fn filler_beyond_the_field_is_rejected() {
         let mut set = CacheSet::new(2);
-        set.fill(LineAddr(1), full_mask(2), MAX_SHARERS);
+        set.fill(LineAddr(1), full_mask(2), MAX_FILLERS);
     }
 
     #[test]

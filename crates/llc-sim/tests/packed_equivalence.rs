@@ -12,7 +12,7 @@
 
 use llc_sim::replacement::ReplacementPolicy;
 use llc_sim::set::legacy::LegacyCacheSet;
-use llc_sim::set::{CacheSet, MAX_SHARERS};
+use llc_sim::set::{CacheSet, MAX_FILLERS};
 use llc_sim::{LineAddr, WayMask};
 
 /// Drives one randomized op sequence through both set implementations.
@@ -42,7 +42,7 @@ fn equivalence_cases(policy: ReplacementPolicy) {
                     assert_eq!(a, b, "lookup diverged for {line:?}");
                     if a.is_none() {
                         // A filler id the packed set's 5-bit field can hold.
-                        let owner = g.u32_in(0, MAX_SHARERS - 1);
+                        let owner = g.u32_in(0, MAX_FILLERS - 1);
                         let fa = packed.fill_with(line, mask, owner, policy, draw);
                         let fb = oracle.fill_with(line, mask, now, owner, policy, draw);
                         assert_eq!(fa, fb, "fill diverged for {line:?}");
@@ -73,7 +73,7 @@ fn equivalence_cases(policy: ReplacementPolicy) {
             assert_eq!(packed.probe(probe), oracle.probe(probe), "probe diverged");
             assert_eq!(packed.occupancy(), oracle.occupancy());
             assert_eq!(packed.occupancy_in(mask), oracle.occupancy_in(mask));
-            let owner = g.u32_in(0, MAX_SHARERS - 1);
+            let owner = g.u32_in(0, MAX_FILLERS - 1);
             assert_eq!(packed.occupancy_of(owner), oracle.occupancy_of(owner));
             let a: Vec<LineAddr> = packed.resident_lines().collect();
             let b: Vec<LineAddr> = oracle.resident_lines().collect();

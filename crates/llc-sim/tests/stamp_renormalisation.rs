@@ -7,21 +7,23 @@
 //! its clock restarts at `ways`. The claim is that no decision can tell:
 //! victim selection is the only reader of a stamp and compares stamps of
 //! one set only. The oracle here is one `LegacyCacheSet` per set on one
-//! `u64` clock for the whole cache that never wraps, plus the sharer masks
-//! the legacy set does not keep and a copy of the cache's draw stream.
-//! Each sequence runs long enough that every set re-ranks at least three
-//! times — under changing fill masks and requestors 0..=17 (so the top
-//! sharer bit, beside the filler id, is in play), with invalidations and
-//! way flushes in between so sets hold emptied ways with stale meta words
-//! when they are re-ranked. After every access the outcome, the evicted
-//! line with its filler and sharers, and the residency of the whole
-//! universe must agree. 150 sequences per policy.
+//! `u64` clock for the whole cache that never wraps, plus the exact sharer
+//! masks the legacy set does not keep — from which it derives the shared
+//! bit the cache keeps instead: some requestor other than the filler hit
+//! the line — and a copy of the cache's draw stream. Each sequence runs
+//! long enough that every set re-ranks at least three times — under
+//! changing fill masks and requestors 0..=31 (so the top filler id, beside
+//! the shared bit, is in play), with invalidations and way flushes in
+//! between so sets hold emptied ways with stale meta words when they are
+//! re-ranked. After every access the outcome, the evicted line with its
+//! filler and shared bit, and the residency of the whole universe must
+//! agree. 150 sequences per policy.
 
 use std::collections::BTreeMap;
 
 use llc_sim::replacement::ReplacementPolicy;
 use llc_sim::set::legacy::LegacyCacheSet;
-use llc_sim::set::{Evicted, MAX_SHARERS, MAX_STAMP};
+use llc_sim::set::{Evicted, MAX_FILLERS, MAX_STAMP};
 use llc_sim::{AccessOutcome, CacheGeometry, LineAddr, SetAssocCache, WayMask};
 
 /// What `SetAssocCache` was before its stamps narrowed, set by set.
@@ -79,9 +81,12 @@ impl Oracle {
         let filled = self
             .set_of(line)
             .fill_with(line, mask, now, owner, policy, draw);
-        let evicted = filled.evicted.map(|gone| Evicted {
-            sharers: self.sharers.remove(&gone.line).expect("resident"),
-            ..gone
+        let evicted = filled.evicted.map(|gone| {
+            let sharers = self.sharers.remove(&gone.line).expect("resident");
+            Evicted {
+                shared: sharers & !(1 << gone.owner) != 0,
+                ..gone
+            }
         });
         self.sharers.insert(line, bit);
         AccessOutcome::Miss { evicted }
@@ -145,7 +150,7 @@ fn lockstep_cases(label: &str, policy: ReplacementPolicy) {
             let set = (line.0 % u64::from(geometry.sets)) as usize;
             match g.u32_in(0, 19) {
                 0..=13 => {
-                    let requestor = g.u32_in(0, MAX_SHARERS - 1);
+                    let requestor = g.u32_in(0, MAX_FILLERS - 1);
                     assert_eq!(
                         cache.access_as(line, mask, requestor),
                         oracle.access(line, mask, Some(requestor)),
