@@ -29,7 +29,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> document ceilings: DESIGN.md and README.md may shrink, not grow"
 # Lower a ceiling when its document shrinks; never raise one.
-for doc_ceiling in DESIGN.md:2045 README.md:637; do
+for doc_ceiling in DESIGN.md:2042 README.md:637; do
     doc=${doc_ceiling%:*}
     ceiling=${doc_ceiling#*:}
     lines=$(wc -l < "$doc")
@@ -76,10 +76,11 @@ echo "==> per-reference path in release: llc-sim, workloads, smallrng and host s
 # the root Cargo.toml's dev profile, with both checks on). They carry the
 # multi-core inclusion property and its decision digests, the stream and
 # gen_range byte oracles (tests/golden/, recorded before the divisions
-# came off the path), the reciprocal set-index identity, the
-# private-cache recency list against the stamped cache it replaced
-# (private_equivalence.rs: under 5 s in debug, so it has no step of its own),
-# a slice against its references one at a time (slice_equivalence.rs) and
+# came off the path), the reciprocal set-index identity, the whole machine
+# against its reference model (machine_differential.rs: about 1 s in debug,
+# so it has no step of its own), the packed set, its stamps and the page
+# table against the model's parts, slices against their references one at
+# a time (slice_equivalence.rs) and
 # the engine's two issue loops in lockstep (host's pipeline_equals_plain_loop_*).
 cargo test -q --release --offline -p workloads -p smallrng -p llc-sim -p host
 
@@ -103,7 +104,8 @@ echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch co
 # same-typed positions of a v2 domain, which only the v1 golden read back
 # as v2 shows (§16); 28-29 the LLC line's shared bit, set by another core's
 # hit and read by the back-invalidation (§14); 30-31 the private cache's
-# fill reporting the tail and its invalidate closing the gap (§14). 22,
+# fill reporting the tail and its invalidate closing the gap, 32 the held
+# array's fast path taken for an 8-way cache of any set count (§14). 22,
 # the sharer mask's bit position, retired with the mask.
 sh tools/mutants.sh tests/mutants/*.patch
 

@@ -10,15 +10,6 @@
 //! read side (its decode and its `dcat-top` render), the
 //! max-performance split, and one whole `fig10_dynamic_alloc --fast` point
 //! at full and sampled fidelity.
-//!
-//! The headline pair is `set_access_churn_packed` vs
-//! `set_access_churn_legacy`: a full 16-way set where every fill must
-//! select a victim. The legacy (seed) implementation allocates a
-//! `candidates: Vec<u32>` on every such fill and scans `Option` slots;
-//! the packed implementation does two bitmask operations. Their ratio is
-//! the `set_access_churn_speedup` derived metric, with a hard floor of
-//! 3.0 asserted in wall-clock runs (the tracked `BENCH_micro.json`
-//! records the measured value).
 
 use dcat::perf_table::{max_performance_split, PerformanceTable};
 use dcat::CachePolicy as _;
@@ -26,7 +17,6 @@ use dcat_obs::frames::{FrameReader, Record};
 use dcat_obs::{CycleSource, DEFAULT_STEP_BUCKETS};
 use host::{Engine, EngineConfig, VmSpec};
 use llc_sim::replacement::ReplacementPolicy;
-use llc_sim::set::legacy::LegacyCacheSet;
 use llc_sim::set::CacheSet;
 use llc_sim::{
     AccessKind, CacheGeometry, FrameAllocator, FramePolicy, Hierarchy, HierarchyConfig, LineAddr,
@@ -47,11 +37,10 @@ const WAYS: u32 = 16;
 
 /// Regression tolerance for this suite's normalized scores.
 ///
-/// The micro cases sit in the 5–200 ns range and the legacy churn case
-/// allocates on every iteration, so they are sensitive to neighbour
-/// contention on shared runners: across five back-to-back runs the
-/// `set_access_churn_legacy` norm spanned 3.09–5.17 (±67% around the
-/// low end) while the calibration spin held at 34–35 ns. The
+/// The micro cases sit in the 5–200 ns range, so they are sensitive to
+/// neighbour contention on shared runners: across five back-to-back runs
+/// the norm of a case that allocated on every iteration spanned 3.09–5.17
+/// (±67% around the low end) while the calibration spin held at 34–35 ns. The
 /// interleaved passes and the memory-touching calibration absorb most
 /// of that; the tolerance covers what remains. The hard `min` floors
 /// on derived ratios are the machine-independent backstop.
@@ -97,21 +86,6 @@ fn full_packed() -> CacheSet {
         set.fill_with(
             LineAddr(i),
             WayMask::all(WAYS),
-            0,
-            ReplacementPolicy::Lru,
-            0,
-        );
-    }
-    set
-}
-
-fn full_legacy() -> LegacyCacheSet {
-    let mut set = LegacyCacheSet::new(WAYS);
-    for i in 0..u64::from(WAYS) {
-        set.fill_with(
-            LineAddr(i),
-            WayMask::all(WAYS),
-            i,
             0,
             ReplacementPolicy::Lru,
             0,
@@ -295,14 +269,6 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
             set.lookup_with(LineAddr(now % u64::from(WAYS)), ReplacementPolicy::Lru)
         });
     }
-    {
-        let mut set = full_legacy();
-        let mut now = u64::from(WAYS);
-        suite.case("set_access_hit_legacy", iters, move || {
-            now += 1;
-            set.lookup_with(LineAddr(now % u64::from(WAYS)), now, ReplacementPolicy::Lru)
-        });
-    }
 
     // --- CacheSet access: churn path (every fill evicts) ---
     // A line not resident per fill keeps the set full and the victim scan
@@ -318,16 +284,6 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         suite.case("set_access_churn_packed", iters, move || {
             next_line = (next_line + 1) % churn;
             set.fill_with(LineAddr(next_line), full, 0, ReplacementPolicy::Lru, 0)
-        });
-    }
-    {
-        let mut set = full_legacy();
-        let mut next_line = u64::from(WAYS);
-        let mut t = u64::from(WAYS);
-        suite.case("set_access_churn_legacy", iters, move || {
-            next_line = (next_line + 1) % churn;
-            t += 1;
-            set.fill_with(LineAddr(next_line), full, t, 0, ReplacementPolicy::Lru, 0)
         });
     }
 
@@ -944,18 +900,6 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
     };
     let wall = kind == ClockKind::Wall;
     let derived = vec![
-        Derived {
-            name: "set_access_hit_speedup".into(),
-            value: ns_of("set_access_hit_legacy") / ns_of("set_access_hit_packed"),
-            min: None,
-        },
-        Derived {
-            name: "set_access_churn_speedup".into(),
-            value: ns_of("set_access_churn_legacy") / ns_of("set_access_churn_packed"),
-            // The acceptance floor for the packed-set refactor; only
-            // meaningful against a real clock.
-            min: wall.then_some(3.0),
-        },
         Derived {
             name: "frame_encode_budget_headroom".into(),
             // How many worst-case frame encodes fit into 1 ms — a

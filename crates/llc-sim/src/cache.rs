@@ -294,27 +294,6 @@ impl SetAssocCache {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// Performs an access with the given fill mask, as requestor 0 and
-    /// without marking a hit line shared.
-    ///
-    /// On a miss the line is filled into a way permitted by `mask`.
-    #[inline]
-    pub fn access(&mut self, line: LineAddr, mask: WayMask) -> AccessOutcome {
-        let (idx, tag) = (self.set_index(line), self.access_tag(line));
-        let draw = self.next_draw();
-        let policy = self.policy;
-        let mut set = self.set_mut(idx);
-        let now = set.tick();
-        if set.lookup_tag(tag, now, policy).is_some() {
-            return AccessOutcome::Hit;
-        }
-        let filled = set.fill_tag(tag, mask, now, 0, policy, draw);
-        self.count_fill(0, filled.evicted);
-        AccessOutcome::Miss {
-            evicted: filled.evicted,
-        }
-    }
-
     /// Performs an access attributed to requestor `owner` (a core id),
     /// tagging any filled line for occupancy monitoring — the simulator's
     /// analogue of Intel CMT's RMID tagging — and marking a line it hits
@@ -508,8 +487,8 @@ mod tests {
     fn miss_then_hit() {
         let mut c = small();
         let mask = WayMask::all(4);
-        assert!(!c.access(LineAddr(1), mask).is_hit());
-        assert!(c.access(LineAddr(1), mask).is_hit());
+        assert!(!c.access_as(LineAddr(1), mask, 0).is_hit());
+        assert!(c.access_as(LineAddr(1), mask, 0).is_hit());
     }
 
     #[test]
@@ -519,8 +498,8 @@ mod tests {
         // Two lines mapping to the same set with a 1-way partition thrash.
         let a = LineAddr(0);
         let b = LineAddr(16); // same set (16 sets)
-        assert!(!c.access(a, mask).is_hit());
-        match c.access(b, mask) {
+        assert!(!c.access_as(a, mask, 0).is_hit());
+        match c.access_as(b, mask, 0) {
             AccessOutcome::Miss { evicted } => assert_eq!(evicted.map(|e| e.line), Some(a)),
             AccessOutcome::Hit => panic!("expected miss"),
         }
@@ -532,7 +511,7 @@ mod tests {
         let mut c = small();
         let mask = WayMask::from_way_range(1, 2);
         for i in 0..1000u64 {
-            c.access(LineAddr(i), mask);
+            c.access_as(LineAddr(i), mask, 0);
         }
         // 16 sets x 2 permitted ways.
         assert!(c.occupancy_in(mask) <= 32);
@@ -563,8 +542,8 @@ mod tests {
         let mut c = small();
         let low = WayMask::from_way_range(0, 2);
         let high = WayMask::from_way_range(2, 2);
-        c.access(LineAddr(1), low);
-        c.access(LineAddr(2), high);
+        c.access_as(LineAddr(1), low, 0);
+        c.access_as(LineAddr(2), high, 0);
         let mut dropped = Vec::new();
         assert_eq!(c.drain_lines_in(low, |gone| dropped.push(gone.line)), 1);
         assert_eq!(dropped, vec![LineAddr(1)]);
@@ -588,7 +567,7 @@ mod tests {
             c.access_as(LineAddr(i % 70), low, (i % 3) as u32);
         }
         c.invalidate(LineAddr(69));
-        c.access(LineAddr(1000), WayMask::all(4));
+        c.access_as(LineAddr(1000), WayMask::all(4), 0);
         for owner in 0..4 {
             assert_eq!(c.occupancy_of(owner), scanned_occupancy_of(&c, owner));
         }
@@ -631,13 +610,13 @@ mod tests {
             let mask = WayMask::all(8);
             for round in 0..4 {
                 for line in 0..4u64 {
-                    c.access(LineAddr(line), mask);
+                    c.access_as(LineAddr(line), mask, 0);
                 }
                 let _ = round;
             }
             // A scan of 64 distinct lines.
             for line in 100..164u64 {
-                c.access(LineAddr(line), mask);
+                c.access_as(LineAddr(line), mask, 0);
             }
             (0..4u64).filter(|l| c.probe(LineAddr(*l))).count()
         };
@@ -658,11 +637,11 @@ mod tests {
         let geometry = CacheGeometry::new(1, 2, 64);
         let mut c = SetAssocCache::with_policy(geometry, crate::ReplacementPolicy::Fifo);
         let mask = WayMask::all(2);
-        c.access(LineAddr(1), mask);
-        c.access(LineAddr(2), mask);
+        c.access_as(LineAddr(1), mask, 0);
+        c.access_as(LineAddr(2), mask, 0);
         // Re-touch line 1; under FIFO that does not save it.
-        c.access(LineAddr(1), mask);
-        c.access(LineAddr(3), mask);
+        c.access_as(LineAddr(1), mask, 0);
+        c.access_as(LineAddr(3), mask, 0);
         assert!(!c.probe(LineAddr(1)), "FIFO evicts the oldest insert");
         assert!(c.probe(LineAddr(2)));
     }
@@ -673,7 +652,7 @@ mod tests {
         let mut c = SetAssocCache::with_policy(geometry, crate::ReplacementPolicy::Random);
         let mask = WayMask::from_way_range(2, 3);
         for line in 0..500u64 {
-            c.access(LineAddr(line), mask);
+            c.access_as(LineAddr(line), mask, 0);
         }
         assert_eq!(c.occupancy(), c.occupancy_in(mask));
         assert!(c.occupancy_in(mask) <= 12);
@@ -703,8 +682,8 @@ mod tests {
             let top = LineAddr(65_534 * sets + i);
             assert!(!c.access_as(top, mask, 1).is_hit());
             assert!(c.probe(top));
-            c.access(LineAddr(i), mask);
-            match c.access(LineAddr(sets + i), mask) {
+            c.access_as(LineAddr(i), mask, 0);
+            match c.access_as(LineAddr(sets + i), mask, 0) {
                 AccessOutcome::Miss {
                     evicted: Some(gone),
                 } => assert_eq!((gone.line, gone.owner), (top, 1)),
@@ -713,14 +692,14 @@ mod tests {
         }
         refused(&mut c);
         assert_eq!(c.occupancy(), 2 * sets);
-        c.access(LineAddr(65_535 * sets), mask);
+        c.access_as(LineAddr(65_535 * sets), mask, 0);
     }
 
     #[test]
     fn flush_resets_occupancy() {
         let mut c = small();
         for i in 0..50u64 {
-            c.access(LineAddr(i), WayMask::all(4));
+            c.access_as(LineAddr(i), WayMask::all(4), 0);
         }
         assert!(c.occupancy() > 0);
         c.flush();

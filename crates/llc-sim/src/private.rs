@@ -18,7 +18,7 @@
 //! before it evicts a line, exactly as the stamped set does. *Which way*
 //! holds a line is the only thing the two representations disagree on, and
 //! nothing can observe it: there is no mask and no per-way query, only
-//! residency. `tests/private_equivalence.rs` drives both in lockstep.
+//! residency. `tests/machine_differential.rs` holds it to a plain model.
 //!
 //! An 8-way set is 64 bytes, one host cache line: 8 bytes a simulated
 //! line. The LLC's stamped layout spends 4 a line and 6 a set on its

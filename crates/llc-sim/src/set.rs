@@ -9,7 +9,7 @@
 //! # Packed representation
 //!
 //! The set stores its state in a run of `u16` tags, a block of `u16`s and
-//! a `u32` occupancy bitmask instead of a `Vec<Option<LineEntry>>`:
+//! a `u32` occupancy bitmask instead of a `Vec` of optional line records:
 //!
 //! ```text
 //! occ:   u32 bitmask, bit w set = way w holds a valid line
@@ -59,11 +59,10 @@
 //! * **occupancy queries** are `count_ones` on the bitmask instead of an
 //!   `Option` scan.
 //!
-//! Every replacement decision is bit-identical to the seed
-//! `Vec<Option<LineEntry>>` implementation, which is retained as
-//! [`legacy::LegacyCacheSet`] — it keeps whole line addresses, and is the
-//! oracle for the equivalence property test and the reference side of the
-//! `dcat-perfbench` speedup measurement.
+//! Every replacement decision is the one the seed's layout made — whole
+//! line records with 64-bit stamps and exact sharer sets — which lives on
+//! as the reference model in `tests/support/reference.rs`:
+//! `tests/machine_differential.rs` holds the whole hierarchy to it.
 
 use std::borrow::{Borrow, BorrowMut};
 
@@ -108,25 +107,8 @@ fn owner_of(meta: u16) -> u32 {
     u32::from(meta >> OWNER_SHIFT)
 }
 
-/// One resident line: its address tag, an LRU timestamp, and the id of
-/// the requestor that filled it (the analogue of Intel CMT's RMID tag,
-/// which is how real hardware attributes LLC occupancy to tenants).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LineEntry {
-    /// Full line address. The packed set stores only the line's tag (the
-    /// bits its set index does not give) and rebuilds this when the line
-    /// leaves; the legacy oracle keeps it whole.
-    pub line: LineAddr,
-    /// Monotonic last-use stamp; larger means more recently used. A field
-    /// of [`legacy::LegacyCacheSet`] only: the packed set exposes no
-    /// stamp, so rewriting stamps in an order-preserving way is invisible.
-    pub last_use: u64,
-    /// Requestor (core) that brought the line in.
-    pub owner: u32,
-}
-
-/// A line that left a set (evicted by a fill, or invalidated), with what
-/// its meta word carried.
+/// A line that left a set (evicted by a fill, or invalidated) or would
+/// leave it ([`PackedSet::residents`]), with what its meta word carried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
     /// The departed line.
@@ -183,10 +165,10 @@ impl SetPos {
 }
 
 /// One set's packed state — an occupancy word, `ways` tags and a
-/// `ways + 1` meta block — and the only implementation of the set logic
-/// beside [`legacy::LegacyCacheSet`]. The storage is a parameter so the
-/// same code runs over a set that owns its words ([`CacheSet`]) and over
-/// one set's slice of a cache's flat arrays ([`SetRef`], `SetMut`).
+/// `ways + 1` meta block — and the only implementation of the set logic.
+/// The storage is a parameter so the same code runs over a set that owns
+/// its words ([`CacheSet`]) and over one set's slice of a cache's flat
+/// arrays ([`SetRef`], `SetMut`).
 #[derive(Debug, Clone)]
 pub struct PackedSet<O, T, D> {
     /// Occupancy bitmask: bit `w` set means way `w` holds a valid line.
@@ -209,8 +191,7 @@ pub type SetRef<'a> = PackedSet<u32, &'a [u16], &'a [u16]>;
 pub(crate) type SetMut<'a> = PackedSet<&'a mut u32, &'a mut [u16], &'a mut [u16]>;
 
 /// Whether a fill inserts at MRU (stamp `now`) rather than LRU (stamp 0):
-/// BIP one fill in `mru_one_in`, every other policy always. Shared by the
-/// packed and legacy implementations so they cannot drift.
+/// BIP one fill in `mru_one_in`, every other policy always.
 #[inline]
 fn inserts_at_mru(policy: ReplacementPolicy, draw: u64) -> bool {
     match policy {
@@ -320,15 +301,18 @@ impl<O: Borrow<u32>, T: Borrow<[u16]>, D: Borrow<[u16]>> PackedSet<O, T, D> {
         (self.occ() & mask.0).count_ones()
     }
 
+    /// Iterates over the occupied ways in ascending order, each with what
+    /// would leave it: its line, filler and shared bit.
+    pub fn residents(&self) -> impl Iterator<Item = (u32, Evicted)> + '_ {
+        let occ = self.occ();
+        (0..self.way_count())
+            .filter(move |&w| occ & (1 << w) != 0)
+            .map(|w| (w, self.departing(w)))
+    }
+
     /// Iterates over resident lines (ascending way order).
     pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        let occ = self.occ();
-        self.tags
-            .borrow()
-            .iter()
-            .enumerate()
-            .filter(move |(w, _)| occ & (1 << *w) != 0)
-            .map(|(_, &tag)| self.pos.line_of(tag))
+        self.residents().map(|(_, gone)| gone.line)
     }
 
     /// Number of valid lines filled by `owner`.
@@ -626,187 +610,6 @@ fn nth_set_bit(mut bits: u32, k: u32) -> u32 {
         bits &= bits - 1;
     }
     bits.trailing_zeros()
-}
-
-/// The seed `Vec<Option<LineEntry>>` set implementation, byte-for-byte.
-///
-/// Kept compiled (not `#[cfg(test)]`) for two consumers: the equivalence
-/// property test uses it as the decision oracle, and `dcat-perfbench`
-/// measures the packed representation's speedup against it — the ratio
-/// recorded in `BENCH_micro.json`. Not part of the supported API.
-#[doc(hidden)]
-pub mod legacy {
-    use super::{inserts_at_mru, Evicted, FillResult, LineEntry};
-    use crate::address::LineAddr;
-    use crate::cache::WayMask;
-    use crate::replacement::ReplacementPolicy;
-
-    /// A single set of a set-associative cache (seed representation).
-    #[derive(Debug, Clone)]
-    pub struct LegacyCacheSet {
-        ways: Vec<Option<LineEntry>>,
-    }
-
-    impl LegacyCacheSet {
-        /// Creates an empty set with the given associativity.
-        pub fn new(ways: u32) -> Self {
-            LegacyCacheSet {
-                ways: vec![None; ways as usize],
-            }
-        }
-
-        /// Number of ways in this set.
-        pub fn way_count(&self) -> u32 {
-            self.ways.len() as u32
-        }
-
-        /// Policy-aware lookup; see [`super::CacheSet::lookup_with`].
-        pub fn lookup_with(
-            &mut self,
-            line: LineAddr,
-            now: u64,
-            policy: ReplacementPolicy,
-        ) -> Option<u32> {
-            for (idx, slot) in self.ways.iter_mut().enumerate() {
-                if let Some(entry) = slot {
-                    if entry.line == line {
-                        if policy.promotes_on_hit() {
-                            entry.last_use = now;
-                        }
-                        return Some(idx as u32);
-                    }
-                }
-            }
-            None
-        }
-
-        /// Checks residency without perturbing LRU state.
-        pub fn probe(&self, line: LineAddr) -> Option<u32> {
-            self.ways
-                .iter()
-                .position(|slot| slot.map(|e| e.line) == Some(line))
-                .map(|idx| idx as u32)
-        }
-
-        /// Policy-aware fill; see [`super::CacheSet::fill_with`].
-        pub fn fill_with(
-            &mut self,
-            line: LineAddr,
-            mask: WayMask,
-            now: u64,
-            owner: u32,
-            policy: ReplacementPolicy,
-            draw: u64,
-        ) -> FillResult {
-            debug_assert!(
-                self.probe(line).is_none(),
-                "fill of a line that is already resident"
-            );
-            let insert_stamp = if inserts_at_mru(policy, draw) { now } else { 0 };
-
-            // Prefer an invalid (empty) permitted way; collect candidates.
-            let mut candidates: Vec<u32> = Vec::new();
-            let mut victim: Option<u32> = None;
-            let mut victim_stamp = u64::MAX;
-            for way in 0..self.way_count() {
-                if !mask.contains(way) {
-                    continue;
-                }
-                match self.ways[way as usize] {
-                    None => {
-                        self.ways[way as usize] = Some(LineEntry {
-                            line,
-                            last_use: insert_stamp,
-                            owner,
-                        });
-                        return FillResult { way, evicted: None };
-                    }
-                    Some(entry) => {
-                        candidates.push(way);
-                        if entry.last_use < victim_stamp {
-                            victim_stamp = entry.last_use;
-                            victim = Some(way);
-                        }
-                    }
-                }
-            }
-            let way = match policy {
-                ReplacementPolicy::Random => *candidates
-                    .get((draw % candidates.len().max(1) as u64) as usize)
-                    .expect("fill mask must permit at least one way"),
-                _ => victim.expect("fill mask must permit at least one way"),
-            };
-            let evicted = self.ways[way as usize].map(|e| Evicted {
-                line: e.line,
-                owner: e.owner,
-                shared: false,
-            });
-            self.ways[way as usize] = Some(LineEntry {
-                line,
-                last_use: insert_stamp,
-                owner,
-            });
-            FillResult { way, evicted }
-        }
-
-        /// Invalidates `line` if resident; returns whether it was.
-        pub fn invalidate(&mut self, line: LineAddr) -> bool {
-            for slot in self.ways.iter_mut() {
-                if slot.map(|e| e.line) == Some(line) {
-                    *slot = None;
-                    return true;
-                }
-            }
-            false
-        }
-
-        /// Clears every way of the set.
-        pub fn flush(&mut self) {
-            for slot in self.ways.iter_mut() {
-                *slot = None;
-            }
-        }
-
-        /// Number of valid lines currently resident.
-        pub fn occupancy(&self) -> u32 {
-            self.ways.iter().filter(|s| s.is_some()).count() as u32
-        }
-
-        /// Number of valid lines resident in ways permitted by `mask`.
-        pub fn occupancy_in(&self, mask: WayMask) -> u32 {
-            self.ways
-                .iter()
-                .enumerate()
-                .filter(|(idx, slot)| slot.is_some() && mask.contains(*idx as u32))
-                .count() as u32
-        }
-
-        /// Number of valid lines filled by `owner`.
-        pub fn occupancy_of(&self, owner: u32) -> u32 {
-            self.ways
-                .iter()
-                .filter(|s| s.map(|e| e.owner) == Some(owner))
-                .count() as u32
-        }
-
-        /// Iterates over resident lines (ascending way order).
-        pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-            self.ways.iter().filter_map(|s| s.map(|e| e.line))
-        }
-
-        /// Invalidates every line in the ways permitted by `mask`.
-        pub fn invalidate_ways(&mut self, mask: WayMask) -> Vec<LineAddr> {
-            let mut dropped = Vec::new();
-            for (way, slot) in self.ways.iter_mut().enumerate() {
-                if mask.contains(way as u32) {
-                    if let Some(entry) = slot.take() {
-                        dropped.push(entry.line);
-                    }
-                }
-            }
-            dropped
-        }
-    }
 }
 
 #[cfg(test)]

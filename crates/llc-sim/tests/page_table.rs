@@ -1,98 +1,49 @@
-//! `PageMapper`'s radix page table against an oracle: a `BTreeMap` mapper
-//! that draws its frames from an identical allocator with an identical
-//! placement stream. Both see the same random interleaving of dense runs,
-//! sparse pages, the diurnal think page at `1 << 44` and addresses up to
-//! `u64::MAX` (where trace replay can reach and the table stops growing),
-//! at 4 KiB and 2 MiB pages; after every translation the physical
-//! address, the mapped page count and the allocator's used bytes must
-//! agree. Then both are cleared: every frame must be back in the pool,
-//! and a fresh mapping must get all of them again.
+//! `PageMapper`'s radix page table against the reference model's: a
+//! `BTreeMap` from page number to page base that draws its frames from an
+//! identical allocator with an identical placement stream
+//! (`support/reference.rs`). Both see the same random interleaving of
+//! dense runs, sparse pages, the diurnal think page at `1 << 44` and
+//! addresses up to `u64::MAX` (where trace replay can reach and the table
+//! stops growing), at 4 KiB and 2 MiB pages, from pools that run dry
+//! within it and pools that never do; after every translation the
+//! physical address, the mapped page count and the allocator's used bytes
+//! must agree. Then both are cleared: every frame must be back in the
+//! pool, and a fresh mapping must get all of them again — what
+//! `machine_differential.rs`'s programs never do.
 
-use std::collections::BTreeMap;
+#[path = "support/reference.rs"]
+mod reference;
 
-use llc_sim::{FrameAllocator, FramePolicy, PageMapper, PageSize, PhysAddr, VirtAddr};
+use llc_sim::{
+    FrameAllocator, FramePolicy, HierarchyConfig, PageMapper, PageSize, PhysAddr, VirtAddr,
+};
 use prop_lite::Gen;
+use reference::Machine;
 use smallrng::SmallRng;
 
-/// The reference mapper: one ordered map from page number to page base.
-struct Oracle {
-    size: PageSize,
-    pages: BTreeMap<u64, PhysAddr>,
-}
-
-impl Oracle {
-    fn translate(
-        &mut self,
-        vaddr: VirtAddr,
-        frames: &mut FrameAllocator,
-        rng: &mut SmallRng,
-    ) -> Option<PhysAddr> {
-        let shift = self.size.shift();
-        let vpage = vaddr.page_number(shift);
-        let base = match self.pages.get(&vpage) {
-            Some(base) => *base,
-            None => {
-                let base = frames.allocate_colored_with(self.size, None, rng)?;
-                self.pages.insert(vpage, base);
-                base
-            }
-        };
-        Some(PhysAddr(base.0 + vaddr.page_offset(shift)))
-    }
-
-    fn clear(&mut self, frames: &mut FrameAllocator) {
-        for base in std::mem::take(&mut self.pages).into_values() {
-            frames.free(base, self.size);
-        }
-    }
-}
-
-/// The table and the oracle, each with its own allocator and stream.
+/// The table, its allocator and stream, and the model's table.
 struct Pair {
     mapper: PageMapper,
     frames: FrameAllocator,
     rng: SmallRng,
-    oracle: Oracle,
-    oracle_frames: FrameAllocator,
-    oracle_rng: SmallRng,
+    model: Machine,
 }
 
 impl Pair {
-    fn new(size: PageSize, pool_bytes: u64, policy: FramePolicy, seed: u64) -> Self {
-        Pair {
-            mapper: PageMapper::new(size),
-            frames: FrameAllocator::new(pool_bytes, policy, seed),
-            rng: SmallRng::seed_from_u64(seed),
-            oracle: Oracle {
-                size,
-                pages: BTreeMap::new(),
-            },
-            oracle_frames: FrameAllocator::new(pool_bytes, policy, seed),
-            oracle_rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-
     fn step(&mut self, vaddr: VirtAddr) -> Option<PhysAddr> {
         let got = self
             .mapper
             .translate_with(vaddr, &mut self.frames, &mut self.rng);
-        let want = self
-            .oracle
-            .translate(vaddr, &mut self.oracle_frames, &mut self.oracle_rng);
+        let want = self.model.translate(vaddr);
         assert_eq!(got, want, "translation of {:#x}", vaddr.0);
-        assert_eq!(
-            self.mapper.mapped_pages(),
-            self.oracle.pages.len(),
-            "mapped pages after {:#x}",
-            vaddr.0
-        );
-        assert_eq!(
-            self.frames.used_bytes(),
-            self.oracle_frames.used_bytes(),
-            "used bytes after {:#x}",
-            vaddr.0
-        );
+        self.agree(&format!("{:#x}", vaddr.0));
         got
+    }
+
+    /// Pages mapped and bytes of the pool used, after `what`.
+    fn agree(&self, what: &str) {
+        let got = (self.mapper.mapped_pages(), self.frames.used_bytes());
+        assert_eq!(got, self.model.footprint(), "pages, bytes after {what}");
     }
 }
 
@@ -118,14 +69,27 @@ fn stretch(g: &mut Gen, page: u64) -> Vec<u64> {
 
 fn table_matches_the_oracle(size: PageSize, g: &mut Gen) {
     let page = size.bytes();
-    // From a pool that runs dry within the interleaving to one that never
-    // does; the smallest holds one huge page, the allocator's minimum.
+    // The smallest pool holds one huge page, the allocator's minimum.
     let pool_pages = match size {
         PageSize::Small => *g.pick(&[512u64, 1024, 4096]),
         PageSize::Huge => *g.pick(&[1u64, 16, 256]),
     };
     let policy = *g.pick(&[FramePolicy::Randomized, FramePolicy::Contiguous]);
-    let mut pair = Pair::new(size, pool_pages * page, policy, g.u64_in(0, u64::MAX));
+    let seed = g.u64_in(0, u64::MAX);
+    let pool = || {
+        (
+            FrameAllocator::new(pool_pages * page, policy, seed),
+            SmallRng::seed_from_u64(seed),
+        )
+    };
+    let (frames, rng) = pool();
+    let model = Machine::new(HierarchyConfig::default(), size, pool());
+    let mut pair = Pair {
+        mapper: PageMapper::new(size),
+        frames,
+        rng,
+        model,
+    };
 
     let mut touched = Vec::new();
     for _ in 0..g.usize_in(1, 40) {
@@ -142,17 +106,15 @@ fn table_matches_the_oracle(size: PageSize, g: &mut Gen) {
     }
 
     pair.mapper.clear(&mut pair.frames);
-    pair.oracle.clear(&mut pair.oracle_frames);
-    assert_eq!(pair.mapper.mapped_pages(), 0);
+    pair.model.unmap_all();
+    pair.agree("clear");
     assert_eq!(pair.frames.used_bytes(), 0, "clear left frames mapped");
 
     // A fresh mapping of as many pages as the pool holds gets every one.
     let first = g.u64_in(0, 1 << 20);
     for p in first..first + pool_pages {
-        assert!(
-            pair.step(VirtAddr(p * page)).is_some(),
-            "page {p} found no frame"
-        );
+        let mapped = pair.step(VirtAddr(p * page));
+        assert!(mapped.is_some(), "page {p} found no frame");
     }
     assert_eq!(pair.frames.used_bytes(), pair.frames.capacity_bytes());
 }

@@ -35,7 +35,7 @@ impl Oracle {
 
     /// `(hit, evicted)` of one access.
     fn access(&mut self, line: LineAddr) -> (bool, Option<LineAddr>) {
-        match self.cache.access(line, self.mask) {
+        match self.cache.access_as(line, self.mask, 0) {
             AccessOutcome::Hit => (true, None),
             AccessOutcome::Miss { evicted } => (false, evicted.map(|gone| gone.line)),
         }

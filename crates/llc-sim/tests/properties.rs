@@ -33,7 +33,7 @@ fn partition_occupancy_bounded() {
         let mut cache = SetAssocCache::new(geometry);
         let mask = WayMask::from_way_range(start, count);
         for line in lines {
-            cache.access(LineAddr(line), mask);
+            cache.access_as(LineAddr(line), mask, 0);
         }
         assert!(cache.occupancy_in(mask) <= u64::from(32 * count));
         // Nothing leaked outside the permitted ways.
@@ -126,10 +126,10 @@ fn mru_line_survives_one_fill() {
         let mut cache = SetAssocCache::new(geometry);
         let mask = WayMask::from_way_range(0, 4);
         for l in &seed_lines {
-            cache.access(LineAddr(*l), mask);
+            cache.access_as(LineAddr(*l), mask, 0);
         }
         let mru = *seed_lines.last().unwrap();
-        cache.access(LineAddr(fresh), mask);
+        cache.access_as(LineAddr(fresh), mask, 0);
         assert!(
             cache.probe(LineAddr(mru)),
             "MRU line {mru} evicted by a single fill"

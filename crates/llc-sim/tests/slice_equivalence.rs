@@ -1,20 +1,17 @@
 //! A slice is the same machine as its references one at a time.
-//!
 //! `Hierarchy::slice(core)` holds the core's L1 and L2 arrays, its counts
-//! and its estimator for a run of references, and writes the counts and
-//! the estimator back when the slice ends. Random multi-core programs —
-//! runs of `k` references, each run from one core — go through two
-//! hierarchies built alike: one as a single slice per run, the other as
+//! and its estimator for a run of references and writes the counts and
+//! the estimator back when the slice ends; `machine_differential.rs` holds
+//! slices at full fidelity to a model that has no estimator. Here random
+//! multi-core programs — runs of `k` references, each run from one core —
+//! go through two hierarchies built alike, at full fidelity or sampling
+//! one LLC set in four: one as a single slice per run, the other as
 //! `k` calls of `Hierarchy::access`. After every run the two must agree on
-//! every `HitLevel`, every core's counters, the residency of every line in
-//! play in every core's L1 and L2 and in the LLC, and every core's LLC
-//! occupancy; a run that ends with `finish` must return exactly what the
-//! run added to its core's counters.
-//!
-//! Fill masks overlap so that one core's fills evict lines other cores
-//! share, and the private caches come in four shapes — 8-way with a
-//! power-of-two set count (the held array's mask-indexed case), 1-way,
-//! 5-way and 24-set — so the held-set code is not only the 8-way case.
+//! every `HitLevel`, every core's counters and LLC occupancy, and where
+//! every line in play is; a run that ends with `finish` must return what it
+//! added to its core's counters. Fill masks overlap, so one core's fills
+//! evict lines other cores share, and the private caches come in four
+//! shapes: 8-way with a power-of-two set count, 1-way, 5-way and 24-set.
 
 use llc_sim::{
     AccessKind, CacheGeometry, CoreCounters, Hierarchy, HierarchyConfig, HitLevel,
@@ -77,39 +74,18 @@ fn random_run(g: &mut Gen, universe: u64) -> (u32, Vec<u64>) {
     (core, lines)
 }
 
-fn assert_same_machine(sliced: &Hierarchy, plain: &Hierarchy, universe: u64, after: usize) {
-    for core in 0..CORES {
-        assert_eq!(
-            sliced.counters(core),
-            plain.counters(core),
-            "core {core}'s counters after run {after}"
-        );
-        assert_eq!(
-            sliced.llc_occupancy_of_core(core),
-            plain.llc_occupancy_of_core(core),
-            "core {core}'s LLC occupancy after run {after}"
-        );
-    }
-    for line in 0..universe {
+/// Every core's counters and LLC lines, and where each line of the
+/// universe is: the LLC, and every core's L1 and L2.
+type Observed = (Vec<(CoreCounters, u64)>, Vec<(bool, Vec<(bool, bool)>)>);
+
+fn observe(h: &Hierarchy, universe: u64) -> Observed {
+    let cores = (0..CORES).map(|core| (h.counters(core), h.llc_occupancy_of_core(core)));
+    let lines = (0..universe).map(|line| {
         let paddr = line * 64;
-        assert_eq!(
-            sliced.llc_probe(paddr),
-            plain.llc_probe(paddr),
-            "line {line} in the LLC after run {after}"
-        );
-        for core in 0..CORES {
-            assert_eq!(
-                sliced.l1_probe(core, paddr),
-                plain.l1_probe(core, paddr),
-                "line {line} in core {core}'s L1 after run {after}"
-            );
-            assert_eq!(
-                sliced.l2_probe(core, paddr),
-                plain.l2_probe(core, paddr),
-                "line {line} in core {core}'s L2 after run {after}"
-            );
-        }
-    }
+        let private = |core| (h.l1_probe(core, paddr), h.l2_probe(core, paddr));
+        (h.llc_probe(paddr), (0..CORES).map(private).collect())
+    });
+    (cores.collect(), lines.collect())
 }
 
 fn slice_cases(name: &str, fidelity: SimFidelity) {
@@ -153,7 +129,8 @@ fn slice_cases(name: &str, fidelity: SimFidelity) {
                 drop(slice);
             }
             assert_eq!(got, expected, "levels of run {run} (core {core})");
-            assert_same_machine(&sliced, &plain, universe, run);
+            let same = observe(&sliced, universe) == observe(&plain, universe);
+            assert!(same, "the machines differ after run {run}");
         }
         let total = (0..CORES).fold(CoreCounters::default(), |acc, c| {
             acc.merged_with(&plain.counters(c))
@@ -169,8 +146,6 @@ fn a_slice_equals_its_references_one_at_a_time_at_full_fidelity() {
 
 #[test]
 fn a_slice_equals_its_references_one_at_a_time_sampling_one_set_in_four() {
-    slice_cases(
-        "slice_equivalence_sampled4",
-        SimFidelity::Sampled { one_in: 4 },
-    );
+    let sampled = SimFidelity::Sampled { one_in: 4 };
+    slice_cases("slice_equivalence_sampled4", sampled);
 }

@@ -1,119 +1,30 @@
 //! Exactness of the 9-bit stamp: a `SetAssocCache` driven across many
-//! re-ranks of every set's clock against an oracle on 64-bit stamps.
+//! re-ranks of every set's clock against the reference model's LLC
+//! (`support/reference.rs`), whose stamps are on one 64-bit clock.
 //!
 //! A packed line keeps 9 bits of last-use stamp, and each set its own
 //! clock, advanced once per access to the set; when a set's clock reaches
 //! `MAX_STAMP` the set's non-zero stamps are rewritten as their ranks and
 //! its clock restarts at `ways`. The claim is that no decision can tell:
 //! victim selection is the only reader of a stamp and compares stamps of
-//! one set only. The oracle here is one `LegacyCacheSet` per set on one
-//! `u64` clock for the whole cache that never wraps, plus the exact sharer
-//! masks the legacy set does not keep — from which it derives the shared
-//! bit the cache keeps instead: some requestor other than the filler hit
-//! the line — and a copy of the cache's draw stream. Each sequence runs
-//! long enough that every set re-ranks at least three times — under
-//! changing fill masks and requestors 0..=31 (so the top filler id, beside
-//! the shared bit, is in play), with invalidations and way flushes in
-//! between so sets hold emptied ways with stale meta words when they are
-//! re-ranked. After every access the outcome, the evicted line with its
-//! filler and shared bit, and the residency of the whole universe must
-//! agree. 150 sequences per policy.
+//! one set only. The model keeps one clock for the whole cache that never
+//! wraps, and exact sharer sets from which it derives the shared bit the
+//! cache keeps instead. Each sequence runs long enough that every set
+//! re-ranks at least three times — under changing fill masks and
+//! requestors 0..=31 (so the top filler id, beside the shared bit, is in
+//! play), with invalidations and way flushes in between so sets hold
+//! emptied ways with stale meta words when they are re-ranked. After every
+//! access the outcome, the evicted line with its filler and shared bit,
+//! and the residency of the whole universe must agree. 150 sequences per
+//! policy.
 
-use std::collections::BTreeMap;
+#[path = "support/reference.rs"]
+mod reference;
 
 use llc_sim::replacement::ReplacementPolicy;
-use llc_sim::set::legacy::LegacyCacheSet;
-use llc_sim::set::{Evicted, MAX_FILLERS, MAX_STAMP};
-use llc_sim::{AccessOutcome, CacheGeometry, LineAddr, SetAssocCache, WayMask};
-
-/// What `SetAssocCache` was before its stamps narrowed, set by set.
-struct Oracle {
-    sets: Vec<LegacyCacheSet>,
-    // Sharer masks of the resident lines.
-    sharers: BTreeMap<LineAddr, u32>,
-    policy: ReplacementPolicy,
-    now: u64,
-    draw_state: u64,
-}
-
-impl Oracle {
-    fn new(geometry: CacheGeometry, policy: ReplacementPolicy) -> Self {
-        Oracle {
-            sets: (0..geometry.sets)
-                .map(|_| LegacyCacheSet::new(geometry.ways))
-                .collect(),
-            sharers: BTreeMap::new(),
-            policy,
-            now: 0,
-            draw_state: 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-
-    /// The cache's xorshift64* stream, which only Random and BIP advance.
-    fn next_draw(&mut self) -> u64 {
-        if !self.policy.uses_draw() {
-            return 0;
-        }
-        let mut x = self.draw_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.draw_state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn set_of(&mut self, line: LineAddr) -> &mut LegacyCacheSet {
-        let sets = self.sets.len() as u64;
-        &mut self.sets[(line.0 % sets) as usize]
-    }
-
-    /// `access_as` when `sharer` names the requestor, `access` (filler 0,
-    /// no sharer recorded) when it is `None`.
-    fn access(&mut self, line: LineAddr, mask: WayMask, sharer: Option<u32>) -> AccessOutcome {
-        self.now += 1;
-        let (now, draw, policy) = (self.now, self.next_draw(), self.policy);
-        let bit = sharer.map_or(0, |r| 1 << r);
-        if self.set_of(line).lookup_with(line, now, policy).is_some() {
-            *self.sharers.get_mut(&line).expect("resident") |= bit;
-            return AccessOutcome::Hit;
-        }
-        let owner = sharer.unwrap_or(0);
-        let filled = self
-            .set_of(line)
-            .fill_with(line, mask, now, owner, policy, draw);
-        let evicted = filled.evicted.map(|gone| {
-            let sharers = self.sharers.remove(&gone.line).expect("resident");
-            Evicted {
-                shared: sharers & !(1 << gone.owner) != 0,
-                ..gone
-            }
-        });
-        self.sharers.insert(line, bit);
-        AccessOutcome::Miss { evicted }
-    }
-
-    fn invalidate(&mut self, line: LineAddr) -> bool {
-        self.sharers.remove(&line);
-        self.set_of(line).invalidate(line)
-    }
-
-    /// Dropped lines, set by set and in way order.
-    fn invalidate_ways(&mut self, mask: WayMask) -> Vec<LineAddr> {
-        let dropped: Vec<LineAddr> = self
-            .sets
-            .iter_mut()
-            .flat_map(|set| set.invalidate_ways(mask))
-            .collect();
-        for line in &dropped {
-            self.sharers.remove(line);
-        }
-        dropped
-    }
-
-    fn probe(&self, line: LineAddr) -> bool {
-        self.sharers.contains_key(&line)
-    }
-}
+use llc_sim::set::{MAX_FILLERS, MAX_STAMP};
+use llc_sim::{CacheGeometry, LineAddr, SetAssocCache, WayMask};
+use reference::Llc;
 
 fn random_nonempty_mask(g: &mut prop_lite::Gen, ways: u32) -> WayMask {
     let start = g.u32_in(0, ways - 1);
@@ -136,7 +47,7 @@ fn lockstep_cases(label: &str, policy: ReplacementPolicy) {
     prop_lite::run_cases(&name, 150, |g| {
         let geometry = CacheGeometry::new(g.u32_in(1, 4), g.u32_in(1, 8), 64);
         let mut cache = SetAssocCache::with_policy(geometry, policy);
-        let mut oracle = Oracle::new(geometry, policy);
+        let mut oracle = Llc::new(geometry, policy);
         // About twice as many lines a set as it has ways: sequences hit,
         // evict and re-fill evicted lines.
         let universe = u64::from(geometry.sets) * (2 * u64::from(geometry.ways) + 2);
@@ -149,21 +60,12 @@ fn lockstep_cases(label: &str, policy: ReplacementPolicy) {
             let line = LineAddr(g.u64_in(0, universe - 1));
             let set = (line.0 % u64::from(geometry.sets)) as usize;
             match g.u32_in(0, 19) {
-                0..=13 => {
+                0..=15 => {
                     let requestor = g.u32_in(0, MAX_FILLERS - 1);
                     assert_eq!(
                         cache.access_as(line, mask, requestor),
-                        oracle.access(line, mask, Some(requestor)),
+                        oracle.access_as(line, mask, requestor),
                         "access_as diverged for {line:?} by {requestor}"
-                    );
-                    accesses -= 1;
-                    per_set[set] += 1;
-                }
-                14..=15 => {
-                    assert_eq!(
-                        cache.access(line, mask),
-                        oracle.access(line, mask, None),
-                        "access diverged for {line:?}"
                     );
                     accesses -= 1;
                     per_set[set] += 1;
@@ -177,8 +79,8 @@ fn lockstep_cases(label: &str, policy: ReplacementPolicy) {
                 _ => {
                     let flushed = random_nonempty_mask(g, geometry.ways);
                     let mut dropped = Vec::new();
-                    cache.drain_lines_in(flushed, |gone| dropped.push(gone.line));
-                    assert_eq!(dropped, oracle.invalidate_ways(flushed), "flush diverged");
+                    cache.drain_lines_in(flushed, |gone| dropped.push(gone));
+                    assert_eq!(dropped, oracle.drain(flushed), "flush diverged");
                 }
             }
             for l in (0..universe).map(LineAddr) {

@@ -20,8 +20,8 @@ fn small_engine() -> EngineConfig {
 
 /// Golden counter trace for the packed-set refactor: the full-fidelity
 /// simulator must produce exactly these Table-2 counter values on this
-/// fixture, epoch by epoch. The values were recorded from the seed
-/// `Vec<Option<LineEntry>>` implementation; the packed bitmask/SoA set
+/// fixture, epoch by epoch. The values were recorded from the seed's set
+/// (a `Vec` of optional line records); the packed bitmask/SoA set
 /// representation is decision-identical, so any drift here means the
 /// refactor changed a replacement decision somewhere.
 #[test]
