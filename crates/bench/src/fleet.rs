@@ -300,7 +300,7 @@ fn class_idx(class: WorkloadClass) -> usize {
     }
 }
 
-/// Label order matching [`class_idx`].
+/// Label order matching `class_idx`.
 pub const CLASS_LABELS: [&str; 6] = [
     "keeper",
     "donor",
@@ -691,7 +691,7 @@ pub fn run_fleet(policy: FleetPolicy, cfg: &FleetConfig) -> Result<FleetResult, 
 /// Hosts share nothing, so a host's lifetime is its run: the pool's work
 /// item is the host index, and the worker that claims it generates the
 /// host's shard, builds the host, runs all its epochs and drops it,
-/// returning only the [`HostRun`] — live simulator state is one host per
+/// returning only the `HostRun` — live simulator state is one host per
 /// worker, not one per host. [`Pool::stream`] delivers the runs to the
 /// coordinator (the calling thread) in host order, never more than
 /// `2 × jobs` of them finished and waiting, and the coordinator folds each

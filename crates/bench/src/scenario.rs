@@ -287,7 +287,7 @@ fn fatal_boundary<T>(stage: &'static str, r: Result<T, resctrl::ResctrlError>) -
 ///
 /// Panics if the socket cannot host the VMs or the policy rejects the
 /// configuration — scenario bugs, not runtime conditions (routed
-/// through [`fatal_boundary`], which classifies the error first).
+/// through `fatal_boundary`, which classifies the error first).
 pub fn run_scenario(
     policy: PolicyKind,
     engine_cfg: EngineConfig,

@@ -297,8 +297,8 @@ impl DcatController {
     }
 
     /// Per-domain snapshots for invariant checking (the `debug_assert!`
-    /// hook at the end of an interval, [`CachePolicy::audit`] and the
-    /// `dcat-verify` model checker all audit these).
+    /// hook at the end of an interval audits these, as
+    /// [`CachePolicy::audit`] does).
     pub fn domain_views(&self) -> Vec<DomainView> {
         let views = self.domains.iter();
         views.map(|d| d.view(self.programmed.mask(d.cos))).collect()

@@ -1,6 +1,6 @@
 //! The dCat daemon: the deployment form of the controller.
 //!
-//! The paper's prototype is "a C program [that] runs as a daemon in the
+//! The paper's prototype is "a C program \[that\] runs as a daemon in the
 //! host OS", reading MSR counters and programming CAT once per interval.
 //! This module is the Rust equivalent with the two hardware touchpoints
 //! abstracted:

@@ -14,10 +14,12 @@
 //!   contiguous, in range, and pairwise disjoint (delegated to
 //!   [`resctrl::invariants::check_masks`]).
 //!
-//! The same predicates run in three places: a `debug_assert!` at the end of
-//! [`crate::DcatController::tick`], the `dcat-verify` model checker after
-//! every explored transition, and any test that wants a one-call audit of
-//! controller state.
+//! One mechanism checks them: [`crate::CachePolicy::audit`], which
+//! [`crate::ControlLoop::step`] runs after every decision, completed or
+//! degraded, and turns a failure into an `InvariantViolation` event — the
+//! daemon logs it, and the `dcat-verify` model checker, which steps the
+//! same loop, fails on it. A `debug_assert!` at the end of every interval
+//! of [`crate::DcatController`] is safety code for debug builds.
 
 use std::fmt;
 

@@ -306,14 +306,7 @@ impl Engine {
         hierarchy.set_fidelity(config.llc_fidelity);
         // The LLC stores a line as its tag below a `u16` sentinel: memory
         // with a line beyond that is refused here, never aliased.
-        let lines = config.memory_bytes / llc_sim::LINE_SIZE;
-        if lines > hierarchy.llc().line_limit() {
-            return Err(format!(
-                "memory_bytes {} holds {lines} lines; the LLC's tags reach {}",
-                config.memory_bytes,
-                hierarchy.llc().line_limit()
-            ));
-        }
+        hierarchy.admits(config.memory_bytes)?;
         Ok(Engine {
             hierarchy,
             frames: FrameAllocator::new(config.memory_bytes, config.frame_policy, config.seed),

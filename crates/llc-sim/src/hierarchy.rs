@@ -24,8 +24,7 @@
 //! taken) is a no-op invalidate. VMs do not share frames, so a line is
 //! shared only when a freed frame is reused.
 
-use crate::address::LineAddr;
-use crate::address::PhysAddr;
+use crate::address::{LineAddr, PhysAddr, LINE_SHIFT};
 use crate::cache::{AccessOutcome, SetAssocCache, WayMask};
 use crate::counters::CoreCounters;
 use crate::geometry::CacheGeometry;
@@ -489,6 +488,21 @@ impl Hierarchy {
         &self.llc
     }
 
+    /// Whether this hierarchy's LLC can tag every line of `memory_bytes`
+    /// of physical memory: a line at or past [`SetAssocCache::line_limit`]
+    /// would panic on its first access. Check the bytes a
+    /// [`crate::FrameAllocator`] is built over before a page mapper hands
+    /// its frames to the hierarchy.
+    pub fn admits(&self, memory_bytes: u64) -> Result<(), String> {
+        let (lines, limit) = (memory_bytes >> LINE_SHIFT, self.llc.line_limit());
+        if lines > limit {
+            return Err(format!(
+                "memory_bytes {memory_bytes} holds {lines} lines; the LLC's tags reach {limit}"
+            ));
+        }
+        Ok(())
+    }
+
     /// LLC lines filled by `core` (CMT-style occupancy attribution,
     /// scaled to the full cache when sampling).
     pub fn llc_occupancy_of_core(&self, core: u32) -> u64 {
@@ -762,6 +776,22 @@ mod tests {
             llc: CacheGeometry::new(16, 4, 64),
             llc_policy: Default::default(),
         })
+    }
+
+    #[test]
+    fn memory_past_the_llc_tags_is_refused_where_an_access_would_panic() {
+        use crate::paging::{FrameAllocator, FramePolicy};
+        // Six sets tag 6 × 65 535 lines, 384 bytes short of 24 MiB, so a
+        // 36 MiB pool holds frames whose lines no tag can name.
+        let h = Hierarchy::new(HierarchyConfig {
+            llc: CacheGeometry::new(6, 20, 64),
+            ..tiny().config
+        });
+        let frames = FrameAllocator::new(36 << 20, FramePolicy::Contiguous, 0);
+        let err = h.admits(frames.capacity_bytes()).unwrap_err();
+        assert!(err.contains("the LLC's tags reach 393210"), "{err}");
+        assert_eq!(h.admits(393_210 << LINE_SHIFT), Ok(()));
+        assert!(h.admits((393_210 << LINE_SHIFT) + 64).is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! A hit moves the tag to the front, a fill shifts the set down one slot
 //! and drops the tail, an invalidate closes the gap. Empty slots hold
-//! [`EMPTY`] and always sit at the tail, so a fill consumes a free way
+//! `EMPTY` and always sit at the tail, so a fill consumes a free way
 //! before it evicts a line, exactly as the stamped set does. *Which way*
 //! holds a line is the only thing the two representations disagree on, and
 //! nothing can observe it: there is no mask and no per-way query, only

@@ -22,7 +22,7 @@
 //! clock: the last stamp the set handed out
 //! ```
 //!
-//! A set knows its place in its cache ([`SetPos`]: its index and the
+//! A set knows its place in its cache (`SetPos`: its index and the
 //! cache's set count), so a line that leaves it — evicted, removed,
 //! drained or listed — is rebuilt as `tag × sets + index`. A standalone
 //! [`CacheSet`] is a one-set cache: its tag is the line. A line whose tag
@@ -565,7 +565,7 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u16]>> PackedSet<O, T
     /// every stamp here. Emptied ways keep a stale meta word and are not
     /// ranked. Stamps that tie (the clock writes none: each is a different
     /// access's) rank in way order, the way the victim scan breaks the
-    /// tie. [`PackedSet::tick`] calls it at [`MAX_STAMP`]; at any other
+    /// tie. `PackedSet::tick` calls it at [`MAX_STAMP`]; at any other
     /// time it changes no decision either.
     #[cold]
     pub fn renormalise_stamps(&mut self) {

@@ -275,9 +275,13 @@ fn program(g: &mut Gen, policy: ReplacementPolicy) {
     } else {
         g.u64_in(needed / 2 + 1, 2 * needed + 16)
     };
-    // As `Engine::new` sizes it: no line at or past the 16-bit tags.
-    let tags = (u64::from(u16::MAX) * u64::from(sets)) << LINE_SHIFT;
-    let pool = (pool * page.bytes()).clamp(PageSize::Huge.bytes(), tags);
+    // No line at or past the 16-bit tags, by the check `Engine::new` makes.
+    let h = Hierarchy::new(config);
+    let pool = (pool * page.bytes()).max(PageSize::Huge.bytes());
+    let pool = match h.admits(pool) {
+        Ok(()) => pool,
+        Err(_) => h.llc().line_limit() << LINE_SHIFT,
+    };
     let frames = *g.pick(&[FramePolicy::Randomized, FramePolicy::Contiguous]);
     let seed = g.u64_in(0, u64::MAX);
     let pool = || {
@@ -288,7 +292,7 @@ fn program(g: &mut Gen, policy: ReplacementPolicy) {
     };
     let (frames, placement) = pool();
     let mut rig = Rig {
-        h: Hierarchy::new(config),
+        h,
         mapper: PageMapper::new(page),
         frames,
         placement,

@@ -14,8 +14,10 @@
 //!    any of its ways, and every core once its class is clear of them.
 //!
 //! Classes trading places on a full cache can each wait on another; then
-//! one steps aside ([`Programmed::step_aside`]), and only if none can is
-//! the rest written in class order.
+//! one steps aside (`Programmed::step_aside`): it moves part-way or
+//! shrinks, or a class whose cores wait to join it narrows to ways no
+//! other class holds and they join it there. Only if none can is the rest
+//! written in class order.
 
 use crate::cbm::Cbm;
 use crate::controller::{CacheController, CatCapabilities, CosId, ResctrlError};
@@ -225,7 +227,14 @@ impl Programmed {
     /// holds cores moves part-way, to the longest run of its new mask no
     /// other class holds, releasing its old ways to the classes waiting on
     /// them; failing that, one holding ways outside its new mask shrinks to
-    /// the top of its mask. Returns whether a mask was written.
+    /// the top of its mask; failing that, one whose cores wait to join it
+    /// narrows to the longest run of its mask no other class holds, and
+    /// they join it there, leaving the classes they held. Returns whether
+    /// anything was written.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`start..end` are a class's bounds within `cores`, as in `apply`"
+    )]
     fn step_aside(&mut self, cat: &mut dyn CacheController) -> Result<bool, ResctrlError> {
         let ways = self.planner.cbm_len();
         for shrink in [false, true] {
@@ -256,6 +265,37 @@ impl Programmed {
                     return Ok(true);
                 }
             }
+        }
+        // A class holding no cores is written its new mask on the next
+        // pass, so its cores join the narrowed one at once.
+        for j in 0..self.classes.len() {
+            let (cos, _, start, end) = self.classes[j];
+            let waiting = |p: &Self, i: usize| {
+                let core = p.cores[i];
+                p.cos_of(core) != Some(cos) && !p.cores[i + 1..end].contains(&core)
+            };
+            let Some(old) = self
+                .mask(cos)
+                .filter(|_| (start..end).any(|i| waiting(self, i)))
+            else {
+                continue;
+            };
+            let taken = Cbm::full(ways)
+                .difference(old)
+                .union(self.held_by_others(cos, None));
+            let Some(mask) = longest_free_run(taken, ways).filter(|m| m.ways() >= self.min_bits)
+            else {
+                continue;
+            };
+            if mask != old {
+                self.program(cat, cos, mask)?;
+            }
+            for i in start..end {
+                if waiting(self, i) {
+                    self.assign(cat, self.cores[i], cos)?;
+                }
+            }
+            return Ok(true);
         }
         Ok(false)
     }
@@ -456,6 +496,48 @@ mod tests {
             if swapped.is_ok() {
                 assert_eq!(p.mask(CosId(1)), Some(Cbm::from_way_range(10, 10)));
                 assert_eq!(p.mask(CosId(2)), Some(Cbm::from_way_range(0, 10)));
+            }
+        }
+    }
+
+    #[test]
+    fn a_class_whose_cores_wait_narrows_rather_than_writing_in_class_order() {
+        use crate::fault::{Fault, FaultPlan, FaultingController};
+        let fresh = |cos: u8, ways: u32, cores: &[u32]| Class {
+            anchor: None,
+            ..class(cos, ways, cores)
+        };
+        // Way 0, 1-3, 4-8 and 9-19. Then COS 4 empties: its core joins
+        // COS 2 (4-9), which waits on COS 3 leaving way 8, which waits on
+        // COS 4's core leaving 10-19. COS 2 first narrows to 4-7.
+        let before = [
+            fresh(1, 1, &[2]),
+            fresh(2, 3, &[4, 6]),
+            fresh(3, 5, &[0, 3]),
+            fresh(4, 11, &[1, 5]),
+        ];
+        let after = [
+            fresh(1, 4, &[3, 4, 6]),
+            fresh(2, 6, &[0, 1]),
+            fresh(3, 10, &[2, 5]),
+        ];
+        for k in 0..7 {
+            let plan = FaultPlan::scripted([(1, Fault::CosWriteAfter(k))]);
+            let mut cat = FaultingController::new(InMemoryController::xeon_e5(7), plan);
+            let mut p = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
+            p.apply(before.clone(), &mut cat).unwrap();
+            cat.set_tick(1);
+            let done = p.apply(after.clone(), &mut cat).is_ok();
+            assert!(!cat.inner().has_overlapping_active_masks(), "k = {k}");
+            assert_eq!(p.audit(), Ok(()), "k = {k}");
+            // Six writes: COS 2, COS 1, COS 3 to way 8, COS 2 to 4-7 (its
+            // cores join it), COS 3 to 10-19, COS 2 to 4-9.
+            assert_eq!(done, k >= 6, "k = {k}");
+            if done {
+                let narrowed = MutationRecord::ProgramCos(CosId(2), Cbm::from_way_range(4, 4));
+                assert!(cat.inner().log.contains(&narrowed));
+                assert_eq!(p.mask(CosId(2)), Some(Cbm::from_way_range(4, 6)));
+                assert_eq!(p.mask(CosId(3)), Some(Cbm::from_way_range(10, 10)));
             }
         }
     }

@@ -1,12 +1,11 @@
-//! Mask-level invariants shared by the planner, the controller, and the
-//! `dcat-verify` model checker.
+//! Mask-level invariants shared by the planner and every policy's audit.
 //!
 //! These are the hardware-legality predicates every layout must satisfy
 //! before it can be programmed into CAT. They are asserted (in debug
-//! builds) at the end of [`crate::LayoutPlanner::layout_stable`], re-used
-//! by `dcat`'s controller-level invariant hook, and checked after every
-//! transition the model checker explores — one set of predicates, three
-//! call sites.
+//! builds) at the end of [`crate::LayoutPlanner::layout_stable`] and
+//! checked by [`crate::Programmed::audit`] and `dcat`'s controller-level
+//! invariants, which the control loop runs after every decision of every
+//! policy (and the `dcat-verify` model checker steps that loop).
 
 use crate::cbm::Cbm;
 

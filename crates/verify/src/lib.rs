@@ -1,60 +1,62 @@
-//! `dcat-verify`: a bounded exhaustive model checker for the dCat
-//! controller.
+//! `dcat-verify`: a bounded exhaustive model checker for the cache
+//! policies, stepped through the daemon's own control loop.
 //!
-//! The checker drives a real [`DcatController`] against a real
-//! [`InMemoryController`] — no mocked internals — through every point of
-//! an abstracted telemetry lattice, from every reachable
-//! [`WorkloadClass`] start state, across multi-tenant pool shapes and
-//! configuration corners:
+//! Every tick it drives is a [`ControlLoop::step`] over a
+//! `Box<dyn CachePolicy>` and a real [`InMemoryController`] — no mocked
+//! internals — so it checks what `dcatd`, the scenarios and the fleet
+//! hosts run. The loop audits the policy after every decision; its
+//! `InvariantViolation` events are the checker's invariant failures.
 //!
-//! * **telemetry lattice** — LLC use {below, above `llc_ref_per_instr_thr`}
-//!   × miss rate {below `donor_miss_rate_thr`, between the thresholds,
-//!   above `llc_miss_rate_thr`} × IPC delta {well below, at, well above
-//!   the previous interval} × phase change {no, yes};
-//! * **start states** — all six `WorkloadClass` values, reached by a
+//! The **lattice** takes dCat, fed exact [`Totals`], through:
+//!
+//! * **telemetry** — LLC use {below, above `llc_ref_per_instr_thr`} × miss
+//!   rate {below `donor_miss_rate_thr`, between the thresholds, above
+//!   `llc_miss_rate_thr`} × IPC delta {well below, at, well above the
+//!   previous interval} × phase change {no, yes};
+//! * **start states** — all six [`WorkloadClass`] values, reached by a
 //!   scripted telemetry preamble (combinations the controller can never
-//!   reach, e.g. Receiver on a cache with no free pool, are skipped and
-//!   reported, not counted);
-//! * **pool shapes** — 1–4 tenants of 2 reserved ways over a cache with
-//!   0–3 free ways;
+//!   reach, e.g. Receiver with no free pool, are skipped and reported);
+//! * **pool shapes** — 1–4 tenants of 2 reserved ways, 0–3 free ways;
 //! * **config corners** — `min_ways` ∈ {1, 2} × `streaming_multiplier`
 //!   ∈ {1, 3} × `settle_intervals` ∈ {1, 3}; `settle_intervals = 0` is
 //!   asserted to be rejected at construction.
 //!
-//! After every tick of every exploration the checker asserts the shared
-//! invariant layer ([`dcat::invariants::check`]: way conservation,
-//! allocation floors, mask/grant agreement, CBM legality) plus the
-//! temporal properties the invariants cannot see from one snapshot:
+//! Besides the audit it checks what one snapshot cannot show: a Reclaim
+//! verdict restores the reservation that same tick; no Keeper↔Donor
+//! oscillation under fixed telemetry (the donor-floor ratchet allows one
+//! bounded retry, so ≤ 2 edges per direction); and probe termination, an
+//! Unknown resolving within a bounded number of fixed-telemetry intervals.
 //!
-//! * a Reclaim verdict restores the reserved allocation that same tick;
-//! * no Keeper↔Donor oscillation under fixed telemetry (the donor-floor
-//!   ratchet allows one bounded retry, so ≤ 2 edges per direction);
-//! * probe termination: an Unknown workload resolves into Keeper,
-//!   Receiver, or Streaming within a bounded number of fixed-telemetry
-//!   intervals (growth is bounded by the streaming cap and the pool, and
-//!   a denied probe must resolve rather than spin).
+//! Two **fault families** run dCat at every corner over the pools and the
+//! churn shapes, and static CAT, LFOC and Memshare over the churn shapes,
+//! through the daemon's telemetry stack — [`CsvTelemetry`] over
+//! [`FaultyTelemetry`] over rows rendered from the rig's totals — and a
+//! real [`FaultingController`] under a real [`RetryingController`]. The
+//! first draws seeded [`FaultPlan::random`] schedules; the second cuts
+//! applies short: [`Fault::CosWriteAfter`] lets the first *k* writes
+//! through and fails the rest, [`Fault::CoreAssign`] fails the core moves,
+//! on every third tick and in construction. After every tick, degraded or
+//! not, the backend's classes holding cores must be pairwise disjoint and
+//! the policy's audit must hold.
 //!
-//! A second, fault-schedule dimension ([`run_fault_scenario`]) re-runs
-//! every pool and corner under seeded backend and telemetry faults and
-//! checks the invariants after every tick, degraded or not. None of those
-//! faults stops an apply part-way: `CosWrite` fails its first write and
-//! the retry absorbs `CosWriteOnce`. A third family of schedules does:
-//! [`Fault::CosWriteAfter`] lets a tick's first *k* writes through and
-//! fails the rest, and after every tick the backend's classes that hold
-//! cores must still be pairwise disjoint.
-//!
-//! [`run`] returns what was explored and every violation; the
-//! `dcat-verify` binary prints them, and its exit status is non-zero if
-//! any property fails, fewer configurations than the documented floor
-//! were explored, or the fault dimension injected fewer faults or
-//! degraded fewer ticks than its floors ([`Report::verdict`]).
+//! [`run`] returns what was explored and every violation; the binary
+//! prints them and exits non-zero on any violation, or when a full run
+//! explored, injected or cut short less than its floors
+//! ([`Report::verdict`]).
 
-use dcat::{CachePolicy, DcatConfig, DcatController, TickInput, WorkloadClass, WorkloadHandle};
+use std::cell::RefCell;
+use std::time::Duration;
+
+use dcat::{
+    CachePolicy, ControlLoop, CsvTelemetry, DcatConfig, DcatController, Event, FaultyTelemetry,
+    LfocConfig, LfocPolicy, MemshareConfig, MemsharePolicy, ResiliencePolicy, StaticCatPolicy,
+    TelemetryFeed, Totals, WorkloadClass, WorkloadHandle,
+};
 use dcat_obs::Tracer;
 use perf_events::CounterSnapshot;
 use resctrl::fault::{Fault, FaultPlan, FaultingController};
 use resctrl::retry::{RetryPolicy, RetryingController};
-use resctrl::{CatCapabilities, InMemoryController};
+use resctrl::{CacheController, CatCapabilities, Cbm, CosId, InMemoryController, ResctrlError};
 
 /// Instructions retired per synthesized interval.
 const INSTRUCTIONS: f64 = 1_000_000.0;
@@ -71,8 +73,31 @@ const EXPLORED_FLOOR: usize = 10_000;
 /// Reserved ways per tenant in every pool shape.
 const RESERVED: u32 = 2;
 
-/// One interval of synthetic telemetry, in metric space. The rig inverts
-/// `perf_events::IntervalMetrics`'s formulas to produce counter deltas.
+/// The loop's recovery knobs: a configuration `dcatd` runs with, chosen
+/// so that every path of the loop's ingest is reachable.
+///
+/// * Retries never sleep; the schedule is keyed by tick.
+/// * One bad sample quarantines a domain, so every truncated sample
+///   quarantines the rows it lost and the next one recovers them.
+/// * Stale grace 0: a tenant whose counters stand still is idle that
+///   very tick, so an Idle nudge still lands on the faulted tick rather
+///   than being held as a suspected stale sample (and a stale sample
+///   served by the fault reads as an idle interval).
+/// * 24-bit counters, the width [`FaultPlan`]s here wrap at: every
+///   per-tick delta of both rigs is under half of it, so a wrap can be
+///   told from a reset, and 48 ticks of totals pass it, so one happens.
+const RESILIENCE: ResiliencePolicy = ResiliencePolicy {
+    retry: RetryPolicy {
+        max_attempts: 3,
+        backoff: Duration::ZERO,
+    },
+    quarantine_after: 1,
+    stale_grace_ticks: 0,
+    counter_width_bits: 24,
+};
+
+/// One interval of synthetic telemetry, in metric space, inverted from
+/// `perf_events::IntervalMetrics`'s formulas into counter deltas.
 #[derive(Clone, Copy, Debug)]
 struct Spec {
     ipc: f64,
@@ -96,35 +121,51 @@ impl Spec {
     fn with_miss_rate(self, miss_rate: f64) -> Spec {
         Spec { miss_rate, ..self }
     }
+
+    /// The counters one interval of this telemetry moves.
+    fn delta(&self) -> CounterSnapshot {
+        let llc_ref = self.llc_ref_per_instr * INSTRUCTIONS;
+        CounterSnapshot {
+            l1_ref: (self.mem_access_per_instr * INSTRUCTIONS).round() as u64,
+            llc_ref: llc_ref.round() as u64,
+            llc_miss: (self.miss_rate * llc_ref).round() as u64,
+            ret_ins: INSTRUCTIONS as u64,
+            cycles: (INSTRUCTIONS / self.ipc).round() as u64,
+        }
+    }
 }
 
-/// Accumulates per-interval deltas into the monotonic counter totals the
-/// controller reads.
-struct Rig {
-    totals: Vec<CounterSnapshot>,
-}
+/// The monotonic counter totals of every tenant, advanced one interval at
+/// a time.
+struct Rig(Vec<CounterSnapshot>);
 
 impl Rig {
-    fn new(n: usize) -> Rig {
-        Rig {
-            totals: vec![CounterSnapshot::default(); n],
+    fn advance(&mut self, deltas: &[CounterSnapshot]) {
+        for (total, delta) in self.0.iter_mut().zip(deltas) {
+            *total = total.merged_with(delta);
         }
     }
+}
 
-    /// Advances every tenant by its interval; `None` is an idle interval
-    /// (no counter moves).
-    fn tick(&mut self, specs: &[Option<Spec>]) -> Vec<CounterSnapshot> {
-        for (t, s) in self.totals.iter_mut().zip(specs) {
-            let Some(s) = s else { continue };
-            let llc_ref = s.llc_ref_per_instr * INSTRUCTIONS;
-            t.ret_ins += INSTRUCTIONS as u64;
-            t.cycles += (INSTRUCTIONS / s.ipc).round() as u64;
-            t.l1_ref += (s.mem_access_per_instr * INSTRUCTIONS).round() as u64;
-            t.llc_ref += llc_ref.round() as u64;
-            t.llc_miss += (s.miss_rate * llc_ref).round() as u64;
-        }
-        self.totals.clone()
+/// The rig's totals as the daemon's sampler writes them: one six-field
+/// row per tenant, named as [`handles`] names it.
+struct RowFeed<'a>(&'a RefCell<Rig>);
+
+impl TelemetryFeed for RowFeed<'_> {
+    fn read(&mut self, _tick: u64) -> Result<String, ResctrlError> {
+        let rig = self.0.borrow();
+        let rows = rig.0.iter().enumerate().map(|(i, t)| {
+            let (l1, r, m, ins, cyc) = (t.l1_ref, t.llc_ref, t.llc_miss, t.ret_ins, t.cycles);
+            format!("vm{i},{l1},{r},{m},{ins},{cyc}\n")
+        });
+        Ok(rows.collect())
     }
+}
+
+fn handles(reserved: impl IntoIterator<Item = u32>) -> Vec<WorkloadHandle> {
+    let each = reserved.into_iter().enumerate();
+    each.map(|(i, r)| WorkloadHandle::new(format!("vm{i}"), vec![i as u32], r))
+        .collect()
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -253,28 +294,54 @@ enum Outcome {
     Unreachable,
 }
 
+/// A property that failed, at the loop tick it failed on.
 struct Violation {
-    scenario: Scenario,
     tick: u64,
     message: String,
 }
 
-/// Asserts the per-tick safety properties; returns the first violation.
-fn check_tick(ctl: &DcatController, corner: &Corner, pool: &Pool) -> Result<(), String> {
-    let views = ctl.domain_views();
-    dcat::invariants::check(&views, pool.total_ways(), corner.min_ways)
-        .map_err(|v| v.to_string())?;
-    for (i, v) in views.iter().enumerate() {
+/// The first `InvariantViolation` the loop's audit raised this tick.
+fn audit_failure(events: &[Event]) -> Option<String> {
+    events.iter().find_map(|e| match e {
+        Event::InvariantViolation { message } => Some(message.clone()),
+        _ => None,
+    })
+}
+
+/// Steps one fault-free lattice tick and checks it: the tick completes,
+/// the loop's audit holds, and a Reclaim verdict is at the reservation.
+/// Returns the probe's class.
+fn lattice_tick(
+    lp: &mut ControlLoop<Box<dyn CachePolicy>>,
+    cat: &mut InMemoryController,
+    totals: &[CounterSnapshot],
+    probe: usize,
+) -> Result<WorkloadClass, Violation> {
+    let tick = lp.ticks() + 1;
+    let failed = |message| Violation { tick, message };
+    let obs = lp
+        .step(&mut Totals(totals), cat, &mut Tracer::disabled(), |_, _| {})
+        .map_err(|e| failed(format!("tick failed: {e}")))?;
+    if let Some(message) = audit_failure(obs.events) {
+        return Err(failed(message));
+    }
+    if obs.degraded {
+        return Err(failed(format!("tick degraded: {:?}", obs.events)));
+    }
+    for (i, r) in obs.reports.iter().enumerate() {
         // Reclaim restores the reserved allocation in the same interval
         // it is declared (the paper gives it absolute priority).
-        if v.class == WorkloadClass::Reclaim && v.ways != v.reserved_ways {
-            return Err(format!(
-                "domain {i} is Reclaim with {} ways (reserved {})",
-                v.ways, v.reserved_ways
-            ));
+        if r.class == WorkloadClass::Reclaim && r.ways != RESERVED {
+            return Err(failed(format!(
+                "domain {i} is Reclaim with {} ways (reserved {RESERVED})",
+                r.ways
+            )));
         }
     }
-    Ok(())
+    obs.reports
+        .get(probe)
+        .map(|r| r.class)
+        .ok_or_else(|| failed("no report for the probe".to_string()))
 }
 
 /// Drives one scenario end to end.
@@ -285,43 +352,45 @@ fn run_scenario(s: &Scenario) -> Result<Outcome, Violation> {
         CatCapabilities::with_ways(s.pool.total_ways()),
         s.pool.tenants,
     );
-    let handles: Vec<WorkloadHandle> = (0..n)
-        .map(|i| WorkloadHandle::new(format!("vm{i}"), vec![i as u32], RESERVED))
-        .collect();
-    let mut ctl = DcatController::new(s.corner.config(), handles, &mut cat)
+    let domains = handles(vec![RESERVED; n]);
+    let ctl = DcatController::new(s.corner.config(), domains.clone(), &mut cat)
         .expect("scenario configs are valid");
-    let mut rig = Rig::new(n);
+    // Before its first report, the class the controller starts in.
+    let mut class = ctl.class_of(probe);
+    let mut lp = ControlLoop::new(Box::new(ctl) as Box<dyn CachePolicy>, domains, RESILIENCE)
+        .expect("the checker's resilience policy is valid");
+    let mut rig = Rig(vec![CounterSnapshot::default(); n]);
+    let mut deltas = vec![Spec::keeper(1.0).delta(); n];
 
     // --- Preamble: steer the probe tenant into the start state. ---
     let mut ipc = 1.0;
     let mut ticks = 0u32;
     loop {
-        if ctl.class_of(probe) == s.start {
+        if class == s.start {
             break;
         }
         if ticks >= MAX_PREAMBLE_TICKS {
             return Ok(Outcome::Unreachable);
         }
-        let current = ctl.class_of(probe);
         let spec = match s.start {
             // Reclaim is the first tick's state (a fresh phase); Keeper
             // follows once the baseline is measured at the reserved size.
             WorkloadClass::Reclaim | WorkloadClass::Keeper => Spec::keeper(ipc),
             WorkloadClass::Donor => {
-                if current == WorkloadClass::Keeper {
+                if class == WorkloadClass::Keeper {
                     Spec::keeper(ipc).with_miss_rate(0.0025)
                 } else {
                     Spec::keeper(ipc)
                 }
             }
             WorkloadClass::Unknown | WorkloadClass::Streaming => {
-                if current == WorkloadClass::Keeper || current == WorkloadClass::Unknown {
+                if class == WorkloadClass::Keeper || class == WorkloadClass::Unknown {
                     Spec::keeper(ipc).with_miss_rate(0.5)
                 } else {
                     Spec::keeper(ipc)
                 }
             }
-            WorkloadClass::Receiver => match current {
+            WorkloadClass::Receiver => match class {
                 // Raise IPC every probing tick so the grown allocation
                 // is judged a clear improvement.
                 WorkloadClass::Unknown => {
@@ -332,19 +401,9 @@ fn run_scenario(s: &Scenario) -> Result<Outcome, Violation> {
                 _ => Spec::keeper(ipc),
             },
         };
-        let mut specs = vec![Some(Spec::keeper(1.0)); n];
-        specs[probe] = Some(spec);
-        let snaps = rig.tick(&specs);
-        ctl.tick(&snaps, &mut cat).map_err(|e| Violation {
-            scenario: *s,
-            tick: ctl.intervals(),
-            message: format!("tick failed: {e}"),
-        })?;
-        check_tick(&ctl, &s.corner, &s.pool).map_err(|m| Violation {
-            scenario: *s,
-            tick: ctl.intervals(),
-            message: m,
-        })?;
+        deltas[probe] = spec.delta();
+        rig.advance(&deltas);
+        class = lattice_tick(&mut lp, &mut cat, &rig.0, probe)?;
         ticks += 1;
     }
 
@@ -355,25 +414,17 @@ fn run_scenario(s: &Scenario) -> Result<Outcome, Violation> {
     // settle_intervals + 1 ticks.
     let cap = RESERVED * s.corner.streaming_multiplier;
     let hold = (s.corner.settle_intervals + 1) * (cap + s.pool.free_ways + 2) + 6;
-    let spec = s.point.spec(ipc);
+    deltas[probe] = s.point.spec(ipc).delta();
     let mut classes = Vec::with_capacity(hold as usize + 1);
     for _ in 0..=hold {
-        let mut specs = vec![Some(Spec::keeper(1.0)); n];
-        specs[probe] = Some(spec);
-        let snaps = rig.tick(&specs);
-        ctl.tick(&snaps, &mut cat).map_err(|e| Violation {
-            scenario: *s,
-            tick: ctl.intervals(),
-            message: format!("tick failed: {e}"),
-        })?;
-        check_tick(&ctl, &s.corner, &s.pool).map_err(|m| Violation {
-            scenario: *s,
-            tick: ctl.intervals(),
-            message: m,
-        })?;
-        classes.push(ctl.class_of(probe));
+        rig.advance(&deltas);
+        classes.push(lattice_tick(&mut lp, &mut cat, &rig.0, probe)?);
         ticks += 1;
     }
+    let failed = |message| Violation {
+        tick: lp.ticks(),
+        message,
+    };
 
     // Oscillation: under fixed telemetry the Keeper<->Donor decision is
     // deterministic, so edges cannot repeat beyond the donor-floor
@@ -387,25 +438,17 @@ fn run_scenario(s: &Scenario) -> Result<Outcome, Violation> {
     let kd = edges(WorkloadClass::Keeper, WorkloadClass::Donor);
     let dk = edges(WorkloadClass::Donor, WorkloadClass::Keeper);
     if kd > 2 || dk > 2 {
-        return Err(Violation {
-            scenario: *s,
-            tick: ctl.intervals(),
-            message: format!(
-                "Keeper<->Donor oscillation under fixed telemetry: {kd} K->D, {dk} D->K edges"
-            ),
-        });
+        return Err(failed(format!(
+            "Keeper<->Donor oscillation under fixed telemetry: {kd} K->D, {dk} D->K edges"
+        )));
     }
 
     // Probe termination: the hold outlasts the growth bound, so an
     // Unknown verdict must have resolved by the end of it.
     if *classes.last().expect("hold ran") == WorkloadClass::Unknown {
-        return Err(Violation {
-            scenario: *s,
-            tick: ctl.intervals(),
-            message: format!(
-                "probe did not terminate: still Unknown after {hold} fixed-telemetry intervals"
-            ),
-        });
+        return Err(failed(format!(
+            "probe did not terminate: still Unknown after {hold} fixed-telemetry intervals"
+        )));
     }
 
     Ok(Outcome::Explored { ticks })
@@ -415,36 +458,118 @@ fn run_scenario(s: &Scenario) -> Result<Outcome, Violation> {
 const FAULT_TICKS: u64 = 48;
 /// Injection probability per (tick, fault-kind) draw.
 const FAULT_RATE: f64 = 0.3;
-/// Floors a full run's fault dimension must meet. A write fault needs a
-/// write to hit and the controller writes only masks that changed, so the
-/// schedules steer a tenant into moving on the faulted tick; if that
-/// steering stops working the counts collapse (to 453 / 116 without it)
-/// and the run must fail rather than report that all invariants held
-/// over next to nothing. The values are what the dimension reached when
-/// every tick still rewrote COS 0 and so every scheduled fault landed.
+/// Floors dCat's seeded schedules must meet in a full run. A write fault
+/// needs a write to hit and the controller writes only masks that
+/// changed, so on the pools the schedules steer a tenant into moving on
+/// the faulted tick; if that steering stops working the injected count
+/// collapses (to 3 189 without it) and the run must fail rather than
+/// report that all invariants held over next to nothing. The values are
+/// what the dimension reached when every tick still rewrote COS 0 and so
+/// every scheduled fault landed.
 const INJECTED_FLOOR: usize = 7_374;
 const DEGRADED_FLOOR: u64 = 1_860;
+/// Applies a full run's mid-apply family must cut short under each policy
+/// that reprograms after construction (static CAT never does).
+const CUT_SHORT_FLOOR: u64 = 20;
 
-/// Write faults the mid-apply family schedules: the first, second and
-/// third write of every [`MID_APPLY_EVERY`]th tick fails, and every tenant
-/// that can move is nudged, so the tick writes several classes.
-const MID_APPLY_KS: u32 = 3;
+/// What the mid-apply family schedules on every [`MID_APPLY_EVERY`]th
+/// tick: the first *k* writes land and the rest fail, for every *k* up to
+/// 7, or the core moves fail. On the pools every tenant that can move is
+/// nudged, so the tick writes several classes.
+const MID_APPLY_FAULTS: [Fault; 9] = [
+    Fault::CosWriteAfter(0),
+    Fault::CosWriteAfter(1),
+    Fault::CosWriteAfter(2),
+    Fault::CosWriteAfter(3),
+    Fault::CosWriteAfter(4),
+    Fault::CosWriteAfter(5),
+    Fault::CosWriteAfter(6),
+    Fault::CosWriteAfter(7),
+    Fault::CoreAssign,
+];
 const MID_APPLY_EVERY: u64 = 3;
 
-/// Statistics from one fault-schedule exploration.
-struct FaultRun {
-    ticks: u64,
-    degraded: u64,
-    injected: usize,
+/// Ways of the cache under the churn shapes.
+const CHURN_WAYS: u32 = 20;
+/// Reserved ways per tenant: three, five and seven tenants. The first is
+/// the shape that showed two dCat growers written in class order left on
+/// top of each other by a failed write.
+const CHURN_SHAPES: [&[u32]; 3] = [&[1, 2, 3], &[2, 1, 3, 2, 1], &[1, 2, 1, 3, 2, 1, 2]];
+
+/// What a fault schedule runs on: tenants, their reservations and the
+/// cache, and how their counters move.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// A lattice pool, a probe tenant alternating between growth and
+    /// donation, and on a tick that carries a backend fault the tenants
+    /// [`Nudge`]d into moving.
+    Pool(Pool),
+    /// Tenants on [`CHURN_WAYS`] ways cycling through five behaviours at
+    /// their own periods ([`churn`]), so sizes, clusters and groups keep
+    /// moving without being told to.
+    Churn(&'static [u32]),
 }
 
-/// One violation found by the fault-schedule dimension.
-struct FaultViolation {
-    corner: Corner,
-    pool: Pool,
-    seed: u64,
-    tick: u64,
-    message: String,
+impl Shape {
+    fn reserved(&self) -> Vec<u32> {
+        match self {
+            Shape::Pool(p) => vec![RESERVED; p.tenants as usize],
+            Shape::Churn(r) => r.to_vec(),
+        }
+    }
+
+    fn total_ways(&self) -> u32 {
+        match self {
+            Shape::Pool(p) => p.total_ways(),
+            Shape::Churn(_) => CHURN_WAYS,
+        }
+    }
+}
+
+/// A policy the fault families run, with its configuration.
+#[derive(Clone, Copy, Debug)]
+enum Policy {
+    Dcat(Corner),
+    StaticCat,
+    Lfoc,
+    Memshare,
+}
+
+/// The policies in [`Counts::policies`] order, by [`CachePolicy::name`].
+pub const POLICIES: [&str; 4] = ["dcat", "static-cat", "lfoc", "memshare"];
+
+impl Policy {
+    fn index(self) -> usize {
+        match self {
+            Policy::Dcat(_) => 0,
+            Policy::StaticCat => 1,
+            Policy::Lfoc => 2,
+            Policy::Memshare => 3,
+        }
+    }
+
+    fn build(
+        self,
+        handles: Vec<WorkloadHandle>,
+        cat: &mut dyn CacheController,
+    ) -> Result<Box<dyn CachePolicy>, ResctrlError> {
+        Ok(match self {
+            Policy::Dcat(corner) => Box::new(DcatController::new(corner.config(), handles, cat)?),
+            Policy::StaticCat => Box::new(StaticCatPolicy::new(handles, cat)?),
+            Policy::Lfoc => {
+                let config = LfocConfig {
+                    recluster_ticks: 1,
+                    ..LfocConfig::default()
+                };
+                Box::new(LfocPolicy::new(handles, cat, config)?)
+            }
+            Policy::Memshare => Box::new(MemsharePolicy::new(
+                handles,
+                cat,
+                MemshareConfig::default(),
+            )?),
+        })
+    }
 }
 
 /// How the fault harness makes tenant `i` change size on this very tick,
@@ -471,168 +596,236 @@ fn nudge_for(ways: u32, min_ways: u32) -> Option<Nudge> {
     }
 }
 
-/// Drives a controller through a seeded random fault schedule and checks
-/// the allocation invariants after **every** tick, degraded or not.
-///
-/// This is the model-checking twin of the daemon's resilient loop:
-/// backend faults are injected by a real [`FaultingController`] under a
-/// real retry wrapper, telemetry faults are abstracted into per-domain
-/// validity flags for [`CachePolicy::decide`], and a
-/// transient tick failure degrades (the previous allocation stands)
-/// instead of aborting. The temporal properties of the fault-free
-/// dimension (Reclaim timing, probe termination) do not apply — a
-/// degraded tick may legitimately delay them — but the safety invariants
-/// must hold unconditionally.
-///
-/// A write fault needs a write to hit, and the controller writes only
-/// the masks that changed. On a tick that carries a backend fault the
-/// harness therefore nudges `nudged_tenants` tenants (see [`Nudge`]) so
-/// that the tick programs at least one class; where no tenant can move — the minimum
-/// equals the reservation and nothing holds extra ways — the fault has
-/// nothing to hit and injects nothing.
-fn run_fault_scenario(
-    corner: &Corner,
-    pool: &Pool,
-    seed: u64,
-    plan: FaultPlan,
-    nudged_tenants: usize,
-) -> Result<FaultRun, FaultViolation> {
-    let n = pool.tenants as usize;
-    let probe = n - 1;
-    let inner = FaultingController::new(
-        InMemoryController::new(CatCapabilities::with_ways(pool.total_ways()), pool.tenants),
-        plan.clone(),
-    );
-    let mut cat = RetryingController::new(inner, RetryPolicy::immediate(3));
-    let handles: Vec<WorkloadHandle> = (0..n)
-        .map(|i| WorkloadHandle::new(format!("vm{i}"), vec![i as u32], RESERVED))
-        .collect();
-    let mut ctl = DcatController::new(corner.config(), handles, &mut cat)
-        .expect("scenario configs are valid");
-    let mut rig = Rig::new(n);
-    let mut degraded = 0u64;
-    // Which of the two phase signatures each tenant currently shows.
-    let mut shifted = vec![false; n];
+/// What tenant `i` of a churn shape does on `tick` while holding `ways`:
+/// each tenant cycles through five behaviours at its own period.
+fn churn(i: usize, tick: u64, ways: u32) -> CounterSnapshot {
+    let period = 3 + (i as u64 + 1) % 4;
+    let [l1_ref, llc_ref, llc_miss, cycles] = match (i as u64 * 7 + tick / period * 3 + 4) % 5 {
+        // Misses hard, and more ways help.
+        0 => [34_000, 12_000, 6_000, 2_000_000 * 4 / u64::from(4 + ways)],
+        // Idle: no counter moves.
+        1 => return CounterSnapshot::default(),
+        // Compute-bound: hardly touches the LLC.
+        2 => [2_000, 10, 1, 80_000],
+        // Streaming: a different signature, misses whatever it holds.
+        3 => [50_000, 20_000, 19_000, 3_000_000],
+        // Fits what it has.
+        _ => [34_000, 12_000, 200, 700_000],
+    };
+    CounterSnapshot {
+        l1_ref,
+        llc_ref,
+        llc_miss,
+        ret_ins: 100_000,
+        cycles,
+    }
+}
 
+/// The counters every tenant moves on `tick` of a fault schedule, given
+/// the ways the loop last reported for each. `shifted` carries which of
+/// the two phase signatures each pool tenant shows.
+fn deltas(
+    shape: Shape,
+    min_ways: u32,
+    tick: u64,
+    ways: &[u32],
+    nudged: usize,
+    shifted: &mut [bool],
+) -> Vec<CounterSnapshot> {
+    let n = ways.len();
+    if let Shape::Churn(_) = shape {
+        return (0..n).map(|i| churn(i, tick, ways[i])).collect();
+    }
+    let probe = n - 1;
+    // Between faults the probe alternates between growth-seeking and
+    // donation every few ticks, so masks change without being told to.
+    // Where the minimum is the reservation it has nothing to donate and
+    // stays hungry. Its IPC rises with the ways it holds: a flat one is
+    // judged Streaming and pinned at the minimum, and then nothing holds
+    // extra ways for a nudge to take back.
+    let donating = (tick / 4) % 2 == 1 && min_ways < RESERVED;
+    let probe_miss_rate = if donating { 0.0025 } else { 0.5 };
+    let probe_ipc = 1.0 + 0.15 * f64::from(ways[probe].saturating_sub(RESERVED));
+    // Start from a different tenant each tick.
+    let mut nudges = vec![None; n];
+    let movable = (0..n)
+        .map(|k| (k + tick as usize) % n)
+        .filter_map(|i| Some((i, nudge_for(ways[i], min_ways)?)));
+    for (i, nudge) in movable.take(nudged) {
+        nudges[i] = Some(nudge);
+        shifted[i] ^= nudge == Nudge::NewPhase;
+    }
+    (0..n)
+        .map(|i| {
+            if nudges[i] == Some(Nudge::Idle) {
+                return CounterSnapshot::default();
+            }
+            let base = if i == probe {
+                Spec::keeper(probe_ipc).with_miss_rate(probe_miss_rate)
+            } else {
+                Spec::keeper(1.0)
+            };
+            let mem_access_per_instr = if shifted[i] { MAPI_SHIFTED } else { MAPI_BASE };
+            Spec {
+                mem_access_per_instr,
+                ..base
+            }
+            .delta()
+        })
+        .collect()
+}
+
+/// [`InMemoryController::has_overlapping_active_masks`] with COS 0 left
+/// out: while a construction is under way, the cores it has not moved yet
+/// still sit in the full-mask default class.
+fn tenant_classes_overlap(cat: &InMemoryController) -> bool {
+    let mut classes: Vec<CosId> = (0..cat.num_cores())
+        .filter_map(|core| cat.core_cos(core).ok())
+        .filter(|&cos| cos != CosId(0))
+        .collect();
+    classes.sort_unstable();
+    classes.dedup();
+    let mut seen = Cbm(0);
+    classes.into_iter().any(|cos| {
+        let mask = cat.cos_mask(cos).unwrap_or(Cbm(0));
+        let overlaps = mask.overlaps(seen);
+        seen = seen.union(mask);
+        overlaps
+    })
+}
+
+/// Drives `policy` over `shape` through `plan` and checks the backend and
+/// the loop's audit after **every** tick, degraded or not, and after a
+/// construction the plan cuts off.
+///
+/// This is the daemon's loop: a transient failure of the telemetry or of
+/// the backend degrades the tick (the previous allocation stands) and
+/// only a fatal one ends the run, as a violation. The temporal properties
+/// of the lattice do not apply — a degraded tick may legitimately delay
+/// them — but the safety invariants must hold unconditionally.
+///
+/// On the pools, a write fault needs a write to hit and the controller
+/// writes only the masks that changed, so on a tick that carries a
+/// backend fault the harness nudges `nudged` tenants (see [`Nudge`]) so
+/// that the tick programs at least one class; where no tenant can move —
+/// the minimum equals the reservation and nothing holds extra ways — the
+/// fault has nothing to hit and injects nothing.
+fn run_fault_scenario(
+    policy: Policy,
+    shape: Shape,
+    plan: FaultPlan,
+    nudged: usize,
+) -> Result<FaultCounts, Violation> {
+    let plan = plan.with_wrap_width(RESILIENCE.counter_width_bits);
+    let reserved = shape.reserved();
+    let n = reserved.len();
+    let backend = InMemoryController::new(CatCapabilities::with_ways(shape.total_ways()), n as u32);
+    let inner = FaultingController::new(backend, plan.clone());
+    let mut cat = RetryingController::new(inner, RESILIENCE.retry);
+    let failed = |tick, message| Violation { tick, message };
+    let domains = handles(reserved.iter().copied());
+    let built = match policy.build(domains.clone(), &mut cat) {
+        Err(e) if !e.is_transient() => return Err(failed(0, format!("construction failed: {e}"))),
+        built => built.ok(),
+    };
+    // Construction is an apply too. One the plan cut off has only its
+    // tenant classes checked: the cores it has not reached yet still sit
+    // in the full-mask default class.
+    let (cut, backend) = (built.is_none(), cat.inner_mut().inner());
+    let overlap = if cut {
+        tenant_classes_overlap(backend)
+    } else {
+        backend.has_overlapping_active_masks()
+    };
+    if overlap {
+        return Err(failed(0, "classes overlap after construction".to_string()));
+    }
+    // A schedule that faults the construction ends with it.
+    let Some(built) = built.filter(|_| plan.faults_at(0).is_empty()) else {
+        return Ok(FaultCounts {
+            schedules: 1,
+            ticks: 0,
+            injected: cat.inner_mut().injected().len(),
+            degraded: u64::from(cut),
+        });
+    };
+    let mut lp = ControlLoop::new(built, domains, RESILIENCE)
+        .expect("the checker's resilience policy is valid");
+    let rig = RefCell::new(Rig(vec![CounterSnapshot::default(); n]));
+    let mut telemetry = CsvTelemetry {
+        feed: FaultyTelemetry::new(RowFeed(&rig), plan.clone()),
+        retry: RESILIENCE.retry,
+    };
+    let min_ways = match policy {
+        Policy::Dcat(corner) => corner.min_ways,
+        _ => 1,
+    };
+    let mut ways = reserved;
+    let mut shifted = vec![false; n];
+    let mut degraded = 0u64;
     for tick in 1..=FAULT_TICKS {
         cat.inner_mut().set_tick(tick);
-        // Between faults the probe alternates between growth-seeking and
-        // donation every few ticks, so masks change without being told
-        // to. Where the minimum is the reservation it has nothing to
-        // donate and stays hungry. Its IPC rises with the ways it holds:
-        // a flat one is judged Streaming and pinned at the minimum, and
-        // then nothing holds extra ways for a nudge to take back.
-        let donating = (tick / 4) % 2 == 1 && corner.min_ways < RESERVED;
-        let probe_miss_rate = if donating { 0.0025 } else { 0.5 };
-        let probe_ipc = 1.0 + 0.15 * f64::from(ctl.ways_of(probe).saturating_sub(RESERVED));
-
         let backend_fault = plan.faults_at(tick).iter().any(|f| {
             matches!(
                 f,
                 Fault::CosWrite | Fault::CosWriteOnce | Fault::CoreAssign | Fault::CosWriteAfter(_)
             )
         });
-        // Start from a different tenant each tick.
-        let mut nudges = vec![None; n];
-        let movable = (0..n)
-            .map(|k| (k + tick as usize) % n)
-            .filter_map(|i| Some((i, nudge_for(ctl.ways_of(i), corner.min_ways)?)));
-        for (i, nudge) in movable.take(if !backend_fault { 0 } else { nudged_tenants }) {
-            nudges[i] = Some(nudge);
-            shifted[i] ^= nudge == Nudge::NewPhase;
+        let nudged = if backend_fault { nudged } else { 0 };
+        let moved = deltas(shape, min_ways, tick, &ways, nudged, &mut shifted);
+        rig.borrow_mut().advance(&moved);
+        let obs = lp
+            .step(&mut telemetry, &mut cat, &mut Tracer::disabled(), |_, _| {})
+            .map_err(|e| failed(tick, format!("fatal error under injected faults: {e}")))?;
+        degraded += u64::from(obs.degraded);
+        if let Some(message) = audit_failure(obs.events) {
+            return Err(failed(tick, message));
         }
-
-        let specs: Vec<Option<Spec>> = (0..n)
-            .map(|i| {
-                if nudges[i] == Some(Nudge::Idle) {
-                    return None;
-                }
-                let base = if i == probe {
-                    Spec::keeper(probe_ipc).with_miss_rate(probe_miss_rate)
-                } else {
-                    Spec::keeper(1.0)
-                };
-                Some(Spec {
-                    mem_access_per_instr: if shifted[i] { MAPI_SHIFTED } else { MAPI_BASE },
-                    ..base
-                })
-            })
-            .collect();
-        let snaps = rig.tick(&specs);
-
-        // The telemetry half of the schedule, abstracted to what the
-        // daemon's sampling layer would conclude: a whole-file fault
-        // invalidates every domain's interval, a row-level fault just
-        // the probe's. Read-once faults are absorbed by the retry.
-        let mut valid = vec![true; n];
-        if plan.contains(tick, Fault::TelemetryRead) || plan.contains(tick, Fault::TelemetryStale) {
-            valid.fill(false);
-        } else if plan.contains(tick, Fault::TelemetryTruncated) {
-            valid[probe] = false;
+        for (w, r) in ways.iter_mut().zip(obs.reports) {
+            *w = r.ways;
         }
-
-        let input = TickInput {
-            snapshots: &snaps,
-            valid: &valid,
-            tracer: &mut Tracer::disabled(),
-        };
-        match ctl.decide(input, &mut cat) {
-            Ok(_) => {}
-            Err(e) if e.is_transient() => degraded += 1,
-            Err(e) => {
-                return Err(FaultViolation {
-                    corner: *corner,
-                    pool: *pool,
-                    seed,
-                    tick,
-                    message: format!("fatal error under injected faults: {e}"),
-                });
-            }
-        }
-        let checked =
-            dcat::invariants::check(&ctl.domain_views(), pool.total_ways(), corner.min_ways)
-                .map_err(|v| v.to_string());
-        let overlap = cat.inner_mut().inner().has_overlapping_active_masks();
-        if let Err(message) = checked.and_then(|()| match overlap {
-            true => Err("two classes holding cores overlap in the backend".to_string()),
-            false => Ok(()),
-        }) {
-            return Err(FaultViolation {
-                corner: *corner,
-                pool: *pool,
-                seed,
-                tick,
-                message,
-            });
+        if cat.inner_mut().inner().has_overlapping_active_masks() {
+            let message = "two classes holding cores overlap in the backend";
+            return Err(failed(tick, message.to_string()));
         }
     }
-    Ok(FaultRun {
+    Ok(FaultCounts {
+        schedules: 1,
         ticks: FAULT_TICKS,
-        degraded,
         injected: cat.inner_mut().injected().len(),
+        degraded,
     })
 }
 
-/// What one family of fault schedules drove.
+/// What one family of fault schedules drove under one policy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultCounts {
     /// Schedules run to the end without a violation.
     pub schedules: usize,
-    /// Controller ticks those schedules drove.
+    /// Loop ticks those schedules drove.
     pub ticks: u64,
     /// Faults the backend injected.
     pub injected: usize,
-    /// Ticks that ended degraded (a transient error) rather than clean.
+    /// Ticks that ended degraded, and constructions cut off.
     pub degraded: u64,
 }
 
 impl FaultCounts {
-    fn add(&mut self, run: &FaultRun) {
-        self.schedules += 1;
+    fn add(&mut self, run: FaultCounts) {
+        self.schedules += run.schedules;
         self.ticks += run.ticks;
-        self.degraded += run.degraded;
         self.injected += run.injected;
+        self.degraded += run.degraded;
     }
+}
+
+/// Both fault families' counts for one policy.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PolicyCounts {
+    /// The seeded random schedules.
+    pub fault: FaultCounts,
+    /// The mid-apply family: each faulted apply's first k writes land.
+    pub mid_apply: FaultCounts,
 }
 
 /// The counts a run prints, field for field.
@@ -646,10 +839,8 @@ pub struct Counts {
     pub rejected: usize,
     /// Controller intervals the lattice drove.
     pub ticks: u64,
-    /// The seeded random fault dimension.
-    pub fault: FaultCounts,
-    /// The mid-apply family: each faulted tick's first k writes land.
-    pub mid_apply: FaultCounts,
+    /// The fault families, per policy in [`POLICIES`] order.
+    pub policies: [PolicyCounts; 4],
 }
 
 /// A whole run of the checker: its counts and every violation found,
@@ -665,33 +856,26 @@ pub struct Report {
 }
 
 impl Report {
-    /// The three count lines a run prints first.
+    /// The count lines a run prints first.
     pub fn summary(&self) -> String {
         let c = &self.counts;
-        let (f, m) = (&c.fault, &c.mid_apply);
-        format!(
+        let mut out = format!(
             "dcat-verify: explored {} (state, telemetry, pool, config) configurations \
              ({} unreachable combinations skipped, {} invalid configs rejected \
-             at construction, {} controller intervals driven)\n\
-             dcat-verify: fault dimension ran {} seeded schedules \
-             ({} ticks, {} faults injected, \
-             {} degraded ticks, invariants checked every tick)\n\
-             dcat-verify: mid-apply family ran {} schedules ({} ticks, \
-             {} faults injected, {} degraded ticks, classes disjoint \
-             after every tick)\n",
-            c.explored,
-            c.unreachable,
-            c.rejected,
-            c.ticks,
-            f.schedules,
-            f.ticks,
-            f.injected,
-            f.degraded,
-            m.schedules,
-            m.ticks,
-            m.injected,
-            m.degraded
-        )
+             at construction, {} controller intervals driven)\n",
+            c.explored, c.unreachable, c.rejected, c.ticks
+        );
+        for (name, p) in POLICIES.iter().zip(&c.policies) {
+            for (family, f) in [("seeded fault", &p.fault), ("mid-apply", &p.mid_apply)] {
+                out += &format!(
+                    "dcat-verify: {name}: {family} family ran {} schedules ({} ticks, \
+                     {} faults injected, {} ticks degraded or constructions cut off, \
+                     invariants checked every tick)\n",
+                    f.schedules, f.ticks, f.injected, f.degraded
+                );
+            }
+        }
+        out
     }
 
     /// `Ok` when every property held and a full run met its floors;
@@ -706,17 +890,26 @@ impl Report {
         if !self.fault_violations.is_empty() {
             return Err(listed("fault-dimension violations", &self.fault_violations));
         }
-        let (injected, degraded) = (c.fault.injected, c.fault.degraded);
-        if injected == 0 || degraded == 0 || c.mid_apply.degraded == 0 {
-            return Err(vec![format!(
-                "the fault dimension must actually inject faults and degrade ticks \
-                 (injected {injected}, degraded {degraded}; mid-apply {})",
-                c.mid_apply.degraded
-            )]);
+        for (name, p) in POLICIES.iter().zip(&c.policies) {
+            // Static CAT writes nothing after construction, so only its
+            // telemetry faults can land.
+            let reprograms = *name != "static-cat";
+            let (f, cut) = (p.fault, p.mid_apply.degraded);
+            let floor = if smoke { 1 } else { CUT_SHORT_FLOOR };
+            if f.degraded == 0 || reprograms && (f.injected == 0 || cut < floor) {
+                return Err(vec![format!(
+                    "{name}: the fault families must actually inject faults, degrade \
+                     ticks and cut applies short (injected {}, degraded {}; \
+                     mid-apply cut short {cut}, floor {floor})",
+                    f.injected, f.degraded
+                )]);
+            }
         }
+        let dcat = c.policies[0].fault;
+        let (injected, degraded) = (dcat.injected, dcat.degraded);
         if !smoke && (injected < INJECTED_FLOOR || degraded < DEGRADED_FLOOR) {
             return Err(vec![format!(
-                "fault dimension injected {injected} faults over {degraded} degraded \
+                "dcat's seeded schedules injected {injected} faults over {degraded} degraded \
                  ticks, below the documented floor of {INJECTED_FLOOR} / {DEGRADED_FLOOR}: the \
                  scheduled write faults are landing on ticks that write nothing"
             )]);
@@ -735,7 +928,8 @@ impl Report {
 }
 
 /// Runs the checker: the whole lattice, or with `smoke` a four-pool
-/// subset, then both fault families over the same corners and pools.
+/// subset, then both fault families over the same corners and pools and
+/// the churn shapes (the first only, with `smoke`).
 pub fn run(smoke: bool) -> Report {
     let mut corners = Vec::new();
     for min_ways in [1u32, 2] {
@@ -774,9 +968,8 @@ pub fn run(smoke: bool) -> Report {
             ..corner.config()
         };
         let mut cat = InMemoryController::new(CatCapabilities::with_ways(8), 1);
-        let handles = vec![WorkloadHandle::new("vm0", vec![0], RESERVED)];
         assert!(
-            DcatController::new(cfg, handles, &mut cat).is_err(),
+            DcatController::new(cfg, handles([RESERVED]), &mut cat).is_err(),
             "settle_intervals = 0 must be rejected at construction"
         );
         counts.rejected += 1;
@@ -802,8 +995,8 @@ pub fn run(smoke: bool) -> Report {
                         }
                         Ok(Outcome::Unreachable) => counts.unreachable += 1,
                         Err(v) => violations.push(format!(
-                            "  interval {} of {:?}: {}",
-                            v.tick, v.scenario, v.message
+                            "  interval {} of {scenario:?}: {}",
+                            v.tick, v.message
                         )),
                     }
                 }
@@ -811,46 +1004,56 @@ pub fn run(smoke: bool) -> Report {
         }
     }
 
-    // --- Fault-schedule dimension: seeded random fault injection. ---
-    // Twelve schedules per (corner, pool): in an eighth of those pairs no
-    // tenant can ever move (minimum = reservation, no free way), and eight
-    // schedules over the rest fall short of the floors.
+    // --- The fault families: dCat at every corner over the pools and the
+    // churn shapes, the other partitioning policies over the churn shapes.
+    let churn = CHURN_SHAPES.iter().take(if smoke { 1 } else { 3 });
+    let churn: Vec<Shape> = churn.map(|&r| Shape::Churn(r)).collect();
+    let mut runs: Vec<(Policy, Vec<Shape>)> = corners
+        .iter()
+        .map(|&c| (Policy::Dcat(c), pools.iter().map(|&p| Shape::Pool(p))))
+        .map(|(policy, shapes)| (policy, shapes.chain(churn.iter().copied()).collect()))
+        .collect();
+    for policy in [Policy::StaticCat, Policy::Lfoc, Policy::Memshare] {
+        runs.push((policy, churn.clone()));
+    }
+    // Twelve seeded schedules per (policy, shape), as many as dCat's floors
+    // were set at. In an eighth of dCat's pool pairs no tenant can ever
+    // move (minimum = reservation, no free way): their faults land nowhere.
     let fault_seeds: u64 = if smoke { 2 } else { 12 };
     let mut fault_violations = Vec::new();
-    let mut record = |family: &mut FaultCounts, run: Result<FaultRun, FaultViolation>| match run {
-        Ok(run) => family.add(&run),
-        Err(v) => fault_violations.push(format!(
-            "  tick {} of corner {:?} pool {:?} seed {}: {}",
-            v.tick, v.corner, v.pool, v.seed, v.message
-        )),
-    };
-    for (ci, corner) in corners.iter().enumerate() {
-        for (pi, pool) in pools.iter().enumerate() {
+    for (ci, (policy, shapes)) in runs.iter().enumerate() {
+        let mut record = |family: fn(&mut PolicyCounts) -> &mut FaultCounts,
+                          shape,
+                          plan: FaultPlan,
+                          nudged,
+                          what: String| {
+            match run_fault_scenario(*policy, shape, plan, nudged) {
+                Ok(run) => family(&mut counts.policies[policy.index()]).add(run),
+                Err(v) => fault_violations.push(format!(
+                    "  tick {} of {policy:?} over {shape:?}, {what}: {}",
+                    v.tick, v.message
+                )),
+            }
+        };
+        for (pi, &shape) in shapes.iter().enumerate() {
             for stream in 0..fault_seeds {
                 let seed = smallrng::split_seed(
                     0xDCA7_FA17,
                     ((ci as u64) << 32) | ((pi as u64) << 16) | stream,
                 );
                 let plan = FaultPlan::random(seed, FAULT_TICKS, FAULT_RATE);
-                record(
-                    &mut counts.fault,
-                    run_fault_scenario(corner, pool, seed, plan, 1),
-                );
+                record(|p| &mut p.fault, shape, plan, 1, format!("seed {seed}"));
             }
-        }
-    }
-
-    // --- Mid-apply family: each tick's first k writes land, the rest fail. ---
-    for corner in &corners {
-        for pool in &pools {
-            for k in 0..MID_APPLY_KS {
+            // --- Mid-apply: each faulted apply's first k writes land, the
+            // rest fail; then a construction cut off the same way.
+            for fault in MID_APPLY_FAULTS {
                 let ticks = (1..=FAULT_TICKS).filter(|t| t % MID_APPLY_EVERY == 0);
-                let plan = FaultPlan::scripted(ticks.map(|t| (t, Fault::CosWriteAfter(k))));
-                let tenants = pool.tenants as usize;
-                record(
-                    &mut counts.mid_apply,
-                    run_fault_scenario(corner, pool, u64::from(k), plan, tenants),
-                );
+                let plan = FaultPlan::scripted(ticks.map(|t| (t, fault)));
+                let what = format!("{fault:?} every {MID_APPLY_EVERY}rd tick");
+                record(|p| &mut p.mid_apply, shape, plan, usize::MAX, what);
+                let plan = FaultPlan::scripted([(0, fault)]);
+                let what = format!("{fault:?} in construction");
+                record(|p| &mut p.mid_apply, shape, plan, 0, what);
             }
         }
     }

@@ -12,16 +12,23 @@ fn a_full_run_explores_and_injects_exactly_the_recorded_counts() {
         (c.explored, c.unreachable, c.rejected, c.ticks),
         (25_344, 2_304, 8, 846_144)
     );
-    // Fault dimension: schedules, ticks, faults injected / degraded ticks.
-    let f = c.fault;
+    // Per policy, the seeded then the mid-apply family: schedules, ticks,
+    // faults injected, ticks degraded (and constructions cut off).
+    let rows = c
+        .policies
+        .map(|p| [p.fault, p.mid_apply].map(|f| (f.schedules, f.ticks, f.injected, f.degraded)));
+    let policies = ["dcat", "static-cat", "lfoc", "memshare"];
+    assert_eq!(dcat_verify::POLICIES, policies);
     assert_eq!(
-        (f.schedules, f.ticks, f.injected, f.degraded),
-        (1_536, 73_728, 8_602, 2_165)
-    );
-    // The mid-apply family.
-    let m = c.mid_apply;
-    assert_eq!(
-        (m.schedules, m.ticks, m.injected, m.degraded),
-        (384, 18_432, 11_784, 3_928)
+        rows,
+        [
+            [
+                (1_824, 87_552, 9_218, 5_713),
+                (2_736, 65_664, 18_288, 6_096)
+            ],
+            [(36, 1_728, 0, 71), (54, 1_296, 54, 18)],
+            [(36, 1_728, 288, 138), (54, 1_296, 462, 154)],
+            [(36, 1_728, 300, 155), (54, 1_296, 486, 162)],
+        ]
     );
 }

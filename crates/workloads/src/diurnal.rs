@@ -9,7 +9,7 @@
 //! The wrapper modulates an inner [`AccessStream`] *in stream space* so
 //! it composes with any service model and stays deterministic: after
 //! each completed request it consults a load curve (percent of peak,
-//! advanced every [`DiurnalStream::requests_per_step`] requests) and
+//! advanced every `DiurnalStream::requests_per_step` requests) and
 //! interleaves proportional *think-time* filler references before the
 //! next request. Filler references spin over a single hot line-sized
 //! region, so they hit the L1 and consume only compute — exactly what an
