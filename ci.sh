@@ -72,7 +72,7 @@ grep -v '^pub mod seeds;' "$seeded/src/lib.rs" > target/seeded-clean/src/lib.rs
 # cargo takes one for the other.
 (cd target/seeded-clean && cargo clippy --offline -- -D warnings)
 
-echo "==> per-reference path in release: llc-sim, workloads, smallrng and host suites with their recorded oracles"
+echo "==> per-reference path in release: cbm, llc-sim, workloads, smallrng and host suites with their recorded oracles"
 # In release, as the experiments run it: the hot path's index and counter
 # arithmetic must hold with overflow checks and debug_asserts compiled out
 # (`cargo test --workspace` covers the debug build, optimised per package by
@@ -83,9 +83,10 @@ echo "==> per-reference path in release: llc-sim, workloads, smallrng and host s
 # against its reference model (machine_differential.rs: about 1 s in debug,
 # so it has no step of its own), the packed set, its stamps and the page
 # table against the model's parts, slices against their references one at
-# a time (slice_equivalence.rs) and
-# the engine's two issue loops in lockstep (host's pipeline_equals_plain_loop_*).
-cargo test -q --release --offline -p workloads -p smallrng -p llc-sim -p host
+# a time (slice_equivalence.rs), the engine's two issue loops in lockstep
+# (host's pipeline_equals_plain_loop_*), and the fill masks' own arithmetic
+# (the cbm crate's `from_way_range` shifts).
+cargo test -q --release --offline -p cbm -p workloads -p smallrng -p llc-sim -p host
 
 echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch copy and the test its header names must fail)"
 # 01-03 are the 4-byte LLC line's per-set stamp clock: its exactness
@@ -109,7 +110,9 @@ echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch co
 # hit and read by the back-invalidation (§14); 30-31 the private cache's
 # fill reporting the tail and its invalidate closing the gap, 32 the held
 # array's fast path taken for an 8-way cache of any set count (§14); 33
-# the apply recording a core's move before the backend took it (§10.2).
+# the apply recording a core's move before the backend took it, 34 a mask
+# before the backend took it, and 35 a cut-short apply lending the last
+# tick's masks unrewritten (§10.2).
 # 22, the sharer mask's bit position, retired with the mask.
 sh tools/mutants.sh tests/mutants/*.patch
 

@@ -2,8 +2,8 @@
 
 use dcat::DcatConfig;
 use host::EngineConfig;
+use llc_sim::{Cbm, Hierarchy, HierarchyConfig, PageMapper, PageSize};
 use llc_sim::{FrameAllocator, FramePolicy, LatencyModel};
-use llc_sim::{Hierarchy, HierarchyConfig, PageMapper, PageSize, WayMask};
 use workloads::AccessStream;
 
 /// Engine configuration on the paper's Xeon-E5 v4 socket.
@@ -42,7 +42,7 @@ pub struct MeasureSpec {
     /// Hierarchy shape.
     pub hier_cfg: HierarchyConfig,
     /// CAT fill mask for the measured core.
-    pub mask: WayMask,
+    pub mask: Cbm,
     /// Working-set size (for the returned line list).
     pub wss_bytes: u64,
     /// Page size backing the buffer.
@@ -119,7 +119,7 @@ mod tests {
     use llc_sim::CacheGeometry;
     use workloads::Mlr;
 
-    fn spec(cfg: HierarchyConfig, mask: WayMask, wss: u64, seed: u64) -> MeasureSpec {
+    fn spec(cfg: HierarchyConfig, mask: Cbm, wss: u64, seed: u64) -> MeasureSpec {
         MeasureSpec {
             hier_cfg: cfg,
             mask,
@@ -147,13 +147,13 @@ mod tests {
         // Small WSS, full mask: mostly cache hits -> latency far below DRAM.
         let mut mlr = Mlr::new(256 * 1024, 1);
         let (fit, lines) =
-            measure_single(&spec(small_cfg(), WayMask::all(8), 256 * 1024, 7), &mut mlr);
+            measure_single(&spec(small_cfg(), Cbm::full(8), 256 * 1024, 7), &mut mlr);
         assert!(fit.avg_latency < 100.0, "latency {}", fit.avg_latency);
         assert_eq!(lines.len(), 4096);
 
         // Huge WSS: DRAM bound.
         let mut big = Mlr::new(16 * MB, 2);
-        let (thrash, _) = measure_single(&spec(small_cfg(), WayMask::all(8), 16 * MB, 8), &mut big);
+        let (thrash, _) = measure_single(&spec(small_cfg(), Cbm::full(8), 16 * MB, 8), &mut big);
         assert!(thrash.avg_latency > fit.avg_latency * 2.0);
         assert!(thrash.llc_miss_rate > 0.5);
     }
@@ -163,7 +163,7 @@ mod tests {
         use llc_sim::ColorSet;
         let cfg = small_cfg();
         let colors = ColorSet::contiguous(cfg.llc, PageSize::Small, 0, 16);
-        let mut s = spec(cfg, WayMask::all(8), 256 * 1024, 9);
+        let mut s = spec(cfg, Cbm::full(8), 256 * 1024, 9);
         s.colors = Some(colors.clone());
         let mut mlr = Mlr::new(256 * 1024, 3);
         let (_, lines) = measure_single(&s, &mut mlr);

@@ -9,7 +9,7 @@
 //! under (a) CAT with 2 ways, (b) coloring with the same capacity, and
 //! (c) the full cache.
 
-use llc_sim::{ColorSet, HierarchyConfig, PageSize, WayMask};
+use llc_sim::{Cbm, ColorSet, HierarchyConfig, PageSize};
 use workloads::Mlr;
 
 use crate::experiments::common::{measure_single, MeasureSpec, MB};
@@ -28,7 +28,7 @@ pub struct ColoringRow {
 
 fn machine(cfg: HierarchyConfig, wss: u64, fast: bool) -> ColoringRow {
     let accesses = if fast { 100_000 } else { 1_500_000 };
-    let base_spec = |mask: WayMask, colors: Option<ColorSet>, seed: u64| MeasureSpec {
+    let base_spec = |mask: Cbm, colors: Option<ColorSet>, seed: u64| MeasureSpec {
         hier_cfg: cfg,
         mask,
         wss_bytes: wss,
@@ -47,9 +47,9 @@ fn machine(cfg: HierarchyConfig, wss: u64, fast: bool) -> ColoringRow {
     let num_colors = ColorSet::num_colors_of(cfg.llc, PageSize::Small);
     let colors_for_capacity = (num_colors * 2 / u64::from(cfg.llc.ways)).max(1);
     ColoringRow {
-        cat_2way: run(base_spec(WayMask::from_way_range(0, 2), None, 21)),
+        cat_2way: run(base_spec(Cbm::from_way_range(0, 2), None, 21)),
         coloring: run(base_spec(
-            WayMask::all(cfg.llc.ways),
+            Cbm::full(cfg.llc.ways),
             Some(ColorSet::contiguous(
                 cfg.llc,
                 PageSize::Small,
@@ -58,7 +58,7 @@ fn machine(cfg: HierarchyConfig, wss: u64, fast: bool) -> ColoringRow {
             )),
             22,
         )),
-        full: run(base_spec(WayMask::all(cfg.llc.ways), None, 23)),
+        full: run(base_spec(Cbm::full(cfg.llc.ways), None, 23)),
     }
 }
 

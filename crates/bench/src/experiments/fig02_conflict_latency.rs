@@ -7,7 +7,7 @@
 //! page (Xeon-D's 2 MB case); the Xeon-E5 4.5 MB working set spans three
 //! huge pages and still conflicts.
 
-use llc_sim::{HierarchyConfig, PageSize, WayMask};
+use llc_sim::{Cbm, HierarchyConfig, PageSize};
 use workloads::Mlr;
 
 use crate::experiments::common::{measure_single, MeasureSpec, MB};
@@ -26,9 +26,9 @@ pub struct ConflictRow {
 
 fn machine(cfg: HierarchyConfig, wss: u64, fast: bool) -> ConflictRow {
     let accesses = if fast { 100_000 } else { 1_500_000 };
-    let two_ways = WayMask::from_way_range(0, 2);
-    let full = WayMask::all(cfg.llc.ways);
-    let run = |mask: WayMask, page: PageSize, seed: u64| {
+    let two_ways = Cbm::from_way_range(0, 2);
+    let full = Cbm::full(cfg.llc.ways);
+    let run = |mask: Cbm, page: PageSize, seed: u64| {
         let mut mlr = Mlr::with_page_size(wss, page, seed);
         let spec = MeasureSpec {
             hier_cfg: cfg,

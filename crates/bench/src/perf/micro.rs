@@ -19,8 +19,8 @@ use host::{Engine, EngineConfig, VmSpec};
 use llc_sim::replacement::ReplacementPolicy;
 use llc_sim::set::CacheSet;
 use llc_sim::{
-    AccessKind, CacheGeometry, FrameAllocator, FramePolicy, Hierarchy, HierarchyConfig, LineAddr,
-    PageMapper, PageSize, PrivateCache, VirtAddr, WayMask,
+    AccessKind, CacheGeometry, Cbm, FrameAllocator, FramePolicy, Hierarchy, HierarchyConfig,
+    LineAddr, PageMapper, PageSize, PrivateCache, VirtAddr,
 };
 use smallrng::SmallRng;
 use workloads::{
@@ -83,13 +83,7 @@ fn calibration_case(suite: &mut SuiteRunner<'_>, iters: u32) {
 fn full_packed() -> CacheSet {
     let mut set = CacheSet::new(WAYS);
     for i in 0..u64::from(WAYS) {
-        set.fill_with(
-            LineAddr(i),
-            WayMask::all(WAYS),
-            0,
-            ReplacementPolicy::Lru,
-            0,
-        );
+        set.fill_with(LineAddr(i), Cbm::full(WAYS), 0, ReplacementPolicy::Lru, 0);
     }
     set
 }
@@ -260,7 +254,7 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
     calibration_case(&mut suite, iters);
 
     // --- CacheSet access: hit path (lookup of resident lines) ---
-    let full = WayMask::all(WAYS);
+    let full = Cbm::full(WAYS);
     {
         let mut set = full_packed();
         let mut now = u64::from(WAYS);
@@ -379,7 +373,7 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         // its filler alone; the shared case below visits all 18 cores).
         let config = HierarchyConfig::default();
         let mut h = Hierarchy::new(config);
-        h.set_fill_mask(0, WayMask::from_way_range(0, 1));
+        h.set_fill_mask(0, Cbm::from_way_range(0, 1));
         let mut line = 0u64;
         for _ in 0..config.llc.sets {
             h.access(0, line * 64, AccessKind::Load);
@@ -397,7 +391,7 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         // iteration is the fill and the hit.
         let config = HierarchyConfig::default();
         let mut h = Hierarchy::new(config);
-        h.set_fill_mask(0, WayMask::from_way_range(0, 1));
+        h.set_fill_mask(0, Cbm::from_way_range(0, 1));
         let mut line = 0u64;
         let share = |h: &mut Hierarchy, line: u64| {
             h.access(0, line * 64, AccessKind::Load);
@@ -504,7 +498,7 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
         let mut set = CacheSet::new(ways);
         let mut state = 1u64;
         for line in 0..u64::from(ways) {
-            set.fill(LineAddr(line), WayMask::all(ways), 0);
+            set.fill(LineAddr(line), Cbm::full(ways), 0);
         }
         for _ in 0..4 * ways {
             state = lcg_next(state);

@@ -4,10 +4,11 @@
 //! written to a resctrl `schemata` file: bit `i` set grants the class the
 //! right to allocate into way `i`. Intel requires the set bits to form one
 //! contiguous run and at least `min_cbm_bits` (usually 1 or 2) bits set.
+//! The simulator reads these bits on every LLC fill, hence the `#[inline]`s.
 
 use std::fmt;
 
-/// A capacity bitmask over LLC ways.
+/// A capacity bitmask over LLC ways: bit `i` lets its holder fill way `i`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cbm(pub u32);
 
@@ -17,8 +18,12 @@ impl Cbm {
     /// # Panics
     ///
     /// Panics if the range exceeds 32 bits.
+    #[inline]
     pub fn from_way_range(start: u32, count: u32) -> Self {
-        assert!(start + count <= 32, "CBM range exceeds 32 bits");
+        assert!(
+            count <= 32 && start <= 32 - count,
+            "CBM range exceeds 32 bits"
+        );
         if count == 0 {
             return Cbm(0);
         }
@@ -31,6 +36,7 @@ impl Cbm {
     }
 
     /// The full mask of a cache with `ways` ways.
+    #[inline]
     pub fn full(ways: u32) -> Self {
         Cbm::from_way_range(0, ways)
     }
@@ -83,12 +89,6 @@ impl Cbm {
         Cbm(self.0 | other.0)
     }
 
-    /// Set intersection: ways granted by both masks.
-    #[inline]
-    pub fn intersection(self, other: Cbm) -> Cbm {
-        Cbm(self.0 & other.0)
-    }
-
     /// Set difference: ways granted by `self` but not by `other`.
     #[inline]
     pub fn difference(self, other: Cbm) -> Cbm {
@@ -135,6 +135,15 @@ mod tests {
         assert_eq!(Cbm::from_way_range(3, 2).0, 0b11000);
         assert_eq!(Cbm::full(20).0, 0xf_ffff);
         assert_eq!(Cbm::from_way_range(0, 32).0, u32::MAX);
+        assert_eq!(Cbm::full(32).0, u32::MAX);
+        assert_eq!(Cbm::from_way_range(5, 0).0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "CBM range exceeds 32 bits")]
+    fn a_range_whose_end_wraps_is_refused() {
+        // `start + count` wraps to 1 without overflow checks.
+        Cbm::from_way_range(u32::MAX, 2);
     }
 
     #[test]
@@ -165,7 +174,6 @@ mod tests {
     #[test]
     fn set_operations() {
         assert_eq!(Cbm(0b110).union(Cbm(0b011)), Cbm(0b111));
-        assert_eq!(Cbm(0b110).intersection(Cbm(0b011)), Cbm(0b010));
         assert_eq!(Cbm(0b110).difference(Cbm(0b011)), Cbm(0b100));
         assert!(Cbm(0b100).contains_way(2));
         assert!(!Cbm(0b100).contains_way(1));

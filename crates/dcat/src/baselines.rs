@@ -67,6 +67,13 @@ impl MetricsTracker {
         Ok(())
     }
 
+    /// [`DomainReport::hold_mask`] of every report.
+    pub(crate) fn hold_masks(&mut self, programmed: &Programmed) {
+        for (r, h) in self.reports.iter_mut().zip(&self.handles) {
+            r.hold_mask(h, programmed);
+        }
+    }
+
     /// Writes domain `i`'s report from the interval
     /// [`MetricsTracker::advance`] computed. Call it once the decision can
     /// no longer fail: what is written is what a later degraded tick holds.

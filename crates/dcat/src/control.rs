@@ -102,7 +102,8 @@ pub struct TickObservation<'a> {
     /// 1-based tick number.
     pub tick: u64,
     /// Per-domain reports. On a degraded tick these are the *held*
-    /// reports of the last completed tick (empty if none completed yet).
+    /// reports of the last completed tick (empty if none completed yet),
+    /// with `ways` and `cbm` showing what the backend holds.
     pub reports: &'a [DomainReport],
     /// Structured events this tick generated.
     pub events: &'a [Event],

@@ -79,6 +79,17 @@ impl DomainReport {
             ..DomainReport::default()
         }
     }
+
+    /// After an apply cut short, the report keeps the last completed tick's
+    /// values save `ways` and `cbm`: the mask `programmed` records for the
+    /// class `handle`'s first core sits in, which the backend holds.
+    pub(crate) fn hold_mask(&mut self, handle: &WorkloadHandle, programmed: &Programmed) {
+        let held = handle.cores.first().and_then(|&c| programmed.core_mask(c));
+        if let Some(mask) = held {
+            self.ways = mask.ways();
+            self.cbm = Some(u64::from(mask.0));
+        }
+    }
 }
 
 /// How a Donor releases capacity.
@@ -169,8 +180,9 @@ struct TickScratch {
     views: Vec<DomainView>,
     /// The reports [`CachePolicy::decide`] lends: written only after
     /// `apply` accepted the interval, so a degraded tick still holds the
-    /// last completed one's (and none before the first). The names are
-    /// cloned once.
+    /// last completed one's (and none before the first), save the masks
+    /// an apply cut short moved ([`DomainReport::hold_mask`]). The names
+    /// are cloned once.
     reports: Vec<DomainReport>,
 }
 
@@ -934,6 +946,11 @@ impl CachePolicy for DcatController {
         let mut scratch = std::mem::take(&mut self.scratch);
         let result = self.run_interval(&mut scratch, snapshots, valid, cat, tracer);
         self.scratch = scratch;
+        if result.is_err() {
+            for (r, d) in self.scratch.reports.iter_mut().zip(&self.domains) {
+                r.hold_mask(&d.handle, &self.programmed);
+            }
+        }
         result?;
         Ok(&self.scratch.reports)
     }

@@ -307,7 +307,8 @@ impl CachePolicy for LfocPolicy {
         self.ticks += 1;
         if self.ticks.is_multiple_of(self.cfg.recluster_ticks) {
             self.recluster();
-            self.program(cat)?;
+            self.program(cat)
+                .inspect_err(|_| self.tracker.hold_masks(&self.programmed))?;
         }
         for i in 0..self.features.len() {
             let cluster = self.cluster_of.get(i).copied().unwrap_or(INSENSITIVE);

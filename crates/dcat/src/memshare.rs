@@ -327,16 +327,15 @@ impl CachePolicy for MemsharePolicy {
         self.tracker.advance(&input)?;
         let demand = self.classify();
         self.settle(&demand);
-        self.program(cat)?;
+        self.program(cat)
+            .inspect_err(|_| self.tracker.hold_masks(&self.programmed))?;
         for i in 0..demand.len() {
             let ways = self.granted.get(i).copied().unwrap_or(0);
             // Group members share their first core's COS.
             let cores = self.tracker.handles().get(i).map(|h| h.cores.as_slice());
-            let cos = cores
+            let cbm = cores
                 .and_then(|c| c.first())
-                .and_then(|&c| self.programmed.cos_of(c));
-            let cbm = cos
-                .and_then(|cos| self.programmed.mask(cos))
+                .and_then(|&c| self.programmed.core_mask(c))
                 .map(|c| u64::from(c.0));
             self.tracker.report(i, ways, self.class_of(i, &demand), cbm);
         }

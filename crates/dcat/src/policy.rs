@@ -59,7 +59,8 @@ pub trait CachePolicy {
     ) -> Result<&[DomainReport], ResctrlError>;
 
     /// The reports of the last decision that completed (empty before the
-    /// first): what a degraded tick holds.
+    /// first): what a degraded tick holds, once a decision cut short
+    /// mid-apply has rewritten their `ways` and `cbm` to the backend's.
     fn reports(&self) -> &[DomainReport];
 
     /// [`Self::decide`] with every lane valid and no tracing, the reports

@@ -18,7 +18,7 @@
 use dcat_obs::{Registry, SeriesId, Snapshot};
 use llc_sim::{
     CoreCounters, CoreSlice, CyclesModel, FrameAllocator, Hierarchy, HitLevel, LatencyModel,
-    PageMapper, WayMask,
+    PageMapper,
 };
 use perf_events::CounterSnapshot;
 use resctrl::{CacheController, CatCapabilities, Cbm, CosId, ResctrlError};
@@ -388,7 +388,7 @@ impl Engine {
     pub fn vm_ways(&self, vm: usize) -> u32 {
         self.hierarchy
             .fill_mask(self.vms[vm].spec.primary_core())
-            .count()
+            .ways()
     }
 
     /// LLC lines currently attributed to VM `vm` across its cores.
@@ -629,7 +629,7 @@ impl Engine {
         let Some(&cbm) = self.cos_masks.get(cos.0 as usize) else {
             return;
         };
-        self.hierarchy.set_fill_mask(core, WayMask(cbm.0));
+        self.hierarchy.set_fill_mask(core, cbm);
     }
 }
 
@@ -689,7 +689,7 @@ impl CacheController for EngineCat<'_> {
     }
 
     fn flush_cbm(&mut self, cbm: Cbm) -> Result<(), ResctrlError> {
-        self.engine.hierarchy.flush_mask(llc_sim::WayMask(cbm.0));
+        self.engine.hierarchy.flush_mask(cbm);
         Ok(())
     }
 }

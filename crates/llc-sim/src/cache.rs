@@ -4,80 +4,7 @@ use crate::address::LineAddr;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementPolicy;
 use crate::set::{block_len, Evicted, PackedSet, SetMut, SetPos, SetRef, INVALID_TAG, MAX_FILLERS};
-
-/// A bitmask over cache ways, mirroring a CAT capacity bitmask (CBM).
-///
-/// Bit `i` set means way `i` may be *filled* by the holder of the mask.
-/// Lookups are never masked — CAT restricts allocation, not hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WayMask(pub u32);
-
-impl WayMask {
-    /// A mask permitting every way of a cache with `ways` ways.
-    #[inline]
-    pub fn all(ways: u32) -> Self {
-        debug_assert!((1..=32).contains(&ways));
-        if ways == 32 {
-            WayMask(u32::MAX)
-        } else {
-            WayMask((1u32 << ways) - 1)
-        }
-    }
-
-    /// A contiguous mask of `count` ways starting at way `start`.
-    #[inline]
-    pub fn from_way_range(start: u32, count: u32) -> Self {
-        debug_assert!(start + count <= 32);
-        if count == 0 {
-            return WayMask(0);
-        }
-        let bits = if count == 32 {
-            u32::MAX
-        } else {
-            (1u32 << count) - 1
-        };
-        WayMask(bits << start)
-    }
-
-    /// Whether way `way` is permitted.
-    #[inline]
-    pub fn contains(self, way: u32) -> bool {
-        way < 32 && self.0 & (1 << way) != 0
-    }
-
-    /// Number of permitted ways.
-    #[inline]
-    pub fn count(self) -> u32 {
-        self.0.count_ones()
-    }
-
-    /// Whether no way is permitted.
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Whether the set bits form one contiguous run (an Intel CAT
-    /// requirement for capacity bitmasks).
-    pub fn is_contiguous(self) -> bool {
-        if self.0 == 0 {
-            return false;
-        }
-        let shifted = u64::from(self.0 >> self.0.trailing_zeros());
-        (shifted & (shifted + 1)) == 0
-    }
-
-    /// Whether the two masks share any way.
-    #[inline]
-    pub fn overlaps(self, other: WayMask) -> bool {
-        self.0 & other.0 != 0
-    }
-
-    /// Iterates over the permitted way indices in ascending order.
-    pub fn ways(self) -> impl Iterator<Item = u32> {
-        (0..32).filter(move |w| self.contains(*w))
-    }
-}
+use cbm::Cbm;
 
 /// Whether an access hit or missed, and what the miss displaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,7 +229,7 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if `owner >= MAX_FILLERS` (32).
-    pub fn access_as(&mut self, line: LineAddr, mask: WayMask, owner: u32) -> AccessOutcome {
+    pub fn access_as(&mut self, line: LineAddr, mask: Cbm, owner: u32) -> AccessOutcome {
         self.access_as_at(self.set_index(line), line, mask, owner)
     }
 
@@ -313,7 +240,7 @@ impl SetAssocCache {
         &mut self,
         idx: u32,
         line: LineAddr,
-        mask: WayMask,
+        mask: Cbm,
         owner: u32,
     ) -> AccessOutcome {
         assert!(owner < MAX_FILLERS, "requestor id beyond the filler id");
@@ -408,7 +335,7 @@ impl SetAssocCache {
     }
 
     /// Resident lines within the ways permitted by `mask`, across all sets.
-    pub fn occupancy_in(&self, mask: WayMask) -> u64 {
+    pub fn occupancy_in(&self, mask: Cbm) -> u64 {
         self.occ
             .iter()
             .map(|o| u64::from((o & mask.0).count_ones()))
@@ -425,7 +352,7 @@ impl SetAssocCache {
     /// dropped. This models the paper's Section-6 observation that Intel
     /// has no instruction to clear a cache way, so operators run a
     /// user-level flush pass after reassigning ways.
-    pub fn drain_lines_in(&mut self, mask: WayMask, mut on_drop: impl FnMut(Evicted)) -> u64 {
+    pub fn drain_lines_in(&mut self, mask: Cbm, mut on_drop: impl FnMut(Evicted)) -> u64 {
         let ways = self.geometry.ways as usize;
         let sets = self.geometry.sets;
         let owner_lines = &mut self.owner_lines;
@@ -456,37 +383,9 @@ mod tests {
     }
 
     #[test]
-    fn way_mask_all_and_range() {
-        assert_eq!(WayMask::all(4).0, 0b1111);
-        assert_eq!(WayMask::all(32).0, u32::MAX);
-        assert_eq!(WayMask::from_way_range(2, 3).0, 0b11100);
-        assert_eq!(WayMask::from_way_range(0, 32).0, u32::MAX);
-        assert_eq!(WayMask::from_way_range(5, 0).0, 0);
-    }
-
-    #[test]
-    fn way_mask_contiguity() {
-        assert!(WayMask(0b0110).is_contiguous());
-        assert!(WayMask(0b1).is_contiguous());
-        assert!(WayMask(u32::MAX).is_contiguous());
-        assert!(!WayMask(0b0101).is_contiguous());
-        assert!(!WayMask(0).is_contiguous());
-    }
-
-    #[test]
-    fn way_mask_overlap_and_iteration() {
-        let a = WayMask::from_way_range(0, 2);
-        let b = WayMask::from_way_range(1, 2);
-        let c = WayMask::from_way_range(2, 2);
-        assert!(a.overlaps(b));
-        assert!(!a.overlaps(c));
-        assert_eq!(b.ways().collect::<Vec<_>>(), vec![1, 2]);
-    }
-
-    #[test]
     fn miss_then_hit() {
         let mut c = small();
-        let mask = WayMask::all(4);
+        let mask = Cbm::full(4);
         assert!(!c.access_as(LineAddr(1), mask, 0).is_hit());
         assert!(c.access_as(LineAddr(1), mask, 0).is_hit());
     }
@@ -494,7 +393,7 @@ mod tests {
     #[test]
     fn capacity_eviction_within_partition() {
         let mut c = small();
-        let mask = WayMask::from_way_range(0, 1);
+        let mask = Cbm::from_way_range(0, 1);
         // Two lines mapping to the same set with a 1-way partition thrash.
         let a = LineAddr(0);
         let b = LineAddr(16); // same set (16 sets)
@@ -509,7 +408,7 @@ mod tests {
     #[test]
     fn occupancy_never_exceeds_partition_capacity() {
         let mut c = small();
-        let mask = WayMask::from_way_range(1, 2);
+        let mask = Cbm::from_way_range(1, 2);
         for i in 0..1000u64 {
             c.access_as(LineAddr(i), mask, 0);
         }
@@ -521,7 +420,7 @@ mod tests {
     #[test]
     fn occupancy_attributed_to_filling_owner() {
         let mut c = small();
-        let mask = WayMask::all(4);
+        let mask = Cbm::full(4);
         for i in 0..10u64 {
             c.access_as(LineAddr(i), mask, 1);
         }
@@ -540,8 +439,8 @@ mod tests {
     #[test]
     fn drain_lines_in_drops_only_masked_ways() {
         let mut c = small();
-        let low = WayMask::from_way_range(0, 2);
-        let high = WayMask::from_way_range(2, 2);
+        let low = Cbm::from_way_range(0, 2);
+        let high = Cbm::from_way_range(2, 2);
         c.access_as(LineAddr(1), low, 0);
         c.access_as(LineAddr(2), high, 0);
         let mut dropped = Vec::new();
@@ -561,17 +460,17 @@ mod tests {
     #[test]
     fn owner_counters_follow_every_way_a_line_can_leave() {
         let mut c = small();
-        let low = WayMask::from_way_range(0, 2);
+        let low = Cbm::from_way_range(0, 2);
         for i in 0..200u64 {
             // Evictions across owners: 3 owners thrash a 2-way partition.
             c.access_as(LineAddr(i % 70), low, (i % 3) as u32);
         }
         c.invalidate(LineAddr(69));
-        c.access_as(LineAddr(1000), WayMask::all(4), 0);
+        c.access_as(LineAddr(1000), Cbm::full(4), 0);
         for owner in 0..4 {
             assert_eq!(c.occupancy_of(owner), scanned_occupancy_of(&c, owner));
         }
-        c.drain_lines_in(WayMask::from_way_range(0, 1), |_| {});
+        c.drain_lines_in(Cbm::from_way_range(0, 1), |_| {});
         for owner in 0..4 {
             assert_eq!(c.occupancy_of(owner), scanned_occupancy_of(&c, owner));
         }
@@ -582,7 +481,7 @@ mod tests {
     #[test]
     fn access_as_records_sharers_on_fill_and_on_hit() {
         let mut c = SetAssocCache::new(CacheGeometry::new(1, 1, 64));
-        let mask = WayMask::all(1);
+        let mask = Cbm::full(1);
         let evicted = |c: &mut SetAssocCache, line, owner| match c.access_as(line, mask, owner) {
             AccessOutcome::Miss {
                 evicted: Some(gone),
@@ -607,7 +506,7 @@ mod tests {
         let geometry = CacheGeometry::new(1, 8, 64);
         let run = |policy: crate::ReplacementPolicy| -> usize {
             let mut c = SetAssocCache::with_policy(geometry, policy);
-            let mask = WayMask::all(8);
+            let mask = Cbm::full(8);
             for round in 0..4 {
                 for line in 0..4u64 {
                     c.access_as(LineAddr(line), mask, 0);
@@ -636,7 +535,7 @@ mod tests {
     fn fifo_does_not_promote_on_hit() {
         let geometry = CacheGeometry::new(1, 2, 64);
         let mut c = SetAssocCache::with_policy(geometry, crate::ReplacementPolicy::Fifo);
-        let mask = WayMask::all(2);
+        let mask = Cbm::full(2);
         c.access_as(LineAddr(1), mask, 0);
         c.access_as(LineAddr(2), mask, 0);
         // Re-touch line 1; under FIFO that does not save it.
@@ -650,7 +549,7 @@ mod tests {
     fn random_policy_stays_within_partition() {
         let geometry = CacheGeometry::new(4, 8, 64);
         let mut c = SetAssocCache::with_policy(geometry, crate::ReplacementPolicy::Random);
-        let mask = WayMask::from_way_range(2, 3);
+        let mask = Cbm::from_way_range(2, 3);
         for line in 0..500u64 {
             c.access_as(LineAddr(line), mask, 0);
         }
@@ -677,7 +576,7 @@ mod tests {
             }
         };
         refused(&mut c);
-        let mask = WayMask::all(2);
+        let mask = Cbm::full(2);
         for i in 0..sets {
             let top = LineAddr(65_534 * sets + i);
             assert!(!c.access_as(top, mask, 1).is_hit());
@@ -699,7 +598,7 @@ mod tests {
     fn flush_resets_occupancy() {
         let mut c = small();
         for i in 0..50u64 {
-            c.access_as(LineAddr(i), WayMask::all(4), 0);
+            c.access_as(LineAddr(i), Cbm::full(4), 0);
         }
         assert!(c.occupancy() > 0);
         c.flush();

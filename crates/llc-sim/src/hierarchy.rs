@@ -24,8 +24,10 @@
 //! taken) is a no-op invalidate. VMs do not share frames, so a line is
 //! shared only when a freed frame is reused.
 
+use cbm::Cbm;
+
 use crate::address::{LineAddr, PhysAddr, LINE_SHIFT};
-use crate::cache::{AccessOutcome, SetAssocCache, WayMask};
+use crate::cache::{AccessOutcome, SetAssocCache};
 use crate::counters::CoreCounters;
 use crate::geometry::CacheGeometry;
 use crate::private::{HeldCache, PrivateCache};
@@ -231,7 +233,7 @@ pub struct Hierarchy {
 struct CoreState {
     l1: PrivateCache,
     l2: PrivateCache,
-    fill_mask: WayMask,
+    fill_mask: Cbm,
     counters: CoreCounters,
     sampler: SampleEstimator,
 }
@@ -266,7 +268,7 @@ impl Hierarchy {
                 .map(|_| CoreState {
                     l1: PrivateCache::new(config.l1),
                     l2: PrivateCache::new(config.l2),
-                    fill_mask: WayMask::all(config.llc.ways),
+                    fill_mask: Cbm::full(config.llc.ways),
                     counters: CoreCounters::default(),
                     sampler: SampleEstimator::default(),
                 })
@@ -343,10 +345,10 @@ impl Hierarchy {
     ///
     /// Panics if the mask is empty or exceeds the LLC's associativity;
     /// Intel CAT rejects both.
-    pub fn set_fill_mask(&mut self, core: u32, mask: WayMask) {
+    pub fn set_fill_mask(&mut self, core: u32, mask: Cbm) {
         assert!(!mask.is_empty(), "CAT does not allow a zero-way mask");
         assert!(
-            mask.ways().all(|w| w < self.config.llc.ways),
+            mask.difference(Cbm::full(self.config.llc.ways)).is_empty(),
             "mask exceeds LLC associativity"
         );
         // A core beyond the socket has no fill mask to program; ignore
@@ -362,10 +364,10 @@ impl Hierarchy {
     /// reading a core beyond the socket returns the reset (all-ways)
     /// mask — the unmanaged state such a core would observe — instead of
     /// panicking, so the read and write sides of the CAT surface agree.
-    pub fn fill_mask(&self, core: u32) -> WayMask {
+    pub fn fill_mask(&self, core: u32) -> Cbm {
         self.cores
             .get(core as usize)
-            .map_or_else(|| WayMask::all(self.config.llc.ways), |c| c.fill_mask)
+            .map_or_else(|| Cbm::full(self.config.llc.ways), |c| c.fill_mask)
     }
 
     /// Performs one memory access by `core` at physical address `paddr`:
@@ -457,12 +459,6 @@ impl Hierarchy {
         self.cores[core as usize].counters.reset();
     }
 
-    /// LLC lines resident in ways permitted by `mask` (scaled to the full
-    /// cache when sampling).
-    pub fn llc_occupancy_in(&self, mask: WayMask) -> u64 {
-        self.scale_occupancy(self.llc.occupancy_in(mask))
-    }
-
     /// Total LLC lines resident (scaled to the full cache when sampling).
     pub fn llc_occupancy(&self) -> u64 {
         self.scale_occupancy(self.llc.occupancy())
@@ -514,7 +510,7 @@ impl Hierarchy {
     /// paper's Section 6 calls for after a reallocation). Returns the
     /// number of LLC *lines* dropped, not a way count (scaled to the full
     /// cache when sampling, like the occupancy accessors).
-    pub fn flush_mask(&mut self, mask: WayMask) -> u64 {
+    pub fn flush_mask(&mut self, mask: Cbm) -> u64 {
         let cores = &mut self.cores;
         let dropped = self.llc.drain_lines_in(mask, |gone| {
             for idx in holders(gone, cores.len()) {
@@ -526,7 +522,7 @@ impl Hierarchy {
                 }
             }
         });
-        self.decay_samplers(mask.count());
+        self.decay_samplers(mask.ways());
         self.scale_occupancy(dropped)
     }
 
@@ -585,7 +581,7 @@ struct Beyond<'h> {
     home_counters: &'h mut CoreCounters,
     home_sampler: &'h mut SampleEstimator,
     llc: &'h mut SetAssocCache,
-    fill_mask: WayMask,
+    fill_mask: Cbm,
     fidelity: SimFidelity,
     core: u32,
     /// The cores numbered below and above this one.
@@ -941,7 +937,7 @@ mod tests {
         // the top core fills the whole id: an LLC eviction still reaches
         // it and the core that shared the line, and the line is
         // attributed to the filler until it leaves.
-        h.set_fill_mask(0, WayMask::from_way_range(0, 1));
+        h.set_fill_mask(0, Cbm::from_way_range(0, 1));
         h.access(31, 0, AccessKind::Load);
         h.access(0, 0, AccessKind::Load);
         assert_eq!(h.llc_occupancy_of_core(31), 1);
@@ -954,14 +950,14 @@ mod tests {
     #[test]
     fn fill_masks_partition_the_llc() {
         let mut h = tiny();
-        h.set_fill_mask(0, WayMask::from_way_range(0, 2));
-        h.set_fill_mask(1, WayMask::from_way_range(2, 2));
+        h.set_fill_mask(0, Cbm::from_way_range(0, 2));
+        h.set_fill_mask(1, Cbm::from_way_range(2, 2));
         for i in 0..200u64 {
             h.access(0, i * 64, AccessKind::Load);
             h.access(1, (1 << 20) + i * 64, AccessKind::Load);
         }
-        let low = h.llc_occupancy_in(WayMask::from_way_range(0, 2));
-        let high = h.llc_occupancy_in(WayMask::from_way_range(2, 2));
+        let low = h.llc.occupancy_in(Cbm::from_way_range(0, 2));
+        let high = h.llc.occupancy_in(Cbm::from_way_range(2, 2));
         assert!(low <= 32, "partition 0 overflowed: {low}");
         assert!(high <= 32, "partition 1 overflowed: {high}");
     }
@@ -970,14 +966,14 @@ mod tests {
     #[should_panic(expected = "zero-way")]
     fn empty_mask_rejected() {
         let mut h = tiny();
-        h.set_fill_mask(0, WayMask(0));
+        h.set_fill_mask(0, Cbm(0));
     }
 
     #[test]
     #[should_panic(expected = "exceeds LLC associativity")]
     fn oversized_mask_rejected() {
         let mut h = tiny();
-        h.set_fill_mask(0, WayMask::from_way_range(0, 5));
+        h.set_fill_mask(0, Cbm::from_way_range(0, 5));
     }
 
     #[test]
@@ -1021,10 +1017,10 @@ mod tests {
     #[test]
     fn flush_mask_back_invalidates_private_caches() {
         let mut h = tiny();
-        h.set_fill_mask(0, WayMask::from_way_range(0, 2));
+        h.set_fill_mask(0, Cbm::from_way_range(0, 2));
         h.access(0, 0x40, AccessKind::Load);
         assert!(h.l1_probe(0, 0x40));
-        let dropped = h.flush_mask(WayMask::from_way_range(0, 2));
+        let dropped = h.flush_mask(Cbm::from_way_range(0, 2));
         assert_eq!(dropped, 1);
         assert!(!h.llc_probe(0x40));
         assert!(!h.l1_probe(0, 0x40), "flush must reach the L1 (inclusive)");
@@ -1100,7 +1096,7 @@ mod tests {
             h.access(0, set * 64, AccessKind::Load);
         }
         // Three resident lines dropped, scaled by the exact 16/3 ratio.
-        let dropped = h.flush_mask(WayMask::all(4));
+        let dropped = h.flush_mask(Cbm::full(4));
         assert_eq!(dropped, 16);
         assert_eq!(h.llc_occupancy(), 0);
     }
@@ -1121,8 +1117,8 @@ mod tests {
                 sampled.access(0, i * 4 * 64, AccessKind::Load);
             }
         }
-        full.flush_mask(WayMask::all(4));
-        sampled.flush_mask(WayMask::all(4));
+        full.flush_mask(Cbm::full(4));
+        sampled.flush_mask(Cbm::full(4));
         let full_warm = full.counters(0);
         let sampled_warm = sampled.counters(0);
         // Fresh lines in unsampled sets {1, 5, 9, 13}.
@@ -1184,7 +1180,7 @@ mod tests {
         }
         let warm = h.counters(0);
         // Flush half the ways: half the learned hits become misses.
-        h.flush_mask(WayMask::from_way_range(0, 2));
+        h.flush_mask(Cbm::from_way_range(0, 2));
         for i in 0..8u64 {
             h.access(0, (i * 4 + 1) * 64, AccessKind::Load);
         }
@@ -1202,10 +1198,10 @@ mod tests {
         let mut h = tiny();
         // The write side no-ops on absent cores; the read side answers
         // with the reset all-ways mask instead of panicking.
-        h.set_fill_mask(99, WayMask::from_way_range(0, 2));
-        assert_eq!(h.fill_mask(99), WayMask::all(4));
-        h.set_fill_mask(0, WayMask::from_way_range(0, 2));
-        assert_eq!(h.fill_mask(0), WayMask::from_way_range(0, 2));
+        h.set_fill_mask(99, Cbm::from_way_range(0, 2));
+        assert_eq!(h.fill_mask(99), Cbm::full(4));
+        h.set_fill_mask(0, Cbm::from_way_range(0, 2));
+        assert_eq!(h.fill_mask(0), Cbm::from_way_range(0, 2));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! * a **shared, inclusive, set-associative last-level cache** (LLC) indexed
 //!   by physical address,
 //! * **Cache Allocation Technology (CAT)** semantics: each core carries a
-//!   *fill mask* restricting which ways it may allocate (evict) into, while
-//!   hits are served from any way,
+//!   *fill mask* — a [`Cbm`], the type `resctrl` programs, from the `cbm`
+//!   leaf crate — restricting which ways it may allocate (evict) into,
+//!   while hits are served from any way,
 //! * private per-core **L1/L2** caches kept inclusive with the LLC
 //!   (an LLC eviction back-invalidates the line from every private cache),
 //! * **virtual-to-physical translation** with 4 KiB and 2 MiB pages and a
@@ -27,7 +28,7 @@
 //! # Examples
 //!
 //! ```
-//! use llc_sim::{CacheGeometry, Hierarchy, HierarchyConfig, WayMask};
+//! use llc_sim::{CacheGeometry, Cbm, Hierarchy, HierarchyConfig};
 //!
 //! // A small two-core hierarchy with an 8-way LLC.
 //! let cfg = HierarchyConfig {
@@ -38,7 +39,7 @@
 //! let mut h = Hierarchy::new(cfg);
 //!
 //! // Restrict core 0 to the two low ways (CAT).
-//! h.set_fill_mask(0, WayMask::from_way_range(0, 2));
+//! h.set_fill_mask(0, Cbm::from_way_range(0, 2));
 //! h.access(0, 0x1000, llc_sim::AccessKind::Load);
 //! assert_eq!(h.counters(0).l1_ref, 1);
 //! ```
@@ -62,7 +63,11 @@ pub mod set;
 pub mod stats;
 
 pub use address::{line_addr, LineAddr, PhysAddr, VirtAddr, LINE_SHIFT, LINE_SIZE};
-pub use cache::{AccessOutcome, SetAssocCache, WayMask};
+pub use cache::{AccessOutcome, SetAssocCache};
+pub use cbm::Cbm;
+/// [`Cbm`] under its old simulator name, kept only for the system
+/// benchmark's link list; it goes with ROADMAP item 17's second half.
+pub use cbm::Cbm as WayMask;
 pub use coloring::ColorSet;
 pub use counters::CoreCounters;
 pub use geometry::CacheGeometry;

@@ -66,8 +66,9 @@
 
 use std::borrow::{Borrow, BorrowMut};
 
+use cbm::Cbm;
+
 use crate::address::LineAddr;
-use crate::cache::WayMask;
 use crate::replacement::ReplacementPolicy;
 
 /// Sentinel stored in empty tag slots; no stored tag may equal it.
@@ -297,7 +298,7 @@ impl<O: Borrow<u32>, T: Borrow<[u16]>, D: Borrow<[u16]>> PackedSet<O, T, D> {
 
     /// Number of valid lines resident in ways permitted by `mask`.
     #[inline]
-    pub fn occupancy_in(&self, mask: WayMask) -> u32 {
+    pub fn occupancy_in(&self, mask: Cbm) -> u32 {
         (self.occ() & mask.0).count_ones()
     }
 
@@ -420,7 +421,7 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u16]>> PackedSet<O, T
     /// upper layers validate masks before they reach the set. Panics if
     /// `owner >= MAX_FILLERS`, and if `line`'s tag does not fit 16 bits
     /// beside the empty-way sentinel.
-    pub fn fill(&mut self, line: LineAddr, mask: WayMask, owner: u32) -> FillResult {
+    pub fn fill(&mut self, line: LineAddr, mask: Cbm, owner: u32) -> FillResult {
         self.fill_with(line, mask, owner, ReplacementPolicy::Lru, 0)
     }
 
@@ -437,7 +438,7 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u16]>> PackedSet<O, T
     pub fn fill_with(
         &mut self,
         line: LineAddr,
-        mask: WayMask,
+        mask: Cbm,
         owner: u32,
         policy: ReplacementPolicy,
         draw: u64,
@@ -456,7 +457,7 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u16]>> PackedSet<O, T
     pub(crate) fn fill_tag(
         &mut self,
         tag: u16,
-        mask: WayMask,
+        mask: Cbm,
         now: u16,
         owner: u32,
         policy: ReplacementPolicy,
@@ -548,7 +549,7 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u16]>> PackedSet<O, T
     /// Invalidates every line resident in the ways permitted by `mask`,
     /// handing each to `on_drop` in ascending way order.
     #[inline]
-    pub fn drain_lines_in(&mut self, mask: WayMask, mut on_drop: impl FnMut(Evicted)) {
+    pub fn drain_lines_in(&mut self, mask: Cbm, mut on_drop: impl FnMut(Evicted)) {
         let mut bits = self.occ() & mask.0;
         while bits != 0 {
             let way = bits.trailing_zeros();
@@ -589,13 +590,6 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u16]>> PackedSet<O, T
         }
         metas[n] = n as u16;
     }
-
-    /// [`PackedSet::drain_lines_in`] collecting the dropped lines.
-    pub fn invalidate_ways(&mut self, mask: WayMask) -> Vec<LineAddr> {
-        let mut dropped = Vec::with_capacity(self.occupancy_in(mask) as usize);
-        self.drain_lines_in(mask, |gone| dropped.push(gone.line));
-        dropped
-    }
 }
 
 /// Index of the `k`-th (0-based) set bit of `bits`, ascending.
@@ -616,8 +610,8 @@ fn nth_set_bit(mut bits: u32, k: u32) -> u32 {
 mod tests {
     use super::*;
 
-    fn full_mask(ways: u32) -> WayMask {
-        WayMask::from_way_range(0, ways)
+    fn full_mask(ways: u32) -> Cbm {
+        Cbm::from_way_range(0, ways)
     }
 
     #[test]
@@ -653,21 +647,21 @@ mod tests {
     #[test]
     fn masked_fill_only_claims_permitted_ways() {
         let mut set = CacheSet::new(4);
-        let low = WayMask::from_way_range(0, 2);
+        let low = Cbm::from_way_range(0, 2);
         for i in 0..8 {
             set.fill(LineAddr(i), low, 0);
         }
         // Only the two permitted ways are ever occupied.
         assert_eq!(set.occupancy(), 2);
         assert_eq!(set.occupancy_in(low), 2);
-        assert_eq!(set.occupancy_in(WayMask::from_way_range(2, 2)), 0);
+        assert_eq!(set.occupancy_in(Cbm::from_way_range(2, 2)), 0);
     }
 
     #[test]
     fn masked_fill_does_not_evict_other_partition() {
         let mut set = CacheSet::new(4);
-        let low = WayMask::from_way_range(0, 2);
-        let high = WayMask::from_way_range(2, 2);
+        let low = Cbm::from_way_range(0, 2);
+        let high = Cbm::from_way_range(2, 2);
         set.fill(LineAddr(100), high, 0);
         for i in 0..10 {
             set.fill(LineAddr(i), low, 0);
@@ -680,7 +674,7 @@ mod tests {
     #[test]
     fn hit_possible_outside_fill_mask() {
         let mut set = CacheSet::new(4);
-        let high = WayMask::from_way_range(2, 2);
+        let high = Cbm::from_way_range(2, 2);
         set.fill(LineAddr(5), high, 0);
         // A core whose mask excludes ways 2-3 still *hits* on the line.
         assert!(set.lookup(LineAddr(5)).is_some());
@@ -710,7 +704,7 @@ mod tests {
     fn empty_mask_fill_panics_when_full() {
         let mut set = CacheSet::new(2);
         // A mask outside the set's associativity behaves like an empty mask.
-        let bad = WayMask::from_way_range(2, 2);
+        let bad = Cbm::from_way_range(2, 2);
         set.fill(LineAddr(1), bad, 0);
     }
 
@@ -803,7 +797,7 @@ mod tests {
         set.fill(LineAddr(30), full_mask(4), 0);
         set.fill(LineAddr(10), full_mask(4), 0);
         set.invalidate(LineAddr(30));
-        set.fill(LineAddr(20), WayMask::from_way_range(2, 2), 0);
+        set.fill(LineAddr(20), Cbm::from_way_range(2, 2), 0);
         let lines: Vec<LineAddr> = set.resident_lines().collect();
         assert_eq!(lines, vec![LineAddr(10), LineAddr(20)]);
     }
@@ -814,7 +808,8 @@ mod tests {
         for i in 0..4u64 {
             set.fill(LineAddr(i), full_mask(4), 0);
         }
-        let dropped = set.invalidate_ways(WayMask::from_way_range(1, 2));
+        let mut dropped = Vec::new();
+        set.drain_lines_in(Cbm::from_way_range(1, 2), |gone| dropped.push(gone.line));
         assert_eq!(dropped, vec![LineAddr(1), LineAddr(2)]);
         assert_eq!(set.occupancy(), 2);
     }
@@ -829,7 +824,7 @@ mod tests {
     #[test]
     fn thirty_two_way_set_works_at_the_mask_edge() {
         let mut set = CacheSet::new(32);
-        let mask = WayMask::all(32);
+        let mask = Cbm::full(32);
         for i in 0..32u64 {
             assert_eq!(set.fill(LineAddr(i), mask, 0).evicted, None);
         }

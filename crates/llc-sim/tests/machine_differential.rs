@@ -37,9 +37,9 @@ use std::iter::once;
 
 use llc_sim::set::{Evicted, MAX_STAMP};
 use llc_sim::{
-    AccessKind, CacheGeometry, CoreCounters, FrameAllocator, FramePolicy, Hierarchy,
+    AccessKind, CacheGeometry, Cbm, CoreCounters, FrameAllocator, FramePolicy, Hierarchy,
     HierarchyConfig, HitLevel, LineAddr, PageMapper, PageSize, PhysAddr, ReplacementPolicy,
-    VirtAddr, WayMask, LINE_SHIFT,
+    VirtAddr, LINE_SHIFT,
 };
 use prop_lite::Gen;
 use reference::Machine;
@@ -133,7 +133,7 @@ impl Rig {
         self.check_counters();
     }
 
-    fn flush(&mut self, mask: WayMask) {
+    fn flush(&mut self, mask: Cbm) {
         let dropped = self.model.flush_mask(mask);
         assert_eq!(self.h.flush_mask(mask), dropped, "flush of {mask:?}");
         self.sweep();
@@ -245,10 +245,10 @@ fn hot_lines(rig: &mut Rig, g: &mut Gen, hot: &[u32], depth: usize) -> Vec<Vec<u
 }
 
 /// A contiguous mask, often of a few ways only.
-fn random_mask(g: &mut Gen, ways: u32) -> WayMask {
+fn random_mask(g: &mut Gen, ways: u32) -> Cbm {
     let start = g.u32_in(0, ways - 1);
     let widest = if g.bool_with(0.5) { 3 } else { ways };
-    WayMask::from_way_range(start, g.u32_in(1, (ways - start).min(widest)))
+    Cbm::from_way_range(start, g.u32_in(1, (ways - start).min(widest)))
 }
 
 /// Re-ranks a `ways`-way set has made after `refs` references: the first

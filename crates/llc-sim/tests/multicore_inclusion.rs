@@ -23,8 +23,8 @@
 //! performance change.
 
 use llc_sim::{
-    AccessKind, CacheGeometry, Hierarchy, HierarchyConfig, HitLevel, ReplacementPolicy,
-    SimFidelity, WayMask,
+    AccessKind, CacheGeometry, Cbm, Hierarchy, HierarchyConfig, HitLevel, ReplacementPolicy,
+    SimFidelity,
 };
 use prop_lite::Gen;
 
@@ -44,14 +44,14 @@ fn hierarchy(llc: CacheGeometry, policy: ReplacementPolicy, fidelity: SimFidelit
 
 enum Op {
     Access { core: u32, line: u64 },
-    SetMask { core: u32, mask: WayMask },
-    Flush { mask: WayMask },
+    SetMask { core: u32, mask: Cbm },
+    Flush { mask: Cbm },
 }
 
-fn random_mask(g: &mut Gen, ways: u32) -> WayMask {
+fn random_mask(g: &mut Gen, ways: u32) -> Cbm {
     let start = g.u32_in(0, ways - 1);
     let count = g.u32_in(1, ways - start);
-    WayMask::from_way_range(start, count)
+    Cbm::from_way_range(start, count)
 }
 
 fn random_op(g: &mut Gen, llc_ways: u32, universe: u64) -> Op {

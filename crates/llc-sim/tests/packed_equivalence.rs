@@ -16,7 +16,7 @@ mod reference;
 
 use llc_sim::replacement::ReplacementPolicy;
 use llc_sim::set::{Evicted, MAX_FILLERS};
-use llc_sim::{CacheGeometry, LineAddr, SetAssocCache, WayMask};
+use llc_sim::{CacheGeometry, Cbm, LineAddr, SetAssocCache};
 use reference::Llc;
 
 /// Drives one randomized op sequence through the cache and the model.
@@ -58,7 +58,7 @@ fn equivalence_cases(policy: ReplacementPolicy) {
                 }
                 _ => {
                     packed.flush();
-                    oracle.drain(WayMask::all(ways));
+                    oracle.drain(Cbm::full(ways));
                 }
             }
             // Probe a line both ways without touching replacement state.
@@ -66,7 +66,7 @@ fn equivalence_cases(policy: ReplacementPolicy) {
             assert_eq!(packed.probe(probe), oracle.probe(probe), "probe diverged");
             let held: Vec<(u32, Evicted)> = packed.set(0).residents().collect();
             assert_eq!(held, oracle.set(0), "the set diverged");
-            let in_mask = held.iter().filter(|(way, _)| mask.contains(*way));
+            let in_mask = held.iter().filter(|(way, _)| mask.contains_way(*way));
             assert_eq!(packed.occupancy(), held.len() as u64);
             assert_eq!(packed.occupancy_in(mask), in_mask.count() as u64);
             let owner = g.u32_in(0, MAX_FILLERS - 1);
@@ -76,10 +76,10 @@ fn equivalence_cases(policy: ReplacementPolicy) {
     });
 }
 
-fn random_nonempty_mask(g: &mut prop_lite::Gen, ways: u32) -> WayMask {
+fn random_nonempty_mask(g: &mut prop_lite::Gen, ways: u32) -> Cbm {
     let start = g.u32_in(0, ways - 1);
     let count = g.u32_in(1, ways - start);
-    WayMask::from_way_range(start, count)
+    Cbm::from_way_range(start, count)
 }
 
 #[test]

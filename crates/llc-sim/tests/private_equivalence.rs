@@ -2,7 +2,7 @@
 //! replaced behind `Hierarchy`'s L1 and L2.
 //!
 //! The recency list keeps no stamps, clock, occupancy word or owner word;
-//! `SetAssocCache::new(g)` under `WayMask::all` is what the private caches
+//! `SetAssocCache::new(g)` under `Cbm::all` is what the private caches
 //! used to be and stays as the oracle. Both are driven in lockstep through
 //! randomized sequences of access / touch / fill of an absent line /
 //! invalidate / flush, and after *every* operation they must agree on the
@@ -15,21 +15,21 @@
 //! socket's `l2()`, and a set count that is not a power of two — 12 000
 //! in all.
 
-use llc_sim::{AccessOutcome, CacheGeometry, LineAddr, PrivateCache, SetAssocCache, WayMask};
+use llc_sim::{AccessOutcome, CacheGeometry, Cbm, LineAddr, PrivateCache, SetAssocCache};
 
 /// The oracle's half of an operation the stamped cache has no single call
 /// for: `touch` is an access that only happens when the line is resident,
 /// `fill` one that only happens when it is not.
 struct Oracle {
     cache: SetAssocCache,
-    mask: WayMask,
+    mask: Cbm,
 }
 
 impl Oracle {
     fn new(geometry: CacheGeometry) -> Self {
         Oracle {
             cache: SetAssocCache::new(geometry),
-            mask: WayMask::all(geometry.ways),
+            mask: Cbm::full(geometry.ways),
         }
     }
 

@@ -8,8 +8,8 @@
 )]
 
 use llc_sim::{
-    AccessKind, CacheGeometry, FrameAllocator, FramePolicy, Hierarchy, HierarchyConfig, LineAddr,
-    PageMapper, PageSize, SetAssocCache, SimFidelity, VirtAddr, WayMask,
+    AccessKind, CacheGeometry, Cbm, FrameAllocator, FramePolicy, Hierarchy, HierarchyConfig,
+    LineAddr, PageMapper, PageSize, SetAssocCache, SimFidelity, VirtAddr,
 };
 
 fn small_hierarchy(llc_ways: u32) -> Hierarchy {
@@ -31,7 +31,7 @@ fn partition_occupancy_bounded() {
         let count = g.u32_in(1, 2);
         let geometry = CacheGeometry::new(32, 8, 64);
         let mut cache = SetAssocCache::new(geometry);
-        let mask = WayMask::from_way_range(start, count);
+        let mask = Cbm::from_way_range(start, count);
         for line in lines {
             cache.access_as(LineAddr(line), mask, 0);
         }
@@ -49,8 +49,8 @@ fn hierarchy_is_inclusive() {
         let accesses: Vec<(u64, u32)> =
             g.vec_of(1, 499, |g| (g.u64_in(0, (1u64 << 16) - 1), g.u32_in(0, 1)));
         let mut h = small_hierarchy(8);
-        h.set_fill_mask(0, WayMask::from_way_range(0, 4));
-        h.set_fill_mask(1, WayMask::from_way_range(4, 4));
+        h.set_fill_mask(0, Cbm::from_way_range(0, 4));
+        h.set_fill_mask(1, Cbm::from_way_range(4, 4));
         let mut touched = Vec::new();
         for (addr, core) in accesses {
             let addr = addr & !63;
@@ -124,7 +124,7 @@ fn mru_line_survives_one_fill() {
         let fresh = g.u64_in(64, 127);
         let geometry = CacheGeometry::new(1, 8, 64); // single set
         let mut cache = SetAssocCache::new(geometry);
-        let mask = WayMask::from_way_range(0, 4);
+        let mask = Cbm::from_way_range(0, 4);
         for l in &seed_lines {
             cache.access_as(LineAddr(*l), mask, 0);
         }

@@ -14,8 +14,8 @@
 //! shapes: 8-way with a power-of-two set count, 1-way, 5-way and 24-set.
 
 use llc_sim::{
-    AccessKind, CacheGeometry, CoreCounters, Hierarchy, HierarchyConfig, HitLevel,
-    ReplacementPolicy, SimFidelity, WayMask,
+    AccessKind, CacheGeometry, Cbm, CoreCounters, Hierarchy, HierarchyConfig, HitLevel,
+    ReplacementPolicy, SimFidelity,
 };
 use prop_lite::Gen;
 
@@ -50,10 +50,10 @@ fn hierarchy(
 
 /// A mask most cores share a way of: fills of one core evict lines that
 /// other cores hit.
-fn overlapping_mask(g: &mut Gen, ways: u32) -> WayMask {
+fn overlapping_mask(g: &mut Gen, ways: u32) -> Cbm {
     let start = g.u32_in(0, ways - 1);
     let count = g.u32_in(1, (ways - start).min(2));
-    WayMask::from_way_range(start, count)
+    Cbm::from_way_range(start, count)
 }
 
 /// One run: a core and its references, half of them from a four-line hot

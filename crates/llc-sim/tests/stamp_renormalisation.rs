@@ -23,13 +23,13 @@ mod reference;
 
 use llc_sim::replacement::ReplacementPolicy;
 use llc_sim::set::{MAX_FILLERS, MAX_STAMP};
-use llc_sim::{CacheGeometry, LineAddr, SetAssocCache, WayMask};
+use llc_sim::{CacheGeometry, Cbm, LineAddr, SetAssocCache};
 use reference::Llc;
 
-fn random_nonempty_mask(g: &mut prop_lite::Gen, ways: u32) -> WayMask {
+fn random_nonempty_mask(g: &mut prop_lite::Gen, ways: u32) -> Cbm {
     let start = g.u32_in(0, ways - 1);
     let count = g.u32_in(1, ways - start);
-    WayMask::from_way_range(start, count)
+    Cbm::from_way_range(start, count)
 }
 
 /// Re-ranks a `ways`-way set has made after `accesses` accesses: the first

@@ -27,8 +27,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use llc_sim::set::Evicted;
 use llc_sim::{
-    AccessOutcome, CacheGeometry, CoreCounters, FrameAllocator, HierarchyConfig, HitLevel,
-    LineAddr, PageSize, PhysAddr, ReplacementPolicy, VirtAddr, WayMask,
+    AccessOutcome, CacheGeometry, Cbm, CoreCounters, FrameAllocator, HierarchyConfig, HitLevel,
+    LineAddr, PageSize, PhysAddr, ReplacementPolicy, VirtAddr,
 };
 use smallrng::SmallRng;
 
@@ -109,7 +109,7 @@ impl Private {
 struct Core {
     l1: Private,
     l2: Private,
-    mask: WayMask,
+    mask: Cbm,
     counters: CoreCounters,
 }
 
@@ -142,7 +142,7 @@ impl Machine {
         let core = || Core {
             l1: Private::new(config.l1),
             l2: Private::new(config.l2),
-            mask: WayMask::all(config.llc.ways),
+            mask: Cbm::full(config.llc.ways),
             counters: CoreCounters::default(),
         };
         Machine {
@@ -180,7 +180,7 @@ impl Machine {
         (self.pages.len(), self.frames.used_bytes())
     }
 
-    pub fn set_fill_mask(&mut self, core: u32, mask: WayMask) {
+    pub fn set_fill_mask(&mut self, core: u32, mask: Cbm) {
         self.cores[core as usize].mask = mask;
     }
 
@@ -229,7 +229,7 @@ impl Machine {
 
     /// Empties the ways `mask` permits in every set; returns how many lines
     /// left.
-    pub fn flush_mask(&mut self, mask: WayMask) -> u64 {
+    pub fn flush_mask(&mut self, mask: Cbm) -> u64 {
         let gone = self.llc.take_ways(mask);
         for line in &gone {
             self.leave_private_caches(line);
@@ -276,7 +276,7 @@ impl Llc {
 
     /// `SetAssocCache::access_as`: `core` hits `line` in any way or fills
     /// it into a way `mask` permits.
-    pub fn access_as(&mut self, line: LineAddr, mask: WayMask, core: u32) -> AccessOutcome {
+    pub fn access_as(&mut self, line: LineAddr, mask: Cbm, core: u32) -> AccessOutcome {
         match self.access(line, mask, core) {
             (true, _) => AccessOutcome::Hit,
             (false, gone) => AccessOutcome::Miss {
@@ -286,7 +286,7 @@ impl Llc {
     }
 
     /// A hit, or a fill and what it evicted.
-    fn access(&mut self, line: LineAddr, mask: WayMask, core: u32) -> (bool, Option<Line>) {
+    fn access(&mut self, line: LineAddr, mask: Cbm, core: u32) -> (bool, Option<Line>) {
         self.clock += 1;
         let now = self.clock;
         let draw = self.next_draw();
@@ -300,7 +300,7 @@ impl Llc {
             hit.sharers.insert(core);
             return (true, None);
         }
-        let allowed = |way: &usize| mask.contains(*way as u32);
+        let allowed = |way: &usize| mask.contains_way(*way as u32);
         let permitted: Vec<usize> = (0..set.len()).filter(allowed).collect();
         let way = match permitted.iter().find(|&&way| set[way].is_none()) {
             Some(&free) => free,
@@ -344,11 +344,11 @@ impl Llc {
     }
 
     /// Empties the ways `mask` permits, set by set; returns what left.
-    fn take_ways(&mut self, mask: WayMask) -> Vec<Line> {
+    fn take_ways(&mut self, mask: Cbm) -> Vec<Line> {
         let mut gone = Vec::new();
         for set in self.sets.values_mut() {
             for (way, slot) in (0..).zip(set.iter_mut()) {
-                if mask.contains(way) {
+                if mask.contains_way(way) {
                     gone.extend(slot.take());
                 }
             }
@@ -357,7 +357,7 @@ impl Llc {
     }
 
     /// `SetAssocCache::drain_lines_in`: what left, as the cache reports it.
-    pub fn drain(&mut self, mask: WayMask) -> Vec<Evicted> {
+    pub fn drain(&mut self, mask: Cbm) -> Vec<Evicted> {
         self.take_ways(mask).iter().map(Line::reported).collect()
     }
 

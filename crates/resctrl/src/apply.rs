@@ -19,10 +19,10 @@
 //! other class holds and they join it there. Only if none can is the rest
 //! written in class order.
 
-use crate::cbm::Cbm;
 use crate::controller::{CacheController, CatCapabilities, CosId, ResctrlError};
 use crate::invariants;
 use crate::layout::LayoutPlanner;
+use cbm::Cbm;
 
 /// What the apply does with COS 0, the class of every unmanaged core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,6 +98,11 @@ impl Programmed {
     /// The class `core` is recorded in.
     pub fn cos_of(&self, core: u32) -> Option<CosId> {
         self.core_cos.get(core as usize).copied().flatten()
+    }
+
+    /// The mask of the class `core` is recorded in, as the backend holds it.
+    pub fn core_mask(&self, core: u32) -> Option<Cbm> {
+        self.mask(self.cos_of(core)?)
     }
 
     /// The mask last laid out under anchor key `anchor`.

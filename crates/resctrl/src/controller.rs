@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::cbm::Cbm;
+use cbm::Cbm;
 
 /// Identifier of a class of service (COS / CLOSID).
 ///

@@ -18,8 +18,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::cbm::Cbm;
 use crate::controller::{CacheController, CatCapabilities, CosId, ResctrlError};
+use cbm::Cbm;
 
 /// One kind of injected failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

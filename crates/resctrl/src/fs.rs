@@ -23,8 +23,8 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::cbm::Cbm;
 use crate::controller::{CacheController, CatCapabilities, CosId, ResctrlError};
+use cbm::Cbm;
 
 /// Parses a `cpus_list`-style string (`"0-3,7,9-10"`) into core indices.
 pub fn parse_cpu_list(s: &str) -> Result<Vec<u32>, ResctrlError> {

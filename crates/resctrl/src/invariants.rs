@@ -7,7 +7,7 @@
 //! invariants, which the control loop runs after every decision of every
 //! policy (and the `dcat-verify` model checker steps that loop).
 
-use crate::cbm::Cbm;
+use cbm::Cbm;
 
 /// Checks that `masks` form a legal CAT layout for a cache of `cbm_len`
 /// ways: every mask non-empty, contiguous, within range, and pairwise

@@ -13,9 +13,9 @@
 //! positions, so a group whose way count did not change — and whose
 //! left-neighbors did not change — keeps its exact mask.
 
-use crate::cbm::Cbm;
 use crate::controller::ResctrlError;
 use crate::invariants;
+use cbm::Cbm;
 
 /// Translates per-group way counts into concrete non-overlapping CBMs.
 #[derive(Debug, Clone, Copy)]

@@ -3,7 +3,8 @@
 //! This crate models what Intel's `pqos` library and Linux's resctrl
 //! filesystem expose: **classes of service** (COS), each carrying a
 //! **capacity bitmask** (CBM) over LLC ways, and an assignment from CPU
-//! cores to classes. dCat manipulates partitions only through the
+//! cores to classes. The mask is [`Cbm`], re-exported from the `cbm` leaf
+//! crate, so the simulator's fill masks are the same type. dCat manipulates partitions only through the
 //! [`CacheController`] trait, so the controller logic is byte-for-byte the
 //! same whether it drives:
 //!
@@ -62,7 +63,6 @@
 )]
 
 pub mod apply;
-pub mod cbm;
 pub mod controller;
 pub mod fault;
 pub mod fs;

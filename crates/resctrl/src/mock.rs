@@ -1,7 +1,7 @@
 //! An in-memory [`CacheController`] for unit-testing controller logic.
 
-use crate::cbm::Cbm;
 use crate::controller::{CacheController, CatCapabilities, CosId, ResctrlError};
+use cbm::Cbm;
 
 /// A record of one mutation, for asserting on controller behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,22 +44,32 @@ impl InMemoryController {
     /// Whether any two *in-use* classes (classes with at least one core
     /// assigned) have overlapping masks. dCat's isolation invariant is that
     /// this never holds.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "every assigned class passed `validate_cos`, and `cos_masks` holds one mask per class"
-    )]
     pub fn has_overlapping_active_masks(&self) -> bool {
-        let mut active: Vec<CosId> = self.core_assignment.clone();
+        self.has_overlapping_masks_among(|_| true)
+    }
+
+    /// [`Self::has_overlapping_active_masks`] over the in-use classes
+    /// `keep` selects.
+    pub fn has_overlapping_masks_among(&self, keep: impl Fn(CosId) -> bool) -> bool {
+        let active = self
+            .core_assignment
+            .iter()
+            .copied()
+            .filter(|&cos| keep(cos));
+        let mut active: Vec<CosId> = active.collect();
         active.sort_unstable();
         active.dedup();
-        for (i, a) in active.iter().enumerate() {
-            for b in &active[i + 1..] {
-                if self.cos_masks[a.0 as usize].overlaps(self.cos_masks[b.0 as usize]) {
-                    return true;
-                }
-            }
-        }
-        false
+        let mut seen = Cbm(0);
+        active.into_iter().any(|cos| {
+            let mask = self
+                .cos_masks
+                .get(usize::from(cos.0))
+                .copied()
+                .unwrap_or(Cbm(0));
+            let overlaps = mask.overlaps(seen);
+            seen = seen.union(mask);
+            overlaps
+        })
     }
 }
 

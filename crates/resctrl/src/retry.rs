@@ -15,8 +15,8 @@
 
 use std::time::Duration;
 
-use crate::cbm::Cbm;
 use crate::controller::{CacheController, CatCapabilities, CosId, ResctrlError};
+use cbm::Cbm;
 
 /// How hard to try before declaring an operation failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -35,28 +35,29 @@
 //! first draws seeded [`FaultPlan::random`] schedules; the second cuts
 //! applies short: [`Fault::CosWriteAfter`] lets the first *k* writes
 //! through and fails the rest, [`Fault::CoreAssign`] fails the core moves,
-//! on every third tick and in construction. After every tick, degraded or
-//! not, the backend's classes holding cores must be pairwise disjoint and
-//! the policy's audit must hold.
+//! on every third tick (where there is such a write) and in construction.
+//! After every tick, degraded or not, the backend's classes holding cores
+//! must be pairwise disjoint, the policy's audit must hold and every
+//! report must show the mask the backend holds for its domain.
 //!
 //! [`run`] returns what was explored and every violation; the binary
-//! prints them and exits non-zero on any violation, or when a full run
-//! explored, injected or cut short less than its floors
-//! ([`Report::verdict`]).
+//! prints them and exits non-zero on any violation (in a full run, a tick
+//! family that injected nothing is one), or when a full run explored,
+//! injected or cut short less than its floors ([`Report::verdict`]).
 
 use std::cell::RefCell;
 use std::time::Duration;
 
 use dcat::{
-    CachePolicy, ControlLoop, CsvTelemetry, DcatConfig, DcatController, Event, FaultyTelemetry,
-    LfocConfig, LfocPolicy, MemshareConfig, MemsharePolicy, ResiliencePolicy, StaticCatPolicy,
-    TelemetryFeed, Totals, WorkloadClass, WorkloadHandle,
+    CachePolicy, ControlLoop, CsvTelemetry, DcatConfig, DcatController, DegradeReason, Event,
+    FaultyTelemetry, LfocConfig, LfocPolicy, MemshareConfig, MemsharePolicy, ResiliencePolicy,
+    StaticCatPolicy, TelemetryFeed, Totals, WorkloadClass, WorkloadHandle,
 };
 use dcat_obs::Tracer;
 use perf_events::CounterSnapshot;
 use resctrl::fault::{Fault, FaultPlan, FaultingController};
 use resctrl::retry::{RetryPolicy, RetryingController};
-use resctrl::{CacheController, CatCapabilities, Cbm, CosId, InMemoryController, ResctrlError};
+use resctrl::{CacheController, CatCapabilities, CosId, InMemoryController, ResctrlError};
 
 /// Instructions retired per synthesized interval.
 const INSTRUCTIONS: f64 = 1_000_000.0;
@@ -464,18 +465,19 @@ const FAULT_RATE: f64 = 0.3;
 /// the faulted tick; if that steering stops working the injected count
 /// collapses (to 3 189 without it) and the run must fail rather than
 /// report that all invariants held over next to nothing. The values are
-/// what the dimension reached when every tick still rewrote COS 0 and so
-/// every scheduled fault landed.
+/// what the dimension reached when every tick still rewrote COS 0, and
+/// when the degraded floor began counting only backend-degraded ticks
+/// (telemetry faults degrade ticks steered or not; unsteered: 814).
 const INJECTED_FLOOR: usize = 7_374;
-const DEGRADED_FLOOR: u64 = 1_860;
+const DEGRADED_FLOOR: u64 = 2_322;
 /// Applies a full run's mid-apply family must cut short under each policy
 /// that reprograms after construction (static CAT never does).
 const CUT_SHORT_FLOOR: u64 = 20;
 
 /// What the mid-apply family schedules on every [`MID_APPLY_EVERY`]th
 /// tick: the first *k* writes land and the rest fail, for every *k* up to
-/// 7, or the core moves fail. On the pools every tenant that can move is
-/// nudged, so the tick writes several classes.
+/// 7, or (last) the core moves fail. On the pools every tenant that can
+/// move is nudged, so the tick writes several classes.
 const MID_APPLY_FAULTS: [Fault; 9] = [
     Fault::CosWriteAfter(0),
     Fault::CosWriteAfter(1),
@@ -545,6 +547,18 @@ impl Policy {
             Policy::StaticCat => 1,
             Policy::Lfoc => 2,
             Policy::Memshare => 3,
+        }
+    }
+
+    /// Whether `fault` on a tick after construction has a write to hit:
+    /// dCat moves no core once built, static CAT never writes again, and
+    /// on the churn shapes an LFOC apply writes ≤ 6 masks, Memshare's ≤ 5.
+    fn hits_after_construction(self, fault: Fault) -> bool {
+        match (self, fault) {
+            (Policy::StaticCat, _) | (Policy::Dcat(_), Fault::CoreAssign) => false,
+            (Policy::Lfoc, Fault::CosWriteAfter(k)) => k < 6,
+            (Policy::Memshare, Fault::CosWriteAfter(k)) => k < 5,
+            _ => true,
         }
     }
 
@@ -675,25 +689,6 @@ fn deltas(
         .collect()
 }
 
-/// [`InMemoryController::has_overlapping_active_masks`] with COS 0 left
-/// out: while a construction is under way, the cores it has not moved yet
-/// still sit in the full-mask default class.
-fn tenant_classes_overlap(cat: &InMemoryController) -> bool {
-    let mut classes: Vec<CosId> = (0..cat.num_cores())
-        .filter_map(|core| cat.core_cos(core).ok())
-        .filter(|&cos| cos != CosId(0))
-        .collect();
-    classes.sort_unstable();
-    classes.dedup();
-    let mut seen = Cbm(0);
-    classes.into_iter().any(|cos| {
-        let mask = cat.cos_mask(cos).unwrap_or(Cbm(0));
-        let overlaps = mask.overlaps(seen);
-        seen = seen.union(mask);
-        overlaps
-    })
-}
-
 /// Drives `policy` over `shape` through `plan` and checks the backend and
 /// the loop's audit after **every** tick, degraded or not, and after a
 /// construction the plan cuts off.
@@ -732,11 +727,7 @@ fn run_fault_scenario(
     // tenant classes checked: the cores it has not reached yet still sit
     // in the full-mask default class.
     let (cut, backend) = (built.is_none(), cat.inner_mut().inner());
-    let overlap = if cut {
-        tenant_classes_overlap(backend)
-    } else {
-        backend.has_overlapping_active_masks()
-    };
+    let overlap = backend.has_overlapping_masks_among(|cos| !cut || cos != CosId(0));
     if overlap {
         return Err(failed(0, "classes overlap after construction".to_string()));
     }
@@ -747,8 +738,10 @@ fn run_fault_scenario(
             ticks: 0,
             injected: cat.inner_mut().injected().len(),
             degraded: u64::from(cut),
+            resctrl_degraded: 0,
         });
     };
+    let first_cores: Vec<Option<u32>> = domains.iter().map(|h| h.cores.first().copied()).collect();
     let mut lp = ControlLoop::new(built, domains, RESILIENCE)
         .expect("the checker's resilience policy is valid");
     let rig = RefCell::new(Rig(vec![CounterSnapshot::default(); n]));
@@ -762,7 +755,7 @@ fn run_fault_scenario(
     };
     let mut ways = reserved;
     let mut shifted = vec![false; n];
-    let mut degraded = 0u64;
+    let (mut degraded, mut resctrl_degraded) = (0u64, 0u64);
     for tick in 1..=FAULT_TICKS {
         cat.inner_mut().set_tick(tick);
         let backend_fault = plan.faults_at(tick).iter().any(|f| {
@@ -778,15 +771,27 @@ fn run_fault_scenario(
             .step(&mut telemetry, &mut cat, &mut Tracer::disabled(), |_, _| {})
             .map_err(|e| failed(tick, format!("fatal error under injected faults: {e}")))?;
         degraded += u64::from(obs.degraded);
+        resctrl_degraded += u64::from(obs.degrade_reason() == Some(DegradeReason::Resctrl));
         if let Some(message) = audit_failure(obs.events) {
             return Err(failed(tick, message));
         }
         for (w, r) in ways.iter_mut().zip(obs.reports) {
             *w = r.ways;
         }
-        if cat.inner_mut().inner().has_overlapping_active_masks() {
+        let backend = cat.inner_mut().inner();
+        if backend.has_overlapping_active_masks() {
             let message = "two classes holding cores overlap in the backend";
             return Err(failed(tick, message.to_string()));
+        }
+        // Degraded or not, a report shows the mask its domain's cores sit
+        // under, not one a cut-short apply already moved.
+        for (i, (r, core)) in obs.reports.iter().zip(&first_cores).enumerate() {
+            let cos = core.and_then(|c| backend.core_cos(c).ok());
+            let held = cos.and_then(|cos| backend.cos_mask(cos).ok());
+            if r.cbm != held.map(|m| u64::from(m.0)) {
+                let message = format!("domain {i} reports {:?}; {cos:?} holds {held:?}", r.cbm);
+                return Err(failed(tick, message));
+            }
         }
     }
     Ok(FaultCounts {
@@ -794,6 +799,7 @@ fn run_fault_scenario(
         ticks: FAULT_TICKS,
         injected: cat.inner_mut().injected().len(),
         degraded,
+        resctrl_degraded,
     })
 }
 
@@ -808,6 +814,8 @@ pub struct FaultCounts {
     pub injected: usize,
     /// Ticks that ended degraded, and constructions cut off.
     pub degraded: u64,
+    /// Of those ticks, the ones a backend failure degraded.
+    pub resctrl_degraded: u64,
 }
 
 impl FaultCounts {
@@ -816,6 +824,7 @@ impl FaultCounts {
         self.ticks += run.ticks;
         self.injected += run.injected;
         self.degraded += run.degraded;
+        self.resctrl_degraded += run.resctrl_degraded;
     }
 }
 
@@ -851,7 +860,8 @@ pub struct Report {
     pub counts: Counts,
     /// Temporal-property and invariant violations of the lattice.
     pub violations: Vec<String>,
-    /// Violations under injected faults, either family.
+    /// Violations under injected faults, either family, and mid-apply
+    /// tick families that injected nothing.
     pub fault_violations: Vec<String>,
 }
 
@@ -869,9 +879,9 @@ impl Report {
             for (family, f) in [("seeded fault", &p.fault), ("mid-apply", &p.mid_apply)] {
                 out += &format!(
                     "dcat-verify: {name}: {family} family ran {} schedules ({} ticks, \
-                     {} faults injected, {} ticks degraded or constructions cut off, \
-                     invariants checked every tick)\n",
-                    f.schedules, f.ticks, f.injected, f.degraded
+                     {} faults injected, {} ticks degraded ({} by the backend) or \
+                     constructions cut off, invariants checked every tick)\n",
+                    f.schedules, f.ticks, f.injected, f.degraded, f.resctrl_degraded
                 );
             }
         }
@@ -906,12 +916,12 @@ impl Report {
             }
         }
         let dcat = c.policies[0].fault;
-        let (injected, degraded) = (dcat.injected, dcat.degraded);
+        let (injected, degraded) = (dcat.injected, dcat.resctrl_degraded);
         if !smoke && (injected < INJECTED_FLOOR || degraded < DEGRADED_FLOOR) {
             return Err(vec![format!(
-                "dcat's seeded schedules injected {injected} faults over {degraded} degraded \
-                 ticks, below the documented floor of {INJECTED_FLOOR} / {DEGRADED_FLOOR}: the \
-                 scheduled write faults are landing on ticks that write nothing"
+                "dcat's seeded schedules injected {injected} faults over {degraded} ticks the \
+                 backend degraded, below the documented floor of {INJECTED_FLOOR} / \
+                 {DEGRADED_FLOOR}: the scheduled write faults land on ticks that write nothing"
             )]);
         }
         if !self.violations.is_empty() {
@@ -1021,19 +1031,21 @@ pub fn run(smoke: bool) -> Report {
     // move (minimum = reservation, no free way): their faults land nowhere.
     let fault_seeds: u64 = if smoke { 2 } else { 12 };
     let mut fault_violations = Vec::new();
+    let mut tick_injected = [[None; MID_APPLY_FAULTS.len()]; POLICIES.len()];
     for (ci, (policy, shapes)) in runs.iter().enumerate() {
         let mut record = |family: fn(&mut PolicyCounts) -> &mut FaultCounts,
                           shape,
                           plan: FaultPlan,
                           nudged,
                           what: String| {
-            match run_fault_scenario(*policy, shape, plan, nudged) {
-                Ok(run) => family(&mut counts.policies[policy.index()]).add(run),
-                Err(v) => fault_violations.push(format!(
-                    "  tick {} of {policy:?} over {shape:?}, {what}: {}",
-                    v.tick, v.message
-                )),
-            }
+            let run = run_fault_scenario(*policy, shape, plan, nudged).unwrap_or_else(|v| {
+                let (tick, message) = (v.tick, v.message);
+                let line = format!("  tick {tick} of {policy:?} over {shape:?}, {what}: {message}");
+                fault_violations.push(line);
+                FaultCounts::default()
+            });
+            family(&mut counts.policies[policy.index()]).add(run);
+            run.injected
         };
         for (pi, &shape) in shapes.iter().enumerate() {
             for stream in 0..fault_seeds {
@@ -1045,17 +1057,31 @@ pub fn run(smoke: bool) -> Report {
                 record(|p| &mut p.fault, shape, plan, 1, format!("seed {seed}"));
             }
             // --- Mid-apply: each faulted apply's first k writes land, the
-            // rest fail; then a construction cut off the same way.
-            for fault in MID_APPLY_FAULTS {
-                let ticks = (1..=FAULT_TICKS).filter(|t| t % MID_APPLY_EVERY == 0);
-                let plan = FaultPlan::scripted(ticks.map(|t| (t, fault)));
-                let what = format!("{fault:?} every {MID_APPLY_EVERY}rd tick");
-                record(|p| &mut p.mid_apply, shape, plan, usize::MAX, what);
+            // rest fail, where the policy has such an apply after
+            // construction; then a construction cut off the same way.
+            for (k, fault) in MID_APPLY_FAULTS.into_iter().enumerate() {
+                if policy.hits_after_construction(fault) {
+                    let ticks = (1..=FAULT_TICKS).filter(|t| t % MID_APPLY_EVERY == 0);
+                    let plan = FaultPlan::scripted(ticks.map(|t| (t, fault)));
+                    let what = format!("{fault:?} every {MID_APPLY_EVERY}rd tick");
+                    let injected = record(|p| &mut p.mid_apply, shape, plan, usize::MAX, what);
+                    *tick_injected[policy.index()][k].get_or_insert(0) += injected;
+                }
                 let plan = FaultPlan::scripted([(0, fault)]);
                 let what = format!("{fault:?} in construction");
                 record(|p| &mut p.mid_apply, shape, plan, 0, what);
             }
         }
+    }
+    // A tick family with nothing to hit checks nothing: it must not run.
+    // (The smoke subset's one churn shape leaves some writes unreached.)
+    for (name, row) in POLICIES.iter().zip(tick_injected).filter(|_| !smoke) {
+        let dead = MID_APPLY_FAULTS
+            .iter()
+            .zip(row)
+            .filter(|(_, n)| *n == Some(0));
+        let every = format!("every {MID_APPLY_EVERY}rd tick injected nothing");
+        fault_violations.extend(dead.map(|(fault, _)| format!("  {name}: {fault:?} {every}")));
     }
     Report {
         counts,

@@ -13,22 +13,31 @@ fn a_full_run_explores_and_injects_exactly_the_recorded_counts() {
         (25_344, 2_304, 8, 846_144)
     );
     // Per policy, the seeded then the mid-apply family: schedules, ticks,
-    // faults injected, ticks degraded (and constructions cut off).
-    let rows = c
-        .policies
-        .map(|p| [p.fault, p.mid_apply].map(|f| (f.schedules, f.ticks, f.injected, f.degraded)));
+    // faults injected, ticks degraded (and constructions cut off), and of
+    // those ticks the ones a backend failure degraded.
+    let rows = c.policies.map(|p| {
+        [p.fault, p.mid_apply].map(|f| {
+            (
+                f.schedules,
+                f.ticks,
+                f.injected,
+                f.degraded,
+                f.resctrl_degraded,
+            )
+        })
+    });
     let policies = ["dcat", "static-cat", "lfoc", "memshare"];
     assert_eq!(dcat_verify::POLICIES, policies);
     assert_eq!(
         rows,
         [
             [
-                (1_824, 87_552, 9_218, 5_713),
-                (2_736, 65_664, 18_288, 6_096)
+                (1_824, 87_552, 9_218, 5_713, 2_322),
+                (2_584, 58_368, 18_312, 6_104, 5_360)
             ],
-            [(36, 1_728, 0, 71), (54, 1_296, 54, 18)],
-            [(36, 1_728, 288, 138), (54, 1_296, 462, 154)],
-            [(36, 1_728, 300, 155), (54, 1_296, 486, 162)],
+            [(36, 1_728, 0, 71, 0), (27, 0, 54, 18, 0)],
+            [(36, 1_728, 288, 138, 77), (48, 1_008, 462, 154, 148)],
+            [(36, 1_728, 300, 155, 86), (45, 864, 486, 162, 150)],
         ]
     );
 }

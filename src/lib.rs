@@ -39,7 +39,7 @@ pub mod prelude {
         StaticCatPolicy, WorkloadClass, WorkloadHandle,
     };
     pub use host::{Engine, EngineConfig, VmEpochStats, VmSpec};
-    pub use llc_sim::{CacheGeometry, Hierarchy, HierarchyConfig, LatencyModel, WayMask};
+    pub use llc_sim::{CacheGeometry, Hierarchy, HierarchyConfig, LatencyModel};
     pub use perf_events::{CounterSnapshot, IntervalMetrics};
     pub use resctrl::{CacheController, CatCapabilities, Cbm, CosId, InMemoryController};
     pub use workloads::{

@@ -18,8 +18,8 @@ fn matching(text: &str, banned: impl Fn(&str) -> bool) -> Vec<usize> {
         .collect()
 }
 
-/// DL002: raw CBM bit arithmetic — way masks go through the `resctrl::cbm`
-/// API. Space-delimited shifts (generics like `Vec<Option<Cbm>>` have none)
+/// DL002: raw CBM bit arithmetic — way masks go through the `cbm::Cbm`
+/// API, which lives in its own crate outside the checked ones. Space-delimited shifts (generics like `Vec<Option<Cbm>>` have none)
 /// and a single `&`/`|`/`^` applied to a `.0` field.
 fn cbm_bits(text: &str) -> Vec<usize> {
     matching(text, |line| {
@@ -149,7 +149,7 @@ fn the_tree_breaks_no_source_rule() {
         let mut check = |code: &str, rule: fn(&str) -> Vec<usize>| {
             findings.extend(rule(&text).into_iter().map(|n| format!("{code} {rel}:{n}")));
         };
-        if src_of(&["dcat", "resctrl", "host"]) && !rel.ends_with("/cbm.rs") {
+        if src_of(&["dcat", "resctrl", "host"]) {
             check("DL002", cbm_bits);
         }
         if src_of(&["dcat", "perf-events"]) {
