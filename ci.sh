@@ -112,7 +112,8 @@ echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch co
 # array's fast path taken for an 8-way cache of any set count (§14); 33
 # the apply recording a core's move before the backend took it, 34 a mask
 # before the backend took it, and 35 a cut-short apply lending the last
-# tick's masks unrewritten (§10.2).
+# tick's masks unrewritten (§10.2); 36 LFOC's way floor taken as 1, not
+# the hardware's `min_cbm_bits` (§10).
 # 22, the sharer mask's bit position, retired with the mask.
 sh tools/mutants.sh tests/mutants/*.patch
 

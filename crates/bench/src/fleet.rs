@@ -33,7 +33,7 @@
 
 use std::fmt::Write as _;
 
-use dcat::{DcatConfig, LfocConfig, MemshareConfig, Totals, WorkloadClass, WorkloadHandle};
+use dcat::{DcatConfig, LfocConfig, Totals, WorkloadClass, WorkloadHandle};
 use dcat_obs::Tracer;
 use host::{Engine, EngineConfig, Pool, VmSpec};
 use llc_sim::CacheGeometry;
@@ -220,7 +220,7 @@ impl FleetPolicy {
             FleetPolicy::DcatMaxFairness => PolicyKind::Dcat(DcatConfig::default()),
             FleetPolicy::DcatMaxPerformance => PolicyKind::Dcat(DcatConfig::max_performance()),
             FleetPolicy::Lfoc => PolicyKind::Lfoc(LfocConfig::default()),
-            FleetPolicy::Memshare => PolicyKind::Memshare(MemshareConfig::default()),
+            FleetPolicy::Memshare => PolicyKind::Memshare,
         }
     }
 }

@@ -106,7 +106,7 @@ pub enum PolicyKind {
     /// LFOC-style miss-rate clustering onto shared COS.
     Lfoc(LfocConfig),
     /// Memshare-style share accounting with a lending ledger.
-    Memshare(MemshareConfig),
+    Memshare,
 }
 
 impl PolicyKind {
@@ -117,7 +117,7 @@ impl PolicyKind {
             PolicyKind::StaticCat => "static-cat",
             PolicyKind::Dcat(_) => "dcat",
             PolicyKind::Lfoc(_) => "lfoc",
-            PolicyKind::Memshare(_) => "memshare",
+            PolicyKind::Memshare => "memshare",
         }
     }
 
@@ -134,7 +134,7 @@ impl PolicyKind {
             PolicyKind::StaticCat => Box::new(StaticCatPolicy::new(built, cat)?),
             PolicyKind::Dcat(cfg) => Box::new(DcatController::new(cfg, built, cat)?),
             PolicyKind::Lfoc(cfg) => Box::new(LfocPolicy::new(built, cat, cfg)?),
-            PolicyKind::Memshare(cfg) => Box::new(MemsharePolicy::new(built, cat, cfg)?),
+            PolicyKind::Memshare => Box::new(MemsharePolicy::new(built, cat, MemshareConfig)?),
         };
         // An engine's totals are exact: a VM whose workload just stopped
         // repeats them for real, so no repeat is a wedged sampler. With no
@@ -494,7 +494,7 @@ mod tests {
             PolicyKind::StaticCat,
             PolicyKind::Dcat(DcatConfig::default()),
             PolicyKind::Lfoc(dcat::LfocConfig::default()),
-            PolicyKind::Memshare(dcat::MemshareConfig::default()),
+            PolicyKind::Memshare,
         ] {
             let label = policy.label();
             let plans = vec![

@@ -40,18 +40,12 @@ pub struct DcatConfig {
     /// declared Streaming. The paper uses 3.
     pub streaming_multiplier: u32,
     /// Minimum ways any workload keeps (Intel x86 cannot allocate zero).
+    /// The controller raises it to the hardware's `min_cbm_bits`.
     pub min_ways: u32,
-    /// Relative IPC shortfall versus the baseline that triggers a reclaim
-    /// back to the reserved allocation (enforces the baseline guarantee
-    /// when donation shrank a workload too far).
-    pub baseline_margin: f64,
     /// Intervals to wait after a ways change before judging its effect
     /// (cache refill is not instantaneous; judging too early would
     /// misclassify receivers as streaming).
     pub settle_intervals: u32,
-    /// Quantization step for the phase signature when keying stored
-    /// performance tables (recurring-phase detection).
-    pub phase_bucket_quantum: f64,
     /// Free-pool distribution policy.
     pub policy: AllocationPolicy,
     /// Whether per-phase performance tables are archived and restored so a
@@ -70,9 +64,7 @@ impl Default for DcatConfig {
             phase_change_thr: 0.10,
             streaming_multiplier: 3,
             min_ways: 1,
-            baseline_margin: 0.05,
             settle_intervals: 2,
-            phase_bucket_quantum: 0.02,
             policy: AllocationPolicy::MaxFairness,
             enable_perf_table_reuse: true,
         }

@@ -205,7 +205,7 @@ impl DcatController {
     /// Domain `i` is bound to COS `i + 1` (COS 0 stays the default class
     /// for unmanaged cores).
     pub fn new(
-        config: DcatConfig,
+        mut config: DcatConfig,
         handles: Vec<WorkloadHandle>,
         cat: &mut dyn CacheController,
     ) -> Result<Self, ResctrlError> {
@@ -213,6 +213,7 @@ impl DcatController {
             .validate()
             .map_err(|e| ResctrlError::Parse(format!("invalid DcatConfig: {e}")))?;
         let caps = cat.capabilities();
+        config.min_ways = config.min_ways.max(caps.min_cbm_bits);
         let total_ways = caps.cbm_len;
         if handles.len() + 1 > caps.num_closids as usize {
             return Err(ResctrlError::Parse(format!(
@@ -483,7 +484,7 @@ impl DcatController {
         // forgets its phase; its next activity is a fresh phase.
         if m.is_idle() {
             if let Some(sig) = d.detector.signature() {
-                let bucket = PhaseDetector::bucket(sig, cfg.phase_bucket_quantum);
+                let bucket = PhaseDetector::bucket(sig);
                 let table = std::mem::replace(&mut d.table, PerformanceTable::new(self.total_ways));
                 if !table.is_empty() {
                     d.archived.insert(bucket, table);
@@ -513,9 +514,9 @@ impl DcatController {
             let Some(new_sig) = d.detector.signature() else {
                 return Some(false);
             };
-            let new_bucket = PhaseDetector::bucket(new_sig, cfg.phase_bucket_quantum);
+            let new_bucket = PhaseDetector::bucket(new_sig);
             if let PhaseChange::Changed { previous, .. } = change {
-                let old_bucket = PhaseDetector::bucket(previous, cfg.phase_bucket_quantum);
+                let old_bucket = PhaseDetector::bucket(previous);
                 let table = std::mem::replace(&mut d.table, PerformanceTable::new(self.total_ways));
                 if !table.is_empty() {
                     d.archived.insert(old_bucket, table);
@@ -653,9 +654,12 @@ impl DcatController {
         }
         d.class = rule.to;
 
+        /// Relative IPC shortfall versus the baseline that triggers a
+        /// reclaim back to the reserved allocation.
+        const BASELINE_MARGIN: f64 = 0.05;
         // Baseline guarantee: a workload sitting below its reserved size
         // whose performance fell below the baseline is restored at once.
-        if d.ways < d.reserved() && norm < 1.0 - cfg.baseline_margin && !d.class.wants_growth() {
+        if d.ways < d.reserved() && norm < 1.0 - BASELINE_MARGIN && !d.class.wants_growth() {
             // A *Streaming* workload suffering at the minimum allocation
             // was misclassified (true streaming is allocation-neutral).
             // Restore the reserved size and pin it there for the rest of

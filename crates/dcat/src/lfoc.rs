@@ -39,33 +39,28 @@ pub struct LfocConfig {
     /// Upper bound on simultaneously programmed clusters (each cluster
     /// occupies one COS). Clamped to the hardware's `num_closids - 1`.
     pub max_clusters: u32,
-    /// Way floor for every cluster (CAT forbids empty masks).
-    pub min_ways: u32,
     /// Re-cluster every this many ticks; between reclusterings the
     /// assignment is stable so tenants keep warm partitions.
     pub recluster_ticks: u64,
-    /// Weight of the newest observation in the feature EWMA (0..=1).
-    pub smoothing: f64,
-    /// `llc_ref / instruction` below which a domain is considered
-    /// cache-insensitive (idle or compute-bound).
-    pub idle_intensity: f64,
-    /// Smoothed miss rate above which a domain is treated as
-    /// streaming/thrashing (no allocation will help it).
-    pub streaming_miss_rate: f64,
 }
 
 impl Default for LfocConfig {
     fn default() -> Self {
         LfocConfig {
             max_clusters: 4,
-            min_ways: 1,
             recluster_ticks: 4,
-            smoothing: 0.5,
-            idle_intensity: 1e-3,
-            streaming_miss_rate: 0.9,
         }
     }
 }
+
+/// Weight of the newest observation in the feature EWMA.
+const SMOOTHING: f64 = 0.5;
+/// `llc_ref / instruction` below which a domain is considered
+/// cache-insensitive (idle or compute-bound).
+const IDLE_INTENSITY: f64 = 1e-3;
+/// Smoothed miss rate above which a domain is treated as
+/// streaming/thrashing (no allocation will help it).
+const STREAMING_MISS_RATE: f64 = 0.9;
 
 /// Smoothed per-domain behavior signature.
 #[derive(Debug, Clone, Copy, Default)]
@@ -84,6 +79,8 @@ const INSENSITIVE: usize = 0;
 /// LFOC-style clustering policy behind [`CachePolicy`].
 pub struct LfocPolicy {
     cfg: LfocConfig,
+    /// Way floor for every cluster: the hardware's `min_cbm_bits`.
+    min_ways: u32,
     tracker: MetricsTracker,
     features: Vec<Feature>,
     /// Cluster id per domain (0 = insensitive bucket).
@@ -108,11 +105,11 @@ impl LfocPolicy {
         let caps = cat.capabilities();
         let hw_clusters = caps.num_closids.saturating_sub(1).max(1);
         cfg.max_clusters = cfg.max_clusters.clamp(1, hw_clusters);
-        cfg.min_ways = cfg.min_ways.max(caps.min_cbm_bits).max(1);
         cfg.recluster_ticks = cfg.recluster_ticks.max(1);
         let n = handles.len();
         let mut policy = LfocPolicy {
             cfg,
+            min_ways: caps.min_cbm_bits.max(1),
             tracker: MetricsTracker::new(handles),
             features: vec![Feature::default(); n],
             cluster_of: vec![INSENSITIVE; n],
@@ -129,7 +126,6 @@ impl LfocPolicy {
     /// lane's features stand — its zero filler is not an idle interval —
     /// so a reclustering sorts it where it was.
     fn update_features(&mut self) {
-        let w = self.cfg.smoothing.clamp(0.0, 1.0);
         for (f, (m, ok)) in self.features.iter_mut().zip(&self.tracker.interval) {
             if !ok {
                 continue;
@@ -137,13 +133,13 @@ impl LfocPolicy {
             if m.instructions == 0 {
                 // Idle interval: decay intensity toward zero, keep the
                 // miss-rate estimate (no evidence either way).
-                f.intensity *= 1.0 - w;
+                f.intensity *= 1.0 - SMOOTHING;
                 continue;
             }
             let intensity = m.llc_ref as f64 / m.instructions as f64;
             if f.warm {
-                f.miss_rate = (1.0 - w) * f.miss_rate + w * m.llc_miss_rate;
-                f.intensity = (1.0 - w) * f.intensity + w * intensity;
+                f.miss_rate = (1.0 - SMOOTHING) * f.miss_rate + SMOOTHING * m.llc_miss_rate;
+                f.intensity = (1.0 - SMOOTHING) * f.intensity + SMOOTHING * intensity;
             } else {
                 f.miss_rate = m.llc_miss_rate;
                 f.intensity = intensity;
@@ -163,9 +159,8 @@ impl LfocPolicy {
         // Split sensitive vs insensitive.
         let mut sensitive: Vec<usize> = Vec::with_capacity(n);
         for (i, f) in self.features.iter().enumerate() {
-            let insensitive = !f.warm
-                || f.intensity < self.cfg.idle_intensity
-                || f.miss_rate > self.cfg.streaming_miss_rate;
+            let insensitive =
+                !f.warm || f.intensity < IDLE_INTENSITY || f.miss_rate > STREAMING_MISS_RATE;
             if insensitive {
                 self.cluster_of[i] = INSENSITIVE;
             } else {
@@ -212,7 +207,7 @@ impl LfocPolicy {
                 *m += 1;
             }
         }
-        self.cluster_ways = apportion_ways(self.cbm_len, self.cfg.min_ways, &weights, &members);
+        self.cluster_ways = apportion_ways(self.cbm_len, self.min_ways, &weights, &members);
     }
 
     /// Programs one COS per non-empty cluster and reassigns cores.
@@ -246,9 +241,7 @@ impl LfocPolicy {
             return WorkloadClass::Unknown;
         }
         if self.cluster_of.get(i).copied() == Some(INSENSITIVE) {
-            return if f.miss_rate > self.cfg.streaming_miss_rate
-                && f.intensity >= self.cfg.idle_intensity
-            {
+            return if f.miss_rate > STREAMING_MISS_RATE && f.intensity >= IDLE_INTENSITY {
                 WorkloadClass::Streaming
             } else {
                 WorkloadClass::Donor

@@ -15,8 +15,8 @@
 //! granted way count and each group shares one COS sized to the sum of
 //! its members' grants (members contend within the pooled partition,
 //! like Memshare tenants inside one memory arena). The number of
-//! programmed COS is bounded by [`MemshareConfig::max_partitions`]
-//! regardless of tenant count.
+//! programmed COS is bounded by a fixed partition budget (8, or the
+//! hardware's `num_closids - 1` if fewer) regardless of tenant count.
 //!
 //! Deterministic throughout: integer entitlements via largest-remainder
 //! apportionment, credit ties broken on domain index, `BTreeMap` for
@@ -32,31 +32,22 @@ use crate::invariants::InvariantViolation;
 use crate::policy::{CachePolicy, TickInput};
 use crate::state::WorkloadClass;
 
-/// Tuning knobs for [`MemsharePolicy`].
-#[derive(Debug, Clone, Copy)]
-pub struct MemshareConfig {
-    /// Way floor any active tenant keeps even while lending.
-    pub min_ways: u32,
-    /// Interval miss rate above which a tenant is *needy* (borrows).
-    pub needy_miss_rate: f64,
-    /// `llc_ref / instruction` below which a tenant is *idle* (lends
-    /// everything above the floor).
-    pub idle_intensity: f64,
-    /// Upper bound on simultaneously programmed COS. Clamped to the
-    /// hardware's `num_closids - 1`.
-    pub max_partitions: u32,
-}
+/// [`MemsharePolicy`]'s configuration. It has no field: the policy's
+/// thresholds are constants and its way floor is the hardware's
+/// `min_cbm_bits`. It is kept only for the system benchmark's link list
+/// (`MemshareConfig::default()`, passed to [`MemsharePolicy::new`]); it
+/// goes with ROADMAP item 19b.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MemshareConfig;
 
-impl Default for MemshareConfig {
-    fn default() -> Self {
-        MemshareConfig {
-            min_ways: 1,
-            needy_miss_rate: 0.05,
-            idle_intensity: 1e-3,
-            max_partitions: 8,
-        }
-    }
-}
+/// Interval miss rate above which a tenant is *needy* (borrows).
+const NEEDY_MISS_RATE: f64 = 0.05;
+/// `llc_ref / instruction` below which a tenant is *idle* (lends
+/// everything above the floor).
+const IDLE_INTENSITY: f64 = 1e-3;
+/// Upper bound on simultaneously programmed COS, before the clamp to the
+/// hardware's `num_closids - 1`.
+const MAX_PARTITIONS: u32 = 8;
 
 /// A tenant's demand classification for one tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +64,11 @@ enum Demand {
 
 /// Memshare-style share-accounting policy behind [`CachePolicy`].
 pub struct MemsharePolicy {
-    cfg: MemshareConfig,
+    /// Way floor any active tenant keeps even while lending: the
+    /// hardware's `min_cbm_bits`.
+    min_ways: u32,
+    /// [`MAX_PARTITIONS`], clamped to the hardware's `num_closids - 1`.
+    max_partitions: u32,
     tracker: MetricsTracker,
     /// Shares per domain (its reserved way count, floored at 1).
     shares: Vec<u64>,
@@ -96,20 +91,20 @@ impl MemsharePolicy {
     pub fn new(
         handles: Vec<WorkloadHandle>,
         cat: &mut dyn CacheController,
-        mut cfg: MemshareConfig,
+        _cfg: MemshareConfig,
     ) -> Result<Self, ResctrlError> {
         let caps = cat.capabilities();
         let hw_partitions = caps.num_closids.saturating_sub(1).max(1);
-        cfg.max_partitions = cfg.max_partitions.clamp(1, hw_partitions);
-        cfg.min_ways = cfg.min_ways.max(caps.min_cbm_bits).max(1);
+        let min_ways = caps.min_cbm_bits.max(1);
         let shares: Vec<u64> = handles
             .iter()
             .map(|h| u64::from(h.reserved_ways.max(1)))
             .collect();
-        let entitlement = apportion(caps.cbm_len, cfg.min_ways, &shares);
+        let entitlement = apportion(caps.cbm_len, min_ways, &shares);
         let n = handles.len();
         let mut policy = MemsharePolicy {
-            cfg,
+            min_ways,
+            max_partitions: MAX_PARTITIONS.min(hw_partitions),
             tracker: MetricsTracker::new(handles),
             shares,
             granted: entitlement.clone(),
@@ -142,9 +137,9 @@ impl MemsharePolicy {
                     return Demand::Idle;
                 }
                 let intensity = m.llc_ref as f64 / m.instructions as f64;
-                if intensity < self.cfg.idle_intensity {
+                if intensity < IDLE_INTENSITY {
                     Demand::Idle
-                } else if m.llc_miss_rate > self.cfg.needy_miss_rate {
+                } else if m.llc_miss_rate > NEEDY_MISS_RATE {
                     Demand::Needy
                 } else {
                     Demand::Content
@@ -168,7 +163,7 @@ impl MemsharePolicy {
                 continue;
             };
             let g = match demand.get(i) {
-                Some(Demand::Idle) => self.cfg.min_ways.min(e),
+                Some(Demand::Idle) => self.min_ways.min(e),
                 // What it lent stays lent; what it borrowed is settled
                 // below, once every lender is counted.
                 Some(Demand::Held) => {
@@ -238,8 +233,8 @@ impl MemsharePolicy {
         // larger grant per member. This biases merging toward lenders,
         // whose partitions are interchangeable.
         while groups.len() >= 2
-            && (groups.len() > self.cfg.max_partitions as usize
-                || groups.len() as u32 * self.cfg.min_ways > self.cbm_len)
+            && (groups.len() > self.max_partitions as usize
+                || groups.len() as u32 * self.min_ways > self.cbm_len)
         {
             let (_, members0) = groups.remove(0);
             if let Some((merged_grant, members1)) = groups.first_mut() {
@@ -260,11 +255,12 @@ impl MemsharePolicy {
         for (grant, members) in &groups {
             let want = grant
                 .saturating_mul(members.len() as u32)
-                .max(self.cfg.min_ways);
-            let take = want.min(budget.saturating_sub(
-                (groups.len() as u32 - counts.len() as u32 - 1) * self.cfg.min_ways,
-            ));
-            let take = take.max(self.cfg.min_ways.min(budget));
+                .max(self.min_ways);
+            let take =
+                want.min(budget.saturating_sub(
+                    (groups.len() as u32 - counts.len() as u32 - 1) * self.min_ways,
+                ));
+            let take = take.max(self.min_ways.min(budget));
             counts.push(take);
             budget = budget.saturating_sub(take);
         }
@@ -408,7 +404,7 @@ mod tests {
             WorkloadHandle::new("idle", vec![0], 8),
             WorkloadHandle::new("needy", vec![1], 8),
         ];
-        let mut p = MemsharePolicy::new(handles, &mut cat, MemshareConfig::default()).unwrap();
+        let mut p = MemsharePolicy::new(handles, &mut cat, MemshareConfig).unwrap();
         let mut last = Vec::new();
         for t in 1..=4u64 {
             let snaps = vec![
@@ -438,7 +434,7 @@ mod tests {
             WorkloadHandle::new("b", vec![1], 1),
             WorkloadHandle::new("c", vec![2], 4),
         ];
-        let mut p = MemsharePolicy::new(handles, &mut cat, MemshareConfig::default()).unwrap();
+        let mut p = MemsharePolicy::new(handles, &mut cat, MemshareConfig).unwrap();
         // Phase 1: `a` idles (lends), b/c needy (borrow).
         for t in 1..=3u64 {
             p.tick(
@@ -492,7 +488,7 @@ mod tests {
         let handles: Vec<WorkloadHandle> = (0..n)
             .map(|i| WorkloadHandle::new(format!("t{i}"), vec![i], 1))
             .collect();
-        let mut p = MemsharePolicy::new(handles, &mut cat, MemshareConfig::default()).unwrap();
+        let mut p = MemsharePolicy::new(handles, &mut cat, MemshareConfig).unwrap();
         for t in 1..=4u64 {
             let snaps: Vec<CounterSnapshot> = (0..n)
                 .map(|i| match i % 3 {
@@ -507,10 +503,7 @@ mod tests {
         let distinct: std::collections::BTreeSet<u8> = (0..n)
             .filter_map(|c| cat.core_cos(c).ok().map(|cos| cos.0))
             .collect();
-        assert!(
-            distinct.len() <= MemshareConfig::default().max_partitions as usize,
-            "{distinct:?}"
-        );
+        assert!(distinct.len() <= MAX_PARTITIONS as usize, "{distinct:?}");
         assert!(!cat.has_overlapping_active_masks());
         assert_eq!(p.name(), "memshare");
     }
@@ -523,7 +516,7 @@ mod tests {
             let handles: Vec<WorkloadHandle> = (0..n)
                 .map(|i| WorkloadHandle::new(format!("t{i}"), vec![i], 1 + i % 3))
                 .collect();
-            let mut p = MemsharePolicy::new(handles, &mut cat, MemshareConfig::default()).unwrap();
+            let mut p = MemsharePolicy::new(handles, &mut cat, MemshareConfig).unwrap();
             let mut out = Vec::new();
             for t in 1..=6u64 {
                 let snaps: Vec<CounterSnapshot> = (0..n)

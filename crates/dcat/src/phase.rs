@@ -97,9 +97,10 @@ impl PhaseDetector {
         clippy::as_conversions,
         reason = "f64-to-u64 `as` saturates and maps NaN to 0; any stable bucket id works for keying"
     )]
-    pub fn bucket(signature: f64, quantum: f64) -> u64 {
-        assert!(quantum > 0.0, "bucket quantum must be positive");
-        (signature / quantum).round() as u64
+    pub fn bucket(signature: f64) -> u64 {
+        /// Width of one bucket, in memory accesses per instruction.
+        const QUANTUM: f64 = 0.02;
+        (signature / QUANTUM).round() as u64
     }
 }
 
@@ -157,15 +158,8 @@ mod tests {
 
     #[test]
     fn buckets_group_similar_signatures() {
-        let q = 0.02;
-        assert_eq!(
-            PhaseDetector::bucket(0.34, q),
-            PhaseDetector::bucket(0.345, q)
-        );
-        assert_ne!(
-            PhaseDetector::bucket(0.34, q),
-            PhaseDetector::bucket(0.50, q)
-        );
+        assert_eq!(PhaseDetector::bucket(0.34), PhaseDetector::bucket(0.345));
+        assert_ne!(PhaseDetector::bucket(0.34), PhaseDetector::bucket(0.50));
     }
 
     #[test]

@@ -20,7 +20,7 @@ const POLICIES: [Build; 5] = [
     |h, cat| Box::new(StaticCatPolicy::new(h, cat).unwrap()),
     |h, cat| Box::new(DcatController::new(DcatConfig::default(), h, cat).unwrap()),
     |h, cat| Box::new(LfocPolicy::new(h, cat, LfocConfig::default()).unwrap()),
-    |h, cat| Box::new(MemsharePolicy::new(h, cat, MemshareConfig::default()).unwrap()),
+    |h, cat| Box::new(MemsharePolicy::new(h, cat, MemshareConfig).unwrap()),
 ];
 
 /// Totals after `t` intervals: lane 0 never touches the LLC (a lender, a

@@ -103,10 +103,6 @@ impl Tracer {
         }
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Install a wall-clock source (see [`CycleSource`] for the caveats).
     pub fn set_cycle_source(&mut self, source: Box<dyn CycleSource>) {
         self.cycles = Some(source);

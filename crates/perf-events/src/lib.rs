@@ -5,11 +5,9 @@
 //! LLC misses, LLC references, L1 cache misses/hits, retired instructions,
 //! and unhalted cycles. This crate defines:
 //!
-//! * the event encodings ([`events::PerfEvent`]),
-//! * monotonic [`CounterSnapshot`]s and interval deltas,
+//! * monotonic [`CounterSnapshot`]s and interval deltas, and
 //! * the derived [`IntervalMetrics`] the controller actually reasons about
-//!   (IPC, LLC miss rate, memory accesses per instruction, …), and
-//! * a smoothing window ([`window::SlidingWindow`]).
+//!   (IPC, LLC miss rate, memory accesses per instruction, …).
 
 //! # Examples
 //!
@@ -51,12 +49,8 @@
 )]
 
 pub mod convert;
-pub mod events;
 pub mod metrics;
 pub mod snapshot;
-pub mod window;
 
-pub use events::PerfEvent;
 pub use metrics::IntervalMetrics;
 pub use snapshot::{CounterSnapshot, WrapOutcome};
-pub use window::SlidingWindow;

@@ -75,26 +75,6 @@ impl IntervalMetrics {
             counter_to_f64(self.llc_ref) / counter_to_f64(self.instructions)
         }
     }
-
-    /// LLC misses per kilo-instruction (MPKI), the architecture
-    /// literature's usual cache-pressure figure.
-    pub fn llc_mpki(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            1000.0 * counter_to_f64(self.llc_miss) / counter_to_f64(self.instructions)
-        }
-    }
-
-    /// Relative IPC improvement of `self` over `earlier`
-    /// (`(self - earlier) / earlier`). Returns 0 when `earlier` had no IPC.
-    pub fn ipc_improvement_over(&self, earlier_ipc: f64) -> f64 {
-        if earlier_ipc <= 0.0 {
-            0.0
-        } else {
-            (self.ipc - earlier_ipc) / earlier_ipc
-        }
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +98,6 @@ mod tests {
         assert!((m.llc_miss_rate - 0.25).abs() < 1e-9);
         assert!((m.mem_access_per_instr - 0.3).abs() < 1e-9);
         assert!((m.llc_ref_per_instr() - 0.1).abs() < 1e-9);
-        assert!((m.llc_mpki() - 25.0).abs() < 1e-9);
     }
 
     #[test]
@@ -128,7 +107,6 @@ mod tests {
         assert_eq!(m.ipc, 0.0);
         assert_eq!(m.llc_miss_rate, 0.0);
         assert_eq!(m.mem_access_per_instr, 0.0);
-        assert_eq!(m.llc_mpki(), 0.0);
     }
 
     #[test]
@@ -145,12 +123,5 @@ mod tests {
         let m = IntervalMetrics::between(&a, &b);
         assert_eq!(m.instructions, 2000);
         assert!((m.ipc - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ipc_improvement() {
-        let m = IntervalMetrics::from_delta(&delta(0, 0, 0, 1200, 1000)); // ipc 1.2
-        assert!((m.ipc_improvement_over(1.0) - 0.2).abs() < 1e-9);
-        assert_eq!(m.ipc_improvement_over(0.0), 0.0);
     }
 }

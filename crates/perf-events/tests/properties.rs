@@ -1,6 +1,6 @@
-//! Property-based tests for counter snapshots, metrics, and windows.
+//! Property-based tests for counter snapshots and metrics.
 
-use perf_events::{CounterSnapshot, IntervalMetrics, SlidingWindow};
+use perf_events::{CounterSnapshot, IntervalMetrics};
 use prop_lite::Gen;
 
 fn snapshot(g: &mut Gen) -> CounterSnapshot {
@@ -12,10 +12,6 @@ fn snapshot(g: &mut Gen) -> CounterSnapshot {
         ret_ins: g.u64_in(0, max),
         cycles: g.u64_in(0, max),
     }
-}
-
-fn signed_sample(g: &mut Gen) -> f64 {
-    (g.f64_unit() - 0.5) * 2e6
 }
 
 /// Deltas never underflow, and `later - earlier + earlier >= earlier`.
@@ -52,26 +48,6 @@ fn metrics_ranges() {
             assert!(m.llc_miss_rate <= 1.0 + 1e-9);
         }
         assert!(m.llc_ref_per_instr().is_finite());
-    });
-}
-
-/// The sliding window's mean is always within the min/max of its
-/// retained samples.
-#[test]
-fn sliding_mean_bounded() {
-    prop_lite::run_cases("sliding_mean_bounded", 128, |g| {
-        let cap = g.usize_in(1, 15);
-        let samples = g.vec_of(1, 63, signed_sample);
-        let mut w = SlidingWindow::new(cap);
-        for (i, &s) in samples.iter().enumerate() {
-            w.push(s);
-            let start = (i + 1).saturating_sub(cap);
-            let window = &samples[start..=i];
-            let lo = window.iter().cloned().fold(f64::MAX, f64::min);
-            let hi = window.iter().cloned().fold(f64::MIN, f64::max);
-            let mean = w.mean().unwrap();
-            assert!(mean >= lo - 1e-6 && mean <= hi + 1e-6);
-        }
     });
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Every partitioning policy decides how many ways each of its classes of
 //! service gets; [`Programmed::apply`] lays the counts out
-//! ([`LayoutPlanner::layout_stable`]) and writes the masks and core
+//! ([`LayoutPlanner::layout_stable_into`]) and writes the masks and core
 //! assignments that changed, recording each once the backend took it. Its
 //! order keeps the classes that hold cores pairwise disjoint after every
 //! write, so one that fails part-way leaves no two tenants sharing a way:

@@ -35,14 +35,6 @@ impl LayoutPlanner {
         self.cbm_len
     }
 
-    /// Lays out `counts[i]` ways for each group `i`, left to right.
-    ///
-    /// Fails when a count is zero (CAT forbids empty masks) or the counts
-    /// exceed the cache. Unassigned high ways are the free pool.
-    pub fn layout(&self, counts: &[u32]) -> Result<Vec<Cbm>, ResctrlError> {
-        self.layout_stable(counts, &vec![None; counts.len()])
-    }
-
     /// Lays out `counts`, disturbing as few groups as possible.
     ///
     /// A moved partition starts cold (there is no way-flush instruction),
@@ -66,19 +58,12 @@ impl LayoutPlanner {
     ///    displaced one-way groups);
     /// 5. only if fragmentation leaves no gap does the planner fall back
     ///    to a full left-to-right repack (ordered by previous position).
-    pub fn layout_stable(
-        &self,
-        counts: &[u32],
-        previous: &[Option<Cbm>],
-    ) -> Result<Vec<Cbm>, ResctrlError> {
-        let mut result = Vec::new();
-        self.layout_stable_into(counts, previous, &mut result)?;
-        Ok(result)
-    }
-
-    /// [`Self::layout_stable`] into a buffer the caller keeps across
-    /// intervals (a controller lays out every tick). `result` is
-    /// overwritten; on error its contents are unspecified.
+    ///
+    /// Fails when a count is zero (CAT forbids empty masks) or the counts
+    /// exceed the cache; unassigned high ways are the free pool. The
+    /// layout is written into `result`, a buffer the caller keeps across
+    /// intervals (a controller lays out every tick): it is overwritten,
+    /// and on error its contents are unspecified.
     #[expect(
         clippy::indexing_slicing,
         reason = "loop-bounded: indices enumerate `counts`, and the assert and `resize` give `previous` and `result` its length; `.get()` would cost the tick (DESIGN.md §12)"
@@ -216,7 +201,7 @@ impl LayoutPlanner {
             invariants::check_layout(result, self.cbm_len)
                 .and_then(|()| invariants::check_counts(result, counts)),
             Ok(()),
-            "layout_stable produced an illegal layout"
+            "layout_stable_into produced an illegal layout"
         );
         Ok(())
     }
@@ -233,25 +218,26 @@ impl LayoutPlanner {
         let runs = starts.map(|start| Cbm::from_way_range(start, count));
         runs.into_iter().find(|run| !run.overlaps(blocked))
     }
-
-    /// Number of groups whose mask differs between two layouts.
-    pub fn churn(previous: &[Cbm], next: &[Cbm]) -> usize {
-        previous
-            .iter()
-            .zip(next.iter())
-            .filter(|(a, b)| a != b)
-            .count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn lay_out(
+        p: &LayoutPlanner,
+        counts: &[u32],
+        previous: &[Option<Cbm>],
+    ) -> Result<Vec<Cbm>, ResctrlError> {
+        let mut result = Vec::new();
+        p.layout_stable_into(counts, previous, &mut result)?;
+        Ok(result)
+    }
+
     #[test]
     fn sequential_layout_is_non_overlapping_and_packed() {
         let p = LayoutPlanner::new(20);
-        let masks = p.layout(&[3, 7, 1, 1]).unwrap();
+        let masks = lay_out(&p, &[3, 7, 1, 1], &[None; 4]).unwrap();
         assert_eq!(masks[0], Cbm::from_way_range(0, 3));
         assert_eq!(masks[1], Cbm::from_way_range(3, 7));
         assert_eq!(masks[2], Cbm::from_way_range(10, 1));
@@ -266,23 +252,23 @@ mod tests {
     #[test]
     fn zero_count_rejected() {
         let p = LayoutPlanner::new(8);
-        assert!(p.layout(&[2, 0]).is_err());
+        assert!(lay_out(&p, &[2, 0], &[None; 2]).is_err());
     }
 
     #[test]
     fn oversubscription_rejected() {
         let p = LayoutPlanner::new(8);
-        assert!(p.layout(&[5, 4]).is_err());
-        assert!(p.layout(&[4, 4]).is_ok());
+        assert!(lay_out(&p, &[5, 4], &[None; 2]).is_err());
+        assert!(lay_out(&p, &[4, 4], &[None; 2]).is_ok());
     }
 
     #[test]
     fn stable_layout_keeps_unchanged_groups_in_place() {
         let p = LayoutPlanner::new(20);
-        let first = p.layout(&[3, 7, 2]).unwrap();
+        let first = lay_out(&p, &[3, 7, 2], &[None; 3]).unwrap();
         // Group 1 shrinks 7 -> 5; groups 0 and 2 unchanged.
         let prev: Vec<Option<Cbm>> = first.iter().copied().map(Some).collect();
-        let second = p.layout_stable(&[3, 5, 2], &prev).unwrap();
+        let second = lay_out(&p, &[3, 5, 2], &prev).unwrap();
         assert_eq!(
             second[0], first[0],
             "leftmost unchanged group keeps its mask"
@@ -297,14 +283,13 @@ mod tests {
         assert_eq!(second[1].ways(), 5);
         // Group 2 keeps its exact mask — only the shrinker changed.
         assert_eq!(second[2], first[2]);
-        assert_eq!(LayoutPlanner::churn(&first, &second), 1);
     }
 
     #[test]
     fn stable_layout_leaves_existing_groups_untouched_by_newcomers() {
         let p = LayoutPlanner::new(20);
         let prev = vec![Some(Cbm::from_way_range(5, 3)), None];
-        let masks = p.layout_stable(&[3, 2], &prev).unwrap();
+        let masks = lay_out(&p, &[3, 2], &prev).unwrap();
         // The existing group keeps its exact mask; the newcomer takes the
         // first free gap.
         assert_eq!(masks[0], Cbm::from_way_range(5, 3));
@@ -318,7 +303,7 @@ mod tests {
             Some(Cbm::from_way_range(0, 3)),
             Some(Cbm::from_way_range(10, 3)),
         ];
-        let masks = p.layout_stable(&[4, 3], &prev).unwrap();
+        let masks = lay_out(&p, &[4, 3], &prev).unwrap();
         assert_eq!(masks[0], Cbm::from_way_range(0, 4), "extended in place");
         assert_eq!(masks[1], Cbm::from_way_range(10, 3), "bystander untouched");
     }
@@ -331,7 +316,7 @@ mod tests {
             Some(Cbm::from_way_range(0, 3)),
             Some(Cbm::from_way_range(3, 3)),
         ];
-        let masks = p.layout_stable(&[4, 3], &prev).unwrap();
+        let masks = lay_out(&p, &[4, 3], &prev).unwrap();
         assert_eq!(masks[1], Cbm::from_way_range(3, 3), "bystander untouched");
         assert_eq!(masks[0].ways(), 4);
         assert!(!masks[0].overlaps(masks[1]));
@@ -348,7 +333,7 @@ mod tests {
             Some(Cbm::from_way_range(0, 4)),
             Some(Cbm::from_way_range(4, 1)),
         ];
-        let masks = p.layout_stable(&[5, 1], &prev).unwrap();
+        let masks = lay_out(&p, &[5, 1], &prev).unwrap();
         assert_eq!(masks[0], Cbm::from_way_range(0, 5), "grower kept its run");
         assert_eq!(masks[1].ways(), 1);
         assert!(!masks[0].overlaps(masks[1]));
@@ -362,7 +347,7 @@ mod tests {
             Some(Cbm::from_way_range(6, 2)),
             Some(Cbm::from_way_range(3, 1)),
         ];
-        let masks = p.layout_stable(&[3, 2, 3], &prev).unwrap();
+        let masks = lay_out(&p, &[3, 2, 3], &prev).unwrap();
         assert_eq!(masks[0], Cbm::from_way_range(0, 3));
         assert_eq!(masks[1], Cbm::from_way_range(6, 2));
         assert_eq!(masks[2], Cbm::from_way_range(3, 3), "grew into the gap");
@@ -379,7 +364,7 @@ mod tests {
             Some(Cbm::from_way_range(6, 2)),
             None,
         ];
-        let masks = p.layout_stable(&[2, 2, 2, 2], &prev).unwrap();
+        let masks = lay_out(&p, &[2, 2, 2, 2], &prev).unwrap();
         let union = masks.iter().fold(Cbm(0), |acc, m| acc.union(*m));
         assert_eq!(union.ways(), 8, "every way in use after repack");
         for i in 0..masks.len() {
@@ -398,7 +383,7 @@ mod tests {
             Some(Cbm::from_way_range(0, 4)),
             Some(Cbm::from_way_range(2, 4)),
         ];
-        let masks = p.layout_stable(&[4, 3], &prev).unwrap();
+        let masks = lay_out(&p, &[4, 3], &prev).unwrap();
         assert_eq!(masks[0], Cbm::from_way_range(0, 4), "first keeper holds");
         assert_eq!(masks[1], Cbm::from_way_range(4, 3), "second is re-placed");
     }
@@ -406,16 +391,8 @@ mod tests {
     #[test]
     fn full_allocation_uses_every_way() {
         let p = LayoutPlanner::new(20);
-        let masks = p.layout(&[10, 10]).unwrap();
+        let masks = lay_out(&p, &[10, 10], &[None; 2]).unwrap();
         let union = masks.iter().fold(Cbm(0), |acc, m| acc.union(*m));
         assert_eq!(union, Cbm::full(20));
-    }
-
-    #[test]
-    fn churn_counts_differences() {
-        let a = vec![Cbm(1), Cbm(2), Cbm(4)];
-        let b = vec![Cbm(1), Cbm(6), Cbm(4)];
-        assert_eq!(LayoutPlanner::churn(&a, &b), 1);
-        assert_eq!(LayoutPlanner::churn(&a, &a), 0);
     }
 }

@@ -3,7 +3,13 @@
 use std::collections::BTreeSet;
 
 use resctrl::fs::{format_cpu_list, parse_cpu_list, parse_schemata};
-use resctrl::{Cbm, LayoutPlanner};
+use resctrl::{Cbm, LayoutPlanner, ResctrlError};
+
+fn lay_out(counts: &[u32], previous: &[Option<Cbm>]) -> Result<Vec<Cbm>, ResctrlError> {
+    let mut result = Vec::new();
+    LayoutPlanner::new(20).layout_stable_into(counts, previous, &mut result)?;
+    Ok(result)
+}
 
 /// from_way_range always yields contiguous masks of the right width.
 #[test]
@@ -40,8 +46,7 @@ fn layout_is_sound() {
         if total > 20 {
             return;
         }
-        let planner = LayoutPlanner::new(20);
-        let masks = planner.layout(&counts).unwrap();
+        let masks = lay_out(&counts, &vec![None; counts.len()]).unwrap();
         for (i, mask) in masks.iter().enumerate() {
             assert!(mask.is_contiguous());
             assert_eq!(mask.ways(), counts[i]);
@@ -63,8 +68,7 @@ fn stable_layout_is_sound_and_sticky() {
         if total > 20 || shrink_idx >= counts.len() {
             return;
         }
-        let planner = LayoutPlanner::new(20);
-        let first = planner.layout(&counts).unwrap();
+        let first = lay_out(&counts, &vec![None; counts.len()]).unwrap();
         let mut next_counts = counts.clone();
         // Shrinking one group must never move groups to its left.
         if next_counts[shrink_idx] <= 1 {
@@ -72,7 +76,7 @@ fn stable_layout_is_sound_and_sticky() {
         }
         next_counts[shrink_idx] -= 1;
         let prev: Vec<Option<Cbm>> = first.iter().copied().map(Some).collect();
-        let second = planner.layout_stable(&next_counts, &prev).unwrap();
+        let second = lay_out(&next_counts, &prev).unwrap();
         for (i, mask) in second.iter().enumerate() {
             assert!(mask.is_contiguous());
             assert_eq!(mask.ways(), next_counts[i]);

@@ -41,8 +41,8 @@
 //! report must show the mask the backend holds for its domain.
 //!
 //! [`run`] returns what was explored and every violation; the binary
-//! prints them and exits non-zero on any violation (in a full run, a tick
-//! family that injected nothing is one), or when a full run explored,
+//! prints them and exits non-zero on any violation (a tick family that
+//! injected nothing is one), or when a full run explored,
 //! injected or cut short less than its floors ([`Report::verdict`]).
 
 use std::cell::RefCell;
@@ -577,11 +577,7 @@ impl Policy {
                 };
                 Box::new(LfocPolicy::new(handles, cat, config)?)
             }
-            Policy::Memshare => Box::new(MemsharePolicy::new(
-                handles,
-                cat,
-                MemshareConfig::default(),
-            )?),
+            Policy::Memshare => Box::new(MemsharePolicy::new(handles, cat, MemshareConfig)?),
         })
     }
 }
@@ -939,7 +935,7 @@ impl Report {
 
 /// Runs the checker: the whole lattice, or with `smoke` a four-pool
 /// subset, then both fault families over the same corners and pools and
-/// the churn shapes (the first only, with `smoke`).
+/// the churn shapes.
 pub fn run(smoke: bool) -> Report {
     let mut corners = Vec::new();
     for min_ways in [1u32, 2] {
@@ -1016,8 +1012,7 @@ pub fn run(smoke: bool) -> Report {
 
     // --- The fault families: dCat at every corner over the pools and the
     // churn shapes, the other partitioning policies over the churn shapes.
-    let churn = CHURN_SHAPES.iter().take(if smoke { 1 } else { 3 });
-    let churn: Vec<Shape> = churn.map(|&r| Shape::Churn(r)).collect();
+    let churn: Vec<Shape> = CHURN_SHAPES.iter().map(|&r| Shape::Churn(r)).collect();
     let mut runs: Vec<(Policy, Vec<Shape>)> = corners
         .iter()
         .map(|&c| (Policy::Dcat(c), pools.iter().map(|&p| Shape::Pool(p))))
@@ -1074,8 +1069,7 @@ pub fn run(smoke: bool) -> Report {
         }
     }
     // A tick family with nothing to hit checks nothing: it must not run.
-    // (The smoke subset's one churn shape leaves some writes unreached.)
-    for (name, row) in POLICIES.iter().zip(tick_injected).filter(|_| !smoke) {
+    for (name, row) in POLICIES.iter().zip(tick_injected) {
         let dead = MID_APPLY_FAULTS
             .iter()
             .zip(row)
