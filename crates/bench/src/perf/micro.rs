@@ -754,7 +754,11 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
                 valid: &valid,
                 tracer: &mut tracer,
             };
-            let reports = bench_bug("steady tick", controller.decide(input, &mut cat));
+            bench_bug(
+                "steady tick",
+                dcat::policy::apply(&mut controller, input, &mut cat),
+            );
+            let reports = controller.reports();
             registry.add(ticks, 1);
             for s in tracer.completed() {
                 let known = span_steps.iter().find(|(name, _)| *name == s.name);
@@ -799,7 +803,11 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
                 valid: &[true; 4],
                 tracer: &mut tracer,
             };
-            bench_bug("steady tick", controller.decide(input, &mut cat)).len()
+            bench_bug(
+                "steady tick",
+                dcat::policy::apply(&mut controller, input, &mut cat),
+            );
+            controller.reports().len()
         });
     }
     {

@@ -2,53 +2,42 @@
 //! CAT partitioning.
 
 use perf_events::{CounterSnapshot, IntervalMetrics};
-use resctrl::{CacheController, Cbm, Class, CosId, DefaultClass, Programmed, ResctrlError};
+use resctrl::{CacheController, CatCapabilities, Cbm, ResctrlError};
 
-use crate::controller::{DomainReport, WorkloadHandle};
-use crate::invariants::InvariantViolation;
-use crate::policy::{CachePolicy, TickInput};
+use crate::controller::WorkloadHandle;
+use crate::policy::{Allocation, CachePolicy, Kind, TickInput};
 use crate::state::WorkloadClass;
 
 /// Shared metric bookkeeping for the non-dCat policies (the static
 /// baselines here, and the clustering/share-accounting policies in
 /// [`crate::lfoc`] and [`crate::memshare`]).
 pub(crate) struct MetricsTracker {
-    handles: Vec<WorkloadHandle>,
     last: Vec<CounterSnapshot>,
     baseline_ipc: Vec<Option<f64>>,
     /// The current interval, per domain, as [`MetricsTracker::advance`]
     /// left it: its metrics (zero filler on a held lane) and whether the
     /// lane was valid.
     pub(crate) interval: Vec<(IntervalMetrics, bool)>,
-    /// The reports of the last completed decision, which the policy lends;
-    /// the names are cloned once, by its first [`MetricsTracker::report`].
-    pub(crate) reports: Vec<DomainReport>,
+    /// The policy's side of the one apply, and its domains.
+    pub(crate) allocation: Allocation,
 }
 
 impl MetricsTracker {
-    pub(crate) fn new(handles: Vec<WorkloadHandle>) -> Self {
+    pub(crate) fn new(handles: Vec<WorkloadHandle>, caps: CatCapabilities) -> Self {
         let n = handles.len();
         MetricsTracker {
-            handles,
+            allocation: Allocation::new(caps, Kind::Plain, handles),
             last: vec![CounterSnapshot::default(); n],
             baseline_ipc: vec![None; n],
             interval: Vec::with_capacity(n),
-            reports: Vec::new(),
         }
-    }
-
-    /// The tracked domains, in report order.
-    pub(crate) fn handles(&self) -> &[WorkloadHandle] {
-        &self.handles
     }
 
     /// Consumes one tick's snapshots: computes each domain's interval
     /// delta, advances the stored counters, and latches the first active
     /// interval's IPC as that domain's baseline. An invalid lane resyncs
-    /// its totals and contributes a zero delta, as under dCat. A
-    /// wrong-length input is a malformed sample: nothing advances.
-    pub(crate) fn advance(&mut self, input: &TickInput<'_>) -> Result<(), ResctrlError> {
-        input.check_len(self.handles.len())?;
+    /// its totals and contributes a zero delta, as under dCat.
+    pub(crate) fn advance(&mut self, input: &TickInput<'_>) {
         self.interval.clear();
         let lanes = self.last.iter_mut().zip(self.baseline_ipc.iter_mut());
         for ((last, baseline), (snap, &ok)) in lanes.zip(input.snapshots.iter().zip(input.valid)) {
@@ -64,30 +53,18 @@ impl MetricsTracker {
             }
             self.interval.push((m, ok));
         }
-        Ok(())
     }
 
-    /// [`DomainReport::hold_mask`] of every report.
-    pub(crate) fn hold_masks(&mut self, programmed: &Programmed) {
-        for (r, h) in self.reports.iter_mut().zip(&self.handles) {
-            r.hold_mask(h, programmed);
-        }
-    }
-
-    /// Writes domain `i`'s report from the interval
-    /// [`MetricsTracker::advance`] computed. Call it once the decision can
-    /// no longer fail: what is written is what a later degraded tick holds.
-    pub(crate) fn report(&mut self, i: usize, ways: u32, class: WorkloadClass, cbm: Option<u64>) {
-        if self.reports.is_empty() {
-            self.reports = self.handles.iter().map(DomainReport::named).collect();
-        }
-        let (Some(r), Some(&(m, ok))) = (self.reports.get_mut(i), self.interval.get(i)) else {
+    /// Writes domain `i`'s staged report from the interval
+    /// [`MetricsTracker::advance`] computed.
+    pub(crate) fn report(&mut self, i: usize, ways: u32, class: WorkloadClass) {
+        let r = self.allocation.staged().get_mut(i);
+        let (Some(r), Some(&(m, ok))) = (r, self.interval.get(i)) else {
             return;
         };
         let baseline = self.baseline_ipc.get(i).copied().flatten();
         r.class = class;
         r.ways = ways;
-        r.cbm = cbm;
         r.ipc = m.ipc;
         r.norm_ipc = baseline
             .filter(|_| ok)
@@ -130,21 +107,23 @@ pub(crate) fn largest_remainder(remaining: u32, weights: &[u64], out: &mut [u32]
 /// This is the "shared cache" column of the paper's figures — maximum
 /// capacity for everyone, zero isolation.
 pub struct SharedCachePolicy {
+    /// Its plan never has a class; its reports keep the full mask.
     tracker: MetricsTracker,
     total_ways: u32,
-    /// The fully shared mask every domain effectively holds.
-    full_cbm: u64,
 }
 
 impl SharedCachePolicy {
     /// Creates the policy; nothing is programmed (the hardware reset state
     /// is already fully shared).
     pub fn new(handles: Vec<WorkloadHandle>, cat: &mut dyn CacheController) -> Self {
-        let total_ways = cat.capabilities().cbm_len;
+        let caps = cat.capabilities();
+        let mut tracker = MetricsTracker::new(handles, caps);
+        for r in tracker.allocation.staged() {
+            r.cbm = Some(u64::from(Cbm::full(caps.cbm_len).0));
+        }
         SharedCachePolicy {
-            tracker: MetricsTracker::new(handles),
-            total_ways,
-            full_cbm: u64::from(Cbm::full(total_ways).0),
+            tracker,
+            total_ways: caps.cbm_len,
         }
     }
 }
@@ -154,50 +133,36 @@ impl CachePolicy for SharedCachePolicy {
         "shared"
     }
 
-    fn decide(
-        &mut self,
-        input: TickInput<'_>,
-        _cat: &mut dyn CacheController,
-    ) -> Result<&[DomainReport], ResctrlError> {
-        self.tracker.advance(&input)?;
+    fn decide(&mut self, input: &mut TickInput<'_>) -> &mut Allocation {
+        self.tracker.advance(input);
         for i in 0..input.snapshots.len() {
-            let (ways, cbm) = (self.total_ways, Some(self.full_cbm));
-            self.tracker.report(i, ways, WorkloadClass::Keeper, cbm);
+            self.tracker
+                .report(i, self.total_ways, WorkloadClass::Keeper);
         }
-        Ok(&self.tracker.reports)
+        &mut self.tracker.allocation
     }
 
-    fn reports(&self) -> &[DomainReport] {
-        &self.tracker.reports
+    fn allocation(&self) -> &Allocation {
+        &self.tracker.allocation
     }
 }
 
 /// Static CAT partitioning: each workload is pinned to its reserved ways
 /// forever (the paper's "static partition" configuration).
 pub struct StaticCatPolicy {
+    /// Its plan, staged once: domain `i`'s reservation in COS `i + 1`.
     tracker: MetricsTracker,
-    /// Domain `i`'s partition is COS `i + 1`, laid out once.
-    programmed: Programmed,
 }
 
 impl StaticCatPolicy {
-    /// Programs the reserved, non-overlapping partitions once.
+    /// Programs the reserved, non-overlapping partitions.
     pub fn new(
         handles: Vec<WorkloadHandle>,
         cat: &mut dyn CacheController,
     ) -> Result<Self, ResctrlError> {
-        let mut programmed = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
-        let classes = handles.iter().enumerate().map(|(i, h)| Class {
-            cos: CosId((i + 1) as u8),
-            ways: h.reserved_ways,
-            anchor: None,
-            cores: h.cores.iter().copied(),
-        });
-        programmed.apply(classes, cat)?;
-        Ok(StaticCatPolicy {
-            tracker: MetricsTracker::new(handles),
-            programmed,
-        })
+        let mut tracker = MetricsTracker::new(handles, cat.capabilities());
+        tracker.allocation.reserve(cat)?;
+        Ok(StaticCatPolicy { tracker })
     }
 }
 
@@ -206,34 +171,25 @@ impl CachePolicy for StaticCatPolicy {
         "static-cat"
     }
 
-    fn decide(
-        &mut self,
-        input: TickInput<'_>,
-        _cat: &mut dyn CacheController,
-    ) -> Result<&[DomainReport], ResctrlError> {
-        self.tracker.advance(&input)?;
-        for i in 0..self.tracker.handles().len() {
-            let mask = self.programmed.mask(CosId((i + 1) as u8));
-            let ways = mask.map_or(0, Cbm::ways);
-            let mask = mask.map(|c| u64::from(c.0));
-            self.tracker.report(i, ways, WorkloadClass::Keeper, mask);
+    fn decide(&mut self, input: &mut TickInput<'_>) -> &mut Allocation {
+        let t = &mut self.tracker;
+        t.advance(input);
+        for i in 0..input.snapshots.len() {
+            let ways = t.allocation.handles().get(i).map_or(0, |h| h.reserved_ways);
+            t.report(i, ways, WorkloadClass::Keeper);
         }
-        Ok(&self.tracker.reports)
+        &mut t.allocation
     }
 
-    fn reports(&self) -> &[DomainReport] {
-        &self.tracker.reports
-    }
-
-    fn audit(&mut self) -> Result<(), InvariantViolation> {
-        self.programmed.audit().map_err(InvariantViolation::Layout)
+    fn allocation(&self) -> &Allocation {
+        &self.tracker.allocation
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resctrl::{CatCapabilities, InMemoryController};
+    use resctrl::{CatCapabilities, CosId, InMemoryController};
 
     fn handles() -> Vec<WorkloadHandle> {
         vec![

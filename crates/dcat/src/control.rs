@@ -1,4 +1,5 @@
-//! The one control step: sample → ingest → decide → audit → observation.
+//! The one control step: sample → ingest → decide and apply → audit →
+//! observation.
 //!
 //! The paper's controller is one loop, once per interval, and so is this:
 //! [`ControlLoop::step`] runs one interval of any [`CachePolicy`] over any
@@ -29,7 +30,7 @@ use resctrl::{CacheController, ResctrlError};
 
 use crate::controller::{DomainReport, WorkloadHandle};
 use crate::events::{DegradeReason, Event};
-use crate::policy::{CachePolicy, TickInput};
+use crate::policy::{self, CachePolicy, TickInput};
 use crate::telemetry::RowIssue;
 
 /// Recovery knobs for the control loop.
@@ -330,7 +331,7 @@ impl<P: DerefMut<Target: CachePolicy>> ControlLoop<P> {
                     valid: &self.valid,
                     tracer,
                 };
-                let decided = self.policy.decide(input, cat).map(drop);
+                let decided = policy::apply(&mut *self.policy, input, cat);
                 cat_events(cat, &mut self.events);
                 (decided, DegradeReason::Resctrl)
             }
@@ -351,7 +352,7 @@ impl<P: DerefMut<Target: CachePolicy>> ControlLoop<P> {
         // Audit the recorded allocation even (especially) on a degraded
         // decision: holding must never leave overlapping masks or starve
         // a domain below its floor.
-        if let Some(Err(violation)) = decision_ran.then(|| self.policy.audit()) {
+        if let Some(Err(violation)) = decision_ran.then(|| policy::audit(&mut *self.policy)) {
             self.events.push(Event::InvariantViolation {
                 message: violation.to_string(),
             });

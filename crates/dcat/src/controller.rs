@@ -4,13 +4,13 @@ use std::collections::BTreeMap;
 
 use dcat_obs::Tracer;
 use perf_events::{CounterSnapshot, IntervalMetrics};
-use resctrl::{CacheController, Cbm, Class, CosId, DefaultClass, Programmed, ResctrlError};
+use resctrl::{CacheController, Cbm, ResctrlError};
 
 use crate::config::{AllocationPolicy, DcatConfig};
 use crate::invariants::{self, DomainView, InvariantViolation};
 use crate::perf_table::{max_performance_split, PerformanceTable};
 use crate::phase::{PhaseChange, PhaseDetector};
-use crate::policy::{CachePolicy, TickInput};
+use crate::policy::{Allocation, CachePolicy, Kind, TickInput};
 use crate::state::WorkloadClass;
 use crate::transitions;
 
@@ -70,28 +70,6 @@ pub struct DomainReport {
     pub skipped: bool,
 }
 
-impl DomainReport {
-    /// A report slot for `handle`'s domain, every other field filler until
-    /// the owning policy's first completed decision writes it.
-    pub(crate) fn named(handle: &WorkloadHandle) -> Self {
-        DomainReport {
-            name: handle.name.clone(),
-            ..DomainReport::default()
-        }
-    }
-
-    /// After an apply cut short, the report keeps the last completed tick's
-    /// values save `ways` and `cbm`: the mask `programmed` records for the
-    /// class `handle`'s first core sits in, which the backend holds.
-    pub(crate) fn hold_mask(&mut self, handle: &WorkloadHandle, programmed: &Programmed) {
-        let held = handle.cores.first().and_then(|&c| programmed.core_mask(c));
-        if let Some(mask) = held {
-            self.ways = mask.ways();
-            self.cbm = Some(u64::from(mask.0));
-        }
-    }
-}
-
 /// How a Donor releases capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DonorMode {
@@ -103,11 +81,12 @@ enum DonorMode {
 }
 
 struct Domain {
-    handle: WorkloadHandle,
-    cos: CosId,
+    /// Contracted ways, the handle's.
+    reserved: u32,
     class: WorkloadClass,
     donor_mode: DonorMode,
-    /// Currently programmed way count.
+    /// Way count as of the last decision; the apply's outcome reaches it
+    /// at the start of the next ([`DcatController::sync`]).
     ways: u32,
     last_snapshot: CounterSnapshot,
     detector: PhaseDetector,
@@ -148,16 +127,12 @@ struct Domain {
 }
 
 impl Domain {
-    fn reserved(&self) -> u32 {
-        self.handle.reserved_ways
-    }
-
     /// The audit's view of the domain, whose mask is `cbm` as recorded.
     fn view(&self, cbm: Option<Cbm>) -> DomainView {
         DomainView {
             class: self.class,
-            ways: self.ways,
-            reserved_ways: self.reserved(),
+            ways: cbm.map_or(self.ways, Cbm::ways),
+            reserved_ways: self.reserved,
             cbm,
         }
     }
@@ -178,12 +153,6 @@ struct TickScratch {
     grow_order: Vec<usize>,
     /// The audit's view of the domains.
     views: Vec<DomainView>,
-    /// The reports [`CachePolicy::decide`] lends: written only after
-    /// `apply` accepted the interval, so a degraded tick still holds the
-    /// last completed one's (and none before the first), save the masks
-    /// an apply cut short moved ([`DomainReport::hold_mask`]). The names
-    /// are cloned once.
-    reports: Vec<DomainReport>,
 }
 
 /// The dynamic cache-allocation controller.
@@ -192,7 +161,7 @@ pub struct DcatController {
     domains: Vec<Domain>,
     /// Domain `i`'s class is COS `i + 1`, anchored under key `i`; COS 0
     /// is confined to the free run.
-    programmed: Programmed,
+    allocation: Allocation,
     total_ways: u32,
     interval: u64,
     scratch: TickScratch,
@@ -215,27 +184,15 @@ impl DcatController {
         let caps = cat.capabilities();
         config.min_ways = config.min_ways.max(caps.min_cbm_bits);
         let total_ways = caps.cbm_len;
-        if handles.len() + 1 > caps.num_closids as usize {
-            return Err(ResctrlError::Parse(format!(
-                "{} workloads exceed {} classes of service",
-                handles.len(),
-                caps.num_closids
-            )));
-        }
-        let reserved_total: u32 = handles.iter().map(|h| h.reserved_ways).sum();
-        if reserved_total > total_ways {
-            return Err(ResctrlError::Parse(format!(
-                "reserved ways {reserved_total} exceed the {total_ways}-way cache"
-            )));
-        }
-
-        let mut ctl = DcatController {
-            domains: handles
-                .into_iter()
-                .enumerate()
-                .map(|(i, handle)| Domain {
+        let mut allocation = Allocation::new(caps, Kind::FlushPass, handles);
+        allocation.reserve(cat)?;
+        Ok(DcatController {
+            domains: allocation
+                .handles()
+                .iter()
+                .map(|handle| Domain {
+                    reserved: handle.reserved_ways,
                     ways: handle.reserved_ways,
-                    cos: CosId((i + 1) as u8),
                     class: WorkloadClass::Keeper,
                     donor_mode: DonorMode::Fast,
                     last_snapshot: CounterSnapshot::default(),
@@ -253,18 +210,14 @@ impl DcatController {
                     capped: false,
                     stalled_at: None,
                     donor_floor: config.min_ways,
-                    handle,
                 })
                 .collect(),
-            programmed: Programmed::new(caps, DefaultClass::FreeRun),
+            allocation,
             total_ways,
             interval: 0,
             config,
             scratch: TickScratch::default(),
-        };
-        let targets: Vec<u32> = ctl.domains.iter().map(|d| d.ways).collect();
-        ctl.apply(&targets, cat)?;
-        Ok(ctl)
+        })
     }
 
     /// Number of managed workloads.
@@ -292,7 +245,8 @@ impl DcatController {
         reason = "`i` is the caller's domain index; out of range is the caller's bug, as for a slice"
     )]
     pub fn ways_of(&self, i: usize) -> u32 {
-        self.domains[i].ways
+        let d = &self.domains[i];
+        d.view(self.allocation.domain_mask(i)).ways
     }
 
     /// Number of controller intervals executed so far.
@@ -309,12 +263,16 @@ impl DcatController {
         &self.domains[i].table
     }
 
-    /// Per-domain snapshots for invariant checking (the `debug_assert!`
-    /// hook at the end of an interval audits these, as
-    /// [`CachePolicy::audit`] does).
-    pub fn domain_views(&self) -> Vec<DomainView> {
-        let views = self.domains.iter();
-        views.map(|d| d.view(self.programmed.mask(d.cos))).collect()
+    /// Brings each domain's grant to the mask the last apply left it: a
+    /// grant that moved restarts the settle countdown.
+    fn sync(&mut self) {
+        for (i, d) in self.domains.iter_mut().enumerate() {
+            let ways = self.allocation.domain_mask(i).map_or(d.ways, Cbm::ways);
+            if d.ways != ways {
+                d.ways = ways;
+                d.settle = self.config.settle_intervals;
+            }
+        }
     }
 
     /// Runs one controller interval with every lane valid and no tracing:
@@ -339,9 +297,9 @@ impl DcatController {
         s: &mut TickScratch,
         snapshots: &[CounterSnapshot],
         valid: &[bool],
-        cat: &mut dyn CacheController,
         tracer: &mut Tracer,
-    ) -> Result<(), ResctrlError> {
+    ) {
+        self.sync();
         self.interval += 1;
         let n = self.domains.len();
 
@@ -437,25 +395,14 @@ impl DcatController {
             }
             self.grow_from_pool(targets, valid, &mut s.grow_order);
         });
-        tracer.scope("apply", |_| self.apply(targets, cat))?;
 
-        debug_assert_eq!(
-            invariants::check(&self.domain_views(), self.total_ways, self.config.min_ways),
-            Ok(()),
-            "controller invariants violated after interval {}",
-            self.interval
-        );
-
-        if s.reports.is_empty() {
-            let handles = self.domains.iter().map(|d| &d.handle);
-            s.reports.extend(handles.map(DomainReport::named));
-        }
-        let lanes = self.domains.iter().zip(metrics);
+        self.allocation.stage_domains(targets.iter().copied());
+        let lanes = self.domains.iter().zip(targets.iter()).zip(metrics);
         let lanes = lanes.zip(&s.phase_changed).zip(valid);
-        for (r, (((d, m), &phase_changed), &ok)) in s.reports.iter_mut().zip(lanes) {
+        let staged = self.allocation.staged();
+        for (r, ((((d, &ways), m), &phase_changed), &ok)) in staged.iter_mut().zip(lanes) {
             r.class = d.class;
-            r.ways = d.ways;
-            r.cbm = self.programmed.mask(d.cos).map(|c| u64::from(c.0));
+            r.ways = ways;
             r.ipc = m.ipc;
             r.norm_ipc = d
                 .baseline_ipc
@@ -466,7 +413,6 @@ impl DcatController {
             r.baseline_ipc = d.baseline_ipc;
             r.skipped = !ok;
         }
-        Ok(())
     }
 
     /// Steps 2-3 for one domain: idle demotion and phase detection.
@@ -569,9 +515,9 @@ impl DcatController {
 
         // Step 1 (deferred): establish the baseline at the reserved size.
         if d.pending_baseline {
-            if d.ways == d.reserved() {
+            if d.ways == d.reserved {
                 d.baseline_ipc = Some(m.ipc);
-                d.table.record(d.reserved(), 1.0);
+                d.table.record(d.reserved, 1.0);
                 d.pending_baseline = false;
                 d.prev_ipc = Some(m.ipc);
                 d.prev_ways = d.ways;
@@ -588,7 +534,7 @@ impl DcatController {
         // The initial baseline is measured on a cold cache; while the
         // workload runs at its reserved size, keep the estimate fresh so
         // the guarantee and the normalizations track the warmed-up truth.
-        let baseline = if d.ways == d.reserved() {
+        let baseline = if d.ways == d.reserved {
             let refreshed = 0.5 * baseline + 0.5 * m.ipc;
             d.baseline_ipc = Some(refreshed);
             refreshed
@@ -616,7 +562,7 @@ impl DcatController {
             d.saw_no_improvement = true;
         }
         let low_llc_use = m.llc_ref_per_instr() <= cfg.llc_ref_per_instr_thr;
-        let streaming_cap = d.reserved().saturating_mul(cfg.streaming_multiplier);
+        let streaming_cap = d.reserved.saturating_mul(cfg.streaming_multiplier);
 
         // Step 4: the Figure-6 state machine, driven by the transition
         // table in `transitions::FIGURE6`. "Ever improved" is the
@@ -659,7 +605,7 @@ impl DcatController {
         const BASELINE_MARGIN: f64 = 0.05;
         // Baseline guarantee: a workload sitting below its reserved size
         // whose performance fell below the baseline is restored at once.
-        if d.ways < d.reserved() && norm < 1.0 - BASELINE_MARGIN && !d.class.wants_growth() {
+        if d.ways < d.reserved && norm < 1.0 - BASELINE_MARGIN && !d.class.wants_growth() {
             // A *Streaming* workload suffering at the minimum allocation
             // was misclassified (true streaming is allocation-neutral).
             // Restore the reserved size and pin it there for the rest of
@@ -669,7 +615,7 @@ impl DcatController {
             }
             // A workload that suffered below its reserved size proved it
             // needs more than it had: donation must not revisit that size.
-            d.donor_floor = (d.ways + 1).min(d.reserved());
+            d.donor_floor = (d.ways + 1).min(d.reserved);
             d.class = WorkloadClass::Reclaim;
             // The phase (and its baseline) are still valid: no re-baseline.
         }
@@ -683,7 +629,7 @@ impl DcatController {
         let min = self.config.min_ways;
         targets.clear();
         targets.extend(self.domains.iter().map(|d| match d.class {
-            WorkloadClass::Reclaim => d.reserved(),
+            WorkloadClass::Reclaim => d.reserved,
             WorkloadClass::Streaming => min,
             WorkloadClass::Donor => match d.donor_mode {
                 DonorMode::Fast => min.max(d.donor_floor),
@@ -712,10 +658,10 @@ impl DcatController {
             let victim = (0..targets.len())
                 .filter(|&i| {
                     targets[i] > self.config.min_ways
-                        && targets[i] > self.domains[i].reserved()
+                        && targets[i] > self.domains[i].reserved
                         && self.domains[i].class != WorkloadClass::Reclaim
                 })
-                .max_by_key(|&i| targets[i] - self.domains[i].reserved());
+                .max_by_key(|&i| targets[i] - self.domains[i].reserved);
             match victim {
                 Some(i) => {
                     targets[i] -= 1;
@@ -814,14 +760,14 @@ impl DcatController {
         // instruction (paper §6), so a moved partition re-warms from DRAM,
         // and the cold start costs more than the extra way could return.
         let mut occupied = Cbm(0);
-        for (j, d) in self.domains.iter().enumerate() {
+        for (j, &target) in targets.iter().enumerate() {
             // One-way partitions do not block growth: the planner displaces
             // them (they hold at most one warm way).
-            if targets[j] <= 1 {
+            if target <= 1 {
                 continue;
             }
-            if let Some(m) = self.programmed.mask(d.cos) {
-                let keep = targets[j].min(m.ways());
+            if let Some(m) = self.allocation.domain_mask(j) {
+                let keep = target.min(m.ways());
                 if keep > 0 {
                     let start = m.first_way().unwrap_or(0) + (m.ways() - keep);
                     occupied = occupied.union(Cbm::from_way_range(start, keep));
@@ -845,7 +791,7 @@ impl DcatController {
             // grown so far (mirroring the planner's superset-run search:
             // upward first, then downward), stopping at the first way that
             // would force a relocation.
-            let granted = match self.programmed.mask(self.domains[i].cos) {
+            let granted = match self.allocation.domain_mask(i) {
                 Some(m) => {
                     let mut lo = m.first_way().unwrap_or(0);
                     let mut hi = lo + m.ways();
@@ -877,45 +823,6 @@ impl DcatController {
             }
         }
     }
-
-    /// Programs the targets through the one apply (COS 0 confined to the
-    /// free run), then flushes the ways the domains gave up.
-    ///
-    /// A domain's grant advances with its recorded mask, only once the
-    /// backend took the write, so a failed write leaves the grant matching
-    /// the hardware.
-    fn apply(
-        &mut self,
-        targets: &[u32],
-        cat: &mut dyn CacheController,
-    ) -> Result<(), ResctrlError> {
-        let classes = self.domains.iter().zip(targets).enumerate();
-        let result = self.programmed.apply(
-            classes.map(|(i, (d, &ways))| Class {
-                cos: d.cos,
-                ways,
-                anchor: Some(i),
-                cores: d.handle.cores.iter().copied(),
-            }),
-            cat,
-        );
-        for d in &mut self.domains {
-            let ways = self.programmed.mask(d.cos).map_or(d.ways, Cbm::ways);
-            if d.ways != ways {
-                d.ways = ways;
-                d.settle = self.config.settle_intervals;
-            }
-        }
-        // Ways a domain lost must be flushed (the paper's user-level flush
-        // pass): lines filled under the old mask would otherwise keep
-        // hitting — and surviving — in ways their owner can no longer
-        // fill, silently extending its effective allocation.
-        let lost = result?;
-        if !lost.is_empty() {
-            cat.flush_cbm(lost)?;
-        }
-        Ok(())
-    }
 }
 
 impl CachePolicy for DcatController {
@@ -928,46 +835,32 @@ impl CachePolicy for DcatController {
     /// counts as idle.
     ///
     /// Each of the paper's five steps runs as its own span over all domains —
-    /// collect → phase-detect → baseline → categorize → allocate → apply —
-    /// so the tracer sees the same stage boundaries Figure 4 draws. The
+    /// collect → phase-detect → baseline → categorize → allocate here, then
+    /// apply in [`crate::policy::apply`] — so the tracer sees the same stage
+    /// boundaries Figure 4 draws. The
     /// per-domain work is order-independent across stages (each stage
     /// touches only `domains[i]`), so splitting the loop by stage is
     /// behavior-identical to the historical per-domain fused loop; the
     /// golden decision traces pin that.
-    fn decide(
-        &mut self,
-        input: TickInput<'_>,
-        cat: &mut dyn CacheController,
-    ) -> Result<&[DomainReport], ResctrlError> {
-        input.check_len(self.domains.len())?;
-        let TickInput {
-            snapshots,
-            valid,
-            tracer,
-        } = input;
+    fn decide(&mut self, input: &mut TickInput<'_>) -> &mut Allocation {
         // The stages borrow `self` mutably, so the scratch steps outside
-        // for the interval and is put back whatever the outcome.
+        // for the interval.
         let mut scratch = std::mem::take(&mut self.scratch);
-        let result = self.run_interval(&mut scratch, snapshots, valid, cat, tracer);
+        let (snapshots, valid) = (input.snapshots, input.valid);
+        self.run_interval(&mut scratch, snapshots, valid, input.tracer);
         self.scratch = scratch;
-        if result.is_err() {
-            for (r, d) in self.scratch.reports.iter_mut().zip(&self.domains) {
-                r.hold_mask(&d.handle, &self.programmed);
-            }
-        }
-        result?;
-        Ok(&self.scratch.reports)
+        &mut self.allocation
     }
 
-    fn reports(&self) -> &[DomainReport] {
-        &self.scratch.reports
+    fn allocation(&self) -> &Allocation {
+        &self.allocation
     }
 
-    fn audit(&mut self) -> Result<(), InvariantViolation> {
+    fn invariants(&mut self) -> Result<(), InvariantViolation> {
         let views = &mut self.scratch.views;
         views.clear();
-        let programmed = &self.programmed;
-        views.extend(self.domains.iter().map(|d| d.view(programmed.mask(d.cos))));
+        let domains = self.domains.iter().enumerate();
+        views.extend(domains.map(|(i, d)| d.view(self.allocation.domain_mask(i))));
         invariants::check(views, self.total_ways, self.config.min_ways)
     }
 
@@ -983,7 +876,7 @@ impl CachePolicy for DcatController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resctrl::{CatCapabilities, InMemoryController};
+    use resctrl::{CatCapabilities, CosId, InMemoryController};
 
     fn snapshot(l1: u64, llc_r: u64, llc_m: u64, ins: u64, cyc: u64) -> CounterSnapshot {
         CounterSnapshot {
@@ -1539,7 +1432,7 @@ mod tests {
             valid: &[true, true, true],
             tracer: &mut Tracer::disabled(),
         };
-        let verdicts = ctl.decide(input, &mut cat).unwrap_err();
+        let verdicts = crate::policy::apply(&mut ctl, input, &mut cat).unwrap_err();
         assert!(verdicts.is_transient(), "wrong verdict count: {verdicts}");
         // Nothing was judged or programmed, and the next well-formed
         // interval runs as the first.

@@ -8,18 +8,18 @@
 //! * **Allocation floor** — no tenant drops below the configured minimum
 //!   (clamped to its contracted reservation; a tenant that reserved less
 //!   than `min_ways` is floored at its reservation instead).
-//! * **Mask/grant agreement** — the programmed CBM of each domain grants
-//!   exactly the way count the controller believes it granted.
 //! * **Hardware legality** — the programmed masks are non-empty,
 //!   contiguous, in range, and pairwise disjoint (delegated to
 //!   [`resctrl::invariants::check_masks`]).
 //!
-//! One mechanism checks them: [`crate::CachePolicy::audit`], which
+//! A domain's grant is the way count of the mask the backend holds, so the
+//! two agree by construction.
+//!
+//! One mechanism checks them: [`crate::policy::audit`], which
 //! [`crate::ControlLoop::step`] runs after every decision, completed or
 //! degraded, and turns a failure into an `InvariantViolation` event — the
 //! daemon logs it, and the `dcat-verify` model checker, which steps the
-//! same loop, fails on it. A `debug_assert!` at the end of every interval
-//! of [`crate::DcatController`] is safety code for debug builds.
+//! same loop, fails on it. [`crate::CachePolicy::tick`] debug-asserts it.
 
 use std::fmt;
 
@@ -32,7 +32,7 @@ use crate::state::WorkloadClass;
 pub struct DomainView {
     /// Current class in the Figure-6 state machine.
     pub class: WorkloadClass,
-    /// Ways the controller granted for the next interval.
+    /// Ways granted: the mask's, once one is programmed.
     pub ways: u32,
     /// The tenant's contracted reservation.
     pub reserved_ways: u32,
@@ -64,17 +64,6 @@ pub enum InvariantViolation {
         /// The floor it must not drop below.
         floor: u32,
     },
-    /// A programmed mask grants a different way count than recorded.
-    MaskMismatch {
-        /// Domain index.
-        domain: usize,
-        /// The domain's class.
-        class: WorkloadClass,
-        /// The programmed mask.
-        cbm: Cbm,
-        /// Ways the controller believes it granted.
-        granted: u32,
-    },
     /// The programmed layout is illegal (delegated to
     /// [`resctrl::invariants::check_masks`], whose description is
     /// built only on the violation path).
@@ -99,17 +88,6 @@ impl fmt::Display for InvariantViolation {
             } => write!(
                 f,
                 "domain {domain} ({class:?}) granted {ways} ways, below its floor of {floor}"
-            ),
-            InvariantViolation::MaskMismatch {
-                domain,
-                class,
-                cbm,
-                granted,
-            } => write!(
-                f,
-                "domain {domain} ({class:?}) mask {cbm} grants {} ways but the controller \
-                 granted {granted}",
-                cbm.ways()
             ),
             InvariantViolation::Layout(msg) => f.write_str(msg),
         }
@@ -139,16 +117,6 @@ pub fn check(
                 ways: v.ways,
                 floor,
             });
-        }
-        if let Some(m) = v.cbm {
-            if m.ways() != v.ways {
-                return Err(InvariantViolation::MaskMismatch {
-                    domain: i,
-                    class: v.class,
-                    cbm: m,
-                    granted: v.ways,
-                });
-            }
         }
     }
     let masks = views.iter().filter_map(|v| v.cbm);
@@ -191,14 +159,6 @@ mod tests {
         // A reservation smaller than min_ways lowers the floor.
         let small_reserved = [view(WorkloadClass::Donor, 1, 1, None)];
         assert!(check(&small_reserved, 20, 2).is_ok());
-        // Mask width disagrees with the granted count.
-        let lying = [view(
-            WorkloadClass::Keeper,
-            3,
-            3,
-            Some(Cbm::from_way_range(0, 2)),
-        )];
-        assert!(check(&lying, 20, 1).is_err());
         // Overlapping masks.
         let overlap = [
             view(WorkloadClass::Keeper, 2, 2, Some(Cbm::from_way_range(0, 2))),

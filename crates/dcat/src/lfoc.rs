@@ -25,12 +25,11 @@
 //! EWMA, ordering ties break on domain index, and way apportionment is
 //! integer largest-remainder — no RNG, no wall clock, no hash iteration.
 
-use resctrl::{CacheController, Class, CosId, DefaultClass, Programmed, ResctrlError};
+use resctrl::{CacheController, CosId, ResctrlError};
 
 use crate::baselines::{largest_remainder, MetricsTracker};
-use crate::controller::{DomainReport, WorkloadHandle};
-use crate::invariants::InvariantViolation;
-use crate::policy::{CachePolicy, TickInput};
+use crate::controller::WorkloadHandle;
+use crate::policy::{Allocation, CachePolicy, TickInput};
 use crate::state::WorkloadClass;
 
 /// Tuning knobs for [`LfocPolicy`].
@@ -81,22 +80,23 @@ pub struct LfocPolicy {
     cfg: LfocConfig,
     /// Way floor for every cluster: the hardware's `min_cbm_bits`.
     min_ways: u32,
+    /// Its plan: the occupied clusters' COS, each anchored under its
+    /// cluster id so a cluster's mask stays put while its COS id follows
+    /// its index.
     tracker: MetricsTracker,
     features: Vec<Feature>,
     /// Cluster id per domain (0 = insensitive bucket).
     cluster_of: Vec<usize>,
     /// Ways granted to each cluster (index = cluster id).
     cluster_ways: Vec<u32>,
-    /// The occupied clusters' COS, each anchored under its cluster id so
-    /// a cluster's mask stays put while its COS id follows its index.
-    programmed: Programmed,
     cbm_len: u32,
     ticks: u64,
 }
 
 impl LfocPolicy {
     /// Creates the policy and programs the initial single-cluster layout
-    /// (everyone shares the full cache until features warm up).
+    /// (everyone shares the full cache until features warm up) through
+    /// the one apply.
     pub fn new(
         handles: Vec<WorkloadHandle>,
         cat: &mut dyn CacheController,
@@ -110,15 +110,15 @@ impl LfocPolicy {
         let mut policy = LfocPolicy {
             cfg,
             min_ways: caps.min_cbm_bits.max(1),
-            tracker: MetricsTracker::new(handles),
+            tracker: MetricsTracker::new(handles, caps),
             features: vec![Feature::default(); n],
             cluster_of: vec![INSENSITIVE; n],
             cluster_ways: vec![caps.cbm_len],
-            programmed: Programmed::new(caps, DefaultClass::Untouched),
             cbm_len: caps.cbm_len,
             ticks: 0,
         };
-        policy.program(cat)?;
+        policy.stage();
+        policy.tracker.allocation.program(cat)?;
         Ok(policy)
     }
 
@@ -210,25 +210,19 @@ impl LfocPolicy {
         self.cluster_ways = apportion_ways(self.cbm_len, self.min_ways, &weights, &members);
     }
 
-    /// Programs one COS per non-empty cluster and reassigns cores.
-    fn program(&mut self, cat: &mut dyn CacheController) -> Result<(), ResctrlError> {
+    /// Stages one COS per non-empty cluster, with its members' cores.
+    fn stage(&mut self) {
         let clusters = self.cluster_ways.len();
         // Compact to non-empty clusters (layout forbids zero counts).
         let occupied = (0..clusters)
             .filter(|&c| self.cluster_of.contains(&c) || (c == INSENSITIVE && clusters == 1));
-        let (handles, cluster_of) = (self.tracker.handles(), &self.cluster_of);
-        let classes = occupied.enumerate().map(|(j, c)| Class {
-            cos: CosId((j + 1) as u8),
-            ways: self.cluster_ways.get(c).copied().unwrap_or(1).max(1),
-            anchor: Some(c),
-            cores: handles
-                .iter()
-                .zip(cluster_of)
-                .filter(move |&(_, &k)| k == c)
-                .flat_map(|(h, _)| h.cores.iter().copied()),
+        let classes = occupied.enumerate().map(|(j, c)| {
+            let ways = self.cluster_ways.get(c).copied().unwrap_or(1).max(1);
+            let members = self.cluster_of.iter().enumerate();
+            let members = members.filter(move |&(_, &k)| k == c).map(|(i, _)| i);
+            (CosId((j + 1) as u8), ways, Some(c), members)
         });
-        self.programmed.apply(classes, cat)?;
-        Ok(())
+        self.tracker.allocation.stage(classes);
     }
 
     /// The report class for domain `i` under the current clustering.
@@ -290,19 +284,16 @@ impl CachePolicy for LfocPolicy {
         "lfoc"
     }
 
-    fn decide(
-        &mut self,
-        input: TickInput<'_>,
-        cat: &mut dyn CacheController,
-    ) -> Result<&[DomainReport], ResctrlError> {
-        self.tracker.advance(&input)?;
+    /// Reclusters every `recluster_ticks`; every tick's plan is the
+    /// current clustering's whole layout.
+    fn decide(&mut self, input: &mut TickInput<'_>) -> &mut Allocation {
+        self.tracker.advance(input);
         self.update_features();
         self.ticks += 1;
         if self.ticks.is_multiple_of(self.cfg.recluster_ticks) {
             self.recluster();
-            self.program(cat)
-                .inspect_err(|_| self.tracker.hold_masks(&self.programmed))?;
         }
+        self.stage();
         for i in 0..self.features.len() {
             let cluster = self.cluster_of.get(i).copied().unwrap_or(INSENSITIVE);
             let ways = self
@@ -310,18 +301,14 @@ impl CachePolicy for LfocPolicy {
                 .get(cluster)
                 .copied()
                 .unwrap_or(self.cbm_len);
-            let cbm = self.programmed.anchored(cluster).map(|c| u64::from(c.0));
-            self.tracker.report(i, ways, self.class_of(i), cbm);
+            let class = self.class_of(i);
+            self.tracker.report(i, ways, class);
         }
-        Ok(&self.tracker.reports)
+        &mut self.tracker.allocation
     }
 
-    fn reports(&self) -> &[DomainReport] {
-        &self.tracker.reports
-    }
-
-    fn audit(&mut self) -> Result<(), InvariantViolation> {
-        self.programmed.audit().map_err(InvariantViolation::Layout)
+    fn allocation(&self) -> &Allocation {
+        &self.tracker.allocation
     }
 
     fn frame_ext(&self) -> dcat_obs::PolicyExt {

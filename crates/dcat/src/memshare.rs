@@ -24,12 +24,11 @@
 
 use std::collections::BTreeMap;
 
-use resctrl::{CacheController, Class, CosId, DefaultClass, Programmed, ResctrlError};
+use resctrl::{CacheController, CosId, ResctrlError};
 
 use crate::baselines::{largest_remainder, MetricsTracker};
-use crate::controller::{DomainReport, WorkloadHandle};
-use crate::invariants::InvariantViolation;
-use crate::policy::{CachePolicy, TickInput};
+use crate::controller::WorkloadHandle;
+use crate::policy::{Allocation, CachePolicy, TickInput};
 use crate::state::WorkloadClass;
 
 /// [`MemsharePolicy`]'s configuration. It has no field: the policy's
@@ -69,6 +68,7 @@ pub struct MemsharePolicy {
     min_ways: u32,
     /// [`MAX_PARTITIONS`], clamped to the hardware's `num_closids - 1`.
     max_partitions: u32,
+    /// Its plan: one COS per group, laid out fresh on each regrouping.
     tracker: MetricsTracker,
     /// Shares per domain (its reserved way count, floored at 1).
     shares: Vec<u64>,
@@ -78,9 +78,7 @@ pub struct MemsharePolicy {
     credit: Vec<i64>,
     /// This tick's granted ways per domain.
     granted: Vec<u32>,
-    /// One COS per group, laid out fresh on each regrouping.
-    programmed: Programmed,
-    /// Groups (so COS) in the last completed apply.
+    /// Groups (so COS) in the last plan.
     partitions: u32,
     cbm_len: u32,
 }
@@ -105,16 +103,16 @@ impl MemsharePolicy {
         let mut policy = MemsharePolicy {
             min_ways,
             max_partitions: MAX_PARTITIONS.min(hw_partitions),
-            tracker: MetricsTracker::new(handles),
+            tracker: MetricsTracker::new(handles, caps),
             shares,
             granted: entitlement.clone(),
             entitlement,
             credit: vec![0; n],
-            programmed: Programmed::new(caps, DefaultClass::Untouched),
             partitions: 0,
             cbm_len: caps.cbm_len,
         };
-        policy.program(cat)?;
+        policy.stage();
+        policy.tracker.allocation.program(cat)?;
         Ok(policy)
     }
 
@@ -220,9 +218,9 @@ impl MemsharePolicy {
         }
     }
 
-    /// Groups equal grants into shared COS and programs the layout.
-    /// Groups beyond the COS budget are merged smallest-first.
-    fn program(&mut self, cat: &mut dyn CacheController) -> Result<(), ResctrlError> {
+    /// Groups equal grants into shared COS and stages the layout. Groups
+    /// beyond the COS budget are merged smallest-first.
+    fn stage(&mut self) {
         let mut by_grant: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
         for (i, &g) in self.granted.iter().enumerate() {
             by_grant.entry(g).or_default().push(i);
@@ -264,22 +262,12 @@ impl MemsharePolicy {
             counts.push(take);
             budget = budget.saturating_sub(take);
         }
-        let handles = self.tracker.handles();
         let classes = groups.iter().zip(counts).enumerate();
-        self.programmed.apply(
-            classes.map(|(j, ((_, members), ways))| Class {
-                cos: CosId((j + 1) as u8),
-                ways,
-                anchor: None,
-                cores: members
-                    .iter()
-                    .filter_map(|&i| handles.get(i))
-                    .flat_map(|h| h.cores.iter().copied()),
-            }),
-            cat,
-        )?;
+        let classes = classes.map(|(j, ((_, members), ways))| {
+            (CosId((j + 1) as u8), ways, None, members.iter().copied())
+        });
+        self.tracker.allocation.stage(classes);
         self.partitions = groups.len() as u32;
-        Ok(())
     }
 
     /// The report class for one domain this tick.
@@ -315,35 +303,21 @@ impl CachePolicy for MemsharePolicy {
         "memshare"
     }
 
-    fn decide(
-        &mut self,
-        input: TickInput<'_>,
-        cat: &mut dyn CacheController,
-    ) -> Result<&[DomainReport], ResctrlError> {
-        self.tracker.advance(&input)?;
+    fn decide(&mut self, input: &mut TickInput<'_>) -> &mut Allocation {
+        self.tracker.advance(input);
         let demand = self.classify();
         self.settle(&demand);
-        self.program(cat)
-            .inspect_err(|_| self.tracker.hold_masks(&self.programmed))?;
+        self.stage();
         for i in 0..demand.len() {
             let ways = self.granted.get(i).copied().unwrap_or(0);
-            // Group members share their first core's COS.
-            let cores = self.tracker.handles().get(i).map(|h| h.cores.as_slice());
-            let cbm = cores
-                .and_then(|c| c.first())
-                .and_then(|&c| self.programmed.core_mask(c))
-                .map(|c| u64::from(c.0));
-            self.tracker.report(i, ways, self.class_of(i, &demand), cbm);
+            let class = self.class_of(i, &demand);
+            self.tracker.report(i, ways, class);
         }
-        Ok(&self.tracker.reports)
+        &mut self.tracker.allocation
     }
 
-    fn reports(&self) -> &[DomainReport] {
-        &self.tracker.reports
-    }
-
-    fn audit(&mut self) -> Result<(), InvariantViolation> {
-        self.programmed.audit().map_err(InvariantViolation::Layout)
+    fn allocation(&self) -> &Allocation {
+        &self.tracker.allocation
     }
 
     fn frame_ext(&self) -> dcat_obs::PolicyExt {

@@ -5,12 +5,20 @@
 //! reserved sizes, and **dCat**. Experiment harnesses drive all three
 //! through this trait so scenarios are written once, and
 //! [`crate::control::ControlLoop`] drives any of them once per interval.
+//!
+//! A policy decides; [`apply`], the one apply, programs what it decided,
+//! commits or holds its reports, and [`audit`] checks what the backend
+//! holds — the same code for every policy.
+
+use std::ops::Range;
 
 use dcat_obs::Tracer;
 use perf_events::CounterSnapshot;
-use resctrl::{CacheController, ResctrlError};
+use resctrl::{
+    CacheController, CatCapabilities, Cbm, Class, CosId, DefaultClass, Programmed, ResctrlError,
+};
 
-use crate::controller::DomainReport;
+use crate::controller::{DomainReport, WorkloadHandle};
 use crate::invariants::InvariantViolation;
 
 /// One interval's input to [`CachePolicy::decide`].
@@ -24,7 +32,7 @@ pub struct TickInput<'a> {
     /// and its ways, and its report says `skipped`.
     pub valid: &'a [bool],
     /// Receives one span per pipeline stage the policy has (dCat: the six
-    /// Figure-4 steps; the baselines have none).
+    /// Figure-4 steps, the last of them the apply; the baselines have none).
     pub tracer: &'a mut Tracer,
 }
 
@@ -49,22 +57,24 @@ pub trait CachePolicy {
     /// Short policy name for reports ("shared", "static-cat", "dcat").
     fn name(&self) -> &'static str;
 
-    /// The decision: observes the interval's counters, (possibly)
-    /// reprograms CAT, and lends the per-domain reports out of the
-    /// policy's own buffers.
-    fn decide(
-        &mut self,
-        input: TickInput<'_>,
-        cat: &mut dyn CacheController,
-    ) -> Result<&[DomainReport], ResctrlError>;
+    /// The decision: observes the interval's counters and leaves its plan
+    /// in the policy's [`Allocation`] — the whole layout it wants held
+    /// (static CAT's staged once), and the interval's reports. It reads
+    /// what the backend holds and writes nothing: [`apply`] programs it.
+    fn decide(&mut self, input: &mut TickInput<'_>) -> &mut Allocation;
+
+    /// The plan, what the backend holds, and the committed reports.
+    fn allocation(&self) -> &Allocation;
 
     /// The reports of the last decision that completed (empty before the
-    /// first): what a degraded tick holds, once a decision cut short
-    /// mid-apply has rewritten their `ways` and `cbm` to the backend's.
-    fn reports(&self) -> &[DomainReport];
+    /// first): what a degraded tick holds, with `ways` and `cbm` the
+    /// backend's once an apply was cut short.
+    fn reports(&self) -> &[DomainReport] {
+        &self.allocation().reports
+    }
 
-    /// [`Self::decide`] with every lane valid and no tracing, the reports
-    /// copied out.
+    /// [`apply`] with every lane valid and no tracing, the reports copied
+    /// out.
     fn tick(
         &mut self,
         snapshots: &[CounterSnapshot],
@@ -75,13 +85,14 @@ pub trait CachePolicy {
             valid: &vec![true; snapshots.len()],
             tracer: &mut Tracer::disabled(),
         };
-        self.decide(input, cat).map(<[DomainReport]>::to_vec)
+        apply(self, input, cat)?;
+        debug_assert_eq!(audit(self), Ok(()), "{}: audit failed", self.name());
+        Ok(self.reports().to_vec())
     }
 
-    /// Audits the recorded allocation against the policy's invariants.
-    /// The loop runs it after every decision, completed or not: holding
-    /// must never leave overlapping masks or starve a domain.
-    fn audit(&mut self) -> Result<(), InvariantViolation> {
+    /// The policy's own invariants, which [`audit`] checks beside the
+    /// record's (dCat: its per-domain grants).
+    fn invariants(&mut self) -> Result<(), InvariantViolation> {
         Ok(())
     }
 
@@ -91,6 +102,196 @@ pub trait CachePolicy {
     /// bookkeeping, which is right for the shared baseline.
     fn frame_ext(&self) -> dcat_obs::PolicyExt {
         dcat_obs::PolicyExt::default()
+    }
+}
+
+/// The one apply: `policy` decides the interval and the plan is
+/// programmed; a steady plan writes nothing. An error fails the interval:
+/// a wrong-length input before anything is judged, a cut-short write with
+/// the reports held.
+pub fn apply<P: CachePolicy + ?Sized>(
+    policy: &mut P,
+    mut input: TickInput<'_>,
+    cat: &mut dyn CacheController,
+) -> Result<(), ResctrlError> {
+    input.check_len(policy.allocation().staged.len())?;
+    policy.decide(&mut input).apply(cat, input.tracer)
+}
+
+/// Audits what the backend holds, then the policy's own invariants. The
+/// loop runs it after every decision, completed or not: holding must
+/// never leave overlapping masks or starve a domain.
+pub fn audit<P: CachePolicy + ?Sized>(policy: &mut P) -> Result<(), InvariantViolation> {
+    let record = &policy.allocation().record;
+    record.audit().map_err(InvariantViolation::Layout)?;
+    policy.invariants()
+}
+
+/// What the one apply does beside programming the classes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// The baselines: COS 0 is left alone and nothing is flushed.
+    Plain,
+    /// dCat's step 5: COS 0 is confined to the free run, the ways a class
+    /// gave up are flushed (the paper's flush pass: lines filled under the
+    /// old mask would keep hitting in ways their owner can no longer fill),
+    /// and the apply is the pipeline's `apply` span.
+    FlushPass,
+}
+
+/// A policy's side of the one apply. The decision stages the plan; only
+/// the apply writes the record of what the backend holds and commits the
+/// reports.
+#[derive(Debug)]
+pub struct Allocation {
+    kind: Kind,
+    record: Programmed,
+    /// The domains, in report order.
+    handles: Vec<WorkloadHandle>,
+    /// The plan: COS, ways, anchor and `cores[range]` per class, and the
+    /// reports, one per domain (their names cloned once).
+    classes: Vec<(CosId, u32, Option<usize>, Range<usize>)>,
+    cores: Vec<u32>,
+    staged: Vec<DomainReport>,
+    reports: Vec<DomainReport>,
+}
+
+impl Allocation {
+    /// An empty record and plan over `handles`' domains.
+    pub(crate) fn new(caps: CatCapabilities, kind: Kind, handles: Vec<WorkloadHandle>) -> Self {
+        let default = match kind {
+            Kind::Plain => DefaultClass::Untouched,
+            Kind::FlushPass => DefaultClass::FreeRun,
+        };
+        let named = |h: &WorkloadHandle| DomainReport {
+            name: h.name.clone(),
+            ..DomainReport::default()
+        };
+        Allocation {
+            kind,
+            record: Programmed::new(caps, default),
+            classes: Vec::new(),
+            cores: Vec::new(),
+            staged: handles.iter().map(named).collect(),
+            reports: Vec::new(),
+            handles,
+        }
+    }
+
+    /// Stages and programs dCat's first plan and static CAT's only one:
+    /// each domain's reservation. Refused before anything is written when
+    /// the domains need more classes than the backend has, or one
+    /// reserves fewer ways than its narrowest mask (the planner refuses
+    /// more ways than the cache has, also before writing).
+    pub(crate) fn reserve(&mut self, cat: &mut dyn CacheController) -> Result<(), ResctrlError> {
+        let (caps, handles) = (cat.capabilities(), &self.handles);
+        if handles.len() + 1 > caps.num_closids as usize {
+            return Err(ResctrlError::Parse(format!(
+                "{} workloads exceed {} classes of service",
+                handles.len(),
+                caps.num_closids
+            )));
+        }
+        if let Some(h) = handles.iter().find(|h| h.reserved_ways < caps.min_cbm_bits) {
+            return Err(ResctrlError::InvalidCbm {
+                cbm: Cbm::from_way_range(0, h.reserved_ways),
+                reason: format!(
+                    "tenant {} reserves {} ways, fewer than min_cbm_bits={}",
+                    h.name, h.reserved_ways, caps.min_cbm_bits
+                ),
+            });
+        }
+        let reserved: Vec<u32> = handles.iter().map(|h| h.reserved_ways).collect();
+        self.stage_domains(reserved);
+        self.program(cat)
+    }
+
+    /// The domains, in report order.
+    pub(crate) fn handles(&self) -> &[WorkloadHandle] {
+        &self.handles
+    }
+
+    /// The mask of the class domain `i`'s first core sits in, as far as
+    /// the apply wrote it.
+    pub(crate) fn domain_mask(&self, i: usize) -> Option<Cbm> {
+        let core = *self.handles.get(i)?.cores.first()?;
+        self.record.core_mask(core)
+    }
+
+    /// Stages the plan, replacing the last: per class its COS, ways,
+    /// anchor and member domains, whose cores it holds.
+    pub(crate) fn stage<M: IntoIterator<Item = usize>>(
+        &mut self,
+        classes: impl IntoIterator<Item = (CosId, u32, Option<usize>, M)>,
+    ) {
+        self.classes.clear();
+        self.cores.clear();
+        for (cos, ways, anchor, members) in classes {
+            let start = self.cores.len();
+            for h in members.into_iter().filter_map(|d| self.handles.get(d)) {
+                self.cores.extend(&h.cores);
+            }
+            self.classes
+                .push((cos, ways, anchor, start..self.cores.len()));
+        }
+    }
+
+    /// Stages domain `i` alone in COS `i + 1`, anchored under `i`, with
+    /// the `i`-th of `ways`.
+    pub(crate) fn stage_domains(&mut self, ways: impl IntoIterator<Item = u32>) {
+        let classes = ways.into_iter().enumerate();
+        self.stage(classes.map(|(i, ways)| (CosId((i + 1) as u8), ways, Some(i), [i])));
+    }
+
+    /// The plan's reports, to be written in full.
+    pub(crate) fn staged(&mut self) -> &mut [DomainReport] {
+        &mut self.staged
+    }
+
+    /// Programs the plan, then commits its reports or, cut short, holds
+    /// the last committed ones, their `ways` rewritten from the record.
+    /// Each report's `cbm` is the record's for its domain.
+    fn apply(
+        &mut self,
+        cat: &mut dyn CacheController,
+        tracer: &mut Tracer,
+    ) -> Result<(), ResctrlError> {
+        let written = match self.kind {
+            Kind::Plain => self.program(cat),
+            Kind::FlushPass => tracer.scope("apply", |_| self.program(cat)),
+        };
+        if written.is_ok() {
+            std::mem::swap(&mut self.reports, &mut self.staged);
+            if self.staged.is_empty() {
+                self.staged.clone_from(&self.reports);
+            }
+        }
+        for (r, h) in self.reports.iter_mut().zip(&self.handles) {
+            if let Some(mask) = h.cores.first().and_then(|&c| self.record.core_mask(c)) {
+                r.cbm = Some(u64::from(mask.0));
+                if written.is_err() {
+                    r.ways = mask.ways();
+                }
+            }
+        }
+        written
+    }
+
+    /// Programs the plan without committing its reports: the apply's, and
+    /// a constructor's first layout.
+    pub(crate) fn program(&mut self, cat: &mut dyn CacheController) -> Result<(), ResctrlError> {
+        let cores = &self.cores;
+        let classes = self.classes.iter().map(|(cos, ways, anchor, range)| Class {
+            cos: *cos,
+            ways: *ways,
+            anchor: *anchor,
+            cores: cores.get(range.clone()).into_iter().flatten().copied(),
+        });
+        let lost = self.record.apply(classes, cat)?;
+        if self.kind == Kind::FlushPass && !lost.is_empty() {
+            cat.flush_cbm(lost)?;
+        }
+        Ok(())
     }
 }
 
@@ -114,7 +315,7 @@ mod tests {
             valid: &[true],
             tracer: &mut tracer,
         };
-        assert_eq!(policy.decide(input, &mut cat).unwrap().len(), 1);
+        apply(&mut *policy, input, &mut cat).unwrap();
         assert_eq!(policy.reports().len(), 1);
         let names: Vec<_> = tracer.completed().iter().map(|s| s.name).collect();
         assert_eq!(

@@ -47,7 +47,8 @@ fn decide<'p>(
         valid,
         tracer: &mut Tracer::disabled(),
     };
-    policy.decide(input, cat)
+    dcat::policy::apply(policy, input, cat)?;
+    Ok(policy.reports())
 }
 
 #[test]

@@ -3,17 +3,21 @@
 //! tenant stops at two. An idle tenant beside a cache-hungry one is the
 //! one each policy shrinks furthest — dCat's donor, LFOC's insensitive
 //! bucket, Memshare's lender — so a floor of one would program a one-way
-//! mask, which the backend refuses.
+//! mask, which the backend refuses. dCat and static CAT start every
+//! tenant at its reservation, so they refuse a one-way one where they are
+//! built.
 
 use dcat::{
     CachePolicy, DcatConfig, DcatController, LfocConfig, LfocPolicy, MemshareConfig,
-    MemsharePolicy, WorkloadHandle,
+    MemsharePolicy, StaticCatPolicy, WorkloadHandle,
 };
 use perf_events::CounterSnapshot;
 use resctrl::mock::MutationRecord;
-use resctrl::{CatCapabilities, InMemoryController};
+use resctrl::{CatCapabilities, InMemoryController, ResctrlError};
 
 type Build = fn(Vec<WorkloadHandle>, &mut InMemoryController) -> Box<dyn CachePolicy>;
+type TryBuild =
+    fn(Vec<WorkloadHandle>, &mut InMemoryController) -> Result<Box<dyn CachePolicy>, ResctrlError>;
 
 const TWO_BIT: CatCapabilities = CatCapabilities {
     cbm_len: 20,
@@ -75,5 +79,40 @@ fn lfoc_keeps_the_hardware_way_floor() {
 fn memshare_keeps_the_hardware_way_floor() {
     an_idle_tenant_keeps_two_ways(|h, cat| {
         Box::new(MemsharePolicy::new(h, cat, MemshareConfig).unwrap())
+    });
+}
+
+/// A tenant reserving one way on a two-way-floor backend is refused where
+/// the policy is built, by name and reservation, before anything is
+/// written: a one-way reservation is a mask the backend would refuse.
+fn a_one_way_reservation_is_refused_before_any_write(build: TryBuild) {
+    let mut cat = InMemoryController::new(TWO_BIT, 2);
+    let handles = vec![
+        WorkloadHandle::new("wide", vec![0], 4),
+        WorkloadHandle::new("narrow", vec![1], 1),
+    ];
+    let Err(e) = build(handles, &mut cat) else {
+        panic!("a one-way reservation was accepted");
+    };
+    let message = e.to_string();
+    assert!(
+        message.contains("narrow") && message.contains("reserves 1 ways"),
+        "{message}"
+    );
+    assert!(cat.log.is_empty(), "{message}: {:?}", cat.log);
+}
+
+#[test]
+fn dcat_refuses_a_reservation_below_the_hardware_way_floor() {
+    a_one_way_reservation_is_refused_before_any_write(|h, cat| {
+        let ctl = DcatController::new(DcatConfig::default(), h, cat)?;
+        Ok(Box::new(ctl))
+    });
+}
+
+#[test]
+fn static_cat_refuses_a_reservation_below_the_hardware_way_floor() {
+    a_one_way_reservation_is_refused_before_any_write(|h, cat| {
+        Ok(Box::new(StaticCatPolicy::new(h, cat)?))
     });
 }

@@ -31,13 +31,6 @@ pub fn counter_to_f64(count: u64) -> f64 {
     count as f64
 }
 
-/// Converts a collection length to `f64` exactly.
-///
-/// Lengths are bounded by memory, far below 2^53.
-pub fn len_to_f64(len: usize) -> f64 {
-    counter_to_f64(u64::try_from(len).unwrap_or(u64::MAX))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,11 +53,5 @@ mod tests {
     #[should_panic(expected = "exceeds 2^53")]
     fn above_boundary_panics_in_debug() {
         counter_to_f64(MAX_EXACT_U64_IN_F64 + 1);
-    }
-
-    #[test]
-    fn len_conversion_matches_counter_path() {
-        assert_eq!(len_to_f64(42), 42.0);
-        assert_eq!(len_to_f64(0), 0.0);
     }
 }

@@ -37,8 +37,11 @@
 //! through and fails the rest, [`Fault::CoreAssign`] fails the core moves,
 //! on every third tick (where there is such a write) and in construction.
 //! After every tick, degraded or not, the backend's classes holding cores
-//! must be pairwise disjoint, the policy's audit must hold and every
-//! report must show the mask the backend holds for its domain.
+//! must be pairwise disjoint, the loop's audit must hold and every
+//! report must show the mask the backend holds for its domain. The last
+//! holds by construction — `dcat::policy::apply`, the one apply, writes
+//! each report's `cbm` from the record of what it programmed — and is
+//! checked every tick all the same.
 //!
 //! [`run`] returns what was explored and every violation; the binary
 //! prints them and exits non-zero on any violation (a tick family that
