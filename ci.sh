@@ -114,8 +114,9 @@ echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch co
 # before the backend took it, and 35 a cut-short apply lending the last
 # tick's masks unrewritten (§10.2); 36 LFOC's way floor taken as 1, not
 # the hardware's `min_cbm_bits` (§10); 37 the one apply skipping a tick
-# whose plan did not change, which left LFOC on a cut-short layout, and
-# 38 a reservation under `min_cbm_bits` reaching the backend (§11).
+# whose plan did not change, which left LFOC on a cut-short layout, 38 a
+# reservation under `min_cbm_bits` reaching the backend, and 39 tenants
+# sharing a core, or one with none, reaching it (§11).
 # 22, the sharer mask's bit position, retired with the mask.
 sh tools/mutants.sh tests/mutants/*.patch
 

@@ -176,11 +176,6 @@ impl TenantSpec {
             ServiceKind::Streaming => day(Mload::new(6 * 1024 * 1024), self.phase),
         }
     }
-
-    /// Whether the tenant's workload should be running at `epoch`.
-    pub fn active_at(&self, epoch: u64) -> bool {
-        self.arrival_epoch <= epoch && epoch < self.departure_epoch
-    }
 }
 
 /// Which cluster policy governs every host of the fleet.
@@ -301,7 +296,7 @@ fn class_idx(class: WorkloadClass) -> usize {
 }
 
 /// Label order matching `class_idx`.
-pub const CLASS_LABELS: [&str; 6] = [
+const CLASS_LABELS: [&str; 6] = [
     "keeper",
     "donor",
     "receiver",
@@ -498,7 +493,8 @@ pub struct FleetEpochRow {
     pub llc_miss: u64,
     /// Requests completed fleet-wide.
     pub requests: u64,
-    /// Domain-class counts in [`CLASS_LABELS`] order.
+    /// Domain-class counts: keeper, donor, receiver, streaming, unknown,
+    /// reclaim.
     pub classes: [u64; 6],
     /// Sum over hosts of distinct COS in use (mean = `/ hosts`).
     pub cos_used_sum: u64,
@@ -992,7 +988,7 @@ mod tests {
         let cfg = tiny(100);
         let specs = TenantSpec::generate(&cfg);
         assert!(specs.iter().all(|t| t.departure_epoch > t.arrival_epoch));
-        let at_start = specs.iter().filter(|t| t.active_at(0)).count();
+        let at_start = specs.iter().filter(|t| t.arrival_epoch == 0).count();
         assert!(at_start > 50, "steady fleets start mostly populated");
         let kinds: BTreeSet<&str> = specs.iter().map(|t| t.service.label()).collect();
         assert!(kinds.len() >= 4, "the service mix should be diverse");

@@ -38,44 +38,6 @@ pub struct CaseResult {
     pub norm: f64,
 }
 
-/// Measures `f`: one untimed warmup repetition, then `reps` timed
-/// repetitions of `iters` iterations each; reports the median
-/// per-iteration time. The closure's return value passes through
-/// [`black_box`] so the optimizer cannot delete the work.
-pub fn run_case<T>(
-    clock: &mut dyn CycleSource,
-    name: &str,
-    iters: u32,
-    reps: u32,
-    mut f: impl FnMut() -> T,
-) -> CaseResult {
-    let iters = iters.max(1);
-    let reps = reps.max(1);
-    for _ in 0..iters {
-        black_box(f());
-    }
-    let mut per_rep_ns: Vec<u64> = Vec::with_capacity(reps as usize);
-    for _ in 0..reps {
-        let t0 = clock.now_cycles();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let t1 = clock.now_cycles();
-        per_rep_ns.push(t1.saturating_sub(t0));
-    }
-    per_rep_ns.sort_unstable();
-    let median = per_rep_ns[per_rep_ns.len() / 2];
-    CaseResult {
-        name: name.to_string(),
-        // Round half-up so a fast case never reports 0 ns spuriously
-        // while staying an integer (stable to serialize).
-        ns_per_iter: (median + u64::from(iters) / 2) / u64::from(iters),
-        iters,
-        reps,
-        norm: 0.0,
-    }
-}
-
 /// Fills in every case's `norm` as `ns_per_iter / calibration_ns`,
 /// where the calibration case is named `calibration`. The calibration
 /// case itself gets `norm = 1.0` by construction.
@@ -208,10 +170,12 @@ mod tests {
 
     #[test]
     fn fake_clock_yields_deterministic_results() {
-        let mut clock = FakeClock::new(1000);
-        let r1 = run_case(&mut clock, "spin", 10, 3, || 1u64 + 1);
-        let mut clock = FakeClock::new(1000);
-        let r2 = run_case(&mut clock, "spin", 10, 3, || 1u64 + 1);
+        let run_once = || {
+            let mut suite = SuiteRunner::new();
+            suite.case("spin", 10, || 1u64 + 1);
+            suite.run(&mut FakeClock::new(1000), 3).remove(0)
+        };
+        let (r1, r2) = (run_once(), run_once());
         assert_eq!(r1, r2);
         // Each rep spans exactly one stride: 1000 ns / 10 iters.
         assert_eq!(r1.ns_per_iter, 100);
@@ -285,10 +249,9 @@ mod tests {
 
     #[test]
     fn wall_clock_measures_something() {
-        let mut clock = crate::timing::WallClock::new();
-        let r = run_case(&mut clock, "sum", 1000, 3, || {
-            (0..100u64).fold(0u64, u64::wrapping_add)
-        });
+        let mut suite = SuiteRunner::new();
+        suite.case("sum", 1000, || (0..100u64).fold(0u64, u64::wrapping_add));
+        let r = suite.run(&mut crate::timing::WallClock::new(), 3).remove(0);
         assert_eq!(r.iters, 1000);
         assert_eq!(r.reps, 3);
     }

@@ -20,10 +20,6 @@ use super::harness::CaseResult;
 /// Schema identifier embedded in (and required of) every document.
 pub const SCHEMA: &str = "dcat-perfbench/v1";
 
-/// Default regression tolerance on normalized scores: a case may be up
-/// to 25% slower than the blessed baseline before the gate fails.
-pub const DEFAULT_TOLERANCE: f64 = 0.25;
-
 /// A derived, machine-independent metric (typically a speedup ratio).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Derived {
@@ -297,7 +293,7 @@ mod tests {
             suite: "micro".into(),
             clock: "fake".into(),
             calibration: "spin".into(),
-            tolerance: DEFAULT_TOLERANCE,
+            tolerance: 0.25,
             cases: vec![
                 CaseResult {
                     name: "spin".into(),
@@ -329,7 +325,7 @@ mod tests {
         assert_eq!(parsed.suite, "micro");
         assert_eq!(parsed.cases.len(), 2);
         assert_eq!(parsed.derived.len(), 1);
-        assert_eq!(parsed.tolerance, DEFAULT_TOLERANCE);
+        assert_eq!(parsed.tolerance, 0.25);
     }
 
     #[test]

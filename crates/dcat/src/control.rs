@@ -352,7 +352,7 @@ impl<P: DerefMut<Target: CachePolicy>> ControlLoop<P> {
         // Audit the recorded allocation even (especially) on a degraded
         // decision: holding must never leave overlapping masks or starve
         // a domain below its floor.
-        if let Some(Err(violation)) = decision_ran.then(|| policy::audit(&mut *self.policy)) {
+        if let Some(Err(violation)) = decision_ran.then(|| policy::audit(&*self.policy)) {
             self.events.push(Event::InvariantViolation {
                 message: violation.to_string(),
             });

@@ -7,7 +7,7 @@ use perf_events::{CounterSnapshot, IntervalMetrics};
 use resctrl::{CacheController, Cbm, ResctrlError};
 
 use crate::config::{AllocationPolicy, DcatConfig};
-use crate::invariants::{self, DomainView, InvariantViolation};
+use crate::invariants::{self, InvariantViolation};
 use crate::perf_table::{max_performance_split, PerformanceTable};
 use crate::phase::{PhaseChange, PhaseDetector};
 use crate::policy::{Allocation, CachePolicy, Kind, TickInput};
@@ -19,7 +19,9 @@ use crate::transitions;
 pub struct WorkloadHandle {
     /// Display name.
     pub name: String,
-    /// Cores owned exclusively by the workload.
+    /// Cores owned exclusively by the workload: every policy that
+    /// programs refuses, where it is built, handles that share a core or
+    /// have none.
     pub cores: Vec<u32>,
     /// Contracted LLC ways — the baseline allocation.
     pub reserved_ways: u32,
@@ -40,6 +42,32 @@ impl WorkloadHandle {
             reserved_ways,
         }
     }
+}
+
+/// Checks that every domain owns at least one core and that no core is
+/// listed twice, by two domains or by one: what [`WorkloadHandle::cores`]
+/// promises and its `pub` fields cannot enforce. The message names the
+/// domains.
+pub(crate) fn check_cores(handles: &[WorkloadHandle]) -> Result<(), String> {
+    let mut owner: BTreeMap<u32, usize> = BTreeMap::new();
+    for (i, h) in handles.iter().enumerate() {
+        if h.cores.is_empty() {
+            return Err(format!("domain {:?} has no cores", h.name));
+        }
+        for &core in &h.cores {
+            let Some(other) = owner.insert(core, i) else {
+                continue;
+            };
+            return Err(match handles.get(other).filter(|_| other != i) {
+                Some(o) => format!(
+                    "domains {:?} and {:?} both claim core {core}",
+                    o.name, h.name
+                ),
+                None => format!("domain {:?} lists core {core} twice", h.name),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// What dCat decided about one workload this interval.
@@ -126,18 +154,6 @@ struct Domain {
     donor_floor: u32,
 }
 
-impl Domain {
-    /// The audit's view of the domain, whose mask is `cbm` as recorded.
-    fn view(&self, cbm: Option<Cbm>) -> DomainView {
-        DomainView {
-            class: self.class,
-            ways: cbm.map_or(self.ways, Cbm::ways),
-            reserved_ways: self.reserved,
-            cbm,
-        }
-    }
-}
-
 /// One interval's working buffers. The controller owns them across ticks
 /// so a steady tick allocates none of them; every entry is rewritten
 /// before it is read, nothing carries over from the previous interval.
@@ -151,8 +167,6 @@ struct TickScratch {
     targets: Vec<u32>,
     /// Growth candidates, Unknown before Receiver.
     grow_order: Vec<usize>,
-    /// The audit's view of the domains.
-    views: Vec<DomainView>,
 }
 
 /// The dynamic cache-allocation controller.
@@ -245,8 +259,12 @@ impl DcatController {
         reason = "`i` is the caller's domain index; out of range is the caller's bug, as for a slice"
     )]
     pub fn ways_of(&self, i: usize) -> u32 {
-        let d = &self.domains[i];
-        d.view(self.allocation.domain_mask(i)).ways
+        self.granted(i, &self.domains[i])
+    }
+
+    /// Domain `i`'s grant: its recorded mask's width, once one is.
+    fn granted(&self, i: usize, d: &Domain) -> u32 {
+        self.allocation.domain_mask(i).map_or(d.ways, Cbm::ways)
     }
 
     /// Number of controller intervals executed so far.
@@ -856,12 +874,12 @@ impl CachePolicy for DcatController {
         &self.allocation
     }
 
-    fn invariants(&mut self) -> Result<(), InvariantViolation> {
-        let views = &mut self.scratch.views;
-        views.clear();
-        let domains = self.domains.iter().enumerate();
-        views.extend(domains.map(|(i, d)| d.view(self.allocation.domain_mask(i))));
-        invariants::check(views, self.total_ways, self.config.min_ways)
+    fn invariants(&self) -> Result<(), InvariantViolation> {
+        for (i, d) in self.domains.iter().enumerate() {
+            let ways = self.granted(i, d);
+            invariants::check_floor(i, d.class, ways, d.reserved, self.config.min_ways)?;
+        }
+        Ok(())
     }
 
     fn frame_ext(&self) -> dcat_obs::PolicyExt {

@@ -54,7 +54,7 @@ use resctrl::{CacheController, FaultingController, FsBackend, ResctrlError};
 use crate::config::DcatConfig;
 use crate::control::ControlLoop;
 pub use crate::control::{ResiliencePolicy, TickObservation};
-use crate::controller::{DcatController, DomainReport, WorkloadHandle};
+use crate::controller::{check_cores, DcatController, DomainReport, WorkloadHandle};
 use crate::events::Event;
 use crate::policy::CachePolicy;
 use crate::telemetry::{CsvTelemetry, FaultyTelemetry, FileTelemetry, TelemetryFeed};
@@ -188,14 +188,15 @@ pub struct DaemonOutcome {
     pub flight_dump: String,
 }
 
-/// Rejects duplicate names and core lists that overlap across domains.
+/// Rejects duplicate names, a domain with no cores, and core lists that
+/// overlap (the cores check is the one every programming policy makes
+/// where it is built).
 ///
 /// Two domains sharing a core would silently fight over that core's COS
 /// assignment — the last `assign_core` wins and one tenant runs under
 /// the other's mask — and duplicate names make telemetry rows ambiguous.
 pub fn validate_domain_set(domains: &[WorkloadHandle]) -> Result<(), String> {
     let mut seen_names: BTreeMap<&str, usize> = BTreeMap::new();
-    let mut core_owner: BTreeMap<u32, &str> = BTreeMap::new();
     for (i, d) in domains.iter().enumerate() {
         if let Some(prev) = seen_names.insert(d.name.as_str(), i) {
             return Err(format!(
@@ -203,19 +204,8 @@ pub fn validate_domain_set(domains: &[WorkloadHandle]) -> Result<(), String> {
                 d.name
             ));
         }
-        for &core in &d.cores {
-            if let Some(owner) = core_owner.insert(core, d.name.as_str()) {
-                if owner != d.name {
-                    return Err(format!(
-                        "domains {:?} and {:?} both claim core {core}",
-                        owner, d.name
-                    ));
-                }
-                return Err(format!("domain {:?} lists core {core} twice", d.name));
-            }
-        }
     }
-    Ok(())
+    check_cores(domains)
 }
 
 /// Parses a `;`-separated `name:cores:ways` domain spec list, e.g.

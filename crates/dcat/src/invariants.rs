@@ -3,17 +3,19 @@
 //! These are the safety properties every interval of [`crate::DcatController`]
 //! must uphold, independent of workload behavior or configuration:
 //!
+//! * **Hardware legality** — the programmed masks are non-empty,
+//!   contiguous, in range, and pairwise disjoint. One check holds it for
+//!   every policy: [`resctrl::Programmed::audit`] over the record of what
+//!   the backend took.
 //! * **Way conservation** — the granted way counts never oversubscribe the
-//!   cache.
+//!   cache. A domain's grant is the width of its recorded mask, and the
+//!   domains own disjoint cores (refused where a policy is built
+//!   otherwise), so each grant is its own class's mask and the record's
+//!   audit implies the sum.
 //! * **Allocation floor** — no tenant drops below the configured minimum
 //!   (clamped to its contracted reservation; a tenant that reserved less
-//!   than `min_ways` is floored at its reservation instead).
-//! * **Hardware legality** — the programmed masks are non-empty,
-//!   contiguous, in range, and pairwise disjoint (delegated to
-//!   [`resctrl::invariants::check_masks`]).
-//!
-//! A domain's grant is the way count of the mask the backend holds, so the
-//! two agree by construction.
+//!   than `min_ways` is floored at its reservation instead):
+//!   [`check_floor`], over the recorded masks.
 //!
 //! One mechanism checks them: [`crate::policy::audit`], which
 //! [`crate::ControlLoop::step`] runs after every decision, completed or
@@ -23,22 +25,7 @@
 
 use std::fmt;
 
-use resctrl::Cbm;
-
 use crate::state::WorkloadClass;
-
-/// Read-only snapshot of one domain, as much as invariant checking needs.
-#[derive(Debug, Clone, Copy)]
-pub struct DomainView {
-    /// Current class in the Figure-6 state machine.
-    pub class: WorkloadClass,
-    /// Ways granted: the mask's, once one is programmed.
-    pub ways: u32,
-    /// The tenant's contracted reservation.
-    pub reserved_ways: u32,
-    /// The mask currently programmed, if any has been applied yet.
-    pub cbm: Option<Cbm>,
-}
 
 /// One violated controller invariant, carried structurally so the
 /// per-tick audit allocates nothing on the checked (hot) path; the
@@ -46,13 +33,6 @@ pub struct DomainView {
 /// is actually reported.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InvariantViolation {
-    /// The granted way counts oversubscribe the cache.
-    Oversubscribed {
-        /// Total ways granted across domains.
-        granted: u32,
-        /// Cache capacity in ways.
-        total_ways: u32,
-    },
     /// A domain dropped below its allocation floor.
     BelowFloor {
         /// Domain index.
@@ -64,22 +44,15 @@ pub enum InvariantViolation {
         /// The floor it must not drop below.
         floor: u32,
     },
-    /// The programmed layout is illegal (delegated to
-    /// [`resctrl::invariants::check_masks`], whose description is
-    /// built only on the violation path).
+    /// The programmed layout is illegal (from
+    /// [`resctrl::Programmed::audit`], whose description is built only on
+    /// the violation path).
     Layout(String),
 }
 
 impl fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            InvariantViolation::Oversubscribed {
-                granted,
-                total_ways,
-            } => write!(
-                f,
-                "way conservation violated: {granted} ways granted on a {total_ways}-way cache"
-            ),
             InvariantViolation::BelowFloor {
                 domain,
                 class,
@@ -94,76 +67,44 @@ impl fmt::Display for InvariantViolation {
     }
 }
 
-/// Checks every controller-level invariant over the domains of one
-/// controller. Returns the first violation, structurally.
-pub fn check(
-    views: &[DomainView],
-    total_ways: u32,
+/// Checks domain `domain`'s grant of `ways` against its floor: `min_ways`,
+/// clamped to its reservation, and never below one way.
+pub fn check_floor(
+    domain: usize,
+    class: WorkloadClass,
+    ways: u32,
+    reserved_ways: u32,
     min_ways: u32,
 ) -> Result<(), InvariantViolation> {
-    let granted: u32 = views.iter().map(|v| v.ways).sum();
-    if granted > total_ways {
-        return Err(InvariantViolation::Oversubscribed {
-            granted,
-            total_ways,
+    let floor = min_ways.min(reserved_ways).max(1);
+    if ways < floor {
+        return Err(InvariantViolation::BelowFloor {
+            domain,
+            class,
+            ways,
+            floor,
         });
     }
-    for (i, v) in views.iter().enumerate() {
-        let floor = min_ways.min(v.reserved_ways).max(1);
-        if v.ways < floor {
-            return Err(InvariantViolation::BelowFloor {
-                domain: i,
-                class: v.class,
-                ways: v.ways,
-                floor,
-            });
-        }
-    }
-    let masks = views.iter().filter_map(|v| v.cbm);
-    resctrl::invariants::check_masks(masks, total_ways).map_err(InvariantViolation::Layout)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn view(class: WorkloadClass, ways: u32, reserved: u32, cbm: Option<Cbm>) -> DomainView {
-        DomainView {
-            class,
-            ways,
-            reserved_ways: reserved,
-            cbm,
-        }
-    }
-
     #[test]
     fn legal_state_accepted() {
-        let views = [
-            view(WorkloadClass::Keeper, 4, 4, Some(Cbm::from_way_range(0, 4))),
-            view(WorkloadClass::Donor, 1, 4, Some(Cbm::from_way_range(7, 1))),
-        ];
-        assert_eq!(check(&views, 20, 1), Ok(()));
+        assert_eq!(check_floor(0, WorkloadClass::Keeper, 4, 4, 1), Ok(()));
+        assert_eq!(check_floor(1, WorkloadClass::Donor, 1, 4, 1), Ok(()));
     }
 
     #[test]
     fn violations_detected() {
-        // Oversubscription.
-        let over = [
-            view(WorkloadClass::Keeper, 12, 4, None),
-            view(WorkloadClass::Keeper, 12, 4, None),
-        ];
-        assert!(check(&over, 20, 1).is_err());
         // Below the floor.
-        let starved = [view(WorkloadClass::Donor, 1, 4, None)];
-        assert!(check(&starved, 20, 2).is_err());
+        assert!(check_floor(0, WorkloadClass::Donor, 1, 4, 2).is_err());
         // A reservation smaller than min_ways lowers the floor.
-        let small_reserved = [view(WorkloadClass::Donor, 1, 1, None)];
-        assert!(check(&small_reserved, 20, 2).is_ok());
-        // Overlapping masks.
-        let overlap = [
-            view(WorkloadClass::Keeper, 2, 2, Some(Cbm::from_way_range(0, 2))),
-            view(WorkloadClass::Keeper, 2, 2, Some(Cbm::from_way_range(1, 2))),
-        ];
-        assert!(check(&overlap, 20, 1).is_err());
+        assert!(check_floor(0, WorkloadClass::Donor, 1, 1, 2).is_ok());
+        // No grant is below one way.
+        assert!(check_floor(0, WorkloadClass::Donor, 0, 0, 0).is_err());
     }
 }

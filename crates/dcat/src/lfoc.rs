@@ -118,7 +118,7 @@ impl LfocPolicy {
             ticks: 0,
         };
         policy.stage();
-        policy.tracker.allocation.program(cat)?;
+        policy.tracker.allocation.start(cat)?;
         Ok(policy)
     }
 

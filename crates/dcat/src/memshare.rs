@@ -112,7 +112,7 @@ impl MemsharePolicy {
             cbm_len: caps.cbm_len,
         };
         policy.stage();
-        policy.tracker.allocation.program(cat)?;
+        policy.tracker.allocation.start(cat)?;
         Ok(policy)
     }
 

@@ -10,15 +10,13 @@
 //! commits or holds its reports, and [`audit`] checks what the backend
 //! holds — the same code for every policy.
 
-use std::ops::Range;
-
 use dcat_obs::Tracer;
 use perf_events::CounterSnapshot;
 use resctrl::{
-    CacheController, CatCapabilities, Cbm, Class, CosId, DefaultClass, Programmed, ResctrlError,
+    CacheController, CatCapabilities, Cbm, CosId, DefaultClass, Programmed, ResctrlError,
 };
 
-use crate::controller::{DomainReport, WorkloadHandle};
+use crate::controller::{check_cores, DomainReport, WorkloadHandle};
 use crate::invariants::InvariantViolation;
 
 /// One interval's input to [`CachePolicy::decide`].
@@ -91,8 +89,8 @@ pub trait CachePolicy {
     }
 
     /// The policy's own invariants, which [`audit`] checks beside the
-    /// record's (dCat: its per-domain grants).
-    fn invariants(&mut self) -> Result<(), InvariantViolation> {
+    /// record's (dCat: each domain's grant against its floor).
+    fn invariants(&self) -> Result<(), InvariantViolation> {
         Ok(())
     }
 
@@ -118,10 +116,11 @@ pub fn apply<P: CachePolicy + ?Sized>(
     policy.decide(&mut input).apply(cat, input.tracer)
 }
 
-/// Audits what the backend holds, then the policy's own invariants. The
-/// loop runs it after every decision, completed or not: holding must
-/// never leave overlapping masks or starve a domain.
-pub fn audit<P: CachePolicy + ?Sized>(policy: &mut P) -> Result<(), InvariantViolation> {
+/// Audits what the backend holds — the one check of the recorded masks —
+/// then the policy's own invariants. The loop runs it after every
+/// decision, completed or not: holding must never leave overlapping masks
+/// or starve a domain.
+pub fn audit<P: CachePolicy + ?Sized>(policy: &P) -> Result<(), InvariantViolation> {
     let record = &policy.allocation().record;
     record.audit().map_err(InvariantViolation::Layout)?;
     policy.invariants()
@@ -145,13 +144,12 @@ pub(crate) enum Kind {
 #[derive(Debug)]
 pub struct Allocation {
     kind: Kind,
+    /// What the backend holds, and the plan's classes, staged into it.
     record: Programmed,
     /// The domains, in report order.
     handles: Vec<WorkloadHandle>,
-    /// The plan: COS, ways, anchor and `cores[range]` per class, and the
-    /// reports, one per domain (their names cloned once).
-    classes: Vec<(CosId, u32, Option<usize>, Range<usize>)>,
-    cores: Vec<u32>,
+    /// The plan's reports, one per domain (their names cloned once), and
+    /// the committed ones.
     staged: Vec<DomainReport>,
     reports: Vec<DomainReport>,
 }
@@ -170,8 +168,6 @@ impl Allocation {
         Allocation {
             kind,
             record: Programmed::new(caps, default),
-            classes: Vec::new(),
-            cores: Vec::new(),
             staged: handles.iter().map(named).collect(),
             reports: Vec::new(),
             handles,
@@ -182,7 +178,8 @@ impl Allocation {
     /// each domain's reservation. Refused before anything is written when
     /// the domains need more classes than the backend has, or one
     /// reserves fewer ways than its narrowest mask (the planner refuses
-    /// more ways than the cache has, also before writing).
+    /// more ways than the cache has, also before writing), or as
+    /// [`Allocation::start`] refuses.
     pub(crate) fn reserve(&mut self, cat: &mut dyn CacheController) -> Result<(), ResctrlError> {
         let (caps, handles) = (cat.capabilities(), &self.handles);
         if handles.len() + 1 > caps.num_closids as usize {
@@ -203,6 +200,16 @@ impl Allocation {
         }
         let reserved: Vec<u32> = handles.iter().map(|h| h.reserved_ways).collect();
         self.stage_domains(reserved);
+        self.start(cat)
+    }
+
+    /// Programs a constructor's first plan. Refused before anything is
+    /// written unless every domain owns cores of its own
+    /// ([`check_cores`]): two domains sharing a core would read one class's
+    /// mask as both their grants, and a domain with no core has a grant
+    /// with no mask.
+    pub(crate) fn start(&mut self, cat: &mut dyn CacheController) -> Result<(), ResctrlError> {
+        check_cores(&self.handles).map_err(ResctrlError::Parse)?;
         self.program(cat)
     }
 
@@ -224,16 +231,13 @@ impl Allocation {
         &mut self,
         classes: impl IntoIterator<Item = (CosId, u32, Option<usize>, M)>,
     ) {
-        self.classes.clear();
-        self.cores.clear();
-        for (cos, ways, anchor, members) in classes {
-            let start = self.cores.len();
-            for h in members.into_iter().filter_map(|d| self.handles.get(d)) {
-                self.cores.extend(&h.cores);
-            }
-            self.classes
-                .push((cos, ways, anchor, start..self.cores.len()));
-        }
+        let handles = &self.handles;
+        let classes = classes.into_iter().map(|(cos, ways, anchor, members)| {
+            let members = members.into_iter().filter_map(|d| handles.get(d));
+            let cores = members.flat_map(|h| h.cores.iter().copied());
+            (cos, ways, anchor, cores)
+        });
+        self.record.stage(classes);
     }
 
     /// Stages domain `i` alone in COS `i + 1`, anchored under `i`, with
@@ -277,17 +281,9 @@ impl Allocation {
         written
     }
 
-    /// Programs the plan without committing its reports: the apply's, and
-    /// a constructor's first layout.
-    pub(crate) fn program(&mut self, cat: &mut dyn CacheController) -> Result<(), ResctrlError> {
-        let cores = &self.cores;
-        let classes = self.classes.iter().map(|(cos, ways, anchor, range)| Class {
-            cos: *cos,
-            ways: *ways,
-            anchor: *anchor,
-            cores: cores.get(range.clone()).into_iter().flatten().copied(),
-        });
-        let lost = self.record.apply(classes, cat)?;
+    /// Programs the plan without committing its reports.
+    fn program(&mut self, cat: &mut dyn CacheController) -> Result<(), ResctrlError> {
+        let lost = self.record.apply(cat)?;
         if self.kind == Kind::FlushPass && !lost.is_empty() {
             cat.flush_cbm(lost)?;
         }

@@ -32,11 +32,6 @@ impl WorkloadClass {
         matches!(self, WorkloadClass::Receiver | WorkloadClass::Unknown)
     }
 
-    /// Whether this class donates down to the minimum allocation.
-    pub fn is_donor_like(self) -> bool {
-        matches!(self, WorkloadClass::Donor | WorkloadClass::Streaming)
-    }
-
     /// The class as the frame stream and every report render it (an
     /// entry of `dcat_obs::frames::KNOWN_CLASSES`).
     pub fn as_str(self) -> &'static str {
@@ -67,9 +62,6 @@ mod tests {
         assert!(WorkloadClass::Unknown.wants_growth());
         assert!(!WorkloadClass::Keeper.wants_growth());
         assert!(!WorkloadClass::Streaming.wants_growth());
-        assert!(WorkloadClass::Donor.is_donor_like());
-        assert!(WorkloadClass::Streaming.is_donor_like());
-        assert!(!WorkloadClass::Reclaim.is_donor_like());
     }
 
     #[test]

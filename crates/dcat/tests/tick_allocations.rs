@@ -39,7 +39,7 @@ use resctrl::{CatCapabilities, FsBackend};
 /// (loop) and 225 (export), 15 while each tick built a fresh `Vec` of
 /// `DomainReport`s with 12 cloned names (the policy now lends its
 /// reports), and 2 while the audit collected a mask list
-/// (`invariants::check` now folds over the domains). The loop's one is the
+/// (`resctrl::Programmed::audit` now folds over the record). The loop's one is the
 /// telemetry text (`FileTelemetry::read`); the export's one is the frame's
 /// `Vec` of domains.
 const LOOP_BOUND: u64 = 3;

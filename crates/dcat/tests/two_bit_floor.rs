@@ -5,7 +5,8 @@
 //! bucket, Memshare's lender — so a floor of one would program a one-way
 //! mask, which the backend refuses. dCat and static CAT start every
 //! tenant at its reservation, so they refuse a one-way one where they are
-//! built.
+//! built. So does every policy that programs a pool whose tenants do not
+//! each own cores of their own.
 
 use dcat::{
     CachePolicy, DcatConfig, DcatController, LfocConfig, LfocPolicy, MemshareConfig,
@@ -114,5 +115,62 @@ fn dcat_refuses_a_reservation_below_the_hardware_way_floor() {
 fn static_cat_refuses_a_reservation_below_the_hardware_way_floor() {
     a_one_way_reservation_is_refused_before_any_write(|h, cat| {
         Ok(Box::new(StaticCatPolicy::new(h, cat)?))
+    });
+}
+
+/// Two tenants sharing a core, and a tenant with no core (built through
+/// the `pub` fields `WorkloadHandle::new` guards): each refused where the
+/// policy is built, naming the tenants, before anything is written. A
+/// shared core would read one class's mask as both tenants' grants; an
+/// empty tenant would have a grant with no mask.
+fn a_pool_without_own_cores_is_refused_before_any_write(build: TryBuild) {
+    let shared = vec![
+        WorkloadHandle::new("web", vec![0, 1], 4),
+        WorkloadHandle::new("db", vec![1, 2], 4),
+    ];
+    let mut ghost = WorkloadHandle::new("ghost", vec![3], 4);
+    ghost.cores.clear();
+    let empty = vec![WorkloadHandle::new("web", vec![0], 4), ghost];
+    let pools: [(_, &[&str]); 2] = [
+        (shared, &["\"web\"", "\"db\"", "core 1"]),
+        (empty, &["\"ghost\"", "no cores"]),
+    ];
+    for (handles, named) in pools {
+        let mut cat = InMemoryController::new(TWO_BIT, 4);
+        let Err(e) = build(handles, &mut cat) else {
+            panic!("a pool naming {named:?} was accepted");
+        };
+        let message = e.to_string();
+        assert!(named.iter().all(|n| message.contains(n)), "{message}");
+        assert!(cat.log.is_empty(), "{message}: {:?}", cat.log);
+    }
+}
+
+#[test]
+fn dcat_refuses_a_pool_without_own_cores() {
+    a_pool_without_own_cores_is_refused_before_any_write(|h, cat| {
+        let ctl = DcatController::new(DcatConfig::default(), h, cat)?;
+        Ok(Box::new(ctl))
+    });
+}
+
+#[test]
+fn static_cat_refuses_a_pool_without_own_cores() {
+    a_pool_without_own_cores_is_refused_before_any_write(|h, cat| {
+        Ok(Box::new(StaticCatPolicy::new(h, cat)?))
+    });
+}
+
+#[test]
+fn lfoc_refuses_a_pool_without_own_cores() {
+    a_pool_without_own_cores_is_refused_before_any_write(|h, cat| {
+        Ok(Box::new(LfocPolicy::new(h, cat, LfocConfig::default())?))
+    });
+}
+
+#[test]
+fn memshare_refuses_a_pool_without_own_cores() {
+    a_pool_without_own_cores_is_refused_before_any_write(|h, cat| {
+        Ok(Box::new(MemsharePolicy::new(h, cat, MemshareConfig)?))
     });
 }

@@ -38,11 +38,6 @@ impl SocketConfig {
     pub fn way_bytes(&self) -> u64 {
         self.hierarchy.llc.way_bytes()
     }
-
-    /// Converts cycles to nanoseconds at this socket's frequency.
-    pub fn cycles_to_ns(&self, cycles: f64) -> f64 {
-        cycles / self.freq_ghz
-    }
 }
 
 /// A tenant VM: a set of dedicated cores plus the contracted LLC share.
@@ -120,8 +115,6 @@ mod tests {
         assert_eq!(e5.hierarchy.cores, 18);
         assert_eq!(e5.llc_ways(), 20);
         assert!((e5.freq_ghz - 2.3).abs() < 1e-9);
-        // 100 cycles at 2.3 GHz ~= 43.5 ns.
-        assert!((e5.cycles_to_ns(100.0) - 43.478).abs() < 0.01);
         assert_eq!(SocketConfig::xeon_d().llc_ways(), 12);
     }
 

@@ -48,14 +48,6 @@ impl PhysAddr {
     }
 }
 
-impl LineAddr {
-    /// Reconstructs the byte address of the first byte of the line.
-    #[inline]
-    pub fn base_addr(self) -> PhysAddr {
-        PhysAddr(self.0 << LINE_SHIFT)
-    }
-}
-
 /// Truncates a raw physical byte address to its line address.
 #[inline]
 pub fn line_addr(paddr: PhysAddr) -> LineAddr {
@@ -70,13 +62,6 @@ mod tests {
     fn same_line_for_addresses_within_64_bytes() {
         assert_eq!(PhysAddr(0x1000).line(), PhysAddr(0x103f).line());
         assert_ne!(PhysAddr(0x1000).line(), PhysAddr(0x1040).line());
-    }
-
-    #[test]
-    fn line_base_addr_round_trips() {
-        let line = PhysAddr(0x1234).line();
-        assert_eq!(line.base_addr().0, 0x1200);
-        assert_eq!(line.base_addr().line(), line);
     }
 
     #[test]

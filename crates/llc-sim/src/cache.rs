@@ -20,14 +20,6 @@ pub enum AccessOutcome {
     },
 }
 
-impl AccessOutcome {
-    /// Convenience predicate.
-    #[inline]
-    pub fn is_hit(self) -> bool {
-        matches!(self, AccessOutcome::Hit)
-    }
-}
-
 /// A set-associative cache indexed by physical line address.
 ///
 /// All sets live in three flat arrays — `ways` 16-bit tags per set in
@@ -386,8 +378,8 @@ mod tests {
     fn miss_then_hit() {
         let mut c = small();
         let mask = Cbm::full(4);
-        assert!(!c.access_as(LineAddr(1), mask, 0).is_hit());
-        assert!(c.access_as(LineAddr(1), mask, 0).is_hit());
+        assert_ne!(c.access_as(LineAddr(1), mask, 0), AccessOutcome::Hit);
+        assert_eq!(c.access_as(LineAddr(1), mask, 0), AccessOutcome::Hit);
     }
 
     #[test]
@@ -397,7 +389,7 @@ mod tests {
         // Two lines mapping to the same set with a 1-way partition thrash.
         let a = LineAddr(0);
         let b = LineAddr(16); // same set (16 sets)
-        assert!(!c.access_as(a, mask, 0).is_hit());
+        assert_ne!(c.access_as(a, mask, 0), AccessOutcome::Hit);
         match c.access_as(b, mask, 0) {
             AccessOutcome::Miss { evicted } => assert_eq!(evicted.map(|e| e.line), Some(a)),
             AccessOutcome::Hit => panic!("expected miss"),
@@ -579,7 +571,7 @@ mod tests {
         let mask = Cbm::full(2);
         for i in 0..sets {
             let top = LineAddr(65_534 * sets + i);
-            assert!(!c.access_as(top, mask, 1).is_hit());
+            assert_ne!(c.access_as(top, mask, 1), AccessOutcome::Hit);
             assert!(c.probe(top));
             c.access_as(LineAddr(i), mask, 0);
             match c.access_as(LineAddr(sets + i), mask, 0) {

@@ -78,11 +78,6 @@ impl ColorSet {
         self.allowed.iter().filter(|a| **a).count() as u64
     }
 
-    /// Fraction of the cache's capacity this color set grants.
-    pub fn capacity_fraction(&self) -> f64 {
-        self.allowed_count() as f64 / self.num_colors as f64
-    }
-
     /// Whether a physical frame (identified by its base address) has an
     /// allowed color for `page`-sized frames.
     pub fn permits_frame(&self, frame_base_addr: u64, page: PageSize) -> bool {
@@ -111,7 +106,6 @@ mod tests {
     fn contiguous_set_grants_expected_fraction() {
         let c = ColorSet::contiguous(llc(), PageSize::Small, 0, 144);
         assert_eq!(c.allowed_count(), 144);
-        assert!((c.capacity_fraction() - 0.25).abs() < 1e-9);
     }
 
     #[test]

@@ -526,16 +526,6 @@ impl Hierarchy {
         self.scale_occupancy(dropped)
     }
 
-    /// Flushes every cache in the hierarchy.
-    pub fn flush_all(&mut self) {
-        for c in &mut self.cores {
-            c.l1.flush();
-            c.l2.flush();
-        }
-        self.llc.flush();
-        self.decay_samplers(self.config.llc.ways);
-    }
-
     /// Tells the sampled-fidelity estimators that `flushed_ways` of the
     /// LLC's ways were just emptied: their hit history describes the
     /// pre-flush cache, and without a decay unsampled sets would keep
@@ -1136,40 +1126,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_all_resets_the_estimator_hit_history_and_the_occupancy() {
-        // Same shape as the flush_mask regression above: flush_all used to
-        // empty the tag stores but leave the estimators replaying the
-        // pre-flush hit ratio on unsampled sets.
-        let mut full = tiny();
-        let mut sampled = tiny();
-        sampled.set_fidelity(SimFidelity::Sampled { one_in: 4 });
-        for _ in 0..20 {
-            for i in 0..8u64 {
-                full.access(0, i * 4 * 64, AccessKind::Load);
-                sampled.access(0, i * 4 * 64, AccessKind::Load);
-            }
-        }
-        assert!(sampled.llc_occupancy_of_core(0) > 0);
-        full.flush_all();
-        sampled.flush_all();
-        assert_eq!(sampled.llc_occupancy_of_core(0), 0);
-        assert_eq!(full.llc_occupancy_of_core(0), 0);
-        let full_warm = full.counters(0);
-        let sampled_warm = sampled.counters(0);
-        for i in 0..8u64 {
-            full.access(0, (i * 4 + 1) * 64, AccessKind::Load);
-            sampled.access(0, (i * 4 + 1) * 64, AccessKind::Load);
-        }
-        let full_tail = full.counters(0).llc_miss - full_warm.llc_miss;
-        let sampled_tail = sampled.counters(0).llc_miss - sampled_warm.llc_miss;
-        assert_eq!(full_tail, 8, "cold sets after flush_all all miss");
-        assert_eq!(
-            sampled_tail, full_tail,
-            "estimator must not replay pre-flush hits after flush_all"
-        );
-    }
-
-    #[test]
     fn partial_flush_decays_the_estimator_proportionally() {
         let mut h = tiny();
         h.set_fidelity(SimFidelity::Sampled { one_in: 4 });
@@ -1246,16 +1202,5 @@ mod tests {
     fn zero_sampling_stride_rejected() {
         let mut h = tiny();
         h.set_fidelity(SimFidelity::Sampled { one_in: 0 });
-    }
-
-    #[test]
-    fn flush_all_empties_hierarchy() {
-        let mut h = tiny();
-        for i in 0..20u64 {
-            h.access(0, i * 64, AccessKind::Store);
-        }
-        h.flush_all();
-        assert_eq!(h.llc_occupancy(), 0);
-        assert_eq!(h.access(0, 0, AccessKind::Load), HitLevel::Dram);
     }
 }

@@ -64,16 +64,6 @@ impl SetOccupancyHistogram {
         n as f64 / self.total_sets as f64
     }
 
-    /// Number of lines that cannot simultaneously reside in a `ways`-way
-    /// partition (the excess above `ways` in each set).
-    pub fn conflicting_lines(&self, ways: u64) -> u64 {
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(k, &sets)| (k as u64).saturating_sub(ways) * sets)
-            .sum()
-    }
-
     /// Mean lines per set.
     pub fn mean(&self) -> f64 {
         if self.total_sets == 0 {
@@ -103,7 +93,6 @@ mod tests {
         let addrs = (0..8u64).map(|i| PhysAddr(i * 64));
         let h = SetOccupancyHistogram::from_lines(geom(), addrs);
         assert_eq!(h.buckets, vec![0, 0, 4]);
-        assert_eq!(h.conflicting_lines(2), 0);
         assert!((h.mean() - 2.0).abs() < 1e-9);
     }
 
@@ -114,7 +103,6 @@ mod tests {
         let h = SetOccupancyHistogram::from_lines(geom(), addrs);
         assert_eq!(h.buckets[4], 1);
         assert_eq!(h.buckets[0], 3);
-        assert_eq!(h.conflicting_lines(2), 2);
         assert!((h.fraction_with_at_least(3) - 0.25).abs() < 1e-9);
     }
 

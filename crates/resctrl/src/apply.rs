@@ -1,7 +1,8 @@
 //! The one apply: per-class way counts become CAT state.
 //!
 //! Every partitioning policy decides how many ways each of its classes of
-//! service gets; [`Programmed::apply`] lays the counts out
+//! service gets and stages them ([`Programmed::stage`], the plan's one
+//! copy); [`Programmed::apply`] lays the counts out
 //! ([`LayoutPlanner::layout_stable_into`]) and writes the masks and core
 //! assignments that changed, recording each once the backend took it. Its
 //! order keeps the classes that hold cores pairwise disjoint after every
@@ -34,21 +35,8 @@ pub enum DefaultClass {
     FreeRun,
 }
 
-/// One class of service as a policy asks for it.
-#[derive(Debug, Clone)]
-pub struct Class<C> {
-    /// The COS it is programmed into.
-    pub cos: CosId,
-    /// Ways it is granted.
-    pub ways: u32,
-    /// Key under which the apply keeps the mask it laid out, so the next
-    /// apply moves it as little as it can; `None` lays it out fresh.
-    pub anchor: Option<usize>,
-    /// The cores that belong in it.
-    pub cores: C,
-}
-
-/// What the backend holds as far as the apply wrote it, and the apply.
+/// What the backend holds as far as the apply wrote it, the plan the next
+/// apply programs, and the apply.
 #[derive(Debug)]
 pub struct Programmed {
     planner: LayoutPlanner,
@@ -61,9 +49,9 @@ pub struct Programmed {
     core_cos: Vec<Option<CosId>>,
     /// Per anchor key, the mask last laid out.
     anchors: Vec<Option<Cbm>>,
-    // One apply's classes, kept so a steady apply allocates nothing: COS,
-    // anchor and `cores[start..end]` per class, way counts, anchored
-    // masks and the layout.
+    // The staged plan, rewritten in place so a steady tick allocates
+    // nothing: COS, anchor and `cores[start..end]` per class, and its way
+    // count in `counts`; then the apply's anchored masks and layout.
     classes: Vec<(CosId, Option<usize>, usize, usize)>,
     cores: Vec<u32>,
     counts: Vec<u32>,
@@ -105,11 +93,6 @@ impl Programmed {
         self.mask(self.cos_of(core)?)
     }
 
-    /// The mask last laid out under anchor key `anchor`.
-    pub fn anchored(&self, anchor: usize) -> Option<Cbm> {
-        self.anchors.get(anchor).copied().flatten()
-    }
-
     /// Checks that the classes holding cores (at most `num_closids`, the
     /// record's size) have legal, pairwise disjoint masks.
     pub fn audit(&self) -> Result<(), String> {
@@ -119,35 +102,42 @@ impl Programmed {
         invariants::check_masks(masks, self.planner.cbm_len())
     }
 
-    /// Lays `classes` out and programs them in the module's write order.
-    /// Returns the ways the classes gave up, for the caller to flush or
-    /// not. On an error the record keeps every write accepted before it.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "loop-bounded: `j` enumerates the classes, for which the push loop sizes `classes` with core bounds within `cores`, the planner `layout`, and the `resize` `anchors`; `.get()` would cost the tick (DESIGN.md §12)"
-    )]
-    pub fn apply<I, C>(
+    /// Stages the plan the next [`Programmed::apply`] programs, replacing
+    /// the last: per class its COS, its ways, the key under which the
+    /// apply keeps the mask it lays out, so the next apply moves it as
+    /// little as it can (`None` lays it out fresh), and the cores that
+    /// belong in it.
+    pub fn stage<C: IntoIterator<Item = u32>>(
         &mut self,
-        classes: I,
-        cat: &mut dyn CacheController,
-    ) -> Result<Cbm, ResctrlError>
-    where
-        I: IntoIterator<Item = Class<C>>,
-        C: IntoIterator<Item = u32>,
-    {
+        classes: impl IntoIterator<Item = (CosId, u32, Option<usize>, C)>,
+    ) {
         self.classes.clear();
         self.cores.clear();
         self.counts.clear();
-        self.previous.clear();
-        for class in classes {
+        for (cos, ways, anchor, cores) in classes {
             let start = self.cores.len();
-            self.cores.extend(class.cores);
-            self.classes
-                .push((class.cos, class.anchor, start, self.cores.len()));
-            self.counts.push(class.ways);
-            let anchored = class.anchor.and_then(|k| self.anchors.get(k));
-            self.previous.push(anchored.copied().flatten());
+            self.cores.extend(cores);
+            self.classes.push((cos, anchor, start, self.cores.len()));
+            self.counts.push(ways);
         }
+    }
+
+    /// Lays the staged plan out and programs it in the module's write
+    /// order. Returns the ways the classes gave up, for the caller to
+    /// flush or not. On an error the record keeps every write accepted
+    /// before it.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "loop-bounded: `j` enumerates the classes, which `stage` sized with core bounds within `cores`, the planner `layout`, and the `resize` `anchors`; `.get()` would cost the tick (DESIGN.md §12)"
+    )]
+    pub fn apply(&mut self, cat: &mut dyn CacheController) -> Result<Cbm, ResctrlError> {
+        let anchors = &self.anchors;
+        let anchored = self
+            .classes
+            .iter()
+            .map(|&(_, anchor, ..)| anchor.and_then(|k| anchors.get(k).copied().flatten()));
+        self.previous.clear();
+        self.previous.extend(anchored);
         self.planner
             .layout_stable_into(&self.counts, &self.previous, &mut self.layout)?;
 
@@ -389,28 +379,33 @@ mod tests {
         );
     }
 
-    fn class(cos: u8, ways: u32, cores: &[u32]) -> Class<Vec<u32>> {
-        Class {
-            cos: CosId(cos),
-            ways,
-            anchor: Some(usize::from(cos)),
-            cores: cores.to_vec(),
-        }
+    type Class = (CosId, u32, Option<usize>, Vec<u32>);
+
+    fn class(cos: u8, ways: u32, cores: &[u32]) -> Class {
+        (CosId(cos), ways, Some(usize::from(cos)), cores.to_vec())
+    }
+
+    fn apply(
+        p: &mut Programmed,
+        classes: impl IntoIterator<Item = Class>,
+        cat: &mut dyn CacheController,
+    ) -> Result<Cbm, ResctrlError> {
+        p.stage(classes);
+        p.apply(cat)
     }
 
     #[test]
     fn only_what_changed_is_written() {
         let mut cat = InMemoryController::xeon_e5(4);
         let mut p = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
-        let first = p.apply([class(1, 3, &[0, 1]), class(2, 2, &[2])], &mut cat);
+        let first = apply(&mut p, [class(1, 3, &[0, 1]), class(2, 2, &[2])], &mut cat);
         assert_eq!(first.unwrap(), Cbm(0));
         assert_eq!(cat.log.len(), 5, "two masks, three cores: {:?}", cat.log);
         cat.log.clear();
-        p.apply([class(1, 3, &[0, 1]), class(2, 2, &[2])], &mut cat)
-            .unwrap();
+        apply(&mut p, [class(1, 3, &[0, 1]), class(2, 2, &[2])], &mut cat).unwrap();
         assert!(cat.log.is_empty(), "{:?}", cat.log);
         // Core 1 moves; COS 1 shrinks and gives up one way.
-        let lost = p.apply([class(1, 2, &[0]), class(2, 2, &[2, 1])], &mut cat);
+        let lost = apply(&mut p, [class(1, 2, &[0]), class(2, 2, &[2, 1])], &mut cat);
         assert_eq!(lost.unwrap().ways(), 1);
         assert_eq!(
             cat.log,
@@ -427,12 +422,10 @@ mod tests {
     fn a_grower_waits_for_the_class_moving_off_its_ways() {
         let mut cat = InMemoryController::xeon_e5(2);
         let mut p = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
-        p.apply([class(1, 2, &[0]), class(2, 2, &[1])], &mut cat)
-            .unwrap();
+        apply(&mut p, [class(1, 2, &[0]), class(2, 2, &[1])], &mut cat).unwrap();
         cat.log.clear();
         // COS 1 grows in place into way 2; COS 2, blocked, moves up off it.
-        p.apply([class(1, 3, &[0]), class(2, 3, &[1])], &mut cat)
-            .unwrap();
+        apply(&mut p, [class(1, 3, &[0]), class(2, 3, &[1])], &mut cat).unwrap();
         assert_eq!(
             cat.log,
             [
@@ -446,12 +439,10 @@ mod tests {
     fn the_default_class_takes_the_free_run_between_shrinkers_and_growers() {
         let mut cat = InMemoryController::xeon_e5(2);
         let mut p = Programmed::new(cat.capabilities(), DefaultClass::FreeRun);
-        p.apply([class(1, 4, &[0]), class(2, 4, &[1])], &mut cat)
-            .unwrap();
+        apply(&mut p, [class(1, 4, &[0]), class(2, 4, &[1])], &mut cat).unwrap();
         assert_eq!(p.mask(CosId(0)), Some(Cbm::from_way_range(8, 12)));
         cat.log.clear();
-        p.apply([class(1, 2, &[0]), class(2, 5, &[1])], &mut cat)
-            .unwrap();
+        apply(&mut p, [class(1, 2, &[0]), class(2, 5, &[1])], &mut cat).unwrap();
         assert_eq!(
             cat.log,
             [
@@ -461,8 +452,7 @@ mod tests {
             ]
         );
         // A full cache pins COS 0 to the top way.
-        p.apply([class(1, 10, &[0]), class(2, 10, &[1])], &mut cat)
-            .unwrap();
+        apply(&mut p, [class(1, 10, &[0]), class(2, 10, &[1])], &mut cat).unwrap();
         assert_eq!(p.mask(CosId(0)), Some(Cbm::from_way_range(19, 1)));
     }
 
@@ -470,8 +460,7 @@ mod tests {
     fn a_core_listed_twice_belongs_to_the_last_class() {
         let mut cat = InMemoryController::xeon_e5(2);
         let mut p = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
-        p.apply([class(1, 2, &[0, 1]), class(2, 2, &[1])], &mut cat)
-            .unwrap();
+        apply(&mut p, [class(1, 2, &[0, 1]), class(2, 2, &[1])], &mut cat).unwrap();
         assert_eq!(cat.core_cos(1).unwrap(), CosId(2));
         assert_eq!(p.cos_of(1), Some(CosId(2)));
     }
@@ -479,21 +468,16 @@ mod tests {
     #[test]
     fn classes_trading_places_on_a_full_cache_stay_disjoint_wherever_a_write_fails() {
         use crate::fault::{Fault, FaultPlan, FaultingController};
-        let anchored = |cos: u8, anchor: usize, core: u32| Class {
-            cos: CosId(cos),
-            ways: 10,
-            anchor: Some(anchor),
-            cores: vec![core],
-        };
+        let anchored =
+            |cos: u8, anchor: usize, core: u32| (CosId(cos), 10, Some(anchor), vec![core]);
         for k in 0..6 {
             let plan = FaultPlan::scripted([(1, Fault::CosWriteAfter(k))]);
             let mut cat = FaultingController::new(InMemoryController::xeon_e5(2), plan);
             let mut p = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
-            p.apply([anchored(1, 0, 0), anchored(2, 1, 1)], &mut cat)
-                .unwrap();
+            apply(&mut p, [anchored(1, 0, 0), anchored(2, 1, 1)], &mut cat).unwrap();
             cat.set_tick(1);
             // Each COS takes the other's mask; no way is free.
-            let swapped = p.apply([anchored(1, 1, 0), anchored(2, 0, 1)], &mut cat);
+            let swapped = apply(&mut p, [anchored(1, 1, 0), anchored(2, 0, 1)], &mut cat);
             assert!(!cat.inner().has_overlapping_active_masks(), "k = {k}");
             assert_eq!(p.audit(), Ok(()));
             // Four writes: one class shrinks, the other moves part-way.
@@ -508,10 +492,7 @@ mod tests {
     #[test]
     fn a_class_whose_cores_wait_narrows_rather_than_writing_in_class_order() {
         use crate::fault::{Fault, FaultPlan, FaultingController};
-        let fresh = |cos: u8, ways: u32, cores: &[u32]| Class {
-            anchor: None,
-            ..class(cos, ways, cores)
-        };
+        let fresh = |cos: u8, ways: u32, cores: &[u32]| (CosId(cos), ways, None, cores.to_vec());
         // Way 0, 1-3, 4-8 and 9-19. Then COS 4 empties: its core joins
         // COS 2 (4-9), which waits on COS 3 leaving way 8, which waits on
         // COS 4's core leaving 10-19. COS 2 first narrows to 4-7.
@@ -530,9 +511,9 @@ mod tests {
             let plan = FaultPlan::scripted([(1, Fault::CosWriteAfter(k))]);
             let mut cat = FaultingController::new(InMemoryController::xeon_e5(7), plan);
             let mut p = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
-            p.apply(before.clone(), &mut cat).unwrap();
+            apply(&mut p, before.clone(), &mut cat).unwrap();
             cat.set_tick(1);
-            let done = p.apply(after.clone(), &mut cat).is_ok();
+            let done = apply(&mut p, after.clone(), &mut cat).is_ok();
             assert!(!cat.inner().has_overlapping_active_masks(), "k = {k}");
             assert_eq!(p.audit(), Ok(()), "k = {k}");
             // Six writes: COS 2, COS 1, COS 3 to way 8, COS 2 to 4-7 (its
@@ -552,7 +533,7 @@ mod tests {
         let mut cat = InMemoryController::xeon_e5(2);
         let mut p = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
         let twice = [class(1, 2, &[0]), class(1, 3, &[1])];
-        assert!(p.apply(twice, &mut cat).is_ok());
+        assert!(apply(&mut p, twice, &mut cat).is_ok());
     }
 
     #[test]
@@ -560,8 +541,7 @@ mod tests {
         let mut cat = InMemoryController::xeon_e5(2);
         let mut p = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
         assert_eq!(p.audit(), Ok(()));
-        p.apply([class(1, 4, &[0]), class(2, 4, &[1])], &mut cat)
-            .unwrap();
+        apply(&mut p, [class(1, 4, &[0]), class(2, 4, &[1])], &mut cat).unwrap();
         assert_eq!(p.audit(), Ok(()));
         p.masks[2] = p.mask(CosId(1));
         assert!(p.audit().is_err());

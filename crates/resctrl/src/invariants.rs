@@ -3,9 +3,10 @@
 //! These are the hardware-legality predicates every layout must satisfy
 //! before it can be programmed into CAT. They are asserted (in debug
 //! builds) at the end of [`crate::LayoutPlanner::layout_stable_into`] and
-//! checked by [`crate::Programmed::audit`] and `dcat`'s controller-level
-//! invariants, which the control loop runs after every decision of every
-//! policy (and the `dcat-verify` model checker steps that loop).
+//! checked by [`crate::Programmed::audit`] over the masks of the classes
+//! holding cores, which `dcat`'s control loop runs after every decision
+//! of every policy (and the `dcat-verify` model checker steps that loop):
+//! the one check of the programmed masks.
 
 use cbm::Cbm;
 

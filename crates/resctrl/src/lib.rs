@@ -26,13 +26,13 @@
 //! [`FsBackend`] pointed at a real `/sys/fs/resctrl` mount):
 //!
 //! ```
-//! use resctrl::{CacheController, CatCapabilities, Class, CosId, DefaultClass, InMemoryController, Programmed};
+//! use resctrl::{CacheController, CatCapabilities, CosId, DefaultClass, InMemoryController, Programmed};
 //!
 //! let mut cat = InMemoryController::new(CatCapabilities::with_ways(20), 2);
 //! let mut programmed = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
-//! let tenants = [(CosId(1), 4, [0]), (CosId(2), 6, [1])];
-//! let classes = tenants.map(|(cos, ways, cores)| Class { cos, ways, anchor: None, cores });
-//! programmed.apply(classes, &mut cat).unwrap();
+//! // Per class: its COS, ways, anchor key (none: laid out fresh) and cores.
+//! programmed.stage([(CosId(1), 4, None, [0]), (CosId(2), 6, None, [1])]);
+//! programmed.apply(&mut cat).unwrap();
 //! assert_eq!(cat.core_cos(1).unwrap(), CosId(2));
 //! assert!(!cat.has_overlapping_active_masks());
 //! assert_eq!(cat.cos_mask(CosId(2)).unwrap().ways(), 6);
@@ -71,7 +71,7 @@ pub mod layout;
 pub mod mock;
 pub mod retry;
 
-pub use apply::{Class, DefaultClass, Programmed};
+pub use apply::{DefaultClass, Programmed};
 pub use cbm::Cbm;
 pub use controller::{CacheController, CatCapabilities, CosId, ErrorSeverity, ResctrlError};
 pub use fault::{Fault, FaultPlan, FaultingController};
