@@ -30,6 +30,17 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> rustdoc: every intra-doc link resolves, none from a public item to a private one"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+echo "==> system benchmark self-check (its unit tests + a seconds-long smoke of every workload)"
+# benchmark/ is a package of its own that links this workspace's public
+# API (benchmark/README.md, "What the benchmark links against"); building
+# and smoke-running it here makes a source-incompatible change fail in
+# this gate rather than when the benchmark is next run.
+if ! bash benchmark/run.sh --check > target/sysbench-check.txt 2>&1; then
+    tail -40 target/sysbench-check.txt >&2
+    echo "ERROR: benchmark/run.sh --check failed (full log: target/sysbench-check.txt)" >&2
+    exit 1
+fi
+
 echo "==> document ceilings: DESIGN.md and README.md may shrink, not grow"
 # Lower a ceiling when its document shrinks; never raise one.
 for doc_ceiling in DESIGN.md:2042 README.md:637; do
@@ -115,8 +126,9 @@ echo "==> mutation checks (tests/mutants/: each patch is applied to a scratch co
 # tick's masks unrewritten (§10.2); 36 LFOC's way floor taken as 1, not
 # the hardware's `min_cbm_bits` (§10); 37 the one apply skipping a tick
 # whose plan did not change, which left LFOC on a cut-short layout, 38 a
-# reservation under `min_cbm_bits` reaching the backend, and 39 tenants
-# sharing a core, or one with none, reaching it (§11).
+# reservation under `min_cbm_bits` reaching the backend, 39 tenants
+# sharing a core, or one with none, reaching it, and 40 a refused pool
+# classed as transient (§11).
 # 22, the sharer mask's bit position, retired with the mask.
 sh tools/mutants.sh tests/mutants/*.patch
 
@@ -209,17 +221,6 @@ echo "==> perfbench regression gate vs the tracked BENCH_micro.json trajectory"
 # re-bless with: DCAT_BLESS=1 cargo run --release -p dcat-bench --bin dcat-perfbench
 cargo run -q --release -p dcat-bench --offline --bin dcat-perfbench -- \
     --out-dir target/bench --baseline-dir .
-
-echo "==> system benchmark self-check (its unit tests + a seconds-long smoke of every workload)"
-# benchmark/ is a package of its own that links this workspace's public
-# API (benchmark/README.md, "What the benchmark links against"); building
-# and smoke-running it here makes a source-incompatible change fail in
-# this gate rather than when the benchmark is next run.
-if ! bash benchmark/run.sh --check > target/sysbench-check.txt 2>&1; then
-    tail -40 target/sysbench-check.txt >&2
-    echo "ERROR: benchmark/run.sh --check failed (full log: target/sysbench-check.txt)" >&2
-    exit 1
-fi
 
 echo "==> A/B harness (tools/ab/pairs.sh: alternating benchmark pairs between two revs) parses"
 # Not run here: a pair takes minutes. Checked so the next claim starts

@@ -24,7 +24,7 @@ pub struct ReplacementRow {
     /// Victim steady IPC.
     pub ipc: f64,
     /// Victim steady data-access latency (cycles).
-    pub latency: f64,
+    pub(crate) latency: f64,
 }
 
 fn victim_stats(policy: ReplacementPolicy, fast: bool) -> (f64, f64) {

@@ -14,7 +14,7 @@ use crate::Runner;
 
 /// Max-fairness vs. max-performance free-pool distribution (paper
 /// Section 3.5) on the Figure-14 scenario.
-pub fn policy(fast: bool) {
+pub(crate) fn policy(fast: bool) {
     report::section("Ablation: allocation policy (two receivers + late-comer)");
     let runs = Runner::from_env().map(
         vec![DcatConfig::default(), DcatConfig::max_performance()],
@@ -47,7 +47,7 @@ pub fn policy(fast: bool) {
 
 /// Per-phase performance-table reuse on vs. off (the Figure-12
 /// mechanism), measured as epochs from restart to peak ways.
-pub fn perf_table(fast: bool) {
+pub(crate) fn perf_table(fast: bool) {
     report::section("Ablation: performance-table reuse");
     let runs = Runner::from_env().map(vec![true, false], |_, reuse| {
         fig12_perf_table_reuse::run_with_reuse(fast, reuse)
@@ -90,7 +90,7 @@ fn mlr_with_lookbusy() -> Vec<VmPlan> {
 
 /// The settle interval (epochs between a ways change and its judgement):
 /// too small misjudges cold caches, too large converges slowly.
-pub fn settle(fast: bool) {
+pub(crate) fn settle(fast: bool) {
     report::section("Ablation: settle intervals before judging a ways change");
     let epochs = if fast { 16 } else { 44 };
     let rows = Runner::from_env().map(vec![1u32, 2, 4], |_, settle| {
@@ -129,7 +129,7 @@ pub fn settle(fast: bool) {
 
 /// Phase-change threshold sensitivity on a workload that alternates
 /// between an MLR-like and an MLOAD-like phase.
-pub fn phase_thr(fast: bool) {
+pub(crate) fn phase_thr(fast: bool) {
     report::section("Ablation: phase-change threshold");
     let epochs = if fast { 20 } else { 48 };
     let rows = Runner::from_env().map(vec![0.02f64, 0.10, 0.50], |_, thr| {
@@ -172,7 +172,7 @@ pub fn phase_thr(fast: bool) {
 /// Controller interval length (the paper's configurable period): too long
 /// reacts slowly, too short judges cold caches. The total simulated
 /// cycles are fixed across the sweep.
-pub fn interval(fast: bool) {
+pub(crate) fn interval(fast: bool) {
     report::section("Ablation: controller interval (cycles per epoch)");
     let budgets: &[u64] = if fast {
         &[1_000_000, 4_000_000]

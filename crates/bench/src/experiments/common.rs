@@ -13,7 +13,7 @@ use workloads::AccessStream;
 /// LLC fidelity follows the process-global `--sample-sets` flag
 /// ([`crate::runner::llc_fidelity`]): full by default, UMON-style set
 /// sampling when the user opts in for speed.
-pub fn paper_engine(fast: bool) -> EngineConfig {
+pub(crate) fn paper_engine(fast: bool) -> EngineConfig {
     let mut cfg = EngineConfig::xeon_e5_v4();
     cfg.cycles_per_epoch = if fast { 1_500_000 } else { 10_000_000 };
     cfg.llc_fidelity = crate::runner::llc_fidelity();
@@ -21,50 +21,41 @@ pub fn paper_engine(fast: bool) -> EngineConfig {
 }
 
 /// dCat configuration used by the timeline experiments.
-pub fn paper_dcat() -> DcatConfig {
+pub(crate) fn paper_dcat() -> DcatConfig {
     DcatConfig::default()
-}
-
-/// Statistics from a single-core measurement run.
-#[derive(Debug, Clone, Copy)]
-pub struct SingleRun {
-    /// Average data-access latency in cycles.
-    pub avg_latency: f64,
-    /// LLC miss rate over the measured window.
-    pub llc_miss_rate: f64,
 }
 
 /// Parameters for a single-stream measurement (the microbenchmark
 /// methodology of the paper's Section 2, Figures 2 and 3, where no
 /// controller is involved).
 #[derive(Debug, Clone)]
-pub struct MeasureSpec {
+pub(crate) struct MeasureSpec {
     /// Hierarchy shape.
-    pub hier_cfg: HierarchyConfig,
+    pub(crate) hier_cfg: HierarchyConfig,
     /// CAT fill mask for the measured core.
-    pub mask: Cbm,
+    pub(crate) mask: Cbm,
     /// Working-set size (for the returned line list).
-    pub wss_bytes: u64,
+    pub(crate) wss_bytes: u64,
     /// Page size backing the buffer.
-    pub page_size: PageSize,
+    pub(crate) page_size: PageSize,
     /// Page colors the buffer may use (OS page coloring); `None` = any.
-    pub colors: Option<llc_sim::ColorSet>,
+    pub(crate) colors: Option<llc_sim::ColorSet>,
     /// Accesses to run before measurement starts.
-    pub warm_accesses: u64,
+    pub(crate) warm_accesses: u64,
     /// Accesses measured.
-    pub measured_accesses: u64,
+    pub(crate) measured_accesses: u64,
     /// Frame-placement seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 /// Drives one stream alone on one core with a fixed LLC way mask and/or a
-/// page-color restriction. Returns the measured statistics and the
-/// physical line addresses of the stream's working set (for conflict
+/// page-color restriction. Returns the average data-access latency in
+/// cycles over the measured window and the physical line addresses of the stream's working set (for conflict
 /// histograms).
-pub fn measure_single(
+pub(crate) fn measure_single(
     spec: &MeasureSpec,
     stream: &mut dyn AccessStream,
-) -> (SingleRun, Vec<llc_sim::PhysAddr>) {
+) -> (f64, Vec<llc_sim::PhysAddr>) {
     let mut hierarchy = Hierarchy::new(spec.hier_cfg);
     hierarchy.set_fill_mask(0, spec.mask);
     let mut frames =
@@ -87,11 +78,6 @@ pub fn measure_single(
     }
     let counters = hierarchy.counters(0);
     let lat = LatencyModel::default().average_access_latency(&counters);
-    let miss_rate = if counters.llc_ref == 0 {
-        0.0
-    } else {
-        counters.llc_miss as f64 / counters.llc_ref as f64
-    };
 
     // Translate every line of the working set for the histogram.
     let lines: Vec<llc_sim::PhysAddr> = (0..spec.wss_bytes / 64)
@@ -101,17 +87,11 @@ pub fn measure_single(
                 .expect("pool exhausted")
         })
         .collect();
-    (
-        SingleRun {
-            avg_latency: lat,
-            llc_miss_rate: miss_rate,
-        },
-        lines,
-    )
+    (lat, lines)
 }
 
 /// Megabytes, readable in scenario definitions.
-pub const MB: u64 = 1024 * 1024;
+pub(crate) const MB: u64 = 1024 * 1024;
 
 #[cfg(test)]
 mod tests {
@@ -148,14 +128,13 @@ mod tests {
         let mut mlr = Mlr::new(256 * 1024, 1);
         let (fit, lines) =
             measure_single(&spec(small_cfg(), Cbm::full(8), 256 * 1024, 7), &mut mlr);
-        assert!(fit.avg_latency < 100.0, "latency {}", fit.avg_latency);
+        assert!(fit < 100.0, "latency {fit}");
         assert_eq!(lines.len(), 4096);
 
         // Huge WSS: DRAM bound.
         let mut big = Mlr::new(16 * MB, 2);
         let (thrash, _) = measure_single(&spec(small_cfg(), Cbm::full(8), 16 * MB, 8), &mut big);
-        assert!(thrash.avg_latency > fit.avg_latency * 2.0);
-        assert!(thrash.llc_miss_rate > 0.5);
+        assert!(thrash > fit * 2.0);
     }
 
     #[test]

@@ -40,7 +40,7 @@ fn machine(cfg: HierarchyConfig, wss: u64, fast: bool) -> ColoringRow {
     };
     let run = |spec: MeasureSpec| {
         let mut mlr = Mlr::new(wss, spec.seed);
-        measure_single(&spec, &mut mlr).0.avg_latency
+        measure_single(&spec, &mut mlr).0
     };
 
     // Same capacity as 2 of `ways` ways, expressed in page colors.

@@ -25,21 +25,21 @@ const RATES: [f64; 4] = [0.0, 0.1, 0.25, 0.5];
 
 /// Outcome of one daemon run under one fault schedule.
 #[derive(Debug, Clone)]
-pub struct SweepRun {
+pub(crate) struct SweepRun {
     /// Injection rate the schedule was drawn with.
-    pub rate: f64,
+    pub(crate) rate: f64,
     /// Sub-stream seed of the schedule.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Faults the schedule carries.
-    pub scheduled: usize,
+    pub(crate) scheduled: usize,
     /// Ticks that degraded (telemetry or resctrl retries exhausted).
-    pub degraded: u64,
+    pub(crate) degraded: u64,
     /// Structured events the run emitted.
-    pub events: usize,
+    pub(crate) events: usize,
     /// Invariant violations observed (must be zero).
-    pub violations: usize,
+    pub(crate) violations: usize,
     /// Final per-domain way counts, or `None` if the loop died.
-    pub final_ways: Option<Vec<u32>>,
+    pub(crate) final_ways: Option<Vec<u32>>,
 }
 
 fn snapshot(l1: u64, llc_r: u64, llc_m: u64, ins: u64, cyc: u64) -> CounterSnapshot {
@@ -67,7 +67,7 @@ fn write_telemetry(path: &Path, grower: &CounterSnapshot, quiet: &CounterSnapsho
 }
 
 /// Runs one daemon under one fault schedule and scores the wreckage.
-pub fn run_one(rate: f64, seed: u64, ticks: u64, index: usize) -> SweepRun {
+pub(crate) fn run_one(rate: f64, seed: u64, ticks: u64, index: usize) -> SweepRun {
     let root =
         std::env::temp_dir().join(format!("dcat-fault-sweep-{}-{index}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -142,7 +142,7 @@ pub fn run_one(rate: f64, seed: u64, ticks: u64, index: usize) -> SweepRun {
 }
 
 /// Runs the sweep and prints the table; returns the runs.
-pub fn run(fast: bool) -> Vec<SweepRun> {
+pub(crate) fn run(fast: bool) -> Vec<SweepRun> {
     report::section("Fault sweep: daemon resilience under injected fault schedules");
     let (seeds, ticks) = if fast { (2u64, 30u64) } else { (6, 120) };
     let tasks: Vec<(f64, u64)> = RATES

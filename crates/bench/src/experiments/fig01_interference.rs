@@ -18,17 +18,15 @@ use crate::scenario::{run_scenario, PolicyKind, VmPlan};
 
 /// Measured latencies (cycles) for one working-set size.
 #[derive(Debug, Clone, Copy)]
-pub struct InterferenceRow {
-    /// MLR working set in bytes.
-    pub wss: u64,
+pub(crate) struct InterferenceRow {
     /// Shared cache, no noisy neighbors.
-    pub shared_quiet: f64,
+    pub(crate) shared_quiet: f64,
     /// Shared cache with two MLOAD-60MB neighbors.
-    pub shared_noisy: f64,
+    pub(crate) shared_noisy: f64,
     /// 6-way CAT partition with the same neighbors.
-    pub cat_noisy: f64,
+    pub(crate) cat_noisy: f64,
     /// 6-way CAT partition, no neighbors.
-    pub cat_quiet: f64,
+    pub(crate) cat_quiet: f64,
 }
 
 fn latency(policy: PolicyKind, wss: u64, noisy: bool, fast: bool) -> f64 {
@@ -51,7 +49,7 @@ fn noisy_plan(name: &str, active: bool) -> VmPlan {
 }
 
 /// Runs the experiment and prints the figure's bars.
-pub fn run(fast: bool) -> Vec<InterferenceRow> {
+pub(crate) fn run(fast: bool) -> Vec<InterferenceRow> {
     report::section("Figure 1: Impact of cache interference for MLR");
     // Flatten the 2 working sets x 4 configurations into one task list so
     // the sweep fans out across the full `--jobs` width.
@@ -70,7 +68,6 @@ pub fn run(fast: bool) -> Vec<InterferenceRow> {
     for (i, wss) in [6 * MB, 16 * MB].into_iter().enumerate() {
         let l = &lats[i * 4..i * 4 + 4];
         let row = InterferenceRow {
-            wss,
             shared_quiet: l[0],
             shared_noisy: l[1],
             cat_noisy: l[2],

@@ -43,9 +43,9 @@ fn machine(cfg: HierarchyConfig, wss: u64, fast: bool) -> ConflictRow {
         measure_single(&spec, &mut mlr).0
     };
     ConflictRow {
-        cat_4k: run(two_ways, PageSize::Small, 11).avg_latency,
-        cat_huge: run(two_ways, PageSize::Huge, 12).avg_latency,
-        full_4k: run(full, PageSize::Small, 13).avg_latency,
+        cat_4k: run(two_ways, PageSize::Small, 11),
+        cat_huge: run(two_ways, PageSize::Huge, 12),
+        full_4k: run(full, PageSize::Small, 13),
     }
 }
 

@@ -24,7 +24,7 @@ pub struct HistogramRow {
     /// partition).
     pub frac_3_plus: f64,
     /// The histogram itself.
-    pub histogram: SetOccupancyHistogram,
+    pub(crate) histogram: SetOccupancyHistogram,
 }
 
 /// Maps a working set and histograms its lines over the partition's sets.

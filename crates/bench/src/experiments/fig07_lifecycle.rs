@@ -62,7 +62,7 @@ pub fn run(fast: bool) -> Lifecycle {
 /// # Panics
 ///
 /// Panics if the frames file cannot be written.
-pub fn run_cli(cli: &crate::Cli) {
+pub(crate) fn run_cli(cli: &crate::Cli) {
     let (_, frames) = run_with_frames(cli.fast);
     if let Some(path) = cli.frames_out.as_deref() {
         if let Err(e) = dcat_obs::write_text(path, &frames) {
@@ -73,7 +73,7 @@ pub fn run_cli(cli: &crate::Cli) {
 
 /// Like [`run`], but also returns the two timelines' `dcat-frames/v2`
 /// segments concatenated in panel order (a then b) — the stream
-/// [`run_cli`] exports and `dcat-top --replay` renders. The segments come
+/// `run_cli` exports and `dcat-top --replay` renders. The segments come
 /// out of [`crate::RunResult::frames`] in item order, so the bytes are
 /// identical at any `--jobs` width.
 pub fn run_with_frames(fast: bool) -> (Lifecycle, String) {

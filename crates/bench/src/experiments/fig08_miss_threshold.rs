@@ -13,17 +13,17 @@ use crate::scenario::{run_scenario, PolicyKind, VmPlan};
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
-pub struct MissThrPoint {
+pub(crate) struct MissThrPoint {
     /// The threshold value.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     /// Ways held once the allocation stabilizes.
-    pub ways: u32,
+    pub(crate) ways: u32,
     /// Steady-state average data-access latency (cycles).
-    pub latency: f64,
+    pub(crate) latency: f64,
 }
 
 /// Runs the sweep.
-pub fn run(fast: bool) -> Vec<MissThrPoint> {
+pub(crate) fn run(fast: bool) -> Vec<MissThrPoint> {
     report::section("Figure 8: impact of cache miss threshold (MLR-8MB, 2-way baseline)");
     let thresholds: &[f64] = if fast {
         &[0.01, 0.10]

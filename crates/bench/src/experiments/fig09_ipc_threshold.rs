@@ -13,15 +13,15 @@ use crate::scenario::{run_scenario, PolicyKind, VmPlan};
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
-pub struct IpcThrPoint {
+pub(crate) struct IpcThrPoint {
     /// The threshold value.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     /// Ways held once the allocation stabilizes.
-    pub ways: u32,
+    pub(crate) ways: u32,
 }
 
 /// Runs the sweep.
-pub fn run(fast: bool) -> Vec<IpcThrPoint> {
+pub(crate) fn run(fast: bool) -> Vec<IpcThrPoint> {
     report::section("Figure 9: impact of IPC improvement threshold (MLR-8MB, 2-way baseline)");
     let thresholds: &[f64] = if fast {
         &[0.03, 0.40]

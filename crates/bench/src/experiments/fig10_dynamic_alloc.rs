@@ -15,15 +15,15 @@ use crate::scenario::{run_scenario, PolicyKind, RunResult, VmPlan};
 #[derive(Debug, Clone)]
 pub struct DynamicAllocRow {
     /// MLR working set in bytes.
-    pub wss: u64,
+    pub(crate) wss: u64,
     /// Final ways granted to the MLR VM.
-    pub final_ways: u32,
+    pub(crate) final_ways: u32,
     /// Ways per epoch (timeline).
-    pub ways_series: Vec<u32>,
+    pub(crate) ways_series: Vec<u32>,
     /// Normalized IPC (to baseline) per epoch where known.
-    pub norm_ipc_series: Vec<f64>,
+    pub(crate) norm_ipc_series: Vec<f64>,
     /// Final ways of each lookbusy VM.
-    pub lookbusy_ways: Vec<u32>,
+    pub(crate) lookbusy_ways: Vec<u32>,
 }
 
 /// Builds the 6-VM scenario and runs it under dCat.
@@ -60,7 +60,7 @@ pub fn run_one(wss: u64, fast: bool) -> (DynamicAllocRow, RunResult) {
 }
 
 /// Runs the working-set sweep.
-pub fn run(fast: bool) -> Vec<DynamicAllocRow> {
+pub(crate) fn run(fast: bool) -> Vec<DynamicAllocRow> {
     report::section("Figure 10: cache-way allocation and normalized IPC for MLR under dCat");
     let sizes: &[u64] = if fast {
         &[4 * MB, 8 * MB]

@@ -13,13 +13,13 @@ use crate::scenario::{run_scenario, PolicyKind, VmPlan};
 
 /// One working-set point.
 #[derive(Debug, Clone, Copy)]
-pub struct LatencyNormRow {
+pub(crate) struct LatencyNormRow {
     /// Working set in bytes.
-    pub wss: u64,
+    pub(crate) wss: u64,
     /// dCat latency / full-cache latency.
-    pub dcat_norm: f64,
+    pub(crate) dcat_norm: f64,
     /// Static-CAT latency / full-cache latency.
-    pub static_norm: f64,
+    pub(crate) static_norm: f64,
 }
 
 fn steady_latency(policy: PolicyKind, wss: u64, with_neighbors: bool, fast: bool) -> f64 {
@@ -39,7 +39,7 @@ fn steady_latency(policy: PolicyKind, wss: u64, with_neighbors: bool, fast: bool
 }
 
 /// Runs the comparison.
-pub fn run(fast: bool) -> Vec<LatencyNormRow> {
+pub(crate) fn run(fast: bool) -> Vec<LatencyNormRow> {
     report::section("Figure 11: normalized (to full cache) data access latency for MLR");
     let sizes: &[u64] = if fast {
         &[4 * MB, 8 * MB]

@@ -15,13 +15,11 @@ use crate::scenario::{run_scenario, PolicyKind, ScheduleItem, VmPlan};
 #[derive(Debug, Clone)]
 pub struct PerfTableReuse {
     /// Ways of the MLR VM per epoch.
-    pub ways_series: Vec<u32>,
+    pub(crate) ways_series: Vec<u32>,
     /// Epochs from first start to peak allocation.
-    pub first_run_epochs: u64,
+    pub(crate) first_run_epochs: u64,
     /// Epochs from restart to peak allocation.
     pub second_run_epochs: u64,
-    /// Epoch indices: (first_start, first_stop, second_start).
-    pub marks: (u64, u64, u64),
 }
 
 /// Runs the run/stop/run schedule (optionally with table reuse disabled,
@@ -60,12 +58,11 @@ pub fn run_with_reuse(fast: bool, enable_reuse: bool) -> PerfTableReuse {
         first_run_epochs: peak_after(start1, stop1),
         second_run_epochs: peak_after(start2, total),
         ways_series: ways,
-        marks: (start1, stop1, start2),
     }
 }
 
 /// Runs the experiment and prints the timeline.
-pub fn run(fast: bool) -> PerfTableReuse {
+pub(crate) fn run(fast: bool) -> PerfTableReuse {
     report::section("Figure 12: performance-table reuse on a recurring phase (MLR-8MB)");
     let result = run_with_reuse(fast, true);
     let series: Vec<f64> = result.ways_series.iter().map(|&w| w as f64).collect();

@@ -15,9 +15,7 @@ use crate::scenario::{run_scenario, PolicyKind, VmPlan};
 #[derive(Debug, Clone)]
 pub struct StreamingRow {
     /// Ways of the MLOAD VM per epoch.
-    pub ways_series: Vec<u32>,
-    /// Normalized IPC per epoch.
-    pub norm_ipc_series: Vec<f64>,
+    pub(crate) ways_series: Vec<u32>,
     /// Peak ways reached during discovery.
     pub peak_ways: u32,
     /// Final ways (should be the 1-way minimum).
@@ -52,11 +50,6 @@ pub fn run(fast: bool) -> StreamingRow {
     let row = StreamingRow {
         peak_ways: ways.iter().copied().max().unwrap_or(0),
         final_ways: *ways.last().expect("ran"),
-        norm_ipc_series: r
-            .reports
-            .iter()
-            .map(|e| e[0].norm_ipc.unwrap_or(0.0))
-            .collect(),
         ways_series: ways,
     };
     let series: Vec<f64> = row.ways_series.iter().map(|&w| w as f64).collect();

@@ -14,13 +14,13 @@ use crate::scenario::{run_scenario, PolicyKind, VmPlan};
 
 /// Result of one policy run.
 #[derive(Debug, Clone)]
-pub struct TwoReceivers {
+pub(crate) struct TwoReceivers {
     /// Ways of MLR-8MB per epoch.
-    pub ways_8mb: Vec<u32>,
+    pub(crate) ways_8mb: Vec<u32>,
     /// Ways of MLR-12MB per epoch.
-    pub ways_12mb: Vec<u32>,
+    pub(crate) ways_12mb: Vec<u32>,
     /// Sum of both VMs' normalized IPC at steady state.
-    pub total_norm_ipc: f64,
+    pub(crate) total_norm_ipc: f64,
 }
 
 /// Runs the scenario under the given dCat configuration.
@@ -29,7 +29,7 @@ pub struct TwoReceivers {
 /// reclaims its baseline (the paper's Section 3.5 worked example): under
 /// max-performance dCat re-splits the two receivers' remaining budget by
 /// their performance tables, under max-fairness it shaves them evenly.
-pub fn run_with(cfg: DcatConfig, fast: bool) -> TwoReceivers {
+pub(crate) fn run_with(cfg: DcatConfig, fast: bool) -> TwoReceivers {
     let epochs = if fast { 24 } else { 48 };
     let arrival = 2 * epochs / 3;
     let mut plans = vec![
@@ -65,7 +65,7 @@ pub fn run_with(cfg: DcatConfig, fast: bool) -> TwoReceivers {
 }
 
 /// Runs the figure's max-performance configuration and prints the series.
-pub fn run(fast: bool) -> TwoReceivers {
+pub(crate) fn run(fast: bool) -> TwoReceivers {
     report::section("Figure 14: two memory-intensive VMs, max-performance policy");
     let result = run_with(DcatConfig::max_performance(), fast);
     report::say(format!(

@@ -20,11 +20,11 @@ pub struct MixedRow {
     /// Ways of the MLOAD VM per epoch (dCat run).
     pub mload_ways: Vec<u32>,
     /// MLR steady normalized IPC under dCat (to its baseline).
-    pub mlr_norm_ipc: f64,
+    pub(crate) mlr_norm_ipc: f64,
     /// Fig 16: latency normalized to full cache, dCat run.
-    pub mlr_latency_norm_dcat: f64,
+    pub(crate) mlr_latency_norm_dcat: f64,
     /// Fig 16: latency normalized to full cache, static run.
-    pub mlr_latency_norm_static: f64,
+    pub(crate) mlr_latency_norm_static: f64,
     /// MLOAD IPC under dCat / MLOAD IPC under static CAT (>= ~1 means the
     /// streaming neighbor was not hurt).
     pub mload_ipc_ratio: f64,

@@ -27,7 +27,7 @@ pub struct SpecRow {
     /// Static-CAT performance / shared performance.
     pub static_vs_shared: f64,
     /// Maximum ways dCat granted (Table 3).
-    pub max_ways: u32,
+    pub(crate) max_ways: u32,
 }
 
 fn plans(bench: SpecBenchmark) -> Vec<VmPlan> {
@@ -41,7 +41,7 @@ fn plans(bench: SpecBenchmark) -> Vec<VmPlan> {
 }
 
 /// Runs one benchmark under the three policies.
-pub fn run_one(bench: SpecBenchmark, fast: bool) -> SpecRow {
+pub(crate) fn run_one(bench: SpecBenchmark, fast: bool) -> SpecRow {
     // Fast mode still needs enough epochs that the last-quarter
     // window sits past dCat's discovery phase (one way per judged
     // interval from 4 to ~7 ways takes ~8 epochs).

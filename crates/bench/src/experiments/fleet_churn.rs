@@ -13,18 +13,18 @@ use crate::{report, Cli};
 
 /// One policy's summary under churn.
 #[derive(Debug, Clone)]
-pub struct FleetChurnRow {
+pub(crate) struct FleetChurnRow {
     /// Policy label.
-    pub policy: &'static str,
+    pub(crate) policy: &'static str,
     /// Total requests completed.
-    pub requests: u64,
+    pub(crate) requests: u64,
     /// Jain fairness over per-tenant lifetime instructions.
-    pub jain: f64,
+    pub(crate) jain: f64,
     /// Mean distinct COS per host-epoch.
-    pub mean_cos: f64,
+    pub(crate) mean_cos: f64,
     /// Active tenants per epoch (identical across policies by
     /// construction: lifecycle traces do not depend on the policy).
-    pub active_series: Vec<u32>,
+    pub(crate) active_series: Vec<u32>,
 }
 
 /// Runs the churn comparison at `--tenants N`, by default 1 000 tenants
@@ -34,7 +34,7 @@ pub struct FleetChurnRow {
 ///
 /// Propagates the [`resctrl::ResctrlError`] of the first fleet run that
 /// fails, so the caller classifies it at the exit boundary.
-pub fn run(cli: &Cli) -> Result<Vec<FleetChurnRow>, resctrl::ResctrlError> {
+pub(crate) fn run(cli: &Cli) -> Result<Vec<FleetChurnRow>, resctrl::ResctrlError> {
     let default = if cli.fast { 48 } else { 1_000 };
     run_at(cli.tenants.unwrap_or(default), cli.fast)
 }
@@ -45,7 +45,10 @@ pub fn run(cli: &Cli) -> Result<Vec<FleetChurnRow>, resctrl::ResctrlError> {
 ///
 /// Propagates the [`resctrl::ResctrlError`] of the first fleet run that
 /// fails.
-pub fn run_at(tenants: u32, fast: bool) -> Result<Vec<FleetChurnRow>, resctrl::ResctrlError> {
+pub(crate) fn run_at(
+    tenants: u32,
+    fast: bool,
+) -> Result<Vec<FleetChurnRow>, resctrl::ResctrlError> {
     report::section("Fleet churn: cluster cache policies under tenant turnover");
     let mut cfg = FleetConfig::new(tenants, fast);
     cfg.churn = true;

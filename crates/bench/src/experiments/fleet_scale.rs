@@ -22,26 +22,26 @@ use crate::{report, Cli};
 
 /// One policy × fleet-size cell of the comparison.
 #[derive(Debug, Clone)]
-pub struct FleetScaleRow {
+pub(crate) struct FleetScaleRow {
     /// Policy label.
-    pub policy: &'static str,
+    pub(crate) policy: &'static str,
     /// Fleet size.
-    pub tenants: u32,
+    pub(crate) tenants: u32,
     /// Total requests completed.
-    pub requests: u64,
+    pub(crate) requests: u64,
     /// Total instructions retired.
-    pub instructions: u64,
+    pub(crate) instructions: u64,
     /// Run-wide LLC miss rate.
-    pub miss_rate: f64,
+    pub(crate) miss_rate: f64,
     /// Jain fairness over per-tenant lifetime instructions.
-    pub jain: f64,
+    pub(crate) jain: f64,
     /// Mean distinct COS per host-epoch.
-    pub mean_cos: f64,
+    pub(crate) mean_cos: f64,
 }
 
 /// The standard ladder: a small smoke in fast mode, the paper-style
 /// 100/1 000/10 000 ladder otherwise.
-pub fn ladder(fast: bool) -> &'static [u32] {
+pub(crate) fn ladder(fast: bool) -> &'static [u32] {
     if fast {
         &[48]
     } else {
@@ -63,7 +63,7 @@ pub fn ladder(fast: bool) -> &'static [u32] {
 /// # Panics
 ///
 /// Panics if the frames file cannot be written.
-pub fn run(cli: &Cli) -> Result<Vec<FleetScaleRow>, resctrl::ResctrlError> {
+pub(crate) fn run(cli: &Cli) -> Result<Vec<FleetScaleRow>, resctrl::ResctrlError> {
     let counts = cli
         .tenants
         .map_or_else(|| ladder(cli.fast).to_vec(), |n| vec![n]);
@@ -98,7 +98,7 @@ fn export_failed(path: &Path, e: std::io::Error) -> ! {
 ///
 /// Propagates the [`resctrl::ResctrlError`] of the first fleet run that
 /// fails.
-pub fn run_at(
+pub(crate) fn run_at(
     tenant_counts: &[u32],
     fast: bool,
     frames: &mut FleetSink<'_>,

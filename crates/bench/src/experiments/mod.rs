@@ -4,29 +4,29 @@
 //! `dcat-bench <name>` runs one, `all_experiments` the suite.
 
 pub mod ablate_replacement;
-pub mod ablations;
-pub mod common;
+mod ablations;
+mod common;
 pub mod exp_coloring;
-pub mod fault_sweep;
-pub mod fig01_interference;
+mod fault_sweep;
+mod fig01_interference;
 pub mod fig02_conflict_latency;
 pub mod fig03_set_histogram;
 pub mod fig05_phase_metric;
 pub mod fig07_lifecycle;
-pub mod fig08_miss_threshold;
-pub mod fig09_ipc_threshold;
+mod fig08_miss_threshold;
+mod fig09_ipc_threshold;
 pub mod fig10_dynamic_alloc;
-pub mod fig11_latency_norm;
+mod fig11_latency_norm;
 pub mod fig12_perf_table_reuse;
 pub mod fig13_streaming;
-pub mod fig14_two_receivers;
+mod fig14_two_receivers;
 pub mod fig15_mixed;
 pub mod fig17_spec2006;
-pub mod fleet_churn;
-pub mod fleet_scale;
+mod fleet_churn;
+mod fleet_scale;
 pub mod promise;
 pub mod tab_services;
-pub mod trace;
+mod trace;
 
 use tab_services::run_service;
 use tab_services::Service::{Elasticsearch, Redis};

@@ -39,7 +39,7 @@ use crate::Runner;
 
 /// The seeds every setup runs at: the system benchmark's default and two
 /// others.
-pub const SEEDS: [u64; 3] = [20_180_423, 7, 31_337];
+pub(crate) const SEEDS: [u64; 3] = [20_180_423, 7, 31_337];
 
 /// Socket epochs and cycles per epoch: the system benchmark's full run.
 const SOCKET_EPOCHS: u64 = 24;
@@ -336,7 +336,7 @@ pub fn render_floor(readings: &[Reading]) -> String {
 }
 
 /// Prints every reading, one row per setup and name, one column per seed.
-pub fn run() {
+pub(crate) fn run() {
     report::section("Promise: dCat over static CAT per tenant, steady window, at three seeds");
     let readings = measure();
     let mut rows: Vec<Vec<String>> = Vec::new();

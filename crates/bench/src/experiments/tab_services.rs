@@ -16,7 +16,7 @@ use crate::scenario::{run_scenario, PolicyKind, VmPlan};
 
 /// Which service a run models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Service {
+pub(crate) enum Service {
     /// Table 4: Redis GETs (Memtier).
     Redis,
     /// Table 5: PostgreSQL SELECTs (pgbench).
@@ -65,17 +65,17 @@ impl Service {
 
 /// Measurements for one (service, policy) pair.
 #[derive(Debug, Clone, Copy)]
-pub struct ServiceRun {
+pub(crate) struct ServiceRun {
     /// Requests completed per million simulated cycles.
-    pub throughput: f64,
+    pub(crate) throughput: f64,
     /// Mean request *service* latency in cycles.
-    pub mean_latency: f64,
+    pub(crate) mean_latency: f64,
     /// 99th-percentile service latency in cycles.
-    pub p99_latency: f64,
+    pub(crate) p99_latency: f64,
     /// Mean client-observed latency under load (see [`queueing`]).
-    pub queued_mean: f64,
+    pub(crate) queued_mean: f64,
     /// 99th-percentile client-observed latency under load.
-    pub queued_p99: f64,
+    pub(crate) queued_p99: f64,
 }
 
 /// Client-observed latency under a fixed offered load.
@@ -88,14 +88,14 @@ pub struct ServiceRun {
 /// arrival rate for every policy (70% of the shared-cache policy's
 /// capacity), with `W = 1 / (mu - lambda)` and an exponential tail
 /// (`p99 = W * ln 100`).
-pub mod queueing {
+mod queueing {
     /// Fraction of the shared policy's capacity used as the offered load.
-    pub const OFFERED_LOAD: f64 = 0.7;
+    pub(crate) const OFFERED_LOAD: f64 = 0.7;
 
     /// Mean sojourn time for service rate `mu` and arrival rate `lambda`,
     /// both in requests per cycle. Returns `f64::INFINITY` when the
     /// system is overloaded.
-    pub fn mean_sojourn(mu: f64, lambda: f64) -> f64 {
+    pub(crate) fn mean_sojourn(mu: f64, lambda: f64) -> f64 {
         if mu <= lambda {
             f64::INFINITY
         } else {
@@ -104,22 +104,20 @@ pub mod queueing {
     }
 
     /// 99th percentile of the (exponential) M/M/1 sojourn distribution.
-    pub fn p99_sojourn(mu: f64, lambda: f64) -> f64 {
+    pub(crate) fn p99_sojourn(mu: f64, lambda: f64) -> f64 {
         mean_sojourn(mu, lambda) * 100f64.ln()
     }
 }
 
 /// One service's three policy runs.
 #[derive(Debug, Clone)]
-pub struct ServiceTable {
-    /// Which service.
-    pub service: Service,
+pub(crate) struct ServiceTable {
     /// Shared-cache measurements.
-    pub shared: ServiceRun,
+    pub(crate) shared: ServiceRun,
     /// Static-CAT measurements.
-    pub static_cat: ServiceRun,
+    pub(crate) static_cat: ServiceRun,
     /// dCat measurements.
-    pub dcat: ServiceRun,
+    pub(crate) dcat: ServiceRun,
 }
 
 fn measure(service: Service, policy: PolicyKind, fast: bool) -> ServiceRun {
@@ -169,7 +167,7 @@ fn apply_queueing(table: &mut ServiceTable) {
 }
 
 /// Runs one service under all three policies and prints its table.
-pub fn run_service(service: Service, fast: bool) -> ServiceTable {
+pub(crate) fn run_service(service: Service, fast: bool) -> ServiceTable {
     report::section(service.label());
     let policies = vec![
         PolicyKind::Shared,
@@ -178,7 +176,6 @@ pub fn run_service(service: Service, fast: bool) -> ServiceTable {
     ];
     let runs = crate::Runner::from_env().map(policies, |_, policy| measure(service, policy, fast));
     let mut t = ServiceTable {
-        service,
         shared: runs[0],
         static_cat: runs[1],
         dcat: runs[2],
@@ -222,13 +219,13 @@ pub fn run_service(service: Service, fast: bool) -> ServiceTable {
 }
 
 /// Runs all three services.
-pub fn run(fast: bool) -> Vec<ServiceTable> {
+pub(crate) fn run(fast: bool) -> Vec<ServiceTable> {
     let services = vec![Service::Redis, Service::Postgres, Service::Elasticsearch];
     crate::Runner::from_env().map(services, |_, service| run_service(service, fast))
 }
 
 /// Table 5: the PostgreSQL table, then its three-instance variant.
-pub fn run_tab05(fast: bool) {
+pub(crate) fn run_tab05(fast: bool) {
     run_service(Service::Postgres, fast);
     run_postgres_multi(fast);
 }

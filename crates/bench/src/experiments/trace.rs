@@ -9,7 +9,7 @@ use crate::scenario::{run_scenario, PolicyKind, VmPlan};
 
 /// The Redis service beside two MLOAD and two lookbusy VMs: the service's
 /// class, ways, IPC, normalized IPC, miss rate and phase changes.
-pub fn decisions(fast: bool) {
+pub(crate) fn decisions(fast: bool) {
     let plans = vec![
         VmPlan::always("service", 4, |s| {
             Box::new(RedisModel::paper_default(700 + s))
@@ -40,7 +40,7 @@ pub fn decisions(fast: bool) {
 }
 
 /// The Figure-15 scenario: MLR-8MB and MLOAD-60MB side by side.
-pub fn fig15(fast: bool) {
+pub(crate) fn fig15(fast: bool) {
     let mut plans = vec![
         VmPlan::always("mlr-8mb", 3, |s| Box::new(Mlr::new(8 * MB, 400 + s))),
         VmPlan::always("mload-60mb", 3, |_| Box::new(Mload::new(60 * MB))),

@@ -22,7 +22,7 @@
 //!   back — streamed to the coordinator in host order and folded as they
 //!   arrive, so reports, metrics, and decision traces are byte-identical
 //!   at any `--jobs` width, and what a run holds is a few hosts and
-//!   results per worker however large the fleet ([`run_fleet_with`]).
+//!   results per worker however large the fleet (`run_fleet_with`).
 //! * **Policy comparison** — every host runs one [`FleetPolicy`]: dCat
 //!   max-fairness, dCat max-performance, LFOC-style clustering
 //!   ([`dcat::LfocPolicy`]), or Memshare-style share accounting
@@ -54,7 +54,7 @@ const CURVE_REQUESTS_PER_STEP: u64 = 64;
 /// (tenant ids occupy the low streams).
 const HOST_SEED_STREAM: u64 = 1 << 32;
 
-/// The service a tenant runs. Mix weights live in [`TenantSpec::new`].
+/// The service a tenant runs. Mix weights live in `TenantSpec::new`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceKind {
     /// Zipfian GET/SET key-value cache.
@@ -106,7 +106,7 @@ impl TenantSpec {
     /// Tenant `id`'s lifecycle trace, drawn from its own
     /// `split_seed(cfg.seed, id)` stream, so it is the same whatever the
     /// fleet's size and whoever derives it.
-    pub fn new(cfg: &FleetConfig, id: u32) -> TenantSpec {
+    pub(crate) fn new(cfg: &FleetConfig, id: u32) -> TenantSpec {
         let seed = split_seed(cfg.seed, u64::from(id));
         let mut rng = SmallRng::seed_from_u64(seed);
         let service = match rng.gen_range(0..100) {
@@ -145,7 +145,7 @@ impl TenantSpec {
         }
     }
 
-    /// Generates the whole fleet's lifecycle traces ([`TenantSpec::new`]
+    /// Generates the whole fleet's lifecycle traces (`TenantSpec::new`
     /// for every id), so traces are stable under fleet-size changes.
     pub fn generate(cfg: &FleetConfig) -> Vec<TenantSpec> {
         (0..cfg.tenants)
@@ -486,7 +486,7 @@ pub struct FleetEpochRow {
     /// Instructions retired fleet-wide.
     pub instructions: u64,
     /// Memory references fleet-wide (every one starts at L1).
-    pub l1_ref: u64,
+    pub(crate) l1_ref: u64,
     /// LLC references fleet-wide.
     pub llc_ref: u64,
     /// LLC misses fleet-wide.
@@ -504,7 +504,7 @@ pub struct FleetEpochRow {
 
 impl FleetEpochRow {
     /// Fleet-wide LLC miss rate this epoch.
-    pub fn miss_rate(&self) -> f64 {
+    pub(crate) fn miss_rate(&self) -> f64 {
         if self.llc_ref == 0 {
             0.0
         } else {
@@ -517,9 +517,9 @@ impl FleetEpochRow {
 #[derive(Debug, Clone)]
 pub struct FleetResult {
     /// Policy label.
-    pub policy: &'static str,
+    pub(crate) policy: &'static str,
     /// Fleet size.
-    pub tenants: u32,
+    pub(crate) tenants: u32,
     /// Host count.
     pub hosts: u32,
     /// Per-epoch aggregates.
@@ -534,19 +534,19 @@ pub struct FleetResult {
     /// concatenated in host order, one frame per host-epoch. Byte-identical
     /// at any `--jobs` width (each segment is written by the one worker
     /// that runs its host). Excluded from [`FleetResult::serialize`], which
-    /// predates it. Filled by [`run_fleet`]; empty from [`run_fleet_with`],
+    /// predates it. Filled by [`run_fleet`]; empty from `run_fleet_with`,
     /// which hands the segments to its sink instead.
     pub frames: String,
 }
 
 impl FleetResult {
     /// Total instructions retired across the run.
-    pub fn total_instructions(&self) -> u64 {
+    pub(crate) fn total_instructions(&self) -> u64 {
         self.rows.iter().map(|r| r.instructions).sum()
     }
 
     /// Total requests completed across the run.
-    pub fn total_requests(&self) -> u64 {
+    pub(crate) fn total_requests(&self) -> u64 {
         self.rows.iter().map(|r| r.requests).sum()
     }
 
@@ -562,7 +562,7 @@ impl FleetResult {
     }
 
     /// Share of all memory references that hit in the LLC.
-    pub fn llc_hit_share(&self) -> f64 {
+    pub(crate) fn llc_hit_share(&self) -> f64 {
         let refs: u64 = self.rows.iter().map(|r| r.l1_ref).sum();
         let hits: u64 = self.rows.iter().map(|r| r.llc_ref - r.llc_miss).sum();
         if refs == 0 {
@@ -661,10 +661,10 @@ impl FleetResult {
 /// host's finished segment, in host order, as the coordinator folds the
 /// host. `&mut |_: &str| {}` keeps nothing; a closure over a `String`
 /// keeps the stream, one over a writer streams it to a file.
-pub type FleetSink<'a> = dyn FnMut(&str) + 'a;
+pub(crate) type FleetSink<'a> = dyn FnMut(&str) + 'a;
 
 /// Runs one fleet under one policy, its whole frame stream kept in
-/// [`FleetResult::frames`]: [`run_fleet_with`] into a `String`, which
+/// [`FleetResult::frames`]: `run_fleet_with` into a `String`, which
 /// states the errors and panics.
 pub fn run_fleet(policy: FleetPolicy, cfg: &FleetConfig) -> Result<FleetResult, ResctrlError> {
     let hosts = cfg.hosts() as usize;
@@ -710,7 +710,7 @@ pub fn run_fleet(policy: FleetPolicy, cfg: &FleetConfig) -> Result<FleetResult, 
 /// Panics if a shard cannot fit its host (config error). The host is
 /// built on a pool worker; [`Pool::stream`] re-raises the worker's panic
 /// on the calling thread.
-pub fn run_fleet_with(
+pub(crate) fn run_fleet_with(
     policy: FleetPolicy,
     cfg: &FleetConfig,
     frames: &mut FleetSink<'_>,
@@ -723,7 +723,7 @@ pub fn run_fleet_with(
 /// the reference a fleet policy's gains are read against. It is not a
 /// [`FleetPolicy`], as no fleet experiment ranks it; its frame stream is
 /// not kept.
-pub fn run_fleet_static(cfg: &FleetConfig) -> Result<FleetResult, ResctrlError> {
+pub(crate) fn run_fleet_static(cfg: &FleetConfig) -> Result<FleetResult, ResctrlError> {
     let pool = Pool::new(crate::runner::jobs());
     stream_hosts(
         pool,

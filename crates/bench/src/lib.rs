@@ -29,8 +29,6 @@ pub mod runner;
 pub mod scenario;
 pub mod timing;
 
-pub use fleet::{
-    run_fleet, run_fleet_with, FleetConfig, FleetPolicy, FleetResult, FleetSink, TenantSpec,
-};
+pub use fleet::{run_fleet, FleetConfig, FleetPolicy, FleetResult, TenantSpec};
 pub use runner::{main_with, Cli, Runner};
 pub use scenario::{PolicyKind, RunResult, ScheduleItem, VmPlan};

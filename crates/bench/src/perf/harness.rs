@@ -9,7 +9,7 @@
 //! pipeline — including JSON emission and schema validation — runs
 //! deterministically with no time dependence at all.
 //!
-//! The suites measure through [`SuiteRunner`], which interleaves the
+//! The suites measure through `SuiteRunner`, which interleaves the
 //! repetitions: instead of timing one case's K loops back to back
 //! (a ~20–50 ms contiguous window that a single neighbour-contention
 //! burst poisons wholesale), it runs K round-robin passes over every
@@ -23,19 +23,19 @@ use dcat_obs::CycleSource;
 
 /// One measured benchmark case.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CaseResult {
+pub(crate) struct CaseResult {
     /// Case name, unique within a suite.
-    pub name: String,
+    pub(crate) name: String,
     /// Median-of-reps nanoseconds per iteration.
-    pub ns_per_iter: u64,
+    pub(crate) ns_per_iter: u64,
     /// Iterations per repetition.
-    pub iters: u32,
+    pub(crate) iters: u32,
     /// Timed repetitions (the median is taken across these).
-    pub reps: u32,
+    pub(crate) reps: u32,
     /// `ns_per_iter` divided by the suite's calibration case — the
     /// machine-portable number the regression gate compares. Zero until
     /// [`normalize`] runs.
-    pub norm: f64,
+    pub(crate) norm: f64,
 }
 
 /// Fills in every case's `norm` as `ns_per_iter / calibration_ns`,
@@ -46,7 +46,7 @@ pub struct CaseResult {
 ///
 /// Panics if `calibration` names no case in `cases` — a suite
 /// definition bug, not a runtime condition.
-pub fn normalize(cases: &mut [CaseResult], calibration: &str) {
+pub(crate) fn normalize(cases: &mut [CaseResult], calibration: &str) {
     let cal_ns = cases
         .iter()
         .find(|c| c.name == calibration)
@@ -77,20 +77,20 @@ struct CaseSpec<'a> {
 /// samples of the same case are separated by the rest of the suite's
 /// work and land in different time windows.
 #[derive(Default)]
-pub struct SuiteRunner<'a> {
+pub(crate) struct SuiteRunner<'a> {
     specs: Vec<CaseSpec<'a>>,
 }
 
 impl<'a> SuiteRunner<'a> {
     /// An empty suite.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SuiteRunner { specs: Vec::new() }
     }
 
     /// Registers a case: `iters` iterations of `f` per timed loop. The
     /// closure's return value passes through [`black_box`] so the
     /// optimizer cannot delete the work.
-    pub fn case<T>(&mut self, name: &str, iters: u32, mut f: impl FnMut() -> T + 'a) {
+    pub(crate) fn case<T>(&mut self, name: &str, iters: u32, mut f: impl FnMut() -> T + 'a) {
         self.specs.push(CaseSpec {
             name: name.to_string(),
             iters: iters.max(1),
@@ -105,7 +105,7 @@ impl<'a> SuiteRunner<'a> {
     /// Runs the suite: one untimed warmup loop per case, then `reps`
     /// interleaved timed passes; reports each case's median
     /// per-iteration time, in registration order.
-    pub fn run(mut self, clock: &mut dyn CycleSource, reps: u32) -> Vec<CaseResult> {
+    pub(crate) fn run(mut self, clock: &mut dyn CycleSource, reps: u32) -> Vec<CaseResult> {
         let reps = reps.max(1);
         for spec in &mut self.specs {
             (spec.body)(spec.iters);

@@ -18,18 +18,18 @@ use dcat_obs::json::{self, Value};
 use super::harness::CaseResult;
 
 /// Schema identifier embedded in (and required of) every document.
-pub const SCHEMA: &str = "dcat-perfbench/v1";
+pub(crate) const SCHEMA: &str = "dcat-perfbench/v1";
 
 /// A derived, machine-independent metric (typically a speedup ratio).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Derived {
+pub(crate) struct Derived {
     /// Metric name, unique within the suite.
-    pub name: String,
+    pub(crate) name: String,
     /// Measured value.
-    pub value: f64,
+    pub(crate) value: f64,
     /// Hard lower bound, if the suite asserts one (e.g. the packed-set
     /// speedup floor). Checked by [`validate`].
-    pub min: Option<f64>,
+    pub(crate) min: Option<f64>,
 }
 
 /// One suite's results, ready to serialize.
@@ -38,16 +38,16 @@ pub struct SuiteResult {
     /// Suite name (`micro`, `macro`).
     pub suite: String,
     /// `wall` or `fake` — which clock produced the numbers.
-    pub clock: String,
+    pub(crate) clock: String,
     /// Name of the calibration case every `norm` is anchored on.
-    pub calibration: String,
+    pub(crate) calibration: String,
     /// Gate tolerance stored in the header so the *baseline* dictates
     /// how strictly future runs are compared against it.
-    pub tolerance: f64,
+    pub(crate) tolerance: f64,
     /// Measured cases.
-    pub cases: Vec<CaseResult>,
+    pub(crate) cases: Vec<CaseResult>,
     /// Derived ratios.
-    pub derived: Vec<Derived>,
+    pub(crate) derived: Vec<Derived>,
 }
 
 /// Renders an f64 with enough digits to be stable and readable.
@@ -123,9 +123,9 @@ pub struct ParsedSuite {
     /// Suite name.
     pub suite: String,
     /// Gate tolerance from the header.
-    pub tolerance: f64,
+    pub(crate) tolerance: f64,
     /// Calibration case name.
-    pub calibration: String,
+    pub(crate) calibration: String,
     /// `(name, ns_per_iter, norm)` per case.
     pub cases: Vec<(String, u64, f64)>,
     /// `(name, value, min)` per derived entry.

@@ -33,7 +33,7 @@ pub enum ClockKind {
 
 impl ClockKind {
     /// The header label (`wall` / `fake`).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ClockKind::Wall => "wall",
             ClockKind::Fake => "fake",

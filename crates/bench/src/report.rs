@@ -6,10 +6,10 @@
 //! coordinator replays the buffers in task order, so the report bytes are
 //! identical whatever `--jobs` width produced them.
 //!
-//! Metrics follow the same discipline: [`record`] writes into the
+//! Metrics follow the same discipline: `record` writes into the
 //! innermost [`capture_obs`] scope's registry (or a process-global root
 //! outside any scope), the captured [`dcat_obs::Snapshot`] travels back
-//! with the text, and [`emit_obs`] replays it into the enclosing scope.
+//! with the text, and `emit_obs` replays it into the enclosing scope.
 //! Because snapshot merge is order-insensitive and the coordinator
 //! replays in item order, the exported metrics are byte-identical for
 //! any `--jobs` width too.
@@ -33,7 +33,7 @@ static ROOT: Mutex<Option<Registry>> = Mutex::new(None);
 
 /// Records metrics into the innermost [`capture_obs`] scope, or into the
 /// process root when no scope is active on this thread.
-pub fn record(f: impl FnOnce(&mut Registry)) {
+pub(crate) fn record(f: impl FnOnce(&mut Registry)) {
     let mut f = Some(f);
     let handled = OBS.with(|s| {
         let mut stack = s.borrow_mut();
@@ -58,7 +58,7 @@ pub fn record(f: impl FnOnce(&mut Registry)) {
 /// Replays a captured snapshot into the current scope (or the root),
 /// mirroring what [`emit_raw`] does for text. Nested captures compose:
 /// the replay merges into the enclosing scope's registry.
-pub fn emit_obs(snap: &Snapshot) {
+pub(crate) fn emit_obs(snap: &Snapshot) {
     let handled = OBS.with(|s| {
         let mut stack = s.borrow_mut();
         match stack.last_mut() {
@@ -76,7 +76,7 @@ pub fn emit_obs(snap: &Snapshot) {
 }
 
 /// [`capture`] plus metrics: runs `f` with both report output and
-/// [`record`]ed metrics redirected; returns the value, the text, and the
+/// `record`ed metrics redirected; returns the value, the text, and the
 /// metrics snapshot.
 pub fn capture_obs<T>(f: impl FnOnce() -> T) -> (T, String, Snapshot) {
     OBS.with(|s| s.borrow_mut().push(Registry::new()));
@@ -91,7 +91,7 @@ pub fn capture_obs<T>(f: impl FnOnce() -> T) -> (T, String, Snapshot) {
 }
 
 /// Drains the process-root metrics accumulated outside capture scopes.
-pub fn take_root_metrics() -> Snapshot {
+pub(crate) fn take_root_metrics() -> Snapshot {
     let mut root = ROOT.lock().unwrap_or_else(|p| p.into_inner());
     root.take().map(|mut reg| reg.take()).unwrap_or_default()
 }
@@ -127,7 +127,7 @@ pub fn say(line: impl AsRef<str>) {
     clippy::print_stdout,
     reason = "the sink: the one place library code reaches stdout"
 )]
-pub fn emit_raw(text: &str) {
+pub(crate) fn emit_raw(text: &str) {
     let captured = SINK.with(|s| {
         let mut stack = s.borrow_mut();
         match stack.last_mut() {
@@ -153,7 +153,7 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, String) {
 }
 
 /// Prints a titled section header.
-pub fn section(title: &str) {
+pub(crate) fn section(title: &str) {
     say("");
     say(format!("== {title} =="));
 }
@@ -163,7 +163,7 @@ pub fn section(title: &str) {
 /// # Panics
 ///
 /// Panics if a row's width differs from the header's.
-pub fn table(header: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn table(header: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         assert_eq!(row.len(), header.len(), "ragged table row");
     }
@@ -194,7 +194,7 @@ pub fn table(header: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Geometric mean; 0 for an empty slice.
-pub fn geo_mean(values: &[f64]) -> f64 {
+pub(crate) fn geo_mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -207,7 +207,7 @@ pub fn geo_mean(values: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics on an empty slice or `p` outside 0..=100.
-pub fn percentile(values: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile(values: &[f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile out of range");
     let mut sorted = values.to_vec();
@@ -217,7 +217,7 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 }
 
 /// Arithmetic mean; 0 for an empty slice.
-pub fn mean(values: &[f64]) -> f64 {
+pub(crate) fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -225,7 +225,7 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// Formats a ratio as a signed percentage ("+25.0%" / "-3.2%").
-pub fn pct(ratio: f64) -> String {
+pub(crate) fn pct(ratio: f64) -> String {
     format!("{:+.1}%", ratio * 100.0)
 }
 
@@ -252,7 +252,7 @@ pub fn decision_trace(reports: &[Vec<dcat::DomainReport>]) -> String {
 
 /// Renders a small ASCII time-series chart (one char per sample, scaled
 /// into `height` rows). Used by the timeline figures.
-pub fn ascii_series(label: &str, values: &[f64], height: usize) {
+pub(crate) fn ascii_series(label: &str, values: &[f64], height: usize) {
     if values.is_empty() {
         say(format!("{label}: (no data)"));
         return;

@@ -24,7 +24,7 @@ pub fn set_jobs(n: usize) {
 }
 
 /// The process-global sweep width.
-pub fn jobs() -> usize {
+pub(crate) fn jobs() -> usize {
     JOBS.load(Ordering::Relaxed).max(1)
 }
 
@@ -38,7 +38,7 @@ pub fn set_sample_sets(n: usize) {
 
 /// The LLC fidelity selected on the command line: `Full` unless
 /// `--sample-sets N` with `N > 1` was given.
-pub fn llc_fidelity() -> llc_sim::SimFidelity {
+pub(crate) fn llc_fidelity() -> llc_sim::SimFidelity {
     match SAMPLE_SETS.load(Ordering::Relaxed) {
         0 | 1 => llc_sim::SimFidelity::Full,
         n => llc_sim::SimFidelity::Sampled {
@@ -70,7 +70,7 @@ pub struct Cli {
 
 impl Cli {
     /// Parses `std::env::args()` and installs `--jobs` globally.
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Self::parse(&args)
     }
@@ -136,7 +136,7 @@ impl Cli {
 }
 
 /// Standard experiment `main`: parses the [`Cli`], runs `body`, then
-/// honors `--metrics-out` by exporting everything the run [`report::record`]ed
+/// honors `--metrics-out` by exporting everything the run `report::record`ed
 /// into the process-root registry.
 ///
 /// # Panics
@@ -166,15 +166,10 @@ impl Runner {
     }
 
     /// A runner at an explicit width (clamped to at least 1).
-    pub fn new(jobs: usize) -> Self {
+    pub(crate) fn new(jobs: usize) -> Self {
         Runner {
             pool: Pool::new(jobs),
         }
-    }
-
-    /// The runner's width.
-    pub fn jobs(&self) -> usize {
-        self.pool.jobs()
     }
 
     /// Runs `f` over every item, in parallel up to the runner's width,

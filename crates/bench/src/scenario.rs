@@ -23,7 +23,7 @@ pub struct ScheduleItem {
 
 impl ScheduleItem {
     /// A workload running for the whole experiment.
-    pub fn always() -> Self {
+    pub(crate) fn always() -> Self {
         ScheduleItem {
             start: 0,
             stop: None,
@@ -84,7 +84,7 @@ impl VmPlan {
     }
 
     /// A VM that stays idle the whole time.
-    pub fn idle(name: impl Into<String>, reserved_ways: u32) -> Self {
+    pub(crate) fn idle(name: impl Into<String>, reserved_ways: u32) -> Self {
         VmPlan {
             name: name.into(),
             reserved_ways,
@@ -148,7 +148,7 @@ impl PolicyKind {
 }
 
 /// The control loop of one simulated host, whatever its policy.
-pub type HostLoop = ControlLoop<Box<dyn CachePolicy + Send>>;
+pub(crate) type HostLoop = ControlLoop<Box<dyn CachePolicy + Send>>;
 
 /// Everything recorded from one scenario run.
 pub struct RunResult {
@@ -179,7 +179,7 @@ impl RunResult {
     }
 
     /// Mean data-access latency (cycles) of `vm` over the last `n` epochs.
-    pub fn steady_latency(&self, vm: usize, n: usize) -> f64 {
+    pub(crate) fn steady_latency(&self, vm: usize, n: usize) -> f64 {
         let take = n.min(self.epochs.len());
         let sum: f64 = self.epochs[self.epochs.len() - take..]
             .iter()
@@ -188,25 +188,13 @@ impl RunResult {
         sum / take as f64
     }
 
-    /// Total instructions retired by `vm` across the run (the analogue of
-    /// SPEC's inverse running time: same work / more instructions per
-    /// fixed wall-clock simulation = faster).
-    pub fn total_instructions(&self, vm: usize) -> u64 {
-        self.epochs.iter().map(|e| e[vm].instructions).sum()
-    }
-
-    /// Requests completed by `vm` across the run.
-    pub fn total_requests(&self, vm: usize) -> u64 {
-        self.epochs.iter().map(|e| e[vm].requests_completed).sum()
-    }
-
     /// Way allocation of `vm` per epoch.
-    pub fn ways_series(&self, vm: usize) -> Vec<u32> {
+    pub(crate) fn ways_series(&self, vm: usize) -> Vec<u32> {
         self.epochs.iter().map(|e| e[vm].ways).collect()
     }
 
     /// Peak ways ever granted to `vm`.
-    pub fn peak_ways(&self, vm: usize) -> u32 {
+    pub(crate) fn peak_ways(&self, vm: usize) -> u32 {
         self.ways_series(vm).into_iter().max().unwrap_or(0)
     }
 
@@ -414,8 +402,9 @@ mod tests {
             let r = run_scenario(policy, tiny_engine(), &plans, 5);
             assert_eq!(r.epochs.len(), 5);
             assert_eq!(r.reports.len(), 5);
-            assert!(r.total_instructions(0) > 0);
-            assert!(r.total_instructions(1) > 0);
+            for vm in [0, 1] {
+                assert!(r.epochs.iter().map(|e| e[vm].instructions).sum::<u64>() > 0);
+            }
         }
     }
 
@@ -437,7 +426,7 @@ mod tests {
     fn idle_plan_never_executes() {
         let plans = vec![VmPlan::idle("idle", 2)];
         let r = run_scenario(PolicyKind::Shared, tiny_engine(), &plans, 3);
-        assert_eq!(r.total_instructions(0), 0);
+        assert!(r.epochs.iter().all(|e| e[0].instructions == 0));
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl DcatConfig {
     }
 
     /// Validates threshold sanity.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(0.0..1.0).contains(&self.llc_miss_rate_thr) {
             return Err("llc_miss_rate_thr must be in [0,1)".to_string());
         }

@@ -64,16 +64,16 @@ impl Default for ResiliencePolicy {
 /// Where one tick's samples and the source's own complaints go.
 pub struct SampleSink<'a> {
     /// The configured domains; `samples` is parallel to it.
-    pub domains: &'a [WorkloadHandle],
+    pub(crate) domains: &'a [WorkloadHandle],
     /// `samples[i]`: domain `i`'s raw monotonic totals, `None` when the
     /// source has no usable sample for it this tick.
     pub samples: &'a mut [Option<CounterSnapshot>],
     /// Rows the source dropped, in source order.
-    pub issues: &'a mut Vec<RowIssue>,
+    pub(crate) issues: &'a mut Vec<RowIssue>,
     /// Events of the source's own recovery (retries).
-    pub events: &'a mut Vec<Event>,
+    pub(crate) events: &'a mut Vec<Event>,
     /// The driver's tracer, for a source with a stage worth a span.
-    pub tracer: &'a mut Tracer,
+    pub(crate) tracer: &'a mut Tracer,
 }
 
 /// A producer of per-domain counter totals, one sample per tick.
@@ -117,7 +117,7 @@ pub struct TickObservation<'a> {
     pub spans: &'a [SpanRecord],
     /// Per-domain quarantine flags, in domain order (parallel to
     /// `reports` on completed ticks).
-    pub quarantined: &'a [bool],
+    pub(crate) quarantined: &'a [bool],
     /// A flight-recorder JSONL dump, present only on ticks where an
     /// `InvariantViolation` or `DomainQuarantined` event fired. The
     /// recorder is the driver's too; the embedder (`dcatd`) persists it.
@@ -273,7 +273,7 @@ impl<P: DerefMut<Target: CachePolicy>> ControlLoop<P> {
         resilience: ResiliencePolicy,
     ) -> Result<Self, ResctrlError> {
         if !(1..=64).contains(&resilience.counter_width_bits) {
-            return Err(ResctrlError::Parse(format!(
+            return Err(ResctrlError::Refused(format!(
                 "counter width must be 1..=64 bits, got {}",
                 resilience.counter_width_bits
             )));

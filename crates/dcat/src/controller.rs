@@ -194,7 +194,7 @@ impl DcatController {
     ) -> Result<Self, ResctrlError> {
         config
             .validate()
-            .map_err(|e| ResctrlError::Parse(format!("invalid DcatConfig: {e}")))?;
+            .map_err(|e| ResctrlError::Refused(format!("invalid DcatConfig: {e}")))?;
         let caps = cat.capabilities();
         config.min_ways = config.min_ways.max(caps.min_cbm_bits);
         let total_ways = caps.cbm_len;
@@ -239,11 +239,6 @@ impl DcatController {
         self.domains.len()
     }
 
-    /// The controller's configuration.
-    pub fn config(&self) -> &DcatConfig {
-        &self.config
-    }
-
     /// Current class of domain `i`.
     #[expect(
         clippy::indexing_slicing,
@@ -265,11 +260,6 @@ impl DcatController {
     /// Domain `i`'s grant: its recorded mask's width, once one is.
     fn granted(&self, i: usize, d: &Domain) -> u32 {
         self.allocation.domain_mask(i).map_or(d.ways, Cbm::ways)
-    }
-
-    /// Number of controller intervals executed so far.
-    pub fn intervals(&self) -> u64 {
-        self.interval
     }
 
     /// The active performance table of domain `i`.
@@ -1454,10 +1444,10 @@ mod tests {
         assert!(verdicts.is_transient(), "wrong verdict count: {verdicts}");
         // Nothing was judged or programmed, and the next well-formed
         // interval runs as the first.
-        assert_eq!(ctl.intervals(), 0);
+        assert_eq!(ctl.interval, 0);
         assert_eq!(cat.log.len(), writes);
         ctl.tick(&two, &mut cat).unwrap();
-        assert_eq!(ctl.intervals(), 1);
+        assert_eq!(ctl.interval, 1);
     }
 
     #[test]

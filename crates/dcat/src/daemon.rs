@@ -53,7 +53,8 @@ use resctrl::{CacheController, FaultingController, FsBackend, ResctrlError};
 
 use crate::config::DcatConfig;
 use crate::control::ControlLoop;
-pub use crate::control::{ResiliencePolicy, TickObservation};
+pub use crate::control::ResiliencePolicy;
+use crate::control::TickObservation;
 use crate::controller::{check_cores, DcatController, DomainReport, WorkloadHandle};
 use crate::events::Event;
 use crate::policy::CachePolicy;
@@ -195,7 +196,7 @@ pub struct DaemonOutcome {
 /// Two domains sharing a core would silently fight over that core's COS
 /// assignment — the last `assign_core` wins and one tenant runs under
 /// the other's mask — and duplicate names make telemetry rows ambiguous.
-pub fn validate_domain_set(domains: &[WorkloadHandle]) -> Result<(), String> {
+pub(crate) fn validate_domain_set(domains: &[WorkloadHandle]) -> Result<(), String> {
     let mut seen_names: BTreeMap<&str, usize> = BTreeMap::new();
     for (i, d) in domains.iter().enumerate() {
         if let Some(prev) = seen_names.insert(d.name.as_str(), i) {
@@ -310,7 +311,7 @@ pub fn run_daemon_observed(
     cfg: &DaemonConfig,
     observe: impl FnMut(&TickObservation),
 ) -> Result<DaemonOutcome, ResctrlError> {
-    validate_domain_set(&cfg.domains).map_err(ResctrlError::Parse)?;
+    validate_domain_set(&cfg.domains).map_err(ResctrlError::Refused)?;
     // Construction is fail-fast: a missing resctrl tree at startup is a
     // configuration error, not weather.
     let backend = FsBackend::open(&cfg.resctrl_root)?;
@@ -564,7 +565,8 @@ mod tests {
         // on the second tick.
         cfg.resilience.counter_width_bits = 0;
         let err = run_daemon_observed(&cfg, |_| {}).unwrap_err();
-        assert!(matches!(err, ResctrlError::Parse(_)), "{err}");
+        assert!(matches!(err, ResctrlError::Refused(_)), "{err}");
+        assert!(!err.is_transient(), "{err}");
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -23,7 +23,7 @@ pub enum DegradeReason {
 impl DegradeReason {
     /// The reason as frames, events and metric labels render it (an
     /// entry of `dcat_obs::frames::KNOWN_REASONS`).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             DegradeReason::Telemetry => "telemetry",
             DegradeReason::Resctrl => "resctrl",
@@ -136,7 +136,7 @@ pub enum Event {
 /// [`FieldValue::Text`] is free-form text (error/message strings) that the
 /// log line prints with `{:?}` quoting. Both render as JSON strings.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FieldValue {
+pub(crate) enum FieldValue {
     U64(u64),
     Ident(String),
     Text(String),
@@ -144,7 +144,7 @@ pub enum FieldValue {
 
 impl Event {
     /// Stable event name (the `event=` field of the log line).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Event::TelemetryRetried { .. } => "telemetry_retried",
             Event::TelemetryExhausted { .. } => "telemetry_exhausted",
@@ -165,7 +165,7 @@ impl Event {
     /// The event's fields in rendering order — the single source of truth
     /// behind both the `key=value` log line ([`fmt::Display`]) and the JSON
     /// object ([`Event::to_json`]).
-    pub fn fields(&self) -> Vec<(&'static str, FieldValue)> {
+    pub(crate) fn fields(&self) -> Vec<(&'static str, FieldValue)> {
         use FieldValue::{Ident, Text, U64};
         match self {
             Event::TelemetryRetried { attempt, error } => vec![
@@ -223,7 +223,7 @@ impl Event {
     /// Render as a single-line JSON object with a stable shape:
     /// `{"event":"<name>", <fields in log-line order>}`. Shared by the
     /// flight recorder and anything else that wants events machine-readable.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut obj = dcat_obs::json::Obj::new().str_field("event", self.name());
         for (key, value) in self.fields() {
             obj = match value {

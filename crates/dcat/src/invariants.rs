@@ -69,7 +69,7 @@ impl fmt::Display for InvariantViolation {
 
 /// Checks domain `domain`'s grant of `ways` against its floor: `min_ways`,
 /// clamped to its reservation, and never below one way.
-pub fn check_floor(
+pub(crate) fn check_floor(
     domain: usize,
     class: WorkloadClass,
     ways: u32,

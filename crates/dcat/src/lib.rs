@@ -13,7 +13,7 @@
 //!    [`perf_events::IntervalMetrics`].
 //! 3. **Detect Phase Change** — memory accesses per instruction
 //!    (`l1_ref / ret_ins`) shifting by more than 10% signals a new phase
-//!    ([`phase::PhaseDetector`]).
+//!    (`PhaseDetector`, crates/dcat/src/phase.rs).
 //! 4. **Categorize Workloads** — the Figure-6 state machine over
 //!    {[`WorkloadClass::Keeper`], [`WorkloadClass::Donor`],
 //!    [`WorkloadClass::Receiver`], [`WorkloadClass::Streaming`],
@@ -64,21 +64,21 @@
     clippy::integer_division
 )]
 
-pub mod baselines;
-pub mod config;
-pub mod control;
-pub mod controller;
+mod baselines;
+mod config;
+mod control;
+mod controller;
 pub mod daemon;
-pub mod events;
-pub mod invariants;
-pub mod lfoc;
-pub mod memshare;
+mod events;
+mod invariants;
+mod lfoc;
+mod memshare;
 pub mod perf_table;
-pub mod phase;
+mod phase;
 pub mod policy;
-pub mod state;
-pub mod telemetry;
-pub mod transitions;
+mod state;
+mod telemetry;
+mod transitions;
 
 pub use baselines::{SharedCachePolicy, StaticCatPolicy};
 pub use config::{AllocationPolicy, DcatConfig};
@@ -89,7 +89,6 @@ pub use events::{DegradeReason, Event};
 pub use lfoc::{LfocConfig, LfocPolicy};
 pub use memshare::{MemshareConfig, MemsharePolicy};
 pub use perf_table::PerformanceTable;
-pub use phase::{PhaseChange, PhaseDetector};
 pub use policy::{CachePolicy, TickInput};
 pub use state::WorkloadClass;
 pub use telemetry::{

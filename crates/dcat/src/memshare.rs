@@ -70,8 +70,6 @@ pub struct MemsharePolicy {
     max_partitions: u32,
     /// Its plan: one COS per group, laid out fresh on each regrouping.
     tracker: MetricsTracker,
-    /// Shares per domain (its reserved way count, floored at 1).
-    shares: Vec<u64>,
     /// Integer way entitlement per domain (sums to `cbm_len`).
     entitlement: Vec<u32>,
     /// Cumulative way-ticks lent (+) or borrowed (−).
@@ -104,7 +102,6 @@ impl MemsharePolicy {
             min_ways,
             max_partitions: MAX_PARTITIONS.min(hw_partitions),
             tracker: MetricsTracker::new(handles, caps),
-            shares,
             granted: entitlement.clone(),
             entitlement,
             credit: vec![0; n],
@@ -114,12 +111,6 @@ impl MemsharePolicy {
         policy.stage();
         policy.tracker.allocation.start(cat)?;
         Ok(policy)
-    }
-
-    /// Shares per domain (reserved ways, floored at 1) — the weights the
-    /// entitlements were apportioned from.
-    pub fn shares(&self) -> &[u64] {
-        &self.shares
     }
 
     /// Classifies each domain's demand from the tracker's interval.

@@ -95,14 +95,14 @@ impl PerformanceTable {
     }
 
     /// Number of recorded entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.iter().filter(|e| e.is_some()).count()
     }
 
     /// The *preferred* allocation: the smallest way count whose normalized
     /// IPC is within `tolerance` of the table's maximum (the paper's
     /// Table 1 marks 6 ways preferred because 7 and 8 add nothing).
-    pub fn preferred_ways(&self, tolerance: f64) -> Option<u32> {
+    pub(crate) fn preferred_ways(&self, tolerance: f64) -> Option<u32> {
         let max = self
             .entries
             .iter()
@@ -126,13 +126,6 @@ impl PerformanceTable {
             .iter()
             .enumerate()
             .filter_map(|(w, e)| e.map(|v| (narrow(w), v)))
-    }
-
-    /// Clears every entry (phase invalidation).
-    pub fn clear(&mut self) {
-        for e in &mut self.entries {
-            *e = None;
-        }
     }
 }
 
@@ -248,13 +241,6 @@ mod tests {
         // With a 5% tolerance, 5 ways (1.25) is close enough to 1.3.
         assert_eq!(paper_table().preferred_ways(0.05), Some(5));
         assert_eq!(PerformanceTable::new(8).preferred_ways(0.0), None);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut t = paper_table();
-        t.clear();
-        assert!(t.is_empty());
     }
 
     #[test]

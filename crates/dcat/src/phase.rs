@@ -13,7 +13,7 @@
 
 /// Outcome of feeding one interval's signature to the detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PhaseChange {
+pub(crate) enum PhaseChange {
     /// First observation ever (a freshly started workload).
     Initial,
     /// Signature within the threshold of the current phase.
@@ -29,14 +29,14 @@ pub enum PhaseChange {
 
 impl PhaseChange {
     /// Whether the baseline must be re-established.
-    pub fn requires_rebaseline(self) -> bool {
+    pub(crate) fn requires_rebaseline(self) -> bool {
         matches!(self, PhaseChange::Initial | PhaseChange::Changed { .. })
     }
 }
 
 /// Tracks one workload's phase signature.
 #[derive(Debug, Clone)]
-pub struct PhaseDetector {
+pub(crate) struct PhaseDetector {
     threshold: f64,
     signature: Option<f64>,
 }
@@ -47,7 +47,7 @@ impl PhaseDetector {
     /// # Panics
     ///
     /// Panics if the threshold is not positive.
-    pub fn new(threshold: f64) -> Self {
+    pub(crate) fn new(threshold: f64) -> Self {
         assert!(threshold > 0.0, "phase threshold must be positive");
         PhaseDetector {
             threshold,
@@ -56,12 +56,12 @@ impl PhaseDetector {
     }
 
     /// Current phase signature, if any phase has been observed.
-    pub fn signature(&self) -> Option<f64> {
+    pub(crate) fn signature(&self) -> Option<f64> {
         self.signature
     }
 
     /// Feeds the signature of the latest interval.
-    pub fn observe(&mut self, mem_access_per_instr: f64) -> PhaseChange {
+    pub(crate) fn observe(&mut self, mem_access_per_instr: f64) -> PhaseChange {
         match self.signature {
             None => {
                 self.signature = Some(mem_access_per_instr);
@@ -86,7 +86,7 @@ impl PhaseDetector {
 
     /// Forgets the current phase (used when a workload goes idle, so its
     /// next activity is treated as a fresh phase).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.signature = None;
     }
 
@@ -97,7 +97,7 @@ impl PhaseDetector {
         clippy::as_conversions,
         reason = "f64-to-u64 `as` saturates and maps NaN to 0; any stable bucket id works for keying"
     )]
-    pub fn bucket(signature: f64) -> u64 {
+    pub(crate) fn bucket(signature: f64) -> u64 {
         /// Width of one bucket, in memory accesses per instruction.
         const QUANTUM: f64 = 0.02;
         (signature / QUANTUM).round() as u64

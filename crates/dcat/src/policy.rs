@@ -7,7 +7,7 @@
 //! [`crate::control::ControlLoop`] drives any of them once per interval.
 //!
 //! A policy decides; [`apply`], the one apply, programs what it decided,
-//! commits or holds its reports, and [`audit`] checks what the backend
+//! commits or holds its reports, and `audit` checks what the backend
 //! holds — the same code for every policy.
 
 use dcat_obs::Tracer;
@@ -88,7 +88,7 @@ pub trait CachePolicy {
         Ok(self.reports().to_vec())
     }
 
-    /// The policy's own invariants, which [`audit`] checks beside the
+    /// The policy's own invariants, which `audit` checks beside the
     /// record's (dCat: each domain's grant against its floor).
     fn invariants(&self) -> Result<(), InvariantViolation> {
         Ok(())
@@ -120,7 +120,7 @@ pub fn apply<P: CachePolicy + ?Sized>(
 /// then the policy's own invariants. The loop runs it after every
 /// decision, completed or not: holding must never leave overlapping masks
 /// or starve a domain.
-pub fn audit<P: CachePolicy + ?Sized>(policy: &P) -> Result<(), InvariantViolation> {
+pub(crate) fn audit<P: CachePolicy + ?Sized>(policy: &P) -> Result<(), InvariantViolation> {
     let record = &policy.allocation().record;
     record.audit().map_err(InvariantViolation::Layout)?;
     policy.invariants()
@@ -183,7 +183,7 @@ impl Allocation {
     pub(crate) fn reserve(&mut self, cat: &mut dyn CacheController) -> Result<(), ResctrlError> {
         let (caps, handles) = (cat.capabilities(), &self.handles);
         if handles.len() + 1 > caps.num_closids as usize {
-            return Err(ResctrlError::Parse(format!(
+            return Err(ResctrlError::Refused(format!(
                 "{} workloads exceed {} classes of service",
                 handles.len(),
                 caps.num_closids
@@ -209,7 +209,7 @@ impl Allocation {
     /// mask as both their grants, and a domain with no core has a grant
     /// with no mask.
     pub(crate) fn start(&mut self, cat: &mut dyn CacheController) -> Result<(), ResctrlError> {
-        check_cores(&self.handles).map_err(ResctrlError::Parse)?;
+        check_cores(&self.handles).map_err(ResctrlError::Refused)?;
         self.program(cat)
     }
 

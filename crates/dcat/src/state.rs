@@ -28,13 +28,13 @@ pub enum WorkloadClass {
 
 impl WorkloadClass {
     /// Whether this class is currently a candidate for receiving ways.
-    pub fn wants_growth(self) -> bool {
+    pub(crate) fn wants_growth(self) -> bool {
         matches!(self, WorkloadClass::Receiver | WorkloadClass::Unknown)
     }
 
     /// The class as the frame stream and every report render it (an
     /// entry of `dcat_obs::frames::KNOWN_CLASSES`).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             WorkloadClass::Keeper => "Keeper",
             WorkloadClass::Donor => "Donor",

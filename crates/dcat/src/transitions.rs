@@ -12,12 +12,14 @@
 //! table through [`decide`]: the table *is* the classifier, not a copy of
 //! it.
 
+use std::fmt;
+
 use crate::state::WorkloadClass;
 
 /// Where the interval's IPC landed relative to the improvement threshold,
 /// for a workload whose allocation change is being judged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ImprovementSignal {
+pub(crate) enum ImprovementSignal {
     /// Judged: IPC improved by more than `ipc_imp_thr`.
     Improved,
     /// Judged: IPC did not improve meaningfully.
@@ -29,48 +31,65 @@ pub enum ImprovementSignal {
 /// One interval's telemetry, bucketed against the config thresholds —
 /// the abstraction level at which Figure 6 is drawn.
 #[derive(Debug, Clone, Copy)]
-pub struct Observation {
+pub(crate) struct Observation {
     /// LLC references per instruction at or below `llc_ref_per_instr_thr`:
     /// the workload does not use the LLC.
-    pub low_llc_use: bool,
+    pub(crate) low_llc_use: bool,
     /// Miss rate below `donor_miss_rate_thr`: whatever is cached suffices.
-    pub negligible_misses: bool,
+    pub(crate) negligible_misses: bool,
     /// Miss rate above `llc_miss_rate_thr`: the workload is starved (or
     /// streaming).
-    pub high_misses: bool,
+    pub(crate) high_misses: bool,
     /// Judgement of the last allocation change, if one was due.
-    pub improvement: ImprovementSignal,
+    pub(crate) improvement: ImprovementSignal,
     /// The active phase's table recorded a meaningful gain at some size.
-    pub ever_improved: bool,
+    pub(crate) ever_improved: bool,
     /// A growth step was observed to yield no improvement this phase.
-    pub saw_no_improvement: bool,
+    pub(crate) saw_no_improvement: bool,
     /// Growth has nowhere to go: the streaming cap was reached, or the
     /// allocator denied the last grow request.
-    pub at_growth_limit: bool,
+    pub(crate) at_growth_limit: bool,
     /// The allocator denied the last grow request specifically.
-    pub grow_denied: bool,
+    pub(crate) grow_denied: bool,
     /// Pinned at the reserved allocation after a Streaming misverdict.
-    pub capped: bool,
+    pub(crate) capped: bool,
     /// A previous growth probe stalled at exactly the current size.
-    pub stalled_here: bool,
+    pub(crate) stalled_here: bool,
 }
 
 /// One edge of Figure 6: `from` (or any class when `None`) moves to `to`
 /// when `when` holds. Rules are tried in order; the first match wins.
-pub struct Rule {
+pub(crate) struct Rule {
     /// Source class; `None` matches every class.
-    pub from: Option<WorkloadClass>,
+    pub(crate) from: Option<WorkloadClass>,
     /// Guard over the interval's observation.
-    pub when: fn(&Observation) -> bool,
+    pub(crate) when: fn(&Observation) -> bool,
     /// The source text of `when`'s body (`true` for a catch-all row).
-    pub guard: &'static str,
+    guard: &'static str,
     /// Destination class.
-    pub to: WorkloadClass,
+    pub(crate) to: WorkloadClass,
     /// Whether taking this edge records a stall at the current size
     /// (Keeper will not re-probe there this phase).
-    pub records_stall: bool,
-    /// The Figure-6 edge this row encodes.
-    pub edge: &'static str,
+    pub(crate) records_stall: bool,
+}
+
+/// A row as DESIGN.md §12's `figure6` block writes it: `FROM -> TO
+/// [stall] when GUARD`, with `any` for a row from every class and `always`
+/// for a catch-all guard.
+impl fmt::Display for Rule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.from {
+            Some(class) => write!(f, "{class:?}")?,
+            None => f.write_str("any")?,
+        }
+        let stall = if self.records_stall { " [stall]" } else { "" };
+        let guard = if self.guard == "true" {
+            "always"
+        } else {
+            self.guard
+        };
+        write!(f, " -> {:?}{stall} when {guard}", self.to)
+    }
 }
 
 /// A [`Rule`] whose `guard` text is `stringify!` of its `when` body, so the
@@ -80,8 +99,7 @@ macro_rules! rule {
         from: $from:expr,
         when: |$o:tt| $guard:expr,
         to: $to:expr,
-        records_stall: $stall:expr,
-        edge: $edge:expr $(,)?
+        records_stall: $stall:expr $(,)?
     ) => {
         Rule {
             from: $from,
@@ -89,7 +107,6 @@ macro_rules! rule {
             guard: stringify!($guard),
             to: $to,
             records_stall: $stall,
-            edge: $edge,
         }
     };
 }
@@ -97,118 +114,118 @@ macro_rules! rule {
 /// The Figure 6 state machine. Reclaim and Streaming resolve uncondition-
 /// ally before the telemetry guards; every class ends with a catch-all
 /// self-edge, so the table is total.
-pub const FIGURE6: &[Rule] = &[
+pub(crate) const FIGURE6: &[Rule] = &[
+    // Reclaim -> Keeper: baseline re-measured at the reserved size
     rule! {
         from: Some(WorkloadClass::Reclaim),
         when: |_| true,
         to: WorkloadClass::Keeper,
         records_stall: false,
-        edge: "Reclaim -> Keeper: baseline re-measured at the reserved size",
     },
+    // Streaming -> Streaming: the verdict is sticky within a phase
     rule! {
         from: Some(WorkloadClass::Streaming),
         when: |_| true,
         to: WorkloadClass::Streaming,
         records_stall: false,
-        edge: "Streaming -> Streaming: the verdict is sticky within a phase",
     },
+    // any -> Donor (fast): the workload is not using the LLC
     rule! {
         from: None,
         when: |o| o.low_llc_use,
         to: WorkloadClass::Donor,
         records_stall: false,
-        edge: "any -> Donor (fast): the workload is not using the LLC",
     },
+    // Keeper -> Donor (gradual): whatever is cached suffices
     rule! {
         from: Some(WorkloadClass::Keeper),
         when: |o| o.negligible_misses,
         to: WorkloadClass::Donor,
         records_stall: false,
-        edge: "Keeper -> Donor (gradual): whatever is cached suffices",
     },
+    // Donor -> Donor: misses still negligible, keep donating
     rule! {
         from: Some(WorkloadClass::Donor),
         when: |o| o.negligible_misses && !o.high_misses,
         to: WorkloadClass::Donor,
         records_stall: false,
-        edge: "Donor -> Donor: misses still negligible, keep donating",
     },
+    // Donor -> Keeper: donated too far (misses no longer negligible)
     rule! {
         from: Some(WorkloadClass::Donor),
         when: |_| true,
         to: WorkloadClass::Keeper,
         records_stall: false,
-        edge: "Donor -> Keeper: donated too far (misses no longer negligible)",
     },
+    // Keeper -> Unknown: missing hard, probe whether cache helps
     rule! {
         from: Some(WorkloadClass::Keeper),
         when: |o| o.high_misses && !o.capped && !o.stalled_here,
         to: WorkloadClass::Unknown,
         records_stall: false,
-        edge: "Keeper -> Unknown: missing hard, probe whether cache helps",
     },
+    // Keeper -> Keeper: neither donating nor starved
     rule! {
         from: Some(WorkloadClass::Keeper),
         when: |_| true,
         to: WorkloadClass::Keeper,
         records_stall: false,
-        edge: "Keeper -> Keeper: neither donating nor starved",
     },
+    // Unknown -> Receiver: the added way paid off
     rule! {
         from: Some(WorkloadClass::Unknown),
         when: |o| o.improvement == ImprovementSignal::Improved,
         to: WorkloadClass::Receiver,
         records_stall: false,
-        edge: "Unknown -> Receiver: the added way paid off",
     },
+    // Unknown -> Streaming: grew to the limit, never any payoff
     rule! {
         from: Some(WorkloadClass::Unknown),
         when: |o| !o.ever_improved && o.saw_no_improvement && o.at_growth_limit,
         to: WorkloadClass::Streaming,
         records_stall: false,
-        edge: "Unknown -> Streaming: grew to the limit, never any payoff",
     },
+    // Unknown -> Keeper: benefited earlier but stalled at this size
     rule! {
         from: Some(WorkloadClass::Unknown),
         when: |o| o.improvement == ImprovementSignal::Stalled && o.ever_improved,
         to: WorkloadClass::Keeper,
         records_stall: true,
-        edge: "Unknown -> Keeper: benefited earlier but stalled at this size",
     },
+    // Unknown -> Keeper: pool exhausted, probe cannot proceed
     rule! {
         from: Some(WorkloadClass::Unknown),
         when: |o| o.improvement == ImprovementSignal::Unjudged && o.grow_denied,
         to: WorkloadClass::Keeper,
         records_stall: true,
-        edge: "Unknown -> Keeper: pool exhausted, probe cannot proceed",
     },
+    // Unknown -> Unknown: verdict still open, keep probing
     rule! {
         from: Some(WorkloadClass::Unknown),
         when: |_| true,
         to: WorkloadClass::Unknown,
         records_stall: false,
-        edge: "Unknown -> Unknown: verdict still open, keep probing",
     },
+    // Receiver -> Keeper: the latest way yielded no improvement
     rule! {
         from: Some(WorkloadClass::Receiver),
         when: |o| o.improvement == ImprovementSignal::Stalled,
         to: WorkloadClass::Keeper,
         records_stall: true,
-        edge: "Receiver -> Keeper: the latest way yielded no improvement",
     },
+    // Receiver -> Keeper: misses subsided, growth is done
     rule! {
         from: Some(WorkloadClass::Receiver),
         when: |o| !o.high_misses,
         to: WorkloadClass::Keeper,
         records_stall: false,
-        edge: "Receiver -> Keeper: misses subsided, growth is done",
     },
+    // Receiver -> Receiver: still starved, still improving
     rule! {
         from: Some(WorkloadClass::Receiver),
         when: |_| true,
         to: WorkloadClass::Receiver,
         records_stall: false,
-        edge: "Receiver -> Receiver: still starved, still improving",
     },
 ];
 
@@ -222,7 +239,7 @@ pub const FIGURE6: &[Rule] = &[
     clippy::panic,
     reason = "the exhaustive classifier test enumerates totality over every class; a non-total table is a build defect worth dying on, not a runtime condition to degrade"
 )]
-pub fn decide(current: WorkloadClass, obs: &Observation) -> &'static Rule {
+pub(crate) fn decide(current: WorkloadClass, obs: &Observation) -> &'static Rule {
     FIGURE6
         .iter()
         .find(|r| (r.from.is_none() || r.from == Some(current)) && (r.when)(obs))
@@ -351,8 +368,7 @@ mod tests {
                 assert_eq!(
                     rule.to,
                     figure6_spec(class, &obs),
-                    "divergence at {class:?} with {obs:?} (rule: {})",
-                    rule.edge
+                    "divergence at {class:?} with {obs:?} (rule: {rule})"
                 );
                 cells += 1;
             }
@@ -371,13 +387,7 @@ mod tests {
         let rendered: String = FIGURE6
             .iter()
             .enumerate()
-            .map(|(i, r)| {
-                let from = r.from.map_or("any".to_string(), |c| format!("{c:?}"));
-                let stall = if r.records_stall { " [stall]" } else { "" };
-                let guard = if r.guard == "true" { "always" } else { r.guard };
-                let (n, to) = (i + 1, r.to);
-                format!("rule {n}: {from} -> {to:?}{stall} when {guard}\n")
-            })
+            .map(|(i, r)| format!("rule {}: {r}\n", i + 1))
             .collect();
         assert_eq!(rendered, block);
     }

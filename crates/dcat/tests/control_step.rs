@@ -146,7 +146,9 @@ fn counter_width_is_validated_where_the_loop_is_built() {
         match stepped(bits, &totals) {
             Ok(()) => assert!((1..=64).contains(&bits), "{bits} bits accepted"),
             Err(e) => assert!(
-                matches!(e, ResctrlError::Parse(_)) && !(1..=64).contains(&bits),
+                matches!(e, ResctrlError::Refused(_))
+                    && !e.is_transient()
+                    && !(1..=64).contains(&bits),
                 "{bits} bits: {e}"
             ),
         }

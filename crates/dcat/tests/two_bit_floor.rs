@@ -8,9 +8,12 @@
 //! built. So does every policy that programs a pool whose tenants do not
 //! each own cores of their own.
 
+use std::time::Duration;
+
+use dcat::daemon::{run_daemon_observed, ObsOptions};
 use dcat::{
-    CachePolicy, DcatConfig, DcatController, LfocConfig, LfocPolicy, MemshareConfig,
-    MemsharePolicy, StaticCatPolicy, WorkloadHandle,
+    CachePolicy, ControlLoop, DaemonConfig, DcatConfig, DcatController, LfocConfig, LfocPolicy,
+    MemshareConfig, MemsharePolicy, ResiliencePolicy, StaticCatPolicy, WorkloadHandle,
 };
 use perf_events::CounterSnapshot;
 use resctrl::mock::MutationRecord;
@@ -173,4 +176,69 @@ fn memshare_refuses_a_pool_without_own_cores() {
     a_pool_without_own_cores_is_refused_before_any_write(|h, cat| {
         Ok(Box::new(MemsharePolicy::new(h, cat, MemshareConfig)?))
     });
+}
+
+/// Every refusal of a pool or loop where it is built is fatal: retrying
+/// cannot change the configuration, so a caller that retries transient
+/// errors must not read one as weather. One each of the five: more
+/// tenants than classes, tenants sharing a core, an invalid `DcatConfig`,
+/// a counter width no hardware has, and a daemon's duplicate domain names.
+#[test]
+fn every_construction_refusal_is_fatal() {
+    let pool = |n: u32| -> Vec<WorkloadHandle> {
+        (0..n)
+            .map(|i| WorkloadHandle::new(format!("t{i}"), vec![i], 2))
+            .collect()
+    };
+    let dcat = |h, cfg| {
+        let mut cat = InMemoryController::new(TWO_BIT, 16);
+        DcatController::new(cfg, h, &mut cat).map(|_| ())
+    };
+    let mut shared = pool(2);
+    shared[1].cores = vec![0];
+    let invalid = DcatConfig {
+        min_ways: 0,
+        ..DcatConfig::default()
+    };
+    let narrow_counters = ResiliencePolicy {
+        counter_width_bits: 0,
+        ..ResiliencePolicy::default()
+    };
+    let mut cat = InMemoryController::new(TWO_BIT, 16);
+    let static_cat: Box<dyn CachePolicy> =
+        Box::new(StaticCatPolicy::new(pool(2), &mut cat).expect("a pool of two starts"));
+    let daemon = DaemonConfig {
+        resctrl_root: "no-resctrl-tree".into(),
+        telemetry_path: "no-telemetry".into(),
+        domains: vec![
+            WorkloadHandle::new("web", vec![0], 2),
+            WorkloadHandle::new("web", vec![1], 2),
+        ],
+        dcat: DcatConfig::default(),
+        interval: Duration::ZERO,
+        max_ticks: Some(1),
+        resilience: ResiliencePolicy::default(),
+        fault_plan: None,
+        obs: ObsOptions::default(),
+    };
+    let refusals = [
+        ("classes", dcat(pool(16), DcatConfig::default())),
+        ("cores", dcat(shared, DcatConfig::default())),
+        ("DcatConfig", dcat(pool(2), invalid)),
+        (
+            "counter width",
+            ControlLoop::new(static_cat, pool(2), narrow_counters).map(|_| ()),
+        ),
+        (
+            "duplicate",
+            run_daemon_observed(&daemon, |_| {}).map(|_| ()),
+        ),
+    ];
+    for (what, refused) in refusals {
+        let Err(e) = refused else {
+            panic!("{what}: accepted");
+        };
+        assert!(matches!(e, ResctrlError::Refused(_)), "{what}: {e}");
+        assert!(!e.is_transient(), "{what}: {e}");
+    }
 }

@@ -347,11 +347,6 @@ impl Engine {
         &self.vms[vm].spec
     }
 
-    /// Epochs executed so far.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Direct read access to the hierarchy (for occupancy assertions).
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.hierarchy
@@ -758,7 +753,7 @@ mod tests {
         let stats = e.run_epoch();
         assert_eq!(stats[0].instructions, 0);
         assert_eq!(stats[0].ipc, 0.0);
-        assert_eq!(e.epoch(), 1);
+        assert_eq!(e.epoch, 1);
     }
 
     #[test]

@@ -36,9 +36,9 @@
 // own their stdio (DESIGN.md §12).
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod engine;
-pub mod pool;
-pub mod topology;
+mod engine;
+mod pool;
+mod topology;
 
 pub use engine::{Engine, EngineCat, EngineConfig, VmEpochStats};
 pub use pool::Pool;

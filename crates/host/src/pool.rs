@@ -47,11 +47,6 @@ impl Pool {
         Pool { jobs: jobs.max(1) }
     }
 
-    /// The configured concurrency width.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
     /// Applies `f` to every item, returning results in **item order**
     /// regardless of which worker ran which item or when it finished.
     ///
@@ -69,7 +64,7 @@ impl Pool {
     /// coordinator merges:
     ///
     /// ```
-    /// use host::pool::Pool;
+    /// use host::Pool;
     /// let parts = Pool::new(2).map(vec![1u64, 2, 3], |_i, x| x * x);
     /// assert_eq!(parts.iter().sum::<u64>(), 14);
     /// ```
@@ -79,26 +74,26 @@ impl Pool {
     /// `Cell` (E0277, not `Sync`):
     ///
     /// ```compile_fail,E0594
-    /// use host::pool::Pool;
+    /// use host::Pool;
     /// let mut total = 0u64;
     /// Pool::new(2).map(vec![1u64, 2, 3], |_i, x| total += x);
     /// ```
     ///
     /// ```compile_fail,E0594
-    /// use host::pool::Pool;
+    /// use host::Pool;
     /// let mut totals = 0u64;
     /// let sink = &mut totals;
     /// Pool::new(2).map(vec![1u64, 2, 3], |_i, x| *sink += x);
     /// ```
     ///
     /// ```compile_fail,E0277
-    /// use host::pool::Pool;
+    /// use host::Pool;
     /// let seen = std::cell::RefCell::new(Vec::new());
     /// Pool::new(2).map(vec![1u64, 2, 3], |_i, x| seen.borrow_mut().push(x));
     /// ```
     ///
     /// ```compile_fail,E0277
-    /// use host::pool::Pool;
+    /// use host::Pool;
     /// let count = std::cell::Cell::new(0u64);
     /// Pool::new(2).map(vec![1u64, 2, 3], |_i, x| count.set(count.get() + x));
     /// ```
@@ -377,8 +372,8 @@ mod tests {
 
     #[test]
     fn jobs_clamped_to_one() {
-        assert_eq!(Pool::new(0).jobs(), 1);
-        assert_eq!(Pool::new(3).jobs(), 3);
+        assert_eq!(Pool::new(0).jobs, 1);
+        assert_eq!(Pool::new(3).jobs, 3);
     }
 
     #[test]

@@ -7,36 +7,20 @@ use llc_sim::HierarchyConfig;
 pub struct SocketConfig {
     /// Cache hierarchy shape.
     pub hierarchy: HierarchyConfig,
-    /// Core frequency in GHz, for converting cycles to wall time.
-    pub freq_ghz: f64,
 }
 
 impl SocketConfig {
-    /// The paper's evaluation machine: Xeon E5-2697 v4, 18 cores at
-    /// 2.3 GHz, 20-way 45 MiB LLC.
-    pub fn xeon_e5_v4() -> Self {
+    /// The paper's evaluation machine: Xeon E5-2697 v4, 18 cores, 20-way
+    /// 45 MiB LLC.
+    pub(crate) fn xeon_e5_v4() -> Self {
         SocketConfig {
             hierarchy: HierarchyConfig::default(),
-            freq_ghz: 2.3,
-        }
-    }
-
-    /// The paper's Xeon-D machine: 8 cores, 12-way 12 MiB LLC.
-    pub fn xeon_d() -> Self {
-        SocketConfig {
-            hierarchy: HierarchyConfig::xeon_d(),
-            freq_ghz: 2.0,
         }
     }
 
     /// Number of LLC ways.
-    pub fn llc_ways(&self) -> u32 {
+    pub(crate) fn llc_ways(&self) -> u32 {
         self.hierarchy.llc.ways
-    }
-
-    /// Bytes per LLC way.
-    pub fn way_bytes(&self) -> u64 {
-        self.hierarchy.llc.way_bytes()
     }
 }
 
@@ -78,7 +62,7 @@ impl VmSpec {
 }
 
 /// Checks that the VMs' core sets are disjoint and fit the socket.
-pub fn validate_vm_placement(socket: &SocketConfig, vms: &[VmSpec]) -> Result<(), String> {
+pub(crate) fn validate_vm_placement(socket: &SocketConfig, vms: &[VmSpec]) -> Result<(), String> {
     // BTreeSet for hygiene: membership-only today, but nothing downstream
     // should ever observe hasher-seed iteration order if this grows.
     let mut seen = std::collections::BTreeSet::new();
@@ -114,8 +98,6 @@ mod tests {
         let e5 = SocketConfig::xeon_e5_v4();
         assert_eq!(e5.hierarchy.cores, 18);
         assert_eq!(e5.llc_ways(), 20);
-        assert!((e5.freq_ghz - 2.3).abs() < 1e-9);
-        assert_eq!(SocketConfig::xeon_d().llc_ways(), 12);
     }
 
     #[test]

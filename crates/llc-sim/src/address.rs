@@ -48,12 +48,6 @@ impl PhysAddr {
     }
 }
 
-/// Truncates a raw physical byte address to its line address.
-#[inline]
-pub fn line_addr(paddr: PhysAddr) -> LineAddr {
-    paddr.line()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

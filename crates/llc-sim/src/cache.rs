@@ -90,12 +90,6 @@ impl SetAssocCache {
         self.geometry
     }
 
-    /// The cache's replacement policy.
-    #[inline]
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
     /// The set `line` maps to: [`CacheGeometry::set_index`] (`line % sets`)
     /// with no division for a line number that fits `u32`. Power-of-two
     /// set counts mask; any other takes Lemire's multiply-shift remainder
@@ -228,7 +222,7 @@ impl SetAssocCache {
     /// [`SetAssocCache::access_as`] for a caller that already holds
     /// `idx = self.set_index(line)`.
     #[inline]
-    pub fn access_as_at(
+    pub(crate) fn access_as_at(
         &mut self,
         idx: u32,
         line: LineAddr,
@@ -265,7 +259,7 @@ impl SetAssocCache {
     /// Bytes of tag store behind the cache (the tags, the meta blocks and
     /// the occupancy words; `4 × ways + 6` a set): what the simulating
     /// machine must keep close for a set walk not to wait on its memory.
-    pub fn tag_store_bytes(&self) -> u64 {
+    pub(crate) fn tag_store_bytes(&self) -> u64 {
         (std::mem::size_of_val(self.tags.as_slice())
             + std::mem::size_of_val(self.blocks.as_slice())
             + std::mem::size_of_val(self.occ.as_slice())) as u64
@@ -276,7 +270,7 @@ impl SetAssocCache {
     /// covers every line it spans but possibly the last, which its final
     /// word names). Changes nothing simulated — it cannot, through `&self`.
     #[inline]
-    pub fn prefetch_set(&self, idx: u32) {
+    pub(crate) fn prefetch_set(&self, idx: u32) {
         // Plain loops on purpose: `iter().step_by(..).chain(last)` compiled
         // to a per-word state machine that gave back a third of the gain.
         #[inline(always)]

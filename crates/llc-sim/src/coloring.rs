@@ -58,26 +58,6 @@ impl ColorSet {
         }
     }
 
-    /// A color set allowing every color (no partitioning).
-    pub fn all(llc: CacheGeometry, page: PageSize) -> Self {
-        let num_colors = Self::num_colors_of(llc, page);
-        assert!(num_colors > 0, "cache has no page colors at this page size");
-        ColorSet {
-            num_colors,
-            allowed: vec![true; num_colors as usize],
-        }
-    }
-
-    /// Total colors of the underlying cache.
-    pub fn num_colors(&self) -> u64 {
-        self.num_colors
-    }
-
-    /// Colors permitted by this set.
-    pub fn allowed_count(&self) -> u64 {
-        self.allowed.iter().filter(|a| **a).count() as u64
-    }
-
     /// Whether a physical frame (identified by its base address) has an
     /// allowed color for `page`-sized frames.
     pub fn permits_frame(&self, frame_base_addr: u64, page: PageSize) -> bool {
@@ -105,7 +85,7 @@ mod tests {
     #[test]
     fn contiguous_set_grants_expected_fraction() {
         let c = ColorSet::contiguous(llc(), PageSize::Small, 0, 144);
-        assert_eq!(c.allowed_count(), 144);
+        assert_eq!(c.allowed.iter().filter(|a| **a).count(), 144);
     }
 
     #[test]
@@ -120,7 +100,7 @@ mod tests {
 
     #[test]
     fn all_colors_permit_everything() {
-        let c = ColorSet::all(llc(), PageSize::Small);
+        let c = ColorSet::contiguous(llc(), PageSize::Small, 0, 576);
         for pfn in 0..1000u64 {
             assert!(c.permits_frame(pfn * 4096, PageSize::Small));
         }

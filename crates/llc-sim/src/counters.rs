@@ -56,7 +56,7 @@ impl CoreCounters {
     }
 
     /// Resets every counter to zero.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = CoreCounters::default();
     }
 }

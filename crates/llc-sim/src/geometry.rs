@@ -18,7 +18,7 @@ pub struct CacheGeometry {
     pub ways: u32,
     /// Line size in bytes. Always 64 in this simulator, kept explicit so
     /// capacity arithmetic is self-describing.
-    pub line_size: u32,
+    pub(crate) line_size: u32,
 }
 
 impl CacheGeometry {
@@ -64,15 +64,9 @@ impl CacheGeometry {
         CacheGeometry::new(sets as u32, ways, LINE_SIZE as u32)
     }
 
-    /// Total capacity in bytes.
-    #[inline]
-    pub fn capacity_bytes(&self) -> u64 {
-        u64::from(self.sets) * u64::from(self.ways) * u64::from(self.line_size)
-    }
-
     /// Capacity of a single way in bytes.
     #[inline]
-    pub fn way_bytes(&self) -> u64 {
+    pub(crate) fn way_bytes(&self) -> u64 {
         u64::from(self.sets) * u64::from(self.line_size)
     }
 
@@ -120,7 +114,7 @@ mod tests {
     #[test]
     fn capacity_round_trips() {
         let g = CacheGeometry::from_capacity(45 * 1024 * 1024, 20);
-        assert_eq!(g.capacity_bytes(), 45 * 1024 * 1024);
+        assert_eq!(g.way_bytes() * u64::from(g.ways), 45 * 1024 * 1024);
         assert_eq!(g.sets, 36_864);
         assert_eq!(g.way_bytes(), 45 * 1024 * 1024 / 20);
     }
@@ -133,7 +127,7 @@ mod tests {
         assert_eq!(e5.way_bytes(), 2_359_296); // 2.25 MiB
         let d = CacheGeometry::xeon_d_llc();
         assert_eq!(d.ways, 12);
-        assert_eq!(d.capacity_bytes(), 12 * 1024 * 1024);
+        assert_eq!(d.way_bytes() * u64::from(d.ways), 12 * 1024 * 1024);
     }
 
     #[test]

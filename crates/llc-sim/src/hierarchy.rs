@@ -174,7 +174,7 @@ impl SampleEstimator {
 /// runs on, to the nearest power of two: 1 MiB on Skylake-SP and later
 /// Xeons, 1–2 MiB on current desktop parts. A tag store below it stays
 /// resident whatever the access pattern; see [`Hierarchy::llc_hints_pay`].
-pub const HOST_PRIVATE_CACHE_BYTES: u64 = 1 << 20;
+pub(crate) const HOST_PRIVATE_CACHE_BYTES: u64 = 1 << 20;
 
 /// Shape of a [`Hierarchy`].
 #[derive(Debug, Clone, Copy)]
@@ -291,11 +291,6 @@ impl Hierarchy {
             assert!(one_in > 0, "sampling stride must be at least 1");
         }
         self.fidelity = fidelity;
-    }
-
-    /// The current LLC simulation fidelity.
-    pub fn fidelity(&self) -> SimFidelity {
-        self.fidelity
     }
 
     /// Number of LLC sets actually simulated under the current fidelity:
@@ -431,7 +426,7 @@ impl Hierarchy {
     }
 
     /// Whether [`Hierarchy::prefetch_llc`] can pay for itself: the LLC
-    /// tag store is larger than [`HOST_PRIVATE_CACHE_BYTES`], so a set
+    /// tag store is larger than `HOST_PRIVATE_CACHE_BYTES`, so a set
     /// walk is likely to wait on the host's memory. Below that the block
     /// is already close and a hint is pure cost (DESIGN.md §14 "Fourth
     /// pass").

@@ -15,7 +15,7 @@
     unsafe_code,
     reason = "the one prefetch instruction; std::hint::prefetch_read is unstable"
 )]
-pub fn prefetch_read<W>(word: &W) {
+pub(crate) fn prefetch_read<W>(word: &W) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};

@@ -25,13 +25,13 @@ use crate::hierarchy::HitLevel;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// L1 hit latency.
-    pub l1: f64,
+    pub(crate) l1: f64,
     /// L2 hit latency.
-    pub l2: f64,
+    pub(crate) l2: f64,
     /// LLC hit latency.
-    pub llc: f64,
+    pub(crate) llc: f64,
     /// DRAM access latency.
-    pub dram: f64,
+    pub(crate) dram: f64,
 }
 
 impl Default for LatencyModel {
@@ -58,7 +58,7 @@ impl LatencyModel {
     }
 
     /// Extra penalty of a hit at `level` over an L1 hit.
-    pub fn penalty_over_l1(&self, level: HitLevel) -> f64 {
+    pub(crate) fn penalty_over_l1(&self, level: HitLevel) -> f64 {
         (self.latency_of(level) - self.l1).max(0.0)
     }
 
@@ -87,11 +87,11 @@ impl LatencyModel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CyclesModel {
     /// Latency parameters.
-    pub latency: LatencyModel,
+    pub(crate) latency: LatencyModel,
     /// Compute-bound cycles per instruction (covers pipelined L1 hits).
-    pub cpi_exec: f64,
+    pub(crate) cpi_exec: f64,
     /// Effective memory-level parallelism dividing miss penalties.
-    pub mlp: f64,
+    pub(crate) mlp: f64,
 }
 
 impl CyclesModel {

@@ -48,21 +48,21 @@
 // own their stdio (DESIGN.md §12).
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod address;
-pub mod cache;
-pub mod coloring;
-pub mod counters;
-pub mod geometry;
-pub mod hierarchy;
+mod address;
+mod cache;
+mod coloring;
+mod counters;
+mod geometry;
+mod hierarchy;
 mod hint;
-pub mod latency;
-pub mod paging;
-pub mod private;
+mod latency;
+mod paging;
+mod private;
 pub mod replacement;
 pub mod set;
-pub mod stats;
+mod stats;
 
-pub use address::{line_addr, LineAddr, PhysAddr, VirtAddr, LINE_SHIFT, LINE_SIZE};
+pub use address::{LineAddr, PhysAddr, VirtAddr, LINE_SHIFT, LINE_SIZE};
 pub use cache::{AccessOutcome, SetAssocCache};
 pub use cbm::Cbm;
 /// [`Cbm`] under its old simulator name, kept only for the system

@@ -46,7 +46,7 @@ impl PageSize {
 
     /// Number of 4 KiB frames covered by one page of this size.
     #[inline]
-    pub fn small_frames(self) -> u64 {
+    pub(crate) fn small_frames(self) -> u64 {
         self.bytes() >> PageSize::Small.shift()
     }
 }
@@ -118,16 +118,10 @@ impl FrameAllocator {
         self.used_frames << PageSize::Small.shift()
     }
 
-    /// Allocates one page of `size`, returning the physical address of its
-    /// first byte, or `None` when the pool is exhausted.
-    pub fn allocate(&mut self, size: PageSize) -> Option<PhysAddr> {
-        self.allocate_colored(size, None)
-    }
-
     /// Allocates one page whose frame color is permitted by `colors`
     /// (OS page coloring; see [`crate::coloring`]). `None` colors means
     /// any frame.
-    pub fn allocate_colored(
+    pub(crate) fn allocate_colored(
         &mut self,
         size: PageSize,
         colors: Option<&ColorSet>,
@@ -142,7 +136,7 @@ impl FrameAllocator {
         out
     }
 
-    /// Like [`FrameAllocator::allocate_colored`], but randomized placement
+    /// Like `FrameAllocator::allocate_colored`, but randomized placement
     /// draws from `rng` instead of the allocator's internal stream.
     ///
     /// The engine gives every VM its own placement stream (derived from the
@@ -270,7 +264,7 @@ impl FrameAllocator {
         None
     }
 
-    /// Releases one page previously returned by [`FrameAllocator::allocate`].
+    /// Releases one page this allocator handed out.
     pub fn free(&mut self, base: PhysAddr, size: PageSize) {
         let first = base.0 >> PageSize::Small.shift();
         for f in first..first + size.small_frames() {
@@ -497,8 +491,8 @@ mod tests {
     #[test]
     fn contiguous_allocation_is_sequential() {
         let mut a = pool(FramePolicy::Contiguous);
-        let p0 = a.allocate(PageSize::Small).unwrap();
-        let p1 = a.allocate(PageSize::Small).unwrap();
+        let p0 = a.allocate_colored(PageSize::Small, None).unwrap();
+        let p1 = a.allocate_colored(PageSize::Small, None).unwrap();
         assert_eq!(p1.0, p0.0 + 4096);
     }
 
@@ -506,7 +500,7 @@ mod tests {
     fn randomized_allocation_scatters() {
         let mut a = pool(FramePolicy::Randomized);
         let addrs: Vec<u64> = (0..16)
-            .map(|_| a.allocate(PageSize::Small).unwrap().0)
+            .map(|_| a.allocate_colored(PageSize::Small, None).unwrap().0)
             .collect();
         let sequential = addrs.windows(2).all(|w| w[1] == w[0] + 4096);
         assert!(
@@ -524,7 +518,7 @@ mod tests {
     fn huge_pages_are_naturally_aligned() {
         let mut a = pool(FramePolicy::Randomized);
         for _ in 0..8 {
-            let p = a.allocate(PageSize::Huge).unwrap();
+            let p = a.allocate_colored(PageSize::Huge, None).unwrap();
             assert_eq!(p.0 % PageSize::Huge.bytes(), 0);
         }
     }
@@ -532,25 +526,25 @@ mod tests {
     #[test]
     fn pool_exhaustion_returns_none() {
         let mut a = FrameAllocator::new(2 * 1024 * 1024, FramePolicy::Contiguous, 1);
-        assert!(a.allocate(PageSize::Huge).is_some());
-        assert!(a.allocate(PageSize::Huge).is_none());
-        assert!(a.allocate(PageSize::Small).is_none());
+        assert!(a.allocate_colored(PageSize::Huge, None).is_some());
+        assert!(a.allocate_colored(PageSize::Huge, None).is_none());
+        assert!(a.allocate_colored(PageSize::Small, None).is_none());
     }
 
     #[test]
     fn free_makes_frames_reusable() {
         let mut a = FrameAllocator::new(2 * 1024 * 1024, FramePolicy::Contiguous, 1);
-        let p = a.allocate(PageSize::Huge).unwrap();
+        let p = a.allocate_colored(PageSize::Huge, None).unwrap();
         a.free(p, PageSize::Huge);
-        assert!(a.allocate(PageSize::Huge).is_some());
+        assert!(a.allocate_colored(PageSize::Huge, None).is_some());
     }
 
     #[test]
     fn used_bytes_counts_each_frame_once() {
         let mut a = pool(FramePolicy::Contiguous);
         assert_eq!(a.used_bytes(), 0);
-        let small = a.allocate(PageSize::Small).unwrap();
-        let huge = a.allocate(PageSize::Huge).unwrap();
+        let small = a.allocate_colored(PageSize::Small, None).unwrap();
+        let huge = a.allocate_colored(PageSize::Huge, None).unwrap();
         assert_eq!(a.used_bytes(), 4096 + PageSize::Huge.bytes());
         a.free(small, PageSize::Small);
         a.free(small, PageSize::Small); // double free must not under-count
@@ -595,10 +589,10 @@ mod tests {
         for i in 0..512u64 {
             m.translate(VirtAddr(i * 4096), &mut frames).unwrap();
         }
-        assert!(frames.allocate(PageSize::Small).is_none());
+        assert!(frames.allocate_colored(PageSize::Small, None).is_none());
         m.clear(&mut frames);
         assert_eq!(m.mapped_pages(), 0);
-        assert!(frames.allocate(PageSize::Small).is_some());
+        assert!(frames.allocate_colored(PageSize::Small, None).is_some());
     }
 
     #[test]
@@ -663,7 +657,7 @@ mod tests {
             assert_eq!(pa, pb);
         }
         // And the internal-stream path still works after external draws.
-        assert!(a.allocate(PageSize::Small).is_some());
+        assert!(a.allocate_colored(PageSize::Small, None).is_some());
     }
 
     #[test]

@@ -49,12 +49,6 @@ impl PrivateCache {
         }
     }
 
-    /// The cache's shape.
-    #[inline]
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geometry
-    }
-
     /// The tag array, borrowed for as long as the caller holds it: what a
     /// [`crate::CoreSlice`] keeps of its core's L1 and L2, so that a
     /// reference reaches its set without going through the cache. The

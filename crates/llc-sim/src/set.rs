@@ -43,7 +43,7 @@
 //! ([`PackedSet::renormalise_stamps`]) and restarts the clock at `ways`,
 //! which no decision can observe. The high five bits are the requestor
 //! that filled the line (the CMT tag), and the bit below them says whether
-//! any other requestor has hit it since ([`CacheSet::note_hit`]) — a
+//! any other requestor has hit it since (`CacheSet::note_hit`) — a
 //! one-pointer directory with a broadcast bit, Dir₁B in Agarwal et al.
 //! (ISCA 1988). An inclusive LLC reads from it which cores may hold the
 //! line privately: the filler alone while the line is unshared, any core
@@ -117,7 +117,7 @@ pub struct Evicted {
     /// Requestor that had filled it.
     pub owner: u32,
     /// Whether a requestor other than `owner` hit it through
-    /// [`CacheSet::note_hit`] while it was resident.
+    /// `CacheSet::note_hit` while it was resident.
     pub shared: bool,
 }
 
@@ -125,9 +125,9 @@ pub struct Evicted {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FillResult {
     /// Way index that received the line.
-    pub way: u32,
+    pub(crate) way: u32,
     /// Line that was evicted to make room, if any.
-    pub evicted: Option<Evicted>,
+    pub(crate) evicted: Option<Evicted>,
 }
 
 /// Where a set sits in its cache: set `index` of `sets`. A line of this
@@ -169,7 +169,7 @@ impl SetPos {
 /// `ways + 1` meta block — and the only implementation of the set logic.
 /// The storage is a parameter so the same code runs over a set that owns
 /// its words ([`CacheSet`]) and over one set's slice of a cache's flat
-/// arrays ([`SetRef`], `SetMut`).
+/// arrays (`SetRef`, `SetMut`).
 #[derive(Debug, Clone)]
 pub struct PackedSet<O, T, D> {
     /// Occupancy bitmask: bit `w` set means way `w` holds a valid line.
@@ -186,7 +186,7 @@ pub struct PackedSet<O, T, D> {
 pub type CacheSet = PackedSet<u32, Box<[u16]>, Box<[u16]>>;
 
 /// Read-only view of one set of a [`crate::SetAssocCache`].
-pub type SetRef<'a> = PackedSet<u32, &'a [u16], &'a [u16]>;
+pub(crate) type SetRef<'a> = PackedSet<u32, &'a [u16], &'a [u16]>;
 
 /// Mutable view of one set of a [`crate::SetAssocCache`].
 pub(crate) type SetMut<'a> = PackedSet<&'a mut u32, &'a mut [u16], &'a mut [u16]>;
@@ -247,7 +247,7 @@ impl<O: Borrow<u32>, T: Borrow<[u16]>, D: Borrow<[u16]>> PackedSet<O, T, D> {
 
     /// Number of ways in this set.
     #[inline]
-    pub fn way_count(&self) -> u32 {
+    pub(crate) fn way_count(&self) -> u32 {
         self.n() as u32
     }
 
@@ -282,24 +282,6 @@ impl<O: Borrow<u32>, T: Borrow<[u16]>, D: Borrow<[u16]>> PackedSet<O, T, D> {
             .iter()
             .position(|&t| t == tag)
             .map(|w| w as u32)
-    }
-
-    /// Checks residency without perturbing LRU state (a *probe*).
-    #[inline]
-    pub fn probe(&self, line: LineAddr) -> Option<u32> {
-        self.probe_tag(self.pos.tag_of(line)?)
-    }
-
-    /// Number of valid lines currently resident.
-    #[inline]
-    pub fn occupancy(&self) -> u32 {
-        self.occ().count_ones()
-    }
-
-    /// Number of valid lines resident in ways permitted by `mask`.
-    #[inline]
-    pub fn occupancy_in(&self, mask: Cbm) -> u32 {
-        (self.occ() & mask.0).count_ones()
     }
 
     /// Iterates over the occupied ways in ascending order, each with what
@@ -405,7 +387,7 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u16]>> PackedSet<O, T
     /// lookup just returned): a requestor other than its filler marks the
     /// line shared.
     #[inline(always)]
-    pub fn note_hit(&mut self, way: u32, requestor: u32) {
+    pub(crate) fn note_hit(&mut self, way: u32, requestor: u32) {
         let meta = &mut self.meta.borrow_mut()[way as usize];
         *meta |= u16::from(owner_of(*meta) != requestor) << SHARED_SHIFT;
     }
@@ -518,20 +500,8 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u16]>> PackedSet<O, T
         }
     }
 
-    /// Invalidates `line` if resident (used for inclusive back-invalidation).
-    ///
-    /// Returns `true` when a line was actually dropped.
-    pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        self.remove(line).is_some()
-    }
-
-    /// Invalidates `line` if resident, returning what its way held.
-    #[inline(always)]
-    pub fn remove(&mut self, line: LineAddr) -> Option<Evicted> {
-        self.remove_tag(self.pos.tag_of(line)?)
-    }
-
-    /// [`PackedSet::remove`] for a line already turned into its tag.
+    /// Invalidates the line whose tag is `tag` if resident, returning what
+    /// its way held.
     #[inline(always)]
     pub(crate) fn remove_tag(&mut self, tag: u16) -> Option<Evicted> {
         let way = self.probe_tag(tag)?;
@@ -541,7 +511,7 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u16]>> PackedSet<O, T
     }
 
     /// Clears every way of the set.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.tags.borrow_mut().fill(INVALID_TAG);
         *self.occ.borrow_mut() = 0;
     }
@@ -549,7 +519,7 @@ impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u16]>> PackedSet<O, T
     /// Invalidates every line resident in the ways permitted by `mask`,
     /// handing each to `on_drop` in ascending way order.
     #[inline]
-    pub fn drain_lines_in(&mut self, mask: Cbm, mut on_drop: impl FnMut(Evicted)) {
+    pub(crate) fn drain_lines_in(&mut self, mask: Cbm, mut on_drop: impl FnMut(Evicted)) {
         let mut bits = self.occ() & mask.0;
         while bits != 0 {
             let way = bits.trailing_zeros();
@@ -609,6 +579,32 @@ fn nth_set_bit(mut bits: u32, k: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The set's line-addressed probes, which only these tests read.
+    impl<O: Borrow<u32>, T: Borrow<[u16]>, D: Borrow<[u16]>> PackedSet<O, T, D> {
+        fn probe(&self, line: LineAddr) -> Option<u32> {
+            self.probe_tag(self.pos.tag_of(line)?)
+        }
+
+        fn occupancy(&self) -> u32 {
+            self.occ().count_ones()
+        }
+
+        fn occupancy_in(&self, mask: Cbm) -> u32 {
+            (self.occ() & mask.0).count_ones()
+        }
+    }
+
+    /// The line-addressed removals, likewise.
+    impl<O: BorrowMut<u32>, T: BorrowMut<[u16]>, D: BorrowMut<[u16]>> PackedSet<O, T, D> {
+        fn invalidate(&mut self, line: LineAddr) -> bool {
+            self.remove(line).is_some()
+        }
+
+        fn remove(&mut self, line: LineAddr) -> Option<Evicted> {
+            self.remove_tag(self.pos.tag_of(line)?)
+        }
+    }
 
     fn full_mask(ways: u32) -> Cbm {
         Cbm::from_way_range(0, ways)

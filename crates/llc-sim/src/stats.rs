@@ -63,20 +63,6 @@ impl SetOccupancyHistogram {
         let n: u64 = self.buckets.iter().skip(k).sum();
         n as f64 / self.total_sets as f64
     }
-
-    /// Mean lines per set.
-    pub fn mean(&self) -> f64 {
-        if self.total_sets == 0 {
-            return 0.0;
-        }
-        let lines: u64 = self
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(k, &sets)| k as u64 * sets)
-            .sum();
-        lines as f64 / self.total_sets as f64
-    }
 }
 
 #[cfg(test)]
@@ -93,7 +79,6 @@ mod tests {
         let addrs = (0..8u64).map(|i| PhysAddr(i * 64));
         let h = SetOccupancyHistogram::from_lines(geom(), addrs);
         assert_eq!(h.buckets, vec![0, 0, 4]);
-        assert!((h.mean() - 2.0).abs() < 1e-9);
     }
 
     #[test]

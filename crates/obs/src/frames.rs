@@ -36,9 +36,9 @@ const READ_SCHEMAS: &[&str] = &["dcat-frames/v1", FRAMES_SCHEMA];
 
 /// Schema tag carried by every `flight_header` record
 /// (see [`crate::recorder::FlightRecorder::dump_jsonl`]).
-pub const FLIGHT_SCHEMA: &str = "dcat-flight/v1";
+pub(crate) const FLIGHT_SCHEMA: &str = "dcat-flight/v1";
 
-/// The state-machine class strings `dcat::state::WorkloadClass` renders;
+/// The state-machine class strings `dcat::WorkloadClass` renders;
 /// any other `class` value fails validation.
 pub const KNOWN_CLASSES: &[&str] = &[
     "Keeper",
@@ -49,7 +49,7 @@ pub const KNOWN_CLASSES: &[&str] = &[
     "Reclaim",
 ];
 
-/// Degraded-tick reasons `dcat::events::DegradeReason` renders.
+/// Degraded-tick reasons `dcat::DegradeReason` renders.
 pub const KNOWN_REASONS: &[&str] = &["telemetry", "resctrl"];
 
 /// Declares a record of `dcat-frames`: the struct, with its fields in wire
@@ -536,7 +536,7 @@ pub struct Frames<'a> {
 }
 
 /// What [`Frames::iter`] yields: each line decoded as it is reached.
-pub type FramesIter<'s, 'a> =
+pub(crate) type FramesIter<'s, 'a> =
     std::iter::Map<std::slice::Iter<'s, &'a str>, fn(&&'a str) -> Frame<'static>>;
 
 impl<'a> Frames<'a> {

@@ -4,7 +4,7 @@
 //! values' texts without building any.
 //!
 //! The workspace is dependency-free by policy, so there is no serde. The
-//! builder is what every producer in this crate (and `dcat::events`) uses to
+//! builder is what every producer in this crate (and `dcat::Event`) uses to
 //! render records; the parser exists so the frame and flight readers and the
 //! round-trip tests can validate the producers without a second implementation of the
 //! escaping rules.
@@ -15,7 +15,7 @@ use std::ops::Range;
 use crate::pow10_table::{K_MIN, POW10};
 
 /// Append `s` to `out` with JSON string escaping applied.
-pub fn escape_into(out: &mut String, s: &str) {
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     // Domain, class and policy names: nothing to escape, one copy.
     if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
         out.push_str(s);
@@ -397,12 +397,12 @@ pub struct Item<'s, 'a> {
 
 impl<'s, 'a> Item<'s, 'a> {
     /// The value's text, exactly as in the document.
-    pub fn text(self) -> &'a str {
+    pub(crate) fn text(self) -> &'a str {
         self.doc.nodes.get(self.at).map_or("", |n| n.0)
     }
 
     /// The values directly inside this one, in order, with their keys.
-    pub fn children(self) -> impl Iterator<Item = (&'s str, Item<'s, 'a>)> {
+    pub(crate) fn children(self) -> impl Iterator<Item = (&'s str, Item<'s, 'a>)> {
         let doc = self.doc;
         let kids = doc
             .nodes
@@ -418,7 +418,7 @@ impl<'s, 'a> Item<'s, 'a> {
         self.children().find(|&(k, _)| k == key).map(|(_, v)| v)
     }
 
-    pub fn is_array(self) -> bool {
+    pub(crate) fn is_array(self) -> bool {
         self.text().starts_with('[')
     }
 
@@ -430,7 +430,7 @@ impl<'s, 'a> Item<'s, 'a> {
     }
 
     /// The [`Value`] tree this item spells.
-    pub fn value(self) -> Value {
+    pub(crate) fn value(self) -> Value {
         match self.text().bytes().next() {
             Some(b'{') => Value::Obj(
                 self.children()

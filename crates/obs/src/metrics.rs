@@ -6,7 +6,7 @@
 //! is commutative and associative (counters add, gauges max, histograms add
 //! element-wise over identical static buckets). Per-worker registries merged
 //! in any permutation therefore produce byte-identical exports — the property
-//! `host::pool` relies on under `--jobs N`.
+//! `host::Pool` relies on under `--jobs N`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -21,10 +21,10 @@ pub const CYCLE_BUCKETS: &[u64] = &[1_000, 10_000, 100_000, 1_000_000, 10_000_00
 
 /// Identity of one time series: metric name plus sorted label pairs.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricKey {
-    pub name: &'static str,
+pub(crate) struct MetricKey {
+    pub(crate) name: &'static str,
     /// Sorted by label name at construction.
-    pub labels: Vec<(&'static str, String)>,
+    pub(crate) labels: Vec<(&'static str, String)>,
 }
 
 impl MetricKey {
@@ -41,10 +41,10 @@ impl MetricKey {
 pub struct Histogram {
     /// Inclusive upper bounds, strictly increasing. The implicit final
     /// bucket is +Inf.
-    pub bounds: &'static [u64],
+    pub(crate) bounds: &'static [u64],
     /// One count per bound, plus the +Inf bucket at the end.
-    pub counts: Vec<u64>,
-    pub sum: u64,
+    pub(crate) counts: Vec<u64>,
+    pub(crate) sum: u64,
     pub count: u64,
 }
 
@@ -124,7 +124,7 @@ impl MetricValue {
 }
 
 /// Handle to one series of the [`Registry`] that issued it. Recording
-/// through it builds no [`MetricKey`] and walks no map.
+/// through it builds no `MetricKey` and walks no map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeriesId {
     slot: usize,
@@ -158,10 +158,6 @@ pub struct Registry {
 impl Registry {
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
     }
 
     /// Writes dropped because the series was registered with a different
@@ -313,14 +309,6 @@ pub struct Snapshot {
 impl Snapshot {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = (&MetricKey, &MetricValue)> {
-        self.entries.iter()
     }
 
     pub fn get(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Option<&MetricValue> {
@@ -479,7 +467,7 @@ mod tests {
         r.counter_add("x", &[("a", "1"), ("b", "2")], 1);
         r.counter_add("x", &[("b", "2"), ("a", "1")], 2);
         let snap = r.snapshot();
-        assert_eq!(snap.len(), 1);
+        assert_eq!(snap.entries.len(), 1);
         assert_eq!(
             snap.get("x", &[("a", "1"), ("b", "2")]),
             Some(&MetricValue::Counter(3))
@@ -542,7 +530,7 @@ ticks_total 3
         let mut r = sample();
         let snap = r.take();
         assert!(!snap.is_empty());
-        assert!(r.is_empty());
+        assert!(r.series.is_empty());
     }
 
     #[test]
@@ -599,13 +587,13 @@ ticks_total 3
 
         // After a take, the old id names nothing — not even the series
         // that now sits in its slot.
-        assert_eq!(r.take().len(), 1);
+        assert_eq!(r.take().entries.len(), 1);
         let y = r.counter("y", &[]);
         r.add(x, 100);
         assert_eq!(r.type_conflicts(), 3);
         r.add(y, 1);
         let snap = r.snapshot();
-        assert_eq!(snap.len(), 1);
+        assert_eq!(snap.entries.len(), 1);
         assert_eq!(snap.get("y", &[]), Some(&MetricValue::Counter(1)));
     }
 
@@ -617,7 +605,7 @@ ticks_total 3
         r.merge_snapshot(&sample().snapshot());
         r.add(ticks, 1);
         let snap = r.snapshot();
-        assert_eq!(snap.len(), sample().snapshot().len());
+        assert_eq!(snap.entries.len(), sample().snapshot().entries.len());
         assert_eq!(snap.get("ticks_total", &[]), Some(&MetricValue::Counter(5)));
     }
 

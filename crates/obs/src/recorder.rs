@@ -13,15 +13,15 @@ use std::collections::VecDeque;
 /// Everything the recorder retains about one tick.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TickRecord {
-    pub tick: u64,
-    pub degraded: bool,
-    pub spans: Vec<SpanRecord>,
+    pub(crate) tick: u64,
+    pub(crate) degraded: bool,
+    pub(crate) spans: Vec<SpanRecord>,
     /// Pre-rendered JSON objects (e.g. `Event::to_json`).
-    pub events: Vec<String>,
+    pub(crate) events: Vec<String>,
 }
 
 impl TickRecord {
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let spans: Vec<String> = self.spans.iter().map(SpanRecord::to_json).collect();
         Obj::new()
             .u64_field("tick", self.tick)
@@ -47,18 +47,6 @@ impl FlightRecorder {
             ring: VecDeque::with_capacity(capacity),
             dropped: 0,
         }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
     }
 
     /// Records one tick. `events` yields pre-rendered JSON objects (e.g.
@@ -136,7 +124,7 @@ mod tests {
         for t in 1..=5 {
             record(&mut fr, t);
         }
-        assert_eq!(fr.len(), 3);
+        assert_eq!(fr.ring.len(), 3);
         let dump = fr.dump_jsonl();
         let lines: Vec<&str> = dump.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -169,7 +157,7 @@ mod tests {
         });
         fr.record(1, false, &[], unrendered);
         record(&mut fr, 2);
-        assert!(fr.is_empty());
+        assert!(fr.ring.is_empty());
         let dump = fr.dump_jsonl();
         assert_eq!(dump.lines().count(), 1);
         // The header still says how many ticks went unrecorded.

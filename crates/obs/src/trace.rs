@@ -21,13 +21,13 @@ pub trait CycleSource: Send {
 pub struct SpanRecord {
     pub name: &'static str,
     /// Daemon tick / engine epoch the span belongs to.
-    pub tick: u64,
+    pub(crate) tick: u64,
     /// Nesting depth at enter (0 = top-level).
-    pub depth: u32,
+    pub(crate) depth: u32,
     /// Logical-clock step at enter.
-    pub enter_step: u64,
+    pub(crate) enter_step: u64,
     /// Logical-clock step at exit.
-    pub exit_step: u64,
+    pub(crate) exit_step: u64,
     /// Elapsed cycles from the installed [`CycleSource`], or 0 when none is
     /// installed (the deterministic default).
     pub cycles: u64,
@@ -39,7 +39,7 @@ impl SpanRecord {
         self.exit_step - self.enter_step
     }
 
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         Obj::new()
             .str_field("span", self.name)
             .u64_field("tick", self.tick)

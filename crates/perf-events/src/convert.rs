@@ -9,7 +9,7 @@
 //! counter delta approaches the exact-representation limit.
 
 /// Largest `u64` that `f64` represents exactly (2^53).
-pub const MAX_EXACT_U64_IN_F64: u64 = 1 << 53;
+pub(crate) const MAX_EXACT_U64_IN_F64: u64 = 1 << 53;
 
 /// Converts a counter value to `f64`, asserting (in debug builds) that
 /// the conversion is exact.
@@ -23,7 +23,7 @@ pub const MAX_EXACT_U64_IN_F64: u64 = 1 << 53;
     clippy::as_conversions,
     reason = "the one audited u64-to-f64 site; exactness is debug-asserted in the body"
 )]
-pub fn counter_to_f64(count: u64) -> f64 {
+pub(crate) fn counter_to_f64(count: u64) -> f64 {
     debug_assert!(
         count <= MAX_EXACT_U64_IN_F64,
         "counter value {count} exceeds 2^53 and would round in f64"

@@ -48,9 +48,9 @@
     clippy::integer_division
 )]
 
-pub mod convert;
-pub mod metrics;
-pub mod snapshot;
+mod convert;
+mod metrics;
+mod snapshot;
 
 pub use metrics::IntervalMetrics;
 pub use snapshot::{CounterSnapshot, WrapOutcome};

@@ -10,13 +10,13 @@ pub struct IntervalMetrics {
     /// Instructions retired during the interval.
     pub instructions: u64,
     /// Unhalted cycles during the interval.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// L1 references (the paper's estimate of LOAD+STORE count).
-    pub l1_ref: u64,
+    pub(crate) l1_ref: u64,
     /// LLC references.
     pub llc_ref: u64,
     /// LLC misses.
-    pub llc_miss: u64,
+    pub(crate) llc_miss: u64,
     /// Instructions per cycle. Zero for an idle interval.
     pub ipc: f64,
     /// `llc_miss / llc_ref`. Zero when there were no LLC references.

@@ -79,12 +79,12 @@ impl Programmed {
     }
 
     /// The mask recorded for `cos`.
-    pub fn mask(&self, cos: CosId) -> Option<Cbm> {
+    pub(crate) fn mask(&self, cos: CosId) -> Option<Cbm> {
         self.masks.get(usize::from(cos.0)).copied().flatten()
     }
 
     /// The class `core` is recorded in.
-    pub fn cos_of(&self, core: u32) -> Option<CosId> {
+    pub(crate) fn cos_of(&self, core: u32) -> Option<CosId> {
         self.core_cos.get(core as usize).copied().flatten()
     }
 
@@ -396,7 +396,7 @@ mod tests {
 
     #[test]
     fn only_what_changed_is_written() {
-        let mut cat = InMemoryController::xeon_e5(4);
+        let mut cat = InMemoryController::new(CatCapabilities::with_ways(20), 4);
         let mut p = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
         let first = apply(&mut p, [class(1, 3, &[0, 1]), class(2, 2, &[2])], &mut cat);
         assert_eq!(first.unwrap(), Cbm(0));
@@ -420,7 +420,7 @@ mod tests {
 
     #[test]
     fn a_grower_waits_for_the_class_moving_off_its_ways() {
-        let mut cat = InMemoryController::xeon_e5(2);
+        let mut cat = InMemoryController::new(CatCapabilities::with_ways(20), 2);
         let mut p = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
         apply(&mut p, [class(1, 2, &[0]), class(2, 2, &[1])], &mut cat).unwrap();
         cat.log.clear();
@@ -437,7 +437,7 @@ mod tests {
 
     #[test]
     fn the_default_class_takes_the_free_run_between_shrinkers_and_growers() {
-        let mut cat = InMemoryController::xeon_e5(2);
+        let mut cat = InMemoryController::new(CatCapabilities::with_ways(20), 2);
         let mut p = Programmed::new(cat.capabilities(), DefaultClass::FreeRun);
         apply(&mut p, [class(1, 4, &[0]), class(2, 4, &[1])], &mut cat).unwrap();
         assert_eq!(p.mask(CosId(0)), Some(Cbm::from_way_range(8, 12)));
@@ -458,7 +458,7 @@ mod tests {
 
     #[test]
     fn a_core_listed_twice_belongs_to_the_last_class() {
-        let mut cat = InMemoryController::xeon_e5(2);
+        let mut cat = InMemoryController::new(CatCapabilities::with_ways(20), 2);
         let mut p = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
         apply(&mut p, [class(1, 2, &[0, 1]), class(2, 2, &[1])], &mut cat).unwrap();
         assert_eq!(cat.core_cos(1).unwrap(), CosId(2));
@@ -472,7 +472,10 @@ mod tests {
             |cos: u8, anchor: usize, core: u32| (CosId(cos), 10, Some(anchor), vec![core]);
         for k in 0..6 {
             let plan = FaultPlan::scripted([(1, Fault::CosWriteAfter(k))]);
-            let mut cat = FaultingController::new(InMemoryController::xeon_e5(2), plan);
+            let mut cat = FaultingController::new(
+                InMemoryController::new(CatCapabilities::with_ways(20), 2),
+                plan,
+            );
             let mut p = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
             apply(&mut p, [anchored(1, 0, 0), anchored(2, 1, 1)], &mut cat).unwrap();
             cat.set_tick(1);
@@ -509,7 +512,10 @@ mod tests {
         ];
         for k in 0..7 {
             let plan = FaultPlan::scripted([(1, Fault::CosWriteAfter(k))]);
-            let mut cat = FaultingController::new(InMemoryController::xeon_e5(7), plan);
+            let mut cat = FaultingController::new(
+                InMemoryController::new(CatCapabilities::with_ways(20), 7),
+                plan,
+            );
             let mut p = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
             apply(&mut p, before.clone(), &mut cat).unwrap();
             cat.set_tick(1);
@@ -530,7 +536,7 @@ mod tests {
 
     #[test]
     fn one_cos_asked_for_twice_still_ends() {
-        let mut cat = InMemoryController::xeon_e5(2);
+        let mut cat = InMemoryController::new(CatCapabilities::with_ways(20), 2);
         let mut p = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
         let twice = [class(1, 2, &[0]), class(1, 3, &[1])];
         assert!(apply(&mut p, twice, &mut cat).is_ok());
@@ -538,7 +544,7 @@ mod tests {
 
     #[test]
     fn the_audit_reads_the_classes_that_hold_cores() {
-        let mut cat = InMemoryController::xeon_e5(2);
+        let mut cat = InMemoryController::new(CatCapabilities::with_ways(20), 2);
         let mut p = Programmed::new(cat.capabilities(), DefaultClass::Untouched);
         assert_eq!(p.audit(), Ok(()));
         apply(&mut p, [class(1, 4, &[0]), class(2, 4, &[1])], &mut cat).unwrap();

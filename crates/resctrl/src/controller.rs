@@ -75,6 +75,11 @@ pub enum ResctrlError {
     Io(std::io::Error),
     /// A malformed file in a filesystem backend.
     Parse(String),
+    /// A pool or loop refused where it is built, before anything is
+    /// written: more tenants than classes of service, tenants without
+    /// cores of their own, an invalid controller configuration, a counter
+    /// width no hardware has.
+    Refused(String),
 }
 
 impl ResctrlError {
@@ -85,13 +90,15 @@ impl ResctrlError {
     /// resctrl writers, or when a sampler is mid-write. The validation
     /// variants are [`ErrorSeverity::Fatal`]: the masks and ids the
     /// controller computes are checked against capabilities it read at
-    /// startup, so a rejection is a bug, not weather.
+    /// startup, so a rejection is a bug, not weather. So is a
+    /// [`ResctrlError::Refused`] configuration: retrying cannot change it.
     pub fn severity(&self) -> ErrorSeverity {
         match self {
             ResctrlError::Io(_) | ResctrlError::Parse(_) => ErrorSeverity::Transient,
             ResctrlError::InvalidCbm { .. }
             | ResctrlError::InvalidCos(_)
-            | ResctrlError::InvalidCore(_) => ErrorSeverity::Fatal,
+            | ResctrlError::InvalidCore(_)
+            | ResctrlError::Refused(_) => ErrorSeverity::Fatal,
         }
     }
 
@@ -111,6 +118,7 @@ impl fmt::Display for ResctrlError {
             ResctrlError::InvalidCore(core) => write!(f, "invalid core index {core}"),
             ResctrlError::Io(e) => write!(f, "resctrl I/O error: {e}"),
             ResctrlError::Parse(msg) => write!(f, "resctrl parse error: {msg}"),
+            ResctrlError::Refused(msg) => write!(f, "refused: {msg}"),
         }
     }
 }
@@ -122,7 +130,8 @@ impl std::error::Error for ResctrlError {
             ResctrlError::InvalidCbm { .. }
             | ResctrlError::InvalidCos(_)
             | ResctrlError::InvalidCore(_)
-            | ResctrlError::Parse(_) => None,
+            | ResctrlError::Parse(_)
+            | ResctrlError::Refused(_) => None,
         }
     }
 }
@@ -276,6 +285,7 @@ mod tests {
             },
             ResctrlError::InvalidCos(CosId(99)),
             ResctrlError::InvalidCore(99),
+            ResctrlError::Refused("too many tenants".into()),
         ] {
             assert_eq!(fatal.severity(), ErrorSeverity::Fatal);
             assert!(!fatal.is_transient());

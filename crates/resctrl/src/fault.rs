@@ -52,7 +52,7 @@ pub enum Fault {
 
 impl Fault {
     /// Stable short name for logs and reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Fault::CosWrite => "cos_write",
             Fault::CosWriteOnce => "cos_write_once",
@@ -204,11 +204,6 @@ impl<C: CacheController> FaultingController<C> {
         self.cos_write_calls = 0;
     }
 
-    /// The wrapped backend.
-    pub fn inner_mut(&mut self) -> &mut C {
-        &mut self.inner
-    }
-
     /// A shared view of the wrapped backend.
     pub fn inner(&self) -> &C {
         &self.inner
@@ -322,7 +317,10 @@ mod tests {
     #[test]
     fn scheduled_writes_fail_and_are_recorded() {
         let plan = FaultPlan::scripted([(2, Fault::CosWrite)]);
-        let mut cat = FaultingController::new(InMemoryController::xeon_e5(4), plan);
+        let mut cat = FaultingController::new(
+            InMemoryController::new(CatCapabilities::with_ways(20), 4),
+            plan,
+        );
 
         cat.set_tick(1);
         cat.program_cos(CosId(1), Cbm(0b11)).unwrap();
@@ -345,7 +343,10 @@ mod tests {
     #[test]
     fn once_variant_fails_only_the_first_call_per_tick() {
         let plan = FaultPlan::scripted([(0, Fault::CosWriteOnce)]);
-        let mut cat = FaultingController::new(InMemoryController::xeon_e5(4), plan);
+        let mut cat = FaultingController::new(
+            InMemoryController::new(CatCapabilities::with_ways(20), 4),
+            plan,
+        );
         assert!(cat.program_cos(CosId(1), Cbm(0b1)).is_err());
         cat.program_cos(CosId(1), Cbm(0b1)).unwrap();
         assert_eq!(cat.injected().len(), 1);
@@ -354,7 +355,10 @@ mod tests {
     #[test]
     fn write_after_k_passes_k_calls_then_fails_the_rest_of_the_tick() {
         let plan = FaultPlan::scripted([(1, Fault::CosWriteAfter(2))]);
-        let mut cat = FaultingController::new(InMemoryController::xeon_e5(4), plan);
+        let mut cat = FaultingController::new(
+            InMemoryController::new(CatCapabilities::with_ways(20), 4),
+            plan,
+        );
         cat.set_tick(1);
         cat.program_cos(CosId(1), Cbm(0b1)).unwrap();
         cat.program_cos(CosId(2), Cbm(0b10)).unwrap();

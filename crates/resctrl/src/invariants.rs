@@ -19,7 +19,10 @@ pub fn check_layout(masks: &[Cbm], cbm_len: u32) -> Result<(), String> {
 
 /// [`check_layout`] over masks as they come, so a per-tick audit need not
 /// collect them first.
-pub fn check_masks(masks: impl IntoIterator<Item = Cbm>, cbm_len: u32) -> Result<(), String> {
+pub(crate) fn check_masks(
+    masks: impl IntoIterator<Item = Cbm>,
+    cbm_len: u32,
+) -> Result<(), String> {
     let mut seen = Cbm(0);
     for (i, mask) in masks.into_iter().enumerate() {
         if mask.is_empty() {
@@ -41,7 +44,7 @@ pub fn check_masks(masks: impl IntoIterator<Item = Cbm>, cbm_len: u32) -> Result
 
 /// Checks that `masks[i]` grants exactly `counts[i]` ways — the planner
 /// must conserve the requested way counts bit-for-bit.
-pub fn check_counts(masks: &[Cbm], counts: &[u32]) -> Result<(), String> {
+pub(crate) fn check_counts(masks: &[Cbm], counts: &[u32]) -> Result<(), String> {
     if masks.len() != counts.len() {
         return Err(format!(
             "layout has {} masks for {} counts",

@@ -31,7 +31,7 @@ impl LayoutPlanner {
     }
 
     /// Number of ways the planner lays out over.
-    pub fn cbm_len(&self) -> u32 {
+    pub(crate) fn cbm_len(&self) -> u32 {
         self.cbm_len
     }
 

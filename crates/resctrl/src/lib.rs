@@ -62,12 +62,12 @@
     clippy::integer_division
 )]
 
-pub mod apply;
-pub mod controller;
+mod apply;
+mod controller;
 pub mod fault;
 pub mod fs;
 pub mod invariants;
-pub mod layout;
+mod layout;
 pub mod mock;
 pub mod retry;
 

@@ -36,11 +36,6 @@ impl InMemoryController {
         }
     }
 
-    /// Convenience constructor for the paper's Xeon-E5 socket.
-    pub fn xeon_e5(num_cores: u32) -> Self {
-        InMemoryController::new(CatCapabilities::with_ways(20), num_cores)
-    }
-
     /// Whether any two *in-use* classes (classes with at least one core
     /// assigned) have overlapping masks. dCat's isolation invariant is that
     /// this never holds.
@@ -130,7 +125,7 @@ mod tests {
 
     #[test]
     fn reset_state_matches_hardware() {
-        let ctl = InMemoryController::xeon_e5(18);
+        let ctl = InMemoryController::new(CatCapabilities::with_ways(20), 18);
         assert_eq!(ctl.cos_mask(CosId(0)).unwrap(), Cbm(0xf_ffff));
         assert_eq!(ctl.cos_mask(CosId(15)).unwrap(), Cbm(0xf_ffff));
         assert_eq!(ctl.core_cos(17).unwrap(), CosId(0));
@@ -138,7 +133,7 @@ mod tests {
 
     #[test]
     fn program_and_assign_round_trip() {
-        let mut ctl = InMemoryController::xeon_e5(4);
+        let mut ctl = InMemoryController::new(CatCapabilities::with_ways(20), 4);
         ctl.program_cos(CosId(1), Cbm(0b11)).unwrap();
         ctl.assign_core(2, CosId(1)).unwrap();
         assert_eq!(ctl.cos_mask(CosId(1)).unwrap(), Cbm(0b11));
@@ -154,7 +149,7 @@ mod tests {
 
     #[test]
     fn rejects_invalid_operations() {
-        let mut ctl = InMemoryController::xeon_e5(4);
+        let mut ctl = InMemoryController::new(CatCapabilities::with_ways(20), 4);
         assert!(ctl.program_cos(CosId(16), Cbm(1)).is_err());
         assert!(ctl.program_cos(CosId(1), Cbm(0)).is_err());
         assert!(ctl.assign_core(4, CosId(0)).is_err());
@@ -165,7 +160,7 @@ mod tests {
 
     #[test]
     fn overlap_detection_tracks_active_classes_only() {
-        let mut ctl = InMemoryController::xeon_e5(4);
+        let mut ctl = InMemoryController::new(CatCapabilities::with_ways(20), 4);
         ctl.program_cos(CosId(1), Cbm(0b0011)).unwrap();
         ctl.program_cos(CosId(2), Cbm(0b0110)).unwrap();
         // Nobody assigned to COS 1/2 yet; only COS 0 is active.

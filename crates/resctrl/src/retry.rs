@@ -261,7 +261,10 @@ mod tests {
         use crate::mock::InMemoryController;
 
         let plan = FaultPlan::scripted([(0, Fault::CosWriteOnce)]);
-        let flaky = FaultingController::new(InMemoryController::xeon_e5(4), plan);
+        let flaky = FaultingController::new(
+            InMemoryController::new(CatCapabilities::with_ways(20), 4),
+            plan,
+        );
         let mut cat = RetryingController::new(flaky, RetryPolicy::immediate(3));
         cat.program_cos(CosId(1), Cbm(0b11)).unwrap();
         assert_eq!(cat.cos_mask(CosId(1)).unwrap(), Cbm(0b11));

@@ -293,7 +293,7 @@ impl Follow {
 /// # Errors
 ///
 /// Anything [`parse_flight`] rejects, including headerless pre-v1 dumps.
-pub fn render_flight(text: &str, opts: &RenderOptions) -> Result<String, String> {
+pub(crate) fn render_flight(text: &str, opts: &RenderOptions) -> Result<String, String> {
     let ticks = parse_flight(text)?;
     let mut out = String::new();
     out.push_str(&paint(
@@ -324,7 +324,7 @@ pub fn render_flight(text: &str, opts: &RenderOptions) -> Result<String, String>
 /// # Errors
 ///
 /// Anything [`check_prometheus`] rejects.
-pub fn render_prometheus(text: &str, opts: &RenderOptions) -> Result<String, String> {
+pub(crate) fn render_prometheus(text: &str, opts: &RenderOptions) -> Result<String, String> {
     let summary = check_prometheus(text)?;
     // The validator put a `# TYPE` line before every sample.
     let mut families: Vec<(&str, usize)> = Vec::new();

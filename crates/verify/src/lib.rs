@@ -858,10 +858,10 @@ pub struct Report {
     /// What was explored.
     pub counts: Counts,
     /// Temporal-property and invariant violations of the lattice.
-    pub violations: Vec<String>,
+    pub(crate) violations: Vec<String>,
     /// Violations under injected faults, either family, and mid-apply
     /// tick families that injected nothing.
-    pub fault_violations: Vec<String>,
+    pub(crate) fault_violations: Vec<String>,
 }
 
 impl Report {

@@ -73,7 +73,7 @@ impl<S: AccessStream> DiurnalStream<S> {
     /// # Panics
     ///
     /// Panics if `curve` is empty or `requests_per_step` is zero.
-    pub fn new(inner: S, curve: &[u32], requests_per_step: u64, phase: usize) -> Self {
+    pub(crate) fn new(inner: S, curve: &[u32], requests_per_step: u64, phase: usize) -> Self {
         assert!(!curve.is_empty(), "load curve needs at least one step");
         assert!(requests_per_step > 0, "curve must advance");
         DiurnalStream {
@@ -94,7 +94,7 @@ impl<S: AccessStream> DiurnalStream<S> {
     }
 
     /// Current percent-of-peak load.
-    pub fn load_percent(&self) -> u32 {
+    pub(crate) fn load_percent(&self) -> u32 {
         let step = (self.completed / self.requests_per_step) as usize;
         let idx = (step + self.phase) % self.curve.len();
         self.curve.get(idx).copied().unwrap_or(100)

@@ -61,16 +61,16 @@
     )
 )]
 
-pub mod diurnal;
-pub mod lookbusy;
-pub mod mload;
-pub mod mlr;
+mod diurnal;
+mod lookbusy;
+mod mload;
+mod mlr;
 pub mod phased;
-pub mod services;
-pub mod spec;
-pub mod stream;
-pub mod trace;
-pub mod zipf;
+mod services;
+mod spec;
+mod stream;
+mod trace;
+mod zipf;
 
 pub use diurnal::{DiurnalStream, DAY_CURVE};
 pub use lookbusy::Lookbusy;

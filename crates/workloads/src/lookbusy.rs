@@ -18,7 +18,7 @@ pub struct Lookbusy {
 
 impl Lookbusy {
     /// Buffer size: 8 KiB, a quarter of the L1.
-    pub const WSS_BYTES: u64 = 8 * 1024;
+    pub(crate) const WSS_BYTES: u64 = 8 * 1024;
 
     /// Creates a lookbusy stream.
     pub fn new() -> Self {

@@ -24,7 +24,7 @@ pub struct Mload {
 impl Mload {
     /// Memory references per instruction for the scan loop. Distinct from
     /// MLR's value so phase detection can tell the two apart.
-    pub const MEM_REFS_PER_INSTR: f64 = 0.5;
+    pub(crate) const MEM_REFS_PER_INSTR: f64 = 0.5;
 
     /// Creates an MLOAD with the given working-set size, 4 KiB pages.
     ///
@@ -36,7 +36,7 @@ impl Mload {
     }
 
     /// Creates an MLOAD backed by the given page size.
-    pub fn with_page_size(wss_bytes: u64, page_size: PageSize) -> Self {
+    pub(crate) fn with_page_size(wss_bytes: u64, page_size: PageSize) -> Self {
         assert!(wss_bytes >= LINE_SIZE, "working set smaller than one line");
         Mload {
             wss_bytes,

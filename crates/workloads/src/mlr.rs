@@ -23,7 +23,7 @@ pub struct Mlr {
 
 impl Mlr {
     /// Memory references per instruction for the pointer-chase loop.
-    pub const MEM_REFS_PER_INSTR: f64 = 0.34;
+    pub(crate) const MEM_REFS_PER_INSTR: f64 = 0.34;
 
     /// Creates an MLR with the given working-set size, 4 KiB pages.
     ///

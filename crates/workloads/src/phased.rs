@@ -4,7 +4,7 @@
 //! detects a phase change from a >10% shift in memory accesses per
 //! instruction and re-baselines (paper Sections 3.3, 3.4). [`PhasedStream`]
 //! builds such programs from any sequence of sub-streams, each active for a
-//! fixed number of references, optionally cycling forever.
+//! fixed number of references, cycling forever.
 
 use llc_sim::PageSize;
 
@@ -18,31 +18,20 @@ pub struct Phase {
     pub accesses: u64,
 }
 
-/// A stream that plays its phases in order.
+/// A stream that plays its phases in order, then starts over.
 pub struct PhasedStream {
     phases: Vec<Phase>,
     current: usize,
     remaining_in_phase: u64,
-    cycle: bool,
 }
 
 impl PhasedStream {
-    /// Creates a phased stream that stops advancing after the last phase
-    /// (the final phase then runs forever).
+    /// Creates a phased stream that cycles back to the first phase.
     ///
     /// # Panics
     ///
     /// Panics if `phases` is empty or any phase has zero accesses.
-    pub fn new(phases: Vec<Phase>) -> Self {
-        Self::build(phases, false)
-    }
-
-    /// Creates a phased stream that cycles back to the first phase.
     pub fn cycling(phases: Vec<Phase>) -> Self {
-        Self::build(phases, true)
-    }
-
-    fn build(phases: Vec<Phase>, cycle: bool) -> Self {
         assert!(!phases.is_empty(), "phased stream needs at least one phase");
         assert!(
             phases.iter().all(|p| p.accesses > 0),
@@ -53,7 +42,6 @@ impl PhasedStream {
             phases,
             current: 0,
             remaining_in_phase: first,
-            cycle,
         }
     }
 
@@ -61,16 +49,7 @@ impl PhasedStream {
         if self.remaining_in_phase > 0 {
             return;
         }
-        let last = self.phases.len() - 1;
-        if self.current < last {
-            self.current += 1;
-        } else if self.cycle {
-            self.current = 0;
-        } else {
-            // Terminal phase runs forever.
-            self.remaining_in_phase = u64::MAX;
-            return;
-        }
+        self.current = (self.current + 1) % self.phases.len();
         self.remaining_in_phase = self.phases[self.current].accesses;
     }
 }
@@ -108,7 +87,7 @@ mod tests {
     use crate::{Mload, Mlr};
 
     fn two_phase() -> PhasedStream {
-        PhasedStream::new(vec![
+        PhasedStream::cycling(vec![
             Phase {
                 stream: Box::new(Mlr::new(1 << 20, 1)),
                 accesses: 10,
@@ -143,17 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn terminal_phase_runs_forever_without_cycling() {
-        let mut s = two_phase();
-        for _ in 0..1000 {
-            s.next_access();
-        }
-        assert_eq!(s.current, 1);
-        // Parked in the terminal phase, not cycling through it.
-        assert!(s.remaining_in_phase > u64::MAX - 1000);
-    }
-
-    #[test]
     fn cycling_returns_to_first_phase() {
         let mut s = PhasedStream::cycling(vec![
             Phase {
@@ -174,7 +142,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one phase")]
     fn empty_phases_rejected() {
-        let _ = PhasedStream::new(vec![]);
+        let _ = PhasedStream::cycling(vec![]);
     }
 
     #[test]

@@ -160,7 +160,7 @@ impl RedisModel {
     }
 
     /// Creates a Redis model with an explicit key sampler.
-    pub fn with_sampler(n_records: u64, record_bytes: u64, keys: KeySampler) -> Self {
+    pub(crate) fn with_sampler(n_records: u64, record_bytes: u64, keys: KeySampler) -> Self {
         RedisModel {
             n_records,
             record_lines: record_bytes.div_ceil(LINE_SIZE).max(1),
@@ -328,7 +328,7 @@ impl ElasticsearchModel {
     }
 
     /// Creates an Elasticsearch model with an explicit key sampler.
-    pub fn with_sampler(n_docs: u64, doc_bytes: u64, keys: KeySampler) -> Self {
+    pub(crate) fn with_sampler(n_docs: u64, doc_bytes: u64, keys: KeySampler) -> Self {
         ElasticsearchModel {
             n_docs,
             doc_lines: doc_bytes.div_ceil(LINE_SIZE).max(1),

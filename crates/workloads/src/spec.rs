@@ -32,17 +32,17 @@ pub struct SpecBenchmark {
     /// Effective LLC-relevant working-set size in bytes.
     pub wss_bytes: u64,
     /// Fraction of the working set forming the high-reuse core (CWSS/WSS).
-    pub hot_fraction: f64,
+    pub(crate) hot_fraction: f64,
     /// Probability that a reference targets the hot region.
-    pub hot_access_prob: f64,
+    pub(crate) hot_access_prob: f64,
     /// Whether cold references scan sequentially with no reuse.
-    pub streaming: bool,
+    pub(crate) streaming: bool,
     /// Memory references per instruction.
-    pub mem_refs_per_instr: f64,
+    pub(crate) mem_refs_per_instr: f64,
     /// Compute-bound CPI.
-    pub cpi_exec: f64,
+    pub(crate) cpi_exec: f64,
     /// Memory-level parallelism.
-    pub mlp: f64,
+    pub(crate) mlp: f64,
 }
 
 impl SpecBenchmark {
@@ -147,7 +147,7 @@ impl SpecStream {
     /// # Panics
     ///
     /// Panics if the working set is smaller than two lines.
-    pub fn new(spec: SpecBenchmark, seed: u64) -> Self {
+    pub(crate) fn new(spec: SpecBenchmark, seed: u64) -> Self {
         let total_lines = spec.wss_bytes / LINE_SIZE;
         assert!(total_lines >= 2, "SPEC working set too small");
         let hot_lines = ((total_lines as f64 * spec.hot_fraction) as u64).clamp(1, total_lines - 1);
@@ -158,11 +158,6 @@ impl SpecStream {
             cold_cursor: 0,
             rng: SmallRng::seed_from_u64(seed),
         }
-    }
-
-    /// The benchmark description.
-    pub fn benchmark(&self) -> &SpecBenchmark {
-        &self.spec
     }
 }
 

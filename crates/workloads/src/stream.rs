@@ -25,17 +25,8 @@ impl MemRef {
         }
     }
 
-    /// A plain store that does not end a request.
-    pub fn store(vaddr: u64) -> Self {
-        MemRef {
-            vaddr: VirtAddr(vaddr),
-            kind: AccessKind::Store,
-            ends_request: false,
-        }
-    }
-
     /// Marks this reference as the last one of a request.
-    pub fn ending_request(mut self) -> Self {
+    pub(crate) fn ending_request(mut self) -> Self {
         self.ends_request = true;
         self
     }
@@ -248,7 +239,11 @@ mod tests {
         let l = MemRef::load(0x40);
         assert_eq!(l.kind, AccessKind::Load);
         assert!(!l.ends_request);
-        let s = MemRef::store(0x80).ending_request();
+        let s = MemRef {
+            kind: AccessKind::Store,
+            ..MemRef::load(0x80)
+        }
+        .ending_request();
         assert_eq!(s.kind, AccessKind::Store);
         assert!(s.ends_request);
     }

@@ -90,11 +90,6 @@ impl ZipfSampler {
         (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
     }
 
-    /// The population size.
-    pub fn population(&self) -> u64 {
-        self.n
-    }
-
     /// Draws one key in `0..n`; key 0 is the most popular.
     pub fn sample(&mut self) -> u64 {
         let u = self.rng.gen_f64();
